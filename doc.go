@@ -85,10 +85,12 @@
 //
 // WithShards(n) splits the index into n spatial partitions (Z-order
 // chunks of near-equal size, round-robin for degenerate distributions).
-// Shards build concurrently — WithBuildParallelism bounds the workers — and
-// every search runs scatter-gather: shards search in parallel with pooled
-// per-shard searchers, results merge in the monolithic order, and top-k
-// descents prune cooperatively against the running global k-th-best score.
+// Shards build concurrently — WithBuildParallelism bounds how many at once;
+// a MethodSeal shard additionally fans its per-token grid selection out over
+// GOMAXPROCS workers, even when it is the only shard — and every search runs
+// scatter-gather: shards search in parallel with pooled per-shard searchers,
+// results merge in the monolithic order, and top-k descents prune
+// cooperatively against the running global k-th-best score.
 // Sharding never changes answers; every shard count returns exactly the
 // matches, similarities and top-k order of the 1-shard index, which remains
 // the default.

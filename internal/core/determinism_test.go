@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/sealdb/seal/internal/core"
@@ -37,8 +39,16 @@ func TestHierarchicalBuildDeterministic(t *testing.T) {
 		ids, st := collect(t, a, ds, q)
 		queries = append(queries, queryWithStats{q: q, ids: ids, st: st})
 	}
+	// Rebuild at the ambient parallelism, then with one token worker and with
+	// several: which worker builds which token must leave no trace either.
+	procs := []int{runtime.GOMAXPROCS(0), 1, max(4, runtime.NumCPU())}
 	for rebuild := 0; rebuild < 3; rebuild++ {
+		prev := runtime.GOMAXPROCS(procs[rebuild])
 		b := build()
+		runtime.GOMAXPROCS(prev)
+		if !reflect.DeepEqual(a.TokenGrids(), b.TokenGrids()) {
+			t.Fatalf("rebuild %d (GOMAXPROCS %d): selected grids differ", rebuild, procs[rebuild])
+		}
 		if a.SizeBytes() != b.SizeBytes() || a.Postings() != b.Postings() {
 			t.Fatalf("rebuild %d: size %d/%d postings %d/%d differ",
 				rebuild, a.SizeBytes(), b.SizeBytes(), a.Postings(), b.Postings())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"github.com/sealdb/seal/internal/geo"
@@ -18,12 +19,17 @@ import (
 // O(Σ_l min(rangeCells(l), |grids(l)|) · log).
 type gridLocator struct {
 	tree *gridtree.Tree
-	// levels in ascending order; nodes[i]/pos[i] are the level's grids
-	// sorted by NodeID and their positions in the token's global order.
-	levels []int
-	nodes  [][]gridtree.NodeID
-	pos    [][]int32
-	total  int
+	// runs lists the populated levels in ascending order. Run i owns
+	// nodes[start:end] — the level's grids sorted by NodeID — and the same
+	// span of pos, their positions in the token's global order.
+	runs  []levelRun
+	nodes []gridtree.NodeID
+	pos   []int32
+}
+
+type levelRun struct {
+	level      int
+	start, end int32
 }
 
 // gridHit is one projected grid: its position in the token's global order
@@ -46,36 +52,48 @@ func newGridLocator(tree *gridtree.Tree, grids []hss.Grid) *gridLocator {
 
 // newGridLocatorNodes indexes a token's grids given only their node IDs in
 // global order — all the locator ever uses of an hss.Grid, which is what
-// lets a persisted segment rebuild locators without re-running HSS.
+// lets a persisted segment rebuild locators without re-running HSS. It runs
+// once per token on every build and every segment open, so it is a counting
+// sort by level into two backing slices rather than a map of per-level ones.
 func newGridLocatorNodes(tree *gridtree.Tree, ordered []gridtree.NodeID) *gridLocator {
-	byLevel := map[int][]int32{}
+	var count [gridtree.MaxLevelLimit + 2]int32 // NodeID keeps 4 bits of level
+	for _, n := range ordered {
+		count[n.Level()]++
+	}
+	populated := 0
+	for _, c := range count {
+		if c > 0 {
+			populated++
+		}
+	}
+	loc := &gridLocator{
+		tree:  tree,
+		runs:  make([]levelRun, 0, populated),
+		nodes: make([]gridtree.NodeID, len(ordered)),
+		pos:   make([]int32, len(ordered)),
+	}
+	var next [len(count)]int32 // next free slot of each level's run
+	var off int32
+	for l, c := range count {
+		if c > 0 {
+			loc.runs = append(loc.runs, levelRun{level: l, start: off, end: off + c})
+		}
+		next[l] = off
+		off += c
+	}
 	for i, n := range ordered {
 		l := n.Level()
-		byLevel[l] = append(byLevel[l], int32(i))
+		loc.pos[next[l]] = int32(i)
+		next[l]++
 	}
-	loc := &gridLocator{tree: tree, total: len(ordered)}
-	for l := 0; l <= tree.MaxLevel; l++ {
-		idxs, ok := byLevel[l]
-		if !ok {
-			continue
+	for _, run := range loc.runs {
+		pos := loc.pos[run.start:run.end]
+		if len(pos) > 1 {
+			slices.SortFunc(pos, func(a, b int32) int { return cmp.Compare(ordered[a], ordered[b]) })
 		}
-		slices.SortFunc(idxs, func(a, b int32) int {
-			switch {
-			case ordered[a] < ordered[b]:
-				return -1
-			case ordered[a] > ordered[b]:
-				return 1
-			default:
-				return 0
-			}
-		})
-		nodes := make([]gridtree.NodeID, len(idxs))
-		for j, i := range idxs {
-			nodes[j] = ordered[i]
+		for j, i := range pos {
+			loc.nodes[int(run.start)+j] = ordered[i]
 		}
-		loc.levels = append(loc.levels, l)
-		loc.nodes = append(loc.nodes, nodes)
-		loc.pos = append(loc.pos, idxs)
 	}
 	return loc
 }
@@ -83,11 +101,9 @@ func newGridLocatorNodes(tree *gridtree.Tree, ordered []gridtree.NodeID) *gridLo
 // orderedNodes reconstructs the token's grids in global order, inverting the
 // by-level layout.
 func (loc *gridLocator) orderedNodes() []gridtree.NodeID {
-	out := make([]gridtree.NodeID, loc.total)
-	for li := range loc.nodes {
-		for j, n := range loc.nodes[li] {
-			out[loc.pos[li][j]] = n
-		}
+	out := make([]gridtree.NodeID, len(loc.nodes))
+	for j, n := range loc.nodes {
+		out[loc.pos[j]] = n
 	}
 	return out
 }
@@ -96,14 +112,19 @@ func (loc *gridLocator) orderedNodes() []gridtree.NodeID {
 // global order position.
 func (loc *gridLocator) project(r geo.Rect, out []gridHit) []gridHit {
 	start := len(out)
-	for li, level := range loc.levels {
-		nodes := loc.nodes[li]
-		pos := loc.pos[li]
-		ix0, iy0, ix1, iy1, ok := loc.cellRange(level, r)
-		rangeCells := (ix1 - ix0) * (iy1 - iy0)
+	inSpace, has := r.Intersection(loc.tree.Space)
+	if !has || inSpace.IsDegenerate() {
+		return out
+	}
+	for _, run := range loc.runs {
+		level := run.level
+		nodes := loc.nodes[run.start:run.end]
+		pos := loc.pos[run.start:run.end]
+		ix0, iy0, ix1, iy1, ok := loc.cellRange(level, inSpace)
 		if !ok {
 			continue
 		}
+		rangeCells := (ix1 - ix0) * (iy1 - iy0)
 		if rangeCells > len(nodes) {
 			// Sparse level: scanning its grids is cheaper.
 			for j, n := range nodes {
@@ -153,13 +174,10 @@ func (loc *gridLocator) project(r geo.Rect, out []gridHit) []gridHit {
 	return out
 }
 
-// cellRange returns the half-open cell index range of r at the given level.
-func (loc *gridLocator) cellRange(level int, r geo.Rect) (ix0, iy0, ix1, iy1 int, ok bool) {
+// cellRange returns the half-open cell index range at the given level of
+// inter, a rectangle already clipped to the space.
+func (loc *gridLocator) cellRange(level int, inter geo.Rect) (ix0, iy0, ix1, iy1 int, ok bool) {
 	space := loc.tree.Space
-	inter, has := r.Intersection(space)
-	if !has || inter.IsDegenerate() {
-		return 0, 0, 0, 0, false
-	}
 	p := 1 << level
 	cw := space.Width() / float64(p)
 	ch := space.Height() / float64(p)
@@ -185,9 +203,5 @@ func clampCell(v, hi int) int {
 
 // sizeBytes estimates the locator's footprint.
 func (loc *gridLocator) sizeBytes() int64 {
-	var n int64
-	for i := range loc.nodes {
-		n += int64(len(loc.nodes[i])) * 8
-	}
-	return n + int64(len(loc.levels))*56
+	return int64(len(loc.nodes))*8 + int64(len(loc.runs))*56
 }

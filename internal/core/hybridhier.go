@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/gridtree"
@@ -76,13 +78,25 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 	f := &HierarchicalFilter{ds: ds, tree: tree, budget: cfg.GridBudget}
 
 	// Token-major posting accumulation: I(t) with each object's textual
-	// bound c^T_t(o) (suffix weight at t's position in o's ordered tokens).
+	// bound c^T_t(o) (suffix weight at t's position in o's ordered tokens),
+	// laid out as one array sliced per token (count, then fill).
 	vocab := ds.Vocab()
-	type tokenPosting struct {
-		obj    uint32
-		tBound float64
+	starts := make([]int, vocab.Len()+1)
+	for obj := 0; obj < ds.Len(); obj++ {
+		for _, t := range ds.Tokens(model.ObjectID(obj)) {
+			starts[t+1]++
+		}
 	}
-	perToken := make([][]tokenPosting, vocab.Len())
+	presentTokens := 0
+	for t := 0; t < vocab.Len(); t++ {
+		if starts[t+1] > 0 {
+			presentTokens++
+		}
+		starts[t+1] += starts[t]
+	}
+	totalPostings := starts[vocab.Len()]
+	postings := make([]tokenPosting, totalPostings)
+	fill := slices.Clone(starts[:vocab.Len()])
 	var tsig []text.TokenID
 	var tW, tB []float64
 	for obj := 0; obj < ds.Len(); obj++ {
@@ -96,114 +110,167 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 		tB = append(tB[:0], tW...)
 		invidx.SuffixBounds(tW, tB)
 		for i, t := range tsig {
-			perToken[t] = append(perToken[t], tokenPosting{obj: uint32(obj), tBound: tB[i]})
+			postings[fill[t]] = tokenPosting{obj: uint32(obj), tBound: tB[i]}
+			fill[t]++
 		}
 	}
 
 	// Distribute the global element budget over tokens proportionally to
 	// their posting counts: m_t = GridBudget · |I(t)| / mean|I(t)|.
-	var totalPostings, presentTokens int
-	for t := range perToken {
-		if n := len(perToken[t]); n > 0 {
-			totalPostings += n
-			presentTokens++
-		}
-	}
 	meanPostings := float64(totalPostings) / float64(presentTokens)
 
 	// Tokens are independent, so HSS selection and per-object signature
-	// generation fan out across CPUs; postings are merged single-threaded
-	// afterwards, keeping the index bit-for-bit deterministic.
+	// generation fan out across CPUs, each worker taking the next token and
+	// appending that token's finished lists to its own run. Which worker got
+	// which token leaves no trace: hierKey is token-major, so the runs' token
+	// spans, concatenated in token order, are the index.
 	f.tokenLoc = make([]*gridLocator, vocab.Len())
-	type tokenResult struct {
-		loc      *gridLocator
-		postings []invidx.DualPosting
-		keys     []uint64
-		err      error
-	}
-	results := make([]tokenResult, vocab.Len())
-	workers := runtime.GOMAXPROCS(0)
+	spans := make([]hierSpan, vocab.Len())
+	workers := make([]*hierWorker, runtime.GOMAXPROCS(0))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
+	for w := range workers {
+		wk := new(hierWorker)
+		workers[w] = wk
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var rects []geo.Rect
-			var gW, gB []float64
-			var hits []gridHit
-			for t := range next {
-				postings := perToken[t]
-				mt := int(float64(cfg.GridBudget) * float64(len(postings)) / meanPostings)
-				if mt < minTokenBudget {
-					mt = minTokenBudget
+			for wk.err == nil {
+				t := int(next.Add(1)) - 1
+				if t >= vocab.Len() {
+					return
 				}
-				if mt > maxTokenBudget {
-					mt = maxTokenBudget
-				}
-				rects = rects[:0]
-				for _, p := range postings {
-					rects = append(rects, ds.Region(model.ObjectID(p.obj)))
-				}
-				grids, err := hss.Select(tree, rects, mt)
-				if err != nil {
-					results[t].err = fmt.Errorf("core: HSS for token %d: %w", t, err)
+				tp := postings[starts[t]:starts[t+1]]
+				if len(tp) == 0 {
 					continue
 				}
-				if len(grids) == 0 {
-					continue
-				}
-				sortHierGrids(grids, cfg.Order)
-				loc := newGridLocator(tree, grids)
-				res := tokenResult{loc: loc}
-
-				// Per-object spatial signature over this token's grid set.
-				for _, p := range postings {
-					region := ds.Region(model.ObjectID(p.obj))
-					hits = loc.project(region, hits[:0])
-					gW = gW[:0]
-					for _, h := range hits {
-						gW = append(gW, h.w)
-					}
-					gB = append(gB[:0], gW...)
-					invidx.SuffixBounds(gW, gB)
-					for j, h := range hits {
-						res.keys = append(res.keys, hierKey(text.TokenID(t), h.node))
-						res.postings = append(res.postings, invidx.DualPosting{
-							Obj: p.obj, RBound: gB[j], TBound: p.tBound,
-						})
-					}
-				}
-				results[t] = res
+				mt := int(float64(cfg.GridBudget) * float64(len(tp)) / meanPostings)
+				mt = min(max(mt, minTokenBudget), maxTokenBudget)
+				span := hierSpan{worker: w, list0: len(wk.run.Keys), posting0: len(wk.run.Objs)}
+				f.tokenLoc[t], wk.err = wk.buildToken(ds, tree, cfg.Order, text.TokenID(t), tp, mt)
+				span.list1, span.posting1 = len(wk.run.Keys), len(wk.run.Objs)
+				spans[t] = span
 			}
 		}()
 	}
-	for t := range perToken {
-		if len(perToken[t]) > 0 {
-			next <- t
-		}
-	}
-	close(next)
 	wg.Wait()
 
-	var b invidx.DualBuilder
-	for t := range results {
-		res := &results[t]
-		if res.err != nil {
-			return nil, res.err
+	for _, wk := range workers {
+		if wk.err != nil {
+			return nil, wk.err
 		}
-		if res.loc == nil {
+	}
+	runs := make([]invidx.DualRun, 0, presentTokens)
+	for _, sp := range spans {
+		if sp.list0 == sp.list1 {
 			continue
 		}
-		f.tokenLoc[t] = res.loc
-		for i, key := range res.keys {
-			p := res.postings[i]
-			b.Add(key, p.Obj, p.RBound, p.TBound)
-		}
-		res.keys, res.postings = nil, nil
+		run := &workers[sp.worker].run
+		runs = append(runs, invidx.DualRun{
+			Keys:    run.Keys[sp.list0:sp.list1],
+			Lens:    run.Lens[sp.list0:sp.list1],
+			Objs:    run.Objs[sp.posting0:sp.posting1],
+			RBounds: run.RBounds[sp.posting0:sp.posting1],
+			TBounds: run.TBounds[sp.posting0:sp.posting1],
+		})
 	}
-	f.idx = b.Build()
+	f.idx = invidx.DualFromSortedRuns(runs)
 	return f, nil
+}
+
+// tokenPosting is one entry of I(t): an object holding t and its textual
+// bound there.
+type tokenPosting struct {
+	obj    uint32
+	tBound float64
+}
+
+// hierSpan locates one token's lists inside the run of the worker that built
+// them.
+type hierSpan struct {
+	worker             int
+	list0, list1       int
+	posting0, posting1 int
+}
+
+// hierEntry is one hybrid posting of the token being built, before its lists
+// are laid out.
+type hierEntry struct {
+	node   gridtree.NodeID
+	obj    uint32
+	rBound float64
+	tBound float64
+}
+
+// hierWorker is one build goroutine's state: the scratch every token reuses
+// and the run that collects the finished lists of all its tokens.
+type hierWorker struct {
+	sel     hss.Selector
+	rects   []geo.Rect
+	hits    []gridHit
+	gW, gB  []float64
+	entries []hierEntry
+	run     invidx.DualRun
+	err     error
+}
+
+// buildToken selects token t's grids, generates every posting of I(t)'s
+// spatial signature over them, and appends t's lists to the worker's run in
+// DualIndex order: ascending grid node (t's keys ascend with it), and within
+// a list descending spatial bound, ties by ascending object. The locator is
+// nil when no region of t overlaps the space.
+func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order HierOrder, t text.TokenID, tp []tokenPosting, mt int) (*gridLocator, error) {
+	wk.rects = wk.rects[:0]
+	for _, p := range tp {
+		wk.rects = append(wk.rects, ds.Region(model.ObjectID(p.obj)))
+	}
+	grids, err := wk.sel.Select(tree, wk.rects, mt)
+	if err != nil {
+		return nil, fmt.Errorf("core: HSS for token %d: %w", t, err)
+	}
+	if len(grids) == 0 {
+		return nil, nil
+	}
+	sortHierGrids(grids, order)
+	loc := newGridLocator(tree, grids)
+
+	// Per-object spatial signature over this token's grid set.
+	wk.entries = wk.entries[:0]
+	for i, p := range tp {
+		wk.hits = loc.project(wk.rects[i], wk.hits[:0])
+		wk.gW = wk.gW[:0]
+		for _, h := range wk.hits {
+			wk.gW = append(wk.gW, h.w)
+		}
+		wk.gB = append(wk.gB[:0], wk.gW...)
+		invidx.SuffixBounds(wk.gW, wk.gB)
+		for j, h := range wk.hits {
+			wk.entries = append(wk.entries, hierEntry{node: h.node, obj: p.obj, rBound: wk.gB[j], tBound: p.tBound})
+		}
+	}
+	// An object projects onto a grid at most once, so (node, obj) is unique
+	// and the order below is total.
+	slices.SortFunc(wk.entries, func(a, b hierEntry) int {
+		if c := cmp.Compare(a.node, b.node); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.rBound, a.rBound); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.obj, b.obj)
+	})
+	run := &wk.run
+	for i, e := range wk.entries {
+		if i == 0 || e.node != wk.entries[i-1].node {
+			run.Keys = append(run.Keys, hierKey(t, e.node))
+			run.Lens = append(run.Lens, 0)
+		}
+		run.Lens[len(run.Lens)-1]++
+		run.Objs = append(run.Objs, e.obj)
+		run.RBounds = append(run.RBounds, e.rBound)
+		run.TBounds = append(run.TBounds, e.tBound)
+	}
+	return loc, nil
 }
 
 // OpenHierarchicalFilter pairs ds with persisted posting storage and the

@@ -82,21 +82,21 @@ func (r Rect) Intersection(s Rect) (Rect, bool) {
 		return Rect{}, false
 	}
 	return Rect{
-		MinX: math.Max(r.MinX, s.MinX),
-		MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX),
-		MaxY: math.Min(r.MaxY, s.MaxY),
+		MinX: max(r.MinX, s.MinX),
+		MinY: max(r.MinY, s.MinY),
+		MaxX: min(r.MaxX, s.MaxX),
+		MaxY: min(r.MaxY, s.MaxY),
 	}, true
 }
 
 // IntersectionArea returns |r ∩ s|, the area of the overlap of r and s,
 // without allocating the intersection rectangle.
 func (r Rect) IntersectionArea(s Rect) float64 {
-	w := math.Min(r.MaxX, s.MaxX) - math.Max(r.MinX, s.MinX)
+	w := min(r.MaxX, s.MaxX) - max(r.MinX, s.MinX)
 	if w <= 0 {
 		return 0
 	}
-	h := math.Min(r.MaxY, s.MaxY) - math.Max(r.MinY, s.MinY)
+	h := min(r.MaxY, s.MaxY) - max(r.MinY, s.MinY)
 	if h <= 0 {
 		return 0
 	}
@@ -111,10 +111,10 @@ func (r Rect) UnionArea(s Rect) float64 {
 // Extend returns the MBR of r and s.
 func (r Rect) Extend(s Rect) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, s.MinX),
-		MinY: math.Min(r.MinY, s.MinY),
-		MaxX: math.Max(r.MaxX, s.MaxX),
-		MaxY: math.Max(r.MaxY, s.MaxY),
+		MinX: min(r.MinX, s.MinX),
+		MinY: min(r.MinY, s.MinY),
+		MaxX: max(r.MaxX, s.MaxX),
+		MaxY: max(r.MaxY, s.MaxY),
 	}
 }
 

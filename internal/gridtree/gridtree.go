@@ -4,6 +4,13 @@
 // size Î(g) of a grid under the uniform-query assumption, and the grid error
 // of Definition 6 — the inputs of both grid-granularity selection and
 // hierarchical hybrid signature selection (HSS).
+//
+// ExpectedListSize, NodeError and FilterIntersecting are the executable form
+// of those definitions: one pass over the regions per quantity, written to be
+// read against the paper. The index build does not call them — hss.Selector
+// evaluates the same sums fused into one sweep per node — but it must agree
+// with them bit for bit, and hss's differential test holds it to that, so a
+// change to the arithmetic here is a change to every SEAL index.
 package gridtree
 
 import (

@@ -1,8 +1,11 @@
 package hss
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -199,5 +202,258 @@ func TestLargerBudgetNeverCoarser(t *testing.T) {
 			t.Fatalf("mt=%d produced %d grids, fewer than previous %d", mt, len(grids), prev)
 		}
 		prev = len(grids)
+	}
+}
+
+// referenceSelect is the Select this package shipped before the one-pass
+// Selector — the container/heap loop over gridtree's FilterIntersecting and
+// NodeError, moved here verbatim — kept as the oracle the Selector must match
+// grid for grid.
+type referenceItem struct {
+	node   gridtree.NodeID
+	subset []int // indices into the caller's rects
+	err    float64
+}
+
+// referenceQueue is a max-heap on node error, with NodeID as deterministic
+// tie-break.
+type referenceQueue []referenceItem
+
+func (q referenceQueue) Len() int { return len(q) }
+func (q referenceQueue) Less(i, j int) bool {
+	if q[i].err != q[j].err {
+		return q[i].err > q[j].err
+	}
+	return q[i].node < q[j].node
+}
+func (q referenceQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *referenceQueue) Push(x any)   { *q = append(*q, x.(referenceItem)) }
+func (q *referenceQueue) Pop() any {
+	old := *q
+	n := len(old)
+	it := old[n-1]
+	*q = old[:n-1]
+	return it
+}
+
+func referenceSelect(tree *gridtree.Tree, rects []geo.Rect, mt int) ([]Grid, error) {
+	if mt < 1 {
+		return nil, fmt.Errorf("hss: budget %d must be at least 1", mt)
+	}
+	rootSubset := tree.FilterIntersecting(tree.Root(), rects, nil, nil)
+	if len(rootSubset) == 0 {
+		return nil, nil
+	}
+	subsetRects := func(subset []int) []geo.Rect {
+		rs := make([]geo.Rect, len(subset))
+		for i, idx := range subset {
+			rs[i] = rects[idx]
+		}
+		return rs
+	}
+
+	q := &referenceQueue{}
+	heap.Push(q, referenceItem{
+		node:   tree.Root(),
+		subset: rootSubset,
+		err:    tree.NodeError(tree.Root(), subsetRects(rootSubset)),
+	})
+	var out []Grid
+	for q.Len() > 0 {
+		it := heap.Pop(q).(referenceItem)
+		if tree.IsLeaf(it.node) {
+			out = append(out, Grid{Node: it.node, Count: len(it.subset)})
+			continue
+		}
+		children := tree.Children(it.node)
+		childSubsets := make([][]int, 0, 4)
+		childNodes := make([]gridtree.NodeID, 0, 4)
+		for _, c := range children {
+			sub := tree.FilterIntersecting(c, rects, it.subset, nil)
+			if len(sub) == 0 {
+				continue
+			}
+			childSubsets = append(childSubsets, sub)
+			childNodes = append(childNodes, c)
+		}
+		// Splitting replaces the dequeued grid with len(childNodes) grids;
+		// every queued or finalized grid contributes at least one output
+		// grid, so the final size would be at least the sum below. Keep the
+		// node whole when that would exceed the budget (the |Gt|+|Q|+|Nc|-1
+		// check of Algorithm 2, with |Q| counted before the dequeue).
+		if len(out)+q.Len()+len(childNodes) > mt {
+			out = append(out, Grid{Node: it.node, Count: len(it.subset)})
+			continue
+		}
+		for i, c := range childNodes {
+			heap.Push(q, referenceItem{
+				node:   c,
+				subset: childSubsets[i],
+				err:    tree.NodeError(c, subsetRects(childSubsets[i])),
+			})
+		}
+	}
+	return out, nil
+}
+
+// adversarialRects draws a region set mixing the shapes that stress the
+// Selector's equivalence to the reference: ordinary boxes, cell-aligned boxes
+// whose edges touch grid lines (zero-area contact with the neighbouring
+// cell), degenerate points and segments, boxes partly or wholly outside the
+// space, boxes covering all of it, and exact duplicates (equal errors, so the
+// NodeID tie-break decides).
+func adversarialRects(rng *rand.Rand, space geo.Rect, n int) []geo.Rect {
+	w, h := space.Width(), space.Height()
+	rects := make([]geo.Rect, 0, n)
+	for len(rects) < n {
+		x, y := space.MinX+rng.Float64()*w, space.MinY+rng.Float64()*h
+		var r geo.Rect
+		switch rng.Intn(9) {
+		case 0: // point
+			r = geo.Rect{MinX: x, MinY: y, MaxX: x, MaxY: y}
+		case 1: // horizontal segment
+			r = geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*w/8, MaxY: y}
+		case 2: // aligned to the cells of a random level
+			cells := float64(int(1) << rng.Intn(8))
+			cw, ch := w/cells, h/cells
+			cx, cy := float64(rng.Intn(int(cells))), float64(rng.Intn(int(cells)))
+			r = geo.Rect{
+				MinX: space.MinX + cx*cw, MinY: space.MinY + cy*ch,
+				MaxX: space.MinX + (cx+1+float64(rng.Intn(2)))*cw, MaxY: space.MinY + (cy+1)*ch,
+			}
+		case 3: // straddles the space boundary
+			r = geo.Rect{MinX: x - w/2, MinY: y - h/2, MaxX: x + w/16, MaxY: y + h/16}
+		case 4: // wholly outside
+			r = geo.Rect{MinX: space.MaxX + 1 + x, MinY: y, MaxX: space.MaxX + 2 + x, MaxY: y + 1}
+		case 5: // covers everything
+			r = geo.Rect{MinX: space.MinX - 1, MinY: space.MinY - 1, MaxX: space.MaxX + 1, MaxY: space.MaxY + 1}
+		case 6: // duplicate of an earlier region
+			if len(rects) == 0 {
+				continue
+			}
+			r = rects[rng.Intn(len(rects))]
+		case 7: // tiny, clustered near the origin corner
+			r = geo.Rect{
+				MinX: space.MinX + rng.Float64()*w/64, MinY: space.MinY + rng.Float64()*h/64,
+				MaxX: space.MinX + rng.Float64()*w/64, MaxY: space.MinY + rng.Float64()*h/64,
+			}
+			r = geo.NewRect(r.MinX, r.MinY, r.MaxX, r.MaxY)
+		default: // ordinary box
+			r = geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*w/6, MaxY: y + rng.Float64()*h/6}
+		}
+		rects = append(rects, r)
+	}
+	return rects
+}
+
+// TestSelectorMatchesReference is the seeded differential property test: the
+// one-pass Selector and the reference must return the identical grid slice —
+// same nodes, same counts, same order — for every region mix, budget and tree
+// depth, with one Selector reused across all of them (so a stale queue, arena
+// or result buffer would show).
+func TestSelectorMatchesReference(t *testing.T) {
+	spaces := []geo.Rect{
+		{MinX: 0, MinY: 0, MaxX: 1024, MaxY: 1024},
+		{MinX: -73.5, MinY: 12.25, MaxX: 1311.7, MaxY: 777.1}, // cell edges are not exact binary fractions
+	}
+	var sel Selector
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, space := range spaces {
+			for _, n := range []int{1, 3, 40, 400} {
+				rects := adversarialRects(rng, space, n)
+				for _, maxLevel := range []int{0, 1, 7, 12} {
+					tr := newTree(t, space, maxLevel)
+					for _, mt := range []int{1, 2, 7, 64, 8192} {
+						want, err := referenceSelect(tr, rects, mt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := sel.Select(tr, rects, mt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("seed %d space %v n %d maxLevel %d mt %d:\n got %v\nwant %v",
+								seed, space, n, maxLevel, mt, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if _, err := sel.Select(newTree(t, spaces[0], 2), nil, 0); err == nil {
+		t.Fatal("budget 0 should error")
+	}
+}
+
+// benchRects is a token's regions as the index build sees them: small boxes
+// around a few cluster centres.
+func benchRects(n int) (*gridtree.Tree, []geo.Rect) {
+	space := geo.Rect{MinX: 0, MinY: 0, MaxX: 36000, MaxY: 36000}
+	tr, err := gridtree.New(space, 12)
+	if err != nil {
+		panic(err)
+	}
+	rng := rand.New(rand.NewSource(99))
+	centres := make([][2]float64, 12)
+	for i := range centres {
+		centres[i] = [2]float64{rng.Float64() * 36000, rng.Float64() * 36000}
+	}
+	rects := make([]geo.Rect, n)
+	for i := range rects {
+		c := centres[rng.Intn(len(centres))]
+		x, y := c[0]+rng.NormFloat64()*400, c[1]+rng.NormFloat64()*400
+		rects[i] = geo.Rect{MinX: x, MinY: y, MaxX: x + 1 + rng.Float64()*30, MaxY: y + 1 + rng.Float64()*30}
+	}
+	return tr, rects
+}
+
+// TestSelectorAllocs: a warmed Selector selects without allocating (at most
+// one allocation is tolerated), which is what lets an index build run one per
+// worker over tens of thousands of tokens.
+func TestSelectorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	tr, rects := benchRects(3000)
+	var sel Selector
+	for _, mt := range []int{1, 512} {
+		if _, err := sel.Select(tr, rects, mt); err != nil { // warm
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := sel.Select(tr, rects, mt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("budget %d: %.1f allocs per warmed Select, want <= 1", mt, allocs)
+		}
+	}
+}
+
+// BenchmarkSelect covers the two ends of an index build's token distribution:
+// a rare token (two regions, budget 1 — most of the vocabulary) and a hot one
+// (thousands of regions, budget 512).
+func BenchmarkSelect(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+		mt   int
+	}{
+		{"rare/n=2/mt=1", 2, 1},
+		{"hot/n=6000/mt=512", 6000, 512},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tr, rects := benchRects(c.n)
+			var sel Selector
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := sel.Select(tr, rects, c.mt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -366,6 +366,65 @@ func (b *DualBuilder) Build() *DualIndex {
 	return idx
 }
 
+// DualRun is a stretch of finished hybrid lists for DualFromSortedRuns: list
+// i has key Keys[i] and holds the next Lens[i] entries of Objs, RBounds and
+// TBounds. Keys ascend, and every list is already in DualIndex order — one
+// posting per object, descending spatial bound, ties by ascending object —
+// which is what DualBuilder.Build would have made of the same postings.
+type DualRun struct {
+	Keys    []uint64
+	Lens    []uint32
+	Objs    []uint32
+	RBounds []float64
+	TBounds []float64
+}
+
+// DualFromSortedRuns freezes runs, whose keys ascend from each run to the
+// next, into a flat DualIndex by concatenation: no map, no key sort, no list
+// sort. It is the constructor for a producer that partitions the key space
+// and sorts as it goes (the SEAL build, one run per token); DualBuilder
+// remains the one for postings that arrive in any order. Keys out of order
+// or lengths that do not add up are the producer's bug and panic.
+func DualFromSortedRuns(runs []DualRun) *DualIndex {
+	var lists, postings int
+	for i := range runs {
+		lists += len(runs[i].Keys)
+		postings += len(runs[i].Objs)
+	}
+	checkOffsetRange(postings)
+	idx := &DualIndex{
+		keys:    make([]uint64, 0, lists),
+		starts:  make([]uint32, 1, lists+1),
+		objs:    make([]uint32, 0, postings),
+		rBounds: make([]float64, 0, postings),
+		tBounds: make([]float64, 0, postings),
+	}
+	for i := range runs {
+		r := &runs[i]
+		if len(r.Lens) != len(r.Keys) || len(r.RBounds) != len(r.Objs) || len(r.TBounds) != len(r.Objs) {
+			panic(fmt.Sprintf("invidx: run %d has mismatched lengths", i))
+		}
+		base := len(idx.objs)
+		end := base
+		for j, key := range r.Keys {
+			if n := len(idx.keys); n > 0 && idx.keys[n-1] >= key {
+				panic(fmt.Sprintf("invidx: run %d key %#x does not ascend", i, key))
+			}
+			idx.keys = append(idx.keys, key)
+			end += int(r.Lens[j])
+			idx.starts = append(idx.starts, uint32(end))
+		}
+		if end-base != len(r.Objs) {
+			panic(fmt.Sprintf("invidx: run %d lists hold %d postings, its arenas %d", i, end-base, len(r.Objs)))
+		}
+		idx.objs = append(idx.objs, r.Objs...)
+		idx.rBounds = append(idx.rBounds, r.RBounds...)
+		idx.tBounds = append(idx.tBounds, r.TBounds...)
+	}
+	idx.table = newKeyTable(idx.keys)
+	return idx
+}
+
 // mergeDualPostings merges duplicate objects (max of each bound) and sorts
 // by descending spatial bound, ties by ascending object.
 func mergeDualPostings(ps []DualPosting) []DualPosting {

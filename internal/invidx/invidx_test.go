@@ -3,6 +3,7 @@ package invidx
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -345,4 +346,59 @@ func TestCutoffMatchesLinearScan(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDualFromSortedRunsMatchesBuilder: handing DualFromSortedRuns the lists
+// DualBuilder.Build would produce, cut into runs at arbitrary key boundaries,
+// must freeze to a DualIndex that is field-for-field the builder's.
+func TestDualFromSortedRunsMatchesBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var b DualBuilder
+	for i := 0; i < 3000; i++ {
+		// Coarse bounds force spatial-bound ties, which the object breaks.
+		b.Add(uint64(rng.Intn(200))<<32|uint64(rng.Intn(4)), uint32(i), float64(rng.Intn(8)), rng.Float64())
+	}
+	want := b.Build()
+
+	var runs []DualRun
+	want.Range(func(key uint64, l DualList) bool {
+		if len(runs) == 0 || rng.Intn(3) == 0 {
+			runs = append(runs, DualRun{})
+		}
+		r := &runs[len(runs)-1]
+		r.Keys = append(r.Keys, key)
+		r.Lens = append(r.Lens, uint32(l.Len()))
+		for i := 0; i < l.Len(); i++ {
+			p := l.Posting(i)
+			r.Objs = append(r.Objs, p.Obj)
+			r.RBounds = append(r.RBounds, p.RBound)
+			r.TBounds = append(r.TBounds, p.TBound)
+		}
+		return true
+	})
+	runs = append(runs, DualRun{}) // an empty run is legal
+	if got := DualFromSortedRuns(runs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("index from %d sorted runs differs from the builder's", len(runs))
+	}
+	if got := DualFromSortedRuns(nil); got.Lists() != 0 || got.Postings() != 0 || got.List(1).Len() != 0 {
+		t.Fatalf("no runs should freeze to an empty index")
+	}
+
+	mustPanic := func(name string, runs []DualRun) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected a panic", name)
+			}
+		}()
+		DualFromSortedRuns(runs)
+	}
+	one := func(key uint64) DualRun {
+		return DualRun{Keys: []uint64{key}, Lens: []uint32{1}, Objs: []uint32{7}, RBounds: []float64{1}, TBounds: []float64{1}}
+	}
+	mustPanic("descending keys", []DualRun{one(5), one(4)})
+	mustPanic("repeated key", []DualRun{one(5), one(5)})
+	short := one(9)
+	short.Lens[0] = 2
+	mustPanic("lens exceed arena", []DualRun{short})
 }

@@ -134,10 +134,12 @@ func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
 }
 
-// WithBuildParallelism bounds the number of workers that construct shard
-// filters during Build. Values below 1 (the default) mean one worker per
-// available CPU. It has no effect on a 1-shard index, whose single filter
-// builds on the calling goroutine.
+// WithBuildParallelism bounds the number of shard filters under construction
+// at once during Build. Values below 1 (the default) mean one per available
+// CPU. It has no effect on a 1-shard index, which has one filter to build. It
+// is not a cap on goroutines: the MethodSeal build of each shard spreads its
+// per-token grid selection over GOMAXPROCS workers of its own, at any shard
+// count and whatever this option says.
 func WithBuildParallelism(n int) Option {
 	return func(o *options) { o.buildParallelism = n }
 }
