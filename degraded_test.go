@@ -8,33 +8,34 @@ package seal_test
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/sealdb/seal"
+	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/faultfs"
 	"github.com/sealdb/seal/internal/model"
 )
 
-// readParts decodes the saved shard partition so tests know exactly which
-// global IDs live on each shard.
+// readParts reads the saved shard partition out of the dataset segment so
+// tests know exactly which global IDs live on each shard.
 func readParts(t *testing.T, dir string) [][]model.ObjectID {
 	t.Helper()
-	f, err := os.Open(filepath.Join(dir, "parts.gob"))
+	seg, err := diskidx.OpenDataset(filepath.Join(dir, "dataset.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	var parts [][]model.ObjectID
-	if err := gob.NewDecoder(f).Decode(&parts); err != nil {
-		t.Fatal(err)
+	defer seg.Close()
+	parts := make([][]model.ObjectID, len(seg.Parts()))
+	for i, p := range seg.Parts() {
+		parts[i] = slices.Clone(p) // the segment's own alias its mapping
 	}
 	return parts
 }
@@ -223,7 +224,7 @@ func TestQuarantineRepairRestoresExactAnswers(t *testing.T) {
 	full := buildSegmented(t, objects, dir, reqs)
 
 	// A missing segment quarantines just like a corrupt one; WithRepair
-	// rebuilds it from the directory's dataset snapshot instead.
+	// rebuilds it from the directory's dataset segment instead.
 	if err := os.Remove(filepath.Join(dir, "shard-1.seg")); err != nil {
 		t.Fatal(err)
 	}
@@ -395,5 +396,33 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if _, err := seal.Open(dir); !errors.Is(err, seal.ErrManifestMismatch) {
 		t.Fatalf("future manifest: err = %v, want ErrManifestMismatch", err)
+	}
+}
+
+// TestCloseWaitsForAbandonedShards: a strict query returns on its first
+// failed shard and leaves the other shards' searches running; Close must let
+// those finish before it unmaps the segments they read. Here shard 0 is still
+// asleep in its start hook when the query has failed on shard 3 and Close is
+// called — unmapping under it would be a fault, not an error.
+func TestCloseWaitsForAbandonedShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260926))
+	objects := shardObjects(200, rng)
+	reqs := degradedRequests(3, rng)
+	dir := filepath.Join(t.TempDir(), "segs")
+	buildSegmented(t, objects, dir, reqs)
+
+	faultfs.Install((&faultfs.Injector{}).DelayShard(0, 30*time.Millisecond).PanicShard(3, "injected shard bug"))
+	t.Cleanup(faultfs.Uninstall)
+	for _, req := range reqs {
+		ix, err := seal.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ix.Query(context.Background(), req); err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("strict query: err = %v, want a recovered panic", err)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

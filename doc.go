@@ -168,16 +168,26 @@
 // Decoding runs through each searcher's reusable scratch, preserving the
 // zero-allocation steady state.
 //
-// WithSegmentDir(dir) persists the index as sealed segments: one SEALIDX2
-// file per shard (the flat posting arenas, key table and hash directory as
-// page-aligned little-endian sections, each CRC-checksummed), a dataset
-// snapshot, the shard partition, and per-token grid selections for
-// MethodSeal, with a manifest written last so interrupted saves are never
-// mistaken for complete ones. When dir already matches the objects and
-// configuration (by fingerprint), Build memory-maps the segments instead of
-// re-indexing; Open boots an index purely from dir. Mapped indexes should
-// be Closed when done. Only the signature methods persist segments; the
-// tree baselines rebuild from the snapshot.
+// WithSegmentDir(dir) persists the index as sealed segments. The directory
+// holds exactly three kinds of file, all written through the same container
+// (a header, a section table, and page-aligned little-endian sections, each
+// CRC-checksummed): shard-N.seg, one SEALIDX2 file per shard with the flat
+// posting arenas, key table and hash directory; dataset.seg, the objects as
+// columns (regions, one CSR token arena), the vocabulary with its weights,
+// multi-region footprints and the shard partition; and manifest.json,
+// written last so interrupted saves are never mistaken for complete ones.
+// There is no snapshot to decode and no gob: Open maps dataset.seg and
+// serves the per-object columns in place — a shard is a view of them, not a
+// copy — and MethodSeal's per-token grid selections are read back off each
+// segment's keys (a hybrid key is token<<32|grid, and a grid's rank in the
+// token's global order follows from the list lengths). When dir already
+// matches the objects and configuration (by fingerprint), Build memory-maps
+// the segments instead of re-indexing; Open boots an index purely from dir.
+// A directory of an older layout version reads as ErrManifestMismatch from
+// Open and as stale — rebuilt and overwritten — from Build. Mapped indexes
+// should be Closed when done; calls after Close return ErrClosed. Only the
+// signature methods persist segments; the tree baselines rebuild from the
+// objects.
 //
 //	ix, _ := seal.Build(objects, seal.WithCompression(seal.CompressionQuantized),
 //		seal.WithSegmentDir("idx"))   // first run: builds and saves
@@ -185,7 +195,8 @@
 //	defer ix.Close()
 //
 // IndexStats reports the storage state: Mapped is true for a segment-backed
-// index, Compressed when posting lists are stored encoded.
+// index, Compressed when posting lists are stored encoded, and SegmentBytes
+// is the directory's size on disk beside IndexBytes, the resident footprint.
 //
 // # Failure modes and recovery
 //
@@ -195,13 +206,15 @@
 // point. A crash mid-save leaves the previous generation or a complete new
 // one, never a torn index; stale temp files are swept at the next open.
 //
-// Open CRC-verifies every shard segment and quarantines a corrupt or
-// missing one instead of failing: the index boots, serves the surviving
-// shards, and reports the damage through Health (per-shard
-// serving/quarantined/rebuilt states) and Quarantined. WithRepair rebuilds
-// damaged shards from the directory's dataset snapshot and re-saves them,
-// restoring exact answers; Build with WithSegmentDir falls back to a full
-// rebuild when the directory is stale or damaged.
+// Open CRC-verifies every section of every file and quarantines a corrupt
+// or missing shard segment instead of failing: the index boots, serves the
+// surviving shards, and reports the damage through Health (per-shard
+// serving/quarantined/rebuilt states) and Quarantined. A damaged dataset
+// segment — it holds the partition every shard depends on — fails the open
+// with ErrCorruptSegment. WithRepair rebuilds damaged shards from the
+// directory's dataset segment and re-saves them, restoring exact answers;
+// Build with WithSegmentDir falls back to a full rebuild when the directory
+// is stale or damaged.
 //
 // Queries over a degraded index are strict by default: they fail with
 // ErrShardQuarantined (match with errors.Is, alongside ErrCorruptSegment

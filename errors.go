@@ -5,6 +5,8 @@ package seal
 // failure classes with errors.Is instead of matching message strings.
 
 import (
+	"errors"
+
 	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/engine"
 )
@@ -26,4 +28,9 @@ var (
 	// answer for a complete one; opting in with AllowPartial skips the shard
 	// and marks the results Degraded instead.
 	ErrShardQuarantined = engine.ErrShardQuarantined
+
+	// ErrClosed reports a call on an index after Close. An index opened from
+	// a segment directory serves its dataset and postings out of mapped
+	// files; once Close has unmapped them the index answers nothing.
+	ErrClosed = errors.New("seal: index is closed")
 )

@@ -194,9 +194,8 @@ func storageSource(f core.Filter) any {
 	}
 }
 
-// openStorageFilter reconstructs the filter over the mapped segment, reusing
-// the built filter's grid assignments for Seal (as the engine does from its
-// persisted sidecar).
+// openStorageFilter reconstructs the filter over the mapped segment, as the
+// engine does; only the configuration is taken from the built filter.
 func openStorageFilter(env *Env, ds *model.Dataset, kind string, built core.Filter, seg *diskidx.Segment) (core.Filter, error) {
 	switch kind {
 	case "token":
@@ -206,7 +205,7 @@ func openStorageFilter(env *Env, ds *model.Dataset, kind string, built core.Filt
 	case "seal":
 		hf := built.(*core.HierarchicalFilter)
 		cfg := core.HierarchicalConfig{MaxLevel: hf.MaxLevel(), GridBudget: hf.Budget()}
-		return core.OpenHierarchicalFilter(ds, cfg, hf.TokenGrids(), seg.Dual())
+		return core.OpenHierarchicalFilter(ds, cfg, seg.Dual())
 	default:
 		return nil, fmt.Errorf("bench: unknown storage filter %q", kind)
 	}

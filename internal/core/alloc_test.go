@@ -221,7 +221,7 @@ func TestSearchZeroAllocsMapped(t *testing.T) {
 	requireZeroAllocs(t, "mapped-compressed", ds, core.OpenTokenFilter(ds, compSeg.Single()), queries)
 
 	sealSeg := openMapped("seal.seg", invidx.CompressDual(hier.DualSource().(*invidx.DualIndex), invidx.Compression{}))
-	mappedHier, err := core.OpenHierarchicalFilter(ds, hierCfg, hier.TokenGrids(), sealSeg.Dual())
+	mappedHier, err := core.OpenHierarchicalFilter(ds, hierCfg, sealSeg.Dual())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,35 +2,35 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/gridtree"
-	"github.com/sealdb/seal/internal/hss"
+	"github.com/sealdb/seal/internal/invidx"
+	"github.com/sealdb/seal/internal/text"
 )
 
 // gridLocator answers "which grids of this token's hierarchical partition
-// intersect a rectangle?" without scanning the whole grid set. Grids are
-// grouped by tree level; within a level the partition is a sparse subset of
-// the 2^l × 2^l uniform grid, stored as a sorted node array so lookups are
-// binary searches. For every level the locator enumerates the rectangle's
+// intersect a rectangle?" without scanning the whole grid set.
+//
+// It needs no storage of its own beyond the grids' ranks. A token's grids are
+// the low words of its hybrid keys (hierKey is token<<32 | node), and a
+// NodeID carries its level in the top bits, so the token's ascending key run
+// already is the per-level index: grouped by tree level, and within a level —
+// a sparse subset of the 2^l × 2^l uniform grid — sorted by node, so lookups
+// are binary searches. For every level the locator enumerates the rectangle's
 // cell range when it is smaller than the level's population, and falls back
 // to scanning the level's grids otherwise, so projection is
 // O(Σ_l min(rangeCells(l), |grids(l)|) · log).
 type gridLocator struct {
 	tree *gridtree.Tree
-	// runs lists the populated levels in ascending order. Run i owns
-	// nodes[start:end] — the level's grids sorted by NodeID — and the same
-	// span of pos, their positions in the token's global order.
-	runs  []levelRun
-	nodes []gridtree.NodeID
-	pos   []int32
+	keys []uint64 // the token's keys, ascending
+	pos  []int32  // pos[i] is the position of keys[i]'s grid in the token's global order
 }
 
-type levelRun struct {
-	level      int
-	start, end int32
-}
+// keyNode extracts the grid of a hybrid key.
+func keyNode(key uint64) gridtree.NodeID { return gridtree.NodeID(uint32(key)) }
 
 // gridHit is one projected grid: its position in the token's global order
 // and the clipped area weight.
@@ -40,86 +40,165 @@ type gridHit struct {
 	w    float64
 }
 
-// newGridLocator indexes grids, which must already be in the token's global
-// order (position i = order i).
-func newGridLocator(tree *gridtree.Tree, grids []hss.Grid) *gridLocator {
-	ordered := make([]gridtree.NodeID, len(grids))
-	for i, g := range grids {
-		ordered[i] = g.Node
+// hierGridCmp is the global order of one token's hierarchical grids, a grid
+// being its node and count(g), the number of the token's regions that post to
+// it — the length of its list. Node breaks ties, so the order is total.
+func hierGridCmp(ord HierOrder, an gridtree.NodeID, ac int32, bn gridtree.NodeID, bc int32) int {
+	byLevel, byCount := cmp.Compare(an.Level(), bn.Level()), cmp.Compare(ac, bc)
+	if ord == HierOrderCount {
+		byLevel, byCount = byCount, byLevel
 	}
-	return newGridLocatorNodes(tree, ordered)
+	return cmp.Or(byLevel, byCount, cmp.Compare(an, bn))
 }
 
-// newGridLocatorNodes indexes a token's grids given only their node IDs in
-// global order — all the locator ever uses of an hss.Grid, which is what
-// lets a persisted segment rebuild locators without re-running HSS. It runs
-// once per token on every build and every segment open, so it is a counting
-// sort by level into two backing slices rather than a map of per-level ones.
-func newGridLocatorNodes(tree *gridtree.Tree, ordered []gridtree.NodeID) *gridLocator {
-	var count [gridtree.MaxLevelLimit + 2]int32 // NodeID keeps 4 bits of level
-	for _, n := range ordered {
-		count[n.Level()]++
+// rankGrids fills pos with the global-order position of each of one token's
+// grids, given as its ascending keys with their counts. order is scratch.
+func rankGrids(ord HierOrder, keys []uint64, counts, pos []int32, order *[]int32) {
+	o := (*order)[:0]
+	for i := range keys {
+		o = append(o, int32(i))
 	}
-	populated := 0
-	for _, c := range count {
-		if c > 0 {
-			populated++
-		}
+	*order = o
+	slices.SortFunc(o, func(a, b int32) int {
+		return hierGridCmp(ord, keyNode(keys[a]), counts[a], keyNode(keys[b]), counts[b])
+	})
+	for rank, i := range o {
+		pos[i] = int32(rank)
 	}
-	loc := &gridLocator{
+}
+
+// tokenLocators holds every token's locator for one posting index as flat
+// arrays over the index's own key array — for a mapped segment, over its
+// pages — so a filter keeps the ranks and one offset per token on the heap
+// and nothing per grid beyond them.
+type tokenLocators struct {
+	tree  *gridtree.Tree
+	keys  []uint64 // the index's ascending key array
+	start []uint32 // token t's keys are keys[start[t]:start[t+1]]
+	pos   []int32  // parallel to keys; see gridLocator.pos
+}
+
+// keyedLengths is what locators are derived from: the index's keys and, in
+// the same order, its list lengths.
+type keyedLengths interface {
+	invidx.LengthRanger
+	Keys() []uint64
+}
+
+// deriveLocators rebuilds every token's locator from the posting index alone.
+// The grids of a token that hold postings are the nodes of its keys, and
+// count(g) is the length of g's list, so the keys and list lengths carry the
+// whole selection and its global order — the very order buildToken bounded
+// the postings in, which it ranks from the same lengths. (A selected grid no
+// region posts to has no key; it could never produce a candidate.) The keys
+// are outside input when the index is a mapped segment: a token outside the
+// vocabulary or a level below the tree is an error.
+func deriveLocators(tree *gridtree.Tree, ord HierOrder, vocab int, src invidx.DualSource) (*tokenLocators, error) {
+	kl, ok := src.(keyedLengths)
+	if !ok {
+		return nil, fmt.Errorf("core: posting storage %T does not expose its keys", src)
+	}
+	keys := kl.Keys()
+	tl := &tokenLocators{
 		tree:  tree,
-		runs:  make([]levelRun, 0, populated),
-		nodes: make([]gridtree.NodeID, len(ordered)),
-		pos:   make([]int32, len(ordered)),
+		keys:  keys,
+		start: make([]uint32, vocab+1),
+		pos:   make([]int32, len(keys)),
 	}
-	var next [len(count)]int32 // next free slot of each level's run
-	var off int32
-	for l, c := range count {
-		if c > 0 {
-			loc.runs = append(loc.runs, levelRun{level: l, start: off, end: off + c})
+	next := 0 // first token whose start is not set yet
+	for i, k := range keys {
+		t := int(k >> 32)
+		if t >= vocab {
+			return nil, fmt.Errorf("core: posting key for token %d outside the %d-token vocabulary", t, vocab)
 		}
-		next[l] = off
-		off += c
-	}
-	for i, n := range ordered {
-		l := n.Level()
-		loc.pos[next[l]] = int32(i)
-		next[l]++
-	}
-	for _, run := range loc.runs {
-		pos := loc.pos[run.start:run.end]
-		if len(pos) > 1 {
-			slices.SortFunc(pos, func(a, b int32) int { return cmp.Compare(ordered[a], ordered[b]) })
+		if l := keyNode(k).Level(); l > tree.MaxLevel {
+			return nil, fmt.Errorf("core: token %d grid at level %d exceeds tree depth %d", t, l, tree.MaxLevel)
 		}
-		for j, i := range pos {
-			loc.nodes[int(run.start)+j] = ordered[i]
+		for ; next <= t; next++ {
+			tl.start[next] = uint32(i)
 		}
 	}
-	return loc
+	for ; next <= vocab; next++ {
+		tl.start[next] = uint32(len(keys))
+	}
+
+	var counts, order []int32
+	i, lo := 0, 0 // lo is the first key of the token being gathered
+	rank := func() {
+		rankGrids(ord, keys[lo:i], counts, tl.pos[lo:i], &order)
+		counts, lo = counts[:0], i
+	}
+	kl.EachLen(func(key uint64, n int) {
+		if i > lo && key>>32 != keys[lo]>>32 {
+			rank()
+		}
+		counts = append(counts, int32(n))
+		i++
+	})
+	if i > lo {
+		rank()
+	}
+	return tl, nil
 }
 
-// orderedNodes reconstructs the token's grids in global order, inverting the
-// by-level layout.
-func (loc *gridLocator) orderedNodes() []gridtree.NodeID {
-	out := make([]gridtree.NodeID, len(loc.nodes))
-	for j, n := range loc.nodes {
-		out[loc.pos[j]] = n
+// of returns token t's locator; ok is false when the token has no grids.
+func (tl *tokenLocators) of(t text.TokenID) (loc gridLocator, ok bool) {
+	lo, hi := tl.start[t], tl.start[t+1]
+	if lo == hi {
+		return gridLocator{}, false
 	}
-	return out
+	return gridLocator{tree: tl.tree, keys: tl.keys[lo:hi], pos: tl.pos[lo:hi]}, true
+}
+
+// sizeBytes is the heap the locators add to their index.
+func (tl *tokenLocators) sizeBytes() int64 {
+	return int64(len(tl.pos))*4 + int64(len(tl.start))*4
 }
 
 // project appends the grids sharing positive area with r to out, sorted by
 // global order position.
-func (loc *gridLocator) project(r geo.Rect, out []gridHit) []gridHit {
+func (loc gridLocator) project(r geo.Rect, out []gridHit) []gridHit {
 	start := len(out)
+	out = loc.appendHits(r, out)
+	sortHits(out[start:])
+	return out
+}
+
+// sortHits orders one projection by global order position.
+func sortHits(hits []gridHit) {
+	slices.SortFunc(hits, func(a, b gridHit) int {
+		switch {
+		case a.idx < b.idx:
+			return -1
+		case a.idx > b.idx:
+			return 1
+		default:
+			return 0
+		}
+	})
+}
+
+// appendHits is project without the final sort: hits come out level by level.
+func (loc gridLocator) appendHits(r geo.Rect, out []gridHit) []gridHit {
 	inSpace, has := r.Intersection(loc.tree.Space)
 	if !has || inSpace.IsDegenerate() {
 		return out
 	}
-	for _, run := range loc.runs {
-		level := run.level
-		nodes := loc.nodes[run.start:run.end]
-		pos := loc.pos[run.start:run.end]
+	for lo := 0; lo < len(loc.keys); {
+		// One level's run: from lo to the first key of a deeper level.
+		level := keyNode(loc.keys[lo]).Level()
+		end, hi := lo+1, len(loc.keys)
+		for end < hi {
+			mid := int(uint(end+hi) >> 1)
+			if keyNode(loc.keys[mid]).Level() > level {
+				hi = mid
+			} else {
+				end = mid + 1
+			}
+		}
+		nodes, pos := loc.keys[lo:end], loc.pos[lo:end]
+		lo = end
+
 		ix0, iy0, ix1, iy1, ok := loc.cellRange(level, inSpace)
 		if !ok {
 			continue
@@ -127,7 +206,8 @@ func (loc *gridLocator) project(r geo.Rect, out []gridHit) []gridHit {
 		rangeCells := (ix1 - ix0) * (iy1 - iy0)
 		if rangeCells > len(nodes) {
 			// Sparse level: scanning its grids is cheaper.
-			for j, n := range nodes {
+			for j, k := range nodes {
+				n := keyNode(k)
 				w := loc.tree.Rect(n).IntersectionArea(r)
 				if w > 0 {
 					out = append(out, gridHit{idx: pos[j], node: n, w: w})
@@ -140,17 +220,16 @@ func (loc *gridLocator) project(r geo.Rect, out []gridHit) []gridHit {
 				n := gridtree.MakeNodeID(level, ix, iy)
 				// Manual binary search: sort.Search's closure would heap-escape
 				// on this allocation-free path.
-				lo, hi := 0, len(nodes)
-				for lo < hi {
-					mid := int(uint(lo+hi) >> 1)
-					if nodes[mid] < n {
-						lo = mid + 1
+				j, hi := 0, len(nodes)
+				for j < hi {
+					mid := int(uint(j+hi) >> 1)
+					if keyNode(nodes[mid]) < n {
+						j = mid + 1
 					} else {
 						hi = mid
 					}
 				}
-				j := lo
-				if j == len(nodes) || nodes[j] != n {
+				if j == len(nodes) || keyNode(nodes[j]) != n {
 					continue
 				}
 				w := loc.tree.Rect(n).IntersectionArea(r)
@@ -160,23 +239,12 @@ func (loc *gridLocator) project(r geo.Rect, out []gridHit) []gridHit {
 			}
 		}
 	}
-	hits := out[start:]
-	slices.SortFunc(hits, func(a, b gridHit) int {
-		switch {
-		case a.idx < b.idx:
-			return -1
-		case a.idx > b.idx:
-			return 1
-		default:
-			return 0
-		}
-	})
 	return out
 }
 
 // cellRange returns the half-open cell index range at the given level of
 // inter, a rectangle already clipped to the space.
-func (loc *gridLocator) cellRange(level int, inter geo.Rect) (ix0, iy0, ix1, iy1 int, ok bool) {
+func (loc gridLocator) cellRange(level int, inter geo.Rect) (ix0, iy0, ix1, iy1 int, ok bool) {
 	space := loc.tree.Space
 	p := 1 << level
 	cw := space.Width() / float64(p)
@@ -199,9 +267,4 @@ func clampCell(v, hi int) int {
 		return hi - 1
 	}
 	return v
-}
-
-// sizeBytes estimates the locator's footprint.
-func (loc *gridLocator) sizeBytes() int64 {
-	return int64(len(loc.nodes))*8 + int64(len(loc.runs))*56
 }

@@ -1,19 +1,28 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"github.com/sealdb/seal/internal/gen"
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/gridtree"
 	"github.com/sealdb/seal/internal/hss"
+	"github.com/sealdb/seal/internal/invidx"
+	"github.com/sealdb/seal/internal/model"
+	"github.com/sealdb/seal/internal/testutil"
+	"github.com/sealdb/seal/internal/text"
 )
 
 // buildLocator selects grids for a random region set and wraps them in a
-// locator, returning both for cross-checking.
-func buildLocator(t testingT, seed int64) (*gridtree.Tree, []hss.Grid, *gridLocator, []geo.Rect) {
+// locator, returning both — the grids in the locator's global order — for
+// cross-checking.
+func buildLocator(t testingT, seed int64) (*gridtree.Tree, []hss.Grid, gridLocator, []geo.Rect) {
 	rng := rand.New(rand.NewSource(seed))
 	tree, err := gridtree.New(geo.Rect{MinX: 0, MinY: 0, MaxX: 1024, MaxY: 1024}, 6)
 	if err != nil {
@@ -29,8 +38,25 @@ func buildLocator(t testingT, seed int64) (*gridtree.Tree, []hss.Grid, *gridLoca
 	if err != nil {
 		t.Fatalf("hss: %v", err)
 	}
-	sortHierGrids(grids, HierOrderLevel)
-	return tree, grids, newGridLocator(tree, grids), rects
+	slices.SortFunc(grids, func(a, b hss.Grid) int { return cmp.Compare(a.Node, b.Node) })
+	loc := gridLocator{tree: tree, pos: make([]int32, len(grids))}
+	var counts, order []int32
+	for _, g := range grids {
+		loc.keys = append(loc.keys, hierKey(7, g.Node))
+		counts = append(counts, int32(g.Count))
+	}
+	rankGrids(HierOrderLevel, loc.keys, counts, loc.pos, &order)
+	ordered := make([]hss.Grid, len(grids))
+	for i, g := range grids {
+		ordered[loc.pos[i]] = g
+	}
+	for i := 1; i < len(ordered); i++ {
+		a, b := ordered[i-1], ordered[i]
+		if hierGridCmp(HierOrderLevel, a.Node, int32(a.Count), b.Node, int32(b.Count)) >= 0 {
+			t.Fatalf("grids %d and %d out of global order", i-1, i)
+		}
+	}
+	return tree, ordered, loc, rects
 }
 
 type testingT interface {
@@ -93,7 +119,117 @@ func TestLocatorEmptyProjection(t *testing.T) {
 	if hits := loc.project(geo.Rect{MinX: 5000, MinY: 5000, MaxX: 6000, MaxY: 6000}, nil); len(hits) != 0 {
 		t.Fatalf("projection outside the space = %v, want empty", hits)
 	}
-	if loc.sizeBytes() <= 0 {
-		t.Fatal("locator size should be positive")
+}
+
+// derivationDatasets are the corpora TestLocatorsDerivedFromKeys runs over,
+// each with the space its grid tree decomposes: the Twitter-like generator
+// over its own extent, and adversarial region sets over a space that some of
+// their regions straddle, cover or miss entirely.
+type derivationCase struct {
+	name  string
+	ds    *model.Dataset
+	space geo.Rect
+}
+
+func derivationDatasets(t *testing.T) []derivationCase {
+	t.Helper()
+	tw, err := gen.Twitter(gen.TwitterConfig{N: 1500, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []derivationCase{{"twitter", tw, tw.Space()}}
+	spaces := []geo.Rect{
+		{MinX: 0, MinY: 0, MaxX: 1024, MaxY: 1024},
+		{MinX: -73.5, MinY: 12.25, MaxX: 1311.7, MaxY: 777.1}, // cell edges are not exact binary fractions
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		space := spaces[seed%2]
+		var b model.Builder
+		for _, r := range testutil.AdversarialRects(rng, space, 300) {
+			if _, err := b.Add(r, testutil.RandomTerms(rng, 12, 1+rng.Intn(4))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ds, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, derivationCase{fmt.Sprintf("adversarial-%d", seed), ds, space})
+	}
+	return out
+}
+
+// TestLocatorsDerivedFromKeys: the locators a filter derives from its posting
+// index — nodes off the keys, counts off the list lengths — must be the ones
+// buildToken ranked from the HSS selection itself: same grids, same global
+// order, so the same projection of any rectangle. That identity is what lets
+// a segment directory drop the persisted grid selections without moving a
+// candidate.
+func TestLocatorsDerivedFromKeys(t *testing.T) {
+	for _, tc := range derivationDatasets(t) {
+		for _, ord := range []HierOrder{HierOrderLevel, HierOrderCount} {
+			ds, vocab := tc.ds, tc.ds.Vocab().Len()
+			tree, err := gridtree.New(tc.space, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			members := make([][]tokenPosting, vocab)
+			for obj := 0; obj < ds.Len(); obj++ {
+				for _, tok := range ds.Tokens(model.ObjectID(obj)) {
+					members[tok] = append(members[tok], tokenPosting{obj: uint32(obj), tBound: 1})
+				}
+			}
+			// One worker builds every token in order, as the index build does
+			// per worker, keeping a copy of each token's build-time locator.
+			wk := new(hierWorker)
+			built := make([]gridLocator, vocab)
+			for tok, tp := range members {
+				if len(tp) == 0 {
+					continue
+				}
+				lists := len(wk.run.Keys)
+				mt := []int{1, 3, 8, 40, 8192}[tok%5]
+				if err := wk.buildToken(ds, tree, ord, text.TokenID(tok), tp, mt); err != nil {
+					t.Fatal(err)
+				}
+				if len(wk.run.Keys) > lists {
+					built[tok] = gridLocator{tree: tree, keys: slices.Clone(wk.keys), pos: slices.Clone(wk.pos)}
+				}
+			}
+			raw := invidx.DualFromSortedRuns([]invidx.DualRun{wk.run})
+			sources := map[string]invidx.DualSource{
+				"raw":        raw,
+				"compressed": invidx.CompressDual(raw, invidx.Compression{}),
+			}
+			rng := rand.New(rand.NewSource(99))
+			probes := testutil.AdversarialRects(rng, tc.space, 40)
+			for layout, src := range sources {
+				label := fmt.Sprintf("%s order %d %s", tc.name, ord, layout)
+				derived, err := deriveLocators(tree, ord, vocab, src)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for tok := range members {
+					got, ok := derived.of(text.TokenID(tok))
+					want := built[tok]
+					if ok != (want.keys != nil) {
+						t.Fatalf("%s token %d: derived locator present=%v, built present=%v", label, tok, ok, want.keys != nil)
+					}
+					if !slices.Equal(got.keys, want.keys) || !slices.Equal(got.pos, want.pos) {
+						t.Fatalf("%s token %d: derived grids/ranks differ from the built ones\n got %x %v\nwant %x %v",
+							label, tok, got.keys, got.pos, want.keys, want.pos)
+					}
+					if !ok {
+						continue
+					}
+					for _, r := range probes {
+						if g, w := got.project(r, nil), want.project(r, nil); !slices.Equal(g, w) {
+							t.Fatalf("%s token %d rect %v: projection %v, want %v", label, tok, r, g, w)
+						}
+					}
+				}
+			}
+		}
 	}
 }

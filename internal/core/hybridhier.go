@@ -27,12 +27,12 @@ import (
 type HierarchicalFilter struct {
 	ds   *model.Dataset
 	tree *gridtree.Tree
-	// tokenLoc[t] locates t's selected grids (in the token's global order:
-	// ascending level, then ascending count, then node ID); nil for tokens
-	// absent from the corpus.
-	tokenLoc []*gridLocator
-	idx      invidx.DualSource
-	budget   int
+	idx  invidx.DualSource
+	// locs locates every token's selected grids and their positions in the
+	// token's global order (ascending level, then ascending count, then node
+	// ID), derived from idx's keys and list lengths.
+	locs   *tokenLocators
+	budget int
 }
 
 // HierarchicalConfig parameterizes NewHierarchicalFilter.
@@ -124,7 +124,6 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 	// appending that token's finished lists to its own run. Which worker got
 	// which token leaves no trace: hierKey is token-major, so the runs' token
 	// spans, concatenated in token order, are the index.
-	f.tokenLoc = make([]*gridLocator, vocab.Len())
 	spans := make([]hierSpan, vocab.Len())
 	workers := make([]*hierWorker, runtime.GOMAXPROCS(0))
 	var next atomic.Int64
@@ -147,7 +146,7 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 				mt := int(float64(cfg.GridBudget) * float64(len(tp)) / meanPostings)
 				mt = min(max(mt, minTokenBudget), maxTokenBudget)
 				span := hierSpan{worker: w, list0: len(wk.run.Keys), posting0: len(wk.run.Objs)}
-				f.tokenLoc[t], wk.err = wk.buildToken(ds, tree, cfg.Order, text.TokenID(t), tp, mt)
+				wk.err = wk.buildToken(ds, tree, cfg.Order, text.TokenID(t), tp, mt)
 				span.list1, span.posting1 = len(wk.run.Keys), len(wk.run.Objs)
 				spans[t] = span
 			}
@@ -175,6 +174,10 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 		})
 	}
 	f.idx = invidx.DualFromSortedRuns(runs)
+	f.locs, err = deriveLocators(tree, cfg.Order, vocab.Len(), f.idx)
+	if err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 
@@ -212,39 +215,75 @@ type hierWorker struct {
 	entries []hierEntry
 	run     invidx.DualRun
 	err     error
+
+	// The locator of the token being built — its keys and, per key, the
+	// grid's count and global-order position (order is rankGrids' scratch) —
+	// and every region's hits on it, region i's ending at hitEnd[i].
+	keys               []uint64
+	counts, pos, order []int32
+	hitEnd             []int
 }
 
 // buildToken selects token t's grids, generates every posting of I(t)'s
 // spatial signature over them, and appends t's lists to the worker's run in
 // DualIndex order: ascending grid node (t's keys ascend with it), and within
-// a list descending spatial bound, ties by ascending object. The locator is
-// nil when no region of t overlaps the space.
-func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order HierOrder, t text.TokenID, tp []tokenPosting, mt int) (*gridLocator, error) {
+// a list descending spatial bound, ties by ascending object. A token none of
+// whose regions overlaps the space gets no lists.
+//
+// The grids' global order ranks them by count(g) taken as the number of
+// regions that post to g, i.e. the length of g's list, not by the count HSS
+// selected with: the two agree except where a region touches a cell by a
+// rounding sliver, and the list lengths are what an opened segment can read
+// back (deriveLocators), so bounds and queries share one order by
+// construction. That takes two passes: project everything to learn the
+// lengths, rank, then bound each region's hits in rank order.
+func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order HierOrder, t text.TokenID, tp []tokenPosting, mt int) error {
 	wk.rects = wk.rects[:0]
 	for _, p := range tp {
 		wk.rects = append(wk.rects, ds.Region(model.ObjectID(p.obj)))
 	}
 	grids, err := wk.sel.Select(tree, wk.rects, mt)
 	if err != nil {
-		return nil, fmt.Errorf("core: HSS for token %d: %w", t, err)
+		return fmt.Errorf("core: HSS for token %d: %w", t, err)
 	}
 	if len(grids) == 0 {
-		return nil, nil
+		return nil
 	}
-	sortHierGrids(grids, order)
-	loc := newGridLocator(tree, grids)
+	slices.SortFunc(grids, func(a, b hss.Grid) int { return cmp.Compare(a.Node, b.Node) })
+	wk.keys, wk.counts, wk.pos = wk.keys[:0], wk.counts[:0], wk.pos[:0]
+	for i, g := range grids {
+		wk.keys = append(wk.keys, hierKey(t, g.Node))
+		wk.counts = append(wk.counts, 0)
+		wk.pos = append(wk.pos, int32(i)) // until ranked, a hit's idx is its key's index
+	}
+	loc := gridLocator{tree: tree, keys: wk.keys, pos: wk.pos}
+	wk.hits, wk.hitEnd = wk.hits[:0], wk.hitEnd[:0]
+	for _, r := range wk.rects {
+		wk.hits = loc.appendHits(r, wk.hits)
+		wk.hitEnd = append(wk.hitEnd, len(wk.hits))
+	}
+	for _, h := range wk.hits {
+		wk.counts[h.idx]++
+	}
+	rankGrids(order, wk.keys, wk.counts, wk.pos, &wk.order)
 
 	// Per-object spatial signature over this token's grid set.
 	wk.entries = wk.entries[:0]
+	lo := 0
 	for i, p := range tp {
-		wk.hits = loc.project(wk.rects[i], wk.hits[:0])
+		hits := wk.hits[lo:wk.hitEnd[i]]
+		lo = wk.hitEnd[i]
+		for j := range hits {
+			hits[j].idx = wk.pos[hits[j].idx]
+		}
+		sortHits(hits)
 		wk.gW = wk.gW[:0]
-		for _, h := range wk.hits {
+		for _, h := range hits {
 			wk.gW = append(wk.gW, h.w)
 		}
 		wk.gB = append(wk.gB[:0], wk.gW...)
 		invidx.SuffixBounds(wk.gW, wk.gB)
-		for j, h := range wk.hits {
+		for j, h := range hits {
 			wk.entries = append(wk.entries, hierEntry{node: h.node, obj: p.obj, rBound: wk.gB[j], tBound: p.tBound})
 		}
 	}
@@ -270,15 +309,14 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order H
 		run.RBounds = append(run.RBounds, e.rBound)
 		run.TBounds = append(run.TBounds, e.tBound)
 	}
-	return loc, nil
+	return nil
 }
 
-// OpenHierarchicalFilter pairs ds with persisted posting storage and the
-// persisted per-token grid selections, skipping both signature generation
-// and the HSS runs — the expensive steps of NewHierarchicalFilter.
-// tokenGrids[t] lists token t's selected grids in its global order (nil or
-// empty for absent tokens), exactly as TokenGrids exported them.
-func OpenHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig, tokenGrids [][]gridtree.NodeID, src invidx.DualSource) (*HierarchicalFilter, error) {
+// OpenHierarchicalFilter pairs ds with persisted posting storage, skipping
+// both signature generation and the HSS runs — the expensive steps of
+// NewHierarchicalFilter. The per-token grid selections are not persisted
+// separately: they are read back off src's keys (see deriveLocators).
+func OpenHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig, src invidx.DualSource) (*HierarchicalFilter, error) {
 	if cfg.MaxLevel <= 0 {
 		cfg.MaxLevel = DefaultHierarchicalConfig.MaxLevel
 	}
@@ -289,23 +327,11 @@ func OpenHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig, tokenGrid
 	if err != nil {
 		return nil, err
 	}
-	if len(tokenGrids) != ds.Vocab().Len() {
-		return nil, fmt.Errorf("core: %d token grid sets for a %d-token vocabulary", len(tokenGrids), ds.Vocab().Len())
+	locs, err := deriveLocators(tree, cfg.Order, ds.Vocab().Len(), src)
+	if err != nil {
+		return nil, err
 	}
-	f := &HierarchicalFilter{ds: ds, tree: tree, budget: cfg.GridBudget, idx: src}
-	f.tokenLoc = make([]*gridLocator, len(tokenGrids))
-	for t, nodes := range tokenGrids {
-		if len(nodes) == 0 {
-			continue
-		}
-		for _, n := range nodes {
-			if n.Level() > tree.MaxLevel {
-				return nil, fmt.Errorf("core: token %d grid at level %d exceeds tree depth %d", t, n.Level(), tree.MaxLevel)
-			}
-		}
-		f.tokenLoc[t] = newGridLocatorNodes(tree, nodes)
-	}
-	return f, nil
+	return &HierarchicalFilter{ds: ds, tree: tree, budget: cfg.GridBudget, idx: src, locs: locs}, nil
 }
 
 // DualSource exposes the posting storage for segment writers.
@@ -314,25 +340,12 @@ func (f *HierarchicalFilter) DualSource() invidx.DualSource { return f.idx }
 // MaxLevel returns the grid-tree depth the filter was built with.
 func (f *HierarchicalFilter) MaxLevel() int { return f.tree.MaxLevel }
 
-// TokenGrids exports every token's selected grids in its global order — the
-// piece of filter state (besides the posting lists) that cannot be
-// re-derived cheaply, since it is the output of the per-token HSS runs.
-// Absent tokens yield nil.
-func (f *HierarchicalFilter) TokenGrids() [][]gridtree.NodeID {
-	out := make([][]gridtree.NodeID, len(f.tokenLoc))
-	for t, loc := range f.tokenLoc {
-		if loc != nil {
-			out[t] = loc.orderedNodes()
-		}
-	}
-	return out
-}
-
 // CompressPostings re-encodes the filter's posting lists in place; a no-op
 // unless the filter still holds the flat in-memory layout.
 func (f *HierarchicalFilter) CompressPostings(c invidx.Compression) {
 	if ix, ok := f.idx.(*invidx.DualIndex); ok {
-		f.idx = invidx.CompressDual(ix, c)
+		cx := invidx.CompressDual(ix, c)
+		f.idx, f.locs.keys = cx, cx.Keys() // same keys, so the ranks stand
 	}
 }
 
@@ -347,39 +360,6 @@ const (
 	HierOrderCount                  // count asc, level asc (rare first)
 )
 
-// sortHierGrids applies the global order of hierarchical grids.
-func sortHierGrids(grids []hss.Grid, ord HierOrder) {
-	less := func(a, b hss.Grid) bool {
-		switch ord {
-		case HierOrderCount:
-			if a.Count != b.Count {
-				return a.Count < b.Count
-			}
-			if a.Node.Level() != b.Node.Level() {
-				return a.Node.Level() < b.Node.Level()
-			}
-		default:
-			if a.Node.Level() != b.Node.Level() {
-				return a.Node.Level() < b.Node.Level()
-			}
-			if a.Count != b.Count {
-				return a.Count < b.Count
-			}
-		}
-		return a.Node < b.Node
-	}
-	slices.SortFunc(grids, func(a, b hss.Grid) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
 // hierKey packs a (token, grid node) hybrid element into a map key.
 func hierKey(t text.TokenID, n gridtree.NodeID) uint64 {
 	return uint64(t)<<32 | uint64(n)
@@ -388,16 +368,10 @@ func hierKey(t text.TokenID, n gridtree.NodeID) uint64 {
 // Name implements Filter.
 func (f *HierarchicalFilter) Name() string { return "Seal" }
 
-// SizeBytes implements Filter: the posting lists plus the per-token grid
-// directories.
+// SizeBytes implements Filter: the posting lists plus the grid locators'
+// arenas.
 func (f *HierarchicalFilter) SizeBytes() int64 {
-	size := f.idx.SizeBytes()
-	for _, loc := range f.tokenLoc {
-		if loc != nil {
-			size += loc.sizeBytes()
-		}
-	}
-	return size
+	return f.idx.SizeBytes() + f.locs.sizeBytes()
 }
 
 // Postings returns the number of hybrid postings (Table 1 statistics).
@@ -439,8 +413,8 @@ func (f *HierarchicalFilter) CollectScratch(q *model.Query, cs *CandidateSet, st
 	slackR, slackT := invidx.Slack(cR), invidx.Slack(cT)
 
 	for i, t := range tsig[:pT] {
-		loc := f.tokenLoc[t]
-		if loc == nil {
+		loc, ok := f.locs.of(t)
+		if !ok {
 			continue
 		}
 		scr.hits = loc.project(q.Region, scr.hits[:0])

@@ -12,6 +12,8 @@ import (
 	"math"
 	"os"
 	"unsafe"
+
+	"github.com/sealdb/seal/internal/geo"
 )
 
 // hostLittleEndian reports the native byte order, probed once at init.
@@ -118,4 +120,33 @@ func readFallback(f *os.File, size int) ([]byte, func() error, error) {
 		return nil, nil, err
 	}
 	return data, func() error { return nil }, nil
+}
+
+// rectBytes views v as its little-endian representation: four float64 per
+// rectangle in field order.
+func rectBytes(v []geo.Rect) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return f64Bytes(unsafe.Slice(&v[0].MinX, len(v)*4))
+}
+
+// viewRects views little-endian section bytes as rectangles; b must be a
+// multiple of 32 bytes long.
+func viewRects(b []byte) []geo.Rect {
+	f := viewF64(b)
+	if len(f) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*geo.Rect)(unsafe.Pointer(&f[0])), len(f)/4)
+}
+
+// u32sOf views a slice of 32-bit IDs as plain uint32s, and idsOf is its
+// inverse; both alias their argument.
+func u32sOf[T ~uint32](v []T) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
+}
+
+func idsOf[T ~uint32](v []uint32) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
 }

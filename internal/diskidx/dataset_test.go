@@ -1,0 +1,302 @@
+package diskidx
+
+import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"github.com/sealdb/seal/internal/faultfs"
+	"github.com/sealdb/seal/internal/model"
+	"github.com/sealdb/seal/internal/testutil"
+	"github.com/sealdb/seal/internal/text"
+)
+
+// datasetFixture is a randomized dataset (multi-region objects included)
+// with a three-way partition, written as a dataset segment.
+func datasetFixture(t testing.TB, dir string) (path string, ds *model.Dataset, parts [][]model.ObjectID) {
+	t.Helper()
+	ds, err := testutil.RandomDataset(rand.New(rand.NewSource(42)), 120, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts = make([][]model.ObjectID, 3)
+	for i := 0; i < ds.Len(); i++ {
+		parts[i%3] = append(parts[i%3], model.ObjectID(i))
+	}
+	path = filepath.Join(dir, "dataset.seg")
+	if err := WriteDataset(path, ds, parts); err != nil {
+		t.Fatal(err)
+	}
+	return path, ds, parts
+}
+
+// expectSameDataset compares everything observable of two datasets.
+func expectSameDataset(t *testing.T, got, want *model.Dataset) {
+	t.Helper()
+	if got.Len() != want.Len() || got.Space() != want.Space() ||
+		got.SpatialSimFn() != want.SpatialSimFn() || got.TextualSimFn() != want.TextualSimFn() {
+		t.Fatalf("dataset shape differs: %d objects in %v", got.Len(), got.Space())
+	}
+	for i := 0; i < want.Len(); i++ {
+		id := model.ObjectID(i)
+		if got.Region(id) != want.Region(id) || !slices.Equal(got.Tokens(id), want.Tokens(id)) ||
+			got.TotalWeight(id) != want.TotalWeight(id) || !slices.Equal(got.MultiRegion(id), want.MultiRegion(id)) {
+			t.Fatalf("object %d differs", i)
+		}
+	}
+	if got.Vocab().Len() != want.Vocab().Len() {
+		t.Fatalf("vocabulary %d terms, want %d", got.Vocab().Len(), want.Vocab().Len())
+	}
+	for tok := 0; tok < want.Vocab().Len(); tok++ {
+		id := text.TokenID(tok)
+		term := want.Vocab().Term(id)
+		if got.Vocab().Term(id) != term || got.TokenWeight(id) != want.TokenWeight(id) {
+			t.Fatalf("token %d differs", tok)
+		}
+		if back, ok := got.Vocab().Lookup(term); !ok || back != id {
+			t.Fatalf("Lookup(%q) = %d, %v", term, back, ok)
+		}
+	}
+}
+
+// TestDatasetSegmentRoundTrip: write → OpenDataset reproduces the dataset,
+// its vocabulary and the partition exactly, and the terms it hands out are
+// heap strings that outlive the mapping.
+func TestDatasetSegmentRoundTrip(t *testing.T) {
+	path, ds, parts := datasetFixture(t, t.TempDir())
+	seg, err := OpenDataset(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectSameDataset(t, seg.Dataset(), ds)
+	if len(seg.Parts()) != len(parts) {
+		t.Fatalf("%d parts, want %d", len(seg.Parts()), len(parts))
+	}
+	for i := range parts {
+		if !slices.Equal(seg.Parts()[i], parts[i]) {
+			t.Fatalf("part %d differs", i)
+		}
+	}
+	term := seg.Dataset().Vocab().Term(3)
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if term != ds.Vocab().Term(3) {
+		t.Fatalf("term read before Close is %q after it", term)
+	}
+
+	// The one-shard identity is spelled as a single nil part both ways.
+	one := filepath.Join(t.TempDir(), "one.seg")
+	if err := WriteDataset(one, ds, [][]model.ObjectID{nil}); err != nil {
+		t.Fatal(err)
+	}
+	seg, err = OpenDataset(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	if p := seg.Parts(); len(p) != 1 || p[0] != nil {
+		t.Fatalf("one-shard partition reads back as %v", p)
+	}
+	expectSameDataset(t, seg.Dataset(), ds)
+
+	sub, err := ds.Subset(parts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDataset(filepath.Join(t.TempDir(), "sub.seg"), sub, parts); err == nil {
+		t.Fatal("a subset was written as a dataset segment")
+	}
+}
+
+// tableEntry locates section id's table entry and payload extent in b.
+func tableEntry(t testing.TB, b []byte, id uint32) (entry []byte, off, length uint64) {
+	t.Helper()
+	n := int(binary.LittleEndian.Uint32(b[40:]))
+	for i := 0; i < n; i++ {
+		e := b[segHeaderSize+i*segEntrySize:]
+		if binary.LittleEndian.Uint32(e) == id {
+			return e[:segEntrySize], binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		}
+	}
+	t.Fatalf("no section %d", id)
+	return nil, 0, 0
+}
+
+// damage rewrites section id's payload in place and re-seals its checksum,
+// so the corruption reaches the structural validators instead of the CRC.
+func damage(t testing.TB, b []byte, id uint32, f func(payload []byte)) []byte {
+	t.Helper()
+	e, off, length := tableEntry(t, b, id)
+	payload := b[off : off+length]
+	f(payload)
+	binary.LittleEndian.PutUint32(e[4:], crc32.ChecksumIEEE(payload))
+	return b
+}
+
+func putU32(i int, v uint32) func([]byte) {
+	return func(p []byte) { binary.LittleEndian.PutUint32(p[4*i:], v) }
+}
+
+func putF64(i int, v float64) func([]byte) {
+	return func(p []byte) { binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(v)) }
+}
+
+// TestDatasetSegmentMalformed: header, geometry and — behind re-sealed
+// checksums — every structural violation must be rejected at open with
+// ErrCorrupt, never a panic or a dataset that misbehaves later.
+func TestDatasetSegmentMalformed(t *testing.T) {
+	dir := t.TempDir()
+	path, ds, _ := datasetFixture(t, dir)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint32(ds.Len())
+	cases := []struct {
+		name   string
+		mutate func(b []byte) []byte
+	}{
+		{"posting-segment magic", func(b []byte) []byte { copy(b, magic2[:]); return b }},
+		{"bad version", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 2); return b }},
+		{"unknown flag bits", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 1<<16); return b }},
+		{"unknown spatial sim", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 7); return b }},
+		{"unknown textual sim", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 7<<8); return b }},
+		{"huge object count", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[16:], 1<<60); return b }},
+		{"huge token count", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[24:], 1<<60); return b }},
+		{"huge term count", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[32:], 1<<60); return b }},
+		{"object count off by one", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[16:], uint64(n)+1); return b }},
+		{"zero objects", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[16:], 0); return b }},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-8] }},
+		{"missing section", func(b []byte) []byte {
+			e, _, _ := tableEntry(t, b, dsecWeights)
+			binary.LittleEndian.PutUint32(e, 200)
+			return b
+		}},
+		{"payload bit flip", func(b []byte) []byte {
+			_, off, _ := tableEntry(t, b, dsecTokIDs)
+			b[off] ^= 1
+			return b
+		}},
+		{"token offsets not monotone", func(b []byte) []byte { return damage(t, b, dsecTokOff, putU32(1, 1<<30)) }},
+		{"token offsets short of the arena", func(b []byte) []byte { return damage(t, b, dsecTokOff, putU32(int(n), 0)) }},
+		{"token outside vocabulary", func(b []byte) []byte { return damage(t, b, dsecTokIDs, putU32(0, 1<<31)) }},
+		{"tokens not ascending", func(b []byte) []byte {
+			return damage(t, b, dsecTokIDs, func(p []byte) { copy(p[4:8], p[0:4]) })
+		}},
+		{"NaN region", func(b []byte) []byte { return damage(t, b, dsecRegions, putF64(2, math.NaN())) }},
+		{"inverted region", func(b []byte) []byte { return damage(t, b, dsecRegions, putF64(0, 1e12)) }},
+		{"term offsets past the blob", func(b []byte) []byte { return damage(t, b, dsecTermOff, putU32(1, 1<<30)) }},
+		{"duplicate term", func(b []byte) []byte {
+			return damage(t, b, dsecTerms, func(p []byte) {
+				for i := range p {
+					p[i] = 'x'
+				}
+			})
+		}},
+		{"negative weight", func(b []byte) []byte { return damage(t, b, dsecWeights, putF64(0, -1)) }},
+		{"NaN weight", func(b []byte) []byte { return damage(t, b, dsecWeights, putF64(1, math.NaN())) }},
+		{"partition ID out of range", func(b []byte) []byte { return damage(t, b, dsecParts, putU32(0, n)) }},
+		{"partition repeats an object", func(b []byte) []byte {
+			// The first object of part 1 becomes part 0's first object.
+			return damage(t, b, dsecParts, func(p []byte) { copy(p[4*(n/3):], p[:4]) })
+		}},
+		{"partition not ascending", func(b []byte) []byte {
+			return damage(t, b, dsecParts, func(p []byte) {
+				var tmp [4]byte
+				copy(tmp[:], p[0:4])
+				copy(p[0:4], p[4:8])
+				copy(p[4:8], tmp[:])
+			})
+		}},
+		{"partition offsets short of the objects", func(b []byte) []byte { return damage(t, b, dsecPartOff, putU32(3, n-1)) }},
+		{"empty shard", func(b []byte) []byte { return damage(t, b, dsecPartOff, putU32(1, 0)) }},
+		{"inverted shard", func(b []byte) []byte { return damage(t, b, dsecPartOff, putU32(1, n)) }},
+		{"multi-region ID out of range", func(b []byte) []byte { return damage(t, b, dsecMultiIDs, putU32(0, n)) }},
+		{"multi-region offsets past the rects", func(b []byte) []byte { return damage(t, b, dsecMultiOff, putU32(1, 1<<30)) }},
+		{"footprint off its region", func(b []byte) []byte { return damage(t, b, dsecMultiRects, putF64(0, -1e9)) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := filepath.Join(dir, "bad.seg")
+			if err := os.WriteFile(p, tc.mutate(slices.Clone(good)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			seg, err := OpenDataset(p)
+			if err == nil {
+				seg.Close()
+				t.Fatal("corrupt dataset segment opened cleanly")
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+		})
+	}
+	if _, err := OpenDataset(filepath.Join(dir, "absent.seg")); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("missing file: %v, want a plain open error", err)
+	}
+}
+
+// TestDatasetSegmentBitFlips: one flipped bit anywhere that matters — the
+// header's used fields, the section table, the middle of every non-empty
+// section — read back through the faultfs corruption seam must fail the open
+// with ErrCorrupt.
+func TestDatasetSegmentBitFlips(t *testing.T) {
+	path, _, _ := datasetFixture(t, t.TempDir())
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := map[string]int{
+		"magic":          3,
+		"version":        8 * 8,
+		"flags":          12*8 + 20,
+		"object count":   16 * 8,
+		"token count":    24 * 8,
+		"term count":     32 * 8,
+		"section count":  40 * 8,
+		"table id":       segHeaderSize * 8,
+		"table crc":      (segHeaderSize + 4) * 8,
+		"table offset":   (segHeaderSize+8)*8 + 13,
+		"table length":   (segHeaderSize + 16) * 8,
+		"last table len": (segHeaderSize+10*segEntrySize+16)*8 + 1,
+	}
+	for id := uint32(dsecRegions); id <= dsecMultiRects; id++ {
+		_, off, length := tableEntry(t, good, id)
+		if length == 0 {
+			t.Fatalf("fixture leaves section %d empty", id)
+		}
+		bits[sectionName(id)] = int(off+length/2)*8 + 5
+	}
+	t.Cleanup(faultfs.Uninstall)
+	for name, bit := range bits {
+		faultfs.Install((&faultfs.Injector{}).FlipBit("dataset.seg", bit))
+		seg, err := OpenDataset(path)
+		if err == nil {
+			seg.Close()
+			t.Errorf("%s: bit %d flipped, segment still opened", name, bit)
+		} else if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: error %v does not wrap ErrCorrupt", name, err)
+		}
+	}
+	faultfs.Uninstall()
+	seg, err := OpenDataset(path)
+	if err != nil {
+		t.Fatalf("undamaged read: %v", err)
+	}
+	seg.Close()
+}
+
+func sectionName(id uint32) string {
+	return [...]string{"", "regions", "tokOff", "tokIDs", "terms", "termOff", "weights",
+		"parts", "partOff", "multiIDs", "multiOff", "multiRects"}[id]
+}

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/sealdb/seal/internal/invidx"
+	"github.com/sealdb/seal/internal/model"
 )
 
 func FuzzSegmentHeader(f *testing.F) {
@@ -69,6 +70,69 @@ func FuzzSegmentHeader(f *testing.F) {
 			if _, perr := seg.Single().Probe(0xdeadbeefcafe, &scr); perr != nil {
 				t.Fatalf("accepted segment failed missing-key Probe: %v", perr)
 			}
+		}
+	})
+}
+
+// FuzzDatasetSegment: openDataset parses attacker-shaped bytes the same way —
+// a dataset segment is trusted only after its geometry, checksums and every
+// columnar invariant check out. No input may panic the parser, and whatever
+// it accepts must be safe to walk end to end: every object's region, tokens
+// and footprint, every term, every partition entry.
+func FuzzDatasetSegment(f *testing.F) {
+	path, _, _ := datasetFixture(f, f.TempDir())
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, n := range []int{0, 8, 63, 64, 100, segHeaderSize + 11*segEntrySize, 4096, 4100, len(valid) / 2, len(valid) - 1} {
+		if n <= len(valid) {
+			f.Add(valid[:n:n])
+		}
+	}
+	// Header fields, then one payload word of each section behind a re-sealed
+	// checksum, so mutations start beyond the CRC wall.
+	for _, off := range []int{8, 12, 16, 24, 32, 40} {
+		m := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(m[off:], 0xffffffff)
+		f.Add(m)
+	}
+	for id := uint32(dsecRegions); id <= dsecMultiRects; id++ {
+		f.Add(damage(f, append([]byte(nil), valid...), id, func(p []byte) { p[len(p)/2] ^= 0x80 }))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < segHeaderSize { // mapPath's guard
+			return
+		}
+		seg, err := openDataset(data)
+		if err != nil {
+			return
+		}
+		ds := seg.Dataset()
+		vocab := ds.Vocab()
+		for i := 0; i < ds.Len(); i++ {
+			id := model.ObjectID(i)
+			if !ds.Region(id).Valid() {
+				t.Fatalf("accepted dataset has invalid region %d", i)
+			}
+			for _, tok := range ds.Tokens(id) {
+				if back, ok := vocab.Lookup(vocab.Term(tok)); !ok || back != tok {
+					t.Fatalf("accepted dataset: object %d token %d does not resolve", i, tok)
+				}
+			}
+			_ = ds.MultiRegion(id).Area()
+		}
+		seen := 0
+		for _, part := range seg.Parts() {
+			for _, id := range part {
+				_ = ds.Region(id)
+				seen++
+			}
+		}
+		if len(seg.Parts()) > 1 && seen != ds.Len() {
+			t.Fatalf("accepted partition covers %d of %d objects", seen, ds.Len())
 		}
 	})
 }

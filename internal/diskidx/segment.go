@@ -5,40 +5,20 @@ package diskidx
 // zero-copy — opening an index becomes a page-table operation instead of a
 // rebuild, and the OS page cache decides which posting pages stay resident.
 //
-// File layout (all integers little endian):
-//
-//	header   64 bytes
-//	    magic     [8]byte  "SEALIDX2"
-//	    version   uint32   currently 1
-//	    flags     uint32   bit0: dual bounds, bit1: compressed postings
-//	    nLists    uint64
-//	    nPostings uint64
-//	    nObjs     uint64   exclusive upper bound for posting object IDs
-//	    sections  uint32   number of section-table entries
-//	    reserved  [20]byte zero
-//	section table   sections × 24 bytes
-//	    id   uint32
-//	    crc  uint32   CRC32 (IEEE) of the section payload
-//	    off  uint64   absolute file offset, 4096-aligned
-//	    len  uint64   payload length in bytes
-//	sections   page-aligned payloads, zero-padded between
+// A segment is a section container (container.go) whose three header counts
+// are nLists, nPostings and nObjs — the exclusive upper bound for posting
+// object IDs — and whose flags are bit0: dual bounds, bit1: compressed
+// postings.
 //
 // A raw single-bound segment carries sections keys/starts/objs/bounds/dir;
 // raw dual adds tbounds; compressed segments carry keys/offs/counts/blob/dir.
 // Every section is CRC-checked at open, then handed to the invidx arena
 // validators, so a segment that opens cleanly satisfies every structural
-// invariant the query path relies on. All geometry claimed by the header is
-// validated against the actual file size before any of it is trusted.
+// invariant the query path relies on.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 
-	"github.com/sealdb/seal/internal/faultfs"
 	"github.com/sealdb/seal/internal/invidx"
 )
 
@@ -48,12 +28,6 @@ const (
 	segVersion        = 1
 	segFlagDual       = 1 << 0
 	segFlagCompressed = 1 << 1
-	segPage           = 4096
-	segHeaderSize     = 64
-	segEntrySize      = 24
-	// segMaxSections bounds the section table; the densest layout (raw
-	// dual) uses 6 sections, so anything past a small cap is garbage.
-	segMaxSections = 16
 )
 
 // Section identifiers.
@@ -68,16 +42,6 @@ const (
 	secCounts  = 8 // uint32 × nLists, postings per compressed list
 	secBlob    = 9 // encoded posting blob
 )
-
-type section struct {
-	id   uint32
-	data []byte
-	off  int64
-}
-
-func alignPage(off int64) int64 {
-	return (off + segPage - 1) &^ (segPage - 1)
-}
 
 // wrapCorrupt rebrands an invidx validation failure as a diskidx corruption
 // error so callers test one sentinel for any malformed segment.
@@ -124,51 +88,8 @@ func WriteSegment(path string, idx any, objects int) error {
 		return fmt.Errorf("diskidx: cannot write %T as a segment", idx)
 	}
 
-	// Lay the sections out at page-aligned offsets and build the table.
-	table := make([]byte, len(secs)*segEntrySize)
-	off := alignPage(segHeaderSize + int64(len(table)))
-	for i := range secs {
-		s := &secs[i]
-		s.off = off
-		e := table[i*segEntrySize:]
-		binary.LittleEndian.PutUint32(e[0:], s.id)
-		binary.LittleEndian.PutUint32(e[4:], crc32.ChecksumIEEE(s.data))
-		binary.LittleEndian.PutUint64(e[8:], uint64(s.off))
-		binary.LittleEndian.PutUint64(e[16:], uint64(len(s.data)))
-		off = alignPage(off + int64(len(s.data)))
-	}
-
-	var hdr [segHeaderSize]byte
-	copy(hdr[:8], magic2[:])
-	binary.LittleEndian.PutUint32(hdr[8:], segVersion)
-	binary.LittleEndian.PutUint32(hdr[12:], flags)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(nLists))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(nPostings))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(objects))
-	binary.LittleEndian.PutUint32(hdr[40:], uint32(len(secs)))
-
-	// Crash-safe write protocol: the segment streams into path+".tmp",
-	// which is fsynced and atomically renamed over path (faultfs.Atomic).
-	// A crash at any step leaves the previous segment (or nothing) plus at
-	// worst an abandoned temp for the boot-time sweep — never a torn file
-	// under the real name.
-	err := faultfs.Atomic(path, func(out io.Writer) error {
-		w := &segWriter{w: bufio.NewWriterSize(out, 1<<20)}
-		w.write(hdr[:])
-		w.write(table)
-		for _, s := range secs {
-			w.padTo(s.off)
-			w.write(s.data)
-		}
-		if w.err == nil {
-			w.err = w.w.Flush()
-		}
-		return w.err
-	})
-	if err != nil {
-		return fmt.Errorf("diskidx: %w", err)
-	}
-	return nil
+	return writeContainer(path, magic2, segVersion, flags,
+		[3]uint64{uint64(nLists), uint64(nPostings), uint64(objects)}, secs)
 }
 
 func rawSections(a invidx.RawArenas, dual bool) []section {
@@ -194,34 +115,6 @@ func compressedSections(a invidx.CompressedArenas) []section {
 	}
 }
 
-// segWriter is a byte-counting writer with error latching and zero padding.
-type segWriter struct {
-	w   *bufio.Writer
-	off int64
-	err error
-}
-
-var segZeros [segPage]byte
-
-func (s *segWriter) write(p []byte) {
-	if s.err != nil {
-		return
-	}
-	n, err := s.w.Write(p)
-	s.off += int64(n)
-	s.err = err
-}
-
-func (s *segWriter) padTo(off int64) {
-	for s.err == nil && s.off < off {
-		n := off - s.off
-		if n > segPage {
-			n = segPage
-		}
-		s.write(segZeros[:n])
-	}
-}
-
 // Segment is an open SEALIDX2 segment. The posting data lives in the mapped
 // (or fallback-loaded) file bytes; the Source/DualSource views returned by
 // Single and Dual alias those pages, so they must not be probed after Close.
@@ -243,30 +136,10 @@ type Segment struct {
 // probe time. On platforms or filesystems where mmap fails the file is read
 // into memory instead; Mapped reports which path was taken.
 func OpenMapped(path string) (*Segment, error) {
-	f, err := os.Open(path)
+	data, closer, mapped, err := mapPath(path)
 	if err != nil {
-		return nil, fmt.Errorf("diskidx: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("diskidx: %w", err)
-	}
-	size := fi.Size()
-	if size < segHeaderSize {
-		return nil, fmt.Errorf("%w: file smaller than segment header", ErrCorrupt)
-	}
-	if size != int64(int(size)) {
-		return nil, fmt.Errorf("%w: segment too large for this platform", ErrCorrupt)
-	}
-	data, closer, mapped, err := mapFile(f, int(size))
-	if err != nil {
-		return nil, fmt.Errorf("diskidx: %w", err)
-	}
-	// The injection seam for read corruption: with a fault installed the
-	// returned bytes may be a bit-flipped copy, exercising exactly the
-	// validation a damaged disk would.
-	data = faultfs.CorruptRead(path, data)
 	seg, err := openSegment(data)
 	if err != nil {
 		closer()
@@ -274,82 +147,28 @@ func OpenMapped(path string) (*Segment, error) {
 	}
 	seg.closer = closer
 	seg.mapped = mapped
-	seg.size = size
+	seg.size = int64(len(data))
 	return seg, nil
 }
 
 func openSegment(data []byte) (*Segment, error) {
-	if [8]byte(data[:8]) != magic2 {
-		return nil, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
+	c, err := parseContainer(data, magic2, segVersion)
+	if err != nil {
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != segVersion {
-		return nil, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, v)
-	}
-	flags := binary.LittleEndian.Uint32(data[12:])
+	flags := c.flags
 	if flags&^(segFlagDual|segFlagCompressed) != 0 {
 		return nil, fmt.Errorf("%w: unknown segment flags %#x", ErrCorrupt, flags)
 	}
-	nLists64 := binary.LittleEndian.Uint64(data[16:])
-	nPostings64 := binary.LittleEndian.Uint64(data[24:])
-	nObjs64 := binary.LittleEndian.Uint64(data[32:])
-	nSections := binary.LittleEndian.Uint32(data[40:])
-
-	size := int64(len(data))
 	// The header's counts size later multiplications and allocations, so
 	// cap them against what the file could possibly hold before use: keys
 	// cost 8 bytes each, raw postings at least 4, compressed postings at
 	// least a bit (checked exactly per list by the decoder).
-	if nLists64 > uint64(size)/8 || nPostings64 > 8*uint64(size) || nObjs64 > 1<<32 {
+	size := uint64(len(data))
+	if c.counts[0] > size/8 || c.counts[1] > 8*size || c.counts[2] > 1<<32 {
 		return nil, fmt.Errorf("%w: header counts exceed file size", ErrCorrupt)
 	}
-	if nSections > segMaxSections {
-		return nil, fmt.Errorf("%w: implausible section count %d", ErrCorrupt, nSections)
-	}
-	tblEnd := int64(segHeaderSize) + int64(nSections)*segEntrySize
-	if tblEnd > size {
-		return nil, fmt.Errorf("%w: section table exceeds file size", ErrCorrupt)
-	}
-
-	views := make(map[uint32][]byte, nSections)
-	for i := 0; i < int(nSections); i++ {
-		e := data[segHeaderSize+i*segEntrySize:]
-		id := binary.LittleEndian.Uint32(e[0:])
-		crc := binary.LittleEndian.Uint32(e[4:])
-		off := binary.LittleEndian.Uint64(e[8:])
-		length := binary.LittleEndian.Uint64(e[16:])
-		if off%segPage != 0 {
-			return nil, fmt.Errorf("%w: section %d not page aligned", ErrCorrupt, id)
-		}
-		if off < uint64(tblEnd) || off > uint64(size) || length > uint64(size)-off {
-			return nil, fmt.Errorf("%w: section %d out of file bounds", ErrCorrupt, id)
-		}
-		if _, dup := views[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate section %d", ErrCorrupt, id)
-		}
-		v := data[off : off+length]
-		if crc32.ChecksumIEEE(v) != crc {
-			return nil, fmt.Errorf("%w: section %d checksum mismatch", ErrCorrupt, id)
-		}
-		views[id] = v
-	}
-
-	nLists := int(nLists64)
-	nPostings := int(nPostings64)
-	objects := int(nObjs64)
-	take := func(id uint32, wantLen int64) ([]byte, error) {
-		v, ok := views[id]
-		if !ok {
-			return nil, fmt.Errorf("%w: missing section %d", ErrCorrupt, id)
-		}
-		delete(views, id)
-		if wantLen >= 0 && int64(len(v)) != wantLen {
-			return nil, fmt.Errorf("%w: section %d length %d, want %d", ErrCorrupt, id, len(v), wantLen)
-		}
-		if id == secDir && len(v)%4 != 0 {
-			return nil, fmt.Errorf("%w: directory length not word aligned", ErrCorrupt)
-		}
-		return v, nil
-	}
+	nLists, nPostings, objects := int64(c.counts[0]), int64(c.counts[1]), int(c.counts[2])
 
 	seg := &Segment{
 		dual:    flags&segFlagDual != 0,
@@ -357,28 +176,28 @@ func openSegment(data []byte) (*Segment, error) {
 		objects: objects,
 	}
 	if seg.comp {
-		keys, err := take(secKeys, int64(nLists)*8)
+		keys, err := c.take(secKeys, nLists, 8)
 		if err != nil {
 			return nil, err
 		}
-		offs, err := take(secOffs, int64(nLists+1)*4)
+		offs, err := c.take(secOffs, nLists+1, 4)
 		if err != nil {
 			return nil, err
 		}
-		counts, err := take(secCounts, int64(nLists)*4)
+		counts, err := c.take(secCounts, nLists, 4)
 		if err != nil {
 			return nil, err
 		}
-		blob, err := take(secBlob, -1)
+		blob, err := c.take(secBlob, -1, 1)
 		if err != nil {
 			return nil, err
 		}
-		dir, err := take(secDir, -1)
+		dir, err := c.take(secDir, -1, 4)
 		if err != nil {
 			return nil, err
 		}
-		if len(views) != 0 {
-			return nil, fmt.Errorf("%w: unexpected extra sections", ErrCorrupt)
+		if err := c.done(); err != nil {
+			return nil, err
 		}
 		a := invidx.CompressedArenas{
 			Keys:   viewU64(keys),
@@ -388,13 +207,13 @@ func openSegment(data []byte) (*Segment, error) {
 			Slots:  viewU32(dir),
 		}
 		if seg.dual {
-			ix, err := invidx.CompressedDualFromArenas(a, nPostings, objects)
+			ix, err := invidx.CompressedDualFromArenas(a, int(nPostings), objects)
 			if err != nil {
 				return nil, wrapCorrupt(err)
 			}
 			seg.dualSrc = ix
 		} else {
-			ix, err := invidx.CompressedFromArenas(a, nPostings, objects)
+			ix, err := invidx.CompressedFromArenas(a, int(nPostings), objects)
 			if err != nil {
 				return nil, wrapCorrupt(err)
 			}
@@ -403,19 +222,19 @@ func openSegment(data []byte) (*Segment, error) {
 		return seg, nil
 	}
 
-	keys, err := take(secKeys, int64(nLists)*8)
+	keys, err := c.take(secKeys, nLists, 8)
 	if err != nil {
 		return nil, err
 	}
-	starts, err := take(secStarts, int64(nLists+1)*4)
+	starts, err := c.take(secStarts, nLists+1, 4)
 	if err != nil {
 		return nil, err
 	}
-	objs, err := take(secObjs, int64(nPostings)*4)
+	objs, err := c.take(secObjs, nPostings, 4)
 	if err != nil {
 		return nil, err
 	}
-	bounds, err := take(secBounds, int64(nPostings)*8)
+	bounds, err := c.take(secBounds, nPostings, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -426,19 +245,19 @@ func openSegment(data []byte) (*Segment, error) {
 		Bounds: viewF64(bounds),
 	}
 	if seg.dual {
-		tbounds, err := take(secTBounds, int64(nPostings)*8)
+		tbounds, err := c.take(secTBounds, nPostings, 8)
 		if err != nil {
 			return nil, err
 		}
 		a.TBounds = viewF64(tbounds)
 	}
-	dir, err := take(secDir, -1)
+	dir, err := c.take(secDir, -1, 4)
 	if err != nil {
 		return nil, err
 	}
 	a.Slots = viewU32(dir)
-	if len(views) != 0 {
-		return nil, fmt.Errorf("%w: unexpected extra sections", ErrCorrupt)
+	if err := c.done(); err != nil {
+		return nil, err
 	}
 	if seg.dual {
 		ix, err := invidx.DualFromArenas(a, objects)

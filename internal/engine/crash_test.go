@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/sealdb/seal/internal/core"
@@ -205,8 +206,15 @@ func TestSaveSegmentsCrashRecovery(t *testing.T) {
 		e2.Close()
 	}
 
-	// The boot sweep clears crash debris: after a final interrupted save and
-	// recovery, no temp files remain.
+	// Recovery clears crash debris: after every interrupted save above, a
+	// final save leaves exactly the artifact set — the manifest, the dataset
+	// segment and one segment per shard — with no temp file, and no file of
+	// an older layout or a wider generation, surviving it.
+	for _, stale := range []string{"dataset.snap", "parts.gob", "shard-0.grids.gob", "shard-3.seg", "shard-1.seg" + faultfs.TmpSuffix} {
+		if err := os.WriteFile(filepath.Join(dir, stale), []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := eng.SaveSegments(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +222,12 @@ func TestSaveSegmentsCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var names []string
 	for _, e := range entries {
-		if filepath.Ext(e.Name()) == faultfs.TmpSuffix {
-			t.Fatalf("temp file %s survived recovery", e.Name())
-		}
+		names = append(names, e.Name())
+	}
+	artifacts := []string{datasetName, manifestName, segName(0), segName(1), segName(2)}
+	if !slices.Equal(names, artifacts) {
+		t.Fatalf("segment directory holds %v after recovery, want %v", names, artifacts)
 	}
 }

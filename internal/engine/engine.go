@@ -19,6 +19,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/sealdb/seal/internal/core"
@@ -63,7 +64,7 @@ type shard struct {
 	// ErrShardQuarantined; partial queries skip it and count a ShardError.
 	down error
 	// rebuilt marks a shard whose segment was repaired from the dataset
-	// snapshot at open time (OpenOptions.Repair).
+	// segment at open time (OpenOptions.Repair).
 	rebuilt bool
 }
 
@@ -138,6 +139,11 @@ type Engine struct {
 	// closers owns the mapped segments backing an engine opened from disk;
 	// empty for an in-memory build. See Close in segments.go.
 	closers []io.Closer
+	// abandonable counts the shard searches running on goroutines that a
+	// query may return without waiting for (a strict failure or an expired
+	// context abandons its stragglers). Close waits for them: they read the
+	// mapped segments.
+	abandonable sync.WaitGroup
 }
 
 // Build partitions root into cfg.Shards spatial shards and constructs each

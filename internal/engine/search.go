@@ -58,7 +58,9 @@ func (e *Engine) SearchExec(ctx context.Context, q *model.Query, tr *trace.Rec, 
 			err     error
 		}
 		done := make(chan result, 1)
+		e.abandonable.Add(1)
 		go func() {
+			defer e.abandonable.Done()
 			matches, st, err := e.searchSingle(ctx, q, tr, part)
 			done <- result{matches, st, err}
 		}()
@@ -156,7 +158,9 @@ func (e *Engine) searchScatter(ctx context.Context, q *model.Query, tr *trace.Re
 			continue
 		}
 		dispatched++
+		e.abandonable.Add(1)
 		go func(i int, s *shard) {
+			defer e.abandonable.Done()
 			if err := ctx.Err(); err != nil {
 				resCh <- shardResult{idx: i, err: err}
 				return

@@ -1,16 +1,16 @@
 package engine
 
 // Sealed-segment persistence: an engine whose shards use signature filters
-// can save everything a rebuild would recompute — the dataset snapshot, the
-// shard partition, each shard's posting arena as an mmap-able SEALIDX2
-// segment, and (for the SEAL method) each shard's per-token grid selections —
-// and reopen the whole index by mapping files instead of re-running signature
+// can save everything a rebuild would recompute — the dataset with its
+// vocabulary and the shard partition as one mmap-able dataset segment, and
+// each shard's posting arena as an mmap-able SEALIDX2 segment (which, for the
+// SEAL method, also carries the per-token grid selections in its keys) — and
+// reopen the whole index by mapping files instead of re-running signature
 // generation. A manifest records the filter configuration and a dataset
 // fingerprint so stale or mismatched segment directories are detected and
 // rebuilt rather than silently served.
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,21 +23,19 @@ import (
 	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/faultfs"
-	"github.com/sealdb/seal/internal/gridtree"
 	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/text"
 )
 
-// Segment directory layout.
+// Segment directory layout: the manifest, the dataset segment, and one
+// posting segment per shard. Nothing else belongs in the directory.
 const (
 	manifestName = "manifest.json"
-	datasetName  = "dataset.snap"
-	partsName    = "parts.gob"
+	datasetName  = "dataset.seg"
 )
 
-func segName(shard int) string      { return fmt.Sprintf("shard-%d.seg", shard) }
-func gridsGobName(shard int) string { return fmt.Sprintf("shard-%d.grids.gob", shard) }
+func segName(shard int) string { return fmt.Sprintf("shard-%d.seg", shard) }
 
 // FilterSpec identifies a filter configuration for manifest matching. Kind is
 // one of "token", "grid", "hybrid", "seal".
@@ -59,7 +57,10 @@ type Manifest struct {
 	Fingerprint string     `json:"fingerprint"`
 }
 
-const manifestVersion = 1
+// manifestVersion 2 is the gob-free layout above. Version 1 directories
+// (dataset.snap, parts.gob, shard-N.grids.gob) have no reader: they read as a
+// manifest mismatch, which every boot path treats as stale and rebuilds.
+const manifestVersion = 2
 
 // ErrNoSegments reports a directory without a readable manifest. Because the
 // manifest is written last and removed first, this is the normal state of an
@@ -116,9 +117,10 @@ func Fingerprint(ds *model.Dataset) string {
 	put(uint64(ds.Len()))
 	vocab := ds.Vocab()
 	put(uint64(vocab.Len()))
+	var term []byte // one buffer for every term: boot fingerprints the whole vocabulary
 	for i := 0; i < vocab.Len(); i++ {
-		io.WriteString(h, vocab.Term(text.TokenID(i)))
-		h.Write([]byte{0})
+		term = append(append(term[:0], vocab.Term(text.TokenID(i))...), 0)
+		h.Write(term)
 	}
 	for i := 0; i < ds.Len(); i++ {
 		id := model.ObjectID(i)
@@ -136,28 +138,29 @@ func Fingerprint(ds *model.Dataset) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// segmentSource extracts a shard filter's posting storage for WriteSegment,
-// plus the SEAL grid selections when the filter is hierarchical. Baselines
-// (scan, keyword-first, spatial-first, IR-tree) have no posting arena to
-// persist and report an error.
-func segmentSource(f core.Filter) (src any, grids [][]gridtree.NodeID, spec FilterSpec, err error) {
+// segmentSource extracts a shard filter's posting storage for WriteSegment.
+// Baselines (scan, keyword-first, spatial-first, IR-tree) have no posting
+// arena to persist and report an error.
+func segmentSource(f core.Filter) (src any, spec FilterSpec, err error) {
 	switch f := f.(type) {
 	case *core.TokenFilter:
-		return f.Source(), nil, FilterSpec{Kind: "token"}, nil
+		return f.Source(), FilterSpec{Kind: "token"}, nil
 	case *core.GridFilter:
-		return f.Source(), nil, FilterSpec{Kind: "grid", P: f.Granularity()}, nil
+		return f.Source(), FilterSpec{Kind: "grid", P: f.Granularity()}, nil
 	case *core.HybridHashFilter:
-		return f.DualSource(), nil, FilterSpec{Kind: "hybrid", P: f.Granularity(), Buckets: f.Buckets()}, nil
+		return f.DualSource(), FilterSpec{Kind: "hybrid", P: f.Granularity(), Buckets: f.Buckets()}, nil
 	case *core.HierarchicalFilter:
-		return f.DualSource(), f.TokenGrids(), FilterSpec{Kind: "seal", MaxLevel: f.MaxLevel(), GridBudget: f.Budget()}, nil
+		return f.DualSource(), FilterSpec{Kind: "seal", MaxLevel: f.MaxLevel(), GridBudget: f.Budget()}, nil
 	default:
-		return nil, nil, FilterSpec{}, fmt.Errorf("engine: filter %s does not support segment persistence", f.Name())
+		return nil, FilterSpec{}, fmt.Errorf("engine: filter %s does not support segment persistence", f.Name())
 	}
 }
 
-// SaveSegments persists the engine into dir (created if needed): the dataset
-// snapshot, the shard partition, one SEALIDX2 segment per shard, per-shard
-// grid selections for the SEAL method, and the manifest.
+// SaveSegments persists the engine into dir (created if needed): one SEALIDX2
+// segment per shard, the dataset segment (dataset, vocabulary and shard
+// partition), and the manifest. Files of an earlier generation that the new
+// one does not overwrite — more shards, another layout version, abandoned
+// temps — are removed, so the directory holds exactly the artifact set.
 //
 // The save is crash-safe. Every artifact is written to a *.tmp file, fsynced
 // and atomically renamed into place, and the manifest is the enforced commit
@@ -169,14 +172,14 @@ func (e *Engine) SaveSegments(dir string) error {
 	if err := faultfs.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	if _, err := faultfs.SweepTemps(dir); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
 	// Drop the commit point first: from here until the new manifest lands
 	// the directory is formally "no segments", so an interrupted save reads
 	// as a clean rebuild signal on the next boot.
 	if err := faultfs.Remove(filepath.Join(dir, manifestName)); err != nil {
 		return fmt.Errorf("engine: %w", err)
+	}
+	if err := sweepStale(dir, len(e.shards)); err != nil {
+		return err
 	}
 
 	var spec FilterSpec
@@ -185,7 +188,7 @@ func (e *Engine) SaveSegments(dir string) error {
 		if s.filter == nil {
 			return fmt.Errorf("engine: cannot save shard %d: %w", i, ErrShardQuarantined)
 		}
-		src, grids, sp, err := segmentSource(s.filter)
+		src, sp, err := segmentSource(s.filter)
 		if err != nil {
 			return err
 		}
@@ -195,28 +198,17 @@ func (e *Engine) SaveSegments(dir string) error {
 		if err := diskidx.WriteSegment(filepath.Join(dir, segName(i)), src, s.ds.Len()); err != nil {
 			return err
 		}
-		if sp.Kind == "seal" {
-			if err := writeGob(filepath.Join(dir, gridsGobName(i)), grids); err != nil {
-				return err
-			}
-		}
 		switch src.(type) {
 		case *invidx.CompressedIndex, *invidx.CompressedDualIndex:
 			compressed = true
 		}
 	}
 
-	if err := faultfs.Atomic(filepath.Join(dir, datasetName), func(w io.Writer) error {
-		return e.root.WriteSnapshot(w)
-	}); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-
 	parts := make([][]model.ObjectID, len(e.shards))
 	for i, s := range e.shards {
 		parts[i] = s.globalIDs // nil for the single-shard identity mapping
 	}
-	if err := writeGob(filepath.Join(dir, partsName), parts); err != nil {
+	if err := diskidx.WriteDataset(filepath.Join(dir, datasetName), e.root, parts); err != nil {
 		return err
 	}
 
@@ -243,26 +235,51 @@ func (e *Engine) SaveSegments(dir string) error {
 	return nil
 }
 
-func writeGob(path string, v any) error {
-	err := faultfs.Atomic(path, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(v)
-	})
+// sweepStale removes every file in dir that a save of the given shard count
+// will not overwrite: the artifact set is manifest.json, dataset.seg and
+// shard-0..shards-1.seg, and anything else — a higher shard of a wider
+// generation, a version-1 gob artifact, an abandoned temp — would otherwise
+// outlive the generation it belonged to. Subdirectories are not the index's
+// and are left alone.
+func sweepStale(dir string, shards int) error {
+	keep := map[string]bool{manifestName: true, datasetName: true}
+	for i := 0; i < shards; i++ {
+		keep[segName(i)] = true
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return fmt.Errorf("engine: writing %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("engine: %w", err)
+	}
+	for _, e := range entries {
+		if e.IsDir() || keep[e.Name()] {
+			continue
+		}
+		if err := faultfs.Remove(filepath.Join(dir, e.Name())); err != nil {
+			return fmt.Errorf("engine: sweeping %s: %w", e.Name(), err)
+		}
 	}
 	return nil
 }
 
-func readGob(path string, v any) error {
-	f, err := os.Open(path)
+// DirBytes sums the sizes of the files in a segment directory — what the
+// index costs on disk.
+func DirBytes(dir string) (int64, error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return fmt.Errorf("engine: %w", err)
+		return 0, fmt.Errorf("engine: %w", err)
 	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(v); err != nil {
-		return fmt.Errorf("engine: decoding %s: %w: %v", filepath.Base(path), diskidx.ErrCorrupt, err)
+	var total int64
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			return 0, fmt.Errorf("engine: %w", err)
+		}
+		total += info.Size()
 	}
-	return nil
+	return total, nil
 }
 
 // ShardState classifies a shard's boot-time health.
@@ -275,7 +292,7 @@ const (
 	// that was sidelined instead of failing the open. It answers no queries.
 	ShardQuarantined
 	// ShardRebuilt is a shard whose segment was corrupt or missing and that
-	// was rebuilt in memory from the dataset snapshot (OpenOptions.Repair).
+	// was rebuilt in memory from the dataset (OpenOptions.Repair).
 	// It serves exact answers.
 	ShardRebuilt
 )
@@ -319,22 +336,23 @@ type OpenOptions struct {
 	// every shard fails is still an error.
 	Quarantine bool
 	// Repair rebuilds a failed shard's filter in memory from the dataset
-	// snapshot (the manifest records its configuration) and best-effort
-	// re-saves its segment. Implies tolerance of the failure; the rebuilt
+	// (the manifest records its configuration) and best-effort re-saves its
+	// segment. Implies tolerance of the failure; the rebuilt
 	// shard serves exact answers.
 	Repair bool
 }
 
-// OpenSegments boots an engine from a segment directory: the dataset is
-// rebuilt from its snapshot, then every shard's postings are memory-mapped.
+// OpenSegments boots an engine from a segment directory: the dataset segment
+// and every shard's postings are memory-mapped.
 // It is strict — see OpenSegmentsWith for quarantine and repair.
 func OpenSegments(dir string) (*Engine, error) {
 	e, _, err := OpenSegmentsWith(dir, nil, OpenOptions{})
 	return e, err
 }
 
-// OpenSegmentsAt boots an engine from dir over an already-loaded dataset,
-// skipping the snapshot read. The manifest's fingerprint must match root.
+// OpenSegmentsAt boots an engine from dir over an already-loaded dataset: the
+// directory's dataset segment supplies only the shard partition. The
+// manifest's fingerprint must match root.
 func OpenSegmentsAt(dir string, root *model.Dataset) (*Engine, error) {
 	if root == nil {
 		return nil, errors.New("engine: OpenSegmentsAt requires a dataset")
@@ -344,11 +362,11 @@ func OpenSegmentsAt(dir string, root *model.Dataset) (*Engine, error) {
 }
 
 // OpenSegmentsWith boots an engine from dir with explicit failure handling.
-// A nil root reads the dataset snapshot from the directory. Abandoned *.tmp
+// A nil root serves the dataset mapped from the directory. Abandoned *.tmp
 // files from an interrupted save are swept first. Per-shard failures (corrupt
-// or missing segment, grids, or filter) are handled per o; failures that
-// compromise every shard — an unreadable manifest, snapshot, or partition
-// file, or a fingerprint mismatch — always fail the open.
+// or missing segment, or filter) are handled per o; failures that compromise
+// every shard — an unreadable manifest or dataset segment (it holds the
+// partition too), or a fingerprint mismatch — always fail the open.
 //
 // The report is non-nil whenever the engine is, and its Health covers every
 // shard.
@@ -362,37 +380,32 @@ func OpenSegmentsWith(dir string, root *model.Dataset, o OpenOptions) (*Engine, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if root == nil {
-		df, err := os.Open(filepath.Join(dir, datasetName))
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: %w", err)
-		}
-		root, err = model.ReadSnapshot(df)
-		df.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: reading %s: %w: %v", datasetName, diskidx.ErrCorrupt, err)
-		}
-	}
-	if m.Objects != root.Len() || m.Fingerprint != Fingerprint(root) {
-		return nil, nil, fmt.Errorf("%w: segment directory %s was built from a different dataset", ErrManifestMismatch, dir)
-	}
-	var parts [][]model.ObjectID
-	if err := readGob(filepath.Join(dir, partsName), &parts); err != nil {
-		// The partition file maps every shard's IDs; without it no shard's
-		// contents are known, so even a tolerant open fails.
+	// The dataset segment maps every shard's IDs; without it no shard's
+	// contents are known, so even a tolerant open fails.
+	dseg, err := diskidx.OpenDataset(filepath.Join(dir, datasetName))
+	if err != nil {
 		return nil, nil, err
 	}
-	if len(parts) != m.Shards || m.Shards < 1 {
-		return nil, nil, fmt.Errorf("%w: partition file lists %d shards, manifest %d", diskidx.ErrCorrupt, len(parts), m.Shards)
-	}
-
-	e := &Engine{root: root}
+	// The engine owns the mapping either way: the partition aliases it even
+	// when the caller's dataset, not the mapped one, is served.
+	e := &Engine{root: root, closers: []io.Closer{dseg}}
 	ok := false
 	defer func() {
 		if !ok {
 			e.Close()
 		}
 	}()
+	if root == nil {
+		root = dseg.Dataset()
+		e.root = root
+	}
+	parts := dseg.Parts()
+	if m.Objects != root.Len() || m.Fingerprint != Fingerprint(root) {
+		return nil, nil, fmt.Errorf("%w: segment directory %s was built from a different dataset", ErrManifestMismatch, dir)
+	}
+	if len(parts) != m.Shards {
+		return nil, nil, fmt.Errorf("%w: dataset segment lists %d shards, manifest %d", diskidx.ErrCorrupt, len(parts), m.Shards)
+	}
 	tolerant := o.Quarantine || o.Repair
 	for i := 0; i < m.Shards; i++ {
 		sub := root
@@ -401,8 +414,6 @@ func OpenSegmentsWith(dir string, root *model.Dataset, o OpenOptions) (*Engine, 
 			if err != nil {
 				return nil, nil, fmt.Errorf("engine: shard %d: %w", i, err)
 			}
-		} else if m.Shards != 1 {
-			return nil, nil, fmt.Errorf("%w: shard %d missing its partition", diskidx.ErrCorrupt, i)
 		}
 		f, seg, openErr := openOneShard(dir, i, sub, m)
 		if openErr == nil {
@@ -464,7 +475,7 @@ func openOneShard(dir string, i int, sub *model.Dataset, m *Manifest) (f core.Fi
 	if seg.Objects() != sub.Len() {
 		return nil, nil, fmt.Errorf("%w: segment indexes %d objects, dataset shard has %d", diskidx.ErrCorrupt, seg.Objects(), sub.Len())
 	}
-	f, err = openShardFilter(sub, m.Filter, seg, dir, i)
+	f, err = openShardFilter(sub, m.Filter, seg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -501,22 +512,14 @@ func buildSpecFilter(ds *model.Dataset, spec FilterSpec, compressed bool) (core.
 	return f, nil
 }
 
-// saveShard atomically rewrites shard i's segment (and grids gob for SEAL)
-// from a live filter — the persistence half of a repair.
+// saveShard atomically rewrites shard i's segment from a live filter — the
+// persistence half of a repair.
 func saveShard(dir string, i int, f core.Filter, objects int) error {
-	src, grids, sp, err := segmentSource(f)
+	src, _, err := segmentSource(f)
 	if err != nil {
 		return err
 	}
-	if err := diskidx.WriteSegment(filepath.Join(dir, segName(i)), src, objects); err != nil {
-		return err
-	}
-	if sp.Kind == "seal" {
-		if err := writeGob(filepath.Join(dir, gridsGobName(i)), grids); err != nil {
-			return err
-		}
-	}
-	return nil
+	return diskidx.WriteSegment(filepath.Join(dir, segName(i)), src, objects)
 }
 
 // Health reports every shard's state: serving, quarantined, or rebuilt. An
@@ -549,7 +552,7 @@ func (e *Engine) Quarantined() int {
 
 // openShardFilter wires one shard's mapped segment into the filter the
 // manifest describes.
-func openShardFilter(ds *model.Dataset, spec FilterSpec, seg *diskidx.Segment, dir string, shardIdx int) (core.Filter, error) {
+func openShardFilter(ds *model.Dataset, spec FilterSpec, seg *diskidx.Segment) (core.Filter, error) {
 	wantDual := spec.Kind == "hybrid" || spec.Kind == "seal"
 	if seg.IsDual() != wantDual {
 		return nil, fmt.Errorf("segment bound flavour does not match filter kind %q", spec.Kind)
@@ -562,11 +565,7 @@ func openShardFilter(ds *model.Dataset, spec FilterSpec, seg *diskidx.Segment, d
 	case "hybrid":
 		return core.OpenHybridHashFilter(ds, spec.P, spec.Buckets, seg.Dual())
 	case "seal":
-		var grids [][]gridtree.NodeID
-		if err := readGob(filepath.Join(dir, gridsGobName(shardIdx)), &grids); err != nil {
-			return nil, err
-		}
-		return core.OpenHierarchicalFilter(ds, core.HierarchicalConfig{MaxLevel: spec.MaxLevel, GridBudget: spec.GridBudget}, grids, seg.Dual())
+		return core.OpenHierarchicalFilter(ds, core.HierarchicalConfig{MaxLevel: spec.MaxLevel, GridBudget: spec.GridBudget}, seg.Dual())
 	default:
 		return nil, fmt.Errorf("unknown filter kind %q", spec.Kind)
 	}
@@ -575,10 +574,12 @@ func openShardFilter(ds *model.Dataset, spec FilterSpec, seg *diskidx.Segment, d
 // Root returns the engine's parent dataset.
 func (e *Engine) Root() *model.Dataset { return e.root }
 
-// Close releases any mapped segments backing the engine's filters. Queries
-// must not be issued after Close. A purely in-memory engine closes to a
-// no-op. Close is idempotent.
+// Close releases any mapped segments backing the engine's filters, after the
+// shard searches that already-returned queries abandoned have finished.
+// Queries must not be issued during or after Close. A purely in-memory engine
+// has nothing to release. Close is idempotent.
 func (e *Engine) Close() error {
+	e.abandonable.Wait()
 	var first error
 	for _, c := range e.closers {
 		if err := c.Close(); err != nil && first == nil {

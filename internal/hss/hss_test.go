@@ -12,6 +12,7 @@ import (
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/gridtree"
 	"github.com/sealdb/seal/internal/paperdata"
+	"github.com/sealdb/seal/internal/testutil"
 )
 
 func newTree(t *testing.T, space geo.Rect, maxLevel int) *gridtree.Tree {
@@ -296,56 +297,6 @@ func referenceSelect(tree *gridtree.Tree, rects []geo.Rect, mt int) ([]Grid, err
 	return out, nil
 }
 
-// adversarialRects draws a region set mixing the shapes that stress the
-// Selector's equivalence to the reference: ordinary boxes, cell-aligned boxes
-// whose edges touch grid lines (zero-area contact with the neighbouring
-// cell), degenerate points and segments, boxes partly or wholly outside the
-// space, boxes covering all of it, and exact duplicates (equal errors, so the
-// NodeID tie-break decides).
-func adversarialRects(rng *rand.Rand, space geo.Rect, n int) []geo.Rect {
-	w, h := space.Width(), space.Height()
-	rects := make([]geo.Rect, 0, n)
-	for len(rects) < n {
-		x, y := space.MinX+rng.Float64()*w, space.MinY+rng.Float64()*h
-		var r geo.Rect
-		switch rng.Intn(9) {
-		case 0: // point
-			r = geo.Rect{MinX: x, MinY: y, MaxX: x, MaxY: y}
-		case 1: // horizontal segment
-			r = geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*w/8, MaxY: y}
-		case 2: // aligned to the cells of a random level
-			cells := float64(int(1) << rng.Intn(8))
-			cw, ch := w/cells, h/cells
-			cx, cy := float64(rng.Intn(int(cells))), float64(rng.Intn(int(cells)))
-			r = geo.Rect{
-				MinX: space.MinX + cx*cw, MinY: space.MinY + cy*ch,
-				MaxX: space.MinX + (cx+1+float64(rng.Intn(2)))*cw, MaxY: space.MinY + (cy+1)*ch,
-			}
-		case 3: // straddles the space boundary
-			r = geo.Rect{MinX: x - w/2, MinY: y - h/2, MaxX: x + w/16, MaxY: y + h/16}
-		case 4: // wholly outside
-			r = geo.Rect{MinX: space.MaxX + 1 + x, MinY: y, MaxX: space.MaxX + 2 + x, MaxY: y + 1}
-		case 5: // covers everything
-			r = geo.Rect{MinX: space.MinX - 1, MinY: space.MinY - 1, MaxX: space.MaxX + 1, MaxY: space.MaxY + 1}
-		case 6: // duplicate of an earlier region
-			if len(rects) == 0 {
-				continue
-			}
-			r = rects[rng.Intn(len(rects))]
-		case 7: // tiny, clustered near the origin corner
-			r = geo.Rect{
-				MinX: space.MinX + rng.Float64()*w/64, MinY: space.MinY + rng.Float64()*h/64,
-				MaxX: space.MinX + rng.Float64()*w/64, MaxY: space.MinY + rng.Float64()*h/64,
-			}
-			r = geo.NewRect(r.MinX, r.MinY, r.MaxX, r.MaxY)
-		default: // ordinary box
-			r = geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*w/6, MaxY: y + rng.Float64()*h/6}
-		}
-		rects = append(rects, r)
-	}
-	return rects
-}
-
 // TestSelectorMatchesReference is the seeded differential property test: the
 // one-pass Selector and the reference must return the identical grid slice —
 // same nodes, same counts, same order — for every region mix, budget and tree
@@ -361,7 +312,7 @@ func TestSelectorMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for _, space := range spaces {
 			for _, n := range []int{1, 3, 40, 400} {
-				rects := adversarialRects(rng, space, n)
+				rects := testutil.AdversarialRects(rng, space, n)
 				for _, maxLevel := range []int{0, 1, 7, 12} {
 					tr := newTree(t, space, maxLevel)
 					for _, mt := range []int{1, 2, 7, 64, 8192} {

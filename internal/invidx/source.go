@@ -93,6 +93,14 @@ func (ix *CompressedDualIndex) EachLen(fn func(key uint64, n int)) {
 	}
 }
 
+// Keys returns the ascending key array, aliasing the index (for a mapped
+// segment, its pages). Position i is the list EachLen reports i-th. Read-only.
+func (ix *DualIndex) Keys() []uint64 { return ix.keys }
+
+// Keys returns the ascending key array, aliasing the index (for a mapped
+// segment, its pages). Position i is the list EachLen reports i-th. Read-only.
+func (ix *CompressedDualIndex) Keys() []uint64 { return ix.keys }
+
 // Lener is the optional point-lookup companion to LengthRanger: report one
 // list's posting count without touching posting data. All four index layouts
 // implement it, so cost estimation (which sums a handful of prefix lists per

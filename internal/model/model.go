@@ -63,18 +63,27 @@ func (s SpatialSim) String() string {
 
 // Dataset is an immutable collection of spatio-textual objects sharing a
 // vocabulary. Build one with a Builder.
+//
+// The per-object state is columnar: one regions column and one CSR token
+// arena (row r's token set is tokIDs[tokOff[r]:tokOff[r+1]]) instead of a
+// slice per object. That is the layout a dataset segment stores, so a dataset
+// opened from disk is a set of views over the mapped file (FromColumns), and
+// a shard is the same token arena behind a row table (Subset) rather than a
+// copy.
 type Dataset struct {
-	vocab *text.Vocab
-	// Structure-of-arrays layout: regions[i] and tokens[i] describe object i.
-	regions []geo.Rect
-	tokens  [][]text.TokenID // ascending token IDs, de-duplicated
-	totalW  []float64        // Σ w(t) per object
-	areas   []float64        // cached |o.R|
-	space   geo.Rect         // MBR of all regions
-	weights []float64        // weight table indexed by TokenID
-	// multi holds the rectangle-union footprints of multi-region objects
-	// (nil when the dataset has none); see multiregion.go.
+	vocab   *text.Vocab
+	weights []float64  // the vocabulary's weight table, indexed by TokenID
+	regions []geo.Rect // indexed by object ID, unlike the row-indexed rest
+	tokOff  []uint32
+	tokIDs  []text.TokenID // ascending and de-duplicated within each row
+	totalW  []float64      // Σ w(t) per row
+	space   geo.Rect       // MBR of the root dataset's regions
+	// multi holds the rectangle-union footprints of multi-region objects by
+	// row (nil when the dataset has none); see multiregion.go.
 	multi map[ObjectID]geo.RectSet
+	// rows maps this dataset's object IDs to rows of the row-indexed
+	// columns; nil is the identity. Only a Subset carries one.
+	rows []ObjectID
 
 	spatialSim SpatialSim
 	textualSim TextualSim
@@ -85,7 +94,8 @@ type Dataset struct {
 type Builder struct {
 	vb      text.Builder
 	regions []geo.Rect
-	tokens  [][]text.TokenID
+	tokOff  []uint32 // row ends so far; the leading 0 is added on freeze
+	tokIDs  []text.TokenID
 	multi   map[ObjectID]geo.RectSet
 	sims    struct {
 		spatial SpatialSim
@@ -106,14 +116,23 @@ func (b *Builder) Add(region geo.Rect, terms []string) (ObjectID, error) {
 	if !region.Valid() {
 		return 0, fmt.Errorf("model: object %d: invalid region %v", len(b.regions), region)
 	}
+	if len(b.tokIDs)+len(terms) > math.MaxUint32 {
+		return 0, fmt.Errorf("model: object %d: token arena exceeds %d entries", len(b.regions), math.MaxUint32)
+	}
 	id := ObjectID(len(b.regions))
 	b.regions = append(b.regions, region)
-	b.tokens = append(b.tokens, b.vb.AddDoc(terms))
+	b.tokIDs = b.vb.AppendDoc(b.tokIDs, terms)
+	b.tokOff = append(b.tokOff, uint32(len(b.tokIDs)))
 	return id, nil
 }
 
 // Len returns the number of objects added so far.
 func (b *Builder) Len() int { return len(b.regions) }
+
+// offsets returns the CSR offset table over the rows added so far.
+func (b *Builder) offsets() []uint32 {
+	return append(make([]uint32, 1, len(b.tokOff)+1), b.tokOff...)
+}
 
 // Build freezes the builder. The resulting dataset computes idf weights
 // w(t) = ln(|O|/count(t,O)) over the added objects.
@@ -122,7 +141,7 @@ func (b *Builder) Build() (*Dataset, error) {
 		return nil, errors.New("model: cannot build an empty dataset")
 	}
 	vocab := b.vb.Build()
-	return newDataset(vocab, b.regions, b.tokens, b.multi, b.sims.spatial, b.sims.textual)
+	return newDataset(vocab, b.regions, b.offsets(), b.tokIDs, b.multi, b.sims.spatial, b.sims.textual), nil
 }
 
 // BuildWithVocab freezes the builder but verifies against the supplied
@@ -133,44 +152,49 @@ func (b *Builder) BuildWithVocab(vocab *text.Vocab) (*Dataset, error) {
 		return nil, errors.New("model: cannot build an empty dataset")
 	}
 	own := b.vb.Build()
-	// Re-map token IDs from the builder's interning order to vocab's.
-	remapped := make([][]text.TokenID, len(b.tokens))
-	for i, set := range b.tokens {
-		out := make([]text.TokenID, 0, len(set))
-		for _, id := range set {
+	// Re-map token IDs from the builder's interning order to vocab's; a row
+	// keeps its length (the mapping is injective) but must be re-sorted.
+	tokOff := b.offsets()
+	remapped := make([]text.TokenID, len(b.tokIDs))
+	for i := range b.regions {
+		row := remapped[tokOff[i]:tokOff[i+1]]
+		for j, id := range b.tokIDs[tokOff[i]:tokOff[i+1]] {
 			vid, ok := vocab.Lookup(own.Term(id))
 			if !ok {
 				return nil, fmt.Errorf("model: object %d uses token %q absent from supplied vocab", i, own.Term(id))
 			}
-			out = append(out, vid)
+			row[j] = vid
 		}
-		remapped[i] = text.SortDedup(out)
+		text.SortDedup(row)
 	}
-	return newDataset(vocab, b.regions, remapped, b.multi, b.sims.spatial, b.sims.textual)
+	return newDataset(vocab, b.regions, tokOff, remapped, b.multi, b.sims.spatial, b.sims.textual), nil
 }
 
-func newDataset(vocab *text.Vocab, regions []geo.Rect, tokens [][]text.TokenID, multi map[ObjectID]geo.RectSet, ss SpatialSim, ts TextualSim) (*Dataset, error) {
-	weights := make([]float64, vocab.Len())
-	for i := range weights {
-		weights[i] = vocab.Weight(text.TokenID(i))
-	}
+func newDataset(vocab *text.Vocab, regions []geo.Rect, tokOff []uint32, tokIDs []text.TokenID, multi map[ObjectID]geo.RectSet, ss SpatialSim, ts TextualSim) *Dataset {
 	ds := &Dataset{
 		vocab:      vocab,
+		weights:    vocab.Weights(),
 		regions:    regions,
-		tokens:     tokens,
+		tokOff:     tokOff,
+		tokIDs:     tokIDs,
 		totalW:     make([]float64, len(regions)),
-		areas:      make([]float64, len(regions)),
-		weights:    weights,
+		space:      geo.MBR(regions),
 		multi:      multi,
 		spatialSim: ss,
 		textualSim: ts,
 	}
-	for i, set := range tokens {
-		ds.totalW[i] = vocab.TotalWeight(set)
-		ds.areas[i] = regions[i].Area()
+	for i := range regions {
+		ds.totalW[i] = vocab.TotalWeight(tokIDs[tokOff[i]:tokOff[i+1]])
 	}
-	ds.space = geo.MBR(regions)
-	return ds, nil
+	return ds
+}
+
+// row translates an object ID to its row of the columns.
+func (ds *Dataset) row(id ObjectID) ObjectID {
+	if ds.rows != nil {
+		return ds.rows[id]
+	}
+	return id
 }
 
 // Len returns the number of objects.
@@ -183,7 +207,10 @@ func (ds *Dataset) Vocab() *text.Vocab { return ds.vocab }
 func (ds *Dataset) Region(id ObjectID) geo.Rect { return ds.regions[id] }
 
 // Tokens returns object id's sorted token-ID set. Callers must not mutate it.
-func (ds *Dataset) Tokens(id ObjectID) []text.TokenID { return ds.tokens[id] }
+func (ds *Dataset) Tokens(id ObjectID) []text.TokenID {
+	r := ds.row(id)
+	return ds.tokIDs[ds.tokOff[r]:ds.tokOff[r+1]]
+}
 
 // TokenWeight returns w(t).
 func (ds *Dataset) TokenWeight(t text.TokenID) float64 { return ds.weights[t] }
@@ -192,10 +219,10 @@ func (ds *Dataset) TokenWeight(t text.TokenID) float64 { return ds.weights[t] }
 func (ds *Dataset) Weights() []float64 { return ds.weights }
 
 // TotalWeight returns Σ_{t ∈ o.T} w(t) for object id.
-func (ds *Dataset) TotalWeight(id ObjectID) float64 { return ds.totalW[id] }
+func (ds *Dataset) TotalWeight(id ObjectID) float64 { return ds.totalW[ds.row(id)] }
 
 // Area returns |o.R| for object id.
-func (ds *Dataset) Area(id ObjectID) float64 { return ds.areas[id] }
+func (ds *Dataset) Area(id ObjectID) float64 { return ds.Region(id).Area() }
 
 // Space returns the MBR of all object regions — the space decomposed into
 // grids by the spatial signatures (Section 4.1).
@@ -314,7 +341,7 @@ func (q *Query) Area() float64 { return q.area }
 // Multi-region objects are measured against their rectangle union.
 func (ds *Dataset) SimR(q *Query, id ObjectID) float64 {
 	if ds.multi != nil {
-		if set, ok := ds.multi[id]; ok {
+		if set, ok := ds.multi[ds.row(id)]; ok {
 			return ds.simRMulti(q, set)
 		}
 	}
@@ -329,14 +356,15 @@ func (ds *Dataset) SimR(q *Query, id ObjectID) float64 {
 // SimT returns the exact textual similarity between the query and object id.
 // The query's unknown-term weight counts toward the union (denominator).
 func (ds *Dataset) SimT(q *Query, id ObjectID) float64 {
-	o := ds.tokens[id]
+	r := ds.row(id)
+	o := ds.tokIDs[ds.tokOff[r]:ds.tokOff[r+1]]
 	switch ds.textualSim {
 	case TextDice:
-		return text.WeightedDice(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[id])
+		return text.WeightedDice(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[r])
 	case TextCosine:
-		return text.WeightedCosine(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[id])
+		return text.WeightedCosine(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[r])
 	default:
-		return text.WeightedJaccard(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[id])
+		return text.WeightedJaccard(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[r])
 	}
 }
 
@@ -354,7 +382,8 @@ func (ds *Dataset) SimTAccum(q *Query, id ObjectID, bits uint64) float64 {
 	if len(q.Tokens) > 64 {
 		return ds.SimT(q, id)
 	}
-	o := ds.tokens[id]
+	r := ds.row(id)
+	o := ds.tokIDs[ds.tokOff[r]:ds.tokOff[r+1]]
 	var common float64
 	for j, t := range q.Tokens {
 		if bits&(1<<q.sigRank[j]) != 0 || text.Contains(o, t) {
@@ -363,11 +392,11 @@ func (ds *Dataset) SimTAccum(q *Query, id ObjectID, bits uint64) float64 {
 	}
 	switch ds.textualSim {
 	case TextDice:
-		return text.DiceFromCommon(common, q.TotalWeight, ds.totalW[id])
+		return text.DiceFromCommon(common, q.TotalWeight, ds.totalW[r])
 	case TextCosine:
-		return text.CosineFromCommon(common, q.TotalWeight, ds.totalW[id])
+		return text.CosineFromCommon(common, q.TotalWeight, ds.totalW[r])
 	default:
-		return text.JaccardFromCommon(common, q.TotalWeight, ds.totalW[id])
+		return text.JaccardFromCommon(common, q.TotalWeight, ds.totalW[r])
 	}
 }
 

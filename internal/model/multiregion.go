@@ -53,7 +53,7 @@ func (ds *Dataset) MultiRegion(id ObjectID) geo.RectSet {
 	if ds.multi == nil {
 		return nil
 	}
-	return ds.multi[id]
+	return ds.multi[ds.row(id)]
 }
 
 // simRMulti computes the exact spatial similarity between the query

@@ -26,25 +26,28 @@ type Snapshot struct {
 func (ds *Dataset) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Terms:      make([]string, ds.vocab.Len()),
-		Regions:    append([]geo.Rect(nil), ds.regions...),
-		Tokens:     make([][]uint32, len(ds.tokens)),
+		Regions:    make([]geo.Rect, ds.Len()),
+		Tokens:     make([][]uint32, ds.Len()),
 		SpatialSim: uint8(ds.spatialSim),
 		TextualSim: uint8(ds.textualSim),
 	}
 	for i := range s.Terms {
 		s.Terms[i] = ds.vocab.Term(text.TokenID(i))
 	}
-	for i, set := range ds.tokens {
+	for i := range s.Regions {
+		id := ObjectID(i)
+		s.Regions[i] = ds.Region(id)
+		set := ds.Tokens(id)
 		out := make([]uint32, len(set))
 		for j, t := range set {
 			out[j] = uint32(t)
 		}
 		s.Tokens[i] = out
-	}
-	if len(ds.multi) > 0 {
-		s.Multi = make(map[uint32][]geo.Rect, len(ds.multi))
-		for id, set := range ds.multi {
-			s.Multi[uint32(id)] = append([]geo.Rect(nil), set...)
+		if multi := ds.MultiRegion(id); multi != nil {
+			if s.Multi == nil {
+				s.Multi = make(map[uint32][]geo.Rect)
+			}
+			s.Multi[uint32(i)] = append([]geo.Rect(nil), multi...)
 		}
 	}
 	return s

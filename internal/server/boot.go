@@ -69,7 +69,7 @@ func Boot(cfg Config, logf Logf) (*seal.Index, BootInfo, error) {
 				logf.printf("shard %d quarantined: %s", h.Shard, h.Err)
 			case seal.ShardRebuilt:
 				info.Rebuilt++
-				logf.printf("shard %d rebuilt from the directory snapshot: %s", h.Shard, h.Err)
+				logf.printf("shard %d rebuilt from the directory's dataset segment: %s", h.Shard, h.Err)
 			}
 		}
 		if info.Quarantined > 0 {

@@ -467,8 +467,11 @@ type statusResponse struct {
 		Method     string `json:"method"`
 		Shards     int    `json:"shards"`
 		IndexBytes int64  `json:"index_bytes"`
-		Mapped     bool   `json:"mapped"`
-		Compressed bool   `json:"compressed"`
+		// SegmentBytes is the segment directory's size on disk (0 without
+		// one), beside IndexBytes, the resident (or mapped) footprint.
+		SegmentBytes int64 `json:"segment_bytes"`
+		Mapped       bool  `json:"mapped"`
+		Compressed   bool  `json:"compressed"`
 		// Quarantined counts shards sidelined at boot; on a strict daemon
 		// every query fails while it is nonzero, on an allow-partial daemon
 		// queries answer degraded.
@@ -529,6 +532,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	resp.Index.Method = st.Method
 	resp.Index.Shards = st.Shards
 	resp.Index.IndexBytes = st.IndexBytes
+	resp.Index.SegmentBytes = st.SegmentBytes
 	resp.Index.Mapped = st.Mapped
 	resp.Index.Compressed = st.Compressed
 	for _, h := range s.ix.Health() {

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -214,6 +215,51 @@ func TestDifferentialSegmentBoot(t *testing.T) {
 
 	if f2, f3 := ix2.Fingerprint(), ix3.Fingerprint(); f2 != f3 {
 		t.Fatalf("dataset fingerprints diverge: segments %s, memory %s", f2, f3)
+	}
+
+	// The directory's size on disk is reported beside the index footprint,
+	// and the directory is exactly the gob-free artifact set.
+	var onDisk int64
+	entries, err := os.ReadDir(segDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += info.Size()
+		names = append(names, e.Name())
+	}
+	if want := []string{"dataset.seg", "manifest.json", "shard-0.seg", "shard-1.seg"}; !slices.Equal(names, want) {
+		t.Fatalf("segment directory holds %v, want %v", names, want)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st statusResponse
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Index.SegmentBytes != onDisk || st.Index.IndexBytes <= 0 {
+		t.Fatalf("status segment_bytes %d index_bytes %d, directory holds %d bytes", st.Index.SegmentBytes, st.Index.IndexBytes, onDisk)
+	}
+	resp, err = ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\nseal_segment_bytes %d\n", onDisk); !strings.Contains(string(text), want) {
+		t.Fatalf("/metrics lacks %q", want)
 	}
 }
 

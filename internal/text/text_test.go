@@ -296,3 +296,58 @@ func TestRankIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBlobRoundTrip: FromBlob over what Blob exports is the same vocabulary —
+// terms, IDs, weights and signature order — and rejects flat forms that do
+// not describe one.
+func TestBlobRoundTrip(t *testing.T) {
+	var b Builder
+	b.AddDoc([]string{"tea", "coffee", ""})
+	b.AddDoc([]string{"coffee", "mocha"})
+	b.AddDoc([]string{"ice"})
+	v := b.Build()
+	blob, off := v.Blob()
+	back, err := FromBlob(blob, off, v.Weights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != v.Len() {
+		t.Fatalf("%d terms, want %d", back.Len(), v.Len())
+	}
+	for i := 0; i < v.Len(); i++ {
+		id := TokenID(i)
+		if back.Term(id) != v.Term(id) || back.Weight(id) != v.Weight(id) || back.Rank(id) != v.Rank(id) {
+			t.Fatalf("term %d: %q w=%v rank=%d, want %q w=%v rank=%d", i,
+				back.Term(id), back.Weight(id), back.Rank(id), v.Term(id), v.Weight(id), v.Rank(id))
+		}
+		if got, ok := back.Lookup(v.Term(id)); !ok || got != id {
+			t.Fatalf("Lookup(%q) = %d, %v", v.Term(id), got, ok)
+		}
+		if back.Count(id) != 0 {
+			t.Fatalf("restored vocabulary reports a document count for term %d", i)
+		}
+	}
+
+	w := v.Weights()
+	bad := []struct {
+		name string
+		blob string
+		off  []uint32
+		w    []float64
+	}{
+		{"offsets too short", blob, off[:len(off)-1], w},
+		{"offsets start past zero", blob, append([]uint32{1}, off[1:]...), w},
+		{"offsets end before the blob", blob + "x", off, w},
+		{"offsets run past the blob", blob, []uint32{0, 99, 3, 9, 14, uint32(len(blob))}, w},
+		{"offsets not monotone", blob, []uint32{0, 5, 3, 9, 14, uint32(len(blob))}, w},
+		{"repeated term", "aaaa", []uint32{0, 2, 4}, []float64{1, 1}},
+		{"negative weight", "ab", []uint32{0, 1, 2}, []float64{1, -1}},
+		{"NaN weight", "ab", []uint32{0, 1, 2}, []float64{math.NaN(), 1}},
+		{"infinite weight", "ab", []uint32{0, 1, 2}, []float64{1, math.Inf(1)}},
+	}
+	for _, tc := range bad {
+		if _, err := FromBlob(tc.blob, tc.off, tc.w); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}

@@ -9,9 +9,11 @@
 package text
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 )
 
 // TokenID is the dense identifier of an interned token.
@@ -21,9 +23,14 @@ type TokenID uint32
 // weights. Build one with a Builder, or supply explicit weights with
 // NewWithWeights.
 type Vocab struct {
-	ids     map[string]TokenID
-	terms   []string
-	counts  []uint32
+	ids map[string]TokenID
+	// blob holds every term back to back — term id is
+	// blob[off[id]:off[id+1]] — so the vocabulary is one heap string and an
+	// offset table instead of a string header per term, and a dataset
+	// segment stores and restores it as two flat sections.
+	blob    string
+	off     []uint32
+	counts  []uint32 // nil when the weights were supplied, not counted
 	weights []float64
 	// rank[t] is the position of token t in the global signature order
 	// (descending weight, ties broken by ascending ID), as required by the
@@ -60,16 +67,23 @@ func (b *Builder) Intern(term string) TokenID {
 // document count once, and returns the document's sorted, de-duplicated
 // token-ID set.
 func (b *Builder) AddDoc(terms []string) []TokenID {
-	set := make([]TokenID, 0, len(terms))
+	return b.AppendDoc(make([]TokenID, 0, len(terms)), terms)
+}
+
+// AppendDoc is AddDoc appending the document's token-ID set to dst, so a
+// caller accumulating many documents into one arena allocates none of them
+// separately.
+func (b *Builder) AppendDoc(dst []TokenID, terms []string) []TokenID {
+	start := len(dst)
 	for _, term := range terms {
-		set = append(set, b.Intern(term))
+		dst = append(dst, b.Intern(term))
 	}
-	set = SortDedup(set)
+	set := SortDedup(dst[start:])
 	for _, id := range set {
 		b.counts[id]++
 	}
 	b.docs++
-	return set
+	return dst[:start+len(set)]
 }
 
 // Docs returns the number of documents added so far.
@@ -97,12 +111,29 @@ func (b *Builder) Build() *Vocab {
 	}
 	v := &Vocab{
 		ids:     b.ids,
-		terms:   b.terms,
 		counts:  b.counts,
 		weights: weights,
 	}
+	v.blob, v.off = joinTerms(b.terms)
 	v.buildRank()
 	return v
+}
+
+// joinTerms lays terms out as one blob plus the offset table that slices it.
+// Offsets are 32-bit: a vocabulary is far below 4 GiB of term bytes.
+func joinTerms(terms []string) (string, []uint32) {
+	total := 0
+	for _, term := range terms {
+		total += len(term)
+	}
+	var sb strings.Builder
+	sb.Grow(total)
+	off := make([]uint32, len(terms)+1)
+	for i, term := range terms {
+		sb.WriteString(term)
+		off[i+1] = uint32(sb.Len())
+	}
+	return sb.String(), off
 }
 
 // NewWithWeights creates a vocabulary from parallel term/weight slices,
@@ -125,16 +156,47 @@ func NewWithWeights(terms []string, weights []float64) (*Vocab, error) {
 	}
 	v := &Vocab{
 		ids:     ids,
-		terms:   append([]string(nil), terms...),
-		counts:  make([]uint32, len(terms)),
 		weights: append([]float64(nil), weights...),
 	}
+	v.blob, v.off = joinTerms(terms)
 	v.buildRank()
 	return v, nil
 }
 
+// FromBlob restores a vocabulary from the flat form Blob exports plus its
+// weight table: term id is blob[off[id]:off[id+1]] with weight weights[id].
+// The input is untrusted (it comes from a dataset segment): the offsets must
+// slice blob exactly, terms must be distinct, and weights finite and
+// non-negative. blob, off and weights are retained, and every term Term and
+// Lookup hand out aliases blob — so they must be heap memory, not a mapping.
+func FromBlob(blob string, off []uint32, weights []float64) (*Vocab, error) {
+	n := len(weights)
+	if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(blob) {
+		return nil, fmt.Errorf("text: term offsets do not span the %d-byte blob for %d terms", len(blob), n)
+	}
+	ids := make(map[string]TokenID, n)
+	for i := 0; i < n; i++ {
+		if off[i] > off[i+1] || int(off[i+1]) > len(blob) {
+			return nil, fmt.Errorf("text: term offsets not monotone inside the blob at term %d", i)
+		}
+		if !(weights[i] >= 0) || math.IsInf(weights[i], 1) { // NaN fails the first test
+			return nil, fmt.Errorf("text: term %d has weight %g", i, weights[i])
+		}
+		ids[blob[off[i]:off[i+1]]] = TokenID(i)
+	}
+	if len(ids) != n {
+		return nil, errors.New("text: vocabulary blob repeats a term")
+	}
+	v := &Vocab{ids: ids, blob: blob, off: off, weights: weights}
+	v.buildRank()
+	return v, nil
+}
+
+// Blob exports the terms in the flat form FromBlob restores. Read-only.
+func (v *Vocab) Blob() (blob string, off []uint32) { return v.blob, v.off }
+
 func (v *Vocab) buildRank() {
-	order := make([]TokenID, len(v.terms))
+	order := make([]TokenID, len(v.weights))
 	for i := range order {
 		order[i] = TokenID(i)
 	}
@@ -145,14 +207,14 @@ func (v *Vocab) buildRank() {
 		}
 		return a < b
 	})
-	v.rank = make([]uint32, len(v.terms))
+	v.rank = make([]uint32, len(v.weights))
 	for pos, id := range order {
 		v.rank[id] = uint32(pos)
 	}
 }
 
 // Len returns the number of distinct tokens.
-func (v *Vocab) Len() int { return len(v.terms) }
+func (v *Vocab) Len() int { return len(v.weights) }
 
 // Lookup returns the ID of term, if interned.
 func (v *Vocab) Lookup(term string) (TokenID, bool) {
@@ -161,13 +223,22 @@ func (v *Vocab) Lookup(term string) (TokenID, bool) {
 }
 
 // Term returns the string form of id.
-func (v *Vocab) Term(id TokenID) string { return v.terms[id] }
+func (v *Vocab) Term(id TokenID) string { return v.blob[v.off[id]:v.off[id+1]] }
 
-// Count returns the document count of id.
-func (v *Vocab) Count(id TokenID) uint32 { return v.counts[id] }
+// Count returns the document count of id; 0 when the vocabulary's weights
+// were supplied (NewWithWeights, FromBlob) rather than counted.
+func (v *Vocab) Count(id TokenID) uint32 {
+	if v.counts == nil {
+		return 0
+	}
+	return v.counts[id]
+}
 
 // Weight returns w(id).
 func (v *Vocab) Weight(id TokenID) float64 { return v.weights[id] }
+
+// Weights returns the weight table indexed by TokenID. Read-only.
+func (v *Vocab) Weights() []float64 { return v.weights }
 
 // Rank returns the position of id in the global signature order
 // (descending weight, ascending ID on ties). Lower rank means "rarer":

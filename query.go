@@ -281,6 +281,9 @@ func (ix *Index) Query(ctx context.Context, req Request, opts ...QueryOption) (*
 // query is the shared execution path behind Query, QueryBatch, Stream's
 // materialized orders, and the legacy wrappers.
 func (ix *Index) query(ctx context.Context, req Request, cfg queryConfig) (*Results, error) {
+	if ix.closed.Load() {
+		return nil, ErrClosed
+	}
 	// The recorder's birth is the trace's time zero: everything from here on
 	// — validation, compilation, engine work — lands on its timeline.
 	var rec *trace.Rec

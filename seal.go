@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/sealdb/seal/internal/baseline"
@@ -100,7 +101,10 @@ type IndexStats struct {
 	// WithShards asked for more); IndexBytes sums over all of them.
 	Shards     int
 	IndexBytes int64
-	BuildTime  time.Duration
+	// SegmentBytes is the size on disk of the segment directory the index
+	// was saved into or opened from; zero for an index with none.
+	SegmentBytes int64
+	BuildTime    time.Duration
 	// Mapped reports that posting lists are served from mmap-ed sealed
 	// segments (the index was opened from a segment directory) rather than
 	// rebuilt in memory.
@@ -124,6 +128,9 @@ type Index struct {
 	ds    *model.Dataset
 	eng   *engine.Engine
 	stats IndexStats
+	// closed is set by Close; every entry point that reads the dataset or
+	// the postings checks it first (see Close).
+	closed atomic.Bool
 }
 
 // Build indexes the objects. The default configuration is the paper's full
@@ -205,14 +212,15 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 					ds:  ds,
 					eng: eng,
 					stats: IndexStats{
-						Objects:    ds.Len(),
-						Vocabulary: ds.Vocab().Len(),
-						Method:     eng.FilterName(),
-						Shards:     eng.Shards(),
-						IndexBytes: eng.SizeBytes(),
-						BuildTime:  time.Since(start),
-						Mapped:     true,
-						Compressed: man.Compressed,
+						Objects:      ds.Len(),
+						Vocabulary:   ds.Vocab().Len(),
+						Method:       eng.FilterName(),
+						Shards:       eng.Shards(),
+						IndexBytes:   eng.SizeBytes(),
+						SegmentBytes: segmentBytes(cfg.segmentDir),
+						BuildTime:    time.Since(start),
+						Mapped:       true,
+						Compressed:   man.Compressed,
 					},
 				}, nil
 			}
@@ -240,14 +248,15 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 		ds:  ds,
 		eng: eng,
 		stats: IndexStats{
-			Objects:    ds.Len(),
-			Vocabulary: ds.Vocab().Len(),
-			Method:     eng.FilterName(),
-			Shards:     eng.Shards(),
-			IndexBytes: eng.SizeBytes(),
-			BuildTime:  time.Since(start),
-			Compressed: compressedStats(cfg),
-			Adaptive:   eng.Adaptive(),
+			Objects:      ds.Len(),
+			Vocabulary:   ds.Vocab().Len(),
+			Method:       eng.FilterName(),
+			Shards:       eng.Shards(),
+			IndexBytes:   eng.SizeBytes(),
+			SegmentBytes: segmentBytes(cfg.segmentDir),
+			BuildTime:    time.Since(start),
+			Compressed:   compressedStats(cfg),
+			Adaptive:     eng.Adaptive(),
 		},
 	}, nil
 }
@@ -475,6 +484,9 @@ func (ix *Index) SearchWithStats(q Query) ([]Match, Stats, error) {
 // Similarity returns the exact spatial and textual similarities between a
 // query (thresholds ignored) and the object with the given ID.
 func (ix *Index) Similarity(q Query, id int) (simR, simT float64, err error) {
+	if ix.closed.Load() {
+		return 0, 0, ErrClosed
+	}
 	if id < 0 || id >= ix.ds.Len() {
 		return 0, 0, fmt.Errorf("seal: object ID %d out of range [0,%d)", id, ix.ds.Len())
 	}
@@ -495,6 +507,9 @@ func (ix *Index) Len() int { return ix.ds.Len() }
 // segments too — the serving layer uses it to synthesize warmup queries that
 // touch real posting lists.
 func (ix *Index) Object(id int) (Object, error) {
+	if ix.closed.Load() {
+		return Object{}, ErrClosed
+	}
 	if id < 0 || id >= ix.ds.Len() {
 		return Object{}, fmt.Errorf("seal: object ID %d out of range [0,%d)", id, ix.ds.Len())
 	}

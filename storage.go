@@ -110,7 +110,7 @@ type openConfig struct {
 }
 
 // WithRepair makes Open rebuild a corrupt or missing shard from the dataset
-// snapshot instead of quarantining it: the manifest records the filter
+// segment instead of quarantining it: the manifest records the filter
 // configuration, so the shard's postings are regenerated in memory (exact, by
 // construction) and its segment is best-effort re-saved. Opening is slower
 // for the damaged shard — roughly its share of a full build — but the index
@@ -131,7 +131,7 @@ const (
 	// skip it and mark the results Degraded.
 	ShardQuarantined
 	// ShardRebuilt had a corrupt or missing segment and was rebuilt from the
-	// dataset snapshot (WithRepair). It serves exact answers.
+	// dataset segment (WithRepair). It serves exact answers.
 	ShardRebuilt
 )
 
@@ -164,8 +164,8 @@ func (ix *Index) Health() []ShardHealth {
 func (ix *Index) Quarantined() int { return ix.eng.Quarantined() }
 
 // Open boots an index from a segment directory previously populated by
-// Build(WithSegmentDir(dir)). The dataset is restored from its snapshot and
-// every shard's postings are memory-mapped, so no signature generation runs.
+// Build(WithSegmentDir(dir)). The dataset segment and every shard's postings
+// are memory-mapped, so nothing is decoded and no signature generation runs.
 // The returned index must be Closed when done.
 //
 // Open survives single-shard damage: abandoned temp files from an
@@ -173,7 +173,7 @@ func (ix *Index) Quarantined() int { return ix.eng.Quarantined() }
 // shard whose segment is corrupt or missing is quarantined (or rebuilt, with
 // WithRepair) instead of failing the open — check Health for the outcome.
 // Damage that compromises the whole directory (no manifest, unreadable
-// snapshot or partition file, every shard bad) still fails with a sentinel
+// dataset segment, every shard bad) still fails with a sentinel
 // error: ErrCorruptSegment, ErrManifestMismatch, or engine.ErrNoSegments
 // unwrapped via errors.Is.
 func Open(dir string, opts ...OpenOption) (*Index, error) {
@@ -195,28 +195,50 @@ func Open(dir string, opts ...OpenOption) (*Index, error) {
 		ds:  ds,
 		eng: eng,
 		stats: IndexStats{
-			Objects:    ds.Len(),
-			Vocabulary: ds.Vocab().Len(),
-			Method:     eng.FilterName(),
-			Shards:     eng.Shards(),
-			IndexBytes: eng.SizeBytes(),
-			BuildTime:  time.Since(start),
-			Mapped:     true,
-			Compressed: man.Compressed,
+			Objects:      ds.Len(),
+			Vocabulary:   ds.Vocab().Len(),
+			Method:       eng.FilterName(),
+			Shards:       eng.Shards(),
+			IndexBytes:   eng.SizeBytes(),
+			SegmentBytes: segmentBytes(dir),
+			BuildTime:    time.Since(start),
+			Mapped:       true,
+			Compressed:   man.Compressed,
 		},
 	}, nil
 }
 
-// Close releases any memory-mapped segments backing the index. An index
-// built purely in memory closes to a no-op. The index must not be queried
-// after Close. Close is idempotent.
-func (ix *Index) Close() error { return ix.eng.Close() }
+// Close releases any memory-mapped segments backing the index. Afterwards
+// Query, QueryBatch, Stream, Object, Footprint and Similarity return
+// ErrClosed instead of touching unmapped pages. Close first waits for shard
+// searches that queries which already returned left behind (a strict failure
+// or an expired context abandons its stragglers). Beyond that the flag is
+// checked at entry only: Close does not wait for calls still in flight, which
+// on a mapped index may be reading the pages it unmaps — callers must drain
+// their queries first (guarding the mapping against that race is a ROADMAP
+// item).
+// An index built purely in memory releases nothing but closes the same way.
+// Close is idempotent.
+func (ix *Index) Close() error {
+	ix.closed.Store(true)
+	return ix.eng.Close()
+}
 
 // Fingerprint returns the dataset content hash recorded in segment
 // manifests: two indexes report the same fingerprint exactly when they were
 // built from the same objects. The serving layer exposes it so operators can
 // check which corpus a running daemon answers for.
 func (ix *Index) Fingerprint() string { return engine.Fingerprint(ix.ds) }
+
+// segmentBytes sizes the segment directory for IndexStats; "" (no directory)
+// and an unreadable one both report 0 — the figure is informational.
+func segmentBytes(dir string) int64 {
+	if dir == "" {
+		return 0
+	}
+	n, _ := engine.DirBytes(dir)
+	return n
+}
 
 // compressedStats reports whether the built index actually stores encoded
 // postings: the compression knob is a no-op for baseline methods.

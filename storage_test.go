@@ -7,13 +7,19 @@ package seal_test
 // build it mirrors.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/sealdb/seal"
+	"github.com/sealdb/seal/internal/gen"
+	"github.com/sealdb/seal/internal/server"
 )
 
 func expectSameAnswers(t *testing.T, label string, base, got *seal.Index, queries []seal.Query) {
@@ -236,5 +242,229 @@ func TestOpenMissingDir(t *testing.T) {
 	}
 	if _, err := seal.Open(filepath.Join(t.TempDir(), "absent")); err == nil {
 		t.Fatal("Open on missing dir should fail")
+	}
+}
+
+// segmentDirNames lists dir's entries.
+func segmentDirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestVersion1DirectoryIsStale: the gob-era layout has no reader. Its
+// manifest reads as a mismatch from Open, and as "stale" from
+// Build(WithSegmentDir), which rebuilds over it and leaves exactly the
+// current artifact set behind — none of the old generation's files.
+func TestVersion1DirectoryIsStale(t *testing.T) {
+	rng := rand.New(rand.NewSource(1406))
+	objects := shardObjects(160, rng)
+	queries := shardQueries(8, rng)
+	dir := filepath.Join(t.TempDir(), "segs")
+	opts := []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithMaxLevel(7), seal.WithShards(2),
+		seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir)}
+	base, err := seal.Build(objects, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+
+	// Age the directory: a version-1 manifest beside version-1 artifacts
+	// (and a third shard of a once-wider generation).
+	man, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := strings.Replace(string(man), `"version": 2`, `"version": 1`, 1)
+	if v1 == string(man) {
+		t.Fatalf("manifest carries no version 2 to age: %s", man)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, stale := range []string{"dataset.snap", "parts.gob", "shard-0.grids.gob", "shard-1.grids.gob", "shard-2.seg"} {
+		if err := os.WriteFile(filepath.Join(dir, stale), []byte("gob-era bytes"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if _, err := seal.Open(dir); !errors.Is(err, seal.ErrManifestMismatch) {
+		t.Fatalf("Open of a version-1 directory: %v, want ErrManifestMismatch", err)
+	}
+	rebuilt, err := seal.Build(objects, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rebuilt.Close()
+	if rebuilt.Stats().Mapped {
+		t.Fatal("a version-1 directory was served instead of rebuilt")
+	}
+	want := []string{"dataset.seg", "manifest.json", "shard-0.seg", "shard-1.seg"}
+	if got := segmentDirNames(t, dir); !slices.Equal(got, want) {
+		t.Fatalf("rebuilt directory holds %v, want %v", got, want)
+	}
+	opened, err := seal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	expectSameAnswers(t, "rebuilt over version 1", base, opened, queries)
+}
+
+// TestTokenWeightsSurviveOpen: the dataset segment stores the weight table,
+// so an index built with explicit token weights reopens with those weights —
+// the ones its posting bounds were computed from — not with idf ones.
+func TestTokenWeightsSurviveOpen(t *testing.T) {
+	weights := map[string]float64{
+		"mocha": 0.8, "coffee": 0.3, "starbucks": 0.8, "ice": 1.3, "tea": 0.6, "unused": 2.5,
+	}
+	dir := filepath.Join(t.TempDir(), "segs")
+	built, err := seal.Build(paperObjects(), seal.WithTokenWeights(weights), seal.WithSegmentDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer built.Close()
+	opened, err := seal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	for term, w := range weights {
+		if got, ok := opened.TokenWeight(term); !ok || got != w {
+			t.Errorf("reopened weight of %q = %v, %v; want %v", term, got, ok, w)
+		}
+	}
+	for id := 0; id < built.Len(); id++ {
+		wantR, wantT, err := built.Similarity(paperQuery(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotR, gotT, err := opened.Similarity(paperQuery(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotR != wantR || gotT != wantT {
+			t.Errorf("object %d: reopened similarities %v/%v, built %v/%v", id, gotR, gotT, wantR, wantT)
+		}
+	}
+	expectSameAnswers(t, "explicit weights", built, opened, []seal.Query{paperQuery(), paperQuery(), paperQuery(), paperQuery()})
+}
+
+// TestClosedIndex: after Close every entry point that would read the dataset
+// or the postings answers ErrClosed — on a mapped index those pages are gone
+// — and what the index handed out earlier stays readable, because terms are
+// heap strings, never views of the mapping.
+func TestClosedIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	objects := shardObjects(120, rng)
+	req := shardQueries(1, rng)[0].Request()
+	dir := filepath.Join(t.TempDir(), "segs")
+	built, err := seal.Build(objects, seal.WithShards(2), seal.WithSegmentDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := seal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, ix := range map[string]*seal.Index{"built": built, "opened": opened} {
+		before, err := ix.Object(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied := make([]string, len(before.Tokens))
+		for i, tok := range before.Tokens {
+			copied[i] = strings.Clone(tok)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatalf("%s: second Close: %v", label, err)
+		}
+		ctx := context.Background()
+		if _, err := ix.Query(ctx, req); !errors.Is(err, seal.ErrClosed) {
+			t.Errorf("%s: Query after Close: %v", label, err)
+		}
+		if _, err := ix.Query(ctx, seal.Request{Region: req.Region, Tokens: req.Tokens, K: 3, Alpha: 0.5}); !errors.Is(err, seal.ErrClosed) {
+			t.Errorf("%s: ranked Query after Close: %v", label, err)
+		}
+		for i, br := range ix.QueryBatch(ctx, []seal.Request{req, req}) {
+			if !errors.Is(br.Err, seal.ErrClosed) {
+				t.Errorf("%s: QueryBatch entry %d after Close: %v", label, i, br.Err)
+			}
+		}
+		for _, opts := range [][]seal.QueryOption{nil, {seal.OrderByID()}} {
+			n := 0
+			for _, err := range ix.Stream(ctx, req, opts...) {
+				n++
+				if !errors.Is(err, seal.ErrClosed) {
+					t.Errorf("%s: Stream after Close yielded %v", label, err)
+				}
+			}
+			if n != 1 {
+				t.Errorf("%s: Stream after Close yielded %d pairs, want the one error", label, n)
+			}
+		}
+		if _, err := ix.Object(7); !errors.Is(err, seal.ErrClosed) {
+			t.Errorf("%s: Object after Close: %v", label, err)
+		}
+		if _, err := ix.Footprint(7); !errors.Is(err, seal.ErrClosed) {
+			t.Errorf("%s: Footprint after Close: %v", label, err)
+		}
+		if _, _, err := ix.Similarity(shardQueries(1, rng)[0], 7); !errors.Is(err, seal.ErrClosed) {
+			t.Errorf("%s: Similarity after Close: %v", label, err)
+		}
+		if len(copied) == 0 || !slices.Equal(before.Tokens, copied) {
+			t.Errorf("%s: tokens read before Close are %v after it, were %v", label, before.Tokens, copied)
+		}
+	}
+}
+
+// TestOpenAllocs: Open maps the directory; it must not allocate per object,
+// per token or per (token, shard) — the gob-era boot made about two
+// allocations per object and three per (token, shard). The golden corpus
+// opens in a few hundred allocations, and four times the objects with more
+// than twice the vocabulary add only what the vocabulary's map needs.
+func TestOpenAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	opens := func(n int) float64 {
+		ds, err := gen.Twitter(gen.TwitterConfig{N: n, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), "segs")
+		ix, err := seal.Build(server.SnapshotObjects(ds),
+			seal.WithMethod(seal.MethodSeal), seal.WithShards(4),
+			seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Close()
+		allocs := testing.AllocsPerRun(3, func() {
+			ix, err := seal.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.Close()
+		})
+		t.Logf("%d objects, %d terms: %.0f allocations per Open", n, ds.Vocab().Len(), allocs)
+		return allocs
+	}
+	golden, larger := opens(2000), opens(8000)
+	if golden > 1000 {
+		t.Errorf("Open of the 2 000-object golden directory: %.0f allocations, want at most 1000", golden)
+	}
+	if larger > golden*1.5 {
+		t.Errorf("Open of 8 000 objects: %.0f allocations against %.0f for 2 000 — allocation count scales with the corpus", larger, golden)
 	}
 }

@@ -35,6 +35,10 @@ import (
 //	}
 func (ix *Index) Stream(ctx context.Context, req Request, opts ...QueryOption) iter.Seq2[Match, error] {
 	return func(yield func(Match, error) bool) {
+		if ix.closed.Load() {
+			yield(Match{}, ErrClosed)
+			return
+		}
 		cfg, err := resolveOptions(opts)
 		if err != nil {
 			yield(Match{}, err)
