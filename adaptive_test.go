@@ -247,3 +247,87 @@ func TestAdaptivePruning(t *testing.T) {
 		t.Fatal("selective rects at TauR=0.5 on 6 shards pruned nothing")
 	}
 }
+
+// calibrationLanes reads the planner's calibrated ns-per-posting and
+// ns-per-candidate lanes off a traced query's cost tables. The probe is
+// itself a Limit(1) query, so reading the lanes must not move them.
+func calibrationLanes(t *testing.T, ix *seal.Index, req seal.Request) map[string][2]float64 {
+	t.Helper()
+	res, err := ix.Query(context.Background(), req, seal.Limit(1), seal.CollectTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := make(map[string][2]float64)
+	for _, p := range res.Trace.Plans {
+		for _, f := range p.Families {
+			lanes[f.Family] = [2]float64{f.NsPosting, f.NsCandidate}
+		}
+	}
+	if len(lanes) == 0 {
+		t.Fatal("traced adaptive query recorded no plan cost table")
+	}
+	return lanes
+}
+
+// TestTruncatedSearchesDoNotCalibrate: the planner divides a shard search's
+// measured time by the family's predicted work for the whole query, so only a
+// search that ran to completion is a fair sample. A search cut short by Limit
+// — in arrival order, where the shared emission count interrupts every
+// shard's scan, or in ID order, where verification stops at Limit successes —
+// must leave the calibrated lanes exactly where they were.
+func TestTruncatedSearchesDoNotCalibrate(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(20260926))
+	objects := shardObjects(1500, rng)
+	// Dense on purpose: every shard holds several matches, so Limit(1) cuts
+	// every shard's search short.
+	dense := seal.Request{
+		Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
+		Tokens: []string{"t1", "t2", "t3"},
+		TauR:   0.0002,
+		TauT:   0.0002,
+	}
+	for _, shards := range []int{1, 3} {
+		// A coarse grid family keeps the whole-space query cheap on every lane.
+		ix, err := seal.Build(objects, seal.WithMethod(seal.MethodSeal), seal.WithMaxLevel(4),
+			seal.WithGranularity(64), seal.WithAdaptivePlanning(), seal.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm the calibration with complete searches first, so the lanes hold
+		// measured values rather than seeds.
+		for i := 0; i < 40; i++ {
+			res, err := ix.Query(ctx, dense)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Matches) < 10*shards {
+				t.Fatalf("shards=%d: want a dense query, got %d matches", shards, len(res.Matches))
+			}
+		}
+		before := calibrationLanes(t, ix, dense)
+		for i := 0; i < 300; i++ {
+			n := 0
+			for _, err := range ix.Stream(ctx, dense, seal.Limit(1)) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+			res, err := ix.Query(ctx, dense, seal.OrderByID(), seal.Limit(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 1 || len(res.Matches) != 1 {
+				t.Fatalf("shards=%d: Limit(1) yielded %d streamed, %d ordered matches", shards, n, len(res.Matches))
+			}
+		}
+		after := calibrationLanes(t, ix, dense)
+		for family, want := range before {
+			if got := after[family]; got != want {
+				t.Errorf("shards=%d family %s: (ns/posting, ns/candidate) moved from %v to %v under Limit(1) queries",
+					shards, family, want, got)
+			}
+		}
+	}
+}

@@ -87,13 +87,33 @@
 // chunks of near-equal size, round-robin for degenerate distributions).
 // Shards build concurrently — WithBuildParallelism bounds how many at once;
 // a MethodSeal shard additionally fans its per-token grid selection out over
-// GOMAXPROCS workers, even when it is the only shard — and every search runs
-// scatter-gather: shards search in parallel with pooled per-shard searchers,
-// results merge in the monolithic order, and top-k descents prune
-// cooperatively against the running global k-th-best score.
+// GOMAXPROCS workers, even when it is the only shard.
 // Sharding never changes answers; every shard count returns exactly the
 // matches, similarities and top-k order of the 1-shard index, which remains
 // the default.
+//
+// Every query reaches a shard through one execution path, whatever its
+// shape. The fan-out first drops the shards that cannot answer — a
+// quarantined one fails the query or, under AllowPartial, is counted and
+// skipped; on an adaptive index a shard whose extent cannot reach TauR is
+// pruned — and runs a single remaining shard on the caller's goroutine
+// (unless an unpolled search under a cancellable context could strand it
+// there), or else scatters over at most ShardParallelism goroutines. Each
+// shard search then runs the same sequence exactly once: count the search
+// in flight (so Close can wait for it), start the ShardTimeout clock,
+// isolate panics, take a pooled searcher, attach the trace recorder, plan
+// the filter family, search, return the searcher, judge lateness by the wall
+// clock, and — only if the search ran to completion, never when Limit, a
+// break, the context or a deadline cut it short — feed the planner's
+// calibration. What differs between query shapes is only the sink the
+// matches go to: collect-all (the allocation-free materializing search),
+// ID-ordered capped (verification stops at Limit successes per shard; the
+// merge keeps the exact prefix), a bounded channel in arrival order (one
+// emission count shared across shards ends every scan once Limit is
+// reached), and cooperative top-k (descents prune against the running
+// global k-th-best score and heap-merge). A failed shard reaches one
+// decision point — fatal by default, dropped and counted under AllowPartial,
+// never dropped when it is the context or Close that ended it.
 //
 // # Context-aware search
 //
@@ -185,9 +205,11 @@
 // the segments instead of re-indexing; Open boots an index purely from dir.
 // A directory of an older layout version reads as ErrManifestMismatch from
 // Open and as stale — rebuilt and overwritten — from Build. Mapped indexes
-// should be Closed when done; calls after Close return ErrClosed. Only the
-// signature methods persist segments; the tree baselines rebuild from the
-// objects.
+// should be Closed when done. Close may race Query, QueryBatch and Stream:
+// calls already admitted finish first (so do shard searches a returned query
+// left behind), later ones return ErrClosed, and nothing reads an unmapped
+// page. Only the signature methods persist segments; the tree baselines
+// rebuild from the objects.
 //
 //	ix, _ := seal.Build(objects, seal.WithCompression(seal.CompressionQuantized),
 //		seal.WithSegmentDir("idx"))   // first run: builds and saves

@@ -5,8 +5,6 @@ package seal
 // failure classes with errors.Is instead of matching message strings.
 
 import (
-	"errors"
-
 	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/engine"
 )
@@ -29,8 +27,9 @@ var (
 	// and marks the results Degraded instead.
 	ErrShardQuarantined = engine.ErrShardQuarantined
 
-	// ErrClosed reports a call on an index after Close. An index opened from
-	// a segment directory serves its dataset and postings out of mapped
+	// ErrClosed reports a call on an index after Close (or one that Close
+	// overtook before all its shard searches had started). An index opened
+	// from a segment directory serves its dataset and postings out of mapped
 	// files; once Close has unmapped them the index answers nothing.
-	ErrClosed = errors.New("seal: index is closed")
+	ErrClosed = engine.ErrClosed
 )

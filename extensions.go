@@ -133,10 +133,10 @@ func (ix *Index) SearchBatchContext(ctx context.Context, queries []Query, parall
 		parallelism = defaultParallelism(len(queries))
 	}
 	results := make([][]Match, len(queries))
-	err := engine.ForEach(ctx, len(queries), parallelism, func(ctx context.Context, i int) error {
-		// batched: the scatter loop observes cancellation between queries,
-		// so individual queries skip the mid-flight watcher.
-		res, err := ix.query(ctx, queries[i].Request(), queryConfig{batched: true})
+	// Each query runs under the batch's own ctx (see QueryBatch); a failed
+	// query still stops the scatter from starting the rest.
+	err := engine.ForEach(ctx, len(queries), parallelism, func(_ context.Context, i int) error {
+		res, err := ix.query(ctx, queries[i].Request(), queryConfig{})
 		if err != nil {
 			// The inner error already carries the library prefix.
 			return fmt.Errorf("batch query %d: %w", i, err)

@@ -84,7 +84,7 @@ func LimitScaling(env *Env) ([]LimitPoint, error) {
 	var fullPostings, fullCandidates, fullResults float64
 	start := time.Now()
 	for _, q := range queries {
-		_, st, err := eng.Search(context.Background(), q)
+		_, st, err := eng.Search(context.Background(), q, engine.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func LimitScaling(env *Env) ([]LimitPoint, error) {
 		var limPostings, limCandidates, matches float64
 		start := time.Now()
 		for _, q := range queries {
-			ms := eng.SearchStream(context.Background(), q, engine.StreamOptions{Limit: limit})
+			ms := eng.Stream(context.Background(), q, engine.Options{Limit: limit})
 			for {
 				if _, ok := ms.Next(); !ok {
 					break

@@ -133,7 +133,7 @@ func runEngine(eng *engine.Engine, queries []*model.Query) ([][]core.Match, core
 	answers := make([][]core.Match, len(queries))
 	var total core.SearchStats
 	for i, q := range queries {
-		found, st, err := eng.Search(context.Background(), q)
+		found, st, err := eng.Search(context.Background(), q, engine.Options{})
 		if err != nil {
 			return nil, total, err
 		}
@@ -154,7 +154,7 @@ func timeEngine(eng *engine.Engine, queries []*model.Query) (time.Duration, erro
 		start := time.Now()
 		for r := 0; r < plannerReps; r++ {
 			for _, q := range queries {
-				if _, _, err := eng.Search(context.Background(), q); err != nil {
+				if _, _, err := eng.Search(context.Background(), q, engine.Options{}); err != nil {
 					return 0, err
 				}
 			}

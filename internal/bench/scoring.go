@@ -31,15 +31,13 @@ type ScoringFilterPoint struct {
 	AllocsPerQuery float64 `json:"allocs_per_query"`
 }
 
-// ScoringLayout compares the flat posting layout against the legacy
-// map-of-pointers layout over identical postings.
+// ScoringLayout sizes and times the flat posting layout over the dataset's
+// token postings.
 type ScoringLayout struct {
 	Lists       int     `json:"lists"`
 	Postings    int     `json:"postings"`
 	FlatSizeMB  float64 `json:"flat_size_mb"`
-	MapSizeMB   float64 `json:"map_size_mb"`
 	FlatProbeNS float64 `json:"flat_probe_ns"` // mean lookup+cutoff+head-scan
-	MapProbeNS  float64 `json:"map_probe_ns"`
 }
 
 // ScoringResult is the experiment's machine-readable output.
@@ -81,7 +79,7 @@ func ScoringData(env *Env) (*ScoringResult, error) {
 		res.Search = append(res.Search, scoringPoint(ds, f, queries))
 	}
 
-	res.Layout = layoutComparison(ds, queries)
+	res.Layout = layoutProbe(ds, queries)
 	return res, nil
 }
 
@@ -118,26 +116,22 @@ func scoringPoint(ds *model.Dataset, f core.Filter, queries []*model.Query) Scor
 	return p
 }
 
-// layoutComparison builds the dataset's token postings into both posting
-// layouts and times the probe pattern of a threshold query (key lookup,
-// bound cutoff, head scan) over the query workload's tokens.
-func layoutComparison(ds *model.Dataset, queries []*model.Query) ScoringLayout {
-	var fb, mb invidx.Builder
+// layoutProbe builds the dataset's token postings into the flat layout and
+// times the probe pattern of a threshold query (key lookup, bound cutoff,
+// head scan) over the query workload's tokens.
+func layoutProbe(ds *model.Dataset, queries []*model.Query) ScoringLayout {
+	var fb invidx.Builder
 	for obj := 0; obj < ds.Len(); obj++ {
 		for _, t := range ds.Tokens(model.ObjectID(obj)) {
-			w := ds.TokenWeight(t)
-			fb.Add(uint64(t), uint32(obj), w)
-			mb.Add(uint64(t), uint32(obj), w)
+			fb.Add(uint64(t), uint32(obj), ds.TokenWeight(t))
 		}
 	}
 	flat := fb.Build()
-	mp := mb.BuildMap()
 
 	out := ScoringLayout{
 		Lists:      flat.Lists(),
 		Postings:   flat.Postings(),
 		FlatSizeMB: float64(flat.SizeBytes()) / (1 << 20),
-		MapSizeMB:  float64(mp.SizeBytes()) / (1 << 20),
 	}
 
 	// The probe workload: every query token at the query's textual slack.
@@ -161,27 +155,6 @@ func layoutComparison(ds *model.Dataset, queries []*model.Query) ScoringLayout {
 	}
 	if probes > 0 {
 		out.FlatProbeNS = float64(time.Since(start).Nanoseconds()) / float64(probes)
-	}
-	probes = 0
-	start = time.Now()
-	for r := 0; r < rounds; r++ {
-		for _, q := range queries {
-			_, cT := core.Thresholds(q)
-			slack := invidx.Slack(cT)
-			for _, t := range q.Tokens {
-				l := mp.List(uint64(t))
-				n := l.Cutoff(slack)
-				if n > 0 {
-					for _, o := range l.Objs(n) {
-						sink += o
-					}
-				}
-				probes++
-			}
-		}
-	}
-	if probes > 0 {
-		out.MapProbeNS = float64(time.Since(start).Nanoseconds()) / float64(probes)
 	}
 	_ = sink
 	return out
@@ -208,6 +181,5 @@ func Scoring(w io.Writer, env *Env) error {
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "layout\tsize (MB)\tprobe (ns)")
 	fmt.Fprintf(tw, "flat\t%.2f\t%.0f\n", l.FlatSizeMB, l.FlatProbeNS)
-	fmt.Fprintf(tw, "map\t%.2f\t%.0f\n", l.MapSizeMB, l.MapProbeNS)
 	return tw.Flush()
 }

@@ -73,7 +73,7 @@ func ShardScaling(env *Env) ([]ShardPoint, error) {
 		var candidates float64
 		start = time.Now()
 		for _, q := range queries {
-			_, st, err := eng.Search(context.Background(), q)
+			_, st, err := eng.Search(context.Background(), q, engine.Options{})
 			if err != nil {
 				return nil, err
 			}

@@ -1,10 +1,14 @@
-package diskidx
-
-// The section container shared by every sealed file of a segment directory:
-// a 64-byte header, a section table, and page-aligned CRC-checked payloads.
-// Posting segments (segment.go) and the dataset segment (dataset.go) differ
-// only in their magic, what the three header counts mean, and which sections
-// they carry.
+// Package diskidx stores an index as sealed, memory-mappable files: the
+// paper's deployment layout (Section 6.1) keeps posting lists on disk behind a
+// small in-memory directory, and here the on-disk bytes are the in-memory
+// layout itself, so opening an index is a page-table operation rather than a
+// rebuild. A segment directory holds one posting segment per shard
+// (SEALIDX2, segment.go) and one dataset segment (dataset.go).
+//
+// Both kinds are the section container of this file: a 64-byte header, a
+// section table, and page-aligned CRC-checked payloads. They differ only in
+// their magic, what the three header counts mean, and which sections they
+// carry.
 //
 // File layout (all integers little endian):
 //
@@ -24,11 +28,14 @@ package diskidx
 //
 // All geometry claimed by the header is validated against the actual file
 // size, and every section against its checksum, before a byte of payload is
-// handed to the kind-specific validators.
+// handed to the kind-specific validators, so corruption is detected at open
+// rather than producing silent wrong answers.
+package diskidx
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -36,6 +43,9 @@ import (
 
 	"github.com/sealdb/seal/internal/faultfs"
 )
+
+// ErrCorrupt reports a checksum mismatch or malformed file section.
+var ErrCorrupt = errors.New("diskidx: corrupt index data")
 
 const (
 	segPage       = 4096

@@ -13,6 +13,17 @@ import (
 
 const segTestObjects = 10000
 
+func buildSingle(rng *rand.Rand, lists, maxLen int) *invidx.Index {
+	var b invidx.Builder
+	for k := 0; k < lists; k++ {
+		n := 1 + rng.Intn(maxLen)
+		for i := 0; i < n; i++ {
+			b.Add(uint64(k*7+1), uint32(rng.Intn(segTestObjects)), float64(rng.Intn(1000))/10)
+		}
+	}
+	return b.Build()
+}
+
 func buildDual(rng *rand.Rand, lists, maxLen int) *invidx.DualIndex {
 	var b invidx.DualBuilder
 	for k := 0; k < lists; k++ {
@@ -275,37 +286,5 @@ func TestSegmentMalformed(t *testing.T) {
 				t.Fatalf("error %v does not wrap ErrCorrupt", err)
 			}
 		})
-	}
-}
-
-// TestSEALIDX1Malformed: the legacy streamed format must also validate its
-// claimed geometry against the file size at open.
-func TestSEALIDX1Malformed(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, b []byte) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	header := func(count uint32) []byte {
-		b := append([]byte(nil), magic[:]...)
-		b = append(b, 0) // flags: single
-		b = binary.LittleEndian.AppendUint32(b, count)
-		return b
-	}
-
-	// Count far beyond what the file could hold.
-	if _, err := Open(write("count.idx", header(1<<30))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("huge count: %v, want ErrCorrupt", err)
-	}
-	// One list whose length field exceeds the remaining bytes.
-	b := header(1)
-	b = binary.LittleEndian.AppendUint64(b, 7)          // key
-	b = binary.LittleEndian.AppendUint32(b, 0xFFFFFFFF) // n: absurd
-	b = binary.LittleEndian.AppendUint32(b, 0)          // crc
-	if _, err := Open(write("len.idx", b)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("huge list length: %v, want ErrCorrupt", err)
 	}
 }

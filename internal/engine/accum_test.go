@@ -60,7 +60,7 @@ func TestShardedAccumulatedSimTDifferential(t *testing.T) {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
 				for qi, q := range queries {
-					matches, _, err := eng.Search(context.Background(), q)
+					matches, _, err := eng.Search(context.Background(), q, Options{})
 					if err != nil {
 						t.Fatalf("shards=%d query %d: %v", shards, qi, err)
 					}

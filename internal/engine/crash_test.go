@@ -45,7 +45,7 @@ func crashQueries(t *testing.T, ds *model.Dataset, n int) []*model.Query {
 func expectEngineAnswers(t *testing.T, label string, e *Engine, queries []*model.Query, want [][]core.Match) {
 	t.Helper()
 	for qi, q := range queries {
-		got, _, err := e.Search(context.Background(), q)
+		got, _, err := e.Search(context.Background(), q, Options{})
 		if err != nil {
 			t.Fatalf("%s query %d: %v", label, qi, err)
 		}
@@ -130,7 +130,7 @@ func TestSaveSegmentsCrashRecovery(t *testing.T) {
 	queries := crashQueries(t, ds, 6)
 	want := make([][]core.Match, len(queries))
 	for i, q := range queries {
-		m, _, err := eng.Search(context.Background(), q)
+		m, _, err := eng.Search(context.Background(), q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,22 +102,6 @@ func (s *shard) planChoice(q *model.Query, tr *trace.Rec, idx int) int {
 	return fi
 }
 
-// applyPlan switches a pooled searcher to the shard's planned family for q
-// and returns the family index, or -1 when the engine is static. With a live
-// tr it also attaches the tracer to the searcher (static engines included),
-// so the shard's filter and verify spans land on the recorder; Put detaches.
-func (s *shard) applyPlan(q *model.Query, sr *core.Searcher, tr *trace.Rec, idx int) int {
-	if tr != nil {
-		sr.SetTrace(tr, idx)
-	}
-	if s.plan == nil {
-		return -1
-	}
-	fi := s.planChoice(q, tr, idx)
-	sr.Use(fi)
-	return fi
-}
-
 // global translates a shard-local object ID to the parent dataset's ID.
 func (s *shard) global(id model.ObjectID) model.ObjectID {
 	if s.globalIDs == nil {
@@ -139,12 +123,33 @@ type Engine struct {
 	// closers owns the mapped segments backing an engine opened from disk;
 	// empty for an in-memory build. See Close in segments.go.
 	closers []io.Closer
-	// abandonable counts the shard searches running on goroutines that a
-	// query may return without waiting for (a strict failure or an expired
-	// context abandons its stragglers). Close waits for them: they read the
-	// mapped segments.
-	abandonable sync.WaitGroup
+	// gate orders Enter's count against Close: inflight counts the calls —
+	// queries and the shard searches they start, abandoned stragglers
+	// included — that may be reading the mapped segments Close releases.
+	gate     sync.RWMutex
+	closed   bool
+	inflight sync.WaitGroup
 }
+
+// Enter admits one call that reads the engine's dataset or postings, or
+// reports ErrClosed; every admitted call must Exit. Close waits for the
+// admitted and refuses the rest, so nothing reads a segment it has unmapped.
+// Calls may nest (a query enters, and so does each shard search it starts):
+// once Close has begun the inner Enter fails and the query reports ErrClosed.
+func (e *Engine) Enter() error {
+	// Under the read lock Close cannot be between setting closed and waiting,
+	// so the count never rises from zero concurrently with Wait.
+	e.gate.RLock()
+	defer e.gate.RUnlock()
+	if e.closed {
+		return ErrClosed
+	}
+	e.inflight.Add(1)
+	return nil
+}
+
+// Exit ends a call admitted by Enter.
+func (e *Engine) Exit() { e.inflight.Done() }
 
 // Build partitions root into cfg.Shards spatial shards and constructs each
 // shard's filter, running up to cfg.BuildParallelism constructions
@@ -270,17 +275,6 @@ func datasetExtent(ds *model.Dataset) (geo.Rect, bool) {
 	return ext, true
 }
 
-// observePlan feeds one executed, planned shard search back into the stats
-// record and the planner's calibration. fi is applyPlan's result; -1 (static
-// engine) is a no-op.
-func (e *Engine) observePlan(s *shard, q *model.Query, fi int, st *core.SearchStats) {
-	if fi < 0 {
-		return
-	}
-	st.Plans[fi]++
-	s.plan.Observe(q, fi, *st)
-}
-
 // Shards returns the number of shards actually built.
 func (e *Engine) Shards() int { return len(e.shards) }
 
@@ -319,17 +313,6 @@ func (e *Engine) staticFilterName() string {
 		}
 	}
 	return ""
-}
-
-// traceMerge records the engine-level merge span: gather, remap, sort.
-func traceMerge(tr *trace.Rec, start time.Time, results int) {
-	if tr == nil {
-		return
-	}
-	tr.AddSpan(trace.Span{
-		Stage: trace.StageMerge, Shard: -1, Family: -1,
-		Start: tr.Offset(start), Dur: time.Since(start), Results: results,
-	})
 }
 
 // FilterName identifies the per-shard filter (all shards use the same

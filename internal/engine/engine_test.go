@@ -131,50 +131,3 @@ func TestBuildRejectsEmptyDataset(t *testing.T) {
 		t.Fatal("Build(nil dataset) should error, not panic")
 	}
 }
-
-func TestEngineSearchMatchesMonolithic(t *testing.T) {
-	ds := testDataset(t, 200, 11)
-	newFilter := func(sds *model.Dataset) (core.Filter, error) { return baseline.NewScan(sds), nil }
-	mono, err := Build(ds, Config{Shards: 1, NewFilter: newFilter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := Build(ds, Config{Shards: 5, NewFilter: newFilter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Shards() != 5 {
-		t.Fatalf("Shards() = %d, want 5", sharded.Shards())
-	}
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 30; i++ {
-		x, y := rng.Float64()*90, rng.Float64()*90
-		q, err := ds.NewQuery(geo.Rect{MinX: x, MinY: y, MaxX: x + 20, MaxY: y + 20},
-			[]string{fmt.Sprintf("t%d", rng.Intn(20))}, 0.05, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantStats, err := mono.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotStats, err := sharded.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d matches, want %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("query %d match %d: %+v, want %+v", i, j, got[j], want[j])
-			}
-		}
-		if gotStats.Results != wantStats.Results {
-			t.Fatalf("query %d: merged Results = %d, want %d", i, gotStats.Results, wantStats.Results)
-		}
-		if gotStats.Candidates != wantStats.Candidates {
-			t.Fatalf("query %d: merged Candidates = %d, want %d (scan visits everything)", i, gotStats.Candidates, wantStats.Candidates)
-		}
-	}
-}

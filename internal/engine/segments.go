@@ -574,18 +574,25 @@ func openShardFilter(ds *model.Dataset, spec FilterSpec, seg *diskidx.Segment) (
 // Root returns the engine's parent dataset.
 func (e *Engine) Root() *model.Dataset { return e.root }
 
-// Close releases any mapped segments backing the engine's filters, after the
-// shard searches that already-returned queries abandoned have finished.
-// Queries must not be issued during or after Close. A purely in-memory engine
-// has nothing to release. Close is idempotent.
+// Close releases any mapped segments backing the engine's filters. Calls
+// already admitted by Enter — in-flight queries, and the shard searches that
+// returned queries abandoned — finish first; later ones get ErrClosed. A
+// purely in-memory engine has nothing to release but closes the same way.
+// Close is idempotent.
 func (e *Engine) Close() error {
-	e.abandonable.Wait()
+	e.gate.Lock()
+	e.closed = true
+	closers := e.closers
+	e.closers = nil
+	e.gate.Unlock()
+	// Not under the lock: a query waiting to Enter one of its shard searches
+	// must get its ErrClosed, or the count it holds would never drain.
+	e.inflight.Wait()
 	var first error
-	for _, c := range e.closers {
+	for _, c := range closers {
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	e.closers = nil
 	return first
 }

@@ -1,0 +1,446 @@
+package engine
+
+// The four sinks over the shard-execution core (exec.go), behind three entry
+// points: Search collects every match or — under a Limit — the ID-ordered
+// prefix, Stream pushes matches through a bounded channel as shards prove
+// them, TopK merges cooperative per-shard descents into one ranking.
+
+import (
+	"cmp"
+	"container/heap"
+	"context"
+	"slices"
+	"sync"
+	"time"
+
+	"github.com/sealdb/seal/internal/core"
+	"github.com/sealdb/seal/internal/geo"
+	"github.com/sealdb/seal/internal/model"
+)
+
+// Search answers a compiled threshold query: every shard that can answer
+// searches with a pooled searcher, shard matches remap to global object IDs,
+// and per-shard stats merge into one report. Matches return sorted by global
+// object ID, exactly as a monolithic search would. With opt.Limit only the
+// Limit matches with the smallest IDs return — the exact prefix of the full
+// answer: a shard still collects its candidates fully (ordering needs the
+// whole candidate set) but verifies them in ascending ID order and stops
+// after Limit local matches, since no shard can contribute more than that to
+// the global prefix. Under Partial.Allow a dropped shard's matches are
+// missing from the answer; the remaining entries are still exact.
+//
+// The query must be compiled against the engine's root dataset (shards share
+// its vocabulary and weights, so the compiled form is valid on every shard).
+//
+// Cancellation is prompt: if ctx expires mid-scatter, Search returns
+// ctx.Err() without waiting for in-flight shard searches, which finish in the
+// background and are discarded.
+func (e *Engine) Search(ctx context.Context, q *model.Query, opt Options) ([]core.Match, core.SearchStats, error) {
+	p := &pass{
+		e: e, ctx: ctx, opt: opt, q: q, region: q.Region, tauR: q.TauR,
+		// An uncapped search with no shard deadline has nothing to poll for
+		// and keeps the searcher's materializing fast path.
+		polls:   opt.Limit > 0 || opt.Partial.ShardTimeout > 0,
+		matches: make([][]core.Match, len(e.shards)),
+	}
+	st, err := p.run((*pass).orderedShard)
+	if err != nil {
+		return nil, core.SearchStats{}, err
+	}
+	var mergeStart time.Time
+	if opt.Trace != nil {
+		mergeStart = time.Now()
+	}
+	merged := mergeByID(p.matches)
+	if opt.Limit > 0 && len(merged) > opt.Limit {
+		merged = merged[:opt.Limit]
+	}
+	// Per-shard Results count local emissions; the query's answer is the
+	// truncated merge.
+	st.Results = len(merged)
+	traceMerge(opt.Trace, mergeStart, len(merged))
+	return merged, st, nil
+}
+
+// orderedShard collects one shard's matches in ascending global ID order.
+func (p *pass) orderedShard(i int, s *shard, sr *core.Searcher, stop func() bool) (core.SearchStats, bool, error) {
+	if stop == nil {
+		found, st := sr.Search(p.q)
+		// Copy out of the searcher's reused buffer (remapping to global IDs on
+		// the way) before it returns to the pool.
+		run := make([]core.Match, len(found))
+		for j, m := range found {
+			m.ID = s.global(m.ID)
+			run[j] = m
+		}
+		p.matches[i] = run
+		return st, true, nil
+	}
+	limit := p.opt.Limit
+	var run []core.Match
+	if limit > 0 {
+		run = make([]core.Match, 0, limit)
+	}
+	capped := false
+	st := sr.SearchStream(p.q, core.StreamOptions{
+		ByID: true,
+		Stop: stop,
+		Emit: func(m core.Match) bool {
+			m.ID = s.global(m.ID)
+			run = append(run, m)
+			capped = len(run) == limit
+			return !capped
+		},
+	})
+	p.matches[i] = run
+	return st, !capped, nil
+}
+
+// mergeByID unions the per-shard runs in ascending global ID order.
+func mergeByID(runs [][]core.Match) []core.Match {
+	var only []core.Match
+	filled, total := 0, 0
+	for _, r := range runs {
+		if len(r) > 0 {
+			only = r
+			filled++
+			total += len(r)
+		}
+	}
+	if filled <= 1 {
+		return only // one run is already the answer
+	}
+	merged := make([]core.Match, 0, total)
+	for _, r := range runs {
+		merged = append(merged, r...)
+	}
+	// Shard partitions are ID-sorted and disjoint, so this is a k-way merge
+	// of sorted runs; a plain sort keeps it simple.
+	slices.SortFunc(merged, func(a, b core.Match) int { return cmp.Compare(a.ID, b.ID) })
+	return merged
+}
+
+// MatchStream is a live streamed search. Consume with Next until it reports
+// false; Err and Stats become valid once the stream ends (they block until
+// the producers have exited). A consumer abandoning the stream early must
+// call Close, or producer goroutines stay parked on the emission channel —
+// Close is idempotent and safe after full consumption too.
+type MatchStream struct {
+	ch    chan core.Match
+	pass  *pass
+	done  chan struct{} // closed after stats/err are final
+	err   error
+	stats core.SearchStats
+}
+
+// Next returns the next verified match, or ok=false when the stream is
+// exhausted (limit reached, shards drained, context expired, or Closed).
+func (s *MatchStream) Next() (m core.Match, ok bool) {
+	m, ok = <-s.ch
+	return m, ok
+}
+
+// Err reports why the stream ended: nil for a complete (or limit-satisfied,
+// or Closed) stream, the context's error if it expired mid-search, a shard's
+// failure on a strict stream.
+func (s *MatchStream) Err() error {
+	<-s.done
+	return s.err
+}
+
+// Stats reports the work actually performed, summed over shards. An
+// early-terminated stream reports the reduced counts.
+func (s *MatchStream) Stats() core.SearchStats {
+	<-s.done
+	return s.stats
+}
+
+// Close abandons the stream: outstanding shard searches are interrupted and
+// their unread matches discarded.
+func (s *MatchStream) Close() {
+	s.pass.quit.Store(true)
+	for range s.ch { // drain so parked producers get to poll quit and exit
+	}
+}
+
+// Stream answers a compiled threshold query as a push-based stream. Every
+// shard runs an interleaved filter/verify search and emits global-ID matches
+// into the stream's bounded channel in arrival order (no cross-shard
+// ordering). The query must be compiled against the engine's root dataset,
+// exactly as for Search.
+//
+// Stream degradation is weaker than Search's: matches a shard emitted before
+// it was dropped have already been delivered and stay delivered — emitted
+// matches are always correct, only completeness is lost.
+func (e *Engine) Stream(ctx context.Context, q *model.Query, opt Options) *MatchStream {
+	buffer := opt.Buffer
+	if buffer < 1 {
+		buffer = 64
+	}
+	ms := &MatchStream{ch: make(chan core.Match, buffer), done: make(chan struct{})}
+	ms.pass = &pass{e: e, ctx: ctx, opt: opt, q: q, region: q.Region, tauR: q.TauR, polls: true, stream: ms}
+	go func() {
+		// A shard failure (strict mode) outranks the context; otherwise only
+		// ctx's expiry is an error — a stream stopped by Close or Limit ended
+		// because its consumer had enough.
+		ms.stats, ms.err = ms.pass.run((*pass).arrivalShard)
+		close(ms.ch)
+		close(ms.done)
+	}()
+	return ms
+}
+
+// arrivalShard pushes one shard's matches into the stream as they verify.
+func (p *pass) arrivalShard(i int, s *shard, sr *core.Searcher, stop func() bool) (core.SearchStats, bool, error) {
+	limit := int64(p.opt.Limit)
+	declined := false
+	st := sr.SearchStream(p.q, core.StreamOptions{
+		Stop: stop,
+		Emit: func(m core.Match) bool {
+			// Reserve an emission slot before sending: at most Limit sends
+			// ever succeed, and the reservation that fills the limit stops
+			// every shard's search, not only this one.
+			if limit > 0 {
+				n := p.emitted.Add(1)
+				if n >= limit {
+					p.quit.Store(true)
+				}
+				if n > limit {
+					declined = true
+					return false
+				}
+			}
+			m.ID = s.global(m.ID)
+			select {
+			case p.stream.ch <- m:
+				return true
+			case <-p.ctx.Done():
+				declined = true
+				return false
+			}
+		},
+	})
+	return st, !declined, nil
+}
+
+// ranking is a top-k pass's descent parameters.
+type ranking struct {
+	terms   []string
+	opts    core.TopKOptions
+	tracker *kthTracker // nil on a single shard: nothing to prune against
+}
+
+// TopK answers a top-k query with global-threshold pruning: every shard runs
+// the threshold-descent TopK, reports its provably-complete results to a
+// shared tracker after each round, and stops descending as soon as the
+// running global k-th-best score proves its unseen objects irrelevant. The
+// surviving per-shard lists — each sorted by descending score — merge through
+// a heap into the global top k.
+//
+// The merge is exact: a shard stops early only when every object it has not
+// yet retrieved scores strictly below k already-retrieved objects, so the
+// global top k is always contained in the gathered lists, and ties break by
+// ascending global object ID exactly as in the unsharded search.
+//
+// The returned stats accumulate the descent rounds' filter-and-verify work
+// across shards; a descent cut short by cooperative pruning (or a small
+// effective k) reports the reduced counts. A live opt.Trace records one plan
+// span per descent round, since rounds re-plan as thresholds loosen. Capping
+// opt.Parallelism weakens cooperative pruning's concurrency, never its
+// correctness — the tracker only ever tightens.
+//
+// Degraded ranked answers carry one caveat beyond threshold queries. A shard
+// that was quarantined at open (or panicked before observing results) never
+// fed the tracker, so the survivors' merged ranking is exactly the ranking of
+// an index built without that shard. A shard dropped by ShardTimeout,
+// however, may already have tightened the tracker with results that are then
+// discarded — the survivors may have stopped their descents early against a
+// bound the final merge no longer witnesses, so a timed-out ranked answer is
+// best-effort, not exact-minus-a-shard.
+func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts core.TopKOptions, opt Options) ([]core.ScoredMatch, core.SearchStats, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, core.SearchStats{}, err
+	}
+	// Validate up front (applying the documented floor defaults in place):
+	// shard pruning compares extents against the effective FloorR — every
+	// descent round's τR is at least FloorR, so a shard whose extent cannot
+	// reach FloorR cannot contribute to any round — and option errors must
+	// surface even when every shard would be pruned.
+	if err := opts.Validate(); err != nil {
+		return nil, core.SearchStats{}, err
+	}
+	// Descent queries must compile against the root dataset: unknown-term
+	// weights depend on the total object count, and shards answer with the
+	// root's weights so their scores match the monolithic index exactly.
+	opts.Compile = e.root.NewQuery
+	rk := &ranking{terms: terms, opts: opts}
+	if len(e.shards) > 1 {
+		rk.tracker = newKthTracker(len(e.shards), opts.K)
+	}
+	p := &pass{
+		e: e, ctx: ctx, opt: opt, region: region, tauR: opts.FloorR, polls: true,
+		ranked: rk, scored: make([][]core.ScoredMatch, len(e.shards)),
+	}
+	st, err := p.run((*pass).rankedShard)
+	if err != nil {
+		return nil, core.SearchStats{}, err
+	}
+	var mergeStart time.Time
+	if opt.Trace != nil {
+		mergeStart = time.Now()
+	}
+	merged := mergeTopK(p.scored, opts.K)
+	// Descent rounds each merged their own Results; the query's answer count
+	// is the final ranking's length.
+	st.Results = len(merged)
+	traceMerge(opt.Trace, mergeStart, len(merged))
+	return merged, st, nil
+}
+
+// rankedShard runs one shard's descent. The engine owns the descent's hooks:
+// its stats accumulate here (a caller-supplied Stats pointer would be
+// overwritten), stop interrupts it between rounds, and the tracker prunes it
+// against the other shards.
+func (p *pass) rankedShard(i int, s *shard, sr *core.Searcher, stop func() bool) (st core.SearchStats, _ bool, err error) {
+	o := p.ranked.opts
+	o.Stats = &st
+	o.Interrupt = func() error {
+		if !stop() {
+			return nil
+		}
+		if err := p.ctx.Err(); err != nil {
+			return err
+		}
+		return errShardTimeout // or an abandoned query, whose outcome nobody reads
+	}
+	if t := p.ranked.tracker; t != nil {
+		o.Observe = func(complete []core.ScoredMatch) { t.observe(i, complete) }
+		o.StopBelow = t.kth
+	}
+	if s.plan != nil {
+		// Re-plan per descent round: rounds have different thresholds, so the
+		// cheapest family can change as the descent loosens. Rounds are not
+		// fed back into the calibration — their aggregate stats span several
+		// rounds and cannot be attributed per family.
+		o.Plan = func(q *model.Query) int {
+			fi := s.planChoice(q, p.opt.Trace, i)
+			st.Plans[fi]++
+			return fi
+		}
+	}
+	found, err := sr.TopK(p.region, p.ranked.terms, o)
+	for j := range found {
+		found[j].ID = s.global(found[j].ID)
+	}
+	p.scored[i] = found
+	return st, false, err
+}
+
+// kthTracker maintains the running global k-th-best score across shards.
+// Each shard replaces its contribution after every descent round (the
+// complete prefix only grows), so the tracked bound only rises and is always
+// witnessed by k genuinely retrieved objects.
+type kthTracker struct {
+	mu     sync.Mutex
+	k      int
+	scores [][]float64 // per shard, descending, at most k entries
+}
+
+func newKthTracker(shards, k int) *kthTracker {
+	return &kthTracker{k: k, scores: make([][]float64, shards)}
+}
+
+// observe replaces shard i's contribution with the scores of its current
+// complete prefix (already sorted by descending score).
+func (t *kthTracker) observe(i int, complete []core.ScoredMatch) {
+	n := len(complete)
+	if n > t.k {
+		n = t.k // only the top k of one shard can ever matter globally
+	}
+	scores := make([]float64, n)
+	for j := 0; j < n; j++ {
+		scores[j] = complete[j].Score
+	}
+	t.mu.Lock()
+	t.scores[i] = scores
+	t.mu.Unlock()
+}
+
+// kth returns the k-th best score observed so far across all shards, or -1
+// while fewer than k objects have been observed (scores are always
+// positive, so -1 never stops a descent). Allocation is bounded by the
+// entries actually observed, never by k itself, which callers may set
+// arbitrarily large to mean "return everything".
+func (t *kthTracker) kth() float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	total := 0
+	for _, s := range t.scores {
+		total += len(s)
+	}
+	if total < t.k {
+		return -1
+	}
+	all := make([]float64, 0, total)
+	for _, s := range t.scores {
+		all = append(all, s...)
+	}
+	slices.Sort(all)
+	return all[len(all)-t.k]
+}
+
+// cursor walks one shard's result list during the heap merge.
+type cursor struct {
+	list []core.ScoredMatch
+	pos  int
+}
+
+func (c *cursor) head() core.ScoredMatch { return c.list[c.pos] }
+
+// mergeHeap orders cursors by their head entry: descending score, ties by
+// ascending global object ID — the exact order of the unsharded ranking.
+type mergeHeap []*cursor
+
+func (h mergeHeap) Len() int { return len(h) }
+func (h mergeHeap) Less(i, j int) bool {
+	a, b := h[i].head(), h[j].head()
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.ID < b.ID
+}
+func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*cursor)) }
+func (h *mergeHeap) Pop() any     { old := *h; n := len(old); c := old[n-1]; *h = old[:n-1]; return c }
+
+// mergeTopK pops the globally best entries from the per-shard sorted lists
+// until k are taken (or the lists run dry).
+func mergeTopK(lists [][]core.ScoredMatch, k int) []core.ScoredMatch {
+	if len(lists) == 1 {
+		return lists[0] // a lone descent already returns at most k, ranked
+	}
+	h := make(mergeHeap, 0, len(lists))
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+		if len(l) > 0 {
+			h = append(h, &cursor{list: l})
+		}
+	}
+	if k > total {
+		k = total // bound the allocation by what exists, not the ask
+	}
+	heap.Init(&h)
+	out := make([]core.ScoredMatch, 0, k)
+	for len(out) < k && h.Len() > 0 {
+		c := h[0]
+		out = append(out, c.head())
+		c.pos++
+		if c.pos == len(c.list) {
+			heap.Pop(&h)
+		} else {
+			heap.Fix(&h, 0)
+		}
+	}
+	return out
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"github.com/sealdb/seal/internal/baseline"
@@ -49,42 +48,12 @@ func drain(ms *MatchStream) []core.Match {
 	}
 }
 
-func TestSearchStreamMatchesSearch(t *testing.T) {
-	ds := testDataset(t, 300, 21)
-	for _, shards := range []int{1, 4} {
-		e := scanEngine(t, ds, shards)
-		q := streamQuery(t, ds, 3)
-		want, wantStats, err := e.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms := e.SearchStream(context.Background(), q, StreamOptions{})
-		got := drain(ms)
-		if err := ms.Err(); err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: stream yielded %d matches, search %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d match %d: %+v, want %+v", shards, i, got[i], want[i])
-			}
-		}
-		st := ms.Stats()
-		if st.PostingsScanned != wantStats.PostingsScanned || st.Results != wantStats.Results {
-			t.Fatalf("shards=%d: unbounded stream stats %+v differ from search stats %+v", shards, st, wantStats)
-		}
-	}
-}
-
 func TestSearchStreamLimitInterruptsWork(t *testing.T) {
 	ds := testDataset(t, 4000, 22)
 	e := scanEngine(t, ds, 4)
 	q := streamQuery(t, ds, 5)
 
-	_, full, err := e.Search(context.Background(), q)
+	_, full, err := e.Search(context.Background(), q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +62,7 @@ func TestSearchStreamLimitInterruptsWork(t *testing.T) {
 	}
 
 	const limit = 5
-	ms := e.SearchStream(context.Background(), q, StreamOptions{Limit: limit})
+	ms := e.Stream(context.Background(), q, Options{Limit: limit})
 	got := drain(ms)
 	if err := ms.Err(); err != nil {
 		t.Fatal(err)
@@ -116,7 +85,7 @@ func TestSearchStreamCloseInterruptsProducers(t *testing.T) {
 	q := streamQuery(t, ds, 7)
 
 	// Tiny buffer so producers park on the channel, then walk away early.
-	ms := e.SearchStream(context.Background(), q, StreamOptions{Buffer: 1})
+	ms := e.Stream(context.Background(), q, Options{Buffer: 1})
 	if _, ok := ms.Next(); !ok {
 		t.Fatal("expected at least one match before closing")
 	}
@@ -136,43 +105,10 @@ func TestSearchStreamContextCanceled(t *testing.T) {
 	q := streamQuery(t, ds, 9)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ms := e.SearchStream(ctx, q, StreamOptions{})
+	ms := e.Stream(ctx, q, Options{})
 	drain(ms)
 	if err := ms.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Err() = %v, want context.Canceled", err)
-	}
-}
-
-func TestSearchLimitedIsPrefixOfSearch(t *testing.T) {
-	ds := testDataset(t, 600, 25)
-	for _, shards := range []int{1, 3} {
-		e := scanEngine(t, ds, shards)
-		q := streamQuery(t, ds, 11)
-		want, _, err := e.Search(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, limit := range []int{1, 3, len(want), len(want) + 10} {
-			got, st, err := e.SearchLimited(context.Background(), q, limit, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := limit
-			if n > len(want) {
-				n = len(want)
-			}
-			if len(got) != n {
-				t.Fatalf("shards=%d limit=%d: %d matches, want %d", shards, limit, len(got), n)
-			}
-			for i := 0; i < n; i++ {
-				if got[i] != want[i] {
-					t.Fatalf("shards=%d limit=%d match %d: %+v, want %+v", shards, limit, i, got[i], want[i])
-				}
-			}
-			if st.Results != len(got) {
-				t.Fatalf("shards=%d limit=%d: stats.Results = %d, want %d", shards, limit, st.Results, len(got))
-			}
-		}
 	}
 }
 
@@ -180,11 +116,11 @@ func TestSearchStreamParallelismBound(t *testing.T) {
 	ds := testDataset(t, 400, 26)
 	e := scanEngine(t, ds, 8)
 	q := streamQuery(t, ds, 13)
-	want, _, err := e.Search(context.Background(), q)
+	want, _, err := e.Search(context.Background(), q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := e.SearchStream(context.Background(), q, StreamOptions{Parallelism: 2})
+	ms := e.Stream(context.Background(), q, Options{Parallelism: 2})
 	got := drain(ms)
 	if err := ms.Err(); err != nil {
 		t.Fatal(err)

@@ -49,46 +49,30 @@ func BenchmarkDualScan(b *testing.B) {
 	_ = sink
 }
 
-// layoutBuilders fills two identical builders with a realistic shape: many
-// short lists (Zipf-ish key skew), the regime where per-list overhead and
-// pointer chasing dominate the map layout.
-func layoutBuilders(nKeys, nPostings int) (flat, mp Builder) {
+// layoutBuilder fills a builder with a realistic shape: many short lists
+// (Zipf-ish key skew), the regime where per-list overhead dominates.
+func layoutBuilder(nKeys, nPostings int) (b Builder) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < nPostings; i++ {
 		u := rng.Float64()
 		key := uint64(u * u * float64(nKeys))
-		obj := uint32(rng.Intn(1 << 20))
-		bound := rng.Float64() * 100
-		flat.Add(key, obj, bound)
-		mp.Add(key, obj, bound)
+		b.Add(key, uint32(rng.Intn(1<<20)), rng.Float64()*100)
 	}
-	return flat, mp
+	return b
 }
 
-// BenchmarkLayoutProbe compares a probe (lookup + cutoff + head scan) on the
-// flat arena layout against the legacy map layout — the old-vs-new number
-// the scoring experiment reports.
+// BenchmarkLayoutProbe times a probe (lookup + cutoff + head scan) on the
+// flat arena layout. The map-of-pointers layout it replaced last measured
+// 88.9 ns against 47.0 ns flat on this shape (README, Performance).
 func BenchmarkLayoutProbe(b *testing.B) {
 	const nKeys, nPostings = 1 << 14, 1 << 18
-	fb, mb := layoutBuilders(nKeys, nPostings)
+	fb := layoutBuilder(nKeys, nPostings)
 	flat := fb.Build()
-	mp := mb.BuildMap()
 
 	b.Run("flat", func(b *testing.B) {
 		var sink uint32
 		for i := 0; i < b.N; i++ {
 			l := flat.List(uint64(i % nKeys))
-			n := l.Cutoff(50)
-			for _, o := range l.Objs(n) {
-				sink += o
-			}
-		}
-		_ = sink
-	})
-	b.Run("map", func(b *testing.B) {
-		var sink uint32
-		for i := 0; i < b.N; i++ {
-			l := mp.List(uint64(i % nKeys))
 			n := l.Cutoff(50)
 			for _, o := range l.Objs(n) {
 				sink += o

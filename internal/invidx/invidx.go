@@ -16,9 +16,7 @@
 // objs/bounds arena, with an ascending sorted key table, an offset per key,
 // and an open-addressed hash directory for O(1) key lookup. Traversal of a
 // list is a sequential walk of the arena, and the whole index is a handful
-// of allocations regardless of how many lists it holds. The previous
-// map[uint64]*List layout is preserved as MapIndex (mapindex.go) solely so
-// benchmarks can quantify what the flat layout buys.
+// of allocations regardless of how many lists it holds.
 package invidx
 
 import (
@@ -239,8 +237,7 @@ func (ix *Index) Postings() int { return len(ix.objs) }
 // SizeBytes estimates the in-memory footprint of the flat layout: 12 bytes
 // per posting (uint32 obj + float64 bound) plus 12 bytes per list (uint64
 // key + uint32 offset). It is the figure reported in Table 1 for the
-// signature indexes; the per-list cost is what shrank versus the old
-// map-of-pointers layout (see MapIndex.SizeBytes).
+// signature indexes.
 func (ix *Index) SizeBytes() int64 {
 	const perPosting = 4 + 8 // obj + bound
 	const perList = 8 + 4    // key + offset

@@ -263,54 +263,6 @@ func TestFlatSizeBytesAccounting(t *testing.T) {
 	if got := didx.SizeBytes(); got != wantDual {
 		t.Fatalf("dual SizeBytes = %d, want %d", got, wantDual)
 	}
-
-	// The map layout must report strictly more for identical postings: the
-	// flat rewrite exists to delete exactly that overhead.
-	var mb Builder
-	for i := uint32(0); i < 100; i++ {
-		mb.Add(uint64(i%7), i, float64(i))
-	}
-	mapIdx := mb.BuildMap()
-	if mapIdx.SizeBytes() <= idx.SizeBytes() {
-		t.Fatalf("map layout (%d B) should exceed flat layout (%d B)", mapIdx.SizeBytes(), idx.SizeBytes())
-	}
-}
-
-// TestMapIndexMatchesFlat cross-checks the benchmark baseline layout
-// against the flat one: same keys, same per-list contents, same cutoffs.
-func TestMapIndexMatchesFlat(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var fb, mb Builder
-	for i := 0; i < 500; i++ {
-		key := uint64(rng.Intn(40))
-		obj := uint32(rng.Intn(200))
-		bound := math.Floor(rng.Float64()*1000) / 10
-		fb.Add(key, obj, bound)
-		mb.Add(key, obj, bound)
-	}
-	flat := fb.Build()
-	mp := mb.BuildMap()
-	if flat.Lists() != mp.Lists() || flat.Postings() != mp.Postings() {
-		t.Fatalf("layouts disagree on shape: flat %d/%d map %d/%d",
-			flat.Lists(), flat.Postings(), mp.Lists(), mp.Postings())
-	}
-	flat.Range(func(key uint64, l List) bool {
-		ml := mp.List(key)
-		if ml.Len() != l.Len() {
-			t.Fatalf("key %d: lengths %d vs %d", key, l.Len(), ml.Len())
-		}
-		for _, c := range []float64{0, 10, 33.3, 50, 100, 1000} {
-			if l.Cutoff(c) != ml.Cutoff(c) {
-				t.Fatalf("key %d: Cutoff(%g) disagrees: %d vs %d", key, c, l.Cutoff(c), ml.Cutoff(c))
-			}
-		}
-		for i := 0; i < l.Len(); i++ {
-			if l.Obj(i) != ml.objs[i] || l.Bound(i) != ml.bounds[i] {
-				t.Fatalf("key %d posting %d disagrees", key, i)
-			}
-		}
-		return true
-	})
 }
 
 // TestCutoffMatchesLinearScan cross-checks the binary-search cutoff against

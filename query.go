@@ -130,15 +130,16 @@ type queryConfig struct {
 	batchPar     int
 	allowPartial bool
 	shardTimeout time.Duration
-	// batched marks executions whose enclosing loop already observes
-	// cancellation between queries, so the per-query mid-flight context
-	// watcher can be skipped (the engine's SearchBatched path).
-	batched bool
 }
 
-// partial translates the resolved failure-tolerance knobs for the engine.
-func (c queryConfig) partial() engine.Partial {
-	return engine.Partial{Allow: c.allowPartial, ShardTimeout: c.shardTimeout}
+// engineOptions translates the resolved knobs for the engine.
+func (c queryConfig) engineOptions(rec *trace.Rec) engine.Options {
+	return engine.Options{
+		Limit:       c.engineLimit(),
+		Parallelism: c.shardPar,
+		Trace:       rec,
+		Partial:     engine.Partial{Allow: c.allowPartial, ShardTimeout: c.shardTimeout},
+	}
 }
 
 // QueryOption tunes one Query, Stream or QueryBatch call.
@@ -281,9 +282,12 @@ func (ix *Index) Query(ctx context.Context, req Request, opts ...QueryOption) (*
 // query is the shared execution path behind Query, QueryBatch, Stream's
 // materialized orders, and the legacy wrappers.
 func (ix *Index) query(ctx context.Context, req Request, cfg queryConfig) (*Results, error) {
-	if ix.closed.Load() {
-		return nil, ErrClosed
+	// Admitted for the whole call: compilation reads the (possibly mapped)
+	// dataset before any shard search starts.
+	if err := ix.eng.Enter(); err != nil {
+		return nil, err
 	}
+	defer ix.eng.Exit()
 	// The recorder's birth is the trace's time zero: everything from here on
 	// — validation, compilation, engine work — lands on its timeline.
 	var rec *trace.Rec
@@ -350,17 +354,13 @@ func (ix *Index) queryThreshold(ctx context.Context, req Request, cfg queryConfi
 
 	var found []core.Match
 	var st core.SearchStats
-	switch {
-	case order == orderArrival:
-		found, st, err = ix.drainStream(ctx, mq, cfg, rec)
-	case cfg.engineLimit() > 0 || cfg.shardPar > 0:
-		// SearchLimited is the ID-ordered scatter with a verification cap
-		// and a shard-parallelism bound; limit 0 means uncapped.
-		found, st, err = ix.eng.SearchLimitedExec(ctx, mq, cfg.engineLimit(), cfg.shardPar, rec, cfg.partial())
-	case cfg.batched:
-		found, st, err = ix.eng.SearchBatchedExec(ctx, mq, rec, cfg.partial())
-	default:
-		found, st, err = ix.eng.SearchExec(ctx, mq, rec, cfg.partial())
+	if order == orderArrival {
+		st, err = ix.arrival(ctx, mq, cfg, rec, func(m core.Match) bool {
+			found = append(found, m)
+			return true
+		})
+	} else {
+		found, st, err = ix.eng.Search(ctx, mq, cfg.engineOptions(rec))
 	}
 	if err != nil {
 		return nil, err
@@ -373,27 +373,20 @@ func (ix *Index) queryThreshold(ctx context.Context, req Request, cfg queryConfi
 	return ix.finish(cfg.page(matches), st, cfg, rec), nil
 }
 
-// drainStream materializes an arrival-order engine stream.
-func (ix *Index) drainStream(ctx context.Context, mq *model.Query, cfg queryConfig, rec *trace.Rec) ([]core.Match, core.SearchStats, error) {
-	ms := ix.eng.SearchStream(ctx, mq, engine.StreamOptions{
-		Limit:       cfg.engineLimit(),
-		Parallelism: cfg.shardPar,
-		Trace:       rec,
-		Partial:     cfg.partial(),
-	})
-	defer ms.Close()
-	var found []core.Match
-	for {
-		m, ok := ms.Next()
-		if !ok {
-			break
-		}
-		found = append(found, m)
+// arrival runs mq as an arrival-order engine stream, handing each match to
+// yield until it declines or the stream ends. The stats are final when it
+// returns: an abandoned stream reports the partial work it actually did.
+func (ix *Index) arrival(ctx context.Context, mq *model.Query, cfg queryConfig, rec *trace.Rec, yield func(core.Match) bool) (st core.SearchStats, err error) {
+	ms := ix.eng.Stream(ctx, mq, cfg.engineOptions(rec))
+	// Deferred so that a panicking consumer still releases the producers.
+	// Close waits for them, so the stats (and rec) are quiescent after it.
+	defer func() {
+		ms.Close()
+		st, err = ms.Stats(), ms.Err()
+	}()
+	for m, ok := ms.Next(); ok && yield(m); m, ok = ms.Next() {
 	}
-	if err := ms.Err(); err != nil {
-		return nil, core.SearchStats{}, err
-	}
-	return found, ms.Stats(), nil
+	return st, err
 }
 
 func (ix *Index) queryRanked(ctx context.Context, req Request, cfg queryConfig, rec *trace.Rec) (*Results, error) {
@@ -413,12 +406,12 @@ func (ix *Index) queryRanked(ctx context.Context, req Request, cfg queryConfig, 
 	// Ranked admission ends here; the descent compiles its own per-round
 	// queries inside the engine.
 	admitSpan(rec)
-	found, st, err := ix.eng.TopKExec(ctx, rectIn(req.Region), req.Tokens, core.TopKOptions{
+	found, st, err := ix.eng.TopK(ctx, rectIn(req.Region), req.Tokens, core.TopKOptions{
 		K:      effK,
 		Alpha:  req.Alpha,
 		FloorR: req.FloorR,
 		FloorT: req.FloorT,
-	}, cfg.shardPar, rec, cfg.partial())
+	}, cfg.engineOptions(rec))
 	if err != nil {
 		return nil, err
 	}
@@ -508,13 +501,15 @@ func (ix *Index) QueryBatch(ctx context.Context, reqs []Request, opts ...QueryOp
 	if par < 1 {
 		par = defaultParallelism(len(reqs))
 	}
-	cfg.batched = true
 	// Concurrent queries must not write one shared Stats (or Trace) variable;
 	// keep the implied CollectStats/CollectTrace (per-query breakdowns in
 	// each Results) but drop the pointers.
 	cfg.statsInto = nil
 	cfg.traceInto = nil
-	ferr := engine.ForEach(ctx, len(reqs), par, func(ctx context.Context, i int) error {
+	// Each query runs under the batch's own ctx, not the scatter's derived one:
+	// fn never fails, so the two expire together, and a ctx that cannot expire
+	// keeps a single-shard query on the worker's goroutine.
+	ferr := engine.ForEach(ctx, len(reqs), par, func(_ context.Context, i int) error {
 		res, err := ix.query(ctx, reqs[i], cfg)
 		if err != nil {
 			// The inner error already carries the library prefix.

@@ -128,8 +128,9 @@ type Index struct {
 	ds    *model.Dataset
 	eng   *engine.Engine
 	stats IndexStats
-	// closed is set by Close; every entry point that reads the dataset or
-	// the postings checks it first (see Close).
+	// closed is set by Close for the point lookups (Object, Footprint,
+	// Similarity), which check it at entry; queries are admitted by the
+	// engine instead, which Close waits for (see Close).
 	closed atomic.Bool
 }
 

@@ -210,13 +210,13 @@ func Open(dir string, opts ...OpenOption) (*Index, error) {
 
 // Close releases any memory-mapped segments backing the index. Afterwards
 // Query, QueryBatch, Stream, Object, Footprint and Similarity return
-// ErrClosed instead of touching unmapped pages. Close first waits for shard
-// searches that queries which already returned left behind (a strict failure
-// or an expired context abandons its stragglers). Beyond that the flag is
-// checked at entry only: Close does not wait for calls still in flight, which
-// on a mapped index may be reading the pages it unmaps — callers must drain
-// their queries first (guarding the mapping against that race is a ROADMAP
-// item).
+// ErrClosed instead of touching unmapped pages. Close is safe to call while
+// Query, QueryBatch and Stream calls are in flight: those already admitted
+// run to completion first — as do the shard searches that returned queries
+// left behind (a strict failure or an expired context abandons its
+// stragglers) — and a call that Close overtakes reports ErrClosed rather than
+// a partial answer. Object, Footprint and Similarity check the flag at entry
+// only; do not race them with Close on a mapped index.
 // An index built purely in memory releases nothing but closes the same way.
 // Close is idempotent.
 func (ix *Index) Close() error {

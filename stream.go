@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"iter"
 
-	"github.com/sealdb/seal/internal/engine"
+	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/trace"
 )
 
@@ -35,10 +35,11 @@ import (
 //	}
 func (ix *Index) Stream(ctx context.Context, req Request, opts ...QueryOption) iter.Seq2[Match, error] {
 	return func(yield func(Match, error) bool) {
-		if ix.closed.Load() {
-			yield(Match{}, ErrClosed)
+		if err := ix.eng.Enter(); err != nil {
+			yield(Match{}, err)
 			return
 		}
+		defer ix.eng.Exit()
 		cfg, err := resolveOptions(opts)
 		if err != nil {
 			yield(Match{}, err)
@@ -91,41 +92,22 @@ func (ix *Index) streamArrival(ctx context.Context, req Request, cfg queryConfig
 		return
 	}
 	admitSpan(rec)
-	ms := ix.eng.SearchStream(ctx, mq, engine.StreamOptions{
-		Limit:       cfg.engineLimit(),
-		Parallelism: cfg.shardPar,
-		Trace:       rec,
-		Partial:     cfg.partial(),
-	})
-	defer func() {
-		ms.Close()
-		if cfg.statsInto != nil {
-			// Stats settle once the producers exited; an abandoned stream
-			// reports the partial work it actually did.
-			*cfg.statsInto = ix.statsOut(ms.Stats())
-		}
-		if cfg.traceInto != nil && rec != nil {
-			// Close waited for the producers, so the recorder is quiescent:
-			// the snapshot is the stream's complete (or abandoned-partial)
-			// trace.
-			*cfg.traceInto = *ix.traceOut(rec)
-		}
-	}()
-	skip := cfg.offset
-	for {
-		m, ok := ms.Next()
-		if !ok {
-			break
-		}
+	skip, abandoned := cfg.offset, false
+	st, err := ix.arrival(ctx, mq, cfg, rec, func(m core.Match) bool {
 		if skip > 0 {
 			skip--
-			continue
+			return true
 		}
-		if !yield(Match{ID: int(m.ID), SimR: m.SimR, SimT: m.SimT}, nil) {
-			return
-		}
+		abandoned = !yield(Match{ID: int(m.ID), SimR: m.SimR, SimT: m.SimT}, nil)
+		return !abandoned
+	})
+	if cfg.statsInto != nil {
+		*cfg.statsInto = ix.statsOut(st)
 	}
-	if err := ms.Err(); err != nil {
+	if cfg.traceInto != nil && rec != nil {
+		*cfg.traceInto = *ix.traceOut(rec)
+	}
+	if err != nil && !abandoned {
 		yield(Match{}, err)
 	}
 }
