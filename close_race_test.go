@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -16,8 +17,9 @@ import (
 )
 
 // TestCloseDuringQueries races Close against in-flight Query, QueryBatch and
-// Stream calls on a mapped index. Every call must either complete with the
-// exact answer or report ErrClosed — never a degraded or torn answer, and
+// Stream calls, and against the point reads of the mapped dataset (Object,
+// Footprint, Similarity, Fingerprint), on a mapped index. Every call must
+// either complete with the exact answer or report ErrClosed — never a degraded or torn answer, and
 // never a read of a page Close has already unmapped, which is a SIGSEGV that
 // takes the process down, not a recoverable panic.
 func TestCloseDuringQueries(t *testing.T) {
@@ -67,9 +69,58 @@ func TestCloseDuringQueries(t *testing.T) {
 				return same(label, res.Matches, want)
 			}
 		}
+		// The point reads walk every object, so some call is always inside the
+		// mapped columns when Close gets to unmapping them.
+		wantObjects := make([]seal.Object, len(objects))
+		wantFeet := make([][]seal.Rect, len(objects))
+		wantSims := make([][2]float64, len(objects))
+		simQuery := seal.Query{Region: req.Region, Tokens: req.Tokens}
+		for id := range objects {
+			if wantObjects[id], err = built.Object(id); err != nil {
+				t.Fatal(err)
+			}
+			if wantFeet[id], err = built.Footprint(id); err != nil {
+				t.Fatal(err)
+			}
+			if wantSims[id][0], wantSims[id][1], err = built.Similarity(simQuery, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantFingerprint := built.Fingerprint()
+		pointReads := func(ix *seal.Index) error {
+			for id := range objects {
+				o, err := ix.Object(id)
+				if err != nil {
+					return err
+				}
+				foot, err := ix.Footprint(id)
+				if err != nil {
+					return err
+				}
+				simR, simT, err := ix.Similarity(simQuery, id)
+				if err != nil {
+					return err
+				}
+				if !reflect.DeepEqual(o, wantObjects[id]) || !slices.Equal(foot, wantFeet[id]) || [2]float64{simR, simT} != wantSims[id] {
+					return fmt.Errorf("object %d read back wrong from a closing index", id)
+				}
+			}
+			return nil
+		}
 		cancelable, cancel := context.WithCancel(ctx)
 		defer cancel()
 		ops := []func(*seal.Index) error{
+			pointReads,
+			func(ix *seal.Index) error {
+				switch fp := ix.Fingerprint(); fp {
+				case wantFingerprint:
+					return nil
+				case "": // a closed index has no fingerprint
+					return seal.ErrClosed
+				default:
+					return fmt.Errorf("fingerprint %q, want %q", fp, wantFingerprint)
+				}
+			},
 			query("query", full.Matches, req),
 			query("limited", full.Matches[:3], req, seal.OrderByID(), seal.Limit(3)),
 			query("partial", full.Matches, req, seal.AllowPartial()),

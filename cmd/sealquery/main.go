@@ -73,8 +73,7 @@ func run() error {
 		limit       = flag.Int("limit", 0, "if > 0, stop after this many matches (early termination)")
 		segments    = flag.String("segments", "", "segment directory: save on first run, mmap-boot on later runs")
 		compress    = flag.Bool("compress", false, "store compressed posting lists (delta + quantized bounds)")
-		adaptive    = flag.Bool("adaptive", false, "per-query filter planning + shard pruning (incompatible with -segments)")
-		explain     = flag.Bool("explain", false, "trace the query: matches as NDJSON on stdout, the stage/plan breakdown on stderr")
+		explain     = flag.Bool("explain", false, "trace the query: matches as NDJSON on stdout, the stage/prune breakdown on stderr")
 		interactive = flag.Bool("i", false, "read queries from stdin")
 	)
 	flag.Parse()
@@ -114,12 +113,6 @@ func run() error {
 		}
 		if *compress {
 			opts = append(opts, seal.WithCompression(seal.CompressionQuantized))
-		}
-		if *adaptive {
-			if *segments != "" {
-				return errors.New("-adaptive is incompatible with -segments (segments persist one filter)")
-			}
-			opts = append(opts, seal.WithAdaptivePlanning())
 		}
 		if *segments != "" {
 			opts = append(opts, seal.WithSegmentDir(*segments))
@@ -162,8 +155,7 @@ func run() error {
 
 // runExplain answers req with a materialized traced query: matches go to
 // stdout as NDJSON exactly like the streamed path, the execution story —
-// per-stage spans, planner decisions with their cost-model inputs, pruned
-// shards — prints as a table on stderr.
+// per-stage spans and pruned shards — prints as a table on stderr.
 func runExplain(ctx context.Context, ix *seal.Index, req seal.Request, limit int) error {
 	opts := []seal.QueryOption{seal.CollectStats(), seal.CollectTrace()}
 	if limit > 0 {
@@ -209,32 +201,12 @@ func printTrace(w *os.File, res *seal.Results) {
 	}
 	totals := t.StageTotals()
 	fmt.Fprintf(w, "stage totals:")
-	for _, stage := range []string{"admit", "plan", "filter", "verify", "merge"} {
+	for _, stage := range []string{"admit", "filter", "verify", "merge"} {
 		if d, ok := totals[stage]; ok {
 			fmt.Fprintf(w, " %s=%v", stage, d)
 		}
 	}
 	fmt.Fprintln(w)
-	for _, p := range t.Plans {
-		how := "modeled"
-		switch {
-		case p.ColdStart:
-			how = "cold-start"
-		case p.Cached:
-			how = "cached"
-		case p.Refresh:
-			how = "refresh"
-		}
-		fmt.Fprintf(w, "plan shard %d: chose %s (%s)\n", p.Shard, p.Chosen, how)
-		for _, f := range p.Families {
-			marker := " "
-			if f.Family == p.Chosen {
-				marker = "*"
-			}
-			fmt.Fprintf(w, "  %s %-24s predicted=%.0fns adjusted=%.0fns (probes=%.0f postings=%.0f cand=%.0f)\n",
-				marker, f.Family, f.PredictedNS, f.AdjustedNS, f.Probes, f.Postings, f.Candidates)
-		}
-	}
 	for _, p := range t.Pruned {
 		fmt.Fprintf(w, "pruned shard %d: bound %.4f < tauR %.4f\n", p.Shard, p.Bound, p.TauR)
 	}

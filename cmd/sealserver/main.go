@@ -83,7 +83,6 @@ func run() error {
 		granularity  = flag.Int("p", base.Granularity, "grid granularity for grid/hybrid")
 		shards       = flag.Int("shards", base.Shards, "spatial shards searching in parallel")
 		compress     = flag.Bool("compress", base.Compress, "store compressed posting lists (delta + quantized bounds)")
-		adaptive     = flag.Bool("adaptive", base.Adaptive, "per-query filter planning + shard pruning (incompatible with -segments)")
 		warmup       = flag.Int("warmup", base.Warmup, "synthetic queries run before /readyz flips (0 disables)")
 		timeout      = flag.Duration("timeout", base.RequestTimeout, "per-request execution deadline (0 disables)")
 		maxInflight  = flag.Int("max-inflight", base.MaxInFlight, "concurrent /v1/* request cap, 429 beyond it (0 = unlimited)")
@@ -105,7 +104,6 @@ func run() error {
 	cfg.Granularity = *granularity
 	cfg.Shards = *shards
 	cfg.Compress = *compress
-	cfg.Adaptive = *adaptive
 	cfg.Warmup = *warmup
 	cfg.RequestTimeout = *timeout
 	cfg.MaxInFlight = *maxInflight

@@ -65,6 +65,18 @@ func degradedRequests(n int, rng *rand.Rand) []seal.Request {
 	return reqs
 }
 
+// everyShard widens reqs to the whole data space at a threshold so low that
+// no shard's extent is out of reach. The fault-injection tests arm one victim
+// shard, and a shard that pruning skips never starts — its fault would never
+// fire.
+func everyShard(reqs []seal.Request) []seal.Request {
+	for i := range reqs {
+		reqs[i].Region = seal.Rect{MinX: 0, MinY: 0, MaxX: 112, MaxY: 112}
+		reqs[i].TauR = 0.0005 * float64(1+i)
+	}
+	return reqs
+}
+
 // buildSegmented builds a sharded, compressed SEAL index persisted into dir
 // and returns the full-answer baseline for reqs.
 func buildSegmented(t *testing.T, objects []seal.Object, dir string, reqs []seal.Request) [][]seal.Match {
@@ -286,7 +298,7 @@ func TestQuarantineRepairRestoresExactAnswers(t *testing.T) {
 func TestShardTimeoutDropsSlowShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260811))
 	objects := shardObjects(300, rng)
-	reqs := degradedRequests(6, rng)
+	reqs := everyShard(degradedRequests(6, rng))
 	dir := filepath.Join(t.TempDir(), "segs")
 	full := buildSegmented(t, objects, dir, reqs)
 	parts := readParts(t, dir)
@@ -338,7 +350,7 @@ func TestShardTimeoutDropsSlowShard(t *testing.T) {
 func TestShardPanicIsolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260812))
 	objects := shardObjects(280, rng)
-	reqs := degradedRequests(5, rng)
+	reqs := everyShard(degradedRequests(5, rng))
 	dir := filepath.Join(t.TempDir(), "segs")
 	full := buildSegmented(t, objects, dir, reqs)
 	parts := readParts(t, dir)
@@ -407,7 +419,7 @@ func TestSentinelErrors(t *testing.T) {
 func TestCloseWaitsForAbandonedShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260926))
 	objects := shardObjects(200, rng)
-	reqs := degradedRequests(3, rng)
+	reqs := everyShard(degradedRequests(3, rng))
 	dir := filepath.Join(t.TempDir(), "segs")
 	buildSegmented(t, objects, dir, reqs)
 

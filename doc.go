@@ -95,17 +95,15 @@
 // Every query reaches a shard through one execution path, whatever its
 // shape. The fan-out first drops the shards that cannot answer — a
 // quarantined one fails the query or, under AllowPartial, is counted and
-// skipped; on an adaptive index a shard whose extent cannot reach TauR is
-// pruned — and runs a single remaining shard on the caller's goroutine
+// skipped; a shard whose extent cannot reach TauR is pruned (see "Shard
+// pruning") — and runs a single remaining shard on the caller's goroutine
 // (unless an unpolled search under a cancellable context could strand it
 // there), or else scatters over at most ShardParallelism goroutines. Each
 // shard search then runs the same sequence exactly once: count the search
 // in flight (so Close can wait for it), start the ShardTimeout clock,
-// isolate panics, take a pooled searcher, attach the trace recorder, plan
-// the filter family, search, return the searcher, judge lateness by the wall
-// clock, and — only if the search ran to completion, never when Limit, a
-// break, the context or a deadline cut it short — feed the planner's
-// calibration. What differs between query shapes is only the sink the
+// isolate panics, take a pooled searcher, attach the trace recorder, search,
+// return the searcher, and judge lateness by the wall clock. What differs
+// between query shapes is only the sink the
 // matches go to: collect-all (the allocation-free materializing search),
 // ID-ordered capped (verification stops at Limit successes per shard; the
 // merge keeps the exact prefix), a bounded channel in arrival order (one
@@ -140,39 +138,22 @@
 // which reports the filter/verify time split, postings scanned, allocs per
 // query, and the flat-vs-map posting-layout comparison.
 //
-// # Query planning
+// # Shard pruning
 //
-// No single filter family wins every query: token-heavy queries favor the
-// textual filters, tight rects over hot regions favor the grid, and the
-// crossover moves with the data. WithAdaptivePlanning builds every
-// interchangeable signature-filter family over the same shards and picks
-// the cheapest per (query, shard) with a calibrated cost model: each family
-// predicts its probes, postings and verification candidates from cheap
-// index statistics, and live search feedback continuously calibrates each
-// family's nanoseconds-per-unit, so the model tracks the machine and the
-// workload rather than trusting built-in constants. Decisions are cached
-// per query shape in a fixed-size lock-free table and recomputed when
-// calibration drifts; planning allocates nothing (the planned path keeps
-// the 0 allocs/op steady state).
+// Every shard knows its extent, the bounding rectangle of its members'
+// footprints (computed when the shard is built or opened, never stored).
+// Before anything is dispatched the extent is held against the query
+// rectangle: with A = |query ∩ extent| no member can score above A/|query|
+// under Jaccard, or 2A/(|query|+A) under Dice, so a shard whose bound falls
+// below TauR (FloorR for ranked requests) is skipped — no goroutine, no
+// searcher, no scan. A relative margin of 1e-9 absorbs the bound's own
+// rounding, so an object sitting exactly on the threshold is never lost.
 //
-// The same option arms spatial shard pruning: a shard whose partition
-// extent provably cannot reach the query's TauR — the overlap bound is
-// computed against the extent, sound for both Jaccard and Dice — is skipped
-// before dispatch, shrinking realized fan-out for selective rects.
-//
-// Every family is a complete filter over the same exact verification, so
-// the planner never changes an answer, only the work; the differential
-// tests pin bit-identity against every static family across shard counts.
-// Stats.PlanChoices reports how shard searches were routed and
-// Stats.ShardsPruned how many dispatches pruning skipped; the serving layer
-// exposes both as seal_plan_selected_total and seal_shards_pruned_total in
-// /metrics and in /v1/status. Reproduce the planner experiment with
-//
-//	go run ./cmd/sealbench -exp planner -json
-//
-// which times every static family against the adaptive engine per query
-// class and checks answer identity (BENCH_PR8.json is the committed
-// baseline).
+// Pruning is always on, for every method, storage layout and shard count,
+// and never changes an answer. Stats.ShardsPruned counts the skips beside
+// Stats.ShardFanout, a Trace lists each skipped shard with the bound that
+// skipped it, and the serving layer exposes the total as
+// seal_shards_pruned_total in /metrics and /v1/status.
 //
 // # Storage
 //
@@ -290,11 +271,8 @@
 // (admit, filter, verify, merge), the shard and filter family that ran it,
 // its offset from admission, duration, and work counters (postings scanned,
 // candidates, results). StageTotals sums durations by stage for a quick
-// where-did-the-time-go split. With adaptive planning the trace also carries
-// the planner's evidence: per-shard PlanDecisions with the full per-family
-// cost table (predicted and risk-adjusted nanoseconds, cold-start and
-// cache-hit flags) and, for every shard skipped by spatial pruning, the
-// overlap bound that proved it could not reach TauR.
+// where-did-the-time-go split. The trace also lists every shard skipped by
+// pruning, with the overlap bound that proved it could not reach TauR.
 //
 //	var tr seal.Trace
 //	res, _ := ix.Query(ctx, req, seal.TraceInto(&tr))
@@ -307,7 +285,7 @@
 // allocs/op.
 //
 // The server surfaces the same trace: POST /v1/explain answers with the
-// trace, stage totals, plan decisions and pruned shards instead of matches;
+// trace, stage totals and pruned shards instead of matches;
 // /v1/query?trace=1 rides the trace alongside a normal answer; queries
 // slower than -slow-query are counted, logged with their stats, and sampled
 // (at most one per second) with a full trace attached. /metrics adds

@@ -94,9 +94,10 @@ func (ix *Index) SearchTopKContext(ctx context.Context, q TopKQuery) ([]ScoredMa
 // Footprint returns the spatial footprint of an object: a single rectangle
 // for plain objects, or the full rectangle set for multi-region objects.
 func (ix *Index) Footprint(id int) ([]Rect, error) {
-	if ix.closed.Load() {
-		return nil, ErrClosed
+	if err := ix.eng.Enter(); err != nil {
+		return nil, err
 	}
+	defer ix.eng.Exit()
 	if id < 0 || id >= ix.ds.Len() {
 		return nil, fmt.Errorf("seal: object ID %d out of range [0,%d)", id, ix.ds.Len())
 	}

@@ -42,8 +42,6 @@ var Experiments = []Experiment{
 		func(env *Env) (any, error) { return ScoringData(env) }},
 	{"storage", "Extra: compressed postings and mmap segments: size, open time, query cost", Storage,
 		func(env *Env) (any, error) { return StorageData(env) }},
-	{"planner", "Extra: adaptive planner: static-vs-adaptive filter selection and shard pruning", Planner,
-		func(env *Env) (any, error) { return PlannerData(env) }},
 }
 
 // Lookup finds an experiment by name.

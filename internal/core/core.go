@@ -211,24 +211,15 @@ type SearchStats struct {
 	// the realized fan-out, not the shard count of the index.
 	Shards int
 	// ShardsPruned counts shards skipped before dispatch because their
-	// partition extent provably cannot reach TauR against the query rect
-	// (adaptive planning only; always zero otherwise).
+	// partition extent provably cannot reach TauR against the query rect.
+	// Like Shards it is stamped by the engine, on every query.
 	ShardsPruned int
 	// ShardErrors counts shards dropped from this query's merge because they
 	// failed, panicked, timed out, or were quarantined at open time. Always
 	// zero on default (strict) queries, which fail instead of dropping; only
 	// partial-tolerant queries record drops.
 	ShardErrors int
-	// Plans counts, per filter-family index of a multi-filter searcher, how
-	// many shard searches the planner executed with that family. A fixed
-	// array keeps SearchStats a flat value (Merge stays allocation-free);
-	// MaxPlanFamilies bounds the family count everywhere.
-	Plans [MaxPlanFamilies]int
 }
-
-// MaxPlanFamilies caps the number of filter families an adaptive searcher
-// may hold, so per-query plan counters stay a fixed-size value type.
-const MaxPlanFamilies = 8
 
 // Elapsed returns the total query time.
 func (s SearchStats) Elapsed() time.Duration { return s.FilterTime + s.VerifyTime }
@@ -244,9 +235,6 @@ func (s *SearchStats) Merge(other SearchStats) {
 	s.Shards += other.Shards
 	s.ShardsPruned += other.ShardsPruned
 	s.ShardErrors += other.ShardErrors
-	for i := range s.Plans {
-		s.Plans[i] += other.Plans[i]
-	}
 }
 
 // Searcher runs the two-step SealSig algorithm: filter, then verify.
@@ -267,11 +255,6 @@ type Searcher struct {
 	stats SearchStats
 	// accum caches whether the filter certifies token memberships.
 	accum bool
-	// filters/accums hold every family of a multi-filter searcher; Use
-	// switches the active one (filter/accum mirror the active entry).
-	filters []Filter
-	accums  []bool
-	active  int
 	// memo caches exact similarities across top-k descent rounds; nil until
 	// the first descent (see verifyMemo).
 	memo *verifyMemo
@@ -284,27 +267,10 @@ type Searcher struct {
 
 // NewSearcher pairs a dataset with a filter.
 func NewSearcher(ds *model.Dataset, f Filter) *Searcher {
-	return NewMultiSearcher(ds, f)
-}
-
-// NewMultiSearcher pairs a dataset with several interchangeable filter
-// families over the same objects. All families must be complete for the same
-// queries (every core filter is), so any of them produces identical answers;
-// an adaptive planner switches between them per query with Use. At least one
-// filter is required and at most MaxPlanFamilies are allowed.
-func NewMultiSearcher(ds *model.Dataset, filters ...Filter) *Searcher {
-	if len(filters) == 0 || len(filters) > MaxPlanFamilies {
-		panic("core: NewMultiSearcher needs 1..MaxPlanFamilies filters")
+	s := &Searcher{ds: ds, filter: f, cs: NewCandidateSet(ds.Len())}
+	if a, ok := f.(simTAccumulator); ok {
+		s.accum = a.accumulatesSimT()
 	}
-	s := &Searcher{ds: ds, cs: NewCandidateSet(ds.Len())}
-	s.filters = filters
-	s.accums = make([]bool, len(filters))
-	for i, f := range filters {
-		if a, ok := f.(simTAccumulator); ok {
-			s.accums[i] = a.accumulatesSimT()
-		}
-	}
-	s.Use(0)
 	return s
 }
 
@@ -323,7 +289,6 @@ func (s *Searcher) traceSpan(stage trace.Stage, start time.Time, dur time.Durati
 	s.tr.AddSpan(trace.Span{
 		Stage:           stage,
 		Shard:           s.trShard,
-		Family:          s.active,
 		Start:           s.tr.Offset(start),
 		Dur:             dur,
 		ListsProbed:     st.ListsProbed,
@@ -333,24 +298,7 @@ func (s *Searcher) traceSpan(stage trace.Stage, start time.Time, dur time.Durati
 	})
 }
 
-// Use switches the active filter family to index i (see NewMultiSearcher).
-// It is a pair of field loads — safe to call per query on the hot path.
-func (s *Searcher) Use(i int) {
-	s.active = i
-	s.filter = s.filters[i]
-	s.accum = s.accums[i]
-}
-
-// Active returns the index of the filter family the searcher currently runs.
-func (s *Searcher) Active() int { return s.active }
-
-// NumFilters returns the number of filter families the searcher holds.
-func (s *Searcher) NumFilters() int { return len(s.filters) }
-
-// FilterAt returns family i's filter.
-func (s *Searcher) FilterAt(i int) Filter { return s.filters[i] }
-
-// Filter returns the searcher's active filter.
+// Filter returns the searcher's filter.
 func (s *Searcher) Filter() Filter { return s.filter }
 
 // beginQuery readies the candidate set for q: reset, then arm the SimT

@@ -21,16 +21,6 @@ func NewSearcherPool(ds *model.Dataset, f Filter) *SearcherPool {
 	return p
 }
 
-// NewMultiSearcherPool creates a pool of multi-filter searchers over ds (see
-// NewMultiSearcher). Searchers come back from Get with whatever family the
-// previous user left active; adaptive callers Use their plan's choice before
-// searching.
-func NewMultiSearcherPool(ds *model.Dataset, filters []Filter) *SearcherPool {
-	p := &SearcherPool{}
-	p.pool.New = func() any { return NewMultiSearcher(ds, filters...) }
-	return p
-}
-
 // Get returns a ready searcher, creating one if the pool is empty.
 func (p *SearcherPool) Get() *Searcher { return p.pool.Get().(*Searcher) }
 

@@ -69,13 +69,6 @@ type TopKOptions struct {
 	// descent (larger K, lower floors) shows up directly as more lists
 	// probed, postings scanned and candidates verified.
 	Stats *SearchStats
-
-	// Plan, when non-nil, picks the filter family (an index for Use on a
-	// multi-filter searcher) to run each descent round with, given that
-	// round's compiled threshold query. Rounds have different thresholds, so
-	// an adaptive planner re-plans per round. Every family returns the same
-	// matches, so any choice is correct.
-	Plan func(q *model.Query) int
 }
 
 // Validate checks the option invariants and applies the documented floor
@@ -134,9 +127,6 @@ func (s *Searcher) TopK(region geo.Rect, terms []string, opts TopKOptions) ([]Sc
 		q, err := compile(region, terms, tauR, tauT)
 		if err != nil {
 			return nil, err
-		}
-		if opts.Plan != nil {
-			s.Use(opts.Plan(q))
 		}
 		matches, rst := s.Search(q)
 		if opts.Stats != nil {

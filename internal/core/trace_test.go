@@ -23,9 +23,9 @@ func TestSearchTraceSpans(t *testing.T) {
 		rec := trace.New()
 		s.SetTrace(rec, 3)
 		for qi, q := range queries {
-			before, _, _, _ := rec.Snapshot()
+			before, _, _ := rec.Snapshot()
 			matches, st := s.Search(q)
-			spans, _, _, elapsed := rec.Snapshot()
+			spans, _, elapsed := rec.Snapshot()
 			spans = spans[len(before):]
 
 			if len(spans) != 2 {
@@ -38,9 +38,6 @@ func TestSearchTraceSpans(t *testing.T) {
 			for _, sp := range spans {
 				if sp.Shard != 3 {
 					t.Errorf("%s query %d: %v span on shard %d, want 3", f.Name(), qi, sp.Stage, sp.Shard)
-				}
-				if sp.Family != 0 {
-					t.Errorf("%s query %d: %v span family %d, want 0", f.Name(), qi, sp.Stage, sp.Family)
 				}
 			}
 			if filter.ListsProbed != st.ListsProbed || filter.PostingsScanned != st.PostingsScanned ||
@@ -81,7 +78,7 @@ func TestStreamTraceSpans(t *testing.T) {
 	rec := trace.New()
 	s.SetTrace(rec, 0)
 	st := s.SearchStream(q, core.StreamOptions{ByID: true, Emit: emit})
-	spans, _, _, _ := rec.Snapshot()
+	spans, _, _ := rec.Snapshot()
 	if len(spans) != 2 || spans[0].Stage != trace.StageFilter || spans[1].Stage != trace.StageVerify {
 		t.Fatalf("ByID stream: spans %v, want [filter verify]", spans)
 	}
@@ -92,7 +89,7 @@ func TestStreamTraceSpans(t *testing.T) {
 	rec = trace.New()
 	s.SetTrace(rec, 0)
 	st = s.SearchStream(q, core.StreamOptions{Emit: emit})
-	spans, _, _, _ = rec.Snapshot()
+	spans, _, _ = rec.Snapshot()
 	if len(spans) != 1 || spans[0].Stage != trace.StageFilter {
 		t.Fatalf("arrival stream: spans %v, want exactly one filter span", spans)
 	}

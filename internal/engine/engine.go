@@ -18,15 +18,11 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync"
-	"time"
 
 	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/model"
-	"github.com/sealdb/seal/internal/planner"
-	"github.com/sealdb/seal/internal/trace"
 )
 
 // Config sizes an engine.
@@ -40,25 +36,18 @@ type Config struct {
 	// NewFilter builds one shard's filter over that shard's dataset. It must
 	// be safe to call concurrently (each call receives a distinct dataset).
 	NewFilter func(ds *model.Dataset) (core.Filter, error)
-	// NewFilters, when non-nil, enables adaptive planning: it builds every
-	// interchangeable filter family for one shard (1..core.MaxPlanFamilies
-	// entries, every one a core.CostEstimator, same families in the same
-	// order on every shard). The engine then picks the cheapest family per
-	// (query, shard) and prunes shards whose partition extent cannot reach
-	// the query's spatial threshold. Takes precedence over NewFilter.
-	NewFilters func(ds *model.Dataset) ([]core.Filter, error)
 }
 
-// shard is one partition: a subset dataset, its filter(s), the local→global
+// shard is one partition: a subset dataset, its filter, the local→global
 // object ID mapping, and a pool of reusable searchers.
 type shard struct {
 	ds        *model.Dataset
-	filter    core.Filter      // primary family (filters[0] when adaptive)
+	filter    core.Filter
 	globalIDs []model.ObjectID // nil ⇒ identity (the single-shard fast path)
 	pool      *core.SearcherPool
-	// Adaptive planning state; nil on static engines.
-	filters []core.Filter
-	plan    *planner.ShardPlan
+	// extent is the MBR of the member regions, the shard-prune key (see
+	// pruneBound); the zero Rect for a shard with no members.
+	extent geo.Rect
 	// down marks a shard quarantined at open time: its segment was corrupt or
 	// missing and it holds no filter or pool. Strict queries fail with
 	// ErrShardQuarantined; partial queries skip it and count a ShardError.
@@ -68,38 +57,15 @@ type shard struct {
 	rebuilt bool
 }
 
-// pruned reports whether the shard provably cannot answer a query over
-// region with spatial threshold tauR (adaptive engines only). When tr is
-// live, a pruned shard records the bound that pruned it: shard pruning is a
-// planning decision, and a trace that silently dropped shards would read as
-// if they never existed.
-func (s *shard) pruned(region geo.Rect, tauR float64, tr *trace.Rec, idx int) bool {
-	if s.plan == nil {
-		return false
+// newShard assembles one partition over its subset dataset. A nil filter
+// makes a shard that cannot search (the caller marks it down); its extent is
+// still known, since the dataset segment holds every shard's members.
+func newShard(ds *model.Dataset, ids []model.ObjectID, f core.Filter) *shard {
+	s := &shard{ds: ds, filter: f, globalIDs: ids, extent: datasetExtent(ds)}
+	if f != nil {
+		s.pool = core.NewSearcherPool(ds, f)
 	}
-	if tr == nil {
-		return s.plan.Prune(region, tauR)
-	}
-	bound, p := s.plan.PruneBound(region, tauR)
-	if p {
-		tr.AddPruned(trace.PrunedShard{Shard: idx, Bound: bound, TauR: tauR})
-	}
-	return p
-}
-
-// planChoice runs the shard's planner for q. When tr is live the decision is
-// recorded (ChooseTrace) along with a plan span covering the choice itself.
-func (s *shard) planChoice(q *model.Query, tr *trace.Rec, idx int) int {
-	if tr == nil {
-		return s.plan.Choose(q)
-	}
-	start := time.Now()
-	fi := s.plan.ChooseTrace(q, idx, tr)
-	tr.AddSpan(trace.Span{
-		Stage: trace.StagePlan, Shard: idx, Family: fi,
-		Start: tr.Offset(start), Dur: time.Since(start),
-	})
-	return fi
+	return s
 }
 
 // global translates a shard-local object ID to the parent dataset's ID.
@@ -115,11 +81,6 @@ func (s *shard) global(id model.ObjectID) model.ObjectID {
 type Engine struct {
 	root   *model.Dataset
 	shards []*shard
-	// planner holds adaptive-planning state (family calibration, cache
-	// generation); nil on static engines.
-	planner *planner.Planner
-	// familyNames labels the adaptive filter families by index.
-	familyNames []string
 	// closers owns the mapped segments backing an engine opened from disk;
 	// empty for an in-memory build. See Close in segments.go.
 	closers []io.Closer
@@ -153,10 +114,9 @@ func (e *Engine) Exit() { e.inflight.Done() }
 
 // Build partitions root into cfg.Shards spatial shards and constructs each
 // shard's filter, running up to cfg.BuildParallelism constructions
-// concurrently. With cfg.NewFilters set, every shard gets all filter
-// families plus adaptive-planning state.
+// concurrently.
 func Build(root *model.Dataset, cfg Config) (*Engine, error) {
-	if cfg.NewFilter == nil && cfg.NewFilters == nil {
+	if cfg.NewFilter == nil {
 		return nil, errors.New("engine: Config.NewFilter is required")
 	}
 	if root == nil || root.Len() == 0 {
@@ -171,24 +131,11 @@ func Build(root *model.Dataset, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{root: root}
 	buildShard := func(sub *model.Dataset, ids []model.ObjectID) (*shard, error) {
-		if cfg.NewFilters != nil {
-			filters, err := cfg.NewFilters(sub)
-			if err != nil {
-				return nil, err
-			}
-			if len(filters) == 0 || len(filters) > core.MaxPlanFamilies {
-				return nil, fmt.Errorf("engine: NewFilters returned %d families, want 1..%d", len(filters), core.MaxPlanFamilies)
-			}
-			return &shard{
-				ds: sub, filter: filters[0], globalIDs: ids,
-				pool: core.NewMultiSearcherPool(sub, filters), filters: filters,
-			}, nil
-		}
 		f, err := cfg.NewFilter(sub)
 		if err != nil {
 			return nil, err
 		}
-		return &shard{ds: sub, filter: f, globalIDs: ids, pool: core.NewSearcherPool(sub, f)}, nil
+		return newShard(sub, ids, f), nil
 	}
 
 	if n == 1 {
@@ -221,92 +168,30 @@ func Build(root *model.Dataset, cfg Config) (*Engine, error) {
 		}
 		e.shards = shards
 	}
-	if cfg.NewFilters != nil {
-		if err := e.armPlanner(); err != nil {
-			return nil, err
-		}
-	}
 	return e, nil
-}
-
-// armPlanner wires the adaptive-planning state over already-built
-// multi-filter shards: one cost-estimator set and partition extent per
-// shard, one shared calibration per family.
-func (e *Engine) armPlanner() error {
-	first := e.shards[0].filters
-	fullVerify := make([]bool, len(first))
-	names := make([]string, len(first))
-	for i, f := range first {
-		fullVerify[i] = core.FullVerifyFilter(f)
-		names[i] = f.Name()
-	}
-	pl := planner.New(fullVerify, e.root.SpatialSimFn())
-	for si, s := range e.shards {
-		if len(s.filters) != len(first) {
-			return fmt.Errorf("engine: shard %d has %d filter families, shard 0 has %d", si, len(s.filters), len(first))
-		}
-		est := make([]core.CostEstimator, len(s.filters))
-		for i, f := range s.filters {
-			ce, ok := f.(core.CostEstimator)
-			if !ok {
-				return fmt.Errorf("engine: adaptive family %s cannot estimate query cost", f.Name())
-			}
-			est[i] = ce
-		}
-		extent, hasExtent := datasetExtent(s.ds)
-		s.plan = pl.NewShard(est, extent, hasExtent)
-	}
-	e.planner = pl
-	e.familyNames = names
-	return nil
 }
 
 // datasetExtent computes the MBR of every member region of ds. Multi-region
 // objects store their footprint's MBR as Region, so the extent covers exact
 // footprints too — the soundness requirement of shard pruning.
-func datasetExtent(ds *model.Dataset) (geo.Rect, bool) {
+func datasetExtent(ds *model.Dataset) geo.Rect {
 	if ds.Len() == 0 {
-		return geo.Rect{}, false
+		return geo.Rect{}
 	}
 	ext := ds.Region(0)
 	for i := 1; i < ds.Len(); i++ {
 		ext = ext.Extend(ds.Region(model.ObjectID(i)))
 	}
-	return ext, true
+	return ext
 }
 
 // Shards returns the number of shards actually built.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// Adaptive reports whether the engine plans filter families per query.
-func (e *Engine) Adaptive() bool { return e.planner != nil }
-
-// PlanFamilyNames labels the adaptive filter families by plan index (the
-// indexes of SearchStats.Plans); nil on static engines.
-func (e *Engine) PlanFamilyNames() []string { return e.familyNames }
-
-// FamilyName labels filter family i for traces: the adaptive family name by
-// plan index, or the engine's single static filter for index 0. Indexes
-// without a family (engine-level spans use -1) name to "".
-func (e *Engine) FamilyName(i int) string {
-	if i < 0 {
-		return ""
-	}
-	if e.familyNames != nil {
-		if i < len(e.familyNames) {
-			return e.familyNames[i]
-		}
-		return ""
-	}
-	if i == 0 {
-		return e.staticFilterName()
-	}
-	return ""
-}
-
-// staticFilterName names the engine's single static filter, speaking through
-// the first shard that actually has one (a quarantined shard carries none).
-func (e *Engine) staticFilterName() string {
+// FilterName identifies the per-shard filter. All shards use the same
+// configuration, so the first shard that has one speaks for everyone (a
+// quarantined shard carries none).
+func (e *Engine) FilterName() string {
 	for _, s := range e.shards {
 		if s.filter != nil {
 			return s.filter.Name()
@@ -315,27 +200,10 @@ func (e *Engine) staticFilterName() string {
 	return ""
 }
 
-// FilterName identifies the per-shard filter (all shards use the same
-// configuration, so shard 0 speaks for everyone). Adaptive engines list
-// every family behind the planner.
-func (e *Engine) FilterName() string {
-	if e.planner != nil {
-		return "adaptive(" + strings.Join(e.familyNames, "+") + ")"
-	}
-	return e.staticFilterName()
-}
-
-// SizeBytes sums the index footprint across shards — every family's on
-// adaptive engines (they are all resident).
+// SizeBytes sums the index footprint across shards.
 func (e *Engine) SizeBytes() int64 {
 	var n int64
 	for _, s := range e.shards {
-		if s.filters != nil {
-			for _, f := range s.filters {
-				n += f.SizeBytes()
-			}
-			continue
-		}
 		if s.filter != nil { // quarantined shards carry no filter
 			n += s.filter.SizeBytes()
 		}

@@ -45,9 +45,9 @@ type Options struct {
 	Parallelism int
 	// Buffer is Stream's emission channel capacity; values < 1 mean 64.
 	Buffer int
-	// Trace, when non-nil, collects per-shard plan/filter/verify spans, plan
-	// decisions, pruned-shard bounds and the engine-level merge span. Nil
-	// costs nothing: no clock reads, no recording, no allocations.
+	// Trace, when non-nil, collects per-shard filter/verify spans, pruned-shard
+	// bounds and the engine-level merge span. Nil costs nothing: no clock
+	// reads, no recording, no allocations.
 	Trace *trace.Rec
 	// Partial selects the shard-failure policy.
 	Partial Partial
@@ -84,7 +84,7 @@ type pass struct {
 	e      *Engine
 	ctx    context.Context
 	opt    Options
-	q      *model.Query // nil on ranked passes: descents compile and plan per round
+	q      *model.Query // nil on ranked passes: descents compile per round
 	region geo.Rect     // shard-prune key: the query region and the lowest
 	tauR   float64      // spatial threshold any of the pass's searches can use
 	// polls reports that the pass's shard searches poll stop. Searches that
@@ -107,15 +107,14 @@ type pass struct {
 func (p *pass) stopped() bool { return p.quit.Load() || p.ctx.Err() != nil }
 
 // shardBody is the part of a shard search that differs between sinks: it
-// drives the acquired, planned searcher over shard i and puts the matches
-// where its sink wants them. stop is nil when the pass does not poll;
-// otherwise it reports that the search should be abandoned. whole reports
-// that the search ran to its end rather than being cut by the sink.
-type shardBody func(p *pass, i int, s *shard, sr *core.Searcher, stop func() bool) (st core.SearchStats, whole bool, err error)
+// drives the acquired searcher over shard i and puts the matches where its
+// sink wants them. stop is nil when the pass does not poll; otherwise it
+// reports that the search should be abandoned.
+type shardBody func(p *pass, i int, s *shard, sr *core.Searcher, stop func() bool) (core.SearchStats, error)
 
 // runShard executes body on live shard i under the invariant sequence:
 // in-flight count → deadline clock → panic isolation → fault seam → searcher →
-// plan → body → release → lateness verdict → planner feedback.
+// body → release → lateness verdict.
 func (p *pass) runShard(i int, body shardBody) (st core.SearchStats, err error) {
 	if p.stopped() {
 		return st, p.ctx.Err()
@@ -153,12 +152,7 @@ func (p *pass) runShard(i int, body shardBody) (st core.SearchStats, err error) 
 		// The shard's filter and verify spans land on the recorder; Put detaches.
 		sr.SetTrace(tr, i)
 	}
-	fi := -1
-	if p.q != nil && s.plan != nil {
-		fi = s.planChoice(p.q, tr, i)
-		sr.Use(fi)
-	}
-	st, whole, err := body(p, i, s, sr, stop)
+	st, err = body(p, i, s, sr, stop)
 	s.pool.Put(sr)
 	// The wall clock, not the poll, decides lateness: a search with no poll
 	// points (a shard with no candidates) can return after the deadline
@@ -170,16 +164,6 @@ func (p *pass) runShard(i int, body shardBody) (st core.SearchStats, err error) 
 		return core.SearchStats{}, err
 	}
 	st.Shards = 1
-	if fi >= 0 {
-		st.Plans[fi]++
-		// Only a search that ran to completion feeds the planner: calibration
-		// divides measured time by the family's predicted work, so a search
-		// cut short — by Limit, Close, ctx or a deadline — would book a
-		// misleadingly cheap cost sample.
-		if whole && !p.stopped() {
-			s.plan.Observe(p.q, fi, st)
-		}
-	}
 	return st, nil
 }
 
@@ -260,11 +244,49 @@ func (p *pass) admit(i int, st *core.SearchStats) (bool, error) {
 	if s.down != nil {
 		return false, p.drop(downErr(i, s.down), st)
 	}
-	if s.pruned(p.region, p.tauR, p.opt.Trace, i) {
+	if bound, pruned := s.pruneBound(p.region, p.tauR); pruned {
 		st.ShardsPruned++
+		// A trace that silently dropped shards would read as if they never
+		// existed, so a pruned shard records the bound that pruned it.
+		if tr := p.opt.Trace; tr != nil {
+			tr.AddPruned(trace.PrunedShard{Shard: i, Bound: bound, TauR: p.tauR})
+		}
 		return false, nil
 	}
 	return true, nil
+}
+
+// pruneEps is the relative safety margin on the shard-prune bound: the exact
+// float bound is computed with a handful of rounded operations, so pruning
+// only when bound·(1+eps) < τR absorbs those ulps. Same discipline as
+// invidx.Eps on the prefix cutoffs.
+const pruneEps = 1e-9
+
+// pruneBound reports whether the shard can be skipped for a query over region
+// with spatial threshold tauR, and the evidence: the similarity of the query
+// to ANY member object is bounded by the overlap of the query rect with the
+// shard extent E. With A = |region ∩ E| and |q| = |region|, every member o
+// satisfies |q ∩ o| ≤ A (o's footprint lies inside E, MBRs included), so
+//
+//	Jaccard: simR = |q∩o|/|q∪o| ≤ A/|q|
+//	Dice:    simR = 2|q∩o|/(|q|+|o|) ≤ 2A/(|q|+A)   (x ↦ 2x/(|q|+x) grows)
+//
+// The shard is pruned only when the bound clears τR by the pruneEps margin,
+// so float rounding can never drop a true answer. When no bound can be
+// computed (non-positive threshold or degenerate query rect) the trivial
+// bound 1 is reported and the shard is kept; a shard with no members has the
+// zero extent, bound 0, and prunes for any positive threshold.
+func (s *shard) pruneBound(region geo.Rect, tauR float64) (float64, bool) {
+	qa := region.Area()
+	if tauR <= 0 || qa <= 0 {
+		return 1, false
+	}
+	a := region.IntersectionArea(s.extent)
+	bound := a / qa
+	if s.ds.SpatialSimFn() == model.SpaceDice {
+		bound = 2 * a / (qa + a)
+	}
+	return bound, bound*(1+pruneEps) < tauR
 }
 
 // scatter runs the admitted shards on at most Options.Parallelism worker
@@ -338,7 +360,7 @@ func traceMerge(tr *trace.Rec, start time.Time, results int) {
 		return
 	}
 	tr.AddSpan(trace.Span{
-		Stage: trace.StageMerge, Shard: -1, Family: -1,
+		Stage: trace.StageMerge, Shard: -1,
 		Start: tr.Offset(start), Dur: time.Since(start), Results: results,
 	})
 }

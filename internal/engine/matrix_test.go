@@ -42,11 +42,11 @@ func (mq matrixQuery) compile(t *testing.T, ds *model.Dataset) *model.Query {
 
 // matrixFault is one column of the matrix.
 type matrixFault struct {
-	name     string
-	adaptive bool                               // needs the planner (shard pruning)
-	arm      func(e *Engine, victim int) func() // injects the fault, returns its undo
-	timeout  time.Duration                      // Partial.ShardTimeout for the row
-	canceled bool                               // the row runs under a pre-canceled ctx
+	name      string
+	selective bool                               // runs the queries that prune shards
+	arm       func(e *Engine, victim int) func() // injects the fault, returns its undo
+	timeout   time.Duration                      // Partial.ShardTimeout for the row
+	canceled  bool                               // the row runs under a pre-canceled ctx
 	// fails reports whether the victim shard is lost to the fault, and strict
 	// recognizes the error a strict query must then fail with.
 	fails  bool
@@ -73,7 +73,7 @@ var matrixFaults = []matrixFault{
 			return faultfs.Uninstall
 		},
 		strict: func(err error) bool { return errors.Is(err, errShardTimeout) }},
-	{name: "pruned", adaptive: true},
+	{name: "pruned", selective: true},
 	{name: "canceled", canceled: true,
 		strict: func(err error) bool { return errors.Is(err, context.Canceled) }},
 }
@@ -94,24 +94,6 @@ var matrixSinks = []matrixSink{
 	{name: "stream", stream: true},
 	{name: "stream/limit", stream: true, limited: true},
 	{name: "topk", ranked: true},
-}
-
-func adaptiveEngine(t testing.TB, ds *model.Dataset, shards int) *Engine {
-	t.Helper()
-	e, err := Build(ds, Config{
-		Shards: shards,
-		NewFilters: func(sds *model.Dataset) ([]core.Filter, error) {
-			grid, err := core.NewGridFilter(sds, 32)
-			if err != nil {
-				return nil, err
-			}
-			return []core.Filter{core.NewTokenFilter(sds), grid}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
 }
 
 // settleGoroutines waits for the live goroutine count to return to baseline:
@@ -175,9 +157,9 @@ func TestShapeFaultMatrix(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	for _, shards := range []int{1, 4} {
-		static, adaptive := scanEngine(t, ds, shards), adaptiveEngine(t, ds, shards)
-		if static.Shards() != shards || adaptive.Shards() != shards {
-			t.Fatalf("built %d/%d shards, want %d", static.Shards(), adaptive.Shards(), shards)
+		e := scanEngine(t, ds, shards)
+		if e.Shards() != shards {
+			t.Fatalf("built %d shards, want %d", e.Shards(), shards)
 		}
 		// Pruning needs selective queries: on four shards one object's own
 		// region at a high τR leaves the far shards out of reach; a single
@@ -190,9 +172,9 @@ func TestShapeFaultMatrix(t *testing.T) {
 			selective = []matrixQuery{{geo.Rect{MinX: -2000, MinY: -2000, MaxX: 2000, MaxY: 2000}, []string{"t3"}, 0.5, 0.001}}
 		}
 		for _, f := range matrixFaults {
-			e, queries := static, broad
-			if f.adaptive {
-				e, queries = adaptive, selective
+			queries := broad
+			if f.selective {
+				queries = selective
 			}
 			if f.timeout > 0 {
 				queries = queries[:2] // every slow row sleeps through the injected delay
@@ -247,11 +229,11 @@ func matrixRow(t *testing.T, label string, e *Engine, ds *model.Dataset, mq matr
 	}
 	wantPruned := 0
 	for _, s := range e.shards {
-		if s.plan != nil && s.down == nil && s.plan.Prune(mq.region, pruneR) {
+		if _, pruned := s.pruneBound(mq.region, pruneR); pruned && s.down == nil {
 			wantPruned++
 		}
 	}
-	if f.adaptive && !sink.ranked && wantPruned == 0 {
+	if f.selective && !sink.ranked && wantPruned == 0 {
 		t.Fatalf("%s: the selective query prunes no shard; the pruned column is not exercised", label)
 	}
 	full, minus := thresholdOracle(ds, q, nil), thresholdOracle(ds, q, lost)
@@ -376,7 +358,7 @@ func matrixRow(t *testing.T, label string, e *Engine, ds *model.Dataset, mq matr
 			}
 		}
 		if traced {
-			spans, _, pruned, _ := opt.Trace.Snapshot()
+			spans, pruned, _ := opt.Trace.Snapshot()
 			if len(pruned) != st.ShardsPruned {
 				t.Fatalf("%s: trace lists %d pruned shards, stats %d", label, len(pruned), st.ShardsPruned)
 			}

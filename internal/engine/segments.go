@@ -418,9 +418,7 @@ func OpenSegmentsWith(dir string, root *model.Dataset, o OpenOptions) (*Engine, 
 		f, seg, openErr := openOneShard(dir, i, sub, m)
 		if openErr == nil {
 			e.closers = append(e.closers, seg)
-			e.shards = append(e.shards, &shard{
-				ds: sub, filter: f, globalIDs: parts[i], pool: core.NewSearcherPool(sub, f),
-			})
+			e.shards = append(e.shards, newShard(sub, parts[i], f))
 			rep.Health = append(rep.Health, ShardHealth{Shard: i, State: ShardServing})
 			continue
 		}
@@ -436,10 +434,9 @@ func OpenSegmentsWith(dir string, root *model.Dataset, o OpenOptions) (*Engine, 
 				if saveErr := saveShard(dir, i, f, sub.Len()); saveErr != nil {
 					note = fmt.Sprintf("%v (resave failed: %v)", openErr, saveErr)
 				}
-				e.shards = append(e.shards, &shard{
-					ds: sub, filter: f, globalIDs: parts[i],
-					pool: core.NewSearcherPool(sub, f), rebuilt: true,
-				})
+				s := newShard(sub, parts[i], f)
+				s.rebuilt = true
+				e.shards = append(e.shards, s)
 				rep.Health = append(rep.Health, ShardHealth{Shard: i, State: ShardRebuilt, Err: note})
 				rep.Rebuilt++
 				continue
@@ -449,7 +446,9 @@ func OpenSegmentsWith(dir string, root *model.Dataset, o OpenOptions) (*Engine, 
 		if !o.Quarantine {
 			return nil, nil, fmt.Errorf("engine: shard %d: %w", i, openErr)
 		}
-		e.shards = append(e.shards, &shard{ds: sub, globalIDs: parts[i], down: openErr})
+		s := newShard(sub, parts[i], nil)
+		s.down = openErr
+		e.shards = append(e.shards, s)
 		rep.Health = append(rep.Health, ShardHealth{Shard: i, State: ShardQuarantined, Err: openErr.Error()})
 		rep.Quarantined++
 	}

@@ -63,7 +63,7 @@ func (e *Engine) Search(ctx context.Context, q *model.Query, opt Options) ([]cor
 }
 
 // orderedShard collects one shard's matches in ascending global ID order.
-func (p *pass) orderedShard(i int, s *shard, sr *core.Searcher, stop func() bool) (core.SearchStats, bool, error) {
+func (p *pass) orderedShard(i int, s *shard, sr *core.Searcher, stop func() bool) (core.SearchStats, error) {
 	if stop == nil {
 		found, st := sr.Search(p.q)
 		// Copy out of the searcher's reused buffer (remapping to global IDs on
@@ -74,26 +74,24 @@ func (p *pass) orderedShard(i int, s *shard, sr *core.Searcher, stop func() bool
 			run[j] = m
 		}
 		p.matches[i] = run
-		return st, true, nil
+		return st, nil
 	}
 	limit := p.opt.Limit
 	var run []core.Match
 	if limit > 0 {
 		run = make([]core.Match, 0, limit)
 	}
-	capped := false
 	st := sr.SearchStream(p.q, core.StreamOptions{
 		ByID: true,
 		Stop: stop,
 		Emit: func(m core.Match) bool {
 			m.ID = s.global(m.ID)
 			run = append(run, m)
-			capped = len(run) == limit
-			return !capped
+			return len(run) != limit
 		},
 	})
 	p.matches[i] = run
-	return st, !capped, nil
+	return st, nil
 }
 
 // mergeByID unions the per-shard runs in ascending global ID order.
@@ -191,9 +189,8 @@ func (e *Engine) Stream(ctx context.Context, q *model.Query, opt Options) *Match
 }
 
 // arrivalShard pushes one shard's matches into the stream as they verify.
-func (p *pass) arrivalShard(i int, s *shard, sr *core.Searcher, stop func() bool) (core.SearchStats, bool, error) {
+func (p *pass) arrivalShard(i int, s *shard, sr *core.Searcher, stop func() bool) (core.SearchStats, error) {
 	limit := int64(p.opt.Limit)
-	declined := false
 	st := sr.SearchStream(p.q, core.StreamOptions{
 		Stop: stop,
 		Emit: func(m core.Match) bool {
@@ -206,7 +203,6 @@ func (p *pass) arrivalShard(i int, s *shard, sr *core.Searcher, stop func() bool
 					p.quit.Store(true)
 				}
 				if n > limit {
-					declined = true
 					return false
 				}
 			}
@@ -215,12 +211,11 @@ func (p *pass) arrivalShard(i int, s *shard, sr *core.Searcher, stop func() bool
 			case p.stream.ch <- m:
 				return true
 			case <-p.ctx.Done():
-				declined = true
 				return false
 			}
 		},
 	})
-	return st, !declined, nil
+	return st, nil
 }
 
 // ranking is a top-k pass's descent parameters.
@@ -244,10 +239,9 @@ type ranking struct {
 //
 // The returned stats accumulate the descent rounds' filter-and-verify work
 // across shards; a descent cut short by cooperative pruning (or a small
-// effective k) reports the reduced counts. A live opt.Trace records one plan
-// span per descent round, since rounds re-plan as thresholds loosen. Capping
-// opt.Parallelism weakens cooperative pruning's concurrency, never its
-// correctness — the tracker only ever tightens.
+// effective k) reports the reduced counts. Capping opt.Parallelism weakens
+// cooperative pruning's concurrency, never its correctness — the tracker only
+// ever tightens.
 //
 // Degraded ranked answers carry one caveat beyond threshold queries. A shard
 // that was quarantined at open (or panicked before observing results) never
@@ -301,7 +295,7 @@ func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts
 // its stats accumulate here (a caller-supplied Stats pointer would be
 // overwritten), stop interrupts it between rounds, and the tracker prunes it
 // against the other shards.
-func (p *pass) rankedShard(i int, s *shard, sr *core.Searcher, stop func() bool) (st core.SearchStats, _ bool, err error) {
+func (p *pass) rankedShard(i int, s *shard, sr *core.Searcher, stop func() bool) (st core.SearchStats, err error) {
 	o := p.ranked.opts
 	o.Stats = &st
 	o.Interrupt = func() error {
@@ -317,23 +311,12 @@ func (p *pass) rankedShard(i int, s *shard, sr *core.Searcher, stop func() bool)
 		o.Observe = func(complete []core.ScoredMatch) { t.observe(i, complete) }
 		o.StopBelow = t.kth
 	}
-	if s.plan != nil {
-		// Re-plan per descent round: rounds have different thresholds, so the
-		// cheapest family can change as the descent loosens. Rounds are not
-		// fed back into the calibration — their aggregate stats span several
-		// rounds and cannot be attributed per family.
-		o.Plan = func(q *model.Query) int {
-			fi := s.planChoice(q, p.opt.Trace, i)
-			st.Plans[fi]++
-			return fi
-		}
-	}
 	found, err := sr.TopK(p.region, p.ranked.terms, o)
 	for j := range found {
 		found[j].ID = s.global(found[j].ID)
 	}
 	p.scored[i] = found
-	return st, false, err
+	return st, err
 }
 
 // kthTracker maintains the running global k-th-best score across shards.

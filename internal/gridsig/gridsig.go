@@ -8,7 +8,6 @@ package gridsig
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"github.com/sealdb/seal/internal/geo"
 )
@@ -134,14 +133,6 @@ type Counter struct {
 	grid   *Grid
 	dense  []uint32
 	sparse map[uint32]uint32
-
-	// Coarse summed-area table for EstimateRectPostings, built lazily on
-	// first use (only adaptive planning ever asks). satS is the coarsening
-	// factor (satS×satS fine cells per SAT cell), satW×satH the coarse
-	// dimensions; sat holds (satW+1)×(satH+1) inclusive prefix sums.
-	satOnce    sync.Once
-	sat        []uint64
-	satS, satW int
 }
 
 // denseLimit caps the dense counter allocation at 4M cells (16 MB).
@@ -196,76 +187,6 @@ func (c *Counter) Count(id uint32) uint32 {
 		return c.dense[id]
 	}
 	return c.sparse[id]
-}
-
-// EstimateRectPostings estimates the total posting count of the cells a
-// query rect r touches. Ranges up to 8×maxSample cells are summed exactly;
-// larger ranges use a coarse summed-area table (built lazily, once), so the
-// estimate is exact up to the density of the boundary strips instead of a
-// high-variance point sample — a planner routing a query by a cell sample
-// that happened to miss the hot cluster picks catastrophically wrong
-// filters. Steady-state it never allocates, so cost estimation can call it
-// on the query hot path. maxSample <= 0 means sum every covered cell.
-func (c *Counter) EstimateRectPostings(r geo.Rect, maxSample int) float64 {
-	ix0, iy0, ix1, iy1, ok := c.grid.cellRange(r)
-	if !ok {
-		return 0
-	}
-	nx, ny := ix1-ix0, iy1-iy0
-	total := nx * ny
-	if maxSample <= 0 || total <= 8*maxSample {
-		var sum uint64
-		for iy := iy0; iy < iy1; iy++ {
-			for ix := ix0; ix < ix1; ix++ {
-				sum += uint64(c.Count(c.grid.CellID(ix, iy)))
-			}
-		}
-		return float64(sum)
-	}
-	c.satOnce.Do(c.buildSAT)
-	// Sum the covering coarse rect exactly, then scale by the fraction of
-	// its fine cells the query range actually covers (a uniform-density
-	// assumption confined to the boundary strips).
-	cx0, cy0 := ix0/c.satS, iy0/c.satS
-	cx1, cy1 := (ix1+c.satS-1)/c.satS, (iy1+c.satS-1)/c.satS
-	w := c.satW + 1
-	outer := c.sat[cy1*w+cx1] - c.sat[cy0*w+cx1] - c.sat[cy1*w+cx0] + c.sat[cy0*w+cx0]
-	fineOuter := (cx1 - cx0) * (cy1 - cy0) * c.satS * c.satS
-	return float64(outer) * float64(total) / float64(fineOuter)
-}
-
-// satDim bounds the summed-area table to ~257×257 entries (~528 KB).
-const satDim = 256
-
-// buildSAT bins the per-cell counts satS×satS and prefix-sums them.
-func (c *Counter) buildSAT() {
-	p := c.grid.P
-	c.satS = (p + satDim - 1) / satDim
-	c.satW = (p + c.satS - 1) / c.satS
-	w := c.satW + 1
-	sat := make([]uint64, w*w)
-	add := func(id uint32, n uint32) {
-		ix := int(id) % p / c.satS
-		iy := int(id) / p / c.satS
-		sat[(iy+1)*w+(ix+1)] += uint64(n)
-	}
-	if c.dense != nil {
-		for id, n := range c.dense {
-			if n != 0 {
-				add(uint32(id), n)
-			}
-		}
-	} else {
-		for id, n := range c.sparse {
-			add(id, n)
-		}
-	}
-	for iy := 1; iy < w; iy++ {
-		for ix := 1; ix < w; ix++ {
-			sat[iy*w+ix] += sat[iy*w+ix-1] + sat[(iy-1)*w+ix] - sat[(iy-1)*w+ix-1]
-		}
-	}
-	c.sat = sat
 }
 
 // SortSignature orders a signature by the global grid order: ascending

@@ -101,54 +101,6 @@ func (ix *DualIndex) Keys() []uint64 { return ix.keys }
 // segment, its pages). Position i is the list EachLen reports i-th. Read-only.
 func (ix *CompressedDualIndex) Keys() []uint64 { return ix.keys }
 
-// Lener is the optional point-lookup companion to LengthRanger: report one
-// list's posting count without touching posting data. All four index layouts
-// implement it, so cost estimation (which sums a handful of prefix lists per
-// query) stays O(prefix) and allocation-free regardless of storage layout.
-type Lener interface {
-	LenOf(key uint64) int
-}
-
-// LenOf reports the posting count of key's list (0 when absent) from the
-// start offsets, without touching posting data.
-func (ix *Index) LenOf(key uint64) int {
-	i := ix.table.find(ix.keys, key)
-	if i < 0 {
-		return 0
-	}
-	return int(ix.starts[i+1] - ix.starts[i])
-}
-
-// LenOf reports the posting count of key's list (0 when absent) from the
-// start offsets, without touching posting data.
-func (ix *DualIndex) LenOf(key uint64) int {
-	i := ix.table.find(ix.keys, key)
-	if i < 0 {
-		return 0
-	}
-	return int(ix.starts[i+1] - ix.starts[i])
-}
-
-// LenOf reports the posting count of key's list (0 when absent) from the
-// stored counts, without decoding.
-func (ix *CompressedIndex) LenOf(key uint64) int {
-	i := ix.table.find(ix.keys, key)
-	if i < 0 {
-		return 0
-	}
-	return int(ix.counts[i])
-}
-
-// LenOf reports the posting count of key's list (0 when absent) from the
-// stored counts, without decoding.
-func (ix *CompressedDualIndex) LenOf(key uint64) int {
-	i := ix.table.find(ix.keys, key)
-	if i < 0 {
-		return 0
-	}
-	return int(ix.counts[i])
-}
-
 // Probe returns a zero-copy arena view; scr is unused and the error is
 // always nil.
 func (ix *Index) Probe(key uint64, _ *ListScratch) (List, error) {

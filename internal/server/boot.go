@@ -106,9 +106,6 @@ func Boot(cfg Config, logf Logf) (*seal.Index, BootInfo, error) {
 	if cfg.Compress {
 		opts = append(opts, seal.WithCompression(seal.CompressionQuantized))
 	}
-	if cfg.Adaptive {
-		opts = append(opts, seal.WithAdaptivePlanning())
-	}
 	if cfg.SegmentDir != "" {
 		opts = append(opts, seal.WithSegmentDir(cfg.SegmentDir))
 	}

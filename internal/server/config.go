@@ -35,11 +35,6 @@ type Config struct {
 	Shards int `json:"shards"`
 	// Compress stores posting lists delta-encoded with quantized bounds.
 	Compress bool `json:"compress"`
-	// Adaptive enables per-query filter planning and shard pruning
-	// (seal.WithAdaptivePlanning): every signature family is built and the
-	// planner routes each shard search to the cheapest one. Incompatible
-	// with SegmentDir (a segment directory persists exactly one filter).
-	Adaptive bool `json:"adaptive"`
 
 	// Warmup runs this many synthetic queries (built from indexed objects,
 	// so they touch real posting lists) before /readyz flips to ready,
@@ -161,14 +156,6 @@ func (c Config) Validate() error {
 	}
 	if c.Granularity < 1 {
 		return fmt.Errorf("server: granularity %d < 1", c.Granularity)
-	}
-	if c.Adaptive {
-		if c.SegmentDir != "" {
-			return fmt.Errorf("server: adaptive planning is incompatible with a segment directory")
-		}
-		if c.DataPath == "" {
-			return fmt.Errorf("server: adaptive planning needs a data snapshot to build from")
-		}
 	}
 	if c.Warmup < 0 {
 		return fmt.Errorf("server: negative warmup %d", c.Warmup)

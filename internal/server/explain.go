@@ -2,8 +2,7 @@ package server
 
 // EXPLAIN for the wire: POST /v1/explain runs a query exactly like /v1/query
 // but answers with the execution trace — per-stage spans on the query's
-// monotonic timeline, the planner's per-family cost-model inputs behind each
-// routing decision, and the shards pruned before dispatch with the bound
+// monotonic timeline, and the shards pruned before dispatch with the bound
 // that pruned them. The same wire trace rides /v1/query responses under
 // ?trace=1 and the slow-query log's offender lines, so every surface speaks
 // one schema.
@@ -30,31 +29,6 @@ type wireSpan struct {
 	Results         int     `json:"results,omitempty"`
 }
 
-// wirePlanFamily is the cost model's prediction for one filter family at
-// decision time: estimator hints, calibrated nanosecond lanes, and the
-// predicted cost raw and risk-adjusted (the number the planner compared).
-type wirePlanFamily struct {
-	Family      string  `json:"family"`
-	Probes      float64 `json:"probes"`
-	Postings    float64 `json:"postings"`
-	Candidates  float64 `json:"candidates"`
-	FullVerify  bool    `json:"full_verify,omitempty"`
-	NsPosting   float64 `json:"ns_posting"`
-	NsCandidate float64 `json:"ns_candidate"`
-	PredictedNS float64 `json:"predicted_ns"`
-	AdjustedNS  float64 `json:"adjusted_ns"`
-}
-
-// wirePlan is one shard's filter-family decision.
-type wirePlan struct {
-	Shard     int              `json:"shard"`
-	Chosen    string           `json:"chosen"`
-	Cached    bool             `json:"cached,omitempty"`
-	ColdStart bool             `json:"cold_start,omitempty"`
-	Refresh   bool             `json:"refresh,omitempty"`
-	Families  []wirePlanFamily `json:"families,omitempty"`
-}
-
 // wirePrune is one shard skipped before dispatch: its extent's similarity
 // bound provably cannot reach the query's spatial threshold.
 type wirePrune struct {
@@ -68,7 +42,6 @@ type wireTrace struct {
 	ElapsedUS     float64            `json:"elapsed_us"`
 	Spans         []wireSpan         `json:"spans"`
 	StageTotalsUS map[string]float64 `json:"stage_totals_us"`
-	Plans         []wirePlan         `json:"plans,omitempty"`
 	Pruned        []wirePrune        `json:"pruned,omitempty"`
 }
 
@@ -100,28 +73,6 @@ func traceWire(t *seal.Trace) *wireTrace {
 	for stage, d := range t.StageTotals() {
 		wt.StageTotalsUS[stage] = us(d)
 	}
-	if len(t.Plans) > 0 {
-		wt.Plans = make([]wirePlan, len(t.Plans))
-		for i, p := range t.Plans {
-			wp := wirePlan{
-				Shard: p.Shard, Chosen: p.Chosen,
-				Cached: p.Cached, ColdStart: p.ColdStart, Refresh: p.Refresh,
-			}
-			if len(p.Families) > 0 {
-				wp.Families = make([]wirePlanFamily, len(p.Families))
-				for j, f := range p.Families {
-					wp.Families[j] = wirePlanFamily{
-						Family: f.Family,
-						Probes: f.Probes, Postings: f.Postings, Candidates: f.Candidates,
-						FullVerify: f.FullVerify,
-						NsPosting:  f.NsPosting, NsCandidate: f.NsCandidate,
-						PredictedNS: f.PredictedNS, AdjustedNS: f.AdjustedNS,
-					}
-				}
-			}
-			wt.Plans[i] = wp
-		}
-	}
 	if len(t.Pruned) > 0 {
 		wt.Pruned = make([]wirePrune, len(t.Pruned))
 		for i, p := range t.Pruned {
@@ -142,8 +93,8 @@ type wireExplain struct {
 }
 
 // handleExplain answers POST /v1/explain. The body is exactly /v1/query's;
-// the query executes for real (stats and planner calibration record it like
-// any other) and the response carries its full trace.
+// the query executes for real (the metrics record it like any other) and the
+// response carries its full trace.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var wr wireRequest

@@ -87,16 +87,15 @@ type wireMatch struct {
 
 // wireStats is the JSON form of a query's cost breakdown.
 type wireStats struct {
-	Candidates      int            `json:"candidates"`
-	Results         int            `json:"results"`
-	ListsProbed     int            `json:"lists_probed"`
-	PostingsScanned int            `json:"postings_scanned"`
-	FilterMS        float64        `json:"filter_ms"`
-	VerifyMS        float64        `json:"verify_ms"`
-	ShardFanout     int            `json:"shard_fanout"`
-	ShardsPruned    int            `json:"shards_pruned,omitempty"`
-	ShardErrors     int            `json:"shard_errors,omitempty"`
-	PlanChoices     map[string]int `json:"plan_choices,omitempty"`
+	Candidates      int     `json:"candidates"`
+	Results         int     `json:"results"`
+	ListsProbed     int     `json:"lists_probed"`
+	PostingsScanned int     `json:"postings_scanned"`
+	FilterMS        float64 `json:"filter_ms"`
+	VerifyMS        float64 `json:"verify_ms"`
+	ShardFanout     int     `json:"shard_fanout"`
+	ShardsPruned    int     `json:"shards_pruned,omitempty"`
+	ShardErrors     int     `json:"shard_errors,omitempty"`
 }
 
 func statsWire(st *seal.Stats) *wireStats {
@@ -113,7 +112,6 @@ func statsWire(st *seal.Stats) *wireStats {
 		ShardFanout:     st.ShardFanout,
 		ShardsPruned:    st.ShardsPruned,
 		ShardErrors:     st.ShardErrors,
-		PlanChoices:     st.PlanChoices,
 	}
 }
 
@@ -494,9 +492,8 @@ type statusResponse struct {
 		// Degraded-serving totals; always zero on a strict daemon.
 		ShardErrors     uint64 `json:"shard_errors_total,omitempty"`
 		DegradedQueries uint64 `json:"degraded_queries_total,omitempty"`
-		// Adaptive planning totals; omitted on a static index.
-		ShardsPruned uint64            `json:"shards_pruned_total,omitempty"`
-		PlanChoices  map[string]uint64 `json:"plan_choices_total,omitempty"`
+		// ShardsPruned counts shard searches skipped by extent pruning.
+		ShardsPruned uint64 `json:"shards_pruned_total"`
 	} `json:"serving"`
 }
 
@@ -555,9 +552,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	resp.Serving.ShardErrors = s.metrics.ShardErrors()
 	resp.Serving.DegradedQueries = s.metrics.DegradedQueries()
 	resp.Serving.ShardsPruned = s.metrics.ShardsPruned()
-	if pc := s.metrics.PlanChoices(); len(pc) > 0 {
-		resp.Serving.PlanChoices = pc
-	}
 
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -624,12 +618,6 @@ func accumulate(agg *seal.Stats, st *seal.Stats) {
 	agg.ShardFanout += st.ShardFanout
 	agg.ShardsPruned += st.ShardsPruned
 	agg.ShardErrors += st.ShardErrors
-	for family, n := range st.PlanChoices {
-		if agg.PlanChoices == nil {
-			agg.PlanChoices = make(map[string]int, len(st.PlanChoices))
-		}
-		agg.PlanChoices[family] += n
-	}
 }
 
 // logRequest emits the one-JSON-line query log entry. Requests at or over

@@ -143,13 +143,8 @@ type Metrics struct {
 	shardsRebuilt     atomic.Int64
 
 	// per-stage latency histograms, fed from query traces; stage names come
-	// from the trace spine (admit|plan|filter|verify|merge).
+	// from the trace spine (admit|filter|verify|merge).
 	stages map[string]*histogram
-
-	// plan-selection totals by filter-family name (adaptive planning only),
-	// same lazy-atomic shape as requests.
-	planMu      sync.Mutex
-	planChoices map[string]*atomic.Uint64
 
 	// index facts, set once at boot.
 	indexMu    sync.Mutex
@@ -161,16 +156,15 @@ type Metrics struct {
 var metricEndpoints = []string{"query", "batch", "stream", "explain", "warmup"}
 
 // metricStages are the per-stage latency labels, in pipeline order.
-var metricStages = []string{"admit", "plan", "filter", "verify", "merge"}
+var metricStages = []string{"admit", "filter", "verify", "merge"}
 
 // NewMetrics builds an empty registry.
 func NewMetrics() *Metrics {
 	m := &Metrics{
-		start:       time.Now(),
-		requests:    make(map[string]*atomic.Uint64),
-		latency:     make(map[string]*histogram, len(metricEndpoints)),
-		stages:      make(map[string]*histogram, len(metricStages)),
-		planChoices: make(map[string]*atomic.Uint64),
+		start:    time.Now(),
+		requests: make(map[string]*atomic.Uint64),
+		latency:  make(map[string]*histogram, len(metricEndpoints)),
+		stages:   make(map[string]*histogram, len(metricStages)),
 	}
 	for _, e := range metricEndpoints {
 		m.latency[e] = newHistogram()
@@ -221,19 +215,6 @@ func (m *Metrics) RecordQuery(st *seal.Stats, matches int) {
 		m.shardErrors.Add(uint64(st.ShardErrors))
 		m.degradedQueries.Add(1)
 	}
-	for family, n := range st.PlanChoices {
-		if n <= 0 {
-			continue
-		}
-		m.planMu.Lock()
-		c, ok := m.planChoices[family]
-		if !ok {
-			c = new(atomic.Uint64)
-			m.planChoices[family] = c
-		}
-		m.planMu.Unlock()
-		c.Add(uint64(n))
-	}
 }
 
 // RecordStages folds one traced query's per-stage durations into the stage
@@ -272,18 +253,6 @@ func (m *Metrics) SlowQueries() uint64 { return m.slowQueries.Load() }
 
 // StartTime reports when the registry (≈ the process) started.
 func (m *Metrics) StartTime() time.Time { return m.start }
-
-// PlanChoices snapshots the plan-selection totals by family name; empty on a
-// static index.
-func (m *Metrics) PlanChoices() map[string]uint64 {
-	m.planMu.Lock()
-	defer m.planMu.Unlock()
-	out := make(map[string]uint64, len(m.planChoices))
-	for family, c := range m.planChoices {
-		out[family] = c.Load()
-	}
-	return out
-}
 
 // ShardsPruned returns the accumulated pruned-shard total.
 func (m *Metrics) ShardsPruned() uint64 { return m.shardsPruned.Load() }
@@ -391,24 +360,12 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"seal_lists_probed_total", "Posting lists probed by the filter step.", m.listsProbed.Load()},
 		{"seal_candidates_total", "Candidates that reached exact verification.", m.candidates.Load()},
 		{"seal_shard_searches_total", "Per-shard searches actually run (realized fan-out).", m.shardSearches.Load()},
-		{"seal_shards_pruned_total", "Shard searches skipped by planner extent pruning.", m.shardsPruned.Load()},
+		{"seal_shards_pruned_total", "Shard searches skipped because the shard's extent cannot reach the query's spatial threshold.", m.shardsPruned.Load()},
 		{"seal_shard_errors_total", "Shards dropped from query merges (errored, panicked, timed out, or quarantined).", m.shardErrors.Load()},
 		{"seal_degraded_queries_total", "Queries answered degraded: at least one shard dropped from the merge.", m.degradedQueries.Load()},
 	}
 	for _, c := range engineCounters {
 		fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.v)
-	}
-
-	fmt.Fprintln(cw, "# HELP seal_plan_selected_total Shard searches routed to each filter family by the adaptive planner.")
-	fmt.Fprintln(cw, "# TYPE seal_plan_selected_total counter")
-	plans := m.PlanChoices()
-	families := make([]string, 0, len(plans))
-	for f := range plans {
-		families = append(families, f)
-	}
-	sort.Strings(families)
-	for _, f := range families {
-		fmt.Fprintf(cw, "seal_plan_selected_total{filter=%q} %d\n", f, plans[f])
 	}
 
 	m.indexMu.Lock()

@@ -1,17 +1,15 @@
 // Package trace is the query-tracing spine of the engine: a lightweight span
 // recorder threaded through the full execution pipeline — request admission,
-// plan/prune decisions, per-shard filter scans, verification, merge — so one
-// query's cost can be attributed stage by stage after the fact.
+// shard pruning, per-shard filter scans, verification, merge — so one query's
+// cost can be attributed stage by stage after the fact.
 //
 // The package is a leaf (standard library only) so every layer can import it:
-// core records filter/verify spans, the planner records its decisions with
-// the cost-model inputs that produced them, the engine records plan, prune
-// and merge events, and the public API converts the recorder into its wire
-// form.
+// core records filter/verify spans, the engine records prune and merge events,
+// and the public API converts the recorder into its wire form.
 //
 // Tracing is strictly opt-in and free when off: every method no-ops on a nil
 // *Rec receiver, so the untraced hot path pays a single nil check and zero
-// allocations — the AllocsPerRun regression tests in core and planner pin
+// allocations — the AllocsPerRun regression tests in core and engine pin
 // this. A live Rec is safe for concurrent use (shards record spans from
 // their own goroutines); timings are monotonic offsets from the recorder's
 // birth, so spans from different goroutines share one timeline.
@@ -29,8 +27,6 @@ const (
 	// StageAdmit covers request validation and query compilation, before any
 	// engine work.
 	StageAdmit Stage = iota
-	// StagePlan covers the planner's family choice for one shard.
-	StagePlan
 	// StageFilter covers one shard's candidate collection (the filter scan).
 	StageFilter
 	// StageVerify covers one shard's exact verification of its candidates.
@@ -44,8 +40,6 @@ func (s Stage) String() string {
 	switch s {
 	case StageAdmit:
 		return "admit"
-	case StagePlan:
-		return "plan"
 	case StageFilter:
 		return "filter"
 	case StageVerify:
@@ -65,12 +59,8 @@ type Span struct {
 	// Shard is the shard the span ran on; -1 for engine- or query-level
 	// spans (admit, merge).
 	Shard int
-	// Family is the filter-family index the stage ran with; -1 when no
-	// family applies (admit, merge, static plan spans record the engine's
-	// single family as 0).
-	Family int
-	Start  time.Duration
-	Dur    time.Duration
+	Start time.Duration
+	Dur   time.Duration
 	// SearchStats counters attributed to this span, where the stage has
 	// them: filter spans carry probe/scan/candidate counts, verify spans
 	// carry candidates in and results out.
@@ -78,44 +68,6 @@ type Span struct {
 	PostingsScanned int
 	Candidates      int
 	Results         int
-}
-
-// FamilyCost is the cost model's view of one filter family for one query:
-// the estimator's predicted work units, the calibrated nanosecond lanes, and
-// the resulting predicted cost both raw and risk-adjusted (the value the
-// planner actually compares). This is what makes a routing decision
-// auditable after the fact.
-type FamilyCost struct {
-	Family int
-	// Estimator hints: predicted posting-list probes, postings scanned and
-	// candidates produced (core.CostHint).
-	Probes     float64
-	Postings   float64
-	Candidates float64
-	// FullVerify marks families whose candidates pay a full token-set
-	// intersection at verification.
-	FullVerify bool
-	// Calibrated lanes: nanoseconds per posting-scan unit and per candidate.
-	NsPosting   float64
-	NsCandidate float64
-	// PredictedNS is lanes × hints; AdjustedNS additionally carries the
-	// full-verification risk margin and is the number the planner compared.
-	PredictedNS float64
-	AdjustedNS  float64
-}
-
-// PlanDecision records one shard's family choice and how it was reached.
-type PlanDecision struct {
-	Shard  int
-	Chosen int
-	// Cached marks a plan-cache hit (the cost table still reports the
-	// model's current view, which is what the cached pick was made under
-	// modulo drift). ColdStart marks round-robin routing before the model is
-	// trusted; Refresh marks a steady-state re-exploration tick.
-	Cached    bool
-	ColdStart bool
-	Refresh   bool
-	Families  []FamilyCost
 }
 
 // PrunedShard records one shard skipped before dispatch: its extent-overlap
@@ -136,7 +88,6 @@ type Rec struct {
 
 	mu     sync.Mutex
 	spans  []Span
-	plans  []PlanDecision
 	pruned []PrunedShard
 }
 
@@ -166,16 +117,6 @@ func (r *Rec) AddSpan(s Span) {
 	r.mu.Unlock()
 }
 
-// AddPlan records one shard's planning decision.
-func (r *Rec) AddPlan(d PlanDecision) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.plans = append(r.plans, d)
-	r.mu.Unlock()
-}
-
 // AddPruned records one shard skipped by extent pruning.
 func (r *Rec) AddPruned(p PrunedShard) {
 	if r == nil {
@@ -190,15 +131,14 @@ func (r *Rec) AddPruned(p PrunedShard) {
 // the recorder's birth. The copies are the caller's; recording may continue
 // (an abandoned shard search finishing in the background appends to the Rec,
 // never to a snapshot).
-func (r *Rec) Snapshot() (spans []Span, plans []PlanDecision, pruned []PrunedShard, elapsed time.Duration) {
+func (r *Rec) Snapshot() (spans []Span, pruned []PrunedShard, elapsed time.Duration) {
 	if r == nil {
-		return nil, nil, nil, 0
+		return nil, nil, 0
 	}
 	elapsed = time.Since(r.start)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	spans = append([]Span(nil), r.spans...)
-	plans = append([]PlanDecision(nil), r.plans...)
 	pruned = append([]PrunedShard(nil), r.pruned...)
-	return spans, plans, pruned, elapsed
+	return spans, pruned, elapsed
 }

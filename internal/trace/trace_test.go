@@ -14,14 +14,13 @@ func TestNilRecIsDisabled(t *testing.T) {
 		t.Fatal("nil Rec reports Enabled")
 	}
 	r.AddSpan(Span{Stage: StageFilter})
-	r.AddPlan(PlanDecision{})
 	r.AddPruned(PrunedShard{})
 	if got := r.Offset(time.Now()); got != 0 {
 		t.Fatalf("nil Rec Offset = %v, want 0", got)
 	}
-	spans, plans, pruned, elapsed := r.Snapshot()
-	if spans != nil || plans != nil || pruned != nil || elapsed != 0 {
-		t.Fatalf("nil Rec Snapshot = (%v, %v, %v, %v), want all empty", spans, plans, pruned, elapsed)
+	spans, pruned, elapsed := r.Snapshot()
+	if spans != nil || pruned != nil || elapsed != 0 {
+		t.Fatalf("nil Rec Snapshot = (%v, %v, %v), want all empty", spans, pruned, elapsed)
 	}
 }
 
@@ -37,13 +36,12 @@ func TestRecordAndSnapshot(t *testing.T) {
 	if off < 0 {
 		t.Fatalf("Offset of a later time is negative: %v", off)
 	}
-	r.AddSpan(Span{Stage: StageFilter, Shard: 2, Family: 1, Start: off, Dur: time.Microsecond, Candidates: 7})
-	r.AddPlan(PlanDecision{Shard: 2, Chosen: 1, Families: []FamilyCost{{Family: 0}, {Family: 1}}})
+	r.AddSpan(Span{Stage: StageFilter, Shard: 2, Start: off, Dur: time.Microsecond, Candidates: 7})
 	r.AddPruned(PrunedShard{Shard: 3, Bound: 0.01, TauR: 0.3})
 
-	spans, plans, pruned, elapsed := r.Snapshot()
-	if len(spans) != 1 || len(plans) != 1 || len(pruned) != 1 {
-		t.Fatalf("snapshot sizes = (%d, %d, %d), want (1, 1, 1)", len(spans), len(plans), len(pruned))
+	spans, pruned, elapsed := r.Snapshot()
+	if len(spans) != 1 || len(pruned) != 1 {
+		t.Fatalf("snapshot sizes = (%d, %d), want (1, 1)", len(spans), len(pruned))
 	}
 	if elapsed <= 0 {
 		t.Fatalf("elapsed = %v, want > 0", elapsed)
@@ -51,8 +49,8 @@ func TestRecordAndSnapshot(t *testing.T) {
 	if spans[0].Stage != StageFilter || spans[0].Shard != 2 || spans[0].Candidates != 7 {
 		t.Fatalf("span round-trip mismatch: %+v", spans[0])
 	}
-	if plans[0].Chosen != 1 || len(plans[0].Families) != 2 {
-		t.Fatalf("plan round-trip mismatch: %+v", plans[0])
+	if pruned[0] != (PrunedShard{Shard: 3, Bound: 0.01, TauR: 0.3}) {
+		t.Fatalf("pruned round-trip mismatch: %+v", pruned[0])
 	}
 
 	// The snapshot must not alias the recorder: later appends stay invisible.
@@ -60,7 +58,7 @@ func TestRecordAndSnapshot(t *testing.T) {
 	if len(spans) != 1 {
 		t.Fatal("snapshot aliases the recorder")
 	}
-	spans2, _, _, _ := r.Snapshot()
+	spans2, _, _ := r.Snapshot()
 	if len(spans2) != 2 {
 		t.Fatalf("second snapshot has %d spans, want 2", len(spans2))
 	}
@@ -78,7 +76,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				r.AddSpan(Span{Stage: StageFilter, Shard: w})
-				r.AddPlan(PlanDecision{Shard: w})
+				r.AddPruned(PrunedShard{Shard: w})
 				if i%10 == 0 {
 					r.Snapshot()
 				}
@@ -86,9 +84,9 @@ func TestConcurrentRecording(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	spans, plans, _, _ := r.Snapshot()
-	if len(spans) != workers*each || len(plans) != workers*each {
-		t.Fatalf("got %d spans, %d plans, want %d each", len(spans), len(plans), workers*each)
+	spans, pruned, _ := r.Snapshot()
+	if len(spans) != workers*each || len(pruned) != workers*each {
+		t.Fatalf("got %d spans, %d pruned, want %d each", len(spans), len(pruned), workers*each)
 	}
 }
 
@@ -97,7 +95,6 @@ func TestConcurrentRecording(t *testing.T) {
 func TestStageString(t *testing.T) {
 	want := map[Stage]string{
 		StageAdmit:  "admit",
-		StagePlan:   "plan",
 		StageFilter: "filter",
 		StageVerify: "verify",
 		StageMerge:  "merge",

@@ -70,7 +70,6 @@ type options struct {
 	autoBenefit      float64
 	compression      Compression
 	segmentDir       string
-	adaptive         bool
 }
 
 func defaultOptions() options {
@@ -181,26 +180,6 @@ func WithTokenWeights(weights map[string]float64) Option {
 		}
 		o.weights = copied
 	}
-}
-
-// WithAdaptivePlanning builds every interchangeable signature-filter family —
-// the configured method plus the token filter, the grid filter at the
-// configured and at a coarser granularity, and the hybrid-hash filter — and
-// picks the cheapest one per (query, shard) with a calibrated cost model fed
-// by index statistics and live search feedback. It also prunes shards whose
-// spatial extent provably cannot reach the query's spatial threshold before
-// dispatching to them. Every family is a complete filter over the same
-// verification, so answers are bit-for-bit identical to any single method;
-// only the work changes. See Stats.PlanChoices and Stats.ShardsPruned for
-// what the planner did.
-//
-// The option requires a signature-filter method (MethodSeal,
-// MethodTokenFilter, MethodGridFilter, MethodHybridHash) and is incompatible
-// with WithSegmentDir (a segment directory persists exactly one filter);
-// Build fails otherwise. Index size grows by roughly the sum of the family
-// sizes.
-func WithAdaptivePlanning() Option {
-	return func(o *options) { o.adaptive = true }
 }
 
 // WithAutoGranularity runs the paper's grid-granularity selection

@@ -310,7 +310,7 @@ func admitSpan(rec *trace.Rec) {
 		return
 	}
 	rec.AddSpan(trace.Span{
-		Stage: trace.StageAdmit, Shard: -1, Family: -1,
+		Stage: trace.StageAdmit, Shard: -1,
 		Start: 0, Dur: rec.Offset(time.Now()),
 	})
 }
@@ -444,7 +444,7 @@ func (ix *Index) finish(matches []Match, st core.SearchStats, cfg queryConfig, r
 	// complete answer from a degraded one.
 	res := &Results{Matches: matches, Degraded: st.ShardErrors > 0}
 	if cfg.collectStats {
-		s := ix.statsOut(st)
+		s := statsOut(st)
 		res.Stats = &s
 		if cfg.statsInto != nil {
 			*cfg.statsInto = s
@@ -459,8 +459,8 @@ func (ix *Index) finish(matches []Match, st core.SearchStats, cfg queryConfig, r
 	return res
 }
 
-func (ix *Index) statsOut(st core.SearchStats) Stats {
-	s := Stats{
+func statsOut(st core.SearchStats) Stats {
+	return Stats{
 		Candidates:      st.Candidates,
 		Results:         st.Results,
 		ListsProbed:     st.ListsProbed,
@@ -471,15 +471,6 @@ func (ix *Index) statsOut(st core.SearchStats) Stats {
 		ShardsPruned:    st.ShardsPruned,
 		ShardErrors:     st.ShardErrors,
 	}
-	if names := ix.eng.PlanFamilyNames(); names != nil {
-		s.PlanChoices = make(map[string]int, len(names))
-		for i, name := range names {
-			if st.Plans[i] > 0 {
-				s.PlanChoices[name] += st.Plans[i]
-			}
-		}
-	}
-	return s
 }
 
 // QueryBatch answers many requests concurrently and reports each query's

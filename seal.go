@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/sealdb/seal/internal/baseline"
@@ -73,23 +72,21 @@ type Stats struct {
 	// FilterTime and VerifyTime split the elapsed time by phase.
 	FilterTime time.Duration
 	VerifyTime time.Duration
-	// ShardFanout is the number of shard searches that actually ran: equal
-	// to IndexStats.Shards for a full scatter, lower when early termination
-	// (Limit, top-k pruning, cancellation) stopped shards before they
-	// started, or when the planner pruned shards (see ShardsPruned).
+	// ShardFanout is the number of shard searches that actually ran: the
+	// shards that survived pruning (see ShardsPruned), fewer still when early
+	// termination (Limit, top-k pruning, cancellation) stopped shards before
+	// they started.
 	ShardFanout int
 	// ShardsPruned counts shards skipped before dispatch because their
-	// partition extent provably cannot reach the query's spatial threshold.
-	// Always zero without WithAdaptivePlanning.
+	// spatial extent provably cannot reach the query's spatial threshold
+	// (ranked requests: FloorR). Every index prunes, whatever its method,
+	// layout or shard count; ShardsPruned + ShardFanout never exceeds
+	// IndexStats.Shards.
 	ShardsPruned int
 	// ShardErrors counts shards dropped from this query's answer because
 	// they failed, timed out, or were quarantined at boot. Always zero
 	// without AllowPartial — default queries fail instead of dropping.
 	ShardErrors int
-	// PlanChoices counts, per filter family name, how many shard searches
-	// the adaptive planner routed to that family (ranked requests count one
-	// choice per descent round). Nil without WithAdaptivePlanning.
-	PlanChoices map[string]int
 }
 
 // IndexStats describes a built index.
@@ -112,9 +109,6 @@ type IndexStats struct {
 	// Compressed reports that posting lists use the delta/quantized
 	// encoding instead of the flat fixed-width arena.
 	Compressed bool
-	// Adaptive reports that the index plans filter families per query
-	// (WithAdaptivePlanning); Method then lists every resident family.
-	Adaptive bool
 }
 
 // ErrEmptyIndex is returned by Build when no objects are supplied.
@@ -128,10 +122,6 @@ type Index struct {
 	ds    *model.Dataset
 	eng   *engine.Engine
 	stats IndexStats
-	// closed is set by Close for the point lookups (Object, Footprint,
-	// Similarity), which check it at entry; queries are admitted by the
-	// engine instead, which Close waits for (see Close).
-	closed atomic.Bool
 }
 
 // Build indexes the objects. The default configuration is the paper's full
@@ -189,17 +179,6 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 		}
 	}
 
-	if cfg.adaptive {
-		switch cfg.method {
-		case MethodSeal, MethodTokenFilter, MethodGridFilter, MethodHybridHash:
-		default:
-			return nil, fmt.Errorf("seal: WithAdaptivePlanning requires a signature-filter method, got %q", methodName(cfg.method))
-		}
-		if cfg.segmentDir != "" {
-			return nil, errors.New("seal: WithAdaptivePlanning is incompatible with WithSegmentDir (a segment directory persists exactly one filter)")
-		}
-	}
-
 	if cfg.segmentDir != "" {
 		if _, ok := segmentSpec(cfg); !ok {
 			return nil, fmt.Errorf("seal: WithSegmentDir does not support method %q (no posting lists to persist)", methodName(cfg.method))
@@ -228,15 +207,11 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 		}
 	}
 
-	engCfg := engine.Config{
+	eng, err := engine.Build(ds, engine.Config{
 		Shards:           cfg.shards,
 		BuildParallelism: cfg.buildParallelism,
 		NewFilter:        func(sds *model.Dataset) (core.Filter, error) { return buildFilter(sds, cfg) },
-	}
-	if cfg.adaptive {
-		engCfg.NewFilters = func(sds *model.Dataset) ([]core.Filter, error) { return buildFilterFamilies(sds, cfg) }
-	}
-	eng, err := engine.Build(ds, engCfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +232,6 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 			SegmentBytes: segmentBytes(cfg.segmentDir),
 			BuildTime:    time.Since(start),
 			Compressed:   compressedStats(cfg),
-			Adaptive:     eng.Adaptive(),
 		},
 	}, nil
 }
@@ -267,79 +241,14 @@ func buildFilter(ds *model.Dataset, cfg options) (core.Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	compressFilter(f, cfg)
-	return f, nil
-}
-
-// compressFilter applies the configured posting-list compression to f. Only
-// the signature filters hold posting lists; the knob is a no-op for
-// baselines.
-func compressFilter(f core.Filter, cfg options) {
 	if cfg.compression != CompressionNone {
+		// Only the signature filters hold posting lists; the knob is a
+		// no-op for baselines.
 		if c, ok := f.(interface{ CompressPostings(invidx.Compression) }); ok {
 			c.CompressPostings(invidxCompression(cfg.compression))
 		}
 	}
-}
-
-// buildFilterFamilies builds one shard's interchangeable filter families for
-// adaptive planning: the configured base method first (so filters[0] matches
-// the static build exactly), then the complementary signature families the
-// planner can route to — token-only, the grid at the configured and at a
-// coarser granularity (cheaper probes on large rects, more candidates), and
-// the hybrid hash. Families duplicating the base method are skipped; every
-// family shares the shard's dataset and verification, so any of them returns
-// bit-identical answers.
-func buildFilterFamilies(ds *model.Dataset, cfg options) ([]core.Filter, error) {
-	base, err := buildFilter(ds, cfg)
-	if err != nil {
-		return nil, err
-	}
-	filters := []core.Filter{base}
-	add := func(f core.Filter, err error) error {
-		if err != nil {
-			return err
-		}
-		compressFilter(f, cfg)
-		filters = append(filters, f)
-		return nil
-	}
-	if cfg.method != MethodTokenFilter {
-		if err := add(core.NewTokenFilter(ds), nil); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.method != MethodGridFilter {
-		if err := add(core.NewGridFilter(ds, cfg.granularity)); err != nil {
-			return nil, err
-		}
-	}
-	// The grid at the configured granularity is always present (as the base
-	// or the family above), so the coarse level only adds when it differs.
-	if coarse := coarseGranularity(cfg.granularity); coarse != cfg.granularity {
-		if err := add(core.NewGridFilter(ds, coarse)); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.method != MethodHybridHash {
-		if err := add(core.NewHybridHashFilter(ds, cfg.granularity, cfg.hashBuckets)); err != nil {
-			return nil, err
-		}
-	}
-	return filters, nil
-}
-
-// coarseGranularity is the planner's second grid level: a quarter of the
-// configured granularity, floored at 16 cells per side.
-func coarseGranularity(p int) int {
-	c := p / 4
-	if c < 16 {
-		c = 16
-	}
-	if c > p {
-		c = p
-	}
-	return c
+	return f, nil
 }
 
 func newFilter(ds *model.Dataset, cfg options) (core.Filter, error) {
@@ -485,9 +394,10 @@ func (ix *Index) SearchWithStats(q Query) ([]Match, Stats, error) {
 // Similarity returns the exact spatial and textual similarities between a
 // query (thresholds ignored) and the object with the given ID.
 func (ix *Index) Similarity(q Query, id int) (simR, simT float64, err error) {
-	if ix.closed.Load() {
-		return 0, 0, ErrClosed
+	if err := ix.eng.Enter(); err != nil {
+		return 0, 0, err
 	}
+	defer ix.eng.Exit()
 	if id < 0 || id >= ix.ds.Len() {
 		return 0, 0, fmt.Errorf("seal: object ID %d out of range [0,%d)", id, ix.ds.Len())
 	}
@@ -508,9 +418,10 @@ func (ix *Index) Len() int { return ix.ds.Len() }
 // segments too — the serving layer uses it to synthesize warmup queries that
 // touch real posting lists.
 func (ix *Index) Object(id int) (Object, error) {
-	if ix.closed.Load() {
-		return Object{}, ErrClosed
+	if err := ix.eng.Enter(); err != nil {
+		return Object{}, err
 	}
+	defer ix.eng.Exit()
 	if id < 0 || id >= ix.ds.Len() {
 		return Object{}, fmt.Errorf("seal: object ID %d out of range [0,%d)", id, ix.ds.Len())
 	}

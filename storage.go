@@ -211,24 +211,27 @@ func Open(dir string, opts ...OpenOption) (*Index, error) {
 // Close releases any memory-mapped segments backing the index. Afterwards
 // Query, QueryBatch, Stream, Object, Footprint and Similarity return
 // ErrClosed instead of touching unmapped pages. Close is safe to call while
-// Query, QueryBatch and Stream calls are in flight: those already admitted
-// run to completion first — as do the shard searches that returned queries
-// left behind (a strict failure or an expired context abandons its
-// stragglers) — and a call that Close overtakes reports ErrClosed rather than
-// a partial answer. Object, Footprint and Similarity check the flag at entry
-// only; do not race them with Close on a mapped index.
+// any of them is in flight: calls already admitted run to completion first —
+// as do the shard searches that returned queries left behind (a strict
+// failure or an expired context abandons its stragglers) — and a call that
+// Close overtakes reports ErrClosed rather than a partial answer.
 // An index built purely in memory releases nothing but closes the same way.
 // Close is idempotent.
-func (ix *Index) Close() error {
-	ix.closed.Store(true)
-	return ix.eng.Close()
-}
+func (ix *Index) Close() error { return ix.eng.Close() }
 
 // Fingerprint returns the dataset content hash recorded in segment
 // manifests: two indexes report the same fingerprint exactly when they were
 // built from the same objects. The serving layer exposes it so operators can
-// check which corpus a running daemon answers for.
-func (ix *Index) Fingerprint() string { return engine.Fingerprint(ix.ds) }
+// check which corpus a running daemon answers for. It hashes the (possibly
+// mapped) dataset, so like every other read it is admitted against Close; a
+// closed index has no fingerprint and reports "".
+func (ix *Index) Fingerprint() string {
+	if ix.eng.Enter() != nil {
+		return ""
+	}
+	defer ix.eng.Exit()
+	return engine.Fingerprint(ix.ds)
+}
 
 // segmentBytes sizes the segment directory for IndexStats; "" (no directory)
 // and an unreadable one both report 0 — the figure is informational.

@@ -102,7 +102,7 @@ func (ix *Index) streamArrival(ctx context.Context, req Request, cfg queryConfig
 		return !abandoned
 	})
 	if cfg.statsInto != nil {
-		*cfg.statsInto = ix.statsOut(st)
+		*cfg.statsInto = statsOut(st)
 	}
 	if cfg.traceInto != nil && rec != nil {
 		*cfg.traceInto = *ix.traceOut(rec)

@@ -2,12 +2,10 @@ package seal
 
 // The public face of query tracing. CollectTrace (or TraceInto) asks a query
 // to record an execution trace: per-stage spans on a shared monotonic
-// timeline, the adaptive planner's per-family cost-model inputs behind every
-// routing decision, and the shards skipped by extent pruning with the bound
-// that skipped them. Traces answer "where did this query's time go, and why
-// did the engine run it this way" — the library-level substrate under the
-// server's /v1/explain endpoint, slow-query log, and per-stage latency
-// metrics.
+// timeline, and the shards skipped by extent pruning with the bound that
+// skipped them. Traces answer "where did this query's time go, and which
+// shards did it never visit" — the library-level substrate under the server's
+// /v1/explain endpoint, slow-query log, and per-stage latency metrics.
 
 import (
 	"time"
@@ -20,13 +18,13 @@ import (
 // request admission), so spans recorded by concurrent shard goroutines may
 // overlap and their durations can sum past the query's elapsed wall clock.
 type TraceSpan struct {
-	// Stage is one of "admit", "plan", "filter", "verify", "merge".
+	// Stage is one of "admit", "filter", "verify", "merge".
 	Stage string `json:"stage"`
 	// Shard is the shard the stage ran on; -1 for query- or engine-level
 	// spans (admit, merge).
 	Shard int `json:"shard"`
-	// Family names the filter family the stage ran with; empty when no
-	// family applies.
+	// Family names the filter a shard-level stage ran with (the index's one
+	// filter, IndexStats.Method); empty on query- and engine-level spans.
 	Family   string        `json:"family,omitempty"`
 	Start    time.Duration `json:"start_ns"`
 	Duration time.Duration `json:"duration_ns"`
@@ -39,45 +37,6 @@ type TraceSpan struct {
 	Results         int `json:"results,omitempty"`
 }
 
-// TraceFamilyCost is the adaptive cost model's view of one filter family for
-// one query: the estimator's predicted work, the calibrated nanosecond
-// lanes, and the predicted cost raw and risk-adjusted (the number the
-// planner actually compared). Recorded per decision so a routing choice is
-// auditable after the fact.
-type TraceFamilyCost struct {
-	Family string `json:"family"`
-	// Estimator hints: predicted posting-list probes, postings scanned, and
-	// candidates produced.
-	Probes     float64 `json:"probes"`
-	Postings   float64 `json:"postings"`
-	Candidates float64 `json:"candidates"`
-	// FullVerify marks families whose candidates pay a full token-set
-	// intersection at verification; their predicted cost carries a risk
-	// margin.
-	FullVerify bool `json:"full_verify,omitempty"`
-	// Calibrated lanes: nanoseconds per posting unit and per candidate.
-	NsPosting   float64 `json:"ns_posting"`
-	NsCandidate float64 `json:"ns_candidate"`
-	PredictedNS float64 `json:"predicted_ns"`
-	AdjustedNS  float64 `json:"adjusted_ns"`
-}
-
-// TracePlan records one shard's filter-family choice and how it was reached.
-// Only adaptive indexes (WithAdaptivePlanning) produce plan records.
-type TracePlan struct {
-	Shard  int    `json:"shard"`
-	Chosen string `json:"chosen"`
-	// Cached marks a plan-cache hit; ColdStart marks round-robin routing
-	// before the cost model is trusted; Refresh marks a steady-state
-	// re-exploration tick.
-	Cached    bool `json:"cached,omitempty"`
-	ColdStart bool `json:"cold_start,omitempty"`
-	Refresh   bool `json:"refresh,omitempty"`
-	// Families is the cost model's per-family prediction table at decision
-	// time.
-	Families []TraceFamilyCost `json:"families,omitempty"`
-}
-
 // TracePrune records one shard skipped before dispatch: the upper bound on
 // any member's spatial similarity (Bound) provably cannot reach the query's
 // spatial threshold (TauR).
@@ -88,17 +47,13 @@ type TracePrune struct {
 }
 
 // Trace is one query's recorded execution: what ran, where the time went,
-// and why the engine routed the query the way it did.
+// and which shards were never visited.
 type Trace struct {
 	// Elapsed is the wall clock from request admission to trace assembly.
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// Spans lists every recorded stage in recording order. Spans from
 	// concurrent shards overlap; see TraceSpan.
 	Spans []TraceSpan `json:"spans"`
-	// Plans lists the adaptive planner's decisions (one per planned shard
-	// search; ranked requests plan once per descent round). Nil on static
-	// indexes.
-	Plans []TracePlan `json:"plans,omitempty"`
 	// Pruned lists the shards skipped by extent pruning. Nil when none were.
 	Pruned []TracePrune `json:"pruned,omitempty"`
 }
@@ -135,10 +90,9 @@ func TraceInto(t *Trace) QueryOption {
 	return func(c *queryConfig) { c.traceInto = t }
 }
 
-// traceOut converts the internal recorder into the public Trace, naming
-// filter families through the engine.
+// traceOut converts the internal recorder into the public Trace.
 func (ix *Index) traceOut(rec *trace.Rec) *Trace {
-	spans, plans, pruned, elapsed := rec.Snapshot()
+	spans, pruned, elapsed := rec.Snapshot()
 	t := &Trace{Elapsed: elapsed}
 	if len(spans) > 0 {
 		t.Spans = make([]TraceSpan, len(spans))
@@ -146,7 +100,6 @@ func (ix *Index) traceOut(rec *trace.Rec) *Trace {
 			t.Spans[i] = TraceSpan{
 				Stage:           s.Stage.String(),
 				Shard:           s.Shard,
-				Family:          ix.eng.FamilyName(s.Family),
 				Start:           s.Start,
 				Duration:        s.Dur,
 				ListsProbed:     s.ListsProbed,
@@ -154,35 +107,9 @@ func (ix *Index) traceOut(rec *trace.Rec) *Trace {
 				Candidates:      s.Candidates,
 				Results:         s.Results,
 			}
-		}
-	}
-	if len(plans) > 0 {
-		t.Plans = make([]TracePlan, len(plans))
-		for i, d := range plans {
-			p := TracePlan{
-				Shard:     d.Shard,
-				Chosen:    ix.eng.FamilyName(d.Chosen),
-				Cached:    d.Cached,
-				ColdStart: d.ColdStart,
-				Refresh:   d.Refresh,
+			if s.Shard >= 0 {
+				t.Spans[i].Family = ix.stats.Method
 			}
-			if len(d.Families) > 0 {
-				p.Families = make([]TraceFamilyCost, len(d.Families))
-				for j, f := range d.Families {
-					p.Families[j] = TraceFamilyCost{
-						Family:      ix.eng.FamilyName(f.Family),
-						Probes:      f.Probes,
-						Postings:    f.Postings,
-						Candidates:  f.Candidates,
-						FullVerify:  f.FullVerify,
-						NsPosting:   f.NsPosting,
-						NsCandidate: f.NsCandidate,
-						PredictedNS: f.PredictedNS,
-						AdjustedNS:  f.AdjustedNS,
-					}
-				}
-			}
-			t.Plans[i] = p
 		}
 	}
 	if len(pruned) > 0 {
