@@ -18,7 +18,7 @@ import (
 
 // TestCloseDuringQueries races Close against in-flight Query, QueryBatch and
 // Stream calls, and against the point reads of the mapped dataset (Object,
-// Footprint, Similarity, Fingerprint), on a mapped index. Every call must
+// Footprint, Similarity, Fingerprint, TokenWeight), on a mapped index. Every call must
 // either complete with the exact answer or report ErrClosed — never a degraded or torn answer, and
 // never a read of a page Close has already unmapped, which is a SIGSEGV that
 // takes the process down, not a recoverable panic.
@@ -87,6 +87,16 @@ func TestCloseDuringQueries(t *testing.T) {
 			}
 		}
 		wantFingerprint := built.Fingerprint()
+		wantWeights := map[string]float64{}
+		for _, o := range objects {
+			for _, tok := range o.Tokens {
+				w, ok := built.TokenWeight(tok)
+				if !ok {
+					t.Fatalf("token %q of the corpus has no weight", tok)
+				}
+				wantWeights[tok] = w
+			}
+		}
 		pointReads := func(ix *seal.Index) error {
 			for id := range objects {
 				o, err := ix.Object(id)
@@ -120,6 +130,17 @@ func TestCloseDuringQueries(t *testing.T) {
 				default:
 					return fmt.Errorf("fingerprint %q, want %q", fp, wantFingerprint)
 				}
+			},
+			func(ix *seal.Index) error { // the vocabulary is mapped too
+				for tok, want := range wantWeights {
+					switch w, ok := ix.TokenWeight(tok); {
+					case !ok: // a closed index knows no tokens
+						return seal.ErrClosed
+					case w != want:
+						return fmt.Errorf("token %q weighs %v on a closing index, want %v", tok, w, want)
+					}
+				}
+				return nil
 			},
 			query("query", full.Matches, req),
 			query("limited", full.Matches[:3], req, seal.OrderByID(), seal.Limit(3)),

@@ -72,7 +72,7 @@ func run() error {
 		alpha       = flag.Float64("alpha", 0.5, "spatial weight of the ranked score")
 		limit       = flag.Int("limit", 0, "if > 0, stop after this many matches (early termination)")
 		segments    = flag.String("segments", "", "segment directory: save on first run, mmap-boot on later runs")
-		compress    = flag.Bool("compress", false, "store compressed posting lists (delta + quantized bounds)")
+		compress    = flag.Bool("compress", false, "store compressed posting lists (16-bit quantized bounds, fixed-width columns)")
 		explain     = flag.Bool("explain", false, "trace the query: matches as NDJSON on stdout, the stage/prune breakdown on stderr")
 		interactive = flag.Bool("i", false, "read queries from stdin")
 	)

@@ -160,20 +160,32 @@
 // Two build options control how the signature methods store and boot their
 // posting lists; neither changes any answer, only bytes and nanoseconds.
 //
-// WithCompression re-encodes posting lists after the build: object IDs
-// become ascending delta varints and pruning bounds are quantized to 16
-// bits (CompressionQuantized, recommended) or kept as full float64s
-// (CompressionExact). Quantized bounds round up, so threshold cutoffs stay
-// supersets and exact verification returns identical matches. Short lists
-// stay raw and dense lists switch to a bitmap automatically, per list.
+// WithCompression re-encodes posting lists after the build. With
+// CompressionQuantized (recommended) every list becomes fixed-width columns
+// behind its posting count n:
+//
+//	n ≥ 4   uvarint n, float32 step (and textual step), n × uint16 spatial
+//	        codes, n × uint16 textual codes (hybrid lists), n × object ID
+//	n < 4   uvarint n, n × float32 bounds (each lane), n × object ID
+//
+// A code q stands for the bound step·q; step is the list's largest bound
+// over 65535, rounded up to a float32, so the product is exact in float64 and
+// never below the exact bound. Object IDs take 2 bytes when the shard holds
+// at most 65,536 objects, else 4. Quantized bounds only round up, so
+// threshold cutoffs stay supersets and exact verification returns identical
+// matches. There are no runs and no bitmaps: on the index SEAL builds, 95.5 %
+// of equal-bound runs held a single posting and 86 % of lists fewer than
+// four, so run headers and raw short lists cost more than the columns do.
+// CompressionExact keeps full float64 bounds behind delta-varint object IDs.
 // Decoding runs through each searcher's reusable scratch, preserving the
 // zero-allocation steady state.
 //
 // WithSegmentDir(dir) persists the index as sealed segments. The directory
 // holds exactly three kinds of file, all written through the same container
 // (a header, a section table, and page-aligned little-endian sections, each
-// CRC-checksummed): shard-N.seg, one SEALIDX2 file per shard with the flat
-// posting arenas, key table and hash directory; dataset.seg, the objects as
+// CRC-checksummed): shard-N.seg, one SEALIDX2 file per shard with the
+// posting lists (flat arenas, or the compressed blob with one offset a list),
+// key table and hash directory (two slots a key); dataset.seg, the objects as
 // columns (regions, one CSR token arena), the vocabulary with its weights,
 // multi-region footprints and the shard partition; and manifest.json,
 // written last so interrupted saves are never mistaken for complete ones.
@@ -184,8 +196,10 @@
 // token's global order follows from the list lengths). When dir already
 // matches the objects and configuration (by fingerprint), Build memory-maps
 // the segments instead of re-indexing; Open boots an index purely from dir.
-// A directory of an older layout version reads as ErrManifestMismatch from
-// Open and as stale — rebuilt and overwritten — from Build. Mapped indexes
+// A directory of an older layout version — by its manifest, or by the version
+// of a posting segment under a current manifest — reads as
+// ErrManifestMismatch from Open and as stale — rebuilt and overwritten — from
+// Build; it is never quarantined shard by shard. Mapped indexes
 // should be Closed when done. Close may race Query, QueryBatch and Stream:
 // calls already admitted finish first (so do shard searches a returned query
 // left behind), later ones return ErrClosed, and nothing reads an unmapped

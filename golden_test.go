@@ -2,10 +2,13 @@ package seal_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/sealdb/seal"
@@ -16,19 +19,50 @@ import (
 // goldenSegmentDigests are the sha256 digests of every file of the segment
 // directory that the production build (seal / 4 shards / quantized / segments,
 // the options of benchmark/run.go) writes for gen.Twitter{N: 2000, Seed: 42}.
-// The four posting segments are the digests recorded at the commit before the
-// one-pass HSS build kernel landed and unchanged since: neither that kernel
-// nor the move of the grid selections out of a sidecar file into the keys may
-// change a byte of them. manifest.json and dataset.seg were recorded when the
-// directory went gob-free (manifest version 2). A change that means to alter
+// dataset.seg was recorded when the directory went gob-free and is unchanged
+// since. manifest.json and the four posting segments were re-recorded for
+// manifest version 3 / segment version 2: the columnar list layout, the count
+// moved from its own section into each list, and the directory sized at two
+// slots a key instead of a power of two. The build before that change (the
+// one-pass HSS kernel, the grid selections moved into the keys) had left the
+// posting segments byte-identical, and the lists hold the same postings in the
+// same order still — only their encoding moved. A change that means to alter
 // the index format or the selection re-records them and says so.
 var goldenSegmentDigests = map[string]string{
 	"dataset.seg":   "995c77afd4caa883cb2179d7b82294ec38afa9397a64e3d5ce3907f0fd9f500d",
-	"manifest.json": "0a4986c2590f55b08ad3cfc1bac84e5bc6c73764bba1f24223d99792e983eee4",
-	"shard-0.seg":   "37c265035648bf3682e62826cd10eb0ef76a6c26c580a32cfeb77ea1217c043c",
-	"shard-1.seg":   "373ddb0578df6de898aa9c173432205e9d45d9a6b35b8645614e37b78f0bfaea",
-	"shard-2.seg":   "ee48a1da2aaa742d4c0e1abdc06b0bba165d316782c879e083fcb0c177ca93c5",
-	"shard-3.seg":   "aa1f76bdc48e5c91cd04c9c92381b488b16e3966226c077ab328527a2f6ac03e",
+	"manifest.json": "3e07e76781719ce0bd7a1a2312fe2031004b7a383de1ebed48f442147b63ab30",
+	"shard-0.seg":   "a4ee92244ac954bbcde1e708b943c727b0b994b0c54e74a555cc4016d962235b",
+	"shard-1.seg":   "05a82bafc884a982f7c38889787ddc514e9ebbe58e301ee4fab6cb204904a80a",
+	"shard-2.seg":   "07e67f1e4507a473d89c1373d4d5c3cebdef8974b20218026901ae876f5f58b6",
+	"shard-3.seg":   "3cdbaec4722519166ebe38eb84e942135c3b248ee6ce84084105e9209a056757",
+}
+
+// buildGoldenDir writes the golden corpus's segment directory at the given
+// GOMAXPROCS and returns its path.
+func buildGoldenDir(t *testing.T, objects []seal.Object, procs int) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "segments")
+	prev := runtime.GOMAXPROCS(procs)
+	ix, err := seal.Build(objects,
+		seal.WithMethod(seal.MethodSeal), seal.WithShards(4),
+		seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir))
+	runtime.GOMAXPROCS(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+func goldenObjects(t *testing.T) []seal.Object {
+	t.Helper()
+	ds, err := gen.Twitter(gen.TwitterConfig{N: 2000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return server.SnapshotObjects(ds)
 }
 
 // TestGoldenSegmentDigests builds the golden corpus at GOMAXPROCS 1 and N,
@@ -36,24 +70,9 @@ var goldenSegmentDigests = map[string]string{
 // recorded digest: the directory is a pure function of the corpus and the
 // options — not of the worker count, and not of what the process did before.
 func TestGoldenSegmentDigests(t *testing.T) {
-	ds, err := gen.Twitter(gen.TwitterConfig{N: 2000, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	objects := server.SnapshotObjects(ds)
+	objects := goldenObjects(t)
 	for _, p := range []int{1, max(4, runtime.NumCPU()), 1, max(4, runtime.NumCPU())} {
-		dir := filepath.Join(t.TempDir(), "segments")
-		prev := runtime.GOMAXPROCS(p)
-		ix, err := seal.Build(objects,
-			seal.WithMethod(seal.MethodSeal), seal.WithShards(4),
-			seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir))
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
+		dir := buildGoldenDir(t, objects, p)
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -71,5 +90,47 @@ func TestGoldenSegmentDigests(t *testing.T) {
 				t.Errorf("GOMAXPROCS %d: %s: sha256 %s, want %s", p, e.Name(), got, want)
 			}
 		}
+	}
+}
+
+// The golden directory's size, committed: what the index costs on disk (the
+// benchmark's index_mb, at 2,000 objects) and what a posting costs once keys,
+// offsets, directory and page padding are spread over the lists' postings.
+// A rise is a regression; a fall is a result, and updates the numbers.
+// Version 1 of the segment format stood at 3,825,857 B and 39.66 B a posting.
+const (
+	goldenDirBytes        = 2544617
+	goldenPostings        = 87378
+	goldenBytesPerPosting = 24.99 // the four posting segments' bytes / goldenPostings
+)
+
+// TestSegmentBytesBudget holds the golden directory to its committed size.
+func TestSegmentBytesBudget(t *testing.T) {
+	dir := buildGoldenDir(t, goldenObjects(t), runtime.GOMAXPROCS(0))
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirBytes, shardBytes, postings int64
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirBytes += int64(len(data))
+		if strings.HasPrefix(e.Name(), "shard-") {
+			shardBytes += int64(len(data))
+			postings += int64(binary.LittleEndian.Uint64(data[24:])) // the header's nPostings
+		}
+	}
+	if postings != goldenPostings {
+		t.Fatalf("golden corpus indexes %d postings, want %d: the selection changed, not the encoding", postings, goldenPostings)
+	}
+	perPosting := math.Round(float64(shardBytes)/float64(postings)*100) / 100
+	switch {
+	case dirBytes > goldenDirBytes || perPosting > goldenBytesPerPosting:
+		t.Errorf("segment directory grew: %d B (%.2f B a posting), budget %d B (%.2f)", dirBytes, perPosting, goldenDirBytes, goldenBytesPerPosting)
+	case dirBytes < goldenDirBytes || perPosting < goldenBytesPerPosting:
+		t.Errorf("segment directory shrank to %d B (%.2f B a posting) from %d B (%.2f): record the new numbers", dirBytes, perPosting, goldenDirBytes, goldenBytesPerPosting)
 	}
 }

@@ -47,6 +47,11 @@ import (
 // ErrCorrupt reports a checksum mismatch or malformed file section.
 var ErrCorrupt = errors.New("diskidx: corrupt index data")
 
+// ErrStaleVersion reports a sealed file whose version is one this package
+// once wrote and no longer reads. It accompanies ErrCorrupt — the file cannot
+// be served — but marks the cause as a format change, not damage.
+var ErrStaleVersion = errors.New("diskidx: file of an earlier layout version")
+
 const (
 	segPage       = 4096
 	segHeaderSize = 64
@@ -187,6 +192,9 @@ func parseContainer(data []byte, magic [8]byte, version uint32) (*container, err
 		return nil, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(data[8:]); v != version {
+		if v >= 1 && v < version {
+			return nil, fmt.Errorf("%w: %w (version %d, want %d)", ErrCorrupt, ErrStaleVersion, v, version)
+		}
 		return nil, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, v)
 	}
 	c := &container{flags: binary.LittleEndian.Uint32(data[12:])}

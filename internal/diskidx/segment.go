@@ -1,17 +1,31 @@
 package diskidx
 
 // SEALIDX2: a sealed-segment format whose on-disk layout IS the in-memory
-// flat arena of package invidx, so a segment can be mmap-ed and probed
-// zero-copy — opening an index becomes a page-table operation instead of a
-// rebuild, and the OS page cache decides which posting pages stay resident.
+// layout of package invidx, so a segment can be mmap-ed and probed in place —
+// opening an index becomes a page-table operation instead of a rebuild, and
+// the OS page cache decides which posting pages stay resident.
 //
 // A segment is a section container (container.go) whose three header counts
 // are nLists, nPostings and nObjs — the exclusive upper bound for posting
-// object IDs — and whose flags are bit0: dual bounds, bit1: compressed
-// postings.
+// object IDs — and whose flags are
+//
+//	bit0  dual bounds
+//	bit1  compressed postings
+//	bit2  compressed only: the exact layout (clear: the quantized one)
+//	bit3  quantized only: object IDs take 2 bytes (clear: 4)
 //
 // A raw single-bound segment carries sections keys/starts/objs/bounds/dir;
-// raw dual adds tbounds; compressed segments carry keys/offs/counts/blob/dir.
+// raw dual adds tbounds. A compressed segment carries keys/offs/blob/dir:
+//
+//	keys  uint64 × nLists     ascending signature keys
+//	offs  uint32 × nLists+1   where each list starts in the blob
+//	blob  the lists, one after another; invidx/compress.go has the byte
+//	      layout of a list, which opens with its posting count
+//	dir   uint32 × 2·nLists   open-addressed key directory, position+1
+//
+// which is 20 bytes of metadata a list. Version 1 spent 24 to 32: a counts
+// section beside offs, and a directory rounded up to a power of two.
+//
 // Every section is CRC-checked at open, then handed to the invidx arena
 // validators, so a segment that opens cleanly satisfies every structural
 // invariant the query path relies on.
@@ -24,13 +38,18 @@ import (
 
 var magic2 = [8]byte{'S', 'E', 'A', 'L', 'I', 'D', 'X', '2'}
 
+// segVersion 2 is the layout above. A version-1 file has no reader; it opens
+// as ErrStaleVersion, which the engine reports as a directory of another
+// layout generation (rebuild) rather than as a damaged shard (quarantine).
 const (
-	segVersion        = 1
+	segVersion        = 2
 	segFlagDual       = 1 << 0
 	segFlagCompressed = 1 << 1
+	segFlagExact      = 1 << 2
+	segFlagObj16      = 1 << 3
 )
 
-// Section identifiers.
+// Section identifiers. 8 is retired (version 1's per-list posting counts).
 const (
 	secKeys    = 1 // uint64 × nLists, ascending signature keys
 	secStarts  = 2 // uint32 × nLists+1, flat list offsets
@@ -39,7 +58,6 @@ const (
 	secTBounds = 5 // float64 × nPostings, raw dual only
 	secDir     = 6 // uint32 slots of the open-addressed key directory
 	secOffs    = 7 // uint32 × nLists+1, byte extents into the blob
-	secCounts  = 8 // uint32 × nLists, postings per compressed list
 	secBlob    = 9 // encoded posting blob
 )
 
@@ -77,12 +95,12 @@ func WriteSegment(path string, idx any, objects int) error {
 	case *invidx.CompressedIndex:
 		a := ix.Arenas()
 		nLists, nPostings = len(a.Keys), ix.Postings()
-		flags = segFlagCompressed
+		flags = compressedFlags(a.Layout)
 		secs = compressedSections(a)
 	case *invidx.CompressedDualIndex:
 		a := ix.Arenas()
 		nLists, nPostings = len(a.Keys), ix.Postings()
-		flags = segFlagDual | segFlagCompressed
+		flags = segFlagDual | compressedFlags(a.Layout)
 		secs = compressedSections(a)
 	default:
 		return fmt.Errorf("diskidx: cannot write %T as a segment", idx)
@@ -105,11 +123,21 @@ func rawSections(a invidx.RawArenas, dual bool) []section {
 	return append(s, section{id: secDir, data: u32Bytes(a.Slots)})
 }
 
+func compressedFlags(l invidx.Layout) uint32 {
+	flags := uint32(segFlagCompressed)
+	if l.Exact {
+		flags |= segFlagExact
+	}
+	if l.Obj16 {
+		flags |= segFlagObj16
+	}
+	return flags
+}
+
 func compressedSections(a invidx.CompressedArenas) []section {
 	return []section{
 		{id: secKeys, data: u64Bytes(a.Keys)},
 		{id: secOffs, data: u32Bytes(a.Offs)},
-		{id: secCounts, data: u32Bytes(a.Counts)},
 		{id: secBlob, data: a.Blob},
 		{id: secDir, data: u32Bytes(a.Slots)},
 	}
@@ -157,15 +185,18 @@ func openSegment(data []byte) (*Segment, error) {
 		return nil, err
 	}
 	flags := c.flags
-	if flags&^(segFlagDual|segFlagCompressed) != 0 {
+	if flags&^(segFlagDual|segFlagCompressed|segFlagExact|segFlagObj16) != 0 {
 		return nil, fmt.Errorf("%w: unknown segment flags %#x", ErrCorrupt, flags)
+	}
+	if flags&segFlagCompressed == 0 && flags&(segFlagExact|segFlagObj16) != 0 {
+		return nil, fmt.Errorf("%w: list layout flags %#x on a raw segment", ErrCorrupt, flags)
 	}
 	// The header's counts size later multiplications and allocations, so
 	// cap them against what the file could possibly hold before use: keys
-	// cost 8 bytes each, raw postings at least 4, compressed postings at
-	// least a bit (checked exactly per list by the decoder).
+	// cost 8 bytes each and a posting, raw or compressed, at least 4
+	// (checked exactly per list by the decoder).
 	size := uint64(len(data))
-	if c.counts[0] > size/8 || c.counts[1] > 8*size || c.counts[2] > 1<<32 {
+	if c.counts[0] > size/8 || c.counts[1] > size/4 || c.counts[2] > 1<<32 {
 		return nil, fmt.Errorf("%w: header counts exceed file size", ErrCorrupt)
 	}
 	nLists, nPostings, objects := int64(c.counts[0]), int64(c.counts[1]), int(c.counts[2])
@@ -184,10 +215,6 @@ func openSegment(data []byte) (*Segment, error) {
 		if err != nil {
 			return nil, err
 		}
-		counts, err := c.take(secCounts, nLists, 4)
-		if err != nil {
-			return nil, err
-		}
 		blob, err := c.take(secBlob, -1, 1)
 		if err != nil {
 			return nil, err
@@ -200,11 +227,14 @@ func openSegment(data []byte) (*Segment, error) {
 			return nil, err
 		}
 		a := invidx.CompressedArenas{
-			Keys:   viewU64(keys),
-			Offs:   viewU32(offs),
-			Counts: viewU32(counts),
-			Blob:   blob,
-			Slots:  viewU32(dir),
+			Keys:  viewU64(keys),
+			Offs:  viewU32(offs),
+			Blob:  blob,
+			Slots: viewU32(dir),
+			Layout: invidx.Layout{
+				Exact: flags&segFlagExact != 0,
+				Obj16: flags&segFlagObj16 != 0,
+			},
 		}
 		if seg.dual {
 			ix, err := invidx.CompressedDualFromArenas(a, int(nPostings), objects)

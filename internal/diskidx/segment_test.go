@@ -174,7 +174,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentEmpty: an empty index still round-trips (four-slot directory,
+// TestSegmentEmpty: an empty index still round-trips (empty directory,
 // one-entry starts arena, no postings).
 func TestSegmentEmpty(t *testing.T) {
 	var b invidx.Builder
@@ -214,65 +214,100 @@ func TestSegmentMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The list-layout cases need a compressed segment: quantized, 16-bit
+	// objects (segTestObjects fits), every list under 128 postings so its
+	// count is the one byte that leads it.
+	compPath := filepath.Join(dir, "good-comp.seg")
+	if err := WriteSegment(compPath, invidx.Compress(idx, invidx.Compression{}), segTestObjects); err != nil {
+		t.Fatal(err)
+	}
+	goodComp, err := os.ReadFile(compPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := binary.LittleEndian.Uint32(goodComp[12:]); f != segFlagCompressed|segFlagObj16 {
+		t.Fatalf("compressed fixture flags %#x, want compressed|obj16", f)
+	}
+	flipFlag := func(flag uint32) func(b []byte) []byte {
+		return func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[12:], binary.LittleEndian.Uint32(b[12:])^flag)
+			return b
+		}
+	}
 
 	cases := []struct {
 		name   string
+		comp   bool // mutate the compressed fixture instead of the raw one
 		mutate func(b []byte) []byte
 	}{
-		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }},
-		{"bad version", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 99); return b }},
-		{"unknown flags", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 0x80); return b }},
-		{"truncated header", func(b []byte) []byte { return b[:32] }},
-		{"huge list count", func(b []byte) []byte {
+		{"wrong object-width flag", true, flipFlag(segFlagObj16)},
+		{"wrong list-layout flag", true, flipFlag(segFlagExact | segFlagObj16)},
+		{"both list layouts claimed", true, flipFlag(segFlagExact)},
+		{"list-layout flag on a raw segment", false, flipFlag(segFlagObj16)},
+		{"list count disagrees with its length", true, func(b []byte) []byte {
+			// One more posting claimed by the first list and by the header,
+			// behind a re-sealed checksum: only the list's own length is off.
+			binary.LittleEndian.PutUint64(b[24:], binary.LittleEndian.Uint64(b[24:])+1)
+			return damage(t, b, secBlob, func(p []byte) { p[0]++ })
+		}},
+		{"bad magic", false, func(b []byte) []byte { b[0] ^= 0xFF; return b }},
+		{"bad version", false, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 99); return b }},
+		{"unknown flags", false, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 0x80); return b }},
+		{"truncated header", false, func(b []byte) []byte { return b[:32] }},
+		{"huge list count", false, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[16:], 1<<60)
 			return b
 		}},
-		{"huge posting count", func(b []byte) []byte {
+		{"huge posting count", false, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[24:], 1<<60)
 			return b
 		}},
-		{"posting count mismatch", func(b []byte) []byte {
+		{"posting count mismatch", false, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[24:], binary.LittleEndian.Uint64(b[24:])+1)
 			return b
 		}},
-		{"object bound too small", func(b []byte) []byte {
+		{"object bound too small", false, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[32:], 1)
 			return b
 		}},
-		{"implausible section count", func(b []byte) []byte {
+		{"implausible section count", false, func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[40:], 1000)
 			return b
 		}},
-		{"section unaligned", func(b []byte) []byte {
+		{"section unaligned", false, func(b []byte) []byte {
 			off := binary.LittleEndian.Uint64(b[segHeaderSize+8:])
 			binary.LittleEndian.PutUint64(b[segHeaderSize+8:], off+1)
 			return b
 		}},
-		{"section out of bounds", func(b []byte) []byte {
+		{"section out of bounds", false, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[segHeaderSize+16:], 1<<40)
 			return b
 		}},
-		{"duplicate section id", func(b []byte) []byte {
+		{"duplicate section id", false, func(b []byte) []byte {
 			// Rewrite the second entry's id to match the first.
 			id := binary.LittleEndian.Uint32(b[segHeaderSize:])
 			binary.LittleEndian.PutUint32(b[segHeaderSize+segEntrySize:], id)
 			return b
 		}},
-		{"missing section", func(b []byte) []byte {
+		{"missing section", false, func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[segHeaderSize:], 200)
 			return b
 		}},
-		{"payload bit flip", func(b []byte) []byte {
+		{"payload bit flip", false, func(b []byte) []byte {
 			// Flip a byte inside the first section's payload.
 			off := binary.LittleEndian.Uint64(b[segHeaderSize+8:])
 			b[off] ^= 0xFF
 			return b
 		}},
-		{"truncated payload", func(b []byte) []byte { return b[:len(b)-16] }},
+		{"truncated payload", false, func(b []byte) []byte { return b[:len(b)-16] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := tc.mutate(append([]byte(nil), good...))
+			base := good
+			if tc.comp {
+				base = goodComp
+			}
+			bad := tc.mutate(append([]byte(nil), base...))
 			p := filepath.Join(dir, "bad.seg")
 			if err := os.WriteFile(p, bad, 0o644); err != nil {
 				t.Fatal(err)
@@ -286,5 +321,27 @@ func TestSegmentMalformed(t *testing.T) {
 				t.Fatalf("error %v does not wrap ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestSegmentStaleVersion: a version this package once wrote is marked stale
+// as well as unreadable, so the engine can tell another generation's file
+// from a damaged one; any other version is only corrupt.
+func TestSegmentStaleVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v.seg")
+	if err := WriteSegment(path, buildSingle(rand.New(rand.NewSource(22)), 5, 10), segTestObjects); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, stale := range map[uint32]bool{0: false, 1: true, segVersion + 1: false, 99: false} {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(b[8:], v)
+		_, err := openSegment(b)
+		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrStaleVersion) != stale {
+			t.Errorf("version %d: %v, want ErrCorrupt and stale=%v", v, err, stale)
+		}
 	}
 }

@@ -57,10 +57,14 @@ type Manifest struct {
 	Fingerprint string     `json:"fingerprint"`
 }
 
-// manifestVersion 2 is the gob-free layout above. Version 1 directories
-// (dataset.snap, parts.gob, shard-N.grids.gob) have no reader: they read as a
-// manifest mismatch, which every boot path treats as stale and rebuilds.
-const manifestVersion = 2
+// manifestVersion 3 is the gob-free layout above with version-2 posting
+// segments (columnar lists, no counts section). Earlier directories — version
+// 1 (dataset.snap, parts.gob, shard-N.grids.gob) and version 2 (run-length
+// lists) — have no reader: they read as a manifest mismatch, which every boot
+// path treats as stale and rebuilds. So does a current manifest over a posting
+// segment of an earlier version: that is another generation's file, not a
+// damaged shard, and is never quarantined.
+const manifestVersion = 3
 
 // ErrNoSegments reports a directory without a readable manifest. Because the
 // manifest is written last and removed first, this is the normal state of an
@@ -421,6 +425,9 @@ func OpenSegmentsWith(dir string, root *model.Dataset, o OpenOptions) (*Engine, 
 			e.shards = append(e.shards, newShard(sub, parts[i], f))
 			rep.Health = append(rep.Health, ShardHealth{Shard: i, State: ShardServing})
 			continue
+		}
+		if errors.Is(openErr, diskidx.ErrStaleVersion) {
+			return nil, nil, fmt.Errorf("%w: shard %d: %v", ErrManifestMismatch, i, openErr)
 		}
 		if !tolerant {
 			return nil, nil, fmt.Errorf("engine: shard %d: %w", i, openErr)

@@ -21,9 +21,9 @@ type RawArenas struct {
 type CompressedArenas struct {
 	Keys   []uint64
 	Offs   []uint32 // len(Keys)+1 byte offsets into Blob
-	Counts []uint32 // postings per list
-	Blob   []byte
+	Blob   []byte   // per-list encodings, each led by its posting count
 	Slots  []uint32
+	Layout Layout
 }
 
 // Arenas exposes the index's backing slices.
@@ -36,26 +36,6 @@ func (ix *DualIndex) Arenas() RawArenas {
 	return RawArenas{Keys: ix.keys, Starts: ix.starts, Objs: ix.objs, Bounds: ix.rBounds, TBounds: ix.tBounds, Slots: ix.table.slots}
 }
 
-// Arenas exposes the compressed index's backing slices.
-func (ix *CompressedIndex) Arenas() CompressedArenas {
-	return CompressedArenas{Keys: ix.keys, Offs: ix.offs, Counts: ix.counts, Blob: ix.blob, Slots: ix.table.slots}
-}
-
-// Arenas exposes the compressed dual index's backing slices.
-func (ix *CompressedDualIndex) Arenas() CompressedArenas {
-	return CompressedArenas{Keys: ix.keys, Offs: ix.offs, Counts: ix.counts, Blob: ix.blob, Slots: ix.table.slots}
-}
-
-// expectedSlots replicates newKeyTable's sizing so a persisted directory can
-// be validated instead of trusted.
-func expectedSlots(nKeys int) int {
-	size := 4
-	for size < nKeys*2 {
-		size <<= 1
-	}
-	return size
-}
-
 // validateDirectory checks a persisted hash directory against the sorted key
 // array: exact size, a bijection onto key positions, and — because lookups
 // linear-probe until an empty slot — that every key is actually reachable
@@ -63,7 +43,7 @@ func expectedSlots(nKeys int) int {
 // newKeyTable would build; one that fails could send probes into infinite
 // loops or to the wrong list, so segment opening rejects it up front.
 func validateDirectory(keys []uint64, slots []uint32) (keyTable, error) {
-	if len(slots) != expectedSlots(len(keys)) {
+	if len(slots) != tableSlots(len(keys)) {
 		return keyTable{}, corrupt("directory size mismatch")
 	}
 	seen := make([]bool, len(keys))
@@ -82,7 +62,7 @@ func validateDirectory(keys []uint64, slots []uint32) (keyTable, error) {
 	if filled != len(keys) {
 		return keyTable{}, corrupt("directory is missing keys")
 	}
-	t := keyTable{slots: slots, mask: uint64(len(slots)) - 1}
+	t := keyTable{slots: slots}
 	for i, k := range keys {
 		if t.find(keys, k) != i {
 			return keyTable{}, corrupt("directory probe does not reach key")
@@ -175,8 +155,11 @@ func DualFromArenas(a RawArenas, objects int) (*DualIndex, error) {
 // only fail a later probe if the underlying file changes beneath it.
 func validateCompressedArenas(a CompressedArenas, postings, objects int, dual bool) error {
 	nk := len(a.Keys)
-	if len(a.Offs) != nk+1 || len(a.Counts) != nk {
+	if len(a.Offs) != nk+1 {
 		return corrupt("extent table length mismatch")
+	}
+	if a.Layout.Exact && a.Layout.Obj16 {
+		return corrupt("16-bit object IDs claimed for the exact layout")
 	}
 	for i := 1; i < nk; i++ {
 		if a.Keys[i] <= a.Keys[i-1] {
@@ -193,13 +176,13 @@ func validateCompressedArenas(a CompressedArenas, postings, objects int, dual bo
 		if lo > hi || int(hi) > len(a.Blob) {
 			return corrupt("extent offsets not monotone")
 		}
-		n := int(a.Counts[i])
+		n, err := decodeList(a.Blob[lo:hi], dual, a.Layout, &scr)
+		if err != nil {
+			return err
+		}
 		total += n
 		if total > postings {
 			return corrupt("list counts exceed posting total")
-		}
-		if err := decodeList(a.Blob[lo:hi], n, dual, &scr); err != nil {
-			return err
 		}
 		for _, o := range scr.objs[:n] {
 			if int(o) >= objects {
@@ -213,28 +196,35 @@ func validateCompressedArenas(a CompressedArenas, postings, objects int, dual bo
 	return nil
 }
 
+// compressedFromArenas validates a and wraps it, sharing (not copying) the
+// slices.
+func compressedFromArenas(a CompressedArenas, postings, objects int, dual bool) (compressed, error) {
+	if err := validateCompressedArenas(a, postings, objects, dual); err != nil {
+		return compressed{}, err
+	}
+	t, err := validateDirectory(a.Keys, a.Slots)
+	if err != nil {
+		return compressed{}, err
+	}
+	return compressed{keys: a.Keys, table: t, offs: a.Offs, blob: a.Blob, postings: postings, layout: a.Layout}, nil
+}
+
 // CompressedFromArenas wraps validated arenas as a compressed single-bound
 // index. postings is the expected posting total (the segment header's
 // claim), cross-checked against the per-list counts.
 func CompressedFromArenas(a CompressedArenas, postings, objects int) (*CompressedIndex, error) {
-	if err := validateCompressedArenas(a, postings, objects, false); err != nil {
-		return nil, err
-	}
-	t, err := validateDirectory(a.Keys, a.Slots)
+	c, err := compressedFromArenas(a, postings, objects, false)
 	if err != nil {
 		return nil, err
 	}
-	return &CompressedIndex{keys: a.Keys, table: t, offs: a.Offs, counts: a.Counts, blob: a.Blob, postings: postings}, nil
+	return &CompressedIndex{c}, nil
 }
 
 // CompressedDualFromArenas wraps validated arenas as a compressed dual index.
 func CompressedDualFromArenas(a CompressedArenas, postings, objects int) (*CompressedDualIndex, error) {
-	if err := validateCompressedArenas(a, postings, objects, true); err != nil {
-		return nil, err
-	}
-	t, err := validateDirectory(a.Keys, a.Slots)
+	c, err := compressedFromArenas(a, postings, objects, true)
 	if err != nil {
 		return nil, err
 	}
-	return &CompressedDualIndex{keys: a.Keys, table: t, offs: a.Offs, counts: a.Counts, blob: a.Blob, postings: postings}, nil
+	return &CompressedDualIndex{c}, nil
 }

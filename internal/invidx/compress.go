@@ -1,11 +1,53 @@
 package invidx
 
+// Compressed posting lists. A compressed index is the flat index's key table
+// and hash directory over one byte blob; offs[i] is where list i starts, and
+// every list of one index is encoded the same way (its Layout).
+//
+// The quantized layout (the default) is columnar and fixed-width, so a list's
+// encoded length is an exact function of its posting count n:
+//
+//	n ≥ 4   uvarint n
+//	        float32 step            spatial quantization step, rounded up
+//	        float32 tstep           dual lists only
+//	        n × uint16              spatial codes, descending
+//	        n × uint16              textual codes, dual lists only
+//	        n × uint16 | uint32     object IDs, in list order
+//
+//	n < 4   uvarint n
+//	        n × float32             spatial bounds, rounded up, descending
+//	        n × float32             textual bounds, dual lists only
+//	        n × uint16 | uint32     object IDs
+//
+// A code q stands for the bound step·q. step is the list's largest bound
+// divided by 65535 and rounded up to a float32 with step·65535 ≥ that bound,
+// and a float32 times a 16-bit integer is exact in float64: decoding is one
+// multiplication per bound with no rounding, and every code is chosen so that
+// its bound is at least the exact one. Lists of one to three postings — six
+// in seven of the lists SEAL builds — spend the header's bytes on float32
+// bounds instead. Object IDs take two bytes when every ID of the index fits
+// (a shard of at most 65,536 objects), four otherwise.
+//
+// Bounds only ever round up, so a Cutoff head over a decoded list is a
+// superset of the exact head and verification keeps answers unchanged.
+//
+// This replaces a run-length layout (one header per distinct quantized bound,
+// objects as delta varints or a bitmap, smallest-of-raw-or-encoded per list).
+// On the index SEAL builds for 50k objects 95.5 % of those runs held a single
+// posting, so each posting paid a code delta, a run length, a container byte
+// and a first-object varint — about 9 bytes — where the columns cost 6, and
+// the 86 % of lists under four postings were stored raw at 21 bytes each.
+//
+// The exact layout (Compression.ExactBounds) keeps every bound bit for bit:
+//
+//	uvarint n, uvarint first object, n-1 zig-zag varint object deltas,
+//	n × float64 bounds, n × float64 textual bounds (dual lists only)
+
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 )
 
@@ -24,64 +66,77 @@ type Compression struct {
 	// to 16-bit ceiling codes: cutoffs loosen by at most one quantization
 	// step, which admits a strict superset of the exact candidate set, and
 	// answers are unchanged because verification is exact. Quantization
-	// roughly halves list size again, so leave this off unless filter
+	// more than halves list size again, so leave this off unless filter
 	// selectivity is being measured.
 	ExactBounds bool
 }
 
-// Per-list encoding discriminator: the first byte of every encoded list.
-// Small lists stay raw — the varint and run framing costs more than it saves
-// below a handful of postings — and the encoder always keeps whichever form
-// is smallest, so a pathological list can never grow past its flat size + 1.
-const (
-	encRaw   byte = iota // fixed-width postings, exactly as the arena stores them
-	encDelta             // zig-zag delta-varint object IDs, raw bound bits
-	encQuant             // equal-bound runs: quantized bound + delta or bitmap objects
-)
+// Layout is how every list of one compressed index is encoded.
+type Layout struct {
+	Exact bool // exact layout; false is the quantized one
+	Obj16 bool // quantized object IDs take 2 bytes instead of 4
+}
 
-// Object containers inside an encQuant run. Runs hold ascending object IDs,
-// so dense runs pack into a roaring-style bitmap while sparse runs stay as
-// delta varints; the encoder picks the smaller per run.
-const (
-	containerDelta  byte = iota // first obj + non-negative varint gaps
-	containerBitmap             // first obj + word count + set bits at obj-first
-)
-
-// quantLevels is the resolution of quantized bounds: codes 0..65535 map to
-// ceil-rounded fractions of the list's maximum bound.
+// quantLevels is the resolution of quantized bounds: codes 0..65535 are
+// multiples of the list's quantization step.
 const quantLevels = 65535
 
-// rawCutoff is the list length below which compression is not attempted.
-const rawCutoff = 4
+// directCutoff is the list length below which the quantized layout stores
+// float32 bounds instead of a step and codes.
+const directCutoff = 4
 
-// quant returns the smallest 16-bit code whose dequantized value is >= b
-// (ceiling quantization). Rounding up is what keeps compressed filtering a
-// superset of exact filtering: a list head selected by Cutoff(c) can only
-// gain postings, never lose one the exact index kept.
-func quant(b, maxB float64) uint16 {
-	if maxB <= 0 || b <= 0 {
+// ceil32 returns the smallest float32 that is >= v, for 0 <= v <= MaxFloat32.
+func ceil32(v float64) float32 {
+	f := float32(v)
+	if float64(f) < v {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
+// quantStep returns the quantization step for a list whose largest bound is
+// maxB: the smallest float32 whose 65535th multiple reaches maxB, so the
+// largest bound always has a code.
+func quantStep(maxB float64) float32 {
+	s := ceil32(maxB / quantLevels)
+	for float64(s)*quantLevels < maxB {
+		s = math.Nextafter32(s, float32(math.Inf(1)))
+	}
+	return s
+}
+
+// quant returns a 16-bit code whose bound step·q is >= b (ceiling
+// quantization), for b no larger than step·65535. Rounding up is what keeps
+// compressed filtering a superset of exact filtering: a list head selected by
+// Cutoff(c) can only gain postings, never lose one the exact index kept. It
+// is monotone in b, so descending bounds get descending codes.
+func quant(b, step float64) uint16 {
+	if b <= 0 || step <= 0 {
 		return 0
 	}
-	q := uint64(math.Ceil(b / maxB * quantLevels))
-	if q > quantLevels {
-		q = quantLevels
+	r := math.Ceil(b / step)
+	if r >= quantLevels {
+		return quantLevels
 	}
-	for q < quantLevels && dequant(uint16(q), maxB) < b {
+	q := uint16(r)
+	for q < quantLevels && step*float64(q) < b {
 		q++
 	}
-	return uint16(q)
+	return q
 }
 
-// dequant maps a 16-bit code back to a bound.
-func dequant(q uint16, maxB float64) float64 {
-	return maxB * float64(q) / quantLevels
-}
-
-func rawPostingSize(dual bool) int {
-	if dual {
-		return 4 + 8 + 8
+// quantizable reports whether every bound is non-negative and within float32
+// range — the domain of the quantized layout. Canonical indexes (suffix weight
+// sums) always qualify; an index with exotic builder inputs is encoded exact.
+func quantizable(lanes ...[]float64) bool {
+	for _, lane := range lanes {
+		for _, b := range lane {
+			if !(b >= 0 && b <= math.MaxFloat32) {
+				return false
+			}
+		}
 	}
-	return 4 + 8
+	return true
 }
 
 // checkBlobRange guards the uint32 blob offsets, mirroring checkOffsetRange.
@@ -91,63 +146,59 @@ func checkBlobRange(n int) {
 	}
 }
 
-// objTB pairs one run's object with its quantized textual bound so both
-// reorder together when the run is sorted by object.
-type objTB struct {
-	obj uint32
-	tb  uint16
+func appendF32(dst []byte, f float32) []byte {
+	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
 }
 
-// listEncoder reuses scratch buffers across the lists of one Compress call.
-type listEncoder struct {
-	buf   []byte
-	pairs []objTB
-	words []uint64
-}
-
-// appendList appends the smallest encoding of one canonical list (bounds
-// descending, ties by ascending object) to dst.
-func (e *listEncoder) appendList(dst []byte, objs []uint32, bounds, tBounds []float64, c Compression) []byte {
-	n := len(objs)
-	if n == 0 {
-		return dst // empty lists encode to zero bytes
+// appendList appends the encoding of one canonical list (bounds descending,
+// ties by ascending object) to dst. tBounds is nil for single-bound lists.
+func appendList(dst []byte, objs []uint32, bounds, tBounds []float64, lay Layout) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(objs)))
+	if len(objs) == 0 {
+		return dst
 	}
-	rawSize := 1 + rawPostingSize(tBounds != nil)*n
-	if n >= rawCutoff {
-		var cand []byte
-		if !c.ExactBounds && quantizable(bounds, tBounds) {
-			cand = e.encodeQuant(objs, bounds, tBounds)
-		} else {
-			cand = e.encodeDelta(objs, bounds, tBounds)
-		}
-		if len(cand) < rawSize {
-			return append(dst, cand...)
-		}
+	if lay.Exact {
+		return appendExact(dst, objs, bounds, tBounds)
 	}
-	return appendRawList(dst, objs, bounds, tBounds)
-}
-
-// quantizable reports whether every bound is finite and non-negative — the
-// domain of ceiling quantization. Canonical indexes (suffix weight sums)
-// always qualify; exotic builder inputs fall back to exact delta coding.
-func quantizable(bounds, tBounds []float64) bool {
-	for _, b := range bounds {
-		if math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
-			return false
+	if len(objs) < directCutoff {
+		for _, b := range bounds {
+			dst = appendF32(dst, ceil32(b))
+		}
+		for _, tb := range tBounds {
+			dst = appendF32(dst, ceil32(tb))
+		}
+	} else {
+		step := quantStep(bounds[0]) // canonical lists are bound-descending
+		dst = appendF32(dst, step)
+		var tstep float32
+		if tBounds != nil {
+			tstep = quantStep(slices.Max(tBounds))
+			dst = appendF32(dst, tstep)
+		}
+		for _, b := range bounds {
+			dst = binary.LittleEndian.AppendUint16(dst, quant(b, float64(step)))
+		}
+		for _, tb := range tBounds {
+			dst = binary.LittleEndian.AppendUint16(dst, quant(tb, float64(tstep)))
 		}
 	}
-	for _, tb := range tBounds {
-		if math.IsNaN(tb) || math.IsInf(tb, 0) || tb < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func appendRawList(dst []byte, objs []uint32, bounds, tBounds []float64) []byte {
-	dst = append(dst, encRaw)
 	for _, o := range objs {
-		dst = binary.LittleEndian.AppendUint32(dst, o)
+		if lay.Obj16 {
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(o))
+		} else {
+			dst = binary.LittleEndian.AppendUint32(dst, o)
+		}
+	}
+	return dst
+}
+
+// appendExact emits the exact layout's body: object IDs as zig-zag deltas in
+// canonical list order (bound-descending order is not ID-ascending, so gaps
+// can be negative), followed by the raw bound bits.
+func appendExact(dst []byte, objs []uint32, bounds, tBounds []float64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(objs[0]))
+	for i := 1; i < len(objs); i++ {
+		dst = binary.AppendVarint(dst, int64(objs[i])-int64(objs[i-1]))
 	}
 	for _, b := range bounds {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b))
@@ -158,223 +209,144 @@ func appendRawList(dst []byte, objs []uint32, bounds, tBounds []float64) []byte 
 	return dst
 }
 
-// encodeDelta emits encDelta: object IDs as zig-zag deltas in canonical list
-// order (bound-descending order is not ID-ascending, so gaps can be
-// negative), followed by the raw bound bits.
-func (e *listEncoder) encodeDelta(objs []uint32, bounds, tBounds []float64) []byte {
-	buf := append(e.buf[:0], encDelta)
-	buf = binary.AppendUvarint(buf, uint64(objs[0]))
-	for i := 1; i < len(objs); i++ {
-		buf = binary.AppendVarint(buf, int64(objs[i])-int64(objs[i-1]))
-	}
-	for _, b := range bounds {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b))
-	}
-	for _, tb := range tBounds {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(tb))
-	}
-	e.buf = buf
-	return buf
-}
-
-// encodeQuant emits encQuant: the list's maximum bound(s) as float64 bits,
-// then one run per distinct quantized bound. A run header is the bound code
-// (absolute for the first run, then the strictly positive decrement), the
-// run length, and an object container; dual lists append the run's 16-bit
-// textual codes after the container. Objects within a run are re-sorted
-// ascending — postings with equal quantized bounds are interchangeable under
-// Cutoff, so the decoded list is canonical for its own (coarser) bounds.
-func (e *listEncoder) encodeQuant(objs []uint32, bounds, tBounds []float64) []byte {
-	n := len(objs)
-	dual := tBounds != nil
-	maxB := bounds[0] // canonical lists are bound-descending
-	var maxTB float64
-	for _, tb := range tBounds {
-		if tb > maxTB {
-			maxTB = tb
-		}
-	}
-	buf := append(e.buf[:0], encQuant)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(maxB))
+// quantBodyLen is the exact number of bytes a quantized list of n postings
+// takes after its count (uint64: n may come from an untrusted file).
+func quantBodyLen(n uint64, dual, obj16 bool) uint64 {
+	lanes, objBytes := uint64(1), uint64(4)
 	if dual {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(maxTB))
+		lanes = 2
 	}
-	prevQ := -1
-	for s := 0; s < n; {
-		q := int(quant(bounds[s], maxB))
-		end := s + 1
-		for end < n && int(quant(bounds[end], maxB)) == q {
-			end++
-		}
-		if prevQ < 0 {
-			buf = binary.AppendUvarint(buf, uint64(q))
-		} else {
-			buf = binary.AppendUvarint(buf, uint64(prevQ-q))
-		}
-		prevQ = q
-		buf = binary.AppendUvarint(buf, uint64(end-s))
-		pairs := e.pairs[:0]
-		for i := s; i < end; i++ {
-			var tb uint16
-			if dual {
-				tb = quant(tBounds[i], maxTB)
-			}
-			pairs = append(pairs, objTB{obj: objs[i], tb: tb})
-		}
-		slices.SortFunc(pairs, func(a, b objTB) int {
-			switch {
-			case a.obj < b.obj:
-				return -1
-			case a.obj > b.obj:
-				return 1
-			case a.tb < b.tb:
-				return -1
-			case a.tb > b.tb:
-				return 1
-			default:
-				return 0
-			}
-		})
-		e.pairs = pairs
-		buf = e.appendContainer(buf, pairs)
-		if dual {
-			for _, p := range pairs {
-				buf = binary.LittleEndian.AppendUint16(buf, p.tb)
-			}
-		}
-		s = end
+	if obj16 {
+		objBytes = 2
 	}
-	e.buf = buf
-	return buf
+	if n < directCutoff {
+		return n * (4*lanes + objBytes)
+	}
+	return 4*lanes + n*(2*lanes+objBytes)
 }
-
-// appendContainer appends one run's ascending object IDs as whichever of the
-// two containers is smaller. The bitmap needs strictly ascending IDs
-// (duplicate (key, obj) postings can only come from hand-built indexes, not
-// the canonical filters); runs with duplicates always use deltas.
-func (e *listEncoder) appendContainer(buf []byte, pairs []objTB) []byte {
-	vs := uvarintLen(uint64(pairs[0].obj))
-	strict := true
-	for i := 1; i < len(pairs); i++ {
-		d := pairs[i].obj - pairs[i-1].obj
-		vs += uvarintLen(uint64(d))
-		if d == 0 {
-			strict = false
-		}
-	}
-	if strict {
-		first := pairs[0].obj
-		span := uint64(pairs[len(pairs)-1].obj - first)
-		words := span/64 + 1
-		if bs := uvarintLen(uint64(first)) + uvarintLen(words) + int(words)*8; bs < vs {
-			buf = append(buf, containerBitmap)
-			buf = binary.AppendUvarint(buf, uint64(first))
-			buf = binary.AppendUvarint(buf, words)
-			w := e.words[:0]
-			for i := uint64(0); i < words; i++ {
-				w = append(w, 0)
-			}
-			for _, p := range pairs {
-				off := p.obj - first
-				w[off/64] |= 1 << (off % 64)
-			}
-			e.words = w
-			for _, x := range w {
-				buf = binary.LittleEndian.AppendUint64(buf, x)
-			}
-			return buf
-		}
-	}
-	buf = append(buf, containerDelta)
-	buf = binary.AppendUvarint(buf, uint64(pairs[0].obj))
-	for i := 1; i < len(pairs); i++ {
-		buf = binary.AppendUvarint(buf, uint64(pairs[i].obj-pairs[i-1].obj))
-	}
-	return buf
-}
-
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // decodeList materializes one encoded list (exactly data, no more, no less)
-// into scr. Every read is bounds-checked and every structural invariant the
-// query path relies on — descending bounds, 32-bit object IDs, exact posting
-// counts, no trailing bytes — is verified, so a corrupt or truncated list
-// returns an error wrapping ErrCorrupt instead of panicking or silently
-// mis-decoding. The hot path allocates nothing once scr has grown.
-func decodeList(data []byte, n int, dual bool, scr *ListScratch) error {
-	// Reject impossible counts before growing the scratch: every encoding
-	// spends at least one bit per posting (the densest case is a bitmap
-	// container, whose words hold one set bit per stored object), so a
-	// payload shorter than n/8 bytes cannot be legitimate. This bounds
-	// decode-time allocation by the payload size rather than by a count
-	// read from an untrusted file.
-	if n > 0 && len(data) < n/8 {
-		return corrupt("posting count exceeds payload capacity")
+// into scr and returns its posting count. Every read is bounds-checked and
+// every structural invariant the query path relies on — descending bounds,
+// 32-bit object IDs, a payload that is exactly as long as its count says —
+// is verified, so a corrupt or truncated list returns an error wrapping
+// ErrCorrupt instead of panicking or silently mis-decoding. The hot path
+// allocates nothing once scr has grown.
+func decodeList(data []byte, dual bool, lay Layout, scr *ListScratch) (int, error) {
+	v, k := binary.Uvarint(data)
+	// A posting costs more than a byte, so this caps the count — and with it
+	// everything computed from it below — by the payload size rather than by
+	// a number read from an untrusted file.
+	if k <= 0 || v > uint64(len(data)) {
+		return 0, corrupt("bad posting count")
+	}
+	n, body := int(v), data[k:]
+	if lay.Exact {
+		// The shortest exact list spends one varint byte per object.
+		perPosting := uint64(1 + 8)
+		if dual {
+			perPosting += 8
+		}
+		if uint64(len(body)) < v*perPosting {
+			return 0, corrupt("posting count exceeds payload")
+		}
+		scr.grow(n, dual)
+		return n, decodeExact(body, n, dual, scr)
+	}
+	// Nothing is allocated for a count the payload does not back exactly.
+	if uint64(len(body)) != quantBodyLen(v, dual, lay.Obj16) {
+		return 0, corrupt("payload length does not match posting count")
 	}
 	scr.grow(n, dual)
+	return n, decodeQuant(body, n, dual, lay.Obj16, scr)
+}
+
+// finite32 reports whether f is a non-negative finite number — false for NaN.
+func finite32(f float32) bool { return f >= 0 && f <= math.MaxFloat32 }
+
+func f32At(b []byte, i int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+}
+
+// decodeQuant decodes a quantized body whose length quantBodyLen has already
+// matched against n: straight-line loops that widen each column into scr.
+func decodeQuant(b []byte, n int, dual, obj16 bool, scr *ListScratch) error {
+	bounds, tBounds := scr.bounds[:n], scr.tBounds
+	switch {
+	case n == 0:
+		return nil
+	case n < directCutoff:
+		for i := range bounds {
+			f := f32At(b, i)
+			if !finite32(f) || (i > 0 && float64(f) > bounds[i-1]) {
+				return corrupt("bounds not descending")
+			}
+			bounds[i] = float64(f)
+		}
+		b = b[4*n:]
+		if dual {
+			for i := range tBounds[:n] {
+				f := f32At(b, i)
+				if !finite32(f) {
+					return corrupt("invalid textual bound")
+				}
+				tBounds[i] = float64(f)
+			}
+			b = b[4*n:]
+		}
+	default:
+		step := f32At(b, 0)
+		b = b[4:]
+		var tstep float32
+		if dual {
+			tstep = f32At(b, 0)
+			b = b[4:]
+		}
+		if !finite32(step) || !finite32(tstep) {
+			return corrupt("invalid quantization step")
+		}
+		// Codes never ascend, which is what makes the decoded bounds valid
+		// input for cutoffDesc.
+		codes, prev := b[:2*n], uint16(quantLevels)
+		for i := range bounds {
+			q := binary.LittleEndian.Uint16(codes[2*i:])
+			if q > prev {
+				return corrupt("bound codes not descending")
+			}
+			prev = q
+			bounds[i] = float64(step) * float64(q)
+		}
+		b = b[2*n:]
+		if dual {
+			codes = b[:2*n]
+			for i := range tBounds[:n] {
+				tBounds[i] = float64(tstep) * float64(binary.LittleEndian.Uint16(codes[2*i:]))
+			}
+			b = b[2*n:]
+		}
+	}
+	objs := scr.objs[:n]
+	if obj16 {
+		b = b[:2*n]
+		for i := range objs {
+			objs[i] = uint32(binary.LittleEndian.Uint16(b[2*i:]))
+		}
+	} else {
+		b = b[:4*n]
+		for i := range objs {
+			objs[i] = binary.LittleEndian.Uint32(b[4*i:])
+		}
+	}
+	return nil
+}
+
+func decodeExact(b []byte, n int, dual bool, scr *ListScratch) error {
 	if n == 0 {
-		if len(data) != 0 {
+		if len(b) != 0 {
 			return corrupt("trailing bytes after empty list")
 		}
 		return nil
 	}
-	if len(data) == 0 {
-		return corrupt("missing encoding byte")
-	}
-	switch enc, body := data[0], data[1:]; enc {
-	case encRaw:
-		return decodeRaw(body, n, dual, scr)
-	case encDelta:
-		return decodeDelta(body, n, dual, scr)
-	case encQuant:
-		return decodeQuant(body, n, dual, scr)
-	default:
-		return corrupt("unknown encoding byte")
-	}
-}
-
-// decodeBoundsDesc fills out from raw float64 bits, rejecting NaNs and any
-// violation of the descending order Cutoff's binary search depends on.
-func decodeBoundsDesc(b []byte, out []float64) error {
-	for i := range out {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		if math.IsNaN(v) || (i > 0 && v > out[i-1]) {
-			return corrupt("bounds not descending")
-		}
-		out[i] = v
-	}
-	return nil
-}
-
-func decodeTBounds(b []byte, out []float64) error {
-	for i := range out {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		if math.IsNaN(v) {
-			return corrupt("NaN textual bound")
-		}
-		out[i] = v
-	}
-	return nil
-}
-
-func decodeRaw(b []byte, n int, dual bool, scr *ListScratch) error {
-	if len(b) != rawPostingSize(dual)*n {
-		return corrupt("raw payload length mismatch")
-	}
-	for i := 0; i < n; i++ {
-		scr.objs[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	b = b[n*4:]
-	if err := decodeBoundsDesc(b[:n*8], scr.bounds); err != nil {
-		return err
-	}
-	if dual {
-		return decodeTBounds(b[n*8:], scr.tBounds)
-	}
-	return nil
-}
-
-func decodeDelta(b []byte, n int, dual bool, scr *ListScratch) error {
 	v, k := binary.Uvarint(b)
 	if k <= 0 || v > math.MaxUint32 {
 		return corrupt("bad first object")
@@ -401,183 +373,116 @@ func decodeDelta(b []byte, n int, dual bool, scr *ListScratch) error {
 	if len(b) != boundBytes {
 		return corrupt("bound payload length mismatch")
 	}
-	if err := decodeBoundsDesc(b[:n*8], scr.bounds); err != nil {
-		return err
+	// NaNs and any violation of the descending order Cutoff's binary search
+	// depends on are rejected.
+	for i := range scr.bounds {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+		if math.IsNaN(v) || (i > 0 && v > scr.bounds[i-1]) {
+			return corrupt("bounds not descending")
+		}
+		scr.bounds[i] = v
 	}
 	if dual {
-		return decodeTBounds(b[n*8:], scr.tBounds)
+		b = b[n*8:]
+		for i := range scr.tBounds {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+			if math.IsNaN(v) {
+				return corrupt("NaN textual bound")
+			}
+			scr.tBounds[i] = v
+		}
 	}
 	return nil
 }
 
-func decodeQuant(b []byte, n int, dual bool, scr *ListScratch) error {
-	if len(b) < 8 {
-		return corrupt("truncated max bound")
-	}
-	maxB := math.Float64frombits(binary.LittleEndian.Uint64(b))
-	b = b[8:]
-	if math.IsNaN(maxB) || math.IsInf(maxB, 0) || maxB < 0 {
-		return corrupt("invalid max bound")
-	}
-	var maxTB float64
-	if dual {
-		if len(b) < 8 {
-			return corrupt("truncated max textual bound")
-		}
-		maxTB = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-		if math.IsNaN(maxTB) || math.IsInf(maxTB, 0) || maxTB < 0 {
-			return corrupt("invalid max textual bound")
-		}
-	}
-	filled := 0
-	prevQ := -1
-	for filled < n {
-		var q int
-		if prevQ < 0 {
-			v, k := binary.Uvarint(b)
-			if k <= 0 || v > quantLevels {
-				return corrupt("bad first bound code")
-			}
-			b = b[k:]
-			q = int(v)
-		} else {
-			// Codes are strictly decreasing across runs, which is what makes
-			// the decoded bounds valid input for cutoffDesc.
-			dv, k := binary.Uvarint(b)
-			if k <= 0 || dv == 0 || int64(dv) > int64(prevQ) {
-				return corrupt("bad bound code decrement")
-			}
-			b = b[k:]
-			q = prevQ - int(dv)
-		}
-		prevQ = q
-		rl, k := binary.Uvarint(b)
-		if k <= 0 || rl == 0 || rl > uint64(n-filled) {
-			return corrupt("bad run length")
-		}
-		b = b[k:]
-		runLen := int(rl)
-		if len(b) == 0 {
-			return corrupt("missing container byte")
-		}
-		cont := b[0]
-		b = b[1:]
-		objs := scr.objs[filled : filled+runLen]
-		switch cont {
-		case containerDelta:
-			v, k := binary.Uvarint(b)
-			if k <= 0 || v > math.MaxUint32 {
-				return corrupt("bad run first object")
-			}
-			b = b[k:]
-			objs[0] = uint32(v)
-			cur := v
-			for i := 1; i < runLen; i++ {
-				d, k := binary.Uvarint(b)
-				if k <= 0 {
-					return corrupt("bad run object gap")
-				}
-				b = b[k:]
-				cur += d
-				if cur > math.MaxUint32 {
-					return corrupt("run object out of range")
-				}
-				objs[i] = uint32(cur)
-			}
-		case containerBitmap:
-			first, k := binary.Uvarint(b)
-			if k <= 0 || first > math.MaxUint32 {
-				return corrupt("bad bitmap base object")
-			}
-			b = b[k:]
-			words, k := binary.Uvarint(b)
-			if k <= 0 || words == 0 {
-				return corrupt("bad bitmap word count")
-			}
-			b = b[k:]
-			if words > uint64(len(b))/8 {
-				return corrupt("bitmap words exceed payload")
-			}
-			got := 0
-			for w := uint64(0); w < words; w++ {
-				word := binary.LittleEndian.Uint64(b[w*8:])
-				base := first + w*64
-				for word != 0 {
-					tz := bits.TrailingZeros64(word)
-					word &^= 1 << tz
-					obj := base + uint64(tz)
-					if obj > math.MaxUint32 {
-						return corrupt("bitmap object out of range")
-					}
-					if got == runLen {
-						return corrupt("bitmap popcount exceeds run length")
-					}
-					objs[got] = uint32(obj)
-					got++
-				}
-			}
-			b = b[words*8:]
-			if got != runLen {
-				return corrupt("bitmap popcount below run length")
-			}
-		default:
-			return corrupt("unknown container byte")
-		}
-		bound := dequant(uint16(q), maxB)
-		for i := filled; i < filled+runLen; i++ {
-			scr.bounds[i] = bound
-		}
-		if dual {
-			if len(b) < runLen*2 {
-				return corrupt("truncated textual codes")
-			}
-			for i := 0; i < runLen; i++ {
-				scr.tBounds[filled+i] = dequant(binary.LittleEndian.Uint16(b[i*2:]), maxTB)
-			}
-			b = b[runLen*2:]
-		}
-		filled += runLen
-	}
-	if len(b) != 0 {
-		return corrupt("trailing bytes after last run")
-	}
-	return nil
-}
-
-// CompressedIndex is the compressed counterpart of Index: the same key table
-// and directory over a byte blob of per-list encodings. Probes decode into a
-// caller-supplied ListScratch, so steady-state querying allocates nothing;
-// the decoded view is valid until the next probe with the same scratch.
-type CompressedIndex struct {
+// compressed is the storage shared by CompressedIndex and
+// CompressedDualIndex: the flat index's key table and directory over a byte
+// blob of per-list encodings. A list's posting count leads its encoding.
+type compressed struct {
 	keys     []uint64
 	table    keyTable
 	offs     []uint32 // len(keys)+1; list i's encoding spans blob[offs[i]:offs[i+1]]
-	counts   []uint32 // postings per list
 	blob     []byte
 	postings int
+	layout   Layout
 }
+
+// compress encodes the lists of a flat index, given as its arenas (tBounds
+// nil for a single-bound index). Bounds the quantized layout cannot hold
+// switch the whole index to the exact one.
+func compress(keys []uint64, table keyTable, starts, objs []uint32, bounds, tBounds []float64, c Compression) compressed {
+	out := compressed{
+		keys:     keys,
+		table:    table,
+		offs:     make([]uint32, 1, len(keys)+1),
+		postings: len(objs),
+		layout:   Layout{Exact: c.ExactBounds || !quantizable(bounds, tBounds)},
+	}
+	if !out.layout.Exact {
+		out.layout.Obj16 = len(objs) == 0 || slices.Max(objs) <= math.MaxUint16
+	}
+	for i := range keys {
+		lo, hi := starts[i], starts[i+1]
+		var tb []float64
+		if tBounds != nil {
+			tb = tBounds[lo:hi]
+		}
+		out.blob = appendList(out.blob, objs[lo:hi], bounds[lo:hi], tb, out.layout)
+		checkBlobRange(len(out.blob))
+		out.offs = append(out.offs, uint32(len(out.blob)))
+	}
+	return out
+}
+
+// decode materializes list i into scr.
+func (ix *compressed) decode(i int, dual bool, scr *ListScratch) (int, error) {
+	n, err := decodeList(ix.blob[ix.offs[i]:ix.offs[i+1]], dual, ix.layout, scr)
+	if err != nil {
+		return 0, fmt.Errorf("invidx: list %#x: %w", ix.keys[i], err)
+	}
+	return n, nil
+}
+
+// Lists returns the number of lists.
+func (ix *compressed) Lists() int { return len(ix.keys) }
+
+// Postings returns the total number of postings.
+func (ix *compressed) Postings() int { return ix.postings }
+
+// SizeBytes reports the compressed footprint: the blob plus keys, offsets
+// and the hash directory.
+func (ix *compressed) SizeBytes() int64 {
+	return int64(len(ix.blob)) + int64(len(ix.keys))*8 + int64(len(ix.offs))*4 + ix.table.sizeBytes()
+}
+
+// EachLen reports every list's key and length from the count that leads its
+// encoding, without decoding the postings.
+func (ix *compressed) EachLen(fn func(key uint64, n int)) {
+	for i, k := range ix.keys {
+		n, _ := binary.Uvarint(ix.blob[ix.offs[i]:ix.offs[i+1]])
+		fn(k, int(n))
+	}
+}
+
+// Keys returns the ascending key array, aliasing the index (for a mapped
+// segment, its pages). Position i is the list EachLen reports i-th. Read-only.
+func (ix *compressed) Keys() []uint64 { return ix.keys }
+
+// Arenas exposes the index's backing slices.
+func (ix *compressed) Arenas() CompressedArenas {
+	return CompressedArenas{Keys: ix.keys, Offs: ix.offs, Blob: ix.blob, Slots: ix.table.slots, Layout: ix.layout}
+}
+
+// CompressedIndex is the compressed counterpart of Index. Probes decode into
+// a caller-supplied ListScratch, so steady-state querying allocates nothing;
+// the decoded view is valid until the next probe with the same scratch.
+type CompressedIndex struct{ compressed }
 
 // Compress re-encodes a flat index. The source index is unchanged and shares
 // its (immutable) key table with the result. Bounds must not be NaN — true
 // of every canonically built index.
 func Compress(ix *Index, c Compression) *CompressedIndex {
-	out := &CompressedIndex{
-		keys:     ix.keys,
-		table:    ix.table,
-		offs:     make([]uint32, 1, len(ix.keys)+1),
-		counts:   make([]uint32, 0, len(ix.keys)),
-		postings: len(ix.objs),
-	}
-	var e listEncoder
-	for i := range ix.keys {
-		lo, hi := ix.starts[i], ix.starts[i+1]
-		out.blob = e.appendList(out.blob, ix.objs[lo:hi], ix.bounds[lo:hi], nil, c)
-		checkBlobRange(len(out.blob))
-		out.offs = append(out.offs, uint32(len(out.blob)))
-		out.counts = append(out.counts, hi-lo)
-	}
-	return out
+	return &CompressedIndex{compress(ix.keys, ix.table, ix.starts, ix.objs, ix.bounds, nil, c)}
 }
 
 // Probe decodes the list of key into scr (a nil scr allocates a throwaway
@@ -591,24 +496,11 @@ func (ix *CompressedIndex) Probe(key uint64, scr *ListScratch) (List, error) {
 	if scr == nil {
 		scr = new(ListScratch)
 	}
-	n := int(ix.counts[i])
-	if err := decodeList(ix.blob[ix.offs[i]:ix.offs[i+1]], n, false, scr); err != nil {
-		return List{}, fmt.Errorf("invidx: list %#x: %w", key, err)
+	n, err := ix.decode(i, false, scr)
+	if err != nil {
+		return List{}, err
 	}
 	return List{objs: scr.objs[:n], bounds: scr.bounds[:n]}, nil
-}
-
-// Lists returns the number of lists.
-func (ix *CompressedIndex) Lists() int { return len(ix.keys) }
-
-// Postings returns the total number of postings.
-func (ix *CompressedIndex) Postings() int { return ix.postings }
-
-// SizeBytes reports the compressed footprint: the blob plus keys, offsets,
-// counts, and the hash directory.
-func (ix *CompressedIndex) SizeBytes() int64 {
-	return int64(len(ix.blob)) + int64(len(ix.keys))*8 +
-		int64(len(ix.offs))*4 + int64(len(ix.counts))*4 + ix.table.sizeBytes()
 }
 
 // Range decodes every list in ascending key order, stopping early if fn
@@ -616,9 +508,9 @@ func (ix *CompressedIndex) SizeBytes() int64 {
 func (ix *CompressedIndex) Range(fn func(key uint64, l List) bool) error {
 	var scr ListScratch
 	for i, k := range ix.keys {
-		n := int(ix.counts[i])
-		if err := decodeList(ix.blob[ix.offs[i]:ix.offs[i+1]], n, false, &scr); err != nil {
-			return fmt.Errorf("invidx: list %#x: %w", k, err)
+		n, err := ix.decode(i, false, &scr)
+		if err != nil {
+			return err
 		}
 		if !fn(k, List{objs: scr.objs[:n], bounds: scr.bounds[:n]}) {
 			return nil
@@ -628,33 +520,11 @@ func (ix *CompressedIndex) Range(fn func(key uint64, l List) bool) error {
 }
 
 // CompressedDualIndex is the compressed counterpart of DualIndex.
-type CompressedDualIndex struct {
-	keys     []uint64
-	table    keyTable
-	offs     []uint32
-	counts   []uint32
-	blob     []byte
-	postings int
-}
+type CompressedDualIndex struct{ compressed }
 
 // CompressDual re-encodes a flat dual index; see Compress.
 func CompressDual(ix *DualIndex, c Compression) *CompressedDualIndex {
-	out := &CompressedDualIndex{
-		keys:     ix.keys,
-		table:    ix.table,
-		offs:     make([]uint32, 1, len(ix.keys)+1),
-		counts:   make([]uint32, 0, len(ix.keys)),
-		postings: len(ix.objs),
-	}
-	var e listEncoder
-	for i := range ix.keys {
-		lo, hi := ix.starts[i], ix.starts[i+1]
-		out.blob = e.appendList(out.blob, ix.objs[lo:hi], ix.rBounds[lo:hi], ix.tBounds[lo:hi], c)
-		checkBlobRange(len(out.blob))
-		out.offs = append(out.offs, uint32(len(out.blob)))
-		out.counts = append(out.counts, hi-lo)
-	}
-	return out
+	return &CompressedDualIndex{compress(ix.keys, ix.table, ix.starts, ix.objs, ix.rBounds, ix.tBounds, c)}
 }
 
 // ProbeDual decodes the dual list of key into scr; see Probe.
@@ -666,32 +536,20 @@ func (ix *CompressedDualIndex) ProbeDual(key uint64, scr *ListScratch) (DualList
 	if scr == nil {
 		scr = new(ListScratch)
 	}
-	n := int(ix.counts[i])
-	if err := decodeList(ix.blob[ix.offs[i]:ix.offs[i+1]], n, true, scr); err != nil {
-		return DualList{}, fmt.Errorf("invidx: dual list %#x: %w", key, err)
+	n, err := ix.decode(i, true, scr)
+	if err != nil {
+		return DualList{}, err
 	}
 	return DualList{objs: scr.objs[:n], rBounds: scr.bounds[:n], tBounds: scr.tBounds[:n]}, nil
-}
-
-// Lists returns the number of lists.
-func (ix *CompressedDualIndex) Lists() int { return len(ix.keys) }
-
-// Postings returns the total number of postings.
-func (ix *CompressedDualIndex) Postings() int { return ix.postings }
-
-// SizeBytes reports the compressed footprint.
-func (ix *CompressedDualIndex) SizeBytes() int64 {
-	return int64(len(ix.blob)) + int64(len(ix.keys))*8 +
-		int64(len(ix.offs))*4 + int64(len(ix.counts))*4 + ix.table.sizeBytes()
 }
 
 // Range decodes every dual list in ascending key order.
 func (ix *CompressedDualIndex) Range(fn func(key uint64, l DualList) bool) error {
 	var scr ListScratch
 	for i, k := range ix.keys {
-		n := int(ix.counts[i])
-		if err := decodeList(ix.blob[ix.offs[i]:ix.offs[i+1]], n, true, &scr); err != nil {
-			return fmt.Errorf("invidx: dual list %#x: %w", k, err)
+		n, err := ix.decode(i, true, &scr)
+		if err != nil {
+			return err
 		}
 		if !fn(k, DualList{objs: scr.objs[:n], rBounds: scr.bounds[:n], tBounds: scr.tBounds[:n]}) {
 			return nil

@@ -1,15 +1,17 @@
 package invidx
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // buildRandom returns a canonical index with nLists lists of up to maxLen
 // postings each: unique objects per list, bounds drawn from a few magnitudes
-// so runs of equal quantized bounds and long sparse tails both occur.
+// so ties of equal bounds and long sparse tails both occur.
 func buildRandom(rng *rand.Rand, nLists, maxLen, objects int) *Index {
 	var b Builder
 	for k := 0; k < nLists; k++ {
@@ -22,7 +24,7 @@ func buildRandom(rng *rand.Rand, nLists, maxLen, objects int) *Index {
 				continue
 			}
 			seen[obj] = true
-			bound := math.Trunc(rng.Float64()*64) / 8 // coarse grid → equal-bound runs
+			bound := math.Trunc(rng.Float64()*64) / 8 // coarse grid → tied bounds
 			if rng.Intn(4) == 0 {
 				bound = rng.Float64() * 8 // plus fully distinct bounds
 			}
@@ -299,10 +301,13 @@ func TestCompressedFromArenasRejectsCorrupt(t *testing.T) {
 		return CompressedArenas{
 			Keys:   append([]uint64(nil), base.Keys...),
 			Offs:   append([]uint32(nil), base.Offs...),
-			Counts: append([]uint32(nil), base.Counts...),
 			Blob:   append([]byte(nil), base.Blob...),
 			Slots:  append([]uint32(nil), base.Slots...),
+			Layout: base.Layout,
 		}
+	}
+	if !base.Layout.Obj16 || base.Layout.Exact {
+		t.Fatalf("fixture layout %+v, want quantized with 16-bit objects", base.Layout)
 	}
 	cases := []struct {
 		name     string
@@ -315,8 +320,13 @@ func TestCompressedFromArenasRejectsCorrupt(t *testing.T) {
 			a.Blob = a.Blob[:len(a.Blob)-1]
 			a.Offs[len(a.Offs)-1]--
 		}, cx.Postings()},
-		{"count inflated", func(a *CompressedArenas) { a.Counts[0] += 7 }, cx.Postings() + 7},
-		{"encoding byte clobbered", func(a *CompressedArenas) { a.Blob[0] = 0xff }, cx.Postings()},
+		{"count inflated", func(a *CompressedArenas) { a.Blob[0] += 7 }, cx.Postings() + 7},
+		{"count deflated", func(a *CompressedArenas) { a.Blob[0]-- }, cx.Postings() - 1},
+		{"count not a varint", func(a *CompressedArenas) { a.Blob[0] = 0xff }, cx.Postings()},
+		{"wide objects claimed", func(a *CompressedArenas) { a.Layout.Obj16 = false }, cx.Postings()},
+		{"exact layout claimed", func(a *CompressedArenas) { a.Layout = Layout{Exact: true} }, cx.Postings()},
+		{"both layouts claimed", func(a *CompressedArenas) { a.Layout.Exact = true }, cx.Postings()},
+		{"extents shifted", func(a *CompressedArenas) { a.Offs[1]++ }, cx.Postings()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -329,47 +339,163 @@ func TestCompressedFromArenasRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// adversarialBounds are the values where ceiling quantization has the least
+// room: zero, denormals, the float32 range's edges, and numbers one float64
+// step above a float32 (so rounding to nearest would round them down).
+func adversarialBounds() []float64 {
+	above := func(f float32) float64 { return math.Nextafter(float64(f), math.Inf(1)) }
+	return []float64{
+		0, 5e-324, 1e-310, // float64 denormals, far below float32's smallest
+		float64(math.SmallestNonzeroFloat32), above(math.SmallestNonzeroFloat32),
+		1e-39,                // a float32 denormal
+		above(1), above(0.1), // just above a float32 boundary
+		above(65535), 65535, 65536, 1.0 / 3, 2.5, 1e30,
+		math.MaxFloat32,
+	}
+}
+
+// TestQuantizationNeverUnderEstimates asserts the invariant every compressed
+// answer rests on, directly on the encoder and decoder: for single and dual
+// lists of every length class (the three header-less lengths, the first
+// coded one, and long ones), over random and adversarial bounds, each decoded
+// spatial and textual bound is >= the exact one, objects keep their order,
+// and decoded spatial bounds stay descending.
+func TestQuantizationNeverUnderEstimates(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	adv := adversarialBounds()
+	draw := func(round int) float64 {
+		switch {
+		case round%3 == 0:
+			return adv[rng.Intn(len(adv))]
+		case round%3 == 1:
+			return rng.Float64() * 4 // suffix weight sums live here
+		default:
+			return math.Ldexp(rng.Float64(), rng.Intn(200)-120) // every magnitude
+		}
+	}
+	var scr ListScratch
+	for _, n := range []int{1, 2, 3, 4, 5, 64, 257} {
+		for _, dual := range []bool{false, true} {
+			for _, obj16 := range []bool{true, false} {
+				for round := 0; round < 60; round++ {
+					bounds := make([]float64, n)
+					objs := make([]uint32, n)
+					var tBounds []float64
+					if dual {
+						tBounds = make([]float64, n)
+					}
+					for i := range bounds {
+						bounds[i] = draw(round)
+						if round%7 == 0 && i > 0 {
+							bounds[i] = bounds[0] // bounds equal to the max
+						}
+						if dual {
+							tBounds[i] = draw(round + 1)
+						}
+						objs[i] = uint32(rng.Intn(1 << 16))
+						if !obj16 {
+							objs[i] |= 1 << 20
+						}
+					}
+					slices.SortFunc(bounds, func(a, b float64) int { return cmp.Compare(b, a) })
+					lay := Layout{Obj16: obj16}
+					data := appendList(nil, objs, bounds, tBounds, lay)
+					if want := 1 + int(quantBodyLen(uint64(n), dual, obj16)); n < 128 && len(data) != want {
+						t.Fatalf("n=%d dual=%v obj16=%v: %d bytes, want %d", n, dual, obj16, len(data), want)
+					}
+					got, err := decodeList(data, dual, lay, &scr)
+					if err != nil || got != n {
+						t.Fatalf("n=%d dual=%v obj16=%v: decoded %d postings, err %v", n, dual, obj16, got, err)
+					}
+					for i := 0; i < n; i++ {
+						if scr.objs[i] != objs[i] {
+							t.Fatalf("n=%d posting %d: object %d, want %d", n, i, scr.objs[i], objs[i])
+						}
+						if scr.bounds[i] < bounds[i] {
+							t.Fatalf("n=%d posting %d: spatial bound %g decoded below exact %g", n, i, scr.bounds[i], bounds[i])
+						}
+						if i > 0 && scr.bounds[i] > scr.bounds[i-1] {
+							t.Fatalf("n=%d posting %d: decoded spatial bounds ascend (%g after %g)", n, i, scr.bounds[i], scr.bounds[i-1])
+						}
+						if dual && scr.tBounds[i] < tBounds[i] {
+							t.Fatalf("n=%d posting %d: textual bound %g decoded below exact %g", n, i, scr.tBounds[i], tBounds[i])
+						}
+						// Rounding up must stay tight: within one step of the list's max.
+						if slack := scr.bounds[i] - bounds[i]; slack > bounds[0]/quantLevels*1.001+1e-44 {
+							t.Fatalf("n=%d posting %d: spatial bound %g is %g above exact, more than a step", n, i, scr.bounds[i], slack)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCompressFallsBackToExact: bounds outside the quantized layout's domain
+// (negative, infinite, beyond float32) switch the whole index to the exact
+// layout instead of being mangled.
+func TestCompressFallsBackToExact(t *testing.T) {
+	for _, bad := range []float64{-1, math.Inf(1), 2 * math.MaxFloat32} {
+		var b Builder
+		b.Add(1, 7, bad)
+		b.Add(1, 8, 0.5)
+		b.Add(2, 9, 0.25)
+		cx := Compress(b.Build(), Compression{})
+		if lay := cx.Arenas().Layout; !lay.Exact || lay.Obj16 {
+			t.Fatalf("bound %g: layout %+v, want exact", bad, lay)
+		}
+		l, err := cx.Probe(1, nil)
+		if err != nil || l.Len() != 2 {
+			t.Fatalf("bound %g: probe len %d, err %v", bad, l.Len(), err)
+		}
+		if got := math.Max(l.Bound(0), l.Bound(1)); got != math.Max(bad, 0.5) {
+			t.Fatalf("bound %g: decoded max %g", bad, got)
+		}
+	}
+}
+
 // FuzzDecodeList is the satellite fuzz target: arbitrary bytes fed to the
 // compressed-list decoder must either decode cleanly — with every invariant
 // the query path relies on actually holding — or fail with ErrCorrupt.
 // Panics and silent mis-decodes are the bugs being hunted.
 func FuzzDecodeList(f *testing.F) {
-	// Seed with genuine encoder output at every encoding, plus mutations.
+	// Seed with genuine encoder output in every layout, plus mutations.
 	rng := rand.New(rand.NewSource(9))
 	ix := buildRandom(rng, 8, 60, 500)
-	cx := Compress(ix, Compression{})
-	ex := Compress(ix, Compression{ExactBounds: true})
-	dx := CompressDual(buildRandomDual(rng, 6, 60, 500), Compression{})
+	wide := buildRandom(rng, 4, 60, 1<<20)
+	dx := buildRandomDual(rng, 6, 60, 500)
 	seed := func(a CompressedArenas, dual bool) {
 		for i := 0; i+1 < len(a.Offs); i++ {
-			f.Add(a.Blob[a.Offs[i]:a.Offs[i+1]], a.Counts[i], dual)
+			f.Add(a.Blob[a.Offs[i]:a.Offs[i+1]], dual, a.Layout.Exact, a.Layout.Obj16)
 		}
 	}
-	seed(cx.Arenas(), false)
-	seed(ex.Arenas(), false)
-	seed(dx.Arenas(), true)
-	f.Add([]byte{encQuant}, uint32(3), false)
-	f.Add([]byte{encRaw, 1, 2, 3}, uint32(1), true)
+	seed(Compress(ix, Compression{}).Arenas(), false)
+	seed(Compress(wide, Compression{}).Arenas(), false)
+	seed(Compress(ix, Compression{ExactBounds: true}).Arenas(), false)
+	seed(CompressDual(dx, Compression{}).Arenas(), true)
+	seed(CompressDual(dx, Compression{ExactBounds: true}).Arenas(), true)
+	f.Add([]byte{3}, false, false, true)
+	f.Add([]byte{1, 2, 3}, true, true, false)
 
-	f.Fuzz(func(t *testing.T, data []byte, n uint32, dual bool) {
-		if n > 1<<16 { // keep scratch growth sane for the fuzz engine
-			t.Skip()
-		}
+	f.Fuzz(func(t *testing.T, data []byte, dual, exact, obj16 bool) {
 		var scr ListScratch
-		err := decodeList(data, int(n), dual, &scr)
+		n, err := decodeList(data, dual, Layout{Exact: exact, Obj16: obj16}, &scr)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
 			}
 			return
 		}
-		if len(scr.objs) != int(n) || len(scr.bounds) != int(n) {
+		if n > len(data) {
+			t.Fatalf("clean decode of %d bytes claims %d postings", len(data), n)
+		}
+		if len(scr.objs) != n || len(scr.bounds) != n {
 			t.Fatalf("clean decode produced %d objs / %d bounds, want %d", len(scr.objs), len(scr.bounds), n)
 		}
-		if dual && len(scr.tBounds) != int(n) {
+		if dual && len(scr.tBounds) != n {
 			t.Fatalf("clean dual decode produced %d textual bounds, want %d", len(scr.tBounds), n)
 		}
-		for i := 0; i < int(n); i++ {
+		for i := 0; i < n; i++ {
 			if math.IsNaN(scr.bounds[i]) || (i > 0 && scr.bounds[i] > scr.bounds[i-1]) {
 				t.Fatalf("clean decode produced non-descending bounds at %d", i)
 			}

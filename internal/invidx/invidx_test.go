@@ -226,15 +226,9 @@ func TestDualIndexSizeAndRange(t *testing.T) {
 	}
 }
 
-// hashDirBytes mirrors the keyTable sizing rule: a power-of-two slot array
-// at load factor ≤ 0.5, 4 bytes per slot.
-func hashDirBytes(lists int) int64 {
-	size := int64(4)
-	for size < int64(lists)*2 {
-		size <<= 1
-	}
-	return size * 4
-}
+// hashDirBytes mirrors the keyTable sizing rule: two 4-byte slots per list
+// (load factor 0.5).
+func hashDirBytes(lists int) int64 { return int64(lists) * 2 * 4 }
 
 // TestFlatSizeBytesAccounting pins the flat layout's size model: every
 // posting costs exactly obj+bound (12B single, 20B dual), every list exactly

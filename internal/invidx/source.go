@@ -77,29 +77,9 @@ func (ix *DualIndex) EachLen(fn func(key uint64, n int)) {
 	}
 }
 
-// EachLen reports every list's key and length from the stored counts,
-// without decoding.
-func (ix *CompressedIndex) EachLen(fn func(key uint64, n int)) {
-	for i, k := range ix.keys {
-		fn(k, int(ix.counts[i]))
-	}
-}
-
-// EachLen reports every list's key and length from the stored counts,
-// without decoding.
-func (ix *CompressedDualIndex) EachLen(fn func(key uint64, n int)) {
-	for i, k := range ix.keys {
-		fn(k, int(ix.counts[i]))
-	}
-}
-
 // Keys returns the ascending key array, aliasing the index (for a mapped
 // segment, its pages). Position i is the list EachLen reports i-th. Read-only.
 func (ix *DualIndex) Keys() []uint64 { return ix.keys }
-
-// Keys returns the ascending key array, aliasing the index (for a mapped
-// segment, its pages). Position i is the list EachLen reports i-th. Read-only.
-func (ix *CompressedDualIndex) Keys() []uint64 { return ix.keys }
 
 // Probe returns a zero-copy arena view; scr is unused and the error is
 // always nil.

@@ -9,7 +9,9 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -211,5 +213,94 @@ func TestBootRebuildsUnusableSegmentDir(t *testing.T) {
 	defer ix2.Close()
 	if info2.Source != "segments" || info2.Quarantined != 0 {
 		t.Fatalf("reboot source %q quarantined %d, want clean segments boot", info2.Source, info2.Quarantined)
+	}
+}
+
+// TestStaleFormatBootRebuilds: a directory of an earlier layout generation —
+// a version-2 manifest, or a current manifest over version-1 posting segments
+// — is stale, not damaged. A segment-only open reports the manifest-mismatch
+// sentinel instead of quarantining all four shards, and a boot that has the
+// data snapshot rebuilds and saves over it.
+func TestStaleFormatBootRebuilds(t *testing.T) {
+	snap := testSnapshot(t, 600)
+	ages := map[string]func(t *testing.T, dir string){
+		"manifest v2": func(t *testing.T, dir string) {
+			path := filepath.Join(dir, "manifest.json")
+			man, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v2 := strings.Replace(string(man), `"version": 3`, `"version": 2`, 1)
+			if v2 == string(man) {
+				t.Fatalf("manifest carries no version 3 to age: %s", man)
+			}
+			if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"v1 posting segments under a v3 manifest": func(t *testing.T, dir string) {
+			for i := 0; i < 4; i++ {
+				path := filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i))
+				seg, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.LittleEndian.PutUint32(seg[8:], 1) // the header's version field
+				if err := os.WriteFile(path, seg, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}
+	for name, age := range ages {
+		t.Run(name, func(t *testing.T) {
+			segDir := filepath.Join(t.TempDir(), "segs")
+			dataCfg := DefaultConfig
+			dataCfg.DataPath = snap
+			dataCfg.SegmentDir = segDir
+			dataCfg.Shards = 4
+			ix, _, err := Boot(dataCfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			age(t, segDir)
+
+			if ix, err := seal.Open(segDir); !errors.Is(err, seal.ErrManifestMismatch) {
+				if err == nil {
+					ix.Close()
+				}
+				t.Fatalf("seal.Open of a stale directory: %v, want ErrManifestMismatch", err)
+			}
+			segCfg := DefaultConfig
+			segCfg.SegmentDir = segDir
+			if ix, _, err := Boot(segCfg, nil); !errors.Is(err, seal.ErrManifestMismatch) {
+				if err == nil {
+					ix.Close()
+				}
+				t.Fatalf("segment-only boot of a stale directory: %v, want ErrManifestMismatch", err)
+			}
+
+			ix, info, err := Boot(dataCfg, nil)
+			if err != nil {
+				t.Fatalf("boot with -data over a stale directory: %v", err)
+			}
+			if info.Source != "built+saved" || ix.Quarantined() != 0 {
+				t.Fatalf("boot source %q with %d shards quarantined, want built+saved and none", info.Source, ix.Quarantined())
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ix, info, err = Boot(segCfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			if info.Source != "segments" || info.Quarantined != 0 {
+				t.Fatalf("reboot source %q quarantined %d, want a clean segments boot", info.Source, info.Quarantined)
+			}
+		})
 	}
 }

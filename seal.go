@@ -106,8 +106,8 @@ type IndexStats struct {
 	// segments (the index was opened from a segment directory) rather than
 	// rebuilt in memory.
 	Mapped bool
-	// Compressed reports that posting lists use the delta/quantized
-	// encoding instead of the flat fixed-width arena.
+	// Compressed reports that posting lists are stored encoded (quantized
+	// columns or exact deltas) instead of as the flat fixed-width arena.
 	Compressed bool
 }
 
@@ -448,8 +448,14 @@ func (ix *Index) Object(id int) (Object, error) {
 func (ix *Index) Stats() IndexStats { return ix.stats }
 
 // TokenWeight returns the weight the index assigned to a token (idf by
-// default), and false if the token does not occur in the corpus.
+// default), and false if the token does not occur in the corpus. It reads the
+// (possibly mapped) vocabulary, so it is admitted against Close like every
+// other read; a closed index knows no tokens and reports false.
 func (ix *Index) TokenWeight(token string) (float64, bool) {
+	if ix.eng.Enter() != nil {
+		return 0, false
+	}
+	defer ix.eng.Exit()
 	id, ok := ix.ds.Vocab().Lookup(token)
 	if !ok {
 		return 0, false

@@ -22,9 +22,10 @@ type Compression int
 const (
 	// CompressionNone keeps the flat fixed-width arena. Default.
 	CompressionNone Compression = iota
-	// CompressionQuantized delta-encodes object IDs and quantizes pruning
-	// bounds to 16 bits (rounding up, so filtering stays a superset and
-	// answers are unchanged). Smallest; the recommended setting.
+	// CompressionQuantized stores every list as fixed-width columns: pruning
+	// bounds quantized to 16 bits (rounding up, so filtering stays a superset
+	// and answers are unchanged) and object IDs at 2 or 4 bytes. Smallest; the
+	// recommended setting.
 	CompressionQuantized
 	// CompressionExact delta-encodes object IDs but keeps full float64
 	// bounds, for workloads that want byte-exact pruning cutoffs on disk.
@@ -210,7 +211,8 @@ func Open(dir string, opts ...OpenOption) (*Index, error) {
 
 // Close releases any memory-mapped segments backing the index. Afterwards
 // Query, QueryBatch, Stream, Object, Footprint and Similarity return
-// ErrClosed instead of touching unmapped pages. Close is safe to call while
+// ErrClosed instead of touching unmapped pages (Fingerprint and TokenWeight,
+// which return no error, report "" and false). Close is safe to call while
 // any of them is in flight: calls already admitted run to completion first —
 // as do the shard searches that returned queries left behind (a strict
 // failure or an expired context abandons its stragglers) — and a call that
