@@ -20,7 +20,7 @@
 // run builds and saves, later runs with the same data and configuration boot
 // from disk by memory-mapping instead of re-indexing. With -segments and no
 // -data, the index boots purely from the segment directory (seal.Open).
-// -compress stores posting lists delta-encoded with quantized bounds.
+// -compress stores posting lists as fixed-width columns with quantized bounds.
 //
 // SIGINT cancels the in-flight query and releases mapped segments cleanly
 // (Index.Close runs on every exit path).

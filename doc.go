@@ -53,7 +53,7 @@
 //
 // # Migrating from the legacy Search methods
 //
-// The pre-existing entry points remain as deprecated wrappers:
+// The seven Search* wrappers of earlier versions are gone; each was one call:
 //
 //	ix.Search(q)                      → ix.Query(ctx, q.Request())
 //	ix.SearchContext(ctx, q)          → ix.Query(ctx, q.Request())
@@ -176,9 +176,18 @@
 // matches. There are no runs and no bitmaps: on the index SEAL builds, 95.5 %
 // of equal-bound runs held a single posting and 86 % of lists fewer than
 // four, so run headers and raw short lists cost more than the columns do.
-// CompressionExact keeps full float64 bounds behind delta-varint object IDs.
-// Decoding runs through each searcher's reusable scratch, preserving the
-// zero-allocation steady state.
+// An index whose bounds leave float32 range (possible only under
+// WithTokenWeights or enormous coordinates) falls back, whole, to an exact
+// layout: full float64 bounds behind delta-varint object IDs. Decoding runs
+// through each searcher's reusable scratch, preserving the zero-allocation
+// steady state.
+//
+// Underneath there is one posting index, not one per method. A posting is an
+// object with the bound its list is sorted by; a hybrid posting (MethodSeal,
+// MethodHybridHash) is the same posting with a second, textual bound in an
+// optional lane beside the first. Flat or compressed, in memory or mapped,
+// every filter probes it through the same call, and a segment records only
+// whether the lane is there.
 //
 // WithSegmentDir(dir) persists the index as sealed segments. The directory
 // holds exactly three kinds of file, all written through the same container

@@ -1,6 +1,7 @@
 package seal_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	matches, err := ix.Search(seal.Query{
+	res, err := ix.Query(context.Background(), seal.Request{
 		Region: seal.Rect{MinX: 35, MinY: 10, MaxX: 75, MaxY: 70},
 		Tokens: []string{"mocha", "coffee", "starbucks"},
 		TauR:   0.25,
@@ -33,7 +34,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, m := range matches {
+	for _, m := range res.Matches {
 		fmt.Printf("object %d: simR=%.2f simT=%.2f\n", m.ID, m.SimR, m.SimT)
 	}
 	// Output:
@@ -52,7 +53,7 @@ func ExampleWithMethod() {
 		{Region: seal.Rect{MinX: 50, MinY: 50, MaxX: 60, MaxY: 60}, Tokens: []string{"park"}},
 		{Region: seal.Rect{MinX: 80, MinY: 80, MaxX: 90, MaxY: 90}, Tokens: []string{"shop"}},
 	}
-	q := seal.Query{
+	q := seal.Request{
 		Region: seal.Rect{MinX: 1, MinY: 1, MaxX: 11, MaxY: 11},
 		Tokens: []string{"park", "dog"},
 		TauR:   0.3, TauT: 0.3,
@@ -62,20 +63,20 @@ func ExampleWithMethod() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		matches, err := ix.Search(q)
+		res, err := ix.Query(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s found %d matches\n", ix.Stats().Method, len(matches))
+		fmt.Printf("%s found %d matches\n", ix.Stats().Method, len(res.Matches))
 	}
 	// Output:
 	// Seal found 2 matches
 	// IR-Tree found 2 matches
 }
 
-// ExampleIndex_SearchWithStats shows the filter/verification cost breakdown
-// that mirrors the paper's experimental methodology.
-func ExampleIndex_SearchWithStats() {
+// ExampleCollectStats shows the filter/verification cost breakdown that
+// mirrors the paper's experimental methodology.
+func ExampleCollectStats() {
 	objects := []seal.Object{
 		{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, Tokens: []string{"cafe"}},
 		{Region: seal.Rect{MinX: 1, MinY: 1, MaxX: 5, MaxY: 5}, Tokens: []string{"cafe", "wifi"}},
@@ -85,22 +86,22 @@ func ExampleIndex_SearchWithStats() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	matches, stats, err := ix.SearchWithStats(seal.Query{
+	res, err := ix.Query(context.Background(), seal.Request{
 		Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 4.5, MaxY: 4.5},
 		Tokens: []string{"cafe", "wifi"},
 		TauR:   0.5, TauT: 0.2,
-	})
+	}, seal.CollectStats())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("matches=%d candidates=%d\n", len(matches), stats.Candidates)
+	fmt.Printf("matches=%d candidates=%d\n", len(res.Matches), res.Stats.Candidates)
 	// Output:
 	// matches=2 candidates=2
 }
 
-// ExampleIndex_SearchTopK ranks objects by a combined similarity score
+// ExampleIndex_Query_ranked ranks objects by a combined similarity score
 // instead of filtering by fixed thresholds.
-func ExampleIndex_SearchTopK() {
+func ExampleIndex_Query_ranked() {
 	objects := []seal.Object{
 		{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}, Tokens: []string{"cafe", "wifi"}},
 		{Region: seal.Rect{MinX: 2, MinY: 2, MaxX: 12, MaxY: 12}, Tokens: []string{"cafe"}},
@@ -110,7 +111,7 @@ func ExampleIndex_SearchTopK() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	top, err := ix.SearchTopK(seal.TopKQuery{
+	top, err := ix.Query(context.Background(), seal.Request{
 		Region: seal.Rect{MinX: 1, MinY: 1, MaxX: 11, MaxY: 11},
 		Tokens: []string{"cafe", "wifi"},
 		K:      2,
@@ -119,7 +120,7 @@ func ExampleIndex_SearchTopK() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for rank, m := range top {
+	for rank, m := range top.Matches {
 		fmt.Printf("#%d object %d\n", rank+1, m.ID)
 	}
 	// Output:
@@ -127,8 +128,8 @@ func ExampleIndex_SearchTopK() {
 	// #2 object 1
 }
 
-// ExampleIndex_SearchBatch answers several queries concurrently.
-func ExampleIndex_SearchBatch() {
+// ExampleIndex_QueryBatch answers several queries concurrently.
+func ExampleIndex_QueryBatch() {
 	objects := []seal.Object{
 		{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, Tokens: []string{"park"}},
 		{Region: seal.Rect{MinX: 10, MinY: 10, MaxX: 14, MaxY: 14}, Tokens: []string{"lake"}},
@@ -138,16 +139,15 @@ func ExampleIndex_SearchBatch() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	queries := []seal.Query{
+	queries := []seal.Request{
 		{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, Tokens: []string{"park"}, TauR: 0.5, TauT: 0.5},
 		{Region: seal.Rect{MinX: 10, MinY: 10, MaxX: 14, MaxY: 14}, Tokens: []string{"lake"}, TauR: 0.5, TauT: 0.5},
 	}
-	results, err := ix.SearchBatch(queries, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i, matches := range results {
-		fmt.Printf("query %d: %d match(es)\n", i, len(matches))
+	for i, br := range ix.QueryBatch(context.Background(), queries, seal.BatchParallelism(2)) {
+		if br.Err != nil {
+			log.Fatal(br.Err)
+		}
+		fmt.Printf("query %d: %d match(es)\n", i, len(br.Results.Matches))
 	}
 	// Output:
 	// query 0: 1 match(es)

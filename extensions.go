@@ -7,11 +7,9 @@ package seal
 // execution.
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/sealdb/seal/internal/cluster"
-	"github.com/sealdb/seal/internal/engine"
 	"github.com/sealdb/seal/internal/geo"
 )
 
@@ -53,44 +51,6 @@ type TopKQuery struct {
 	FloorR, FloorT float64
 }
 
-// ScoredMatch is one top-k result, sorted by descending Score (ties by ID).
-type ScoredMatch struct {
-	ID    int
-	SimR  float64
-	SimT  float64
-	Score float64
-}
-
-// SearchTopK answers a top-k query. Fewer than K results are returned when
-// fewer objects satisfy the floors.
-//
-// Deprecated: Use [Index.Query] with a ranked Request (q.Request()); matches
-// carry the combined score in Match.Score.
-func (ix *Index) SearchTopK(q TopKQuery) ([]ScoredMatch, error) {
-	return ix.SearchTopKContext(context.Background(), q)
-}
-
-// SearchTopKContext is SearchTopK honoring ctx: shards poll the context
-// between descent rounds, so cancellation and deadlines cut the search short
-// with ctx's error. On a sharded index the shards prune cooperatively
-// against the running global k-th-best score.
-//
-// Deprecated: Use [Index.Query] with a ranked Request (q.Request()).
-func (ix *Index) SearchTopKContext(ctx context.Context, q TopKQuery) ([]ScoredMatch, error) {
-	if q.K <= 0 {
-		return nil, fmt.Errorf("seal: top-k query needs K >= 1, got %d", q.K)
-	}
-	res, err := ix.Query(ctx, q.Request())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ScoredMatch, len(res.Matches))
-	for i, m := range res.Matches {
-		out[i] = ScoredMatch{ID: m.ID, SimR: m.SimR, SimT: m.SimT, Score: m.Score}
-	}
-	return out, nil
-}
-
 // Footprint returns the spatial footprint of an object: a single rectangle
 // for plain objects, or the full rectangle set for multi-region objects.
 func (ix *Index) Footprint(id int) ([]Rect, error) {
@@ -110,45 +70,6 @@ func (ix *Index) Footprint(id int) ([]Rect, error) {
 		return out, nil
 	}
 	return []Rect{rectOut(ix.ds.Region(oid))}, nil
-}
-
-// SearchBatch answers many queries concurrently with the given parallelism
-// (values < 1 mean one goroutine per available CPU, capped at the query
-// count). Results are positionally aligned with the input. The first failure
-// cancels the queries still outstanding and aborts the batch with that
-// query's error.
-//
-// Deprecated: Use [Index.QueryBatch], which reports each query's error
-// individually instead of discarding the whole batch's completed work on
-// the first failure.
-func (ix *Index) SearchBatch(queries []Query, parallelism int) ([][]Match, error) {
-	return ix.SearchBatchContext(context.Background(), queries, parallelism)
-}
-
-// SearchBatchContext is SearchBatch honoring ctx: canceling the context (or
-// passing its deadline) stops the batch early with ctx's error.
-//
-// Deprecated: Use [Index.QueryBatch] with the [BatchParallelism] option.
-func (ix *Index) SearchBatchContext(ctx context.Context, queries []Query, parallelism int) ([][]Match, error) {
-	if parallelism < 1 {
-		parallelism = defaultParallelism(len(queries))
-	}
-	results := make([][]Match, len(queries))
-	// Each query runs under the batch's own ctx (see QueryBatch); a failed
-	// query still stops the scatter from starting the rest.
-	err := engine.ForEach(ctx, len(queries), parallelism, func(_ context.Context, i int) error {
-		res, err := ix.query(ctx, queries[i].Request(), queryConfig{})
-		if err != nil {
-			// The inner error already carries the library prefix.
-			return fmt.Errorf("batch query %d: %w", i, err)
-		}
-		results[i] = res.Matches
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 func rectOut(r geo.Rect) Rect {

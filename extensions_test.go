@@ -1,6 +1,7 @@
 package seal_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -51,7 +52,7 @@ func TestMultiRegionObjects(t *testing.T) {
 		}
 		// A query inside the notch: overlaps the MBR of o0 but none of its
 		// rectangles; overlaps o1 fully.
-		matches, err := ix.Search(seal.Query{
+		matches, err := answer(ix, seal.Request{
 			Region: seal.Rect{MinX: 4, MinY: 4, MaxX: 9, MaxY: 9},
 			Tokens: []string{"ell", "block", "corner"},
 			TauR:   0.2, TauT: 0.2,
@@ -63,7 +64,7 @@ func TestMultiRegionObjects(t *testing.T) {
 			t.Fatalf("%s: matches = %v, want only the block", ix.Stats().Method, matches)
 		}
 		// A query along the horizontal bar matches both.
-		matches, err = ix.Search(seal.Query{
+		matches, err = answer(ix, seal.Request{
 			Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 2},
 			Tokens: []string{"ell", "block", "corner"},
 			TauR:   0.15, TauT: 0.2,
@@ -104,7 +105,7 @@ func TestSearchTopKPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.SearchTopK(seal.TopKQuery{
+	got, err := answer(ix, seal.Request{
 		Region: paperQuery().Region,
 		Tokens: paperQuery().Tokens,
 		K:      3,
@@ -123,43 +124,44 @@ func TestSearchTopKPublic(t *testing.T) {
 			t.Fatalf("not sorted by score: %+v", got)
 		}
 	}
-	if _, err := ix.SearchTopK(seal.TopKQuery{K: 0}); err == nil {
+	if _, err := answer(ix, seal.TopKQuery{K: 0}.Request()); err == nil {
 		t.Fatal("K=0 should error")
 	}
 }
 
-func TestSearchBatch(t *testing.T) {
+func TestQueryBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	objects := randomObjects(rng, 300)
 	ix, err := seal.Build(objects)
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := make([]seal.Query, 40)
+	queries := make([]seal.Request, 40)
 	for i := range queries {
-		queries[i] = randomQuery(rng, objects)
+		queries[i] = randomQuery(rng, objects).Request()
 	}
 	want := make([][]seal.Match, len(queries))
 	for i, q := range queries {
-		want[i], err = ix.Search(q)
+		want[i], err = answer(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, par := range []int{0, 1, 4, 100} {
-		got, err := ix.SearchBatch(queries, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: batch results differ from serial", par)
+		for i, br := range ix.QueryBatch(context.Background(), queries, seal.BatchParallelism(par)) {
+			if br.Err != nil {
+				t.Fatal(br.Err)
+			}
+			if !reflect.DeepEqual(br.Results.Matches, want[i]) {
+				t.Fatalf("parallelism %d: batch result %d differs from serial", par, i)
+			}
 		}
 	}
-	// A bad query aborts with a positional error.
-	bad := append([]seal.Query(nil), queries...)
+	// A bad query fails at its own position.
+	bad := append([]seal.Request(nil), queries...)
 	bad[7].TauR = 0
-	if _, err := ix.SearchBatch(bad, 4); err == nil {
-		t.Fatal("bad query should fail the batch")
+	if got := ix.QueryBatch(context.Background(), bad, seal.BatchParallelism(4)); got[7].Err == nil {
+		t.Fatal("bad query should fail its batch entry")
 	}
 }
 
@@ -178,12 +180,12 @@ func TestTopKStability(t *testing.T) {
 		K:      10,
 		Alpha:  0.4,
 	}
-	first, err := ix.SearchTopK(q)
+	first, err := answer(ix, q.Request())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := ix.SearchTopK(q)
+		again, err := answer(ix, q.Request())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,15 +38,52 @@ var goldenSegmentDigests = map[string]string{
 	"shard-3.seg":   "3cdbaec4722519166ebe38eb84e942135c3b248ee6ce84084105e9209a056757",
 }
 
-// buildGoldenDir writes the golden corpus's segment directory at the given
-// GOMAXPROCS and returns its path.
-func buildGoldenDir(t *testing.T, objects []seal.Object, procs int) string {
+// goldenFlavours are the builds whose segment directories are pinned: the
+// production one above, and the three other on-disk flavours — single-bound
+// raw, single-bound quantized, dual-bound raw — on the same corpus at 2 shards.
+// Those three were recorded before the single- and dual-bound index types were
+// folded into one, and the fold left every byte of every flavour where it was.
+var goldenFlavours = []struct {
+	name    string
+	opts    []seal.Option
+	digests map[string]string
+}{
+	{"seal/quantized", productionOptions, goldenSegmentDigests},
+	{"token/raw", []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, map[string]string{
+		"dataset.seg":   golden2ShardDataset,
+		"manifest.json": "608286c4d7a339d802ce08ccd6cebc957ce3faf95b5c1b310b2f14d5cad5f04c",
+		"shard-0.seg":   "94a19b9027c443027e4ac98a37ff15ad6865cb5f9d063378c87f165ba3b86321",
+		"shard-1.seg":   "b7855161df2e3db5f7f380015d34c85ee02b1447e34e36e7c06181f24064ed12",
+	}},
+	{"grid/quantized", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2),
+		seal.WithCompression(seal.CompressionQuantized)}, map[string]string{
+		"dataset.seg":   golden2ShardDataset,
+		"manifest.json": "772f27128ac22f8f06910b4b5840239e594d7a984431ce2eb64fa897e5dc54ea",
+		"shard-0.seg":   "f4848ff257cdece45335b6efcd507538d8493722ece81e217dfc319e25aa1fc6",
+		"shard-1.seg":   "a669172277ce1c9bf8914ecf51093022775c63a9480e07d3d64f54febaa13292",
+	}},
+	{"hybrid-hash/raw", []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, map[string]string{
+		"dataset.seg":   golden2ShardDataset,
+		"manifest.json": "23151327ac31e146cb95f6e88acd9a09c9072f5d396e5b9d6453fe5ce227f400",
+		"shard-0.seg":   "8573e613e5fc8fa53ff9cb526e0bece0477ecf557340bcd1bdaf49024fc39f78",
+		"shard-1.seg":   "60e55ac76ad3e99cdb48c58ef01ffc2bad2788f386d8bb1cc1147e25d971d3fe",
+	}},
+}
+
+// golden2ShardDataset is the dataset segment of the golden corpus cut in two.
+const golden2ShardDataset = "599f8fb2f72268095fa31dba1d5a6377a48ac99f4dbb57bb67c670f9630444d1"
+
+// productionOptions are the options of benchmark/run.go.
+var productionOptions = []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithShards(4),
+	seal.WithCompression(seal.CompressionQuantized)}
+
+// buildGoldenDir writes the golden corpus's segment directory under opts at
+// the given GOMAXPROCS and returns its path.
+func buildGoldenDir(t *testing.T, objects []seal.Object, procs int, opts []seal.Option) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "segments")
 	prev := runtime.GOMAXPROCS(procs)
-	ix, err := seal.Build(objects,
-		seal.WithMethod(seal.MethodSeal), seal.WithShards(4),
-		seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir))
+	ix, err := seal.Build(objects, append(slices.Clone(opts), seal.WithSegmentDir(dir))...)
 	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
@@ -65,29 +103,32 @@ func goldenObjects(t *testing.T) []seal.Object {
 	return server.SnapshotObjects(ds)
 }
 
-// TestGoldenSegmentDigests builds the golden corpus at GOMAXPROCS 1 and N,
-// twice each, and compares every file of the segment directory with its
-// recorded digest: the directory is a pure function of the corpus and the
-// options — not of the worker count, and not of what the process did before.
+// TestGoldenSegmentDigests builds the golden corpus in every pinned flavour at
+// GOMAXPROCS 1 and N, twice each, and compares every file of the segment
+// directory with its recorded digest: the directory is a pure function of the
+// corpus and the options — not of the worker count, and not of what the
+// process did before.
 func TestGoldenSegmentDigests(t *testing.T) {
 	objects := goldenObjects(t)
-	for _, p := range []int{1, max(4, runtime.NumCPU()), 1, max(4, runtime.NumCPU())} {
-		dir := buildGoldenDir(t, objects, p)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) != len(goldenSegmentDigests) {
-			t.Errorf("GOMAXPROCS %d: %d files in the segment directory, want %d", p, len(entries), len(goldenSegmentDigests))
-		}
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	for _, fl := range goldenFlavours {
+		for _, p := range []int{1, max(4, runtime.NumCPU()), 1, max(4, runtime.NumCPU())} {
+			dir := buildGoldenDir(t, objects, p, fl.opts)
+			entries, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum := sha256.Sum256(data)
-			if got, want := hex.EncodeToString(sum[:]), goldenSegmentDigests[e.Name()]; got != want {
-				t.Errorf("GOMAXPROCS %d: %s: sha256 %s, want %s", p, e.Name(), got, want)
+			if len(entries) != len(fl.digests) {
+				t.Errorf("%s, GOMAXPROCS %d: %d files in the segment directory, want %d", fl.name, p, len(entries), len(fl.digests))
+			}
+			for _, e := range entries {
+				data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(data)
+				if got, want := hex.EncodeToString(sum[:]), fl.digests[e.Name()]; got != want {
+					t.Errorf("%s, GOMAXPROCS %d: %s: sha256 %s, want %s", fl.name, p, e.Name(), got, want)
+				}
 			}
 		}
 	}
@@ -106,7 +147,7 @@ const (
 
 // TestSegmentBytesBudget holds the golden directory to its committed size.
 func TestSegmentBytesBudget(t *testing.T) {
-	dir := buildGoldenDir(t, goldenObjects(t), runtime.GOMAXPROCS(0))
+	dir := buildGoldenDir(t, goldenObjects(t), runtime.GOMAXPROCS(0), productionOptions)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

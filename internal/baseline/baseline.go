@@ -21,7 +21,6 @@ import (
 type KeywordFirst struct {
 	ds  *model.Dataset
 	idx *invidx.Index
-	acc *accumulator
 }
 
 // NewKeywordFirst indexes all objects of ds.
@@ -32,7 +31,7 @@ func NewKeywordFirst(ds *model.Dataset) *KeywordFirst {
 			b.Add(uint64(t), uint32(obj), ds.TokenWeight(t))
 		}
 	}
-	return &KeywordFirst{ds: ds, idx: b.Build(), acc: newAccumulator(ds.Len())}
+	return &KeywordFirst{ds: ds, idx: b.Build()}
 }
 
 // Name implements core.Filter.
@@ -46,17 +45,12 @@ func (f *KeywordFirst) Postings() int { return f.idx.Postings() }
 
 // Collect implements core.Filter: it merges the query tokens' full lists,
 // computes the exact weighted Jaccard from the accumulated common weight,
-// and keeps objects passing τT.
-func (f *KeywordFirst) Collect(q *model.Query, cs *core.CandidateSet, st *core.FilterStats) {
-	f.CollectStop(q, cs, st, nil)
-}
-
-// CollectStop implements core.StoppableFilter: stop is polled before each
-// list merge and between candidate insertions. Stopping mid-merge only loses
-// candidates (partial weight sums can pass the τT gate solely when the full
-// sums would too), which is exactly what an abandoned search wants.
-func (f *KeywordFirst) CollectStop(q *model.Query, cs *core.CandidateSet, st *core.FilterStats, stop func() bool) {
-	f.acc.reset()
+// and keeps objects passing τT. stop is polled before each list merge and
+// between candidate insertions. Stopping mid-merge only loses candidates
+// (partial weight sums can pass the τT gate solely when the full sums would
+// too), which is exactly what an abandoned search wants.
+func (f *KeywordFirst) Collect(q *model.Query, cs *core.CandidateSet, st *core.FilterStats, stop func() bool, scr *core.Scratch) {
+	acc := scr.Weights(f.ds.Len())
 	for _, t := range q.Tokens {
 		if stop != nil && stop() {
 			return
@@ -70,14 +64,14 @@ func (f *KeywordFirst) CollectStop(q *model.Query, cs *core.CandidateSet, st *co
 		st.PostingsScanned += n
 		w := f.ds.TokenWeight(t)
 		for i := 0; i < n; i++ {
-			f.acc.add(l.Obj(i), w)
+			acc.Add(l.Obj(i), w)
 		}
 	}
-	for _, obj := range f.acc.touched {
+	for _, obj := range acc.Touched() {
 		if stop != nil && stop() {
 			return
 		}
-		common := f.acc.sum[obj]
+		common := acc.Sum(obj)
 		union := q.TotalWeight + f.ds.TotalWeight(model.ObjectID(obj)) - common
 		if union <= 0 {
 			continue
@@ -116,14 +110,9 @@ func (f *SpatialFirst) SizeBytes() int64 { return f.tree.SizeBytes() }
 
 // Collect implements core.Filter: every object overlapping q.R is examined
 // (objects with simR ≥ τR > 0 necessarily overlap), and the exact spatial
-// similarity gates candidacy.
-func (f *SpatialFirst) Collect(q *model.Query, cs *core.CandidateSet, st *core.FilterStats) {
-	f.CollectStop(q, cs, st, nil)
-}
-
-// CollectStop implements core.StoppableFilter: stop is polled per overlapping
-// entry, cutting the R-tree walk short.
-func (f *SpatialFirst) CollectStop(q *model.Query, cs *core.CandidateSet, st *core.FilterStats, stop func() bool) {
+// similarity gates candidacy. stop is polled per overlapping entry, cutting
+// the R-tree walk short.
+func (f *SpatialFirst) Collect(q *model.Query, cs *core.CandidateSet, st *core.FilterStats, stop func() bool, _ *core.Scratch) {
 	st.ListsProbed++
 	f.tree.SearchOverlapping(q.Region, func(e rtree.Entry) bool {
 		if stop != nil && stop() {
@@ -152,14 +141,9 @@ func (f *Scan) Name() string { return "Scan" }
 // SizeBytes implements core.Filter: a scan needs no index.
 func (f *Scan) SizeBytes() int64 { return 0 }
 
-// Collect implements core.Filter.
-func (f *Scan) Collect(q *model.Query, cs *core.CandidateSet, st *core.FilterStats) {
-	f.CollectStop(q, cs, st, nil)
-}
-
-// CollectStop implements core.StoppableFilter: stop is polled per object, so
-// an early-terminating consumer scans only as far as its answers reach.
-func (f *Scan) CollectStop(q *model.Query, cs *core.CandidateSet, st *core.FilterStats, stop func() bool) {
+// Collect implements core.Filter: stop is polled per object, so an
+// early-terminating consumer scans only as far as its answers reach.
+func (f *Scan) Collect(q *model.Query, cs *core.CandidateSet, st *core.FilterStats, stop func() bool, _ *core.Scratch) {
 	for obj := 0; obj < f.ds.Len(); obj++ {
 		if stop != nil && stop() {
 			return
@@ -167,38 +151,4 @@ func (f *Scan) CollectStop(q *model.Query, cs *core.CandidateSet, st *core.Filte
 		st.PostingsScanned++
 		cs.Add(uint32(obj))
 	}
-}
-
-// accumulator sums per-object weights with epoch-based clearing (a local
-// copy of core's unexported helper; small enough that sharing would couple
-// the packages for no gain).
-type accumulator struct {
-	sum     []float64
-	mark    []uint32
-	epoch   uint32
-	touched []uint32
-}
-
-func newAccumulator(n int) *accumulator {
-	return &accumulator{sum: make([]float64, n), mark: make([]uint32, n)}
-}
-
-func (a *accumulator) reset() {
-	a.epoch++
-	a.touched = a.touched[:0]
-	if a.epoch == 0 {
-		for i := range a.mark {
-			a.mark[i] = 0
-		}
-		a.epoch = 1
-	}
-}
-
-func (a *accumulator) add(obj uint32, w float64) {
-	if a.mark[obj] != a.epoch {
-		a.mark[obj] = a.epoch
-		a.sum[obj] = 0
-		a.touched = append(a.touched, obj)
-	}
-	a.sum[obj] += w
 }

@@ -2,6 +2,7 @@ package baseline_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/sealdb/seal/internal/baseline"
@@ -54,7 +55,7 @@ func TestKeywordFirstCandidates(t *testing.T) {
 	cs := core.NewCandidateSet(ds.Len())
 	var st core.FilterStats
 	cs.Reset()
-	f.Collect(q, cs, &st)
+	f.Collect(q, cs, &st, nil, new(core.Scratch))
 	want := map[uint32]bool{0: true, 1: true, 3: true, 4: true}
 	if cs.Len() != len(want) {
 		t.Fatalf("candidates = %v, want o1,o2,o4,o5", cs.IDs())
@@ -80,7 +81,7 @@ func TestSpatialFirstCandidates(t *testing.T) {
 	cs := core.NewCandidateSet(ds.Len())
 	var st core.FilterStats
 	cs.Reset()
-	f.Collect(q, cs, &st)
+	f.Collect(q, cs, &st, nil, new(core.Scratch))
 	if cs.Len() != 1 || cs.IDs()[0] != 1 {
 		t.Fatalf("candidates = %v, want [o2]", cs.IDs())
 	}
@@ -90,6 +91,9 @@ func TestSpatialFirstCandidates(t *testing.T) {
 	}
 }
 
+// TestBaselinesMatchBruteForce checks every baseline against a brute-force
+// scan, from two searchers at once over each filter: searchers may share a
+// filter, so under -race this also catches per-query state kept on one.
 func TestBaselinesMatchBruteForce(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -97,26 +101,38 @@ func TestBaselinesMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		filters := buildBaselines(t, ds)
-		for qi := 0; qi < 25; qi++ {
-			q, err := testutil.RandomQuery(rng, ds, 30)
-			if err != nil {
+		queries := make([]*model.Query, 25)
+		want := make([][]model.ObjectID, len(queries))
+		for qi := range queries {
+			if queries[qi], err = testutil.RandomQuery(rng, ds, 30); err != nil {
 				t.Fatal(err)
 			}
-			want := testutil.BruteForceAnswers(ds, q)
-			for _, f := range filters {
-				s := core.NewSearcher(ds, f)
-				matches, _ := s.Search(q)
-				if len(matches) != len(want) {
-					t.Fatalf("seed %d q%d %s: %d results, want %d", seed, qi, f.Name(), len(matches), len(want))
-				}
-				for i, m := range matches {
-					if m.ID != want[i] {
-						t.Fatalf("seed %d q%d %s: result %v, want %v", seed, qi, f.Name(), m.ID, want[i])
+			want[qi] = testutil.BruteForceAnswers(ds, queries[qi])
+		}
+		var wg sync.WaitGroup
+		for _, f := range buildBaselines(t, ds) {
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s := core.NewSearcher(ds, f)
+					for qi, q := range queries {
+						matches, _ := s.Search(q)
+						if len(matches) != len(want[qi]) {
+							t.Errorf("seed %d q%d %s: %d results, want %d", seed, qi, f.Name(), len(matches), len(want[qi]))
+							return
+						}
+						for i, m := range matches {
+							if m.ID != want[qi][i] {
+								t.Errorf("seed %d q%d %s: result %v, want %v", seed, qi, f.Name(), m.ID, want[qi][i])
+								return
+							}
+						}
 					}
-				}
+				}()
 			}
 		}
+		wg.Wait()
 	}
 }
 

@@ -29,7 +29,7 @@ func TestKeywordFirstUnknownOnlyQuery(t *testing.T) {
 	cs := core.NewCandidateSet(ds.Len())
 	cs.Reset()
 	var st core.FilterStats
-	f.Collect(q, cs, &st)
+	f.Collect(q, cs, &st, nil, new(core.Scratch))
 	if cs.Len() != 0 {
 		t.Fatalf("unknown-only query produced candidates: %v", cs.IDs())
 	}
@@ -52,7 +52,7 @@ func TestSpatialFirstDegenerateQueryRegion(t *testing.T) {
 	cs := core.NewCandidateSet(ds.Len())
 	cs.Reset()
 	var st core.FilterStats
-	f.Collect(q, cs, &st)
+	f.Collect(q, cs, &st, nil, new(core.Scratch))
 	if cs.Len() != 0 {
 		t.Fatalf("degenerate query region produced candidates: %v", cs.IDs())
 	}

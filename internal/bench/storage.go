@@ -11,7 +11,6 @@ import (
 	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/gen"
-	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/model"
 )
 
@@ -100,19 +99,24 @@ func StorageData(env *Env) (*StorageResult, error) {
 func storagePoint(env *Env, ds *model.Dataset, kind string, queries []*model.Query, dir string) (StoragePoint, error) {
 	p := StoragePoint{Objects: ds.Len(), Filter: kind}
 
+	// A fresh (uncached) filter: the experiment mutates it by compressing in
+	// place.
+	spec := core.FilterSpec{Kind: kind, P: 1024, MaxLevel: env.Cfg.HierMaxLevel, GridBudget: env.Cfg.HierBudget}
 	start := time.Now()
-	f, err := buildStorageFilter(env, ds, kind)
+	f, err := core.BuildFilter(ds, spec)
 	if err != nil {
 		return p, err
 	}
 	p.BuildMS = ms(time.Since(start))
+	// The spec as built, with the seal kind's defaults resolved.
+	src, spec, _ := core.Postings(f)
 
 	raw := scoringPoint(ds, f, queries)
 	p.RawQueryUS = raw.AvgMS * 1e3
 	p.RawAllocs = raw.AllocsPerQuery
 
 	rawPath := filepath.Join(dir, fmt.Sprintf("%s-%d-raw.seg", kind, ds.Len()))
-	if err := diskidx.WriteSegment(rawPath, storageSource(f), ds.Len()); err != nil {
+	if err := diskidx.WriteSegment(rawPath, src, ds.Len()); err != nil {
 		return p, err
 	}
 	if st, err := os.Stat(rawPath); err == nil {
@@ -121,14 +125,15 @@ func storagePoint(env *Env, ds *model.Dataset, kind string, queries []*model.Que
 
 	// Compress in place (quantized flavour, the recommended setting) and
 	// re-measure queries over the same filter object.
-	f.(interface{ CompressPostings(invidx.Compression) }).CompressPostings(invidx.Compression{})
+	core.CompressPostings(f)
+	src, _, _ = core.Postings(f)
 	comp := scoringPoint(ds, f, queries)
 	p.CompQueryUS = comp.AvgMS * 1e3
 	p.CompAllocs = comp.AllocsPerQuery
 
 	compPath := filepath.Join(dir, fmt.Sprintf("%s-%d-comp.seg", kind, ds.Len()))
 	start = time.Now()
-	if err := diskidx.WriteSegment(compPath, storageSource(f), ds.Len()); err != nil {
+	if err := diskidx.WriteSegment(compPath, src, ds.Len()); err != nil {
 		return p, err
 	}
 	p.SaveMS = ms(time.Since(start))
@@ -147,7 +152,8 @@ func storagePoint(env *Env, ds *model.Dataset, kind string, queries []*model.Que
 		return p, err
 	}
 	defer seg.Close()
-	mf, err := openStorageFilter(env, ds, kind, f, seg)
+	// The filter is reconstructed over the mapped segment as the engine does.
+	mf, err := core.OpenFilter(ds, spec, seg.Source())
 	if err != nil {
 		return p, err
 	}
@@ -161,54 +167,6 @@ func storagePoint(env *Env, ds *model.Dataset, kind string, queries []*model.Que
 	p.MappedQueryUS = mapped.AvgMS * 1e3
 	p.MappedAllocs = mapped.AllocsPerQuery
 	return p, nil
-}
-
-// buildStorageFilter constructs a fresh (uncached — the experiment mutates
-// it by compressing in place) filter of the given kind.
-func buildStorageFilter(env *Env, ds *model.Dataset, kind string) (core.Filter, error) {
-	switch kind {
-	case "token":
-		return core.NewTokenFilter(ds), nil
-	case "grid":
-		return core.NewGridFilter(ds, 1024)
-	case "seal":
-		return core.NewHierarchicalFilter(ds, core.HierarchicalConfig{
-			MaxLevel: env.Cfg.HierMaxLevel, GridBudget: env.Cfg.HierBudget,
-		})
-	default:
-		return nil, fmt.Errorf("bench: unknown storage filter %q", kind)
-	}
-}
-
-// storageSource extracts the filter's posting index for WriteSegment.
-func storageSource(f core.Filter) any {
-	switch t := f.(type) {
-	case *core.TokenFilter:
-		return t.Source()
-	case *core.GridFilter:
-		return t.Source()
-	case *core.HierarchicalFilter:
-		return t.DualSource()
-	default:
-		return nil
-	}
-}
-
-// openStorageFilter reconstructs the filter over the mapped segment, as the
-// engine does; only the configuration is taken from the built filter.
-func openStorageFilter(env *Env, ds *model.Dataset, kind string, built core.Filter, seg *diskidx.Segment) (core.Filter, error) {
-	switch kind {
-	case "token":
-		return core.OpenTokenFilter(ds, seg.Single()), nil
-	case "grid":
-		return core.OpenGridFilter(ds, 1024, seg.Single())
-	case "seal":
-		hf := built.(*core.HierarchicalFilter)
-		cfg := core.HierarchicalConfig{MaxLevel: hf.MaxLevel(), GridBudget: hf.Budget()}
-		return core.OpenHierarchicalFilter(ds, cfg, seg.Dual())
-	default:
-		return nil, fmt.Errorf("bench: unknown storage filter %q", kind)
-	}
 }
 
 // Storage prints the experiment as tables.

@@ -16,17 +16,24 @@ import (
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/model"
+	"github.com/sealdb/seal/internal/text"
 )
 
 // allocDataset builds a single-region dataset (multi-region verification
 // walks geo.RectSet machinery, which is outside the zero-alloc contract).
-func allocDataset(t testing.TB, n int) *model.Dataset {
+func allocDataset(t testing.TB, n int) *model.Dataset { return allocDatasetAt(t, n, 1) }
+
+// allocDatasetAt is allocDataset with every coordinate multiplied by scale. A
+// scale other than 1 also sets every token's weight to 1e39: at 1e20 both the
+// areas and the weights are beyond float32 range, which switches compressed
+// postings to the exact layout.
+func allocDatasetAt(t testing.TB, n int, scale float64) *model.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	var b model.Builder
 	for i := 0; i < n; i++ {
-		x, y := rng.Float64()*900, rng.Float64()*900
-		w, h := 1+rng.Float64()*40, 1+rng.Float64()*40
+		x, y := rng.Float64()*900*scale, rng.Float64()*900*scale
+		w, h := (1+rng.Float64()*40)*scale, (1+rng.Float64()*40)*scale
 		terms := make([]string, 1+rng.Intn(6))
 		for j := range terms {
 			terms[j] = fmt.Sprintf("tok%d", rng.Intn(30))
@@ -35,7 +42,19 @@ func allocDataset(t testing.TB, n int) *model.Dataset {
 			t.Fatal(err)
 		}
 	}
-	ds, err := b.Build()
+	build := b.Build
+	if scale != 1 {
+		terms, weights := make([]string, 30), make([]float64, 30)
+		for i := range terms {
+			terms[i], weights[i] = fmt.Sprintf("tok%d", i), 1e39
+		}
+		vocab, err := text.NewWithWeights(terms, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build = func() (*model.Dataset, error) { return b.BuildWithVocab(vocab) }
+	}
+	ds, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,17 +62,21 @@ func allocDataset(t testing.TB, n int) *model.Dataset {
 }
 
 func allocQueries(t testing.TB, ds *model.Dataset, n int) []*model.Query {
+	return allocQueriesAt(t, ds, n, 1)
+}
+
+func allocQueriesAt(t testing.TB, ds *model.Dataset, n int, scale float64) []*model.Query {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	queries := make([]*model.Query, 0, n)
 	for len(queries) < n {
-		x, y := rng.Float64()*800, rng.Float64()*800
+		x, y := rng.Float64()*800*scale, rng.Float64()*800*scale
 		terms := []string{
 			fmt.Sprintf("tok%d", rng.Intn(30)),
 			fmt.Sprintf("tok%d", rng.Intn(30)),
 			fmt.Sprintf("tok%d", rng.Intn(30)),
 		}
-		q, err := ds.NewQuery(geo.Rect{MinX: x, MinY: y, MaxX: x + 120, MaxY: y + 120}, terms, 0.05, 0.05)
+		q, err := ds.NewQuery(geo.Rect{MinX: x, MinY: y, MaxX: x + 120*scale, MaxY: y + 120*scale}, terms, 0.05, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,18 +157,18 @@ func TestSearchZeroAllocsCompressed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	ds := allocDataset(t, 600)
-	queries := allocQueries(t, ds, 8)
 	for _, exact := range []bool{false, true} {
+		label, scale := "compressed", 1.0
+		if exact {
+			label, scale = "compressed-exact", 1e20
+		}
+		ds := allocDatasetAt(t, 600, scale)
+		queries := allocQueriesAt(t, ds, 8, scale)
 		for _, f := range allocFilters(t, ds) {
-			c, ok := f.(interface{ CompressPostings(invidx.Compression) })
-			if !ok {
-				continue
-			}
-			c.CompressPostings(invidx.Compression{ExactBounds: exact})
-			label := "compressed"
-			if exact {
-				label = "compressed-exact"
+			core.CompressPostings(f)
+			src, _, _ := core.Postings(f)
+			if lay := src.(*invidx.Compressed).Arenas().Layout; lay.Exact != exact {
+				t.Fatalf("%s %s: list layout %+v", label, f.Name(), lay)
 			}
 			requireZeroAllocs(t, label, ds, f, queries)
 		}
@@ -178,7 +201,7 @@ func TestSearchZeroAllocsRealisticGranularity(t *testing.T) {
 		requireZeroAllocs(t, "raw", ds, f, queries)
 	}
 	for _, f := range filters {
-		f.(interface{ CompressPostings(invidx.Compression) }).CompressPostings(invidx.Compression{})
+		core.CompressPostings(f)
 		requireZeroAllocs(t, "compressed", ds, f, queries)
 	}
 }
@@ -194,14 +217,16 @@ func TestSearchZeroAllocsMapped(t *testing.T) {
 	queries := allocQueries(t, ds, 6)
 	dir := t.TempDir()
 
-	token := core.NewTokenFilter(ds)
-	hierCfg := core.HierarchicalConfig{MaxLevel: 5, GridBudget: 6}
-	hier, err := core.NewHierarchicalFilter(ds, hierCfg)
+	token, tokenSpec, _ := core.Postings(core.NewTokenFilter(ds))
+	hier, err := core.NewHierarchicalFilter(ds, core.HierarchicalConfig{MaxLevel: 5, GridBudget: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	seal, sealSpec, _ := core.Postings(hier)
 
-	openMapped := func(name string, src any) *diskidx.Segment {
+	// mapped reopens the filter spec describes over src, written to a segment
+	// and mapped back.
+	mapped := func(name string, spec core.FilterSpec, src invidx.Source) core.Filter {
 		path := filepath.Join(dir, name)
 		if err := diskidx.WriteSegment(path, src, ds.Len()); err != nil {
 			t.Fatal(err)
@@ -211,21 +236,16 @@ func TestSearchZeroAllocsMapped(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { seg.Close() })
-		return seg
+		f, err := core.OpenFilter(ds, spec, seg.Source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
 
-	rawSeg := openMapped("token-raw.seg", token.Index())
-	requireZeroAllocs(t, "mapped-raw", ds, core.OpenTokenFilter(ds, rawSeg.Single()), queries)
-
-	compSeg := openMapped("token-comp.seg", invidx.Compress(token.Index(), invidx.Compression{}))
-	requireZeroAllocs(t, "mapped-compressed", ds, core.OpenTokenFilter(ds, compSeg.Single()), queries)
-
-	sealSeg := openMapped("seal.seg", invidx.CompressDual(hier.DualSource().(*invidx.DualIndex), invidx.Compression{}))
-	mappedHier, err := core.OpenHierarchicalFilter(ds, hierCfg, sealSeg.Dual())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireZeroAllocs(t, "mapped-compressed", ds, mappedHier, queries)
+	requireZeroAllocs(t, "mapped-raw", ds, mapped("token-raw.seg", tokenSpec, token), queries)
+	requireZeroAllocs(t, "mapped-compressed", ds, mapped("token-comp.seg", tokenSpec, invidx.Compress(token.(*invidx.Index))), queries)
+	requireZeroAllocs(t, "mapped-compressed", ds, mapped("seal.seg", sealSpec, invidx.Compress(seal.(*invidx.Index))), queries)
 }
 
 // TestStreamByIDZeroAllocs: the ID-ordered streaming path shares the same

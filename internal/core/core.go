@@ -56,15 +56,24 @@ func (s *FilterStats) Add(other FilterStats) {
 }
 
 // Filter generates candidate objects whose signatures are similar to the
-// query's (the filter step of Figure 3).
+// query's (the filter step of Figure 3). A filter is shared by every Searcher
+// over it, so Collect keeps its per-query state in cs and scr, never on the
+// filter.
 type Filter interface {
 	// Name identifies the filter in experiment output, e.g. "GridFilter(1024)".
 	Name() string
-	// Collect adds every candidate for q to cs and accounts work in st.
-	// Implementations must guarantee candidates ⊇ exact answers.
-	Collect(q *model.Query, cs *CandidateSet, st *FilterStats)
 	// SizeBytes estimates the filter's index footprint (Table 1).
 	SizeBytes() int64
+	// Collect adds every candidate for q to cs and accounts work in st,
+	// drawing every temporary buffer from scr so the steady state allocates
+	// nothing. Implementations must guarantee candidates ⊇ exact answers —
+	// unless stop, which may be nil, fires: it is polled between units of
+	// work (inverted-list probes, tree nodes, object batches), and once it
+	// returns true collection is abandoned, leaving cs with the candidates
+	// found so far. Abandonment is safe: a stopped search never claims its
+	// partial candidate set is complete — the caller asked it to stop
+	// producing.
+	Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch)
 }
 
 // simTAccumulator is the capability a filter declares when its Collect
@@ -311,23 +320,6 @@ func (s *Searcher) beginQuery(q *model.Query) {
 	}
 }
 
-// collect runs the filter through the fastest interface it offers: the
-// scratch-aware path when available (allocation-free), the interruptible
-// path when a stop hook is wanted, and the plain Collect otherwise.
-func (s *Searcher) collect(q *model.Query, st *FilterStats, stop func() bool) {
-	if sf, ok := s.filter.(ScratchFilter); ok {
-		sf.CollectScratch(q, s.cs, st, stop, &s.scr)
-		return
-	}
-	if stop != nil {
-		if sf, ok := s.filter.(StoppableFilter); ok {
-			sf.CollectStop(q, s.cs, st, stop)
-			return
-		}
-	}
-	s.filter.Collect(q, s.cs, st)
-}
-
 // Search answers q: it collects candidates, verifies each against the exact
 // similarity thresholds, and returns matches sorted by object ID.
 //
@@ -339,7 +331,7 @@ func (s *Searcher) Search(q *model.Query) ([]Match, SearchStats) {
 	st := &s.stats
 	start := time.Now()
 	s.beginQuery(q)
-	s.collect(q, &st.FilterStats, nil)
+	s.filter.Collect(q, s.cs, &st.FilterStats, nil, &s.scr)
 	st.Candidates = s.cs.Len()
 	st.FilterTime = time.Since(start)
 	if s.tr != nil {

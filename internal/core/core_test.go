@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/sealdb/seal/internal/core"
@@ -29,7 +31,7 @@ func collect(t *testing.T, f core.Filter, ds *model.Dataset, q *model.Query) ([]
 	cs := core.NewCandidateSet(ds.Len())
 	var st core.FilterStats
 	cs.Reset()
-	f.Collect(q, cs, &st)
+	f.Collect(q, cs, &st, nil, new(core.Scratch))
 	ids := make([]model.ObjectID, 0, cs.Len())
 	for _, o := range cs.IDs() {
 		ids = append(ids, model.ObjectID(o))
@@ -291,6 +293,53 @@ func TestPlainSubsetOfPrefix(t *testing.T) {
 		if !subsetOf(pg, fg) {
 			t.Fatalf("q%d: plain grid candidates %v not within prefix candidates %v", qi, pg, fg)
 		}
+	}
+}
+
+// TestSharedPlainFilter: searchers may share a filter, so the plain filters'
+// weight accumulator must be per-searcher state. Two searchers running
+// concurrently over one filter must agree with a serial run; under -race this
+// is the test that catches an accumulator kept on the filter.
+func TestSharedPlainFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	ds, err := testutil.RandomDataset(rng, 400, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainGrid, err := core.NewPlainGridFilter(ds, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]*model.Query, 30)
+	for i := range queries {
+		if queries[i], err = testutil.RandomQuery(rng, ds, 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []core.Filter{core.NewPlainTokenFilter(ds), plainGrid} {
+		serial := core.NewSearcher(ds, f)
+		want := make([][]core.Match, len(queries))
+		for i, q := range queries {
+			m, _ := serial.Search(q)
+			want[i] = append([]core.Match(nil), m...)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := core.NewSearcher(ds, f)
+				for round := 0; round < 5; round++ {
+					for i, q := range queries {
+						if got, _ := s.Search(q); !slices.Equal(got, want[i]) {
+							t.Errorf("%s q%d: concurrent searcher got %v, want %v", f.Name(), i, got, want[i])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -85,11 +85,12 @@ func levelCost(ds *model.Dataset, workload []*model.Query, level int, cm gridsig
 		return LevelCost{}, err
 	}
 	cs := NewCandidateSet(ds.Len())
+	var scr Scratch
 	var postings, candidates int
 	for _, q := range workload {
 		var st FilterStats
 		cs.Reset()
-		f.Collect(q, cs, &st)
+		f.Collect(q, cs, &st, nil, &scr)
 		postings += st.PostingsScanned
 		candidates += cs.Len()
 	}

@@ -16,10 +16,9 @@ import (
 // carry Lemma 3 suffix-area bounds. A query retrieves, from the lists of its
 // signature prefix, the postings with bound ≥ cR = τR·|q.R| (Lemma 1).
 type GridFilter struct {
-	ds      *model.Dataset
+	sigIndex
 	grid    *gridsig.Grid
 	counter *gridsig.Counter
-	idx     invidx.Source
 }
 
 // NewGridFilter indexes all objects of ds on a p×p grid over the dataset
@@ -49,86 +48,44 @@ func NewGridFilter(ds *model.Dataset, p int) (*GridFilter, error) {
 			b.Add(uint64(cw.Cell), uint32(obj), bounds[i])
 		}
 	}
-	return &GridFilter{ds: ds, grid: grid, counter: counter, idx: b.Build()}, nil
+	return &GridFilter{sigIndex{ds, b.Build(), FilterSpec{Kind: "grid", P: p}}, grid, counter}, nil
 }
 
-// OpenGridFilter pairs ds with persisted posting storage instead of
-// regenerating signatures. The query-side cell counter is recovered from the
-// index itself when possible: count(g) is by construction the length of cell
-// g's posting list (both count the regions with positive overlap area), so
-// sources exposing list lengths reopen in O(lists) with no geometry pass.
-// Other sources fall back to the O(N) region pass of NewGridFilter; either
-// way the reopened filter reproduces the built one exactly.
-func OpenGridFilter(ds *model.Dataset, p int, src invidx.Source) (*GridFilter, error) {
-	grid, err := gridsig.New(ds.Space(), p)
+// openGridFilter recovers the query-side cell counter from the index itself:
+// count(g) is by construction the length of cell g's posting list (both count
+// the regions with positive overlap area), so the filter reopens in O(lists)
+// with no geometry pass.
+func openGridFilter(ds *model.Dataset, spec FilterSpec, src invidx.Source) (Filter, error) {
+	grid, err := gridsig.New(ds.Space(), spec.P)
 	if err != nil {
 		return nil, err
 	}
 	counter := gridsig.NewCounter(grid)
-	if lr, ok := src.(invidx.LengthRanger); ok {
-		cells := uint64(grid.Cells())
-		var bad error
-		lr.EachLen(func(key uint64, n int) {
-			if key >= cells {
-				bad = fmt.Errorf("core: grid posting key %d outside %d×%d grid", key, p, p)
-				return
-			}
-			counter.AddCount(uint32(key), uint32(n))
-		})
-		if bad != nil {
-			return nil, bad
+	cells := uint64(grid.Cells())
+	var bad error
+	src.EachLen(func(key uint64, n int) {
+		if key >= cells {
+			bad = fmt.Errorf("core: grid posting key %d outside %d×%d grid", key, spec.P, spec.P)
+			return
 		}
-	} else {
-		for obj := 0; obj < ds.Len(); obj++ {
-			counter.AddRegion(ds.Region(model.ObjectID(obj)))
-		}
+		counter.AddCount(uint32(key), uint32(n))
+	})
+	if bad != nil {
+		return nil, bad
 	}
-	return &GridFilter{ds: ds, grid: grid, counter: counter, idx: src}, nil
-}
-
-// Source exposes the posting storage for segment writers.
-func (f *GridFilter) Source() invidx.Source { return f.idx }
-
-// CompressPostings re-encodes the filter's posting lists in place; a no-op
-// unless the filter still holds the flat in-memory layout.
-func (f *GridFilter) CompressPostings(c invidx.Compression) {
-	if ix, ok := f.idx.(*invidx.Index); ok {
-		f.idx = invidx.Compress(ix, c)
-	}
+	return &GridFilter{sigIndex{ds, src, spec}, grid, counter}, nil
 }
 
 // Name implements Filter.
 func (f *GridFilter) Name() string { return fmt.Sprintf("GridFilter(%d)", f.grid.P) }
 
-// SizeBytes implements Filter.
-func (f *GridFilter) SizeBytes() int64 { return f.idx.SizeBytes() }
-
-// Postings returns the number of postings in the index (Table 1 statistics).
-func (f *GridFilter) Postings() int { return f.idx.Postings() }
-
-// Granularity returns the grid parameter P.
-func (f *GridFilter) Granularity() int { return f.grid.P }
-
 // Collect implements Filter. Lemma 1: simR(q,o) ≥ τR only if
 // Σ_{g∈SR(q)∩SR(o)} min(w(g|q), w(g|o)) ≥ τR·|q.R|, so prefix filtering on
-// the grid signatures is complete.
-func (f *GridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats) {
-	var scr Scratch
-	f.CollectScratch(q, cs, st, nil, &scr)
-}
-
-// CollectStop implements StoppableFilter: stop is polled before each
-// inverted-list probe.
-func (f *GridFilter) CollectStop(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool) {
-	var scr Scratch
-	f.CollectScratch(q, cs, st, stop, &scr)
-}
-
-// CollectScratch implements ScratchFilter: the query's grid signature and
-// prefix weights live in the caller's scratch, so the scan is allocation
-// free. Grid cells prove spatial overlap only — never token membership — so
-// this filter does not accumulate SimT and verification re-intersects.
-func (f *GridFilter) CollectScratch(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
+// the grid signatures is complete. The query's grid signature and prefix
+// weights live in the caller's scratch, so the scan is allocation free. Grid
+// cells prove spatial overlap only — never token membership — so this filter
+// does not accumulate SimT and verification re-intersects.
+func (f *GridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
 	cR, _ := Thresholds(q)
 	if cR <= 0 {
 		return
@@ -170,7 +127,6 @@ type PlainGridFilter struct {
 	ds   *model.Dataset
 	grid *gridsig.Grid
 	idx  *invidx.Index
-	acc  *weightAccumulator
 }
 
 // NewPlainGridFilter indexes all objects of ds on a p×p grid with plain
@@ -188,7 +144,7 @@ func NewPlainGridFilter(ds *model.Dataset, p int) (*PlainGridFilter, error) {
 			b.Add(uint64(cw.Cell), uint32(obj), cw.W)
 		}
 	}
-	return &PlainGridFilter{ds: ds, grid: grid, idx: b.Build(), acc: newWeightAccumulator(ds.Len())}, nil
+	return &PlainGridFilter{ds: ds, grid: grid, idx: b.Build()}, nil
 }
 
 // Name implements Filter.
@@ -197,15 +153,18 @@ func (f *PlainGridFilter) Name() string { return fmt.Sprintf("PlainGridFilter(%d
 // SizeBytes implements Filter.
 func (f *PlainGridFilter) SizeBytes() int64 { return f.idx.SizeBytes() }
 
-// Collect implements Filter.
-func (f *PlainGridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats) {
+// Collect implements Filter; stop is polled before each list.
+func (f *PlainGridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
 	cR, _ := Thresholds(q)
 	if cR <= 0 {
 		return
 	}
-	sig := f.grid.Signature(q.Region, nil)
-	f.acc.reset()
-	for _, cw := range sig {
+	scr.gsig = f.grid.Signature(q.Region, scr.gsig[:0])
+	acc := scr.Weights(f.ds.Len())
+	for _, cw := range scr.gsig {
+		if stop != nil && stop() {
+			return
+		}
 		l := f.idx.List(uint64(cw.Cell))
 		n := l.Len()
 		if n == 0 {
@@ -216,12 +175,12 @@ func (f *PlainGridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterSt
 		for i := 0; i < n; i++ {
 			// Bound holds w(g|o); the signature similarity uses the
 			// min-weight estimate of Equation (1).
-			f.acc.add(l.Obj(i), math.Min(cw.W, l.Bound(i)))
+			acc.Add(l.Obj(i), math.Min(cw.W, l.Bound(i)))
 		}
 	}
 	slack := invidx.Slack(cR)
-	for _, obj := range f.acc.touched {
-		if f.acc.sum[obj] >= slack {
+	for _, obj := range acc.Touched() {
+		if acc.Sum(obj) >= slack {
 			cs.Add(obj)
 		}
 	}

@@ -78,13 +78,6 @@ type tokenLocators struct {
 	pos   []int32  // parallel to keys; see gridLocator.pos
 }
 
-// keyedLengths is what locators are derived from: the index's keys and, in
-// the same order, its list lengths.
-type keyedLengths interface {
-	invidx.LengthRanger
-	Keys() []uint64
-}
-
 // deriveLocators rebuilds every token's locator from the posting index alone.
 // The grids of a token that hold postings are the nodes of its keys, and
 // count(g) is the length of g's list, so the keys and list lengths carry the
@@ -93,12 +86,8 @@ type keyedLengths interface {
 // region posts to has no key; it could never produce a candidate.) The keys
 // are outside input when the index is a mapped segment: a token outside the
 // vocabulary or a level below the tree is an error.
-func deriveLocators(tree *gridtree.Tree, ord HierOrder, vocab int, src invidx.DualSource) (*tokenLocators, error) {
-	kl, ok := src.(keyedLengths)
-	if !ok {
-		return nil, fmt.Errorf("core: posting storage %T does not expose its keys", src)
-	}
-	keys := kl.Keys()
+func deriveLocators(tree *gridtree.Tree, ord HierOrder, vocab int, src invidx.Source) (*tokenLocators, error) {
+	keys := src.Keys()
 	tl := &tokenLocators{
 		tree:  tree,
 		keys:  keys,
@@ -128,7 +117,7 @@ func deriveLocators(tree *gridtree.Tree, ord HierOrder, vocab int, src invidx.Du
 		rankGrids(ord, keys[lo:i], counts, tl.pos[lo:i], &order)
 		counts, lo = counts[:0], i
 	}
-	kl.EachLen(func(key uint64, n int) {
+	src.EachLen(func(key uint64, n int) {
 		if i > lo && key>>32 != keys[lo]>>32 {
 			rank()
 		}

@@ -197,10 +197,10 @@ func TestLocatorsDerivedFromKeys(t *testing.T) {
 					built[tok] = gridLocator{tree: tree, keys: slices.Clone(wk.keys), pos: slices.Clone(wk.pos)}
 				}
 			}
-			raw := invidx.DualFromSortedRuns([]invidx.DualRun{wk.run})
-			sources := map[string]invidx.DualSource{
+			raw := invidx.FromSortedRuns([]invidx.Run{wk.run})
+			sources := map[string]invidx.Source{
 				"raw":        raw,
-				"compressed": invidx.CompressDual(raw, invidx.Compression{}),
+				"compressed": invidx.Compress(raw),
 			}
 			rng := rand.New(rand.NewSource(99))
 			probes := testutil.AdversarialRects(rng, tc.space, 40)

@@ -15,10 +15,9 @@ import (
 // carries both the textual bound c^T_h(o) and the spatial bound c^R_h(o),
 // so a single probe applies textual and spatial pruning simultaneously.
 type HybridHashFilter struct {
-	ds      *model.Dataset
+	sigIndex
 	grid    *gridsig.Grid
 	counter *gridsig.Counter
-	idx     invidx.DualSource
 	buckets uint64
 }
 
@@ -26,21 +25,13 @@ type HybridHashFilter struct {
 // hash buckets (the index-size constraint of Section 5.1); buckets <= 0
 // disables hashing and keys lists by the exact (token, cell) pair.
 func NewHybridHashFilter(ds *model.Dataset, p int, buckets int) (*HybridHashFilter, error) {
-	grid, err := gridsig.New(ds.Space(), p)
+	f, err := newHybridHashFilter(ds, FilterSpec{Kind: "hybrid", P: p, Buckets: buckets})
 	if err != nil {
 		return nil, err
 	}
-	counter := gridsig.NewCounter(grid)
-	for obj := 0; obj < ds.Len(); obj++ {
-		counter.AddRegion(ds.Region(model.ObjectID(obj)))
-	}
-	f := &HybridHashFilter{ds: ds, grid: grid, counter: counter}
-	if buckets > 0 {
-		f.buckets = uint64(buckets)
-	}
 
 	vocab := ds.Vocab()
-	var b invidx.DualBuilder
+	b := invidx.Builder{Dual: true}
 	var tsig []text.TokenID
 	var tW, tB []float64
 	var gsig []gridsig.CellWeight
@@ -56,8 +47,8 @@ func NewHybridHashFilter(ds *model.Dataset, p int, buckets int) (*HybridHashFilt
 		tB = append(tB[:0], tW...)
 		invidx.SuffixBounds(tW, tB)
 
-		gsig = grid.Signature(ds.Region(id), gsig[:0])
-		counter.SortSignature(gsig)
+		gsig = f.grid.Signature(ds.Region(id), gsig[:0])
+		f.counter.SortSignature(gsig)
 		gW = gW[:0]
 		for _, cw := range gsig {
 			gW = append(gW, cw.W)
@@ -67,7 +58,7 @@ func NewHybridHashFilter(ds *model.Dataset, p int, buckets int) (*HybridHashFilt
 
 		for i, t := range tsig {
 			for j, cw := range gsig {
-				b.Add(f.key(t, cw.Cell), uint32(obj), gB[j], tB[i])
+				b.AddDual(f.key(t, cw.Cell), uint32(obj), gB[j], tB[i])
 			}
 		}
 	}
@@ -75,11 +66,12 @@ func NewHybridHashFilter(ds *model.Dataset, p int, buckets int) (*HybridHashFilt
 	return f, nil
 }
 
-// OpenHybridHashFilter pairs ds with persisted posting storage instead of
-// regenerating hybrid signatures; p and buckets must match the build-time
-// parameters (they determine the probe keys).
-func OpenHybridHashFilter(ds *model.Dataset, p, buckets int, src invidx.DualSource) (*HybridHashFilter, error) {
-	grid, err := gridsig.New(ds.Space(), p)
+// newHybridHashFilter wires everything but the postings: the grid and the
+// cell counter, which the index does not carry (a bucket mixes cells) and an
+// O(N) region pass recounts.
+func newHybridHashFilter(ds *model.Dataset, spec FilterSpec) (*HybridHashFilter, error) {
+	spec.Buckets = max(spec.Buckets, 0)
+	grid, err := gridsig.New(ds.Space(), spec.P)
 	if err != nil {
 		return nil, err
 	}
@@ -87,25 +79,18 @@ func OpenHybridHashFilter(ds *model.Dataset, p, buckets int, src invidx.DualSour
 	for obj := 0; obj < ds.Len(); obj++ {
 		counter.AddRegion(ds.Region(model.ObjectID(obj)))
 	}
-	f := &HybridHashFilter{ds: ds, grid: grid, counter: counter, idx: src}
-	if buckets > 0 {
-		f.buckets = uint64(buckets)
-	}
-	return f, nil
+	return &HybridHashFilter{sigIndex{ds: ds, spec: spec}, grid, counter, uint64(spec.Buckets)}, nil
 }
 
-// DualSource exposes the posting storage for segment writers.
-func (f *HybridHashFilter) DualSource() invidx.DualSource { return f.idx }
-
-// Buckets returns the hash-bucket cap (0 = exact (token, cell) keys).
-func (f *HybridHashFilter) Buckets() int { return int(f.buckets) }
-
-// CompressPostings re-encodes the filter's posting lists in place; a no-op
-// unless the filter still holds the flat in-memory layout.
-func (f *HybridHashFilter) CompressPostings(c invidx.Compression) {
-	if ix, ok := f.idx.(*invidx.DualIndex); ok {
-		f.idx = invidx.CompressDual(ix, c)
+// openHybridHashFilter pairs ds with persisted posting storage; spec's P and
+// Buckets must match the build-time parameters (they determine the probe keys).
+func openHybridHashFilter(ds *model.Dataset, spec FilterSpec, src invidx.Source) (Filter, error) {
+	f, err := newHybridHashFilter(ds, spec)
+	if err != nil {
+		return nil, err
 	}
+	f.idx = src
+	return f, nil
 }
 
 // key maps a (token, cell) pair to its bucket.
@@ -138,41 +123,19 @@ func (f *HybridHashFilter) Name() string {
 	return fmt.Sprintf("HybridFilter(%d)", f.grid.P)
 }
 
-// SizeBytes implements Filter.
-func (f *HybridHashFilter) SizeBytes() int64 { return f.idx.SizeBytes() }
-
-// Postings returns the number of hybrid postings (Table 1 statistics).
-func (f *HybridHashFilter) Postings() int { return f.idx.Postings() }
-
-// Granularity returns the grid parameter P.
-func (f *HybridHashFilter) Granularity() int { return f.grid.P }
-
-// Collect implements Filter. Correctness follows from composing the textual
-// and spatial prefix arguments: a true answer o shares its first common
-// token t* with the query inside both token prefixes and its first common
-// cell g* inside both grid prefixes, so probing bucket h(t*, g*) with both
-// bounds retrieves o.
-func (f *HybridHashFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats) {
-	var scr Scratch
-	f.CollectScratch(q, cs, st, nil, &scr)
-}
-
-// CollectStop implements StoppableFilter: stop is polled before each bucket
-// probe.
-func (f *HybridHashFilter) CollectStop(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool) {
-	var scr Scratch
-	f.CollectScratch(q, cs, st, stop, &scr)
-}
-
 // accumulatesSimT: with exact (token, cell) keys a posting in list (t, g)
 // certifies t ∈ o.T, so the scan can mark memberships. With hashing enabled
 // a bucket mixes colliding (token, cell) pairs and proves nothing, so the
 // hashed variant must not accumulate.
 func (f *HybridHashFilter) accumulatesSimT() bool { return f.buckets == 0 }
 
-// CollectScratch implements ScratchFilter: the textual prefix comes
-// precompiled on the Query, the spatial one lives in the caller's scratch.
-func (f *HybridHashFilter) CollectScratch(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
+// Collect implements Filter. Correctness follows from composing the textual
+// and spatial prefix arguments: a true answer o shares its first common
+// token t* with the query inside both token prefixes and its first common
+// cell g* inside both grid prefixes, so probing bucket h(t*, g*) with both
+// bounds retrieves o. The textual prefix comes precompiled on the Query, the
+// spatial one lives in the caller's scratch.
+func (f *HybridHashFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
 	cR, cT := Thresholds(q)
 	if cR <= 0 || cT <= 0 {
 		return
@@ -196,7 +159,7 @@ func (f *HybridHashFilter) CollectScratch(q *model.Query, cs *CandidateSet, st *
 			if stop != nil && stop() {
 				return
 			}
-			l, err := f.idx.ProbeDual(f.key(t, cw.Cell), &scr.dec)
+			l, err := f.idx.Probe(f.key(t, cw.Cell), &scr.dec)
 			if err != nil {
 				floodCandidates(f.ds, cs, st)
 				return
@@ -205,7 +168,7 @@ func (f *HybridHashFilter) CollectScratch(q *model.Query, cs *CandidateSet, st *
 				continue
 			}
 			st.ListsProbed++
-			n := l.CutoffR(slackR)
+			n := l.Cutoff(slackR)
 			st.PostingsScanned += n
 			if accum {
 				for j := 0; j < n; j++ {

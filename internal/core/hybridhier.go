@@ -25,14 +25,12 @@ import (
 // fine grids where their objects cluster — the judicious selection the
 // paper credits for SEAL's headline performance.
 type HierarchicalFilter struct {
-	ds   *model.Dataset
+	sigIndex
 	tree *gridtree.Tree
-	idx  invidx.DualSource
 	// locs locates every token's selected grids and their positions in the
 	// token's global order (ascending level, then ascending count, then node
 	// ID), derived from idx's keys and list lengths.
-	locs   *tokenLocators
-	budget int
+	locs *tokenLocators
 }
 
 // HierarchicalConfig parameterizes NewHierarchicalFilter.
@@ -65,17 +63,11 @@ const (
 
 // NewHierarchicalFilter builds the SEAL index over ds.
 func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*HierarchicalFilter, error) {
-	if cfg.MaxLevel <= 0 {
-		cfg.MaxLevel = DefaultHierarchicalConfig.MaxLevel
-	}
-	if cfg.GridBudget <= 0 {
-		cfg.GridBudget = DefaultHierarchicalConfig.GridBudget
-	}
-	tree, err := gridtree.New(ds.Space(), cfg.MaxLevel)
+	f, err := newHierarchicalFilter(ds, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	f := &HierarchicalFilter{ds: ds, tree: tree, budget: cfg.GridBudget}
+	tree := f.tree
 
 	// Token-major posting accumulation: I(t) with each object's textual
 	// bound c^T_t(o) (suffix weight at t's position in o's ordered tokens),
@@ -159,21 +151,21 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 			return nil, wk.err
 		}
 	}
-	runs := make([]invidx.DualRun, 0, presentTokens)
+	runs := make([]invidx.Run, 0, presentTokens)
 	for _, sp := range spans {
 		if sp.list0 == sp.list1 {
 			continue
 		}
 		run := &workers[sp.worker].run
-		runs = append(runs, invidx.DualRun{
+		runs = append(runs, invidx.Run{
 			Keys:    run.Keys[sp.list0:sp.list1],
 			Lens:    run.Lens[sp.list0:sp.list1],
 			Objs:    run.Objs[sp.posting0:sp.posting1],
-			RBounds: run.RBounds[sp.posting0:sp.posting1],
+			Bounds:  run.Bounds[sp.posting0:sp.posting1],
 			TBounds: run.TBounds[sp.posting0:sp.posting1],
 		})
 	}
-	f.idx = invidx.DualFromSortedRuns(runs)
+	f.idx = invidx.FromSortedRuns(runs)
 	f.locs, err = deriveLocators(tree, cfg.Order, vocab.Len(), f.idx)
 	if err != nil {
 		return nil, err
@@ -213,7 +205,7 @@ type hierWorker struct {
 	hits    []gridHit
 	gW, gB  []float64
 	entries []hierEntry
-	run     invidx.DualRun
+	run     invidx.Run
 	err     error
 
 	// The locator of the token being built — its keys and, per key, the
@@ -226,7 +218,7 @@ type hierWorker struct {
 
 // buildToken selects token t's grids, generates every posting of I(t)'s
 // spatial signature over them, and appends t's lists to the worker's run in
-// DualIndex order: ascending grid node (t's keys ascend with it), and within
+// index order: ascending grid node (t's keys ascend with it), and within
 // a list descending spatial bound, ties by ascending object. A token none of
 // whose regions overlaps the space gets no lists.
 //
@@ -306,17 +298,15 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order H
 		}
 		run.Lens[len(run.Lens)-1]++
 		run.Objs = append(run.Objs, e.obj)
-		run.RBounds = append(run.RBounds, e.rBound)
+		run.Bounds = append(run.Bounds, e.rBound)
 		run.TBounds = append(run.TBounds, e.tBound)
 	}
 	return nil
 }
 
-// OpenHierarchicalFilter pairs ds with persisted posting storage, skipping
-// both signature generation and the HSS runs — the expensive steps of
-// NewHierarchicalFilter. The per-token grid selections are not persisted
-// separately: they are read back off src's keys (see deriveLocators).
-func OpenHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig, src invidx.DualSource) (*HierarchicalFilter, error) {
+// newHierarchicalFilter resolves cfg's defaults and wires everything but the
+// postings and the locators derived from them.
+func newHierarchicalFilter(ds *model.Dataset, cfg *HierarchicalConfig) (*HierarchicalFilter, error) {
 	if cfg.MaxLevel <= 0 {
 		cfg.MaxLevel = DefaultHierarchicalConfig.MaxLevel
 	}
@@ -327,26 +317,26 @@ func OpenHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig, src invid
 	if err != nil {
 		return nil, err
 	}
-	locs, err := deriveLocators(tree, cfg.Order, ds.Vocab().Len(), src)
+	spec := FilterSpec{Kind: "seal", MaxLevel: cfg.MaxLevel, GridBudget: cfg.GridBudget}
+	return &HierarchicalFilter{sigIndex: sigIndex{ds: ds, spec: spec}, tree: tree}, nil
+}
+
+// openHierarchicalFilter pairs ds with persisted posting storage, skipping
+// both signature generation and the HSS runs — the expensive steps of
+// NewHierarchicalFilter. The per-token grid selections are not persisted
+// separately: they are read back off src's keys (see deriveLocators).
+func openHierarchicalFilter(ds *model.Dataset, spec FilterSpec, src invidx.Source) (Filter, error) {
+	cfg := HierarchicalConfig{MaxLevel: spec.MaxLevel, GridBudget: spec.GridBudget}
+	f, err := newHierarchicalFilter(ds, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &HierarchicalFilter{ds: ds, tree: tree, budget: cfg.GridBudget, idx: src, locs: locs}, nil
-}
-
-// DualSource exposes the posting storage for segment writers.
-func (f *HierarchicalFilter) DualSource() invidx.DualSource { return f.idx }
-
-// MaxLevel returns the grid-tree depth the filter was built with.
-func (f *HierarchicalFilter) MaxLevel() int { return f.tree.MaxLevel }
-
-// CompressPostings re-encodes the filter's posting lists in place; a no-op
-// unless the filter still holds the flat in-memory layout.
-func (f *HierarchicalFilter) CompressPostings(c invidx.Compression) {
-	if ix, ok := f.idx.(*invidx.DualIndex); ok {
-		cx := invidx.CompressDual(ix, c)
-		f.idx, f.locs.keys = cx, cx.Keys() // same keys, so the ranks stand
+	f.idx = src
+	f.locs, err = deriveLocators(f.tree, cfg.Order, ds.Vocab().Len(), src)
+	if err != nil {
+		return nil, err
 	}
+	return f, nil
 }
 
 // hierOrder selects the global order of a token's hierarchical grids.
@@ -374,36 +364,17 @@ func (f *HierarchicalFilter) SizeBytes() int64 {
 	return f.idx.SizeBytes() + f.locs.sizeBytes()
 }
 
-// Postings returns the number of hybrid postings (Table 1 statistics).
-func (f *HierarchicalFilter) Postings() int { return f.idx.Postings() }
-
-// Budget returns the per-token grid budget m_t.
-func (f *HierarchicalFilter) Budget() int { return f.budget }
-
-// Collect implements Filter. For each token in the query's textual prefix,
-// the query is projected onto that token's hierarchical grid set, a spatial
-// prefix is selected there (the grids are already in the global order), and
-// the (token, grid) lists are probed with both bounds.
-func (f *HierarchicalFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats) {
-	var scr Scratch
-	f.CollectScratch(q, cs, st, nil, &scr)
-}
-
-// CollectStop implements StoppableFilter: stop is polled before each
-// (token, grid) list probe.
-func (f *HierarchicalFilter) CollectStop(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool) {
-	var scr Scratch
-	f.CollectScratch(q, cs, st, stop, &scr)
-}
-
 // accumulatesSimT: hybrid elements are exact (token, grid) pairs, so every
 // posting in a probed list certifies its token's membership.
 func (f *HierarchicalFilter) accumulatesSimT() bool { return true }
 
-// CollectScratch implements ScratchFilter: grid projections and prefix
-// weights live in the caller's scratch; the textual prefix comes precompiled
-// on the Query.
-func (f *HierarchicalFilter) CollectScratch(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
+// Collect implements Filter. For each token in the query's textual prefix,
+// the query is projected onto that token's hierarchical grid set, a spatial
+// prefix is selected there (the grids are already in the global order), and
+// the (token, grid) lists are probed with both bounds. Grid projections and
+// prefix weights live in the caller's scratch; the textual prefix comes
+// precompiled on the Query.
+func (f *HierarchicalFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
 	cR, cT := Thresholds(q)
 	if cR <= 0 || cT <= 0 {
 		return
@@ -427,7 +398,7 @@ func (f *HierarchicalFilter) CollectScratch(q *model.Query, cs *CandidateSet, st
 			if stop != nil && stop() {
 				return
 			}
-			l, err := f.idx.ProbeDual(hierKey(t, h.node), &scr.dec)
+			l, err := f.idx.Probe(hierKey(t, h.node), &scr.dec)
 			if err != nil {
 				floodCandidates(f.ds, cs, st)
 				return
@@ -436,7 +407,7 @@ func (f *HierarchicalFilter) CollectScratch(q *model.Query, cs *CandidateSet, st
 				continue
 			}
 			st.ListsProbed++
-			n := l.CutoffR(slackR)
+			n := l.Cutoff(slackR)
 			st.PostingsScanned += n
 			for j := 0; j < n; j++ {
 				if l.TBound(j) >= slackT {

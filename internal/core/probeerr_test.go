@@ -14,7 +14,7 @@ import (
 
 // failingSource wraps a Source and fails every probe after trip.
 type failingSource struct {
-	inner invidx.Source
+	invidx.Source
 	calls int
 	trip  int
 }
@@ -24,21 +24,21 @@ func (s *failingSource) Probe(key uint64, scr *invidx.ListScratch) (invidx.List,
 	if s.calls > s.trip {
 		return invidx.List{}, invidx.ErrCorrupt
 	}
-	return s.inner.Probe(key, scr)
+	return s.Source.Probe(key, scr)
 }
-
-func (s *failingSource) Lists() int       { return s.inner.Lists() }
-func (s *failingSource) Postings() int    { return s.inner.Postings() }
-func (s *failingSource) SizeBytes() int64 { return s.inner.SizeBytes() }
 
 func TestProbeErrorFloodsCandidates(t *testing.T) {
 	ds := allocDataset(t, 300)
 	queries := allocQueries(t, ds, 6)
 
 	healthy := core.NewSearcher(ds, core.NewTokenFilter(ds))
+	src, spec, _ := core.Postings(core.NewTokenFilter(ds))
 	for _, trip := range []int{0, 1} { // fail the first probe, or mid-scan
-		broken := core.NewSearcher(ds, core.OpenTokenFilter(ds,
-			&failingSource{inner: core.NewTokenFilter(ds).Source(), trip: trip}))
+		f, err := core.OpenFilter(ds, spec, &failingSource{Source: src, trip: trip})
+		if err != nil {
+			t.Fatal(err)
+		}
+		broken := core.NewSearcher(ds, f)
 		for qi, q := range queries {
 			want, _ := healthy.Search(q)
 			got, stats := broken.Search(q)

@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/sealdb/seal/internal/gridsig"
 	"github.com/sealdb/seal/internal/invidx"
-	"github.com/sealdb/seal/internal/model"
 )
 
 // Scratch is the per-searcher buffer pool the filters collect through. Each
@@ -25,13 +24,48 @@ type Scratch struct {
 	// once the buffer has grown to the longest list (flat in-memory indexes
 	// ignore it and return arena views).
 	dec invidx.ListScratch
+	// acc sums per-object weights for the filters that score whole lists
+	// (the plain Sig-Filters, keyword-first); sized on first use.
+	acc WeightAccumulator
 }
 
-// ScratchFilter is the allocation-free collection interface. CollectScratch
-// behaves exactly like CollectStop (stop may be nil) but draws every
-// temporary buffer from scr instead of allocating. All of core's signature
-// filters implement it; the Searcher prefers it whenever available.
-type ScratchFilter interface {
-	Filter
-	CollectScratch(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch)
+// Weights returns the scratch's weight accumulator, emptied, for a dataset of
+// n objects. It lives here and not on a filter because filters are shared
+// between searchers and a scratch is not.
+func (s *Scratch) Weights(n int) *WeightAccumulator {
+	a := &s.acc
+	if len(a.sum) < n {
+		a.sum, a.mark, a.epoch = make([]float64, n), make([]uint32, n), 0
+	}
+	a.epoch++
+	a.touched = a.touched[:0]
+	if a.epoch == 0 {
+		clear(a.mark)
+		a.epoch = 1
+	}
+	return a
 }
+
+// WeightAccumulator sums per-object weights with epoch-based clearing.
+type WeightAccumulator struct {
+	sum     []float64
+	mark    []uint32
+	epoch   uint32
+	touched []uint32
+}
+
+// Add adds w to obj's sum.
+func (a *WeightAccumulator) Add(obj uint32, w float64) {
+	if a.mark[obj] != a.epoch {
+		a.mark[obj] = a.epoch
+		a.sum[obj] = 0
+		a.touched = append(a.touched, obj)
+	}
+	a.sum[obj] += w
+}
+
+// Touched returns the objects added to since Weights, in first-touch order.
+func (a *WeightAccumulator) Touched() []uint32 { return a.touched }
+
+// Sum returns the sum of a touched object.
+func (a *WeightAccumulator) Sum(obj uint32) float64 { return a.sum[obj] }

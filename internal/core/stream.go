@@ -16,18 +16,6 @@ import (
 	"github.com/sealdb/seal/internal/trace"
 )
 
-// StoppableFilter is an optional extension of Filter for early termination.
-// CollectStop behaves exactly like Collect when stop is nil or never fires;
-// otherwise it polls stop between units of work (inverted-list probes, tree
-// nodes, object batches) and abandons collection once stop returns true,
-// leaving cs with the candidates found so far. Abandonment is safe: a
-// stopped search never claims its partial candidate set is complete — the
-// caller asked it to stop producing.
-type StoppableFilter interface {
-	Filter
-	CollectStop(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool)
-}
-
 // StreamOptions parameterizes Searcher.SearchStream.
 type StreamOptions struct {
 	// Emit receives each verified match and reports whether the consumer
@@ -86,7 +74,7 @@ func (s *Searcher) SearchStream(q *model.Query, opts StreamOptions) SearchStats 
 	// The hook must not outlive this call: the searcher returns to its pool
 	// and the next Search must not verify through a dead stream.
 	defer func() { s.cs.onAdd = nil }()
-	s.collect(q, &st.FilterStats, stop)
+	s.filter.Collect(q, s.cs, &st.FilterStats, stop, &s.scr)
 	st.Candidates = s.cs.Len()
 	st.FilterTime = time.Since(start)
 	if s.tr != nil {
@@ -109,7 +97,7 @@ func (s *Searcher) streamByID(q *model.Query, opts StreamOptions) SearchStats {
 	st := &s.stats
 	start := time.Now()
 	s.beginQuery(q)
-	s.collect(q, &st.FilterStats, opts.Stop)
+	s.filter.Collect(q, s.cs, &st.FilterStats, opts.Stop, &s.scr)
 	st.Candidates = s.cs.Len()
 	st.FilterTime = time.Since(start)
 	if s.tr != nil {

@@ -10,13 +10,7 @@ import (
 // (Sections 3.2 and 4.2): one inverted list per token, postings carry the
 // Lemma 3 suffix-weight bounds in the global token order (descending idf),
 // and queries probe only their signature prefix with a per-list cutoff.
-type TokenFilter struct {
-	ds *model.Dataset
-	// idx is the posting storage: the flat in-memory index right after
-	// NewTokenFilter, possibly a compressed or mmap-backed source after
-	// CompressPostings or OpenTokenFilter. Answers are identical either way.
-	idx invidx.Source
-}
+type TokenFilter struct{ sigIndex }
 
 // NewTokenFilter indexes all objects of ds.
 func NewTokenFilter(ds *model.Dataset) *TokenFilter {
@@ -38,70 +32,23 @@ func NewTokenFilter(ds *model.Dataset) *TokenFilter {
 			b.Add(uint64(t), uint32(obj), bounds[i])
 		}
 	}
-	return &TokenFilter{ds: ds, idx: b.Build()}
-}
-
-// OpenTokenFilter pairs ds with persisted posting storage (a compressed or
-// mmap-backed source read back from a segment) instead of rebuilding the
-// lists. The source must have been built over the same dataset.
-func OpenTokenFilter(ds *model.Dataset, src invidx.Source) *TokenFilter {
-	return &TokenFilter{ds: ds, idx: src}
+	return &TokenFilter{sigIndex{ds, b.Build(), FilterSpec{Kind: "token"}}}
 }
 
 // Name implements Filter.
 func (f *TokenFilter) Name() string { return "TokenFilter" }
 
-// Index exposes the flat posting lists so they can be persisted (diskidx
-// mirrors the paper's disk-resident deployment). It returns nil once the
-// filter no longer holds a flat in-memory index (after CompressPostings or
-// OpenTokenFilter); persist before compressing.
-func (f *TokenFilter) Index() *invidx.Index {
-	ix, _ := f.idx.(*invidx.Index)
-	return ix
-}
-
-// Source exposes the posting storage for segment writers.
-func (f *TokenFilter) Source() invidx.Source { return f.idx }
-
-// CompressPostings re-encodes the filter's posting lists in place (delta
-// varints, bound quantization per c). A no-op unless the filter still holds
-// the flat in-memory layout.
-func (f *TokenFilter) CompressPostings(c invidx.Compression) {
-	if ix, ok := f.idx.(*invidx.Index); ok {
-		f.idx = invidx.Compress(ix, c)
-	}
-}
-
-// SizeBytes implements Filter.
-func (f *TokenFilter) SizeBytes() int64 { return f.idx.SizeBytes() }
-
-// Postings returns the number of postings in the index (Table 1 statistics).
-func (f *TokenFilter) Postings() int { return f.idx.Postings() }
-
-// Collect implements Filter. Objects can reach textual similarity τT only if
-// the weight of their tokens shared with the query is at least
-// cT = τT · Σ_{t∈q.T} w(t); prefix filtering retrieves exactly the objects
-// that share a prefix element with the query's prefix.
-func (f *TokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats) {
-	var scr Scratch
-	f.CollectScratch(q, cs, st, nil, &scr)
-}
-
-// CollectStop implements StoppableFilter: stop is polled before each
-// inverted-list probe.
-func (f *TokenFilter) CollectStop(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool) {
-	var scr Scratch
-	f.CollectScratch(q, cs, st, stop, &scr)
-}
-
 // accumulatesSimT: every posting in list t certifies t ∈ o.T, so the scan
 // marks exact token memberships for verification.
 func (f *TokenFilter) accumulatesSimT() bool { return true }
 
-// CollectScratch implements ScratchFilter. The query's signature-ordered
-// tokens and weights are precompiled on the Query itself, so only the
-// decode buffer inside scr is used and the scan allocates nothing.
-func (f *TokenFilter) CollectScratch(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
+// Collect implements Filter. Objects can reach textual similarity τT only if
+// the weight of their tokens shared with the query is at least
+// cT = τT · Σ_{t∈q.T} w(t); prefix filtering retrieves exactly the objects
+// that share a prefix element with the query's prefix. The query's
+// signature-ordered tokens and weights are precompiled on the Query itself,
+// so only the decode buffer inside scr is used and the scan allocates nothing.
+func (f *TokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
 	_, cT := Thresholds(q)
 	if cT <= 0 {
 		return
@@ -139,7 +86,6 @@ func (f *TokenFilter) CollectScratch(q *model.Query, cs *CandidateSet, st *Filte
 type PlainTokenFilter struct {
 	ds  *model.Dataset
 	idx *invidx.Index
-	acc *weightAccumulator
 }
 
 // NewPlainTokenFilter indexes all objects of ds with plain token lists.
@@ -150,7 +96,7 @@ func NewPlainTokenFilter(ds *model.Dataset) *PlainTokenFilter {
 			b.Add(uint64(t), uint32(obj), ds.TokenWeight(t))
 		}
 	}
-	return &PlainTokenFilter{ds: ds, idx: b.Build(), acc: newWeightAccumulator(ds.Len())}
+	return &PlainTokenFilter{ds: ds, idx: b.Build()}
 }
 
 // Name implements Filter.
@@ -159,14 +105,17 @@ func (f *PlainTokenFilter) Name() string { return "PlainTokenFilter" }
 // SizeBytes implements Filter.
 func (f *PlainTokenFilter) SizeBytes() int64 { return f.idx.SizeBytes() }
 
-// Collect implements Filter.
-func (f *PlainTokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats) {
+// Collect implements Filter; stop is polled before each list.
+func (f *PlainTokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
 	_, cT := Thresholds(q)
 	if cT <= 0 {
 		return
 	}
-	f.acc.reset()
+	acc := scr.Weights(f.ds.Len())
 	for _, t := range q.Tokens {
+		if stop != nil && stop() {
+			return
+		}
 		l := f.idx.List(uint64(t))
 		n := l.Len()
 		if n == 0 {
@@ -176,45 +125,13 @@ func (f *PlainTokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 		st.PostingsScanned += n
 		w := f.ds.TokenWeight(t)
 		for i := 0; i < n; i++ {
-			f.acc.add(l.Obj(i), w)
+			acc.Add(l.Obj(i), w)
 		}
 	}
 	slack := invidx.Slack(cT)
-	for _, obj := range f.acc.touched {
-		if f.acc.sum[obj] >= slack {
+	for _, obj := range acc.Touched() {
+		if acc.Sum(obj) >= slack {
 			cs.Add(obj)
 		}
 	}
-}
-
-// weightAccumulator sums per-object weights with epoch-based clearing.
-type weightAccumulator struct {
-	sum     []float64
-	mark    []uint32
-	epoch   uint32
-	touched []uint32
-}
-
-func newWeightAccumulator(n int) *weightAccumulator {
-	return &weightAccumulator{sum: make([]float64, n), mark: make([]uint32, n)}
-}
-
-func (a *weightAccumulator) reset() {
-	a.epoch++
-	a.touched = a.touched[:0]
-	if a.epoch == 0 {
-		for i := range a.mark {
-			a.mark[i] = 0
-		}
-		a.epoch = 1
-	}
-}
-
-func (a *weightAccumulator) add(obj uint32, w float64) {
-	if a.mark[obj] != a.epoch {
-		a.mark[obj] = a.epoch
-		a.sum[obj] = 0
-		a.touched = append(a.touched, obj)
-	}
-	a.sum[obj] += w
 }

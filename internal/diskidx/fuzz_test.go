@@ -56,20 +56,11 @@ func FuzzSegmentHeader(f *testing.F) {
 		// An accepted segment must be internally consistent enough to probe:
 		// exercise a plausible and an absent key on the decoded source.
 		var scr invidx.ListScratch
-		if seg.IsDual() {
-			if _, perr := seg.Dual().ProbeDual(5, &scr); perr != nil {
-				t.Fatalf("accepted segment failed ProbeDual: %v", perr)
-			}
-			if _, perr := seg.Dual().ProbeDual(0xdeadbeefcafe, &scr); perr != nil {
-				t.Fatalf("accepted segment failed missing-key ProbeDual: %v", perr)
-			}
-		} else {
-			if _, perr := seg.Single().Probe(5, &scr); perr != nil {
-				t.Fatalf("accepted segment failed Probe: %v", perr)
-			}
-			if _, perr := seg.Single().Probe(0xdeadbeefcafe, &scr); perr != nil {
-				t.Fatalf("accepted segment failed missing-key Probe: %v", perr)
-			}
+		if _, perr := seg.Source().Probe(5, &scr); perr != nil {
+			t.Fatalf("accepted segment failed Probe: %v", perr)
+		}
+		if _, perr := seg.Source().Probe(0xdeadbeefcafe, &scr); perr != nil {
+			t.Fatalf("accepted segment failed missing-key Probe: %v", perr)
 		}
 	})
 }

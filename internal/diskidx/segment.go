@@ -67,57 +67,43 @@ func wrapCorrupt(err error) error {
 	return fmt.Errorf("%w: %v", ErrCorrupt, err)
 }
 
-// WriteSegment serializes an invidx index (*invidx.Index, *invidx.DualIndex,
-// *invidx.CompressedIndex or *invidx.CompressedDualIndex) as a SEALIDX2
-// segment at path. objects is the exclusive upper bound for posting object
-// IDs, recorded in the header so OpenMapped can validate postings without the
-// dataset.
-func WriteSegment(path string, idx any, objects int) error {
+// WriteSegment serializes an invidx index (*invidx.Index or
+// *invidx.Compressed, single- or dual-bound) as a SEALIDX2 segment at path.
+// objects is the exclusive upper bound for posting object IDs, recorded in the
+// header so OpenMapped can validate postings without the dataset.
+func WriteSegment(path string, idx invidx.Source, objects int) error {
 	if objects < 0 || int64(objects) > 1<<32 {
 		return fmt.Errorf("diskidx: object count %d out of range", objects)
 	}
 	var (
-		secs      []section
-		flags     uint32
-		nLists    int
-		nPostings int
+		secs  []section
+		flags uint32
 	)
 	switch ix := idx.(type) {
 	case *invidx.Index:
+		secs = rawSections(ix.Arenas())
+	case *invidx.Compressed:
 		a := ix.Arenas()
-		nLists, nPostings = len(a.Keys), len(a.Objs)
-		secs = rawSections(a, false)
-	case *invidx.DualIndex:
-		a := ix.Arenas()
-		nLists, nPostings = len(a.Keys), len(a.Objs)
-		flags = segFlagDual
-		secs = rawSections(a, true)
-	case *invidx.CompressedIndex:
-		a := ix.Arenas()
-		nLists, nPostings = len(a.Keys), ix.Postings()
 		flags = compressedFlags(a.Layout)
-		secs = compressedSections(a)
-	case *invidx.CompressedDualIndex:
-		a := ix.Arenas()
-		nLists, nPostings = len(a.Keys), ix.Postings()
-		flags = segFlagDual | compressedFlags(a.Layout)
 		secs = compressedSections(a)
 	default:
 		return fmt.Errorf("diskidx: cannot write %T as a segment", idx)
 	}
-
+	if idx.Dual() {
+		flags |= segFlagDual
+	}
 	return writeContainer(path, magic2, segVersion, flags,
-		[3]uint64{uint64(nLists), uint64(nPostings), uint64(objects)}, secs)
+		[3]uint64{uint64(idx.Lists()), uint64(idx.Postings()), uint64(objects)}, secs)
 }
 
-func rawSections(a invidx.RawArenas, dual bool) []section {
+func rawSections(a invidx.RawArenas) []section {
 	s := []section{
 		{id: secKeys, data: u64Bytes(a.Keys)},
 		{id: secStarts, data: u32Bytes(a.Starts)},
 		{id: secObjs, data: u32Bytes(a.Objs)},
 		{id: secBounds, data: f64Bytes(a.Bounds)},
 	}
-	if dual {
+	if a.Dual {
 		s = append(s, section{id: secTBounds, data: f64Bytes(a.TBounds)})
 	}
 	return append(s, section{id: secDir, data: u32Bytes(a.Slots)})
@@ -144,17 +130,15 @@ func compressedSections(a invidx.CompressedArenas) []section {
 }
 
 // Segment is an open SEALIDX2 segment. The posting data lives in the mapped
-// (or fallback-loaded) file bytes; the Source/DualSource views returned by
-// Single and Dual alias those pages, so they must not be probed after Close.
+// (or fallback-loaded) file bytes; the view Source returns aliases those
+// pages, so it must not be probed after Close.
 type Segment struct {
 	closer  func() error
 	mapped  bool
-	dual    bool
 	comp    bool
 	objects int
 	size    int64
-	single  invidx.Source
-	dualSrc invidx.DualSource
+	src     invidx.Source
 }
 
 // OpenMapped memory-maps the segment at path and wraps it as an invidx
@@ -201,11 +185,8 @@ func openSegment(data []byte) (*Segment, error) {
 	}
 	nLists, nPostings, objects := int64(c.counts[0]), int64(c.counts[1]), int(c.counts[2])
 
-	seg := &Segment{
-		dual:    flags&segFlagDual != 0,
-		comp:    flags&segFlagCompressed != 0,
-		objects: objects,
-	}
+	seg := &Segment{comp: flags&segFlagCompressed != 0, objects: objects}
+	dual := flags&segFlagDual != 0
 	if seg.comp {
 		keys, err := c.take(secKeys, nLists, 8)
 		if err != nil {
@@ -227,6 +208,7 @@ func openSegment(data []byte) (*Segment, error) {
 			return nil, err
 		}
 		a := invidx.CompressedArenas{
+			Dual:  dual,
 			Keys:  viewU64(keys),
 			Offs:  viewU32(offs),
 			Blob:  blob,
@@ -236,19 +218,11 @@ func openSegment(data []byte) (*Segment, error) {
 				Obj16: flags&segFlagObj16 != 0,
 			},
 		}
-		if seg.dual {
-			ix, err := invidx.CompressedDualFromArenas(a, int(nPostings), objects)
-			if err != nil {
-				return nil, wrapCorrupt(err)
-			}
-			seg.dualSrc = ix
-		} else {
-			ix, err := invidx.CompressedFromArenas(a, int(nPostings), objects)
-			if err != nil {
-				return nil, wrapCorrupt(err)
-			}
-			seg.single = ix
+		ix, err := invidx.CompressedFromArenas(a, int(nPostings), objects)
+		if err != nil {
+			return nil, wrapCorrupt(err)
 		}
+		seg.src = ix
 		return seg, nil
 	}
 
@@ -269,12 +243,13 @@ func openSegment(data []byte) (*Segment, error) {
 		return nil, err
 	}
 	a := invidx.RawArenas{
+		Dual:   dual,
 		Keys:   viewU64(keys),
 		Starts: viewU32(starts),
 		Objs:   viewU32(objs),
 		Bounds: viewF64(bounds),
 	}
-	if seg.dual {
+	if dual {
 		tbounds, err := c.take(secTBounds, nPostings, 8)
 		if err != nil {
 			return nil, err
@@ -289,42 +264,17 @@ func openSegment(data []byte) (*Segment, error) {
 	if err := c.done(); err != nil {
 		return nil, err
 	}
-	if seg.dual {
-		ix, err := invidx.DualFromArenas(a, objects)
-		if err != nil {
-			return nil, wrapCorrupt(err)
-		}
-		seg.dualSrc = ix
-	} else {
-		ix, err := invidx.FromArenas(a, objects)
-		if err != nil {
-			return nil, wrapCorrupt(err)
-		}
-		seg.single = ix
+	ix, err := invidx.FromArenas(a, objects)
+	if err != nil {
+		return nil, wrapCorrupt(err)
 	}
+	seg.src = ix
 	return seg, nil
 }
 
-// Single returns the segment's probe source. It panics on a dual segment —
-// check IsDual first when the flavour is not known statically.
-func (s *Segment) Single() invidx.Source {
-	if s.dual {
-		panic("diskidx: Single() on a dual-bound segment")
-	}
-	return s.single
-}
-
-// Dual returns the segment's dual-bound probe source. It panics on a
-// single-bound segment.
-func (s *Segment) Dual() invidx.DualSource {
-	if !s.dual {
-		panic("diskidx: Dual() on a single-bound segment")
-	}
-	return s.dualSrc
-}
-
-// IsDual reports whether the segment stores dual-bound postings.
-func (s *Segment) IsDual() bool { return s.dual }
+// Source returns the segment's probe source; its Dual method tells the
+// flavour the file recorded.
+func (s *Segment) Source() invidx.Source { return s.src }
 
 // Compressed reports whether the posting lists are stored encoded.
 func (s *Segment) Compressed() bool { return s.comp }

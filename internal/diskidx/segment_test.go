@@ -24,29 +24,33 @@ func buildSingle(rng *rand.Rand, lists, maxLen int) *invidx.Index {
 	return b.Build()
 }
 
-func buildDual(rng *rand.Rand, lists, maxLen int) *invidx.DualIndex {
-	var b invidx.DualBuilder
+func buildDual(rng *rand.Rand, lists, maxLen int) *invidx.Index {
+	b := invidx.Builder{Dual: true}
 	for k := 0; k < lists; k++ {
 		n := 1 + rng.Intn(maxLen)
 		for i := 0; i < n; i++ {
-			b.Add(uint64(k*13+5), uint32(rng.Intn(segTestObjects)),
+			b.AddDual(uint64(k*13+5), uint32(rng.Intn(segTestObjects)),
 				float64(rng.Intn(500))/10, float64(rng.Intn(50))/10)
 		}
 	}
 	return b.Build()
 }
 
-// expectSingleMatch checks that a mapped source answers every probe
-// identically to the in-memory index it was written from.
-func expectSingleMatch(t *testing.T, want *invidx.Index, got invidx.Source) {
+// expectMatch checks that a mapped source answers every probe identically to
+// the in-memory source it was written from.
+func expectMatch(t *testing.T, want, got invidx.Source) {
 	t.Helper()
-	if got.Lists() != want.Lists() || got.Postings() != want.Postings() {
-		t.Fatalf("lists/postings = %d/%d, want %d/%d",
-			got.Lists(), got.Postings(), want.Lists(), want.Postings())
+	if got.Dual() != want.Dual() || got.Lists() != want.Lists() || got.Postings() != want.Postings() {
+		t.Fatalf("dual/lists/postings = %v/%d/%d, want %v/%d/%d",
+			got.Dual(), got.Lists(), got.Postings(), want.Dual(), want.Lists(), want.Postings())
 	}
-	var scr invidx.ListScratch
-	want.Range(func(key uint64, wl invidx.List) bool {
-		gl, err := got.Probe(key, &scr)
+	var wscr, gscr invidx.ListScratch
+	for _, key := range want.Keys() {
+		wl, err := want.Probe(key, &wscr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gl, err := got.Probe(key, &gscr)
 		if err != nil {
 			t.Fatalf("Probe(%d): %v", key, err)
 		}
@@ -54,148 +58,85 @@ func expectSingleMatch(t *testing.T, want *invidx.Index, got invidx.Source) {
 			t.Fatalf("key %d: len %d, want %d", key, gl.Len(), wl.Len())
 		}
 		for i := 0; i < wl.Len(); i++ {
-			if gl.Obj(i) != wl.Obj(i) || gl.Bound(i) != wl.Bound(i) {
-				t.Fatalf("key %d posting %d: (%d,%g), want (%d,%g)",
-					key, i, gl.Obj(i), gl.Bound(i), wl.Obj(i), wl.Bound(i))
+			if wp, gp := wl.Posting(i), gl.Posting(i); gp != wp {
+				t.Fatalf("key %d posting %d: %+v, want %+v", key, i, gp, wp)
 			}
 		}
-		return true
-	})
-	if l, err := got.Probe(0xdeadbeefcafe, &scr); err != nil || l.Len() != 0 {
+	}
+	if l, err := got.Probe(0xdeadbeefcafe, &gscr); err != nil || l.Len() != 0 {
 		t.Fatalf("missing key: len=%d err=%v", l.Len(), err)
 	}
 }
 
-func expectDualMatch(t *testing.T, want *invidx.DualIndex, got invidx.DualSource) {
-	t.Helper()
-	var scr invidx.ListScratch
-	want.Range(func(key uint64, wl invidx.DualList) bool {
-		gl, err := got.ProbeDual(key, &scr)
-		if err != nil {
-			t.Fatalf("ProbeDual(%d): %v", key, err)
-		}
-		if gl.Len() != wl.Len() {
-			t.Fatalf("key %d: len %d, want %d", key, gl.Len(), wl.Len())
-		}
-		for i := 0; i < wl.Len(); i++ {
-			wp, gp := wl.Posting(i), gl.Posting(i)
-			if gp != wp {
-				t.Fatalf("key %d posting %d: %+v, want %+v", key, i, gp, wp)
-			}
-		}
-		return true
-	})
-}
-
-// TestSegmentRoundTrip: all four index layouts must survive
-// write → OpenMapped with every probe bit-identical.
+// TestSegmentRoundTrip: every layout — {single, dual} × {raw, quantized, the
+// exact fallback} — must survive write → OpenMapped with every probe
+// bit-identical. (The compress tests tie the compressed index to the flat one.)
 func TestSegmentRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	single := buildSingle(rng, 60, 300)
-	dual := buildDual(rng, 40, 200)
 	dir := t.TempDir()
+	for _, dual := range []bool{false, true} {
+		ix := buildSingle(rng, 60, 300)
+		// One bound past float32 range switches Compress to the exact layout.
+		huge := invidx.Builder{Dual: dual}
+		huge.AddDual(3, 1, 1e39, 0.5)
+		huge.AddDual(3, 2, 7, 0.25)
+		if dual {
+			ix = buildDual(rng, 40, 200)
+		}
+		exact := invidx.Compress(huge.Build())
+		if !exact.Arenas().Layout.Exact {
+			t.Fatal("fixture did not fall back to the exact layout")
+		}
+		for name, src := range map[string]invidx.Source{"raw": ix, "quant": invidx.Compress(ix), "exact": exact} {
+			path := filepath.Join(dir, name+".seg")
+			if err := WriteSegment(path, src, segTestObjects); err != nil {
+				t.Fatal(err)
+			}
+			seg, err := OpenMapped(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seg.Source().Dual() != dual || seg.Compressed() != (name != "raw") {
+				t.Fatalf("%s: dual=%v compressed=%v, want %v/%v",
+					name, seg.Source().Dual(), seg.Compressed(), dual, name != "raw")
+			}
+			if seg.Objects() != segTestObjects {
+				t.Fatalf("%s: objects = %d, want %d", name, seg.Objects(), segTestObjects)
+			}
+			if seg.FileSize() <= 0 {
+				t.Fatalf("%s: non-positive file size", name)
+			}
+			expectMatch(t, src, seg.Source())
+			seg.Close()
+		}
+	}
+}
 
-	open := func(name string, idx any, wantDual, wantComp bool) *Segment {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := WriteSegment(path, idx, segTestObjects); err != nil {
+// TestSegmentEmpty: an empty index still round-trips (empty directory,
+// one-entry starts arena, no postings), and keeps its flavour.
+func TestSegmentEmpty(t *testing.T) {
+	for _, dual := range []bool{false, true} {
+		b := invidx.Builder{Dual: dual}
+		path := filepath.Join(t.TempDir(), "empty.seg")
+		if err := WriteSegment(path, b.Build(), 0); err != nil {
 			t.Fatal(err)
 		}
 		seg, err := OpenMapped(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { seg.Close() })
-		if seg.IsDual() != wantDual || seg.Compressed() != wantComp {
-			t.Fatalf("%s: dual=%v compressed=%v, want %v/%v",
-				name, seg.IsDual(), seg.Compressed(), wantDual, wantComp)
+		if src := seg.Source(); src.Lists() != 0 || src.Dual() != dual {
+			t.Fatalf("lists = %d dual = %v, want 0 and %v", src.Lists(), src.Dual(), dual)
 		}
-		if seg.Objects() != segTestObjects {
-			t.Fatalf("%s: objects = %d, want %d", name, seg.Objects(), segTestObjects)
-		}
-		if seg.FileSize() <= 0 {
-			t.Fatalf("%s: non-positive file size", name)
-		}
-		return seg
-	}
-
-	expectSingleMatch(t, single, open("raw.seg", single, false, false).Single())
-	expectDualMatch(t, dual, open("raw-dual.seg", dual, true, false).Dual())
-	for _, exact := range []bool{false, true} {
-		c := invidx.Compression{ExactBounds: exact}
-		name := map[bool]string{false: "quant", true: "exact"}[exact]
-		cs := invidx.Compress(single, c)
-		seg := open("comp-"+name+".seg", cs, false, true)
-		// The mapped view must match the compressed index, which the
-		// compress tests already tie to the original.
-		var scr invidx.ListScratch
-		single.Range(func(key uint64, _ invidx.List) bool {
-			wl, err := cs.Probe(key, &scr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var scr2 invidx.ListScratch
-			gl, err := seg.Single().Probe(key, &scr2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gl.Len() != wl.Len() {
-				t.Fatalf("key %d: len %d, want %d", key, gl.Len(), wl.Len())
-			}
-			for i := 0; i < wl.Len(); i++ {
-				if gl.Obj(i) != wl.Obj(i) || gl.Bound(i) != wl.Bound(i) {
-					t.Fatalf("key %d posting %d mismatch", key, i)
-				}
-			}
-			return true
-		})
-		cd := invidx.CompressDual(dual, c)
-		dseg := open("comp-dual-"+name+".seg", cd, true, true)
-		var scr3, scr4 invidx.ListScratch
-		dual.Range(func(key uint64, _ invidx.DualList) bool {
-			wl, err := cd.ProbeDual(key, &scr3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gl, err := dseg.Dual().ProbeDual(key, &scr4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gl.Len() != wl.Len() {
-				t.Fatalf("key %d: len %d, want %d", key, gl.Len(), wl.Len())
-			}
-			for i := 0; i < wl.Len(); i++ {
-				if gl.Posting(i) != wl.Posting(i) {
-					t.Fatalf("key %d posting %d mismatch", key, i)
-				}
-			}
-			return true
-		})
+		seg.Close()
 	}
 }
 
-// TestSegmentEmpty: an empty index still round-trips (empty directory,
-// one-entry starts arena, no postings).
-func TestSegmentEmpty(t *testing.T) {
-	var b invidx.Builder
-	path := filepath.Join(t.TempDir(), "empty.seg")
-	if err := WriteSegment(path, b.Build(), 0); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	if seg.Single().Lists() != 0 {
-		t.Fatalf("lists = %d, want 0", seg.Single().Lists())
-	}
-}
-
-// TestSegmentRejectsWrongType: only the four invidx layouts are writable.
+// TestSegmentRejectsWrongType: only invidx's own layouts are writable.
 func TestSegmentRejectsWrongType(t *testing.T) {
-	if err := WriteSegment(filepath.Join(t.TempDir(), "x.seg"), 42, 10); err == nil {
-		t.Fatal("WriteSegment(int) should fail")
+	other := struct{ invidx.Source }{buildSingle(rand.New(rand.NewSource(1)), 1, 1)}
+	if err := WriteSegment(filepath.Join(t.TempDir(), "x.seg"), other, 10); err == nil {
+		t.Fatal("WriteSegment of a foreign Source should fail")
 	}
 }
 
@@ -218,7 +159,7 @@ func TestSegmentMalformed(t *testing.T) {
 	// objects (segTestObjects fits), every list under 128 postings so its
 	// count is the one byte that leads it.
 	compPath := filepath.Join(dir, "good-comp.seg")
-	if err := WriteSegment(compPath, invidx.Compress(idx, invidx.Compression{}), segTestObjects); err != nil {
+	if err := WriteSegment(compPath, invidx.Compress(idx), segTestObjects); err != nil {
 		t.Fatal(err)
 	}
 	goodComp, err := os.ReadFile(compPath)

@@ -37,24 +37,14 @@ const (
 
 func segName(shard int) string { return fmt.Sprintf("shard-%d.seg", shard) }
 
-// FilterSpec identifies a filter configuration for manifest matching. Kind is
-// one of "token", "grid", "hybrid", "seal".
-type FilterSpec struct {
-	Kind       string `json:"kind"`
-	P          int    `json:"p,omitempty"`
-	Buckets    int    `json:"buckets,omitempty"`
-	MaxLevel   int    `json:"max_level,omitempty"`
-	GridBudget int    `json:"grid_budget,omitempty"`
-}
-
 // Manifest describes a segment directory.
 type Manifest struct {
-	Version     int        `json:"version"`
-	Objects     int        `json:"objects"`
-	Shards      int        `json:"shards"`
-	Filter      FilterSpec `json:"filter"`
-	Compressed  bool       `json:"compressed"`
-	Fingerprint string     `json:"fingerprint"`
+	Version     int             `json:"version"`
+	Objects     int             `json:"objects"`
+	Shards      int             `json:"shards"`
+	Filter      core.FilterSpec `json:"filter"`
+	Compressed  bool            `json:"compressed"`
+	Fingerprint string          `json:"fingerprint"`
 }
 
 // manifestVersion 3 is the gob-free layout above with version-2 posting
@@ -142,22 +132,17 @@ func Fingerprint(ds *model.Dataset) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// segmentSource extracts a shard filter's posting storage for WriteSegment.
-// Baselines (scan, keyword-first, spatial-first, IR-tree) have no posting
-// arena to persist and report an error.
-func segmentSource(f core.Filter) (src any, spec FilterSpec, err error) {
-	switch f := f.(type) {
-	case *core.TokenFilter:
-		return f.Source(), FilterSpec{Kind: "token"}, nil
-	case *core.GridFilter:
-		return f.Source(), FilterSpec{Kind: "grid", P: f.Granularity()}, nil
-	case *core.HybridHashFilter:
-		return f.DualSource(), FilterSpec{Kind: "hybrid", P: f.Granularity(), Buckets: f.Buckets()}, nil
-	case *core.HierarchicalFilter:
-		return f.DualSource(), FilterSpec{Kind: "seal", MaxLevel: f.MaxLevel(), GridBudget: f.Budget()}, nil
-	default:
-		return nil, FilterSpec{}, fmt.Errorf("engine: filter %s does not support segment persistence", f.Name())
+// saveShard writes shard i's segment from a live filter and reports the
+// filter's spec and whether its postings are stored encoded. Baselines (scan,
+// keyword-first, spatial-first, IR-tree) have no posting arena to persist and
+// report an error.
+func saveShard(dir string, i int, f core.Filter, objects int) (spec core.FilterSpec, compressed bool, err error) {
+	src, spec, ok := core.Postings(f)
+	if !ok {
+		return spec, false, fmt.Errorf("engine: filter %s does not support segment persistence", f.Name())
 	}
+	_, compressed = src.(*invidx.Compressed)
+	return spec, compressed, diskidx.WriteSegment(filepath.Join(dir, segName(i)), src, objects)
 }
 
 // SaveSegments persists the engine into dir (created if needed): one SEALIDX2
@@ -186,26 +171,20 @@ func (e *Engine) SaveSegments(dir string) error {
 		return err
 	}
 
-	var spec FilterSpec
+	var spec core.FilterSpec
 	compressed := false
 	for i, s := range e.shards {
 		if s.filter == nil {
 			return fmt.Errorf("engine: cannot save shard %d: %w", i, ErrShardQuarantined)
 		}
-		src, sp, err := segmentSource(s.filter)
+		sp, comp, err := saveShard(dir, i, s.filter, s.ds.Len())
 		if err != nil {
 			return err
 		}
 		if i == 0 {
 			spec = sp
 		}
-		if err := diskidx.WriteSegment(filepath.Join(dir, segName(i)), src, s.ds.Len()); err != nil {
-			return err
-		}
-		switch src.(type) {
-		case *invidx.CompressedIndex, *invidx.CompressedDualIndex:
-			compressed = true
-		}
+		compressed = compressed || comp
 	}
 
 	parts := make([][]model.ObjectID, len(e.shards))
@@ -433,12 +412,17 @@ func OpenSegmentsWith(dir string, root *model.Dataset, o OpenOptions) (*Engine, 
 			return nil, nil, fmt.Errorf("engine: shard %d: %w", i, openErr)
 		}
 		if o.Repair {
-			f, rbErr := buildSpecFilter(sub, m.Filter, m.Compressed)
+			f, rbErr := core.BuildFilter(sub, m.Filter)
 			if rbErr == nil {
+				// A directory saved compressed gets compressed postings back,
+				// so the resaved segment matches the manifest.
+				if m.Compressed {
+					core.CompressPostings(f)
+				}
 				note := openErr.Error()
 				// Best-effort resave: a failure (read-only disk, still-bad
 				// media) leaves the rebuilt shard serving from memory.
-				if saveErr := saveShard(dir, i, f, sub.Len()); saveErr != nil {
+				if _, _, saveErr := saveShard(dir, i, f, sub.Len()); saveErr != nil {
 					note = fmt.Sprintf("%v (resave failed: %v)", openErr, saveErr)
 				}
 				s := newShard(sub, parts[i], f)
@@ -481,51 +465,11 @@ func openOneShard(dir string, i int, sub *model.Dataset, m *Manifest) (f core.Fi
 	if seg.Objects() != sub.Len() {
 		return nil, nil, fmt.Errorf("%w: segment indexes %d objects, dataset shard has %d", diskidx.ErrCorrupt, seg.Objects(), sub.Len())
 	}
-	f, err = openShardFilter(sub, m.Filter, seg)
+	f, err = core.OpenFilter(sub, m.Filter, seg.Source())
 	if err != nil {
 		return nil, nil, err
 	}
 	return f, seg, nil
-}
-
-// buildSpecFilter reconstructs the filter a manifest describes from scratch
-// over ds — the repair path when a shard's segment is unreadable. When the
-// directory was saved compressed the rebuilt postings are compressed too, so
-// the resaved segment matches the manifest.
-func buildSpecFilter(ds *model.Dataset, spec FilterSpec, compressed bool) (core.Filter, error) {
-	var f core.Filter
-	var err error
-	switch spec.Kind {
-	case "token":
-		f = core.NewTokenFilter(ds)
-	case "grid":
-		f, err = core.NewGridFilter(ds, spec.P)
-	case "hybrid":
-		f, err = core.NewHybridHashFilter(ds, spec.P, spec.Buckets)
-	case "seal":
-		f, err = core.NewHierarchicalFilter(ds, core.HierarchicalConfig{MaxLevel: spec.MaxLevel, GridBudget: spec.GridBudget})
-	default:
-		return nil, fmt.Errorf("unknown filter kind %q", spec.Kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if compressed {
-		if c, ok := f.(interface{ CompressPostings(invidx.Compression) }); ok {
-			c.CompressPostings(invidx.Compression{})
-		}
-	}
-	return f, nil
-}
-
-// saveShard atomically rewrites shard i's segment from a live filter — the
-// persistence half of a repair.
-func saveShard(dir string, i int, f core.Filter, objects int) error {
-	src, _, err := segmentSource(f)
-	if err != nil {
-		return err
-	}
-	return diskidx.WriteSegment(filepath.Join(dir, segName(i)), src, objects)
 }
 
 // Health reports every shard's state: serving, quarantined, or rebuilt. An
@@ -554,27 +498,6 @@ func (e *Engine) Quarantined() int {
 		}
 	}
 	return n
-}
-
-// openShardFilter wires one shard's mapped segment into the filter the
-// manifest describes.
-func openShardFilter(ds *model.Dataset, spec FilterSpec, seg *diskidx.Segment) (core.Filter, error) {
-	wantDual := spec.Kind == "hybrid" || spec.Kind == "seal"
-	if seg.IsDual() != wantDual {
-		return nil, fmt.Errorf("segment bound flavour does not match filter kind %q", spec.Kind)
-	}
-	switch spec.Kind {
-	case "token":
-		return core.OpenTokenFilter(ds, seg.Single()), nil
-	case "grid":
-		return core.OpenGridFilter(ds, spec.P, seg.Single())
-	case "hybrid":
-		return core.OpenHybridHashFilter(ds, spec.P, spec.Buckets, seg.Dual())
-	case "seal":
-		return core.OpenHierarchicalFilter(ds, core.HierarchicalConfig{MaxLevel: spec.MaxLevel, GridBudget: spec.GridBudget}, seg.Dual())
-	default:
-		return nil, fmt.Errorf("unknown filter kind %q", spec.Kind)
-	}
 }
 
 // Root returns the engine's parent dataset.

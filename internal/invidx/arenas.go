@@ -2,12 +2,13 @@ package invidx
 
 import "math"
 
-// RawArenas exposes the flat layout of an Index or DualIndex as its backing
-// slices, in exactly the form the SEALIDX2 segment format persists them.
-// TBounds is nil for single-bound indexes. Callers must not mutate any
-// slice: for an in-memory index they alias the live arena, and for a mapped
-// segment they alias read-only pages.
+// RawArenas exposes the flat layout of an Index as its backing slices, in
+// exactly the form the SEALIDX2 segment format persists them. TBounds is
+// empty unless Dual. Callers must not mutate any slice: for an in-memory
+// index they alias the live arena, and for a mapped segment they alias
+// read-only pages.
 type RawArenas struct {
+	Dual    bool
 	Keys    []uint64  // ascending signature keys
 	Starts  []uint32  // len(Keys)+1 list offsets into the posting arena
 	Objs    []uint32  // posting object IDs
@@ -19,6 +20,7 @@ type RawArenas struct {
 // CompressedArenas is RawArenas for the compressed layouts: per-list byte
 // extents into one encoded blob instead of fixed-width posting arenas.
 type CompressedArenas struct {
+	Dual   bool
 	Keys   []uint64
 	Offs   []uint32 // len(Keys)+1 byte offsets into Blob
 	Blob   []byte   // per-list encodings, each led by its posting count
@@ -28,12 +30,7 @@ type CompressedArenas struct {
 
 // Arenas exposes the index's backing slices.
 func (ix *Index) Arenas() RawArenas {
-	return RawArenas{Keys: ix.keys, Starts: ix.starts, Objs: ix.objs, Bounds: ix.bounds, Slots: ix.table.slots}
-}
-
-// Arenas exposes the index's backing slices (Bounds holds the spatial lane).
-func (ix *DualIndex) Arenas() RawArenas {
-	return RawArenas{Keys: ix.keys, Starts: ix.starts, Objs: ix.objs, Bounds: ix.rBounds, TBounds: ix.tBounds, Slots: ix.table.slots}
+	return RawArenas{Dual: ix.dual, Keys: ix.keys, Starts: ix.starts, Objs: ix.objs, Bounds: ix.bounds, TBounds: ix.tBounds, Slots: ix.table.slots}
 }
 
 // validateDirectory checks a persisted hash directory against the sorted key
@@ -73,7 +70,7 @@ func validateDirectory(keys []uint64, slots []uint32) (keyTable, error) {
 
 // validateRawArenas checks every structural invariant the query path relies
 // on, so FromArenas can wrap untrusted bytes without re-deriving anything.
-func validateRawArenas(a RawArenas, objects int, dual bool) error {
+func validateRawArenas(a RawArenas, objects int) error {
 	nk := len(a.Keys)
 	if len(a.Starts) != nk+1 {
 		return corrupt("starts length mismatch")
@@ -87,7 +84,7 @@ func validateRawArenas(a RawArenas, objects int, dual bool) error {
 	if len(a.Bounds) != np {
 		return corrupt("bounds length mismatch")
 	}
-	if dual {
+	if a.Dual {
 		if len(a.TBounds) != np {
 			return corrupt("textual bounds length mismatch")
 		}
@@ -114,46 +111,31 @@ func validateRawArenas(a RawArenas, objects int, dual bool) error {
 			return corrupt("posting object out of range")
 		}
 	}
-	if dual {
-		for _, tb := range a.TBounds {
-			if math.IsNaN(tb) {
-				return corrupt("NaN textual bound")
-			}
+	for _, tb := range a.TBounds {
+		if math.IsNaN(tb) {
+			return corrupt("NaN textual bound")
 		}
 	}
 	return nil
 }
 
-// FromArenas wraps validated arenas as a single-bound index, sharing (not
-// copying) the slices. objects is the exclusive upper bound for posting
-// object IDs.
+// FromArenas wraps validated arenas as an index, sharing (not copying) the
+// slices. objects is the exclusive upper bound for posting object IDs.
 func FromArenas(a RawArenas, objects int) (*Index, error) {
-	if err := validateRawArenas(a, objects, false); err != nil {
+	if err := validateRawArenas(a, objects); err != nil {
 		return nil, err
 	}
 	t, err := validateDirectory(a.Keys, a.Slots)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{keys: a.Keys, table: t, starts: a.Starts, objs: a.Objs, bounds: a.Bounds}, nil
-}
-
-// DualFromArenas wraps validated arenas as a dual-bound index.
-func DualFromArenas(a RawArenas, objects int) (*DualIndex, error) {
-	if err := validateRawArenas(a, objects, true); err != nil {
-		return nil, err
-	}
-	t, err := validateDirectory(a.Keys, a.Slots)
-	if err != nil {
-		return nil, err
-	}
-	return &DualIndex{keys: a.Keys, table: t, starts: a.Starts, objs: a.Objs, rBounds: a.Bounds, tBounds: a.TBounds}, nil
+	return &Index{keys: a.Keys, table: t, starts: a.Starts, objs: a.Objs, bounds: a.Bounds, tBounds: a.TBounds, dual: a.Dual}, nil
 }
 
 // validateCompressedArenas checks the extent structure and then eagerly
 // decodes every list once, so a mapped segment that opens successfully can
 // only fail a later probe if the underlying file changes beneath it.
-func validateCompressedArenas(a CompressedArenas, postings, objects int, dual bool) error {
+func validateCompressedArenas(a CompressedArenas, postings, objects int) error {
 	nk := len(a.Keys)
 	if len(a.Offs) != nk+1 {
 		return corrupt("extent table length mismatch")
@@ -176,7 +158,7 @@ func validateCompressedArenas(a CompressedArenas, postings, objects int, dual bo
 		if lo > hi || int(hi) > len(a.Blob) {
 			return corrupt("extent offsets not monotone")
 		}
-		n, err := decodeList(a.Blob[lo:hi], dual, a.Layout, &scr)
+		n, err := decodeList(a.Blob[lo:hi], a.Dual, a.Layout, &scr)
 		if err != nil {
 			return err
 		}
@@ -196,35 +178,16 @@ func validateCompressedArenas(a CompressedArenas, postings, objects int, dual bo
 	return nil
 }
 
-// compressedFromArenas validates a and wraps it, sharing (not copying) the
-// slices.
-func compressedFromArenas(a CompressedArenas, postings, objects int, dual bool) (compressed, error) {
-	if err := validateCompressedArenas(a, postings, objects, dual); err != nil {
-		return compressed{}, err
+// CompressedFromArenas validates a and wraps it as a compressed index,
+// sharing (not copying) the slices. postings is the expected posting total
+// (the segment header's claim), cross-checked against the per-list counts.
+func CompressedFromArenas(a CompressedArenas, postings, objects int) (*Compressed, error) {
+	if err := validateCompressedArenas(a, postings, objects); err != nil {
+		return nil, err
 	}
 	t, err := validateDirectory(a.Keys, a.Slots)
 	if err != nil {
-		return compressed{}, err
-	}
-	return compressed{keys: a.Keys, table: t, offs: a.Offs, blob: a.Blob, postings: postings, layout: a.Layout}, nil
-}
-
-// CompressedFromArenas wraps validated arenas as a compressed single-bound
-// index. postings is the expected posting total (the segment header's
-// claim), cross-checked against the per-list counts.
-func CompressedFromArenas(a CompressedArenas, postings, objects int) (*CompressedIndex, error) {
-	c, err := compressedFromArenas(a, postings, objects, false)
-	if err != nil {
 		return nil, err
 	}
-	return &CompressedIndex{c}, nil
-}
-
-// CompressedDualFromArenas wraps validated arenas as a compressed dual index.
-func CompressedDualFromArenas(a CompressedArenas, postings, objects int) (*CompressedDualIndex, error) {
-	c, err := compressedFromArenas(a, postings, objects, true)
-	if err != nil {
-		return nil, err
-	}
-	return &CompressedDualIndex{c}, nil
+	return &Compressed{keys: a.Keys, table: t, offs: a.Offs, blob: a.Blob, postings: postings, layout: a.Layout, dual: a.Dual}, nil
 }

@@ -36,9 +36,9 @@ func BenchmarkPrefixLen(b *testing.B) {
 
 func BenchmarkDualScan(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	var db DualBuilder
+	db := Builder{Dual: true}
 	for i := 0; i < 10000; i++ {
-		db.Add(1, uint32(i), rng.Float64()*1000, rng.Float64())
+		db.AddDual(1, uint32(i), rng.Float64()*1000, rng.Float64())
 	}
 	l := db.Build().List(1)
 	sink := 0

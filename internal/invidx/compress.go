@@ -38,7 +38,8 @@ package invidx
 // and a first-object varint — about 9 bytes — where the columns cost 6, and
 // the 86 % of lists under four postings were stored raw at 21 bytes each.
 //
-// The exact layout (Compression.ExactBounds) keeps every bound bit for bit:
+// The exact layout keeps every bound bit for bit. It is the whole-index
+// fallback for bounds the quantized layout cannot hold (see quantizable):
 //
 //	uvarint n, uvarint first object, n-1 zig-zag varint object deltas,
 //	n × float64 bounds, n × float64 textual bounds (dual lists only)
@@ -57,19 +58,6 @@ import (
 var ErrCorrupt = errors.New("invidx: corrupt posting data")
 
 func corrupt(msg string) error { return fmt.Errorf("%w: %s", ErrCorrupt, msg) }
-
-// Compression selects how Compress encodes posting bounds. The zero value is
-// the default, highest-ratio configuration.
-type Compression struct {
-	// ExactBounds preserves every bound bit-for-bit, compressing only the
-	// object IDs (delta-coded varints). The default instead quantizes bounds
-	// to 16-bit ceiling codes: cutoffs loosen by at most one quantization
-	// step, which admits a strict superset of the exact candidate set, and
-	// answers are unchanged because verification is exact. Quantization
-	// more than halves list size again, so leave this off unless filter
-	// selectivity is being measured.
-	ExactBounds bool
-}
 
 // Layout is how every list of one compressed index is encoded.
 type Layout struct {
@@ -395,100 +383,54 @@ func decodeExact(b []byte, n int, dual bool, scr *ListScratch) error {
 	return nil
 }
 
-// compressed is the storage shared by CompressedIndex and
-// CompressedDualIndex: the flat index's key table and directory over a byte
-// blob of per-list encodings. A list's posting count leads its encoding.
-type compressed struct {
+// Compressed is the compressed counterpart of Index: the flat index's key
+// table and directory over a byte blob of per-list encodings. A list's posting
+// count leads its encoding. Probes decode into a caller-supplied ListScratch,
+// so steady-state querying allocates nothing; the decoded view is valid until
+// the next probe with the same scratch.
+type Compressed struct {
 	keys     []uint64
 	table    keyTable
 	offs     []uint32 // len(keys)+1; list i's encoding spans blob[offs[i]:offs[i+1]]
 	blob     []byte
 	postings int
 	layout   Layout
+	dual     bool
 }
 
-// compress encodes the lists of a flat index, given as its arenas (tBounds
-// nil for a single-bound index). Bounds the quantized layout cannot hold
-// switch the whole index to the exact one.
-func compress(keys []uint64, table keyTable, starts, objs []uint32, bounds, tBounds []float64, c Compression) compressed {
-	out := compressed{
-		keys:     keys,
-		table:    table,
-		offs:     make([]uint32, 1, len(keys)+1),
-		postings: len(objs),
-		layout:   Layout{Exact: c.ExactBounds || !quantizable(bounds, tBounds)},
+// Compress re-encodes a flat index. The source index is unchanged and shares
+// its (immutable) key table with the result. Bounds must not be NaN — true
+// of every canonically built index — and bounds the quantized layout cannot
+// hold switch the whole index to the exact one.
+func Compress(ix *Index) *Compressed {
+	out := &Compressed{
+		keys:     ix.keys,
+		table:    ix.table,
+		offs:     make([]uint32, 1, len(ix.keys)+1),
+		postings: len(ix.objs),
+		layout:   Layout{Exact: !quantizable(ix.bounds, ix.tBounds)},
+		dual:     ix.dual,
 	}
 	if !out.layout.Exact {
-		out.layout.Obj16 = len(objs) == 0 || slices.Max(objs) <= math.MaxUint16
+		out.layout.Obj16 = len(ix.objs) == 0 || slices.Max(ix.objs) <= math.MaxUint16
 	}
-	for i := range keys {
-		lo, hi := starts[i], starts[i+1]
+	for i := range ix.keys {
+		lo, hi := ix.starts[i], ix.starts[i+1]
 		var tb []float64
-		if tBounds != nil {
-			tb = tBounds[lo:hi]
+		if ix.dual {
+			tb = ix.tBounds[lo:hi]
 		}
-		out.blob = appendList(out.blob, objs[lo:hi], bounds[lo:hi], tb, out.layout)
+		out.blob = appendList(out.blob, ix.objs[lo:hi], ix.bounds[lo:hi], tb, out.layout)
 		checkBlobRange(len(out.blob))
 		out.offs = append(out.offs, uint32(len(out.blob)))
 	}
 	return out
 }
 
-// decode materializes list i into scr.
-func (ix *compressed) decode(i int, dual bool, scr *ListScratch) (int, error) {
-	n, err := decodeList(ix.blob[ix.offs[i]:ix.offs[i+1]], dual, ix.layout, scr)
-	if err != nil {
-		return 0, fmt.Errorf("invidx: list %#x: %w", ix.keys[i], err)
-	}
-	return n, nil
-}
-
-// Lists returns the number of lists.
-func (ix *compressed) Lists() int { return len(ix.keys) }
-
-// Postings returns the total number of postings.
-func (ix *compressed) Postings() int { return ix.postings }
-
-// SizeBytes reports the compressed footprint: the blob plus keys, offsets
-// and the hash directory.
-func (ix *compressed) SizeBytes() int64 {
-	return int64(len(ix.blob)) + int64(len(ix.keys))*8 + int64(len(ix.offs))*4 + ix.table.sizeBytes()
-}
-
-// EachLen reports every list's key and length from the count that leads its
-// encoding, without decoding the postings.
-func (ix *compressed) EachLen(fn func(key uint64, n int)) {
-	for i, k := range ix.keys {
-		n, _ := binary.Uvarint(ix.blob[ix.offs[i]:ix.offs[i+1]])
-		fn(k, int(n))
-	}
-}
-
-// Keys returns the ascending key array, aliasing the index (for a mapped
-// segment, its pages). Position i is the list EachLen reports i-th. Read-only.
-func (ix *compressed) Keys() []uint64 { return ix.keys }
-
-// Arenas exposes the index's backing slices.
-func (ix *compressed) Arenas() CompressedArenas {
-	return CompressedArenas{Keys: ix.keys, Offs: ix.offs, Blob: ix.blob, Slots: ix.table.slots, Layout: ix.layout}
-}
-
-// CompressedIndex is the compressed counterpart of Index. Probes decode into
-// a caller-supplied ListScratch, so steady-state querying allocates nothing;
-// the decoded view is valid until the next probe with the same scratch.
-type CompressedIndex struct{ compressed }
-
-// Compress re-encodes a flat index. The source index is unchanged and shares
-// its (immutable) key table with the result. Bounds must not be NaN — true
-// of every canonically built index.
-func Compress(ix *Index, c Compression) *CompressedIndex {
-	return &CompressedIndex{compress(ix.keys, ix.table, ix.starts, ix.objs, ix.bounds, nil, c)}
-}
-
 // Probe decodes the list of key into scr (a nil scr allocates a throwaway
 // buffer, for non-hot callers). Absent keys yield an empty list and nil
 // error; corrupt encodings yield an error wrapping ErrCorrupt.
-func (ix *CompressedIndex) Probe(key uint64, scr *ListScratch) (List, error) {
+func (ix *Compressed) Probe(key uint64, scr *ListScratch) (List, error) {
 	i := ix.table.find(ix.keys, key)
 	if i < 0 {
 		return List{}, nil
@@ -496,64 +438,41 @@ func (ix *CompressedIndex) Probe(key uint64, scr *ListScratch) (List, error) {
 	if scr == nil {
 		scr = new(ListScratch)
 	}
-	n, err := ix.decode(i, false, scr)
+	n, err := decodeList(ix.blob[ix.offs[i]:ix.offs[i+1]], ix.dual, ix.layout, scr)
 	if err != nil {
-		return List{}, err
+		return List{}, fmt.Errorf("invidx: list %#x: %w", key, err)
 	}
-	return List{objs: scr.objs[:n], bounds: scr.bounds[:n]}, nil
+	return List{objs: scr.objs[:n], bounds: scr.bounds[:n], tBounds: scr.tBounds}, nil
 }
 
-// Range decodes every list in ascending key order, stopping early if fn
-// returns false or a list fails validation.
-func (ix *CompressedIndex) Range(fn func(key uint64, l List) bool) error {
-	var scr ListScratch
+// Dual reports whether the lists carry textual bounds.
+func (ix *Compressed) Dual() bool { return ix.dual }
+
+// Lists returns the number of lists.
+func (ix *Compressed) Lists() int { return len(ix.keys) }
+
+// Postings returns the total number of postings.
+func (ix *Compressed) Postings() int { return ix.postings }
+
+// SizeBytes reports the compressed footprint: the blob plus keys, offsets
+// and the hash directory.
+func (ix *Compressed) SizeBytes() int64 {
+	return int64(len(ix.blob)) + int64(len(ix.keys))*8 + int64(len(ix.offs))*4 + ix.table.sizeBytes()
+}
+
+// EachLen reports every list's key and length from the count that leads its
+// encoding, without decoding the postings.
+func (ix *Compressed) EachLen(fn func(key uint64, n int)) {
 	for i, k := range ix.keys {
-		n, err := ix.decode(i, false, &scr)
-		if err != nil {
-			return err
-		}
-		if !fn(k, List{objs: scr.objs[:n], bounds: scr.bounds[:n]}) {
-			return nil
-		}
+		n, _ := binary.Uvarint(ix.blob[ix.offs[i]:ix.offs[i+1]])
+		fn(k, int(n))
 	}
-	return nil
 }
 
-// CompressedDualIndex is the compressed counterpart of DualIndex.
-type CompressedDualIndex struct{ compressed }
+// Keys returns the ascending key array.
+func (ix *Compressed) Keys() []uint64 { return ix.keys }
 
-// CompressDual re-encodes a flat dual index; see Compress.
-func CompressDual(ix *DualIndex, c Compression) *CompressedDualIndex {
-	return &CompressedDualIndex{compress(ix.keys, ix.table, ix.starts, ix.objs, ix.rBounds, ix.tBounds, c)}
-}
-
-// ProbeDual decodes the dual list of key into scr; see Probe.
-func (ix *CompressedDualIndex) ProbeDual(key uint64, scr *ListScratch) (DualList, error) {
-	i := ix.table.find(ix.keys, key)
-	if i < 0 {
-		return DualList{}, nil
-	}
-	if scr == nil {
-		scr = new(ListScratch)
-	}
-	n, err := ix.decode(i, true, scr)
-	if err != nil {
-		return DualList{}, err
-	}
-	return DualList{objs: scr.objs[:n], rBounds: scr.bounds[:n], tBounds: scr.tBounds[:n]}, nil
-}
-
-// Range decodes every dual list in ascending key order.
-func (ix *CompressedDualIndex) Range(fn func(key uint64, l DualList) bool) error {
-	var scr ListScratch
-	for i, k := range ix.keys {
-		n, err := ix.decode(i, true, &scr)
-		if err != nil {
-			return err
-		}
-		if !fn(k, DualList{objs: scr.objs[:n], rBounds: scr.bounds[:n], tBounds: scr.tBounds[:n]}) {
-			return nil
-		}
-	}
-	return nil
+// Arenas exposes the index's backing slices.
+func (ix *Compressed) Arenas() CompressedArenas {
+	return CompressedArenas{Dual: ix.dual, Keys: ix.keys, Offs: ix.offs, Blob: ix.blob, Slots: ix.table.slots, Layout: ix.layout}
 }

@@ -34,131 +34,134 @@ func buildRandom(rng *rand.Rand, nLists, maxLen, objects int) *Index {
 	return b.Build()
 }
 
-func buildRandomDual(rng *rand.Rand, nLists, maxLen, objects int) *DualIndex {
-	var b DualBuilder
+func buildRandomDual(rng *rand.Rand, nLists, maxLen, objects int) *Index {
+	b := Builder{Dual: true}
 	for k := 0; k < nLists; k++ {
 		key := rng.Uint64()
 		n := 1 + rng.Intn(maxLen)
 		for i := 0; i < n; i++ {
 			rb := math.Trunc(rng.Float64()*64) / 8
-			b.Add(key, uint32(rng.Intn(objects)), rb, rng.Float64()*2)
+			b.AddDual(key, uint32(rng.Intn(objects)), rb, rng.Float64()*2)
 		}
 	}
 	return b.Build()
 }
 
-// maxBoundByObj collapses a list to obj → max bound, the quantity the
-// superset property is stated over.
-func maxBoundByObj(objs []uint32, bounds []float64) map[uint32]float64 {
-	m := make(map[uint32]float64, len(objs))
-	for i, o := range objs {
-		if b, ok := m[o]; !ok || bounds[i] > b {
-			m[o] = bounds[i]
-		}
-	}
-	return m
+// unquantizable returns ix with one bound pushed past float32 range, which
+// switches the whole compressed index to the exact layout.
+func unquantizable(ix *Index) *Index {
+	out := *ix
+	out.bounds = slices.Clone(ix.bounds)
+	out.bounds[out.starts[0]] = 2 * math.MaxFloat32 // a list head: still descending
+	return &out
 }
 
-func TestCompressExactRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	ix := buildRandom(rng, 50, 200, 1000)
-	cx := Compress(ix, Compression{ExactBounds: true})
-	if cx.Lists() != ix.Lists() || cx.Postings() != ix.Postings() {
-		t.Fatalf("lists/postings mismatch: %d/%d vs %d/%d", cx.Lists(), cx.Postings(), ix.Lists(), ix.Postings())
-	}
-	var scr ListScratch
-	ix.Range(func(key uint64, want List) bool {
-		got, err := cx.Probe(key, &scr)
-		if err != nil {
-			t.Fatalf("probe %#x: %v", key, err)
-		}
-		if got.Len() != want.Len() {
-			t.Fatalf("list %#x: len %d, want %d", key, got.Len(), want.Len())
-		}
-		for i := 0; i < want.Len(); i++ {
-			if got.Obj(i) != want.Obj(i) || got.Bound(i) != want.Bound(i) {
-				t.Fatalf("list %#x posting %d: (%d,%v), want (%d,%v)",
-					key, i, got.Obj(i), got.Bound(i), want.Obj(i), want.Bound(i))
-			}
-		}
-		return true
-	})
-}
-
-// TestCompressQuantSuperset checks the ceiling-quantization contract: the
-// decoded list holds the same objects, each with a bound >= its exact bound,
-// in valid canonical order — so any Cutoff head over the compressed list is
+// TestSourceLayouts is the contract of Source over every layout an index can
+// be served from — {single, dual} × {raw, compressed, and both again wrapped
+// from their arenas, as a mapped segment is} — for bounds the quantized layout
+// holds and bounds that force the exact fallback. Every layout reports the
+// flat index's flavour, shape, keys and list lengths and probes to the same
+// objects in the same order. Raw and exact lists are the flat lists bit for
+// bit; quantized ones keep the ceiling contract — every decoded bound >= the
+// exact one, spatial bounds still descending — so a Cutoff head over them is
 // a superset of the exact head and verification keeps answers identical.
-func TestCompressQuantSuperset(t *testing.T) {
+func TestSourceLayouts(t *testing.T) {
+	const objects = 2000
 	rng := rand.New(rand.NewSource(2))
-	ix := buildRandom(rng, 50, 300, 2000)
-	cx := Compress(ix, Compression{})
-	var scr ListScratch
-	ix.Range(func(key uint64, want List) bool {
-		got, err := cx.Probe(key, &scr)
+	single, dual := buildRandom(rng, 50, 300, objects), buildRandomDual(rng, 40, 250, objects)
+	for _, fx := range []struct {
+		name  string
+		ix    *Index
+		exact bool
+	}{
+		{"single", single, false},
+		{"dual", dual, false},
+		{"single/unquantizable", unquantizable(single), true},
+		{"dual/unquantizable", unquantizable(dual), true},
+	} {
+		ix, cx := fx.ix, Compress(fx.ix)
+		if lay := cx.Arenas().Layout; lay.Exact != fx.exact {
+			t.Fatalf("%s: layout %+v, want exact=%v", fx.name, lay, fx.exact)
+		}
+		mraw, err := FromArenas(ix.Arenas(), objects)
 		if err != nil {
-			t.Fatalf("probe %#x: %v", key, err)
+			t.Fatalf("%s: FromArenas: %v", fx.name, err)
 		}
-		if got.Len() != want.Len() {
-			t.Fatalf("list %#x: len %d, want %d", key, got.Len(), want.Len())
-		}
-		for i := 1; i < got.Len(); i++ {
-			if got.Bound(i) > got.Bound(i-1) {
-				t.Fatalf("list %#x: decoded bounds not descending at %d", key, i)
-			}
-		}
-		exact := maxBoundByObj(want.objs, want.bounds)
-		dec := maxBoundByObj(got.objs, got.bounds)
-		if len(dec) != len(exact) {
-			t.Fatalf("list %#x: object sets differ (%d vs %d)", key, len(dec), len(exact))
-		}
-		for o, b := range exact {
-			db, ok := dec[o]
-			if !ok {
-				t.Fatalf("list %#x: object %d lost", key, o)
-			}
-			if db < b {
-				t.Fatalf("list %#x object %d: decoded bound %v below exact %v", key, o, db, b)
-			}
-		}
-		return true
-	})
-}
-
-func TestCompressDualQuantSuperset(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ix := buildRandomDual(rng, 40, 250, 1500)
-	cx := CompressDual(ix, Compression{})
-	var scr ListScratch
-	ix.Range(func(key uint64, want DualList) bool {
-		got, err := cx.ProbeDual(key, &scr)
+		mcomp, err := CompressedFromArenas(cx.Arenas(), cx.Postings(), objects)
 		if err != nil {
-			t.Fatalf("probe %#x: %v", key, err)
+			t.Fatalf("%s: CompressedFromArenas: %v", fx.name, err)
 		}
-		if got.Len() != want.Len() {
-			t.Fatalf("list %#x: len %d, want %d", key, got.Len(), want.Len())
+		for _, row := range []struct {
+			name    string
+			src     Source
+			bitwise bool
+		}{
+			{"raw", ix, true},
+			{"compressed", cx, fx.exact},
+			{"mapped raw", mraw, true},
+			{"mapped compressed", mcomp, fx.exact},
+		} {
+			t.Run(fx.name+"/"+row.name, func(t *testing.T) {
+				src := row.src
+				if src.Dual() != ix.dual || src.Lists() != ix.Lists() || src.Postings() != ix.Postings() {
+					t.Fatalf("dual/lists/postings %v/%d/%d, want %v/%d/%d",
+						src.Dual(), src.Lists(), src.Postings(), ix.dual, ix.Lists(), ix.Postings())
+				}
+				if src.SizeBytes() <= 0 {
+					t.Errorf("SizeBytes should be positive")
+				}
+				if !slices.Equal(src.Keys(), ix.keys) || !slices.IsSorted(src.Keys()) {
+					t.Fatalf("keys differ from the flat index's ascending keys")
+				}
+				i, total := 0, 0
+				src.EachLen(func(key uint64, n int) {
+					if key != ix.keys[i] || n != ix.List(key).Len() {
+						t.Fatalf("EachLen #%d: (%#x, %d), want (%#x, %d)", i, key, n, ix.keys[i], ix.List(ix.keys[i]).Len())
+					}
+					i++
+					total += n
+				})
+				if i != ix.Lists() || total != ix.Postings() {
+					t.Fatalf("EachLen reported %d lists / %d postings", i, total)
+				}
+				var scr ListScratch
+				if l, err := src.Probe(ix.keys[len(ix.keys)-1]+1, &scr); err != nil || l.Len() != 0 {
+					t.Fatalf("absent key probed to %d postings, err %v", l.Len(), err)
+				}
+				for _, key := range ix.keys {
+					want := ix.List(key)
+					got, err := src.Probe(key, &scr)
+					if err != nil {
+						t.Fatalf("probe %#x: %v", key, err)
+					}
+					if got.Len() != want.Len() || len(got.tBounds) != len(want.tBounds) {
+						t.Fatalf("list %#x: %d postings / %d textual bounds, want %d / %d",
+							key, got.Len(), len(got.tBounds), want.Len(), len(want.tBounds))
+					}
+					for i := 0; i < want.Len(); i++ {
+						g, w := got.Posting(i), want.Posting(i)
+						switch {
+						case row.bitwise && g != w:
+							t.Fatalf("list %#x posting %d: %+v, want %+v", key, i, g, w)
+						case g.Obj != w.Obj:
+							t.Fatalf("list %#x posting %d: object %d, want %d", key, i, g.Obj, w.Obj)
+						case g.Bound < w.Bound || g.TBound < w.TBound:
+							t.Fatalf("list %#x posting %d: %+v decoded below exact %+v", key, i, g, w)
+						case i > 0 && g.Bound > got.Bound(i-1):
+							t.Fatalf("list %#x: decoded bounds not descending at %d", key, i)
+						}
+					}
+				}
+			})
 		}
-		exactR := maxBoundByObj(want.objs, want.rBounds)
-		exactT := maxBoundByObj(want.objs, want.tBounds)
-		decR := maxBoundByObj(got.objs, got.rBounds)
-		decT := maxBoundByObj(got.objs, got.tBounds)
-		for o, b := range exactR {
-			if decR[o] < b {
-				t.Fatalf("list %#x object %d: spatial bound %v below exact %v", key, o, decR[o], b)
-			}
-			if decT[o] < exactT[o] {
-				t.Fatalf("list %#x object %d: textual bound %v below exact %v", key, o, decT[o], exactT[o])
-			}
-		}
-		return true
-	})
+	}
 }
 
 func TestCompressedSmaller(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ix := buildRandom(rng, 80, 400, 4000)
-	quant := Compress(ix, Compression{}).SizeBytes()
-	exact := Compress(ix, Compression{ExactBounds: true}).SizeBytes()
+	quant := Compress(ix).SizeBytes()
+	exact := Compress(unquantizable(ix)).SizeBytes()
 	flat := ix.SizeBytes()
 	if quant >= flat || exact > flat {
 		t.Fatalf("compression grew the index: quant %d, exact %d, flat %d", quant, exact, flat)
@@ -174,7 +177,7 @@ func TestCompressedProbeZeroAlloc(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	ix := buildRandom(rng, 30, 200, 1000)
-	cx := Compress(ix, Compression{})
+	cx := Compress(ix)
 	keys := append([]uint64(nil), ix.keys...)
 	var scr ListScratch
 	for _, k := range keys { // warm the scratch to the longest list
@@ -192,45 +195,6 @@ func TestCompressedProbeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("compressed probes allocated %v times per run, want 0", allocs)
-	}
-}
-
-func TestArenasRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	ix := buildRandom(rng, 40, 100, 800)
-	back, err := FromArenas(ix.Arenas(), 800)
-	if err != nil {
-		t.Fatalf("FromArenas: %v", err)
-	}
-	ix.Range(func(key uint64, want List) bool {
-		got := back.List(key)
-		if got.Len() != want.Len() {
-			t.Fatalf("list %#x: len %d, want %d", key, got.Len(), want.Len())
-		}
-		return true
-	})
-
-	dx := buildRandomDual(rng, 30, 100, 800)
-	dback, err := DualFromArenas(dx.Arenas(), 800)
-	if err != nil {
-		t.Fatalf("DualFromArenas: %v", err)
-	}
-	if dback.Postings() != dx.Postings() {
-		t.Fatalf("dual postings %d, want %d", dback.Postings(), dx.Postings())
-	}
-
-	cx := Compress(ix, Compression{})
-	cback, err := CompressedFromArenas(cx.Arenas(), cx.Postings(), 800)
-	if err != nil {
-		t.Fatalf("CompressedFromArenas: %v", err)
-	}
-	if cback.Postings() != cx.Postings() || cback.Lists() != cx.Lists() {
-		t.Fatal("compressed arena round trip changed shape")
-	}
-
-	cdx := CompressDual(dx, Compression{ExactBounds: true})
-	if _, err := CompressedDualFromArenas(cdx.Arenas(), cdx.Postings(), 800); err != nil {
-		t.Fatalf("CompressedDualFromArenas: %v", err)
 	}
 }
 
@@ -267,6 +231,8 @@ func TestFromArenasRejectsCorrupt(t *testing.T) {
 			panic("no multi-posting list in fixture")
 		}, 400},
 		{"NaN bound", func(a *RawArenas) { a.Bounds[0] = math.NaN() }, 400},
+		{"dual without its lane", func(a *RawArenas) { a.Dual = true }, 400},
+		{"single with a lane", func(a *RawArenas) { a.TBounds = make([]float64, len(a.Objs)) }, 400},
 		{"directory truncated", func(a *RawArenas) { a.Slots = a.Slots[:len(a.Slots)/2] }, 400},
 		{"directory zeroed", func(a *RawArenas) {
 			for i := range a.Slots {
@@ -295,7 +261,7 @@ func TestFromArenasRejectsCorrupt(t *testing.T) {
 
 func TestCompressedFromArenasRejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	cx := Compress(buildRandom(rng, 20, 50, 400), Compression{})
+	cx := Compress(buildRandom(rng, 20, 50, 400))
 	base := cx.Arenas()
 	clone := func() CompressedArenas {
 		return CompressedArenas{
@@ -327,6 +293,7 @@ func TestCompressedFromArenasRejectsCorrupt(t *testing.T) {
 		{"exact layout claimed", func(a *CompressedArenas) { a.Layout = Layout{Exact: true} }, cx.Postings()},
 		{"both layouts claimed", func(a *CompressedArenas) { a.Layout.Exact = true }, cx.Postings()},
 		{"extents shifted", func(a *CompressedArenas) { a.Offs[1]++ }, cx.Postings()},
+		{"dual claimed", func(a *CompressedArenas) { a.Dual = true }, cx.Postings()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -440,7 +407,7 @@ func TestCompressFallsBackToExact(t *testing.T) {
 		b.Add(1, 7, bad)
 		b.Add(1, 8, 0.5)
 		b.Add(2, 9, 0.25)
-		cx := Compress(b.Build(), Compression{})
+		cx := Compress(b.Build())
 		if lay := cx.Arenas().Layout; !lay.Exact || lay.Obj16 {
 			t.Fatalf("bound %g: layout %+v, want exact", bad, lay)
 		}
@@ -464,16 +431,19 @@ func FuzzDecodeList(f *testing.F) {
 	ix := buildRandom(rng, 8, 60, 500)
 	wide := buildRandom(rng, 4, 60, 1<<20)
 	dx := buildRandomDual(rng, 6, 60, 500)
-	seed := func(a CompressedArenas, dual bool) {
-		for i := 0; i+1 < len(a.Offs); i++ {
-			f.Add(a.Blob[a.Offs[i]:a.Offs[i+1]], dual, a.Layout.Exact, a.Layout.Obj16)
+	seed := func(ix *Index, exact bool) {
+		lay := Compress(ix).Arenas().Layout
+		lay.Exact, lay.Obj16 = exact, lay.Obj16 && !exact
+		for _, key := range ix.keys {
+			l := ix.List(key)
+			f.Add(appendList(nil, l.objs, l.bounds, l.tBounds, lay), ix.dual, lay.Exact, lay.Obj16)
 		}
 	}
-	seed(Compress(ix, Compression{}).Arenas(), false)
-	seed(Compress(wide, Compression{}).Arenas(), false)
-	seed(Compress(ix, Compression{ExactBounds: true}).Arenas(), false)
-	seed(CompressDual(dx, Compression{}).Arenas(), true)
-	seed(CompressDual(dx, Compression{ExactBounds: true}).Arenas(), true)
+	seed(ix, false)
+	seed(wide, false)
+	seed(ix, true)
+	seed(dx, false)
+	seed(dx, true)
 	f.Add([]byte{3}, false, false, true)
 	f.Add([]byte{1, 2, 3}, true, true, false)
 

@@ -148,12 +148,12 @@ func TestPrefixBoundConsistency(t *testing.T) {
 	}
 }
 
-func TestDualListScan(t *testing.T) {
-	var b DualBuilder
-	b.Add(1, 10, 5.0, 0.9)
-	b.Add(1, 11, 4.0, 0.2)
-	b.Add(1, 12, 3.0, 0.8)
-	b.Add(1, 13, 1.0, 0.9)
+func TestListScanDualBounds(t *testing.T) {
+	b := Builder{Dual: true}
+	b.AddDual(1, 10, 5.0, 0.9)
+	b.AddDual(1, 11, 4.0, 0.2)
+	b.AddDual(1, 12, 3.0, 0.8)
+	b.AddDual(1, 13, 1.0, 0.9)
 	idx := b.Build()
 	l := idx.List(1)
 
@@ -170,7 +170,7 @@ func TestDualListScan(t *testing.T) {
 	if n := l.Scan(10, 0.1, func(obj uint32) { none = append(none, obj) }); n != 0 || len(none) != 0 {
 		t.Fatalf("high cR should scan nothing, got %v (examined %d)", none, n)
 	}
-	if (DualList{}).Scan(0, 0, func(uint32) {}) != 0 {
+	if (List{}).Scan(0, 0, func(uint32) {}) != 0 {
 		t.Fatalf("empty dual list should scan nothing")
 	}
 	if idx.List(424242).Len() != 0 {
@@ -178,10 +178,10 @@ func TestDualListScan(t *testing.T) {
 	}
 }
 
-func TestDualBuilderMergesMaxBounds(t *testing.T) {
-	var b DualBuilder
-	b.Add(1, 42, 5.0, 0.2)
-	b.Add(1, 42, 3.0, 0.9) // same object, same bucket: merge with max bounds
+func TestBuilderDualMergesMaxBounds(t *testing.T) {
+	b := Builder{Dual: true}
+	b.AddDual(1, 42, 5.0, 0.2)
+	b.AddDual(1, 42, 3.0, 0.9) // same object, same bucket: merge with max bounds
 	idx := b.Build()
 	l := idx.List(1)
 	if l.Len() != 1 {
@@ -194,35 +194,6 @@ func TestDualBuilderMergesMaxBounds(t *testing.T) {
 	}
 	if idx.Postings() != 1 {
 		t.Fatalf("postings = %d, want 1", idx.Postings())
-	}
-}
-
-func TestDualIndexSizeAndRange(t *testing.T) {
-	var b DualBuilder
-	for i := uint32(0); i < 10; i++ {
-		b.Add(uint64(i%3), i, float64(i), 1)
-	}
-	idx := b.Build()
-	if idx.Lists() != 3 || idx.Postings() != 10 {
-		t.Fatalf("lists=%d postings=%d", idx.Lists(), idx.Postings())
-	}
-	if idx.SizeBytes() <= 0 {
-		t.Errorf("SizeBytes should be positive")
-	}
-	seen := 0
-	var keys []uint64
-	idx.Range(func(key uint64, l DualList) bool {
-		seen += l.Len()
-		keys = append(keys, key)
-		return true
-	})
-	if seen != 10 {
-		t.Fatalf("Range visited %d postings, want 10", seen)
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatalf("Range keys not ascending: %v", keys)
-		}
 	}
 }
 
@@ -248,9 +219,9 @@ func TestFlatSizeBytesAccounting(t *testing.T) {
 		t.Fatalf("SizeBytes = %d, want %d", got, want)
 	}
 
-	var db DualBuilder
+	db := Builder{Dual: true}
 	for i := uint32(0); i < 60; i++ {
-		db.Add(uint64(i%5), i, float64(i), 1)
+		db.AddDual(uint64(i%5), i, float64(i), 1)
 	}
 	didx := db.Build()
 	wantDual := int64(60*(4+8+8)+5*(8+4)) + hashDirBytes(5)
@@ -294,22 +265,23 @@ func TestCutoffMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestDualFromSortedRunsMatchesBuilder: handing DualFromSortedRuns the lists
-// DualBuilder.Build would produce, cut into runs at arbitrary key boundaries,
-// must freeze to a DualIndex that is field-for-field the builder's.
-func TestDualFromSortedRunsMatchesBuilder(t *testing.T) {
+// TestFromSortedRunsMatchesBuilder: handing FromSortedRuns the lists a dual
+// Builder would produce, cut into runs at arbitrary key boundaries, must
+// freeze to an Index that is field-for-field the builder's.
+func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	var b DualBuilder
+	b := Builder{Dual: true}
 	for i := 0; i < 3000; i++ {
 		// Coarse bounds force spatial-bound ties, which the object breaks.
-		b.Add(uint64(rng.Intn(200))<<32|uint64(rng.Intn(4)), uint32(i), float64(rng.Intn(8)), rng.Float64())
+		b.AddDual(uint64(rng.Intn(200))<<32|uint64(rng.Intn(4)), uint32(i), float64(rng.Intn(8)), rng.Float64())
 	}
 	want := b.Build()
 
-	var runs []DualRun
-	want.Range(func(key uint64, l DualList) bool {
+	var runs []Run
+	for _, key := range want.Keys() {
+		l := want.List(key)
 		if len(runs) == 0 || rng.Intn(3) == 0 {
-			runs = append(runs, DualRun{})
+			runs = append(runs, Run{})
 		}
 		r := &runs[len(runs)-1]
 		r.Keys = append(r.Keys, key)
@@ -317,34 +289,36 @@ func TestDualFromSortedRunsMatchesBuilder(t *testing.T) {
 		for i := 0; i < l.Len(); i++ {
 			p := l.Posting(i)
 			r.Objs = append(r.Objs, p.Obj)
-			r.RBounds = append(r.RBounds, p.RBound)
+			r.Bounds = append(r.Bounds, p.Bound)
 			r.TBounds = append(r.TBounds, p.TBound)
 		}
-		return true
-	})
-	runs = append(runs, DualRun{}) // an empty run is legal
-	if got := DualFromSortedRuns(runs); !reflect.DeepEqual(got, want) {
+	}
+	runs = append(runs, Run{}) // an empty run is legal
+	if got := FromSortedRuns(runs); !reflect.DeepEqual(got, want) {
 		t.Fatalf("index from %d sorted runs differs from the builder's", len(runs))
 	}
-	if got := DualFromSortedRuns(nil); got.Lists() != 0 || got.Postings() != 0 || got.List(1).Len() != 0 {
-		t.Fatalf("no runs should freeze to an empty index")
+	if got := FromSortedRuns(nil); !got.Dual() || got.Lists() != 0 || got.Postings() != 0 || got.List(1).Len() != 0 {
+		t.Fatalf("no runs should freeze to an empty dual index")
 	}
 
-	mustPanic := func(name string, runs []DualRun) {
+	mustPanic := func(name string, runs []Run) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
 				t.Errorf("%s: expected a panic", name)
 			}
 		}()
-		DualFromSortedRuns(runs)
+		FromSortedRuns(runs)
 	}
-	one := func(key uint64) DualRun {
-		return DualRun{Keys: []uint64{key}, Lens: []uint32{1}, Objs: []uint32{7}, RBounds: []float64{1}, TBounds: []float64{1}}
+	one := func(key uint64) Run {
+		return Run{Keys: []uint64{key}, Lens: []uint32{1}, Objs: []uint32{7}, Bounds: []float64{1}, TBounds: []float64{1}}
 	}
-	mustPanic("descending keys", []DualRun{one(5), one(4)})
-	mustPanic("repeated key", []DualRun{one(5), one(5)})
+	mustPanic("descending keys", []Run{one(5), one(4)})
+	mustPanic("repeated key", []Run{one(5), one(5)})
 	short := one(9)
 	short.Lens[0] = 2
-	mustPanic("lens exceed arena", []DualRun{short})
+	mustPanic("lens exceed arena", []Run{short})
+	single := one(3)
+	single.TBounds = nil
+	mustPanic("missing textual lane", []Run{single})
 }

@@ -31,36 +31,29 @@ func (s *ListScratch) grow(n int, dual bool) {
 	}
 }
 
-// Source is a read view over single-bound posting lists: the flat in-memory
-// Index, its compressed form, and the mmap-backed segment views all satisfy
-// it, so the signature filters probe storage without knowing the layout.
+// Source is a read view over posting lists: the flat in-memory Index, its
+// Compressed form, and the mmap-backed segment views of both all satisfy it,
+// so the signature filters probe storage without knowing the layout.
 //
 // Probe returns the list of key (empty for absent keys) valid until the next
 // Probe with the same scratch. Layouts that must decode report corruption as
-// an error wrapping ErrCorrupt; the flat layouts never fail.
+// an error wrapping ErrCorrupt; the flat layout never fails.
 type Source interface {
 	Probe(key uint64, scr *ListScratch) (List, error)
+	// Dual reports whether the lists carry textual bounds.
+	Dual() bool
 	Lists() int
 	Postings() int
 	SizeBytes() int64
-}
-
-// DualSource is Source for dual-bound (hybrid) posting lists.
-type DualSource interface {
-	ProbeDual(key uint64, scr *ListScratch) (DualList, error)
-	Lists() int
-	Postings() int
-	SizeBytes() int64
-}
-
-// LengthRanger is the optional fast path over Source: enumerate every
-// (key, posting count) pair in ascending key order without touching posting
-// data. All four index layouts implement it; consumers that can derive
-// state from list lengths alone (e.g. the grid filter's cell counter, whose
-// count(g) is exactly cell g's posting count) type-assert for it and fall
-// back to recomputation otherwise.
-type LengthRanger interface {
+	// EachLen reports every (key, posting count) pair in ascending key order
+	// without touching posting data: enough for consumers that derive state
+	// from list lengths alone (the grid filter's cell counter, whose count(g)
+	// is exactly cell g's posting count; the Seal filter's grid ranks).
 	EachLen(fn func(key uint64, n int))
+	// Keys returns the ascending key array, aliasing the index (for a mapped
+	// segment, its pages). Position i is the list EachLen reports i-th.
+	// Read-only.
+	Keys() []uint64
 }
 
 // EachLen reports every list's key and length from the start offsets.
@@ -70,25 +63,21 @@ func (ix *Index) EachLen(fn func(key uint64, n int)) {
 	}
 }
 
-// EachLen reports every list's key and length from the start offsets.
-func (ix *DualIndex) EachLen(fn func(key uint64, n int)) {
-	for i, k := range ix.keys {
-		fn(k, int(ix.starts[i+1]-ix.starts[i]))
-	}
-}
-
-// Keys returns the ascending key array, aliasing the index (for a mapped
-// segment, its pages). Position i is the list EachLen reports i-th. Read-only.
-func (ix *DualIndex) Keys() []uint64 { return ix.keys }
+// Keys returns the ascending key array.
+func (ix *Index) Keys() []uint64 { return ix.keys }
 
 // Probe returns a zero-copy arena view; scr is unused and the error is
-// always nil.
+// always nil. It is the filters' hot call, so the view is built here, where
+// it is returned, and List wraps it: built in a helper it would be copied
+// once more on the way out.
 func (ix *Index) Probe(key uint64, _ *ListScratch) (List, error) {
-	return ix.List(key), nil
-}
-
-// ProbeDual returns a zero-copy arena view; scr is unused and the error is
-// always nil.
-func (ix *DualIndex) ProbeDual(key uint64, _ *ListScratch) (DualList, error) {
-	return ix.List(key), nil
+	i := ix.table.find(ix.keys, key)
+	if i < 0 {
+		return List{}, nil
+	}
+	lo, hi := ix.starts[i], ix.starts[i+1]
+	if ix.dual {
+		return List{objs: ix.objs[lo:hi], bounds: ix.bounds[lo:hi], tBounds: ix.tBounds[lo:hi]}, nil
+	}
+	return List{objs: ix.objs[lo:hi], bounds: ix.bounds[lo:hi]}, nil
 }

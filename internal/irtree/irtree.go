@@ -206,14 +206,9 @@ func (t *Tree) SizeBytes() int64 {
 
 // Collect implements core.Filter: a bound-driven traversal from the root.
 // FilterStats.ListsProbed counts visited nodes and PostingsScanned counts
-// leaf objects whose bound checks ran.
-func (t *Tree) Collect(q *model.Query, cs *core.CandidateSet, st *core.FilterStats) {
-	t.CollectStop(q, cs, st, nil)
-}
-
-// CollectStop implements core.StoppableFilter: stop is polled at each node
-// visit, cutting the tree walk short.
-func (t *Tree) CollectStop(q *model.Query, cs *core.CandidateSet, st *core.FilterStats, stop func() bool) {
+// leaf objects whose bound checks ran. stop is polled at each node visit,
+// cutting the tree walk short.
+func (t *Tree) Collect(q *model.Query, cs *core.CandidateSet, st *core.FilterStats, stop func() bool, _ *core.Scratch) {
 	cR, cT := core.Thresholds(q)
 	if cR <= 0 && cT <= 0 {
 		return

@@ -115,7 +115,7 @@ func TestPruningSkipsDistantSubtrees(t *testing.T) {
 	cs := core.NewCandidateSet(ds.Len())
 	var st core.FilterStats
 	cs.Reset()
-	tree.Collect(q, cs, &st)
+	tree.Collect(q, cs, &st, nil, nil)
 	// 128 objects at fanout 8 → ≥ 16 leaves + internals. The far cluster
 	// must be pruned high up: visiting everything would cost 19+ nodes.
 	if st.ListsProbed > 12 {

@@ -71,7 +71,7 @@ func TestHybridBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := ix.Search(paperQuery())
+	matches, err := answer(ix, paperQuery().Request())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSealTuning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := ix.Search(paperQuery())
+	matches, err := answer(ix, paperQuery().Request())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,7 @@ package seal
 // Results type carries matches plus optional cost stats, and QueryOption
 // carries the per-query knobs: Limit/Offset, result order, stats collection,
 // and shard parallelism. Query materializes, Stream (stream.go) iterates,
-// QueryBatch runs many requests with per-query error reporting. The seven
-// pre-existing Search* methods survive as thin deprecated wrappers.
+// QueryBatch runs many requests with per-query error reporting.
 
 import (
 	"context"
@@ -279,8 +278,8 @@ func (ix *Index) Query(ctx context.Context, req Request, opts ...QueryOption) (*
 	return ix.query(ctx, req, cfg)
 }
 
-// query is the shared execution path behind Query, QueryBatch, Stream's
-// materialized orders, and the legacy wrappers.
+// query is the shared execution path behind Query, QueryBatch and Stream's
+// materialized orders.
 func (ix *Index) query(ctx context.Context, req Request, cfg queryConfig) (*Results, error) {
 	// Admitted for the whole call: compilation reads the (possibly mapped)
 	// dataset before any shard search starts.

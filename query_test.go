@@ -50,12 +50,13 @@ func TestRequestValidation(t *testing.T) {
 		})
 	}
 
-	// Legacy boundary: SearchTopK must reject K <= 0 descriptively instead of
-	// misbehaving.
-	for _, k := range []int{0, -1} {
-		if _, err := ix.SearchTopK(seal.TopKQuery{Region: region, Tokens: []string{"t1"}, K: k}); err == nil ||
-			!strings.Contains(err.Error(), "K >= 1") {
-			t.Fatalf("SearchTopK(K=%d) error = %v, want a descriptive K error", k, err)
+	// Legacy boundary: a TopKQuery with K <= 0 must be rejected descriptively
+	// instead of misbehaving — a negative K as such, a zero K as the threshold
+	// request without thresholds it converts to.
+	for k, want := range map[int]string{0: "TauR and TauT", -1: "K >= 1"} {
+		req := seal.TopKQuery{Region: region, Tokens: []string{"t1"}, K: k}.Request()
+		if _, err := ix.Query(context.Background(), req); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("TopKQuery(K=%d) error = %v, want one mentioning %q", k, err, want)
 		}
 	}
 
@@ -103,7 +104,7 @@ func TestQueryBatchPerQueryErrors(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("slot %d failed: %v (one bad query must not nuke the batch)", i, r.Err)
 		}
-		want, err := ix.Search(queries[i])
+		want, err := answer(ix, queries[i].Request())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package seal
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -14,7 +13,6 @@ import (
 	"github.com/sealdb/seal/internal/engine"
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/gridsig"
-	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/irtree"
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/text"
@@ -106,8 +104,8 @@ type IndexStats struct {
 	// segments (the index was opened from a segment directory) rather than
 	// rebuilt in memory.
 	Mapped bool
-	// Compressed reports that posting lists are stored encoded (quantized
-	// columns or exact deltas) instead of as the flat fixed-width arena.
+	// Compressed reports that posting lists are stored encoded (fixed-width
+	// columns with bounds quantized to 16 bits) instead of as the flat arena.
 	Compressed bool
 }
 
@@ -237,33 +235,16 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 }
 
 func buildFilter(ds *model.Dataset, cfg options) (core.Filter, error) {
-	f, err := newFilter(ds, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.compression != CompressionNone {
-		// Only the signature filters hold posting lists; the knob is a
-		// no-op for baselines.
-		if c, ok := f.(interface{ CompressPostings(invidx.Compression) }); ok {
-			c.CompressPostings(invidxCompression(cfg.compression))
+	// The signature methods are the ones with a filter spec; only they hold
+	// posting lists, so the compression knob is a no-op for the baselines.
+	if spec, ok := segmentSpec(cfg); ok {
+		f, err := core.BuildFilter(ds, spec)
+		if err == nil && cfg.compression != CompressionNone {
+			core.CompressPostings(f)
 		}
+		return f, err
 	}
-	return f, nil
-}
-
-func newFilter(ds *model.Dataset, cfg options) (core.Filter, error) {
 	switch cfg.method {
-	case MethodSeal:
-		return core.NewHierarchicalFilter(ds, core.HierarchicalConfig{
-			MaxLevel:   cfg.maxLevel,
-			GridBudget: cfg.gridBudget,
-		})
-	case MethodTokenFilter:
-		return core.NewTokenFilter(ds), nil
-	case MethodGridFilter:
-		return core.NewGridFilter(ds, cfg.granularity)
-	case MethodHybridHash:
-		return core.NewHybridHashFilter(ds, cfg.granularity, cfg.hashBuckets)
 	case MethodKeywordFirst:
 		return baseline.NewKeywordFirst(ds), nil
 	case MethodSpatialFirst:
@@ -354,41 +335,6 @@ func autoGranularity(ds *model.Dataset, cfg options) (int, error) {
 		return 0, fmt.Errorf("seal: auto-granularity: %w", err)
 	}
 	return res.P, nil
-}
-
-// Search answers q, returning matches sorted by object ID.
-//
-// Deprecated: Use [Index.Query] — Search(q) is Query(ctx, q.Request()) minus
-// the context, the result order and answers are identical.
-func (ix *Index) Search(q Query) ([]Match, error) {
-	return ix.SearchContext(context.Background(), q)
-}
-
-// SearchContext is Search honoring ctx: when the context is canceled or its
-// deadline passes mid-scatter, the call returns ctx's error promptly without
-// waiting for outstanding shard searches.
-//
-// Deprecated: Use [Index.Query], which honors ctx the same way.
-func (ix *Index) SearchContext(ctx context.Context, q Query) ([]Match, error) {
-	res, err := ix.Query(ctx, q.Request())
-	if err != nil {
-		return nil, err
-	}
-	return res.Matches, nil
-}
-
-// SearchWithStats answers q and reports the cost breakdown. On a sharded
-// index the counters sum over shards, and the phase times report aggregate
-// work across shards rather than wall-clock time.
-//
-// Deprecated: Use [Index.Query] with the [CollectStats] option; the
-// breakdown arrives as Results.Stats.
-func (ix *Index) SearchWithStats(q Query) ([]Match, Stats, error) {
-	res, err := ix.Query(context.Background(), q.Request(), CollectStats())
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return res.Matches, *res.Stats, nil
 }
 
 // Similarity returns the exact spatial and textual similarities between a

@@ -1,6 +1,7 @@
 package seal_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -22,6 +23,15 @@ func paperObjects() []seal.Object {
 		{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 28, MaxY: 38}, Tokens: []string{"coffee", "ice"}},
 		{Region: seal.Rect{MinX: 80, MinY: 85, MaxX: 120, MaxY: 120}, Tokens: []string{"tea"}},
 	}
+}
+
+// answer runs req through Query and returns just the matches.
+func answer(ix *seal.Index, req seal.Request) ([]seal.Match, error) {
+	res, err := ix.Query(context.Background(), req)
+	if err != nil {
+		return nil, err
+	}
+	return res.Matches, nil
 }
 
 func paperQuery() seal.Query {
@@ -47,7 +57,7 @@ func TestPaperExampleAllMethods(t *testing.T) {
 		if err != nil {
 			t.Fatalf("method %d: %v", m, err)
 		}
-		matches, err := ix.Search(paperQuery())
+		matches, err := answer(ix, paperQuery().Request())
 		if err != nil {
 			t.Fatalf("method %d: %v", m, err)
 		}
@@ -80,12 +90,12 @@ func TestSearchValidation(t *testing.T) {
 	}
 	q := paperQuery()
 	q.TauR = 0
-	if _, err := ix.Search(q); err == nil {
+	if _, err := answer(ix, q.Request()); err == nil {
 		t.Error("tauR = 0 should fail")
 	}
 	q = paperQuery()
 	q.TauT = 1.5
-	if _, err := ix.Search(q); err == nil {
+	if _, err := answer(ix, q.Request()); err == nil {
 		t.Error("tauT > 1 should fail")
 	}
 }
@@ -114,11 +124,11 @@ func TestStatsAndAccessors(t *testing.T) {
 		t.Error("unknown token should report !ok")
 	}
 
-	_, qstats, err := ix.SearchWithStats(paperQuery())
+	res, err := ix.Query(context.Background(), paperQuery().Request(), seal.CollectStats())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qstats.Results != 1 || qstats.Candidates < 1 {
+	if qstats := res.Stats; qstats.Results != 1 || qstats.Candidates < 1 {
 		t.Errorf("query stats = %+v", qstats)
 	}
 }
@@ -182,7 +192,7 @@ func TestDiceOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := seal.Query{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}, Tokens: []string{"a", "b"}, TauR: 0.5, TauT: 0.5}
-	matches, err := ix.Search(q)
+	matches, err := answer(ix, q.Request())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +230,7 @@ func TestMethodsAgree(t *testing.T) {
 		q := randomQuery(rng, objects)
 		var want []seal.Match
 		for i, ix := range indexes {
-			got, err := ix.Search(q)
+			got, err := answer(ix, q.Request())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +257,7 @@ func TestConcurrentSearch(t *testing.T) {
 	expected := make([][]seal.Match, 50)
 	for i := range queries {
 		queries[i] = randomQuery(rng, objects)
-		expected[i], err = ix.Search(queries[i])
+		expected[i], err = answer(ix, queries[i].Request())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +269,7 @@ func TestConcurrentSearch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, q := range queries {
-				got, err := ix.Search(q)
+				got, err := answer(ix, q.Request())
 				if err != nil {
 					errs <- err
 					return
@@ -300,11 +310,11 @@ func TestAutoGranularity(t *testing.T) {
 	}
 	for qi := 0; qi < 20; qi++ {
 		q := randomQuery(rng, objects)
-		a, err := ix.Search(q)
+		a, err := answer(ix, q.Request())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := scan.Search(q)
+		b, err := answer(scan, q.Request())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,6 +67,15 @@ func shardQueries(n int, rng *rand.Rand) []seal.Query {
 	return qs
 }
 
+// requests converts threshold queries for Query and QueryBatch.
+func requests(qs []seal.Query) []seal.Request {
+	out := make([]seal.Request, len(qs))
+	for i, q := range qs {
+		out[i] = q.Request()
+	}
+	return out
+}
+
 func TestShardEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260729))
 	objects := shardObjects(300, rng)
@@ -98,11 +107,11 @@ func TestShardEquivalence(t *testing.T) {
 					t.Fatalf("Stats().Shards = %d, want %d", got, k)
 				}
 				for qi, q := range queries {
-					want, err := base.Search(q)
+					want, err := answer(base, q.Request())
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := sharded.Search(q)
+					got, err := answer(sharded, q.Request())
 					if err != nil {
 						t.Fatalf("shards=%d query %d: %v", k, qi, err)
 					}
@@ -117,11 +126,11 @@ func TestShardEquivalence(t *testing.T) {
 				}
 				for qi, q := range queries {
 					tq := seal.TopKQuery{Region: q.Region, Tokens: q.Tokens, K: 1 + qi%7, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
-					want, err := base.SearchTopK(tq)
+					want, err := answer(base, tq.Request())
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := sharded.SearchTopK(tq)
+					got, err := answer(sharded, tq.Request())
 					if err != nil {
 						t.Fatalf("shards=%d topk %d: %v", k, qi, err)
 					}
@@ -159,11 +168,11 @@ func TestShardEquivalenceDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range shardQueries(20, rng) {
-		want, err := base.Search(q)
+		want, err := answer(base, q.Request())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sharded.Search(q)
+		got, err := answer(sharded, q.Request())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,48 +198,19 @@ func TestSearchContextCanceled(t *testing.T) {
 	q := seal.Query{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50}, Tokens: []string{"t1"}, TauR: 0.1, TauT: 0.1}
 
 	start := time.Now()
-	if _, err := ix.SearchContext(ctx, q); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SearchContext error = %v, want context.Canceled", err)
+	if _, err := ix.Query(ctx, q.Request()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("threshold Query error = %v, want context.Canceled", err)
 	}
-	if _, err := ix.SearchTopKContext(ctx, seal.TopKQuery{Region: q.Region, Tokens: q.Tokens, K: 3}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SearchTopKContext error = %v, want context.Canceled", err)
+	if _, err := ix.Query(ctx, seal.Request{Region: q.Region, Tokens: q.Tokens, K: 3}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ranked Query error = %v, want context.Canceled", err)
 	}
-	if _, err := ix.SearchBatchContext(ctx, shardQueries(50, rng), 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SearchBatchContext error = %v, want context.Canceled", err)
+	for _, br := range ix.QueryBatch(ctx, requests(shardQueries(50, rng))) {
+		if !errors.Is(br.Err, context.Canceled) {
+			t.Fatalf("QueryBatch error = %v, want context.Canceled", br.Err)
+		}
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("canceled searches took %v, want a prompt return", elapsed)
-	}
-}
-
-// TestSearchBatchCancelsOnFailure proves the satellite bugfix: a failing
-// query aborts the batch instead of letting every remaining query run. The
-// poison sits at the front of a much larger batch of expensive scans, so a
-// regression to run-everything-then-report shows up as the poisoned batch
-// costing about as much as the clean one.
-func TestSearchBatchCancelsOnFailure(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	ix, err := seal.Build(shardObjects(8000, rng), seal.WithMethod(seal.MethodScan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := shardQueries(400, rng)
-
-	start := time.Now()
-	if _, err := ix.SearchBatch(queries, 1); err != nil {
-		t.Fatal(err)
-	}
-	clean := time.Since(start)
-
-	queries[2].TauR = -1 // compiles to an error inside the batch
-	start = time.Now()
-	if _, err := ix.SearchBatch(queries, 1); err == nil {
-		t.Fatal("batch with an invalid query should fail")
-	}
-	poisoned := time.Since(start)
-
-	if poisoned > clean/2 {
-		t.Fatalf("poisoned batch took %v vs %v clean: remaining queries were not canceled", poisoned, clean)
 	}
 }
 
@@ -252,7 +232,7 @@ func TestSearchTopKHugeK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := base.SearchTopK(tq)
+	want, err := answer(base, tq.Request())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +240,7 @@ func TestSearchTopKHugeK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sharded.SearchTopK(tq)
+	got, err := answer(sharded, tq.Request())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,17 +266,18 @@ func TestSearchContextDeadlineSingleShard(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	q := seal.Query{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 90, MaxY: 90}, Tokens: []string{"t1"}, TauR: 0.01, TauT: 0.01}
-	if _, err := ix.SearchContext(ctx, q); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := ix.Query(ctx, q.Request()); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error = %v, want context.DeadlineExceeded", err)
 	}
 	// A cancellable-but-live context must still answer normally.
 	live, liveCancel := context.WithCancel(context.Background())
 	defer liveCancel()
-	got, err := ix.SearchContext(live, q)
+	res, err := ix.Query(live, q.Request())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ix.Search(q)
+	got := res.Matches
+	want, err := answer(ix, q.Request())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,11 +332,14 @@ func BenchmarkShardedBuild(b *testing.B) {
 func BenchmarkShardedSearchBatch(b *testing.B) {
 	for _, shards := range benchShardCounts() {
 		ix, queries := benchIndex(b, shards)
+		reqs := requests(queries)
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.SearchBatch(queries, 1); err != nil {
-					b.Fatal(err)
+				for _, br := range ix.QueryBatch(context.Background(), reqs, seal.BatchParallelism(1)) {
+					if br.Err != nil {
+						b.Fatal(br.Err)
+					}
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(queries)), "µs/query")

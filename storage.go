@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/engine"
-	"github.com/sealdb/seal/internal/invidx"
 )
 
 // Compression selects the posting-list storage layout for the signature
@@ -25,11 +25,10 @@ const (
 	// CompressionQuantized stores every list as fixed-width columns: pruning
 	// bounds quantized to 16 bits (rounding up, so filtering stays a superset
 	// and answers are unchanged) and object IDs at 2 or 4 bytes. Smallest; the
-	// recommended setting.
+	// recommended setting. (Bounds outside float32 range — possible only with
+	// caller-supplied token weights — switch the index to an exact fallback
+	// layout that keeps full float64 bounds.)
 	CompressionQuantized
-	// CompressionExact delta-encodes object IDs but keeps full float64
-	// bounds, for workloads that want byte-exact pruning cutoffs on disk.
-	CompressionExact
 )
 
 // WithCompression re-encodes posting lists after the index is built. It has
@@ -50,29 +49,24 @@ func WithSegmentDir(dir string) Option {
 	return func(o *options) { o.segmentDir = dir }
 }
 
-// invidxCompression translates the public knob.
-func invidxCompression(c Compression) invidx.Compression {
-	return invidx.Compression{ExactBounds: c == CompressionExact}
-}
-
 // segmentSpec maps the configured method to the manifest's filter spec;
 // ok is false for methods without segment support.
-func segmentSpec(cfg options) (engine.FilterSpec, bool) {
+func segmentSpec(cfg options) (core.FilterSpec, bool) {
 	switch cfg.method {
 	case MethodSeal:
-		return engine.FilterSpec{Kind: "seal", MaxLevel: cfg.maxLevel, GridBudget: cfg.gridBudget}, true
+		return core.FilterSpec{Kind: "seal", MaxLevel: cfg.maxLevel, GridBudget: cfg.gridBudget}, true
 	case MethodTokenFilter:
-		return engine.FilterSpec{Kind: "token"}, true
+		return core.FilterSpec{Kind: "token"}, true
 	case MethodGridFilter:
-		return engine.FilterSpec{Kind: "grid", P: cfg.granularity}, true
+		return core.FilterSpec{Kind: "grid", P: cfg.granularity}, true
 	case MethodHybridHash:
 		b := cfg.hashBuckets
 		if b < 0 {
 			b = 0
 		}
-		return engine.FilterSpec{Kind: "hybrid", P: cfg.granularity, Buckets: b}, true
+		return core.FilterSpec{Kind: "hybrid", P: cfg.granularity, Buckets: b}, true
 	default:
-		return engine.FilterSpec{}, false
+		return core.FilterSpec{}, false
 	}
 }
 
@@ -90,9 +84,7 @@ func effectiveShards(cfg options, objects int) int {
 
 // manifestMatches reports whether dir's manifest describes exactly the index
 // cfg would build over ds — same filter configuration, shard count,
-// compression on/off, and dataset fingerprint. (The quantized/exact flavour
-// is not recorded; both decode identically, so a flavour change alone does
-// not trigger a rebuild.)
+// compression on/off, and dataset fingerprint.
 func manifestMatches(m *engine.Manifest, cfg options, objects int) bool {
 	spec, ok := segmentSpec(cfg)
 	if !ok {

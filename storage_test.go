@@ -8,6 +8,7 @@ package seal_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -25,11 +26,11 @@ import (
 func expectSameAnswers(t *testing.T, label string, base, got *seal.Index, queries []seal.Query) {
 	t.Helper()
 	for qi, q := range queries {
-		want, err := base.Search(q)
+		want, err := answer(base, q.Request())
 		if err != nil {
 			t.Fatal(err)
 		}
-		have, err := got.Search(q)
+		have, err := answer(got, q.Request())
 		if err != nil {
 			t.Fatalf("%s query %d: %v", label, qi, err)
 		}
@@ -44,11 +45,11 @@ func expectSameAnswers(t *testing.T, label string, base, got *seal.Index, querie
 	}
 	for qi, q := range queries[:4] {
 		tq := seal.TopKQuery{Region: q.Region, Tokens: q.Tokens, K: 1 + qi*3, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
-		want, err := base.SearchTopK(tq)
+		want, err := answer(base, tq.Request())
 		if err != nil {
 			t.Fatal(err)
 		}
-		have, err := got.SearchTopK(tq)
+		have, err := answer(got, tq.Request())
 		if err != nil {
 			t.Fatalf("%s topk %d: %v", label, qi, err)
 		}
@@ -63,6 +64,33 @@ func expectSameAnswers(t *testing.T, label string, base, got *seal.Index, querie
 	}
 }
 
+// hugeCorpus scales a corpus and its queries until every area and every token
+// weight is beyond float32 range — the bounds the quantized posting layout
+// cannot hold. Similarity is scale-free, so the scaled corpus is as good a
+// differential fixture as the original.
+func hugeCorpus(objects []seal.Object, queries []seal.Query) ([]seal.Object, []seal.Query, seal.Option) {
+	scale := func(r seal.Rect) seal.Rect {
+		const k = 1e20
+		return seal.Rect{MinX: r.MinX * k, MinY: r.MinY * k, MaxX: r.MaxX * k, MaxY: r.MaxY * k}
+	}
+	weights := map[string]float64{}
+	outO := make([]seal.Object, len(objects))
+	for i, o := range objects {
+		outO[i] = seal.Object{Region: scale(o.Region), Tokens: o.Tokens}
+		for _, r := range o.Regions {
+			outO[i].Regions = append(outO[i].Regions, scale(r))
+		}
+		for _, tok := range o.Tokens {
+			weights[tok] = 1e39 * float64(1+len(tok))
+		}
+	}
+	outQ := make([]seal.Query, len(queries))
+	for i, q := range queries {
+		outQ[i] = seal.Query{Region: scale(q.Region), Tokens: q.Tokens, TauR: q.TauR, TauT: q.TauT}
+	}
+	return outO, outQ, seal.WithTokenWeights(weights)
+}
+
 // TestStorageDifferential: for every signature method and shard count, the
 // compressed (quantized and exact), segment-saved, segment-reopened, and
 // Open-booted variants must answer exactly like the in-memory flat build.
@@ -70,6 +98,7 @@ func TestStorageDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	objects := shardObjects(250, rng)
 	queries := shardQueries(12, rng)
+	hugeObjects, hugeQueries, hugeWeights := hugeCorpus(objects, queries)
 
 	methods := []struct {
 		name string
@@ -93,18 +122,44 @@ func TestStorageDifferential(t *testing.T) {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
 
-				for _, c := range []struct {
-					name string
-					mode seal.Compression
-				}{{"quant", seal.CompressionQuantized}, {"exact", seal.CompressionExact}} {
-					comp, err := seal.Build(objects, opts(seal.WithCompression(c.mode))...)
+				comp, err := seal.Build(objects, opts(seal.WithCompression(seal.CompressionQuantized))...)
+				if err != nil {
+					t.Fatalf("shards=%d quant: %v", shards, err)
+				}
+				if !comp.Stats().Compressed {
+					t.Fatalf("shards=%d quant: Stats().Compressed = false", shards)
+				}
+				expectSameAnswers(t, fmt.Sprintf("shards=%d quant", shards), base, comp, queries)
+
+				// The exact layout is the fallback for bounds outside float32
+				// range: the same corpus blown up until its areas and its
+				// token weights both leave it, compressed, saved and reopened.
+				hugeBase, err := seal.Build(hugeObjects, opts(hugeWeights)...)
+				if err != nil {
+					t.Fatalf("shards=%d huge: %v", shards, err)
+				}
+				exactDir := filepath.Join(t.TempDir(), "exact")
+				exact, err := seal.Build(hugeObjects, opts(hugeWeights, seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(exactDir))...)
+				if err != nil {
+					t.Fatalf("shards=%d exact: %v", shards, err)
+				}
+				expectSameAnswers(t, fmt.Sprintf("shards=%d exact", shards), hugeBase, exact, hugeQueries)
+				for i := 0; i < shards; i++ {
+					seg, err := os.ReadFile(filepath.Join(exactDir, fmt.Sprintf("shard-%d.seg", i)))
 					if err != nil {
-						t.Fatalf("shards=%d %s: %v", shards, c.name, err)
+						t.Fatal(err)
 					}
-					if !comp.Stats().Compressed {
-						t.Fatalf("shards=%d %s: Stats().Compressed = false", shards, c.name)
+					if flags := binary.LittleEndian.Uint32(seg[12:]); flags&(1<<1|1<<2) != 1<<1|1<<2 {
+						t.Fatalf("shards=%d: shard %d segment flags %#x, want compressed with the exact layout", shards, i, flags)
 					}
-					expectSameAnswers(t, fmt.Sprintf("shards=%d %s", shards, c.name), base, comp, queries)
+				}
+				exactOpened, err := seal.Open(exactDir)
+				if err != nil {
+					t.Fatalf("shards=%d exact Open: %v", shards, err)
+				}
+				expectSameAnswers(t, fmt.Sprintf("shards=%d exact opened", shards), hugeBase, exactOpened, hugeQueries)
+				if err := exactOpened.Close(); err != nil {
+					t.Fatal(err)
 				}
 
 				dir := filepath.Join(t.TempDir(), "segs")

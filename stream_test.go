@@ -74,7 +74,7 @@ func TestStreamEquivalence(t *testing.T) {
 					t.Fatalf("shards=%d: %v", k, err)
 				}
 				for qi, q := range queries {
-					want, err := ix.Search(q)
+					want, err := answer(ix, q.Request())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -146,7 +146,7 @@ func TestStreamRankedEquivalence(t *testing.T) {
 		}
 		for qi, q := range queries {
 			tq := seal.TopKQuery{Region: q.Region, Tokens: q.Tokens, K: 2 + qi%6, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
-			want, err := ix.SearchTopK(tq)
+			want, err := answer(ix, tq.Request())
 			if err != nil {
 				t.Fatal(err)
 			}
