@@ -127,11 +127,14 @@
 // verification reconstructs the exact common token weight from those marks
 // instead of re-intersecting the token sets — bit-identical to the classic
 // sorted-merge similarity, as the differential tests enforce per candidate
-// and per shard count. Posting lists live in one contiguous arena with an
-// open-addressed key directory (O(1) lookup, sequential traversal, ~40%
-// smaller than the previous per-list heap layout), and every per-query
-// buffer belongs to a reusable per-shard searcher, so steady-state
-// threshold queries allocate nothing. Reproduce the numbers with
+// and per shard count. Posting lists live in one contiguous arena
+// (sequential traversal, ~40% smaller than the previous per-list heap
+// layout) and are reached by position; the methods that look lists up by key
+// add an open-addressed key directory for an O(1) lookup, while MethodSeal,
+// whose grid locator already holds the position of every list it wants,
+// carries none. Every per-query buffer belongs to a reusable per-shard
+// searcher, so steady-state threshold queries allocate nothing. Reproduce the
+// numbers with
 //
 //	go run ./cmd/sealbench -exp scoring -json
 //
@@ -193,8 +196,12 @@
 // holds exactly three kinds of file, all written through the same container
 // (a header, a section table, and page-aligned little-endian sections, each
 // CRC-checksummed): shard-N.seg, one SEALIDX2 file per shard with the
-// posting lists (flat arenas, or the compressed blob with one offset a list),
-// key table and hash directory (two slots a key); dataset.seg, the objects as
+// posting lists (flat arenas, or the compressed blob with one offset a list)
+// and key table — 12 bytes of metadata a list — plus, for the methods that
+// look lists up by key (token, grid, hybrid-hash), a hash directory of two
+// slots a key, 20 bytes a list in all; MethodSeal reaches its lists by
+// position and its segments carry no directory, which on an index of very
+// many one-posting lists was a sixth of each file; dataset.seg, the objects as
 // columns (regions, one CSR token arena), the vocabulary with its weights,
 // multi-region footprints and the shard partition; and manifest.json,
 // written last so interrupted saves are never mistaken for complete ones.

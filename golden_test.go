@@ -21,21 +21,20 @@ import (
 // directory that the production build (seal / 4 shards / quantized / segments,
 // the options of benchmark/run.go) writes for gen.Twitter{N: 2000, Seed: 42}.
 // dataset.seg was recorded when the directory went gob-free and is unchanged
-// since. manifest.json and the four posting segments were re-recorded for
-// manifest version 3 / segment version 2: the columnar list layout, the count
-// moved from its own section into each list, and the directory sized at two
-// slots a key instead of a power of two. The build before that change (the
-// one-pass HSS kernel, the grid selections moved into the keys) had left the
-// posting segments byte-identical, and the lists hold the same postings in the
-// same order still — only their encoding moved. A change that means to alter
-// the index format or the selection re-records them and says so.
+// since. manifest.json and the four posting segments were last re-recorded for
+// manifest version 4: a Seal segment no longer carries a key directory (its
+// lists are reached by position), so each shard-N.seg is the file of manifest
+// version 3 / segment version 2 — columnar lists, the count inside each list —
+// less its dir section and that section's table entry; keys, offs and blob
+// are the same bytes, and the segment version is 2 still. A change that means
+// to alter the index format or the selection re-records them and says so.
 var goldenSegmentDigests = map[string]string{
 	"dataset.seg":   "995c77afd4caa883cb2179d7b82294ec38afa9397a64e3d5ce3907f0fd9f500d",
-	"manifest.json": "3e07e76781719ce0bd7a1a2312fe2031004b7a383de1ebed48f442147b63ab30",
-	"shard-0.seg":   "a4ee92244ac954bbcde1e708b943c727b0b994b0c54e74a555cc4016d962235b",
-	"shard-1.seg":   "05a82bafc884a982f7c38889787ddc514e9ebbe58e301ee4fab6cb204904a80a",
-	"shard-2.seg":   "07e67f1e4507a473d89c1373d4d5c3cebdef8974b20218026901ae876f5f58b6",
-	"shard-3.seg":   "3cdbaec4722519166ebe38eb84e942135c3b248ee6ce84084105e9209a056757",
+	"manifest.json": "d290d80beefda4d536858244c028dd8a9c1cb9998dd343096136b4cca0178ba2",
+	"shard-0.seg":   "b9424e9cd0583d26a6db199b913a02afc08b0be5090de85044472bf14c9dc2bb",
+	"shard-1.seg":   "9dcb000d792e05405072002cf746ccc338c813084b8772bc0bff1e19c056c2ce",
+	"shard-2.seg":   "8150bc2d2f600793a28a98cf4fe830fe2001c6586d89c5a4973d016f6ebbe46b",
+	"shard-3.seg":   "3ee9a3adb3c9bbd9c0703815805fb5a1681cde89632e83b6ce559ac4dcc39833",
 }
 
 // goldenFlavours are the builds whose segment directories are pinned: the
@@ -43,6 +42,8 @@ var goldenSegmentDigests = map[string]string{
 // raw, single-bound quantized, dual-bound raw — on the same corpus at 2 shards.
 // Those three were recorded before the single- and dual-bound index types were
 // folded into one, and the fold left every byte of every flavour where it was.
+// They look lists up by key and keep their directory: manifest version 4
+// re-recorded their manifest.json (the version field) and nothing else.
 var goldenFlavours = []struct {
 	name    string
 	opts    []seal.Option
@@ -51,20 +52,20 @@ var goldenFlavours = []struct {
 	{"seal/quantized", productionOptions, goldenSegmentDigests},
 	{"token/raw", []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "608286c4d7a339d802ce08ccd6cebc957ce3faf95b5c1b310b2f14d5cad5f04c",
+		"manifest.json": "87d69c1f6f83b579d67ac8f21eea6bb4b46cb965d0ac98965c238ca0b35a4572",
 		"shard-0.seg":   "94a19b9027c443027e4ac98a37ff15ad6865cb5f9d063378c87f165ba3b86321",
 		"shard-1.seg":   "b7855161df2e3db5f7f380015d34c85ee02b1447e34e36e7c06181f24064ed12",
 	}},
 	{"grid/quantized", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2),
 		seal.WithCompression(seal.CompressionQuantized)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "772f27128ac22f8f06910b4b5840239e594d7a984431ce2eb64fa897e5dc54ea",
+		"manifest.json": "c6c79dffdcbd0c34d3fd9d3f831132d0c34558603604bcddd88c36b62e075389",
 		"shard-0.seg":   "f4848ff257cdece45335b6efcd507538d8493722ece81e217dfc319e25aa1fc6",
 		"shard-1.seg":   "a669172277ce1c9bf8914ecf51093022775c63a9480e07d3d64f54febaa13292",
 	}},
 	{"hybrid-hash/raw", []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "23151327ac31e146cb95f6e88acd9a09c9072f5d396e5b9d6453fe5ce227f400",
+		"manifest.json": "682c888c7c4e68c84536aeb13ee46f255d5b2e473d29f09a26fef527e9c87255",
 		"shard-0.seg":   "8573e613e5fc8fa53ff9cb526e0bece0477ecf557340bcd1bdaf49024fc39f78",
 		"shard-1.seg":   "60e55ac76ad3e99cdb48c58ef01ffc2bad2788f386d8bb1cc1147e25d971d3fe",
 	}},
@@ -138,11 +139,12 @@ func TestGoldenSegmentDigests(t *testing.T) {
 // benchmark's index_mb, at 2,000 objects) and what a posting costs once keys,
 // offsets, directory and page padding are spread over the lists' postings.
 // A rise is a regression; a fall is a result, and updates the numbers.
-// Version 1 of the segment format stood at 3,825,857 B and 39.66 B a posting.
+// Version 1 of the segment format stood at 3,825,857 B and 39.66 B a posting,
+// version 2 with a key directory in every segment at 2,544,617 B and 24.99.
 const (
-	goldenDirBytes        = 2544617
+	goldenDirBytes        = 2029418
 	goldenPostings        = 87378
-	goldenBytesPerPosting = 24.99 // the four posting segments' bytes / goldenPostings
+	goldenBytesPerPosting = 19.10 // the four posting segments' bytes / goldenPostings
 )
 
 // TestSegmentBytesBudget holds the golden directory to its committed size.
@@ -173,5 +175,45 @@ func TestSegmentBytesBudget(t *testing.T) {
 		t.Errorf("segment directory grew: %d B (%.2f B a posting), budget %d B (%.2f)", dirBytes, perPosting, goldenDirBytes, goldenBytesPerPosting)
 	case dirBytes < goldenDirBytes || perPosting < goldenBytesPerPosting:
 		t.Errorf("segment directory shrank to %d B (%.2f B a posting) from %d B (%.2f): record the new numbers", dirBytes, perPosting, goldenDirBytes, goldenBytesPerPosting)
+	}
+}
+
+// TestSegmentSectionTables pins which sections a posting segment carries, by
+// the ids of diskidx/segment.go: a Seal shard is keys/offs/blob compressed and
+// keys/starts/objs/bounds/tbounds raw — no key directory, its lists being
+// reached by position — and the kinds that look lists up by key end with the
+// directory (6).
+func TestSegmentSectionTables(t *testing.T) {
+	objects := goldenObjects(t)
+	for _, tc := range []struct {
+		name string
+		opts []seal.Option
+		want []uint32
+	}{
+		{"seal/quantized", productionOptions, []uint32{1, 7, 9}},
+		{"seal/raw", []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithShards(4)}, []uint32{1, 2, 3, 4, 5}},
+		{"token/raw", goldenFlavours[1].opts, []uint32{1, 2, 3, 4, 6}},
+		{"grid/quantized", goldenFlavours[2].opts, []uint32{1, 7, 9, 6}},
+		{"hybrid-hash/raw", goldenFlavours[3].opts, []uint32{1, 2, 3, 4, 5, 6}},
+	} {
+		dir := buildGoldenDir(t, objects, runtime.GOMAXPROCS(0), tc.opts)
+		shards, err := filepath.Glob(filepath.Join(dir, "shard-*.seg"))
+		if err != nil || len(shards) == 0 {
+			t.Fatalf("%s: no posting segments (%v)", tc.name, err)
+		}
+		for _, path := range shards {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Header: section count at 40; 24-byte table entries from 64, id first.
+			ids := make([]uint32, binary.LittleEndian.Uint32(data[40:]))
+			for i := range ids {
+				ids[i] = binary.LittleEndian.Uint32(data[64+24*i:])
+			}
+			if !slices.Equal(ids, tc.want) {
+				t.Errorf("%s: %s carries sections %v, want %v", tc.name, filepath.Base(path), ids, tc.want)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/sealdb/seal/internal/geo"
@@ -23,20 +24,24 @@ import (
 // cell range when it is smaller than the level's population, and falls back
 // to scanning the level's grids otherwise, so projection is
 // O(Σ_l min(rangeCells(l), |grids(l)|) · log).
+//
+// keys[i] is also a posting list — list base+i of the index the keys are the
+// run of — so a hit names its list by position and nothing looks a key up.
 type gridLocator struct {
 	tree *gridtree.Tree
 	keys []uint64 // the token's keys, ascending
-	pos  []int32  // pos[i] is the position of keys[i]'s grid in the token's global order
+	pos  []uint16 // pos[i] is the position of keys[i]'s grid in the token's global order
+	base uint32   // the position of keys[0] in the index's key array
 }
 
 // keyNode extracts the grid of a hybrid key.
 func keyNode(key uint64) gridtree.NodeID { return gridtree.NodeID(uint32(key)) }
 
-// gridHit is one projected grid: its position in the token's global order
-// and the clipped area weight.
+// gridHit is one projected grid: its position in the token's global order,
+// the position of its posting list in the index, and the clipped area weight.
 type gridHit struct {
 	idx  int32
-	node gridtree.NodeID
+	list uint32
 	w    float64
 }
 
@@ -53,7 +58,7 @@ func hierGridCmp(ord HierOrder, an gridtree.NodeID, ac int32, bn gridtree.NodeID
 
 // rankGrids fills pos with the global-order position of each of one token's
 // grids, given as its ascending keys with their counts. order is scratch.
-func rankGrids(ord HierOrder, keys []uint64, counts, pos []int32, order *[]int32) {
+func rankGrids[P int32 | uint16](ord HierOrder, keys []uint64, counts []int32, pos []P, order *[]int32) {
 	o := (*order)[:0]
 	for i := range keys {
 		o = append(o, int32(i))
@@ -63,7 +68,7 @@ func rankGrids(ord HierOrder, keys []uint64, counts, pos []int32, order *[]int32
 		return hierGridCmp(ord, keyNode(keys[a]), counts[a], keyNode(keys[b]), counts[b])
 	})
 	for rank, i := range o {
-		pos[i] = int32(rank)
+		pos[i] = P(rank)
 	}
 }
 
@@ -75,8 +80,12 @@ type tokenLocators struct {
 	tree  *gridtree.Tree
 	keys  []uint64 // the index's ascending key array
 	start []uint32 // token t's keys are keys[start[t]:start[t+1]]
-	pos   []int32  // parallel to keys; see gridLocator.pos
+	pos   []uint16 // parallel to keys; see gridLocator.pos
 }
+
+// maxTokenKeys is the most keys one token may have for its ranks to fit
+// tokenLocators.pos. The build stops at maxTokenBudget, far below it.
+const maxTokenKeys = math.MaxUint16
 
 // deriveLocators rebuilds every token's locator from the posting index alone.
 // The grids of a token that hold postings are the nodes of its keys, and
@@ -85,14 +94,15 @@ type tokenLocators struct {
 // the postings in, which it ranks from the same lengths. (A selected grid no
 // region posts to has no key; it could never produce a candidate.) The keys
 // are outside input when the index is a mapped segment: a token outside the
-// vocabulary or a level below the tree is an error.
+// vocabulary, a level below the tree or a token with more than maxTokenKeys
+// keys is an error.
 func deriveLocators(tree *gridtree.Tree, ord HierOrder, vocab int, src invidx.Source) (*tokenLocators, error) {
 	keys := src.Keys()
 	tl := &tokenLocators{
 		tree:  tree,
 		keys:  keys,
 		start: make([]uint32, vocab+1),
-		pos:   make([]int32, len(keys)),
+		pos:   make([]uint16, len(keys)),
 	}
 	next := 0 // first token whose start is not set yet
 	for i, k := range keys {
@@ -105,6 +115,9 @@ func deriveLocators(tree *gridtree.Tree, ord HierOrder, vocab int, src invidx.So
 		}
 		for ; next <= t; next++ {
 			tl.start[next] = uint32(i)
+		}
+		if n := i + 1 - int(tl.start[t]); n > maxTokenKeys {
+			return nil, fmt.Errorf("core: token %d has more than %d posting keys", t, maxTokenKeys)
 		}
 	}
 	for ; next <= vocab; next++ {
@@ -136,12 +149,12 @@ func (tl *tokenLocators) of(t text.TokenID) (loc gridLocator, ok bool) {
 	if lo == hi {
 		return gridLocator{}, false
 	}
-	return gridLocator{tree: tl.tree, keys: tl.keys[lo:hi], pos: tl.pos[lo:hi]}, true
+	return gridLocator{tree: tl.tree, keys: tl.keys[lo:hi], pos: tl.pos[lo:hi], base: lo}, true
 }
 
 // sizeBytes is the heap the locators add to their index.
 func (tl *tokenLocators) sizeBytes() int64 {
-	return int64(len(tl.pos))*4 + int64(len(tl.start))*4
+	return int64(len(tl.pos))*2 + int64(len(tl.start))*4
 }
 
 // project appends the grids sharing positive area with r to out, sorted by
@@ -149,7 +162,11 @@ func (tl *tokenLocators) sizeBytes() int64 {
 func (loc gridLocator) project(r geo.Rect, out []gridHit) []gridHit {
 	start := len(out)
 	out = loc.appendHits(r, out)
-	sortHits(out[start:])
+	hits := out[start:]
+	for i := range hits {
+		hits[i].idx = int32(loc.pos[hits[i].list-loc.base])
+	}
+	sortHits(hits)
 	return out
 }
 
@@ -167,7 +184,9 @@ func sortHits(hits []gridHit) {
 	})
 }
 
-// appendHits is project without the final sort: hits come out level by level.
+// appendHits is project without the ranks and the sort: hits come out level
+// by level with idx unset, which is all the build wants of a token whose
+// grids it has yet to rank (loc.pos may be nil).
 func (loc gridLocator) appendHits(r geo.Rect, out []gridHit) []gridHit {
 	inSpace, has := r.Intersection(loc.tree.Space)
 	if !has || inSpace.IsDegenerate() {
@@ -185,7 +204,7 @@ func (loc gridLocator) appendHits(r geo.Rect, out []gridHit) []gridHit {
 				end = mid + 1
 			}
 		}
-		nodes, pos := loc.keys[lo:end], loc.pos[lo:end]
+		nodes, first := loc.keys[lo:end], loc.base+uint32(lo)
 		lo = end
 
 		ix0, iy0, ix1, iy1, ok := loc.cellRange(level, inSpace)
@@ -199,7 +218,7 @@ func (loc gridLocator) appendHits(r geo.Rect, out []gridHit) []gridHit {
 				n := keyNode(k)
 				w := loc.tree.Rect(n).IntersectionArea(r)
 				if w > 0 {
-					out = append(out, gridHit{idx: pos[j], node: n, w: w})
+					out = append(out, gridHit{list: first + uint32(j), w: w})
 				}
 			}
 			continue
@@ -223,7 +242,7 @@ func (loc gridLocator) appendHits(r geo.Rect, out []gridHit) []gridHit {
 				}
 				w := loc.tree.Rect(n).IntersectionArea(r)
 				if w > 0 {
-					out = append(out, gridHit{idx: pos[j], node: n, w: w})
+					out = append(out, gridHit{list: first + uint32(j), w: w})
 				}
 			}
 		}

@@ -39,7 +39,7 @@ func buildLocator(t testingT, seed int64) (*gridtree.Tree, []hss.Grid, gridLocat
 		t.Fatalf("hss: %v", err)
 	}
 	slices.SortFunc(grids, func(a, b hss.Grid) int { return cmp.Compare(a.Node, b.Node) })
-	loc := gridLocator{tree: tree, pos: make([]int32, len(grids))}
+	loc := gridLocator{tree: tree, pos: make([]uint16, len(grids)), base: 1000}
 	var counts, order []int32
 	for _, g := range grids {
 		loc.keys = append(loc.keys, hierKey(7, g.Node))
@@ -102,7 +102,8 @@ func TestLocatorMatchesLinearScan(t *testing.T) {
 				if got[i].idx != want[i].idx || math.Abs(got[i].w-want[i].w) > 1e-9 {
 					return false
 				}
-				if grids[got[i].idx].Node != got[i].node {
+				// The hit names its grid's list: the key's index, past base.
+				if j := got[i].list - loc.base; grids[got[i].idx].Node != keyNode(loc.keys[j]) {
 					return false
 				}
 			}
@@ -194,7 +195,11 @@ func TestLocatorsDerivedFromKeys(t *testing.T) {
 					t.Fatal(err)
 				}
 				if len(wk.run.Keys) > lists {
-					built[tok] = gridLocator{tree: tree, keys: slices.Clone(wk.keys), pos: slices.Clone(wk.pos)}
+					pos := make([]uint16, len(wk.pos)) // the build ranks in int32
+					for i, p := range wk.pos {
+						pos[i] = uint16(p)
+					}
+					built[tok] = gridLocator{tree: tree, keys: slices.Clone(wk.keys), pos: pos, base: uint32(lists)}
 				}
 			}
 			raw := invidx.FromSortedRuns([]invidx.Run{wk.run})
@@ -231,5 +236,40 @@ func TestLocatorsDerivedFromKeys(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDeriveLocatorsRejectsWideToken: a token's ranks are 16 bits wide, which
+// the build's budget cap keeps far from mattering — but mapped keys are
+// outside input, and a token with more keys than a rank can number is refused
+// rather than ranked modulo 65,536.
+func TestDeriveLocatorsRejectsWideToken(t *testing.T) {
+	tree, err := gridtree.New(geo.Rect{MinX: 0, MinY: 0, MaxX: 1024, MaxY: 1024}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every cell of level 8 is 65,536 grids: one too many for one token.
+	run := invidx.Run{}
+	for iy := 0; iy < 256; iy++ {
+		for ix := 0; ix < 256; ix++ {
+			run.Keys = append(run.Keys, hierKey(1, gridtree.MakeNodeID(8, ix, iy)))
+			run.Lens = append(run.Lens, 1)
+			run.Objs = append(run.Objs, 0)
+			run.Bounds = append(run.Bounds, 1)
+			run.TBounds = append(run.TBounds, 1)
+		}
+	}
+	if _, err := deriveLocators(tree, HierOrderLevel, 3, invidx.FromSortedRuns([]invidx.Run{run})); err == nil {
+		t.Fatalf("a token with %d keys derived locators", len(run.Keys))
+	}
+	n := maxTokenKeys
+	fits := invidx.Run{Keys: run.Keys[:n], Lens: run.Lens[:n], Objs: run.Objs[:n], Bounds: run.Bounds[:n], TBounds: run.TBounds[:n]}
+	tl, err := deriveLocators(tree, HierOrderLevel, 3, invidx.FromSortedRuns([]invidx.Run{fits}))
+	if err != nil {
+		t.Fatalf("a token with %d keys: %v", n, err)
+	}
+	// Equal levels and counts: the global order is the node order.
+	if loc, ok := tl.of(1); !ok || loc.pos[0] != 0 || int(loc.pos[n-1]) != n-1 {
+		t.Fatalf("a token with %d keys is ranked wrong at the ends", n)
 	}
 }

@@ -208,9 +208,9 @@ type hierWorker struct {
 	run     invidx.Run
 	err     error
 
-	// The locator of the token being built — its keys and, per key, the
-	// grid's count and global-order position (order is rankGrids' scratch) —
-	// and every region's hits on it, region i's ending at hitEnd[i].
+	// The token being built: its keys and, per key, the grid's count and
+	// global-order position (order is rankGrids' scratch), and every region's
+	// hits on the keys, region i's ending at hitEnd[i].
 	keys               []uint64
 	counts, pos, order []int32
 	hitEnd             []int
@@ -243,19 +243,19 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order H
 	}
 	slices.SortFunc(grids, func(a, b hss.Grid) int { return cmp.Compare(a.Node, b.Node) })
 	wk.keys, wk.counts, wk.pos = wk.keys[:0], wk.counts[:0], wk.pos[:0]
-	for i, g := range grids {
+	for _, g := range grids {
 		wk.keys = append(wk.keys, hierKey(t, g.Node))
 		wk.counts = append(wk.counts, 0)
-		wk.pos = append(wk.pos, int32(i)) // until ranked, a hit's idx is its key's index
+		wk.pos = append(wk.pos, 0)
 	}
-	loc := gridLocator{tree: tree, keys: wk.keys, pos: wk.pos}
+	loc := gridLocator{tree: tree, keys: wk.keys} // a hit's list is its key's index
 	wk.hits, wk.hitEnd = wk.hits[:0], wk.hitEnd[:0]
 	for _, r := range wk.rects {
 		wk.hits = loc.appendHits(r, wk.hits)
 		wk.hitEnd = append(wk.hitEnd, len(wk.hits))
 	}
 	for _, h := range wk.hits {
-		wk.counts[h.idx]++
+		wk.counts[h.list]++
 	}
 	rankGrids(order, wk.keys, wk.counts, wk.pos, &wk.order)
 
@@ -266,7 +266,7 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order H
 		hits := wk.hits[lo:wk.hitEnd[i]]
 		lo = wk.hitEnd[i]
 		for j := range hits {
-			hits[j].idx = wk.pos[hits[j].idx]
+			hits[j].idx = wk.pos[hits[j].list]
 		}
 		sortHits(hits)
 		wk.gW = wk.gW[:0]
@@ -276,7 +276,7 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order H
 		wk.gB = append(wk.gB[:0], wk.gW...)
 		invidx.SuffixBounds(wk.gW, wk.gB)
 		for j, h := range hits {
-			wk.entries = append(wk.entries, hierEntry{node: h.node, obj: p.obj, rBound: wk.gB[j], tBound: p.tBound})
+			wk.entries = append(wk.entries, hierEntry{node: keyNode(wk.keys[h.list]), obj: p.obj, rBound: wk.gB[j], tBound: p.tBound})
 		}
 	}
 	// An object projects onto a grid at most once, so (node, obj) is unique
@@ -371,9 +371,10 @@ func (f *HierarchicalFilter) accumulatesSimT() bool { return true }
 // Collect implements Filter. For each token in the query's textual prefix,
 // the query is projected onto that token's hierarchical grid set, a spatial
 // prefix is selected there (the grids are already in the global order), and
-// the (token, grid) lists are probed with both bounds. Grid projections and
-// prefix weights live in the caller's scratch; the textual prefix comes
-// precompiled on the Query.
+// the (token, grid) lists are scanned with both bounds — each reached At the
+// position the projection found its key at, never by looking the key up. Grid
+// projections and prefix weights live in the caller's scratch; the textual
+// prefix comes precompiled on the Query.
 func (f *HierarchicalFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
 	cR, cT := Thresholds(q)
 	if cR <= 0 || cT <= 0 {
@@ -398,7 +399,7 @@ func (f *HierarchicalFilter) Collect(q *model.Query, cs *CandidateSet, st *Filte
 			if stop != nil && stop() {
 				return
 			}
-			l, err := f.idx.Probe(hierKey(t, h.node), &scr.dec)
+			l, err := f.idx.At(int(h.list), &scr.dec)
 			if err != nil {
 				floodCandidates(f.ds, cs, st)
 				return

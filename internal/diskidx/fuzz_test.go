@@ -3,9 +3,10 @@ package diskidx
 // FuzzSegmentHeader: openSegment parses attacker-shaped bytes — a segment
 // file is trusted only after its header geometry, section table, CRCs, and
 // arena invariants all check out, and no input may panic the parser or make
-// it accept structurally unsound postings. The corpus seeds a genuine
-// segment plus systematic truncations and header mutations so the fuzzer
-// starts from the format's real shape rather than random noise.
+// it accept structurally unsound postings. The corpus seeds two genuine
+// segments — a keyed raw one, and a compressed one without a key directory,
+// the Seal filter's shape — plus systematic truncations and header mutations
+// so the fuzzer starts from the format's real shape rather than random noise.
 
 import (
 	"encoding/binary"
@@ -28,6 +29,16 @@ func FuzzSegmentHeader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	bare := filepath.Join(f.TempDir(), "bare.seg")
+	comp := invidx.Compress(buildDual(rand.New(rand.NewSource(43)), 12, 6))
+	if err := WriteSegment(bare, withoutDirectory(f, comp), segTestObjects); err != nil {
+		f.Fatal(err)
+	}
+	noDir, err := os.ReadFile(bare)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(noDir)
 	// Truncations at every structurally interesting boundary: mid-header,
 	// end of header, mid-table, first section page, mid-payload.
 	for _, n := range []int{0, 7, 8, 63, 64, 100, segHeaderSize + segEntrySize, 4096, 4100, len(valid) / 2, len(valid) - 1} {
@@ -54,13 +65,23 @@ func FuzzSegmentHeader(f *testing.F) {
 			return
 		}
 		// An accepted segment must be internally consistent enough to probe:
-		// exercise a plausible and an absent key on the decoded source.
+		// exercise a plausible and an absent key on the decoded source, and
+		// every list by position — the one past the last is an error.
 		var scr invidx.ListScratch
-		if _, perr := seg.Source().Probe(5, &scr); perr != nil {
+		src := seg.Source()
+		if _, perr := src.Probe(5, &scr); perr != nil {
 			t.Fatalf("accepted segment failed Probe: %v", perr)
 		}
-		if _, perr := seg.Source().Probe(0xdeadbeefcafe, &scr); perr != nil {
+		if _, perr := src.Probe(0xdeadbeefcafe, &scr); perr != nil {
 			t.Fatalf("accepted segment failed missing-key Probe: %v", perr)
+		}
+		for i := 0; i < src.Lists(); i++ {
+			if _, perr := src.At(i, &scr); perr != nil {
+				t.Fatalf("accepted segment failed At(%d): %v", i, perr)
+			}
+		}
+		if _, perr := src.At(src.Lists(), &scr); perr == nil {
+			t.Fatalf("accepted segment answered At(%d), one past its last list", src.Lists())
 		}
 	})
 }

@@ -14,17 +14,28 @@ package diskidx
 //	bit2  compressed only: the exact layout (clear: the quantized one)
 //	bit3  quantized only: object IDs take 2 bytes (clear: 4)
 //
-// A raw single-bound segment carries sections keys/starts/objs/bounds/dir;
-// raw dual adds tbounds. A compressed segment carries keys/offs/blob/dir:
+// A raw single-bound segment carries sections keys/starts/objs/bounds; raw
+// dual adds tbounds. A compressed segment carries keys/offs/blob:
 //
 //	keys  uint64 × nLists     ascending signature keys
 //	offs  uint32 × nLists+1   where each list starts in the blob
 //	blob  the lists, one after another; invidx/compress.go has the byte
 //	      layout of a list, which opens with its posting count
+//
+// which is 12 bytes of metadata a list. Either kind ends with one more
+// section exactly when the index it was written from looks lists up by key
+// (the token, grid and hybrid-hash filters):
+//
 //	dir   uint32 × 2·nLists   open-addressed key directory, position+1
 //
-// which is 20 bytes of metadata a list. Version 1 spent 24 to 32: a counts
-// section beside offs, and a directory rounded up to a power of two.
+// for 20 bytes a list. The Seal filter's segments carry none: its grid
+// locator works on the keys section itself and reaches every list by its
+// position, so a directory there was 8 bytes on each of very many short lists
+// — a sixth of the file — mapped, checksummed and validated at every boot for
+// a lookup nothing performed. A reader takes the section when it is there
+// (validated in full) and otherwise finds keys by binary search. Version 1
+// spent 24 to 32 bytes a list: a counts section beside offs, and a directory
+// rounded up to a power of two.
 //
 // Every section is CRC-checked at open, then handed to the invidx arena
 // validators, so a segment that opens cleanly satisfies every structural
@@ -106,7 +117,32 @@ func rawSections(a invidx.RawArenas) []section {
 	if a.Dual {
 		s = append(s, section{id: secTBounds, data: f64Bytes(a.TBounds)})
 	}
-	return append(s, section{id: secDir, data: u32Bytes(a.Slots)})
+	return appendDir(s, a.Slots)
+}
+
+// appendDir adds the key directory's section for an index that carries one
+// (nil slots: it does not).
+func appendDir(s []section, slots []uint32) []section {
+	if slots == nil {
+		return s
+	}
+	return append(s, section{id: secDir, data: u32Bytes(slots)})
+}
+
+// takeDir returns the key directory of a segment that has the section — never
+// nil then, so the arena validators check it — and nil for one that does not.
+func takeDir(c *container) ([]uint32, error) {
+	if _, ok := c.views[secDir]; !ok {
+		return nil, nil
+	}
+	dir, err := c.take(secDir, -1, 4)
+	if err != nil {
+		return nil, err
+	}
+	if slots := viewU32(dir); slots != nil {
+		return slots, nil
+	}
+	return []uint32{}, nil
 }
 
 func compressedFlags(l invidx.Layout) uint32 {
@@ -121,12 +157,11 @@ func compressedFlags(l invidx.Layout) uint32 {
 }
 
 func compressedSections(a invidx.CompressedArenas) []section {
-	return []section{
+	return appendDir([]section{
 		{id: secKeys, data: u64Bytes(a.Keys)},
 		{id: secOffs, data: u32Bytes(a.Offs)},
 		{id: secBlob, data: a.Blob},
-		{id: secDir, data: u32Bytes(a.Slots)},
-	}
+	}, a.Slots)
 }
 
 // Segment is an open SEALIDX2 segment. The posting data lives in the mapped
@@ -200,7 +235,7 @@ func openSegment(data []byte) (*Segment, error) {
 		if err != nil {
 			return nil, err
 		}
-		dir, err := c.take(secDir, -1, 4)
+		slots, err := takeDir(c)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +247,7 @@ func openSegment(data []byte) (*Segment, error) {
 			Keys:  viewU64(keys),
 			Offs:  viewU32(offs),
 			Blob:  blob,
-			Slots: viewU32(dir),
+			Slots: slots,
 			Layout: invidx.Layout{
 				Exact: flags&segFlagExact != 0,
 				Obj16: flags&segFlagObj16 != 0,
@@ -256,11 +291,9 @@ func openSegment(data []byte) (*Segment, error) {
 		}
 		a.TBounds = viewF64(tbounds)
 	}
-	dir, err := c.take(secDir, -1, 4)
-	if err != nil {
+	if a.Slots, err = takeDir(c); err != nil {
 		return nil, err
 	}
-	a.Slots = viewU32(dir)
 	if err := c.done(); err != nil {
 		return nil, err
 	}

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/sealdb/seal/internal/invidx"
+	"github.com/sealdb/seal/internal/testutil"
 )
 
 const segTestObjects = 10000
@@ -112,6 +114,117 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// sectionIDs lists the section table of a sealed file, in file order.
+func sectionIDs(b []byte) []uint32 {
+	ids := make([]uint32, binary.LittleEndian.Uint32(b[40:]))
+	for i := range ids {
+		ids[i] = binary.LittleEndian.Uint32(b[segHeaderSize+i*segEntrySize:])
+	}
+	return ids
+}
+
+// withoutDirectory returns src over the same arenas, less its key directory.
+func withoutDirectory(t testing.TB, src invidx.Source) invidx.Source {
+	t.Helper()
+	bare, err := testutil.WithoutDirectory(src, segTestObjects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bare
+}
+
+// TestSegmentDirectoryOptional: the dir section is written exactly when the
+// index carries a key directory, and a reader serves the segment either way.
+// A Builder's index — the keyed filters' — keeps it as the last section; the
+// same index rewritten without it is 8 bytes a list shorter and answers every
+// probe, present key or absent, identically by binary search; an index frozen
+// from sorted runs — the Seal filter's — never had one.
+func TestSegmentDirectoryOptional(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	dir := t.TempDir()
+	single, dual := buildSingle(rng, 700, 12), buildDual(rng, 700, 12)
+	for name, keyed := range map[string]invidx.Source{
+		"single raw": single, "dual raw": dual,
+		"single quant": invidx.Compress(single), "dual quant": invidx.Compress(dual),
+	} {
+		path, bare := filepath.Join(dir, "keyed.seg"), filepath.Join(dir, "bare.seg")
+		if err := WriteSegment(path, keyed, segTestObjects); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := OpenMapped(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteSegment(bare, withoutDirectory(t, seg.Source()), segTestObjects); err != nil {
+			t.Fatal(err)
+		}
+		seg.Close()
+
+		with, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		without, err := os.ReadFile(bare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := sectionIDs(with)
+		if ids[len(ids)-1] != secDir || !slices.Equal(sectionIDs(without), ids[:len(ids)-1]) {
+			t.Fatalf("%s: sections %v with a directory, %v without", name, ids, sectionIDs(without))
+		}
+		if saved, dirBytes := len(with)-len(without), 8*keyed.Lists(); saved < dirBytes || saved >= dirBytes+segPage {
+			t.Fatalf("%s: dropping the directory saved %d bytes, want its %d up to page padding", name, saved, dirBytes)
+		}
+		seg, err = OpenMapped(bare)
+		if err != nil {
+			t.Fatalf("%s: segment without a directory: %v", name, err)
+		}
+		expectMatch(t, keyed, seg.Source())
+		if seg.Source().SizeBytes() != keyed.SizeBytes()-int64(8*keyed.Lists()) {
+			t.Fatalf("%s: SizeBytes should fall by the directory's bytes", name)
+		}
+		seg.Close()
+	}
+
+	// The Seal producer: one run, no directory, in memory or on disk.
+	var run invidx.Run
+	for _, key := range dual.Keys() {
+		l := dual.List(key)
+		run.Keys = append(run.Keys, key)
+		run.Lens = append(run.Lens, uint32(l.Len()))
+		for i := 0; i < l.Len(); i++ {
+			p := l.Posting(i)
+			run.Objs, run.Bounds, run.TBounds = append(run.Objs, p.Obj), append(run.Bounds, p.Bound), append(run.TBounds, p.TBound)
+		}
+	}
+	sorted := invidx.FromSortedRuns([]invidx.Run{run})
+	for name, tc := range map[string]struct {
+		src  invidx.Source
+		want []uint32
+	}{
+		"raw":   {sorted, []uint32{secKeys, secStarts, secObjs, secBounds, secTBounds}},
+		"quant": {invidx.Compress(sorted), []uint32{secKeys, secOffs, secBlob}},
+	} {
+		path := filepath.Join(dir, "sorted.seg")
+		if err := WriteSegment(path, tc.src, segTestObjects); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sectionIDs(b); !slices.Equal(got, tc.want) {
+			t.Fatalf("sorted-runs %s segment carries sections %v, want %v", name, got, tc.want)
+		}
+		seg, err := OpenMapped(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectMatch(t, tc.src, seg.Source())
+		seg.Close()
+	}
+}
+
 // TestSegmentEmpty: an empty index still round-trips (empty directory,
 // one-entry starts arena, no postings), and keeps its flavour.
 func TestSegmentEmpty(t *testing.T) {
@@ -138,6 +251,30 @@ func TestSegmentRejectsWrongType(t *testing.T) {
 	if err := WriteSegment(filepath.Join(t.TempDir(), "x.seg"), other, 10); err == nil {
 		t.Fatal("WriteSegment of a foreign Source should fail")
 	}
+}
+
+// occupiedSlots returns the byte offsets of the first two occupied slots of a
+// directory payload.
+func occupiedSlots(p []byte) (a, b int) {
+	var at []int
+	for i := 0; i+4 <= len(p) && len(at) < 2; i += 4 {
+		if binary.LittleEndian.Uint32(p[i:]) != 0 {
+			at = append(at, i)
+		}
+	}
+	return at[0], at[1]
+}
+
+// dropSlot empties an occupied slot — one key is now unreachable — and
+// doubleSlot makes two slots name the same key.
+func dropSlot(p []byte) {
+	a, _ := occupiedSlots(p)
+	clear(p[a : a+4])
+}
+
+func doubleSlot(p []byte) {
+	a, b := occupiedSlots(p)
+	copy(p[b:b+4], p[a:a+4])
 }
 
 // TestSegmentMalformed: a table of header, section-table, and payload
@@ -190,6 +327,16 @@ func TestSegmentMalformed(t *testing.T) {
 			// behind a re-sealed checksum: only the list's own length is off.
 			binary.LittleEndian.PutUint64(b[24:], binary.LittleEndian.Uint64(b[24:])+1)
 			return damage(t, b, secBlob, func(p []byte) { p[0]++ })
+		}},
+		// Optional is not unchecked: a directory that is there must be the one
+		// the keys hash to.
+		{"directory present but a key short", false, func(b []byte) []byte { return damage(t, b, secDir, dropSlot) }},
+		{"directory present but a key short, compressed", true, func(b []byte) []byte { return damage(t, b, secDir, dropSlot) }},
+		{"directory present but a key twice", false, func(b []byte) []byte { return damage(t, b, secDir, doubleSlot) }},
+		{"directory present but truncated", false, func(b []byte) []byte {
+			e, _, length := tableEntry(t, b, secDir)
+			binary.LittleEndian.PutUint64(e[16:], length-8)
+			return damage(t, b, secDir, func([]byte) {})
 		}},
 		{"bad magic", false, func(b []byte) []byte { b[0] ^= 0xFF; return b }},
 		{"bad version", false, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 99); return b }},

@@ -4,7 +4,8 @@ import "math"
 
 // RawArenas exposes the flat layout of an Index as its backing slices, in
 // exactly the form the SEALIDX2 segment format persists them. TBounds is
-// empty unless Dual. Callers must not mutate any slice: for an in-memory
+// empty unless Dual, and Slots is nil — not merely empty — when the index
+// carries no directory. Callers must not mutate any slice: for an in-memory
 // index they alias the live arena, and for a mapped segment they alias
 // read-only pages.
 type RawArenas struct {
@@ -38,8 +39,13 @@ func (ix *Index) Arenas() RawArenas {
 // linear-probe until an empty slot — that every key is actually reachable
 // from its home slot. A directory that passes behaves identically to one
 // newKeyTable would build; one that fails could send probes into infinite
-// loops or to the wrong list, so segment opening rejects it up front.
+// loops or to the wrong list, so segment opening rejects it up front. Nil
+// slots are an index without a directory and there is nothing to check:
+// lookups binary-search the keys, already validated as strictly ascending.
 func validateDirectory(keys []uint64, slots []uint32) (keyTable, error) {
+	if slots == nil {
+		return keyTable{}, nil
+	}
 	if len(slots) != tableSlots(len(keys)) {
 		return keyTable{}, corrupt("directory size mismatch")
 	}

@@ -62,17 +62,45 @@ func layoutBuilder(nKeys, nPostings int) (b Builder) {
 }
 
 // BenchmarkLayoutProbe times a probe (lookup + cutoff + head scan) on the
-// flat arena layout. The map-of-pointers layout it replaced last measured
-// 88.9 ns against 47.0 ns flat on this shape (README, Performance).
+// flat arena layout, once for each way a list is reached: hash is a Builder's
+// index and its directory (the keyed filters' path), search the same lists
+// without one (Probe on an index of FromSortedRuns, a binary search of the
+// keys), positional At with a position already in hand (the Seal filter's
+// path). The map-of-pointers layout the flat one replaced last measured
+// 88.9 ns against 47.0 ns for hash on this shape (README, Performance).
 func BenchmarkLayoutProbe(b *testing.B) {
 	const nKeys, nPostings = 1 << 14, 1 << 18
 	fb := layoutBuilder(nKeys, nPostings)
-	flat := fb.Build()
+	keyed := fb.Build()
+	bare := withoutDirectory(keyed)
+	lists := keyed.Lists() // all but a handful of the nKeys keys drew a posting
 
-	b.Run("flat", func(b *testing.B) {
+	b.Run("hash", func(b *testing.B) {
 		var sink uint32
 		for i := 0; i < b.N; i++ {
-			l := flat.List(uint64(i % nKeys))
+			l := keyed.List(uint64(i % nKeys))
+			n := l.Cutoff(50)
+			for _, o := range l.Objs(n) {
+				sink += o
+			}
+		}
+		_ = sink
+	})
+	b.Run("search", func(b *testing.B) {
+		var sink uint32
+		for i := 0; i < b.N; i++ {
+			l := bare.List(uint64(i % nKeys))
+			n := l.Cutoff(50)
+			for _, o := range l.Objs(n) {
+				sink += o
+			}
+		}
+		_ = sink
+	})
+	b.Run("positional", func(b *testing.B) {
+		var sink uint32
+		for i := 0; i < b.N; i++ {
+			l, _ := bare.At(i%lists, nil)
 			n := l.Cutoff(50)
 			for _, o := range l.Objs(n) {
 				sink += o

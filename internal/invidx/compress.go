@@ -1,8 +1,9 @@
 package invidx
 
 // Compressed posting lists. A compressed index is the flat index's key table
-// and hash directory over one byte blob; offs[i] is where list i starts, and
-// every list of one index is encoded the same way (its Layout).
+// (and hash directory, where it has one) over one byte blob; offs[i] is where
+// list i starts, and every list of one index is encoded the same way (its
+// Layout).
 //
 // The quantized layout (the default) is columnar and fixed-width, so a list's
 // encoded length is an exact function of its posting count n:
@@ -384,10 +385,10 @@ func decodeExact(b []byte, n int, dual bool, scr *ListScratch) error {
 }
 
 // Compressed is the compressed counterpart of Index: the flat index's key
-// table and directory over a byte blob of per-list encodings. A list's posting
-// count leads its encoding. Probes decode into a caller-supplied ListScratch,
-// so steady-state querying allocates nothing; the decoded view is valid until
-// the next probe with the same scratch.
+// table — and its directory, when it has one — over a byte blob of per-list
+// encodings. A list's posting count leads its encoding. Probes decode into a
+// caller-supplied ListScratch, so steady-state querying allocates nothing; the
+// decoded view is valid until the next probe with the same scratch.
 type Compressed struct {
 	keys     []uint64
 	table    keyTable
@@ -399,9 +400,9 @@ type Compressed struct {
 }
 
 // Compress re-encodes a flat index. The source index is unchanged and shares
-// its (immutable) key table with the result. Bounds must not be NaN — true
-// of every canonically built index — and bounds the quantized layout cannot
-// hold switch the whole index to the exact one.
+// its (immutable) key table, and directory if any, with the result. Bounds
+// must not be NaN — true of every canonically built index — and bounds the
+// quantized layout cannot hold switch the whole index to the exact one.
 func Compress(ix *Index) *Compressed {
 	out := &Compressed{
 		keys:     ix.keys,
@@ -427,22 +428,30 @@ func Compress(ix *Index) *Compressed {
 	return out
 }
 
-// Probe decodes the list of key into scr (a nil scr allocates a throwaway
-// buffer, for non-hot callers). Absent keys yield an empty list and nil
-// error; corrupt encodings yield an error wrapping ErrCorrupt.
-func (ix *Compressed) Probe(key uint64, scr *ListScratch) (List, error) {
-	i := ix.table.find(ix.keys, key)
-	if i < 0 {
-		return List{}, nil
+// At decodes list i into scr (a nil scr allocates a throwaway buffer, for
+// non-hot callers). Corrupt encodings yield an error wrapping ErrCorrupt.
+func (ix *Compressed) At(i int, scr *ListScratch) (List, error) {
+	if uint(i) >= uint(len(ix.keys)) {
+		return List{}, errPosition(i, len(ix.keys))
 	}
 	if scr == nil {
 		scr = new(ListScratch)
 	}
 	n, err := decodeList(ix.blob[ix.offs[i]:ix.offs[i+1]], ix.dual, ix.layout, scr)
 	if err != nil {
-		return List{}, fmt.Errorf("invidx: list %#x: %w", key, err)
+		return List{}, fmt.Errorf("invidx: list %#x: %w", ix.keys[i], err)
 	}
 	return List{objs: scr.objs[:n], bounds: scr.bounds[:n], tBounds: scr.tBounds}, nil
+}
+
+// Probe looks key up and decodes the list At its position. Absent keys yield
+// an empty list and nil error.
+func (ix *Compressed) Probe(key uint64, scr *ListScratch) (List, error) {
+	i := ix.table.find(ix.keys, key)
+	if i < 0 {
+		return List{}, nil
+	}
+	return ix.At(i, scr)
 }
 
 // Dual reports whether the lists carry textual bounds.
@@ -455,7 +464,7 @@ func (ix *Compressed) Lists() int { return len(ix.keys) }
 func (ix *Compressed) Postings() int { return ix.postings }
 
 // SizeBytes reports the compressed footprint: the blob plus keys, offsets
-// and the hash directory.
+// and the hash directory if the index carries one.
 func (ix *Compressed) SizeBytes() int64 {
 	return int64(len(ix.blob)) + int64(len(ix.keys))*8 + int64(len(ix.offs))*4 + ix.table.sizeBytes()
 }

@@ -3,6 +3,7 @@ package invidx
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -153,6 +154,89 @@ func TestSourceLayouts(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// withoutDirectory returns ix as FromSortedRuns would have frozen the same
+// lists: no key directory, so Probe binary-searches the keys.
+func withoutDirectory(ix *Index) *Index {
+	out := *ix
+	out.table = keyTable{}
+	return &out
+}
+
+// TestAtMatchesProbe: position and key are two ways to the same list. Over
+// {raw, compressed} × {heap, wrapped from arenas as a mapped segment is} ×
+// {with, without a directory}, At(i) is Probe(Keys()[i]) for every i, a key
+// the index does not hold probes empty, and a position outside [0, Lists())
+// is ErrCorrupt — not a panic, not a neighbouring list.
+func TestAtMatchesProbe(t *testing.T) {
+	const objects = 1500
+	rng := rand.New(rand.NewSource(21))
+	for _, fx := range []struct {
+		name string
+		ix   *Index
+	}{
+		{"single", buildRandom(rng, 60, 40, objects)},
+		{"dual", buildRandomDual(rng, 60, 40, objects)},
+		{"empty", new(Builder).Build()},
+	} {
+		for _, keyed := range []bool{true, false} {
+			ix := fx.ix
+			if !keyed {
+				ix = withoutDirectory(ix)
+			}
+			cx := Compress(ix)
+			if (ix.Arenas().Slots != nil) != keyed || (cx.Arenas().Slots != nil) != keyed {
+				t.Fatalf("%s keyed=%v: arenas disagree about the directory", fx.name, keyed)
+			}
+			mraw, err := FromArenas(ix.Arenas(), objects)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mcomp, err := CompressedFromArenas(cx.Arenas(), cx.Postings(), objects)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dir := int64(tableSlots(ix.Lists())) * 4; !keyed && (ix.SizeBytes() != fx.ix.SizeBytes()-dir || cx.SizeBytes() != Compress(fx.ix).SizeBytes()-dir) {
+				t.Fatalf("%s: dropping the directory should drop exactly %d bytes", fx.name, dir)
+			}
+			for name, src := range map[string]Source{"raw": ix, "compressed": cx, "mapped raw": mraw, "mapped compressed": mcomp} {
+				label := fmt.Sprintf("%s keyed=%v %s", fx.name, keyed, name)
+				keys := src.Keys()
+				var a, b ListScratch
+				for i, key := range keys {
+					at, err := src.At(i, &a)
+					if err != nil {
+						t.Fatalf("%s: At(%d): %v", label, i, err)
+					}
+					probed, err := src.Probe(key, &b)
+					if err != nil {
+						t.Fatalf("%s: Probe(%#x): %v", label, key, err)
+					}
+					if at.Len() == 0 || !slices.Equal(at.objs, probed.objs) || !slices.Equal(at.bounds, probed.bounds) || !slices.Equal(at.tBounds, probed.tBounds) {
+						t.Fatalf("%s: At(%d) and Probe(%#x) differ", label, i, key)
+					}
+					// Keys are random 64-bit draws: a neighbour is absent.
+					for _, absent := range []uint64{key - 1, key + 1} {
+						if _, held := slices.BinarySearch(keys, absent); held {
+							continue
+						}
+						if l, err := src.Probe(absent, &b); err != nil || l.Len() != 0 {
+							t.Fatalf("%s: absent key %#x probed to %d postings, err %v", label, absent, l.Len(), err)
+						}
+					}
+				}
+				if l, err := src.Probe(0, &b); err != nil || l.Len() != 0 {
+					t.Fatalf("%s: key 0 probed to %d postings, err %v", label, l.Len(), err)
+				}
+				for _, i := range []int{-1, len(keys), len(keys) + 7, math.MinInt, math.MaxInt} {
+					if l, err := src.At(i, &a); !errors.Is(err, ErrCorrupt) || l.Len() != 0 {
+						t.Fatalf("%s: At(%d) = %d postings, err %v; want ErrCorrupt", label, i, l.Len(), err)
+					}
+				}
+			}
 		}
 	}
 }

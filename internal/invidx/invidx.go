@@ -15,10 +15,18 @@
 // and everything else — the layout, the directory, the probe — is shared.
 //
 // Storage is flat: a frozen index keeps every posting in one contiguous
-// objs/bounds arena, with an ascending sorted key table, an offset per key,
-// and an open-addressed hash directory for O(1) key lookup. Traversal of a
-// list is a sequential walk of the arena, and the whole index is a handful
-// of allocations regardless of how many lists it holds.
+// objs/bounds arena, with an ascending sorted key table and an offset per key.
+// Traversal of a list is a sequential walk of the arena, and the whole index
+// is a handful of allocations regardless of how many lists it holds.
+//
+// A list is reached by position: At(i) is list i of Keys(). The kinds that
+// look lists up by key (token, grid, hybrid-hash: a Builder's indexes) also
+// carry an open-addressed hash directory, so Probe(key) is an O(1) lookup and
+// then At. SEAL's index (FromSortedRuns) carries none: its grid locator works
+// on the key array itself and already holds the position of every list it
+// wants, and at eight bytes a list — most of them one posting long — the
+// directory was two fifths of that index's per-list metadata. Probe on such an index
+// still answers, by binary search of the keys.
 package invidx
 
 import (
@@ -114,7 +122,7 @@ func (l List) Scan(cR, cT float64, fn func(obj uint32)) int {
 // slices).
 type Index struct {
 	keys    []uint64 // ascending
-	table   keyTable // open-addressed key → position directory
+	table   keyTable // key → position directory; Builder indexes only
 	starts  []uint32 // len(keys)+1; list i spans [starts[i], starts[i+1])
 	objs    []uint32
 	bounds  []float64
@@ -239,10 +247,12 @@ type Run struct {
 
 // FromSortedRuns freezes runs, whose keys ascend from each run to the next,
 // into a flat dual-bound Index by concatenation: no map, no key sort, no list
-// sort. It is the constructor for a producer that partitions the key space
-// and sorts as it goes (the SEAL build, one run per token); Builder remains
-// the one for postings that arrive in any order. Keys out of order or lengths
-// that do not add up are the producer's bug and panic.
+// sort, and no hash directory. It is the constructor for a producer that
+// partitions the key space and sorts as it goes, and that reaches its lists
+// by position afterwards (the SEAL build, one run per token); Builder remains
+// the one for postings that arrive in any order and are looked up by key.
+// Keys out of order or lengths that do not add up are the producer's bug and
+// panic.
 func FromSortedRuns(runs []Run) *Index {
 	var lists, postings int
 	for i := range runs {
@@ -272,7 +282,6 @@ func FromSortedRuns(runs []Run) *Index {
 		idx.bounds = append(idx.bounds, r.Bounds...)
 		idx.tBounds = append(idx.tBounds, r.TBounds...)
 	}
-	idx.table = newKeyTable(idx.keys)
 	return idx
 }
 
@@ -281,6 +290,11 @@ func FromSortedRuns(runs []Run) *Index {
 // load factor of exactly 0.5 — two slots per key, whatever the key count —
 // beating both a binary search over the key array and a Go map (no bucket
 // indirection, no interface hashing). Slots hold position+1; 0 means empty.
+//
+// The zero keyTable (nil slots) is "no directory": the index was frozen by
+// FromSortedRuns, or opened from a segment without one. A Builder's table is
+// never nil, whatever the key count, and that is how a segment writer tells
+// the two apart.
 type keyTable struct {
 	slots []uint32
 }
@@ -318,9 +332,13 @@ func newKeyTable(keys []uint64) keyTable {
 	return t
 }
 
-// find returns key's position in the key array, or -1.
+// find returns key's position in the key array, or -1: through the directory
+// when there is one, by binary search of the ascending keys when there is not.
 func (t keyTable) find(keys []uint64, key uint64) int {
-	if len(keys) == 0 {
+	if len(t.slots) == 0 {
+		if i, ok := slices.BinarySearch(keys, key); ok {
+			return i
+		}
 		return -1
 	}
 	slot := t.home(key)
@@ -376,8 +394,9 @@ func (ix *Index) Postings() int { return len(ix.objs) }
 
 // SizeBytes estimates the in-memory footprint of the flat layout: 12 bytes
 // per posting (uint32 obj + float64 bound), 20 with the textual lane, plus
-// 12 bytes per list (uint64 key + uint32 offset) and the directory. It is
-// the figure reported in Table 1 for the signature indexes.
+// 12 bytes per list (uint64 key + uint32 offset) and, where the index carries
+// one, 8 more for the directory. It is the figure reported in Table 1 for the
+// signature indexes.
 func (ix *Index) SizeBytes() int64 {
 	perPosting := int64(4 + 8) // obj + bound
 	if ix.dual {

@@ -217,28 +217,28 @@ func TestBootRebuildsUnusableSegmentDir(t *testing.T) {
 }
 
 // TestStaleFormatBootRebuilds: a directory of an earlier layout generation —
-// a version-2 manifest, or a current manifest over version-1 posting segments
-// — is stale, not damaged. A segment-only open reports the manifest-mismatch
+// a version-3 manifest (whose Seal segments each carried a key directory), or
+// a current manifest over version-1 posting segments — is stale, not damaged. A segment-only open reports the manifest-mismatch
 // sentinel instead of quarantining all four shards, and a boot that has the
 // data snapshot rebuilds and saves over it.
 func TestStaleFormatBootRebuilds(t *testing.T) {
 	snap := testSnapshot(t, 600)
 	ages := map[string]func(t *testing.T, dir string){
-		"manifest v2": func(t *testing.T, dir string) {
+		"manifest v3": func(t *testing.T, dir string) {
 			path := filepath.Join(dir, "manifest.json")
 			man, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2 := strings.Replace(string(man), `"version": 3`, `"version": 2`, 1)
-			if v2 == string(man) {
-				t.Fatalf("manifest carries no version 3 to age: %s", man)
+			v3 := strings.Replace(string(man), `"version": 4`, `"version": 3`, 1)
+			if v3 == string(man) {
+				t.Fatalf("manifest carries no version 4 to age: %s", man)
 			}
-			if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(v3), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},
-		"v1 posting segments under a v3 manifest": func(t *testing.T, dir string) {
+		"v1 posting segments under a v4 manifest": func(t *testing.T, dir string) {
 			for i := 0; i < 4; i++ {
 				path := filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i))
 				seg, err := os.ReadFile(path)

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 
 	"github.com/sealdb/seal/internal/geo"
+	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/model"
 )
 
@@ -170,4 +171,22 @@ func AdversarialRects(rng *rand.Rand, space geo.Rect, n int) []geo.Rect {
 		rects = append(rects, r)
 	}
 	return rects
+}
+
+// WithoutDirectory returns src — an *invidx.Index or *invidx.Compressed — as
+// an index over the same arenas that carries no key directory, the shape
+// invidx.FromSortedRuns freezes: lookups by key binary-search, and a segment
+// written from it has no dir section. objects bounds the posting object IDs.
+func WithoutDirectory(src invidx.Source, objects int) (invidx.Source, error) {
+	switch ix := src.(type) {
+	case *invidx.Index:
+		a := ix.Arenas()
+		a.Slots = nil
+		return invidx.FromArenas(a, objects)
+	case *invidx.Compressed:
+		a := ix.Arenas()
+		a.Slots = nil
+		return invidx.CompressedFromArenas(a, ix.Postings(), objects)
+	}
+	return nil, fmt.Errorf("testutil: cannot strip the directory of a %T", src)
 }

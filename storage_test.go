@@ -19,8 +19,10 @@ import (
 	"testing"
 
 	"github.com/sealdb/seal"
+	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/gen"
 	"github.com/sealdb/seal/internal/server"
+	"github.com/sealdb/seal/internal/testutil"
 )
 
 func expectSameAnswers(t *testing.T, label string, base, got *seal.Index, queries []seal.Query) {
@@ -228,6 +230,70 @@ func TestSegmentDirUncompressed(t *testing.T) {
 	expectSameAnswers(t, "raw segments", base, opened, queries)
 }
 
+// stripDirectory rewrites the posting segment at path without its key
+// directory section: same keys, same lists, nil slots.
+func stripDirectory(t *testing.T, path string) {
+	t.Helper()
+	seg, err := diskidx.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	bare, err := testutil.WithoutDirectory(seg.Source(), seg.Objects())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.SizeBytes() >= seg.Source().SizeBytes() {
+		t.Fatalf("%s carried no directory to strip", path)
+	}
+	if err := diskidx.WriteSegment(path+".bare", bare, seg.Objects()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path+".bare", path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKeyedSegmentsServeWithoutDirectory: the key directory is an
+// accelerator, not part of the format's meaning. A hybrid-hash directory —
+// a filter that looks every list up by key — whose posting segments are
+// rewritten without the section opens, and answers every query as the
+// in-memory build does, its probes finding their keys by binary search.
+func TestKeyedSegmentsServeWithoutDirectory(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261002))
+	objects := shardObjects(250, rng)
+	queries := shardQueries(12, rng)
+	method := []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithGranularity(32), seal.WithHashBuckets(127), seal.WithShards(2)}
+	base, err := seal.Build(objects, method...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, comp := range map[string]seal.Compression{"raw": seal.CompressionNone, "quantized": seal.CompressionQuantized} {
+		dir := filepath.Join(t.TempDir(), "segs")
+		saved, err := seal.Build(objects, append(slices.Clone(method), seal.WithCompression(comp), seal.WithSegmentDir(dir))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := saved.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			stripDirectory(t, filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i)))
+		}
+		opened, err := seal.Open(dir)
+		if err != nil {
+			t.Fatalf("%s: Open of keyed segments without their directory: %v", name, err)
+		}
+		if st := opened.Stats(); !st.Mapped || st.Shards != 2 {
+			t.Fatalf("%s: opened stats %+v, want 2 mapped shards", name, st)
+		}
+		expectSameAnswers(t, name+" without directory", base, opened, queries)
+		if err := opened.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSegmentDirRebuildsOnMismatch: a segment directory built from different
 // objects or a different configuration must be rebuilt, not served.
 func TestSegmentDirRebuildsOnMismatch(t *testing.T) {
@@ -337,9 +403,9 @@ func TestVersion1DirectoryIsStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := strings.Replace(string(man), `"version": 3`, `"version": 1`, 1)
+	v1 := strings.Replace(string(man), `"version": 4`, `"version": 1`, 1)
 	if v1 == string(man) {
-		t.Fatalf("manifest carries no version 3 to age: %s", man)
+		t.Fatalf("manifest carries no version 4 to age: %s", man)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
