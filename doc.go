@@ -130,9 +130,9 @@
 // and per shard count. Posting lists live in one contiguous arena
 // (sequential traversal, ~40% smaller than the previous per-list heap
 // layout) and are reached by position; the methods that look lists up by key
-// add an open-addressed key directory for an O(1) lookup, while MethodSeal,
-// whose grid locator already holds the position of every list it wants,
-// carries none. Every per-query buffer belongs to a reusable per-shard
+// keep a key array and an open-addressed directory over it for an O(1)
+// lookup, while MethodSeal, whose grid locator already holds the position of
+// every list it wants, keeps only each token's run of 32-bit grid nodes. Every per-query buffer belongs to a reusable per-shard
 // searcher, so steady-state threshold queries allocate nothing. Reproduce the
 // numbers with
 //
@@ -165,25 +165,26 @@
 //
 // WithCompression re-encodes posting lists after the build. With
 // CompressionQuantized (recommended) every list becomes fixed-width columns
-// behind its posting count n:
+// with nothing ahead of them:
 //
-//	n ≥ 4   uvarint n, float32 step (and textual step), n × uint16 spatial
-//	        codes, n × uint16 textual codes (hybrid lists), n × object ID
-//	n < 4   uvarint n, n × float32 bounds (each lane), n × object ID
+//	n × uint16 spatial codes, n × uint16 textual codes (hybrid lists),
+//	n × object ID
 //
-// A code q stands for the bound step·q; step is the list's largest bound
-// over 65535, rounded up to a float32, so the product is exact in float64 and
-// never below the exact bound. Object IDs take 2 bytes when the shard holds
-// at most 65,536 objects, else 4. Quantized bounds only round up, so
+// The posting count n is the list's byte extent over the row width, so none
+// is stored. One code serves every bound of every list: the top 16 magnitude
+// bits of the bound's float32 (8 exponent, 8 mantissa), rounded up — monotone,
+// never below the exact bound, within 2⁻⁸ of it at every magnitude, and
+// meaning the same bound in any list. Object IDs take 2 bytes when the shard
+// holds at most 65,536 objects, else 4. Quantized bounds only round up, so
 // threshold cutoffs stay supersets and exact verification returns identical
-// matches. There are no runs and no bitmaps: on the index SEAL builds, 95.5 %
-// of equal-bound runs held a single posting and 86 % of lists fewer than
-// four, so run headers and raw short lists cost more than the columns do.
-// An index whose bounds leave float32 range (possible only under
+// matches. There are no runs, no bitmaps, no per-list scale and no short-list
+// special case: on the index SEAL builds, four lists in five hold one or two
+// postings, and every header byte was paid by each of them. An index with a
+// bound above the largest finite code, about 3.396e38 (possible only under
 // WithTokenWeights or enormous coordinates) falls back, whole, to an exact
-// layout: full float64 bounds behind delta-varint object IDs. Decoding runs
-// through each searcher's reusable scratch, preserving the zero-allocation
-// steady state.
+// layout: a count, full float64 bounds and delta-varint object IDs. Decoding
+// runs through each searcher's reusable scratch, preserving the
+// zero-allocation steady state.
 //
 // Underneath there is one posting index, not one per method. A posting is an
 // object with the bound its list is sorted by; a hybrid posting (MethodSeal,
@@ -197,19 +198,19 @@
 // (a header, a section table, and page-aligned little-endian sections, each
 // CRC-checksummed): shard-N.seg, one SEALIDX2 file per shard with the
 // posting lists (flat arenas, or the compressed blob with one offset a list)
-// and key table — 12 bytes of metadata a list — plus, for the methods that
-// look lists up by key (token, grid, hybrid-hash), a hash directory of two
-// slots a key, 20 bytes a list in all; MethodSeal reaches its lists by
-// position and its segments carry no directory, which on an index of very
-// many one-posting lists was a sixth of each file; dataset.seg, the objects as
+// behind their key column — for the methods that look lists up by key (token,
+// grid, hybrid-hash) the 64-bit keys and a hash directory of two slots a key,
+// 20 bytes of metadata a list; for MethodSeal, which reaches its lists by
+// position, a table of token runs over 32-bit grid nodes, 8 bytes a list on an
+// index of very many one-posting lists; dataset.seg, the objects as
 // columns (regions, one CSR token arena), the vocabulary with its weights,
 // multi-region footprints and the shard partition; and manifest.json,
 // written last so interrupted saves are never mistaken for complete ones.
 // There is no snapshot to decode and no gob: Open maps dataset.seg and
 // serves the per-object columns in place — a shard is a view of them, not a
 // copy — and MethodSeal's per-token grid selections are read back off each
-// segment's keys (a hybrid key is token<<32|grid, and a grid's rank in the
-// token's global order follows from the list lengths). When dir already
+// segment's key column (a token's run of nodes is its selection, and a grid's
+// rank in the token's global order follows from the list lengths). When dir already
 // matches the objects and configuration (by fingerprint), Build memory-maps
 // the segments instead of re-indexing; Open boots an index purely from dir.
 // A directory of an older layout version — by its manifest, or by the version

@@ -22,50 +22,62 @@ import (
 // the options of benchmark/run.go) writes for gen.Twitter{N: 2000, Seed: 42}.
 // dataset.seg was recorded when the directory went gob-free and is unchanged
 // since. manifest.json and the four posting segments were last re-recorded for
-// manifest version 4: a Seal segment no longer carries a key directory (its
-// lists are reached by position), so each shard-N.seg is the file of manifest
-// version 3 / segment version 2 — columnar lists, the count inside each list —
-// less its dir section and that section's table entry; keys, offs and blob
-// are the same bytes, and the segment version is 2 still. A change that means
-// to alter the index format or the selection re-records them and says so.
+// manifest version 5 / segment version 3: a list is columns of self-scaling
+// 16-bit bound codes with neither a count nor quantization steps ahead of
+// them, and a Seal segment names its lists by a token-run table over 32-bit
+// grid nodes (runs/nodes/offs/blob) where version 2 had 64-bit keys. A change
+// that means to alter the index format or the selection re-records them and
+// says so.
 var goldenSegmentDigests = map[string]string{
 	"dataset.seg":   "995c77afd4caa883cb2179d7b82294ec38afa9397a64e3d5ce3907f0fd9f500d",
-	"manifest.json": "d290d80beefda4d536858244c028dd8a9c1cb9998dd343096136b4cca0178ba2",
-	"shard-0.seg":   "b9424e9cd0583d26a6db199b913a02afc08b0be5090de85044472bf14c9dc2bb",
-	"shard-1.seg":   "9dcb000d792e05405072002cf746ccc338c813084b8772bc0bff1e19c056c2ce",
-	"shard-2.seg":   "8150bc2d2f600793a28a98cf4fe830fe2001c6586d89c5a4973d016f6ebbe46b",
-	"shard-3.seg":   "3ee9a3adb3c9bbd9c0703815805fb5a1681cde89632e83b6ce559ac4dcc39833",
+	"manifest.json": "b02add176941d8095e751af2d70551433d201e81b92b15f1a6352fa9bc3c0fd5",
+	"shard-0.seg":   "6db6de9e73dd8286a203d8de1e6ba973f17f895fcfbb91c2cc8395109ca5e76a",
+	"shard-1.seg":   "c640783416afda7455b3037b0ec9874b90a7120f9a05c60c7b3bab8d46bbf7cd",
+	"shard-2.seg":   "1c5168f5dff8b66af0864f65215b41e88ca8d78baa5880ada6298b549e3d6a29",
+	"shard-3.seg":   "26ec4509375734afd8ba66f55e063d7bd911e1fd763918a4bd21f67a15b9a0f3",
 }
 
 // goldenFlavours are the builds whose segment directories are pinned: the
-// production one above, and the three other on-disk flavours — single-bound
-// raw, single-bound quantized, dual-bound raw — on the same corpus at 2 shards.
-// Those three were recorded before the single- and dual-bound index types were
-// folded into one, and the fold left every byte of every flavour where it was.
-// They look lists up by key and keep their directory: manifest version 4
-// re-recorded their manifest.json (the version field) and nothing else.
+// production one above, its raw twin (recorded with segment version 3, the
+// first to give a raw Seal segment its run table), and the three other on-disk
+// flavours — single-bound raw, single-bound quantized, dual-bound raw — on the
+// same corpus at 2 shards. Those three look lists up by key and keep their key
+// array and directory. Version 3 re-recorded every manifest.json (the version
+// field) and the quantized shards (the list bytes). The raw keyed shards are
+// byte for byte the files recorded before the single- and dual-bound index
+// types were folded into one, but for the header's version word — so their
+// digests stand unedited and are taken with that word set back to rawAs.
 var goldenFlavours = []struct {
 	name    string
 	opts    []seal.Option
+	rawAs   uint32 // hash shard files as this segment version; 0: as written
 	digests map[string]string
 }{
-	{"seal/quantized", productionOptions, goldenSegmentDigests},
-	{"token/raw", []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, map[string]string{
+	{"seal/quantized", productionOptions, 0, goldenSegmentDigests},
+	{"seal/raw", []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithShards(4)}, 0, map[string]string{
+		"dataset.seg":   goldenSegmentDigests["dataset.seg"],
+		"manifest.json": "144f2512a18588eee2a202ebef66ff7fd8d6a2f2bbf216c77f991fee64e2f375",
+		"shard-0.seg":   "136f68ce2856ee5a63c35d7518f19b55fb6bdc938d538344b3b8e772046c2c5f",
+		"shard-1.seg":   "78d3132735ba7cb05646f4be8856c8ab2cc8d20f47c218b05801c57460797906",
+		"shard-2.seg":   "eae23c55a983c38acb8da3875567c95fcfe7f827d9776bb0a0aef10ec5261a1a",
+		"shard-3.seg":   "5bc1f469dbcfd7032fc0d98a1d613ae22019462e2331ddc0932afd1329cd99db",
+	}},
+	{"token/raw", []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, 2, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "87d69c1f6f83b579d67ac8f21eea6bb4b46cb965d0ac98965c238ca0b35a4572",
+		"manifest.json": "9bc43f57642a14c1247fc834b057054a64450877ad30f89c5fea209070655762",
 		"shard-0.seg":   "94a19b9027c443027e4ac98a37ff15ad6865cb5f9d063378c87f165ba3b86321",
 		"shard-1.seg":   "b7855161df2e3db5f7f380015d34c85ee02b1447e34e36e7c06181f24064ed12",
 	}},
 	{"grid/quantized", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2),
-		seal.WithCompression(seal.CompressionQuantized)}, map[string]string{
+		seal.WithCompression(seal.CompressionQuantized)}, 0, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "c6c79dffdcbd0c34d3fd9d3f831132d0c34558603604bcddd88c36b62e075389",
-		"shard-0.seg":   "f4848ff257cdece45335b6efcd507538d8493722ece81e217dfc319e25aa1fc6",
-		"shard-1.seg":   "a669172277ce1c9bf8914ecf51093022775c63a9480e07d3d64f54febaa13292",
+		"manifest.json": "c414873bb00f0dfc12b4386dc70dcc0d1742dea73ad0d647d0babff17a1e4911",
+		"shard-0.seg":   "6e30579178e55401b4d8dffbbcc5a06a095b87a921641d65104fbb5a90f6fbc9",
+		"shard-1.seg":   "285ed729620eafbee888a9f860357b3f8388e0073a23449ea140eae9e50c75d9",
 	}},
-	{"hybrid-hash/raw", []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, map[string]string{
+	{"hybrid-hash/raw", []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, 2, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "682c888c7c4e68c84536aeb13ee46f255d5b2e473d29f09a26fef527e9c87255",
+		"manifest.json": "af03b598152b42698586f5bbcbb32152102db7f7b4176a969122b980e25ea3b0",
 		"shard-0.seg":   "8573e613e5fc8fa53ff9cb526e0bece0477ecf557340bcd1bdaf49024fc39f78",
 		"shard-1.seg":   "60e55ac76ad3e99cdb48c58ef01ffc2bad2788f386d8bb1cc1147e25d971d3fe",
 	}},
@@ -126,6 +138,9 @@ func TestGoldenSegmentDigests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if fl.rawAs != 0 && strings.HasPrefix(e.Name(), "shard-") {
+					binary.LittleEndian.PutUint32(data[8:], fl.rawAs) // the header's version word
+				}
 				sum := sha256.Sum256(data)
 				if got, want := hex.EncodeToString(sum[:]), fl.digests[e.Name()]; got != want {
 					t.Errorf("%s, GOMAXPROCS %d: %s: sha256 %s, want %s", fl.name, p, e.Name(), got, want)
@@ -140,11 +155,12 @@ func TestGoldenSegmentDigests(t *testing.T) {
 // offsets, directory and page padding are spread over the lists' postings.
 // A rise is a regression; a fall is a result, and updates the numbers.
 // Version 1 of the segment format stood at 3,825,857 B and 39.66 B a posting,
-// version 2 with a key directory in every segment at 2,544,617 B and 24.99.
+// version 2 at 2,544,617 B and 24.99 with a key directory in every segment
+// and 2,029,418 B and 19.10 without one in Seal's.
 const (
-	goldenDirBytes        = 2029418
+	goldenDirBytes        = 1548461
 	goldenPostings        = 87378
-	goldenBytesPerPosting = 19.10 // the four posting segments' bytes / goldenPostings
+	goldenBytesPerPosting = 13.59 // the four posting segments' bytes / goldenPostings
 )
 
 // TestSegmentBytesBudget holds the golden directory to its committed size.
@@ -179,10 +195,11 @@ func TestSegmentBytesBudget(t *testing.T) {
 }
 
 // TestSegmentSectionTables pins which sections a posting segment carries, by
-// the ids of diskidx/segment.go: a Seal shard is keys/offs/blob compressed and
-// keys/starts/objs/bounds/tbounds raw — no key directory, its lists being
-// reached by position — and the kinds that look lists up by key end with the
-// directory (6).
+// the ids of diskidx/segment.go: a Seal shard is runs/nodes/offs/blob
+// compressed and runs/nodes/starts/objs/bounds/tbounds raw — a run table over
+// 32-bit nodes, no key array and no key directory, its lists being reached by
+// position — and the kinds that look lists up by key open with their keys (1)
+// and end with the directory (6).
 func TestSegmentSectionTables(t *testing.T) {
 	objects := goldenObjects(t)
 	for _, tc := range []struct {
@@ -190,11 +207,11 @@ func TestSegmentSectionTables(t *testing.T) {
 		opts []seal.Option
 		want []uint32
 	}{
-		{"seal/quantized", productionOptions, []uint32{1, 7, 9}},
-		{"seal/raw", []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithShards(4)}, []uint32{1, 2, 3, 4, 5}},
-		{"token/raw", goldenFlavours[1].opts, []uint32{1, 2, 3, 4, 6}},
-		{"grid/quantized", goldenFlavours[2].opts, []uint32{1, 7, 9, 6}},
-		{"hybrid-hash/raw", goldenFlavours[3].opts, []uint32{1, 2, 3, 4, 5, 6}},
+		{"seal/quantized", productionOptions, []uint32{10, 11, 7, 9}},
+		{"seal/raw", goldenFlavours[1].opts, []uint32{10, 11, 2, 3, 4, 5}},
+		{"token/raw", goldenFlavours[2].opts, []uint32{1, 2, 3, 4, 6}},
+		{"grid/quantized", goldenFlavours[3].opts, []uint32{1, 7, 9, 6}},
+		{"hybrid-hash/raw", goldenFlavours[4].opts, []uint32{1, 2, 3, 4, 5, 6}},
 	} {
 		dir := buildGoldenDir(t, objects, runtime.GOMAXPROCS(0), tc.opts)
 		shards, err := filepath.Glob(filepath.Join(dir, "shard-*.seg"))

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"github.com/sealdb/seal/internal/core"
+	"github.com/sealdb/seal/internal/gen"
+	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/paperdata"
 	"github.com/sealdb/seal/internal/testutil"
@@ -383,6 +385,55 @@ func TestFilterSizes(t *testing.T) {
 	for _, f := range filters {
 		if f.SizeBytes() <= 0 {
 			t.Errorf("%s SizeBytes = %d, want positive", f.Name(), f.SizeBytes())
+		}
+	}
+}
+
+// TestCompressedBoundsCoverFlat lifts the bound code's contract to whole
+// indexes: over the golden corpus, for each of the four signature families,
+// the quantized index holds the flat index's lists — same keys, same objects
+// in the same order — and every decoded bound, spatial and textual, is at
+// least the flat one and within 2⁻⁸ of it, so every Cutoff head is a superset
+// of the exact head and barely more.
+func TestCompressedBoundsCoverFlat(t *testing.T) {
+	ds, err := gen.Twitter(gen.TwitterConfig{N: 2000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []core.FilterSpec{
+		{Kind: "token"},
+		{Kind: "grid", P: 64},
+		{Kind: "hybrid", P: 64},
+		{Kind: "seal", MaxLevel: 12, GridBudget: 8},
+	} {
+		f, err := core.BuildFilter(ds, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, _, _ := core.Postings(f)
+		flat := src.(*invidx.Index)
+		quant := invidx.Compress(flat)
+		if lay := quant.Arenas().Layout; lay.Exact || !lay.Obj16 {
+			t.Fatalf("%s: layout %+v, want quantized with 16-bit objects", spec.Kind, lay)
+		}
+		var keys []uint64
+		quant.EachLen(func(key uint64, _ int) { keys = append(keys, key) })
+		if len(keys) != flat.Lists() || flat.Lists() == 0 {
+			t.Fatalf("%s: %d quantized lists, %d flat", spec.Kind, len(keys), flat.Lists())
+		}
+		var scr invidx.ListScratch
+		for i, key := range keys {
+			want, _ := flat.Probe(key, nil)
+			got, err := quant.At(i, &scr)
+			if err != nil || got.Len() != want.Len() || want.Len() == 0 {
+				t.Fatalf("%s list %#x: %d postings (err %v), want %d", spec.Kind, key, got.Len(), err, want.Len())
+			}
+			for j := 0; j < want.Len(); j++ {
+				g, w := got.Posting(j), want.Posting(j)
+				if g.Obj != w.Obj || g.Bound < w.Bound || g.TBound < w.TBound || g.Bound > w.Bound*(1+1.0/256) || g.TBound > w.TBound*(1+1.0/256) {
+					t.Fatalf("%s list %#x posting %d: %+v does not cover %+v within 2^-8", spec.Kind, key, j, g, w)
+				}
+			}
 		}
 	}
 }

@@ -15,27 +15,24 @@ import (
 // gridLocator answers "which grids of this token's hierarchical partition
 // intersect a rectangle?" without scanning the whole grid set.
 //
-// It needs no storage of its own beyond the grids' ranks. A token's grids are
-// the low words of its hybrid keys (hierKey is token<<32 | node), and a
-// NodeID carries its level in the top bits, so the token's ascending key run
-// already is the per-level index: grouped by tree level, and within a level —
-// a sparse subset of the 2^l × 2^l uniform grid — sorted by node, so lookups
-// are binary searches. For every level the locator enumerates the rectangle's
-// cell range when it is smaller than the level's population, and falls back
-// to scanning the level's grids otherwise, so projection is
-// O(Σ_l min(rangeCells(l), |grids(l)|) · log).
+// It needs no storage of its own beyond the grids' ranks. A hybrid key is
+// token<<32 | node, the posting index keeps each token's nodes as one
+// ascending run (invidx.FromSortedRuns), and a NodeID carries its level in the
+// top bits, so the token's run already is the per-level index: grouped by
+// tree level, and within a level — a sparse subset of the 2^l × 2^l uniform
+// grid — sorted by node, so lookups are binary searches. For every level the
+// locator enumerates the rectangle's cell range when it is smaller than the
+// level's population, and falls back to scanning the level's grids otherwise,
+// so projection is O(Σ_l min(rangeCells(l), |grids(l)|) · log).
 //
-// keys[i] is also a posting list — list base+i of the index the keys are the
-// run of — so a hit names its list by position and nothing looks a key up.
+// nodes[i] is also a posting list — list base+i of the index the run belongs
+// to — so a hit names its list by position and nothing looks a key up.
 type gridLocator struct {
-	tree *gridtree.Tree
-	keys []uint64 // the token's keys, ascending
-	pos  []uint16 // pos[i] is the position of keys[i]'s grid in the token's global order
-	base uint32   // the position of keys[0] in the index's key array
+	tree  *gridtree.Tree
+	nodes []uint32 // the token's grids (gridtree.NodeID), ascending
+	pos   []uint16 // pos[i] is the position of nodes[i] in the token's global order
+	base  uint32   // the position of nodes[0] in the index
 }
-
-// keyNode extracts the grid of a hybrid key.
-func keyNode(key uint64) gridtree.NodeID { return gridtree.NodeID(uint32(key)) }
 
 // gridHit is one projected grid: its position in the token's global order,
 // the position of its posting list in the index, and the clipped area weight.
@@ -57,15 +54,15 @@ func hierGridCmp(ord HierOrder, an gridtree.NodeID, ac int32, bn gridtree.NodeID
 }
 
 // rankGrids fills pos with the global-order position of each of one token's
-// grids, given as its ascending keys with their counts. order is scratch.
-func rankGrids[P int32 | uint16](ord HierOrder, keys []uint64, counts []int32, pos []P, order *[]int32) {
+// grids, given as its ascending nodes with their counts. order is scratch.
+func rankGrids[P int32 | uint16](ord HierOrder, nodes []uint32, counts []int32, pos []P, order *[]int32) {
 	o := (*order)[:0]
-	for i := range keys {
+	for i := range nodes {
 		o = append(o, int32(i))
 	}
 	*order = o
 	slices.SortFunc(o, func(a, b int32) int {
-		return hierGridCmp(ord, keyNode(keys[a]), counts[a], keyNode(keys[b]), counts[b])
+		return hierGridCmp(ord, gridtree.NodeID(nodes[a]), counts[a], gridtree.NodeID(nodes[b]), counts[b])
 	})
 	for rank, i := range o {
 		pos[i] = P(rank)
@@ -73,14 +70,14 @@ func rankGrids[P int32 | uint16](ord HierOrder, keys []uint64, counts []int32, p
 }
 
 // tokenLocators holds every token's locator for one posting index as flat
-// arrays over the index's own key array — for a mapped segment, over its
-// pages — so a filter keeps the ranks and one offset per token on the heap
-// and nothing per grid beyond them.
+// arrays over the index's own run-grouped key column — for a mapped segment,
+// over its pages — so a filter keeps the ranks on the heap and nothing per
+// grid beyond them.
 type tokenLocators struct {
 	tree  *gridtree.Tree
-	keys  []uint64 // the index's ascending key array
-	start []uint32 // token t's keys are keys[start[t]:start[t+1]]
-	pos   []uint16 // parallel to keys; see gridLocator.pos
+	runs  []uint32 // the index's: token t's nodes are nodes[runs[t]:runs[t+1]]
+	nodes []uint32 // the index's
+	pos   []uint16 // parallel to nodes; see gridLocator.pos
 }
 
 // maxTokenKeys is the most keys one token may have for its ranks to fit
@@ -88,74 +85,58 @@ type tokenLocators struct {
 const maxTokenKeys = math.MaxUint16
 
 // deriveLocators rebuilds every token's locator from the posting index alone.
-// The grids of a token that hold postings are the nodes of its keys, and
-// count(g) is the length of g's list, so the keys and list lengths carry the
+// The grids of a token that hold postings are its run of nodes, and count(g)
+// is the length of g's list, so the key column and list lengths carry the
 // whole selection and its global order — the very order buildToken bounded
 // the postings in, which it ranks from the same lengths. (A selected grid no
-// region posts to has no key; it could never produce a candidate.) The keys
-// are outside input when the index is a mapped segment: a token outside the
-// vocabulary, a level below the tree or a token with more than maxTokenKeys
-// keys is an error.
+// region posts to has no key; it could never produce a candidate.) The column
+// is outside input when the index is a mapped segment, validated by invidx as
+// a run table but not as SEAL's: an index that is not run-grouped by the
+// vocabulary's tokens, a level below the tree or a token with more than
+// maxTokenKeys keys is an error.
 func deriveLocators(tree *gridtree.Tree, ord HierOrder, vocab int, src invidx.Source) (*tokenLocators, error) {
-	keys := src.Keys()
-	tl := &tokenLocators{
-		tree:  tree,
-		keys:  keys,
-		start: make([]uint32, vocab+1),
-		pos:   make([]uint16, len(keys)),
+	runs, nodes := src.Runs()
+	if len(runs) != vocab+1 {
+		return nil, fmt.Errorf("core: posting index groups its keys into %d runs, want one per token of the %d-token vocabulary", len(runs)-1, vocab)
 	}
-	next := 0 // first token whose start is not set yet
-	for i, k := range keys {
-		t := int(k >> 32)
-		if t >= vocab {
-			return nil, fmt.Errorf("core: posting key for token %d outside the %d-token vocabulary", t, vocab)
-		}
-		if l := keyNode(k).Level(); l > tree.MaxLevel {
-			return nil, fmt.Errorf("core: token %d grid at level %d exceeds tree depth %d", t, l, tree.MaxLevel)
-		}
-		for ; next <= t; next++ {
-			tl.start[next] = uint32(i)
-		}
-		if n := i + 1 - int(tl.start[t]); n > maxTokenKeys {
+	tl := &tokenLocators{tree: tree, runs: runs, nodes: nodes, pos: make([]uint16, len(nodes))}
+	for t := 0; t < vocab; t++ {
+		run := nodes[runs[t]:runs[t+1]]
+		if len(run) > maxTokenKeys {
 			return nil, fmt.Errorf("core: token %d has more than %d posting keys", t, maxTokenKeys)
 		}
-	}
-	for ; next <= vocab; next++ {
-		tl.start[next] = uint32(len(keys))
+		// Nodes ascend, so the last one is on the deepest level.
+		if n := len(run); n > 0 && gridtree.NodeID(run[n-1]).Level() > tree.MaxLevel {
+			return nil, fmt.Errorf("core: token %d grid at level %d exceeds tree depth %d", t, gridtree.NodeID(run[n-1]).Level(), tree.MaxLevel)
+		}
 	}
 
+	// EachLen reports the lists in position order, each under its token's
+	// key: gather one token's counts, and rank at the end of its run.
 	var counts, order []int32
-	i, lo := 0, 0 // lo is the first key of the token being gathered
-	rank := func() {
-		rankGrids(ord, keys[lo:i], counts, tl.pos[lo:i], &order)
-		counts, lo = counts[:0], i
-	}
+	i := uint32(0)
 	src.EachLen(func(key uint64, n int) {
-		if i > lo && key>>32 != keys[lo]>>32 {
-			rank()
-		}
 		counts = append(counts, int32(n))
-		i++
+		if i++; i == runs[key>>32+1] {
+			lo := runs[key>>32]
+			rankGrids(ord, nodes[lo:i], counts, tl.pos[lo:i], &order)
+			counts = counts[:0]
+		}
 	})
-	if i > lo {
-		rank()
-	}
 	return tl, nil
 }
 
 // of returns token t's locator; ok is false when the token has no grids.
 func (tl *tokenLocators) of(t text.TokenID) (loc gridLocator, ok bool) {
-	lo, hi := tl.start[t], tl.start[t+1]
+	lo, hi := tl.runs[t], tl.runs[t+1]
 	if lo == hi {
 		return gridLocator{}, false
 	}
-	return gridLocator{tree: tl.tree, keys: tl.keys[lo:hi], pos: tl.pos[lo:hi], base: lo}, true
+	return gridLocator{tree: tl.tree, nodes: tl.nodes[lo:hi], pos: tl.pos[lo:hi], base: lo}, true
 }
 
-// sizeBytes is the heap the locators add to their index.
-func (tl *tokenLocators) sizeBytes() int64 {
-	return int64(len(tl.pos))*2 + int64(len(tl.start))*4
-}
+// sizeBytes is the heap the locators add to their index: the ranks.
+func (tl *tokenLocators) sizeBytes() int64 { return int64(len(tl.pos)) * 2 }
 
 // project appends the grids sharing positive area with r to out, sorted by
 // global order position.
@@ -192,19 +173,19 @@ func (loc gridLocator) appendHits(r geo.Rect, out []gridHit) []gridHit {
 	if !has || inSpace.IsDegenerate() {
 		return out
 	}
-	for lo := 0; lo < len(loc.keys); {
-		// One level's run: from lo to the first key of a deeper level.
-		level := keyNode(loc.keys[lo]).Level()
-		end, hi := lo+1, len(loc.keys)
+	for lo := 0; lo < len(loc.nodes); {
+		// One level's run: from lo to the first node of a deeper level.
+		level := gridtree.NodeID(loc.nodes[lo]).Level()
+		end, hi := lo+1, len(loc.nodes)
 		for end < hi {
 			mid := int(uint(end+hi) >> 1)
-			if keyNode(loc.keys[mid]).Level() > level {
+			if gridtree.NodeID(loc.nodes[mid]).Level() > level {
 				hi = mid
 			} else {
 				end = mid + 1
 			}
 		}
-		nodes, first := loc.keys[lo:end], loc.base+uint32(lo)
+		nodes, first := loc.nodes[lo:end], loc.base+uint32(lo)
 		lo = end
 
 		ix0, iy0, ix1, iy1, ok := loc.cellRange(level, inSpace)
@@ -214,9 +195,8 @@ func (loc gridLocator) appendHits(r geo.Rect, out []gridHit) []gridHit {
 		rangeCells := (ix1 - ix0) * (iy1 - iy0)
 		if rangeCells > len(nodes) {
 			// Sparse level: scanning its grids is cheaper.
-			for j, k := range nodes {
-				n := keyNode(k)
-				w := loc.tree.Rect(n).IntersectionArea(r)
+			for j, n := range nodes {
+				w := loc.tree.Rect(gridtree.NodeID(n)).IntersectionArea(r)
 				if w > 0 {
 					out = append(out, gridHit{list: first + uint32(j), w: w})
 				}
@@ -231,13 +211,13 @@ func (loc gridLocator) appendHits(r geo.Rect, out []gridHit) []gridHit {
 				j, hi := 0, len(nodes)
 				for j < hi {
 					mid := int(uint(j+hi) >> 1)
-					if keyNode(nodes[mid]) < n {
+					if nodes[mid] < uint32(n) {
 						j = mid + 1
 					} else {
 						hi = mid
 					}
 				}
-				if j == len(nodes) || keyNode(nodes[j]) != n {
+				if j == len(nodes) || nodes[j] != uint32(n) {
 					continue
 				}
 				w := loc.tree.Rect(n).IntersectionArea(r)

@@ -42,10 +42,10 @@ func buildLocator(t testingT, seed int64) (*gridtree.Tree, []hss.Grid, gridLocat
 	loc := gridLocator{tree: tree, pos: make([]uint16, len(grids)), base: 1000}
 	var counts, order []int32
 	for _, g := range grids {
-		loc.keys = append(loc.keys, hierKey(7, g.Node))
+		loc.nodes = append(loc.nodes, uint32(g.Node))
 		counts = append(counts, int32(g.Count))
 	}
-	rankGrids(HierOrderLevel, loc.keys, counts, loc.pos, &order)
+	rankGrids(HierOrderLevel, loc.nodes, counts, loc.pos, &order)
 	ordered := make([]hss.Grid, len(grids))
 	for i, g := range grids {
 		ordered[loc.pos[i]] = g
@@ -102,8 +102,8 @@ func TestLocatorMatchesLinearScan(t *testing.T) {
 				if got[i].idx != want[i].idx || math.Abs(got[i].w-want[i].w) > 1e-9 {
 					return false
 				}
-				// The hit names its grid's list: the key's index, past base.
-				if j := got[i].list - loc.base; grids[got[i].idx].Node != keyNode(loc.keys[j]) {
+				// The hit names its grid's list: the node's index, past base.
+				if j := got[i].list - loc.base; uint32(grids[got[i].idx].Node) != loc.nodes[j] {
 					return false
 				}
 			}
@@ -185,24 +185,27 @@ func TestLocatorsDerivedFromKeys(t *testing.T) {
 			// per worker, keeping a copy of each token's build-time locator.
 			wk := new(hierWorker)
 			built := make([]gridLocator, vocab)
+			var runs []invidx.Run
 			for tok, tp := range members {
 				if len(tp) == 0 {
 					continue
 				}
-				lists := len(wk.run.Keys)
+				lists, postings := len(wk.run.Nodes), len(wk.run.Objs)
 				mt := []int{1, 3, 8, 40, 8192}[tok%5]
 				if err := wk.buildToken(ds, tree, ord, text.TokenID(tok), tp, mt); err != nil {
 					t.Fatal(err)
 				}
-				if len(wk.run.Keys) > lists {
+				if len(wk.run.Nodes) > lists {
 					pos := make([]uint16, len(wk.pos)) // the build ranks in int32
 					for i, p := range wk.pos {
 						pos[i] = uint16(p)
 					}
-					built[tok] = gridLocator{tree: tree, keys: slices.Clone(wk.keys), pos: pos, base: uint32(lists)}
+					built[tok] = gridLocator{tree: tree, nodes: slices.Clone(wk.nodes), pos: pos, base: uint32(lists)}
+					runs = append(runs, invidx.Run{Group: uint32(tok), Nodes: wk.run.Nodes[lists:], Lens: wk.run.Lens[lists:],
+						Objs: wk.run.Objs[postings:], Bounds: wk.run.Bounds[postings:], TBounds: wk.run.TBounds[postings:]})
 				}
 			}
-			raw := invidx.FromSortedRuns([]invidx.Run{wk.run})
+			raw := invidx.FromSortedRuns(vocab, runs)
 			sources := map[string]invidx.Source{
 				"raw":        raw,
 				"compressed": invidx.Compress(raw),
@@ -218,12 +221,12 @@ func TestLocatorsDerivedFromKeys(t *testing.T) {
 				for tok := range members {
 					got, ok := derived.of(text.TokenID(tok))
 					want := built[tok]
-					if ok != (want.keys != nil) {
-						t.Fatalf("%s token %d: derived locator present=%v, built present=%v", label, tok, ok, want.keys != nil)
+					if ok != (want.nodes != nil) {
+						t.Fatalf("%s token %d: derived locator present=%v, built present=%v", label, tok, ok, want.nodes != nil)
 					}
-					if !slices.Equal(got.keys, want.keys) || !slices.Equal(got.pos, want.pos) {
+					if !slices.Equal(got.nodes, want.nodes) || !slices.Equal(got.pos, want.pos) {
 						t.Fatalf("%s token %d: derived grids/ranks differ from the built ones\n got %x %v\nwant %x %v",
-							label, tok, got.keys, got.pos, want.keys, want.pos)
+							label, tok, got.nodes, got.pos, want.nodes, want.pos)
 					}
 					if !ok {
 						continue
@@ -240,31 +243,48 @@ func TestLocatorsDerivedFromKeys(t *testing.T) {
 }
 
 // TestDeriveLocatorsRejectsWideToken: a token's ranks are 16 bits wide, which
-// the build's budget cap keeps far from mattering — but mapped keys are
-// outside input, and a token with more keys than a rank can number is refused
-// rather than ranked modulo 65,536.
+// the build's budget cap keeps far from mattering — but a mapped key column is
+// outside input, validated by invidx as a run table and not as SEAL's, and a
+// token with more keys than a rank can number is refused rather than ranked
+// modulo 65,536. So are a run table of another vocabulary's length, a grid
+// below the tree, and an index that is not run-grouped at all.
 func TestDeriveLocatorsRejectsWideToken(t *testing.T) {
 	tree, err := gridtree.New(geo.Rect{MinX: 0, MinY: 0, MaxX: 1024, MaxY: 1024}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every cell of level 8 is 65,536 grids: one too many for one token.
-	run := invidx.Run{}
+	run := invidx.Run{Group: 1}
 	for iy := 0; iy < 256; iy++ {
 		for ix := 0; ix < 256; ix++ {
-			run.Keys = append(run.Keys, hierKey(1, gridtree.MakeNodeID(8, ix, iy)))
+			run.Nodes = append(run.Nodes, uint32(gridtree.MakeNodeID(8, ix, iy)))
 			run.Lens = append(run.Lens, 1)
 			run.Objs = append(run.Objs, 0)
 			run.Bounds = append(run.Bounds, 1)
 			run.TBounds = append(run.TBounds, 1)
 		}
 	}
-	if _, err := deriveLocators(tree, HierOrderLevel, 3, invidx.FromSortedRuns([]invidx.Run{run})); err == nil {
-		t.Fatalf("a token with %d keys derived locators", len(run.Keys))
+	cut := func(r invidx.Run, n int) invidx.Run {
+		return invidx.Run{Group: r.Group, Nodes: r.Nodes[:n], Lens: r.Lens[:n], Objs: r.Objs[:n], Bounds: r.Bounds[:n], TBounds: r.TBounds[:n]}
 	}
 	n := maxTokenKeys
-	fits := invidx.Run{Keys: run.Keys[:n], Lens: run.Lens[:n], Objs: run.Objs[:n], Bounds: run.Bounds[:n], TBounds: run.TBounds[:n]}
-	tl, err := deriveLocators(tree, HierOrderLevel, 3, invidx.FromSortedRuns([]invidx.Run{fits}))
+	deep := cut(run, 1)
+	deep.Nodes = []uint32{uint32(gridtree.MakeNodeID(9, 0, 0))}
+	var keyed invidx.Builder
+	keyed.Dual = true
+	keyed.AddDual(1<<32|uint64(run.Nodes[0]), 0, 1, 1)
+	for name, src := range map[string]invidx.Source{
+		"a token with one key too many":      invidx.FromSortedRuns(3, []invidx.Run{run}),
+		"a run table shorter than the vocab": invidx.FromSortedRuns(2, []invidx.Run{cut(run, n)}),
+		"a run table longer than the vocab":  invidx.FromSortedRuns(4, []invidx.Run{cut(run, n)}),
+		"a grid below the tree":              invidx.FromSortedRuns(3, []invidx.Run{deep}),
+		"an index with a key array":          keyed.Build(),
+	} {
+		if _, err := deriveLocators(tree, HierOrderLevel, 3, src); err == nil {
+			t.Fatalf("%s derived locators", name)
+		}
+	}
+	tl, err := deriveLocators(tree, HierOrderLevel, 3, invidx.FromSortedRuns(3, []invidx.Run{cut(run, n)}))
 	if err != nil {
 		t.Fatalf("a token with %d keys: %v", n, err)
 	}

@@ -137,9 +137,9 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 				}
 				mt := int(float64(cfg.GridBudget) * float64(len(tp)) / meanPostings)
 				mt = min(max(mt, minTokenBudget), maxTokenBudget)
-				span := hierSpan{worker: w, list0: len(wk.run.Keys), posting0: len(wk.run.Objs)}
+				span := hierSpan{worker: w, list0: len(wk.run.Nodes), posting0: len(wk.run.Objs)}
 				wk.err = wk.buildToken(ds, tree, cfg.Order, text.TokenID(t), tp, mt)
-				span.list1, span.posting1 = len(wk.run.Keys), len(wk.run.Objs)
+				span.list1, span.posting1 = len(wk.run.Nodes), len(wk.run.Objs)
 				spans[t] = span
 			}
 		}()
@@ -152,20 +152,21 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 		}
 	}
 	runs := make([]invidx.Run, 0, presentTokens)
-	for _, sp := range spans {
+	for t, sp := range spans {
 		if sp.list0 == sp.list1 {
 			continue
 		}
 		run := &workers[sp.worker].run
 		runs = append(runs, invidx.Run{
-			Keys:    run.Keys[sp.list0:sp.list1],
+			Group:   uint32(t),
+			Nodes:   run.Nodes[sp.list0:sp.list1],
 			Lens:    run.Lens[sp.list0:sp.list1],
 			Objs:    run.Objs[sp.posting0:sp.posting1],
 			Bounds:  run.Bounds[sp.posting0:sp.posting1],
 			TBounds: run.TBounds[sp.posting0:sp.posting1],
 		})
 	}
-	f.idx = invidx.FromSortedRuns(runs)
+	f.idx = invidx.FromSortedRuns(vocab.Len(), runs)
 	f.locs, err = deriveLocators(tree, cfg.Order, vocab.Len(), f.idx)
 	if err != nil {
 		return nil, err
@@ -208,18 +209,18 @@ type hierWorker struct {
 	run     invidx.Run
 	err     error
 
-	// The token being built: its keys and, per key, the grid's count and
+	// The token being built: its grids and, per grid, its count and
 	// global-order position (order is rankGrids' scratch), and every region's
-	// hits on the keys, region i's ending at hitEnd[i].
-	keys               []uint64
+	// hits on the grids, region i's ending at hitEnd[i].
+	nodes              []uint32
 	counts, pos, order []int32
 	hitEnd             []int
 }
 
 // buildToken selects token t's grids, generates every posting of I(t)'s
 // spatial signature over them, and appends t's lists to the worker's run in
-// index order: ascending grid node (t's keys ascend with it), and within
-// a list descending spatial bound, ties by ascending object. A token none of
+// index order: ascending grid node, and within a list descending spatial
+// bound, ties by ascending object. A token none of
 // whose regions overlaps the space gets no lists.
 //
 // The grids' global order ranks them by count(g) taken as the number of
@@ -242,13 +243,13 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order H
 		return nil
 	}
 	slices.SortFunc(grids, func(a, b hss.Grid) int { return cmp.Compare(a.Node, b.Node) })
-	wk.keys, wk.counts, wk.pos = wk.keys[:0], wk.counts[:0], wk.pos[:0]
+	wk.nodes, wk.counts, wk.pos = wk.nodes[:0], wk.counts[:0], wk.pos[:0]
 	for _, g := range grids {
-		wk.keys = append(wk.keys, hierKey(t, g.Node))
+		wk.nodes = append(wk.nodes, uint32(g.Node))
 		wk.counts = append(wk.counts, 0)
 		wk.pos = append(wk.pos, 0)
 	}
-	loc := gridLocator{tree: tree, keys: wk.keys} // a hit's list is its key's index
+	loc := gridLocator{tree: tree, nodes: wk.nodes} // a hit's list is its node's index
 	wk.hits, wk.hitEnd = wk.hits[:0], wk.hitEnd[:0]
 	for _, r := range wk.rects {
 		wk.hits = loc.appendHits(r, wk.hits)
@@ -257,7 +258,7 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order H
 	for _, h := range wk.hits {
 		wk.counts[h.list]++
 	}
-	rankGrids(order, wk.keys, wk.counts, wk.pos, &wk.order)
+	rankGrids(order, wk.nodes, wk.counts, wk.pos, &wk.order)
 
 	// Per-object spatial signature over this token's grid set.
 	wk.entries = wk.entries[:0]
@@ -276,7 +277,7 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order H
 		wk.gB = append(wk.gB[:0], wk.gW...)
 		invidx.SuffixBounds(wk.gW, wk.gB)
 		for j, h := range hits {
-			wk.entries = append(wk.entries, hierEntry{node: keyNode(wk.keys[h.list]), obj: p.obj, rBound: wk.gB[j], tBound: p.tBound})
+			wk.entries = append(wk.entries, hierEntry{node: gridtree.NodeID(wk.nodes[h.list]), obj: p.obj, rBound: wk.gB[j], tBound: p.tBound})
 		}
 	}
 	// An object projects onto a grid at most once, so (node, obj) is unique
@@ -293,7 +294,7 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order H
 	run := &wk.run
 	for i, e := range wk.entries {
 		if i == 0 || e.node != wk.entries[i-1].node {
-			run.Keys = append(run.Keys, hierKey(t, e.node))
+			run.Nodes = append(run.Nodes, uint32(e.node))
 			run.Lens = append(run.Lens, 0)
 		}
 		run.Lens[len(run.Lens)-1]++
@@ -350,16 +351,11 @@ const (
 	HierOrderCount                  // count asc, level asc (rare first)
 )
 
-// hierKey packs a (token, grid node) hybrid element into a map key.
-func hierKey(t text.TokenID, n gridtree.NodeID) uint64 {
-	return uint64(t)<<32 | uint64(n)
-}
-
 // Name implements Filter.
 func (f *HierarchicalFilter) Name() string { return "Seal" }
 
-// SizeBytes implements Filter: the posting lists plus the grid locators'
-// arenas.
+// SizeBytes implements Filter: the posting lists, whose key column the grid
+// locators work on, plus the locators' ranks.
 func (f *HierarchicalFilter) SizeBytes() int64 {
 	return f.idx.SizeBytes() + f.locs.sizeBytes()
 }

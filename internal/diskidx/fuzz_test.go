@@ -3,10 +3,11 @@ package diskidx
 // FuzzSegmentHeader: openSegment parses attacker-shaped bytes — a segment
 // file is trusted only after its header geometry, section table, CRCs, and
 // arena invariants all check out, and no input may panic the parser or make
-// it accept structurally unsound postings. The corpus seeds two genuine
-// segments — a keyed raw one, and a compressed one without a key directory,
-// the Seal filter's shape — plus systematic truncations and header mutations
-// so the fuzzer starts from the format's real shape rather than random noise.
+// it accept structurally unsound postings. The corpus seeds three genuine
+// segments — a keyed raw one, a compressed one without its key directory, and
+// a compressed run-grouped one, the Seal filter's shape — plus systematic
+// truncations and header mutations so the fuzzer starts from the format's real
+// shape rather than random noise.
 
 import (
 	"encoding/binary"
@@ -39,6 +40,21 @@ func FuzzSegmentHeader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(noDir)
+	grouped := filepath.Join(f.TempDir(), "grouped.seg")
+	if err := WriteSegment(grouped, invidx.Compress(sortedRuns(buildDual(rand.New(rand.NewSource(44)), 12, 6))), segTestObjects); err != nil {
+		f.Fatal(err)
+	}
+	runs, err := os.ReadFile(grouped)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(runs)
+	// One payload word of each of its sections behind a re-sealed checksum, so
+	// mutations of the run table, nodes, extents and codes start beyond the
+	// CRC wall.
+	for _, id := range []uint32{secRuns, secNodes, secOffs, secBlob} {
+		f.Add(damage(f, append([]byte(nil), runs...), id, func(p []byte) { p[len(p)/2] ^= 0x80 }))
+	}
 	// Truncations at every structurally interesting boundary: mid-header,
 	// end of header, mid-table, first section page, mid-payload.
 	for _, n := range []int{0, 7, 8, 63, 64, 100, segHeaderSize + segEntrySize, 4096, 4100, len(valid) / 2, len(valid) - 1} {

@@ -14,28 +14,35 @@ package diskidx
 //	bit2  compressed only: the exact layout (clear: the quantized one)
 //	bit3  quantized only: object IDs take 2 bytes (clear: 4)
 //
-// A raw single-bound segment carries sections keys/starts/objs/bounds; raw
-// dual adds tbounds. A compressed segment carries keys/offs/blob:
+// It opens with its key column, in one of two forms. An index whose lists are
+// looked up by key (the token, grid and hybrid-hash filters) has
 //
-//	keys  uint64 × nLists     ascending signature keys
-//	offs  uint32 × nLists+1   where each list starts in the blob
-//	blob  the lists, one after another; invidx/compress.go has the byte
-//	      layout of a list, which opens with its posting count
+//	keys   uint64 × nLists     ascending signature keys
 //
-// which is 12 bytes of metadata a list. Either kind ends with one more
-// section exactly when the index it was written from looks lists up by key
-// (the token, grid and hybrid-hash filters):
+// and ends with one more section, after the postings:
 //
-//	dir   uint32 × 2·nLists   open-addressed key directory, position+1
+//	dir    uint32 × 2·nLists   open-addressed key directory, position+1
 //
-// for 20 bytes a list. The Seal filter's segments carry none: its grid
-// locator works on the keys section itself and reaches every list by its
-// position, so a directory there was 8 bytes on each of very many short lists
-// — a sixth of the file — mapped, checksummed and validated at every boot for
-// a lookup nothing performed. A reader takes the section when it is there
-// (validated in full) and otherwise finds keys by binary search. Version 1
-// spent 24 to 32 bytes a list: a counts section beside offs, and a directory
-// rounded up to a power of two.
+// (a reader takes dir when it is there, validated in full, and otherwise
+// finds keys by binary search). The Seal filter's index, whose keys are
+// (token, grid node) pairs and whose grid locator reaches every list by its
+// position in one token's run of nodes, has instead
+//
+//	runs   uint32 × tokens+1   where each token's nodes start
+//	nodes  uint32 × nLists     the keys' low words, ascending inside a run
+//
+// The postings follow. A raw single-bound segment carries starts/objs/bounds;
+// raw dual adds tbounds. A compressed segment carries
+//
+//	offs   uint32 × nLists+1   where each list starts in the blob
+//	blob   the lists, one after another; invidx/compress.go has the byte
+//	       layout of a list, whose length is its extent
+//
+// which is 8 bytes of metadata a Seal list (node and offset, plus 4 a token)
+// and 20 a keyed one. Version 2 spent 12 and 20 — a full key a list in every
+// segment, its high word never read by the Seal filter, and a posting count
+// and quantization steps inside every list — and version 1 spent 24 to 32: a
+// counts section beside offs, and a directory rounded up to a power of two.
 //
 // Every section is CRC-checked at open, then handed to the invidx arena
 // validators, so a segment that opens cleanly satisfies every structural
@@ -49,11 +56,12 @@ import (
 
 var magic2 = [8]byte{'S', 'E', 'A', 'L', 'I', 'D', 'X', '2'}
 
-// segVersion 2 is the layout above. A version-1 file has no reader; it opens
-// as ErrStaleVersion, which the engine reports as a directory of another
-// layout generation (rebuild) rather than as a damaged shard (quarantine).
+// segVersion 3 is the layout above. An earlier version's file has no reader;
+// it opens as ErrStaleVersion, which the engine reports as a directory of
+// another layout generation (rebuild) rather than as a damaged shard
+// (quarantine).
 const (
-	segVersion        = 2
+	segVersion        = 3
 	segFlagDual       = 1 << 0
 	segFlagCompressed = 1 << 1
 	segFlagExact      = 1 << 2
@@ -62,14 +70,16 @@ const (
 
 // Section identifiers. 8 is retired (version 1's per-list posting counts).
 const (
-	secKeys    = 1 // uint64 × nLists, ascending signature keys
-	secStarts  = 2 // uint32 × nLists+1, flat list offsets
-	secObjs    = 3 // uint32 × nPostings
-	secBounds  = 4 // float64 × nPostings (spatial lane for dual)
-	secTBounds = 5 // float64 × nPostings, raw dual only
-	secDir     = 6 // uint32 slots of the open-addressed key directory
-	secOffs    = 7 // uint32 × nLists+1, byte extents into the blob
-	secBlob    = 9 // encoded posting blob
+	secKeys    = 1  // uint64 × nLists, ascending signature keys
+	secStarts  = 2  // uint32 × nLists+1, flat list offsets
+	secObjs    = 3  // uint32 × nPostings
+	secBounds  = 4  // float64 × nPostings (spatial lane for dual)
+	secTBounds = 5  // float64 × nPostings, raw dual only
+	secDir     = 6  // uint32 slots of the open-addressed key directory
+	secOffs    = 7  // uint32 × nLists+1, byte extents into the blob
+	secBlob    = 9  // encoded posting blob
+	secRuns    = 10 // uint32 × groups+1, run offsets into nodes
+	secNodes   = 11 // uint32 × nLists, low words of the run-grouped keys
 )
 
 // wrapCorrupt rebrands an invidx validation failure as a diskidx corruption
@@ -108,16 +118,23 @@ func WriteSegment(path string, idx invidx.Source, objects int) error {
 }
 
 func rawSections(a invidx.RawArenas) []section {
-	s := []section{
-		{id: secKeys, data: u64Bytes(a.Keys)},
-		{id: secStarts, data: u32Bytes(a.Starts)},
-		{id: secObjs, data: u32Bytes(a.Objs)},
-		{id: secBounds, data: f64Bytes(a.Bounds)},
-	}
+	s := append(keySections(a.KeyArenas),
+		section{id: secStarts, data: u32Bytes(a.Starts)},
+		section{id: secObjs, data: u32Bytes(a.Objs)},
+		section{id: secBounds, data: f64Bytes(a.Bounds)})
 	if a.Dual {
 		s = append(s, section{id: secTBounds, data: f64Bytes(a.TBounds)})
 	}
 	return appendDir(s, a.Slots)
+}
+
+// keySections opens a section list with the key column: runs and nodes for a
+// run-grouped index, keys otherwise (whose directory, if any, goes last).
+func keySections(k invidx.KeyArenas) []section {
+	if k.Runs != nil {
+		return []section{{id: secRuns, data: u32Bytes(k.Runs)}, {id: secNodes, data: u32Bytes(k.Nodes)}}
+	}
+	return []section{{id: secKeys, data: u64Bytes(k.Keys)}}
 }
 
 // appendDir adds the key directory's section for an index that carries one
@@ -129,20 +146,36 @@ func appendDir(s []section, slots []uint32) []section {
 	return append(s, section{id: secDir, data: u32Bytes(slots)})
 }
 
-// takeDir returns the key directory of a segment that has the section — never
-// nil then, so the arena validators check it — and nil for one that does not.
-func takeDir(c *container) ([]uint32, error) {
-	if _, ok := c.views[secDir]; !ok {
-		return nil, nil
+// takeKeys returns the key column of a segment of nLists lists: runs and nodes
+// when it has a run table, and otherwise keys with the directory if that
+// section is there. Runs and Slots say by not being nil that their section
+// was, so the arena validators check even an empty one.
+func takeKeys(c *container, nLists int64) (k invidx.KeyArenas, err error) {
+	present := func(b []byte) []uint32 {
+		if v := viewU32(b); v != nil {
+			return v
+		}
+		return []uint32{}
 	}
-	dir, err := c.take(secDir, -1, 4)
+	if _, ok := c.views[secRuns]; ok {
+		runs, err := c.take(secRuns, -1, 4)
+		if err != nil {
+			return k, err
+		}
+		nodes, err := c.take(secNodes, nLists, 4)
+		return invidx.KeyArenas{Runs: present(runs), Nodes: viewU32(nodes)}, err
+	}
+	keys, err := c.take(secKeys, nLists, 8)
 	if err != nil {
-		return nil, err
+		return k, err
 	}
-	if slots := viewU32(dir); slots != nil {
-		return slots, nil
+	k.Keys = viewU64(keys)
+	if _, ok := c.views[secDir]; ok {
+		dir, err := c.take(secDir, -1, 4)
+		k.Slots = present(dir)
+		return k, err
 	}
-	return []uint32{}, nil
+	return k, nil
 }
 
 func compressedFlags(l invidx.Layout) uint32 {
@@ -157,11 +190,9 @@ func compressedFlags(l invidx.Layout) uint32 {
 }
 
 func compressedSections(a invidx.CompressedArenas) []section {
-	return appendDir([]section{
-		{id: secKeys, data: u64Bytes(a.Keys)},
-		{id: secOffs, data: u32Bytes(a.Offs)},
-		{id: secBlob, data: a.Blob},
-	}, a.Slots)
+	return appendDir(append(keySections(a.KeyArenas),
+		section{id: secOffs, data: u32Bytes(a.Offs)},
+		section{id: secBlob, data: a.Blob}), a.Slots)
 }
 
 // Segment is an open SEALIDX2 segment. The posting data lives in the mapped
@@ -211,22 +242,22 @@ func openSegment(data []byte) (*Segment, error) {
 		return nil, fmt.Errorf("%w: list layout flags %#x on a raw segment", ErrCorrupt, flags)
 	}
 	// The header's counts size later multiplications and allocations, so
-	// cap them against what the file could possibly hold before use: keys
-	// cost 8 bytes each and a posting, raw or compressed, at least 4
-	// (checked exactly per list by the decoder).
+	// cap them against what the file could possibly hold before use: a list
+	// costs at least its 4-byte node and a posting, raw or compressed, at
+	// least 4 (checked exactly per list by the validators).
 	size := uint64(len(data))
-	if c.counts[0] > size/8 || c.counts[1] > size/4 || c.counts[2] > 1<<32 {
+	if c.counts[0] > size/4 || c.counts[1] > size/4 || c.counts[2] > 1<<32 {
 		return nil, fmt.Errorf("%w: header counts exceed file size", ErrCorrupt)
 	}
 	nLists, nPostings, objects := int64(c.counts[0]), int64(c.counts[1]), int(c.counts[2])
 
 	seg := &Segment{comp: flags&segFlagCompressed != 0, objects: objects}
 	dual := flags&segFlagDual != 0
+	keys, err := takeKeys(c, nLists)
+	if err != nil {
+		return nil, err
+	}
 	if seg.comp {
-		keys, err := c.take(secKeys, nLists, 8)
-		if err != nil {
-			return nil, err
-		}
 		offs, err := c.take(secOffs, nLists+1, 4)
 		if err != nil {
 			return nil, err
@@ -235,19 +266,14 @@ func openSegment(data []byte) (*Segment, error) {
 		if err != nil {
 			return nil, err
 		}
-		slots, err := takeDir(c)
-		if err != nil {
-			return nil, err
-		}
 		if err := c.done(); err != nil {
 			return nil, err
 		}
 		a := invidx.CompressedArenas{
-			Dual:  dual,
-			Keys:  viewU64(keys),
-			Offs:  viewU32(offs),
-			Blob:  blob,
-			Slots: slots,
+			KeyArenas: keys,
+			Dual:      dual,
+			Offs:      viewU32(offs),
+			Blob:      blob,
 			Layout: invidx.Layout{
 				Exact: flags&segFlagExact != 0,
 				Obj16: flags&segFlagObj16 != 0,
@@ -261,10 +287,6 @@ func openSegment(data []byte) (*Segment, error) {
 		return seg, nil
 	}
 
-	keys, err := c.take(secKeys, nLists, 8)
-	if err != nil {
-		return nil, err
-	}
 	starts, err := c.take(secStarts, nLists+1, 4)
 	if err != nil {
 		return nil, err
@@ -278,11 +300,11 @@ func openSegment(data []byte) (*Segment, error) {
 		return nil, err
 	}
 	a := invidx.RawArenas{
-		Dual:   dual,
-		Keys:   viewU64(keys),
-		Starts: viewU32(starts),
-		Objs:   viewU32(objs),
-		Bounds: viewF64(bounds),
+		KeyArenas: keys,
+		Dual:      dual,
+		Starts:    viewU32(starts),
+		Objs:      viewU32(objs),
+		Bounds:    viewF64(bounds),
 	}
 	if dual {
 		tbounds, err := c.take(secTBounds, nPostings, 8)
@@ -290,9 +312,6 @@ func openSegment(data []byte) (*Segment, error) {
 			return nil, err
 		}
 		a.TBounds = viewF64(tbounds)
-	}
-	if a.Slots, err = takeDir(c); err != nil {
-		return nil, err
 	}
 	if err := c.done(); err != nil {
 		return nil, err

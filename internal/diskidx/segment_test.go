@@ -38,30 +38,46 @@ func buildDual(rng *rand.Rand, lists, maxLen int) *invidx.Index {
 	return b.Build()
 }
 
-// expectMatch checks that a mapped source answers every probe identically to
-// the in-memory source it was written from.
+// keysOf lists src's keys in position order, as EachLen reports them.
+func keysOf(src invidx.Source) (keys []uint64) {
+	src.EachLen(func(key uint64, _ int) { keys = append(keys, key) })
+	return keys
+}
+
+// expectMatch checks that a mapped source answers every probe — by key and by
+// position — identically to the in-memory source it was written from, under
+// the same kind of key column.
 func expectMatch(t *testing.T, want, got invidx.Source) {
 	t.Helper()
 	if got.Dual() != want.Dual() || got.Lists() != want.Lists() || got.Postings() != want.Postings() {
 		t.Fatalf("dual/lists/postings = %v/%d/%d, want %v/%d/%d",
 			got.Dual(), got.Lists(), got.Postings(), want.Dual(), want.Lists(), want.Postings())
 	}
+	wruns, wnodes := want.Runs()
+	if gruns, gnodes := got.Runs(); !slices.Equal(gruns, wruns) || !slices.Equal(gnodes, wnodes) || (gruns == nil) != (wruns == nil) {
+		t.Fatalf("run-grouped key column differs: %d runs over %d nodes, want %d over %d", len(gruns), len(gnodes), len(wruns), len(wnodes))
+	}
 	var wscr, gscr invidx.ListScratch
-	for _, key := range want.Keys() {
+	for pos, key := range keysOf(want) {
 		wl, err := want.Probe(key, &wscr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gl, err := got.Probe(key, &gscr)
-		if err != nil {
-			t.Fatalf("Probe(%d): %v", key, err)
-		}
-		if gl.Len() != wl.Len() {
-			t.Fatalf("key %d: len %d, want %d", key, gl.Len(), wl.Len())
-		}
-		for i := 0; i < wl.Len(); i++ {
-			if wp, gp := wl.Posting(i), gl.Posting(i); gp != wp {
-				t.Fatalf("key %d posting %d: %+v, want %+v", key, i, gp, wp)
+		for by, probe := range map[string]func() (invidx.List, error){
+			"key":      func() (invidx.List, error) { return got.Probe(key, &gscr) },
+			"position": func() (invidx.List, error) { return got.At(pos, &gscr) },
+		} {
+			gl, err := probe()
+			if err != nil {
+				t.Fatalf("key %#x by %s: %v", key, by, err)
+			}
+			if gl.Len() != wl.Len() {
+				t.Fatalf("key %#x by %s: len %d, want %d", key, by, gl.Len(), wl.Len())
+			}
+			for i := 0; i < wl.Len(); i++ {
+				if wp, gp := wl.Posting(i), gl.Posting(i); gp != wp {
+					t.Fatalf("key %#x by %s posting %d: %+v, want %+v", key, by, i, gp, wp)
+				}
 			}
 		}
 	}
@@ -186,24 +202,15 @@ func TestSegmentDirectoryOptional(t *testing.T) {
 		seg.Close()
 	}
 
-	// The Seal producer: one run, no directory, in memory or on disk.
-	var run invidx.Run
-	for _, key := range dual.Keys() {
-		l := dual.List(key)
-		run.Keys = append(run.Keys, key)
-		run.Lens = append(run.Lens, uint32(l.Len()))
-		for i := 0; i < l.Len(); i++ {
-			p := l.Posting(i)
-			run.Objs, run.Bounds, run.TBounds = append(run.Objs, p.Obj), append(run.Bounds, p.Bound), append(run.TBounds, p.TBound)
-		}
-	}
-	sorted := invidx.FromSortedRuns([]invidx.Run{run})
+	// The Seal producer: sorted runs, a run table over 32-bit nodes in place of
+	// keys and directory, in memory or on disk.
+	sorted := sortedRuns(dual)
 	for name, tc := range map[string]struct {
 		src  invidx.Source
 		want []uint32
 	}{
-		"raw":   {sorted, []uint32{secKeys, secStarts, secObjs, secBounds, secTBounds}},
-		"quant": {invidx.Compress(sorted), []uint32{secKeys, secOffs, secBlob}},
+		"raw":   {sorted, []uint32{secRuns, secNodes, secStarts, secObjs, secBounds, secTBounds}},
+		"quant": {invidx.Compress(sorted), []uint32{secRuns, secNodes, secOffs, secBlob}},
 	} {
 		path := filepath.Join(dir, "sorted.seg")
 		if err := WriteSegment(path, tc.src, segTestObjects); err != nil {
@@ -223,6 +230,25 @@ func TestSegmentDirectoryOptional(t *testing.T) {
 		expectMatch(t, tc.src, seg.Source())
 		seg.Close()
 	}
+}
+
+// sortedRuns refreezes a dual Builder index through invidx.FromSortedRuns, one
+// run per key group (buildDual's keys all lie in group 0; two more stay empty).
+func sortedRuns(dual *invidx.Index) *invidx.Index {
+	var runs []invidx.Run
+	for _, key := range keysOf(dual) {
+		if g := uint32(key >> 32); len(runs) == 0 || runs[len(runs)-1].Group != g {
+			runs = append(runs, invidx.Run{Group: g})
+		}
+		run, l := &runs[len(runs)-1], dual.List(key)
+		run.Nodes = append(run.Nodes, uint32(key))
+		run.Lens = append(run.Lens, uint32(l.Len()))
+		for i := 0; i < l.Len(); i++ {
+			p := l.Posting(i)
+			run.Objs, run.Bounds, run.TBounds = append(run.Objs, p.Obj), append(run.Bounds, p.Bound), append(run.TBounds, p.TBound)
+		}
+	}
+	return invidx.FromSortedRuns(3, runs)
 }
 
 // TestSegmentEmpty: an empty index still round-trips (empty directory,
@@ -284,26 +310,28 @@ func TestSegmentMalformed(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	idx := buildSingle(rng, 20, 100)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "good.seg")
-	if err := WriteSegment(path, idx, segTestObjects); err != nil {
-		t.Fatal(err)
+	fixture := func(name string, src invidx.Source) []byte {
+		path := filepath.Join(dir, name)
+		if err := WriteSegment(path, src, segTestObjects); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// The list-layout cases need a compressed segment — quantized, 16-bit
+	// objects (segTestObjects fits), so a single-bound row is 4 bytes — and
+	// the key-column cases a run-grouped one: the Seal filter's shape, dual
+	// and quantized, group 0 holding every node and groups 1 and 2 none.
+	const raw, comp, runs = 0, 1, 2
+	good := [3][]byte{
+		fixture("good.seg", idx),
+		fixture("good-comp.seg", invidx.Compress(idx)),
+		fixture("good-runs.seg", invidx.Compress(sortedRuns(buildDual(rng, 20, 100)))),
 	}
-	// The list-layout cases need a compressed segment: quantized, 16-bit
-	// objects (segTestObjects fits), every list under 128 postings so its
-	// count is the one byte that leads it.
-	compPath := filepath.Join(dir, "good-comp.seg")
-	if err := WriteSegment(compPath, invidx.Compress(idx), segTestObjects); err != nil {
-		t.Fatal(err)
-	}
-	goodComp, err := os.ReadFile(compPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := binary.LittleEndian.Uint32(goodComp[12:]); f != segFlagCompressed|segFlagObj16 {
+	if f := binary.LittleEndian.Uint32(good[comp][12:]); f != segFlagCompressed|segFlagObj16 {
 		t.Fatalf("compressed fixture flags %#x, want compressed|obj16", f)
 	}
 	flipFlag := func(flag uint32) func(b []byte) []byte {
@@ -312,90 +340,137 @@ func TestSegmentMalformed(t *testing.T) {
 			return b
 		}
 	}
+	// in damages one section behind a re-sealed checksum.
+	in := func(id uint32, f func(p []byte)) func(b []byte) []byte {
+		return func(b []byte) []byte { return damage(t, b, id, f) }
+	}
+	// firstLong finds blob's first list of two postings or more whose two
+	// leading spatial codes differ, given the row width: where it starts in
+	// the blob, and its posting count.
+	firstLong := func(b []byte, w uint32) (at, rows uint64) {
+		_, off, n := tableEntry(t, b, secOffs)
+		_, blob, _ := tableEntry(t, b, secBlob)
+		for i := uint64(0); i+8 <= n; i += 4 {
+			lo, hi := binary.LittleEndian.Uint32(b[off+i:]), binary.LittleEndian.Uint32(b[off+i+4:])
+			if l := b[blob+uint64(lo):]; hi-lo >= 2*w && !slices.Equal(l[0:2], l[2:4]) {
+				return uint64(lo), uint64((hi - lo) / w)
+			}
+		}
+		t.Fatal("no multi-posting list in fixture")
+		return 0, 0
+	}
+	nRunLists := uint32(binary.LittleEndian.Uint64(good[runs][16:]))
 
 	cases := []struct {
 		name   string
-		comp   bool // mutate the compressed fixture instead of the raw one
+		base   int // which fixture to mutate
 		mutate func(b []byte) []byte
 	}{
-		{"wrong object-width flag", true, flipFlag(segFlagObj16)},
-		{"wrong list-layout flag", true, flipFlag(segFlagExact | segFlagObj16)},
-		{"both list layouts claimed", true, flipFlag(segFlagExact)},
-		{"list-layout flag on a raw segment", false, flipFlag(segFlagObj16)},
-		{"list count disagrees with its length", true, func(b []byte) []byte {
-			// One more posting claimed by the first list and by the header,
-			// behind a re-sealed checksum: only the list's own length is off.
+		{"wrong object-width flag", comp, flipFlag(segFlagObj16)},
+		{"wrong list-layout flag", comp, flipFlag(segFlagExact | segFlagObj16)},
+		{"both list layouts claimed", comp, flipFlag(segFlagExact)},
+		{"list-layout flag on a raw segment", raw, flipFlag(segFlagObj16)},
+		// A list's length is its extent: every rule of the open-time validator.
+		{"list extent off the row lattice", comp, in(secOffs, func(p []byte) { p[4]++ })},
+		{"spatial codes ascend", comp, func(b []byte) []byte {
+			at, _ := firstLong(b, 4)
+			return damage(t, b, secBlob, func(p []byte) { p[at], p[at+1], p[at+2], p[at+3] = p[at+2], p[at+3], p[at], p[at+1] })
+		}},
+		{"spatial code past the largest finite one", comp, in(secBlob, func(p []byte) { p[0], p[1] = 0x00, 0xFF })},
+		{"textual code past the largest finite one", runs, func(b []byte) []byte {
+			at, rows := firstLong(b, 6) // the textual column follows the spatial one
+			return damage(t, b, secBlob, func(p []byte) { p[at+2*rows], p[at+2*rows+1] = 0x80, 0xFF })
+		}},
+		{"compressed object out of range", comp, func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[32:], 1)
+			return b
+		}},
+		{"compressed posting count mismatch", comp, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[24:], binary.LittleEndian.Uint64(b[24:])+1)
-			return damage(t, b, secBlob, func(p []byte) { p[0]++ })
+			return b
+		}},
+		// The run-grouped key column: every rule of its validator.
+		{"runs do not start at 0", runs, in(secRuns, putU32(0, 1))},
+		{"runs descend", runs, in(secRuns, putU32(2, nRunLists-1))},
+		{"runs end short of the lists", runs, in(secRuns, func(p []byte) { putU32(1, nRunLists-1)(p); putU32(2, nRunLists-1)(p); putU32(3, nRunLists-1)(p) })},
+		{"runs end past the lists", runs, in(secRuns, putU32(3, nRunLists+1))},
+		{"run offset past the lists mid-table", runs, in(secRuns, putU32(1, nRunLists+5))},
+		{"nodes descend inside a run", runs, in(secNodes, func(p []byte) { copy(p[0:4], p[8:12]) })},
+		{"node repeated inside a run", runs, in(secNodes, func(p []byte) { copy(p[4:8], p[0:4]) })},
+		{"run table empty", runs, func(b []byte) []byte {
+			e, _, _ := tableEntry(t, b, secRuns)
+			binary.LittleEndian.PutUint64(e[16:], 0)
+			return damage(t, b, secRuns, func([]byte) {})
+		}},
+		{"run table without nodes", runs, func(b []byte) []byte {
+			e, _, _ := tableEntry(t, b, secNodes)
+			binary.LittleEndian.PutUint32(e[0:], 200)
+			return b
 		}},
 		// Optional is not unchecked: a directory that is there must be the one
 		// the keys hash to.
-		{"directory present but a key short", false, func(b []byte) []byte { return damage(t, b, secDir, dropSlot) }},
-		{"directory present but a key short, compressed", true, func(b []byte) []byte { return damage(t, b, secDir, dropSlot) }},
-		{"directory present but a key twice", false, func(b []byte) []byte { return damage(t, b, secDir, doubleSlot) }},
-		{"directory present but truncated", false, func(b []byte) []byte {
+		{"directory present but a key short", raw, func(b []byte) []byte { return damage(t, b, secDir, dropSlot) }},
+		{"directory present but a key short, compressed", comp, func(b []byte) []byte { return damage(t, b, secDir, dropSlot) }},
+		{"directory present but a key twice", raw, func(b []byte) []byte { return damage(t, b, secDir, doubleSlot) }},
+		{"directory present but truncated", raw, func(b []byte) []byte {
 			e, _, length := tableEntry(t, b, secDir)
 			binary.LittleEndian.PutUint64(e[16:], length-8)
 			return damage(t, b, secDir, func([]byte) {})
 		}},
-		{"bad magic", false, func(b []byte) []byte { b[0] ^= 0xFF; return b }},
-		{"bad version", false, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 99); return b }},
-		{"unknown flags", false, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 0x80); return b }},
-		{"truncated header", false, func(b []byte) []byte { return b[:32] }},
-		{"huge list count", false, func(b []byte) []byte {
+		{"bad magic", raw, func(b []byte) []byte { b[0] ^= 0xFF; return b }},
+		{"bad version", raw, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 99); return b }},
+		{"unknown flags", raw, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 0x80); return b }},
+		{"truncated header", raw, func(b []byte) []byte { return b[:32] }},
+		{"huge list count", raw, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[16:], 1<<60)
 			return b
 		}},
-		{"huge posting count", false, func(b []byte) []byte {
+		{"huge posting count", raw, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[24:], 1<<60)
 			return b
 		}},
-		{"posting count mismatch", false, func(b []byte) []byte {
+		{"posting count mismatch", raw, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[24:], binary.LittleEndian.Uint64(b[24:])+1)
 			return b
 		}},
-		{"object bound too small", false, func(b []byte) []byte {
+		{"object bound too small", raw, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[32:], 1)
 			return b
 		}},
-		{"implausible section count", false, func(b []byte) []byte {
+		{"implausible section count", raw, func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[40:], 1000)
 			return b
 		}},
-		{"section unaligned", false, func(b []byte) []byte {
+		{"section unaligned", raw, func(b []byte) []byte {
 			off := binary.LittleEndian.Uint64(b[segHeaderSize+8:])
 			binary.LittleEndian.PutUint64(b[segHeaderSize+8:], off+1)
 			return b
 		}},
-		{"section out of bounds", false, func(b []byte) []byte {
+		{"section out of bounds", raw, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[segHeaderSize+16:], 1<<40)
 			return b
 		}},
-		{"duplicate section id", false, func(b []byte) []byte {
+		{"duplicate section id", raw, func(b []byte) []byte {
 			// Rewrite the second entry's id to match the first.
 			id := binary.LittleEndian.Uint32(b[segHeaderSize:])
 			binary.LittleEndian.PutUint32(b[segHeaderSize+segEntrySize:], id)
 			return b
 		}},
-		{"missing section", false, func(b []byte) []byte {
+		{"missing section", raw, func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[segHeaderSize:], 200)
 			return b
 		}},
-		{"payload bit flip", false, func(b []byte) []byte {
+		{"payload bit flip", raw, func(b []byte) []byte {
 			// Flip a byte inside the first section's payload.
 			off := binary.LittleEndian.Uint64(b[segHeaderSize+8:])
 			b[off] ^= 0xFF
 			return b
 		}},
-		{"truncated payload", false, func(b []byte) []byte { return b[:len(b)-16] }},
+		{"truncated payload", raw, func(b []byte) []byte { return b[:len(b)-16] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := good
-			if tc.comp {
-				base = goodComp
-			}
-			bad := tc.mutate(append([]byte(nil), base...))
+			bad := tc.mutate(slices.Clone(good[tc.base]))
 			p := filepath.Join(dir, "bad.seg")
 			if err := os.WriteFile(p, bad, 0o644); err != nil {
 				t.Fatal(err)
@@ -424,7 +499,7 @@ func TestSegmentStaleVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, stale := range map[uint32]bool{0: false, 1: true, segVersion + 1: false, 99: false} {
+	for v, stale := range map[uint32]bool{0: false, 1: true, 2: true, segVersion + 1: false, 99: false} {
 		b := append([]byte(nil), good...)
 		binary.LittleEndian.PutUint32(b[8:], v)
 		_, err := openSegment(b)

@@ -47,18 +47,18 @@ type Manifest struct {
 	Fingerprint string          `json:"fingerprint"`
 }
 
-// manifestVersion 4 is the gob-free layout above with version-2 posting
-// segments (columnar lists, no counts section) whose key directory is present
-// only for the filters that look lists up by key — a Seal shard has none.
-// Earlier directories — version 1 (dataset.snap, parts.gob,
-// shard-N.grids.gob), version 2 (run-length lists) and version 3 (a directory
-// in every posting segment; the binary that wrote it would find a Seal
-// segment of this one short a section and quarantine every shard) — have no
+// manifestVersion 5 is the gob-free layout above with version-3 posting
+// segments: count-free lists of self-scaling bound codes, a key array and
+// directory for the filters that look lists up by key, and a token-run table
+// over 32-bit grid nodes for a Seal shard. Earlier directories — version 1
+// (dataset.snap, parts.gob, shard-N.grids.gob), version 2 (run-length lists),
+// version 3 (a directory in every posting segment) and version 4 (per-list
+// quantization steps and counts; 64-bit keys in a Seal shard) — have no
 // reader: they read as a manifest mismatch, which every boot path treats as
 // stale and rebuilds. So does a current manifest over a posting segment of an
 // earlier version: that is another generation's file, not a damaged shard,
 // and is never quarantined.
-const manifestVersion = 4
+const manifestVersion = 5
 
 // ErrNoSegments reports a directory without a readable manifest. Because the
 // manifest is written last and removed first, this is the normal state of an

@@ -2,36 +2,85 @@ package invidx
 
 import "math"
 
+// KeyArenas is the key column of either layout: Keys with an optional Slots
+// directory (nil — not merely empty — when the index carries none), or, for an
+// index frozen by FromSortedRuns, Runs (never nil then) over Nodes.
+type KeyArenas struct {
+	Keys  []uint64 // ascending signature keys
+	Slots []uint32 // open-addressed directory (position+1, 0 = empty)
+	Runs  []uint32 // groups+1 offsets into Nodes
+	Nodes []uint32 // the keys' low words, ascending inside a run
+}
+
 // RawArenas exposes the flat layout of an Index as its backing slices, in
 // exactly the form the SEALIDX2 segment format persists them. TBounds is
-// empty unless Dual, and Slots is nil — not merely empty — when the index
-// carries no directory. Callers must not mutate any slice: for an in-memory
+// empty unless Dual. Callers must not mutate any slice: for an in-memory
 // index they alias the live arena, and for a mapped segment they alias
 // read-only pages.
 type RawArenas struct {
+	KeyArenas
 	Dual    bool
-	Keys    []uint64  // ascending signature keys
-	Starts  []uint32  // len(Keys)+1 list offsets into the posting arena
+	Starts  []uint32  // lists+1 list offsets into the posting arena
 	Objs    []uint32  // posting object IDs
 	Bounds  []float64 // posting bounds (spatial bounds for dual indexes)
 	TBounds []float64 // posting textual bounds, dual indexes only
-	Slots   []uint32  // open-addressed directory (position+1, 0 = empty)
 }
 
 // CompressedArenas is RawArenas for the compressed layouts: per-list byte
 // extents into one encoded blob instead of fixed-width posting arenas.
 type CompressedArenas struct {
+	KeyArenas
 	Dual   bool
-	Keys   []uint64
-	Offs   []uint32 // len(Keys)+1 byte offsets into Blob
-	Blob   []byte   // per-list encodings, each led by its posting count
-	Slots  []uint32
+	Offs   []uint32 // lists+1 byte offsets into Blob
+	Blob   []byte   // per-list encodings
 	Layout Layout
+}
+
+func (c *keyColumn) arenas() KeyArenas {
+	return KeyArenas{Keys: c.keys, Slots: c.table.slots, Runs: c.runs, Nodes: c.nodes}
 }
 
 // Arenas exposes the index's backing slices.
 func (ix *Index) Arenas() RawArenas {
-	return RawArenas{Dual: ix.dual, Keys: ix.keys, Starts: ix.starts, Objs: ix.objs, Bounds: ix.bounds, TBounds: ix.tBounds, Slots: ix.table.slots}
+	return RawArenas{KeyArenas: ix.arenas(), Dual: ix.dual, Starts: ix.starts, Objs: ix.objs, Bounds: ix.bounds, TBounds: ix.tBounds}
+}
+
+// validateKeys checks a persisted key column and wraps it: keys strictly
+// ascending under a sound directory, or a run table that starts at 0, never
+// descends and ends at the node count, over nodes strictly ascending inside
+// every run — which is what makes binary searches of a run, and positions
+// taken from it, mean what the writer meant.
+func validateKeys(a KeyArenas) (keyColumn, error) {
+	if a.Runs == nil {
+		if len(a.Nodes) != 0 {
+			return keyColumn{}, corrupt("nodes without a run table")
+		}
+		for i := 1; i < len(a.Keys); i++ {
+			if a.Keys[i] <= a.Keys[i-1] {
+				return keyColumn{}, corrupt("keys not strictly ascending")
+			}
+		}
+		return keyColumn{keys: a.Keys, table: keyTable{slots: a.Slots}}, validateDirectory(a.Keys, a.Slots)
+	}
+	if len(a.Keys) != 0 || a.Slots != nil {
+		return keyColumn{}, corrupt("run-grouped index with a key array")
+	}
+	groups := len(a.Runs) - 1
+	if groups < 0 || a.Runs[0] != 0 || int(a.Runs[groups]) != len(a.Nodes) {
+		return keyColumn{}, corrupt("runs do not span the nodes")
+	}
+	for g := 0; g < groups; g++ {
+		lo, hi := a.Runs[g], a.Runs[g+1]
+		if lo > hi || int(hi) > len(a.Nodes) {
+			return keyColumn{}, corrupt("run offsets not monotone")
+		}
+		for i := lo + 1; i < hi; i++ {
+			if a.Nodes[i] <= a.Nodes[i-1] {
+				return keyColumn{}, corrupt("run nodes not strictly ascending")
+			}
+		}
+	}
+	return keyColumn{runs: a.Runs, nodes: a.Nodes}, nil
 }
 
 // validateDirectory checks a persisted hash directory against the sorted key
@@ -41,13 +90,13 @@ func (ix *Index) Arenas() RawArenas {
 // newKeyTable would build; one that fails could send probes into infinite
 // loops or to the wrong list, so segment opening rejects it up front. Nil
 // slots are an index without a directory and there is nothing to check:
-// lookups binary-search the keys, already validated as strictly ascending.
-func validateDirectory(keys []uint64, slots []uint32) (keyTable, error) {
+// lookups binary-search the keys, which validateKeys has seen ascend.
+func validateDirectory(keys []uint64, slots []uint32) error {
 	if slots == nil {
-		return keyTable{}, nil
+		return nil
 	}
 	if len(slots) != tableSlots(len(keys)) {
-		return keyTable{}, corrupt("directory size mismatch")
+		return corrupt("directory size mismatch")
 	}
 	seen := make([]bool, len(keys))
 	filled := 0
@@ -57,34 +106,29 @@ func validateDirectory(keys []uint64, slots []uint32) (keyTable, error) {
 		}
 		i := int(s - 1)
 		if i >= len(keys) || seen[i] {
-			return keyTable{}, corrupt("directory slot out of range or duplicated")
+			return corrupt("directory slot out of range or duplicated")
 		}
 		seen[i] = true
 		filled++
 	}
 	if filled != len(keys) {
-		return keyTable{}, corrupt("directory is missing keys")
+		return corrupt("directory is missing keys")
 	}
-	t := keyTable{slots: slots}
+	col := keyColumn{keys: keys, table: keyTable{slots: slots}}
 	for i, k := range keys {
-		if t.find(keys, k) != i {
-			return keyTable{}, corrupt("directory probe does not reach key")
+		if col.find(k) != i {
+			return corrupt("directory probe does not reach key")
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // validateRawArenas checks every structural invariant the query path relies
-// on, so FromArenas can wrap untrusted bytes without re-deriving anything.
-func validateRawArenas(a RawArenas, objects int) error {
-	nk := len(a.Keys)
+// on over the posting arenas of nk lists, so FromArenas can wrap untrusted
+// bytes without re-deriving anything.
+func validateRawArenas(a RawArenas, nk, objects int) error {
 	if len(a.Starts) != nk+1 {
 		return corrupt("starts length mismatch")
-	}
-	for i := 1; i < nk; i++ {
-		if a.Keys[i] <= a.Keys[i-1] {
-			return corrupt("keys not strictly ascending")
-		}
 	}
 	np := len(a.Objs)
 	if len(a.Bounds) != np {
@@ -128,31 +172,28 @@ func validateRawArenas(a RawArenas, objects int) error {
 // FromArenas wraps validated arenas as an index, sharing (not copying) the
 // slices. objects is the exclusive upper bound for posting object IDs.
 func FromArenas(a RawArenas, objects int) (*Index, error) {
-	if err := validateRawArenas(a, objects); err != nil {
-		return nil, err
-	}
-	t, err := validateDirectory(a.Keys, a.Slots)
+	col, err := validateKeys(a.KeyArenas)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{keys: a.Keys, table: t, starts: a.Starts, objs: a.Objs, bounds: a.Bounds, tBounds: a.TBounds, dual: a.Dual}, nil
+	if err := validateRawArenas(a, col.lists(), objects); err != nil {
+		return nil, err
+	}
+	return &Index{keyColumn: col, starts: a.Starts, objs: a.Objs, bounds: a.Bounds, tBounds: a.TBounds, dual: a.Dual}, nil
 }
 
-// validateCompressedArenas checks the extent structure and then eagerly
-// decodes every list once, so a mapped segment that opens successfully can
-// only fail a later probe if the underlying file changes beneath it.
-func validateCompressedArenas(a CompressedArenas, postings, objects int) error {
-	nk := len(a.Keys)
+// validateCompressedArenas checks, over the nk lists' extents, what the query
+// path relies on, visiting every list once, so a mapped segment that opens
+// successfully can only fail a later probe if the underlying file changes
+// beneath it. A quantized list is checked where it lies — its extent on the
+// row lattice, spatial codes never ascending from the largest finite one,
+// textual codes finite, objects in range — and only an exact one is decoded.
+func validateCompressedArenas(a CompressedArenas, nk, postings, objects int) error {
 	if len(a.Offs) != nk+1 {
 		return corrupt("extent table length mismatch")
 	}
 	if a.Layout.Exact && a.Layout.Obj16 {
 		return corrupt("16-bit object IDs claimed for the exact layout")
-	}
-	for i := 1; i < nk; i++ {
-		if a.Keys[i] <= a.Keys[i-1] {
-			return corrupt("keys not strictly ascending")
-		}
 	}
 	if a.Offs[0] != 0 || int(a.Offs[nk]) != len(a.Blob) {
 		return corrupt("extents do not span the blob")
@@ -164,18 +205,24 @@ func validateCompressedArenas(a CompressedArenas, postings, objects int) error {
 		if lo > hi || int(hi) > len(a.Blob) {
 			return corrupt("extent offsets not monotone")
 		}
-		n, err := decodeList(a.Blob[lo:hi], a.Dual, a.Layout, &scr)
+		data := a.Blob[lo:hi]
+		var n int
+		var err error
+		if a.Layout.Exact {
+			n, err = decodeList(data, a.Dual, a.Layout, &scr)
+			for _, o := range scr.objs[:n] {
+				if int(o) >= objects {
+					return corrupt("posting object out of range")
+				}
+			}
+		} else if n, err = quantLen(data, a.Dual, a.Layout.Obj16); err == nil {
+			err = scanQuant(data, n, a.Dual, a.Layout.Obj16, objects, nil)
+		}
 		if err != nil {
 			return err
 		}
-		total += n
-		if total > postings {
+		if total += n; total > postings {
 			return corrupt("list counts exceed posting total")
-		}
-		for _, o := range scr.objs[:n] {
-			if int(o) >= objects {
-				return corrupt("posting object out of range")
-			}
 		}
 	}
 	if total != postings {
@@ -188,12 +235,12 @@ func validateCompressedArenas(a CompressedArenas, postings, objects int) error {
 // sharing (not copying) the slices. postings is the expected posting total
 // (the segment header's claim), cross-checked against the per-list counts.
 func CompressedFromArenas(a CompressedArenas, postings, objects int) (*Compressed, error) {
-	if err := validateCompressedArenas(a, postings, objects); err != nil {
-		return nil, err
-	}
-	t, err := validateDirectory(a.Keys, a.Slots)
+	col, err := validateKeys(a.KeyArenas)
 	if err != nil {
 		return nil, err
 	}
-	return &Compressed{keys: a.Keys, table: t, offs: a.Offs, blob: a.Blob, postings: postings, layout: a.Layout, dual: a.Dual}, nil
+	if err := validateCompressedArenas(a, col.lists(), postings, objects); err != nil {
+		return nil, err
+	}
+	return &Compressed{keyColumn: col, offs: a.Offs, blob: a.Blob, postings: postings, layout: a.Layout, dual: a.Dual}, nil
 }

@@ -64,16 +64,16 @@ func layoutBuilder(nKeys, nPostings int) (b Builder) {
 // BenchmarkLayoutProbe times a probe (lookup + cutoff + head scan) on the
 // flat arena layout, once for each way a list is reached: hash is a Builder's
 // index and its directory (the keyed filters' path), search the same lists
-// without one (Probe on an index of FromSortedRuns, a binary search of the
-// keys), positional At with a position already in hand (the Seal filter's
-// path). The map-of-pointers layout the flat one replaced last measured
+// under a run-grouped key column (Probe on an index of FromSortedRuns: run
+// lookup, then a binary search of the run's uint32 nodes), positional At on
+// that index with a position already in hand (the Seal filter's path). The map-of-pointers layout the flat one replaced last measured
 // 88.9 ns against 47.0 ns for hash on this shape (README, Performance).
 func BenchmarkLayoutProbe(b *testing.B) {
 	const nKeys, nPostings = 1 << 14, 1 << 18
 	fb := layoutBuilder(nKeys, nPostings)
 	keyed := fb.Build()
-	bare := withoutDirectory(keyed)
-	lists := keyed.Lists() // all but a handful of the nKeys keys drew a posting
+	bare := runGrouped(keyed, 1) // every key is below 2^32: one run
+	lists := keyed.Lists()       // all but a handful of the nKeys keys drew a posting
 
 	b.Run("hash", func(b *testing.B) {
 		var sink uint32

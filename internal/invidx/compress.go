@@ -1,43 +1,32 @@
 package invidx
 
-// Compressed posting lists. A compressed index is the flat index's key table
-// (and hash directory, where it has one) over one byte blob; offs[i] is where
-// list i starts, and every list of one index is encoded the same way (its
-// Layout).
+// Compressed posting lists. A compressed index is the flat index's key column
+// over one byte blob; list i spans blob[offs[i]:offs[i+1]], and every list of
+// one index is encoded the same way (its Layout).
 //
-// The quantized layout (the default) is columnar and fixed-width, so a list's
-// encoded length is an exact function of its posting count n:
+// The quantized layout (the default) is columnar and fixed-width:
 //
-//	n ≥ 4   uvarint n
-//	        float32 step            spatial quantization step, rounded up
-//	        float32 tstep           dual lists only
-//	        n × uint16              spatial codes, descending
-//	        n × uint16              textual codes, dual lists only
-//	        n × uint16 | uint32     object IDs, in list order
+//	n × uint16              spatial codes, descending
+//	n × uint16              textual codes, dual lists only
+//	n × uint16 | uint32     object IDs, in list order
 //
-//	n < 4   uvarint n
-//	        n × float32             spatial bounds, rounded up, descending
-//	        n × float32             textual bounds, dual lists only
-//	        n × uint16 | uint32     object IDs
-//
-// A code q stands for the bound step·q. step is the list's largest bound
-// divided by 65535 and rounded up to a float32 with step·65535 ≥ that bound,
-// and a float32 times a 16-bit integer is exact in float64: decoding is one
-// multiplication per bound with no rounding, and every code is chosen so that
-// its bound is at least the exact one. Lists of one to three postings — six
-// in seven of the lists SEAL builds — spend the header's bytes on float32
-// bounds instead. Object IDs take two bytes when every ID of the index fits
-// (a shard of at most 65,536 objects), four otherwise.
+// so a list carries no header at all: its posting count is its extent divided
+// by the row width, and an extent off that lattice is corrupt. One code serves
+// every bound of every list of every index — the top 16 magnitude bits of the
+// bound's float32 (8 exponent, 8 mantissa), rounded up — so a code means the
+// same bound wherever it is read, decoding is a shift, the relative error is
+// below 2⁻⁸ at every magnitude, and codes order as their bounds do. Object
+// IDs take two bytes when every ID of the index fits (a shard of at most
+// 65,536 objects), four otherwise.
 //
 // Bounds only ever round up, so a Cutoff head over a decoded list is a
 // superset of the exact head and verification keeps answers unchanged.
 //
-// This replaces a run-length layout (one header per distinct quantized bound,
-// objects as delta varints or a bitmap, smallest-of-raw-or-encoded per list).
-// On the index SEAL builds for 50k objects 95.5 % of those runs held a single
-// posting, so each posting paid a code delta, a run length, a container byte
-// and a first-object varint — about 9 bytes — where the columns cost 6, and
-// the 86 % of lists under four postings were stored raw at 21 bytes each.
+// This replaces, in turn, a run-length layout (a header per distinct bound,
+// delta-varint or bitmap objects) and a columnar one that scaled each list's
+// codes by a float32 step of its own, stored with a count ahead of the
+// columns, and fell back to float32 bounds under four postings — 11 bytes of
+// header on a dual list where four lists in five hold one or two postings.
 //
 // The exact layout keeps every bound bit for bit. It is the whole-index
 // fallback for bounds the quantized layout cannot hold (see quantizable):
@@ -66,13 +55,10 @@ type Layout struct {
 	Obj16 bool // quantized object IDs take 2 bytes instead of 4
 }
 
-// quantLevels is the resolution of quantized bounds: codes 0..65535 are
-// multiples of the list's quantization step.
-const quantLevels = 65535
-
-// directCutoff is the list length below which the quantized layout stores
-// float32 bounds instead of a step and codes.
-const directCutoff = 4
+// maxCode is the largest bound code: the top bits of the largest float32
+// whose low 15 bits are clear. The codes above it are float32's infinity and
+// NaNs and are never written.
+const maxCode = 0xFEFF
 
 // ceil32 returns the smallest float32 that is >= v, for 0 <= v <= MaxFloat32.
 func ceil32(v float64) float32 {
@@ -83,44 +69,33 @@ func ceil32(v float64) float32 {
 	return f
 }
 
-// quantStep returns the quantization step for a list whose largest bound is
-// maxB: the smallest float32 whose 65535th multiple reaches maxB, so the
-// largest bound always has a code.
-func quantStep(maxB float64) float32 {
-	s := ceil32(maxB / quantLevels)
-	for float64(s)*quantLevels < maxB {
-		s = math.Nextafter32(s, float32(math.Inf(1)))
+// boundCode returns the smallest code whose bound is >= b, for 0 <= b <=
+// decodeBound(maxCode) (see quantizable): b's float32 ceiling, cut to its top
+// 16 magnitude bits and bumped when the cut dropped anything — a carry out of
+// the kept mantissa moves into the exponent, which is still the next code up.
+// Rounding up is what keeps compressed filtering a superset of exact
+// filtering: a list head selected by Cutoff(c) can only gain postings. It is
+// monotone in b, so descending bounds get descending codes.
+func boundCode(b float64) uint16 {
+	bits := math.Float32bits(ceil32(b))
+	code := bits >> 15
+	if bits&(1<<15-1) != 0 {
+		code++
 	}
-	return s
+	return uint16(code)
 }
 
-// quant returns a 16-bit code whose bound step·q is >= b (ceiling
-// quantization), for b no larger than step·65535. Rounding up is what keeps
-// compressed filtering a superset of exact filtering: a list head selected by
-// Cutoff(c) can only gain postings, never lose one the exact index kept. It
-// is monotone in b, so descending bounds get descending codes.
-func quant(b, step float64) uint16 {
-	if b <= 0 || step <= 0 {
-		return 0
-	}
-	r := math.Ceil(b / step)
-	if r >= quantLevels {
-		return quantLevels
-	}
-	q := uint16(r)
-	for q < quantLevels && step*float64(q) < b {
-		q++
-	}
-	return q
-}
+// decodeBound returns the bound a code stands for.
+func decodeBound(code uint16) float32 { return math.Float32frombits(uint32(code) << 15) }
 
-// quantizable reports whether every bound is non-negative and within float32
-// range — the domain of the quantized layout. Canonical indexes (suffix weight
-// sums) always qualify; an index with exotic builder inputs is encoded exact.
+// quantizable reports whether every bound lies in [0, decodeBound(maxCode)] —
+// the domain of the quantized layout; anything larger would round up into the
+// infinity and NaN codes. Canonical indexes (suffix weight sums) always
+// qualify; an index with exotic builder inputs is encoded exact.
 func quantizable(lanes ...[]float64) bool {
 	for _, lane := range lanes {
 		for _, b := range lane {
-			if !(b >= 0 && b <= math.MaxFloat32) {
+			if !(b >= 0 && b <= float64(decodeBound(maxCode))) {
 				return false
 			}
 		}
@@ -135,41 +110,17 @@ func checkBlobRange(n int) {
 	}
 }
 
-func appendF32(dst []byte, f float32) []byte {
-	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
-}
-
 // appendList appends the encoding of one canonical list (bounds descending,
 // ties by ascending object) to dst. tBounds is nil for single-bound lists.
 func appendList(dst []byte, objs []uint32, bounds, tBounds []float64, lay Layout) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(objs)))
-	if len(objs) == 0 {
-		return dst
-	}
 	if lay.Exact {
 		return appendExact(dst, objs, bounds, tBounds)
 	}
-	if len(objs) < directCutoff {
-		for _, b := range bounds {
-			dst = appendF32(dst, ceil32(b))
-		}
-		for _, tb := range tBounds {
-			dst = appendF32(dst, ceil32(tb))
-		}
-	} else {
-		step := quantStep(bounds[0]) // canonical lists are bound-descending
-		dst = appendF32(dst, step)
-		var tstep float32
-		if tBounds != nil {
-			tstep = quantStep(slices.Max(tBounds))
-			dst = appendF32(dst, tstep)
-		}
-		for _, b := range bounds {
-			dst = binary.LittleEndian.AppendUint16(dst, quant(b, float64(step)))
-		}
-		for _, tb := range tBounds {
-			dst = binary.LittleEndian.AppendUint16(dst, quant(tb, float64(tstep)))
-		}
+	for _, b := range bounds {
+		dst = binary.LittleEndian.AppendUint16(dst, boundCode(b))
+	}
+	for _, tb := range tBounds {
+		dst = binary.LittleEndian.AppendUint16(dst, boundCode(tb))
 	}
 	for _, o := range objs {
 		if lay.Obj16 {
@@ -181,10 +132,14 @@ func appendList(dst []byte, objs []uint32, bounds, tBounds []float64, lay Layout
 	return dst
 }
 
-// appendExact emits the exact layout's body: object IDs as zig-zag deltas in
-// canonical list order (bound-descending order is not ID-ascending, so gaps
-// can be negative), followed by the raw bound bits.
+// appendExact emits an exact list: its count, then object IDs as zig-zag
+// deltas in canonical list order (bound-descending order is not ID-ascending,
+// so gaps can be negative), followed by the raw bound bits.
 func appendExact(dst []byte, objs []uint32, bounds, tBounds []float64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(objs)))
+	if len(objs) == 0 {
+		return dst
+	}
 	dst = binary.AppendUvarint(dst, uint64(objs[0]))
 	for i := 1; i < len(objs); i++ {
 		dst = binary.AppendVarint(dst, int64(objs[i])-int64(objs[i-1]))
@@ -198,132 +153,102 @@ func appendExact(dst []byte, objs []uint32, bounds, tBounds []float64) []byte {
 	return dst
 }
 
-// quantBodyLen is the exact number of bytes a quantized list of n postings
-// takes after its count (uint64: n may come from an untrusted file).
-func quantBodyLen(n uint64, dual, obj16 bool) uint64 {
-	lanes, objBytes := uint64(1), uint64(4)
+// rowWidth is the number of bytes a posting takes in a quantized list.
+func rowWidth(dual, obj16 bool) int {
+	w := 2 + 4
 	if dual {
-		lanes = 2
+		w += 2
 	}
 	if obj16 {
-		objBytes = 2
+		w -= 2
 	}
-	if n < directCutoff {
-		return n * (4*lanes + objBytes)
-	}
-	return 4*lanes + n*(2*lanes+objBytes)
+	return w
 }
 
 // decodeList materializes one encoded list (exactly data, no more, no less)
 // into scr and returns its posting count. Every read is bounds-checked and
-// every structural invariant the query path relies on — descending bounds,
-// 32-bit object IDs, a payload that is exactly as long as its count says —
-// is verified, so a corrupt or truncated list returns an error wrapping
-// ErrCorrupt instead of panicking or silently mis-decoding. The hot path
-// allocates nothing once scr has grown.
+// every structural invariant the query path relies on — descending finite
+// bounds, 32-bit object IDs, a payload that is exactly as long as its count
+// needs — is verified, so a corrupt or truncated list returns an error
+// wrapping ErrCorrupt instead of panicking or silently mis-decoding. The hot
+// path allocates nothing once scr has grown.
 func decodeList(data []byte, dual bool, lay Layout, scr *ListScratch) (int, error) {
-	v, k := binary.Uvarint(data)
-	// A posting costs more than a byte, so this caps the count — and with it
-	// everything computed from it below — by the payload size rather than by
-	// a number read from an untrusted file.
-	if k <= 0 || v > uint64(len(data)) {
-		return 0, corrupt("bad posting count")
-	}
-	n, body := int(v), data[k:]
-	if lay.Exact {
-		// The shortest exact list spends one varint byte per object.
-		perPosting := uint64(1 + 8)
-		if dual {
-			perPosting += 8
-		}
-		if uint64(len(body)) < v*perPosting {
-			return 0, corrupt("posting count exceeds payload")
+	if !lay.Exact {
+		n, err := quantLen(data, dual, lay.Obj16)
+		if err != nil {
+			return 0, err
 		}
 		scr.grow(n, dual)
-		return n, decodeExact(body, n, dual, scr)
+		return n, scanQuant(data, n, dual, lay.Obj16, math.MaxInt, scr)
 	}
-	// Nothing is allocated for a count the payload does not back exactly.
-	if uint64(len(body)) != quantBodyLen(v, dual, lay.Obj16) {
-		return 0, corrupt("payload length does not match posting count")
+	v, k := binary.Uvarint(data)
+	// The shortest exact list spends one varint byte per object, so this caps
+	// the count — and with it everything computed from it below — by the
+	// payload size rather than by a number read from an untrusted file.
+	perPosting := uint64(1 + 8)
+	if dual {
+		perPosting += 8
 	}
-	scr.grow(n, dual)
-	return n, decodeQuant(body, n, dual, lay.Obj16, scr)
+	if k <= 0 || v > uint64(len(data)) || uint64(len(data)-k) < v*perPosting {
+		return 0, corrupt("posting count exceeds payload")
+	}
+	scr.grow(int(v), dual)
+	return int(v), decodeExact(data[k:], int(v), dual, scr)
 }
 
-// finite32 reports whether f is a non-negative finite number — false for NaN.
-func finite32(f float32) bool { return f >= 0 && f <= math.MaxFloat32 }
-
-func f32At(b []byte, i int) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+// quantLen is the posting count of a quantized list: its extent in rows.
+func quantLen(data []byte, dual, obj16 bool) (int, error) {
+	w := rowWidth(dual, obj16)
+	if len(data)%w != 0 {
+		return 0, corrupt("list extent off the row lattice")
+	}
+	return len(data) / w, nil
 }
 
-// decodeQuant decodes a quantized body whose length quantBodyLen has already
-// matched against n: straight-line loops that widen each column into scr.
-func decodeQuant(b []byte, n int, dual, obj16 bool, scr *ListScratch) error {
-	bounds, tBounds := scr.bounds[:n], scr.tBounds
-	switch {
-	case n == 0:
-		return nil
-	case n < directCutoff:
-		for i := range bounds {
-			f := f32At(b, i)
-			if !finite32(f) || (i > 0 && float64(f) > bounds[i-1]) {
-				return corrupt("bounds not descending")
+// scanQuant walks a quantized list of n rows, checking what the query path
+// relies on — spatial codes that never ascend, which is what makes the decoded
+// bounds valid input for cutoffDesc, and start at or below the largest finite
+// one; finite textual codes; objects below the exclusive bound objects — and,
+// given a scratch, widening each column into it. A probe passes its scratch
+// and no bound (the index was held to one when it opened); opening a segment
+// passes the bound and no scratch, so every list is validated where it lies.
+func scanQuant(b []byte, n int, dual, obj16 bool, objects int, scr *ListScratch) error {
+	prev := uint16(maxCode)
+	for i := 0; i < n; i++ {
+		q := binary.LittleEndian.Uint16(b[2*i:])
+		if q > prev {
+			return corrupt("bound codes not descending")
+		}
+		prev = q
+		if scr != nil {
+			scr.bounds[i] = float64(decodeBound(q))
+		}
+	}
+	b = b[2*n:]
+	if dual {
+		for i := 0; i < n; i++ {
+			q := binary.LittleEndian.Uint16(b[2*i:])
+			if q > maxCode {
+				return corrupt("invalid textual bound code")
 			}
-			bounds[i] = float64(f)
-		}
-		b = b[4*n:]
-		if dual {
-			for i := range tBounds[:n] {
-				f := f32At(b, i)
-				if !finite32(f) {
-					return corrupt("invalid textual bound")
-				}
-				tBounds[i] = float64(f)
+			if scr != nil {
+				scr.tBounds[i] = float64(decodeBound(q))
 			}
-			b = b[4*n:]
-		}
-	default:
-		step := f32At(b, 0)
-		b = b[4:]
-		var tstep float32
-		if dual {
-			tstep = f32At(b, 0)
-			b = b[4:]
-		}
-		if !finite32(step) || !finite32(tstep) {
-			return corrupt("invalid quantization step")
-		}
-		// Codes never ascend, which is what makes the decoded bounds valid
-		// input for cutoffDesc.
-		codes, prev := b[:2*n], uint16(quantLevels)
-		for i := range bounds {
-			q := binary.LittleEndian.Uint16(codes[2*i:])
-			if q > prev {
-				return corrupt("bound codes not descending")
-			}
-			prev = q
-			bounds[i] = float64(step) * float64(q)
 		}
 		b = b[2*n:]
-		if dual {
-			codes = b[:2*n]
-			for i := range tBounds[:n] {
-				tBounds[i] = float64(tstep) * float64(binary.LittleEndian.Uint16(codes[2*i:]))
-			}
-			b = b[2*n:]
-		}
 	}
-	objs := scr.objs[:n]
-	if obj16 {
-		b = b[:2*n]
-		for i := range objs {
-			objs[i] = uint32(binary.LittleEndian.Uint16(b[2*i:]))
+	for i := 0; i < n; i++ {
+		var o uint32
+		if obj16 {
+			o = uint32(binary.LittleEndian.Uint16(b[2*i:]))
+		} else {
+			o = binary.LittleEndian.Uint32(b[4*i:])
 		}
-	} else {
-		b = b[:4*n]
-		for i := range objs {
-			objs[i] = binary.LittleEndian.Uint32(b[4*i:])
+		if int(o) >= objects {
+			return corrupt("posting object out of range")
+		}
+		if scr != nil {
+			scr.objs[i] = o
 		}
 	}
 	return nil
@@ -385,14 +310,12 @@ func decodeExact(b []byte, n int, dual bool, scr *ListScratch) error {
 }
 
 // Compressed is the compressed counterpart of Index: the flat index's key
-// table — and its directory, when it has one — over a byte blob of per-list
-// encodings. A list's posting count leads its encoding. Probes decode into a
+// column over a byte blob of per-list encodings. Probes decode into a
 // caller-supplied ListScratch, so steady-state querying allocates nothing; the
 // decoded view is valid until the next probe with the same scratch.
 type Compressed struct {
-	keys     []uint64
-	table    keyTable
-	offs     []uint32 // len(keys)+1; list i's encoding spans blob[offs[i]:offs[i+1]]
+	keyColumn
+	offs     []uint32 // lists()+1; list i's encoding spans blob[offs[i]:offs[i+1]]
 	blob     []byte
 	postings int
 	layout   Layout
@@ -400,23 +323,22 @@ type Compressed struct {
 }
 
 // Compress re-encodes a flat index. The source index is unchanged and shares
-// its (immutable) key table, and directory if any, with the result. Bounds
-// must not be NaN — true of every canonically built index — and bounds the
-// quantized layout cannot hold switch the whole index to the exact one.
+// its (immutable) key column with the result. Bounds must not be NaN — true of
+// every canonically built index — and bounds the quantized layout cannot hold
+// switch the whole index to the exact one.
 func Compress(ix *Index) *Compressed {
 	out := &Compressed{
-		keys:     ix.keys,
-		table:    ix.table,
-		offs:     make([]uint32, 1, len(ix.keys)+1),
-		postings: len(ix.objs),
-		layout:   Layout{Exact: !quantizable(ix.bounds, ix.tBounds)},
-		dual:     ix.dual,
+		keyColumn: ix.keyColumn,
+		offs:      make([]uint32, 1, len(ix.starts)),
+		postings:  len(ix.objs),
+		layout:    Layout{Exact: !quantizable(ix.bounds, ix.tBounds)},
+		dual:      ix.dual,
 	}
 	if !out.layout.Exact {
 		out.layout.Obj16 = len(ix.objs) == 0 || slices.Max(ix.objs) <= math.MaxUint16
 	}
-	for i := range ix.keys {
-		lo, hi := ix.starts[i], ix.starts[i+1]
+	for i, lo := range ix.starts[:len(ix.starts)-1] {
+		hi := ix.starts[i+1]
 		var tb []float64
 		if ix.dual {
 			tb = ix.tBounds[lo:hi]
@@ -431,15 +353,15 @@ func Compress(ix *Index) *Compressed {
 // At decodes list i into scr (a nil scr allocates a throwaway buffer, for
 // non-hot callers). Corrupt encodings yield an error wrapping ErrCorrupt.
 func (ix *Compressed) At(i int, scr *ListScratch) (List, error) {
-	if uint(i) >= uint(len(ix.keys)) {
-		return List{}, errPosition(i, len(ix.keys))
+	if uint(i) >= uint(len(ix.offs)-1) {
+		return List{}, errPosition(i, len(ix.offs)-1)
 	}
 	if scr == nil {
 		scr = new(ListScratch)
 	}
 	n, err := decodeList(ix.blob[ix.offs[i]:ix.offs[i+1]], ix.dual, ix.layout, scr)
 	if err != nil {
-		return List{}, fmt.Errorf("invidx: list %#x: %w", ix.keys[i], err)
+		return List{}, fmt.Errorf("invidx: list %d: %w", i, err)
 	}
 	return List{objs: scr.objs[:n], bounds: scr.bounds[:n], tBounds: scr.tBounds}, nil
 }
@@ -447,7 +369,7 @@ func (ix *Compressed) At(i int, scr *ListScratch) (List, error) {
 // Probe looks key up and decodes the list At its position. Absent keys yield
 // an empty list and nil error.
 func (ix *Compressed) Probe(key uint64, scr *ListScratch) (List, error) {
-	i := ix.table.find(ix.keys, key)
+	i := ix.find(key)
 	if i < 0 {
 		return List{}, nil
 	}
@@ -458,30 +380,32 @@ func (ix *Compressed) Probe(key uint64, scr *ListScratch) (List, error) {
 func (ix *Compressed) Dual() bool { return ix.dual }
 
 // Lists returns the number of lists.
-func (ix *Compressed) Lists() int { return len(ix.keys) }
+func (ix *Compressed) Lists() int { return ix.lists() }
 
 // Postings returns the total number of postings.
 func (ix *Compressed) Postings() int { return ix.postings }
 
-// SizeBytes reports the compressed footprint: the blob plus keys, offsets
-// and the hash directory if the index carries one.
+// SizeBytes reports the compressed footprint: the blob plus offsets and the
+// key column.
 func (ix *Compressed) SizeBytes() int64 {
-	return int64(len(ix.blob)) + int64(len(ix.keys))*8 + int64(len(ix.offs))*4 + ix.table.sizeBytes()
+	return int64(len(ix.blob)) + int64(len(ix.offs))*4 + ix.sizeBytes()
 }
 
-// EachLen reports every list's key and length from the count that leads its
-// encoding, without decoding the postings.
+// EachLen reports every list's key and length without decoding the postings:
+// a quantized list's length is its extent in rows, read off offs alone, and an
+// exact one's is the count that leads its encoding.
 func (ix *Compressed) EachLen(fn func(key uint64, n int)) {
-	for i, k := range ix.keys {
-		n, _ := binary.Uvarint(ix.blob[ix.offs[i]:ix.offs[i+1]])
-		fn(k, int(n))
-	}
+	w := uint32(rowWidth(ix.dual, ix.layout.Obj16))
+	ix.eachKey(func(i int, key uint64) {
+		n := uint64((ix.offs[i+1] - ix.offs[i]) / w)
+		if ix.layout.Exact {
+			n, _ = binary.Uvarint(ix.blob[ix.offs[i]:ix.offs[i+1]])
+		}
+		fn(key, int(n))
+	})
 }
-
-// Keys returns the ascending key array.
-func (ix *Compressed) Keys() []uint64 { return ix.keys }
 
 // Arenas exposes the index's backing slices.
 func (ix *Compressed) Arenas() CompressedArenas {
-	return CompressedArenas{Dual: ix.dual, Keys: ix.keys, Offs: ix.offs, Blob: ix.blob, Slots: ix.table.slots, Layout: ix.layout}
+	return CompressedArenas{KeyArenas: ix.arenas(), Dual: ix.dual, Offs: ix.offs, Blob: ix.blob, Layout: ix.layout}
 }

@@ -2,6 +2,7 @@ package invidx
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -111,8 +112,8 @@ func TestSourceLayouts(t *testing.T) {
 				if src.SizeBytes() <= 0 {
 					t.Errorf("SizeBytes should be positive")
 				}
-				if !slices.Equal(src.Keys(), ix.keys) || !slices.IsSorted(src.Keys()) {
-					t.Fatalf("keys differ from the flat index's ascending keys")
+				if runs, nodes := src.Runs(); runs != nil || nodes != nil {
+					t.Fatalf("a Builder's index reports a run-grouped key column")
 				}
 				i, total := 0, 0
 				src.EachLen(func(key uint64, n int) {
@@ -158,38 +159,80 @@ func TestSourceLayouts(t *testing.T) {
 	}
 }
 
-// withoutDirectory returns ix as FromSortedRuns would have frozen the same
-// lists: no key directory, so Probe binary-searches the keys.
+// withoutDirectory returns ix over the same key array less its directory, as
+// a segment written without one opens: Probe binary-searches the keys.
 func withoutDirectory(ix *Index) *Index {
 	out := *ix
 	out.table = keyTable{}
 	return &out
 }
 
+// runGrouped returns ix with its key array regrouped by high word into runs of
+// low words, as FromSortedRuns would have frozen the same lists.
+func runGrouped(ix *Index, groups int) *Index {
+	out := *ix
+	out.keyColumn = keyColumn{runs: make([]uint32, groups+1)}
+	for _, k := range ix.keys {
+		out.nodes = append(out.nodes, uint32(k))
+		out.runs[k>>32+1]++
+	}
+	for g := 0; g < groups; g++ {
+		out.runs[g+1] += out.runs[g]
+	}
+	return &out
+}
+
+// keysOf lists src's keys in position order, as EachLen reports them.
+func keysOf(src Source) (keys []uint64) {
+	src.EachLen(func(key uint64, _ int) { keys = append(keys, key) })
+	return keys
+}
+
 // TestAtMatchesProbe: position and key are two ways to the same list. Over
-// {raw, compressed} × {heap, wrapped from arenas as a mapped segment is} ×
-// {with, without a directory}, At(i) is Probe(Keys()[i]) for every i, a key
-// the index does not hold probes empty, and a position outside [0, Lists())
-// is ErrCorrupt — not a panic, not a neighbouring list.
+// {keyed, keyed without a directory, run-grouped} × {raw, quantized} × {heap,
+// wrapped from arenas as a mapped segment is}, At(i) is Probe of the i-th key
+// — for a run-grouped column Probe(run<<32 | node) — for every i, a key the
+// index does not hold (an absent node, a token with an empty run, a token past
+// the run table) probes empty, and a position outside [0, Lists()) is
+// ErrCorrupt — not a panic, not a neighbouring list.
 func TestAtMatchesProbe(t *testing.T) {
-	const objects = 1500
+	const objects, groups = 1500, 24
 	rng := rand.New(rand.NewSource(21))
+	// Keys are (group, node) pairs; groups 0, 7 and the last stay empty.
+	build := func(dual bool, lists int) *Index {
+		b := Builder{Dual: dual}
+		for k := 0; k < lists; k++ {
+			g := 1 + rng.Intn(groups-2)
+			if g == 7 {
+				continue
+			}
+			key := uint64(g)<<32 | uint64(rng.Uint32())
+			for i := 1 + rng.Intn(40); i > 0; i-- {
+				b.AddDual(key, uint32(rng.Intn(objects)), math.Trunc(rng.Float64()*64)/8, rng.Float64()*2)
+			}
+		}
+		return b.Build()
+	}
 	for _, fx := range []struct {
 		name string
 		ix   *Index
 	}{
-		{"single", buildRandom(rng, 60, 40, objects)},
-		{"dual", buildRandomDual(rng, 60, 40, objects)},
+		{"single", build(false, 60)},
+		{"dual", build(true, 60)},
 		{"empty", new(Builder).Build()},
 	} {
-		for _, keyed := range []bool{true, false} {
-			ix := fx.ix
-			if !keyed {
+		for _, col := range []string{"keyed", "bare", "run-grouped"} {
+			ix, dir := fx.ix, int64(tableSlots(fx.ix.Lists()))*4
+			switch col {
+			case "bare":
 				ix = withoutDirectory(ix)
+			case "run-grouped":
+				ix = runGrouped(ix, groups)
 			}
 			cx := Compress(ix)
-			if (ix.Arenas().Slots != nil) != keyed || (cx.Arenas().Slots != nil) != keyed {
-				t.Fatalf("%s keyed=%v: arenas disagree about the directory", fx.name, keyed)
+			if (ix.Arenas().Slots != nil) != (col == "keyed") || (cx.Arenas().Slots != nil) != (col == "keyed") ||
+				(ix.Arenas().Runs != nil) != (col == "run-grouped") || (cx.Arenas().Runs != nil) != (col == "run-grouped") {
+				t.Fatalf("%s %s: arenas disagree about the key column", fx.name, col)
 			}
 			mraw, err := FromArenas(ix.Arenas(), objects)
 			if err != nil {
@@ -199,12 +242,22 @@ func TestAtMatchesProbe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if dir := int64(tableSlots(ix.Lists())) * 4; !keyed && (ix.SizeBytes() != fx.ix.SizeBytes()-dir || cx.SizeBytes() != Compress(fx.ix).SizeBytes()-dir) {
-				t.Fatalf("%s: dropping the directory should drop exactly %d bytes", fx.name, dir)
+			// Size accounting: a directory is 8 bytes a list, and a run-grouped
+			// column trades the 8-byte keys for 4 bytes a list and 4 a run.
+			saved := map[string]int64{"keyed": 0, "bare": dir, "run-grouped": dir + int64(4*ix.Lists()) - 4*(groups+1)}[col]
+			if ix.SizeBytes() != fx.ix.SizeBytes()-saved || cx.SizeBytes() != Compress(fx.ix).SizeBytes()-saved {
+				t.Fatalf("%s %s: SizeBytes should be %d under the keyed index's", fx.name, col, saved)
 			}
 			for name, src := range map[string]Source{"raw": ix, "compressed": cx, "mapped raw": mraw, "mapped compressed": mcomp} {
-				label := fmt.Sprintf("%s keyed=%v %s", fx.name, keyed, name)
-				keys := src.Keys()
+				label := fmt.Sprintf("%s %s %s", fx.name, col, name)
+				keys := keysOf(src)
+				if !slices.Equal(keys, fx.ix.keys) {
+					t.Fatalf("%s: EachLen reports other keys than the builder froze", label)
+				}
+				runs, nodes := src.Runs()
+				if col != "run-grouped" && (runs != nil || nodes != nil) || col == "run-grouped" && (len(runs) != groups+1 || len(nodes) != len(keys)) {
+					t.Fatalf("%s: Runs() = %d offsets over %d nodes", label, len(runs), len(nodes))
+				}
 				var a, b ListScratch
 				for i, key := range keys {
 					at, err := src.At(i, &a)
@@ -218,7 +271,7 @@ func TestAtMatchesProbe(t *testing.T) {
 					if at.Len() == 0 || !slices.Equal(at.objs, probed.objs) || !slices.Equal(at.bounds, probed.bounds) || !slices.Equal(at.tBounds, probed.tBounds) {
 						t.Fatalf("%s: At(%d) and Probe(%#x) differ", label, i, key)
 					}
-					// Keys are random 64-bit draws: a neighbour is absent.
+					// Nodes are random 32-bit draws: a neighbour is absent.
 					for _, absent := range []uint64{key - 1, key + 1} {
 						if _, held := slices.BinarySearch(keys, absent); held {
 							continue
@@ -228,8 +281,12 @@ func TestAtMatchesProbe(t *testing.T) {
 						}
 					}
 				}
-				if l, err := src.Probe(0, &b); err != nil || l.Len() != 0 {
-					t.Fatalf("%s: key 0 probed to %d postings, err %v", label, l.Len(), err)
+				// Group 0 and 7 have empty runs, groups-1 is the last run and
+				// empty, groups and beyond have no run at all.
+				for _, absent := range []uint64{0, 5, 7<<32 | 5, (groups-1)<<32 | 5, groups << 32, groups<<32 | 5, 1 << 63, math.MaxUint64} {
+					if l, err := src.Probe(absent, &b); err != nil || l.Len() != 0 {
+						t.Fatalf("%s: key %#x probed to %d postings, err %v", label, absent, l.Len(), err)
+					}
 				}
 				for _, i := range []int{-1, len(keys), len(keys) + 7, math.MinInt, math.MaxInt} {
 					if l, err := src.At(i, &a); !errors.Is(err, ErrCorrupt) || l.Len() != 0 {
@@ -282,17 +339,57 @@ func TestCompressedProbeZeroAlloc(t *testing.T) {
 	}
 }
 
+func cloneKeys(k KeyArenas) KeyArenas {
+	return KeyArenas{Keys: slices.Clone(k.Keys), Slots: slices.Clone(k.Slots), Runs: slices.Clone(k.Runs), Nodes: slices.Clone(k.Nodes)}
+}
+
+// groupedFixture is a dual index of (group, node) keys frozen run-grouped:
+// eight groups, the first and last empty, every other holding several nodes.
+func groupedFixture(rng *rand.Rand, objects int) *Index {
+	b := Builder{Dual: true}
+	for g := 1; g < 7; g++ {
+		for k := 0; k < 4; k++ {
+			key := uint64(g)<<32 | uint64(rng.Uint32())
+			for i := 1 + rng.Intn(6); i > 0; i-- {
+				b.AddDual(key, uint32(rng.Intn(objects)), rng.Float64()*8, rng.Float64()*2)
+			}
+		}
+	}
+	return runGrouped(b.Build(), 8)
+}
+
+// runCorruptions are the ways a persisted run-grouped key column can lie, one
+// per rule of validateKeys; both arena wrappers must refuse each.
+var runCorruptions = []struct {
+	name   string
+	mutate func(*KeyArenas)
+}{
+	{"runs do not start at 0", func(k *KeyArenas) { k.Runs[0] = 1 }},
+	{"runs descend", func(k *KeyArenas) { k.Runs[3] = k.Runs[2] - 1 }},
+	{"runs overshoot the nodes mid-table", func(k *KeyArenas) { k.Runs[3] = uint32(len(k.Nodes)) + 9 }},
+	{"runs end short of the nodes", func(k *KeyArenas) { k.Runs[len(k.Runs)-1]-- }},
+	{"runs end past the nodes", func(k *KeyArenas) { k.Runs[len(k.Runs)-1]++ }},
+	{"run table empty", func(k *KeyArenas) { k.Runs = []uint32{} }},
+	{"nodes descend inside a run", func(k *KeyArenas) { k.Nodes[0], k.Nodes[1] = k.Nodes[1], k.Nodes[0] }},
+	{"node repeated inside a run", func(k *KeyArenas) { k.Nodes[1] = k.Nodes[0] }},
+	{"nodes truncated", func(k *KeyArenas) { k.Nodes = k.Nodes[:len(k.Nodes)-1] }},
+	{"run table beside a key array", func(k *KeyArenas) { k.Keys = make([]uint64, len(k.Nodes)) }},
+	{"run table beside a directory", func(k *KeyArenas) { k.Slots = []uint32{} }},
+	{"nodes without a run table", func(k *KeyArenas) { k.Runs = nil }},
+}
+
 func TestFromArenasRejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ix := buildRandom(rng, 20, 50, 400)
 	base := ix.Arenas()
-	clone := func() RawArenas {
+	clone := func(base RawArenas) RawArenas {
 		return RawArenas{
-			Keys:   append([]uint64(nil), base.Keys...),
-			Starts: append([]uint32(nil), base.Starts...),
-			Objs:   append([]uint32(nil), base.Objs...),
-			Bounds: append([]float64(nil), base.Bounds...),
-			Slots:  append([]uint32(nil), base.Slots...),
+			KeyArenas: cloneKeys(base.KeyArenas),
+			Dual:      base.Dual,
+			Starts:    slices.Clone(base.Starts),
+			Objs:      slices.Clone(base.Objs),
+			Bounds:    slices.Clone(base.Bounds),
+			TBounds:   slices.Clone(base.TBounds),
 		}
 	}
 	cases := []struct {
@@ -334,28 +431,60 @@ func TestFromArenasRejectsCorrupt(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := clone()
+			a := clone(base)
 			tc.mutate(&a)
 			if _, err := FromArenas(a, tc.objects); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("FromArenas accepted %s (err=%v)", tc.name, err)
 			}
 		})
 	}
+	grouped := groupedFixture(rng, 400).Arenas()
+	if _, err := FromArenas(clone(grouped), 400); err != nil {
+		t.Fatalf("run-grouped fixture: %v", err)
+	}
+	for _, tc := range runCorruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			a := clone(grouped)
+			tc.mutate(&a.KeyArenas)
+			if _, err := FromArenas(a, 400); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("FromArenas accepted %s (err=%v)", tc.name, err)
+			}
+		})
+	}
+}
+
+// firstLongList returns the extent of the first list of a.Blob holding at
+// least two postings whose first two spatial codes differ.
+func firstLongList(a *CompressedArenas) []byte {
+	w := uint32(rowWidth(a.Dual, a.Layout.Obj16))
+	for i := 0; i+1 < len(a.Offs); i++ {
+		if l := a.Blob[a.Offs[i]:a.Offs[i+1]]; a.Offs[i+1]-a.Offs[i] >= 2*w && !slices.Equal(l[0:2], l[2:4]) {
+			return l
+		}
+	}
+	panic("no multi-posting list in fixture")
 }
 
 func TestCompressedFromArenasRejectsCorrupt(t *testing.T) {
+	const objects = 400
 	rng := rand.New(rand.NewSource(8))
-	cx := Compress(buildRandom(rng, 20, 50, 400))
-	base := cx.Arenas()
-	clone := func() CompressedArenas {
+	clone := func(base CompressedArenas) CompressedArenas {
 		return CompressedArenas{
-			Keys:   append([]uint64(nil), base.Keys...),
-			Offs:   append([]uint32(nil), base.Offs...),
-			Blob:   append([]byte(nil), base.Blob...),
-			Slots:  append([]uint32(nil), base.Slots...),
-			Layout: base.Layout,
+			KeyArenas: cloneKeys(base.KeyArenas),
+			Dual:      base.Dual,
+			Offs:      slices.Clone(base.Offs),
+			Blob:      slices.Clone(base.Blob),
+			Layout:    base.Layout,
 		}
 	}
+	reject := func(t *testing.T, name string, a CompressedArenas, postings, objects int) {
+		t.Helper()
+		if _, err := CompressedFromArenas(a, postings, objects); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("CompressedFromArenas accepted %s (err=%v)", name, err)
+		}
+	}
+	cx := Compress(buildRandom(rng, 20, 50, objects))
+	base := cx.Arenas()
 	if !base.Layout.Obj16 || base.Layout.Exact {
 		t.Fatalf("fixture layout %+v, want quantized with 16-bit objects", base.Layout)
 	}
@@ -363,54 +492,130 @@ func TestCompressedFromArenasRejectsCorrupt(t *testing.T) {
 		name     string
 		mutate   func(*CompressedArenas)
 		postings int
+		objects  int
 	}{
-		{"posting total lies high", func(a *CompressedArenas) {}, cx.Postings() + 1},
-		{"posting total lies low", func(a *CompressedArenas) {}, cx.Postings() - 1},
+		{"posting total lies high", func(a *CompressedArenas) {}, cx.Postings() + 1, objects},
+		{"posting total lies low", func(a *CompressedArenas) {}, cx.Postings() - 1, objects},
+		{"object out of range", func(a *CompressedArenas) {}, cx.Postings(), 1},
 		{"blob truncated", func(a *CompressedArenas) {
 			a.Blob = a.Blob[:len(a.Blob)-1]
 			a.Offs[len(a.Offs)-1]--
-		}, cx.Postings()},
-		{"count inflated", func(a *CompressedArenas) { a.Blob[0] += 7 }, cx.Postings() + 7},
-		{"count deflated", func(a *CompressedArenas) { a.Blob[0]-- }, cx.Postings() - 1},
-		{"count not a varint", func(a *CompressedArenas) { a.Blob[0] = 0xff }, cx.Postings()},
-		{"wide objects claimed", func(a *CompressedArenas) { a.Layout.Obj16 = false }, cx.Postings()},
-		{"exact layout claimed", func(a *CompressedArenas) { a.Layout = Layout{Exact: true} }, cx.Postings()},
-		{"both layouts claimed", func(a *CompressedArenas) { a.Layout.Exact = true }, cx.Postings()},
-		{"extents shifted", func(a *CompressedArenas) { a.Offs[1]++ }, cx.Postings()},
-		{"dual claimed", func(a *CompressedArenas) { a.Dual = true }, cx.Postings()},
+		}, cx.Postings(), objects},
+		{"extents do not reach the blob's end", func(a *CompressedArenas) { a.Blob = append(a.Blob, 0, 0, 0, 0) }, cx.Postings(), objects},
+		{"extents descend", func(a *CompressedArenas) { a.Offs[2] = a.Offs[1] - 4 }, cx.Postings(), objects},
+		{"spatial codes ascend", func(a *CompressedArenas) {
+			l := firstLongList(a)
+			l[0], l[1], l[2], l[3] = l[2], l[3], l[0], l[1]
+		}, cx.Postings(), objects},
+		{"spatial code past the largest finite one", func(a *CompressedArenas) {
+			binary.LittleEndian.PutUint16(a.Blob, maxCode+1)
+		}, cx.Postings(), objects},
+		{"wide objects claimed", func(a *CompressedArenas) { a.Layout.Obj16 = false }, cx.Postings(), objects},
+		{"exact layout claimed", func(a *CompressedArenas) { a.Layout = Layout{Exact: true} }, cx.Postings(), objects},
+		{"both layouts claimed", func(a *CompressedArenas) { a.Layout.Exact = true }, cx.Postings(), objects},
+		{"dual claimed", func(a *CompressedArenas) { a.Dual = true }, cx.Postings(), objects},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := clone()
+			a := clone(base)
 			tc.mutate(&a)
-			if _, err := CompressedFromArenas(a, tc.postings, 400); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("CompressedFromArenas accepted %s (err=%v)", tc.name, err)
+			reject(t, tc.name, a, tc.postings, tc.objects)
+		})
+	}
+
+	// A list's length is its extent: one that is not a whole number of rows
+	// is refused at each of the four row widths, whichever neighbour it
+	// borrowed the bytes from.
+	for _, dual := range []bool{false, true} {
+		for _, obj16 := range []bool{true, false} {
+			ix := buildRandom(rng, 12, 30, objects)
+			if dual {
+				ix = buildRandomDual(rng, 12, 30, objects)
 			}
+			if !obj16 {
+				ix.objs[0] |= 1 << 16
+			}
+			cx := Compress(ix)
+			base, w := cx.Arenas(), rowWidth(dual, obj16)
+			if base.Layout != (Layout{Obj16: obj16}) || len(base.Blob) != w*cx.Postings() {
+				t.Fatalf("dual=%v obj16=%v: layout %+v, %d bytes for %d postings", dual, obj16, base.Layout, len(base.Blob), cx.Postings())
+			}
+			if _, err := CompressedFromArenas(clone(base), cx.Postings(), 1<<17); err != nil {
+				t.Fatalf("dual=%v obj16=%v: %v", dual, obj16, err)
+			}
+			for d := 1; d < w; d++ {
+				a := clone(base)
+				a.Offs[1] += uint32(d)
+				reject(t, fmt.Sprintf("extent %d off the %d-byte lattice", d, w), a, cx.Postings(), 1<<17)
+			}
+		}
+	}
+
+	grouped := Compress(groupedFixture(rng, objects))
+	base = grouped.Arenas()
+	if _, err := CompressedFromArenas(clone(base), grouped.Postings(), objects); err != nil {
+		t.Fatalf("run-grouped fixture: %v", err)
+	}
+	t.Run("textual code past the largest finite one", func(t *testing.T) {
+		a := clone(base)
+		l := firstLongList(&a)
+		binary.LittleEndian.PutUint16(l[len(l)/rowWidth(true, true)*2:], 0xFF80) // a NaN's top bits
+		reject(t, "an infinite textual code", a, grouped.Postings(), objects)
+	})
+	for _, tc := range runCorruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			a := clone(base)
+			tc.mutate(&a.KeyArenas)
+			reject(t, tc.name, a, grouped.Postings(), objects)
 		})
 	}
 }
 
-// adversarialBounds are the values where ceiling quantization has the least
-// room: zero, denormals, the float32 range's edges, and numbers one float64
-// step above a float32 (so rounding to nearest would round them down).
+// adversarialBounds are the values where the bound code has the least room:
+// zero, denormals of both widths, numbers one float64 step above a float32 (so
+// rounding to nearest would round them down), a mantissa carry that bumps the
+// exponent, and the top of the code's domain.
 func adversarialBounds() []float64 {
 	above := func(f float32) float64 { return math.Nextafter(float64(f), math.Inf(1)) }
+	carry := math.Float32frombits(0x3FFF_FFFF) // all-ones kept mantissa, low bits set: rounds up to 2
 	return []float64{
 		0, 5e-324, 1e-310, // float64 denormals, far below float32's smallest
 		float64(math.SmallestNonzeroFloat32), above(math.SmallestNonzeroFloat32),
 		1e-39,                // a float32 denormal
 		above(1), above(0.1), // just above a float32 boundary
+		float64(carry), above(carry), 2,
 		above(65535), 65535, 65536, 1.0 / 3, 2.5, 1e30,
-		math.MaxFloat32,
+		float64(decodeBound(maxCode - 1)), above(decodeBound(maxCode - 1)), float64(decodeBound(maxCode)),
 	}
 }
 
+// checkBoundCode asserts the code's contract at v, a bound of its domain: the
+// decoded bound never under-estimates, is the tightest code that does not,
+// stays within 2⁻⁸ of v once v is a normal float32, and is finite.
+func checkBoundCode(t *testing.T, v float64) uint16 {
+	t.Helper()
+	c := boundCode(v)
+	got := float64(decodeBound(c))
+	switch {
+	case c > maxCode || math.IsInf(got, 0) || math.IsNaN(got):
+		t.Fatalf("bound %g: code %#x decodes to %g", v, c, got)
+	case got < v:
+		t.Fatalf("bound %g: code %#x decodes below it, to %g", v, c, got)
+	case v > 0 && c == 0, c > 0 && float64(decodeBound(c-1)) >= v:
+		t.Fatalf("bound %g: code %#x is not the smallest that covers it", v, c)
+	case v >= math.SmallestNonzeroFloat32*(1<<23) && got-v > v/256:
+		t.Fatalf("bound %g: code %#x decodes %g above, more than 2^-8 of it", v, c, got-v)
+	}
+	return c
+}
+
 // TestQuantizationNeverUnderEstimates asserts the invariant every compressed
-// answer rests on, directly on the encoder and decoder: for single and dual
-// lists of every length class (the three header-less lengths, the first
-// coded one, and long ones), over random and adversarial bounds, each decoded
-// spatial and textual bound is >= the exact one, objects keep their order,
-// and decoded spatial bounds stay descending.
+// answer rests on, as a property of the one code — decode(code(v)) >= v,
+// decode(code(v)-1) < v, code monotone — over adversarial and random bounds of
+// every magnitude, and then on the encoder and decoder: for single and dual
+// lists of every width and several lengths, each decoded spatial and textual
+// bound is >= the exact one, objects keep their order, decoded spatial bounds
+// stay descending and a list takes exactly a row a posting.
 func TestQuantizationNeverUnderEstimates(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	adv := adversarialBounds()
@@ -424,8 +629,32 @@ func TestQuantizationNeverUnderEstimates(t *testing.T) {
 			return math.Ldexp(rng.Float64(), rng.Intn(200)-120) // every magnitude
 		}
 	}
+	if boundCode(0) != 0 || decodeBound(0) != 0 {
+		t.Fatalf("zero should code to 0 and back")
+	}
+	if top := decodeBound(maxCode); quantizable([]float64{math.Nextafter(float64(top), math.Inf(1))}) ||
+		quantizable([]float64{float64(math.Nextafter32(top, float32(math.Inf(1))))}, nil) || quantizable(nil, []float64{math.MaxFloat32}) {
+		t.Fatalf("a bound above decode(maxCode) = %g would round into the infinity codes", top)
+	}
+	var samples []float64
+	for _, v := range adv {
+		samples = append(samples, v)
+	}
+	for round := 0; round < 3000; round++ {
+		samples = append(samples, draw(round))
+	}
+	slices.Sort(samples)
+	prev := uint16(0)
+	for _, v := range samples {
+		c := checkBoundCode(t, v)
+		if c < prev {
+			t.Fatalf("bound %g codes to %#x, below a smaller bound's %#x", v, c, prev)
+		}
+		prev = c
+	}
+
 	var scr ListScratch
-	for _, n := range []int{1, 2, 3, 4, 5, 64, 257} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 64, 257} {
 		for _, dual := range []bool{false, true} {
 			for _, obj16 := range []bool{true, false} {
 				for round := 0; round < 60; round++ {
@@ -451,29 +680,28 @@ func TestQuantizationNeverUnderEstimates(t *testing.T) {
 					slices.SortFunc(bounds, func(a, b float64) int { return cmp.Compare(b, a) })
 					lay := Layout{Obj16: obj16}
 					data := appendList(nil, objs, bounds, tBounds, lay)
-					if want := 1 + int(quantBodyLen(uint64(n), dual, obj16)); n < 128 && len(data) != want {
+					if want := n * rowWidth(dual, obj16); len(data) != want {
 						t.Fatalf("n=%d dual=%v obj16=%v: %d bytes, want %d", n, dual, obj16, len(data), want)
 					}
 					got, err := decodeList(data, dual, lay, &scr)
 					if err != nil || got != n {
 						t.Fatalf("n=%d dual=%v obj16=%v: decoded %d postings, err %v", n, dual, obj16, got, err)
 					}
+					if checked, err := quantLen(data, dual, obj16); err != nil || checked != n || scanQuant(data, n, dual, obj16, 1<<21, nil) != nil {
+						t.Fatalf("n=%d dual=%v obj16=%v: validated in place as %d postings, err %v", n, dual, obj16, checked, err)
+					}
 					for i := 0; i < n; i++ {
 						if scr.objs[i] != objs[i] {
 							t.Fatalf("n=%d posting %d: object %d, want %d", n, i, scr.objs[i], objs[i])
 						}
-						if scr.bounds[i] < bounds[i] {
-							t.Fatalf("n=%d posting %d: spatial bound %g decoded below exact %g", n, i, scr.bounds[i], bounds[i])
+						if scr.bounds[i] != float64(decodeBound(boundCode(bounds[i]))) {
+							t.Fatalf("n=%d posting %d: spatial bound %g is not the code of %g", n, i, scr.bounds[i], bounds[i])
 						}
 						if i > 0 && scr.bounds[i] > scr.bounds[i-1] {
 							t.Fatalf("n=%d posting %d: decoded spatial bounds ascend (%g after %g)", n, i, scr.bounds[i], scr.bounds[i-1])
 						}
-						if dual && scr.tBounds[i] < tBounds[i] {
-							t.Fatalf("n=%d posting %d: textual bound %g decoded below exact %g", n, i, scr.tBounds[i], tBounds[i])
-						}
-						// Rounding up must stay tight: within one step of the list's max.
-						if slack := scr.bounds[i] - bounds[i]; slack > bounds[0]/quantLevels*1.001+1e-44 {
-							t.Fatalf("n=%d posting %d: spatial bound %g is %g above exact, more than a step", n, i, scr.bounds[i], slack)
+						if dual && scr.tBounds[i] != float64(decodeBound(boundCode(tBounds[i]))) {
+							t.Fatalf("n=%d posting %d: textual bound %g is not the code of %g", n, i, scr.tBounds[i], tBounds[i])
 						}
 					}
 				}
@@ -483,10 +711,11 @@ func TestQuantizationNeverUnderEstimates(t *testing.T) {
 }
 
 // TestCompressFallsBackToExact: bounds outside the quantized layout's domain
-// (negative, infinite, beyond float32) switch the whole index to the exact
-// layout instead of being mangled.
+// (negative, infinite, beyond float32, or beyond the largest finite code —
+// MaxFloat32 itself would round up into the infinity codes) switch the whole
+// index to the exact layout instead of being mangled.
 func TestCompressFallsBackToExact(t *testing.T) {
-	for _, bad := range []float64{-1, math.Inf(1), 2 * math.MaxFloat32} {
+	for _, bad := range []float64{-1, math.Inf(1), 2 * math.MaxFloat32, math.MaxFloat32, math.Nextafter(float64(decodeBound(maxCode)), math.Inf(1))} {
 		var b Builder
 		b.Add(1, 7, bad)
 		b.Add(1, 8, 0.5)
@@ -505,10 +734,36 @@ func TestCompressFallsBackToExact(t *testing.T) {
 	}
 }
 
+// FuzzBoundCode fuzzes the one bound code over pairs of float64s: a pair
+// outside the quantized domain must be refused by quantizable (and so never
+// reaches the encoder), and for one inside it each code decodes to a finite
+// float32 that is never under its bound and is the tightest such code, and
+// the codes order as the bounds do.
+func FuzzBoundCode(f *testing.F) {
+	adv := adversarialBounds()
+	for i, v := range adv {
+		f.Add(v, adv[(i+1)%len(adv)])
+	}
+	f.Add(math.MaxFloat32, 1.0)
+	f.Add(-0.0, math.NaN())
+	f.Fuzz(func(t *testing.T, a, b float64) {
+		if !quantizable([]float64{a}, []float64{b}) {
+			if a >= 0 && a <= float64(decodeBound(maxCode)) && b >= 0 && b <= float64(decodeBound(maxCode)) {
+				t.Fatalf("bounds %g, %g refused inside the domain", a, b)
+			}
+			return
+		}
+		if ca, cb := checkBoundCode(t, a), checkBoundCode(t, b); a <= b && ca > cb || b <= a && cb > ca {
+			t.Fatalf("codes %#x, %#x do not order as bounds %g, %g", ca, cb, a, b)
+		}
+	})
+}
+
 // FuzzDecodeList is the satellite fuzz target: arbitrary bytes fed to the
 // compressed-list decoder must either decode cleanly — with every invariant
-// the query path relies on actually holding — or fail with ErrCorrupt.
-// Panics and silent mis-decodes are the bugs being hunted.
+// the query path relies on actually holding, and the scratch-less validation
+// of segment opening agreeing — or fail with ErrCorrupt. Panics and silent
+// mis-decodes are the bugs being hunted.
 func FuzzDecodeList(f *testing.F) {
 	// Seed with genuine encoder output in every layout, plus mutations.
 	rng := rand.New(rand.NewSource(9))
@@ -530,10 +785,21 @@ func FuzzDecodeList(f *testing.F) {
 	seed(dx, true)
 	f.Add([]byte{3}, false, false, true)
 	f.Add([]byte{1, 2, 3}, true, true, false)
+	f.Add([]byte{}, true, false, true)
 
 	f.Fuzz(func(t *testing.T, data []byte, dual, exact, obj16 bool) {
 		var scr ListScratch
 		n, err := decodeList(data, dual, Layout{Exact: exact, Obj16: obj16}, &scr)
+		if !exact {
+			// The scratch-less walk of segment opening must agree.
+			checked, cerr := quantLen(data, dual, obj16)
+			if cerr == nil {
+				cerr = scanQuant(data, checked, dual, obj16, 1<<32, nil)
+			}
+			if (cerr == nil) != (err == nil) || err == nil && checked != n {
+				t.Fatalf("decode says %d postings, err %v; in-place validation %d, err %v", n, err, checked, cerr)
+			}
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
@@ -555,6 +821,9 @@ func FuzzDecodeList(f *testing.F) {
 			}
 			if dual && math.IsNaN(scr.tBounds[i]) {
 				t.Fatalf("clean dual decode produced NaN textual bound at %d", i)
+			}
+			if !exact && (math.IsInf(scr.bounds[i], 0) || dual && math.IsInf(scr.tBounds[i], 0)) {
+				t.Fatalf("clean quantized decode produced an infinite bound at %d", i)
 			}
 		}
 	})

@@ -19,14 +19,17 @@
 // Traversal of a list is a sequential walk of the arena, and the whole index
 // is a handful of allocations regardless of how many lists it holds.
 //
-// A list is reached by position: At(i) is list i of Keys(). The kinds that
-// look lists up by key (token, grid, hybrid-hash: a Builder's indexes) also
-// carry an open-addressed hash directory, so Probe(key) is an O(1) lookup and
-// then At. SEAL's index (FromSortedRuns) carries none: its grid locator works
-// on the key array itself and already holds the position of every list it
-// wants, and at eight bytes a list — most of them one posting long — the
-// directory was two fifths of that index's per-list metadata. Probe on such an index
-// still answers, by binary search of the keys.
+// A list is reached by position: At(i) is the i-th list in key order. The
+// kinds that look lists up by key (token, grid, hybrid-hash: a Builder's
+// indexes) keep an ascending uint64 key array and an open-addressed hash
+// directory over it, so Probe(key) is an O(1) lookup and then At. SEAL's index
+// (FromSortedRuns) keeps neither: its keys are (token, grid node) pairs whose
+// grid locator walks one token's nodes at a time and already holds the
+// position of every list it wants, so the key column is stored the way it is
+// read — one run of ascending uint32 nodes per token under a table of run
+// offsets, four bytes a list where the key array and its directory took
+// sixteen. Probe on such an index still answers: run lookup, then a binary
+// search of the run.
 package invidx
 
 import (
@@ -117,17 +120,17 @@ func (l List) Scan(cR, cT float64, fn func(obj uint32)) int {
 
 // Index maps signature elements (opaque uint64 keys) to posting lists.
 // Build one with a Builder or FromSortedRuns. The frozen layout is parallel
-// arenas: an ascending key table, per-key offsets into the posting arena, and
-// the postings themselves (objs and each bound lane in separate contiguous
-// slices).
+// arenas: a key column in ascending key order, per-list offsets into the
+// posting arena, and the postings themselves (objs and each bound lane in
+// separate contiguous slices).
 type Index struct {
-	keys    []uint64 // ascending
-	table   keyTable // key → position directory; Builder indexes only
-	starts  []uint32 // len(keys)+1; list i spans [starts[i], starts[i+1])
+	// What At reads comes first, on two cache lines.
+	starts  []uint32 // lists()+1; list i spans [starts[i], starts[i+1])
 	objs    []uint32
 	bounds  []float64
 	tBounds []float64 // dual only
 	dual    bool
+	keyColumn
 }
 
 // Builder accumulates postings and freezes them into an Index.
@@ -190,7 +193,6 @@ func mergeDuplicates(ps []Posting) []Posting {
 func newIndex(lists, postings int, dual bool) *Index {
 	checkOffsetRange(postings)
 	idx := &Index{
-		keys:   make([]uint64, 0, lists),
 		starts: make([]uint32, 1, lists+1),
 		objs:   make([]uint32, 0, postings),
 		bounds: make([]float64, 0, postings),
@@ -207,6 +209,7 @@ func newIndex(lists, postings int, dual bool) *Index {
 // the index into its flat layout. The builder is consumed.
 func (b *Builder) Build() *Index {
 	idx := newIndex(len(b.lists), b.total, b.Dual)
+	idx.keys = make([]uint64, 0, len(b.lists))
 	for key := range b.lists {
 		idx.keys = append(idx.keys, key)
 	}
@@ -232,46 +235,55 @@ func (b *Builder) Build() *Index {
 	return idx
 }
 
-// Run is a stretch of finished dual-bound lists for FromSortedRuns: list i
-// has key Keys[i] and holds the next Lens[i] entries of Objs, Bounds and
-// TBounds. Keys ascend, and every list is already in index order — one
-// posting per object, descending spatial bound, ties by ascending object —
-// which is what a dual Builder would have made of the same postings.
+// Run is a stretch of finished dual-bound lists for FromSortedRuns, all of one
+// key group: list i has key Group<<32 | Nodes[i] and holds the next Lens[i]
+// entries of Objs, Bounds and TBounds. Nodes ascend, and every list is already
+// in index order — one posting per object, descending spatial bound, ties by
+// ascending object — which is what a dual Builder would have made of the same
+// postings.
 type Run struct {
-	Keys    []uint64
+	Group   uint32
+	Nodes   []uint32
 	Lens    []uint32
 	Objs    []uint32
 	Bounds  []float64
 	TBounds []float64
 }
 
-// FromSortedRuns freezes runs, whose keys ascend from each run to the next,
-// into a flat dual-bound Index by concatenation: no map, no key sort, no list
-// sort, and no hash directory. It is the constructor for a producer that
-// partitions the key space and sorts as it goes, and that reaches its lists
-// by position afterwards (the SEAL build, one run per token); Builder remains
-// the one for postings that arrive in any order and are looked up by key.
-// Keys out of order or lengths that do not add up are the producer's bug and
-// panic.
-func FromSortedRuns(runs []Run) *Index {
+// FromSortedRuns freezes runs, whose keys ascend from each run to the next
+// and whose groups all lie below groups, into a flat dual-bound Index by
+// concatenation: no map, no key sort, no list sort, and a run-grouped key
+// column in place of a key array and its hash directory. It is the
+// constructor for a producer that partitions the key space and sorts as it
+// goes, and that reaches its lists by position afterwards (the SEAL build,
+// one run per token); Builder remains the one for postings that arrive in any
+// order and are looked up by key. Keys out of order or lengths that do not add
+// up are the producer's bug and panic.
+func FromSortedRuns(groups int, runs []Run) *Index {
 	var lists, postings int
 	for i := range runs {
-		lists += len(runs[i].Keys)
+		lists += len(runs[i].Nodes)
 		postings += len(runs[i].Objs)
 	}
 	idx := newIndex(lists, postings, true)
+	idx.runs = make([]uint32, groups+1)
+	idx.nodes = make([]uint32, 0, lists)
+	last := int64(-1)
 	for i := range runs {
 		r := &runs[i]
-		if len(r.Lens) != len(r.Keys) || len(r.Bounds) != len(r.Objs) || len(r.TBounds) != len(r.Objs) {
+		if len(r.Lens) != len(r.Nodes) || len(r.Bounds) != len(r.Objs) || len(r.TBounds) != len(r.Objs) {
 			panic(fmt.Sprintf("invidx: run %d has mismatched lengths", i))
 		}
 		base := len(idx.objs)
 		end := base
-		for j, key := range r.Keys {
-			if n := len(idx.keys); n > 0 && idx.keys[n-1] >= key {
-				panic(fmt.Sprintf("invidx: run %d key %#x does not ascend", i, key))
+		for j, node := range r.Nodes {
+			key := int64(r.Group)<<32 | int64(node)
+			if key <= last || int(r.Group) >= groups {
+				panic(fmt.Sprintf("invidx: run %d key %#x does not ascend inside %d groups", i, key, groups))
 			}
-			idx.keys = append(idx.keys, key)
+			last = key
+			idx.nodes = append(idx.nodes, node)
+			idx.runs[r.Group+1]++
 			end += int(r.Lens[j])
 			idx.starts = append(idx.starts, uint32(end))
 		}
@@ -282,8 +294,85 @@ func FromSortedRuns(runs []Run) *Index {
 		idx.bounds = append(idx.bounds, r.Bounds...)
 		idx.tBounds = append(idx.tBounds, r.TBounds...)
 	}
+	for g := 0; g < groups; g++ { // counts to offsets
+		idx.runs[g+1] += idx.runs[g]
+	}
 	return idx
 }
+
+// keyColumn names an index's lists, position i being the i-th key in
+// ascending order, in one of two forms. A Builder's index keeps the keys and
+// a hash directory over them. A run-grouped one (FromSortedRuns) keeps, for
+// every key group g — the high word of a key — the ascending low words of
+// the group's keys in nodes[runs[g]:runs[g+1]]; runs is non-nil exactly then.
+type keyColumn struct {
+	keys  []uint64
+	table keyTable // key → position directory; the zero table binary-searches
+	runs  []uint32 // groups+1 offsets into nodes
+	nodes []uint32
+}
+
+// lists counts the keys: one of the two forms holds none.
+func (c *keyColumn) lists() int { return len(c.keys) + len(c.nodes) }
+
+// find returns key's position, or -1: through the directory when there is
+// one, by binary search when there is not.
+func (c *keyColumn) find(key uint64) int {
+	t := c.table
+	if len(t.slots) == 0 {
+		return c.search(key)
+	}
+	slot := t.home(key)
+	for {
+		s := t.slots[slot]
+		if s == 0 {
+			return -1
+		}
+		if i := int(s - 1); c.keys[i] == key {
+			return i
+		}
+		slot = t.next(slot)
+	}
+}
+
+// search is find without a directory: a binary search of the ascending keys,
+// or of the key's run of nodes.
+func (c *keyColumn) search(key uint64) int {
+	if c.runs == nil {
+		if i, ok := slices.BinarySearch(c.keys, key); ok {
+			return i
+		}
+	} else if g := key >> 32; g < uint64(len(c.runs)-1) {
+		lo := int(c.runs[g])
+		if i, ok := slices.BinarySearch(c.nodes[lo:c.runs[g+1]], uint32(key)); ok {
+			return lo + i
+		}
+	}
+	return -1
+}
+
+// eachKey visits every position and its key in ascending order.
+func (c *keyColumn) eachKey(fn func(i int, key uint64)) {
+	for i, k := range c.keys {
+		fn(i, k)
+	}
+	for g := 0; g+1 < len(c.runs); g++ {
+		for i := c.runs[g]; i < c.runs[g+1]; i++ {
+			fn(int(i), uint64(g)<<32|uint64(c.nodes[i]))
+		}
+	}
+}
+
+// sizeBytes is the column's footprint: 8 bytes a key plus the directory, or
+// 4 bytes a node plus 4 a run.
+func (c *keyColumn) sizeBytes() int64 {
+	return int64(len(c.keys))*8 + c.table.sizeBytes() + int64(len(c.nodes)+len(c.runs))*4
+}
+
+// Runs returns the run-grouped key column — groups+1 offsets into the
+// ascending nodes of each group, aliasing the index (for a mapped segment,
+// its pages; read-only) — and nils for an index that keeps a key array.
+func (c *keyColumn) Runs() (runs, nodes []uint32) { return c.runs, c.nodes }
 
 // keyTable is an open-addressed hash directory from element key to its
 // position in the sorted key array. Lookup is O(1) with linear probing at a
@@ -291,10 +380,9 @@ func FromSortedRuns(runs []Run) *Index {
 // beating both a binary search over the key array and a Go map (no bucket
 // indirection, no interface hashing). Slots hold position+1; 0 means empty.
 //
-// The zero keyTable (nil slots) is "no directory": the index was frozen by
-// FromSortedRuns, or opened from a segment without one. A Builder's table is
-// never nil, whatever the key count, and that is how a segment writer tells
-// the two apart.
+// The zero keyTable (nil slots) is "no directory": the index was opened from a
+// segment without one. A Builder's table is never nil, whatever the key
+// count, and that is how a segment writer tells the two apart.
 type keyTable struct {
 	slots []uint32
 }
@@ -332,28 +420,6 @@ func newKeyTable(keys []uint64) keyTable {
 	return t
 }
 
-// find returns key's position in the key array, or -1: through the directory
-// when there is one, by binary search of the ascending keys when there is not.
-func (t keyTable) find(keys []uint64, key uint64) int {
-	if len(t.slots) == 0 {
-		if i, ok := slices.BinarySearch(keys, key); ok {
-			return i
-		}
-		return -1
-	}
-	slot := t.home(key)
-	for {
-		s := t.slots[slot]
-		if s == 0 {
-			return -1
-		}
-		if i := int(s - 1); keys[i] == key {
-			return i
-		}
-		slot = t.next(slot)
-	}
-}
-
 // sizeBytes reports the directory's footprint.
 func (t keyTable) sizeBytes() int64 { return int64(len(t.slots)) * 4 }
 
@@ -387,21 +453,20 @@ func (ix *Index) List(key uint64) List {
 func (ix *Index) Dual() bool { return ix.dual }
 
 // Lists returns the number of non-empty lists.
-func (ix *Index) Lists() int { return len(ix.keys) }
+func (ix *Index) Lists() int { return ix.lists() }
 
 // Postings returns the total number of postings.
 func (ix *Index) Postings() int { return len(ix.objs) }
 
 // SizeBytes estimates the in-memory footprint of the flat layout: 12 bytes
-// per posting (uint32 obj + float64 bound), 20 with the textual lane, plus
-// 12 bytes per list (uint64 key + uint32 offset) and, where the index carries
-// one, 8 more for the directory. It is the figure reported in Table 1 for the
-// signature indexes.
+// per posting (uint32 obj + float64 bound), 20 with the textual lane, plus a
+// 4-byte offset per list and the key column (16 bytes a list with a
+// directory, 4 and 4 a run when run-grouped). It is the figure reported in
+// Table 1 for the signature indexes.
 func (ix *Index) SizeBytes() int64 {
 	perPosting := int64(4 + 8) // obj + bound
 	if ix.dual {
 		perPosting += 8
 	}
-	const perList = 8 + 4 // key + offset
-	return int64(ix.Postings())*perPosting + int64(len(ix.keys))*perList + ix.table.sizeBytes()
+	return int64(ix.Postings())*perPosting + int64(ix.lists())*4 + ix.sizeBytes()
 }

@@ -266,9 +266,11 @@ func TestCutoffMatchesLinearScan(t *testing.T) {
 }
 
 // TestFromSortedRunsMatchesBuilder: handing FromSortedRuns the lists a dual
-// Builder would produce, cut into runs at arbitrary key boundaries, must
-// freeze to the builder's keys and lists — without the builder's directory.
+// Builder would produce, cut into runs at arbitrary key boundaries inside a
+// group, must freeze to the builder's keys and lists — under a run-grouped key
+// column instead of the builder's key array and directory.
 func TestFromSortedRunsMatchesBuilder(t *testing.T) {
+	const groups = 210 // the last ten hold nothing
 	rng := rand.New(rand.NewSource(13))
 	b := Builder{Dual: true}
 	for i := 0; i < 3000; i++ {
@@ -278,13 +280,13 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 	want := b.Build()
 
 	var runs []Run
-	for _, key := range want.Keys() {
+	for _, key := range want.keys {
 		l := want.List(key)
-		if len(runs) == 0 || rng.Intn(3) == 0 {
-			runs = append(runs, Run{})
+		if len(runs) == 0 || runs[len(runs)-1].Group != uint32(key>>32) || rng.Intn(3) == 0 {
+			runs = append(runs, Run{Group: uint32(key >> 32)})
 		}
 		r := &runs[len(runs)-1]
-		r.Keys = append(r.Keys, key)
+		r.Nodes = append(r.Nodes, uint32(key))
 		r.Lens = append(r.Lens, uint32(l.Len()))
 		for i := 0; i < l.Len(); i++ {
 			p := l.Posting(i)
@@ -293,12 +295,12 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 			r.TBounds = append(r.TBounds, p.TBound)
 		}
 	}
-	runs = append(runs, Run{}) // an empty run is legal
-	got := FromSortedRuns(runs)
-	if !got.Dual() || !slices.Equal(got.Keys(), want.Keys()) || got.Postings() != want.Postings() {
+	runs = append(runs, Run{Group: groups - 1}) // an empty run is legal
+	got := FromSortedRuns(groups, runs)
+	if !got.Dual() || !slices.Equal(keysOf(got), want.keys) || got.Postings() != want.Postings() {
 		t.Fatalf("index from %d sorted runs: flavour, keys or posting total differ from the builder's", len(runs))
 	}
-	for i, key := range want.Keys() {
+	for i, key := range want.keys {
 		at, err := got.At(i, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -309,10 +311,13 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 			}
 		}
 	}
-	if got.Arenas().Slots != nil || got.SizeBytes() != want.SizeBytes()-hashDirBytes(want.Lists()) {
-		t.Fatalf("an index from sorted runs should carry no directory")
+	// Four bytes a list and four a run where the builder spends sixteen a list.
+	a := got.Arenas()
+	if a.Keys != nil || a.Slots != nil || len(a.Runs) != groups+1 || len(a.Nodes) != want.Lists() ||
+		got.SizeBytes() != want.SizeBytes()-hashDirBytes(want.Lists())-int64(4*want.Lists())+4*(groups+1) {
+		t.Fatalf("an index from sorted runs should carry a run-grouped key column and nothing else")
 	}
-	if got := FromSortedRuns(nil); !got.Dual() || got.Lists() != 0 || got.Postings() != 0 || got.List(1).Len() != 0 {
+	if got := FromSortedRuns(0, nil); !got.Dual() || got.Lists() != 0 || got.Postings() != 0 || got.List(1).Len() != 0 {
 		t.Fatalf("no runs should freeze to an empty dual index")
 	}
 
@@ -323,17 +328,22 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 				t.Errorf("%s: expected a panic", name)
 			}
 		}()
-		FromSortedRuns(runs)
+		FromSortedRuns(8, runs)
 	}
-	one := func(key uint64) Run {
-		return Run{Keys: []uint64{key}, Lens: []uint32{1}, Objs: []uint32{7}, Bounds: []float64{1}, TBounds: []float64{1}}
+	one := func(group, node uint32) Run {
+		return Run{Group: group, Nodes: []uint32{node}, Lens: []uint32{1}, Objs: []uint32{7}, Bounds: []float64{1}, TBounds: []float64{1}}
 	}
-	mustPanic("descending keys", []Run{one(5), one(4)})
-	mustPanic("repeated key", []Run{one(5), one(5)})
-	short := one(9)
+	mustPanic("descending nodes", []Run{one(2, 5), one(2, 4)})
+	mustPanic("repeated key", []Run{one(2, 5), one(2, 5)})
+	mustPanic("descending groups", []Run{one(2, 5), one(1, 9)})
+	mustPanic("group past the table", []Run{one(8, 5)})
+	short := one(3, 9)
 	short.Lens[0] = 2
 	mustPanic("lens exceed arena", []Run{short})
-	single := one(3)
+	single := one(3, 3)
 	single.TBounds = nil
 	mustPanic("missing textual lane", []Run{single})
+	if ok := FromSortedRuns(8, []Run{one(2, 5), one(2, 6), one(3, 0)}); ok.Lists() != 3 || ok.List(3<<32).Len() != 1 {
+		t.Fatalf("ascending keys across runs of one group should freeze")
+	}
 }

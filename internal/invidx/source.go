@@ -37,11 +37,11 @@ func (s *ListScratch) grow(n int, dual bool) {
 // Compressed form, and the mmap-backed segment views of both all satisfy it,
 // so the signature filters probe storage without knowing the layout.
 //
-// At returns list i of Keys(), and Probe the list of key (empty for absent
-// keys): Probe is a key lookup and then At. The view is valid until the next
-// call with the same scratch. A position outside [0, Lists()) is an error
-// wrapping ErrCorrupt, as is corruption found by a layout that must decode;
-// a Probe of the flat layout never fails.
+// At returns the i-th list in key order, and Probe the list of key (empty for
+// absent keys): Probe is a key lookup and then At. The view is valid until the
+// next call with the same scratch. A position outside [0, Lists()) is an
+// error wrapping ErrCorrupt, as is corruption found by a layout that must
+// decode; a Probe of the flat layout never fails.
 type Source interface {
 	At(i int, scr *ListScratch) (List, error)
 	Probe(key uint64, scr *ListScratch) (List, error)
@@ -55,24 +55,21 @@ type Source interface {
 	// from list lengths alone (the grid filter's cell counter, whose count(g)
 	// is exactly cell g's posting count; the Seal filter's grid ranks).
 	EachLen(fn func(key uint64, n int))
-	// Keys returns the ascending key array, aliasing the index (for a mapped
-	// segment, its pages). Position i is the list EachLen reports i-th.
-	// Read-only.
-	Keys() []uint64
+	// Runs returns the key column of an index frozen by FromSortedRuns:
+	// group g's keys are g<<32 | nodes[i] for i in [runs[g], runs[g+1]), and i
+	// is the position of that key's list. Both are nil for an index that
+	// keeps a key array. They alias the index (for a mapped segment, its
+	// pages). Read-only.
+	Runs() (runs, nodes []uint32)
 }
 
 // EachLen reports every list's key and length from the start offsets.
 func (ix *Index) EachLen(fn func(key uint64, n int)) {
-	for i, k := range ix.keys {
-		fn(k, int(ix.starts[i+1]-ix.starts[i]))
-	}
+	ix.eachKey(func(i int, key uint64) { fn(key, int(ix.starts[i+1]-ix.starts[i])) })
 }
 
-// Keys returns the ascending key array.
-func (ix *Index) Keys() []uint64 { return ix.keys }
-
 // errPosition is At's answer to a position that names no list. Positions come
-// from state derived off the key array, which for a mapped segment is outside
+// from state derived off the key column, which for a mapped segment is outside
 // input, so this is corruption and not a caller's bug.
 func errPosition(i, lists int) error {
 	return fmt.Errorf("%w: list position %d outside [0, %d)", ErrCorrupt, i, lists)
@@ -84,8 +81,8 @@ func errPosition(i, lists int) error {
 // — it is copied once more on the way out (+6 to +10 ns a probe, measured on
 // BenchmarkLayoutProbe).
 func (ix *Index) At(i int, _ *ListScratch) (List, error) {
-	if uint(i) >= uint(len(ix.keys)) {
-		return List{}, errPosition(i, len(ix.keys))
+	if uint(i) >= uint(len(ix.starts)-1) {
+		return List{}, errPosition(i, len(ix.starts)-1)
 	}
 	lo, hi := ix.starts[i], ix.starts[i+1]
 	if ix.dual {
@@ -97,7 +94,7 @@ func (ix *Index) At(i int, _ *ListScratch) (List, error) {
 // Probe looks key up and returns the view At its position; the error is
 // always nil.
 func (ix *Index) Probe(key uint64, _ *ListScratch) (List, error) {
-	i := ix.table.find(ix.keys, key)
+	i := ix.find(key)
 	if i < 0 {
 		return List{}, nil
 	}

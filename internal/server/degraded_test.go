@@ -217,40 +217,50 @@ func TestBootRebuildsUnusableSegmentDir(t *testing.T) {
 }
 
 // TestStaleFormatBootRebuilds: a directory of an earlier layout generation —
-// a version-3 manifest (whose Seal segments each carried a key directory), or
-// a current manifest over version-1 posting segments — is stale, not damaged. A segment-only open reports the manifest-mismatch
+// a version-3 manifest (whose Seal segments each carried a key directory), a
+// version-4 one (64-bit keys, and a count and quantization steps inside every
+// list), or a current manifest over posting segments of version 1 or 2 — is
+// stale, not damaged. A segment-only open reports the manifest-mismatch
 // sentinel instead of quarantining all four shards, and a boot that has the
 // data snapshot rebuilds and saves over it.
 func TestStaleFormatBootRebuilds(t *testing.T) {
 	snap := testSnapshot(t, 600)
-	ages := map[string]func(t *testing.T, dir string){
-		"manifest v3": func(t *testing.T, dir string) {
+	manifestAs := func(v string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
 			path := filepath.Join(dir, "manifest.json")
 			man, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			v3 := strings.Replace(string(man), `"version": 4`, `"version": 3`, 1)
-			if v3 == string(man) {
-				t.Fatalf("manifest carries no version 4 to age: %s", man)
+			aged := strings.Replace(string(man), `"version": 5`, `"version": `+v, 1)
+			if aged == string(man) {
+				t.Fatalf("manifest carries no version 5 to age: %s", man)
 			}
-			if err := os.WriteFile(path, []byte(v3), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(aged), 0o644); err != nil {
 				t.Fatal(err)
 			}
-		},
-		"v1 posting segments under a v4 manifest": func(t *testing.T, dir string) {
+		}
+	}
+	segmentsAs := func(v uint32) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
 			for i := 0; i < 4; i++ {
 				path := filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i))
 				seg, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				binary.LittleEndian.PutUint32(seg[8:], 1) // the header's version field
+				binary.LittleEndian.PutUint32(seg[8:], v) // the header's version field
 				if err := os.WriteFile(path, seg, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-		},
+		}
+	}
+	ages := map[string]func(t *testing.T, dir string){
+		"manifest v3": manifestAs("3"),
+		"manifest v4": manifestAs("4"),
+		"v1 posting segments under a v5 manifest": segmentsAs(1),
+		"v2 posting segments under a v5 manifest": segmentsAs(2),
 	}
 	for name, age := range ages {
 		t.Run(name, func(t *testing.T) {

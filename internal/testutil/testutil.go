@@ -173,10 +173,10 @@ func AdversarialRects(rng *rand.Rand, space geo.Rect, n int) []geo.Rect {
 	return rects
 }
 
-// WithoutDirectory returns src — an *invidx.Index or *invidx.Compressed — as
-// an index over the same arenas that carries no key directory, the shape
-// invidx.FromSortedRuns freezes: lookups by key binary-search, and a segment
-// written from it has no dir section. objects bounds the posting object IDs.
+// WithoutDirectory returns src — a keyed *invidx.Index or *invidx.Compressed —
+// as an index over the same arenas that carries no key directory: lookups by
+// key binary-search, and a segment written from it has no dir section.
+// objects bounds the posting object IDs.
 func WithoutDirectory(src invidx.Source, objects int) (invidx.Source, error) {
 	switch ix := src.(type) {
 	case *invidx.Index:

@@ -22,12 +22,13 @@ type Compression int
 const (
 	// CompressionNone keeps the flat fixed-width arena. Default.
 	CompressionNone Compression = iota
-	// CompressionQuantized stores every list as fixed-width columns: pruning
-	// bounds quantized to 16 bits (rounding up, so filtering stays a superset
-	// and answers are unchanged) and object IDs at 2 or 4 bytes. Smallest; the
-	// recommended setting. (Bounds outside float32 range — possible only with
-	// caller-supplied token weights — switch the index to an exact fallback
-	// layout that keeps full float64 bounds.)
+	// CompressionQuantized stores every list as fixed-width columns and
+	// nothing else: pruning bounds as 16-bit codes — the top bits of the
+	// bound's float32, rounded up, so filtering stays a superset and answers
+	// are unchanged — and object IDs at 2 or 4 bytes. Smallest; the recommended
+	// setting. (A bound above the largest finite code, about 3.396e38 —
+	// possible only with caller-supplied token weights — switches the index to
+	// an exact fallback layout that keeps full float64 bounds.)
 	CompressionQuantized
 )
 
