@@ -170,21 +170,22 @@
 //	n × uint16 spatial codes, n × uint16 textual codes (hybrid lists),
 //	n × object ID
 //
-// The posting count n is the list's byte extent over the row width, so none
-// is stored. One code serves every bound of every list: the top 16 magnitude
-// bits of the bound's float32 (8 exponent, 8 mantissa), rounded up — monotone,
-// never below the exact bound, within 2⁻⁸ of it at every magnitude, and
-// meaning the same bound in any list. Object IDs take 2 bytes when the shard
-// holds at most 65,536 objects, else 4. Quantized bounds only round up, so
-// threshold cutoffs stay supersets and exact verification returns identical
-// matches. There are no runs, no bitmaps, no per-list scale and no short-list
+// The posting count n is the list's extent in rows, so none is stored, and
+// the extents of all lists are one unary table — a bit a list plus a bit a
+// row, where a uint32 offset took four bytes. One code serves every bound of
+// every list: the top 16 magnitude bits of the bound's float32 (8 exponent, 8
+// mantissa), rounded up — monotone, never below the exact bound, within 2⁻⁸
+// of it at every magnitude, and meaning the same bound in any list. Object
+// IDs take 2 bytes when the shard holds at most 65,536 objects, else 4.
+// Quantized bounds only round up, so threshold cutoffs stay supersets and
+// exact verification returns identical matches. There are no runs, no bitmaps, no per-list scale and no short-list
 // special case: on the index SEAL builds, four lists in five hold one or two
 // postings, and every header byte was paid by each of them. An index with a
 // bound above the largest finite code, about 3.396e38 (possible only under
 // WithTokenWeights or enormous coordinates) falls back, whole, to an exact
-// layout: a count, full float64 bounds and delta-varint object IDs. Decoding
-// runs through each searcher's reusable scratch, preserving the
-// zero-allocation steady state.
+// layout: the same columns with float64 bound lanes. Decoding runs through
+// each searcher's reusable scratch, preserving the zero-allocation steady
+// state.
 //
 // Underneath there is one posting index, not one per method. A posting is an
 // object with the bound its list is sorted by; a hybrid posting (MethodSeal,
@@ -197,13 +198,14 @@
 // holds exactly three kinds of file, all written through the same container
 // (a header, a section table, and page-aligned little-endian sections, each
 // CRC-checksummed): shard-N.seg, one SEALIDX2 file per shard with the
-// posting lists (flat arenas, or the compressed blob with one offset a list)
-// behind their key column — for the methods that look lists up by key (token,
-// grid, hybrid-hash) the 64-bit keys and a hash directory of two slots a key,
-// 20 bytes of metadata a list; for MethodSeal, which reaches its lists by
-// position, a table of token runs over 32-bit grid nodes, 8 bytes a list on an
-// index of very many one-posting lists; dataset.seg, the objects as
-// columns (regions, one CSR token arena), the vocabulary with its weights,
+// posting lists (flat arenas, or the compressed rows under their unary extent
+// table) behind their key column — for the methods that look lists up by key
+// (token, grid, hybrid-hash) the 64-bit keys and a hash directory of two slots
+// a key, 16 bytes and a bit of metadata a compressed list; for MethodSeal,
+// which reaches its lists by position, a unary table of token runs over
+// 32-bit grid nodes, a node and two bits a compressed list on an index of
+// very many one-posting lists; dataset.seg, the objects as columns (regions,
+// one CSR token arena), the vocabulary with its weights,
 // multi-region footprints and the shard partition; and manifest.json,
 // written last so interrupted saves are never mistaken for complete ones.
 // There is no snapshot to decode and no gob: Open maps dataset.seg and

@@ -22,31 +22,31 @@ import (
 // the options of benchmark/run.go) writes for gen.Twitter{N: 2000, Seed: 42}.
 // dataset.seg was recorded when the directory went gob-free and is unchanged
 // since. manifest.json and the four posting segments were last re-recorded for
-// manifest version 5 / segment version 3: a list is columns of self-scaling
-// 16-bit bound codes with neither a count nor quantization steps ahead of
-// them, and a Seal segment names its lists by a token-run table over 32-bit
-// grid nodes (runs/nodes/offs/blob) where version 2 had 64-bit keys. A change
-// that means to alter the index format or the selection re-records them and
-// says so.
+// manifest version 6 / segment version 4: both offset tables — the lists'
+// extents in rows (offs) and the token runs over 32-bit grid nodes (runs) —
+// are unary-coded bitmaps where version 3 stored uint32 arrays; a list is
+// still columns of self-scaling 16-bit bound codes with nothing ahead of them.
+// A change that means to alter the index format or the selection re-records
+// them and says so.
 var goldenSegmentDigests = map[string]string{
 	"dataset.seg":   "995c77afd4caa883cb2179d7b82294ec38afa9397a64e3d5ce3907f0fd9f500d",
-	"manifest.json": "b02add176941d8095e751af2d70551433d201e81b92b15f1a6352fa9bc3c0fd5",
-	"shard-0.seg":   "6db6de9e73dd8286a203d8de1e6ba973f17f895fcfbb91c2cc8395109ca5e76a",
-	"shard-1.seg":   "c640783416afda7455b3037b0ec9874b90a7120f9a05c60c7b3bab8d46bbf7cd",
-	"shard-2.seg":   "1c5168f5dff8b66af0864f65215b41e88ca8d78baa5880ada6298b549e3d6a29",
-	"shard-3.seg":   "26ec4509375734afd8ba66f55e063d7bd911e1fd763918a4bd21f67a15b9a0f3",
+	"manifest.json": "91adf0ec3bacf26fcc9866a9337922a942f0cb41e768be94eb4a748a0916e6e6",
+	"shard-0.seg":   "75656a821b2de8f291d0197548b834aea0c34a0b4fc32e33f895c3d7f727cbb7",
+	"shard-1.seg":   "2049df8a2d925345f68f9e633adcdf2f8cd4313ee0c7e49ef9f733045c0899f9",
+	"shard-2.seg":   "3861bffc69a72ed6adb1172c66d14ac292697573b11bb67c59cd3111553eae80",
+	"shard-3.seg":   "2ab955b317459d3ce8c0302ef21d45facaecac1c4bc6169f1a8a75056f406b83",
 }
 
 // goldenFlavours are the builds whose segment directories are pinned: the
-// production one above, its raw twin (recorded with segment version 3, the
-// first to give a raw Seal segment its run table), and the three other on-disk
-// flavours — single-bound raw, single-bound quantized, dual-bound raw — on the
-// same corpus at 2 shards. Those three look lists up by key and keep their key
-// array and directory. Version 3 re-recorded every manifest.json (the version
-// field) and the quantized shards (the list bytes). The raw keyed shards are
-// byte for byte the files recorded before the single- and dual-bound index
-// types were folded into one, but for the header's version word — so their
-// digests stand unedited and are taken with that word set back to rawAs.
+// production one above, its raw twin (re-recorded with segment version 4, its
+// run table now unary), and the three other on-disk flavours — single-bound
+// raw, single-bound quantized, dual-bound raw — on the same corpus at 2
+// shards. Those three look lists up by key and keep their key array and
+// directory. Version 4 re-recorded every manifest.json (the version field)
+// and the compressed shards (the extent table). The raw keyed shards are byte
+// for byte the files recorded before the single- and dual-bound index types
+// were folded into one, but for the header's version word — so their digests
+// stand unedited and are taken with that word set back to rawAs.
 var goldenFlavours = []struct {
 	name    string
 	opts    []seal.Option
@@ -56,28 +56,28 @@ var goldenFlavours = []struct {
 	{"seal/quantized", productionOptions, 0, goldenSegmentDigests},
 	{"seal/raw", []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithShards(4)}, 0, map[string]string{
 		"dataset.seg":   goldenSegmentDigests["dataset.seg"],
-		"manifest.json": "144f2512a18588eee2a202ebef66ff7fd8d6a2f2bbf216c77f991fee64e2f375",
-		"shard-0.seg":   "136f68ce2856ee5a63c35d7518f19b55fb6bdc938d538344b3b8e772046c2c5f",
-		"shard-1.seg":   "78d3132735ba7cb05646f4be8856c8ab2cc8d20f47c218b05801c57460797906",
-		"shard-2.seg":   "eae23c55a983c38acb8da3875567c95fcfe7f827d9776bb0a0aef10ec5261a1a",
-		"shard-3.seg":   "5bc1f469dbcfd7032fc0d98a1d613ae22019462e2331ddc0932afd1329cd99db",
+		"manifest.json": "8ca9e6b6a7a0b90fbb6506dcdc5f464f27c030b0e784430917cc0aa48718673a",
+		"shard-0.seg":   "78ae45d561f1e9008b44b0ca2c9bcc2abc7cf5439cb15d6a69be91caebc8b407",
+		"shard-1.seg":   "f23ae71db9724c0d7f515868ed1c724663d53f745745badcc2dd5786df6082aa",
+		"shard-2.seg":   "ab31f250ec6a77deefe5dc114650c97742061d82e3e5af823d5c3788062d10b5",
+		"shard-3.seg":   "ddaf9606caedf5201bf874550f2a244392ffad2948a227188b7a1581c3839654",
 	}},
 	{"token/raw", []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, 2, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "9bc43f57642a14c1247fc834b057054a64450877ad30f89c5fea209070655762",
+		"manifest.json": "662f3d5963764d0ddd4d040358e44fc1c26044fb4093e957e419b450edbebc13",
 		"shard-0.seg":   "94a19b9027c443027e4ac98a37ff15ad6865cb5f9d063378c87f165ba3b86321",
 		"shard-1.seg":   "b7855161df2e3db5f7f380015d34c85ee02b1447e34e36e7c06181f24064ed12",
 	}},
 	{"grid/quantized", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2),
 		seal.WithCompression(seal.CompressionQuantized)}, 0, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "c414873bb00f0dfc12b4386dc70dcc0d1742dea73ad0d647d0babff17a1e4911",
-		"shard-0.seg":   "6e30579178e55401b4d8dffbbcc5a06a095b87a921641d65104fbb5a90f6fbc9",
-		"shard-1.seg":   "285ed729620eafbee888a9f860357b3f8388e0073a23449ea140eae9e50c75d9",
+		"manifest.json": "debde5678350f18d1d347b93ea5ca2f6db9bea450f6b9ee46b7b41b16f942905",
+		"shard-0.seg":   "441be43a7b9f945f6c3eec4bf202f347da3a23a173c372338f9ab2063ed63de6",
+		"shard-1.seg":   "0fdf8eecfdcefa428e6fd111d9429a41b84bcfee9c50cbb436a9b49d6ca7c140",
 	}},
 	{"hybrid-hash/raw", []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, 2, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "af03b598152b42698586f5bbcbb32152102db7f7b4176a969122b980e25ea3b0",
+		"manifest.json": "fe249c62fd81de76b5bfd26d5dc6909a1b8e5c8ef59fd786159f7e4b38a2968a",
 		"shard-0.seg":   "8573e613e5fc8fa53ff9cb526e0bece0477ecf557340bcd1bdaf49024fc39f78",
 		"shard-1.seg":   "60e55ac76ad3e99cdb48c58ef01ffc2bad2788f386d8bb1cc1147e25d971d3fe",
 	}},
@@ -156,11 +156,12 @@ func TestGoldenSegmentDigests(t *testing.T) {
 // A rise is a regression; a fall is a result, and updates the numbers.
 // Version 1 of the segment format stood at 3,825,857 B and 39.66 B a posting,
 // version 2 at 2,544,617 B and 24.99 with a key directory in every segment
-// and 2,029,418 B and 19.10 without one in Seal's.
+// and 2,029,418 B and 19.10 without one in Seal's, version 3 at 1,548,461 B
+// and 13.59 with uint32 offset tables.
 const (
-	goldenDirBytes        = 1548461
+	goldenDirBytes        = 1208493
 	goldenPostings        = 87378
-	goldenBytesPerPosting = 13.59 // the four posting segments' bytes / goldenPostings
+	goldenBytesPerPosting = 9.70 // the four posting segments' bytes / goldenPostings
 )
 
 // TestSegmentBytesBudget holds the golden directory to its committed size.

@@ -74,8 +74,8 @@ func rankGrids[P int32 | uint16](ord HierOrder, nodes []uint32, counts []int32, 
 // over its pages — so a filter keeps the ranks on the heap and nothing per
 // grid beyond them.
 type tokenLocators struct {
+	runs  invidx.Extents // the index's, by value: token t's nodes are nodes[runs.Span(t)]
 	tree  *gridtree.Tree
-	runs  []uint32 // the index's: token t's nodes are nodes[runs[t]:runs[t+1]]
 	nodes []uint32 // the index's
 	pos   []uint16 // parallel to nodes; see gridLocator.pos
 }
@@ -96,43 +96,52 @@ const maxTokenKeys = math.MaxUint16
 // maxTokenKeys keys is an error.
 func deriveLocators(tree *gridtree.Tree, ord HierOrder, vocab int, src invidx.Source) (*tokenLocators, error) {
 	runs, nodes := src.Runs()
-	if len(runs) != vocab+1 {
-		return nil, fmt.Errorf("core: posting index groups its keys into %d runs, want one per token of the %d-token vocabulary", len(runs)-1, vocab)
+	if runs == nil || runs.Len() != vocab {
+		return nil, fmt.Errorf("core: posting index does not group its keys into one run per token of the %d-token vocabulary", vocab)
 	}
-	tl := &tokenLocators{tree: tree, runs: runs, nodes: nodes, pos: make([]uint16, len(nodes))}
-	for t := 0; t < vocab; t++ {
-		run := nodes[runs[t]:runs[t+1]]
-		if len(run) > maxTokenKeys {
-			return nil, fmt.Errorf("core: token %d has more than %d posting keys", t, maxTokenKeys)
-		}
-		// Nodes ascend, so the last one is on the deepest level.
-		if n := len(run); n > 0 && gridtree.NodeID(run[n-1]).Level() > tree.MaxLevel {
-			return nil, fmt.Errorf("core: token %d grid at level %d exceeds tree depth %d", t, gridtree.NodeID(run[n-1]).Level(), tree.MaxLevel)
-		}
-	}
+	tl := &tokenLocators{tree: tree, runs: *runs, nodes: nodes, pos: make([]uint16, len(nodes))}
 
 	// EachLen reports the lists in position order, each under its token's
-	// key: gather one token's counts, and rank at the end of its run.
+	// key: gather one token's counts, and check and rank its run where the
+	// next token's begins.
 	var counts, order []int32
-	i := uint32(0)
-	src.EachLen(func(key uint64, n int) {
-		counts = append(counts, int32(n))
-		if i++; i == runs[key>>32+1] {
-			lo := runs[key>>32]
-			rankGrids(ord, nodes[lo:i], counts, tl.pos[lo:i], &order)
-			counts = counts[:0]
+	var err error
+	lo, i, token := 0, 0, uint64(0)
+	endRun := func() {
+		run := nodes[lo:i]
+		switch n := len(run); {
+		case err != nil || n == 0:
+		case n > maxTokenKeys:
+			err = fmt.Errorf("core: token %d has more than %d posting keys", token, maxTokenKeys)
+		case gridtree.NodeID(run[n-1]).Level() > tree.MaxLevel: // nodes ascend: the last is deepest
+			err = fmt.Errorf("core: token %d grid at level %d exceeds tree depth %d", token, gridtree.NodeID(run[n-1]).Level(), tree.MaxLevel)
+		default:
+			rankGrids(ord, run, counts, tl.pos[lo:i], &order)
 		}
+		counts, lo = counts[:0], i
+	}
+	src.EachLen(func(key uint64, n int) {
+		if key>>32 != token {
+			endRun()
+			token = key >> 32
+		}
+		counts = append(counts, int32(n))
+		i++
 	})
+	endRun()
+	if err != nil {
+		return nil, err
+	}
 	return tl, nil
 }
 
 // of returns token t's locator; ok is false when the token has no grids.
 func (tl *tokenLocators) of(t text.TokenID) (loc gridLocator, ok bool) {
-	lo, hi := tl.runs[t], tl.runs[t+1]
+	lo, hi := tl.runs.Span(int(t))
 	if lo == hi {
 		return gridLocator{}, false
 	}
-	return gridLocator{tree: tl.tree, nodes: tl.nodes[lo:hi], pos: tl.pos[lo:hi], base: lo}, true
+	return gridLocator{tree: tl.tree, nodes: tl.nodes[lo:hi], pos: tl.pos[lo:hi], base: uint32(lo)}, true
 }
 
 // sizeBytes is the heap the locators add to their index: the ranks.

@@ -12,7 +12,7 @@ package diskidx
 //	bit0  dual bounds
 //	bit1  compressed postings
 //	bit2  compressed only: the exact layout (clear: the quantized one)
-//	bit3  quantized only: object IDs take 2 bytes (clear: 4)
+//	bit3  compressed only: object IDs take 2 bytes (clear: 4)
 //
 // It opens with its key column, in one of two forms. An index whose lists are
 // looked up by key (the token, grid and hybrid-hash filters) has
@@ -28,21 +28,26 @@ package diskidx
 // (token, grid node) pairs and whose grid locator reaches every list by its
 // position in one token's run of nodes, has instead
 //
-//	runs   uint32 × tokens+1   where each token's nodes start
+//	runs   uint64 words        where each token's nodes start, unary-coded
 //	nodes  uint32 × nLists     the keys' low words, ascending inside a run
 //
 // The postings follow. A raw single-bound segment carries starts/objs/bounds;
 // raw dual adds tbounds. A compressed segment carries
 //
-//	offs   uint32 × nLists+1   where each list starts in the blob
-//	blob   the lists, one after another; invidx/compress.go has the byte
-//	       layout of a list, whose length is its extent
+//	offs   uint64 words        where each list starts, in rows, unary-coded
+//	blob   nPostings rows, list after list; invidx/compress.go has the
+//	       columns of a list, whose length is its extent
 //
-// which is 8 bytes of metadata a Seal list (node and offset, plus 4 a token)
-// and 20 a keyed one. Version 2 spent 12 and 20 — a full key a list in every
-// segment, its high word never read by the Seal filter, and a posting count
-// and quantization steps inside every list — and version 1 spent 24 to 32: a
-// counts section beside offs, and a directory rounded up to a power of two.
+// Both offset tables are invidx.Extents: a bit set at vᵢ + i for each offset
+// vᵢ, so a table costs a bit an entry plus a bit a row (or a node). A
+// compressed Seal list's metadata is its node + 1 bit in each table — a bit a
+// token and a bit a posting besides — and a compressed keyed list's 16 bytes
+// + 1 bit. Version 3 stored both tables as uint32 arrays — 8 bytes a Seal
+// list and 4 a token — and its exact layout as a count and varint objects;
+// version 2 spent 12 and 20 — a full key a list in every segment, its high
+// word never read by the Seal filter, and a posting count and quantization
+// steps inside every list — and version 1 spent 24 to 32: a counts section
+// beside offs, and a directory rounded up to a power of two.
 //
 // Every section is CRC-checked at open, then handed to the invidx arena
 // validators, so a segment that opens cleanly satisfies every structural
@@ -56,12 +61,12 @@ import (
 
 var magic2 = [8]byte{'S', 'E', 'A', 'L', 'I', 'D', 'X', '2'}
 
-// segVersion 3 is the layout above. An earlier version's file has no reader;
+// segVersion 4 is the layout above. An earlier version's file has no reader;
 // it opens as ErrStaleVersion, which the engine reports as a directory of
 // another layout generation (rebuild) rather than as a damaged shard
 // (quarantine).
 const (
-	segVersion        = 3
+	segVersion        = 4
 	segFlagDual       = 1 << 0
 	segFlagCompressed = 1 << 1
 	segFlagExact      = 1 << 2
@@ -76,9 +81,9 @@ const (
 	secBounds  = 4  // float64 × nPostings (spatial lane for dual)
 	secTBounds = 5  // float64 × nPostings, raw dual only
 	secDir     = 6  // uint32 slots of the open-addressed key directory
-	secOffs    = 7  // uint32 × nLists+1, byte extents into the blob
-	secBlob    = 9  // encoded posting blob
-	secRuns    = 10 // uint32 × groups+1, run offsets into nodes
+	secOffs    = 7  // extent table words: nLists extents of the blob's rows
+	secBlob    = 9  // nPostings fixed-width rows
+	secRuns    = 10 // extent table words: one extent of nodes a group
 	secNodes   = 11 // uint32 × nLists, low words of the run-grouped keys
 )
 
@@ -132,7 +137,7 @@ func rawSections(a invidx.RawArenas) []section {
 // run-grouped index, keys otherwise (whose directory, if any, goes last).
 func keySections(k invidx.KeyArenas) []section {
 	if k.Runs != nil {
-		return []section{{id: secRuns, data: u32Bytes(k.Runs)}, {id: secNodes, data: u32Bytes(k.Nodes)}}
+		return []section{{id: secRuns, data: u64Bytes(k.Runs)}, {id: secNodes, data: u32Bytes(k.Nodes)}}
 	}
 	return []section{{id: secKeys, data: u64Bytes(k.Keys)}}
 }
@@ -151,19 +156,13 @@ func appendDir(s []section, slots []uint32) []section {
 // section is there. Runs and Slots say by not being nil that their section
 // was, so the arena validators check even an empty one.
 func takeKeys(c *container, nLists int64) (k invidx.KeyArenas, err error) {
-	present := func(b []byte) []uint32 {
-		if v := viewU32(b); v != nil {
-			return v
-		}
-		return []uint32{}
-	}
 	if _, ok := c.views[secRuns]; ok {
-		runs, err := c.take(secRuns, -1, 4)
+		runs, err := c.take(secRuns, -1, 8)
 		if err != nil {
 			return k, err
 		}
 		nodes, err := c.take(secNodes, nLists, 4)
-		return invidx.KeyArenas{Runs: present(runs), Nodes: viewU32(nodes)}, err
+		return invidx.KeyArenas{Runs: present(viewU64(runs)), Nodes: viewU32(nodes)}, err
 	}
 	keys, err := c.take(secKeys, nLists, 8)
 	if err != nil {
@@ -172,10 +171,18 @@ func takeKeys(c *container, nLists int64) (k invidx.KeyArenas, err error) {
 	k.Keys = viewU64(keys)
 	if _, ok := c.views[secDir]; ok {
 		dir, err := c.take(secDir, -1, 4)
-		k.Slots = present(dir)
+		k.Slots = present(viewU32(dir))
 		return k, err
 	}
 	return k, nil
+}
+
+// present marks a section as there even when it is empty.
+func present[T any](v []T) []T {
+	if v == nil {
+		return []T{}
+	}
+	return v
 }
 
 func compressedFlags(l invidx.Layout) uint32 {
@@ -191,7 +198,7 @@ func compressedFlags(l invidx.Layout) uint32 {
 
 func compressedSections(a invidx.CompressedArenas) []section {
 	return appendDir(append(keySections(a.KeyArenas),
-		section{id: secOffs, data: u32Bytes(a.Offs)},
+		section{id: secOffs, data: u64Bytes(a.Extents)},
 		section{id: secBlob, data: a.Blob}), a.Slots)
 }
 
@@ -258,7 +265,7 @@ func openSegment(data []byte) (*Segment, error) {
 		return nil, err
 	}
 	if seg.comp {
-		offs, err := c.take(secOffs, nLists+1, 4)
+		offs, err := c.take(secOffs, -1, 8)
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +279,7 @@ func openSegment(data []byte) (*Segment, error) {
 		a := invidx.CompressedArenas{
 			KeyArenas: keys,
 			Dual:      dual,
-			Offs:      viewU32(offs),
+			Extents:   viewU64(offs),
 			Blob:      blob,
 			Layout: invidx.Layout{
 				Exact: flags&segFlagExact != 0,

@@ -3,6 +3,7 @@ package diskidx
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -54,8 +55,19 @@ func expectMatch(t *testing.T, want, got invidx.Source) {
 			got.Dual(), got.Lists(), got.Postings(), want.Dual(), want.Lists(), want.Postings())
 	}
 	wruns, wnodes := want.Runs()
-	if gruns, gnodes := got.Runs(); !slices.Equal(gruns, wruns) || !slices.Equal(gnodes, wnodes) || (gruns == nil) != (wruns == nil) {
-		t.Fatalf("run-grouped key column differs: %d runs over %d nodes, want %d over %d", len(gruns), len(gnodes), len(wruns), len(wnodes))
+	gruns, gnodes := got.Runs()
+	if (gruns == nil) != (wruns == nil) || !slices.Equal(gnodes, wnodes) {
+		t.Fatalf("run-grouped key column differs: %v over %d nodes, want %v over %d", gruns, len(gnodes), wruns, len(wnodes))
+	}
+	if wruns != nil {
+		if gruns.Len() != wruns.Len() {
+			t.Fatalf("%d runs, want %d", gruns.Len(), wruns.Len())
+		}
+		for g := 0; g <= wruns.Len(); g++ {
+			if gruns.Get(g) != wruns.Get(g) {
+				t.Fatalf("run %d starts at node %d, want %d", g, gruns.Get(g), wruns.Get(g))
+			}
+		}
 	}
 	var wscr, gscr invidx.ListScratch
 	for pos, key := range keysOf(want) {
@@ -86,46 +98,113 @@ func expectMatch(t *testing.T, want, got invidx.Source) {
 	}
 }
 
-// TestSegmentRoundTrip: every layout — {single, dual} × {raw, quantized, the
-// exact fallback} — must survive write → OpenMapped with every probe
-// bit-identical. (The compress tests tie the compressed index to the flat one.)
+// sectionBytes sums the payload lengths of a sealed file's sections.
+func sectionBytes(b []byte) (n int64) {
+	for i := 0; i < int(binary.LittleEndian.Uint32(b[40:])); i++ {
+		n += int64(binary.LittleEndian.Uint64(b[segHeaderSize+i*segEntrySize+16:]))
+	}
+	return n
+}
+
+// pathsFixture is a Builder index over keys in three groups; exact adds a
+// bound past the quantized layout's domain, which makes Compress fall back to
+// the exact one.
+func pathsFixture(rng *rand.Rand, dual, exact bool) *invidx.Index {
+	b := invidx.Builder{Dual: dual}
+	for k := 0; k < 90; k++ {
+		key := uint64(k%3)<<32 | uint64(k*7+1)
+		for i := 1 + rng.Intn(1+rng.Intn(40)); i > 0; i-- {
+			b.AddDual(key, uint32(rng.Intn(segTestObjects)), float64(rng.Intn(1000))/10, float64(rng.Intn(50))/10)
+		}
+	}
+	if exact {
+		b.AddDual(1, 3, 1e39, 0.5)
+	}
+	return b.Build()
+}
+
+// TestSegmentRoundTrip: every way to reach a list agrees. Over {raw,
+// quantized, exact} × {single, dual} × {keyed, run-grouped — the Seal
+// filter's column, which FromSortedRuns freezes dual only} × {in memory,
+// written and mapped}, At(i) and Probe of the i-th key reach list i of the
+// flat index: the same objects in the same order, raw and exact bounds bit for
+// bit, quantized ones never below them. SizeBytes — the figure IndexStats and
+// Table 1 report — is exactly the bytes of the segment's sections.
 func TestSegmentRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
 	for _, dual := range []bool{false, true} {
-		ix := buildSingle(rng, 60, 300)
-		// One bound past float32 range switches Compress to the exact layout.
-		huge := invidx.Builder{Dual: dual}
-		huge.AddDual(3, 1, 1e39, 0.5)
-		huge.AddDual(3, 2, 7, 0.25)
-		if dual {
-			ix = buildDual(rng, 40, 200)
+		for _, exact := range []bool{false, true} {
+			flat := pathsFixture(rng, dual, exact)
+			cols := map[string]invidx.Source{"keyed": flat}
+			if dual {
+				cols["run-grouped"] = sortedRuns(flat)
+			}
+			for col, ix := range cols {
+				for layout, src := range map[string]invidx.Source{"raw": ix, "compressed": invidx.Compress(ix.(*invidx.Index))} {
+					name := fmt.Sprintf("dual=%v exact=%v %s %s", dual, exact, col, layout)
+					if c, ok := src.(*invidx.Compressed); ok && c.Arenas().Layout.Exact != exact {
+						t.Fatalf("%s: layout %+v", name, c.Arenas().Layout)
+					}
+					path := filepath.Join(dir, "paths.seg")
+					if err := WriteSegment(path, src, segTestObjects); err != nil {
+						t.Fatal(err)
+					}
+					b, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					seg, err := OpenMapped(path)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if seg.Source().Dual() != dual || seg.Compressed() != (layout == "compressed") || seg.Objects() != segTestObjects || seg.FileSize() != int64(len(b)) {
+						t.Fatalf("%s: dual=%v compressed=%v objects=%d size=%d", name, seg.Source().Dual(), seg.Compressed(), seg.Objects(), seg.FileSize())
+					}
+					for where, got := range map[string]invidx.Source{"in memory": src, "mapped": seg.Source()} {
+						if got.SizeBytes() != sectionBytes(b) {
+							t.Fatalf("%s %s: SizeBytes %d, sections %d", name, where, got.SizeBytes(), sectionBytes(b))
+						}
+						expectFlat(t, name+" "+where, flat, got, layout == "raw" || exact)
+					}
+					expectMatch(t, src, seg.Source())
+					seg.Close()
+				}
+			}
 		}
-		exact := invidx.Compress(huge.Build())
-		if !exact.Arenas().Layout.Exact {
-			t.Fatal("fixture did not fall back to the exact layout")
+	}
+}
+
+// expectFlat checks that got reaches every list of flat by position and by
+// key: the same objects, and bounds equal to flat's when bitwise, else never
+// below them.
+func expectFlat(t *testing.T, name string, flat *invidx.Index, got invidx.Source, bitwise bool) {
+	t.Helper()
+	var scr invidx.ListScratch
+	for i, key := range keysOf(flat) {
+		want, _ := flat.At(i, nil)
+		at, err := got.At(i, &scr)
+		if err != nil {
+			t.Fatalf("%s: At(%d): %v", name, i, err)
 		}
-		for name, src := range map[string]invidx.Source{"raw": ix, "quant": invidx.Compress(ix), "exact": exact} {
-			path := filepath.Join(dir, name+".seg")
-			if err := WriteSegment(path, src, segTestObjects); err != nil {
-				t.Fatal(err)
+		ats := make([]invidx.Posting, at.Len())
+		for j := range ats {
+			ats[j] = at.Posting(j)
+		}
+		probed, err := got.Probe(key, &scr)
+		if err != nil || probed.Len() != want.Len() || at.Len() != want.Len() {
+			t.Fatalf("%s: list %d: At %d postings, Probe %d (err %v), flat %d", name, i, at.Len(), probed.Len(), err, want.Len())
+		}
+		for j, a := range ats {
+			p, w := probed.Posting(j), want.Posting(j)
+			switch {
+			case a != p:
+				t.Fatalf("%s: list %d posting %d: At %+v, Probe %+v", name, i, j, a, p)
+			case bitwise && a != w:
+				t.Fatalf("%s: list %d posting %d: %+v, flat %+v", name, i, j, a, w)
+			case a.Obj != w.Obj || a.Bound < w.Bound || a.TBound < w.TBound:
+				t.Fatalf("%s: list %d posting %d: %+v below or beside flat %+v", name, i, j, a, w)
 			}
-			seg, err := OpenMapped(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seg.Source().Dual() != dual || seg.Compressed() != (name != "raw") {
-				t.Fatalf("%s: dual=%v compressed=%v, want %v/%v",
-					name, seg.Source().Dual(), seg.Compressed(), dual, name != "raw")
-			}
-			if seg.Objects() != segTestObjects {
-				t.Fatalf("%s: objects = %d, want %d", name, seg.Objects(), segTestObjects)
-			}
-			if seg.FileSize() <= 0 {
-				t.Fatalf("%s: non-positive file size", name)
-			}
-			expectMatch(t, src, seg.Source())
-			seg.Close()
 		}
 	}
 }
@@ -347,19 +426,46 @@ func TestSegmentMalformed(t *testing.T) {
 	// firstLong finds blob's first list of two postings or more whose two
 	// leading spatial codes differ, given the row width: where it starts in
 	// the blob, and its posting count.
-	firstLong := func(b []byte, w uint32) (at, rows uint64) {
+	firstLong := func(b []byte, w uint64) (at, rows uint64) {
 		_, off, n := tableEntry(t, b, secOffs)
 		_, blob, _ := tableEntry(t, b, secBlob)
-		for i := uint64(0); i+8 <= n; i += 4 {
-			lo, hi := binary.LittleEndian.Uint32(b[off+i:]), binary.LittleEndian.Uint32(b[off+i+4:])
-			if l := b[blob+uint64(lo):]; hi-lo >= 2*w && !slices.Equal(l[0:2], l[2:4]) {
-				return uint64(lo), uint64((hi - lo) / w)
+		starts := extentValues(b[off : off+n])
+		for i := 0; i+1 < len(starts); i++ {
+			lo, hi := starts[i], starts[i+1]
+			if l := b[blob+lo*w:]; hi-lo >= 2 && !slices.Equal(l[0:2], l[2:4]) {
+				return lo * w, hi - lo
 			}
 		}
 		t.Fatal("no multi-posting list in fixture")
 		return 0, 0
 	}
-	nRunLists := uint32(binary.LittleEndian.Uint64(good[runs][16:]))
+	// An extent table's bits, in place: bit i of the table is bit i%8 of byte
+	// i/8 of its little-endian words.
+	flip := func(p []byte, i int) { p[i/8] ^= 1 << (i % 8) }
+	firstZero := func(p []byte) {
+		for i := 0; ; i++ {
+			if p[i/8]>>(i%8)&1 == 0 {
+				flip(p, i)
+				return
+			}
+		}
+	}
+	pastTerminal := func(d int) func(p []byte) {
+		return func(p []byte) {
+			at := terminal(p) + d
+			if at >= 8*len(p) {
+				t.Fatalf("no room %d bits past the terminal one", d)
+			}
+			flip(p, at)
+		}
+	}
+	shorten := func(id uint32) func(b []byte) []byte {
+		return func(b []byte) []byte {
+			e, _, length := tableEntry(t, b, id)
+			binary.LittleEndian.PutUint64(e[16:], length-8)
+			return damage(t, b, id, func([]byte) {})
+		}
+	}
 
 	cases := []struct {
 		name   string
@@ -370,8 +476,13 @@ func TestSegmentMalformed(t *testing.T) {
 		{"wrong list-layout flag", comp, flipFlag(segFlagExact | segFlagObj16)},
 		{"both list layouts claimed", comp, flipFlag(segFlagExact)},
 		{"list-layout flag on a raw segment", raw, flipFlag(segFlagObj16)},
-		// A list's length is its extent: every rule of the open-time validator.
-		{"list extent off the row lattice", comp, in(secOffs, func(p []byte) { p[4]++ })},
+		// The extent table: every rule of its validator, and the list count.
+		{"extents do not start at 0", comp, in(secOffs, func(p []byte) { p[0] &^= 1 })},
+		{"extent table one bit too many", comp, in(secOffs, firstZero)},
+		{"extent table lacks its terminal bit", comp, in(secOffs, func(p []byte) { flip(p, terminal(p)) })},
+		{"extent table holds a list too many", comp, in(secOffs, pastTerminal(1))},
+		{"extent table bit past the terminal one", comp, in(secOffs, pastTerminal(2))},
+		{"extent table truncated", comp, shorten(secOffs)},
 		{"spatial codes ascend", comp, func(b []byte) []byte {
 			at, _ := firstLong(b, 4)
 			return damage(t, b, secBlob, func(p []byte) { p[at], p[at+1], p[at+2], p[at+3] = p[at+2], p[at+3], p[at], p[at+1] })
@@ -390,11 +501,15 @@ func TestSegmentMalformed(t *testing.T) {
 			return b
 		}},
 		// The run-grouped key column: every rule of its validator.
-		{"runs do not start at 0", runs, in(secRuns, putU32(0, 1))},
-		{"runs descend", runs, in(secRuns, putU32(2, nRunLists-1))},
-		{"runs end short of the lists", runs, in(secRuns, func(p []byte) { putU32(1, nRunLists-1)(p); putU32(2, nRunLists-1)(p); putU32(3, nRunLists-1)(p) })},
-		{"runs end past the lists", runs, in(secRuns, putU32(3, nRunLists+1))},
-		{"run offset past the lists mid-table", runs, in(secRuns, putU32(1, nRunLists+5))},
+		{"runs do not start at 0", runs, in(secRuns, func(p []byte) { p[0] &^= 1 })},
+		{"run table one bit too many", runs, in(secRuns, firstZero)},
+		{"run table bit past the terminal one", runs, in(secRuns, pastTerminal(2))},
+		{"runs end short of the lists", runs, func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[16:], binary.LittleEndian.Uint64(b[16:])-1)
+			e, _, length := tableEntry(t, b, secNodes)
+			binary.LittleEndian.PutUint64(e[16:], length-4)
+			return damage(t, b, secNodes, func([]byte) {})
+		}},
 		{"nodes descend inside a run", runs, in(secNodes, func(p []byte) { copy(p[0:4], p[8:12]) })},
 		{"node repeated inside a run", runs, in(secNodes, func(p []byte) { copy(p[4:8], p[0:4]) })},
 		{"run table empty", runs, func(b []byte) []byte {
@@ -487,6 +602,26 @@ func TestSegmentMalformed(t *testing.T) {
 	}
 }
 
+// extentValues decodes an extent table's little-endian words: the i-th set
+// bit, at position p, is the value p - i.
+func extentValues(p []byte) (vals []uint64) {
+	for i := 0; i < 8*len(p); i++ {
+		if p[i/8]>>(i%8)&1 == 1 {
+			vals = append(vals, uint64(i-len(vals)))
+		}
+	}
+	return vals
+}
+
+// terminal is the position of an extent table's last set bit.
+func terminal(p []byte) int {
+	i := 8*len(p) - 1
+	for p[i/8]>>(i%8)&1 == 0 {
+		i--
+	}
+	return i
+}
+
 // TestSegmentStaleVersion: a version this package once wrote is marked stale
 // as well as unreadable, so the engine can tell another generation's file
 // from a damaged one; any other version is only corrupt.
@@ -499,7 +634,7 @@ func TestSegmentStaleVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, stale := range map[uint32]bool{0: false, 1: true, 2: true, segVersion + 1: false, 99: false} {
+	for v, stale := range map[uint32]bool{0: false, 1: true, 2: true, 3: true, segVersion + 1: false, 99: false} {
 		b := append([]byte(nil), good...)
 		binary.LittleEndian.PutUint32(b[8:], v)
 		_, err := openSegment(b)

@@ -47,18 +47,18 @@ type Manifest struct {
 	Fingerprint string          `json:"fingerprint"`
 }
 
-// manifestVersion 5 is the gob-free layout above with version-3 posting
-// segments: count-free lists of self-scaling bound codes, a key array and
-// directory for the filters that look lists up by key, and a token-run table
-// over 32-bit grid nodes for a Seal shard. Earlier directories — version 1
-// (dataset.snap, parts.gob, shard-N.grids.gob), version 2 (run-length lists),
-// version 3 (a directory in every posting segment) and version 4 (per-list
-// quantization steps and counts; 64-bit keys in a Seal shard) — have no
-// reader: they read as a manifest mismatch, which every boot path treats as
-// stale and rebuilds. So does a current manifest over a posting segment of an
-// earlier version: that is another generation's file, not a damaged shard,
-// and is never quarantined.
-const manifestVersion = 5
+// manifestVersion 6 is the gob-free layout above with version-4 posting
+// segments: fixed-width lists under a unary extent table, a key array and
+// directory for the filters that look lists up by key, and a unary token-run
+// table over 32-bit grid nodes for a Seal shard. Earlier directories — version
+// 1 (dataset.snap, parts.gob, shard-N.grids.gob), version 2 (run-length
+// lists), version 3 (a directory in every posting segment), version 4
+// (per-list quantization steps and counts; 64-bit keys in a Seal shard) and
+// version 5 (uint32 offset tables) — have no reader: they read as a manifest
+// mismatch, which every boot path treats as stale and rebuilds. So does a
+// current manifest over a posting segment of an earlier version: that is
+// another generation's file, not a damaged shard, and is never quarantined.
+const manifestVersion = 6
 
 // ErrNoSegments reports a directory without a readable manifest. Because the
 // manifest is written last and removed first, this is the normal state of an

@@ -1,6 +1,9 @@
 package invidx
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // KeyArenas is the key column of either layout: Keys with an optional Slots
 // directory (nil — not merely empty — when the index carries none), or, for an
@@ -8,7 +11,7 @@ import "math"
 type KeyArenas struct {
 	Keys  []uint64 // ascending signature keys
 	Slots []uint32 // open-addressed directory (position+1, 0 = empty)
-	Runs  []uint32 // groups+1 offsets into Nodes
+	Runs  []uint64 // Extents words: group g's nodes start at the g-th value
 	Nodes []uint32 // the keys' low words, ascending inside a run
 }
 
@@ -26,18 +29,22 @@ type RawArenas struct {
 	TBounds []float64 // posting textual bounds, dual indexes only
 }
 
-// CompressedArenas is RawArenas for the compressed layouts: per-list byte
-// extents into one encoded blob instead of fixed-width posting arenas.
+// CompressedArenas is RawArenas for the compressed layouts: one blob of
+// fixed-width rows cut into lists by an extent table, counted in rows.
 type CompressedArenas struct {
 	KeyArenas
-	Dual   bool
-	Offs   []uint32 // lists+1 byte offsets into Blob
-	Blob   []byte   // per-list encodings
-	Layout Layout
+	Dual    bool
+	Extents []uint64 // Extents words: list i holds the rows between values i and i+1
+	Blob    []byte   // the lists' columns, one list after another
+	Layout  Layout
 }
 
 func (c *keyColumn) arenas() KeyArenas {
-	return KeyArenas{Keys: c.keys, Slots: c.table.slots, Runs: c.runs, Nodes: c.nodes}
+	k := KeyArenas{Keys: c.keys, Slots: c.table.slots, Nodes: c.nodes}
+	if c.runs != nil {
+		k.Runs = c.runs.words
+	}
+	return k
 }
 
 // Arenas exposes the index's backing slices.
@@ -46,10 +53,10 @@ func (ix *Index) Arenas() RawArenas {
 }
 
 // validateKeys checks a persisted key column and wraps it: keys strictly
-// ascending under a sound directory, or a run table that starts at 0, never
-// descends and ends at the node count, over nodes strictly ascending inside
-// every run — which is what makes binary searches of a run, and positions
-// taken from it, mean what the writer meant.
+// ascending under a sound directory, or a run table — an extent table ending
+// at the node count — over nodes strictly ascending inside every run, which is
+// what makes binary searches of a run, and positions taken from it, mean what
+// the writer meant.
 func validateKeys(a KeyArenas) (keyColumn, error) {
 	if a.Runs == nil {
 		if len(a.Nodes) != 0 {
@@ -65,22 +72,22 @@ func validateKeys(a KeyArenas) (keyColumn, error) {
 	if len(a.Keys) != 0 || a.Slots != nil {
 		return keyColumn{}, corrupt("run-grouped index with a key array")
 	}
-	groups := len(a.Runs) - 1
-	if groups < 0 || a.Runs[0] != 0 || int(a.Runs[groups]) != len(a.Nodes) {
-		return keyColumn{}, corrupt("runs do not span the nodes")
+	runs, err := extentsFromWords(a.Runs, uint64(len(a.Nodes)))
+	if err != nil {
+		return keyColumn{}, fmt.Errorf("run table: %w", err)
 	}
-	for g := 0; g < groups; g++ {
-		lo, hi := a.Runs[g], a.Runs[g+1]
-		if lo > hi || int(hi) > len(a.Nodes) {
-			return keyColumn{}, corrupt("run offsets not monotone")
-		}
+	starts := runs.values()
+	lo := starts.next()
+	for g := 0; g < runs.Len(); g++ {
+		hi := starts.next()
 		for i := lo + 1; i < hi; i++ {
 			if a.Nodes[i] <= a.Nodes[i-1] {
 				return keyColumn{}, corrupt("run nodes not strictly ascending")
 			}
 		}
+		lo = hi
 	}
-	return keyColumn{runs: a.Runs, nodes: a.Nodes}, nil
+	return keyColumn{runs: runs, nodes: a.Nodes}, nil
 }
 
 // validateDirectory checks a persisted hash directory against the sorted key
@@ -183,64 +190,47 @@ func FromArenas(a RawArenas, objects int) (*Index, error) {
 }
 
 // validateCompressedArenas checks, over the nk lists' extents, what the query
-// path relies on, visiting every list once, so a mapped segment that opens
-// successfully can only fail a later probe if the underlying file changes
-// beneath it. A quantized list is checked where it lies — its extent on the
-// row lattice, spatial codes never ascending from the largest finite one,
-// textual codes finite, objects in range — and only an exact one is decoded.
-func validateCompressedArenas(a CompressedArenas, nk, postings, objects int) error {
-	if len(a.Offs) != nk+1 {
-		return corrupt("extent table length mismatch")
+// path relies on, visiting every list once, and returns the extent table, so a
+// mapped segment that opens successfully can only fail a later probe if the
+// underlying file changes beneath it: the extent table ends at the posting
+// total and holds nk lists, the blob is that many rows, and every list is
+// checked where it lies — spatial bounds never ascending, no bound above the
+// layout's ceiling, objects in range.
+func validateCompressedArenas(a CompressedArenas, nk, postings, objects int) (*Extents, error) {
+	rows, err := extentsFromWords(a.Extents, uint64(postings))
+	if err != nil {
+		return nil, err
 	}
-	if a.Layout.Exact && a.Layout.Obj16 {
-		return corrupt("16-bit object IDs claimed for the exact layout")
+	if rows.Len() != nk {
+		return nil, corrupt("extent table length mismatch")
 	}
-	if a.Offs[0] != 0 || int(a.Offs[nk]) != len(a.Blob) {
-		return corrupt("extents do not span the blob")
+	w := a.Layout.rowWidth(a.Dual)
+	if len(a.Blob) != postings*w {
+		return nil, corrupt("blob is not the posting total's rows")
 	}
-	total := 0
-	var scr ListScratch
+	starts := rows.values()
+	lo := starts.next()
 	for i := 0; i < nk; i++ {
-		lo, hi := a.Offs[i], a.Offs[i+1]
-		if lo > hi || int(hi) > len(a.Blob) {
-			return corrupt("extent offsets not monotone")
+		hi := starts.next()
+		if err := walkColumns(a.Blob[lo*w:hi*w], hi-lo, a.Dual, a.Layout, objects, nil); err != nil {
+			return nil, err
 		}
-		data := a.Blob[lo:hi]
-		var n int
-		var err error
-		if a.Layout.Exact {
-			n, err = decodeList(data, a.Dual, a.Layout, &scr)
-			for _, o := range scr.objs[:n] {
-				if int(o) >= objects {
-					return corrupt("posting object out of range")
-				}
-			}
-		} else if n, err = quantLen(data, a.Dual, a.Layout.Obj16); err == nil {
-			err = scanQuant(data, n, a.Dual, a.Layout.Obj16, objects, nil)
-		}
-		if err != nil {
-			return err
-		}
-		if total += n; total > postings {
-			return corrupt("list counts exceed posting total")
-		}
+		lo = hi
 	}
-	if total != postings {
-		return corrupt("list counts below posting total")
-	}
-	return nil
+	return rows, nil
 }
 
 // CompressedFromArenas validates a and wraps it as a compressed index,
 // sharing (not copying) the slices. postings is the expected posting total
-// (the segment header's claim), cross-checked against the per-list counts.
+// (the segment header's claim): the extent table must end there.
 func CompressedFromArenas(a CompressedArenas, postings, objects int) (*Compressed, error) {
 	col, err := validateKeys(a.KeyArenas)
 	if err != nil {
 		return nil, err
 	}
-	if err := validateCompressedArenas(a, col.lists(), postings, objects); err != nil {
+	rows, err := validateCompressedArenas(a, col.lists(), postings, objects)
+	if err != nil {
 		return nil, err
 	}
-	return &Compressed{keyColumn: col, offs: a.Offs, blob: a.Blob, postings: postings, layout: a.Layout, dual: a.Dual}, nil
+	return &Compressed{keyColumn: col, rows: *rows, blob: a.Blob, width: a.Layout.rowWidth(a.Dual), layout: a.Layout, dual: a.Dual}, nil
 }

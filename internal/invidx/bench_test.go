@@ -61,19 +61,24 @@ func layoutBuilder(nKeys, nPostings int) (b Builder) {
 	return b
 }
 
-// BenchmarkLayoutProbe times a probe (lookup + cutoff + head scan) on the
-// flat arena layout, once for each way a list is reached: hash is a Builder's
+// BenchmarkLayoutProbe times a probe (lookup + cutoff + head scan), once for
+// each way a list is reached: on the flat arena layout, hash is a Builder's
 // index and its directory (the keyed filters' path), search the same lists
 // under a run-grouped key column (Probe on an index of FromSortedRuns: run
 // lookup, then a binary search of the run's uint32 nodes), positional At on
-// that index with a position already in hand (the Seal filter's path). The map-of-pointers layout the flat one replaced last measured
-// 88.9 ns against 47.0 ns for hash on this shape (README, Performance).
+// that index with a position already in hand (the Seal filter's path); then
+// quantized is positional At on that index compressed (an extent-table select
+// and a decode into a reused scratch: a mapped Seal segment's path), and
+// quantized-search its Probe. The map-of-pointers layout the flat one replaced
+// last measured 88.9 ns against 47.0 ns for hash on this shape (README,
+// Performance).
 func BenchmarkLayoutProbe(b *testing.B) {
 	const nKeys, nPostings = 1 << 14, 1 << 18
 	fb := layoutBuilder(nKeys, nPostings)
 	keyed := fb.Build()
 	bare := runGrouped(keyed, 1) // every key is below 2^32: one run
-	lists := keyed.Lists()       // all but a handful of the nKeys keys drew a posting
+	quant := Compress(bare)
+	lists := keyed.Lists() // all but a handful of the nKeys keys drew a posting
 
 	b.Run("hash", func(b *testing.B) {
 		var sink uint32
@@ -101,6 +106,30 @@ func BenchmarkLayoutProbe(b *testing.B) {
 		var sink uint32
 		for i := 0; i < b.N; i++ {
 			l, _ := bare.At(i%lists, nil)
+			n := l.Cutoff(50)
+			for _, o := range l.Objs(n) {
+				sink += o
+			}
+		}
+		_ = sink
+	})
+	b.Run("quantized", func(b *testing.B) {
+		var sink uint32
+		var scr ListScratch
+		for i := 0; i < b.N; i++ {
+			l, _ := quant.At(i%lists, &scr)
+			n := l.Cutoff(50)
+			for _, o := range l.Objs(n) {
+				sink += o
+			}
+		}
+		_ = sink
+	})
+	b.Run("quantized-search", func(b *testing.B) {
+		var sink uint32
+		var scr ListScratch
+		for i := 0; i < b.N; i++ {
+			l, _ := quant.Probe(uint64(i%nKeys), &scr)
 			n := l.Cutoff(50)
 			for _, o := range l.Objs(n) {
 				sink += o

@@ -27,9 +27,15 @@
 // grid locator walks one token's nodes at a time and already holds the
 // position of every list it wants, so the key column is stored the way it is
 // read — one run of ascending uint32 nodes per token under a table of run
-// offsets, four bytes a list where the key array and its directory took
-// sixteen. Probe on such an index still answers: run lookup, then a binary
-// search of the run.
+// offsets, four bytes and a bit a list where the key array and its directory
+// took sixteen. Probe on such an index still answers: run lookup, then a
+// binary search of the run.
+//
+// Both monotone offset tables of a stored index — a compressed index's list
+// extents and a run-grouped column's token runs — are one primitive, Extents:
+// the sequence coded in unary as a bitmap, a bit an entry plus a bit a row
+// (or a node), selected through samples derived when the table is opened. A
+// compressed Seal list's metadata is therefore its node + 1 bit in each table.
 package invidx
 
 import (
@@ -266,7 +272,7 @@ func FromSortedRuns(groups int, runs []Run) *Index {
 		postings += len(runs[i].Objs)
 	}
 	idx := newIndex(lists, postings, true)
-	idx.runs = make([]uint32, groups+1)
+	starts := make([]uint32, groups+1) // counts, then offsets: the run table's values
 	idx.nodes = make([]uint32, 0, lists)
 	last := int64(-1)
 	for i := range runs {
@@ -283,7 +289,7 @@ func FromSortedRuns(groups int, runs []Run) *Index {
 			}
 			last = key
 			idx.nodes = append(idx.nodes, node)
-			idx.runs[r.Group+1]++
+			starts[r.Group+1]++
 			end += int(r.Lens[j])
 			idx.starts = append(idx.starts, uint32(end))
 		}
@@ -294,9 +300,10 @@ func FromSortedRuns(groups int, runs []Run) *Index {
 		idx.bounds = append(idx.bounds, r.Bounds...)
 		idx.tBounds = append(idx.tBounds, r.TBounds...)
 	}
-	for g := 0; g < groups; g++ { // counts to offsets
-		idx.runs[g+1] += idx.runs[g]
+	for g := 0; g < groups; g++ {
+		starts[g+1] += starts[g]
 	}
+	idx.runs = extentsOf(starts)
 	return idx
 }
 
@@ -304,11 +311,12 @@ func FromSortedRuns(groups int, runs []Run) *Index {
 // ascending order, in one of two forms. A Builder's index keeps the keys and
 // a hash directory over them. A run-grouped one (FromSortedRuns) keeps, for
 // every key group g — the high word of a key — the ascending low words of
-// the group's keys in nodes[runs[g]:runs[g+1]]; runs is non-nil exactly then.
+// the group's keys in nodes[lo:hi], lo, hi = runs.Span(g); runs is non-nil
+// exactly then.
 type keyColumn struct {
 	keys  []uint64
 	table keyTable // key → position directory; the zero table binary-searches
-	runs  []uint32 // groups+1 offsets into nodes
+	runs  *Extents // one extent of nodes a group
 	nodes []uint32
 }
 
@@ -342,9 +350,9 @@ func (c *keyColumn) search(key uint64) int {
 		if i, ok := slices.BinarySearch(c.keys, key); ok {
 			return i
 		}
-	} else if g := key >> 32; g < uint64(len(c.runs)-1) {
-		lo := int(c.runs[g])
-		if i, ok := slices.BinarySearch(c.nodes[lo:c.runs[g+1]], uint32(key)); ok {
+	} else if g := key >> 32; g < uint64(c.runs.Len()) {
+		lo, hi := c.runs.Span(int(g))
+		if i, ok := slices.BinarySearch(c.nodes[lo:hi], uint32(key)); ok {
 			return lo + i
 		}
 	}
@@ -356,23 +364,35 @@ func (c *keyColumn) eachKey(fn func(i int, key uint64)) {
 	for i, k := range c.keys {
 		fn(i, k)
 	}
-	for g := 0; g+1 < len(c.runs); g++ {
-		for i := c.runs[g]; i < c.runs[g+1]; i++ {
-			fn(int(i), uint64(g)<<32|uint64(c.nodes[i]))
+	if c.runs == nil {
+		return
+	}
+	starts := c.runs.values()
+	lo := starts.next()
+	for g := 0; g < c.runs.Len(); g++ {
+		hi := starts.next()
+		for i := lo; i < hi; i++ {
+			fn(i, uint64(g)<<32|uint64(c.nodes[i]))
 		}
+		lo = hi
 	}
 }
 
 // sizeBytes is the column's footprint: 8 bytes a key plus the directory, or
-// 4 bytes a node plus 4 a run.
+// 4 bytes a node plus the run table's bit a node and a run.
 func (c *keyColumn) sizeBytes() int64 {
-	return int64(len(c.keys))*8 + c.table.sizeBytes() + int64(len(c.nodes)+len(c.runs))*4
+	n := int64(len(c.keys))*8 + c.table.sizeBytes() + int64(len(c.nodes))*4
+	if c.runs != nil {
+		n += c.runs.sizeBytes()
+	}
+	return n
 }
 
-// Runs returns the run-grouped key column — groups+1 offsets into the
-// ascending nodes of each group, aliasing the index (for a mapped segment,
-// its pages; read-only) — and nils for an index that keeps a key array.
-func (c *keyColumn) Runs() (runs, nodes []uint32) { return c.runs, c.nodes }
+// Runs returns the run-grouped key column — one extent of the nodes per group,
+// and the nodes, ascending inside each, aliasing the index (for a mapped
+// segment, its pages; read-only) — and nils for an index that keeps a key
+// array.
+func (c *keyColumn) Runs() (*Extents, []uint32) { return c.runs, c.nodes }
 
 // keyTable is an open-addressed hash directory from element key to its
 // position in the sorted key array. Lookup is O(1) with linear probing at a
@@ -458,15 +478,16 @@ func (ix *Index) Lists() int { return ix.lists() }
 // Postings returns the total number of postings.
 func (ix *Index) Postings() int { return len(ix.objs) }
 
-// SizeBytes estimates the in-memory footprint of the flat layout: 12 bytes
-// per posting (uint32 obj + float64 bound), 20 with the textual lane, plus a
-// 4-byte offset per list and the key column (16 bytes a list with a
-// directory, 4 and 4 a run when run-grouped). It is the figure reported in
-// Table 1 for the signature indexes.
+// SizeBytes reports the footprint of the flat layout — the bytes of a raw
+// segment's sections: 12 bytes per posting (uint32 obj + float64 bound), 20
+// with the textual lane, a 4-byte offset per list and one more, and the key
+// column (16 bytes a list with a directory; 4 and about a bit a list and a run
+// when run-grouped). It is the figure reported in Table 1 for the signature
+// indexes.
 func (ix *Index) SizeBytes() int64 {
 	perPosting := int64(4 + 8) // obj + bound
 	if ix.dual {
 		perPosting += 8
 	}
-	return int64(ix.Postings())*perPosting + int64(ix.lists())*4 + ix.sizeBytes()
+	return int64(ix.Postings())*perPosting + int64(len(ix.starts))*4 + ix.sizeBytes()
 }

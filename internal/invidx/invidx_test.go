@@ -203,8 +203,8 @@ func hashDirBytes(lists int) int64 { return int64(lists) * 2 * 4 }
 
 // TestFlatSizeBytesAccounting pins the flat layout's size model: every
 // posting costs exactly obj+bound (12B single, 20B dual), every list exactly
-// key+offset (12B), plus a Builder index's hash directory — no per-list heap
-// objects left to estimate.
+// key+offset (12B), plus the closing offset and a Builder index's hash
+// directory — no per-list heap objects left to estimate.
 func TestFlatSizeBytesAccounting(t *testing.T) {
 	var b Builder
 	for i := uint32(0); i < 100; i++ {
@@ -214,7 +214,7 @@ func TestFlatSizeBytesAccounting(t *testing.T) {
 	if idx.Postings() != 100 || idx.Lists() != 7 {
 		t.Fatalf("postings=%d lists=%d, want 100 and 7", idx.Postings(), idx.Lists())
 	}
-	want := int64(100*(4+8)+7*(8+4)) + hashDirBytes(7)
+	want := int64(100*(4+8)+7*(8+4)+4) + hashDirBytes(7)
 	if got := idx.SizeBytes(); got != want {
 		t.Fatalf("SizeBytes = %d, want %d", got, want)
 	}
@@ -224,7 +224,7 @@ func TestFlatSizeBytesAccounting(t *testing.T) {
 		db.AddDual(uint64(i%5), i, float64(i), 1)
 	}
 	didx := db.Build()
-	wantDual := int64(60*(4+8+8)+5*(8+4)) + hashDirBytes(5)
+	wantDual := int64(60*(4+8+8)+5*(8+4)+4) + hashDirBytes(5)
 	if got := didx.SizeBytes(); got != wantDual {
 		t.Fatalf("dual SizeBytes = %d, want %d", got, wantDual)
 	}
@@ -311,10 +311,11 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 			}
 		}
 	}
-	// Four bytes a list and four a run where the builder spends sixteen a list.
+	// Four bytes and a bit a list, and a bit a run, where the builder spends
+	// sixteen bytes a list.
 	a := got.Arenas()
-	if a.Keys != nil || a.Slots != nil || len(a.Runs) != groups+1 || len(a.Nodes) != want.Lists() ||
-		got.SizeBytes() != want.SizeBytes()-hashDirBytes(want.Lists())-int64(4*want.Lists())+4*(groups+1) {
+	if runs, _ := got.Runs(); a.Keys != nil || a.Slots != nil || runs.Len() != groups || len(a.Runs) != (want.Lists()+groups)/64+1 ||
+		len(a.Nodes) != want.Lists() || got.SizeBytes() != want.SizeBytes()-hashDirBytes(want.Lists())-int64(4*want.Lists())+int64(8*len(a.Runs)) {
 		t.Fatalf("an index from sorted runs should carry a run-grouped key column and nothing else")
 	}
 	if got := FromSortedRuns(0, nil); !got.Dual() || got.Lists() != 0 || got.Postings() != 0 || got.List(1).Len() != 0 {

@@ -56,11 +56,11 @@ type Source interface {
 	// is exactly cell g's posting count; the Seal filter's grid ranks).
 	EachLen(fn func(key uint64, n int))
 	// Runs returns the key column of an index frozen by FromSortedRuns:
-	// group g's keys are g<<32 | nodes[i] for i in [runs[g], runs[g+1]), and i
-	// is the position of that key's list. Both are nil for an index that
-	// keeps a key array. They alias the index (for a mapped segment, its
-	// pages). Read-only.
-	Runs() (runs, nodes []uint32)
+	// group g's keys are g<<32 | nodes[i] for i in runs.Span(g), and i is the
+	// position of that key's list. Both are nil for an index that keeps a key
+	// array. They alias the index (for a mapped segment, its pages).
+	// Read-only.
+	Runs() (runs *Extents, nodes []uint32)
 }
 
 // EachLen reports every list's key and length from the start offsets.

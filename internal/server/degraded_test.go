@@ -219,10 +219,11 @@ func TestBootRebuildsUnusableSegmentDir(t *testing.T) {
 // TestStaleFormatBootRebuilds: a directory of an earlier layout generation —
 // a version-3 manifest (whose Seal segments each carried a key directory), a
 // version-4 one (64-bit keys, and a count and quantization steps inside every
-// list), or a current manifest over posting segments of version 1 or 2 — is
-// stale, not damaged. A segment-only open reports the manifest-mismatch
-// sentinel instead of quarantining all four shards, and a boot that has the
-// data snapshot rebuilds and saves over it.
+// list), a version-5 one (uint32 offset tables), or a current manifest over
+// posting segments of version 1, 2 or 3 — is stale, not damaged. A
+// segment-only open reports the manifest-mismatch sentinel instead of
+// quarantining all four shards, and a boot that has the data snapshot
+// rebuilds and saves over it.
 func TestStaleFormatBootRebuilds(t *testing.T) {
 	snap := testSnapshot(t, 600)
 	manifestAs := func(v string) func(t *testing.T, dir string) {
@@ -232,9 +233,9 @@ func TestStaleFormatBootRebuilds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			aged := strings.Replace(string(man), `"version": 5`, `"version": `+v, 1)
+			aged := strings.Replace(string(man), `"version": 6`, `"version": `+v, 1)
 			if aged == string(man) {
-				t.Fatalf("manifest carries no version 5 to age: %s", man)
+				t.Fatalf("manifest carries no version 6 to age: %s", man)
 			}
 			if err := os.WriteFile(path, []byte(aged), 0o644); err != nil {
 				t.Fatal(err)
@@ -259,8 +260,10 @@ func TestStaleFormatBootRebuilds(t *testing.T) {
 	ages := map[string]func(t *testing.T, dir string){
 		"manifest v3": manifestAs("3"),
 		"manifest v4": manifestAs("4"),
-		"v1 posting segments under a v5 manifest": segmentsAs(1),
-		"v2 posting segments under a v5 manifest": segmentsAs(2),
+		"manifest v5": manifestAs("5"),
+		"v1 posting segments under a v6 manifest": segmentsAs(1),
+		"v2 posting segments under a v6 manifest": segmentsAs(2),
+		"v3 posting segments under a v6 manifest": segmentsAs(3),
 	}
 	for name, age := range ages {
 		t.Run(name, func(t *testing.T) {

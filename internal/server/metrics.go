@@ -85,7 +85,9 @@ func (h *histogram) Quantile(q float64) float64 {
 	return latencyBuckets[len(latencyBuckets)-1]
 }
 
-// writeTo emits the histogram in Prometheus cumulative-bucket form.
+// writeTo emits the histogram in Prometheus cumulative-bucket form. The count
+// is the +Inf bucket's, as the format requires, even while observations land
+// between the loads.
 func (h *histogram) writeTo(w io.Writer, name, labels string) {
 	var cum uint64
 	for i, ub := range latencyBuckets {
@@ -95,7 +97,7 @@ func (h *histogram) writeTo(w io.Writer, name, labels string) {
 	cum += h.inf.Load()
 	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum)
 	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, trimComma(labels), float64(h.sumNS.Load())/1e9)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, trimComma(labels), h.total.Load())
+	fmt.Fprintf(w, "%s_count{%s} %d\n", name, trimComma(labels), cum)
 }
 
 func formatBound(ub float64) string { return trimFloat(ub) }

@@ -403,9 +403,9 @@ func TestVersion1DirectoryIsStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := strings.Replace(string(man), `"version": 5`, `"version": 1`, 1)
+	v1 := strings.Replace(string(man), `"version": 6`, `"version": 1`, 1)
 	if v1 == string(man) {
-		t.Fatalf("manifest carries no version 5 to age: %s", man)
+		t.Fatalf("manifest carries no version 6 to age: %s", man)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
