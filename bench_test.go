@@ -256,7 +256,11 @@ func benchTopK(b *testing.B, spec bench.FilterSpec) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range specs {
-			found, err := searcher.TopK(s.Region, s.Terms, opts)
+			q, err := ds.NewQuery(s.Region, s.Terms, opts.FloorR, opts.FloorT)
+			if err != nil {
+				b.Fatal(err)
+			}
+			found, err := searcher.TopK(q, opts)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -133,8 +133,12 @@
 // keep a key array and an open-addressed directory over it for an O(1)
 // lookup, while MethodSeal, whose grid locator already holds the position of
 // every list it wants, keeps only each token's run of 32-bit grid nodes. Every per-query buffer belongs to a reusable per-shard
-// searcher, so steady-state threshold queries allocate nothing. Reproduce the
-// numbers with
+// searcher, so steady-state threshold queries allocate nothing. A ranked
+// request compiles one query, and each shard's threshold descent resumes
+// rather than restarts. Every round collects into one candidate set, and
+// the signature filters scan each posting list only past its previous
+// cutoff. Each candidate is verified once, against the floors. A warm
+// descent allocates only the ranking it returns. Reproduce the numbers with
 //
 //	go run ./cmd/sealbench -exp scoring -json
 //

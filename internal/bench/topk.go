@@ -62,7 +62,11 @@ func measureTopK(ds *model.Dataset, f core.Filter, specs []gen.QuerySpec, opts c
 	start := time.Now()
 	var results int
 	for _, spec := range specs {
-		found, terr := searcher.TopK(spec.Region, spec.Terms, opts)
+		q, qerr := ds.NewQuery(spec.Region, spec.Terms, opts.FloorR, opts.FloorT)
+		if qerr != nil {
+			return 0, 0, qerr
+		}
+		found, terr := searcher.TopK(q, opts)
 		if terr != nil {
 			return 0, 0, terr
 		}

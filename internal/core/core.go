@@ -22,7 +22,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 	"time"
 
@@ -73,6 +72,13 @@ type Filter interface {
 	// found so far. Abandonment is safe: a stopped search never claims its
 	// partial candidate set is complete — the caller asked it to stop
 	// producing.
+	//
+	// A Collect into a set not Reset since the previous Collect through the
+	// same scr continues that one: same query, thresholds no higher (a top-k
+	// descent's next round). The signature filters then resume from scr —
+	// each list picks up where its scan stopped, so a probe, a posting and a
+	// candidate count once however many rounds reach them; other filters
+	// collect again and the set drops the repeats.
 	Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch)
 }
 
@@ -248,9 +254,10 @@ func (s *SearchStats) Merge(other SearchStats) {
 
 // Searcher runs the two-step SealSig algorithm: filter, then verify.
 // A Searcher owns every per-query buffer (candidate set, accumulator,
-// scratch, match slice) so that steady-state threshold searches allocate
-// nothing. It is not safe for concurrent use; create one per goroutine
-// (the dataset and filters may be shared).
+// scratch, match slice, ranking) so that steady-state threshold searches
+// allocate nothing and a top-k descent allocates only the ranking it returns.
+// It is not safe for concurrent use; create one per goroutine (the dataset
+// and filters may be shared).
 type Searcher struct {
 	ds     *model.Dataset
 	filter Filter
@@ -264,9 +271,10 @@ type Searcher struct {
 	stats SearchStats
 	// accum caches whether the filter certifies token memberships.
 	accum bool
-	// memo caches exact similarities across top-k descent rounds; nil until
-	// the first descent (see verifyMemo).
-	memo *verifyMemo
+	// q is a top-k descent's copy of its query, whose thresholds the rounds
+	// move; ranked holds the descent's verified entries (see TopK).
+	q      model.Query
+	ranked []ScoredMatch
 	// tr, when non-nil, receives filter and verify spans for every search,
 	// attributed to shard trShard. The untraced path pays one nil check per
 	// phase — the zero-allocation contract holds exactly when tr is nil.
@@ -376,11 +384,14 @@ func (s *Searcher) Search(q *model.Query) ([]Match, SearchStats) {
 // the marks (SimTAccum) instead of re-intersecting the token sets; the two
 // paths are bit-identical by construction, which the differential tests pin.
 func (s *Searcher) verify(q *model.Query, id model.ObjectID) (Match, bool) {
-	if s.memo != nil && s.memo.on {
-		return s.verifyMemoized(q, id)
-	}
+	return s.verifyAt(q, id, q.TauR, q.TauT)
+}
+
+// verifyAt is verify against explicit thresholds in place of q's: a top-k
+// descent verifies each candidate once, against its floors.
+func (s *Searcher) verifyAt(q *model.Query, id model.ObjectID, tauR, tauT float64) (Match, bool) {
 	simR := s.ds.SimR(q, id)
-	if simR < q.TauR {
+	if simR < tauR {
 		return Match{}, false
 	}
 	var simT float64
@@ -389,80 +400,7 @@ func (s *Searcher) verify(q *model.Query, id model.ObjectID) (Match, bool) {
 	} else {
 		simT = s.ds.SimT(q, id)
 	}
-	if simT < q.TauT {
-		return Match{}, false
-	}
-	return Match{ID: id, SimR: simR, SimT: simT}, true
-}
-
-// verifyMemo caches exact similarities for the duration of one top-k
-// threshold descent. Each descent round re-collects a superset of the
-// previous round's candidates (lower thresholds ⇒ longer prefixes), so
-// without the memo every repeated candidate pays exact verification again —
-// for the grid filter, whose candidates equal its scanned postings, that is
-// the dominant cost BENCH_PR3 measured. Similarities do not depend on the
-// round's thresholds, and the cached values are the exact floats verify
-// computed, so replaying them is bit-identical. simT is NaN while only simR
-// has been computed (the simR short-circuit skipped it).
-type verifyMemo struct {
-	simR  []float64
-	simT  []float64
-	mark  []uint32
-	epoch uint32
-	on    bool
-}
-
-// beginDescent arms the cross-round verification memo. Called by TopK; the
-// first call per searcher pays the memo arrays' allocation.
-func (s *Searcher) beginDescent() {
-	if s.memo == nil {
-		s.memo = &verifyMemo{
-			simR: make([]float64, s.ds.Len()),
-			simT: make([]float64, s.ds.Len()),
-			mark: make([]uint32, s.ds.Len()),
-		}
-	}
-	m := s.memo
-	m.epoch++
-	if m.epoch == 0 { // wrapped: clear marks, as CandidateSet.Reset does
-		for i := range m.mark {
-			m.mark[i] = 0
-		}
-		m.epoch = 1
-	}
-	m.on = true
-}
-
-// endDescent disarms the memo; threshold searches outside a descent verify
-// directly (no memo reads or writes).
-func (s *Searcher) endDescent() { s.memo.on = false }
-
-// verifyMemoized is verify with the descent memo consulted first.
-func (s *Searcher) verifyMemoized(q *model.Query, id model.ObjectID) (Match, bool) {
-	m := s.memo
-	obj := uint32(id)
-	var simR float64
-	if m.mark[obj] == m.epoch {
-		simR = m.simR[obj]
-	} else {
-		simR = s.ds.SimR(q, id)
-		m.mark[obj] = m.epoch
-		m.simR[obj] = simR
-		m.simT[obj] = math.NaN()
-	}
-	if simR < q.TauR {
-		return Match{}, false
-	}
-	simT := m.simT[obj]
-	if math.IsNaN(simT) {
-		if s.cs.Accumulating() {
-			simT = s.ds.SimTAccum(q, id, s.cs.AccBits(obj))
-		} else {
-			simT = s.ds.SimT(q, id)
-		}
-		m.simT[obj] = simT
-	}
-	if simT < q.TauT {
+	if simT < tauT {
 		return Match{}, false
 	}
 	return Match{ID: id, SimR: simR, SimT: simT}, true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/gridsig"
 	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/model"
@@ -90,15 +91,13 @@ func (f *GridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, 
 	if cR <= 0 {
 		return
 	}
-	scr.gsig = f.grid.Signature(q.Region, scr.gsig[:0])
-	f.counter.SortSignature(scr.gsig)
-	scr.gW = scr.gW[:0]
-	for _, cw := range scr.gsig {
-		scr.gW = append(scr.gW, cw.W)
+	if !scr.resume(cs) {
+		projectGrid(f.grid, f.counter, q.Region, scr)
 	}
 	p := invidx.PrefixLen(scr.gW, cR)
 	slack := invidx.Slack(cR)
-	for _, cw := range scr.gsig[:p] {
+	cur := scr.cursors(p)
+	for j, cw := range scr.gsig[:p] {
 		if stop != nil && stop() {
 			return
 		}
@@ -110,12 +109,21 @@ func (f *GridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, 
 		if l.Len() == 0 {
 			continue
 		}
-		st.ListsProbed++
-		n := l.Cutoff(slack)
-		st.PostingsScanned += n
-		for _, obj := range l.Objs(n) {
+		from, to := cur[j].extend(&l, slack, st)
+		for _, obj := range l.Objs(to)[from:] {
 			cs.Add(obj)
 		}
+	}
+}
+
+// projectGrid puts region's grid signature in scr.gsig, sorted into the global
+// order (ascending count), and its weights in scr.gW.
+func projectGrid(g *gridsig.Grid, c *gridsig.Counter, region geo.Rect, scr *Scratch) {
+	scr.gsig = g.Signature(region, scr.gsig[:0])
+	c.SortSignature(scr.gsig)
+	scr.gW = scr.gW[:0]
+	for _, cw := range scr.gsig {
+		scr.gW = append(scr.gW, cw.W)
 	}
 }
 

@@ -144,18 +144,18 @@ func (f *HybridHashFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 	tsig := q.SigTokens
 	pT := invidx.PrefixLen(q.SigWeights, cT)
 	// Spatial prefix.
-	scr.gsig = f.grid.Signature(q.Region, scr.gsig[:0])
-	f.counter.SortSignature(scr.gsig)
-	scr.gW = scr.gW[:0]
-	for _, cw := range scr.gsig {
-		scr.gW = append(scr.gW, cw.W)
+	if !scr.resume(cs) {
+		projectGrid(f.grid, f.counter, q.Region, scr)
 	}
 	pR := invidx.PrefixLen(scr.gW, cR)
 
 	accum := f.buckets == 0 && cs.Accumulating()
 	slackR, slackT := invidx.Slack(cR), invidx.Slack(cT)
+	retest := scr.retest(slackT)
+	// List (i, j) is cursor j·|tsig| + i, so the cursors grow with pR alone.
+	cur := scr.cursors(pR * len(tsig))
 	for i, t := range tsig[:pT] {
-		for _, cw := range scr.gsig[:pR] {
+		for j, cw := range scr.gsig[:pR] {
 			if stop != nil && stop() {
 				return
 			}
@@ -167,22 +167,7 @@ func (f *HybridHashFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 			if l.Len() == 0 {
 				continue
 			}
-			st.ListsProbed++
-			n := l.Cutoff(slackR)
-			st.PostingsScanned += n
-			if accum {
-				for j := 0; j < n; j++ {
-					if l.TBound(j) >= slackT {
-						cs.AddAcc(l.Obj(j), uint32(i))
-					}
-				}
-			} else {
-				for j := 0; j < n; j++ {
-					if l.TBound(j) >= slackT {
-						cs.Add(l.Obj(j))
-					}
-				}
-			}
+			cur[j*len(tsig)+i].scanDual(&l, slackR, slackT, retest, cs, uint32(i), accum, st)
 		}
 	}
 }

@@ -371,6 +371,9 @@ func (f *HierarchicalFilter) accumulatesSimT() bool { return true }
 // position the projection found its key at, never by looking the key up. Grid
 // projections and prefix weights live in the caller's scratch; the textual
 // prefix comes precompiled on the Query.
+//
+// A resumed Collect (a top-k descent's next round) projects only the tokens
+// new to the textual prefix and scans each list only past its last cutoff.
 func (f *HierarchicalFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
 	cR, cT := Thresholds(q)
 	if cR <= 0 || cT <= 0 {
@@ -379,19 +382,24 @@ func (f *HierarchicalFilter) Collect(q *model.Query, cs *CandidateSet, st *Filte
 	tsig := q.SigTokens
 	pT := invidx.PrefixLen(q.SigWeights, cT)
 	slackR, slackT := invidx.Slack(cR), invidx.Slack(cT)
+	scr.resume(cs)
+	retest := scr.retest(slackT)
 
 	for i, t := range tsig[:pT] {
-		loc, ok := f.locs.of(t)
-		if !ok {
-			continue
+		if i == len(scr.toks) {
+			lo := len(scr.hits)
+			if loc, ok := f.locs.of(t); ok {
+				scr.hits = loc.project(q.Region, scr.hits)
+			}
+			for _, h := range scr.hits[lo:] {
+				scr.gW = append(scr.gW, h.w)
+			}
+			scr.toks = append(scr.toks, span{lo, len(scr.hits)})
 		}
-		scr.hits = loc.project(q.Region, scr.hits[:0])
-		scr.gW = scr.gW[:0]
-		for _, h := range scr.hits {
-			scr.gW = append(scr.gW, h.w)
-		}
-		pR := invidx.PrefixLen(scr.gW, cR)
-		for _, h := range scr.hits[:pR] {
+		tok := scr.toks[i]
+		hits, cur := scr.hits[tok.lo:tok.hi], scr.cursors(tok.hi)[tok.lo:]
+		pR := invidx.PrefixLen(scr.gW[tok.lo:tok.hi], cR)
+		for j, h := range hits[:pR] {
 			if stop != nil && stop() {
 				return
 			}
@@ -403,14 +411,7 @@ func (f *HierarchicalFilter) Collect(q *model.Query, cs *CandidateSet, st *Filte
 			if l.Len() == 0 {
 				continue
 			}
-			st.ListsProbed++
-			n := l.Cutoff(slackR)
-			st.PostingsScanned += n
-			for j := 0; j < n; j++ {
-				if l.TBound(j) >= slackT {
-					cs.AddAcc(l.Obj(j), uint32(i))
-				}
-			}
+			cur[j].scanDual(&l, slackR, slackT, retest, cs, uint32(i), true, st)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"github.com/sealdb/seal/internal/gridsig"
 	"github.com/sealdb/seal/internal/invidx"
 )
@@ -11,12 +13,29 @@ import (
 // as free backing storage: truncate (buf[:0]), append, and leave the grown
 // slice behind for the next query.
 type Scratch struct {
-	// gsig holds a query's grid signature (grid and hash-hybrid filters).
+	// The resumption state of the query being collected, rebuilt from zero
+	// by the first Collect after a CandidateSet Reset (see resume) and kept by
+	// the rounds of a top-k descent that follow it.
+	//
+	// gsig holds the query's grid signature (grid and hash-hybrid filters).
 	gsig []gridsig.CellWeight
-	// gW holds spatial element weights for prefix selection.
+	// gW holds spatial element weights for prefix selection: gsig's, or
+	// every projected token's hits' end to end.
 	gW []float64
-	// hits holds hierarchical grid projections (the Seal filter).
+	// hits holds hierarchical grid projections (the Seal filter), token i's
+	// at toks[i].
 	hits []gridHit
+	toks []span
+	// cur holds one cursor per posting list the query has reached, at an
+	// ordinal each filter derives from the list's place in its prefixes.
+	cur []cursor
+	// slackT is the textual slack of the last round; see retest.
+	slackT float64
+	// owner and epoch identify the candidate set and the Reset the state
+	// belongs to.
+	owner *CandidateSet
+	epoch uint32
+
 	// ids holds the sorted candidate order for ID-ordered streaming.
 	ids []uint32
 	// dec is the posting-list decode buffer: probes against compressed or
@@ -27,6 +46,89 @@ type Scratch struct {
 	// acc sums per-object weights for the filters that score whole lists
 	// (the plain Sig-Filters, keyword-first); sized on first use.
 	acc WeightAccumulator
+}
+
+// resume starts a Collect into cs and reports whether it continues the last
+// one: cs has not been Reset since, so it is the same query at thresholds no
+// higher. Otherwise the resumption state is dropped and the Collect starts
+// from zero — a fresh query is a descent of one round.
+func (s *Scratch) resume(cs *CandidateSet) bool {
+	if s.owner == cs && s.epoch == cs.epoch {
+		return true
+	}
+	s.owner, s.epoch = cs, cs.epoch
+	s.gW, s.hits, s.toks, s.cur = s.gW[:0], s.hits[:0], s.toks[:0], s.cur[:0]
+	s.slackT = math.Inf(1)
+	return false
+}
+
+// retest records a round's textual slack and reports whether it fell below
+// the last round's, so that a head row a textual bound held back may clear
+// it now.
+func (s *Scratch) retest(slackT float64) bool {
+	fell := slackT < s.slackT
+	s.slackT = slackT
+	return fell
+}
+
+// cursors returns the cursors of list ordinals [0, n), zeroing the ones no
+// round has reached yet.
+func (s *Scratch) cursors(n int) []cursor {
+	if n > len(s.cur) {
+		s.cur = append(s.cur, make([]cursor, n-len(s.cur))...)
+	}
+	return s.cur[:n]
+}
+
+// span is one token's run of Scratch.hits and Scratch.gW.
+type span struct{ lo, hi int }
+
+// cursor is how far the rounds of one query have scanned one posting list:
+// the head rows [0, rows), of which skipped rows cleared the spatial bound but
+// not the textual one. The cutoffs only grow as the thresholds fall, so each
+// round scans the rows past the last cutoff, and re-tests the head only when
+// it held rows back and the textual slack fell.
+type cursor struct {
+	rows, skipped int32
+	probed        bool
+}
+
+// extend moves c to l's cutoff at slackR and returns the rows the head
+// gained, [from, to). The list's first probe and every gained row count in st
+// — once a query, however many rounds reach them.
+func (c *cursor) extend(l *invidx.List, slackR float64, st *FilterStats) (from, to int) {
+	if !c.probed {
+		c.probed = true
+		st.ListsProbed++
+	}
+	from = int(c.rows)
+	to = max(l.Cutoff(slackR), from)
+	c.rows = int32(to)
+	st.PostingsScanned += to - from
+	return from, to
+}
+
+// scanDual extends c over a dual-bound list and adds each gained row whose
+// textual bound clears slackT to cs — with the membership mark of bit when acc
+// — and, on retest, every earlier head row too, since a lower slackT can pass
+// a row an earlier round held back.
+func (c *cursor) scanDual(l *invidx.List, slackR, slackT float64, retest bool, cs *CandidateSet, bit uint32, acc bool, st *FilterStats) {
+	from, to := c.extend(l, slackR, st)
+	skipped := int(c.skipped)
+	if retest && skipped > 0 {
+		from, skipped = 0, 0
+	}
+	for j := from; j < to; j++ {
+		switch {
+		case l.TBound(j) < slackT:
+			skipped++
+		case acc:
+			cs.AddAcc(l.Obj(j), bit)
+		default:
+			cs.Add(l.Obj(j))
+		}
+	}
+	c.skipped = int32(skipped)
 }
 
 // Weights returns the scratch's weight accumulator, emptied, for a dataset of

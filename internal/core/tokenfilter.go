@@ -47,7 +47,8 @@ func (f *TokenFilter) accumulatesSimT() bool { return true }
 // cT = τT · Σ_{t∈q.T} w(t); prefix filtering retrieves exactly the objects
 // that share a prefix element with the query's prefix. The query's
 // signature-ordered tokens and weights are precompiled on the Query itself,
-// so only the decode buffer inside scr is used and the scan allocates nothing.
+// so only the decode buffer and the list cursors inside scr are used and the
+// scan allocates nothing.
 func (f *TokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
 	_, cT := Thresholds(q)
 	if cT <= 0 {
@@ -56,6 +57,8 @@ func (f *TokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats,
 	sig := q.SigTokens
 	p := invidx.PrefixLen(q.SigWeights, cT)
 	slack := invidx.Slack(cT)
+	scr.resume(cs)
+	cur := scr.cursors(p)
 	for i, t := range sig[:p] {
 		if stop != nil && stop() {
 			return
@@ -68,10 +71,8 @@ func (f *TokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats,
 		if l.Len() == 0 {
 			continue
 		}
-		st.ListsProbed++
-		n := l.Cutoff(slack)
-		st.PostingsScanned += n
-		for _, obj := range l.Objs(n) {
+		from, to := cur[i].extend(&l, slack, st)
+		for _, obj := range l.Objs(to)[from:] {
 			cs.AddAcc(obj, uint32(i))
 		}
 	}

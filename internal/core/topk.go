@@ -3,9 +3,10 @@ package core
 import (
 	"fmt"
 	"slices"
+	"time"
 
-	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/model"
+	"github.com/sealdb/seal/internal/trace"
 )
 
 // Top-k spatio-textual similarity search: instead of fixed thresholds, the
@@ -21,6 +22,15 @@ import (
 // valid filter thresholds. The descent stops as soon as |A_s| ≥ k — at that
 // point every higher-scoring object is already in A_s — or when both derived
 // thresholds saturate at the floors.
+//
+// The descent resumes instead of restarting. Its rounds collect one query at
+// falling thresholds into one candidate set: each round's prefixes and list
+// cutoffs extend the last round's, so a signature filter scans only what the
+// lower thresholds added (see Filter.Collect). Each candidate is verified
+// once, against the floors, when it first arrives, and a round ranks the
+// verified entries that clear its thresholds. Those are exactly the matches a
+// fresh search at the round's thresholds would return, since the filter is
+// complete for them and every one of its candidates is in the set.
 
 // TopKOptions parameterizes a top-k search.
 type TopKOptions struct {
@@ -40,14 +50,6 @@ type TopKOptions struct {
 	// TopK descents run concurrently over disjoint shards and prune against
 	// the best scores seen anywhere. All are optional.
 
-	// Compile, when non-nil, compiles the descent's threshold queries in
-	// place of the searcher dataset's NewQuery. Sharded search passes the
-	// root dataset's NewQuery here: a query compiled against the root is
-	// valid on every shard (they share the vocabulary and weight table), and
-	// compiling against a shard would skew unknown-term weights, which
-	// depend on the dataset's object count.
-	Compile func(region geo.Rect, terms []string, tauR, tauT float64) (*model.Query, error)
-
 	// Interrupt, when non-nil, is polled once per descent round; a non-nil
 	// error aborts the search and is returned verbatim. Pass ctx.Err to make
 	// a descent honor context cancellation.
@@ -55,7 +57,8 @@ type TopKOptions struct {
 	// Observe, when non-nil, receives the provably-complete result prefix
 	// after every descent round: entries whose score is at or above the
 	// current score line, which no unseen object can outrank. Entries use
-	// this searcher's local object IDs.
+	// this searcher's local object IDs, and the slice is valid only for the
+	// duration of the call.
 	Observe func(complete []ScoredMatch)
 	// StopBelow, when non-nil, returns an external lower bound on the k-th
 	// best score (e.g. the running global k-th across all shards). Once the
@@ -64,9 +67,12 @@ type TopKOptions struct {
 	// descent stops early and returns what it has.
 	StopBelow func() float64
 
-	// Stats, when non-nil, accumulates the cost of every descent round's
-	// underlying threshold search. Counters add across rounds, so a deeper
-	// descent (larger K, lower floors) shows up directly as more lists
+	// Stats, when non-nil, accumulates the descent's filter-and-verify work.
+	// A list probe, a posting scanned and a candidate verified count once per
+	// descent, however many rounds reach them, so the counts are those of one
+	// threshold search at the final round's thresholds (a paper baseline,
+	// which cannot resume, counts its probes and postings every round). A
+	// deeper descent (larger K, lower floors) shows up directly as more lists
 	// probed, postings scanned and candidates verified.
 	Stats *SearchStats
 }
@@ -102,37 +108,46 @@ type ScoredMatch struct {
 	Score float64
 }
 
-// TopK runs top-k search over the searcher's filter.
-func (s *Searcher) TopK(region geo.Rect, terms []string, opts TopKOptions) ([]ScoredMatch, error) {
+// TopK ranks the best K objects for q's region and tokens over the searcher's
+// filter. q's thresholds are ignored: the descent moves those of its own copy.
+// q must be compiled against the searcher's dataset or one sharing its
+// vocabulary and weights, as a shard shares its root's. The ranking is the
+// caller's; the warm searcher allocates nothing else.
+func (s *Searcher) TopK(q *model.Query, opts TopKOptions) ([]ScoredMatch, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-
-	compile := opts.Compile
-	if compile == nil {
-		compile = s.ds.NewQuery
+	var st SearchStats
+	s.q = *q
+	ranked, err := s.descend(&opts, &st)
+	s.q = model.Query{} // a pooled searcher must not pin the caller's query
+	if opts.Stats != nil {
+		st.Results = len(ranked)
+		opts.Stats.Merge(st)
 	}
-	// Rounds re-verify overlapping candidate sets; the memo replays exact
-	// similarities across them (see verifyMemo).
-	s.beginDescent()
-	defer s.endDescent()
+	if err != nil {
+		return nil, err
+	}
+	// The ranking leaves as a copy: s.ranked is the next descent's buffer,
+	// and the searcher may be back in its pool before the caller is done.
+	return slices.Clone(ranked), nil
+}
+
+// descend runs the rounds over s.q, adding their work to st, and returns the
+// ranking as a view of s.ranked.
+func (s *Searcher) descend(opts *TopKOptions, st *SearchStats) ([]ScoredMatch, error) {
+	q := &s.q
+	s.beginQuery(q)
+	s.ranked = s.ranked[:0]
 	for score := 1.0; ; score /= 2 {
 		if opts.Interrupt != nil {
 			if err := opts.Interrupt(); err != nil {
 				return nil, err
 			}
 		}
-		tauR := thresholdFor(score, opts.Alpha, opts.FloorR)
-		tauT := thresholdFor(score, 1-opts.Alpha, opts.FloorT)
-		q, err := compile(region, terms, tauR, tauT)
-		if err != nil {
-			return nil, err
-		}
-		matches, rst := s.Search(q)
-		if opts.Stats != nil {
-			opts.Stats.Merge(rst)
-		}
-		ranked, complete := rankMatches(matches, opts, score)
+		q.TauR = thresholdFor(score, opts.Alpha, opts.FloorR)
+		q.TauT = thresholdFor(score, 1-opts.Alpha, opts.FloorT)
+		ranked, complete := s.round(opts, score, st)
 		if opts.Observe != nil {
 			opts.Observe(ranked[:complete])
 		}
@@ -143,7 +158,7 @@ func (s *Searcher) TopK(region geo.Rect, terms []string, opts TopKOptions) ([]Sc
 		if complete >= opts.K {
 			return ranked[:opts.K], nil
 		}
-		if tauR == opts.FloorR && tauT == opts.FloorT {
+		if q.TauR == opts.FloorR && q.TauT == opts.FloorT {
 			if len(ranked) > opts.K {
 				ranked = ranked[:opts.K]
 			}
@@ -156,6 +171,67 @@ func (s *Searcher) TopK(region geo.Rect, terms []string, opts TopKOptions) ([]Sc
 			return ranked[:complete], nil
 		}
 	}
+}
+
+// round collects s.q at its current thresholds on top of the earlier rounds,
+// verifies the newcomers against the floors, and ranks the verified entries
+// that clear the round's thresholds: descending score, ties by ID. It returns
+// the ranking and the length of its prefix at or above the score line — the
+// prefix that is provably complete.
+func (s *Searcher) round(opts *TopKOptions, line float64, st *SearchStats) ([]ScoredMatch, int) {
+	q, rst := &s.q, &s.stats
+	*rst = SearchStats{}
+	seen := s.cs.Len()
+	start := time.Now()
+	s.filter.Collect(q, s.cs, &rst.FilterStats, nil, &s.scr)
+	rst.Candidates = s.cs.Len() - seen
+	rst.FilterTime = time.Since(start)
+	if s.tr != nil {
+		s.traceSpan(trace.StageFilter, start, rst.FilterTime, rst)
+	}
+
+	start = time.Now()
+	for _, obj := range s.cs.IDs()[seen:] {
+		if m, ok := s.verifyAt(q, model.ObjectID(obj), opts.FloorR, opts.FloorT); ok {
+			sc := opts.Alpha*m.SimR + (1-opts.Alpha)*m.SimT
+			s.ranked = append(s.ranked, ScoredMatch{ID: m.ID, SimR: m.SimR, SimT: m.SimT, Score: sc})
+		}
+	}
+	// The round's entries move to the front of s.ranked, the rest stay
+	// behind it for the lower thresholds of the rounds to come.
+	n := 0
+	for i, m := range s.ranked {
+		if m.SimR >= q.TauR && m.SimT >= q.TauT {
+			s.ranked[i], s.ranked[n] = s.ranked[n], m
+			n++
+		}
+	}
+	ranked := s.ranked[:n]
+	slices.SortFunc(ranked, func(a, b ScoredMatch) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		case a.ID < b.ID:
+			return -1
+		case a.ID > b.ID:
+			return 1
+		default:
+			return 0
+		}
+	})
+	complete := 0
+	for complete < len(ranked) && ranked[complete].Score >= line-1e-12 {
+		complete++
+	}
+	rst.Results = len(ranked)
+	rst.VerifyTime = time.Since(start)
+	if s.tr != nil {
+		s.traceSpan(trace.StageVerify, start, rst.VerifyTime, rst)
+	}
+	st.Merge(*rst)
+	return ranked, complete
 }
 
 // thresholdFor derives the similarity threshold implied by a score target:
@@ -173,34 +249,4 @@ func thresholdFor(score, weight, floor float64) float64 {
 		return 1
 	}
 	return tau
-}
-
-// rankMatches scores and sorts the matches (descending score, ties by ID)
-// and returns the sorted list plus the count of entries at or above the
-// current score line — the prefix that is provably complete.
-func rankMatches(matches []Match, opts TopKOptions, minScore float64) ([]ScoredMatch, int) {
-	out := make([]ScoredMatch, 0, len(matches))
-	for _, m := range matches {
-		sc := opts.Alpha*m.SimR + (1-opts.Alpha)*m.SimT
-		out = append(out, ScoredMatch{ID: m.ID, SimR: m.SimR, SimT: m.SimT, Score: sc})
-	}
-	slices.SortFunc(out, func(a, b ScoredMatch) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		default:
-			return 0
-		}
-	})
-	complete := 0
-	for complete < len(out) && out[complete].Score >= minScore-1e-12 {
-		complete++
-	}
-	return out, complete
 }

@@ -8,7 +8,6 @@ import (
 
 	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/model"
-	"github.com/sealdb/seal/internal/paperdata"
 	"github.com/sealdb/seal/internal/testutil"
 )
 
@@ -39,25 +38,24 @@ func bruteTopK(ds *model.Dataset, q *model.Query, opts core.TopKOptions) []core.
 }
 
 func TestTopKValidation(t *testing.T) {
-	ds, _ := paperSetup(t)
+	ds, q := paperSetup(t)
 	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
-	if _, err := s.TopK(paperdata.QueryRegion, paperdata.QueryTerms, core.TopKOptions{K: 0}); err == nil {
+	if _, err := s.TopK(q, core.TopKOptions{K: 0}); err == nil {
 		t.Error("K=0 should fail")
 	}
-	if _, err := s.TopK(paperdata.QueryRegion, paperdata.QueryTerms, core.TopKOptions{K: 1, Alpha: 1.5}); err == nil {
+	if _, err := s.TopK(q, core.TopKOptions{K: 1, Alpha: 1.5}); err == nil {
 		t.Error("alpha > 1 should fail")
 	}
-	if _, err := s.TopK(paperdata.QueryRegion, paperdata.QueryTerms, core.TopKOptions{K: 1, FloorR: -0.1}); err == nil {
+	if _, err := s.TopK(q, core.TopKOptions{K: 1, FloorR: -0.1}); err == nil {
 		t.Error("negative floor should fail")
 	}
 }
 
 func TestTopKPaperExample(t *testing.T) {
-	ds, _ := paperSetup(t)
+	ds, q := paperSetup(t)
 	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
 	// Rank by equally-weighted score; o2 (simR=0.32, simT=1.0) must be #1.
-	got, err := s.TopK(paperdata.QueryRegion, paperdata.QueryTerms,
-		core.TopKOptions{K: 2, Alpha: 0.5})
+	got, err := s.TopK(q, core.TopKOptions{K: 2, Alpha: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +111,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 			want := bruteTopK(ds, oracleQ, opts)
 			for _, f := range filters {
 				s := core.NewSearcher(ds, f)
-				got, err := s.TopK(q.Region, terms, opts)
+				got, err := s.TopK(oracleQ, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,11 +149,10 @@ func mustHier(t *testing.T, ds *model.Dataset) core.Filter {
 }
 
 func TestTopKFewerThanK(t *testing.T) {
-	ds, _ := paperSetup(t)
+	ds, q := paperSetup(t)
 	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
 	// Only o2 satisfies floors this strict.
-	got, err := s.TopK(paperdata.QueryRegion, paperdata.QueryTerms,
-		core.TopKOptions{K: 5, Alpha: 0.5, FloorR: 0.3, FloorT: 0.3})
+	got, err := s.TopK(q, core.TopKOptions{K: 5, Alpha: 0.5, FloorR: 0.3, FloorT: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ type pass struct {
 	e      *Engine
 	ctx    context.Context
 	opt    Options
-	q      *model.Query // nil on ranked passes: descents compile per round
+	q      *model.Query // compiled against the root; ranked descents copy it
 	region geo.Rect     // shard-prune key: the query region and the lowest
 	tauR   float64      // spatial threshold any of the pass's searches can use
 	// polls reports that the pass's shard searches poll stop. Searches that

@@ -220,7 +220,6 @@ func (p *pass) arrivalShard(i int, s *shard, sr *core.Searcher, stop func() bool
 
 // ranking is a top-k pass's descent parameters.
 type ranking struct {
-	terms   []string
 	opts    core.TopKOptions
 	tracker *kthTracker // nil on a single shard: nothing to prune against
 }
@@ -237,11 +236,11 @@ type ranking struct {
 // global top k is always contained in the gathered lists, and ties break by
 // ascending global object ID exactly as in the unsharded search.
 //
-// The returned stats accumulate the descent rounds' filter-and-verify work
-// across shards; a descent cut short by cooperative pruning (or a small
-// effective k) reports the reduced counts. Capping opt.Parallelism weakens
-// cooperative pruning's concurrency, never its correctness — the tracker only
-// ever tightens.
+// The returned stats accumulate the descents' filter-and-verify work across
+// shards, each probe, posting and candidate counted once per descent; a
+// descent cut short by cooperative pruning (or a small effective k) reports
+// the reduced counts. Capping opt.Parallelism weakens cooperative pruning's
+// concurrency, never its correctness — the tracker only ever tightens.
 //
 // Degraded ranked answers carry one caveat beyond threshold queries. A shard
 // that was quarantined at open (or panicked before observing results) never
@@ -263,16 +262,21 @@ func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts
 	if err := opts.Validate(); err != nil {
 		return nil, core.SearchStats{}, err
 	}
-	// Descent queries must compile against the root dataset: unknown-term
-	// weights depend on the total object count, and shards answer with the
-	// root's weights so their scores match the monolithic index exactly.
-	opts.Compile = e.root.NewQuery
-	rk := &ranking{terms: terms, opts: opts}
+	// The descents' one query compiles against the root dataset, at the
+	// floors: unknown-term weights depend on the total object count, and
+	// shards answer with the root's weights so their scores match the
+	// monolithic index exactly. Each descent moves the thresholds of its own
+	// copy.
+	q, err := e.root.NewQuery(region, terms, opts.FloorR, opts.FloorT)
+	if err != nil {
+		return nil, core.SearchStats{}, err
+	}
+	rk := &ranking{opts: opts}
 	if len(e.shards) > 1 {
 		rk.tracker = newKthTracker(len(e.shards), opts.K)
 	}
 	p := &pass{
-		e: e, ctx: ctx, opt: opt, region: region, tauR: opts.FloorR, polls: true,
+		e: e, ctx: ctx, opt: opt, q: q, region: region, tauR: opts.FloorR, polls: true,
 		ranked: rk, scored: make([][]core.ScoredMatch, len(e.shards)),
 	}
 	st, err := p.run((*pass).rankedShard)
@@ -311,7 +315,10 @@ func (p *pass) rankedShard(i int, s *shard, sr *core.Searcher, stop func() bool)
 		o.Observe = func(complete []core.ScoredMatch) { t.observe(i, complete) }
 		o.StopBelow = t.kth
 	}
-	found, err := sr.TopK(p.region, p.ranked.terms, o)
+	// The ranking is the descent's own copy, not a view of the searcher's
+	// buffer, so it may be remapped in place and outlive the searcher's
+	// return to its pool.
+	found, err := sr.TopK(p.q, o)
 	for j := range found {
 		found[j].ID = s.global(found[j].ID)
 	}

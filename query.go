@@ -402,8 +402,8 @@ func (ix *Index) queryRanked(ctx context.Context, req Request, cfg queryConfig, 
 		// earlier.
 		effK = n
 	}
-	// Ranked admission ends here; the descent compiles its own per-round
-	// queries inside the engine.
+	// Ranked admission ends here; the engine compiles the descents' one query
+	// against the root dataset.
 	admitSpan(rec)
 	found, st, err := ix.eng.TopK(ctx, rectIn(req.Region), req.Tokens, core.TopKOptions{
 		K:      effK,

@@ -300,15 +300,21 @@ func TestQueryStats(t *testing.T) {
 		t.Fatalf("stats.Results = %d, want %d", st.Results, len(res.Matches))
 	}
 
-	// Ranked requests report descent work too.
+	// Ranked requests report descent work too, each probe, posting and
+	// candidate once however many rounds reach it. A K beyond the index runs
+	// the descent down to its floors, and every round's candidates are among
+	// the last round's, so its work is exactly req's at those floors.
 	var rst seal.Stats
-	_, err = ix.Query(context.Background(), seal.Request{
-		Region: req.Region, Tokens: req.Tokens, K: 3, Alpha: 0.5,
-	}, seal.StatsInto(&rst))
+	ranked, err := ix.Query(context.Background(), seal.Request{
+		Region: req.Region, Tokens: req.Tokens, K: 1000, Alpha: 0.8, FloorR: req.TauR, FloorT: req.TauT,
+	}, seal.StatsInto(&rst), seal.CollectTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rst.PostingsScanned == 0 && rst.Candidates == 0 {
-		t.Fatalf("ranked stats = %+v, want descent work recorded", rst)
+	if rounds := stageCount(ranked.Trace)["filter"]; rounds < 2 {
+		t.Fatalf("ranked request descended %d rounds, want several", rounds)
+	}
+	if rst.Candidates == 0 || rst.Candidates != st.Candidates || rst.PostingsScanned != st.PostingsScanned || rst.ListsProbed != st.ListsProbed {
+		t.Fatalf("ranked stats = %+v, want the distinct work of its descent, %+v", rst, st)
 	}
 }
