@@ -12,9 +12,9 @@ import (
 
 // TestSearchAllocs pins what the execution core itself costs per query, on
 // top of a searcher that allocates nothing in steady state: one pass, the
-// per-shard run table and each shard's copied-out run — plus, when the query
-// scatters, the live list, the outcome channel (header and buffer), the
-// worker closure and the merged answer. The runtime may add one goroutine
+// per-shard run table, each shard's copied-out run and the merged answer —
+// plus, when the query scatters, the live list, the outcome channel (header
+// and buffer) and the worker closure. The runtime may add one goroutine
 // descriptor per worker when it has none to reuse; the scattered bound leaves
 // room for exactly that. Pruning adds nothing to admit: the selective query
 // below cost 7 allocations plus up to four goroutine descriptors at dce0780,
@@ -36,7 +36,7 @@ func TestSearchAllocs(t *testing.T) {
 		q      *model.Query
 		pruned bool
 		want   float64
-	}{{1, broad, false, 3}, {4, broad, false, 2 + 4 + 5 + 4}, {4, selective, true, 7 + 2}} {
+	}{{1, broad, false, 4}, {4, broad, false, 3 + 4 + 4 + 4}, {4, selective, true, 7 + 2}} {
 		q := tc.q
 		e, err := Build(ds, Config{
 			Shards:    tc.shards,

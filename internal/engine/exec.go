@@ -354,7 +354,8 @@ func (p *pass) scatter(body shardBody, st *core.SearchStats) error {
 	return first
 }
 
-// traceMerge records the engine-level merge span: gather, remap, sort.
+// traceMerge records the engine-level merge span: the k-way merge of the
+// shard runs, or of the top-k rankings.
 func traceMerge(tr *trace.Rec, start time.Time, results int) {
 	if tr == nil {
 		return

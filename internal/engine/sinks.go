@@ -6,7 +6,6 @@ package engine
 // them, TopK merges cooperative per-shard descents into one ranking.
 
 import (
-	"cmp"
 	"container/heap"
 	"context"
 	"slices"
@@ -36,6 +35,14 @@ import (
 // ctx.Err() without waiting for in-flight shard searches, which finish in the
 // background and are discarded.
 func (e *Engine) Search(ctx context.Context, q *model.Query, opt Options) ([]core.Match, core.SearchStats, error) {
+	return SearchAs(e, ctx, q, opt, func(m core.Match) core.Match { return m })
+}
+
+// SearchAs is Search answering in the caller's match type: the per-shard
+// runs merge once, straight into a []M sized to the answer, each entry
+// converted by as. An answer therefore costs one shard-run entry and one M
+// per match, never an intermediate merged copy.
+func SearchAs[M any](e *Engine, ctx context.Context, q *model.Query, opt Options, as func(core.Match) M) ([]M, core.SearchStats, error) {
 	p := &pass{
 		e: e, ctx: ctx, opt: opt, q: q, region: q.Region, tauR: q.TauR,
 		// An uncapped search with no shard deadline has nothing to poll for
@@ -51,10 +58,7 @@ func (e *Engine) Search(ctx context.Context, q *model.Query, opt Options) ([]cor
 	if opt.Trace != nil {
 		mergeStart = time.Now()
 	}
-	merged := mergeByID(p.matches)
-	if opt.Limit > 0 && len(merged) > opt.Limit {
-		merged = merged[:opt.Limit]
-	}
+	merged := mergeRuns(p.matches, opt.Limit, as)
 	// Per-shard Results count local emissions; the query's answer is the
 	// truncated merge.
 	st.Results = len(merged)
@@ -94,28 +98,65 @@ func (p *pass) orderedShard(i int, s *shard, sr *core.Searcher, stop func() bool
 	return st, nil
 }
 
-// mergeByID unions the per-shard runs in ascending global ID order.
-func mergeByID(runs [][]core.Match) []core.Match {
-	var only []core.Match
-	filled, total := 0, 0
+// mergeRuns unions the per-shard runs — each ascending by global ID, the
+// shards' ID sets disjoint — into one ascending answer of at most limit
+// entries (0: all of them). It is a k-way merge whose heap is the run table
+// itself: the non-empty runs, min-ordered by their first ID, each popped
+// entry advancing its run in place. The table is consumed.
+func mergeRuns[M any](runs [][]core.Match, limit int, as func(core.Match) M) []M {
+	heads, total := runs[:0], 0
 	for _, r := range runs {
 		if len(r) > 0 {
-			only = r
-			filled++
+			heads = append(heads, r)
 			total += len(r)
 		}
 	}
-	if filled <= 1 {
-		return only // one run is already the answer
+	if limit > 0 && total > limit {
+		total = limit
 	}
-	merged := make([]core.Match, 0, total)
-	for _, r := range runs {
-		merged = append(merged, r...)
+	out := make([]M, total)
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftRun(heads, i)
 	}
-	// Shard partitions are ID-sorted and disjoint, so this is a k-way merge
-	// of sorted runs; a plain sort keeps it simple.
-	slices.SortFunc(merged, func(a, b core.Match) int { return cmp.Compare(a.ID, b.ID) })
-	return merged
+	i := 0
+	for ; len(heads) > 1 && i < total; i++ {
+		r := heads[0]
+		out[i] = as(r[0])
+		if len(r) > 1 {
+			heads[0] = r[1:]
+		} else {
+			last := len(heads) - 1
+			heads[0], heads = heads[last], heads[:last]
+		}
+		siftRun(heads, 0)
+	}
+	if i < total {
+		// One run is left: the rest of the answer is its prefix.
+		for _, m := range heads[0][:total-i] {
+			out[i] = as(m)
+			i++
+		}
+	}
+	return out
+}
+
+// siftRun restores the min-heap order of heads (by each run's first ID)
+// below position i.
+func siftRun(heads [][]core.Match, i int) {
+	for {
+		least, l := i, 2*i+1
+		if l < len(heads) && heads[l][0].ID < heads[least][0].ID {
+			least = l
+		}
+		if r := l + 1; r < len(heads) && heads[r][0].ID < heads[least][0].ID {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		heads[i], heads[least] = heads[least], heads[i]
+		i = least
+	}
 }
 
 // MatchStream is a live streamed search. Consume with Next until it reports

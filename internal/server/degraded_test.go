@@ -156,6 +156,16 @@ func TestDegradedBootServesSurvivors(t *testing.T) {
 		}
 	}
 
+	// /v1/explain runs the same body under the same options: a degraded
+	// answer, 206 and flagged, not a refusal.
+	var explained wireExplain
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/explain", wireFrom(reqs[0], "id"), &explained); code != http.StatusPartialContent {
+		t.Fatalf("explain on the allow-partial daemon: status %d, want 206", code)
+	}
+	if !explained.Degraded || explained.Stats == nil || explained.Stats.ShardErrors != 1 {
+		t.Fatalf("explain on the allow-partial daemon: degraded %v, stats %+v", explained.Degraded, explained.Stats)
+	}
+
 	// The quarantine and the degraded answers land in /metrics.
 	resp, err = ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -176,6 +186,9 @@ func TestDegradedBootServesSurvivors(t *testing.T) {
 	defer strictTS.Close()
 	if code := postJSON(t, strictTS.Client(), strictTS.URL+"/v1/query", wireFrom(reqs[0], "id"), nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("strict daemon answered %d over a quarantined shard, want 503", code)
+	}
+	if code := postJSON(t, strictTS.Client(), strictTS.URL+"/v1/explain", wireFrom(reqs[0], "id"), nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("strict daemon explained %d over a quarantined shard, want 503", code)
 	}
 }
 

@@ -84,22 +84,25 @@ func traceWire(t *seal.Trace) *wireTrace {
 
 // wireExplain is POST /v1/explain's body: the execution story of one query.
 // Matches are deliberately absent — /v1/query answers the question, explain
-// answers how the engine got there.
+// answers how the engine got there. Degraded marks a query that lost a shard,
+// exactly as on /v1/query.
 type wireExplain struct {
-	Count  int        `json:"count"`
-	Stats  *wireStats `json:"stats"`
-	Trace  *wireTrace `json:"trace"`
-	TookMS float64    `json:"took_ms"`
+	Count    int        `json:"count"`
+	Degraded bool       `json:"degraded,omitempty"`
+	Stats    *wireStats `json:"stats"`
+	Trace    *wireTrace `json:"trace"`
+	TookMS   float64    `json:"took_ms"`
 }
 
-// handleExplain answers POST /v1/explain. The body is exactly /v1/query's;
-// the query executes for real (the metrics record it like any other) and the
-// response carries its full trace.
+// handleExplain answers POST /v1/explain. The body is exactly /v1/query's,
+// and so are the execution options and the status: the query executes for
+// real, under the daemon's degraded-mode options (the metrics record it like
+// any other), and a degraded answer is a 206. The response carries its full
+// trace.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var wr wireRequest
-	if err := decodeBody(w, r, &wr); err != nil {
-		s.writeError(w, r, "explain", http.StatusBadRequest, err, start)
+	if !s.decodeBody(w, r, "explain", start, &wr) {
 		return
 	}
 	req, opts, err := wr.request()
@@ -108,6 +111,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts = append(opts, seal.CollectStats(), seal.CollectTrace())
+	opts = append(opts, s.cfg.queryOpts()...)
 	res, err := s.ix.Query(r.Context(), req, opts...)
 	if err != nil {
 		s.writeError(w, r, "explain", queryErrorCode(err), err, start)
@@ -116,11 +120,16 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.metrics.RecordQuery(res.Stats, len(res.Matches))
 	s.metrics.RecordStages(res.Trace)
 	out := wireExplain{
-		Count:  len(res.Matches),
-		Stats:  statsWire(res.Stats),
-		Trace:  traceWire(res.Trace),
-		TookMS: msSince(start),
+		Count:    len(res.Matches),
+		Degraded: res.Degraded,
+		Stats:    statsWire(res.Stats),
+		Trace:    traceWire(res.Trace),
+		TookMS:   msSince(start),
 	}
-	writeJSON(w, http.StatusOK, out)
-	s.logRequest(r, "explain", http.StatusOK, start, 1, len(res.Matches), res.Stats, res.Trace, nil)
+	code := http.StatusOK
+	if res.Degraded {
+		code = http.StatusPartialContent
+	}
+	writeJSON(w, code, out)
+	s.logRequest(r, "explain", code, start, 1, len(res.Matches), res.Stats, res.Trace, nil)
 }

@@ -1,10 +1,11 @@
 package server
 
-// Endpoint handlers and the JSON wire schema. The wire types are a thin,
+// Endpoint handlers and the JSON wire schema. The wire schema is a thin,
 // versioned skin over the library's Request/Results: rectangles travel as
 // [minx,miny,maxx,maxy] arrays, similarity fields keep their paper names,
 // and per-query options (limit/offset/order_by) ride in the same object so
-// one POST body fully describes a query.
+// one POST body fully describes a query. Answers are written by the encoder
+// in wire.go.
 
 import (
 	"context"
@@ -77,14 +78,6 @@ func (wr wireRequest) request() (seal.Request, []seal.QueryOption, error) {
 	return req, opts, nil
 }
 
-// wireMatch is the JSON form of one verified answer.
-type wireMatch struct {
-	ID    int     `json:"id"`
-	SimR  float64 `json:"sim_r"`
-	SimT  float64 `json:"sim_t"`
-	Score float64 `json:"score,omitempty"`
-}
-
 // wireStats is the JSON form of a query's cost breakdown.
 type wireStats struct {
 	Candidates      int     `json:"candidates"`
@@ -115,28 +108,6 @@ func statsWire(st *seal.Stats) *wireStats {
 	}
 }
 
-func matchesWire(ms []seal.Match) []wireMatch {
-	out := make([]wireMatch, len(ms))
-	for i, m := range ms {
-		out[i] = wireMatch{ID: m.ID, SimR: m.SimR, SimT: m.SimT, Score: m.Score}
-	}
-	return out
-}
-
-// wireResults is one query's JSON answer. Degraded marks an answer that lost
-// at least one shard (only possible on an allow-partial daemon): the matches
-// present are exact, the missing shards' objects are absent. A degraded
-// single-query answer travels with HTTP 206 so clients and proxies can tell
-// without parsing the body.
-type wireResults struct {
-	Matches  []wireMatch `json:"matches"`
-	Count    int         `json:"count"`
-	Degraded bool        `json:"degraded,omitempty"`
-	Stats    *wireStats  `json:"stats,omitempty"`
-	Trace    *wireTrace  `json:"trace,omitempty"`
-	TookMS   float64     `json:"took_ms"`
-}
-
 // handleQuery answers POST /v1/query. Every query records a trace — the
 // per-stage latency histograms and the slow-query log need stage attribution
 // after the fact, and a slow query cannot be re-traced retroactively — but
@@ -144,8 +115,7 @@ type wireResults struct {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var wr wireRequest
-	if err := decodeBody(w, r, &wr); err != nil {
-		s.writeError(w, r, "query", http.StatusBadRequest, err, start)
+	if !s.decodeBody(w, r, "query", start, &wr) {
 		return
 	}
 	req, opts, err := wr.request()
@@ -162,15 +132,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.RecordQuery(res.Stats, len(res.Matches))
 	s.metrics.RecordStages(res.Trace)
-	out := wireResults{
-		Matches:  matchesWire(res.Matches),
-		Count:    len(res.Matches),
-		Degraded: res.Degraded,
-		Stats:    statsWire(res.Stats),
-		TookMS:   msSince(start),
-	}
+	var trace []byte
 	if r.URL.Query().Get("trace") == "1" {
-		out.Trace = traceWire(res.Trace)
+		if trace, err = json.Marshal(traceWire(res.Trace)); err != nil {
+			s.writeError(w, r, "query", http.StatusInternalServerError, err, start)
+			return
+		}
 	}
 	code := http.StatusOK
 	if res.Degraded {
@@ -178,7 +145,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// was dropped, so completeness is not guaranteed.
 		code = http.StatusPartialContent
 	}
-	writeJSON(w, code, out)
+	writeHeader(w, code)
+	ww := newWire(w)
+	ww.results(res, trace, msSince(start))
+	ww.b = append(ww.b, '\n')
+	ww.finish()
 	s.logRequest(r, "query", code, start, 1, len(res.Matches), res.Stats, res.Trace, nil)
 }
 
@@ -187,20 +158,12 @@ type wireBatch struct {
 	Queries []wireRequest `json:"queries"`
 }
 
-// wireBatchResult pairs one batch entry's results with its error; exactly
-// one field is set, mirroring seal.BatchResult.
-type wireBatchResult struct {
-	Results *wireResults `json:"results,omitempty"`
-	Error   string       `json:"error,omitempty"`
-}
-
 // handleBatch answers POST /v1/query/batch: every query gets its own result
 // slot, one malformed query never fails its neighbors.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var wb wireBatch
-	if err := decodeBody(w, r, &wb); err != nil {
-		s.writeError(w, r, "batch", http.StatusBadRequest, err, start)
+	if !s.decodeBody(w, r, "batch", start, &wb) {
 		return
 	}
 	if len(wb.Queries) == 0 {
@@ -229,55 +192,55 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		reqs[i] = req
 	}
 
-	out := make([]wireBatchResult, len(wb.Queries))
+	// The body is {"results":[entry,...],"took_ms":...}: each entry is
+	// {"results":{...}} or {"error":"..."}, written in order as it is known.
+	writeHeader(w, http.StatusOK)
+	ww := newWire(w)
+	ww.b = append(ww.b, `{"results":[`...)
 	matches := 0
 	agg := &seal.Stats{}
+	entry := func(i int, res *seal.Results, err error, tookMS float64) {
+		if i > 0 {
+			ww.b = append(ww.b, ',')
+		}
+		if err != nil {
+			ww.b = appendString(append(ww.b, `{"error":`...), err.Error())
+		} else {
+			s.metrics.RecordQuery(res.Stats, len(res.Matches))
+			accumulate(agg, res.Stats)
+			matches += len(res.Matches)
+			ww.b = append(ww.b, `{"results":`...)
+			ww.results(res, nil, tookMS)
+		}
+		ww.b = append(ww.b, '}')
+		ww.spill()
+	}
 	if individual {
 		for i, wq := range wb.Queries {
 			if err := r.Context().Err(); err != nil {
-				out[i] = wireBatchResult{Error: err.Error()}
+				entry(i, nil, err, 0)
 				continue
 			}
 			qstart := time.Now()
 			req, opts, err := wq.request()
 			if err != nil {
-				out[i] = wireBatchResult{Error: err.Error()}
+				entry(i, nil, err, 0)
 				continue
 			}
 			opts = append(opts, seal.CollectStats())
 			opts = append(opts, s.cfg.queryOpts()...)
 			res, err := s.ix.Query(r.Context(), req, opts...)
-			if err != nil {
-				out[i] = wireBatchResult{Error: err.Error()}
-				continue
-			}
-			s.metrics.RecordQuery(res.Stats, len(res.Matches))
-			accumulate(agg, res.Stats)
-			matches += len(res.Matches)
-			out[i] = wireBatchResult{Results: &wireResults{
-				Matches: matchesWire(res.Matches), Count: len(res.Matches),
-				Degraded: res.Degraded,
-				Stats:    statsWire(res.Stats), TookMS: msSince(qstart),
-			}}
+			entry(i, res, err, msSince(qstart))
 		}
 	} else {
 		bopts := append([]seal.QueryOption{seal.CollectStats()}, s.cfg.queryOpts()...)
 		for i, br := range s.ix.QueryBatch(r.Context(), reqs, bopts...) {
-			if br.Err != nil {
-				out[i] = wireBatchResult{Error: br.Err.Error()}
-				continue
-			}
-			s.metrics.RecordQuery(br.Results.Stats, len(br.Results.Matches))
-			accumulate(agg, br.Results.Stats)
-			matches += len(br.Results.Matches)
-			out[i] = wireBatchResult{Results: &wireResults{
-				Matches: matchesWire(br.Results.Matches), Count: len(br.Results.Matches),
-				Degraded: br.Results.Degraded,
-				Stats:    statsWire(br.Results.Stats),
-			}}
+			entry(i, br.Results, br.Err, 0)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": out, "took_ms": msSince(start)})
+	ww.b = appendFloat(append(ww.b, `],"took_ms":`...), msSince(start))
+	ww.b = append(ww.b, "}\n"...)
+	ww.finish()
 	s.logRequest(r, "batch", http.StatusOK, start, len(wb.Queries), matches, agg, nil, nil)
 }
 
@@ -305,7 +268,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	ww := newWire(w)
 	n := 0
 	var streamErr error
 	for m, err := range s.ix.Stream(r.Context(), req, opts...) {
@@ -318,10 +281,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			// match still get a clean 4xx/5xx above.
 			w.WriteHeader(http.StatusOK)
 		}
-		if encErr := enc.Encode(wireMatch{ID: m.ID, SimR: m.SimR, SimT: m.SimT, Score: m.Score}); encErr != nil {
+		ww.b = append(appendMatch(ww.b, m), '\n')
+		if wErr := ww.write(); wErr != nil {
 			// The client went away mid-write; the loop break cancels the
 			// engine work via ctx, nothing more to send.
-			streamErr = encErr
+			streamErr = wErr
 			break
 		}
 		if flusher != nil {
@@ -333,18 +297,20 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.RecordStages(&tr)
 	if streamErr != nil {
 		if n == 0 {
+			ww.finish()
 			s.writeError(w, r, "stream", queryErrorCode(streamErr), streamErr, start)
 			return
 		}
 		// Mid-stream failure: the status is already committed, so the error
 		// travels as a terminal NDJSON record.
-		_ = enc.Encode(map[string]string{"error": streamErr.Error()})
+		ww.b = appendErrorRecord(ww.b, streamErr)
 	} else if st.ShardErrors > 0 {
 		// The stream finished but dropped a shard (allow-partial daemon): the
 		// matches already sent stand, completeness does not. The status line
 		// is long committed, so the degradation travels as a terminal record.
-		_ = enc.Encode(map[string]any{"degraded": true, "shard_errors": st.ShardErrors})
+		ww.b = appendDegradedRecord(ww.b, st.ShardErrors)
 	}
+	ww.finish()
 	s.logRequest(r, "stream", statusCode(w), start, 1, n, &st, &tr, streamErr)
 }
 
@@ -557,25 +523,39 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 // decodeBody decodes a JSON request body, bounding its size and rejecting
-// trailing garbage.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+// trailing garbage. On failure it answers the request itself — 413 for a
+// body over maxBodyBytes, 400 for anything else — and reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, endpoint string, start time.Time, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
+	err := dec.Decode(v)
+	if err != nil {
+		err = fmt.Errorf("decoding request body: %w", err)
+	} else if dec.More() {
+		err = errors.New("request body has trailing data")
 	}
-	if dec.More() {
-		return errors.New("request body has trailing data")
+	if err == nil {
+		return true
 	}
-	return nil
+	code := http.StatusBadRequest
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, r, endpoint, code, err, start)
+	return false
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeHeader commits a JSON response's status line.
+func writeHeader(w http.ResponseWriter, code int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+}
+
+// writeJSON writes v with the given status through encoding/json: the
+// bodies without matches (errors, status, explain).
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	writeHeader(w, code)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeError sends a JSON error body, records metrics attribution through

@@ -5,6 +5,14 @@
 // segment-boot + warmup path. The package exposes plain http.Handlers so a
 // later gRPC or continuous-query front end can sit beside the HTTP one and
 // reuse everything below the routing line.
+//
+// The response path has one encoder (wire.go): /v1/query, /v1/query/batch
+// and /v1/stream append each seal.Match with strconv into one pooled chunk,
+// written to the ResponseWriter whenever it passes 32 KiB (and per line on
+// the NDJSON stream), so no buffer grows with the answer. The bodies are
+// byte-identical to what encoding/json writes for the same values. Error
+// bodies, /v1/status, /v1/explain and the ?trace=1 object go through
+// encoding/json. Request bodies are capped at 8 MiB; a larger one is a 413.
 package server
 
 import (

@@ -351,25 +351,25 @@ func (ix *Index) queryThreshold(ctx context.Context, req Request, cfg queryConfi
 	}
 	admitSpan(rec)
 
-	var found []core.Match
+	var matches []Match
 	var st core.SearchStats
 	if order == orderArrival {
 		st, err = ix.arrival(ctx, mq, cfg, rec, func(m core.Match) bool {
-			found = append(found, m)
+			matches = append(matches, matchOut(m))
 			return true
 		})
 	} else {
-		found, st, err = ix.eng.Search(ctx, mq, cfg.engineOptions(rec))
+		matches, st, err = engine.SearchAs(ix.eng, ctx, mq, cfg.engineOptions(rec), matchOut)
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	matches := make([]Match, len(found))
-	for i, m := range found {
-		matches[i] = Match{ID: int(m.ID), SimR: m.SimR, SimT: m.SimT}
-	}
 	return ix.finish(cfg.page(matches), st, cfg, rec), nil
+}
+
+// matchOut converts a threshold match to the public form.
+func matchOut(m core.Match) Match {
+	return Match{ID: int(m.ID), SimR: m.SimR, SimT: m.SimT}
 }
 
 // arrival runs mq as an arrival-order engine stream, handing each match to

@@ -98,7 +98,7 @@ func (ix *Index) streamArrival(ctx context.Context, req Request, cfg queryConfig
 			skip--
 			return true
 		}
-		abandoned = !yield(Match{ID: int(m.ID), SimR: m.SimR, SimT: m.SimT}, nil)
+		abandoned = !yield(matchOut(m), nil)
 		return !abandoned
 	})
 	if cfg.statsInto != nil {
