@@ -1,66 +1,27 @@
 // Command sealbench regenerates the tables and figures of the SEAL paper's
-// evaluation (Section 6) against the synthetic workloads described in
-// DESIGN.md, plus the engine-level shard-scaling experiment. Without flags it
-// runs every experiment at the default scale; use -exp to select one and
-// -objects/-queries to rescale.
-//
-// With -json, sealbench emits one JSON record per experiment on stdout so
-// experiment trajectories can be tracked across commits by machines.
-// Experiments with a machine-readable producer (e.g. shards) embed their
-// data in the record instead of printing a table; the remaining experiments'
-// human-readable tables move to stderr:
-//
-//	{"experiment":"shards","objects":60000,...,"elapsed_ms":1234.5,"data":[...]}
-//
-// SIGINT/SIGTERM stop the run at the next experiment boundary so deferred
-// cleanup (segment unmapping in the storage experiment) still runs.
+// evaluation (Section 6) against synthetic Twitter-like and USA-like
+// workloads (internal/gen), including the §2.3 baseline comparison of
+// Figures 16–17. Without flags it runs every experiment at the default scale;
+// use -exp to select some and -objects/-queries to rescale. The serving
+// engine is measured separately, by bash benchmark/run.sh.
 //
 // Examples:
 //
 //	sealbench                        # everything, default scale
 //	sealbench -exp fig16             # one experiment
 //	sealbench -exp table1 -objects 100000
-//	sealbench -exp shards -shards 1,2,4,8,16
-//	sealbench -json -smoke           # JSON records, tiny configuration
+//	sealbench -smoke -exp table1,candidates,topk
 //	sealbench -list                  # show available experiments
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
-	"runtime"
-	"strconv"
 	"strings"
-	"syscall"
-	"time"
 
 	"github.com/sealdb/seal/internal/bench"
 )
-
-// record is one -json output line.
-type record struct {
-	Experiment string `json:"experiment"`
-	Objects    int    `json:"objects"`
-	Queries    int    `json:"queries"`
-	Seed       int64  `json:"seed"`
-	Budget     int    `json:"budget"`
-	Level      int    `json:"level"`
-	// Gomaxprocs and CPUs record the parallelism the run actually had, so
-	// shard-overhead effects on starved machines (GOMAXPROCS=1) are
-	// machine-readable instead of a README caveat.
-	Gomaxprocs int `json:"gomaxprocs"`
-	CPUs       int `json:"cpus"`
-	// StartedAt is the experiment's wall-clock start (UTC RFC 3339), so runs
-	// interleaved from several machines sort and join on real time.
-	StartedAt string  `json:"started_at"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-	Data      any     `json:"data,omitempty"`
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -77,16 +38,12 @@ type usageError struct{ error }
 
 func run() error {
 	var (
-		expName = flag.String("exp", "all", "experiment to run (see -list), or 'all'")
+		expName = flag.String("exp", "all", "comma-separated experiments to run (see -list), or 'all'")
 		objects = flag.Int("objects", bench.DefaultConfig.TwitterN, "objects per dataset")
 		queries = flag.Int("queries", bench.DefaultConfig.Queries, "queries per workload")
 		seed    = flag.Int64("seed", bench.DefaultConfig.Seed, "master random seed")
 		budget  = flag.Int("budget", bench.DefaultConfig.HierBudget, "per-token grid budget m_t for Seal")
 		level   = flag.Int("level", bench.DefaultConfig.HierMaxLevel, "grid-tree depth for Seal")
-		shards  = flag.String("shards", "", "comma-separated shard counts for the shards experiment (default 1,2,4,8)")
-		limit   = flag.String("limit", "", "comma-separated limits for the limit experiment (default 1,10,100)")
-		tiers   = flag.String("tiers", "", "comma-separated object counts for the storage experiment (default: -objects)")
-		jsonOut = flag.Bool("json", false, "emit one JSON record per experiment on stdout (tables go to stderr)")
 		smoke   = flag.Bool("smoke", false, "use the tiny smoke-test configuration")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		quiet   = flag.Bool("q", false, "suppress progress logging")
@@ -122,45 +79,12 @@ func run() error {
 			cfg.HierMaxLevel = *level
 		}
 	})
-	if *shards != "" {
-		sweep, err := parseSweep("shards", *shards)
-		if err != nil {
-			return usageError{err}
-		}
-		cfg.ShardSweep = sweep
-	}
-	if *limit != "" {
-		sweep, err := parseSweep("limit", *limit)
-		if err != nil {
-			return usageError{err}
-		}
-		cfg.LimitSweep = sweep
-	}
-	if *tiers != "" {
-		sweep, err := parseSweep("tiers", *tiers)
-		if err != nil {
-			return usageError{err}
-		}
-		cfg.StorageTiers = sweep
-	}
-
-	// Long runs stop at the next experiment boundary on ^C, so the current
-	// experiment's deferred cleanup (segment unmapping, temp dirs) completes.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	out := io.Writer(os.Stdout)
-	var enc *json.Encoder
-	if *jsonOut {
-		out = os.Stderr
-		enc = json.NewEncoder(os.Stdout)
-	}
 
 	env := bench.NewEnv(cfg)
 	if !*quiet {
 		env.Log = os.Stderr
 	}
-	fmt.Fprintf(out, "# sealbench: objects=%d queries=%d seed=%d budget=%d level=%d\n",
+	fmt.Printf("# sealbench: objects=%d queries=%d seed=%d budget=%d level=%d\n",
 		cfg.TwitterN, cfg.Queries, cfg.Seed, cfg.HierBudget, cfg.HierMaxLevel)
 
 	names := strings.Split(*expName, ",")
@@ -171,56 +95,13 @@ func run() error {
 		}
 	}
 	for _, name := range names {
-		if ctx.Err() != nil {
-			return fmt.Errorf("interrupted, stopped before %s", strings.TrimSpace(name))
-		}
 		exp, ok := bench.Lookup(strings.TrimSpace(name))
 		if !ok {
 			return usageError{fmt.Errorf("unknown experiment %q (try -list)", name)}
 		}
-		start := time.Now()
-		var data any
-		var err error
-		if enc != nil && exp.JSON != nil {
-			data, err = exp.JSON(env)
-		} else {
-			err = exp.Run(out, env)
-		}
-		if err != nil {
+		if err := exp.Run(os.Stdout, env); err != nil {
 			return fmt.Errorf("%s: %w", exp.Name, err)
-		}
-		if enc != nil {
-			rec := record{
-				Experiment: exp.Name,
-				Objects:    cfg.TwitterN,
-				Queries:    cfg.Queries,
-				Seed:       cfg.Seed,
-				Budget:     cfg.HierBudget,
-				Level:      cfg.HierMaxLevel,
-				Gomaxprocs: runtime.GOMAXPROCS(0),
-				CPUs:       runtime.NumCPU(),
-				StartedAt:  start.UTC().Format(time.RFC3339Nano),
-				ElapsedMS:  float64(time.Since(start).Microseconds()) / 1e3,
-				Data:       data,
-			}
-			if err := enc.Encode(rec); err != nil {
-				return fmt.Errorf("encoding %s: %w", exp.Name, err)
-			}
 		}
 	}
 	return nil
-}
-
-// parseSweep parses "1,2,4,8" into a sweep of positive counts.
-func parseSweep(name, s string) ([]int, error) {
-	fields := strings.Split(s, ",")
-	sweep := make([]int, 0, len(fields))
-	for _, f := range fields {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid -%s value %q", name, f)
-		}
-		sweep = append(sweep, n)
-	}
-	return sweep, nil
 }

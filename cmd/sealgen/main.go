@@ -1,6 +1,7 @@
 // Command sealgen generates the synthetic Twitter-like or USA-like dataset
-// described in DESIGN.md and writes it as a snapshot file that sealquery can
-// load, so expensive generation happens once.
+// of internal/gen (the package documents both distributions) and writes it
+// as a snapshot file that sealquery can load, so expensive generation
+// happens once.
 //
 // Examples:
 //

@@ -61,7 +61,7 @@ func main() {
 func run() error {
 	var (
 		dataPath    = flag.String("data", "", "snapshot path from sealgen (required)")
-		method      = flag.String("method", "seal", "seal|token|grid|hybrid|keyword|spatial|irtree|scan")
+		method      = flag.String("method", "seal", "filter method: "+server.MethodNames)
 		granularity = flag.Int("p", 1024, "grid granularity for grid/hybrid")
 		shards      = flag.Int("shards", 1, "spatial shards searching in parallel")
 		rectSpec    = flag.String("rect", "", "query rectangle minx,miny,maxx,maxy")
@@ -107,10 +107,11 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "loaded %d objects, building %s index...\n", ds.Len(), *method)
 
-		opts, err := buildOptions(*method, *granularity, *shards)
+		opts, err := server.MethodOptions(*method, *granularity)
 		if err != nil {
 			return err
 		}
+		opts = append(opts, seal.WithShards(*shards))
 		if *compress {
 			opts = append(opts, seal.WithCompression(seal.CompressionQuantized))
 		}
@@ -247,31 +248,6 @@ func streamNDJSON(ctx context.Context, ix *seal.Index, req seal.Request, limit i
 	fmt.Fprintf(os.Stderr, "%d match(es), %d candidate(s), %d postings scanned, filter %v + verify %v\n",
 		n, st.Candidates, st.PostingsScanned, st.FilterTime, st.VerifyTime)
 	return nil
-}
-
-func buildOptions(method string, p, shards int) ([]seal.Option, error) {
-	opts := []seal.Option{seal.WithShards(shards)}
-	switch method {
-	case "seal":
-		opts = append(opts, seal.WithMethod(seal.MethodSeal))
-	case "token":
-		opts = append(opts, seal.WithMethod(seal.MethodTokenFilter))
-	case "grid":
-		opts = append(opts, seal.WithMethod(seal.MethodGridFilter), seal.WithGranularity(p))
-	case "hybrid":
-		opts = append(opts, seal.WithMethod(seal.MethodHybridHash), seal.WithGranularity(p))
-	case "keyword":
-		opts = append(opts, seal.WithMethod(seal.MethodKeywordFirst))
-	case "spatial":
-		opts = append(opts, seal.WithMethod(seal.MethodSpatialFirst))
-	case "irtree":
-		opts = append(opts, seal.WithMethod(seal.MethodIRTree))
-	case "scan":
-		opts = append(opts, seal.WithMethod(seal.MethodScan))
-	default:
-		return nil, fmt.Errorf("unknown method %q", method)
-	}
-	return opts, nil
 }
 
 func runREPL(ctx context.Context, ix *seal.Index) error {

@@ -79,7 +79,7 @@ func run() error {
 		addr         = flag.String("addr", base.Addr, "HTTP listen address")
 		dataPath     = flag.String("data", base.DataPath, "snapshot path from sealgen (optional with -segments)")
 		segments     = flag.String("segments", base.SegmentDir, "sealed-segment directory: mmap-boot when matching, save after building")
-		method       = flag.String("method", base.Method, "filter method: seal|token|grid|hybrid")
+		method       = flag.String("method", base.Method, "filter method: "+server.MethodNames)
 		granularity  = flag.Int("p", base.Granularity, "grid granularity for grid/hybrid")
 		shards       = flag.Int("shards", base.Shards, "spatial shards searching in parallel")
 		compress     = flag.Bool("compress", base.Compress, "store compressed posting lists (16-bit quantized bounds, fixed-width columns)")

@@ -73,13 +73,15 @@
 // The default index is the paper's full SEAL method: hierarchical hybrid
 // signatures selected per token by the greedy HSS algorithm, probed with
 // threshold-aware (prefix) pruning, followed by exact verification. The
-// other filters and baselines evaluated in the paper are available through
-// WithMethod: textual signatures only, uniform-grid spatial signatures,
-// hash-based hybrid signatures, keyword-first, spatial-first (R-tree),
-// IR-tree, and a full scan.
+// paper's other signature families are available through WithMethod:
+// textual signatures only, uniform-grid spatial signatures, and hash-based
+// hybrid signatures. Every method persists to a segment directory.
 //
 // All methods return exactly the same answers — every filter is complete —
-// so the choice only affects speed and index size.
+// so the choice only affects speed and index size. The §2.3 baselines the
+// paper compares against (keyword-first, spatial-first, IR-tree) are not
+// serving methods; cmd/sealbench reproduces that comparison
+// (sealbench -exp fig16,fig17).
 //
 // # Sharding and concurrency
 //
@@ -138,12 +140,13 @@
 // rather than restarts. Every round collects into one candidate set, and
 // the signature filters scan each posting list only past its previous
 // cutoff. Each candidate is verified once, against the floors. A warm
-// descent allocates only the ranking it returns. Reproduce the numbers with
+// descent allocates only the ranking it returns. Measure the engine with
 //
-//	go run ./cmd/sealbench -exp scoring -json
+//	bash benchmark/run.sh --workload scan_heavy --trace 1
 //
-// which reports the filter/verify time split, postings scanned, allocs per
-// query, and the flat-vs-map posting-layout comparison.
+// which drives a real sealserver and reports each layer a query crosses:
+// filter and verify time, postings scanned, allocations per query, and the
+// end-to-end latency and memory.
 //
 // # Shard pruning
 //
@@ -226,8 +229,7 @@
 // should be Closed when done. Close may race Query, QueryBatch and Stream:
 // calls already admitted finish first (so do shard searches a returned query
 // left behind), later ones return ErrClosed, and nothing reads an unmapped
-// page. Only the signature methods persist segments; the tree baselines
-// rebuild from the objects.
+// page.
 //
 //	ix, _ := seal.Build(objects, seal.WithCompression(seal.CompressionQuantized),
 //		seal.WithSegmentDir("idx"))   // first run: builds and saves

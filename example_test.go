@@ -58,8 +58,8 @@ func ExampleWithMethod() {
 		Tokens: []string{"park", "dog"},
 		TauR:   0.3, TauT: 0.3,
 	}
-	for _, m := range []seal.Method{seal.MethodSeal, seal.MethodIRTree} {
-		ix, err := seal.Build(objects, seal.WithMethod(m), seal.WithRTreeFanout(4))
+	for _, m := range []seal.Method{seal.MethodSeal, seal.MethodTokenFilter} {
+		ix, err := seal.Build(objects, seal.WithMethod(m))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func ExampleWithMethod() {
 	}
 	// Output:
 	// Seal found 2 matches
-	// IR-Tree found 2 matches
+	// TokenFilter found 2 matches
 }
 
 // ExampleCollectStats shows the filter/verification cost breakdown that

@@ -45,8 +45,8 @@ func TestMultiRegionObjects(t *testing.T) {
 		},
 		{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}, Tokens: []string{"block", "corner"}},
 	}
-	for _, m := range []seal.Method{seal.MethodSeal, seal.MethodGridFilter, seal.MethodScan, seal.MethodIRTree} {
-		ix, err := seal.Build(objects, seal.WithMethod(m), seal.WithGranularity(8), seal.WithRTreeFanout(4))
+	for _, m := range allMethods {
+		ix, err := seal.Build(objects, seal.WithMethod(m), seal.WithGranularity(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestFootprint(t *testing.T) {
 		{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Tokens: []string{"a"}},
 		{Regions: []seal.Rect{{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, {MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}}, Tokens: []string{"b"}},
 	}
-	ix, err := seal.Build(objects, seal.WithMethod(seal.MethodScan))
+	ix, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter))
 	if err != nil {
 		t.Fatal(err)
 	}

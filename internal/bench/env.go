@@ -1,8 +1,10 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure of the paper's evaluation (Section 6) against the synthetic
 // workloads of internal/gen. Each experiment prints the same rows/series the
-// paper reports; EXPERIMENTS.md records measured output next to the paper's
-// numbers.
+// paper reports. It is the only home of the paper's §2.3 baselines
+// (keyword-first, spatial-first, IR-tree) and of the full scan: they are
+// reproduction filters, not serving methods. The engine itself is measured by
+// the benchmark under benchmark/.
 //
 // Absolute milliseconds differ from the paper (different decade of hardware,
 // different language, scaled-down datasets); the reproduction target is the
@@ -32,15 +34,6 @@ type Config struct {
 	HierBudget   int   // per-token grid budget m_t for Seal
 	HierMaxLevel int   // grid-tree depth for Seal
 	RTreeFanout  int   // IR-tree/R-tree fanout
-	// ShardSweep lists the shard counts of the shard-scaling experiment;
-	// empty means {1, 2, 4, 8}.
-	ShardSweep []int
-	// LimitSweep lists the limits of the early-termination experiment;
-	// empty means {1, 10, 100}.
-	LimitSweep []int
-	// StorageTiers lists the object-count tiers of the storage experiment;
-	// empty means {TwitterN}.
-	StorageTiers []int
 }
 
 // DefaultConfig is the full experiment scale (about a minute of dataset and

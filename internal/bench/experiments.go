@@ -16,32 +16,21 @@ type Experiment struct {
 	Name string
 	Desc string
 	Run  func(w io.Writer, env *Env) error
-	// JSON, when non-nil, computes the experiment's machine-readable result
-	// (sealbench -json embeds it in the experiment's output record).
-	JSON func(env *Env) (any, error)
 }
 
 // Experiments lists every experiment in paper order.
 var Experiments = []Experiment{
-	{"table1", "Table 1: data statistics and index sizes", Table1, nil},
-	{"fig12", "Figure 12: TokenFilter vs GridFilter (Twitter)", Fig12, nil},
-	{"fig13", "Figure 13: grid granularity: filter vs verification time (Twitter)", Fig13, nil},
-	{"fig14", "Figure 14: GridFilter vs HybridFilter (Twitter)", Fig14, nil},
-	{"fig15", "Figure 15: hash vs hierarchical hybrid signatures under index-size budgets (Twitter)", Fig15, nil},
-	{"fig16", "Figure 16: comparison with existing methods (Twitter)", Fig16, nil},
-	{"fig17", "Figure 17: comparison with existing methods (USA)", Fig17, nil},
-	{"fig18", "Figure 18: scalability in the number of objects (Twitter)", Fig18, nil},
-	{"ablation", "Extra: threshold-aware pruning ablation (plain Sig-Filter vs Sig-Filter+)", Ablation, nil},
-	{"candidates", "Extra: candidate-set sizes per method (the paper's technical-report data)", Candidates, nil},
-	{"topk", "Extra: top-k search via threshold descent vs full scan", TopK, nil},
-	{"shards", "Extra: shard scaling: parallel build and scatter-gather search", Shards,
-		func(env *Env) (any, error) { return ShardScaling(env) }},
-	{"limit", "Extra: engine-level early termination: Limit vs full search", Limit,
-		func(env *Env) (any, error) { return LimitScaling(env) }},
-	{"scoring", "Extra: accumulator fast path: scan-time scoring, flat postings, allocs/query", Scoring,
-		func(env *Env) (any, error) { return ScoringData(env) }},
-	{"storage", "Extra: compressed postings and mmap segments: size, open time, query cost", Storage,
-		func(env *Env) (any, error) { return StorageData(env) }},
+	{"table1", "Table 1: data statistics and index sizes", Table1},
+	{"fig12", "Figure 12: TokenFilter vs GridFilter (Twitter)", Fig12},
+	{"fig13", "Figure 13: grid granularity: filter vs verification time (Twitter)", Fig13},
+	{"fig14", "Figure 14: GridFilter vs HybridFilter (Twitter)", Fig14},
+	{"fig15", "Figure 15: hash vs hierarchical hybrid signatures under index-size budgets (Twitter)", Fig15},
+	{"fig16", "Figure 16: comparison with existing methods (Twitter)", Fig16},
+	{"fig17", "Figure 17: comparison with existing methods (USA)", Fig17},
+	{"fig18", "Figure 18: scalability in the number of objects (Twitter)", Fig18},
+	{"ablation", "Extra: threshold-aware pruning ablation (plain Sig-Filter vs Sig-Filter+)", Ablation},
+	{"candidates", "Extra: candidate-set sizes per method (the paper's technical-report data)", Candidates},
+	{"topk", "Extra: top-k search via threshold descent vs full scan", TopK},
 }
 
 // Lookup finds an experiment by name.

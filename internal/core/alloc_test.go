@@ -177,8 +177,7 @@ func TestSearchZeroAllocsCompressed(t *testing.T) {
 }
 
 // TestSearchZeroAllocsRealisticGranularity pins the grid and hybrid filters
-// at bench-scale parameters (the BENCH_PR3 report measured them only at
-// P=1024), raw and compressed.
+// at bench-scale granularities, not only at P=1024, raw and compressed.
 func TestSearchZeroAllocsRealisticGranularity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -149,31 +149,31 @@ func (s *segWriter) padTo(off int64) {
 }
 
 // mapPath maps the sealed file at path read-only (falling back to reading it
-// into memory where mmap fails; mapped reports which). The bytes pass through
+// into memory where mmap fails). The bytes pass through
 // the injection seam for read corruption: with a fault installed they may be
 // a bit-flipped copy, exercising exactly the validation a damaged disk would.
-func mapPath(path string) (data []byte, closer func() error, mapped bool, err error) {
+func mapPath(path string) (data []byte, closer func() error, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("diskidx: %w", err)
+		return nil, nil, fmt.Errorf("diskidx: %w", err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("diskidx: %w", err)
+		return nil, nil, fmt.Errorf("diskidx: %w", err)
 	}
 	size := fi.Size()
 	if size < segHeaderSize {
-		return nil, nil, false, fmt.Errorf("%w: file smaller than segment header", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: file smaller than segment header", ErrCorrupt)
 	}
 	if size != int64(int(size)) {
-		return nil, nil, false, fmt.Errorf("%w: segment too large for this platform", ErrCorrupt)
+		return nil, nil, fmt.Errorf("%w: segment too large for this platform", ErrCorrupt)
 	}
-	data, closer, mapped, err = mapFile(f, int(size))
+	data, closer, err = mapFile(f, int(size))
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("diskidx: %w", err)
+		return nil, nil, fmt.Errorf("diskidx: %w", err)
 	}
-	return faultfs.CorruptRead(path, data), closer, mapped, nil
+	return faultfs.CorruptRead(path, data), closer, nil
 }
 
 // container is a parsed sealed file: its header fields and one checksummed

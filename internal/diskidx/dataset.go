@@ -92,7 +92,7 @@ type DatasetSegment struct {
 // OpenDataset memory-maps the dataset segment at path and validates all of
 // it, so a segment that opens cleanly cannot fail structurally later.
 func OpenDataset(path string) (*DatasetSegment, error) {
-	data, closer, _, err := mapPath(path)
+	data, closer, err := mapPath(path)
 	if err != nil {
 		return nil, err
 	}

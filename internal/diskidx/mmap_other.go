@@ -6,7 +6,6 @@ import "os"
 
 // mapFile on platforms without a (wired-up) mmap reads the segment into an
 // aligned buffer; probes behave identically, minus the shared page cache.
-func mapFile(f *os.File, size int) ([]byte, func() error, bool, error) {
-	data, closer, err := readFallback(f, size)
-	return data, closer, false, err
+func mapFile(f *os.File, size int) ([]byte, func() error, error) {
+	return readFallback(f, size)
 }

@@ -207,7 +207,6 @@ func compressedSections(a invidx.CompressedArenas) []section {
 // pages, so it must not be probed after Close.
 type Segment struct {
 	closer  func() error
-	mapped  bool
 	comp    bool
 	objects int
 	size    int64
@@ -219,9 +218,9 @@ type Segment struct {
 // against the actual file size, per-section CRCs, then the invidx arena
 // invariants — so a segment that opens cleanly cannot fail structurally at
 // probe time. On platforms or filesystems where mmap fails the file is read
-// into memory instead; Mapped reports which path was taken.
+// into memory instead.
 func OpenMapped(path string) (*Segment, error) {
-	data, closer, mapped, err := mapPath(path)
+	data, closer, err := mapPath(path)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +230,6 @@ func OpenMapped(path string) (*Segment, error) {
 		return nil, err
 	}
 	seg.closer = closer
-	seg.mapped = mapped
 	seg.size = int64(len(data))
 	return seg, nil
 }
@@ -337,10 +335,6 @@ func (s *Segment) Source() invidx.Source { return s.src }
 
 // Compressed reports whether the posting lists are stored encoded.
 func (s *Segment) Compressed() bool { return s.comp }
-
-// Mapped reports whether the segment is served from mmap-ed pages (false
-// means the open fell back to reading the file into memory).
-func (s *Segment) Mapped() bool { return s.mapped }
 
 // Objects returns the exclusive upper bound for posting object IDs recorded
 // at write time.

@@ -6,7 +6,6 @@ package engine
 // them, TopK merges cooperative per-shard descents into one ranking.
 
 import (
-	"container/heap"
 	"context"
 	"slices"
 	"sync"
@@ -58,7 +57,7 @@ func SearchAs[M any](e *Engine, ctx context.Context, q *model.Query, opt Options
 	if opt.Trace != nil {
 		mergeStart = time.Now()
 	}
-	merged := mergeRuns(p.matches, opt.Limit, as)
+	merged := mergeRuns(p.matches, opt.Limit, byID, as)
 	// Per-shard Results count local emissions; the query's answer is the
 	// truncated merge.
 	st.Results = len(merged)
@@ -98,12 +97,24 @@ func (p *pass) orderedShard(i int, s *shard, sr *core.Searcher, stop func() bool
 	return st, nil
 }
 
-// mergeRuns unions the per-shard runs — each ascending by global ID, the
-// shards' ID sets disjoint — into one ascending answer of at most limit
+// byID is the order of threshold runs: ascending global object ID.
+func byID(a, b core.Match) bool { return a.ID < b.ID }
+
+// byScore is the order of rankings: descending score, ties by ascending
+// global object ID — the exact order of the unsharded ranking.
+func byScore(a, b core.ScoredMatch) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.ID < b.ID
+}
+
+// mergeRuns unions the per-shard runs — each sorted by before, the shards'
+// object sets disjoint — into one answer in that order of at most limit
 // entries (0: all of them). It is a k-way merge whose heap is the run table
-// itself: the non-empty runs, min-ordered by their first ID, each popped
-// entry advancing its run in place. The table is consumed.
-func mergeRuns[M any](runs [][]core.Match, limit int, as func(core.Match) M) []M {
+// itself: the non-empty runs, ordered by their first entry, each popped entry
+// advancing its run in place. The table is consumed.
+func mergeRuns[E, M any](runs [][]E, limit int, before func(a, b E) bool, as func(E) M) []M {
 	heads, total := runs[:0], 0
 	for _, r := range runs {
 		if len(r) > 0 {
@@ -116,7 +127,7 @@ func mergeRuns[M any](runs [][]core.Match, limit int, as func(core.Match) M) []M
 	}
 	out := make([]M, total)
 	for i := len(heads)/2 - 1; i >= 0; i-- {
-		siftRun(heads, i)
+		siftRun(heads, i, before)
 	}
 	i := 0
 	for ; len(heads) > 1 && i < total; i++ {
@@ -128,7 +139,7 @@ func mergeRuns[M any](runs [][]core.Match, limit int, as func(core.Match) M) []M
 			last := len(heads) - 1
 			heads[0], heads = heads[last], heads[:last]
 		}
-		siftRun(heads, 0)
+		siftRun(heads, 0, before)
 	}
 	if i < total {
 		// One run is left: the rest of the answer is its prefix.
@@ -140,15 +151,15 @@ func mergeRuns[M any](runs [][]core.Match, limit int, as func(core.Match) M) []M
 	return out
 }
 
-// siftRun restores the min-heap order of heads (by each run's first ID)
+// siftRun restores the heap order of heads (by each run's first entry)
 // below position i.
-func siftRun(heads [][]core.Match, i int) {
+func siftRun[E any](heads [][]E, i int, before func(a, b E) bool) {
 	for {
 		least, l := i, 2*i+1
-		if l < len(heads) && heads[l][0].ID < heads[least][0].ID {
+		if l < len(heads) && before(heads[l][0], heads[least][0]) {
 			least = l
 		}
-		if r := l + 1; r < len(heads) && heads[r][0].ID < heads[least][0].ID {
+		if r := l + 1; r < len(heads) && before(heads[r][0], heads[least][0]) {
 			least = r
 		}
 		if least == i {
@@ -328,7 +339,10 @@ func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts
 	if opt.Trace != nil {
 		mergeStart = time.Now()
 	}
-	merged := mergeTopK(p.scored, opts.K)
+	merged := p.scored[0] // a lone descent already returns at most k, ranked
+	if len(p.scored) > 1 {
+		merged = mergeRuns(p.scored, opts.K, byScore, func(m core.ScoredMatch) core.ScoredMatch { return m })
+	}
 	// Descent rounds each merged their own Results; the query's answer count
 	// is the final ranking's length.
 	st.Results = len(merged)
@@ -418,60 +432,4 @@ func (t *kthTracker) kth() float64 {
 	}
 	slices.Sort(all)
 	return all[len(all)-t.k]
-}
-
-// cursor walks one shard's result list during the heap merge.
-type cursor struct {
-	list []core.ScoredMatch
-	pos  int
-}
-
-func (c *cursor) head() core.ScoredMatch { return c.list[c.pos] }
-
-// mergeHeap orders cursors by their head entry: descending score, ties by
-// ascending global object ID — the exact order of the unsharded ranking.
-type mergeHeap []*cursor
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	a, b := h[i].head(), h[j].head()
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.ID < b.ID
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*cursor)) }
-func (h *mergeHeap) Pop() any     { old := *h; n := len(old); c := old[n-1]; *h = old[:n-1]; return c }
-
-// mergeTopK pops the globally best entries from the per-shard sorted lists
-// until k are taken (or the lists run dry).
-func mergeTopK(lists [][]core.ScoredMatch, k int) []core.ScoredMatch {
-	if len(lists) == 1 {
-		return lists[0] // a lone descent already returns at most k, ranked
-	}
-	h := make(mergeHeap, 0, len(lists))
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-		if len(l) > 0 {
-			h = append(h, &cursor{list: l})
-		}
-	}
-	if k > total {
-		k = total // bound the allocation by what exists, not the ask
-	}
-	heap.Init(&h)
-	out := make([]core.ScoredMatch, 0, k)
-	for len(out) < k && h.Len() > 0 {
-		c := h[0]
-		out = append(out, c.head())
-		c.pos++
-		if c.pos == len(c.list) {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
-	}
-	return out
 }

@@ -90,19 +90,11 @@ func Boot(cfg Config, logf Logf) (*seal.Index, BootInfo, error) {
 	logf.printf("loaded %d objects from %s, indexing (%s, %d shard(s))",
 		ds.Len(), cfg.DataPath, cfg.Method, cfg.Shards)
 
-	opts := []seal.Option{seal.WithShards(cfg.Shards)}
-	switch cfg.Method {
-	case "seal":
-		opts = append(opts, seal.WithMethod(seal.MethodSeal))
-	case "token":
-		opts = append(opts, seal.WithMethod(seal.MethodTokenFilter))
-	case "grid":
-		opts = append(opts, seal.WithMethod(seal.MethodGridFilter), seal.WithGranularity(cfg.Granularity))
-	case "hybrid":
-		opts = append(opts, seal.WithMethod(seal.MethodHybridHash), seal.WithGranularity(cfg.Granularity))
-	default:
-		return nil, BootInfo{}, fmt.Errorf("server: unknown method %q", cfg.Method)
+	opts, err := MethodOptions(cfg.Method, cfg.Granularity)
+	if err != nil {
+		return nil, BootInfo{}, err
 	}
+	opts = append(opts, seal.WithShards(cfg.Shards))
 	if cfg.Compress {
 		opts = append(opts, seal.WithCompression(seal.CompressionQuantized))
 	}

@@ -26,8 +26,7 @@ type Config struct {
 	// fresh build is saved into it for the next boot.
 	SegmentDir string `json:"segments"`
 
-	// Method selects the filter family: seal|token|grid|hybrid (the
-	// signature methods — the ones segments support). Default "seal".
+	// Method selects the filter family, one of MethodNames. Default "seal".
 	Method string `json:"method"`
 	// Granularity is the grid granularity P for grid/hybrid. Default 1024.
 	Granularity int `json:"granularity"`
@@ -149,10 +148,8 @@ func (c Config) Validate() error {
 	if c.DataPath == "" && c.SegmentDir == "" {
 		return fmt.Errorf("server: need a data snapshot or a segment directory")
 	}
-	switch c.Method {
-	case "seal", "token", "grid", "hybrid":
-	default:
-		return fmt.Errorf("server: unknown method %q (seal|token|grid|hybrid)", c.Method)
+	if _, err := MethodOptions(c.Method, c.Granularity); err != nil {
+		return err
 	}
 	if c.Granularity < 1 {
 		return fmt.Errorf("server: granularity %d < 1", c.Granularity)
@@ -173,6 +170,26 @@ func (c Config) Validate() error {
 		return fmt.Errorf("server: shard_timeout requires allow_partial (a strict query has nothing to drop a timed-out shard to)")
 	}
 	return nil
+}
+
+// MethodNames lists the filter methods the daemon serves, as Config.Method
+// and the -method flags of sealserver and sealquery spell them.
+const MethodNames = "seal|token|grid|hybrid"
+
+// MethodOptions returns the Build options that select the named method, one
+// of MethodNames; granularity is the grid granularity P of grid and hybrid.
+func MethodOptions(name string, granularity int) ([]seal.Option, error) {
+	switch name {
+	case "seal":
+		return []seal.Option{seal.WithMethod(seal.MethodSeal)}, nil
+	case "token":
+		return []seal.Option{seal.WithMethod(seal.MethodTokenFilter)}, nil
+	case "grid":
+		return []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithGranularity(granularity)}, nil
+	case "hybrid":
+		return []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithGranularity(granularity)}, nil
+	}
+	return nil, fmt.Errorf("server: unknown method %q (%s)", name, MethodNames)
 }
 
 // queryOpts returns the degraded-mode query options the configuration asks

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	seal "github.com/sealdb/seal"
 )
 
 func writeConfigFile(t *testing.T, content string) string {
@@ -53,6 +55,51 @@ func TestLoadConfigRejectsBadDuration(t *testing.T) {
 	path := writeConfigFile(t, `{"segments": "/x", "request_timeout": "fast"}`)
 	if _, err := LoadConfig(path, DefaultConfig); err == nil {
 		t.Fatal("bad duration accepted")
+	}
+}
+
+// TestMethodOptions: every name MethodNames lists builds an index of that
+// method (grid and hybrid at the given granularity), and every other name —
+// the paper's baselines included — is refused.
+func TestMethodOptions(t *testing.T) {
+	objs := make([]seal.Object, 64)
+	for i := range objs {
+		x, y := float64(i%8)*10, float64(i/8)*10
+		objs[i] = seal.Object{
+			Region: seal.Rect{MinX: x, MinY: y, MaxX: x + 5, MaxY: y + 5},
+			Tokens: []string{[...]string{"a", "b", "c"}[i%3]},
+		}
+	}
+	wants := map[string]string{
+		"seal":   "Seal",
+		"token":  "TokenFilter",
+		"grid":   "GridFilter(8)",
+		"hybrid": "HybridFilter(8)",
+	}
+	names := strings.Split(MethodNames, "|")
+	if len(names) != len(wants) {
+		t.Fatalf("MethodNames = %q, want the %d served methods", MethodNames, len(wants))
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			opts, err := MethodOptions(name, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := seal.Build(objs, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			if got := ix.Stats().Method; got != wants[name] {
+				t.Fatalf("method %q builds %q, want %q", name, got, wants[name])
+			}
+		})
+	}
+	for _, name := range []string{"", "Seal", "scan", "keyword", "spatial", "irtree", "rtree"} {
+		if _, err := MethodOptions(name, 8); err == nil {
+			t.Errorf("method %q accepted", name)
+		}
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"github.com/sealdb/seal/internal/model"
 )
 
-// Method selects the candidate-generation strategy (the filter step).
-// Every method verifies candidates exactly, so all methods return identical
-// answers; they differ in speed and index size.
+// Method selects the candidate-generation strategy (the filter step): one of
+// the paper's four signature families, each of which a segment directory can
+// persist. Every method verifies candidates exactly, so all methods return
+// identical answers; they differ in speed and index size. (The paper's §2.3
+// baselines are reproduced by cmd/sealbench, not served.)
 type Method int
 
 const (
@@ -20,14 +22,6 @@ const (
 	MethodGridFilter
 	// MethodHybridHash uses hash-based hybrid signatures (§5.1).
 	MethodHybridHash
-	// MethodKeywordFirst is the keyword-first baseline (§2.3).
-	MethodKeywordFirst
-	// MethodSpatialFirst is the R-tree spatial-first baseline (§2.3).
-	MethodSpatialFirst
-	// MethodIRTree is the extended IR-tree baseline (§2.3).
-	MethodIRTree
-	// MethodScan verifies every object; useful for tiny datasets and tests.
-	MethodScan
 )
 
 // SpatialSimilarity selects the region similarity function.
@@ -58,7 +52,6 @@ type options struct {
 	hashBuckets      int
 	gridBudget       int
 	maxLevel         int
-	rtreeFanout      int
 	shards           int
 	buildParallelism int
 	spatialSim       model.SpatialSim
@@ -78,7 +71,6 @@ func defaultOptions() options {
 		granularity: 1024,
 		gridBudget:  core.DefaultHierarchicalConfig.GridBudget,
 		maxLevel:    core.DefaultHierarchicalConfig.MaxLevel,
-		rtreeFanout: 64,
 		shards:      1,
 	}
 }
@@ -115,12 +107,6 @@ func WithGridBudget(mt int) Option {
 // partition the space 2^level × 2^level. Default 12.
 func WithMaxLevel(level int) Option {
 	return func(o *options) { o.maxLevel = level }
-}
-
-// WithRTreeFanout sets the node fanout of the R-tree and IR-tree baselines.
-// Default 64.
-func WithRTreeFanout(f int) Option {
-	return func(o *options) { o.rtreeFanout = f }
 }
 
 // WithShards splits the index into n spatial partitions that build and

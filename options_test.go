@@ -13,15 +13,6 @@ func TestInvalidGranularity(t *testing.T) {
 	}
 }
 
-func TestInvalidRTreeFanout(t *testing.T) {
-	if _, err := seal.Build(paperObjects(), seal.WithMethod(seal.MethodIRTree), seal.WithRTreeFanout(2)); err == nil {
-		t.Fatal("fanout 2 should fail the build")
-	}
-	if _, err := seal.Build(paperObjects(), seal.WithMethod(seal.MethodSpatialFirst), seal.WithRTreeFanout(1)); err == nil {
-		t.Fatal("fanout 1 should fail the build")
-	}
-}
-
 func TestUnknownMethod(t *testing.T) {
 	if _, err := seal.Build(paperObjects(), seal.WithMethod(seal.Method(99))); err == nil {
 		t.Fatal("unknown method should fail")
@@ -31,17 +22,13 @@ func TestUnknownMethod(t *testing.T) {
 func TestMethodNames(t *testing.T) {
 	// Every method reports a stable, human-readable name through Stats.
 	wants := map[seal.Method]string{
-		seal.MethodSeal:         "Seal",
-		seal.MethodTokenFilter:  "TokenFilter",
-		seal.MethodGridFilter:   "GridFilter",
-		seal.MethodHybridHash:   "HybridFilter",
-		seal.MethodKeywordFirst: "Keyword",
-		seal.MethodSpatialFirst: "Spatial",
-		seal.MethodIRTree:       "IR-Tree",
-		seal.MethodScan:         "Scan",
+		seal.MethodSeal:        "Seal",
+		seal.MethodTokenFilter: "TokenFilter",
+		seal.MethodGridFilter:  "GridFilter",
+		seal.MethodHybridHash:  "HybridFilter",
 	}
 	for m, want := range wants {
-		ix, err := seal.Build(paperObjects(), seal.WithMethod(m), seal.WithGranularity(4), seal.WithRTreeFanout(4))
+		ix, err := seal.Build(paperObjects(), seal.WithMethod(m), seal.WithGranularity(4))
 		if err != nil {
 			t.Fatalf("method %d: %v", m, err)
 		}

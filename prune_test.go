@@ -1,14 +1,13 @@
 package seal_test
 
-// Shard pruning at the public API. Every index prunes, so the oracle here is
-// a brute-force scan of the dataset — not a MethodScan index, which prunes
-// with the same bound — and the suite crosses what pruning must never
-// disturb: the four storage layouts, 1/4/6 shards, and every query shape.
+// Shard pruning at the public API. Every index prunes, so the reference is
+// the brute-force oracle (oracle_test.go), which scans the dataset without an
+// engine, and the suite crosses what pruning must never disturb: the four
+// storage layouts, 1/4/6 shards, and every query shape.
 // Answers are bit-identical to the scan; Stats account for every shard once
 // (pruned or dispatched); a traced query names the bound behind each skip.
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -16,78 +15,8 @@ import (
 	"testing"
 
 	"github.com/sealdb/seal"
-	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/model"
-	"github.com/sealdb/seal/internal/testutil"
 )
-
-// pruneOracle is the engine-free reference: the objects in a model.Dataset
-// built exactly as seal.Build builds its own, scanned linearly.
-type pruneOracle struct{ ds *model.Dataset }
-
-func newPruneOracle(t testing.TB, objects []seal.Object) pruneOracle {
-	t.Helper()
-	rect := func(r seal.Rect) geo.Rect { return geo.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY} }
-	var b model.Builder
-	for i, o := range objects {
-		var err error
-		if len(o.Regions) > 0 {
-			set := make(geo.RectSet, len(o.Regions))
-			for j, r := range o.Regions {
-				set[j] = rect(r)
-			}
-			_, err = b.AddMulti(set, o.Tokens)
-		} else {
-			_, err = b.Add(rect(o.Region), o.Tokens)
-		}
-		if err != nil {
-			t.Fatalf("object %d: %v", i, err)
-		}
-	}
-	ds, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pruneOracle{ds}
-}
-
-// threshold returns the ID-ordered exact answer of a threshold request.
-func (o pruneOracle) threshold(t testing.TB, q seal.Query) []seal.Match {
-	t.Helper()
-	mq, err := o.ds.NewQuery(geo.Rect{MinX: q.Region.MinX, MinY: q.Region.MinY, MaxX: q.Region.MaxX, MaxY: q.Region.MaxY}, q.Tokens, q.TauR, q.TauT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []seal.Match
-	for _, id := range testutil.BruteForceAnswers(o.ds, mq) {
-		out = append(out, seal.Match{ID: int(id), SimR: o.ds.SimR(mq, id), SimT: o.ds.SimT(mq, id)})
-	}
-	return out
-}
-
-// ranked returns the exact ranking of a ranked request: everything clearing
-// the floors, by descending score, ties by ascending ID, cut at K.
-func (o pruneOracle) ranked(t testing.TB, req seal.Request) []seal.Match {
-	t.Helper()
-	floorR, floorT := req.FloorR, req.FloorT
-	if floorR == 0 {
-		floorR = 0.05
-	}
-	if floorT == 0 {
-		floorT = 0.05
-	}
-	out := o.threshold(t, seal.Query{Region: req.Region, Tokens: req.Tokens, TauR: floorR, TauT: floorT})
-	for i := range out {
-		out[i].Score = req.Alpha*out[i].SimR + (1-req.Alpha)*out[i].SimT
-	}
-	slices.SortFunc(out, func(a, b seal.Match) int {
-		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.ID, b.ID))
-	})
-	if len(out) > req.K {
-		out = out[:req.K]
-	}
-	return out
-}
 
 // pruneLayouts are the four ways an index holds its postings.
 var pruneLayouts = []struct {
@@ -147,7 +76,7 @@ func TestPruneEveryLayoutAndShape(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(11))
 	objects := shardObjects(300, rng)
-	oracle := newPruneOracle(t, objects)
+	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
 
 	// Selective: tight rects at a high spatial threshold, which most
 	// partitions cannot reach. Broad: the shard suites' mixed workload.

@@ -8,22 +8,32 @@ package seal_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/sealdb/seal"
+	"github.com/sealdb/seal/internal/model"
 )
+
+func queryTestObjects(n int) []seal.Object {
+	return shardObjects(n, rand.New(rand.NewSource(int64(n))))
+}
 
 func queryTestIndex(t *testing.T, n int, opts ...seal.Option) *seal.Index {
 	t.Helper()
-	rng := rand.New(rand.NewSource(int64(n)))
-	ix, err := seal.Build(shardObjects(n, rng), opts...)
+	ix, err := seal.Build(queryTestObjects(n), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ix
+}
+
+// queryTestOracle is the brute-force reference for queryTestIndex(t, n, ...).
+func queryTestOracle(t *testing.T, n int) oracle {
+	return newOracle(t, queryTestObjects(n), model.SpaceJaccard, model.TextJaccard)
 }
 
 func TestRequestValidation(t *testing.T) {
@@ -78,7 +88,8 @@ func TestRequestValidation(t *testing.T) {
 // one malformed query must cost only its own slot, and every other query's
 // completed Results must survive.
 func TestQueryBatchPerQueryErrors(t *testing.T) {
-	ix := queryTestIndex(t, 300, seal.WithMethod(seal.MethodScan), seal.WithShards(3))
+	ix := queryTestIndex(t, 300, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(3))
+	oracle := queryTestOracle(t, 300)
 	rng := rand.New(rand.NewSource(42))
 	queries := shardQueries(10, rng)
 	reqs := make([]seal.Request, len(queries))
@@ -104,13 +115,7 @@ func TestQueryBatchPerQueryErrors(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("slot %d failed: %v (one bad query must not nuke the batch)", i, r.Err)
 		}
-		want, err := answer(ix, queries[i].Request())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalMatches(r.Results.Matches, want) {
-			t.Fatalf("slot %d matches differ from Search", i)
-		}
+		requireSameMatches(t, fmt.Sprintf("slot %d", i), r.Results.Matches, oracle.threshold(t, queries[i]))
 	}
 }
 
@@ -118,7 +123,7 @@ func TestQueryBatchPerQueryErrors(t *testing.T) {
 // by concurrent batch queries (that would race); the implied CollectStats
 // still attaches per-query breakdowns.
 func TestQueryBatchStatsInto(t *testing.T) {
-	ix := queryTestIndex(t, 200, seal.WithMethod(seal.MethodScan), seal.WithShards(2))
+	ix := queryTestIndex(t, 200, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2))
 	rng := rand.New(rand.NewSource(44))
 	queries := shardQueries(16, rng)
 	reqs := make([]seal.Request, len(queries))
@@ -141,7 +146,7 @@ func TestQueryBatchStatsInto(t *testing.T) {
 }
 
 func TestQueryBatchContextCanceled(t *testing.T) {
-	ix := queryTestIndex(t, 100, seal.WithMethod(seal.MethodScan))
+	ix := queryTestIndex(t, 100, seal.WithMethod(seal.MethodTokenFilter))
 	rng := rand.New(rand.NewSource(43))
 	queries := shardQueries(20, rng)
 	reqs := make([]seal.Request, len(queries))
@@ -161,7 +166,7 @@ func TestQueryBatchContextCanceled(t *testing.T) {
 // TestQueryPagination: Offset/Limit pages under OrderByID concatenate back
 // to the full ID-ordered result.
 func TestQueryPagination(t *testing.T) {
-	ix := queryTestIndex(t, 400, seal.WithMethod(seal.MethodScan), seal.WithShards(2))
+	ix := queryTestIndex(t, 400, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2))
 	req := seal.Request{
 		Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
 		Tokens: []string{"t1", "t2"},
@@ -175,6 +180,7 @@ func TestQueryPagination(t *testing.T) {
 	if len(full.Matches) < 10 {
 		t.Fatalf("want a dense query, got %d matches", len(full.Matches))
 	}
+	requireSameMatches(t, "full", full.Matches, queryTestOracle(t, 400).threshold(t, seal.Query{Region: req.Region, Tokens: req.Tokens, TauR: req.TauR, TauT: req.TauT}))
 	pageSize := 7
 	var paged []seal.Match
 	for off := 0; ; off += pageSize {
@@ -204,7 +210,7 @@ func TestQueryPagination(t *testing.T) {
 // TestRankedPagination: for ranked requests, Offset/Limit walk the score
 // ranking, and OrderByID re-orders only the selected page.
 func TestRankedPagination(t *testing.T) {
-	ix := queryTestIndex(t, 300, seal.WithMethod(seal.MethodScan), seal.WithShards(3))
+	ix := queryTestIndex(t, 300, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(3))
 	req := seal.Request{
 		Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
 		Tokens: []string{"t1", "t2"},
@@ -220,6 +226,7 @@ func TestRankedPagination(t *testing.T) {
 	if len(full.Matches) < 8 {
 		t.Fatalf("want at least 8 ranked matches, got %d", len(full.Matches))
 	}
+	requireSameMatches(t, "full ranking", full.Matches, queryTestOracle(t, 300).ranked(t, req))
 	res, err := ix.Query(context.Background(), req, seal.Offset(2), seal.Limit(4))
 	if err != nil {
 		t.Fatal(err)
@@ -239,35 +246,28 @@ func TestRankedPagination(t *testing.T) {
 // TestShardParallelismEquivalence: capping per-query shard fan-out changes
 // scheduling only — threshold and ranked answers stay identical.
 func TestShardParallelismEquivalence(t *testing.T) {
-	ix := queryTestIndex(t, 400, seal.WithMethod(seal.MethodScan), seal.WithShards(8))
+	ix := queryTestIndex(t, 400, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(8))
+	oracle := queryTestOracle(t, 400)
 	req := seal.Request{
 		Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
 		Tokens: []string{"t1", "t2"},
 		TauR:   0.001,
 		TauT:   0.001,
 	}
-	want, err := ix.Query(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ix.Query(context.Background(), req, seal.ShardParallelism(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalMatches(got.Matches, want.Matches) {
-		t.Fatal("ShardParallelism(2) changed the threshold answer")
-	}
+	want := oracle.threshold(t, seal.Query{Region: req.Region, Tokens: req.Tokens, TauR: req.TauR, TauT: req.TauT})
 	ranked := seal.Request{Region: req.Region, Tokens: req.Tokens, K: 6, Alpha: 0.5, FloorR: 0.001, FloorT: 0.001}
-	wantR, err := ix.Query(context.Background(), ranked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotR, err := ix.Query(context.Background(), ranked, seal.ShardParallelism(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalMatches(gotR.Matches, wantR.Matches) {
-		t.Fatal("ShardParallelism(2) changed the ranked answer")
+	wantR := oracle.ranked(t, ranked)
+	for _, par := range []int{0, 2} {
+		got, err := ix.Query(context.Background(), req, seal.ShardParallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameMatches(t, fmt.Sprintf("ShardParallelism(%d) threshold", par), got.Matches, want)
+		gotR, err := ix.Query(context.Background(), ranked, seal.ShardParallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameMatches(t, fmt.Sprintf("ShardParallelism(%d) ranked", par), gotR.Matches, wantR)
 	}
 }
 

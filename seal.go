@@ -8,12 +8,10 @@ import (
 	"strings"
 	"time"
 
-	"github.com/sealdb/seal/internal/baseline"
 	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/engine"
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/gridsig"
-	"github.com/sealdb/seal/internal/irtree"
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/text"
 )
@@ -178,9 +176,6 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 	}
 
 	if cfg.segmentDir != "" {
-		if _, ok := segmentSpec(cfg); !ok {
-			return nil, fmt.Errorf("seal: WithSegmentDir does not support method %q (no posting lists to persist)", methodName(cfg.method))
-		}
 		// A matching segment directory replaces the whole build with an
 		// mmap; anything stale, corrupt, or differently configured falls
 		// through to a rebuild that overwrites it.
@@ -205,10 +200,17 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 		}
 	}
 
+	spec := segmentSpec(cfg)
 	eng, err := engine.Build(ds, engine.Config{
 		Shards:           cfg.shards,
 		BuildParallelism: cfg.buildParallelism,
-		NewFilter:        func(sds *model.Dataset) (core.Filter, error) { return buildFilter(sds, cfg) },
+		NewFilter: func(sds *model.Dataset) (core.Filter, error) {
+			f, err := core.BuildFilter(sds, spec)
+			if err == nil && cfg.compression != CompressionNone {
+				core.CompressPostings(f)
+			}
+			return f, err
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -229,57 +231,9 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 			IndexBytes:   eng.SizeBytes(),
 			SegmentBytes: segmentBytes(cfg.segmentDir),
 			BuildTime:    time.Since(start),
-			Compressed:   compressedStats(cfg),
+			Compressed:   cfg.compression != CompressionNone,
 		},
 	}, nil
-}
-
-func buildFilter(ds *model.Dataset, cfg options) (core.Filter, error) {
-	// The signature methods are the ones with a filter spec; only they hold
-	// posting lists, so the compression knob is a no-op for the baselines.
-	if spec, ok := segmentSpec(cfg); ok {
-		f, err := core.BuildFilter(ds, spec)
-		if err == nil && cfg.compression != CompressionNone {
-			core.CompressPostings(f)
-		}
-		return f, err
-	}
-	switch cfg.method {
-	case MethodKeywordFirst:
-		return baseline.NewKeywordFirst(ds), nil
-	case MethodSpatialFirst:
-		return baseline.NewSpatialFirst(ds, cfg.rtreeFanout)
-	case MethodIRTree:
-		return irtree.New(ds, cfg.rtreeFanout)
-	case MethodScan:
-		return baseline.NewScan(ds), nil
-	default:
-		return nil, fmt.Errorf("seal: unknown method %d", cfg.method)
-	}
-}
-
-// methodName names a Method for error messages.
-func methodName(m Method) string {
-	switch m {
-	case MethodSeal:
-		return "seal"
-	case MethodTokenFilter:
-		return "token-filter"
-	case MethodGridFilter:
-		return "grid-filter"
-	case MethodHybridHash:
-		return "hybrid-hash"
-	case MethodKeywordFirst:
-		return "keyword-first"
-	case MethodSpatialFirst:
-		return "spatial-first"
-	case MethodIRTree:
-		return "ir-tree"
-	case MethodScan:
-		return "scan"
-	default:
-		return fmt.Sprintf("method-%d", int(m))
-	}
 }
 
 func vocabFromWeights(objects []Object, weights map[string]float64) (*text.Vocab, error) {

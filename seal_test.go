@@ -3,6 +3,7 @@ package seal_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	seal "github.com/sealdb/seal"
+	"github.com/sealdb/seal/internal/model"
 )
 
 // paperObjects is the Figure 1 running example of the paper.
@@ -44,16 +46,14 @@ func paperQuery() seal.Query {
 }
 
 var allMethods = []seal.Method{
-	seal.MethodSeal, seal.MethodTokenFilter, seal.MethodGridFilter,
-	seal.MethodHybridHash, seal.MethodKeywordFirst, seal.MethodSpatialFirst,
-	seal.MethodIRTree, seal.MethodScan,
+	seal.MethodSeal, seal.MethodTokenFilter, seal.MethodGridFilter, seal.MethodHybridHash,
 }
 
 // TestPaperExampleAllMethods: every method answers Example 1 with exactly
 // {o2} (index 1).
 func TestPaperExampleAllMethods(t *testing.T) {
 	for _, m := range allMethods {
-		ix, err := seal.Build(paperObjects(), seal.WithMethod(m), seal.WithGranularity(4), seal.WithRTreeFanout(4))
+		ix, err := seal.Build(paperObjects(), seal.WithMethod(m), seal.WithGranularity(4))
 		if err != nil {
 			t.Fatalf("method %d: %v", m, err)
 		}
@@ -187,7 +187,7 @@ func TestDiceOptions(t *testing.T) {
 	ix, err := seal.Build(objs,
 		seal.WithSpatialSimilarity(seal.SpatialDice),
 		seal.WithTextualSimilarity(seal.TextualDice),
-		seal.WithMethod(seal.MethodScan))
+		seal.WithMethod(seal.MethodTokenFilter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +196,7 @@ func TestDiceOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSameMatches(t, "dice", matches, newOracle(t, objs, model.SpaceDice, model.TextDice).threshold(t, q))
 	// Object 0 matches trivially; object 1 has spatial Dice 0.5 ≥ 0.5 and
 	// must pass the textual Dice too? common weight w(a), totals... check
 	// via Similarity instead of hand-computing.
@@ -213,14 +214,16 @@ func TestDiceOptions(t *testing.T) {
 	}
 }
 
-// TestMethodsAgree: all methods return identical results on random data.
+// TestMethodsAgree: every method returns the brute-force answer on random
+// data.
 func TestMethodsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	objects := randomObjects(rng, 300)
+	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
 	indexes := make([]*seal.Index, 0, len(allMethods))
 	for _, m := range allMethods {
 		ix, err := seal.Build(objects, seal.WithMethod(m), seal.WithGranularity(64),
-			seal.WithMaxLevel(6), seal.WithGridBudget(16), seal.WithRTreeFanout(8))
+			seal.WithMaxLevel(6), seal.WithGridBudget(16))
 		if err != nil {
 			t.Fatalf("method %d: %v", m, err)
 		}
@@ -228,20 +231,13 @@ func TestMethodsAgree(t *testing.T) {
 	}
 	for qi := 0; qi < 30; qi++ {
 		q := randomQuery(rng, objects)
-		var want []seal.Match
-		for i, ix := range indexes {
+		want := oracle.threshold(t, q)
+		for _, ix := range indexes {
 			got, err := answer(ix, q.Request())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i == 0 {
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("q%d: %s disagrees with %s:\n%v\nvs\n%v",
-					qi, ix.Stats().Method, indexes[0].Stats().Method, got, want)
-			}
+			requireSameMatches(t, fmt.Sprintf("q%d %s", qi, ix.Stats().Method), got, want)
 		}
 	}
 }
@@ -303,24 +299,15 @@ func TestAutoGranularity(t *testing.T) {
 	if got := ix.Stats().Method; got == "Seal" {
 		t.Fatalf("auto granularity should select a grid filter, got %s", got)
 	}
-	// The index still answers correctly against a scan.
-	scan, err := seal.Build(objects, seal.WithMethod(seal.MethodScan))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The index still answers exactly.
+	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
 	for qi := 0; qi < 20; qi++ {
 		q := randomQuery(rng, objects)
-		a, err := answer(ix, q.Request())
+		got, err := answer(ix, q.Request())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := answer(scan, q.Request())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("q%d: auto-granularity index disagrees with scan", qi)
-		}
+		requireSameMatches(t, fmt.Sprintf("auto-granularity q%d", qi), got, oracle.threshold(t, q))
 	}
 }
 

@@ -3,7 +3,8 @@ package seal_test
 // Shard-equivalence property tests: a sharded index must return exactly the
 // answers of the monolithic index — same IDs, same similarities, same top-k
 // order — for every method, because shard datasets verify bit-identically
-// and the engine's merges preserve the monolithic orderings. Plus context
+// and the engine's merges preserve the monolithic orderings; the monolithic
+// answers themselves are held to the brute-force oracle. Plus context
 // cancellation tests and the multi-shard speedup benchmarks.
 
 import (
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"github.com/sealdb/seal"
+	"github.com/sealdb/seal/internal/model"
 )
 
 // randomObjects draws n spatio-textual objects in a 100×100 space with a
@@ -87,8 +89,9 @@ func TestShardEquivalence(t *testing.T) {
 	}{
 		{"seal", []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithMaxLevel(8)}},
 		{"grid", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithGranularity(64)}},
-		{"scan", []seal.Option{seal.WithMethod(seal.MethodScan)}},
+		{"token", []seal.Option{seal.WithMethod(seal.MethodTokenFilter)}},
 	}
+	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
 	for _, method := range methods {
 		t.Run(method.name, func(t *testing.T) {
 			base, err := seal.Build(objects, method.opts...)
@@ -97,6 +100,13 @@ func TestShardEquivalence(t *testing.T) {
 			}
 			if base.Stats().Shards != 1 {
 				t.Fatalf("default shard count = %d, want 1", base.Stats().Shards)
+			}
+			for qi, q := range queries {
+				want, err := answer(base, q.Request())
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameMatches(t, fmt.Sprintf("1 shard query %d", qi), want, oracle.threshold(t, q))
 			}
 			for _, k := range []int{1, 2, 3, 8} {
 				sharded, err := seal.Build(objects, append(append([]seal.Option(nil), method.opts...), seal.WithShards(k))...)
@@ -189,7 +199,7 @@ func TestShardEquivalenceDegenerate(t *testing.T) {
 
 func TestSearchContextCanceled(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	ix, err := seal.Build(shardObjects(200, rng), seal.WithMethod(seal.MethodScan), seal.WithShards(4))
+	ix, err := seal.Build(shardObjects(200, rng), seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,29 +238,17 @@ func TestSearchTopKHugeK(t *testing.T) {
 		FloorR: 0.001,
 		FloorT: 0.001,
 	}
-	base, err := seal.Build(objects, seal.WithMethod(seal.MethodScan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := answer(base, tq.Request())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := seal.Build(objects, seal.WithMethod(seal.MethodScan), seal.WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := answer(sharded, tq.Request())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rank %d: %+v, want %+v", i, got[i], want[i])
+	want := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard).ranked(t, tq.Request())
+	for _, shards := range []int{1, 4} {
+		ix, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := answer(ix, tq.Request())
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameMatches(t, fmt.Sprintf("%d shards", shards), got, want)
 	}
 }
 
@@ -259,7 +257,8 @@ func TestSearchTopKHugeK(t *testing.T) {
 // though the single-shard fast path has no scatter to interrupt.
 func TestSearchContextDeadlineSingleShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	ix, err := seal.Build(shardObjects(500, rng), seal.WithMethod(seal.MethodScan))
+	objects := shardObjects(500, rng)
+	ix, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,14 +275,7 @@ func TestSearchContextDeadlineSingleShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Matches
-	want, err := answer(ix, q.Request())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("live-context search returned %d matches, want %d", len(got), len(want))
-	}
+	requireSameMatches(t, "live-context search", res.Matches, newOracle(t, objects, model.SpaceJaccard, model.TextJaccard).threshold(t, q))
 }
 
 func benchIndex(b *testing.B, shards int) (*seal.Index, []seal.Query) {

@@ -12,9 +12,8 @@ import (
 	"github.com/sealdb/seal/internal/engine"
 )
 
-// Compression selects the posting-list storage layout for the signature
-// methods (MethodSeal, MethodTokenFilter, MethodGridFilter,
-// MethodHybridHash). Every setting returns bit-identical query answers; the
+// Compression selects the posting-list storage layout. Every setting returns
+// bit-identical query answers; the
 // quantized layout trades per-posting bound precision for size, which can
 // only admit extra candidates that exact verification then rejects.
 type Compression int
@@ -32,8 +31,7 @@ const (
 	CompressionQuantized
 )
 
-// WithCompression re-encodes posting lists after the index is built. It has
-// no effect on the baseline methods, which keep no posting lists. The
+// WithCompression re-encodes posting lists after the index is built. The
 // default is CompressionNone.
 func WithCompression(c Compression) Option {
 	return func(o *options) { o.compression = c }
@@ -43,31 +41,27 @@ func WithCompression(c Compression) Option {
 // When dir already holds segments built from the same objects and the same
 // configuration, Build maps them instead of rebuilding — turning index boot
 // into a page-table operation — and otherwise it builds in memory and
-// (over)writes dir. Only the signature methods support segment persistence;
-// Build fails for baselines. See also Open, which boots purely from a
-// segment directory.
+// (over)writes dir. See also Open, which boots purely from a segment
+// directory.
 func WithSegmentDir(dir string) Option {
 	return func(o *options) { o.segmentDir = dir }
 }
 
-// segmentSpec maps the configured method to the manifest's filter spec;
-// ok is false for methods without segment support.
-func segmentSpec(cfg options) (core.FilterSpec, bool) {
+// segmentSpec maps the configured method to the filter spec that builds it
+// and that the manifest records. An unknown method maps to a spec
+// core.BuildFilter rejects.
+func segmentSpec(cfg options) core.FilterSpec {
 	switch cfg.method {
 	case MethodSeal:
-		return core.FilterSpec{Kind: "seal", MaxLevel: cfg.maxLevel, GridBudget: cfg.gridBudget}, true
+		return core.FilterSpec{Kind: "seal", MaxLevel: cfg.maxLevel, GridBudget: cfg.gridBudget}
 	case MethodTokenFilter:
-		return core.FilterSpec{Kind: "token"}, true
+		return core.FilterSpec{Kind: "token"}
 	case MethodGridFilter:
-		return core.FilterSpec{Kind: "grid", P: cfg.granularity}, true
+		return core.FilterSpec{Kind: "grid", P: cfg.granularity}
 	case MethodHybridHash:
-		b := cfg.hashBuckets
-		if b < 0 {
-			b = 0
-		}
-		return core.FilterSpec{Kind: "hybrid", P: cfg.granularity, Buckets: b}, true
+		return core.FilterSpec{Kind: "hybrid", P: cfg.granularity, Buckets: max(cfg.hashBuckets, 0)}
 	default:
-		return core.FilterSpec{}, false
+		return core.FilterSpec{Kind: fmt.Sprintf("method %d", cfg.method)}
 	}
 }
 
@@ -87,11 +81,7 @@ func effectiveShards(cfg options, objects int) int {
 // cfg would build over ds — same filter configuration, shard count,
 // compression on/off, and dataset fingerprint.
 func manifestMatches(m *engine.Manifest, cfg options, objects int) bool {
-	spec, ok := segmentSpec(cfg)
-	if !ok {
-		return false
-	}
-	return m.Filter == spec &&
+	return m.Filter == segmentSpec(cfg) &&
 		m.Shards == effectiveShards(cfg, objects) &&
 		m.Compressed == (cfg.compression != CompressionNone)
 }
@@ -236,11 +226,4 @@ func segmentBytes(dir string) int64 {
 	}
 	n, _ := engine.DirBytes(dir)
 	return n
-}
-
-// compressedStats reports whether the built index actually stores encoded
-// postings: the compression knob is a no-op for baseline methods.
-func compressedStats(cfg options) bool {
-	_, sig := segmentSpec(cfg)
-	return sig && cfg.compression != CompressionNone
 }

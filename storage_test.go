@@ -344,18 +344,6 @@ func TestSegmentDirRebuildsOnMismatch(t *testing.T) {
 	}
 }
 
-// TestSegmentDirRejectsBaselines: methods without posting lists cannot
-// persist segments.
-func TestSegmentDirRejectsBaselines(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	objects := shardObjects(50, rng)
-	for _, m := range []seal.Method{seal.MethodScan, seal.MethodKeywordFirst, seal.MethodSpatialFirst, seal.MethodIRTree} {
-		if _, err := seal.Build(objects, seal.WithMethod(m), seal.WithSegmentDir(t.TempDir())); err == nil {
-			t.Fatalf("method %d: WithSegmentDir should fail", m)
-		}
-	}
-}
-
 // TestOpenMissingDir: Open on an empty or absent directory errors cleanly.
 func TestOpenMissingDir(t *testing.T) {
 	if _, err := seal.Open(t.TempDir()); err == nil {

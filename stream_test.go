@@ -1,18 +1,20 @@
 package seal_test
 
 // Stream/limit equivalence property tests for the unified query API: Stream
-// must yield exactly Search's result set under every order, Limit must be a
-// consistent prefix under the deterministic orders, and a small Limit must
-// measurably reduce engine work (not just truncate) on a sharded index.
+// must yield exactly the brute-force answer set under every order, Limit must
+// be a consistent prefix under the deterministic orders, and a small Limit
+// must measurably reduce engine work (not just truncate) on a sharded index.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"github.com/sealdb/seal"
+	"github.com/sealdb/seal/internal/model"
 )
 
 // collectStream drains a Stream iterator, failing the test on a yielded
@@ -48,11 +50,11 @@ func equalMatches(a, b []seal.Match) bool {
 }
 
 // TestStreamEquivalence is the property test of the unified API: across
-// shard counts and filter methods, (1) Stream in its default arrival order
-// yields exactly Search's result set, (2) OrderByID streams reproduce
-// Search's exact sequence, (3) Limit=L under OrderByID is the exact L-prefix
-// of that sequence, and (4) Limit=L in arrival order yields L matches that
-// all belong to the full result set.
+// shard counts and filter methods, with Query held to the brute-force
+// oracle, (1) Stream in its default arrival order yields exactly that result
+// set, (2) OrderByID streams reproduce its exact sequence, (3) Limit=L under
+// OrderByID is the exact L-prefix of that sequence, and (4) Limit=L in
+// arrival order yields L matches that all belong to the full result set.
 func TestStreamEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260731))
 	objects := shardObjects(300, rng)
@@ -64,8 +66,9 @@ func TestStreamEquivalence(t *testing.T) {
 	}{
 		{"seal", []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithMaxLevel(8)}},
 		{"grid", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithGranularity(64)}},
-		{"scan", []seal.Option{seal.WithMethod(seal.MethodScan)}},
+		{"token", []seal.Option{seal.WithMethod(seal.MethodTokenFilter)}},
 	}
+	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
 	for _, method := range methods {
 		t.Run(method.name, func(t *testing.T) {
 			for _, k := range []int{1, 2, 3, 8} {
@@ -74,10 +77,12 @@ func TestStreamEquivalence(t *testing.T) {
 					t.Fatalf("shards=%d: %v", k, err)
 				}
 				for qi, q := range queries {
-					want, err := answer(ix, q.Request())
+					want := oracle.threshold(t, q)
+					got, err := answer(ix, q.Request())
 					if err != nil {
 						t.Fatal(err)
 					}
+					requireSameMatches(t, fmt.Sprintf("shards=%d query %d", k, qi), got, want)
 					req := q.Request()
 
 					arrival := collectStream(t, ix, req)
@@ -133,23 +138,21 @@ func TestStreamEquivalence(t *testing.T) {
 }
 
 // TestStreamRankedEquivalence: ranked requests through Query/Stream must
-// reproduce the legacy SearchTopK ranking exactly, and Limit must select its
+// reproduce the brute-force ranking exactly, and Limit must select its
 // score-order prefix.
 func TestStreamRankedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260732))
 	objects := shardObjects(250, rng)
 	queries := shardQueries(12, rng)
+	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
 	for _, k := range []int{1, 3} {
-		ix, err := seal.Build(objects, seal.WithMethod(seal.MethodScan), seal.WithShards(k))
+		ix, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(k))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for qi, q := range queries {
 			tq := seal.TopKQuery{Region: q.Region, Tokens: q.Tokens, K: 2 + qi%6, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
-			want, err := answer(ix, tq.Request())
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := oracle.ranked(t, tq.Request())
 			res, err := ix.Query(context.Background(), tq.Request())
 			if err != nil {
 				t.Fatal(err)
@@ -185,7 +188,7 @@ func TestStreamRankedEquivalence(t *testing.T) {
 func TestStreamLimitReducesEngineWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260733))
 	objects := shardObjects(4000, rng)
-	ix, err := seal.Build(objects, seal.WithMethod(seal.MethodScan), seal.WithShards(4))
+	ix, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +205,8 @@ func TestStreamLimitReducesEngineWork(t *testing.T) {
 	if len(full.Matches) < 100 {
 		t.Fatalf("want a dense query for this test, got %d matches", len(full.Matches))
 	}
+	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
+	requireSameMatches(t, "full", full.Matches, oracle.threshold(t, seal.Query{Region: req.Region, Tokens: req.Tokens, TauR: req.TauR, TauT: req.TauT}))
 
 	const limit = 5
 	var st seal.Stats
@@ -238,7 +243,7 @@ func TestStreamLimitReducesEngineWork(t *testing.T) {
 func TestStreamEarlyBreak(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260734))
 	objects := shardObjects(3000, rng)
-	ix, err := seal.Build(objects, seal.WithMethod(seal.MethodScan), seal.WithShards(4))
+	ix, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
