@@ -1,13 +1,15 @@
 // Command sealgen generates the synthetic Twitter-like or USA-like dataset
 // of internal/gen (the package documents both distributions) and writes it
-// as a snapshot file that sealquery can load, so expensive generation
-// happens once.
+// as a dataset file that sealquery and sealserver load with -data, so
+// expensive generation happens once. The file is the dataset.seg of a segment
+// directory: a checksummed section container, mapped and validated in full
+// when it is read.
 //
 // Examples:
 //
-//	sealgen -kind twitter -n 100000 -o twitter.snap
-//	sealgen -kind usa -n 50000 -seed 7 -o usa.snap
-//	sealgen -kind twitter -n 1000000 -zipf 1.05 -vocab 200000 -o big.snap
+//	sealgen -kind twitter -n 100000 -o twitter.seg
+//	sealgen -kind usa -n 50000 -seed 7 -o usa.seg
+//	sealgen -kind twitter -n 1000000 -zipf 1.05 -vocab 200000 -o big.seg
 //
 // -zipf, -vocab and -mean-tokens scale the token workload independently of
 // the object count: a lower Zipf exponent flattens token frequencies (longer
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/gen"
 	"github.com/sealdb/seal/internal/model"
 )
@@ -32,7 +35,7 @@ func main() {
 		zipf       = flag.Float64("zipf", 0, "token-frequency Zipf exponent > 1 (default 1.10)")
 		vocab      = flag.Int("vocab", 0, "vocabulary size (default 50000 twitter, 30000 usa)")
 		meanTokens = flag.Float64("mean-tokens", 0, "mean tokens per object (default 14.3 twitter, 12.5 usa)")
-		out        = flag.String("o", "", "output snapshot path (required)")
+		out        = flag.String("o", "", "output dataset file path (required)")
 	)
 	flag.Parse()
 	if *out == "" {
@@ -66,17 +69,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sealgen: %v\n", err)
-		os.Exit(1)
-	}
-	if err := ds.WriteSnapshot(f); err != nil {
-		f.Close()
-		fmt.Fprintf(os.Stderr, "sealgen: %v\n", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
+	// One shard: the file's partition is the identity.
+	if err := diskidx.WriteDataset(*out, ds, [][]model.ObjectID{nil}); err != nil {
 		fmt.Fprintf(os.Stderr, "sealgen: %v\n", err)
 		os.Exit(1)
 	}

@@ -1,4 +1,4 @@
-// Command sealquery loads a dataset snapshot produced by sealgen, builds a
+// Command sealquery loads a dataset file produced by sealgen, builds a
 // seal.Index through the library's public API, and answers spatio-textual
 // similarity queries — one from the command line, or a stream of them from
 // stdin.
@@ -7,7 +7,7 @@
 // the moment the engine verifies it (no buffering of the full result), with
 // a summary on stderr:
 //
-//	sealquery -data twitter.snap -rect 100,200,130,240 -tokens "banodi,rukema" -taur 0.3 -taut 0.3
+//	sealquery -data twitter.seg -rect 100,200,130,240 -tokens "banodi,rukema" -taur 0.3 -taut 0.3
 //	{"id":17,"sim_r":0.41,"sim_t":0.36}
 //	{"id":52,"sim_r":0.33,"sim_t":0.58}
 //
@@ -27,7 +27,7 @@
 //
 // Interactive (one query per line: minx miny maxx maxy tauR tauT token...):
 //
-//	sealquery -data twitter.snap -i
+//	sealquery -data twitter.seg -i
 //	> 100 200 130 240 0.3 0.3 banodi rukema
 package main
 
@@ -45,7 +45,6 @@ import (
 	"syscall"
 
 	"github.com/sealdb/seal"
-	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/server"
 )
 
@@ -60,7 +59,7 @@ func main() {
 
 func run() error {
 	var (
-		dataPath    = flag.String("data", "", "snapshot path from sealgen (required)")
+		dataPath    = flag.String("data", "", "dataset file from sealgen (required without -segments)")
 		method      = flag.String("method", "seal", "filter method: "+server.MethodNames)
 		granularity = flag.Int("p", 1024, "grid granularity for grid/hybrid")
 		shards      = flag.Int("shards", 1, "spatial shards searching in parallel")
@@ -88,7 +87,7 @@ func run() error {
 
 	var ix *seal.Index
 	if *dataPath == "" {
-		// Boot purely from sealed segments: no snapshot load, no indexing.
+		// Boot purely from sealed segments: no dataset file, no indexing.
 		fmt.Fprintf(os.Stderr, "opening segments at %s...\n", *segments)
 		opened, err := seal.Open(*segments)
 		if err != nil {
@@ -96,16 +95,11 @@ func run() error {
 		}
 		ix = opened
 	} else {
-		f, err := os.Open(*dataPath)
+		objects, err := server.LoadObjects(*dataPath)
 		if err != nil {
 			return err
 		}
-		ds, err := model.ReadSnapshot(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "loaded %d objects, building %s index...\n", ds.Len(), *method)
+		fmt.Fprintf(os.Stderr, "loaded %d objects, building %s index...\n", len(objects), *method)
 
 		opts, err := server.MethodOptions(*method, *granularity)
 		if err != nil {
@@ -118,7 +112,7 @@ func run() error {
 		if *segments != "" {
 			opts = append(opts, seal.WithSegmentDir(*segments))
 		}
-		ix, err = seal.Build(server.SnapshotObjects(ds), opts...)
+		ix, err = seal.Build(objects, opts...)
 		if err != nil {
 			return err
 		}

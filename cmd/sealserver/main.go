@@ -14,11 +14,12 @@
 //	GET  /metrics, /varz  Prometheus text format
 //	GET  /v1/status       build info, dataset fingerprint, boot + serving facts
 //
-// Boot from a snapshot, persisting segments for the next boot:
+// Boot from a dataset file written by sealgen, persisting segments for the
+// next boot:
 //
-//	sealserver -data twitter.snap -segments /var/lib/seal/twitter -addr :8080
+//	sealserver -data twitter.seg -segments /var/lib/seal/twitter -addr :8080
 //
-// Boot purely from sealed segments (no snapshot, no indexing):
+// Boot purely from sealed segments (no dataset file, no indexing):
 //
 //	sealserver -segments /var/lib/seal/twitter -addr :8080
 //
@@ -77,7 +78,7 @@ func run() error {
 	var (
 		_            = flag.String("config", configPath, "JSON config file preloading every flag (flags win)")
 		addr         = flag.String("addr", base.Addr, "HTTP listen address")
-		dataPath     = flag.String("data", base.DataPath, "snapshot path from sealgen (optional with -segments)")
+		dataPath     = flag.String("data", base.DataPath, "dataset file from sealgen (optional with -segments)")
 		segments     = flag.String("segments", base.SegmentDir, "sealed-segment directory: mmap-boot when matching, save after building")
 		method       = flag.String("method", base.Method, "filter method: "+server.MethodNames)
 		granularity  = flag.Int("p", base.Granularity, "grid granularity for grid/hybrid")

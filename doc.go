@@ -43,8 +43,11 @@
 //
 // QueryOption carries the per-query knobs: Limit and Offset page through
 // results, OrderByID/OrderByScore/OrderByArrival pick the order,
-// CollectStats and StatsInto report the cost breakdown, ShardParallelism
-// and BatchParallelism bound concurrency. Limit is a work reducer: the
+// CollectStats and StatsInto report the cost breakdown, CollectTrace and
+// TraceInto the execution trace, AllowPartial and ShardTimeout set the
+// shard-failure policy. Concurrency is not a knob: a query searches every
+// admitted shard at once, and QueryBatch runs one query per CPU at a time.
+// Limit is a work reducer: the
 // engine counts emissions across shards atomically and interrupts the
 // outstanding shard searches (and ranked descents) once the limit is
 // reached, so fewer postings are scanned and fewer candidates verified.
@@ -60,8 +63,8 @@
 //	ix.SearchWithStats(q)             → ix.Query(ctx, q.Request(), seal.CollectStats())
 //	ix.SearchTopK(tq)                 → ix.Query(ctx, tq.Request())
 //	ix.SearchTopKContext(ctx, tq)     → ix.Query(ctx, tq.Request())
-//	ix.SearchBatch(qs, p)             → ix.QueryBatch(ctx, reqs, seal.BatchParallelism(p))
-//	ix.SearchBatchContext(ctx, qs, p) → ix.QueryBatch(ctx, reqs, seal.BatchParallelism(p))
+//	ix.SearchBatch(qs, p)             → ix.QueryBatch(ctx, reqs)
+//	ix.SearchBatchContext(ctx, qs, p) → ix.QueryBatch(ctx, reqs)
 //
 // Result orders are preserved (threshold queries default to OrderByID,
 // ranked ones to OrderByScore). QueryBatch reports each query's error in
@@ -87,9 +90,9 @@
 //
 // WithShards(n) splits the index into n spatial partitions (Z-order
 // chunks of near-equal size, round-robin for degenerate distributions).
-// Shards build concurrently — WithBuildParallelism bounds how many at once;
-// a MethodSeal shard additionally fans its per-token grid selection out over
-// GOMAXPROCS workers, even when it is the only shard.
+// Shards build concurrently, one per CPU at a time; a MethodSeal shard
+// additionally fans its per-token grid selection out over GOMAXPROCS
+// workers, even when it is the only shard.
 // Sharding never changes answers; every shard count returns exactly the
 // matches, similarities and top-k order of the 1-shard index, which remains
 // the default.
@@ -100,7 +103,7 @@
 // skipped; a shard whose extent cannot reach TauR is pruned (see "Shard
 // pruning") — and runs a single remaining shard on the caller's goroutine
 // (unless an unpolled search under a cancellable context could strand it
-// there), or else scatters over at most ShardParallelism goroutines. Each
+// there), or else scatters them, one goroutine per admitted shard. Each
 // shard search then runs the same sequence exactly once: count the search
 // in flight (so Close can wait for it), start the ShardTimeout clock,
 // isolate panics, take a pooled searcher, attach the trace recorder, search,
@@ -182,17 +185,17 @@
 // row, where a uint32 offset took four bytes. One code serves every bound of
 // every list: the top 16 magnitude bits of the bound's float32 (8 exponent, 8
 // mantissa), rounded up — monotone, never below the exact bound, within 2⁻⁸
-// of it at every magnitude, and meaning the same bound in any list. Object
+// of it at every finite code, and meaning the same bound in any list. Object
 // IDs take 2 bytes when the shard holds at most 65,536 objects, else 4.
 // Quantized bounds only round up, so threshold cutoffs stay supersets and
 // exact verification returns identical matches. There are no runs, no bitmaps, no per-list scale and no short-list
 // special case: on the index SEAL builds, four lists in five hold one or two
-// postings, and every header byte was paid by each of them. An index with a
-// bound above the largest finite code, about 3.396e38 (possible only under
-// WithTokenWeights or enormous coordinates) falls back, whole, to an exact
-// layout: the same columns with float64 bound lanes. Decoding runs through
-// each searcher's reusable scratch, preserving the zero-allocation steady
-// state.
+// postings, and every header byte was paid by each of them. A bound above
+// the largest finite code, about 3.396e38 (possible only under
+// WithTokenWeights or enormous coordinates), saturates to the infinity code,
+// which every threshold clears, so such an index keeps exact answers on the
+// same 2-byte codes. Decoding runs through each searcher's reusable scratch,
+// preserving the zero-allocation steady state.
 //
 // Underneath there is one posting index, not one per method. A posting is an
 // object with the bound its list is sorted by; a hybrid posting (MethodSeal,
@@ -283,8 +286,13 @@
 // synthetic queries before reporting ready, and serves until SIGTERM with a
 // graceful drain.
 //
-//	sealserver -data twitter.snap -segments /var/lib/seal/tw -warmup 64
-//	sealserver -segments /var/lib/seal/tw     # later boots: no snapshot needed
+//	sealgen -kind twitter -n 100000 -o twitter.seg
+//	sealserver -data twitter.seg -segments /var/lib/seal/tw -warmup 64
+//	sealserver -segments /var/lib/seal/tw     # later boots: no dataset file needed
+//
+// The -data file sealgen writes is a segment directory's dataset.seg: it is
+// checksummed and validated in full as it opens, like every other file the
+// daemon reads.
 //
 // POST /v1/query answers one query, POST /v1/query/batch many, and GET
 // /v1/stream emits NDJSON — one record per match as the engine verifies it,

@@ -12,7 +12,7 @@ import (
 var (
 	// ErrCorruptSegment reports on-disk index data that failed validation: a
 	// checksum mismatch, a truncated or malformed section, or an unreadable
-	// snapshot or partition file. Open quarantines single-shard corruption;
+	// dataset segment. Open quarantines single-shard corruption;
 	// this sentinel surfaces when the damage compromises the whole directory.
 	ErrCorruptSegment = diskidx.ErrCorrupt
 

@@ -143,7 +143,7 @@ func ExampleIndex_QueryBatch() {
 		{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, Tokens: []string{"park"}, TauR: 0.5, TauT: 0.5},
 		{Region: seal.Rect{MinX: 10, MinY: 10, MaxX: 14, MaxY: 14}, Tokens: []string{"lake"}, TauR: 0.5, TauT: 0.5},
 	}
-	for i, br := range ix.QueryBatch(context.Background(), queries, seal.BatchParallelism(2)) {
+	for i, br := range ix.QueryBatch(context.Background(), queries) {
 		if br.Err != nil {
 			log.Fatal(br.Err)
 		}

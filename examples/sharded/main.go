@@ -45,8 +45,7 @@ func main() {
 	ix, err := seal.Build(objects,
 		seal.WithMethod(seal.MethodGridFilter),
 		seal.WithGranularity(256),
-		seal.WithShards(shards),      // spatial partitions, searched scatter-gather
-		seal.WithBuildParallelism(0), // 0 = one build worker per CPU
+		seal.WithShards(shards), // spatial partitions, built in parallel, searched scatter-gather
 	)
 	if err != nil {
 		log.Fatal(err)

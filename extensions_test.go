@@ -147,20 +147,18 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, par := range []int{0, 1, 4, 100} {
-		for i, br := range ix.QueryBatch(context.Background(), queries, seal.BatchParallelism(par)) {
-			if br.Err != nil {
-				t.Fatal(br.Err)
-			}
-			if !reflect.DeepEqual(br.Results.Matches, want[i]) {
-				t.Fatalf("parallelism %d: batch result %d differs from serial", par, i)
-			}
+	for i, br := range ix.QueryBatch(context.Background(), queries) {
+		if br.Err != nil {
+			t.Fatal(br.Err)
+		}
+		if !reflect.DeepEqual(br.Results.Matches, want[i]) {
+			t.Fatalf("batch result %d differs from serial", i)
 		}
 	}
 	// A bad query fails at its own position.
 	bad := append([]seal.Request(nil), queries...)
 	bad[7].TauR = 0
-	if got := ix.QueryBatch(context.Background(), bad, seal.BatchParallelism(4)); got[7].Err == nil {
+	if got := ix.QueryBatch(context.Background(), bad); got[7].Err == nil {
 		t.Fatal("bad query should fail its batch entry")
 	}
 }

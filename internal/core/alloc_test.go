@@ -26,8 +26,8 @@ func allocDataset(t testing.TB, n int) *model.Dataset { return allocDatasetAt(t,
 
 // allocDatasetAt is allocDataset with every coordinate multiplied by scale. A
 // scale other than 1 also sets every token's weight to 1e39: at 1e20 both the
-// areas and the weights are beyond float32 range, which switches compressed
-// postings to the exact layout.
+// areas and the weights are beyond float32 range, which saturates compressed
+// bound codes to infinity.
 func allocDatasetAt(t testing.TB, n int, scale float64) *model.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -158,19 +158,12 @@ func TestSearchZeroAllocsCompressed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	for _, exact := range []bool{false, true} {
-		label, scale := "compressed", 1.0
-		if exact {
-			label, scale = "compressed-exact", 1e20
-		}
+	for _, scale := range []float64{1, 1e20} {
+		label := fmt.Sprintf("compressed scale %g", scale)
 		ds := allocDatasetAt(t, 600, scale)
 		queries := allocQueriesAt(t, ds, 8, scale)
 		for _, f := range allocFilters(t, ds) {
 			core.CompressPostings(f)
-			src, _, _ := core.Postings(f)
-			if lay := src.(*invidx.Compressed).Arenas().Layout; lay.Exact != exact {
-				t.Fatalf("%s %s: list layout %+v", label, f.Name(), lay)
-			}
 			requireZeroAllocs(t, label, ds, f, queries)
 		}
 	}

@@ -253,13 +253,7 @@ func buildAllFilters(t *testing.T, ds *model.Dataset) []core.Filter {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hierCountOrder, err := core.NewHierarchicalFilter(ds, core.HierarchicalConfig{
-		MaxLevel: 5, GridBudget: 6, Order: core.HierOrderCount,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []core.Filter{token, plainTok, grid, plainGrid, hashExact, hashBuckets, hier, hierTight, hierCountOrder}
+	return []core.Filter{token, plainTok, grid, plainGrid, hashExact, hashBuckets, hier, hierTight}
 }
 
 // TestPlainSubsetOfPrefix: the plain Sig-Filter computes the exact signature
@@ -413,8 +407,8 @@ func TestCompressedBoundsCoverFlat(t *testing.T) {
 		src, _, _ := core.Postings(f)
 		flat := src.(*invidx.Index)
 		quant := invidx.Compress(flat)
-		if lay := quant.Arenas().Layout; lay.Exact || !lay.Obj16 {
-			t.Fatalf("%s: layout %+v, want quantized with 16-bit objects", spec.Kind, lay)
+		if lay := quant.Arenas().Layout; !lay.Obj16 {
+			t.Fatalf("%s: layout %+v, want 16-bit objects", spec.Kind, lay)
 		}
 		var keys []uint64
 		quant.EachLen(func(key uint64, _ int) { keys = append(keys, key) })

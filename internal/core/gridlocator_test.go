@@ -45,14 +45,14 @@ func buildLocator(t testingT, seed int64) (*gridtree.Tree, []hss.Grid, gridLocat
 		loc.nodes = append(loc.nodes, uint32(g.Node))
 		counts = append(counts, int32(g.Count))
 	}
-	rankGrids(HierOrderLevel, loc.nodes, counts, loc.pos, &order)
+	rankGrids(loc.nodes, counts, loc.pos, &order)
 	ordered := make([]hss.Grid, len(grids))
 	for i, g := range grids {
 		ordered[loc.pos[i]] = g
 	}
 	for i := 1; i < len(ordered); i++ {
 		a, b := ordered[i-1], ordered[i]
-		if hierGridCmp(HierOrderLevel, a.Node, int32(a.Count), b.Node, int32(b.Count)) >= 0 {
+		if hierGridCmp(a.Node, int32(a.Count), b.Node, int32(b.Count)) >= 0 {
 			t.Fatalf("grids %d and %d out of global order", i-1, i)
 		}
 	}
@@ -169,72 +169,70 @@ func derivationDatasets(t *testing.T) []derivationCase {
 // candidate.
 func TestLocatorsDerivedFromKeys(t *testing.T) {
 	for _, tc := range derivationDatasets(t) {
-		for _, ord := range []HierOrder{HierOrderLevel, HierOrderCount} {
-			ds, vocab := tc.ds, tc.ds.Vocab().Len()
-			tree, err := gridtree.New(tc.space, 9)
-			if err != nil {
+		ds, vocab := tc.ds, tc.ds.Vocab().Len()
+		tree, err := gridtree.New(tc.space, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := make([][]tokenPosting, vocab)
+		for obj := 0; obj < ds.Len(); obj++ {
+			for _, tok := range ds.Tokens(model.ObjectID(obj)) {
+				members[tok] = append(members[tok], tokenPosting{obj: uint32(obj), tBound: 1})
+			}
+		}
+		// One worker builds every token in order, as the index build does
+		// per worker, keeping a copy of each token's build-time locator.
+		wk := new(hierWorker)
+		built := make([]gridLocator, vocab)
+		var runs []invidx.Run
+		for tok, tp := range members {
+			if len(tp) == 0 {
+				continue
+			}
+			lists, postings := len(wk.run.Nodes), len(wk.run.Objs)
+			mt := []int{1, 3, 8, 40, 8192}[tok%5]
+			if err := wk.buildToken(ds, tree, text.TokenID(tok), tp, mt); err != nil {
 				t.Fatal(err)
 			}
-			members := make([][]tokenPosting, vocab)
-			for obj := 0; obj < ds.Len(); obj++ {
-				for _, tok := range ds.Tokens(model.ObjectID(obj)) {
-					members[tok] = append(members[tok], tokenPosting{obj: uint32(obj), tBound: 1})
+			if len(wk.run.Nodes) > lists {
+				pos := make([]uint16, len(wk.pos)) // the build ranks in int32
+				for i, p := range wk.pos {
+					pos[i] = uint16(p)
 				}
+				built[tok] = gridLocator{tree: tree, nodes: slices.Clone(wk.nodes), pos: pos, base: uint32(lists)}
+				runs = append(runs, invidx.Run{Group: uint32(tok), Nodes: wk.run.Nodes[lists:], Lens: wk.run.Lens[lists:],
+					Objs: wk.run.Objs[postings:], Bounds: wk.run.Bounds[postings:], TBounds: wk.run.TBounds[postings:]})
 			}
-			// One worker builds every token in order, as the index build does
-			// per worker, keeping a copy of each token's build-time locator.
-			wk := new(hierWorker)
-			built := make([]gridLocator, vocab)
-			var runs []invidx.Run
-			for tok, tp := range members {
-				if len(tp) == 0 {
+		}
+		raw := invidx.FromSortedRuns(vocab, runs)
+		sources := map[string]invidx.Source{
+			"raw":        raw,
+			"compressed": invidx.Compress(raw),
+		}
+		rng := rand.New(rand.NewSource(99))
+		probes := testutil.AdversarialRects(rng, tc.space, 40)
+		for layout, src := range sources {
+			label := tc.name + " " + layout
+			derived, err := deriveLocators(tree, vocab, src)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for tok := range members {
+				got, ok := derived.of(text.TokenID(tok))
+				want := built[tok]
+				if ok != (want.nodes != nil) {
+					t.Fatalf("%s token %d: derived locator present=%v, built present=%v", label, tok, ok, want.nodes != nil)
+				}
+				if !slices.Equal(got.nodes, want.nodes) || !slices.Equal(got.pos, want.pos) {
+					t.Fatalf("%s token %d: derived grids/ranks differ from the built ones\n got %x %v\nwant %x %v",
+						label, tok, got.nodes, got.pos, want.nodes, want.pos)
+				}
+				if !ok {
 					continue
 				}
-				lists, postings := len(wk.run.Nodes), len(wk.run.Objs)
-				mt := []int{1, 3, 8, 40, 8192}[tok%5]
-				if err := wk.buildToken(ds, tree, ord, text.TokenID(tok), tp, mt); err != nil {
-					t.Fatal(err)
-				}
-				if len(wk.run.Nodes) > lists {
-					pos := make([]uint16, len(wk.pos)) // the build ranks in int32
-					for i, p := range wk.pos {
-						pos[i] = uint16(p)
-					}
-					built[tok] = gridLocator{tree: tree, nodes: slices.Clone(wk.nodes), pos: pos, base: uint32(lists)}
-					runs = append(runs, invidx.Run{Group: uint32(tok), Nodes: wk.run.Nodes[lists:], Lens: wk.run.Lens[lists:],
-						Objs: wk.run.Objs[postings:], Bounds: wk.run.Bounds[postings:], TBounds: wk.run.TBounds[postings:]})
-				}
-			}
-			raw := invidx.FromSortedRuns(vocab, runs)
-			sources := map[string]invidx.Source{
-				"raw":        raw,
-				"compressed": invidx.Compress(raw),
-			}
-			rng := rand.New(rand.NewSource(99))
-			probes := testutil.AdversarialRects(rng, tc.space, 40)
-			for layout, src := range sources {
-				label := fmt.Sprintf("%s order %d %s", tc.name, ord, layout)
-				derived, err := deriveLocators(tree, ord, vocab, src)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				for tok := range members {
-					got, ok := derived.of(text.TokenID(tok))
-					want := built[tok]
-					if ok != (want.nodes != nil) {
-						t.Fatalf("%s token %d: derived locator present=%v, built present=%v", label, tok, ok, want.nodes != nil)
-					}
-					if !slices.Equal(got.nodes, want.nodes) || !slices.Equal(got.pos, want.pos) {
-						t.Fatalf("%s token %d: derived grids/ranks differ from the built ones\n got %x %v\nwant %x %v",
-							label, tok, got.nodes, got.pos, want.nodes, want.pos)
-					}
-					if !ok {
-						continue
-					}
-					for _, r := range probes {
-						if g, w := got.project(r, nil), want.project(r, nil); !slices.Equal(g, w) {
-							t.Fatalf("%s token %d rect %v: projection %v, want %v", label, tok, r, g, w)
-						}
+				for _, r := range probes {
+					if g, w := got.project(r, nil), want.project(r, nil); !slices.Equal(g, w) {
+						t.Fatalf("%s token %d rect %v: projection %v, want %v", label, tok, r, g, w)
 					}
 				}
 			}
@@ -280,11 +278,11 @@ func TestDeriveLocatorsRejectsWideToken(t *testing.T) {
 		"a grid below the tree":              invidx.FromSortedRuns(3, []invidx.Run{deep}),
 		"an index with a key array":          keyed.Build(),
 	} {
-		if _, err := deriveLocators(tree, HierOrderLevel, 3, src); err == nil {
+		if _, err := deriveLocators(tree, 3, src); err == nil {
 			t.Fatalf("%s derived locators", name)
 		}
 	}
-	tl, err := deriveLocators(tree, HierOrderLevel, 3, invidx.FromSortedRuns(3, []invidx.Run{cut(run, n)}))
+	tl, err := deriveLocators(tree, 3, invidx.FromSortedRuns(3, []invidx.Run{cut(run, n)}))
 	if err != nil {
 		t.Fatalf("a token with %d keys: %v", n, err)
 	}

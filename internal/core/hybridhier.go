@@ -45,9 +45,6 @@ type HierarchicalConfig struct {
 	// receive large budgets and refine deeply; rare tokens stay coarse,
 	// which costs nothing because their lists are short anyway.
 	GridBudget int
-	// Order selects the global order of each token's grids; the zero value
-	// is the paper's level-first order.
-	Order HierOrder
 }
 
 // DefaultHierarchicalConfig uses finest grids below the uniform 1024
@@ -138,7 +135,7 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 				mt := int(float64(cfg.GridBudget) * float64(len(tp)) / meanPostings)
 				mt = min(max(mt, minTokenBudget), maxTokenBudget)
 				span := hierSpan{worker: w, list0: len(wk.run.Nodes), posting0: len(wk.run.Objs)}
-				wk.err = wk.buildToken(ds, tree, cfg.Order, text.TokenID(t), tp, mt)
+				wk.err = wk.buildToken(ds, tree, text.TokenID(t), tp, mt)
 				span.list1, span.posting1 = len(wk.run.Nodes), len(wk.run.Objs)
 				spans[t] = span
 			}
@@ -167,7 +164,7 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 		})
 	}
 	f.idx = invidx.FromSortedRuns(vocab.Len(), runs)
-	f.locs, err = deriveLocators(tree, cfg.Order, vocab.Len(), f.idx)
+	f.locs, err = deriveLocators(tree, vocab.Len(), f.idx)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +227,7 @@ type hierWorker struct {
 // back (deriveLocators), so bounds and queries share one order by
 // construction. That takes two passes: project everything to learn the
 // lengths, rank, then bound each region's hits in rank order.
-func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order HierOrder, t text.TokenID, tp []tokenPosting, mt int) error {
+func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.TokenID, tp []tokenPosting, mt int) error {
 	wk.rects = wk.rects[:0]
 	for _, p := range tp {
 		wk.rects = append(wk.rects, ds.Region(model.ObjectID(p.obj)))
@@ -258,7 +255,7 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, order H
 	for _, h := range wk.hits {
 		wk.counts[h.list]++
 	}
-	rankGrids(order, wk.nodes, wk.counts, wk.pos, &wk.order)
+	rankGrids(wk.nodes, wk.counts, wk.pos, &wk.order)
 
 	// Per-object spatial signature over this token's grid set.
 	wk.entries = wk.entries[:0]
@@ -333,23 +330,12 @@ func openHierarchicalFilter(ds *model.Dataset, spec FilterSpec, src invidx.Sourc
 		return nil, err
 	}
 	f.idx = src
-	f.locs, err = deriveLocators(f.tree, cfg.Order, ds.Vocab().Len(), src)
+	f.locs, err = deriveLocators(f.tree, ds.Vocab().Len(), src)
 	if err != nil {
 		return nil, err
 	}
 	return f, nil
 }
-
-// hierOrder selects the global order of a token's hierarchical grids.
-// The paper prescribes ascending level then ascending count (Section 5.2)
-// but leaves order tuning as future work; hierOrderCount is the
-// rare-elements-first order that standard prefix filtering favors.
-type HierOrder int
-
-const (
-	HierOrderLevel HierOrder = iota // level asc, count asc (paper's text)
-	HierOrderCount                  // count asc, level asc (rare first)
-)
 
 // Name implements Filter.
 func (f *HierarchicalFilter) Name() string { return "Seal" }

@@ -11,7 +11,7 @@ package diskidx
 //
 //	bit0  dual bounds
 //	bit1  compressed postings
-//	bit2  compressed only: the exact layout (clear: the quantized one)
+//	bit2  retired: a file carrying it is stale (the old float64 fallback)
 //	bit3  compressed only: object IDs take 2 bytes (clear: 4)
 //
 // It opens with its key column, in one of two forms. An index whose lists are
@@ -64,12 +64,13 @@ var magic2 = [8]byte{'S', 'E', 'A', 'L', 'I', 'D', 'X', '2'}
 // segVersion 4 is the layout above. An earlier version's file has no reader;
 // it opens as ErrStaleVersion, which the engine reports as a directory of
 // another layout generation (rebuild) rather than as a damaged shard
-// (quarantine).
+// (quarantine). So does a version-4 file with the retired bit 2, written by
+// the float64 fallback that saturating bound codes replaced.
 const (
 	segVersion        = 4
 	segFlagDual       = 1 << 0
 	segFlagCompressed = 1 << 1
-	segFlagExact      = 1 << 2
+	segFlagRetired    = 1 << 2
 	segFlagObj16      = 1 << 3
 )
 
@@ -187,9 +188,6 @@ func present[T any](v []T) []T {
 
 func compressedFlags(l invidx.Layout) uint32 {
 	flags := uint32(segFlagCompressed)
-	if l.Exact {
-		flags |= segFlagExact
-	}
 	if l.Obj16 {
 		flags |= segFlagObj16
 	}
@@ -240,10 +238,13 @@ func openSegment(data []byte) (*Segment, error) {
 		return nil, err
 	}
 	flags := c.flags
-	if flags&^(segFlagDual|segFlagCompressed|segFlagExact|segFlagObj16) != 0 {
+	if flags&segFlagRetired != 0 {
+		return nil, fmt.Errorf("%w: %w (float64 posting bounds)", ErrCorrupt, ErrStaleVersion)
+	}
+	if flags&^(segFlagDual|segFlagCompressed|segFlagObj16) != 0 {
 		return nil, fmt.Errorf("%w: unknown segment flags %#x", ErrCorrupt, flags)
 	}
-	if flags&segFlagCompressed == 0 && flags&(segFlagExact|segFlagObj16) != 0 {
+	if flags&segFlagCompressed == 0 && flags&segFlagObj16 != 0 {
 		return nil, fmt.Errorf("%w: list layout flags %#x on a raw segment", ErrCorrupt, flags)
 	}
 	// The header's counts size later multiplications and allocations, so
@@ -279,10 +280,7 @@ func openSegment(data []byte) (*Segment, error) {
 			Dual:      dual,
 			Extents:   viewU64(offs),
 			Blob:      blob,
-			Layout: invidx.Layout{
-				Exact: flags&segFlagExact != 0,
-				Obj16: flags&segFlagObj16 != 0,
-			},
+			Layout:    invidx.Layout{Obj16: flags&segFlagObj16 != 0},
 		}
 		ix, err := invidx.CompressedFromArenas(a, int(nPostings), objects)
 		if err != nil {

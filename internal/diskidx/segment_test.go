@@ -106,10 +106,9 @@ func sectionBytes(b []byte) (n int64) {
 	return n
 }
 
-// pathsFixture is a Builder index over keys in three groups; exact adds a
-// bound past the quantized layout's domain, which makes Compress fall back to
-// the exact one.
-func pathsFixture(rng *rand.Rand, dual, exact bool) *invidx.Index {
+// pathsFixture is a Builder index over keys in three groups; saturate adds a
+// bound past the largest finite code, which compresses to infinity.
+func pathsFixture(rng *rand.Rand, dual, saturate bool) *invidx.Index {
 	b := invidx.Builder{Dual: dual}
 	for k := 0; k < 90; k++ {
 		key := uint64(k%3)<<32 | uint64(k*7+1)
@@ -117,35 +116,33 @@ func pathsFixture(rng *rand.Rand, dual, exact bool) *invidx.Index {
 			b.AddDual(key, uint32(rng.Intn(segTestObjects)), float64(rng.Intn(1000))/10, float64(rng.Intn(50))/10)
 		}
 	}
-	if exact {
+	if saturate {
 		b.AddDual(1, 3, 1e39, 0.5)
 	}
 	return b.Build()
 }
 
 // TestSegmentRoundTrip: every way to reach a list agrees. Over {raw,
-// quantized, exact} × {single, dual} × {keyed, run-grouped — the Seal
-// filter's column, which FromSortedRuns freezes dual only} × {in memory,
-// written and mapped}, At(i) and Probe of the i-th key reach list i of the
-// flat index: the same objects in the same order, raw and exact bounds bit for
-// bit, quantized ones never below them. SizeBytes — the figure IndexStats and
-// Table 1 report — is exactly the bytes of the segment's sections.
+// compressed} × {finite bounds, a bound that saturates} × {single, dual} ×
+// {keyed, run-grouped — the Seal filter's column, which FromSortedRuns freezes
+// dual only} × {in memory, written and mapped}, At(i) and Probe of the i-th
+// key reach list i of the flat index: the same objects in the same order, raw
+// bounds bit for bit, compressed ones never below them. SizeBytes — the figure
+// IndexStats and Table 1 report — is exactly the bytes of the segment's
+// sections.
 func TestSegmentRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
 	for _, dual := range []bool{false, true} {
-		for _, exact := range []bool{false, true} {
-			flat := pathsFixture(rng, dual, exact)
+		for _, saturate := range []bool{false, true} {
+			flat := pathsFixture(rng, dual, saturate)
 			cols := map[string]invidx.Source{"keyed": flat}
 			if dual {
 				cols["run-grouped"] = sortedRuns(flat)
 			}
 			for col, ix := range cols {
 				for layout, src := range map[string]invidx.Source{"raw": ix, "compressed": invidx.Compress(ix.(*invidx.Index))} {
-					name := fmt.Sprintf("dual=%v exact=%v %s %s", dual, exact, col, layout)
-					if c, ok := src.(*invidx.Compressed); ok && c.Arenas().Layout.Exact != exact {
-						t.Fatalf("%s: layout %+v", name, c.Arenas().Layout)
-					}
+					name := fmt.Sprintf("dual=%v saturated=%v %s %s", dual, saturate, col, layout)
 					path := filepath.Join(dir, "paths.seg")
 					if err := WriteSegment(path, src, segTestObjects); err != nil {
 						t.Fatal(err)
@@ -165,7 +162,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 						if got.SizeBytes() != sectionBytes(b) {
 							t.Fatalf("%s %s: SizeBytes %d, sections %d", name, where, got.SizeBytes(), sectionBytes(b))
 						}
-						expectFlat(t, name+" "+where, flat, got, layout == "raw" || exact)
+						expectFlat(t, name+" "+where, flat, got, layout == "raw")
 					}
 					expectMatch(t, src, seg.Source())
 					seg.Close()
@@ -473,8 +470,6 @@ func TestSegmentMalformed(t *testing.T) {
 		mutate func(b []byte) []byte
 	}{
 		{"wrong object-width flag", comp, flipFlag(segFlagObj16)},
-		{"wrong list-layout flag", comp, flipFlag(segFlagExact | segFlagObj16)},
-		{"both list layouts claimed", comp, flipFlag(segFlagExact)},
 		{"list-layout flag on a raw segment", raw, flipFlag(segFlagObj16)},
 		// The extent table: every rule of its validator, and the list count.
 		{"extents do not start at 0", comp, in(secOffs, func(p []byte) { p[0] &^= 1 })},
@@ -487,8 +482,8 @@ func TestSegmentMalformed(t *testing.T) {
 			at, _ := firstLong(b, 4)
 			return damage(t, b, secBlob, func(p []byte) { p[at], p[at+1], p[at+2], p[at+3] = p[at+2], p[at+3], p[at], p[at+1] })
 		}},
-		{"spatial code past the largest finite one", comp, in(secBlob, func(p []byte) { p[0], p[1] = 0x00, 0xFF })},
-		{"textual code past the largest finite one", runs, func(b []byte) []byte {
+		{"spatial code past infinity", comp, in(secBlob, func(p []byte) { p[0], p[1] = 0x01, 0xFF })},
+		{"textual code past infinity", runs, func(b []byte) []byte {
 			at, rows := firstLong(b, 6) // the textual column follows the spatial one
 			return damage(t, b, secBlob, func(p []byte) { p[at+2*rows], p[at+2*rows+1] = 0x80, 0xFF })
 		}},
@@ -624,22 +619,40 @@ func terminal(p []byte) int {
 
 // TestSegmentStaleVersion: a version this package once wrote is marked stale
 // as well as unreadable, so the engine can tell another generation's file
-// from a damaged one; any other version is only corrupt.
+// from a damaged one; any other version is only corrupt. So is a current
+// version's file with the retired flag bit 2 — the float64 fallback's — set,
+// raw or compressed, and bit 2 is never written.
 func TestSegmentStaleVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v.seg")
-	if err := WriteSegment(path, buildSingle(rand.New(rand.NewSource(22)), 5, 10), segTestObjects); err != nil {
-		t.Fatal(err)
-	}
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	ix := buildSingle(rand.New(rand.NewSource(22)), 5, 10)
+	var files [][]byte
+	for name, src := range map[string]invidx.Source{"raw.seg": ix, "comp.seg": invidx.Compress(pathsFixture(rand.New(rand.NewSource(23)), true, true))} {
+		path := filepath.Join(dir, name)
+		if err := WriteSegment(path, src, segTestObjects); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flags := binary.LittleEndian.Uint32(b[12:]); flags&segFlagRetired != 0 {
+			t.Fatalf("%s written with flags %#x: bit 2 is retired", name, flags)
+		}
+		files = append(files, b)
 	}
 	for v, stale := range map[uint32]bool{0: false, 1: true, 2: true, 3: true, segVersion + 1: false, 99: false} {
-		b := append([]byte(nil), good...)
+		b := append([]byte(nil), files[0]...)
 		binary.LittleEndian.PutUint32(b[8:], v)
 		_, err := openSegment(b)
 		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrStaleVersion) != stale {
 			t.Errorf("version %d: %v, want ErrCorrupt and stale=%v", v, err, stale)
+		}
+	}
+	for i, good := range files {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(b[12:], binary.LittleEndian.Uint32(b[12:])|segFlagRetired)
+		if _, err := openSegment(b); !errors.Is(err, ErrCorrupt) || !errors.Is(err, ErrStaleVersion) {
+			t.Errorf("file %d with flag bit 2: %v, want ErrCorrupt and stale", i, err)
 		}
 	}
 }

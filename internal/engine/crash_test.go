@@ -100,7 +100,7 @@ func sampleSteps(total int) []int {
 // the directory read as incomplete).
 func bootAfterCrash(t *testing.T, label, dir string, src *Engine) *Engine {
 	t.Helper()
-	e2, err := OpenSegments(dir)
+	e2, _, err := OpenSegmentsWith(dir, nil, OpenOptions{})
 	if err == nil {
 		return e2
 	}
@@ -111,7 +111,7 @@ func bootAfterCrash(t *testing.T, label, dir string, src *Engine) *Engine {
 	if err := src.SaveSegments(dir); err != nil {
 		t.Fatalf("%s: rebuild over crash debris: %v", label, err)
 	}
-	e2, err = OpenSegments(dir)
+	e2, _, err = OpenSegmentsWith(dir, nil, OpenOptions{})
 	if err != nil {
 		t.Fatalf("%s: open after rebuild: %v", label, err)
 	}

@@ -30,9 +30,6 @@ type Config struct {
 	// Shards is the number of spatial partitions. Values below 1 mean 1; the
 	// count is capped at the object count so no shard is empty.
 	Shards int
-	// BuildParallelism bounds the workers building shard filters. Values
-	// below 1 mean GOMAXPROCS.
-	BuildParallelism int
 	// NewFilter builds one shard's filter over that shard's dataset. It must
 	// be safe to call concurrently (each call receives a distinct dataset).
 	NewFilter func(ds *model.Dataset) (core.Filter, error)
@@ -113,8 +110,7 @@ func (e *Engine) Enter() error {
 func (e *Engine) Exit() { e.inflight.Done() }
 
 // Build partitions root into cfg.Shards spatial shards and constructs each
-// shard's filter, running up to cfg.BuildParallelism constructions
-// concurrently.
+// shard's filter, running up to GOMAXPROCS constructions concurrently.
 func Build(root *model.Dataset, cfg Config) (*Engine, error) {
 	if cfg.NewFilter == nil {
 		return nil, errors.New("engine: Config.NewFilter is required")
@@ -146,12 +142,8 @@ func Build(root *model.Dataset, cfg Config) (*Engine, error) {
 		e.shards = []*shard{s}
 	} else {
 		parts := partition(root, n)
-		par := cfg.BuildParallelism
-		if par < 1 {
-			par = runtime.GOMAXPROCS(0)
-		}
 		shards := make([]*shard, len(parts))
-		err := ForEach(context.Background(), len(parts), par, func(_ context.Context, i int) error {
+		err := ForEach(context.Background(), len(parts), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
 			sub, err := root.Subset(parts[i])
 			if err != nil {
 				return fmt.Errorf("engine: shard %d: %w", i, err)

@@ -32,7 +32,7 @@ import (
 )
 
 // Options carries one query's execution knobs; the zero value is an
-// unlimited, untraced, strict query over all shards at once.
+// unlimited, untraced, strict query.
 type Options struct {
 	// Limit bounds the matches produced; 0 means unlimited. Search returns
 	// the exact Limit-prefix of its ID-ordered answer, capping each shard's
@@ -40,11 +40,6 @@ type Options struct {
 	// across shards, so reaching the limit cuts the outstanding filter scans
 	// and verifications short. TopK ignores it (K is its limit).
 	Limit int
-	// Parallelism bounds the shards searching concurrently; values < 1 mean
-	// all shards at once.
-	Parallelism int
-	// Buffer is Stream's emission channel capacity; values < 1 mean 64.
-	Buffer int
 	// Trace, when non-nil, collects per-shard filter/verify spans, pruned-shard
 	// bounds and the engine-level merge span. Nil costs nothing: no clock
 	// reads, no recording, no allocations.
@@ -94,7 +89,6 @@ type pass struct {
 	// quit is set once the query has its answer or its failure: polling
 	// shard searches stop, unstarted ones never start.
 	quit atomic.Bool
-	next atomic.Int32 // scatter's dispatch cursor over the live shards
 
 	matches [][]core.Match       // ID-ordered sink: per-shard runs
 	scored  [][]core.ScoredMatch // top-k sink: per-shard rankings
@@ -289,11 +283,10 @@ func (s *shard) pruneBound(region geo.Rect, tauR float64) (float64, bool) {
 	return bound, bound*(1+pruneEps) < tauR
 }
 
-// scatter runs the admitted shards on at most Options.Parallelism worker
-// goroutines and gathers their outcomes into st. A query that fails, or whose
-// ctx expires, returns at once and abandons its stragglers (Close waits for
-// them); a stream instead waits for every producer, since it closes the
-// channel they send on.
+// scatter runs every admitted shard on a goroutine of its own and gathers
+// their outcomes into st. A query that fails, or whose ctx expires, returns at
+// once and abandons its stragglers (Close waits for them); a stream instead
+// waits for every producer, since it closes the channel they send on.
 func (p *pass) scatter(body shardBody, st *core.SearchStats) error {
 	live := make([]int, 0, len(p.e.shards))
 	for i := range p.e.shards {
@@ -313,22 +306,11 @@ func (p *pass) scatter(body shardBody, st *core.SearchStats) error {
 	// Buffered to the dispatch count: a straggler abandoned by an early
 	// return still finds room to send and exit.
 	out := make(chan outcome, len(live))
-	worker := func() {
-		for {
-			k := int(p.next.Add(1)) - 1
-			if k >= len(live) {
-				return
-			}
-			sst, err := p.runShard(live[k], body)
-			out <- outcome{live[k], sst, err}
-		}
-	}
-	par := p.opt.Parallelism
-	if par < 1 || par > len(live) {
-		par = len(live)
-	}
-	for w := 0; w < par; w++ {
-		go worker()
+	for _, i := range live {
+		go func() {
+			sst, err := p.runShard(i, body)
+			out <- outcome{i, sst, err}
+		}()
 	}
 	done := p.ctx.Done()
 	if p.stream != nil {

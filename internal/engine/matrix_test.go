@@ -81,19 +81,18 @@ var matrixFaults = []matrixFault{
 // matrixSink is one row group: how the engine is asked.
 type matrixSink struct {
 	name    string
-	opt     Options
 	stream  bool
 	ranked  bool
-	limited bool // reruns under several limits
+	limited bool // reruns under several limits; a ranked sink's limit is its K
 }
 
 var matrixSinks = []matrixSink{
 	{name: "collect"},
 	{name: "capped/limit", limited: true},
-	{name: "capped/parallelism", opt: Options{Parallelism: 2}},
 	{name: "stream", stream: true},
 	{name: "stream/limit", stream: true, limited: true},
 	{name: "topk", ranked: true},
+	{name: "topk/k", ranked: true, limited: true},
 }
 
 // settleGoroutines waits for the live goroutine count to return to baseline:
@@ -240,15 +239,26 @@ func matrixRow(t *testing.T, label string, e *Engine, ds *model.Dataset, mq matr
 
 	limits := []int{0}
 	if sink.limited {
-		limits = []int{1, 3, len(full), len(full) + 10}
+		n := len(full)
+		if sink.ranked {
+			every := topk
+			every.K = ds.Len()
+			n = len(rankedOracle(t, ds, mq, every, nil))
+		}
+		limits = []int{1, 3, n, n + 10}
 	}
 	for _, limit := range limits {
 		if sink.limited && limit == 0 {
 			continue // an empty answer has no full-length limit to try
 		}
 		label := fmt.Sprintf("%s limit=%d", label, limit)
-		opt := sink.opt
-		opt.Limit = limit
+		topk := topk
+		var opt Options
+		if sink.ranked && limit > 0 {
+			topk.K = limit
+		} else {
+			opt.Limit = limit
+		}
 		opt.Partial = Partial{Allow: allow, ShardTimeout: f.timeout}
 		if traced {
 			opt.Trace = trace.New()

@@ -329,14 +329,6 @@ type OpenOptions struct {
 	Repair bool
 }
 
-// OpenSegments boots an engine from a segment directory: the dataset segment
-// and every shard's postings are memory-mapped.
-// It is strict — see OpenSegmentsWith for quarantine and repair.
-func OpenSegments(dir string) (*Engine, error) {
-	e, _, err := OpenSegmentsWith(dir, nil, OpenOptions{})
-	return e, err
-}
-
 // OpenSegmentsAt boots an engine from dir over an already-loaded dataset: the
 // directory's dataset segment supplies only the shard partition. The
 // manifest's fingerprint must match root.

@@ -213,6 +213,12 @@ func (s *MatchStream) Close() {
 	}
 }
 
+// streamBuffer is Stream's emission channel capacity: how many matches the
+// producers run ahead of the consumer before they park — enough that a
+// consumer keeping pace rarely stalls a shard, few enough that an abandoned
+// stream has verified little it discards.
+const streamBuffer = 64
+
 // Stream answers a compiled threshold query as a push-based stream. Every
 // shard runs an interleaved filter/verify search and emits global-ID matches
 // into the stream's bounded channel in arrival order (no cross-shard
@@ -223,11 +229,7 @@ func (s *MatchStream) Close() {
 // it was dropped have already been delivered and stay delivered — emitted
 // matches are always correct, only completeness is lost.
 func (e *Engine) Stream(ctx context.Context, q *model.Query, opt Options) *MatchStream {
-	buffer := opt.Buffer
-	if buffer < 1 {
-		buffer = 64
-	}
-	ms := &MatchStream{ch: make(chan core.Match, buffer), done: make(chan struct{})}
+	ms := &MatchStream{ch: make(chan core.Match, streamBuffer), done: make(chan struct{})}
 	ms.pass = &pass{e: e, ctx: ctx, opt: opt, q: q, region: q.Region, tauR: q.TauR, polls: true, stream: ms}
 	go func() {
 		// A shard failure (strict mode) outranks the context; otherwise only
@@ -291,8 +293,7 @@ type ranking struct {
 // The returned stats accumulate the descents' filter-and-verify work across
 // shards, each probe, posting and candidate counted once per descent; a
 // descent cut short by cooperative pruning (or a small effective k) reports
-// the reduced counts. Capping opt.Parallelism weakens cooperative pruning's
-// concurrency, never its correctness — the tracker only ever tightens.
+// the reduced counts.
 //
 // Degraded ranked answers carry one caveat beyond threshold queries. A shard
 // that was quarantined at open (or panicked before observing results) never

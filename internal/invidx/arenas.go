@@ -194,8 +194,8 @@ func FromArenas(a RawArenas, objects int) (*Index, error) {
 // mapped segment that opens successfully can only fail a later probe if the
 // underlying file changes beneath it: the extent table ends at the posting
 // total and holds nk lists, the blob is that many rows, and every list is
-// checked where it lies — spatial bounds never ascending, no bound above the
-// layout's ceiling, objects in range.
+// checked where it lies — spatial codes never ascending, no code past
+// infinity, objects in range.
 func validateCompressedArenas(a CompressedArenas, nk, postings, objects int) (*Extents, error) {
 	rows, err := extentsFromWords(a.Extents, uint64(postings))
 	if err != nil {

@@ -8,7 +8,7 @@ package invidx
 // posting count is its extent. The extent table codes a list in one bit plus
 // one bit a posting, where a uint32 byte offset took four bytes.
 //
-// The quantized layout (the default) is
+// A list is
 //
 //	n × uint16              spatial codes, descending
 //	n × uint16              textual codes, dual lists only
@@ -17,28 +17,23 @@ package invidx
 // One code serves every bound of every list of every index — the top 16
 // magnitude bits of the bound's float32 (8 exponent, 8 mantissa), rounded up —
 // so a code means the same bound wherever it is read, decoding is a shift, the
-// relative error is below 2⁻⁸ at every magnitude, and codes order as their
+// relative error is below 2⁻⁸ at every finite code, and codes order as their
 // bounds do. Object IDs take two bytes when every ID of the index fits (a
 // shard of at most 65,536 objects), four otherwise.
 //
 // Bounds only ever round up, so a Cutoff head over a decoded list is a
-// superset of the exact head and verification keeps answers unchanged.
-//
-// The exact layout is the same columns with float64 lanes — every bound bit
-// for bit — and is the whole-index fallback for bounds the quantized layout
-// cannot hold (see quantizable):
-//
-//	n × float64             spatial bounds, descending
-//	n × float64             textual bounds, dual lists only
-//	n × uint16 | uint32     object IDs, in list order
-//
-// One column walk reads both; only the reader of a bound lane differs.
+// superset of the exact head and verification keeps answers unchanged. That
+// holds at the ends too: a bound at or below zero codes to 0, and one above
+// the largest finite code — about 3.396e38, reachable only through
+// caller-supplied token weights or coordinates near 1e19 — saturates to the
+// infinity code, which every threshold clears.
 //
 // This replaces, in turn, a run-length layout (a header per distinct bound,
-// delta-varint or bitmap objects) and a columnar one that scaled each list's
+// delta-varint or bitmap objects), a columnar one that scaled each list's
 // codes by a float32 step of its own, stored with a count ahead of the
 // columns, and fell back to float32 bounds under four postings — 11 bytes of
-// header on a dual list where four lists in five hold one or two postings.
+// header on a dual list where four lists in five hold one or two postings —
+// and a whole-index float64 fallback for bounds past the largest finite code.
 
 import (
 	"encoding/binary"
@@ -57,23 +52,14 @@ func corrupt(msg string) error { return fmt.Errorf("%w: %s", ErrCorrupt, msg) }
 
 // Layout is how every list of one compressed index is encoded.
 type Layout struct {
-	Exact bool // float64 bound lanes; false is the quantized layout's uint16 codes
 	Obj16 bool // object IDs take 2 bytes instead of 4
 }
 
-// boundWidth is the bytes a bound takes in one of the layout's lanes.
-func (lay Layout) boundWidth() int {
-	if lay.Exact {
-		return 8
-	}
-	return 2
-}
-
-// rowWidth is the bytes a posting takes: its bound lanes and its object ID.
+// rowWidth is the bytes a posting takes: its bound codes and its object ID.
 func (lay Layout) rowWidth(dual bool) int {
-	w := lay.boundWidth()
+	w := 2
 	if dual {
-		w *= 2
+		w = 4
 	}
 	if lay.Obj16 {
 		return w + 2
@@ -89,10 +75,10 @@ func (lay Layout) obj(col []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(col[4*i:])
 }
 
-// maxCode is the largest bound code: the top bits of the largest float32
-// whose low 15 bits are clear. The codes above it are float32's infinity and
-// NaNs and are never written.
-const maxCode = 0xFEFF
+// maxCode is the largest bound code, float32's infinity: a bound above the
+// largest finite code saturates to it. The codes above it are NaNs and are
+// never written.
+const maxCode = 0xFF00
 
 // ceil32 returns the smallest float32 that is >= v, for 0 <= v <= MaxFloat32.
 func ceil32(v float64) float32 {
@@ -103,14 +89,21 @@ func ceil32(v float64) float32 {
 	return f
 }
 
-// boundCode returns the smallest code whose bound is >= b, for 0 <= b <=
-// decodeBound(maxCode) (see quantizable): b's float32 ceiling, cut to its top
-// 16 magnitude bits and bumped when the cut dropped anything — a carry out of
-// the kept mantissa moves into the exponent, which is still the next code up.
-// Rounding up is what keeps compressed filtering a superset of exact
-// filtering: a list head selected by Cutoff(c) can only gain postings. It is
-// monotone in b, so descending bounds get descending codes.
+// boundCode returns the smallest code whose bound is >= b, for any b but NaN:
+// 0 for a bound at or below zero, maxCode for one above the largest finite
+// code, and otherwise b's float32 ceiling, cut to its top 16 magnitude bits
+// and bumped when the cut dropped anything — a carry out of the kept mantissa
+// moves into the exponent, which is still the next code up. Rounding up is
+// what keeps compressed filtering a superset of exact filtering: a list head
+// selected by Cutoff(c) can only gain postings. It is monotone in b, so
+// descending bounds get descending codes.
 func boundCode(b float64) uint16 {
+	switch {
+	case b <= 0:
+		return 0
+	case b > float64(decodeBound(maxCode-1)):
+		return maxCode
+	}
 	bits := math.Float32bits(ceil32(b))
 	code := bits >> 15
 	if bits&(1<<15-1) != 0 {
@@ -122,31 +115,12 @@ func boundCode(b float64) uint16 {
 // decodeBound returns the bound a code stands for.
 func decodeBound(code uint16) float32 { return math.Float32frombits(uint32(code) << 15) }
 
-// quantizable reports whether every bound lies in [0, decodeBound(maxCode)] —
-// the domain of the quantized layout; anything larger would round up into the
-// infinity and NaN codes. Canonical indexes (suffix weight sums) always
-// qualify; an index with exotic builder inputs is encoded exact.
-func quantizable(lanes ...[]float64) bool {
-	for _, lane := range lanes {
-		for _, b := range lane {
-			if !(b >= 0 && b <= float64(decodeBound(maxCode))) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // appendList appends the encoding of one canonical list (bounds descending,
 // ties by ascending object) to dst. tBounds is nil for single-bound lists.
 func appendList(dst []byte, objs []uint32, bounds, tBounds []float64, lay Layout) []byte {
 	for _, lane := range [][]float64{bounds, tBounds} {
 		for _, b := range lane {
-			if lay.Exact {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b))
-			} else {
-				dst = binary.LittleEndian.AppendUint16(dst, boundCode(b))
-			}
+			dst = binary.LittleEndian.AppendUint16(dst, boundCode(b))
 		}
 	}
 	for _, o := range objs {
@@ -160,8 +134,8 @@ func appendList(dst []byte, objs []uint32, bounds, tBounds []float64, lay Layout
 }
 
 // walkColumns walks a list of n rows, checking what the query path relies on
-// — spatial bounds that never ascend, which is what makes them valid input for
-// cutoffDesc; bounds no NaN, nor a quantized one past the largest finite code;
+// — spatial codes that never ascend, which is what makes their bounds valid
+// input for cutoffDesc; no code past maxCode, which would decode to NaN;
 // objects below the exclusive bound objects — and, given a scratch, widening
 // each column into it. A probe passes its scratch and no bound (the index was
 // held to one when it opened); opening a segment passes the bound and no
@@ -171,28 +145,15 @@ func walkColumns(b []byte, n int, dual bool, lay Layout, objects int, scr *ListS
 	if scr != nil {
 		bounds, tBounds = scr.bounds, scr.tBounds
 	}
-	lanes := 1
-	if dual {
-		lanes = 2
+	if !walkCodes(b, n, true, bounds) || dual && !walkCodes(b[2*n:], n, false, tBounds) {
+		return corrupt("bound code past infinity, or spatial codes ascending")
 	}
-	for l, lane := 0, lay.boundWidth()*n; l < lanes; l++ {
-		out := bounds
-		if l == 1 {
-			out = tBounds
-		}
-		var ok bool
-		if lay.Exact {
-			ok = walkFloats(b[:lane], n, l == 0, out)
-		} else {
-			ok = walkCodes(b[:lane], n, l == 0, out)
-		}
-		if !ok {
-			return corrupt("bound NaN, past the largest finite code, or spatial bounds ascending")
-		}
-		b = b[lane:]
+	objs := b[2*n:]
+	if dual {
+		objs = b[4*n:]
 	}
 	for i := 0; i < n; i++ {
-		o := lay.obj(b, i)
+		o := lay.obj(objs, i)
 		if int(o) >= objects {
 			return corrupt("posting object out of range")
 		}
@@ -203,11 +164,9 @@ func walkColumns(b []byte, n int, dual bool, lay Layout, objects int, scr *ListS
 	return nil
 }
 
-// walkCodes and walkFloats walk one bound lane of n entries, of the quantized
-// and the exact layout, widening it into out unless out is nil; they report
-// whether every bound is valid — not past the largest finite code, not NaN —
-// and, on the spatial lane, none ascends. Quantized codes are checked as
-// codes, which order as their bounds do.
+// walkCodes walks one lane of n codes, widening it into out unless out is nil,
+// and reports whether every code is at most maxCode and, on the spatial lane,
+// none ascends. Codes are checked as codes, which order as their bounds do.
 func walkCodes(b []byte, n int, spatial bool, out []float64) bool {
 	prev := uint16(maxCode)
 	for i := 0; i < n; i++ {
@@ -220,23 +179,6 @@ func walkCodes(b []byte, n int, spatial bool, out []float64) bool {
 		}
 		if out != nil {
 			out[i] = float64(decodeBound(q))
-		}
-	}
-	return true
-}
-
-func walkFloats(b []byte, n int, spatial bool, out []float64) bool {
-	prev := math.Inf(1)
-	for i := 0; i < n; i++ {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		if !(v <= prev) {
-			return false
-		}
-		if spatial {
-			prev = v
-		}
-		if out != nil {
-			out[i] = v
 		}
 	}
 	return true
@@ -260,13 +202,9 @@ type Compressed struct {
 
 // Compress re-encodes a flat index. The source index is unchanged and shares
 // its (immutable) key column with the result. Bounds must not be NaN — true of
-// every canonically built index — and bounds the quantized layout cannot hold
-// switch the whole index to the exact one.
+// every canonically built index.
 func Compress(ix *Index) *Compressed {
-	lay := Layout{
-		Exact: !quantizable(ix.bounds, ix.tBounds),
-		Obj16: len(ix.objs) == 0 || slices.Max(ix.objs) <= math.MaxUint16,
-	}
+	lay := Layout{Obj16: len(ix.objs) == 0 || slices.Max(ix.objs) <= math.MaxUint16}
 	out := &Compressed{
 		keyColumn: ix.keyColumn,
 		rows:      *extentsOf(ix.starts), // a posting is a row

@@ -1,7 +1,6 @@
 package model_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -100,33 +99,5 @@ func TestMultiRegionDice(t *testing.T) {
 	want := 40.0 / 56.0
 	if got := ds.SimR(q, 0); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Dice simR = %v, want %v", got, want)
-	}
-}
-
-func TestMultiRegionSnapshotRoundTrip(t *testing.T) {
-	ds := buildMulti(t)
-	var buf bytes.Buffer
-	if err := ds.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := model.ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := got.MultiRegion(0)
-	if len(set) != 2 {
-		t.Fatalf("round-tripped MultiRegion = %v", set)
-	}
-	for i := range lShape {
-		if set[i] != lShape[i] {
-			t.Fatalf("rect %d = %v, want %v", i, set[i], lShape[i])
-		}
-	}
-	q, err := got.NewQuery(geo.Rect{MinX: 4, MinY: 4, MaxX: 9, MaxY: 9}, []string{"ell"}, 0.1, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SimR(q, 0) != 0 {
-		t.Fatal("round-tripped dataset lost exact multi-region verification")
 	}
 }

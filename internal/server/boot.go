@@ -2,7 +2,7 @@ package server
 
 // Index boot for the daemon: open sealed segments when a complete matching
 // directory exists (a page-table operation, the PR 6 dividend), otherwise
-// build from a dataset snapshot — persisting into the segment directory so
+// build from a dataset file — persisting into the segment directory so
 // the next boot maps. Warmup then faults mmap pages in with synthetic
 // queries derived from indexed objects before /readyz ever flips.
 
@@ -13,6 +13,7 @@ import (
 	"time"
 
 	seal "github.com/sealdb/seal"
+	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/text"
 )
@@ -22,13 +23,13 @@ type BootInfo struct {
 	// Source is "segments" (mmap boot), "built" (in-memory build, no
 	// segment dir), "built+saved" (built and persisted for next boot), or
 	// "rebuilt" (the segment directory was damaged beyond what Build
-	// tolerates; it was cleared and re-created from the data snapshot).
+	// tolerates; it was cleared and re-created from the dataset file).
 	Source        string
 	BootTime      time.Duration
 	WarmupQueries int
 	WarmupTime    time.Duration
 	// Quarantined / Rebuilt count shards that failed to open cleanly from
-	// their segments (segment-only boots; a snapshot boot rebuilds instead).
+	// their segments (segment-only boots; a -data boot rebuilds instead).
 	Quarantined int
 	Rebuilt     int
 }
@@ -43,10 +44,10 @@ func (f Logf) printf(format string, args ...any) {
 }
 
 // Boot opens or builds the index cfg describes. With only SegmentDir set it
-// boots purely from sealed segments; with DataPath it loads the snapshot and
-// either maps a matching segment directory or builds (and, with SegmentDir,
-// saves). Warmup is not run here — the daemon wires it separately so warmup
-// latency lands in the metrics registry.
+// boots purely from sealed segments; with DataPath it loads the dataset file
+// and either maps a matching segment directory or builds (and, with
+// SegmentDir, saves). Warmup is not run here — the daemon wires it separately
+// so warmup latency lands in the metrics registry.
 func Boot(cfg Config, logf Logf) (*seal.Index, BootInfo, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, BootInfo{}, err
@@ -54,8 +55,8 @@ func Boot(cfg Config, logf Logf) (*seal.Index, BootInfo, error) {
 	start := time.Now()
 	if cfg.DataPath == "" {
 		logf.printf("booting from sealed segments at %s", cfg.SegmentDir)
-		// Open quarantines a damaged shard instead of failing: with no data
-		// snapshot to rebuild from, serving the surviving shards (and saying
+		// Open quarantines a damaged shard instead of failing: with no dataset
+		// file to rebuild from, serving the surviving shards (and saying
 		// so in /readyz) beats refusing to boot.
 		ix, err := seal.Open(cfg.SegmentDir)
 		if err != nil {
@@ -78,17 +79,12 @@ func Boot(cfg Config, logf Logf) (*seal.Index, BootInfo, error) {
 		return ix, info, nil
 	}
 
-	f, err := os.Open(cfg.DataPath)
-	if err != nil {
-		return nil, BootInfo{}, fmt.Errorf("server: %w", err)
-	}
-	ds, err := model.ReadSnapshot(f)
-	f.Close()
+	objects, err := LoadObjects(cfg.DataPath)
 	if err != nil {
 		return nil, BootInfo{}, err
 	}
 	logf.printf("loaded %d objects from %s, indexing (%s, %d shard(s))",
-		ds.Len(), cfg.DataPath, cfg.Method, cfg.Shards)
+		len(objects), cfg.DataPath, cfg.Method, cfg.Shards)
 
 	opts, err := MethodOptions(cfg.Method, cfg.Granularity)
 	if err != nil {
@@ -101,11 +97,10 @@ func Boot(cfg Config, logf Logf) (*seal.Index, BootInfo, error) {
 	if cfg.SegmentDir != "" {
 		opts = append(opts, seal.WithSegmentDir(cfg.SegmentDir))
 	}
-	objects := SnapshotObjects(ds)
 	ix, err := seal.Build(objects, opts...)
 	rebuilt := false
 	if err != nil && cfg.SegmentDir != "" {
-		// With the data snapshot in hand the segment directory is a cache,
+		// With the dataset file in hand the segment directory is a cache,
 		// not the source of truth: a directory damaged beyond what Build's
 		// stale-fallthrough tolerates (e.g. a write error against leftover
 		// state) is cleared and re-created rather than failing the boot.
@@ -133,9 +128,23 @@ func Boot(cfg Config, logf Logf) (*seal.Index, BootInfo, error) {
 	return ix, info, nil
 }
 
-// SnapshotObjects converts a snapshot dataset back into public API objects;
-// Build re-derives identical token weights from the same corpus. Shared with
-// cmd/sealquery.
+// LoadObjects reads a dataset file written by sealgen — a dataset segment,
+// checksummed and validated in full as it opens — and returns its objects.
+// Nothing returned aliases the file, which is closed again before it returns.
+// A file of another format (such as sealgen's old gob snapshots) fails with
+// the segment container's bad-magic error: regenerate it with sealgen.
+func LoadObjects(path string) ([]seal.Object, error) {
+	seg, err := diskidx.OpenDataset(path)
+	if err != nil {
+		return nil, fmt.Errorf("server: reading dataset file %s: %w", path, err)
+	}
+	defer seg.Close()
+	return SnapshotObjects(seg.Dataset()), nil
+}
+
+// SnapshotObjects converts a dataset back into public API objects, copying
+// every region and term; Build re-derives identical token weights from the
+// same corpus.
 func SnapshotObjects(ds *model.Dataset) []seal.Object {
 	vocab := ds.Vocab()
 	objects := make([]seal.Object, ds.Len())

@@ -17,7 +17,7 @@ type Config struct {
 	// Addr is the HTTP listen address, e.g. ":8080" or "127.0.0.1:0".
 	Addr string `json:"addr"`
 
-	// DataPath is a sealgen snapshot to index. Optional when SegmentDir
+	// DataPath is a sealgen dataset file to index. Optional when SegmentDir
 	// holds a complete sealed-segment directory (the daemon then boots
 	// purely from disk).
 	DataPath string `json:"data"`
@@ -146,7 +146,7 @@ func LoadConfig(path string, base Config) (Config, error) {
 // Validate rejects configurations the daemon cannot serve.
 func (c Config) Validate() error {
 	if c.DataPath == "" && c.SegmentDir == "" {
-		return fmt.Errorf("server: need a data snapshot or a segment directory")
+		return fmt.Errorf("server: need a dataset file or a segment directory")
 	}
 	if _, err := MethodOptions(c.Method, c.Granularity); err != nil {
 		return err

@@ -109,7 +109,7 @@ func TestConfigValidate(t *testing.T) {
 		mutate func(*Config)
 		ok     bool
 	}{
-		{"default+data", func(c *Config) { c.DataPath = "x.snap" }, true},
+		{"default+data", func(c *Config) { c.DataPath = "x.seg" }, true},
 		{"segments-only", func(c *Config) { c.SegmentDir = "/x" }, true},
 		{"no-source", func(c *Config) {}, false},
 		{"bad-method", func(c *Config) { c.DataPath = "x"; c.Method = "rtree" }, false},

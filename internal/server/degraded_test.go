@@ -4,7 +4,7 @@ package server
 // damaged shard must come up serving the survivors — quarantine visible in
 // /readyz, /v1/status, and /metrics; partial answers marked 206/degraded on
 // an -allow-partial daemon and refused with 503 on a strict one. Plus the
-// snapshot-boot recovery path: an unusable segment directory is cleared and
+// -data boot recovery path: an unusable segment directory is cleared and
 // rebuilt from -data instead of failing the boot.
 
 import (
@@ -24,12 +24,12 @@ import (
 	seal "github.com/sealdb/seal"
 )
 
-// bootSegments builds an index into segDir from snap and reboots it
+// bootSegments builds an index into segDir from dataFile and reboots it
 // segment-only, returning the live index and its boot info.
-func bootSegments(t *testing.T, snap, segDir string, damage func()) (*seal.Index, BootInfo) {
+func bootSegments(t *testing.T, dataFile, segDir string, damage func()) (*seal.Index, BootInfo) {
 	t.Helper()
 	buildCfg := DefaultConfig
-	buildCfg.DataPath = snap
+	buildCfg.DataPath = dataFile
 	buildCfg.SegmentDir = segDir
 	buildCfg.Shards = 3
 	ix, info, err := Boot(buildCfg, nil)
@@ -56,10 +56,10 @@ func bootSegments(t *testing.T, snap, segDir string, damage func()) (*seal.Index
 }
 
 func TestDegradedBootServesSurvivors(t *testing.T) {
-	snap := testSnapshot(t, 900)
+	dataFile := testDataFile(t, 900)
 	segDir := t.TempDir()
 	const victim = 1
-	ix, info := bootSegments(t, snap, segDir, func() {
+	ix, info := bootSegments(t, dataFile, segDir, func() {
 		seg := filepath.Join(segDir, fmt.Sprintf("shard-%d.seg", victim))
 		fi, err := os.Stat(seg)
 		if err != nil {
@@ -196,13 +196,13 @@ func TestDegradedBootServesSurvivors(t *testing.T) {
 // directory damaged beyond Build's stale-fallthrough (here: the path is a
 // plain file) is cleared and rebuilt rather than failing the boot.
 func TestBootRebuildsUnusableSegmentDir(t *testing.T) {
-	snap := testSnapshot(t, 400)
+	dataFile := testDataFile(t, 400)
 	segDir := filepath.Join(t.TempDir(), "segs")
 	if err := os.WriteFile(segDir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig
-	cfg.DataPath = snap
+	cfg.DataPath = dataFile
 	cfg.SegmentDir = segDir
 	cfg.Shards = 2
 	ix, info, err := Boot(cfg, nil)
@@ -233,12 +233,13 @@ func TestBootRebuildsUnusableSegmentDir(t *testing.T) {
 // a version-3 manifest (whose Seal segments each carried a key directory), a
 // version-4 one (64-bit keys, and a count and quantization steps inside every
 // list), a version-5 one (uint32 offset tables), or a current manifest over
-// posting segments of version 1, 2 or 3 — is stale, not damaged. A
+// posting segments of version 1, 2 or 3, or over version-4 ones flagged with
+// the retired bit 2 (float64 posting bounds) — is stale, not damaged. A
 // segment-only open reports the manifest-mismatch sentinel instead of
-// quarantining all four shards, and a boot that has the data snapshot
+// quarantining all four shards, and a boot that has the dataset file
 // rebuilds and saves over it.
 func TestStaleFormatBootRebuilds(t *testing.T) {
-	snap := testSnapshot(t, 600)
+	dataFile := testDataFile(t, 600)
 	manifestAs := func(v string) func(t *testing.T, dir string) {
 		return func(t *testing.T, dir string) {
 			path := filepath.Join(dir, "manifest.json")
@@ -255,7 +256,9 @@ func TestStaleFormatBootRebuilds(t *testing.T) {
 			}
 		}
 	}
-	segmentsAs := func(v uint32) func(t *testing.T, dir string) {
+	// segmentsWith rewrites one 32-bit header field of every posting segment:
+	// the version at offset 8, the flags at 12.
+	segmentsWith := func(off int, patch func(uint32) uint32) func(t *testing.T, dir string) {
 		return func(t *testing.T, dir string) {
 			for i := 0; i < 4; i++ {
 				path := filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i))
@@ -263,26 +266,30 @@ func TestStaleFormatBootRebuilds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				binary.LittleEndian.PutUint32(seg[8:], v) // the header's version field
+				binary.LittleEndian.PutUint32(seg[off:], patch(binary.LittleEndian.Uint32(seg[off:])))
 				if err := os.WriteFile(path, seg, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
+	segmentsAs := func(v uint32) func(t *testing.T, dir string) {
+		return segmentsWith(8, func(uint32) uint32 { return v })
+	}
 	ages := map[string]func(t *testing.T, dir string){
 		"manifest v3": manifestAs("3"),
 		"manifest v4": manifestAs("4"),
 		"manifest v5": manifestAs("5"),
-		"v1 posting segments under a v6 manifest": segmentsAs(1),
-		"v2 posting segments under a v6 manifest": segmentsAs(2),
-		"v3 posting segments under a v6 manifest": segmentsAs(3),
+		"v1 posting segments under a v6 manifest":         segmentsAs(1),
+		"v2 posting segments under a v6 manifest":         segmentsAs(2),
+		"v3 posting segments under a v6 manifest":         segmentsAs(3),
+		"flag bit 2 posting segments under a v6 manifest": segmentsWith(12, func(f uint32) uint32 { return f | 1<<2 }),
 	}
 	for name, age := range ages {
 		t.Run(name, func(t *testing.T) {
 			segDir := filepath.Join(t.TempDir(), "segs")
 			dataCfg := DefaultConfig
-			dataCfg.DataPath = snap
+			dataCfg.DataPath = dataFile
 			dataCfg.SegmentDir = segDir
 			dataCfg.Shards = 4
 			ix, _, err := Boot(dataCfg, nil)

@@ -2,7 +2,7 @@ package server
 
 // End-to-end tests over real HTTP listeners. The load-bearing one is the
 // differential test: a daemon booted purely from a sealed-segment directory
-// (no snapshot, no indexing) must serve answers bit-identical to in-process
+// (no dataset file, no indexing) must serve answers bit-identical to in-process
 // Query calls against a fresh build of the same data — the serving layer and
 // the storage layer may not perturb a single bit of the paper's semantics.
 
@@ -10,12 +10,15 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -24,28 +27,103 @@ import (
 	"time"
 
 	seal "github.com/sealdb/seal"
+	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/gen"
+	"github.com/sealdb/seal/internal/geo"
+	"github.com/sealdb/seal/internal/model"
 )
 
-// testSnapshot writes a small deterministic Twitter-like snapshot.
-func testSnapshot(t *testing.T, n int) string {
+// testDataFile writes a small deterministic Twitter-like dataset file, as
+// sealgen does.
+func testDataFile(t *testing.T, n int) string {
 	t.Helper()
 	ds, err := gen.Twitter(gen.TwitterConfig{N: n, Seed: 42, Cities: 8, VocabSize: 400, MeanTokens: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "test.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.WriteSnapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "test.seg")
+	if err := diskidx.WriteDataset(path, ds, [][]model.ObjectID{nil}); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestLoadObjects: the -data reader takes what sealgen writes — a dataset
+// segment, single- and multi-region objects alike — back to the objects it
+// was written from, and refuses anything else before a build starts: a file
+// of another format (sealgen's old gob snapshots among them) by its magic, a
+// truncated or damaged file as corrupt, and a missing file as missing.
+func TestLoadObjects(t *testing.T) {
+	var b model.Builder
+	if _, err := b.Add(geo.Rect{MinX: 1, MinY: 2, MaxX: 3, MaxY: 4}, []string{"cafe", "wifi"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AddMulti(geo.RectSet{{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, {MinX: 5, MinY: 5, MaxX: 7, MaxY: 9}}, []string{"park"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Add(geo.Rect{MinX: -3, MinY: -3, MaxX: 0, MaxY: 0}, []string{"wifi", "park", "zoo"}); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ds.seg")
+	if err := diskidx.WriteDataset(path, ds, [][]model.ObjectID{nil}); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(good) <= 4096 {
+		t.Fatalf("dataset file of %d bytes has no payload page", len(good))
+	}
+
+	t.Run("dataset file", func(t *testing.T) {
+		got, err := LoadObjects(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := SnapshotObjects(ds); !reflect.DeepEqual(got, want) {
+			t.Fatalf("loaded %+v, want %+v", got, want)
+		}
+		if len(got) != 3 || len(got[1].Regions) != 2 || got[1].Regions[1] != (seal.Rect{MinX: 5, MinY: 5, MaxX: 7, MaxY: 9}) {
+			t.Fatalf("multi-region object lost its regions: %+v", got)
+		}
+	})
+	refused := []struct {
+		name  string
+		bytes []byte
+		want  func(error) bool
+	}{
+		{"foreign format", []byte(strings.Repeat("not a dataset segment ", 8)), func(err error) bool {
+			return errors.Is(err, diskidx.ErrCorrupt) && strings.Contains(err.Error(), "bad segment magic")
+		}},
+		{"truncated", good[:len(good)-1], func(err error) bool { return errors.Is(err, diskidx.ErrCorrupt) }},
+		{"damaged payload", func() []byte {
+			b := slices.Clone(good)
+			b[4096] ^= 0x40 // the first section's first byte, under its checksum
+			return b
+		}(), func(err error) bool { return errors.Is(err, diskidx.ErrCorrupt) }},
+	}
+	for _, c := range refused {
+		t.Run(c.name, func(t *testing.T) {
+			p := filepath.Join(dir, strings.ReplaceAll(c.name, " ", "-"))
+			if err := os.WriteFile(p, c.bytes, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := LoadObjects(p); got != nil || !c.want(err) {
+				t.Fatalf("LoadObjects = %d objects, %v", len(got), err)
+			}
+		})
+	}
+	t.Run("missing", func(t *testing.T) {
+		if _, err := LoadObjects(filepath.Join(dir, "absent.seg")); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("err = %v, want one wrapping fs.ErrNotExist", err)
+		}
+	})
 }
 
 // testQueries derives requests from indexed objects so they hit live posting
@@ -117,15 +195,15 @@ func wireFrom(req seal.Request, orderBy string) wireRequest {
 }
 
 // TestDifferentialSegmentBoot is the acceptance test: boot once from the
-// snapshot (persisting segments), boot again from segments alone, and check
+// dataset file (persisting segments), boot again from segments alone, and check
 // every HTTP answer bit-identical to in-process Query — both against the
 // segment-booted index and against a fresh in-memory build of the same data.
 func TestDifferentialSegmentBoot(t *testing.T) {
-	snap := testSnapshot(t, 1200)
+	dataFile := testDataFile(t, 1200)
 	segDir := t.TempDir()
 
 	buildCfg := DefaultConfig
-	buildCfg.DataPath = snap
+	buildCfg.DataPath = dataFile
 	buildCfg.SegmentDir = segDir
 	buildCfg.Shards = 2
 	ix1, info, err := Boot(buildCfg, nil)
@@ -155,9 +233,9 @@ func TestDifferentialSegmentBoot(t *testing.T) {
 		t.Fatal("segment-booted index is not mmap-backed")
 	}
 
-	// Reference: a fresh in-memory build straight from the snapshot.
+	// Reference: a fresh in-memory build straight from the dataset file.
 	memCfg := DefaultConfig
-	memCfg.DataPath = snap
+	memCfg.DataPath = dataFile
 	memCfg.Shards = 2
 	ix3, _, err := Boot(memCfg, nil)
 	if err != nil {
@@ -263,7 +341,7 @@ func TestDifferentialSegmentBoot(t *testing.T) {
 	}
 }
 
-// bootTestServer builds a small served index directly (no snapshot file).
+// bootTestServer builds a small served index directly (no dataset file).
 func bootTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	ds, err := gen.Twitter(gen.TwitterConfig{N: 600, Seed: 7, Cities: 6, VocabSize: 300, MeanTokens: 6})

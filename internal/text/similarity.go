@@ -27,25 +27,6 @@ func CommonWeight(a, b []TokenID, w []float64) float64 {
 	return sum
 }
 
-// CommonCount returns |a ∩ b| for sorted token sets.
-func CommonCount(a, b []TokenID) int {
-	n := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
 // WeightedJaccard returns Σ_{a∩b} w / Σ_{a∪b} w, taking precomputed total
 // weights of each set (wa = Σ_a w, wb = Σ_b w) to avoid re-summation. When
 // the union weight is zero the similarity is zero.

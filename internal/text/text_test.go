@@ -158,8 +158,10 @@ func TestNewWithWeightsErrors(t *testing.T) {
 	if _, err := NewWithWeights([]string{"a", "a"}, []float64{1, 2}); err == nil {
 		t.Error("duplicate term should error")
 	}
-	if _, err := NewWithWeights([]string{"a"}, []float64{-1}); err == nil {
-		t.Error("negative weight should error")
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := NewWithWeights([]string{"a"}, []float64{w}); err == nil {
+			t.Errorf("weight %g should error", w)
+		}
 	}
 }
 

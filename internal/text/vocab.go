@@ -86,9 +86,6 @@ func (b *Builder) AppendDoc(dst []TokenID, terms []string) []TokenID {
 	return dst[:start+len(set)]
 }
 
-// Docs returns the number of documents added so far.
-func (b *Builder) Docs() int { return b.docs }
-
 // Build freezes the builder into a Vocab using idf weights
 // w(t) = ln(numDocs / count(t)). Tokens that were interned but never counted
 // (query-only terms) receive the maximum weight ln(numDocs), i.e. they are
@@ -139,7 +136,7 @@ func joinTerms(terms []string) (string, []uint32) {
 // NewWithWeights creates a vocabulary from parallel term/weight slices,
 // bypassing idf computation. It is used when the caller supplies domain
 // weights (and by tests reproducing the paper's rounded example weights).
-// Weights must be non-negative.
+// Weights must be finite and non-negative (see validWeight).
 func NewWithWeights(terms []string, weights []float64) (*Vocab, error) {
 	if len(terms) != len(weights) {
 		return nil, fmt.Errorf("text: %d terms but %d weights", len(terms), len(weights))
@@ -149,8 +146,8 @@ func NewWithWeights(terms []string, weights []float64) (*Vocab, error) {
 		if _, dup := ids[term]; dup {
 			return nil, fmt.Errorf("text: duplicate term %q", term)
 		}
-		if weights[i] < 0 {
-			return nil, fmt.Errorf("text: negative weight %g for term %q", weights[i], term)
+		if !validWeight(weights[i]) {
+			return nil, fmt.Errorf("text: term %q has weight %g, want a finite weight >= 0", term, weights[i])
 		}
 		ids[term] = TokenID(i)
 	}
@@ -179,7 +176,7 @@ func FromBlob(blob string, off []uint32, weights []float64) (*Vocab, error) {
 		if off[i] > off[i+1] || int(off[i+1]) > len(blob) {
 			return nil, fmt.Errorf("text: term offsets not monotone inside the blob at term %d", i)
 		}
-		if !(weights[i] >= 0) || math.IsInf(weights[i], 1) { // NaN fails the first test
+		if !validWeight(weights[i]) {
 			return nil, fmt.Errorf("text: term %d has weight %g", i, weights[i])
 		}
 		ids[blob[off[i]:off[i+1]]] = TokenID(i)
@@ -191,6 +188,10 @@ func FromBlob(blob string, off []uint32, weights []float64) (*Vocab, error) {
 	v.buildRank()
 	return v, nil
 }
+
+// validWeight reports whether w can weigh a term: finite and non-negative.
+// NaN and +Inf would make every similarity and suffix bound over the term NaN.
+func validWeight(w float64) bool { return w >= 0 && !math.IsInf(w, 1) } // NaN fails w >= 0
 
 // Blob exports the terms in the flat form FromBlob restores. Read-only.
 func (v *Vocab) Blob() (blob string, off []uint32) { return v.blob, v.off }

@@ -71,7 +71,7 @@ func TestQueryBatchMidBatchCancellation(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		cancel()
 	}()
-	out := ix.QueryBatch(ctx, reqs, seal.BatchParallelism(4))
+	out := ix.QueryBatch(ctx, reqs)
 	cancel()
 
 	if len(out) != len(reqs) {

@@ -47,22 +47,21 @@ const (
 )
 
 type options struct {
-	method           Method
-	granularity      int
-	hashBuckets      int
-	gridBudget       int
-	maxLevel         int
-	shards           int
-	buildParallelism int
-	spatialSim       model.SpatialSim
-	textualSim       model.TextualSim
-	weights          map[string]float64
-	autoSet          bool
-	autoGranularity  []Query
-	autoMaxLevel     int
-	autoBenefit      float64
-	compression      Compression
-	segmentDir       string
+	method          Method
+	granularity     int
+	hashBuckets     int
+	gridBudget      int
+	maxLevel        int
+	shards          int
+	spatialSim      model.SpatialSim
+	textualSim      model.TextualSim
+	weights         map[string]float64
+	autoSet         bool
+	autoGranularity []Query
+	autoMaxLevel    int
+	autoBenefit     float64
+	compression     Compression
+	segmentDir      string
 }
 
 func defaultOptions() options {
@@ -117,16 +116,6 @@ func WithMaxLevel(level int) Option {
 // object count.
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
-}
-
-// WithBuildParallelism bounds the number of shard filters under construction
-// at once during Build. Values below 1 (the default) mean one per available
-// CPU. It has no effect on a 1-shard index, which has one filter to build. It
-// is not a cap on goroutines: the MethodSeal build of each shard spreads its
-// per-token grid selection over GOMAXPROCS workers of its own, at any shard
-// count and whatever this option says.
-func WithBuildParallelism(n int) Option {
-	return func(o *options) { o.buildParallelism = n }
 }
 
 // WithSpatialSimilarity selects the region similarity function.

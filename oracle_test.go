@@ -2,6 +2,7 @@ package seal_test
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/testutil"
+	"github.com/sealdb/seal/internal/text"
 )
 
 // oracle is the engine-free reference the root tests compare indexes
@@ -17,6 +19,13 @@ import (
 type oracle struct{ ds *model.Dataset }
 
 func newOracle(t testing.TB, objects []seal.Object, spatial model.SpatialSim, textual model.TextualSim) oracle {
+	t.Helper()
+	return newWeightedOracle(t, objects, spatial, textual, nil)
+}
+
+// newWeightedOracle is newOracle under explicit token weights, as
+// WithTokenWeights sets them; nil weights are idf ones.
+func newWeightedOracle(t testing.TB, objects []seal.Object, spatial model.SpatialSim, textual model.TextualSim, weights map[string]float64) oracle {
 	t.Helper()
 	rect := func(r seal.Rect) geo.Rect { return geo.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY} }
 	var b model.Builder
@@ -36,7 +45,25 @@ func newOracle(t testing.TB, objects []seal.Object, spatial model.SpatialSim, te
 			t.Fatalf("object %d: %v", i, err)
 		}
 	}
-	ds, err := b.Build()
+	if weights == nil {
+		ds, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return oracle{ds}
+	}
+	// Token IDs in term order, as Build assigns them: similarities sum
+	// weights in ID order, so another order could move their last bit.
+	terms := slices.Sorted(maps.Keys(weights))
+	vals := make([]float64, len(terms))
+	for i, term := range terms {
+		vals[i] = weights[term]
+	}
+	vocab, err := text.NewWithWeights(terms, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := b.BuildWithVocab(vocab)
 	if err != nil {
 		t.Fatal(err)
 	}

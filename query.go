@@ -3,13 +3,15 @@ package seal
 // The unified query API. One Request type covers both of the library's query
 // models (fixed thresholds, and top-k ranking by combined score), one
 // Results type carries matches plus optional cost stats, and QueryOption
-// carries the per-query knobs: Limit/Offset, result order, stats collection,
-// and shard parallelism. Query materializes, Stream (stream.go) iterates,
-// QueryBatch runs many requests with per-query error reporting.
+// carries the per-query knobs: Limit/Offset, result order, stats and trace
+// collection, and the shard-failure policy. Query materializes, Stream
+// (stream.go) iterates, QueryBatch runs many requests with per-query error
+// reporting.
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
@@ -125,8 +127,6 @@ type queryConfig struct {
 	statsInto    *Stats
 	collectTrace bool
 	traceInto    *Trace
-	shardPar     int
-	batchPar     int
 	allowPartial bool
 	shardTimeout time.Duration
 }
@@ -134,10 +134,9 @@ type queryConfig struct {
 // engineOptions translates the resolved knobs for the engine.
 func (c queryConfig) engineOptions(rec *trace.Rec) engine.Options {
 	return engine.Options{
-		Limit:       c.engineLimit(),
-		Parallelism: c.shardPar,
-		Trace:       rec,
-		Partial:     engine.Partial{Allow: c.allowPartial, ShardTimeout: c.shardTimeout},
+		Limit:   c.engineLimit(),
+		Trace:   rec,
+		Partial: engine.Partial{Allow: c.allowPartial, ShardTimeout: c.shardTimeout},
 	}
 }
 
@@ -197,20 +196,6 @@ func CollectStats() QueryOption {
 // not written, since concurrent queries would race on it.
 func StatsInto(st *Stats) QueryOption {
 	return func(c *queryConfig) { c.statsInto = st }
-}
-
-// ShardParallelism bounds how many shards search concurrently for this
-// query; values < 1 (the default) mean all shards at once. Lower values
-// trade latency for less peak load — useful when many queries run at once.
-func ShardParallelism(n int) QueryOption {
-	return func(c *queryConfig) { c.shardPar = n }
-}
-
-// BatchParallelism bounds how many queries of a QueryBatch run concurrently;
-// values < 1 (the default) mean one per available CPU, capped at the batch
-// size. It has no effect on Query or Stream.
-func BatchParallelism(n int) QueryOption {
-	return func(c *queryConfig) { c.batchPar = n }
 }
 
 // AllowPartial opts this query into degraded answers: a shard that fails,
@@ -477,7 +462,8 @@ func statsOut(st core.SearchStats) Stats {
 // slot, never the completed work of its neighbors. The result is
 // positionally aligned with reqs. Canceling ctx stops the batch early;
 // queries that never ran carry the context's error. Options apply to every
-// query (BatchParallelism bounds the concurrency).
+// query. One query per available CPU runs at a time, and each searches its
+// admitted shards at once.
 func (ix *Index) QueryBatch(ctx context.Context, reqs []Request, opts ...QueryOption) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	cfg, err := resolveOptions(opts)
@@ -487,10 +473,6 @@ func (ix *Index) QueryBatch(ctx context.Context, reqs []Request, opts ...QueryOp
 		}
 		return out
 	}
-	par := cfg.batchPar
-	if par < 1 {
-		par = defaultParallelism(len(reqs))
-	}
 	// Concurrent queries must not write one shared Stats (or Trace) variable;
 	// keep the implied CollectStats/CollectTrace (per-query breakdowns in
 	// each Results) but drop the pointers.
@@ -499,7 +481,7 @@ func (ix *Index) QueryBatch(ctx context.Context, reqs []Request, opts ...QueryOp
 	// Each query runs under the batch's own ctx, not the scatter's derived one:
 	// fn never fails, so the two expire together, and a ctx that cannot expire
 	// keeps a single-shard query on the worker's goroutine.
-	ferr := engine.ForEach(ctx, len(reqs), par, func(_ context.Context, i int) error {
+	ferr := engine.ForEach(ctx, len(reqs), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
 		res, err := ix.query(ctx, reqs[i], cfg)
 		if err != nil {
 			// The inner error already carries the library prefix.

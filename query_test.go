@@ -131,7 +131,7 @@ func TestQueryBatchStatsInto(t *testing.T) {
 		reqs[i] = q.Request()
 	}
 	var shared seal.Stats
-	out := ix.QueryBatch(context.Background(), reqs, seal.StatsInto(&shared), seal.BatchParallelism(8))
+	out := ix.QueryBatch(context.Background(), reqs, seal.StatsInto(&shared))
 	for i, r := range out {
 		if r.Err != nil {
 			t.Fatalf("slot %d: %v", i, r.Err)
@@ -240,34 +240,6 @@ func TestRankedPagination(t *testing.T) {
 	}
 	if !equalMatches(byID.Matches, sortByID(full.Matches[2:6])) {
 		t.Fatalf("ranked OrderByID page = %v, want the same ranks ID-sorted", byID.Matches)
-	}
-}
-
-// TestShardParallelismEquivalence: capping per-query shard fan-out changes
-// scheduling only — threshold and ranked answers stay identical.
-func TestShardParallelismEquivalence(t *testing.T) {
-	ix := queryTestIndex(t, 400, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(8))
-	oracle := queryTestOracle(t, 400)
-	req := seal.Request{
-		Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
-		Tokens: []string{"t1", "t2"},
-		TauR:   0.001,
-		TauT:   0.001,
-	}
-	want := oracle.threshold(t, seal.Query{Region: req.Region, Tokens: req.Tokens, TauR: req.TauR, TauT: req.TauT})
-	ranked := seal.Request{Region: req.Region, Tokens: req.Tokens, K: 6, Alpha: 0.5, FloorR: 0.001, FloorT: 0.001}
-	wantR := oracle.ranked(t, ranked)
-	for _, par := range []int{0, 2} {
-		got, err := ix.Query(context.Background(), req, seal.ShardParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameMatches(t, fmt.Sprintf("ShardParallelism(%d) threshold", par), got.Matches, want)
-		gotR, err := ix.Query(context.Background(), ranked, seal.ShardParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameMatches(t, fmt.Sprintf("ShardParallelism(%d) ranked", par), gotR.Matches, wantR)
 	}
 }
 

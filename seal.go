@@ -3,7 +3,6 @@ package seal
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -181,29 +180,14 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 		// through to a rebuild that overwrites it.
 		if man, err := engine.ReadManifest(cfg.segmentDir); err == nil && manifestMatches(man, cfg, ds.Len()) {
 			if eng, err := engine.OpenSegmentsAt(cfg.segmentDir, ds); err == nil {
-				return &Index{
-					ds:  ds,
-					eng: eng,
-					stats: IndexStats{
-						Objects:      ds.Len(),
-						Vocabulary:   ds.Vocab().Len(),
-						Method:       eng.FilterName(),
-						Shards:       eng.Shards(),
-						IndexBytes:   eng.SizeBytes(),
-						SegmentBytes: segmentBytes(cfg.segmentDir),
-						BuildTime:    time.Since(start),
-						Mapped:       true,
-						Compressed:   man.Compressed,
-					},
-				}, nil
+				return newIndex(ds, eng, cfg.segmentDir, start, true, man.Compressed), nil
 			}
 		}
 	}
 
 	spec := segmentSpec(cfg)
 	eng, err := engine.Build(ds, engine.Config{
-		Shards:           cfg.shards,
-		BuildParallelism: cfg.buildParallelism,
+		Shards: cfg.shards,
 		NewFilter: func(sds *model.Dataset) (core.Filter, error) {
 			f, err := core.BuildFilter(sds, spec)
 			if err == nil && cfg.compression != CompressionNone {
@@ -220,20 +204,24 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 			return nil, err
 		}
 	}
-	return &Index{
-		ds:  ds,
-		eng: eng,
-		stats: IndexStats{
-			Objects:      ds.Len(),
-			Vocabulary:   ds.Vocab().Len(),
-			Method:       eng.FilterName(),
-			Shards:       eng.Shards(),
-			IndexBytes:   eng.SizeBytes(),
-			SegmentBytes: segmentBytes(cfg.segmentDir),
-			BuildTime:    time.Since(start),
-			Compressed:   cfg.compression != CompressionNone,
-		},
-	}, nil
+	return newIndex(ds, eng, cfg.segmentDir, start, false, cfg.compression != CompressionNone), nil
+}
+
+// newIndex wraps an engine built or opened over ds since start, with its
+// stats: dir is the segment directory it was saved into or opened from ("" for
+// none), mapped and compressed what IndexStats reports of its postings.
+func newIndex(ds *model.Dataset, eng *engine.Engine, dir string, start time.Time, mapped, compressed bool) *Index {
+	return &Index{ds: ds, eng: eng, stats: IndexStats{
+		Objects:      ds.Len(),
+		Vocabulary:   ds.Vocab().Len(),
+		Method:       eng.FilterName(),
+		Shards:       eng.Shards(),
+		IndexBytes:   eng.SizeBytes(),
+		SegmentBytes: segmentBytes(dir),
+		BuildTime:    time.Since(start),
+		Mapped:       mapped,
+		Compressed:   compressed,
+	}}
 }
 
 func vocabFromWeights(objects []Object, weights map[string]float64) (*text.Vocab, error) {
@@ -368,14 +356,3 @@ func rectIn(r Rect) geo.Rect {
 }
 
 func modelObjectID(id int) model.ObjectID { return model.ObjectID(id) }
-
-func defaultParallelism(n int) int {
-	p := runtime.GOMAXPROCS(0)
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}

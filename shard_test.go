@@ -318,19 +318,19 @@ func BenchmarkShardedBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedSearchBatch measures a latency-bound batch (one query in
-// flight at a time): multi-shard indexes answer each query by concurrent
+// BenchmarkShardedQuery measures latency-bound querying (one query in flight
+// at a time): multi-shard indexes answer each query by concurrent
 // scatter-gather, the monolithic index serially.
-func BenchmarkShardedSearchBatch(b *testing.B) {
+func BenchmarkShardedQuery(b *testing.B) {
 	for _, shards := range benchShardCounts() {
 		ix, queries := benchIndex(b, shards)
 		reqs := requests(queries)
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, br := range ix.QueryBatch(context.Background(), reqs, seal.BatchParallelism(1)) {
-					if br.Err != nil {
-						b.Fatal(br.Err)
+				for _, req := range reqs {
+					if _, err := ix.Query(context.Background(), req); err != nil {
+						b.Fatal(err)
 					}
 				}
 			}

@@ -25,9 +25,10 @@ const (
 	// nothing else: pruning bounds as 16-bit codes — the top bits of the
 	// bound's float32, rounded up, so filtering stays a superset and answers
 	// are unchanged — and object IDs at 2 or 4 bytes. Smallest; the recommended
-	// setting. (A bound above the largest finite code, about 3.396e38 —
-	// possible only with caller-supplied token weights — switches the index to
-	// an exact fallback layout that keeps full float64 bounds.)
+	// setting. A bound above the largest finite code, about 3.396e38 —
+	// possible only with token weights near 1e38 or coordinates near 1e19 —
+	// saturates to the infinity code, which every threshold clears, so answers
+	// stay exact there too.
 	CompressionQuantized
 )
 
@@ -174,22 +175,7 @@ func Open(dir string, opts ...OpenOption) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("seal: opening segments: %w", err)
 	}
-	ds := eng.Root()
-	return &Index{
-		ds:  ds,
-		eng: eng,
-		stats: IndexStats{
-			Objects:      ds.Len(),
-			Vocabulary:   ds.Vocab().Len(),
-			Method:       eng.FilterName(),
-			Shards:       eng.Shards(),
-			IndexBytes:   eng.SizeBytes(),
-			SegmentBytes: segmentBytes(dir),
-			BuildTime:    time.Since(start),
-			Mapped:       true,
-			Compressed:   man.Compressed,
-		},
-	}, nil
+	return newIndex(eng.Root(), eng, dir, start, true, man.Compressed), nil
 }
 
 // Close releases any memory-mapped segments backing the index. Afterwards

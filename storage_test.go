@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -21,6 +22,7 @@ import (
 	"github.com/sealdb/seal"
 	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/gen"
+	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/server"
 	"github.com/sealdb/seal/internal/testutil"
 )
@@ -67,9 +69,9 @@ func expectSameAnswers(t *testing.T, label string, base, got *seal.Index, querie
 }
 
 // hugeCorpus scales a corpus and its queries until every area and every token
-// weight is beyond float32 range — the bounds the quantized posting layout
-// cannot hold. Similarity is scale-free, so the scaled corpus is as good a
-// differential fixture as the original.
+// weight is beyond float32 range — bounds past the finite codes, which
+// saturate to infinity. Similarity is scale-free, so the scaled corpus is as
+// good a differential fixture as the original.
 func hugeCorpus(objects []seal.Object, queries []seal.Query) ([]seal.Object, []seal.Query, seal.Option) {
 	scale := func(r seal.Rect) seal.Rect {
 		const k = 1e20
@@ -94,8 +96,8 @@ func hugeCorpus(objects []seal.Object, queries []seal.Query) ([]seal.Object, []s
 }
 
 // TestStorageDifferential: for every signature method and shard count, the
-// compressed (quantized and exact), segment-saved, segment-reopened, and
-// Open-booted variants must answer exactly like the in-memory flat build.
+// compressed (finite and saturating codes), segment-saved, segment-reopened,
+// and Open-booted variants must answer exactly like the in-memory flat build.
 func TestStorageDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	objects := shardObjects(250, rng)
@@ -133,9 +135,9 @@ func TestStorageDifferential(t *testing.T) {
 				}
 				expectSameAnswers(t, fmt.Sprintf("shards=%d quant", shards), base, comp, queries)
 
-				// The exact layout is the fallback for bounds outside float32
-				// range: the same corpus blown up until its areas and its
-				// token weights both leave it, compressed, saved and reopened.
+				// Bounds outside float32 range saturate to the infinity code:
+				// the same corpus blown up until its areas and its token
+				// weights both leave it, compressed, saved and reopened.
 				hugeBase, err := seal.Build(hugeObjects, opts(hugeWeights)...)
 				if err != nil {
 					t.Fatalf("shards=%d huge: %v", shards, err)
@@ -151,8 +153,8 @@ func TestStorageDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if flags := binary.LittleEndian.Uint32(seg[12:]); flags&(1<<1|1<<2) != 1<<1|1<<2 {
-						t.Fatalf("shards=%d: shard %d segment flags %#x, want compressed with the exact layout", shards, i, flags)
+					if flags := binary.LittleEndian.Uint32(seg[12:]); flags&(1<<1|1<<2) != 1<<1 {
+						t.Fatalf("shards=%d: shard %d segment flags %#x, want compressed with bit 2 clear", shards, i, flags)
 					}
 				}
 				exactOpened, err := seal.Open(exactDir)
@@ -464,6 +466,67 @@ func TestTokenWeightsSurviveOpen(t *testing.T) {
 		}
 	}
 	expectSameAnswers(t, "explicit weights", built, opened, []seal.Query{paperQuery(), paperQuery(), paperQuery(), paperQuery()})
+}
+
+// TestTokenWeightsMustBeFinite: a NaN or +Inf token weight fails Build and
+// names its term, rather than building an index whose saved vocabulary Open
+// would refuse. A huge finite weight is fine: its posting bounds saturate to
+// the infinity code, and the index builds compressed into a segment
+// directory, opens, and answers as the oracle does.
+func TestTokenWeightsMustBeFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261015))
+	objects := shardObjects(250, rng)
+	weights := map[string]float64{}
+	for i := 0; i < 30; i++ {
+		weights[fmt.Sprintf("t%d", i)] = 0.5 + rng.Float64()*2
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		weights["t7"] = bad
+		if _, err := seal.Build(objects, seal.WithTokenWeights(weights)); err == nil || !strings.Contains(err.Error(), `"t7"`) {
+			t.Fatalf("weight %g: Build error %v, want one naming term t7", bad, err)
+		}
+	}
+	weights["t7"] = 1e300
+	dir := filepath.Join(t.TempDir(), "segs")
+	built, err := seal.Build(objects, seal.WithTokenWeights(weights), seal.WithShards(2),
+		seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := seal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	oracle := newWeightedOracle(t, objects, model.SpaceJaccard, model.TextJaccard, weights)
+	// Queries around indexed objects, half of them carrying the heavy token,
+	// at thresholds low enough to match their neighbours.
+	hits := 0
+	for qi := 0; qi < 24; qi++ {
+		o := objects[qi*10]
+		r := o.Region
+		if len(o.Regions) > 0 {
+			r = o.Regions[0]
+		}
+		q := seal.Query{Region: seal.Rect{MinX: r.MinX - 15, MinY: r.MinY - 15, MaxX: r.MaxX + 15, MaxY: r.MaxY + 15},
+			Tokens: o.Tokens, TauR: 0.001, TauT: 0.02}
+		if qi%2 == 0 {
+			q.Tokens = append(slices.Clone(q.Tokens), "t7")
+		}
+		got, err := answer(opened, q.Request())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracle.threshold(t, q)
+		requireSameMatches(t, fmt.Sprintf("query %d", qi), got, want)
+		hits += len(want)
+	}
+	if hits == 0 {
+		t.Fatal("no query matched: the fixture tests nothing")
+	}
 }
 
 // TestClosedIndex: after Close every entry point that would read the dataset
