@@ -19,8 +19,10 @@
 // -segments DIR persists the index as mmap-able sealed segments: the first
 // run builds and saves, later runs with the same data and configuration boot
 // from disk by memory-mapping instead of re-indexing. With -segments and no
-// -data, the index boots purely from the segment directory (seal.Open).
-// -compress stores posting lists as fixed-width columns with quantized bounds.
+// -data, the index boots purely from the segment directory (seal.Open). Both
+// boot through server.Boot, as the daemon does. A segment directory always
+// stores posting lists as fixed-width columns with quantized bounds; -compress
+// asks for that layout without -segments too.
 //
 // SIGINT cancels the in-flight query and releases mapped segments cleanly
 // (Index.Close runs on every exit path).
@@ -71,7 +73,7 @@ func run() error {
 		alpha       = flag.Float64("alpha", 0.5, "spatial weight of the ranked score")
 		limit       = flag.Int("limit", 0, "if > 0, stop after this many matches (early termination)")
 		segments    = flag.String("segments", "", "segment directory: save on first run, mmap-boot on later runs")
-		compress    = flag.Bool("compress", false, "store compressed posting lists (16-bit quantized bounds, fixed-width columns)")
+		compress    = flag.Bool("compress", false, "compress posting lists without -segments too (16-bit quantized bounds, fixed-width columns; a segment directory always is)")
 		explain     = flag.Bool("explain", false, "trace the query: matches as NDJSON on stdout, the stage/prune breakdown on stderr")
 		interactive = flag.Bool("i", false, "read queries from stdin")
 	)
@@ -85,37 +87,15 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	var ix *seal.Index
-	if *dataPath == "" {
-		// Boot purely from sealed segments: no dataset file, no indexing.
-		fmt.Fprintf(os.Stderr, "opening segments at %s...\n", *segments)
-		opened, err := seal.Open(*segments)
-		if err != nil {
-			return err
-		}
-		ix = opened
-	} else {
-		objects, err := server.LoadObjects(*dataPath)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "loaded %d objects, building %s index...\n", len(objects), *method)
-
-		opts, err := server.MethodOptions(*method, *granularity)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, seal.WithShards(*shards))
-		if *compress {
-			opts = append(opts, seal.WithCompression(seal.CompressionQuantized))
-		}
-		if *segments != "" {
-			opts = append(opts, seal.WithSegmentDir(*segments))
-		}
-		ix, err = seal.Build(objects, opts...)
-		if err != nil {
-			return err
-		}
+	// The daemon's boot: map a matching segment directory, or build from the
+	// dataset file (saving into -segments), or — without -data — open the
+	// segment directory alone, quarantining a damaged shard.
+	cfg := server.DefaultConfig
+	cfg.DataPath, cfg.SegmentDir = *dataPath, *segments
+	cfg.Method, cfg.Granularity, cfg.Shards, cfg.Compress = *method, *granularity, *shards, *compress
+	ix, _, err := server.Boot(cfg, func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) })
+	if err != nil {
+		return err
 	}
 	defer ix.Close()
 	st := ix.Stats()

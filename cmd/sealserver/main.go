@@ -83,7 +83,7 @@ func run() error {
 		method       = flag.String("method", base.Method, "filter method: "+server.MethodNames)
 		granularity  = flag.Int("p", base.Granularity, "grid granularity for grid/hybrid")
 		shards       = flag.Int("shards", base.Shards, "spatial shards searching in parallel")
-		compress     = flag.Bool("compress", base.Compress, "store compressed posting lists (16-bit quantized bounds, fixed-width columns)")
+		compress     = flag.Bool("compress", base.Compress, "compress posting lists without -segments too (16-bit quantized bounds, fixed-width columns; a segment directory always is)")
 		warmup       = flag.Int("warmup", base.Warmup, "synthetic queries run before /readyz flips (0 disables)")
 		timeout      = flag.Duration("timeout", base.RequestTimeout, "per-request execution deadline (0 disables)")
 		maxInflight  = flag.Int("max-inflight", base.MaxInFlight, "concurrent /v1/* request cap, 429 beyond it (0 = unlimited)")

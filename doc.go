@@ -173,9 +173,12 @@
 // Two build options control how the signature methods store and boot their
 // posting lists; neither changes any answer, only bytes and nanoseconds.
 //
-// WithCompression re-encodes posting lists after the build. With
-// CompressionQuantized (recommended) every list becomes fixed-width columns
-// with nothing ahead of them:
+// Posting lists come in two layouts: the flat in-memory arena a build
+// produces, and quantized columns. WithCompression(CompressionQuantized)
+// re-encodes an in-memory index's lists after the build; a segment directory
+// (WithSegmentDir, below) always stores and serves the quantized layout, with
+// or without that option. Quantized, every list is fixed-width columns with
+// nothing ahead of them:
 //
 //	n × uint16 spatial codes, n × uint16 textual codes (hybrid lists),
 //	n × object ID
@@ -202,14 +205,14 @@
 // MethodHybridHash) is the same posting with a second, textual bound in an
 // optional lane beside the first. Flat or compressed, in memory or mapped,
 // every filter probes it through the same call, and a segment records only
-// whether the lane is there.
+// whether the lane is there and how wide its object IDs are.
 //
 // WithSegmentDir(dir) persists the index as sealed segments. The directory
 // holds exactly three kinds of file, all written through the same container
 // (a header, a section table, and page-aligned little-endian sections, each
 // CRC-checksummed): shard-N.seg, one SEALIDX2 file per shard with the
-// posting lists (flat arenas, or the compressed rows under their unary extent
-// table) behind their key column — for the methods that look lists up by key
+// posting lists (the quantized rows under their unary extent table) behind
+// their key column — for the methods that look lists up by key
 // (token, grid, hybrid-hash) the 64-bit keys and a hash directory of two slots
 // a key, 16 bytes and a bit of metadata a compressed list; for MethodSeal,
 // which reaches its lists by position, a unary table of token runs over
@@ -222,26 +225,27 @@
 // serves the per-object columns in place — a shard is a view of them, not a
 // copy — and MethodSeal's per-token grid selections are read back off each
 // segment's key column (a token's run of nodes is its selection, and a grid's
-// rank in the token's global order follows from the list lengths). When dir already
-// matches the objects and configuration (by fingerprint), Build memory-maps
-// the segments instead of re-indexing; Open boots an index purely from dir.
-// A directory of an older layout version — by its manifest, or by the version
-// of a posting segment under a current manifest — reads as
-// ErrManifestMismatch from Open and as stale — rebuilt and overwritten — from
-// Build; it is never quarantined shard by shard. Mapped indexes
-// should be Closed when done. Close may race Query, QueryBatch and Stream:
+// rank in the token's global order follows from the list lengths). When dir
+// already matches the objects, their token weights and the configuration (by
+// fingerprint), Build memory-maps the segments instead of re-indexing; Open
+// boots an index purely from dir. A directory of an older layout version — by
+// its manifest, or by the version or retired posting layout (the raw float64
+// arenas earlier releases wrote without WithCompression) of a posting segment
+// under a current manifest — reads as ErrManifestMismatch from Open and as
+// stale — rebuilt and overwritten — from Build; it is never quarantined shard
+// by shard. Mapped indexes should be Closed when done. Close may race Query, QueryBatch and Stream:
 // calls already admitted finish first (so do shard searches a returned query
 // left behind), later ones return ErrClosed, and nothing reads an unmapped
 // page.
 //
-//	ix, _ := seal.Build(objects, seal.WithCompression(seal.CompressionQuantized),
-//		seal.WithSegmentDir("idx"))   // first run: builds and saves
-//	ix, _ = seal.Open("idx")          // later: boots from disk, no indexing
+//	ix, _ := seal.Build(objects, seal.WithSegmentDir("idx")) // first run: builds and saves
+//	ix, _ = seal.Open("idx")                                 // later: boots from disk, no indexing
 //	defer ix.Close()
 //
 // IndexStats reports the storage state: Mapped is true for a segment-backed
-// index, Compressed when posting lists are stored encoded, and SegmentBytes
-// is the directory's size on disk beside IndexBytes, the resident footprint.
+// index, Compressed when posting lists are stored encoded (always, with a
+// segment directory), and SegmentBytes is the directory's size on disk beside
+// IndexBytes, the resident footprint.
 //
 // # Failure modes and recovery
 //

@@ -21,16 +21,17 @@ import (
 // directory that the production build (seal / 4 shards / quantized / segments,
 // the options of benchmark/run.go) writes for gen.Twitter{N: 2000, Seed: 42}.
 // dataset.seg was recorded when the directory went gob-free and is unchanged
-// since. manifest.json and the four posting segments were last re-recorded for
-// manifest version 6 / segment version 4: both offset tables — the lists'
-// extents in rows (offs) and the token runs over 32-bit grid nodes (runs) —
-// are unary-coded bitmaps where version 3 stored uint32 arrays; a list is
-// still columns of self-scaling 16-bit bound codes with nothing ahead of them.
-// A change that means to alter the index format or the selection re-records
-// them and says so.
+// since. The four posting segments were last re-recorded for segment version
+// 4: both offset tables — the lists' extents in rows (offs) and the token runs
+// over 32-bit grid nodes (runs) — are unary-coded bitmaps where version 3
+// stored uint32 arrays; a list is still columns of self-scaling 16-bit bound
+// codes with nothing ahead of them. manifest.json was last re-recorded for
+// manifest version 7, which lost the compressed field and fingerprints token
+// weights and multi-region footprints. A change that means to alter the index
+// format or the selection re-records them and says so.
 var goldenSegmentDigests = map[string]string{
 	"dataset.seg":   "995c77afd4caa883cb2179d7b82294ec38afa9397a64e3d5ce3907f0fd9f500d",
-	"manifest.json": "91adf0ec3bacf26fcc9866a9337922a942f0cb41e768be94eb4a748a0916e6e6",
+	"manifest.json": "0e113a5416180446f19c6ae2314ee126ad64f59297135c4dacee941f1f998b3f",
 	"shard-0.seg":   "75656a821b2de8f291d0197548b834aea0c34a0b4fc32e33f895c3d7f727cbb7",
 	"shard-1.seg":   "2049df8a2d925345f68f9e633adcdf2f8cd4313ee0c7e49ef9f733045c0899f9",
 	"shard-2.seg":   "3861bffc69a72ed6adb1172c66d14ac292697573b11bb67c59cd3111553eae80",
@@ -38,48 +39,37 @@ var goldenSegmentDigests = map[string]string{
 }
 
 // goldenFlavours are the builds whose segment directories are pinned: the
-// production one above, its raw twin (re-recorded with segment version 4, its
-// run table now unary), and the three other on-disk flavours — single-bound
-// raw, single-bound quantized, dual-bound raw — on the same corpus at 2
-// shards. Those three look lists up by key and keep their key array and
-// directory. Version 4 re-recorded every manifest.json (the version field)
-// and the compressed shards (the extent table). The raw keyed shards are byte
-// for byte the files recorded before the single- and dual-bound index types
-// were folded into one, but for the header's version word — so their digests
-// stand unedited and are taken with that word set back to rawAs.
+// production one above, and the other kinds on the same corpus at 2 shards —
+// single-bound token and grid, dual-bound hybrid-hash — which look lists up by
+// key and keep their key array and directory. Every segment holds quantized
+// postings, so the token and hybrid-hash builds, which do not ask for
+// compression, write them too; their shards were recorded when the raw layout
+// was retired, and a Seal build without WithCompression writes the production
+// directory byte for byte.
 var goldenFlavours = []struct {
 	name    string
 	opts    []seal.Option
-	rawAs   uint32 // hash shard files as this segment version; 0: as written
 	digests map[string]string
 }{
-	{"seal/quantized", productionOptions, 0, goldenSegmentDigests},
-	{"seal/raw", []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithShards(4)}, 0, map[string]string{
-		"dataset.seg":   goldenSegmentDigests["dataset.seg"],
-		"manifest.json": "8ca9e6b6a7a0b90fbb6506dcdc5f464f27c030b0e784430917cc0aa48718673a",
-		"shard-0.seg":   "78ae45d561f1e9008b44b0ca2c9bcc2abc7cf5439cb15d6a69be91caebc8b407",
-		"shard-1.seg":   "f23ae71db9724c0d7f515868ed1c724663d53f745745badcc2dd5786df6082aa",
-		"shard-2.seg":   "ab31f250ec6a77deefe5dc114650c97742061d82e3e5af823d5c3788062d10b5",
-		"shard-3.seg":   "ddaf9606caedf5201bf874550f2a244392ffad2948a227188b7a1581c3839654",
-	}},
-	{"token/raw", []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, 2, map[string]string{
+	{"seal/quantized", productionOptions, goldenSegmentDigests},
+	{"token/quantized", []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "662f3d5963764d0ddd4d040358e44fc1c26044fb4093e957e419b450edbebc13",
-		"shard-0.seg":   "94a19b9027c443027e4ac98a37ff15ad6865cb5f9d063378c87f165ba3b86321",
-		"shard-1.seg":   "b7855161df2e3db5f7f380015d34c85ee02b1447e34e36e7c06181f24064ed12",
+		"manifest.json": "b891f293b95244dae3a5fa095f41aada818faaf40c1a81cf01d7fee79ebcd871",
+		"shard-0.seg":   "b308c707c2025b218e1672762c3faa17ccb6c5c4bbf4b94a470aec494e3c1ee8",
+		"shard-1.seg":   "9cbcb204b4fb65f0ebc5769555919e845134579f6f6968344c9cf4bf569c6324",
 	}},
 	{"grid/quantized", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2),
-		seal.WithCompression(seal.CompressionQuantized)}, 0, map[string]string{
+		seal.WithCompression(seal.CompressionQuantized)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "debde5678350f18d1d347b93ea5ca2f6db9bea450f6b9ee46b7b41b16f942905",
+		"manifest.json": "288360f478aad8be0a7fdf68ab62a6feb3795bc729550cbdb6f9ffed375cee23",
 		"shard-0.seg":   "441be43a7b9f945f6c3eec4bf202f347da3a23a173c372338f9ab2063ed63de6",
 		"shard-1.seg":   "0fdf8eecfdcefa428e6fd111d9429a41b84bcfee9c50cbb436a9b49d6ca7c140",
 	}},
-	{"hybrid-hash/raw", []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, 2, map[string]string{
+	{"hybrid-hash/quantized", []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "fe249c62fd81de76b5bfd26d5dc6909a1b8e5c8ef59fd786159f7e4b38a2968a",
-		"shard-0.seg":   "8573e613e5fc8fa53ff9cb526e0bece0477ecf557340bcd1bdaf49024fc39f78",
-		"shard-1.seg":   "60e55ac76ad3e99cdb48c58ef01ffc2bad2788f386d8bb1cc1147e25d971d3fe",
+		"manifest.json": "e11ad22efe941ff5a46d3ea438b5cae3c836d14a1187617cdb316cf28a084c00",
+		"shard-0.seg":   "f56afa59c11045c538523eb5fb47efb3a5dad6af0df58671fb48af3748cdd686",
+		"shard-1.seg":   "65025538de6b5bdc5bacac6f82a2cad9108ca4177b64b9cfd37e44f96dd0188d",
 	}},
 }
 
@@ -138,9 +128,6 @@ func TestGoldenSegmentDigests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fl.rawAs != 0 && strings.HasPrefix(e.Name(), "shard-") {
-					binary.LittleEndian.PutUint32(data[8:], fl.rawAs) // the header's version word
-				}
 				sum := sha256.Sum256(data)
 				if got, want := hex.EncodeToString(sum[:]), fl.digests[e.Name()]; got != want {
 					t.Errorf("%s, GOMAXPROCS %d: %s: sha256 %s, want %s", fl.name, p, e.Name(), got, want)
@@ -157,9 +144,10 @@ func TestGoldenSegmentDigests(t *testing.T) {
 // Version 1 of the segment format stood at 3,825,857 B and 39.66 B a posting,
 // version 2 at 2,544,617 B and 24.99 with a key directory in every segment
 // and 2,029,418 B and 19.10 without one in Seal's, version 3 at 1,548,461 B
-// and 13.59 with uint32 offset tables.
+// and 13.59 with uint32 offset tables. Manifest version 7 is 22 B shorter
+// than version 6, which carried a compressed field.
 const (
-	goldenDirBytes        = 1208493
+	goldenDirBytes        = 1208471
 	goldenPostings        = 87378
 	goldenBytesPerPosting = 9.70 // the four posting segments' bytes / goldenPostings
 )
@@ -196,11 +184,11 @@ func TestSegmentBytesBudget(t *testing.T) {
 }
 
 // TestSegmentSectionTables pins which sections a posting segment carries, by
-// the ids of diskidx/segment.go: a Seal shard is runs/nodes/offs/blob
-// compressed and runs/nodes/starts/objs/bounds/tbounds raw — a run table over
-// 32-bit nodes, no key array and no key directory, its lists being reached by
-// position — and the kinds that look lists up by key open with their keys (1)
-// and end with the directory (6).
+// the ids of diskidx/segment.go: a Seal shard is runs/nodes/offs/blob — a run
+// table over 32-bit nodes, no key array and no key directory, its lists being
+// reached by position — and the kinds that look lists up by key open with
+// their keys (1) and end with the directory (6). No kind writes the retired
+// raw sections 2–5.
 func TestSegmentSectionTables(t *testing.T) {
 	objects := goldenObjects(t)
 	for _, tc := range []struct {
@@ -209,10 +197,9 @@ func TestSegmentSectionTables(t *testing.T) {
 		want []uint32
 	}{
 		{"seal/quantized", productionOptions, []uint32{10, 11, 7, 9}},
-		{"seal/raw", goldenFlavours[1].opts, []uint32{10, 11, 2, 3, 4, 5}},
-		{"token/raw", goldenFlavours[2].opts, []uint32{1, 2, 3, 4, 6}},
-		{"grid/quantized", goldenFlavours[3].opts, []uint32{1, 7, 9, 6}},
-		{"hybrid-hash/raw", goldenFlavours[4].opts, []uint32{1, 2, 3, 4, 5, 6}},
+		{"token/quantized", goldenFlavours[1].opts, []uint32{1, 7, 9, 6}},
+		{"grid/quantized", goldenFlavours[2].opts, []uint32{1, 7, 9, 6}},
+		{"hybrid-hash/quantized", goldenFlavours[3].opts, []uint32{1, 7, 9, 6}},
 	} {
 		dir := buildGoldenDir(t, objects, runtime.GOMAXPROCS(0), tc.opts)
 		shards, err := filepath.Glob(filepath.Join(dir, "shard-*.seg"))

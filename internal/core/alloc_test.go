@@ -201,7 +201,7 @@ func TestSearchZeroAllocsRealisticGranularity(t *testing.T) {
 
 // TestSearchZeroAllocsMapped: probing lists straight out of an mmap-backed
 // SEALIDX2 segment must stay allocation-free too — the section views are
-// zero-copy and compressed lists decode through the same scratch.
+// zero-copy and its compressed lists decode through the same scratch.
 func TestSearchZeroAllocsMapped(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -219,7 +219,7 @@ func TestSearchZeroAllocsMapped(t *testing.T) {
 
 	// mapped reopens the filter spec describes over src, written to a segment
 	// and mapped back.
-	mapped := func(name string, spec core.FilterSpec, src invidx.Source) core.Filter {
+	mapped := func(name string, spec core.FilterSpec, src *invidx.Compressed) core.Filter {
 		path := filepath.Join(dir, name)
 		if err := diskidx.WriteSegment(path, src, ds.Len()); err != nil {
 			t.Fatal(err)
@@ -236,7 +236,6 @@ func TestSearchZeroAllocsMapped(t *testing.T) {
 		return f
 	}
 
-	requireZeroAllocs(t, "mapped-raw", ds, mapped("token-raw.seg", tokenSpec, token), queries)
 	requireZeroAllocs(t, "mapped-compressed", ds, mapped("token-comp.seg", tokenSpec, invidx.Compress(token.(*invidx.Index))), queries)
 	requireZeroAllocs(t, "mapped-compressed", ds, mapped("seal.seg", sealSpec, invidx.Compress(seal.(*invidx.Index))), queries)
 }

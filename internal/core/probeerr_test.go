@@ -91,8 +91,8 @@ func (s *strayingSource) At(i int, scr *invidx.ListScratch) (invidx.List, error)
 
 // TestStrayPositionFloodsCandidates: the Seal filter reaches its lists by
 // position, and a position that names no list is a corrupt probe on every
-// layout — raw, compressed, and a mapped segment of either — never a panic and
-// never a neighbouring list. Collect floods, and answers do not move.
+// layout — raw, compressed, and a mapped segment — never a panic and never a
+// neighbouring list. Collect floods, and answers do not move.
 func TestStrayPositionFloodsCandidates(t *testing.T) {
 	ds := allocDataset(t, 300)
 	queries := allocQueries(t, ds, 6)
@@ -102,19 +102,17 @@ func TestStrayPositionFloodsCandidates(t *testing.T) {
 	}
 	healthy := core.NewSearcher(ds, seal)
 	raw, spec, _ := core.Postings(seal)
-	sources := map[string]invidx.Source{"raw": raw, "compressed": invidx.Compress(raw.(*invidx.Index))}
-	for _, name := range []string{"raw", "compressed"} {
-		path := filepath.Join(t.TempDir(), name+".seg")
-		if err := diskidx.WriteSegment(path, sources[name], ds.Len()); err != nil {
-			t.Fatal(err)
-		}
-		seg, err := diskidx.OpenMapped(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer seg.Close()
-		sources["mapped "+name] = seg.Source()
+	compressed := invidx.Compress(raw.(*invidx.Index))
+	path := filepath.Join(t.TempDir(), "seal.seg")
+	if err := diskidx.WriteSegment(path, compressed, ds.Len()); err != nil {
+		t.Fatal(err)
 	}
+	seg, err := diskidx.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	sources := map[string]invidx.Source{"raw": raw, "compressed": compressed, "mapped": seg.Source()}
 	for name, src := range sources {
 		var scr invidx.ListScratch
 		for _, i := range []int{-1, src.Lists(), src.Lists() + 1} {

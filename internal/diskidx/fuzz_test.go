@@ -4,8 +4,8 @@ package diskidx
 // file is trusted only after its header geometry, section table, CRCs, and
 // arena invariants all check out, and no input may panic the parser or make
 // it accept structurally unsound postings. The corpus seeds three genuine
-// segments — a keyed raw one, a compressed one without its key directory, and
-// a compressed run-grouped one, the Seal filter's shape — plus systematic
+// segments — a keyed one with its key directory, one without it, and a
+// run-grouped one, the Seal filter's shape — plus systematic
 // truncations and header mutations so the fuzzer starts from the format's real
 // shape rather than random noise.
 
@@ -22,7 +22,7 @@ import (
 
 func FuzzSegmentHeader(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "seed.seg")
-	if err := WriteSegment(path, buildDual(rand.New(rand.NewSource(42)), 12, 6), segTestObjects); err != nil {
+	if err := WriteSegment(path, invidx.Compress(buildDual(rand.New(rand.NewSource(42)), 12, 6)), segTestObjects); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := os.ReadFile(path)

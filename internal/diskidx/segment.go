@@ -10,9 +10,10 @@ package diskidx
 // object IDs — and whose flags are
 //
 //	bit0  dual bounds
-//	bit1  compressed postings
+//	bit1  compressed postings: always set; a file with it clear is stale (the
+//	      retired raw layout of float64 bounds)
 //	bit2  retired: a file carrying it is stale (the old float64 fallback)
-//	bit3  compressed only: object IDs take 2 bytes (clear: 4)
+//	bit3  object IDs take 2 bytes (clear: 4)
 //
 // It opens with its key column, in one of two forms. An index whose lists are
 // looked up by key (the token, grid and hybrid-hash filters) has
@@ -31,12 +32,14 @@ package diskidx
 //	runs   uint64 words        where each token's nodes start, unary-coded
 //	nodes  uint32 × nLists     the keys' low words, ascending inside a run
 //
-// The postings follow. A raw single-bound segment carries starts/objs/bounds;
-// raw dual adds tbounds. A compressed segment carries
+// The postings follow, always compressed:
 //
 //	offs   uint64 words        where each list starts, in rows, unary-coded
 //	blob   nPostings rows, list after list; invidx/compress.go has the
 //	       columns of a list, whose length is its extent
+//
+// Sections 2–5 (starts/objs/bounds/tbounds) were the raw layout's flat
+// arenas and are retired with it.
 //
 // Both offset tables are invidx.Extents: a bit set at vᵢ + i for each offset
 // vᵢ, so a table costs a bit an entry plus a bit a row (or a node). A
@@ -64,8 +67,9 @@ var magic2 = [8]byte{'S', 'E', 'A', 'L', 'I', 'D', 'X', '2'}
 // segVersion 4 is the layout above. An earlier version's file has no reader;
 // it opens as ErrStaleVersion, which the engine reports as a directory of
 // another layout generation (rebuild) rather than as a damaged shard
-// (quarantine). So does a version-4 file with the retired bit 2, written by
-// the float64 fallback that saturating bound codes replaced.
+// (quarantine). So does a version-4 file of a retired posting layout: one with
+// bit 2, written by the float64 fallback that saturating bound codes replaced,
+// or one with bit 1 clear, the raw float64 arenas.
 const (
 	segVersion        = 4
 	segFlagDual       = 1 << 0
@@ -74,18 +78,15 @@ const (
 	segFlagObj16      = 1 << 3
 )
 
-// Section identifiers. 8 is retired (version 1's per-list posting counts).
+// Section identifiers. 2–5 are retired (the raw layout's starts, objs, bounds
+// and tbounds), and so is 8 (version 1's per-list posting counts).
 const (
-	secKeys    = 1  // uint64 × nLists, ascending signature keys
-	secStarts  = 2  // uint32 × nLists+1, flat list offsets
-	secObjs    = 3  // uint32 × nPostings
-	secBounds  = 4  // float64 × nPostings (spatial lane for dual)
-	secTBounds = 5  // float64 × nPostings, raw dual only
-	secDir     = 6  // uint32 slots of the open-addressed key directory
-	secOffs    = 7  // extent table words: nLists extents of the blob's rows
-	secBlob    = 9  // nPostings fixed-width rows
-	secRuns    = 10 // extent table words: one extent of nodes a group
-	secNodes   = 11 // uint32 × nLists, low words of the run-grouped keys
+	secKeys  = 1  // uint64 × nLists, ascending signature keys
+	secDir   = 6  // uint32 slots of the open-addressed key directory
+	secOffs  = 7  // extent table words: nLists extents of the blob's rows
+	secBlob  = 9  // nPostings fixed-width rows
+	secRuns  = 10 // extent table words: one extent of nodes a group
+	secNodes = 11 // uint32 × nLists, low words of the run-grouped keys
 )
 
 // wrapCorrupt rebrands an invidx validation failure as a diskidx corruption
@@ -94,62 +95,34 @@ func wrapCorrupt(err error) error {
 	return fmt.Errorf("%w: %v", ErrCorrupt, err)
 }
 
-// WriteSegment serializes an invidx index (*invidx.Index or
-// *invidx.Compressed, single- or dual-bound) as a SEALIDX2 segment at path.
-// objects is the exclusive upper bound for posting object IDs, recorded in the
-// header so OpenMapped can validate postings without the dataset.
-func WriteSegment(path string, idx invidx.Source, objects int) error {
+// WriteSegment serializes a compressed index (single- or dual-bound) as a
+// SEALIDX2 segment at path. objects is the exclusive upper bound for posting
+// object IDs, recorded in the header so OpenMapped can validate postings
+// without the dataset.
+func WriteSegment(path string, ix *invidx.Compressed, objects int) error {
 	if objects < 0 || int64(objects) > 1<<32 {
 		return fmt.Errorf("diskidx: object count %d out of range", objects)
 	}
-	var (
-		secs  []section
-		flags uint32
-	)
-	switch ix := idx.(type) {
-	case *invidx.Index:
-		secs = rawSections(ix.Arenas())
-	case *invidx.Compressed:
-		a := ix.Arenas()
-		flags = compressedFlags(a.Layout)
-		secs = compressedSections(a)
-	default:
-		return fmt.Errorf("diskidx: cannot write %T as a segment", idx)
+	a := ix.Arenas()
+	flags := uint32(segFlagCompressed)
+	if a.Layout.Obj16 {
+		flags |= segFlagObj16
 	}
-	if idx.Dual() {
+	if a.Dual {
 		flags |= segFlagDual
 	}
+	// The key column opens the file: runs and nodes for a run-grouped index,
+	// keys otherwise, whose directory, if the index carries one, goes last.
+	secs := []section{{id: secKeys, data: u64Bytes(a.Keys)}}
+	if a.Runs != nil {
+		secs = []section{{id: secRuns, data: u64Bytes(a.Runs)}, {id: secNodes, data: u32Bytes(a.Nodes)}}
+	}
+	secs = append(secs, section{id: secOffs, data: u64Bytes(a.Extents)}, section{id: secBlob, data: a.Blob})
+	if a.Slots != nil {
+		secs = append(secs, section{id: secDir, data: u32Bytes(a.Slots)})
+	}
 	return writeContainer(path, magic2, segVersion, flags,
-		[3]uint64{uint64(idx.Lists()), uint64(idx.Postings()), uint64(objects)}, secs)
-}
-
-func rawSections(a invidx.RawArenas) []section {
-	s := append(keySections(a.KeyArenas),
-		section{id: secStarts, data: u32Bytes(a.Starts)},
-		section{id: secObjs, data: u32Bytes(a.Objs)},
-		section{id: secBounds, data: f64Bytes(a.Bounds)})
-	if a.Dual {
-		s = append(s, section{id: secTBounds, data: f64Bytes(a.TBounds)})
-	}
-	return appendDir(s, a.Slots)
-}
-
-// keySections opens a section list with the key column: runs and nodes for a
-// run-grouped index, keys otherwise (whose directory, if any, goes last).
-func keySections(k invidx.KeyArenas) []section {
-	if k.Runs != nil {
-		return []section{{id: secRuns, data: u64Bytes(k.Runs)}, {id: secNodes, data: u32Bytes(k.Nodes)}}
-	}
-	return []section{{id: secKeys, data: u64Bytes(k.Keys)}}
-}
-
-// appendDir adds the key directory's section for an index that carries one
-// (nil slots: it does not).
-func appendDir(s []section, slots []uint32) []section {
-	if slots == nil {
-		return s
-	}
-	return append(s, section{id: secDir, data: u32Bytes(slots)})
+		[3]uint64{uint64(ix.Lists()), uint64(ix.Postings()), uint64(objects)}, secs)
 }
 
 // takeKeys returns the key column of a segment of nLists lists: runs and nodes
@@ -186,29 +159,14 @@ func present[T any](v []T) []T {
 	return v
 }
 
-func compressedFlags(l invidx.Layout) uint32 {
-	flags := uint32(segFlagCompressed)
-	if l.Obj16 {
-		flags |= segFlagObj16
-	}
-	return flags
-}
-
-func compressedSections(a invidx.CompressedArenas) []section {
-	return appendDir(append(keySections(a.KeyArenas),
-		section{id: secOffs, data: u64Bytes(a.Extents)},
-		section{id: secBlob, data: a.Blob}), a.Slots)
-}
-
 // Segment is an open SEALIDX2 segment. The posting data lives in the mapped
-// (or fallback-loaded) file bytes; the view Source returns aliases those
+// (or fallback-loaded) file bytes; the index Source returns aliases those
 // pages, so it must not be probed after Close.
 type Segment struct {
 	closer  func() error
-	comp    bool
 	objects int
 	size    int64
-	src     invidx.Source
+	src     *invidx.Compressed
 }
 
 // OpenMapped memory-maps the segment at path and wraps it as an invidx
@@ -238,101 +196,52 @@ func openSegment(data []byte) (*Segment, error) {
 		return nil, err
 	}
 	flags := c.flags
-	if flags&segFlagRetired != 0 {
-		return nil, fmt.Errorf("%w: %w (float64 posting bounds)", ErrCorrupt, ErrStaleVersion)
-	}
-	if flags&^(segFlagDual|segFlagCompressed|segFlagObj16) != 0 {
+	if flags&^(segFlagDual|segFlagCompressed|segFlagRetired|segFlagObj16) != 0 {
 		return nil, fmt.Errorf("%w: unknown segment flags %#x", ErrCorrupt, flags)
 	}
-	if flags&segFlagCompressed == 0 && flags&segFlagObj16 != 0 {
-		return nil, fmt.Errorf("%w: list layout flags %#x on a raw segment", ErrCorrupt, flags)
+	if flags&(segFlagCompressed|segFlagRetired) != segFlagCompressed {
+		return nil, fmt.Errorf("%w: %w (float64 posting bounds, flags %#x)", ErrCorrupt, ErrStaleVersion, flags)
 	}
 	// The header's counts size later multiplications and allocations, so
 	// cap them against what the file could possibly hold before use: a list
-	// costs at least its 4-byte node and a posting, raw or compressed, at
-	// least 4 (checked exactly per list by the validators).
+	// costs at least its 4-byte node and a posting at least 4 (checked
+	// exactly per list by the validators).
 	size := uint64(len(data))
 	if c.counts[0] > size/4 || c.counts[1] > size/4 || c.counts[2] > 1<<32 {
 		return nil, fmt.Errorf("%w: header counts exceed file size", ErrCorrupt)
 	}
-	nLists, nPostings, objects := int64(c.counts[0]), int64(c.counts[1]), int(c.counts[2])
-
-	seg := &Segment{comp: flags&segFlagCompressed != 0, objects: objects}
-	dual := flags&segFlagDual != 0
+	nLists, nPostings, objects := int64(c.counts[0]), int(c.counts[1]), int(c.counts[2])
 	keys, err := takeKeys(c, nLists)
 	if err != nil {
 		return nil, err
 	}
-	if seg.comp {
-		offs, err := c.take(secOffs, -1, 8)
-		if err != nil {
-			return nil, err
-		}
-		blob, err := c.take(secBlob, -1, 1)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.done(); err != nil {
-			return nil, err
-		}
-		a := invidx.CompressedArenas{
-			KeyArenas: keys,
-			Dual:      dual,
-			Extents:   viewU64(offs),
-			Blob:      blob,
-			Layout:    invidx.Layout{Obj16: flags&segFlagObj16 != 0},
-		}
-		ix, err := invidx.CompressedFromArenas(a, int(nPostings), objects)
-		if err != nil {
-			return nil, wrapCorrupt(err)
-		}
-		seg.src = ix
-		return seg, nil
-	}
-
-	starts, err := c.take(secStarts, nLists+1, 4)
+	offs, err := c.take(secOffs, -1, 8)
 	if err != nil {
 		return nil, err
 	}
-	objs, err := c.take(secObjs, nPostings, 4)
+	blob, err := c.take(secBlob, -1, 1)
 	if err != nil {
 		return nil, err
-	}
-	bounds, err := c.take(secBounds, nPostings, 8)
-	if err != nil {
-		return nil, err
-	}
-	a := invidx.RawArenas{
-		KeyArenas: keys,
-		Dual:      dual,
-		Starts:    viewU32(starts),
-		Objs:      viewU32(objs),
-		Bounds:    viewF64(bounds),
-	}
-	if dual {
-		tbounds, err := c.take(secTBounds, nPostings, 8)
-		if err != nil {
-			return nil, err
-		}
-		a.TBounds = viewF64(tbounds)
 	}
 	if err := c.done(); err != nil {
 		return nil, err
 	}
-	ix, err := invidx.FromArenas(a, objects)
+	ix, err := invidx.CompressedFromArenas(invidx.CompressedArenas{
+		KeyArenas: keys,
+		Dual:      flags&segFlagDual != 0,
+		Extents:   viewU64(offs),
+		Blob:      blob,
+		Layout:    invidx.Layout{Obj16: flags&segFlagObj16 != 0},
+	}, nPostings, objects)
 	if err != nil {
 		return nil, wrapCorrupt(err)
 	}
-	seg.src = ix
-	return seg, nil
+	return &Segment{objects: objects, src: ix}, nil
 }
 
-// Source returns the segment's probe source; its Dual method tells the
-// flavour the file recorded.
-func (s *Segment) Source() invidx.Source { return s.src }
-
-// Compressed reports whether the posting lists are stored encoded.
-func (s *Segment) Compressed() bool { return s.comp }
+// Source returns the segment's postings; their Dual method tells the flavour
+// the file recorded.
+func (s *Segment) Source() *invidx.Compressed { return s.src }
 
 // Objects returns the exclusive upper bound for posting object IDs recorded
 // at write time.

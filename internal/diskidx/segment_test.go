@@ -122,60 +122,60 @@ func pathsFixture(rng *rand.Rand, dual, saturate bool) *invidx.Index {
 	return b.Build()
 }
 
-// TestSegmentRoundTrip: every way to reach a list agrees. Over {raw,
-// compressed} × {finite bounds, a bound that saturates} × {single, dual} ×
-// {keyed, run-grouped — the Seal filter's column, which FromSortedRuns freezes
-// dual only} × {in memory, written and mapped}, At(i) and Probe of the i-th
-// key reach list i of the flat index: the same objects in the same order, raw
-// bounds bit for bit, compressed ones never below them. SizeBytes — the figure
-// IndexStats and Table 1 report — is exactly the bytes of the segment's
-// sections.
+// TestSegmentRoundTrip: every way to reach a list agrees. Over {finite bounds,
+// a bound that saturates} × {single, dual} × {keyed, run-grouped — the Seal
+// filter's column, which FromSortedRuns freezes dual only} × {compressed in
+// memory, written and mapped}, At(i) and Probe of the i-th key reach list i of
+// the flat index: the same objects in the same order, bounds never below
+// flat's. SizeBytes — the figure IndexStats and Table 1 report — is exactly the
+// bytes of the segment's sections.
 func TestSegmentRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
 	for _, dual := range []bool{false, true} {
 		for _, saturate := range []bool{false, true} {
 			flat := pathsFixture(rng, dual, saturate)
-			cols := map[string]invidx.Source{"keyed": flat}
+			cols := map[string]*invidx.Index{"keyed": flat}
 			if dual {
 				cols["run-grouped"] = sortedRuns(flat)
 			}
 			for col, ix := range cols {
-				for layout, src := range map[string]invidx.Source{"raw": ix, "compressed": invidx.Compress(ix.(*invidx.Index))} {
-					name := fmt.Sprintf("dual=%v saturated=%v %s %s", dual, saturate, col, layout)
-					path := filepath.Join(dir, "paths.seg")
-					if err := WriteSegment(path, src, segTestObjects); err != nil {
-						t.Fatal(err)
-					}
-					b, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					seg, err := OpenMapped(path)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if seg.Source().Dual() != dual || seg.Compressed() != (layout == "compressed") || seg.Objects() != segTestObjects || seg.FileSize() != int64(len(b)) {
-						t.Fatalf("%s: dual=%v compressed=%v objects=%d size=%d", name, seg.Source().Dual(), seg.Compressed(), seg.Objects(), seg.FileSize())
-					}
-					for where, got := range map[string]invidx.Source{"in memory": src, "mapped": seg.Source()} {
-						if got.SizeBytes() != sectionBytes(b) {
-							t.Fatalf("%s %s: SizeBytes %d, sections %d", name, where, got.SizeBytes(), sectionBytes(b))
-						}
-						expectFlat(t, name+" "+where, flat, got, layout == "raw")
-					}
-					expectMatch(t, src, seg.Source())
-					seg.Close()
+				name := fmt.Sprintf("dual=%v saturated=%v %s", dual, saturate, col)
+				src := invidx.Compress(ix)
+				path := filepath.Join(dir, "paths.seg")
+				if err := WriteSegment(path, src, segTestObjects); err != nil {
+					t.Fatal(err)
 				}
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seg, err := OpenMapped(path)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if seg.Source().Dual() != dual || seg.Objects() != segTestObjects || seg.FileSize() != int64(len(b)) {
+					t.Fatalf("%s: dual=%v objects=%d size=%d", name, seg.Source().Dual(), seg.Objects(), seg.FileSize())
+				}
+				if flags := binary.LittleEndian.Uint32(b[12:]); flags&segFlagCompressed == 0 {
+					t.Fatalf("%s: written with flags %#x, bit 1 clear", name, flags)
+				}
+				for where, got := range map[string]invidx.Source{"in memory": src, "mapped": seg.Source()} {
+					if got.SizeBytes() != sectionBytes(b) {
+						t.Fatalf("%s %s: SizeBytes %d, sections %d", name, where, got.SizeBytes(), sectionBytes(b))
+					}
+					expectFlat(t, name+" "+where, flat, got)
+				}
+				expectMatch(t, src, seg.Source())
+				seg.Close()
 			}
 		}
 	}
 }
 
 // expectFlat checks that got reaches every list of flat by position and by
-// key: the same objects, and bounds equal to flat's when bitwise, else never
-// below them.
-func expectFlat(t *testing.T, name string, flat *invidx.Index, got invidx.Source, bitwise bool) {
+// key: the same objects, and bounds never below flat's.
+func expectFlat(t *testing.T, name string, flat *invidx.Index, got invidx.Source) {
 	t.Helper()
 	var scr invidx.ListScratch
 	for i, key := range keysOf(flat) {
@@ -197,8 +197,6 @@ func expectFlat(t *testing.T, name string, flat *invidx.Index, got invidx.Source
 			switch {
 			case a != p:
 				t.Fatalf("%s: list %d posting %d: At %+v, Probe %+v", name, i, j, a, p)
-			case bitwise && a != w:
-				t.Fatalf("%s: list %d posting %d: %+v, flat %+v", name, i, j, a, w)
 			case a.Obj != w.Obj || a.Bound < w.Bound || a.TBound < w.TBound:
 				t.Fatalf("%s: list %d posting %d: %+v below or beside flat %+v", name, i, j, a, w)
 			}
@@ -215,10 +213,10 @@ func sectionIDs(b []byte) []uint32 {
 	return ids
 }
 
-// withoutDirectory returns src over the same arenas, less its key directory.
-func withoutDirectory(t testing.TB, src invidx.Source) invidx.Source {
+// withoutDirectory returns ix over the same arenas, less its key directory.
+func withoutDirectory(t testing.TB, ix *invidx.Compressed) *invidx.Compressed {
 	t.Helper()
-	bare, err := testutil.WithoutDirectory(src, segTestObjects)
+	bare, err := testutil.WithoutDirectory(ix, segTestObjects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +233,7 @@ func TestSegmentDirectoryOptional(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	dir := t.TempDir()
 	single, dual := buildSingle(rng, 700, 12), buildDual(rng, 700, 12)
-	for name, keyed := range map[string]invidx.Source{
-		"single raw": single, "dual raw": dual,
-		"single quant": invidx.Compress(single), "dual quant": invidx.Compress(dual),
-	} {
+	for name, keyed := range map[string]*invidx.Compressed{"single": invidx.Compress(single), "dual": invidx.Compress(dual)} {
 		path, bare := filepath.Join(dir, "keyed.seg"), filepath.Join(dir, "bare.seg")
 		if err := WriteSegment(path, keyed, segTestObjects); err != nil {
 			t.Fatal(err)
@@ -280,32 +275,24 @@ func TestSegmentDirectoryOptional(t *testing.T) {
 
 	// The Seal producer: sorted runs, a run table over 32-bit nodes in place of
 	// keys and directory, in memory or on disk.
-	sorted := sortedRuns(dual)
-	for name, tc := range map[string]struct {
-		src  invidx.Source
-		want []uint32
-	}{
-		"raw":   {sorted, []uint32{secRuns, secNodes, secStarts, secObjs, secBounds, secTBounds}},
-		"quant": {invidx.Compress(sorted), []uint32{secRuns, secNodes, secOffs, secBlob}},
-	} {
-		path := filepath.Join(dir, "sorted.seg")
-		if err := WriteSegment(path, tc.src, segTestObjects); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sectionIDs(b); !slices.Equal(got, tc.want) {
-			t.Fatalf("sorted-runs %s segment carries sections %v, want %v", name, got, tc.want)
-		}
-		seg, err := OpenMapped(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		expectMatch(t, tc.src, seg.Source())
-		seg.Close()
+	sorted := invidx.Compress(sortedRuns(dual))
+	path := filepath.Join(dir, "sorted.seg")
+	if err := WriteSegment(path, sorted, segTestObjects); err != nil {
+		t.Fatal(err)
 	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sectionIDs(b), []uint32{secRuns, secNodes, secOffs, secBlob}; !slices.Equal(got, want) {
+		t.Fatalf("sorted-runs segment carries sections %v, want %v", got, want)
+	}
+	seg, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectMatch(t, sorted, seg.Source())
+	seg.Close()
 }
 
 // sortedRuns refreezes a dual Builder index through invidx.FromSortedRuns, one
@@ -328,12 +315,12 @@ func sortedRuns(dual *invidx.Index) *invidx.Index {
 }
 
 // TestSegmentEmpty: an empty index still round-trips (empty directory,
-// one-entry starts arena, no postings), and keeps its flavour.
+// one-entry extent table, no postings), and keeps its flavour.
 func TestSegmentEmpty(t *testing.T) {
 	for _, dual := range []bool{false, true} {
 		b := invidx.Builder{Dual: dual}
 		path := filepath.Join(t.TempDir(), "empty.seg")
-		if err := WriteSegment(path, b.Build(), 0); err != nil {
+		if err := WriteSegment(path, invidx.Compress(b.Build()), 0); err != nil {
 			t.Fatal(err)
 		}
 		seg, err := OpenMapped(path)
@@ -344,14 +331,6 @@ func TestSegmentEmpty(t *testing.T) {
 			t.Fatalf("lists = %d dual = %v, want 0 and %v", src.Lists(), src.Dual(), dual)
 		}
 		seg.Close()
-	}
-}
-
-// TestSegmentRejectsWrongType: only invidx's own layouts are writable.
-func TestSegmentRejectsWrongType(t *testing.T) {
-	other := struct{ invidx.Source }{buildSingle(rand.New(rand.NewSource(1)), 1, 1)}
-	if err := WriteSegment(filepath.Join(t.TempDir(), "x.seg"), other, 10); err == nil {
-		t.Fatal("WriteSegment of a foreign Source should fail")
 	}
 }
 
@@ -386,7 +365,7 @@ func TestSegmentMalformed(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	idx := buildSingle(rng, 20, 100)
 	dir := t.TempDir()
-	fixture := func(name string, src invidx.Source) []byte {
+	fixture := func(name string, src *invidx.Compressed) []byte {
 		path := filepath.Join(dir, name)
 		if err := WriteSegment(path, src, segTestObjects); err != nil {
 			t.Fatal(err)
@@ -397,16 +376,15 @@ func TestSegmentMalformed(t *testing.T) {
 		}
 		return b
 	}
-	// The list-layout cases need a compressed segment — quantized, 16-bit
-	// objects (segTestObjects fits), so a single-bound row is 4 bytes — and
-	// the key-column cases a run-grouped one: the Seal filter's shape, dual
-	// and quantized, group 0 holding every node and groups 1 and 2 none.
-	const raw, comp, runs = 0, 1, 2
-	good := [3][]byte{
-		fixture("good.seg", idx),
-		fixture("good-comp.seg", invidx.Compress(idx)),
-		fixture("good-runs.seg", invidx.Compress(sortedRuns(buildDual(rng, 20, 100)))),
-	}
+	// Every fixture has 16-bit objects (segTestObjects fits). The list-layout
+	// cases need a single-bound one, whose row is 4 bytes; the key-column cases
+	// a run-grouped one: the Seal filter's shape, dual, group 0 holding every
+	// node and groups 1 and 2 none; the container cases take a keyed dual one.
+	const dual, comp, runs = 0, 1, 2
+	var good [3][]byte
+	good[comp] = fixture("good-comp.seg", invidx.Compress(idx))
+	good[runs] = fixture("good-runs.seg", invidx.Compress(sortedRuns(buildDual(rng, 20, 100))))
+	good[dual] = fixture("good-dual.seg", invidx.Compress(buildDual(rng, 20, 100)))
 	if f := binary.LittleEndian.Uint32(good[comp][12:]); f != segFlagCompressed|segFlagObj16 {
 		t.Fatalf("compressed fixture flags %#x, want compressed|obj16", f)
 	}
@@ -470,7 +448,7 @@ func TestSegmentMalformed(t *testing.T) {
 		mutate func(b []byte) []byte
 	}{
 		{"wrong object-width flag", comp, flipFlag(segFlagObj16)},
-		{"list-layout flag on a raw segment", raw, flipFlag(segFlagObj16)},
+		{"compressed flag cleared", dual, flipFlag(segFlagCompressed)},
 		// The extent table: every rule of its validator, and the list count.
 		{"extents do not start at 0", comp, in(secOffs, func(p []byte) { p[0] &^= 1 })},
 		{"extent table one bit too many", comp, in(secOffs, firstZero)},
@@ -519,64 +497,64 @@ func TestSegmentMalformed(t *testing.T) {
 		}},
 		// Optional is not unchecked: a directory that is there must be the one
 		// the keys hash to.
-		{"directory present but a key short", raw, func(b []byte) []byte { return damage(t, b, secDir, dropSlot) }},
+		{"directory present but a key short", dual, func(b []byte) []byte { return damage(t, b, secDir, dropSlot) }},
 		{"directory present but a key short, compressed", comp, func(b []byte) []byte { return damage(t, b, secDir, dropSlot) }},
-		{"directory present but a key twice", raw, func(b []byte) []byte { return damage(t, b, secDir, doubleSlot) }},
-		{"directory present but truncated", raw, func(b []byte) []byte {
+		{"directory present but a key twice", dual, func(b []byte) []byte { return damage(t, b, secDir, doubleSlot) }},
+		{"directory present but truncated", dual, func(b []byte) []byte {
 			e, _, length := tableEntry(t, b, secDir)
 			binary.LittleEndian.PutUint64(e[16:], length-8)
 			return damage(t, b, secDir, func([]byte) {})
 		}},
-		{"bad magic", raw, func(b []byte) []byte { b[0] ^= 0xFF; return b }},
-		{"bad version", raw, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 99); return b }},
-		{"unknown flags", raw, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 0x80); return b }},
-		{"truncated header", raw, func(b []byte) []byte { return b[:32] }},
-		{"huge list count", raw, func(b []byte) []byte {
+		{"bad magic", dual, func(b []byte) []byte { b[0] ^= 0xFF; return b }},
+		{"bad version", dual, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 99); return b }},
+		{"unknown flags", dual, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 0x80); return b }},
+		{"truncated header", dual, func(b []byte) []byte { return b[:32] }},
+		{"huge list count", dual, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[16:], 1<<60)
 			return b
 		}},
-		{"huge posting count", raw, func(b []byte) []byte {
+		{"huge posting count", dual, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[24:], 1<<60)
 			return b
 		}},
-		{"posting count mismatch", raw, func(b []byte) []byte {
+		{"posting count mismatch", dual, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[24:], binary.LittleEndian.Uint64(b[24:])+1)
 			return b
 		}},
-		{"object bound too small", raw, func(b []byte) []byte {
+		{"object bound too small", dual, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[32:], 1)
 			return b
 		}},
-		{"implausible section count", raw, func(b []byte) []byte {
+		{"implausible section count", dual, func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[40:], 1000)
 			return b
 		}},
-		{"section unaligned", raw, func(b []byte) []byte {
+		{"section unaligned", dual, func(b []byte) []byte {
 			off := binary.LittleEndian.Uint64(b[segHeaderSize+8:])
 			binary.LittleEndian.PutUint64(b[segHeaderSize+8:], off+1)
 			return b
 		}},
-		{"section out of bounds", raw, func(b []byte) []byte {
+		{"section out of bounds", dual, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[segHeaderSize+16:], 1<<40)
 			return b
 		}},
-		{"duplicate section id", raw, func(b []byte) []byte {
+		{"duplicate section id", dual, func(b []byte) []byte {
 			// Rewrite the second entry's id to match the first.
 			id := binary.LittleEndian.Uint32(b[segHeaderSize:])
 			binary.LittleEndian.PutUint32(b[segHeaderSize+segEntrySize:], id)
 			return b
 		}},
-		{"missing section", raw, func(b []byte) []byte {
+		{"missing section", dual, func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[segHeaderSize:], 200)
 			return b
 		}},
-		{"payload bit flip", raw, func(b []byte) []byte {
+		{"payload bit flip", dual, func(b []byte) []byte {
 			// Flip a byte inside the first section's payload.
 			off := binary.LittleEndian.Uint64(b[segHeaderSize+8:])
 			b[off] ^= 0xFF
 			return b
 		}},
-		{"truncated payload", raw, func(b []byte) []byte { return b[:len(b)-16] }},
+		{"truncated payload", dual, func(b []byte) []byte { return b[:len(b)-16] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -620,39 +598,56 @@ func terminal(p []byte) int {
 // TestSegmentStaleVersion: a version this package once wrote is marked stale
 // as well as unreadable, so the engine can tell another generation's file
 // from a damaged one; any other version is only corrupt. So is a current
-// version's file with the retired flag bit 2 — the float64 fallback's — set,
-// raw or compressed, and bit 2 is never written.
+// version's file of a retired posting layout: flag bit 2 set — the float64
+// fallback's — or bit 1 clear — the raw float64 arenas' — on a single- or
+// dual-bound file. Bit 1 is always written and bit 2 never.
 func TestSegmentStaleVersion(t *testing.T) {
 	dir := t.TempDir()
-	ix := buildSingle(rand.New(rand.NewSource(22)), 5, 10)
-	var files [][]byte
-	for name, src := range map[string]invidx.Source{"raw.seg": ix, "comp.seg": invidx.Compress(pathsFixture(rand.New(rand.NewSource(23)), true, true))} {
-		path := filepath.Join(dir, name)
-		if err := WriteSegment(path, src, segTestObjects); err != nil {
+	files := []struct {
+		name string
+		ix   *invidx.Compressed
+		data []byte
+	}{
+		{name: "single", ix: invidx.Compress(buildSingle(rand.New(rand.NewSource(22)), 5, 10))},
+		{name: "dual saturated", ix: invidx.Compress(pathsFixture(rand.New(rand.NewSource(23)), true, true))},
+	}
+	for i := range files {
+		path := filepath.Join(dir, files[i].name+".seg")
+		if err := WriteSegment(path, files[i].ix, segTestObjects); err != nil {
 			t.Fatal(err)
 		}
 		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if flags := binary.LittleEndian.Uint32(b[12:]); flags&segFlagRetired != 0 {
-			t.Fatalf("%s written with flags %#x: bit 2 is retired", name, flags)
+		if flags := binary.LittleEndian.Uint32(b[12:]); flags&(segFlagCompressed|segFlagRetired) != segFlagCompressed {
+			t.Fatalf("%s written with flags %#x: bit 1 is always set, bit 2 retired", files[i].name, flags)
 		}
-		files = append(files, b)
+		files[i].data = b
 	}
-	for v, stale := range map[uint32]bool{0: false, 1: true, 2: true, 3: true, segVersion + 1: false, 99: false} {
-		b := append([]byte(nil), files[0]...)
-		binary.LittleEndian.PutUint32(b[8:], v)
-		_, err := openSegment(b)
-		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrStaleVersion) != stale {
-			t.Errorf("version %d: %v, want ErrCorrupt and stale=%v", v, err, stale)
+	stale := func(t *testing.T, b []byte, want bool) {
+		t.Helper()
+		if _, err := openSegment(b); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrStaleVersion) != want {
+			t.Errorf("%v, want ErrCorrupt and stale=%v", err, want)
 		}
 	}
-	for i, good := range files {
-		b := append([]byte(nil), good...)
-		binary.LittleEndian.PutUint32(b[12:], binary.LittleEndian.Uint32(b[12:])|segFlagRetired)
-		if _, err := openSegment(b); !errors.Is(err, ErrCorrupt) || !errors.Is(err, ErrStaleVersion) {
-			t.Errorf("file %d with flag bit 2: %v, want ErrCorrupt and stale", i, err)
+	for _, v := range []uint32{0, 1, 2, 3, segVersion + 1, 99} {
+		t.Run(fmt.Sprintf("version %d", v), func(t *testing.T) {
+			b := slices.Clone(files[0].data)
+			binary.LittleEndian.PutUint32(b[8:], v)
+			stale(t, b, v >= 1 && v < segVersion)
+		})
+	}
+	for _, f := range files {
+		for name, patch := range map[string]func(uint32) uint32{
+			"flag bit 2 set":   func(fl uint32) uint32 { return fl | segFlagRetired },
+			"flag bit 1 clear": func(fl uint32) uint32 { return fl &^ segFlagCompressed },
+		} {
+			t.Run(f.name+" "+name, func(t *testing.T) {
+				b := slices.Clone(f.data)
+				binary.LittleEndian.PutUint32(b[12:], patch(binary.LittleEndian.Uint32(b[12:])))
+				stale(t, b, true)
+			})
 		}
 	}
 }

@@ -43,22 +43,24 @@ type Manifest struct {
 	Objects     int             `json:"objects"`
 	Shards      int             `json:"shards"`
 	Filter      core.FilterSpec `json:"filter"`
-	Compressed  bool            `json:"compressed"`
 	Fingerprint string          `json:"fingerprint"`
 }
 
-// manifestVersion 6 is the gob-free layout above with version-4 posting
-// segments: fixed-width lists under a unary extent table, a key array and
-// directory for the filters that look lists up by key, and a unary token-run
-// table over 32-bit grid nodes for a Seal shard. Earlier directories — version
-// 1 (dataset.snap, parts.gob, shard-N.grids.gob), version 2 (run-length
-// lists), version 3 (a directory in every posting segment), version 4
-// (per-list quantization steps and counts; 64-bit keys in a Seal shard) and
-// version 5 (uint32 offset tables) — have no reader: they read as a manifest
+// manifestVersion 7 is the gob-free layout above with version-4 posting
+// segments, which are always compressed: fixed-width lists under a unary
+// extent table, a key array and directory for the filters that look lists up
+// by key, and a unary token-run table over 32-bit grid nodes for a Seal shard.
+// Earlier directories — version 1 (dataset.snap, parts.gob,
+// shard-N.grids.gob), version 2 (run-length lists), version 3 (a directory in
+// every posting segment), version 4 (per-list quantization steps and counts;
+// 64-bit keys in a Seal shard), version 5 (uint32 offset tables) and version 6
+// (a compressed flag, and a fingerprint blind to token weights and
+// multi-region footprints) — have no reader: they read as a manifest
 // mismatch, which every boot path treats as stale and rebuilds. So does a
-// current manifest over a posting segment of an earlier version: that is
-// another generation's file, not a damaged shard, and is never quarantined.
-const manifestVersion = 6
+// current manifest over a posting segment of an earlier version or a retired
+// posting layout: that is another generation's file, not a damaged shard, and
+// is never quarantined.
+const manifestVersion = 7
 
 // ErrNoSegments reports a directory without a readable manifest. Because the
 // manifest is written last and removed first, this is the normal state of an
@@ -95,9 +97,11 @@ func ReadManifest(dir string) (*Manifest, error) {
 }
 
 // Fingerprint hashes the dataset's observable content — object count,
-// vocabulary, region coordinates (bit-exact), and per-object token IDs —
-// with FNV-1a, so a segment directory can prove it was built from the same
-// corpus before its postings are trusted for that corpus.
+// vocabulary with its token weights, region coordinates and multi-region
+// footprints (bit-exact), and per-object token IDs — with FNV-1a, so a
+// segment directory can prove it was built from the same corpus before its
+// postings are trusted for that corpus. The weights belong to it because they
+// set the global signature order and every posting's bound.
 func Fingerprint(ds *model.Dataset) string {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -119,6 +123,7 @@ func Fingerprint(ds *model.Dataset) string {
 	for i := 0; i < vocab.Len(); i++ {
 		term = append(append(term[:0], vocab.Term(text.TokenID(i))...), 0)
 		h.Write(term)
+		put(math.Float64bits(vocab.Weight(text.TokenID(i))))
 	}
 	for i := 0; i < ds.Len(); i++ {
 		id := model.ObjectID(i)
@@ -127,6 +132,14 @@ func Fingerprint(ds *model.Dataset) string {
 		put(math.Float64bits(r.MinY))
 		put(math.Float64bits(r.MaxX))
 		put(math.Float64bits(r.MaxY))
+		set := ds.MultiRegion(id) // nil for a single-region object
+		put(uint64(len(set)))
+		for _, m := range set {
+			put(math.Float64bits(m.MinX))
+			put(math.Float64bits(m.MinY))
+			put(math.Float64bits(m.MaxX))
+			put(math.Float64bits(m.MaxY))
+		}
 		toks := ds.Tokens(id)
 		put(uint64(len(toks)))
 		for _, t := range toks {
@@ -137,23 +150,27 @@ func Fingerprint(ds *model.Dataset) string {
 }
 
 // saveShard writes shard i's segment from a live filter and reports the
-// filter's spec and whether its postings are stored encoded. Baselines (scan,
-// keyword-first, spatial-first, IR-tree) have no posting arena to persist and
-// report an error.
-func saveShard(dir string, i int, f core.Filter, objects int) (spec core.FilterSpec, compressed bool, err error) {
-	src, spec, ok := core.Postings(f)
+// filter's spec. A segment only ever holds quantized postings, and this is the
+// one place that decides so: a filter still on the flat in-memory layout is
+// re-encoded in place first, so the caller must own a filter no query has
+// reached yet.
+func saveShard(dir string, i int, f core.Filter, objects int) (core.FilterSpec, error) {
+	core.CompressPostings(f)
+	src, spec, _ := core.Postings(f)
+	cx, ok := src.(*invidx.Compressed)
 	if !ok {
-		return spec, false, fmt.Errorf("engine: filter %s does not support segment persistence", f.Name())
+		return spec, fmt.Errorf("engine: filter %s does not support segment persistence", f.Name())
 	}
-	_, compressed = src.(*invidx.Compressed)
-	return spec, compressed, diskidx.WriteSegment(filepath.Join(dir, segName(i)), src, objects)
+	return spec, diskidx.WriteSegment(filepath.Join(dir, segName(i)), cx, objects)
 }
 
 // SaveSegments persists the engine into dir (created if needed): one SEALIDX2
 // segment per shard, the dataset segment (dataset, vocabulary and shard
-// partition), and the manifest. Files of an earlier generation that the new
-// one does not overwrite — more shards, another layout version, abandoned
-// temps — are removed, so the directory holds exactly the artifact set.
+// partition), and the manifest. Every shard's postings are re-encoded as
+// quantized columns first (saveShard), so save an engine before it serves
+// queries. Files of an earlier generation that the new one does not overwrite
+// — more shards, another layout version, abandoned temps — are removed, so the
+// directory holds exactly the artifact set.
 //
 // The save is crash-safe. Every artifact is written to a *.tmp file, fsynced
 // and atomically renamed into place, and the manifest is the enforced commit
@@ -176,19 +193,17 @@ func (e *Engine) SaveSegments(dir string) error {
 	}
 
 	var spec core.FilterSpec
-	compressed := false
 	for i, s := range e.shards {
 		if s.filter == nil {
 			return fmt.Errorf("engine: cannot save shard %d: %w", i, ErrShardQuarantined)
 		}
-		sp, comp, err := saveShard(dir, i, s.filter, s.ds.Len())
+		sp, err := saveShard(dir, i, s.filter, s.ds.Len())
 		if err != nil {
 			return err
 		}
 		if i == 0 {
 			spec = sp
 		}
-		compressed = compressed || comp
 	}
 
 	parts := make([][]model.ObjectID, len(e.shards))
@@ -204,7 +219,6 @@ func (e *Engine) SaveSegments(dir string) error {
 		Objects:     e.root.Len(),
 		Shards:      len(e.shards),
 		Filter:      spec,
-		Compressed:  compressed,
 		Fingerprint: Fingerprint(e.root),
 	}
 	data, err := json.MarshalIndent(&m, "", "  ")
@@ -410,15 +424,11 @@ func OpenSegmentsWith(dir string, root *model.Dataset, o OpenOptions) (*Engine, 
 		if o.Repair {
 			f, rbErr := core.BuildFilter(sub, m.Filter)
 			if rbErr == nil {
-				// A directory saved compressed gets compressed postings back,
-				// so the resaved segment matches the manifest.
-				if m.Compressed {
-					core.CompressPostings(f)
-				}
 				note := openErr.Error()
-				// Best-effort resave: a failure (read-only disk, still-bad
+				// Best-effort resave, which compresses the rebuilt postings as
+				// every segment's are: a failure (read-only disk, still-bad
 				// media) leaves the rebuilt shard serving from memory.
-				if _, _, saveErr := saveShard(dir, i, f, sub.Len()); saveErr != nil {
+				if _, saveErr := saveShard(dir, i, f, sub.Len()); saveErr != nil {
 					note = fmt.Sprintf("%v (resave failed: %v)", openErr, saveErr)
 				}
 				s := newShard(sub, parts[i], f)

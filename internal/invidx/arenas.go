@@ -1,13 +1,11 @@
 package invidx
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// KeyArenas is the key column of either layout: Keys with an optional Slots
-// directory (nil — not merely empty — when the index carries none), or, for an
-// index frozen by FromSortedRuns, Runs (never nil then) over Nodes.
+// KeyArenas is an index's key column in one of two forms: Keys with an
+// optional Slots directory (nil — not merely empty — when the index carries
+// none), or, for an index frozen by FromSortedRuns, Runs (never nil then) over
+// Nodes.
 type KeyArenas struct {
 	Keys  []uint64 // ascending signature keys
 	Slots []uint32 // open-addressed directory (position+1, 0 = empty)
@@ -15,22 +13,11 @@ type KeyArenas struct {
 	Nodes []uint32 // the keys' low words, ascending inside a run
 }
 
-// RawArenas exposes the flat layout of an Index as its backing slices, in
-// exactly the form the SEALIDX2 segment format persists them. TBounds is
-// empty unless Dual. Callers must not mutate any slice: for an in-memory
-// index they alias the live arena, and for a mapped segment they alias
-// read-only pages.
-type RawArenas struct {
-	KeyArenas
-	Dual    bool
-	Starts  []uint32  // lists+1 list offsets into the posting arena
-	Objs    []uint32  // posting object IDs
-	Bounds  []float64 // posting bounds (spatial bounds for dual indexes)
-	TBounds []float64 // posting textual bounds, dual indexes only
-}
-
-// CompressedArenas is RawArenas for the compressed layouts: one blob of
-// fixed-width rows cut into lists by an extent table, counted in rows.
+// CompressedArenas exposes a compressed index as its backing slices, in
+// exactly the form a posting segment persists them: the key column, and one
+// blob of fixed-width rows cut into lists by an extent table, counted in rows.
+// Callers must not mutate any slice: for an in-memory index they alias the
+// live arena, and for a mapped segment they alias read-only pages.
 type CompressedArenas struct {
 	KeyArenas
 	Dual    bool
@@ -45,11 +32,6 @@ func (c *keyColumn) arenas() KeyArenas {
 		k.Runs = c.runs.words
 	}
 	return k
-}
-
-// Arenas exposes the index's backing slices.
-func (ix *Index) Arenas() RawArenas {
-	return RawArenas{KeyArenas: ix.arenas(), Dual: ix.dual, Starts: ix.starts, Objs: ix.objs, Bounds: ix.bounds, TBounds: ix.tBounds}
 }
 
 // validateKeys checks a persisted key column and wraps it: keys strictly
@@ -128,65 +110,6 @@ func validateDirectory(keys []uint64, slots []uint32) error {
 		}
 	}
 	return nil
-}
-
-// validateRawArenas checks every structural invariant the query path relies
-// on over the posting arenas of nk lists, so FromArenas can wrap untrusted
-// bytes without re-deriving anything.
-func validateRawArenas(a RawArenas, nk, objects int) error {
-	if len(a.Starts) != nk+1 {
-		return corrupt("starts length mismatch")
-	}
-	np := len(a.Objs)
-	if len(a.Bounds) != np {
-		return corrupt("bounds length mismatch")
-	}
-	if a.Dual {
-		if len(a.TBounds) != np {
-			return corrupt("textual bounds length mismatch")
-		}
-	} else if len(a.TBounds) != 0 {
-		return corrupt("unexpected textual bounds")
-	}
-	if a.Starts[0] != 0 || int(a.Starts[nk]) != np {
-		return corrupt("starts do not span the posting arena")
-	}
-	for i := 0; i < nk; i++ {
-		lo, hi := a.Starts[i], a.Starts[i+1]
-		if lo > hi || int(hi) > np {
-			return corrupt("list offsets not monotone")
-		}
-		for j := lo; j < hi; j++ {
-			b := a.Bounds[j]
-			if math.IsNaN(b) || (j > lo && b > a.Bounds[j-1]) {
-				return corrupt("list bounds not descending")
-			}
-		}
-	}
-	for _, o := range a.Objs {
-		if int(o) >= objects {
-			return corrupt("posting object out of range")
-		}
-	}
-	for _, tb := range a.TBounds {
-		if math.IsNaN(tb) {
-			return corrupt("NaN textual bound")
-		}
-	}
-	return nil
-}
-
-// FromArenas wraps validated arenas as an index, sharing (not copying) the
-// slices. objects is the exclusive upper bound for posting object IDs.
-func FromArenas(a RawArenas, objects int) (*Index, error) {
-	col, err := validateKeys(a.KeyArenas)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateRawArenas(a, col.lists(), objects); err != nil {
-		return nil, err
-	}
-	return &Index{keyColumn: col, starts: a.Starts, objs: a.Objs, bounds: a.Bounds, tBounds: a.TBounds, dual: a.Dual}, nil
 }
 
 // validateCompressedArenas checks, over the nk lists' extents, what the query

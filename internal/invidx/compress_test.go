@@ -62,9 +62,9 @@ func saturated(ix *Index) *Index {
 }
 
 // TestSourceLayouts is the contract of Source over every layout an index can
-// be served from — {single, dual} × {raw, compressed, and both again wrapped
-// from their arenas, as a mapped segment is} — for bounds of the finite codes
-// and bounds that saturate to infinity. Every layout reports the flat index's
+// be served from — {single, dual} × {raw, compressed, and compressed again
+// wrapped from its arenas, as a mapped segment is} — for bounds of the finite
+// codes and bounds that saturate to infinity. Every layout reports the flat index's
 // flavour, shape, keys and list lengths and probes to the same objects in the
 // same order. Raw lists are the flat lists bit for bit; compressed ones keep
 // the ceiling contract — every decoded bound >= the exact one, spatial bounds
@@ -87,10 +87,6 @@ func TestSourceLayouts(t *testing.T) {
 		if lay := cx.Arenas().Layout; lay != (Layout{Obj16: true}) {
 			t.Fatalf("%s: layout %+v, want 16-bit objects", fx.name, lay)
 		}
-		mraw, err := FromArenas(ix.Arenas(), objects)
-		if err != nil {
-			t.Fatalf("%s: FromArenas: %v", fx.name, err)
-		}
 		mcomp, err := CompressedFromArenas(cx.Arenas(), cx.Postings(), objects)
 		if err != nil {
 			t.Fatalf("%s: CompressedFromArenas: %v", fx.name, err)
@@ -102,7 +98,6 @@ func TestSourceLayouts(t *testing.T) {
 		}{
 			{"raw", ix, true},
 			{"compressed", cx, false},
-			{"mapped raw", mraw, true},
 			{"mapped compressed", mcomp, false},
 		} {
 			t.Run(fx.name+"/"+row.name, func(t *testing.T) {
@@ -186,15 +181,14 @@ func runGrouped(ix *Index, groups int) *Index {
 	return &out
 }
 
-// arenaBytes is what a segment of an index's arenas holds in its sections:
-// every slice at its element width.
+// arenaBytes is what an index's arenas hold: every slice at its element
+// width, which for a compressed index is the bytes of a segment's sections.
 func arenaBytes(src Source) int64 {
 	var k KeyArenas
 	var n int64
 	switch ix := src.(type) {
 	case *Index:
-		a := ix.Arenas()
-		k, n = a.KeyArenas, int64(len(a.Starts)*4+len(a.Objs)*4+len(a.Bounds)*8+len(a.TBounds)*8)
+		k, n = ix.arenas(), int64(len(ix.starts)*4+len(ix.objs)*4+len(ix.bounds)*8+len(ix.tBounds)*8)
 	case *Compressed:
 		a := ix.Arenas()
 		k, n = a.KeyArenas, int64(len(a.Extents)*8+len(a.Blob))
@@ -209,13 +203,13 @@ func keysOf(src Source) (keys []uint64) {
 }
 
 // TestAtMatchesProbe: position and key are two ways to the same list. Over
-// {keyed, keyed without a directory, run-grouped} × {raw, quantized, saturated} ×
-// {heap, wrapped from arenas as a mapped segment is}, At(i) is Probe of the
+// {keyed, keyed without a directory, run-grouped} × {raw, quantized, saturated},
+// the quantized two also wrapped from arenas as a mapped segment is, At(i) is Probe of the
 // i-th key — for a run-grouped column Probe(run<<32 | node) — for every i, a
 // key the index does not hold (an absent node, a token with an empty run, a
 // token past the run table) probes empty, and a position outside [0, Lists())
 // is ErrCorrupt — not a panic, not a neighbouring list. SizeBytes is the bytes
-// of the arenas a segment would hold.
+// of the index's arenas.
 func TestAtMatchesProbe(t *testing.T) {
 	const objects, groups = 1500, 24
 	rng := rand.New(rand.NewSource(21))
@@ -251,13 +245,9 @@ func TestAtMatchesProbe(t *testing.T) {
 				ix = runGrouped(ix, groups)
 			}
 			cx, sx := Compress(ix), Compress(saturated(ix))
-			if (ix.Arenas().Slots != nil) != (col == "keyed") || (cx.Arenas().Slots != nil) != (col == "keyed") ||
-				(ix.Arenas().Runs != nil) != (col == "run-grouped") || (cx.Arenas().Runs != nil) != (col == "run-grouped") {
+			if (ix.arenas().Slots != nil) != (col == "keyed") || (cx.Arenas().Slots != nil) != (col == "keyed") ||
+				(ix.arenas().Runs != nil) != (col == "run-grouped") || (cx.Arenas().Runs != nil) != (col == "run-grouped") {
 				t.Fatalf("%s %s: arenas disagree about the key column", fx.name, col)
-			}
-			mraw, err := FromArenas(ix.Arenas(), objects)
-			if err != nil {
-				t.Fatal(err)
 			}
 			mcomp, err := CompressedFromArenas(cx.Arenas(), cx.Postings(), objects)
 			if err != nil {
@@ -271,7 +261,7 @@ func TestAtMatchesProbe(t *testing.T) {
 			if col == "bare" && ix.SizeBytes() != fx.ix.SizeBytes()-dir {
 				t.Fatalf("%s %s: SizeBytes should be the directory's %d bytes under the keyed index's", fx.name, col, dir)
 			}
-			for name, src := range map[string]Source{"raw": ix, "compressed": cx, "saturated": sx, "mapped raw": mraw, "mapped compressed": mcomp, "mapped saturated": msat} {
+			for name, src := range map[string]Source{"raw": ix, "compressed": cx, "saturated": sx, "mapped compressed": mcomp, "mapped saturated": msat} {
 				label := fmt.Sprintf("%s %s %s", fx.name, col, name)
 				if got, want := src.SizeBytes(), arenaBytes(src); got != want {
 					t.Fatalf("%s: SizeBytes %d, arenas %d", label, got, want)
@@ -426,7 +416,7 @@ var extentCorruptions = []struct {
 }
 
 // runCorruptions are the ways a persisted run-grouped key column can lie, one
-// per rule of validateKeys; both arena wrappers must refuse each.
+// per rule of validateKeys; CompressedFromArenas must refuse each.
 var runCorruptions = func() (cs []struct {
 	name   string
 	mutate func(*KeyArenas)
@@ -450,81 +440,6 @@ var runCorruptions = func() (cs []struct {
 		{"nodes without a run table", func(k *KeyArenas) { k.Runs = nil }},
 	}...)
 }()
-
-func TestFromArenasRejectsCorrupt(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ix := buildRandom(rng, 20, 50, 400)
-	base := ix.Arenas()
-	clone := func(base RawArenas) RawArenas {
-		return RawArenas{
-			KeyArenas: cloneKeys(base.KeyArenas),
-			Dual:      base.Dual,
-			Starts:    slices.Clone(base.Starts),
-			Objs:      slices.Clone(base.Objs),
-			Bounds:    slices.Clone(base.Bounds),
-			TBounds:   slices.Clone(base.TBounds),
-		}
-	}
-	cases := []struct {
-		name    string
-		mutate  func(*RawArenas)
-		objects int
-	}{
-		{"object out of range", func(a *RawArenas) {}, 1},
-		{"keys unsorted", func(a *RawArenas) { a.Keys[0], a.Keys[1] = a.Keys[1], a.Keys[0] }, 400},
-		{"starts truncated", func(a *RawArenas) { a.Starts = a.Starts[:len(a.Starts)-1] }, 400},
-		{"starts overflow", func(a *RawArenas) { a.Starts[len(a.Starts)-1]++ }, 400},
-		{"bounds ascending", func(a *RawArenas) {
-			// Flip the first multi-posting list's head order.
-			for i := 0; i < len(a.Starts)-1; i++ {
-				if a.Starts[i+1]-a.Starts[i] >= 2 {
-					a.Bounds[a.Starts[i]] = a.Bounds[a.Starts[i]+1] - 1
-					return
-				}
-			}
-			panic("no multi-posting list in fixture")
-		}, 400},
-		{"NaN bound", func(a *RawArenas) { a.Bounds[0] = math.NaN() }, 400},
-		{"dual without its lane", func(a *RawArenas) { a.Dual = true }, 400},
-		{"single with a lane", func(a *RawArenas) { a.TBounds = make([]float64, len(a.Objs)) }, 400},
-		{"directory truncated", func(a *RawArenas) { a.Slots = a.Slots[:len(a.Slots)/2] }, 400},
-		{"directory zeroed", func(a *RawArenas) {
-			for i := range a.Slots {
-				a.Slots[i] = 0
-			}
-		}, 400},
-		{"directory out of range", func(a *RawArenas) {
-			for i := range a.Slots {
-				if a.Slots[i] != 0 {
-					a.Slots[i] = uint32(len(a.Keys)) + 5
-					return
-				}
-			}
-		}, 400},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			a := clone(base)
-			tc.mutate(&a)
-			if _, err := FromArenas(a, tc.objects); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("FromArenas accepted %s (err=%v)", tc.name, err)
-			}
-		})
-	}
-	grouped := groupedFixture(rng, 400).Arenas()
-	if _, err := FromArenas(clone(grouped), 400); err != nil {
-		t.Fatalf("run-grouped fixture: %v", err)
-	}
-	for _, tc := range runCorruptions {
-		t.Run(tc.name, func(t *testing.T) {
-			a := clone(grouped)
-			tc.mutate(&a.KeyArenas)
-			if _, err := FromArenas(a, 400); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("FromArenas accepted %s (err=%v)", tc.name, err)
-			}
-		})
-	}
-}
 
 // firstLongList returns the rows of the first list of a.Blob holding at least
 // two postings whose first two spatial codes differ.
@@ -588,6 +503,18 @@ func TestCompressedFromArenasRejectsCorrupt(t *testing.T) {
 		}, cx.Postings(), objects},
 		{"wide objects claimed", func(a *CompressedArenas) { a.Layout.Obj16 = false }, cx.Postings(), objects},
 		{"dual claimed", func(a *CompressedArenas) { a.Dual = true }, cx.Postings(), objects},
+		// The keyed column: keys and the directory over them.
+		{"keys unsorted", func(a *CompressedArenas) { a.Keys[0], a.Keys[1] = a.Keys[1], a.Keys[0] }, cx.Postings(), objects},
+		{"directory truncated", func(a *CompressedArenas) { a.Slots = a.Slots[:len(a.Slots)/2] }, cx.Postings(), objects},
+		{"directory zeroed", func(a *CompressedArenas) { clear(a.Slots) }, cx.Postings(), objects},
+		{"directory out of range", func(a *CompressedArenas) {
+			for i := range a.Slots {
+				if a.Slots[i] != 0 {
+					a.Slots[i] = uint32(len(a.Keys)) + 5
+					return
+				}
+			}
+		}, cx.Postings(), objects},
 	}
 	for _, c := range extentCorruptions {
 		cases = append(cases, struct {

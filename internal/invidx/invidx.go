@@ -478,12 +478,11 @@ func (ix *Index) Lists() int { return ix.lists() }
 // Postings returns the total number of postings.
 func (ix *Index) Postings() int { return len(ix.objs) }
 
-// SizeBytes reports the footprint of the flat layout — the bytes of a raw
-// segment's sections: 12 bytes per posting (uint32 obj + float64 bound), 20
-// with the textual lane, a 4-byte offset per list and one more, and the key
-// column (16 bytes a list with a directory; 4 and about a bit a list and a run
-// when run-grouped). It is the figure reported in Table 1 for the signature
-// indexes.
+// SizeBytes reports the footprint of the flat in-memory layout: 12 bytes per
+// posting (uint32 obj + float64 bound), 20 with the textual lane, a 4-byte
+// offset per list and one more, and the key column (16 bytes a list with a
+// directory; 4 and about a bit a list and a run when run-grouped). It is the
+// figure reported in Table 1 for the signature indexes.
 func (ix *Index) SizeBytes() int64 {
 	perPosting := int64(4 + 8) // obj + bound
 	if ix.dual {

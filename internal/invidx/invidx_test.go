@@ -313,7 +313,7 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 	}
 	// Four bytes and a bit a list, and a bit a run, where the builder spends
 	// sixteen bytes a list.
-	a := got.Arenas()
+	a := got.arenas()
 	if runs, _ := got.Runs(); a.Keys != nil || a.Slots != nil || runs.Len() != groups || len(a.Runs) != (want.Lists()+groups)/64+1 ||
 		len(a.Nodes) != want.Lists() || got.SizeBytes() != want.SizeBytes()-hashDirBytes(want.Lists())-int64(4*want.Lists())+int64(8*len(a.Runs)) {
 		t.Fatalf("an index from sorted runs should carry a run-grouped key column and nothing else")

@@ -3,11 +3,11 @@ package invidx
 import "fmt"
 
 // ListScratch is the reusable decode buffer for compressed posting lists.
-// A probe against a compressed or memory-mapped index materializes the list
-// into these slices; a probe against a flat in-memory index ignores it and
-// returns a zero-copy arena view. Each Searcher owns one (inside
-// core.Scratch), so steady-state decoding allocates nothing once the buffers
-// have grown to the longest list probed.
+// A probe against a compressed index, in memory or mapped from a segment,
+// materializes the list into these slices; a probe against a flat index
+// ignores it and returns a zero-copy arena view. Each Searcher owns one
+// (inside core.Scratch), so steady-state decoding allocates nothing once the
+// buffers have grown to the longest list probed.
 type ListScratch struct {
 	objs    []uint32
 	bounds  []float64
@@ -33,9 +33,9 @@ func (s *ListScratch) grow(n int, dual bool) {
 	}
 }
 
-// Source is a read view over posting lists: the flat in-memory Index, its
-// Compressed form, and the mmap-backed segment views of both all satisfy it,
-// so the signature filters probe storage without knowing the layout.
+// Source is a read view over posting lists: the flat in-memory Index and its
+// Compressed form, in memory or mapped from a segment, both satisfy it, so the
+// signature filters probe storage without knowing the layout.
 //
 // At returns the i-th list in key order, and Probe the list of key (empty for
 // absent keys): Probe is a key lookup and then At. The view is valid until the

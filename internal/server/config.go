@@ -32,7 +32,8 @@ type Config struct {
 	Granularity int `json:"granularity"`
 	// Shards is the spatial shard count. Default 1.
 	Shards int `json:"shards"`
-	// Compress stores posting lists as fixed-width columns with quantized bounds.
+	// Compress stores posting lists as fixed-width columns with quantized
+	// bounds when there is no SegmentDir; a segment directory always does.
 	Compress bool `json:"compress"`
 
 	// Warmup runs this many synthetic queries (built from indexed objects,

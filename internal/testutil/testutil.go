@@ -173,20 +173,12 @@ func AdversarialRects(rng *rand.Rand, space geo.Rect, n int) []geo.Rect {
 	return rects
 }
 
-// WithoutDirectory returns src — a keyed *invidx.Index or *invidx.Compressed —
-// as an index over the same arenas that carries no key directory: lookups by
-// key binary-search, and a segment written from it has no dir section.
-// objects bounds the posting object IDs.
-func WithoutDirectory(src invidx.Source, objects int) (invidx.Source, error) {
-	switch ix := src.(type) {
-	case *invidx.Index:
-		a := ix.Arenas()
-		a.Slots = nil
-		return invidx.FromArenas(a, objects)
-	case *invidx.Compressed:
-		a := ix.Arenas()
-		a.Slots = nil
-		return invidx.CompressedFromArenas(a, ix.Postings(), objects)
-	}
-	return nil, fmt.Errorf("testutil: cannot strip the directory of a %T", src)
+// WithoutDirectory returns a keyed compressed index as one over the same
+// arenas that carries no key directory: lookups by key binary-search, and a
+// segment written from it has no dir section. objects bounds the posting
+// object IDs.
+func WithoutDirectory(ix *invidx.Compressed, objects int) (*invidx.Compressed, error) {
+	a := ix.Arenas()
+	a.Slots = nil
+	return invidx.CompressedFromArenas(a, ix.Postings(), objects)
 }

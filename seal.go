@@ -102,7 +102,8 @@ type IndexStats struct {
 	// rebuilt in memory.
 	Mapped bool
 	// Compressed reports that posting lists are stored encoded (fixed-width
-	// columns with bounds quantized to 16 bits) instead of as the flat arena.
+	// columns with bounds quantized to 16 bits) instead of as the flat arena:
+	// always for an index with a segment directory.
 	Compressed bool
 }
 
@@ -180,7 +181,7 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 		// through to a rebuild that overwrites it.
 		if man, err := engine.ReadManifest(cfg.segmentDir); err == nil && manifestMatches(man, cfg, ds.Len()) {
 			if eng, err := engine.OpenSegmentsAt(cfg.segmentDir, ds); err == nil {
-				return newIndex(ds, eng, cfg.segmentDir, start, true, man.Compressed), nil
+				return newIndex(ds, eng, cfg.segmentDir, start, true, true), nil
 			}
 		}
 	}
@@ -204,7 +205,8 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 			return nil, err
 		}
 	}
-	return newIndex(ds, eng, cfg.segmentDir, start, false, cfg.compression != CompressionNone), nil
+	// A save quantizes the postings whatever cfg.compression says.
+	return newIndex(ds, eng, cfg.segmentDir, start, false, cfg.compression != CompressionNone || cfg.segmentDir != ""), nil
 }
 
 // newIndex wraps an engine built or opened over ds since start, with its

@@ -12,14 +12,15 @@ import (
 	"github.com/sealdb/seal/internal/engine"
 )
 
-// Compression selects the posting-list storage layout. Every setting returns
-// bit-identical query answers; the
-// quantized layout trades per-posting bound precision for size, which can
-// only admit extra candidates that exact verification then rejects.
+// Compression selects the posting-list layout of an index built in memory;
+// an index with a segment directory always stores and serves quantized
+// postings (see WithSegmentDir). Every setting returns bit-identical query
+// answers; the quantized layout trades per-posting bound precision for size,
+// which can only admit extra candidates that exact verification then rejects.
 type Compression int
 
 const (
-	// CompressionNone keeps the flat fixed-width arena. Default.
+	// CompressionNone keeps the flat fixed-width arena in memory. Default.
 	CompressionNone Compression = iota
 	// CompressionQuantized stores every list as fixed-width columns and
 	// nothing else: pruning bounds as 16-bit codes — the top bits of the
@@ -33,17 +34,20 @@ const (
 )
 
 // WithCompression re-encodes posting lists after the index is built. The
-// default is CompressionNone.
+// default is CompressionNone. It only matters without WithSegmentDir: a
+// segment directory holds quantized postings whatever it says.
 func WithCompression(c Compression) Option {
 	return func(o *options) { o.compression = c }
 }
 
 // WithSegmentDir persists the index into dir as mmap-able sealed segments.
-// When dir already holds segments built from the same objects and the same
-// configuration, Build maps them instead of rebuilding — turning index boot
-// into a page-table operation — and otherwise it builds in memory and
-// (over)writes dir. See also Open, which boots purely from a segment
-// directory.
+// When dir already holds segments built from the same objects (token weights
+// included) and the same configuration, Build maps them instead of rebuilding
+// — turning index boot into a page-table operation — and otherwise it builds
+// in memory and (over)writes dir. Segments always store quantized postings
+// (CompressionQuantized's layout), so the index reports Compressed with or
+// without WithCompression, and a directory maps either way. See also Open,
+// which boots purely from a segment directory.
 func WithSegmentDir(dir string) Option {
 	return func(o *options) { o.segmentDir = dir }
 }
@@ -78,13 +82,11 @@ func effectiveShards(cfg options, objects int) int {
 	return n
 }
 
-// manifestMatches reports whether dir's manifest describes exactly the index
-// cfg would build over ds — same filter configuration, shard count,
-// compression on/off, and dataset fingerprint.
+// manifestMatches reports whether dir's manifest describes the index cfg would
+// build over objects: the same filter configuration and shard count. The
+// dataset fingerprint is checked when the directory opens.
 func manifestMatches(m *engine.Manifest, cfg options, objects int) bool {
-	return m.Filter == segmentSpec(cfg) &&
-		m.Shards == effectiveShards(cfg, objects) &&
-		m.Compressed == (cfg.compression != CompressionNone)
+	return m.Filter == segmentSpec(cfg) && m.Shards == effectiveShards(cfg, objects)
 }
 
 // OpenOption adjusts how Open treats a damaged segment directory.
@@ -167,15 +169,11 @@ func Open(dir string, opts ...OpenOption) (*Index, error) {
 	for _, o := range opts {
 		o(&oc)
 	}
-	man, err := engine.ReadManifest(dir)
-	if err != nil {
-		return nil, fmt.Errorf("seal: opening segments: %w", err)
-	}
 	eng, _, err := engine.OpenSegmentsWith(dir, nil, engine.OpenOptions{Quarantine: true, Repair: oc.repair})
 	if err != nil {
 		return nil, fmt.Errorf("seal: opening segments: %w", err)
 	}
-	return newIndex(eng.Root(), eng, dir, start, true, man.Compressed), nil
+	return newIndex(eng.Root(), eng, dir, start, true, true), nil
 }
 
 // Close releases any memory-mapped segments backing the index. Afterwards
@@ -192,7 +190,7 @@ func (ix *Index) Close() error { return ix.eng.Close() }
 
 // Fingerprint returns the dataset content hash recorded in segment
 // manifests: two indexes report the same fingerprint exactly when they were
-// built from the same objects. The serving layer exposes it so operators can
+// built from the same objects under the same token weights. The serving layer exposes it so operators can
 // check which corpus a running daemon answers for. It hashes the (possibly
 // mapped) dataset, so like every other read it is admitted against Close; a
 // closed index has no fingerprint and reports "".

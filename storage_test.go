@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -207,29 +208,67 @@ func TestStorageDifferential(t *testing.T) {
 	}
 }
 
-// TestSegmentDirUncompressed: raw (uncompressed) segments round-trip too.
-func TestSegmentDirUncompressed(t *testing.T) {
+// TestSegmentDirAlwaysCompressed: a segment directory holds quantized
+// postings whatever WithCompression says. A default-options build into one
+// reports Compressed, writes flag bit 1 in every posting segment and answers
+// like the flat in-memory build; a rebuild maps the directory with or without
+// WithCompression, and so does Open.
+func TestSegmentDirAlwaysCompressed(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	objects := shardObjects(150, rng)
 	queries := shardQueries(8, rng)
 	dir := filepath.Join(t.TempDir(), "segs")
+	method := []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}
 
-	base, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter))
+	base, err := seal.Build(objects, method...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter), seal.WithSegmentDir(dir)); err != nil {
+	if base.Stats().Compressed {
+		t.Fatal("a default in-memory build reported Compressed")
+	}
+	saved, err := seal.Build(objects, append(slices.Clone(method), seal.WithSegmentDir(dir))...)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if st := saved.Stats(); st.Mapped || !st.Compressed {
+		t.Fatalf("default build into a segment directory: mapped=%v compressed=%v, want a compressed build", st.Mapped, st.Compressed)
+	}
+	expectSameAnswers(t, "saved", base, saved, queries)
+	if err := saved.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		seg, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flags := binary.LittleEndian.Uint32(seg[12:]); flags&(1<<1) == 0 {
+			t.Fatalf("shard %d segment flags %#x: bit 1 (compressed) clear", i, flags)
+		}
+	}
+	for name, extra := range map[string][]seal.Option{"default": nil, "quantized": {seal.WithCompression(seal.CompressionQuantized)}} {
+		ix, err := seal.Build(objects, append(append(slices.Clone(method), extra...), seal.WithSegmentDir(dir))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := ix.Stats(); !st.Mapped || !st.Compressed {
+			t.Fatalf("%s rebuild: mapped=%v compressed=%v, want the directory mapped", name, st.Mapped, st.Compressed)
+		}
+		expectSameAnswers(t, name+" mapped", base, ix, queries)
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	opened, err := seal.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer opened.Close()
-	if opened.Stats().Compressed {
-		t.Fatal("raw segments reported Compressed")
+	if st := opened.Stats(); !st.Mapped || !st.Compressed {
+		t.Fatalf("Open: mapped=%v compressed=%v, want both", st.Mapped, st.Compressed)
 	}
-	expectSameAnswers(t, "raw segments", base, opened, queries)
+	expectSameAnswers(t, "opened", base, opened, queries)
 }
 
 // stripDirectory rewrites the posting segment at path without its key
@@ -346,6 +385,119 @@ func TestSegmentDirRebuildsOnMismatch(t *testing.T) {
 	}
 }
 
+// TestSegmentDirRebuildsUnderOtherWeights: token weights set the global
+// signature order and every posting's bound, so a directory built under other
+// weights belongs to another corpus. Built under weights A and then, in the
+// same directory, under B — A reversed — the second build must rebuild rather
+// than map A's postings, and answer exactly as the oracle under B, for every
+// method whose bounds the weights shape.
+func TestSegmentDirRebuildsUnderOtherWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	objects := shardObjects(300, rng)
+	queries := shardQueries(60, rng)
+	var terms []string
+	for _, o := range objects {
+		terms = append(terms, o.Tokens...)
+	}
+	slices.Sort(terms)
+	terms = slices.Compact(terms)
+	a, b := map[string]float64{}, map[string]float64{}
+	for i, term := range terms {
+		a[term], b[term] = float64(i+1), float64(len(terms)-i)
+	}
+	oracle := newWeightedOracle(t, objects, model.SpaceJaccard, model.TextJaccard, b)
+	for _, method := range []struct {
+		name string
+		opts []seal.Option
+	}{
+		{"seal", []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithMaxLevel(8)}},
+		{"token", []seal.Option{seal.WithMethod(seal.MethodTokenFilter)}},
+		{"hybrid-hash", []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithGranularity(32), seal.WithHashBuckets(127)}},
+	} {
+		t.Run(method.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "segs")
+			built, err := seal.Build(objects, append(slices.Clone(method.opts), seal.WithTokenWeights(a), seal.WithSegmentDir(dir))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := built.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ix, err := seal.Build(objects, append(slices.Clone(method.opts), seal.WithTokenWeights(b), seal.WithSegmentDir(dir))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			if ix.Stats().Mapped {
+				t.Fatal("a directory built under other token weights was mapped")
+			}
+			hits := 0
+			for qi, q := range queries {
+				for _, tauT := range []float64{0.05, 0.2, 0.4} {
+					q.TauR, q.TauT = 0.01, tauT
+					got, err := answer(ix, q.Request())
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := oracle.threshold(t, q)
+					requireSameMatches(t, fmt.Sprintf("query %d tauT %g", qi, tauT), got, want)
+					hits += len(want)
+				}
+			}
+			if hits == 0 {
+				t.Fatal("no query matched: the fixture tests nothing")
+			}
+		})
+	}
+}
+
+// TestFingerprintSeesEveryObservable holds Index.Fingerprint to its contract:
+// the same objects under the same token weights share a fingerprint, and a
+// corpus that differs in anything a posting or an answer depends on does not.
+// That includes two corpora that differ only inside a multi-region object —
+// the same bounding rectangle around other regions.
+func TestFingerprintSeesEveryObservable(t *testing.T) {
+	corpus := func() []seal.Object {
+		return []seal.Object{
+			{Region: seal.Rect{MinX: 5, MinY: 5, MaxX: 9, MaxY: 9}, Tokens: []string{"a", "b"}},
+			{Regions: []seal.Rect{{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, {MinX: 1, MinY: 1, MaxX: 2, MaxY: 2}, {MinX: 3, MinY: 3, MaxX: 4, MaxY: 4}}, Tokens: []string{"b", "c"}},
+			{Region: seal.Rect{MinX: 2, MinY: 6, MaxX: 4, MaxY: 8}, Tokens: []string{"c"}},
+		}
+	}
+	weights := map[string]float64{"a": 1, "b": 2, "c": 3}
+	fingerprint := func(objects []seal.Object, weights map[string]float64) string {
+		ix, err := seal.Build(objects, seal.WithTokenWeights(weights))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		return ix.Fingerprint()
+	}
+	base := fingerprint(corpus(), weights)
+	for _, tc := range []struct {
+		name    string
+		change  func(objects []seal.Object, weights map[string]float64)
+		differs bool
+	}{
+		{"identical", func([]seal.Object, map[string]float64) {}, false},
+		{"a region coordinate", func(o []seal.Object, _ map[string]float64) { o[0].Region.MaxX = 9.5 }, true},
+		{"a token", func(o []seal.Object, _ map[string]float64) { o[2].Tokens = []string{"a"} }, true},
+		{"a token weight", func(_ []seal.Object, w map[string]float64) { w["b"] = 2.5 }, true},
+		{"a multi-region footprint under the same MBR", func(o []seal.Object, _ map[string]float64) {
+			o[1].Regions[1] = seal.Rect{MinX: 1, MinY: 1, MaxX: 3, MaxY: 2}
+		}, true},
+		{"object order", func(o []seal.Object, _ map[string]float64) { o[0], o[2] = o[2], o[0] }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			objects, w := corpus(), maps.Clone(weights)
+			tc.change(objects, w)
+			if got := fingerprint(objects, w); (got != base) != tc.differs {
+				t.Fatalf("fingerprint %s against the base corpus's %s: want differs=%v", got, base, tc.differs)
+			}
+		})
+	}
+}
+
 // TestOpenMissingDir: Open on an empty or absent directory errors cleanly.
 func TestOpenMissingDir(t *testing.T) {
 	if _, err := seal.Open(t.TempDir()); err == nil {
@@ -370,63 +522,95 @@ func segmentDirNames(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestVersion1DirectoryIsStale: the gob-era layout has no reader. Its
-// manifest reads as a mismatch from Open, and as "stale" from
-// Build(WithSegmentDir), which rebuilds over it and leaves exactly the
-// current artifact set behind — none of the old generation's files.
+// TestVersion1DirectoryIsStale: the gob-era layout has no reader, and neither
+// has a version-6 manifest nor a current one over posting segments of the
+// retired raw layout (flag bit 1 clear). Each reads as a mismatch from Open,
+// and as "stale" from Build(WithSegmentDir), which rebuilds over it and leaves
+// exactly the current artifact set behind — none of the old generation's
+// files.
 func TestVersion1DirectoryIsStale(t *testing.T) {
 	rng := rand.New(rand.NewSource(1406))
 	objects := shardObjects(160, rng)
 	queries := shardQueries(8, rng)
-	dir := filepath.Join(t.TempDir(), "segs")
-	opts := []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithMaxLevel(7), seal.WithShards(2),
-		seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir)}
-	base, err := seal.Build(objects, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-
-	// Age the directory: a version-1 manifest beside version-1 artifacts
-	// (and a third shard of a once-wider generation).
-	man, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := strings.Replace(string(man), `"version": 6`, `"version": 1`, 1)
-	if v1 == string(man) {
-		t.Fatalf("manifest carries no version 6 to age: %s", man)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, stale := range []string{"dataset.snap", "parts.gob", "shard-0.grids.gob", "shard-1.grids.gob", "shard-2.seg"} {
-		if err := os.WriteFile(filepath.Join(dir, stale), []byte("gob-era bytes"), 0o644); err != nil {
+	// ageManifest rewrites the manifest's version.
+	ageManifest := func(t *testing.T, dir, version string) {
+		path := filepath.Join(dir, "manifest.json")
+		man, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aged := strings.Replace(string(man), `"version": 7`, `"version": `+version, 1)
+		if aged == string(man) {
+			t.Fatalf("manifest carries no version 7 to age: %s", man)
+		}
+		if err := os.WriteFile(path, []byte(aged), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	ages := []struct {
+		name string
+		age  func(t *testing.T, dir string)
+	}{
+		// A version-1 manifest beside version-1 artifacts (and a third shard of
+		// a once-wider generation).
+		{"version 1", func(t *testing.T, dir string) {
+			ageManifest(t, dir, "1")
+			for _, stale := range []string{"dataset.snap", "parts.gob", "shard-0.grids.gob", "shard-1.grids.gob", "shard-2.seg"} {
+				if err := os.WriteFile(filepath.Join(dir, stale), []byte("gob-era bytes"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"version 6", func(t *testing.T, dir string) { ageManifest(t, dir, "6") }},
+		{"raw posting segments", func(t *testing.T, dir string) {
+			for i := 0; i < 2; i++ {
+				path := filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i))
+				seg, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.LittleEndian.PutUint32(seg[12:], binary.LittleEndian.Uint32(seg[12:])&^(1<<1))
+				if err := os.WriteFile(path, seg, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
+	for _, tc := range ages {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "segs")
+			opts := []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithMaxLevel(7), seal.WithShards(2),
+				seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir)}
+			base, err := seal.Build(objects, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer base.Close()
+			tc.age(t, dir)
 
-	if _, err := seal.Open(dir); !errors.Is(err, seal.ErrManifestMismatch) {
-		t.Fatalf("Open of a version-1 directory: %v, want ErrManifestMismatch", err)
+			if _, err := seal.Open(dir); !errors.Is(err, seal.ErrManifestMismatch) {
+				t.Fatalf("Open of a stale directory: %v, want ErrManifestMismatch", err)
+			}
+			rebuilt, err := seal.Build(objects, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rebuilt.Close()
+			if rebuilt.Stats().Mapped {
+				t.Fatal("a stale directory was served instead of rebuilt")
+			}
+			want := []string{"dataset.seg", "manifest.json", "shard-0.seg", "shard-1.seg"}
+			if got := segmentDirNames(t, dir); !slices.Equal(got, want) {
+				t.Fatalf("rebuilt directory holds %v, want %v", got, want)
+			}
+			opened, err := seal.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer opened.Close()
+			expectSameAnswers(t, "rebuilt over "+tc.name, base, opened, queries)
+		})
 	}
-	rebuilt, err := seal.Build(objects, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rebuilt.Close()
-	if rebuilt.Stats().Mapped {
-		t.Fatal("a version-1 directory was served instead of rebuilt")
-	}
-	want := []string{"dataset.seg", "manifest.json", "shard-0.seg", "shard-1.seg"}
-	if got := segmentDirNames(t, dir); !slices.Equal(got, want) {
-		t.Fatalf("rebuilt directory holds %v, want %v", got, want)
-	}
-	opened, err := seal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer opened.Close()
-	expectSameAnswers(t, "rebuilt over version 1", base, opened, queries)
 }
 
 // TestTokenWeightsSurviveOpen: the dataset segment stores the weight table,
