@@ -20,9 +20,7 @@
 // run builds and saves, later runs with the same data and configuration boot
 // from disk by memory-mapping instead of re-indexing. With -segments and no
 // -data, the index boots purely from the segment directory (seal.Open). Both
-// boot through server.Boot, as the daemon does. A segment directory always
-// stores posting lists as fixed-width columns with quantized bounds; -compress
-// asks for that layout without -segments too.
+// boot through server.Boot, as the daemon does.
 //
 // SIGINT cancels the in-flight query and releases mapped segments cleanly
 // (Index.Close runs on every exit path).
@@ -73,7 +71,6 @@ func run() error {
 		alpha       = flag.Float64("alpha", 0.5, "spatial weight of the ranked score")
 		limit       = flag.Int("limit", 0, "if > 0, stop after this many matches (early termination)")
 		segments    = flag.String("segments", "", "segment directory: save on first run, mmap-boot on later runs")
-		compress    = flag.Bool("compress", false, "compress posting lists without -segments too (16-bit quantized bounds, fixed-width columns; a segment directory always is)")
 		explain     = flag.Bool("explain", false, "trace the query: matches as NDJSON on stdout, the stage/prune breakdown on stderr")
 		interactive = flag.Bool("i", false, "read queries from stdin")
 	)
@@ -92,7 +89,7 @@ func run() error {
 	// segment directory alone, quarantining a damaged shard.
 	cfg := server.DefaultConfig
 	cfg.DataPath, cfg.SegmentDir = *dataPath, *segments
-	cfg.Method, cfg.Granularity, cfg.Shards, cfg.Compress = *method, *granularity, *shards, *compress
+	cfg.Method, cfg.Granularity, cfg.Shards = *method, *granularity, *shards
 	ix, _, err := server.Boot(cfg, func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) })
 	if err != nil {
 		return err

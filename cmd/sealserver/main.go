@@ -83,7 +83,7 @@ func run() error {
 		method       = flag.String("method", base.Method, "filter method: "+server.MethodNames)
 		granularity  = flag.Int("p", base.Granularity, "grid granularity for grid/hybrid")
 		shards       = flag.Int("shards", base.Shards, "spatial shards searching in parallel")
-		compress     = flag.Bool("compress", base.Compress, "compress posting lists without -segments too (16-bit quantized bounds, fixed-width columns; a segment directory always is)")
+		_            = flag.Bool("compress", false, "ignored: every index serves quantized posting lists (kept so existing command lines parse)")
 		warmup       = flag.Int("warmup", base.Warmup, "synthetic queries run before /readyz flips (0 disables)")
 		timeout      = flag.Duration("timeout", base.RequestTimeout, "per-request execution deadline (0 disables)")
 		maxInflight  = flag.Int("max-inflight", base.MaxInFlight, "concurrent /v1/* request cap, 429 beyond it (0 = unlimited)")
@@ -104,7 +104,6 @@ func run() error {
 	cfg.Method = *method
 	cfg.Granularity = *granularity
 	cfg.Shards = *shards
-	cfg.Compress = *compress
 	cfg.Warmup = *warmup
 	cfg.RequestTimeout = *timeout
 	cfg.MaxInFlight = *maxInflight

@@ -77,14 +77,13 @@ func everyShard(reqs []seal.Request) []seal.Request {
 	return reqs
 }
 
-// buildSegmented builds a sharded, compressed SEAL index persisted into dir
-// and returns the full-answer baseline for reqs.
+// buildSegmented builds a sharded SEAL index persisted into dir and returns
+// the full-answer baseline for reqs.
 func buildSegmented(t *testing.T, objects []seal.Object, dir string, reqs []seal.Request) [][]seal.Match {
 	t.Helper()
 	ix, err := seal.Build(objects,
 		seal.WithMethod(seal.MethodSeal), seal.WithMaxLevel(8),
 		seal.WithShards(4),
-		seal.WithCompression(seal.CompressionQuantized),
 		seal.WithSegmentDir(dir))
 	if err != nil {
 		t.Fatal(err)

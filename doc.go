@@ -132,13 +132,13 @@
 // verification reconstructs the exact common token weight from those marks
 // instead of re-intersecting the token sets — bit-identical to the classic
 // sorted-merge similarity, as the differential tests enforce per candidate
-// and per shard count. Posting lists live in one contiguous arena
-// (sequential traversal, ~40% smaller than the previous per-list heap
-// layout) and are reached by position; the methods that look lists up by key
-// keep a key array and an open-addressed directory over it for an O(1)
-// lookup, while MethodSeal, whose grid locator already holds the position of
-// every list it wants, keeps only each token's run of 32-bit grid nodes. Every per-query buffer belongs to a reusable per-shard
-// searcher, so steady-state threshold queries allocate nothing. A ranked
+// and per shard count. Posting lists are quantized fixed-width columns in one
+// blob (see Storage) and are reached by position; the methods that look lists
+// up by key keep a key array and an open-addressed directory over it for an
+// O(1) lookup, while MethodSeal, whose grid locator already holds the
+// position of every list it wants, keeps only each token's run of 32-bit grid
+// nodes. Every per-query buffer belongs to a reusable per-shard searcher, so
+// steady-state threshold queries allocate nothing. A ranked
 // request compiles one query, and each shard's threshold descent resumes
 // rather than restarts. Every round collects into one candidate set, and
 // the signature filters scan each posting list only past its previous
@@ -170,15 +170,13 @@
 //
 // # Storage
 //
-// Two build options control how the signature methods store and boot their
-// posting lists; neither changes any answer, only bytes and nanoseconds.
-//
-// Posting lists come in two layouts: the flat in-memory arena a build
-// produces, and quantized columns. WithCompression(CompressionQuantized)
-// re-encodes an in-memory index's lists after the build; a segment directory
-// (WithSegmentDir, below) always stores and serves the quantized layout, with
-// or without that option. Quantized, every list is fixed-width columns with
-// nothing ahead of them:
+// Every signature method serves its posting lists in one layout, the one a
+// segment directory (WithSegmentDir, below) stores: a build gathers them in a
+// flat float64 arena and ends by quantizing it, so an index built in memory
+// and one mapped from disk probe the same bytes, count the same work and
+// report the same IndexBytes. (WithCompression, which once chose between the
+// two, is a deprecated no-op.) Every list is fixed-width columns with nothing
+// ahead of them:
 //
 //	n × uint16 spatial codes, n × uint16 textual codes (hybrid lists),
 //	n × object ID
@@ -191,21 +189,24 @@
 // of it at every finite code, and meaning the same bound in any list. Object
 // IDs take 2 bytes when the shard holds at most 65,536 objects, else 4.
 // Quantized bounds only round up, so threshold cutoffs stay supersets and
-// exact verification returns identical matches. There are no runs, no bitmaps, no per-list scale and no short-list
-// special case: on the index SEAL builds, four lists in five hold one or two
-// postings, and every header byte was paid by each of them. A bound above
-// the largest finite code, about 3.396e38 (possible only under
-// WithTokenWeights or enormous coordinates), saturates to the infinity code,
-// which every threshold clears, so such an index keeps exact answers on the
-// same 2-byte codes. Decoding runs through each searcher's reusable scratch,
-// preserving the zero-allocation steady state.
+// exact verification returns identical matches. There are no runs, no
+// bitmaps, no per-list scale and no short-list special case: on the index
+// SEAL builds, four lists in five hold one or two postings, and every header
+// byte was paid by each of them. A bound above the largest finite code, about
+// 3.396e38 (possible only under WithTokenWeights or enormous coordinates),
+// saturates to the infinity code, which every threshold clears, so such an
+// index keeps exact answers on the same 2-byte codes. Decoding runs through
+// each searcher's reusable scratch, preserving the zero-allocation steady
+// state.
 //
 // Underneath there is one posting index, not one per method. A posting is an
 // object with the bound its list is sorted by; a hybrid posting (MethodSeal,
 // MethodHybridHash) is the same posting with a second, textual bound in an
-// optional lane beside the first. Flat or compressed, in memory or mapped,
-// every filter probes it through the same call, and a segment records only
-// whether the lane is there and how wide its object IDs are.
+// optional lane beside the first. In memory or mapped, every filter probes it
+// through the same call, and a segment records only whether the lane is there
+// and how wide its object IDs are. The lists were checked once, as they were
+// written or as their segment opened, so a probe checks nothing and cannot
+// fail.
 //
 // WithSegmentDir(dir) persists the index as sealed segments. The directory
 // holds exactly three kinds of file, all written through the same container
@@ -230,22 +231,21 @@
 // fingerprint), Build memory-maps the segments instead of re-indexing; Open
 // boots an index purely from dir. A directory of an older layout version — by
 // its manifest, or by the version or retired posting layout (the raw float64
-// arenas earlier releases wrote without WithCompression) of a posting segment
-// under a current manifest — reads as ErrManifestMismatch from Open and as
-// stale — rebuilt and overwritten — from Build; it is never quarantined shard
-// by shard. Mapped indexes should be Closed when done. Close may race Query, QueryBatch and Stream:
-// calls already admitted finish first (so do shard searches a returned query
-// left behind), later ones return ErrClosed, and nothing reads an unmapped
-// page.
+// arenas earlier releases could write) of a posting segment under a current
+// manifest — reads as ErrManifestMismatch from Open and as stale — rebuilt and
+// overwritten — from Build; it is never quarantined shard by shard. Mapped
+// indexes should be Closed when done. Close may race Query, QueryBatch and
+// Stream: calls already admitted finish first (so do shard searches a
+// returned query left behind), later ones return ErrClosed, and nothing reads
+// an unmapped page.
 //
 //	ix, _ := seal.Build(objects, seal.WithSegmentDir("idx")) // first run: builds and saves
 //	ix, _ = seal.Open("idx")                                 // later: boots from disk, no indexing
 //	defer ix.Close()
 //
 // IndexStats reports the storage state: Mapped is true for a segment-backed
-// index, Compressed when posting lists are stored encoded (always, with a
-// segment directory), and SegmentBytes is the directory's size on disk beside
-// IndexBytes, the resident footprint.
+// index, and SegmentBytes is the directory's size on disk beside IndexBytes,
+// the resident (or mapped) footprint of the quantized lists.
 //
 // # Failure modes and recovery
 //

@@ -41,11 +41,9 @@ var goldenSegmentDigests = map[string]string{
 // goldenFlavours are the builds whose segment directories are pinned: the
 // production one above, and the other kinds on the same corpus at 2 shards —
 // single-bound token and grid, dual-bound hybrid-hash — which look lists up by
-// key and keep their key array and directory. Every segment holds quantized
-// postings, so the token and hybrid-hash builds, which do not ask for
-// compression, write them too; their shards were recorded when the raw layout
-// was retired, and a Seal build without WithCompression writes the production
-// directory byte for byte.
+// key and keep their key array and directory. Every index serves and saves
+// quantized postings whatever its options, so no flavour names a layout; the
+// digests were recorded before that was so and have not moved.
 var goldenFlavours = []struct {
 	name    string
 	opts    []seal.Option
@@ -58,8 +56,7 @@ var goldenFlavours = []struct {
 		"shard-0.seg":   "b308c707c2025b218e1672762c3faa17ccb6c5c4bbf4b94a470aec494e3c1ee8",
 		"shard-1.seg":   "9cbcb204b4fb65f0ebc5769555919e845134579f6f6968344c9cf4bf569c6324",
 	}},
-	{"grid/quantized", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2),
-		seal.WithCompression(seal.CompressionQuantized)}, map[string]string{
+	{"grid/quantized", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
 		"manifest.json": "288360f478aad8be0a7fdf68ab62a6feb3795bc729550cbdb6f9ffed375cee23",
 		"shard-0.seg":   "441be43a7b9f945f6c3eec4bf202f347da3a23a173c372338f9ab2063ed63de6",
@@ -76,9 +73,9 @@ var goldenFlavours = []struct {
 // golden2ShardDataset is the dataset segment of the golden corpus cut in two.
 const golden2ShardDataset = "599f8fb2f72268095fa31dba1d5a6377a48ac99f4dbb57bb67c670f9630444d1"
 
-// productionOptions are the options of benchmark/run.go.
-var productionOptions = []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithShards(4),
-	seal.WithCompression(seal.CompressionQuantized)}
+// productionOptions are the options of benchmark/run.go, less its
+// WithCompression, which changes nothing.
+var productionOptions = []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithShards(4)}
 
 // buildGoldenDir writes the golden corpus's segment directory under opts at
 // the given GOMAXPROCS and returns its path.

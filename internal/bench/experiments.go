@@ -44,7 +44,8 @@ func Lookup(name string) (Experiment, bool) {
 }
 
 // Table1 prints dataset statistics and index sizes for both datasets,
-// mirroring the paper's Table 1 rows.
+// mirroring the paper's Table 1 rows. A signature index's size is the
+// quantized footprint it serves (and a segment stores), not its flat build.
 func Table1(w io.Writer, env *Env) error {
 	fmt.Fprintln(w, "\n# Table 1: data statistics and index sizes")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -242,7 +243,8 @@ func Fig15(w io.Writer, env *Env) error {
 	// Index size is controlled by the hash-bucket count for HashInv and by
 	// the average per-token grid budget m_t for HierarchicalInv. The sweep
 	// covers the constrained regime of the paper's Figure 15, where both
-	// indexes are squeezed well below HashInv's natural size.
+	// indexes are squeezed well below HashInv's natural size. Sizes are the
+	// quantized footprint both serve.
 	bucketSweep := []int{1 << 11, 1 << 13, 1 << 15, 1 << 17}
 	budgetSweep := []int{1, 2, 4, 8}
 	for _, kind := range []string{"large", "small"} {

@@ -150,10 +150,10 @@ func requireZeroAllocs(t *testing.T, label string, ds *model.Dataset, f core.Fil
 	}
 }
 
-// TestSearchZeroAllocsCompressed: the zero-allocation contract must survive
-// posting compression — probes decode through the searcher's ListScratch, so
-// once that buffer has grown to the longest list the steady state touches
-// the heap exactly as often as the flat layout: never.
+// TestSearchZeroAllocsCompressed: every filter serves quantized lists, and
+// probes decode them through the searcher's ListScratch, so once that buffer
+// has grown to the longest list the steady state never touches the heap — at
+// ordinary bounds and at bounds that saturate to the infinity code.
 func TestSearchZeroAllocsCompressed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -163,14 +163,13 @@ func TestSearchZeroAllocsCompressed(t *testing.T) {
 		ds := allocDatasetAt(t, 600, scale)
 		queries := allocQueriesAt(t, ds, 8, scale)
 		for _, f := range allocFilters(t, ds) {
-			core.CompressPostings(f)
 			requireZeroAllocs(t, label, ds, f, queries)
 		}
 	}
 }
 
 // TestSearchZeroAllocsRealisticGranularity pins the grid and hybrid filters
-// at bench-scale granularities, not only at P=1024, raw and compressed.
+// at bench-scale granularities, not only at P=1024.
 func TestSearchZeroAllocsRealisticGranularity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -189,12 +188,7 @@ func TestSearchZeroAllocsRealisticGranularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filters := []core.Filter{grid, hybridExact, hybridHash}
-	for _, f := range filters {
-		requireZeroAllocs(t, "raw", ds, f, queries)
-	}
-	for _, f := range filters {
-		core.CompressPostings(f)
+	for _, f := range []core.Filter{grid, hybridExact, hybridHash} {
 		requireZeroAllocs(t, "compressed", ds, f, queries)
 	}
 }
@@ -236,8 +230,8 @@ func TestSearchZeroAllocsMapped(t *testing.T) {
 		return f
 	}
 
-	requireZeroAllocs(t, "mapped-compressed", ds, mapped("token-comp.seg", tokenSpec, invidx.Compress(token.(*invidx.Index))), queries)
-	requireZeroAllocs(t, "mapped-compressed", ds, mapped("seal.seg", sealSpec, invidx.Compress(seal.(*invidx.Index))), queries)
+	requireZeroAllocs(t, "mapped-compressed", ds, mapped("token-comp.seg", tokenSpec, token), queries)
+	requireZeroAllocs(t, "mapped-compressed", ds, mapped("seal.seg", sealSpec, seal), queries)
 }
 
 // TestStreamByIDZeroAllocs: the ID-ordered streaming path shares the same

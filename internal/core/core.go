@@ -38,11 +38,6 @@ type FilterStats struct {
 	PostingsScanned int
 	// Candidates is the number of distinct candidate objects produced.
 	Candidates int
-	// ProbeErrors counts posting-list probes that failed to decode (possible
-	// only against compressed or mapped storage). Each one degrades that
-	// Collect call to a full candidate flood — answers stay exact, speed is
-	// sacrificed — so a nonzero count means the backing storage is corrupt.
-	ProbeErrors int
 }
 
 // Add accumulates other's counters into s. It is the merge step of
@@ -51,7 +46,6 @@ func (s *FilterStats) Add(other FilterStats) {
 	s.ListsProbed += other.ListsProbed
 	s.PostingsScanned += other.PostingsScanned
 	s.Candidates += other.Candidates
-	s.ProbeErrors += other.ProbeErrors
 }
 
 // Filter generates candidate objects whose signatures are similar to the
@@ -404,20 +398,6 @@ func (s *Searcher) verifyAt(q *model.Query, id model.ObjectID, tauR, tauT float6
 		return Match{}, false
 	}
 	return Match{ID: id, SimR: simR, SimT: simT}, true
-}
-
-// floodCandidates is the completeness fallback for a failed posting probe:
-// every object becomes a candidate, so the answer set cannot lose a match to
-// corrupt storage — it only pays full verification for one query. Flooding
-// uses plain Add, which zeroes each object's accumulator marks; SimTAccum
-// treats unmarked tokens with the exact membership fallback, so accumulated
-// verification stays bit-identical too. The failure is surfaced through
-// FilterStats.ProbeErrors (and the disk filters' sticky Err).
-func floodCandidates(ds *model.Dataset, cs *CandidateSet, st *FilterStats) {
-	st.ProbeErrors++
-	for obj, n := 0, ds.Len(); obj < n; obj++ {
-		cs.Add(uint32(obj))
-	}
 }
 
 // Thresholds derives the signature similarity thresholds of the paper:

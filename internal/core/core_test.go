@@ -385,10 +385,10 @@ func TestFilterSizes(t *testing.T) {
 
 // TestCompressedBoundsCoverFlat lifts the bound code's contract to whole
 // indexes: over the golden corpus, for each of the four signature families,
-// the quantized index holds the flat index's lists — same keys, same objects
-// in the same order — and every decoded bound, spatial and textual, is at
-// least the flat one and within 2⁻⁸ of it, so every Cutoff head is a superset
-// of the exact head and barely more.
+// the quantized index a filter serves holds the flat lists its build produced
+// — same keys, same objects in the same order — and every decoded bound,
+// spatial and textual, is at least the flat one and within 2⁻⁸ of it, so
+// every Cutoff head is a superset of the exact head and barely more.
 func TestCompressedBoundsCoverFlat(t *testing.T) {
 	ds, err := gen.Twitter(gen.TwitterConfig{N: 2000, Seed: 42})
 	if err != nil {
@@ -400,13 +400,11 @@ func TestCompressedBoundsCoverFlat(t *testing.T) {
 		{Kind: "hybrid", P: 64},
 		{Kind: "seal", MaxLevel: 12, GridBudget: 8},
 	} {
-		f, err := core.BuildFilter(ds, spec)
+		f, flat, err := core.FlatPostings(ds, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, _, _ := core.Postings(f)
-		flat := src.(*invidx.Index)
-		quant := invidx.Compress(flat)
+		quant, _, _ := core.Postings(f)
 		if lay := quant.Arenas().Layout; !lay.Obj16 {
 			t.Fatalf("%s: layout %+v, want 16-bit objects", spec.Kind, lay)
 		}
@@ -417,10 +415,9 @@ func TestCompressedBoundsCoverFlat(t *testing.T) {
 		}
 		var scr invidx.ListScratch
 		for i, key := range keys {
-			want, _ := flat.Probe(key, nil)
-			got, err := quant.At(i, &scr)
-			if err != nil || got.Len() != want.Len() || want.Len() == 0 {
-				t.Fatalf("%s list %#x: %d postings (err %v), want %d", spec.Kind, key, got.Len(), err, want.Len())
+			want, got := flat.List(key), quant.At(i, &scr)
+			if got.Len() != want.Len() || want.Len() == 0 {
+				t.Fatalf("%s list %#x: %d postings, want %d", spec.Kind, key, got.Len(), want.Len())
 			}
 			for j := 0; j < want.Len(); j++ {
 				g, w := got.Posting(j), want.Posting(j)

@@ -1,9 +1,22 @@
 package core
 
-import "github.com/sealdb/seal/internal/model"
+import (
+	"github.com/sealdb/seal/internal/invidx"
+	"github.com/sealdb/seal/internal/model"
+)
 
 // Test hooks: the differential and epoch-wrap tests need to observe the
 // accumulator state a search leaves behind, which is deliberately private.
+
+// FlatPostings builds the filter spec describes over ds and returns it with
+// the flat lists its build compressed.
+func FlatPostings(ds *model.Dataset, spec FilterSpec) (Filter, *invidx.Index, error) {
+	var flat *invidx.Index
+	compress = func(ix *invidx.Index) *invidx.Compressed { flat = ix; return invidx.Compress(ix) }
+	defer func() { compress = invidx.Compress }()
+	f, err := BuildFilter(ds, spec)
+	return f, flat, err
+}
 
 // CandidateIDs exposes the candidates of the searcher's last query. Valid
 // until the next call on the searcher.

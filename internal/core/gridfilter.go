@@ -49,14 +49,14 @@ func NewGridFilter(ds *model.Dataset, p int) (*GridFilter, error) {
 			b.Add(uint64(cw.Cell), uint32(obj), bounds[i])
 		}
 	}
-	return &GridFilter{sigIndex{ds, b.Build(), FilterSpec{Kind: "grid", P: p}}, grid, counter}, nil
+	return &GridFilter{sigIndex{ds, compress(b.Build()), FilterSpec{Kind: "grid", P: p}}, grid, counter}, nil
 }
 
 // openGridFilter recovers the query-side cell counter from the index itself:
 // count(g) is by construction the length of cell g's posting list (both count
 // the regions with positive overlap area), so the filter reopens in O(lists)
 // with no geometry pass.
-func openGridFilter(ds *model.Dataset, spec FilterSpec, src invidx.Source) (Filter, error) {
+func openGridFilter(ds *model.Dataset, spec FilterSpec, src *invidx.Compressed) (Filter, error) {
 	grid, err := gridsig.New(ds.Space(), spec.P)
 	if err != nil {
 		return nil, err
@@ -101,11 +101,7 @@ func (f *GridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, 
 		if stop != nil && stop() {
 			return
 		}
-		l, err := f.idx.Probe(uint64(cw.Cell), &scr.dec)
-		if err != nil {
-			floodCandidates(f.ds, cs, st)
-			return
-		}
+		l := f.idx.Probe(uint64(cw.Cell), &scr.dec)
 		if l.Len() == 0 {
 			continue
 		}

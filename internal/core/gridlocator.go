@@ -92,7 +92,7 @@ const maxTokenKeys = math.MaxUint16
 // a run table but not as SEAL's: an index that is not run-grouped by the
 // vocabulary's tokens, a level below the tree or a token with more than
 // maxTokenKeys keys is an error.
-func deriveLocators(tree *gridtree.Tree, vocab int, src invidx.Source) (*tokenLocators, error) {
+func deriveLocators(tree *gridtree.Tree, vocab int, src *invidx.Compressed) (*tokenLocators, error) {
 	runs, nodes := src.Runs()
 	if runs == nil || runs.Len() != vocab {
 		return nil, fmt.Errorf("core: posting index does not group its keys into one run per token of the %d-token vocabulary", vocab)

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/gen"
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/gridtree"
@@ -166,7 +169,8 @@ func derivationDatasets(t *testing.T) []derivationCase {
 // buildToken ranked from the HSS selection itself: same grids, same global
 // order, so the same projection of any rectangle. That identity is what lets
 // a segment directory drop the persisted grid selections without moving a
-// candidate.
+// candidate. Every projected hit names a list below Lists(), built and
+// mapped: the positions Collect hands At can never stray.
 func TestLocatorsDerivedFromKeys(t *testing.T) {
 	for _, tc := range derivationDatasets(t) {
 		ds, vocab := tc.ds, tc.ds.Vocab().Len()
@@ -204,11 +208,8 @@ func TestLocatorsDerivedFromKeys(t *testing.T) {
 					Objs: wk.run.Objs[postings:], Bounds: wk.run.Bounds[postings:], TBounds: wk.run.TBounds[postings:]})
 			}
 		}
-		raw := invidx.FromSortedRuns(vocab, runs)
-		sources := map[string]invidx.Source{
-			"raw":        raw,
-			"compressed": invidx.Compress(raw),
-		}
+		cx := invidx.Compress(invidx.FromSortedRuns(vocab, runs))
+		sources := map[string]*invidx.Compressed{"built": cx, "mapped": mapSegment(t, cx, ds.Len())}
 		rng := rand.New(rand.NewSource(99))
 		probes := testutil.AdversarialRects(rng, tc.space, 40)
 		for layout, src := range sources {
@@ -231,8 +232,14 @@ func TestLocatorsDerivedFromKeys(t *testing.T) {
 					continue
 				}
 				for _, r := range probes {
-					if g, w := got.project(r, nil), want.project(r, nil); !slices.Equal(g, w) {
+					g := got.project(r, nil)
+					if w := want.project(r, nil); !slices.Equal(g, w) {
 						t.Fatalf("%s token %d rect %v: projection %v, want %v", label, tok, r, g, w)
+					}
+					for _, h := range g {
+						if int(h.list) >= src.Lists() {
+							t.Fatalf("%s token %d rect %v: hit at list %d of %d", label, tok, r, h.list, src.Lists())
+						}
 					}
 				}
 			}
@@ -271,23 +278,98 @@ func TestDeriveLocatorsRejectsWideToken(t *testing.T) {
 	var keyed invidx.Builder
 	keyed.Dual = true
 	keyed.AddDual(1<<32|uint64(run.Nodes[0]), 0, 1, 1)
-	for name, src := range map[string]invidx.Source{
+	for name, ix := range map[string]*invidx.Index{
 		"a token with one key too many":      invidx.FromSortedRuns(3, []invidx.Run{run}),
 		"a run table shorter than the vocab": invidx.FromSortedRuns(2, []invidx.Run{cut(run, n)}),
 		"a run table longer than the vocab":  invidx.FromSortedRuns(4, []invidx.Run{cut(run, n)}),
 		"a grid below the tree":              invidx.FromSortedRuns(3, []invidx.Run{deep}),
 		"an index with a key array":          keyed.Build(),
 	} {
-		if _, err := deriveLocators(tree, 3, src); err == nil {
+		if _, err := deriveLocators(tree, 3, invidx.Compress(ix)); err == nil {
 			t.Fatalf("%s derived locators", name)
 		}
 	}
-	tl, err := deriveLocators(tree, 3, invidx.FromSortedRuns(3, []invidx.Run{cut(run, n)}))
+	tl, err := deriveLocators(tree, 3, invidx.Compress(invidx.FromSortedRuns(3, []invidx.Run{cut(run, n)})))
 	if err != nil {
 		t.Fatalf("a token with %d keys: %v", n, err)
 	}
 	// Equal levels and counts: the global order is the node order.
 	if loc, ok := tl.of(1); !ok || loc.pos[0] != 0 || int(loc.pos[n-1]) != n-1 {
 		t.Fatalf("a token with %d keys is ranked wrong at the ends", n)
+	}
+}
+
+// mapSegment writes cx to a segment file and maps it back, as a boot does.
+func mapSegment(t *testing.T, cx *invidx.Compressed, objects int) *invidx.Compressed {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "shard.seg")
+	if err := diskidx.WriteSegment(path, cx, objects); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := diskidx.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { seg.Close() })
+	return seg.Source()
+}
+
+// TestStrayLocatorPanics: the Seal filter reaches its lists At the positions
+// its locators hold. Those come from the key column the lists were validated
+// with, so a position past Lists() is a bug, not bad storage, and there is no
+// error to absorb: Collect panics naming the position and the count — the
+// engine's runShard turns that into a shard error — and scans no list.
+func TestStrayLocatorPanics(t *testing.T) {
+	ds, err := gen.Twitter(gen.TwitterConfig{N: 600, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewHierarchicalFilter(ds, HierarchicalConfig{MaxLevel: 8, GridBudget: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-token query on an object's own region probes that token's lists.
+	tok := slices.Max(ds.Tokens(0))
+	q, err := ds.NewQuery(ds.Region(0), []string{ds.Vocab().Term(tok)}, 0.01, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st FilterStats
+	f.Collect(q, NewCandidateSet(ds.Len()), &st, nil, &Scratch{})
+	if tok == 0 || st.ListsProbed == 0 {
+		t.Fatalf("fixture: token %d probed %d lists, want a token past 0 that probes", tok, st.ListsProbed)
+	}
+
+	// Move tok's run to start at Lists(), behind filler nodes in token 0: its
+	// positions are now one past the last list and on.
+	run := func(group uint32, nodes []uint32) invidx.Run {
+		r := invidx.Run{Group: group, Nodes: nodes}
+		for range nodes {
+			r.Lens, r.Objs = append(r.Lens, 1), append(r.Objs, 0)
+			r.Bounds, r.TBounds = append(r.Bounds, 1), append(r.TBounds, 1)
+		}
+		return r
+	}
+	lists := f.idx.Lists()
+	filler := make([]uint32, lists)
+	for i := range filler {
+		filler[i] = uint32(i)
+	}
+	lo, hi := f.locs.runs.Span(int(tok))
+	runs, nodes := invidx.FromSortedRuns(ds.Vocab().Len(), []invidx.Run{run(0, filler), run(uint32(tok), f.locs.nodes[lo:hi])}).Runs()
+	f.locs = &tokenLocators{runs: *runs, tree: f.tree, nodes: nodes, pos: append(make([]uint16, lists), f.locs.pos[lo:hi]...)}
+
+	st = FilterStats{}
+	cs := NewCandidateSet(ds.Len())
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		f.Collect(q, cs, &st, nil, &Scratch{})
+		return nil
+	}()
+	if msg, _ := got.(string); !strings.HasSuffix(msg, fmt.Sprintf("outside [0, %d)", lists)) {
+		t.Fatalf("Collect over a stray position panicked with %v, want the position outside [0, %d)", got, lists)
+	}
+	if st.ListsProbed != 0 || st.PostingsScanned != 0 || cs.Len() != 0 {
+		t.Fatalf("Collect scanned %d lists, %d postings, %d candidates before the stray position", st.ListsProbed, st.PostingsScanned, cs.Len())
 	}
 }

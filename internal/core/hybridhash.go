@@ -62,7 +62,7 @@ func NewHybridHashFilter(ds *model.Dataset, p int, buckets int) (*HybridHashFilt
 			}
 		}
 	}
-	f.idx = b.Build()
+	f.idx = compress(b.Build())
 	return f, nil
 }
 
@@ -82,9 +82,9 @@ func newHybridHashFilter(ds *model.Dataset, spec FilterSpec) (*HybridHashFilter,
 	return &HybridHashFilter{sigIndex{ds: ds, spec: spec}, grid, counter, uint64(spec.Buckets)}, nil
 }
 
-// openHybridHashFilter pairs ds with persisted posting storage; spec's P and
+// openHybridHashFilter pairs ds with persisted posting lists; spec's P and
 // Buckets must match the build-time parameters (they determine the probe keys).
-func openHybridHashFilter(ds *model.Dataset, spec FilterSpec, src invidx.Source) (Filter, error) {
+func openHybridHashFilter(ds *model.Dataset, spec FilterSpec, src *invidx.Compressed) (Filter, error) {
 	f, err := newHybridHashFilter(ds, spec)
 	if err != nil {
 		return nil, err
@@ -159,11 +159,7 @@ func (f *HybridHashFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 			if stop != nil && stop() {
 				return
 			}
-			l, err := f.idx.Probe(f.key(t, cw.Cell), &scr.dec)
-			if err != nil {
-				floodCandidates(f.ds, cs, st)
-				return
-			}
+			l := f.idx.Probe(f.key(t, cw.Cell), &scr.dec)
 			if l.Len() == 0 {
 				continue
 			}

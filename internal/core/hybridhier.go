@@ -163,7 +163,7 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 			TBounds: run.TBounds[sp.posting0:sp.posting1],
 		})
 	}
-	f.idx = invidx.FromSortedRuns(vocab.Len(), runs)
+	f.idx = compress(invidx.FromSortedRuns(vocab.Len(), runs))
 	f.locs, err = deriveLocators(tree, vocab.Len(), f.idx)
 	if err != nil {
 		return nil, err
@@ -319,11 +319,11 @@ func newHierarchicalFilter(ds *model.Dataset, cfg *HierarchicalConfig) (*Hierarc
 	return &HierarchicalFilter{sigIndex: sigIndex{ds: ds, spec: spec}, tree: tree}, nil
 }
 
-// openHierarchicalFilter pairs ds with persisted posting storage, skipping
+// openHierarchicalFilter pairs ds with persisted posting lists, skipping
 // both signature generation and the HSS runs — the expensive steps of
 // NewHierarchicalFilter. The per-token grid selections are not persisted
 // separately: they are read back off src's keys (see deriveLocators).
-func openHierarchicalFilter(ds *model.Dataset, spec FilterSpec, src invidx.Source) (Filter, error) {
+func openHierarchicalFilter(ds *model.Dataset, spec FilterSpec, src *invidx.Compressed) (Filter, error) {
 	cfg := HierarchicalConfig{MaxLevel: spec.MaxLevel, GridBudget: spec.GridBudget}
 	f, err := newHierarchicalFilter(ds, &cfg)
 	if err != nil {
@@ -389,11 +389,7 @@ func (f *HierarchicalFilter) Collect(q *model.Query, cs *CandidateSet, st *Filte
 			if stop != nil && stop() {
 				return
 			}
-			l, err := f.idx.At(int(h.list), &scr.dec)
-			if err != nil {
-				floodCandidates(f.ds, cs, st)
-				return
-			}
+			l := f.idx.At(int(h.list), &scr.dec)
 			if l.Len() == 0 {
 				continue
 			}

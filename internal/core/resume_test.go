@@ -77,15 +77,14 @@ func resumeCase(t testing.TB, label string, s, oracle *core.Searcher, ds *model.
 	return want
 }
 
-// resumeFilters is every signature family — Seal also compressed — and a
-// paper baseline, which cannot resume and collects afresh each round.
+// resumeFilters is every signature family and a paper baseline, which cannot
+// resume and collects afresh each round.
 func resumeFilters(ds *model.Dataset) ([]core.Filter, error) {
 	filters := []core.Filter{core.NewTokenFilter(ds), baseline.NewKeywordFirst(ds)}
 	for _, spec := range []core.FilterSpec{
 		{Kind: "grid", P: 32},
 		{Kind: "hybrid", P: 16},
 		{Kind: "hybrid", P: 16, Buckets: 509},
-		{Kind: "seal", MaxLevel: 6, GridBudget: 4},
 		{Kind: "seal", MaxLevel: 6, GridBudget: 4},
 	} {
 		f, err := core.BuildFilter(ds, spec)
@@ -94,7 +93,6 @@ func resumeFilters(ds *model.Dataset) ([]core.Filter, error) {
 		}
 		filters = append(filters, f)
 	}
-	core.CompressPostings(filters[len(filters)-1])
 	return filters, nil
 }
 

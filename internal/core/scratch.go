@@ -38,10 +38,9 @@ type Scratch struct {
 
 	// ids holds the sorted candidate order for ID-ordered streaming.
 	ids []uint32
-	// dec is the posting-list decode buffer: probes against compressed or
-	// mapped indexes materialize lists here, so decoding allocates nothing
-	// once the buffer has grown to the longest list (flat in-memory indexes
-	// ignore it and return arena views).
+	// dec is the posting-list decode buffer: every probe materializes its
+	// list here, so decoding allocates nothing once the buffer has grown to
+	// the longest list.
 	dec invidx.ListScratch
 	// acc sums per-object weights for the filters that score whole lists
 	// (the plain Sig-Filters, keyword-first); sized on first use.

@@ -18,18 +18,23 @@ type FilterSpec struct {
 	GridBudget int    `json:"grid_budget,omitempty"`
 }
 
-// sigIndex is what the four signature filters share: the dataset, the posting
-// storage — the flat in-memory index right after a build, a compressed or
-// mmap-backed source after CompressPostings or OpenFilter, with identical
-// answers either way — and the spec that rebuilds or reopens the filter.
+// sigIndex is what the four signature filters share: the dataset, the
+// quantized posting lists — compressed at the end of a build, or mapped from a
+// segment by OpenFilter, the same bytes either way — and the spec that
+// rebuilds or reopens the filter.
 type sigIndex struct {
 	ds   *model.Dataset
-	idx  invidx.Source
+	idx  *invidx.Compressed
 	spec FilterSpec
 }
 
-// sigFilter is how Postings and CompressPostings recognize a signature filter:
-// by the sigIndex it embeds.
+// compress is how every signature filter's build ends: its flat lists become
+// the quantized layout the filter serves and a segment stores. A variable only
+// so a test can see the flat lists a build produced.
+var compress = invidx.Compress
+
+// sigFilter is how Postings recognizes a signature filter: by the sigIndex it
+// embeds.
 type sigFilter interface{ postings() *sigIndex }
 
 func (s *sigIndex) postings() *sigIndex { return s }
@@ -43,11 +48,11 @@ func (s *sigIndex) SizeBytes() int64 { return s.idx.SizeBytes() }
 var sigKinds = map[string]struct {
 	dual  bool
 	build func(ds *model.Dataset, s FilterSpec) (Filter, error)
-	open  func(ds *model.Dataset, s FilterSpec, src invidx.Source) (Filter, error)
+	open  func(ds *model.Dataset, s FilterSpec, src *invidx.Compressed) (Filter, error)
 }{
 	"token": {false,
 		func(ds *model.Dataset, _ FilterSpec) (Filter, error) { return NewTokenFilter(ds), nil },
-		func(ds *model.Dataset, s FilterSpec, src invidx.Source) (Filter, error) {
+		func(ds *model.Dataset, s FilterSpec, src *invidx.Compressed) (Filter, error) {
 			return &TokenFilter{sigIndex{ds, src, s}}, nil
 		}},
 	"grid": {false,
@@ -83,12 +88,11 @@ func BuildFilter(ds *model.Dataset, spec FilterSpec) (Filter, error) {
 	return k.build(ds, spec)
 }
 
-// OpenFilter pairs ds with persisted posting storage (a compressed or
-// mmap-backed source read back from a segment) instead of regenerating
-// signatures; spec must be the one the storage was built under — it
-// determines the probe keys — and src must have been built over ds. The
-// reopened filter reproduces the built one exactly.
-func OpenFilter(ds *model.Dataset, spec FilterSpec, src invidx.Source) (Filter, error) {
+// OpenFilter pairs ds with persisted posting lists (mapped back from a
+// segment) instead of regenerating signatures; spec must be the one the lists
+// were built under — it determines the probe keys — and src must have been
+// built over ds. The reopened filter reproduces the built one exactly.
+func OpenFilter(ds *model.Dataset, spec FilterSpec, src *invidx.Compressed) (Filter, error) {
 	k, ok := sigKinds[spec.Kind]
 	if !ok {
 		return nil, fmt.Errorf("unknown filter kind %q", spec.Kind)
@@ -99,26 +103,14 @@ func OpenFilter(ds *model.Dataset, spec FilterSpec, src invidx.Source) (Filter, 
 	return k.open(ds, spec, src)
 }
 
-// Postings returns a signature filter's posting storage, for segment writers,
+// Postings returns a signature filter's posting lists, for segment writers,
 // and the spec that rebuilds or reopens it. ok is false for filters that keep
-// no posting lists (scan, keyword-first, spatial-first, IR-tree).
-func Postings(f Filter) (src invidx.Source, spec FilterSpec, ok bool) {
+// no signature lists (scan, keyword-first, spatial-first, IR-tree).
+func Postings(f Filter) (src *invidx.Compressed, spec FilterSpec, ok bool) {
 	sf, ok := f.(sigFilter)
 	if !ok {
 		return nil, FilterSpec{}, false
 	}
 	s := sf.postings()
 	return s.idx, s.spec, true
-}
-
-// CompressPostings re-encodes a signature filter's posting lists in place as
-// quantized columns. A no-op unless f still holds the flat in-memory layout:
-// the compressed index shares the flat one's keys, so everything a filter
-// derived from them stands.
-func CompressPostings(f Filter) {
-	if sf, ok := f.(sigFilter); ok {
-		if ix, ok := sf.postings().idx.(*invidx.Index); ok {
-			sf.postings().idx = invidx.Compress(ix)
-		}
-	}
 }

@@ -32,7 +32,7 @@ func NewTokenFilter(ds *model.Dataset) *TokenFilter {
 			b.Add(uint64(t), uint32(obj), bounds[i])
 		}
 	}
-	return &TokenFilter{sigIndex{ds, b.Build(), FilterSpec{Kind: "token"}}}
+	return &TokenFilter{sigIndex{ds, compress(b.Build()), FilterSpec{Kind: "token"}}}
 }
 
 // Name implements Filter.
@@ -63,11 +63,7 @@ func (f *TokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats,
 		if stop != nil && stop() {
 			return
 		}
-		l, err := f.idx.Probe(uint64(t), &scr.dec)
-		if err != nil {
-			floodCandidates(f.ds, cs, st)
-			return
-		}
+		l := f.idx.Probe(uint64(t), &scr.dec)
 		if l.Len() == 0 {
 			continue
 		}

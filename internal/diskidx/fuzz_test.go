@@ -11,6 +11,7 @@ package diskidx
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -80,25 +81,28 @@ func FuzzSegmentHeader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// An accepted segment must be internally consistent enough to probe:
-		// exercise a plausible and an absent key on the decoded source, and
-		// every list by position — the one past the last is an error.
+		// A probe checks nothing, so an accepted segment must be sound enough
+		// to probe as it is: a plausible and an absent key, and every list by
+		// position, decode without a panic to descending bounds, none NaN,
+		// over objects in range. The position one past the last list panics.
 		var scr invidx.ListScratch
 		src := seg.Source()
-		if _, perr := src.Probe(5, &scr); perr != nil {
-			t.Fatalf("accepted segment failed Probe: %v", perr)
-		}
-		if _, perr := src.Probe(0xdeadbeefcafe, &scr); perr != nil {
-			t.Fatalf("accepted segment failed missing-key Probe: %v", perr)
-		}
+		src.Probe(5, &scr)
+		src.Probe(0xdeadbeefcafe, &scr)
 		for i := 0; i < src.Lists(); i++ {
-			if _, perr := src.At(i, &scr); perr != nil {
-				t.Fatalf("accepted segment failed At(%d): %v", i, perr)
+			l := src.At(i, &scr)
+			for j := 0; j < l.Len(); j++ {
+				if p := l.Posting(j); int(p.Obj) >= seg.Objects() || math.IsNaN(p.Bound) || math.IsNaN(p.TBound) || j > 0 && p.Bound > l.Bound(j-1) {
+					t.Fatalf("accepted segment decoded list %d posting %d to %+v", i, j, p)
+				}
 			}
 		}
-		if _, perr := src.At(src.Lists(), &scr); perr == nil {
-			t.Fatalf("accepted segment answered At(%d), one past its last list", src.Lists())
-		}
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("accepted segment answered At(%d), one past its last list", src.Lists())
+			}
+		}()
+		src.At(src.Lists(), &scr)
 	})
 }
 

@@ -40,7 +40,7 @@ func buildDual(rng *rand.Rand, lists, maxLen int) *invidx.Index {
 }
 
 // keysOf lists src's keys in position order, as EachLen reports them.
-func keysOf(src invidx.Source) (keys []uint64) {
+func keysOf(src *invidx.Compressed) (keys []uint64) {
 	src.EachLen(func(key uint64, _ int) { keys = append(keys, key) })
 	return keys
 }
@@ -48,7 +48,7 @@ func keysOf(src invidx.Source) (keys []uint64) {
 // expectMatch checks that a mapped source answers every probe — by key and by
 // position — identically to the in-memory source it was written from, under
 // the same kind of key column.
-func expectMatch(t *testing.T, want, got invidx.Source) {
+func expectMatch(t *testing.T, want, got *invidx.Compressed) {
 	t.Helper()
 	if got.Dual() != want.Dual() || got.Lists() != want.Lists() || got.Postings() != want.Postings() {
 		t.Fatalf("dual/lists/postings = %v/%d/%d, want %v/%d/%d",
@@ -71,18 +71,12 @@ func expectMatch(t *testing.T, want, got invidx.Source) {
 	}
 	var wscr, gscr invidx.ListScratch
 	for pos, key := range keysOf(want) {
-		wl, err := want.Probe(key, &wscr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for by, probe := range map[string]func() (invidx.List, error){
-			"key":      func() (invidx.List, error) { return got.Probe(key, &gscr) },
-			"position": func() (invidx.List, error) { return got.At(pos, &gscr) },
+		wl := want.Probe(key, &wscr)
+		for by, probe := range map[string]func() invidx.List{
+			"key":      func() invidx.List { return got.Probe(key, &gscr) },
+			"position": func() invidx.List { return got.At(pos, &gscr) },
 		} {
-			gl, err := probe()
-			if err != nil {
-				t.Fatalf("key %#x by %s: %v", key, by, err)
-			}
+			gl := probe()
 			if gl.Len() != wl.Len() {
 				t.Fatalf("key %#x by %s: len %d, want %d", key, by, gl.Len(), wl.Len())
 			}
@@ -93,8 +87,8 @@ func expectMatch(t *testing.T, want, got invidx.Source) {
 			}
 		}
 	}
-	if l, err := got.Probe(0xdeadbeefcafe, &gscr); err != nil || l.Len() != 0 {
-		t.Fatalf("missing key: len=%d err=%v", l.Len(), err)
+	if l := got.Probe(0xdeadbeefcafe, &gscr); l.Len() != 0 {
+		t.Fatalf("missing key: len=%d", l.Len())
 	}
 }
 
@@ -160,7 +154,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 				if flags := binary.LittleEndian.Uint32(b[12:]); flags&segFlagCompressed == 0 {
 					t.Fatalf("%s: written with flags %#x, bit 1 clear", name, flags)
 				}
-				for where, got := range map[string]invidx.Source{"in memory": src, "mapped": seg.Source()} {
+				for where, got := range map[string]*invidx.Compressed{"in memory": src, "mapped": seg.Source()} {
 					if got.SizeBytes() != sectionBytes(b) {
 						t.Fatalf("%s %s: SizeBytes %d, sections %d", name, where, got.SizeBytes(), sectionBytes(b))
 					}
@@ -175,22 +169,18 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 // expectFlat checks that got reaches every list of flat by position and by
 // key: the same objects, and bounds never below flat's.
-func expectFlat(t *testing.T, name string, flat *invidx.Index, got invidx.Source) {
+func expectFlat(t *testing.T, name string, flat *invidx.Index, got *invidx.Compressed) {
 	t.Helper()
 	var scr invidx.ListScratch
-	for i, key := range keysOf(flat) {
-		want, _ := flat.At(i, nil)
-		at, err := got.At(i, &scr)
-		if err != nil {
-			t.Fatalf("%s: At(%d): %v", name, i, err)
-		}
+	for i, key := range keysOf(got) {
+		want, at := flat.List(key), got.At(i, &scr)
 		ats := make([]invidx.Posting, at.Len())
 		for j := range ats {
 			ats[j] = at.Posting(j)
 		}
-		probed, err := got.Probe(key, &scr)
-		if err != nil || probed.Len() != want.Len() || at.Len() != want.Len() {
-			t.Fatalf("%s: list %d: At %d postings, Probe %d (err %v), flat %d", name, i, at.Len(), probed.Len(), err, want.Len())
+		probed := got.Probe(key, &scr)
+		if probed.Len() != want.Len() || at.Len() != want.Len() || want.Len() == 0 {
+			t.Fatalf("%s: list %d: At %d postings, Probe %d, flat %d", name, i, at.Len(), probed.Len(), want.Len())
 		}
 		for j, a := range ats {
 			p, w := probed.Posting(j), want.Posting(j)
@@ -299,7 +289,7 @@ func TestSegmentDirectoryOptional(t *testing.T) {
 // run per key group (buildDual's keys all lie in group 0; two more stay empty).
 func sortedRuns(dual *invidx.Index) *invidx.Index {
 	var runs []invidx.Run
-	for _, key := range keysOf(dual) {
+	for _, key := range keysOf(invidx.Compress(dual)) {
 		if g := uint32(key >> 32); len(runs) == 0 || runs[len(runs)-1].Group != g {
 			runs = append(runs, invidx.Run{Group: g})
 		}

@@ -23,7 +23,6 @@ import (
 	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/faultfs"
-	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/text"
 )
@@ -149,28 +148,21 @@ func Fingerprint(ds *model.Dataset) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// saveShard writes shard i's segment from a live filter and reports the
-// filter's spec. A segment only ever holds quantized postings, and this is the
-// one place that decides so: a filter still on the flat in-memory layout is
-// re-encoded in place first, so the caller must own a filter no query has
-// reached yet.
+// saveShard writes shard i's segment from a live filter, whose quantized
+// posting lists are the segment's, and reports the filter's spec.
 func saveShard(dir string, i int, f core.Filter, objects int) (core.FilterSpec, error) {
-	core.CompressPostings(f)
-	src, spec, _ := core.Postings(f)
-	cx, ok := src.(*invidx.Compressed)
+	src, spec, ok := core.Postings(f)
 	if !ok {
 		return spec, fmt.Errorf("engine: filter %s does not support segment persistence", f.Name())
 	}
-	return spec, diskidx.WriteSegment(filepath.Join(dir, segName(i)), cx, objects)
+	return spec, diskidx.WriteSegment(filepath.Join(dir, segName(i)), src, objects)
 }
 
 // SaveSegments persists the engine into dir (created if needed): one SEALIDX2
 // segment per shard, the dataset segment (dataset, vocabulary and shard
-// partition), and the manifest. Every shard's postings are re-encoded as
-// quantized columns first (saveShard), so save an engine before it serves
-// queries. Files of an earlier generation that the new one does not overwrite
-// — more shards, another layout version, abandoned temps — are removed, so the
-// directory holds exactly the artifact set.
+// partition), and the manifest. Files of an earlier generation that the new
+// one does not overwrite — more shards, another layout version, abandoned
+// temps — are removed, so the directory holds exactly the artifact set.
 //
 // The save is crash-safe. Every artifact is written to a *.tmp file, fsynced
 // and atomically renamed into place, and the manifest is the enforced commit
@@ -425,8 +417,7 @@ func OpenSegmentsWith(dir string, root *model.Dataset, o OpenOptions) (*Engine, 
 			f, rbErr := core.BuildFilter(sub, m.Filter)
 			if rbErr == nil {
 				note := openErr.Error()
-				// Best-effort resave, which compresses the rebuilt postings as
-				// every segment's are: a failure (read-only disk, still-bad
+				// Best-effort resave: a failure (read-only disk, still-bad
 				// media) leaves the rebuilt shard serving from memory.
 				if _, saveErr := saveShard(dir, i, f, sub.Len()); saveErr != nil {
 					note = fmt.Sprintf("%v (resave failed: %v)", openErr, saveErr)

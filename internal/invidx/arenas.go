@@ -113,9 +113,9 @@ func validateDirectory(keys []uint64, slots []uint32) error {
 }
 
 // validateCompressedArenas checks, over the nk lists' extents, what the query
-// path relies on, visiting every list once, and returns the extent table, so a
-// mapped segment that opens successfully can only fail a later probe if the
-// underlying file changes beneath it: the extent table ends at the posting
+// path relies on, visiting every list once, and returns the extent table. It
+// is the one check of outside bytes: a probe decodes without checking. The
+// extent table ends at the posting
 // total and holds nk lists, the blob is that many rows, and every list is
 // checked where it lies — spatial codes never ascending, no code past
 // infinity, objects in range.
@@ -135,7 +135,7 @@ func validateCompressedArenas(a CompressedArenas, nk, postings, objects int) (*E
 	lo := starts.next()
 	for i := 0; i < nk; i++ {
 		hi := starts.next()
-		if err := walkColumns(a.Blob[lo*w:hi*w], hi-lo, a.Dual, a.Layout, objects, nil); err != nil {
+		if err := walkColumns(a.Blob[lo*w:hi*w], hi-lo, a.Dual, a.Layout, objects); err != nil {
 			return nil, err
 		}
 		lo = hi

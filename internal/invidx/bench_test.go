@@ -62,16 +62,14 @@ func layoutBuilder(nKeys, nPostings int) (b Builder) {
 }
 
 // BenchmarkLayoutProbe times a probe (lookup + cutoff + head scan), once for
-// each way a list is reached: on the flat arena layout, hash is a Builder's
-// index and its directory (the keyed filters' path), search the same lists
-// under a run-grouped key column (Probe on an index of FromSortedRuns: run
-// lookup, then a binary search of the run's uint32 nodes), positional At on
-// that index with a position already in hand (the Seal filter's path); then
-// quantized is positional At on that index compressed (an extent-table select
-// and a decode into a reused scratch: a mapped Seal segment's path), and
-// quantized-search its Probe. The map-of-pointers layout the flat one replaced
-// last measured 88.9 ns against 47.0 ns for hash on this shape (README,
-// Performance).
+// each way a list is reached: on the flat build layout, which the paper's
+// baselines read, hash is a Builder's index and its directory, search the
+// same lists under a run-grouped key column (run lookup, then a binary search
+// of the run's uint32 nodes); then quantized is positional At on that index
+// compressed (an extent-table select and a decode into a reused scratch: the
+// Seal filter's path, in memory or mapped), and quantized-search its Probe.
+// The map-of-pointers layout the flat one replaced last measured 88.9 ns
+// against 47.0 ns for hash on this shape (README, Performance).
 func BenchmarkLayoutProbe(b *testing.B) {
 	const nKeys, nPostings = 1 << 14, 1 << 18
 	fb := layoutBuilder(nKeys, nPostings)
@@ -102,22 +100,11 @@ func BenchmarkLayoutProbe(b *testing.B) {
 		}
 		_ = sink
 	})
-	b.Run("positional", func(b *testing.B) {
-		var sink uint32
-		for i := 0; i < b.N; i++ {
-			l, _ := bare.At(i%lists, nil)
-			n := l.Cutoff(50)
-			for _, o := range l.Objs(n) {
-				sink += o
-			}
-		}
-		_ = sink
-	})
 	b.Run("quantized", func(b *testing.B) {
 		var sink uint32
 		var scr ListScratch
 		for i := 0; i < b.N; i++ {
-			l, _ := quant.At(i%lists, &scr)
+			l := quant.At(i%lists, &scr)
 			n := l.Cutoff(50)
 			for _, o := range l.Objs(n) {
 				sink += o
@@ -129,7 +116,7 @@ func BenchmarkLayoutProbe(b *testing.B) {
 		var sink uint32
 		var scr ListScratch
 		for i := 0; i < b.N; i++ {
-			l, _ := quant.Probe(uint64(i%nKeys), &scr)
+			l := quant.Probe(uint64(i%nKeys), &scr)
 			n := l.Cutoff(50)
 			for _, o := range l.Objs(n) {
 				sink += o

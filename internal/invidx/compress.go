@@ -43,9 +43,9 @@ import (
 	"slices"
 )
 
-// ErrCorrupt reports that an encoded posting list failed validation. Every
-// decode error wraps it, so callers can errors.Is a probe failure regardless
-// of which invariant the bytes violated.
+// ErrCorrupt reports that encoded posting lists failed validation. Every
+// validation error wraps it, so callers can errors.Is a refused index
+// regardless of which invariant the bytes violated.
 var ErrCorrupt = errors.New("invidx: corrupt posting data")
 
 func corrupt(msg string) error { return fmt.Errorf("%w: %s", ErrCorrupt, msg) }
@@ -133,19 +133,13 @@ func appendList(dst []byte, objs []uint32, bounds, tBounds []float64, lay Layout
 	return dst
 }
 
-// walkColumns walks a list of n rows, checking what the query path relies on
-// — spatial codes that never ascend, which is what makes their bounds valid
-// input for cutoffDesc; no code past maxCode, which would decode to NaN;
-// objects below the exclusive bound objects — and, given a scratch, widening
-// each column into it. A probe passes its scratch and no bound (the index was
-// held to one when it opened); opening a segment passes the bound and no
-// scratch, so every list is validated where it lies.
-func walkColumns(b []byte, n int, dual bool, lay Layout, objects int, scr *ListScratch) error {
-	var bounds, tBounds []float64
-	if scr != nil {
-		bounds, tBounds = scr.bounds, scr.tBounds
-	}
-	if !walkCodes(b, n, true, bounds) || dual && !walkCodes(b[2*n:], n, false, tBounds) {
+// walkColumns checks a list of n rows where it lies, for what the query path
+// relies on: spatial codes that never ascend, which is what makes their bounds
+// valid input for cutoffDesc; no code past maxCode, which would decode to NaN;
+// objects below the exclusive bound objects. Opening a segment walks every
+// list once; a probe then decodes without checking.
+func walkColumns(b []byte, n int, dual bool, lay Layout, objects int) error {
+	if !walkCodes(b, n, true) || dual && !walkCodes(b[2*n:], n, false) {
 		return corrupt("bound code past infinity, or spatial codes ascending")
 	}
 	objs := b[2*n:]
@@ -153,21 +147,17 @@ func walkColumns(b []byte, n int, dual bool, lay Layout, objects int, scr *ListS
 		objs = b[4*n:]
 	}
 	for i := 0; i < n; i++ {
-		o := lay.obj(objs, i)
-		if int(o) >= objects {
+		if int(lay.obj(objs, i)) >= objects {
 			return corrupt("posting object out of range")
-		}
-		if scr != nil {
-			scr.objs[i] = o
 		}
 	}
 	return nil
 }
 
-// walkCodes walks one lane of n codes, widening it into out unless out is nil,
-// and reports whether every code is at most maxCode and, on the spatial lane,
-// none ascends. Codes are checked as codes, which order as their bounds do.
-func walkCodes(b []byte, n int, spatial bool, out []float64) bool {
+// walkCodes walks one lane of n codes and reports whether every code is at
+// most maxCode and, on the spatial lane, none ascends. Codes are checked as
+// codes, which order as their bounds do.
+func walkCodes(b []byte, n int, spatial bool) bool {
 	prev := uint16(maxCode)
 	for i := 0; i < n; i++ {
 		q := binary.LittleEndian.Uint16(b[2*i:])
@@ -177,16 +167,53 @@ func walkCodes(b []byte, n int, spatial bool, out []float64) bool {
 		if spatial {
 			prev = q
 		}
-		if out != nil {
-			out[i] = float64(decodeBound(q))
-		}
 	}
 	return true
 }
 
-// Compressed is the compressed counterpart of Index: the flat index's key
-// column over a blob of fixed-width rows and the extent table that cuts it
-// into lists. Probes decode into a caller-supplied ListScratch, so
+// ListScratch is the reusable decode buffer a probe widens one list into.
+// Each Searcher owns one (inside core.Scratch), so steady-state decoding
+// allocates nothing once the buffers have grown to the longest list probed.
+type ListScratch struct {
+	objs    []uint32
+	bounds  []float64
+	tBounds []float64
+}
+
+// decodeColumns widens a list of n rows into scr — each code to its bound,
+// each object ID to a uint32 — and returns the view. It checks nothing: every
+// list was held to walkColumns when its segment opened, or written by Compress.
+func decodeColumns(b []byte, n int, dual bool, lay Layout, scr *ListScratch) List {
+	if cap(scr.objs) < n {
+		scr.objs, scr.bounds = make([]uint32, n), make([]float64, n)
+	}
+	scr.objs, scr.bounds, scr.tBounds = scr.objs[:n], scr.bounds[:n], scr.tBounds[:0]
+	decodeLane(b, scr.bounds)
+	objs := b[2*n:]
+	if dual {
+		if cap(scr.tBounds) < n {
+			scr.tBounds = make([]float64, n)
+		}
+		scr.tBounds = scr.tBounds[:n]
+		decodeLane(objs, scr.tBounds)
+		objs = b[4*n:]
+	}
+	for i := range scr.objs {
+		scr.objs[i] = lay.obj(objs, i)
+	}
+	return List{objs: scr.objs, bounds: scr.bounds, tBounds: scr.tBounds}
+}
+
+// decodeLane widens the first len(out) codes of b into out.
+func decodeLane(b []byte, out []float64) {
+	for i := range out {
+		out[i] = float64(decodeBound(binary.LittleEndian.Uint16(b[2*i:])))
+	}
+}
+
+// Compressed is the served posting index: the key column of the flat Index it
+// was built from, over a blob of fixed-width rows and the extent table that
+// cuts it into lists. Probes decode into a caller-supplied ListScratch, so
 // steady-state querying allocates nothing; the decoded view is valid until the
 // next probe with the same scratch.
 type Compressed struct {
@@ -200,9 +227,9 @@ type Compressed struct {
 	keyColumn
 }
 
-// Compress re-encodes a flat index. The source index is unchanged and shares
-// its (immutable) key column with the result. Bounds must not be NaN — true of
-// every canonically built index.
+// Compress encodes a flat index for serving. The source index is unchanged
+// and shares its (immutable) key column with the result. Bounds must not be
+// NaN — true of every canonically built index.
 func Compress(ix *Index) *Compressed {
 	lay := Layout{Obj16: len(ix.objs) == 0 || slices.Max(ix.objs) <= math.MaxUint16}
 	out := &Compressed{
@@ -224,32 +251,26 @@ func Compress(ix *Index) *Compressed {
 	return out
 }
 
-// At decodes list i into scr (a nil scr allocates a throwaway buffer, for
-// non-hot callers). Corrupt encodings yield an error wrapping ErrCorrupt.
-func (ix *Compressed) At(i int, scr *ListScratch) (List, error) {
+// At decodes list i, the i-th in key order, into scr. Every position a
+// filter asks for comes from the key column, which was validated with the
+// lists, so a position outside [0, Lists()) is a bug: it panics with the
+// position and the count rather than decode a neighbouring list (the extent
+// select does not bounds-check).
+func (ix *Compressed) At(i int, scr *ListScratch) List {
 	if uint(i) >= uint(ix.rows.Len()) {
-		return List{}, errPosition(i, ix.rows.Len())
-	}
-	if scr == nil {
-		scr = new(ListScratch)
+		panic(fmt.Sprintf("invidx: list position %d outside [0, %d)", i, ix.rows.Len()))
 	}
 	lo, hi := ix.rows.Span(i)
-	n := hi - lo
-	scr.grow(n, ix.dual)
-	if err := walkColumns(ix.blob[lo*ix.width:hi*ix.width], n, ix.dual, ix.layout, math.MaxInt, scr); err != nil {
-		return List{}, fmt.Errorf("invidx: list %d: %w", i, err)
-	}
-	return List{objs: scr.objs, bounds: scr.bounds, tBounds: scr.tBounds}, nil
+	return decodeColumns(ix.blob[lo*ix.width:hi*ix.width], hi-lo, ix.dual, ix.layout, scr)
 }
 
-// Probe looks key up and decodes the list At its position. Absent keys yield
-// an empty list and nil error.
-func (ix *Compressed) Probe(key uint64, scr *ListScratch) (List, error) {
-	i := ix.find(key)
-	if i < 0 {
-		return List{}, nil
+// Probe looks key up and decodes the list At its position; an absent key
+// yields an empty list.
+func (ix *Compressed) Probe(key uint64, scr *ListScratch) List {
+	if i := ix.find(key); i >= 0 {
+		return ix.At(i, scr)
 	}
-	return ix.At(i, scr)
+	return List{}
 }
 
 // Dual reports whether the lists carry textual bounds.

@@ -61,16 +61,15 @@ func saturated(ix *Index) *Index {
 	return &out
 }
 
-// TestSourceLayouts is the contract of Source over every layout an index can
-// be served from — {single, dual} × {raw, compressed, and compressed again
+// TestServedLayouts is the contract of the served layout over both ways an
+// index reaches it — {single, dual} × {compressed, and compressed again
 // wrapped from its arenas, as a mapped segment is} — for bounds of the finite
-// codes and bounds that saturate to infinity. Every layout reports the flat index's
-// flavour, shape, keys and list lengths and probes to the same objects in the
-// same order. Raw lists are the flat lists bit for bit; compressed ones keep
-// the ceiling contract — every decoded bound >= the exact one, spatial bounds
-// still descending — so a Cutoff head over them is a superset of the exact
-// head and verification keeps answers identical.
-func TestSourceLayouts(t *testing.T) {
+// codes and bounds that saturate to infinity. Both report the flat index's
+// flavour, shape, keys and list lengths and probe to the same objects in the
+// same order, and keep the ceiling contract — every decoded bound >= the
+// exact one, spatial bounds still descending — so a Cutoff head over them is
+// a superset of the exact head and verification keeps answers identical.
+func TestServedLayouts(t *testing.T) {
 	const objects = 2000
 	rng := rand.New(rand.NewSource(2))
 	single, dual := buildRandom(rng, 50, 300, objects), buildRandomDual(rng, 40, 250, objects)
@@ -92,13 +91,11 @@ func TestSourceLayouts(t *testing.T) {
 			t.Fatalf("%s: CompressedFromArenas: %v", fx.name, err)
 		}
 		for _, row := range []struct {
-			name    string
-			src     Source
-			bitwise bool
+			name string
+			src  *Compressed
 		}{
-			{"raw", ix, true},
-			{"compressed", cx, false},
-			{"mapped compressed", mcomp, false},
+			{"compressed", cx},
+			{"mapped compressed", mcomp},
 		} {
 			t.Run(fx.name+"/"+row.name, func(t *testing.T) {
 				src := row.src
@@ -124,15 +121,12 @@ func TestSourceLayouts(t *testing.T) {
 					t.Fatalf("EachLen reported %d lists / %d postings", i, total)
 				}
 				var scr ListScratch
-				if l, err := src.Probe(ix.keys[len(ix.keys)-1]+1, &scr); err != nil || l.Len() != 0 {
-					t.Fatalf("absent key probed to %d postings, err %v", l.Len(), err)
+				if l := src.Probe(ix.keys[len(ix.keys)-1]+1, &scr); l.Len() != 0 {
+					t.Fatalf("absent key probed to %d postings", l.Len())
 				}
 				for _, key := range ix.keys {
 					want := ix.List(key)
-					got, err := src.Probe(key, &scr)
-					if err != nil {
-						t.Fatalf("probe %#x: %v", key, err)
-					}
+					got := src.Probe(key, &scr)
 					if got.Len() != want.Len() || len(got.tBounds) != len(want.tBounds) {
 						t.Fatalf("list %#x: %d postings / %d textual bounds, want %d / %d",
 							key, got.Len(), len(got.tBounds), want.Len(), len(want.tBounds))
@@ -140,8 +134,6 @@ func TestSourceLayouts(t *testing.T) {
 					for i := 0; i < want.Len(); i++ {
 						g, w := got.Posting(i), want.Posting(i)
 						switch {
-						case row.bitwise && g != w:
-							t.Fatalf("list %#x posting %d: %+v, want %+v", key, i, g, w)
 						case g.Obj != w.Obj:
 							t.Fatalf("list %#x posting %d: object %d, want %d", key, i, g.Obj, w.Obj)
 						case g.Bound < w.Bound || g.TBound < w.TBound:
@@ -183,7 +175,7 @@ func runGrouped(ix *Index, groups int) *Index {
 
 // arenaBytes is what an index's arenas hold: every slice at its element
 // width, which for a compressed index is the bytes of a segment's sections.
-func arenaBytes(src Source) int64 {
+func arenaBytes(src any) int64 {
 	var k KeyArenas
 	var n int64
 	switch ix := src.(type) {
@@ -196,20 +188,28 @@ func arenaBytes(src Source) int64 {
 	return n + int64(len(k.Keys)*8+len(k.Slots)*4+len(k.Runs)*8+len(k.Nodes)*4)
 }
 
-// keysOf lists src's keys in position order, as EachLen reports them.
-func keysOf(src Source) (keys []uint64) {
-	src.EachLen(func(key uint64, _ int) { keys = append(keys, key) })
+// keysOf lists ix's keys in position order, as EachLen reports them.
+func keysOf(ix *Compressed) (keys []uint64) {
+	ix.EachLen(func(key uint64, _ int) { keys = append(keys, key) })
 	return keys
 }
 
+// atPanic returns what ix.At(i) panics with, or nil when it returns.
+func atPanic(ix *Compressed, i int) (v any) {
+	defer func() { v = recover() }()
+	var scr ListScratch
+	ix.At(i, &scr)
+	return nil
+}
+
 // TestAtMatchesProbe: position and key are two ways to the same list. Over
-// {keyed, keyed without a directory, run-grouped} × {raw, quantized, saturated},
-// the quantized two also wrapped from arenas as a mapped segment is, At(i) is Probe of the
+// {keyed, keyed without a directory, run-grouped} × {quantized, saturated},
+// each also wrapped from arenas as a mapped segment is, At(i) is Probe of the
 // i-th key — for a run-grouped column Probe(run<<32 | node) — for every i, a
 // key the index does not hold (an absent node, a token with an empty run, a
 // token past the run table) probes empty, and a position outside [0, Lists())
-// is ErrCorrupt — not a panic, not a neighbouring list. SizeBytes is the bytes
-// of the index's arenas.
+// panics naming the position and the count — it never decodes a neighbouring
+// list. SizeBytes is the bytes of the index's arenas, flat or compressed.
 func TestAtMatchesProbe(t *testing.T) {
 	const objects, groups = 1500, 24
 	rng := rand.New(rand.NewSource(21))
@@ -261,7 +261,10 @@ func TestAtMatchesProbe(t *testing.T) {
 			if col == "bare" && ix.SizeBytes() != fx.ix.SizeBytes()-dir {
 				t.Fatalf("%s %s: SizeBytes should be the directory's %d bytes under the keyed index's", fx.name, col, dir)
 			}
-			for name, src := range map[string]Source{"raw": ix, "compressed": cx, "saturated": sx, "mapped compressed": mcomp, "mapped saturated": msat} {
+			if got, want := ix.SizeBytes(), arenaBytes(ix); got != want {
+				t.Fatalf("%s %s flat: SizeBytes %d, arenas %d", fx.name, col, got, want)
+			}
+			for name, src := range map[string]*Compressed{"compressed": cx, "saturated": sx, "mapped compressed": mcomp, "mapped saturated": msat} {
 				label := fmt.Sprintf("%s %s %s", fx.name, col, name)
 				if got, want := src.SizeBytes(), arenaBytes(src); got != want {
 					t.Fatalf("%s: SizeBytes %d, arenas %d", label, got, want)
@@ -276,20 +279,13 @@ func TestAtMatchesProbe(t *testing.T) {
 				}
 				var a, b ListScratch
 				for i, key := range keys {
-					at, err := src.At(i, &a)
-					if err != nil {
-						t.Fatalf("%s: At(%d): %v", label, i, err)
-					}
-					probed, err := src.Probe(key, &b)
-					if err != nil {
-						t.Fatalf("%s: Probe(%#x): %v", label, key, err)
-					}
+					at, probed := src.At(i, &a), src.Probe(key, &b)
 					if at.Len() == 0 || !slices.Equal(at.objs, probed.objs) || !slices.Equal(at.bounds, probed.bounds) || !slices.Equal(at.tBounds, probed.tBounds) {
 						t.Fatalf("%s: At(%d) and Probe(%#x) differ", label, i, key)
 					}
 					// …and list i of the flat index: the same objects, bounds never
 					// below the exact ones.
-					flat, _ := fx.ix.At(i, nil)
+					flat := fx.ix.List(key)
 					if !slices.Equal(at.objs, flat.objs) {
 						t.Fatalf("%s: list %d holds other objects than the flat index's", label, i)
 					}
@@ -303,21 +299,22 @@ func TestAtMatchesProbe(t *testing.T) {
 						if _, held := slices.BinarySearch(keys, absent); held {
 							continue
 						}
-						if l, err := src.Probe(absent, &b); err != nil || l.Len() != 0 {
-							t.Fatalf("%s: absent key %#x probed to %d postings, err %v", label, absent, l.Len(), err)
+						if l := src.Probe(absent, &b); l.Len() != 0 {
+							t.Fatalf("%s: absent key %#x probed to %d postings", label, absent, l.Len())
 						}
 					}
 				}
 				// Group 0 and 7 have empty runs, groups-1 is the last run and
 				// empty, groups and beyond have no run at all.
 				for _, absent := range []uint64{0, 5, 7<<32 | 5, (groups-1)<<32 | 5, groups << 32, groups<<32 | 5, 1 << 63, math.MaxUint64} {
-					if l, err := src.Probe(absent, &b); err != nil || l.Len() != 0 {
-						t.Fatalf("%s: key %#x probed to %d postings, err %v", label, absent, l.Len(), err)
+					if l := src.Probe(absent, &b); l.Len() != 0 {
+						t.Fatalf("%s: key %#x probed to %d postings", label, absent, l.Len())
 					}
 				}
 				for _, i := range []int{-1, len(keys), len(keys) + 7, math.MinInt, math.MaxInt} {
-					if l, err := src.At(i, &a); !errors.Is(err, ErrCorrupt) || l.Len() != 0 {
-						t.Fatalf("%s: At(%d) = %d postings, err %v; want ErrCorrupt", label, i, l.Len(), err)
+					want := fmt.Sprintf("invidx: list position %d outside [0, %d)", i, len(keys))
+					if got := atPanic(src, i); got != want {
+						t.Fatalf("%s: At(%d) panicked with %v, want %q", label, i, got, want)
 					}
 				}
 			}
@@ -344,14 +341,11 @@ func TestCompressedProbeZeroAlloc(t *testing.T) {
 	keys := append([]uint64(nil), ix.keys...)
 	var scr ListScratch
 	for _, k := range keys { // warm the scratch to the longest list
-		if _, err := cx.Probe(k, &scr); err != nil {
-			t.Fatal(err)
-		}
+		cx.Probe(k, &scr)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, k := range keys {
-			l, err := cx.Probe(k, &scr)
-			if err != nil || l.Len() == 0 {
+			if cx.Probe(k, &scr).Len() == 0 {
 				t.Fatal("probe failed")
 			}
 		}
@@ -703,7 +697,7 @@ func TestQuantizationNeverUnderEstimates(t *testing.T) {
 					if err != nil || got != n {
 						t.Fatalf("n=%d dual=%v obj16=%v: decoded %d postings, err %v", n, dual, obj16, got, err)
 					}
-					if err := walkColumns(data, n, dual, lay, 1<<21, nil); err != nil {
+					if err := walkColumns(data, n, dual, lay, 1<<21); err != nil {
 						t.Fatalf("n=%d dual=%v obj16=%v: validated in place: %v", n, dual, obj16, err)
 					}
 					for i := 0; i < n; i++ {
@@ -742,10 +736,10 @@ func TestCompressSaturates(t *testing.T) {
 		if lay := cx.Arenas().Layout; lay != (Layout{Obj16: true}) {
 			t.Fatalf("bound %g: layout %+v, want 16-bit objects", bad, lay)
 		}
-		got, err := cx.Probe(1, nil)
-		want := flat.List(1)
-		if err != nil || got.Len() != 2 {
-			t.Fatalf("bound %g: probe len %d, err %v", bad, got.Len(), err)
+		var scr ListScratch
+		got, want := cx.Probe(1, &scr), flat.List(1)
+		if got.Len() != 2 {
+			t.Fatalf("bound %g: probe len %d", bad, got.Len())
 		}
 		for i := 0; i < 2; i++ {
 			if got.Obj(i) != want.Obj(i) || got.Bound(i) < want.Bound(i) {
@@ -778,24 +772,27 @@ func FuzzBoundCode(f *testing.F) {
 	})
 }
 
-// decodeList decodes one list's bytes — exactly data, no more, no less — into
-// scr as a probe would, and returns its posting count: the rows data holds,
-// a length off the row lattice being corrupt.
+// decodeList validates one list's bytes — exactly data, no more, no less — as
+// opening a segment does, decodes them into scr as a probe would, and returns
+// the posting count: the rows data holds, a length off the row lattice being
+// corrupt.
 func decodeList(data []byte, dual bool, lay Layout, scr *ListScratch) (int, error) {
 	w := lay.rowWidth(dual)
 	if len(data)%w != 0 {
 		return 0, corrupt("list length off the row lattice")
 	}
 	n := len(data) / w
-	scr.grow(n, dual)
-	return n, walkColumns(data, n, dual, lay, math.MaxInt, scr)
+	if err := walkColumns(data, n, dual, lay, math.MaxInt); err != nil {
+		return n, err
+	}
+	decodeColumns(data, n, dual, lay, scr)
+	return n, nil
 }
 
 // FuzzDecodeList: arbitrary bytes walked as one list of either width must
-// either decode cleanly — with every invariant the query path relies on
-// actually holding, and the scratch-less validation of segment opening
-// agreeing — or fail with ErrCorrupt. Panics and silent mis-decodes are the
-// bugs being hunted.
+// either pass the validation of segment opening and then decode cleanly —
+// with every invariant the query path relies on actually holding — or fail
+// with ErrCorrupt. Panics and silent mis-decodes are the bugs being hunted.
 func FuzzDecodeList(f *testing.F) {
 	// Seed with genuine encoder output in every layout, each list once as
 	// built and once with its head — spatial and, on a dual list, textual —
@@ -824,12 +821,6 @@ func FuzzDecodeList(f *testing.F) {
 		var scr ListScratch
 		lay := Layout{Obj16: obj16}
 		n, err := decodeList(data, dual, lay, &scr)
-		if len(data)%lay.rowWidth(dual) == 0 {
-			// The scratch-less walk of segment opening must agree.
-			if cerr := walkColumns(data, n, dual, lay, 1<<32, nil); (cerr == nil) != (err == nil) {
-				t.Fatalf("decode err %v; in-place validation err %v", err, cerr)
-			}
-		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)

@@ -14,13 +14,15 @@
 // posting during the scan. An index is dual when its lists carry that lane,
 // and everything else — the layout, the directory, the probe — is shared.
 //
-// Storage is flat: a frozen index keeps every posting in one contiguous
-// objs/bounds arena, with an ascending sorted key table and an offset per key.
-// Traversal of a list is a sequential walk of the arena, and the whole index
-// is a handful of allocations regardless of how many lists it holds.
+// A build is flat: a frozen Index keeps every posting in one contiguous
+// objs/bounds arena, with an ascending sorted key table and an offset per key,
+// and the whole index is a handful of allocations regardless of how many lists
+// it holds. The paper's baselines read it as it is (List). A signature filter
+// serves its Compress form instead — the layout a segment stores — in memory
+// as from a mapped segment.
 //
-// A list is reached by position: At(i) is the i-th list in key order. The
-// kinds that look lists up by key (token, grid, hybrid-hash: a Builder's
+// A served list is reached by position: At(i) is the i-th list in key order.
+// The kinds that look lists up by key (token, grid, hybrid-hash: a Builder's
 // indexes) keep an ascending uint64 key array and an open-addressed hash
 // directory over it, so Probe(key) is an O(1) lookup and then At. SEAL's index
 // (FromSortedRuns) keeps neither: its keys are (token, grid node) pairs whose
@@ -128,9 +130,9 @@ func (l List) Scan(cR, cT float64, fn func(obj uint32)) int {
 // Build one with a Builder or FromSortedRuns. The frozen layout is parallel
 // arenas: a key column in ascending key order, per-list offsets into the
 // posting arena, and the postings themselves (objs and each bound lane in
-// separate contiguous slices).
+// separate contiguous slices). It is what a build produces; a signature
+// filter serves it Compressed.
 type Index struct {
-	// What At reads comes first, on two cache lines.
 	starts  []uint32 // lists()+1; list i spans [starts[i], starts[i+1])
 	objs    []uint32
 	bounds  []float64
@@ -463,14 +465,20 @@ func mix64(v uint64) uint64 {
 	return v
 }
 
-// List returns the posting list of key; absent keys yield an empty List.
+// List returns a zero-copy arena view of key's posting list; absent keys
+// yield an empty List. The paper's baselines read the flat index this way.
 func (ix *Index) List(key uint64) List {
-	l, _ := ix.Probe(key, nil)
+	i := ix.find(key)
+	if i < 0 {
+		return List{}
+	}
+	lo, hi := ix.starts[i], ix.starts[i+1]
+	l := List{objs: ix.objs[lo:hi], bounds: ix.bounds[lo:hi]}
+	if ix.dual {
+		l.tBounds = ix.tBounds[lo:hi]
+	}
 	return l
 }
-
-// Dual reports whether the lists carry textual bounds.
-func (ix *Index) Dual() bool { return ix.dual }
 
 // Lists returns the number of non-empty lists.
 func (ix *Index) Lists() int { return ix.lists() }
@@ -478,11 +486,12 @@ func (ix *Index) Lists() int { return ix.lists() }
 // Postings returns the total number of postings.
 func (ix *Index) Postings() int { return len(ix.objs) }
 
-// SizeBytes reports the footprint of the flat in-memory layout: 12 bytes per
+// SizeBytes reports the footprint of the flat build layout: 12 bytes per
 // posting (uint32 obj + float64 bound), 20 with the textual lane, a 4-byte
 // offset per list and one more, and the key column (16 bytes a list with a
-// directory; 4 and about a bit a list and a run when run-grouped). It is the
-// figure reported in Table 1 for the signature indexes.
+// directory; 4 and about a bit a list and a run when run-grouped). Only the
+// paper's baselines report it; a signature filter serves, and Table 1 and
+// Fig 15 report, its Compressed form's SizeBytes.
 func (ix *Index) SizeBytes() int64 {
 	perPosting := int64(4 + 8) // obj + bound
 	if ix.dual {

@@ -297,18 +297,18 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 	}
 	runs = append(runs, Run{Group: groups - 1}) // an empty run is legal
 	got := FromSortedRuns(groups, runs)
-	if !got.Dual() || !slices.Equal(keysOf(got), want.keys) || got.Postings() != want.Postings() {
+	served := Compress(got)
+	if !got.dual || !slices.Equal(keysOf(served), want.keys) || got.Postings() != want.Postings() {
 		t.Fatalf("index from %d sorted runs: flavour, keys or posting total differ from the builder's", len(runs))
 	}
+	var scr ListScratch
 	for i, key := range want.keys {
-		at, err := got.At(i, nil)
-		if err != nil {
-			t.Fatal(err)
+		w := want.List(key)
+		if l := got.List(key); !slices.Equal(l.objs, w.objs) || !slices.Equal(l.bounds, w.bounds) || !slices.Equal(l.tBounds, w.tBounds) {
+			t.Fatalf("list %d (%#x) from sorted runs differs from the builder's", i, key)
 		}
-		for _, l := range []List{at, got.List(key)} {
-			if w := want.List(key); !slices.Equal(l.objs, w.objs) || !slices.Equal(l.bounds, w.bounds) || !slices.Equal(l.tBounds, w.tBounds) {
-				t.Fatalf("list %d (%#x) from sorted runs differs from the builder's", i, key)
-			}
+		if !slices.Equal(served.At(i, &scr).objs, w.objs) {
+			t.Fatalf("list %d (%#x) from sorted runs is not at position %d", i, key, i)
 		}
 	}
 	// Four bytes and a bit a list, and a bit a run, where the builder spends
@@ -318,7 +318,7 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 		len(a.Nodes) != want.Lists() || got.SizeBytes() != want.SizeBytes()-hashDirBytes(want.Lists())-int64(4*want.Lists())+int64(8*len(a.Runs)) {
 		t.Fatalf("an index from sorted runs should carry a run-grouped key column and nothing else")
 	}
-	if got := FromSortedRuns(0, nil); !got.Dual() || got.Lists() != 0 || got.Postings() != 0 || got.List(1).Len() != 0 {
+	if got := FromSortedRuns(0, nil); !got.dual || got.Lists() != 0 || got.Postings() != 0 || got.List(1).Len() != 0 {
 		t.Fatalf("no runs should freeze to an empty dual index")
 	}
 

@@ -91,9 +91,6 @@ func Boot(cfg Config, logf Logf) (*seal.Index, BootInfo, error) {
 		return nil, BootInfo{}, err
 	}
 	opts = append(opts, seal.WithShards(cfg.Shards))
-	if cfg.Compress {
-		opts = append(opts, seal.WithCompression(seal.CompressionQuantized))
-	}
 	if cfg.SegmentDir != "" {
 		opts = append(opts, seal.WithSegmentDir(cfg.SegmentDir))
 	}

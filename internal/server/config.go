@@ -32,9 +32,6 @@ type Config struct {
 	Granularity int `json:"granularity"`
 	// Shards is the spatial shard count. Default 1.
 	Shards int `json:"shards"`
-	// Compress stores posting lists as fixed-width columns with quantized
-	// bounds when there is no SegmentDir; a segment directory always does.
-	Compress bool `json:"compress"`
 
 	// Warmup runs this many synthetic queries (built from indexed objects,
 	// so they touch real posting lists) before /readyz flips to ready,

@@ -44,10 +44,14 @@ func TestLoadConfigOverBase(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsUnknownKeys: a typo fails the load, and so does
+// "compress", a key the daemon no longer has (every index is quantized).
 func TestLoadConfigRejectsUnknownKeys(t *testing.T) {
-	path := writeConfigFile(t, `{"segments": "/x", "warmupp": 3}`)
-	if _, err := LoadConfig(path, DefaultConfig); err == nil || !strings.Contains(err.Error(), "warmupp") {
-		t.Fatalf("typo'd key not rejected: %v", err)
+	for _, key := range []string{"warmupp", "compress"} {
+		path := writeConfigFile(t, `{"segments": "/x", "`+key+`": 3}`)
+		if _, err := LoadConfig(path, DefaultConfig); err == nil || !strings.Contains(err.Error(), key) {
+			t.Fatalf("unknown key %q not rejected: %v", key, err)
+		}
 	}
 }
 

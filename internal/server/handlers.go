@@ -435,7 +435,6 @@ type statusResponse struct {
 		// one), beside IndexBytes, the resident (or mapped) footprint.
 		SegmentBytes int64 `json:"segment_bytes"`
 		Mapped       bool  `json:"mapped"`
-		Compressed   bool  `json:"compressed"`
 		// Quarantined counts shards sidelined at boot; on a strict daemon
 		// every query fails while it is nonzero, on an allow-partial daemon
 		// queries answer degraded.
@@ -497,7 +496,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	resp.Index.IndexBytes = st.IndexBytes
 	resp.Index.SegmentBytes = st.SegmentBytes
 	resp.Index.Mapped = st.Mapped
-	resp.Index.Compressed = st.Compressed
 	for _, h := range s.ix.Health() {
 		ss := shardStatus{Shard: h.Shard, State: h.State.String(), Error: h.Err}
 		switch h.State {

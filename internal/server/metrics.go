@@ -383,7 +383,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"seal_index_bytes", "In-memory (or mapped) index footprint in bytes.", st.IndexBytes},
 		{"seal_segment_bytes", "Size on disk of the segment directory in bytes (0 without one).", st.SegmentBytes},
 		{"seal_index_mapped", "1 when postings are served from mmap-ed sealed segments.", int64(b2i(st.Mapped))},
-		{"seal_index_compressed", "1 when posting lists are stored compressed.", int64(b2i(st.Compressed))},
 		{"seal_shards_quarantined", "Shards sidelined at boot with a corrupt or missing segment.", m.shardsQuarantined.Load()},
 		{"seal_shards_rebuilt", "Shards rebuilt from the dataset at boot after segment damage.", m.shardsRebuilt.Load()},
 	}

@@ -60,7 +60,6 @@ type options struct {
 	autoGranularity []Query
 	autoMaxLevel    int
 	autoBenefit     float64
-	compression     Compression
 	segmentDir      string
 }
 

@@ -99,12 +99,8 @@ type IndexStats struct {
 	BuildTime    time.Duration
 	// Mapped reports that posting lists are served from mmap-ed sealed
 	// segments (the index was opened from a segment directory) rather than
-	// rebuilt in memory.
+	// rebuilt in memory. Either way they are the same quantized lists.
 	Mapped bool
-	// Compressed reports that posting lists are stored encoded (fixed-width
-	// columns with bounds quantized to 16 bits) instead of as the flat arena:
-	// always for an index with a segment directory.
-	Compressed bool
 }
 
 // ErrEmptyIndex is returned by Build when no objects are supplied.
@@ -181,21 +177,15 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 		// through to a rebuild that overwrites it.
 		if man, err := engine.ReadManifest(cfg.segmentDir); err == nil && manifestMatches(man, cfg, ds.Len()) {
 			if eng, err := engine.OpenSegmentsAt(cfg.segmentDir, ds); err == nil {
-				return newIndex(ds, eng, cfg.segmentDir, start, true, true), nil
+				return newIndex(ds, eng, cfg.segmentDir, start, true), nil
 			}
 		}
 	}
 
 	spec := segmentSpec(cfg)
 	eng, err := engine.Build(ds, engine.Config{
-		Shards: cfg.shards,
-		NewFilter: func(sds *model.Dataset) (core.Filter, error) {
-			f, err := core.BuildFilter(sds, spec)
-			if err == nil && cfg.compression != CompressionNone {
-				core.CompressPostings(f)
-			}
-			return f, err
-		},
+		Shards:    cfg.shards,
+		NewFilter: func(sds *model.Dataset) (core.Filter, error) { return core.BuildFilter(sds, spec) },
 	})
 	if err != nil {
 		return nil, err
@@ -205,14 +195,13 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 			return nil, err
 		}
 	}
-	// A save quantizes the postings whatever cfg.compression says.
-	return newIndex(ds, eng, cfg.segmentDir, start, false, cfg.compression != CompressionNone || cfg.segmentDir != ""), nil
+	return newIndex(ds, eng, cfg.segmentDir, start, false), nil
 }
 
 // newIndex wraps an engine built or opened over ds since start, with its
 // stats: dir is the segment directory it was saved into or opened from ("" for
-// none), mapped and compressed what IndexStats reports of its postings.
-func newIndex(ds *model.Dataset, eng *engine.Engine, dir string, start time.Time, mapped, compressed bool) *Index {
+// none), and mapped whether its postings are served from that directory.
+func newIndex(ds *model.Dataset, eng *engine.Engine, dir string, start time.Time, mapped bool) *Index {
 	return &Index{ds: ds, eng: eng, stats: IndexStats{
 		Objects:      ds.Len(),
 		Vocabulary:   ds.Vocab().Len(),
@@ -222,7 +211,6 @@ func newIndex(ds *model.Dataset, eng *engine.Engine, dir string, start time.Time
 		SegmentBytes: segmentBytes(dir),
 		BuildTime:    time.Since(start),
 		Mapped:       mapped,
-		Compressed:   compressed,
 	}}
 }
 

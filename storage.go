@@ -1,8 +1,7 @@
 package seal
 
-// Storage controls: posting-list compression and mmap-backed sealed
-// segments. See the "Storage" section of the package documentation for the
-// format and the boot flow.
+// Storage controls: mmap-backed sealed segments. See the "Storage" section of
+// the package documentation for the format and the boot flow.
 
 import (
 	"fmt"
@@ -12,42 +11,30 @@ import (
 	"github.com/sealdb/seal/internal/engine"
 )
 
-// Compression selects the posting-list layout of an index built in memory;
-// an index with a segment directory always stores and serves quantized
-// postings (see WithSegmentDir). Every setting returns bit-identical query
-// answers; the quantized layout trades per-posting bound precision for size,
-// which can only admit extra candidates that exact verification then rejects.
+// Compression once chose between a flat and a quantized posting layout.
+//
+// Deprecated: every index stores and serves quantized postings, in memory as
+// in a segment directory, so there is nothing left to choose.
 type Compression int
 
 const (
-	// CompressionNone keeps the flat fixed-width arena in memory. Default.
+	// Deprecated: ignored; see Compression.
 	CompressionNone Compression = iota
-	// CompressionQuantized stores every list as fixed-width columns and
-	// nothing else: pruning bounds as 16-bit codes — the top bits of the
-	// bound's float32, rounded up, so filtering stays a superset and answers
-	// are unchanged — and object IDs at 2 or 4 bytes. Smallest; the recommended
-	// setting. A bound above the largest finite code, about 3.396e38 —
-	// possible only with token weights near 1e38 or coordinates near 1e19 —
-	// saturates to the infinity code, which every threshold clears, so answers
-	// stay exact there too.
+	// Deprecated: ignored; see Compression.
 	CompressionQuantized
 )
 
-// WithCompression re-encodes posting lists after the index is built. The
-// default is CompressionNone. It only matters without WithSegmentDir: a
-// segment directory holds quantized postings whatever it says.
-func WithCompression(c Compression) Option {
-	return func(o *options) { o.compression = c }
-}
+// WithCompression does nothing.
+//
+// Deprecated: every index is quantized; see Compression.
+func WithCompression(Compression) Option { return func(*options) {} }
 
 // WithSegmentDir persists the index into dir as mmap-able sealed segments.
 // When dir already holds segments built from the same objects (token weights
 // included) and the same configuration, Build maps them instead of rebuilding
 // — turning index boot into a page-table operation — and otherwise it builds
-// in memory and (over)writes dir. Segments always store quantized postings
-// (CompressionQuantized's layout), so the index reports Compressed with or
-// without WithCompression, and a directory maps either way. See also Open,
-// which boots purely from a segment directory.
+// in memory and (over)writes dir. See also Open, which boots purely from a
+// segment directory.
 func WithSegmentDir(dir string) Option {
 	return func(o *options) { o.segmentDir = dir }
 }
@@ -173,7 +160,7 @@ func Open(dir string, opts ...OpenOption) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("seal: opening segments: %w", err)
 	}
-	return newIndex(eng.Root(), eng, dir, start, true, true), nil
+	return newIndex(eng.Root(), eng, dir, start, true), nil
 }
 
 // Close releases any memory-mapped segments backing the index. Afterwards

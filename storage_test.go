@@ -1,9 +1,9 @@
 package seal_test
 
-// Storage differential property tests: compression and mmap-backed segments
-// are storage layouts, not algorithms, so every combination of filter
-// method, shard count, and storage variant must return bit-identical answers
-// — same IDs, same similarities, same top-k order — to the in-memory flat
+// Storage differential property tests: saturating bound codes and mmap-backed
+// segments are storage variants, not algorithms, so every combination of
+// filter method, shard count, and storage variant must return bit-identical
+// answers — same IDs, same similarities, same top-k order — to the in-memory
 // build it mirrors.
 
 import (
@@ -73,7 +73,7 @@ func expectSameAnswers(t *testing.T, label string, base, got *seal.Index, querie
 // weight is beyond float32 range — bounds past the finite codes, which
 // saturate to infinity. Similarity is scale-free, so the scaled corpus is as
 // good a differential fixture as the original.
-func hugeCorpus(objects []seal.Object, queries []seal.Query) ([]seal.Object, []seal.Query, seal.Option) {
+func hugeCorpus(objects []seal.Object, queries []seal.Query) ([]seal.Object, []seal.Query, map[string]float64) {
 	scale := func(r seal.Rect) seal.Rect {
 		const k = 1e20
 		return seal.Rect{MinX: r.MinX * k, MinY: r.MinY * k, MaxX: r.MaxX * k, MaxY: r.MaxY * k}
@@ -93,17 +93,19 @@ func hugeCorpus(objects []seal.Object, queries []seal.Query) ([]seal.Object, []s
 	for i, q := range queries {
 		outQ[i] = seal.Query{Region: scale(q.Region), Tokens: q.Tokens, TauR: q.TauR, TauT: q.TauT}
 	}
-	return outO, outQ, seal.WithTokenWeights(weights)
+	return outO, outQ, weights
 }
 
 // TestStorageDifferential: for every signature method and shard count, the
-// compressed (finite and saturating codes), segment-saved, segment-reopened,
-// and Open-booted variants must answer exactly like the in-memory flat build.
+// saturating-code, segment-saved, segment-reopened, and Open-booted variants
+// must answer exactly like the in-memory build.
 func TestStorageDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	objects := shardObjects(250, rng)
 	queries := shardQueries(12, rng)
-	hugeObjects, hugeQueries, hugeWeights := hugeCorpus(objects, queries)
+	hugeObjects, hugeQueries, weights := hugeCorpus(objects, queries)
+	hugeWeights := seal.WithTokenWeights(weights)
+	hugeOracle := newWeightedOracle(t, hugeObjects, model.SpaceJaccard, model.TextJaccard, weights)
 
 	methods := []struct {
 		name string
@@ -127,24 +129,29 @@ func TestStorageDifferential(t *testing.T) {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
 
-				comp, err := seal.Build(objects, opts(seal.WithCompression(seal.CompressionQuantized))...)
-				if err != nil {
-					t.Fatalf("shards=%d quant: %v", shards, err)
-				}
-				if !comp.Stats().Compressed {
-					t.Fatalf("shards=%d quant: Stats().Compressed = false", shards)
-				}
-				expectSameAnswers(t, fmt.Sprintf("shards=%d quant", shards), base, comp, queries)
-
 				// Bounds outside float32 range saturate to the infinity code:
 				// the same corpus blown up until its areas and its token
-				// weights both leave it, compressed, saved and reopened.
+				// weights both leave it, held to the brute-force scan (the
+				// in-memory build is quantized too), then saved and reopened.
 				hugeBase, err := seal.Build(hugeObjects, opts(hugeWeights)...)
 				if err != nil {
 					t.Fatalf("shards=%d huge: %v", shards, err)
 				}
+				for qi, q := range hugeQueries {
+					q.TauR, q.TauT = 0.01, 0.01 // at the fixture's own thresholds nothing matches
+					got, err := answer(hugeBase, q.Request())
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameMatches(t, fmt.Sprintf("shards=%d huge query %d", shards, qi), got, hugeOracle.threshold(t, q))
+					ranked := seal.TopKQuery{Region: q.Region, Tokens: q.Tokens, K: 5, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}.Request()
+					if got, err = answer(hugeBase, ranked); err != nil {
+						t.Fatal(err)
+					}
+					requireSameMatches(t, fmt.Sprintf("shards=%d huge topk %d", shards, qi), got, hugeOracle.ranked(t, ranked))
+				}
 				exactDir := filepath.Join(t.TempDir(), "exact")
-				exact, err := seal.Build(hugeObjects, opts(hugeWeights, seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(exactDir))...)
+				exact, err := seal.Build(hugeObjects, opts(hugeWeights, seal.WithSegmentDir(exactDir))...)
 				if err != nil {
 					t.Fatalf("shards=%d exact: %v", shards, err)
 				}
@@ -168,7 +175,7 @@ func TestStorageDifferential(t *testing.T) {
 				}
 
 				dir := filepath.Join(t.TempDir(), "segs")
-				saved, err := seal.Build(objects, opts(seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir))...)
+				saved, err := seal.Build(objects, opts(seal.WithSegmentDir(dir))...)
 				if err != nil {
 					t.Fatalf("shards=%d save: %v", shards, err)
 				}
@@ -177,11 +184,11 @@ func TestStorageDifferential(t *testing.T) {
 				}
 				expectSameAnswers(t, fmt.Sprintf("shards=%d saved", shards), base, saved, queries)
 
-				reopened, err := seal.Build(objects, opts(seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir))...)
+				reopened, err := seal.Build(objects, opts(seal.WithSegmentDir(dir))...)
 				if err != nil {
 					t.Fatalf("shards=%d reopen: %v", shards, err)
 				}
-				if !reopened.Stats().Mapped || !reopened.Stats().Compressed {
+				if !reopened.Stats().Mapped {
 					t.Fatalf("shards=%d: rebuild did not map existing segments (stats %+v)", shards, reopened.Stats())
 				}
 				expectSameAnswers(t, fmt.Sprintf("shards=%d mapped", shards), base, reopened, queries)
@@ -208,11 +215,81 @@ func TestStorageDifferential(t *testing.T) {
 	}
 }
 
-// TestSegmentDirAlwaysCompressed: a segment directory holds quantized
-// postings whatever WithCompression says. A default-options build into one
-// reports Compressed, writes flag bit 1 in every posting segment and answers
-// like the flat in-memory build; a rebuild maps the directory with or without
-// WithCompression, and so does Open.
+// TestInMemoryMatchesSegments: an index serves the same quantized lists
+// whether it was built in memory or saved and mapped back by Open, so for
+// every method at 1 and 3 shards the two agree on IndexBytes and, query by
+// query, on the matches and on every work count: candidates, postings
+// scanned, lists probed and shards pruned.
+func TestInMemoryMatchesSegments(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(20261015))
+	objects := shardObjects(400, rng)
+	queries := shardQueries(300, rng)
+	methods := []struct {
+		name string
+		opts []seal.Option
+	}{
+		{"seal", []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithMaxLevel(8)}},
+		{"token", []seal.Option{seal.WithMethod(seal.MethodTokenFilter)}},
+		{"grid", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithGranularity(64)}},
+		{"hybrid", []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithGranularity(32), seal.WithHashBuckets(127)}},
+	}
+	for _, method := range methods {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/shards=%d", method.name, shards), func(t *testing.T) {
+				opts := append(slices.Clone(method.opts), seal.WithShards(shards))
+				built, err := seal.Build(objects, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir := t.TempDir()
+				saved, err := seal.Build(objects, append(opts, seal.WithSegmentDir(dir))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := saved.Close(); err != nil {
+					t.Fatal(err)
+				}
+				opened, err := seal.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer opened.Close()
+				if b, o := built.Stats().IndexBytes, opened.Stats().IndexBytes; b != o {
+					t.Fatalf("IndexBytes: %d built, %d opened", b, o)
+				}
+				matched := 0
+				for qi, q := range queries {
+					want, err := built.Query(ctx, q.Request(), seal.CollectStats())
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := opened.Query(ctx, q.Request(), seal.CollectStats())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.Matches, want.Matches) {
+						t.Fatalf("query %d: opened matches %v, built %v", qi, got.Matches, want.Matches)
+					}
+					g, w := got.Stats, want.Stats
+					if g.Candidates != w.Candidates || g.PostingsScanned != w.PostingsScanned || g.ListsProbed != w.ListsProbed || g.ShardsPruned != w.ShardsPruned {
+						t.Fatalf("query %d: opened candidates/postings/lists/pruned %d/%d/%d/%d, built %d/%d/%d/%d", qi,
+							g.Candidates, g.PostingsScanned, g.ListsProbed, g.ShardsPruned, w.Candidates, w.PostingsScanned, w.ListsProbed, w.ShardsPruned)
+					}
+					matched += len(want.Matches)
+				}
+				if matched == 0 {
+					t.Fatal("no query matched anything; the fixture proves nothing")
+				}
+			})
+		}
+	}
+}
+
+// TestSegmentDirAlwaysCompressed: a segment directory holds the quantized
+// postings the index serves. A default-options build into one writes flag bit
+// 1 in every posting segment and answers like the in-memory build; a rebuild
+// maps the directory, and so does Open.
 func TestSegmentDirAlwaysCompressed(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	objects := shardObjects(150, rng)
@@ -224,15 +301,12 @@ func TestSegmentDirAlwaysCompressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Stats().Compressed {
-		t.Fatal("a default in-memory build reported Compressed")
-	}
 	saved, err := seal.Build(objects, append(slices.Clone(method), seal.WithSegmentDir(dir))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := saved.Stats(); st.Mapped || !st.Compressed {
-		t.Fatalf("default build into a segment directory: mapped=%v compressed=%v, want a compressed build", st.Mapped, st.Compressed)
+	if saved.Stats().Mapped {
+		t.Fatal("a first build into a segment directory reported Mapped")
 	}
 	expectSameAnswers(t, "saved", base, saved, queries)
 	if err := saved.Close(); err != nil {
@@ -247,26 +321,24 @@ func TestSegmentDirAlwaysCompressed(t *testing.T) {
 			t.Fatalf("shard %d segment flags %#x: bit 1 (compressed) clear", i, flags)
 		}
 	}
-	for name, extra := range map[string][]seal.Option{"default": nil, "quantized": {seal.WithCompression(seal.CompressionQuantized)}} {
-		ix, err := seal.Build(objects, append(append(slices.Clone(method), extra...), seal.WithSegmentDir(dir))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := ix.Stats(); !st.Mapped || !st.Compressed {
-			t.Fatalf("%s rebuild: mapped=%v compressed=%v, want the directory mapped", name, st.Mapped, st.Compressed)
-		}
-		expectSameAnswers(t, name+" mapped", base, ix, queries)
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
+	ix, err := seal.Build(objects, append(slices.Clone(method), seal.WithSegmentDir(dir))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ix.Stats().Mapped {
+		t.Fatal("a rebuild did not map the directory")
+	}
+	expectSameAnswers(t, "mapped", base, ix, queries)
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
 	}
 	opened, err := seal.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer opened.Close()
-	if st := opened.Stats(); !st.Mapped || !st.Compressed {
-		t.Fatalf("Open: mapped=%v compressed=%v, want both", st.Mapped, st.Compressed)
+	if !opened.Stats().Mapped {
+		t.Fatal("Open did not report Mapped")
 	}
 	expectSameAnswers(t, "opened", base, opened, queries)
 }
@@ -309,29 +381,27 @@ func TestKeyedSegmentsServeWithoutDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, comp := range map[string]seal.Compression{"raw": seal.CompressionNone, "quantized": seal.CompressionQuantized} {
-		dir := filepath.Join(t.TempDir(), "segs")
-		saved, err := seal.Build(objects, append(slices.Clone(method), seal.WithCompression(comp), seal.WithSegmentDir(dir))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := saved.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			stripDirectory(t, filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i)))
-		}
-		opened, err := seal.Open(dir)
-		if err != nil {
-			t.Fatalf("%s: Open of keyed segments without their directory: %v", name, err)
-		}
-		if st := opened.Stats(); !st.Mapped || st.Shards != 2 {
-			t.Fatalf("%s: opened stats %+v, want 2 mapped shards", name, st)
-		}
-		expectSameAnswers(t, name+" without directory", base, opened, queries)
-		if err := opened.Close(); err != nil {
-			t.Fatal(err)
-		}
+	dir := filepath.Join(t.TempDir(), "segs")
+	saved, err := seal.Build(objects, append(slices.Clone(method), seal.WithSegmentDir(dir))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := saved.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		stripDirectory(t, filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i)))
+	}
+	opened, err := seal.Open(dir)
+	if err != nil {
+		t.Fatalf("Open of keyed segments without their directory: %v", err)
+	}
+	if st := opened.Stats(); !st.Mapped || st.Shards != 2 {
+		t.Fatalf("opened stats %+v, want 2 mapped shards", st)
+	}
+	expectSameAnswers(t, "without directory", base, opened, queries)
+	if err := opened.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -579,8 +649,7 @@ func TestVersion1DirectoryIsStale(t *testing.T) {
 	for _, tc := range ages {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "segs")
-			opts := []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithMaxLevel(7), seal.WithShards(2),
-				seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir)}
+			opts := []seal.Option{seal.WithMethod(seal.MethodSeal), seal.WithMaxLevel(7), seal.WithShards(2), seal.WithSegmentDir(dir)}
 			base, err := seal.Build(objects, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -655,8 +724,8 @@ func TestTokenWeightsSurviveOpen(t *testing.T) {
 // TestTokenWeightsMustBeFinite: a NaN or +Inf token weight fails Build and
 // names its term, rather than building an index whose saved vocabulary Open
 // would refuse. A huge finite weight is fine: its posting bounds saturate to
-// the infinity code, and the index builds compressed into a segment
-// directory, opens, and answers as the oracle does.
+// the infinity code, and the index builds into a segment directory, opens,
+// and answers as the oracle does.
 func TestTokenWeightsMustBeFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261015))
 	objects := shardObjects(250, rng)
@@ -672,8 +741,7 @@ func TestTokenWeightsMustBeFinite(t *testing.T) {
 	}
 	weights["t7"] = 1e300
 	dir := filepath.Join(t.TempDir(), "segs")
-	built, err := seal.Build(objects, seal.WithTokenWeights(weights), seal.WithShards(2),
-		seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir))
+	built, err := seal.Build(objects, seal.WithTokenWeights(weights), seal.WithShards(2), seal.WithSegmentDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -800,8 +868,7 @@ func TestOpenAllocs(t *testing.T) {
 		}
 		dir := filepath.Join(t.TempDir(), "segs")
 		ix, err := seal.Build(server.SnapshotObjects(ds),
-			seal.WithMethod(seal.MethodSeal), seal.WithShards(4),
-			seal.WithCompression(seal.CompressionQuantized), seal.WithSegmentDir(dir))
+			seal.WithMethod(seal.MethodSeal), seal.WithShards(4), seal.WithSegmentDir(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
