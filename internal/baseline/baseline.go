@@ -55,16 +55,15 @@ func (f *KeywordFirst) Collect(q *model.Query, cs *core.CandidateSet, st *core.F
 		if stop != nil && stop() {
 			return
 		}
-		l := f.idx.List(uint64(t))
-		n := l.Len()
-		if n == 0 {
+		objs, _, _ := f.idx.List(uint64(t))
+		if len(objs) == 0 {
 			continue
 		}
 		st.ListsProbed++
-		st.PostingsScanned += n
+		st.PostingsScanned += len(objs)
 		w := f.ds.TokenWeight(t)
-		for i := 0; i < n; i++ {
-			acc.Add(l.Obj(i), w)
+		for _, obj := range objs {
+			acc.Add(obj, w)
 		}
 	}
 	for _, obj := range acc.Touched() {

@@ -150,10 +150,9 @@ func requireZeroAllocs(t *testing.T, label string, ds *model.Dataset, f core.Fil
 	}
 }
 
-// TestSearchZeroAllocsCompressed: every filter serves quantized lists, and
-// probes decode them through the searcher's ListScratch, so once that buffer
-// has grown to the longest list the steady state never touches the heap — at
-// ordinary bounds and at bounds that saturate to the infinity code.
+// TestSearchZeroAllocsCompressed: every filter serves quantized lists and
+// reads them in place, comparing codes, so the steady state never touches the
+// heap — at ordinary bounds and at bounds that saturate to the infinity code.
 func TestSearchZeroAllocsCompressed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -195,7 +194,7 @@ func TestSearchZeroAllocsRealisticGranularity(t *testing.T) {
 
 // TestSearchZeroAllocsMapped: probing lists straight out of an mmap-backed
 // SEALIDX2 segment must stay allocation-free too — the section views are
-// zero-copy and its compressed lists decode through the same scratch.
+// zero-copy and its compressed lists are read in place through them.
 func TestSearchZeroAllocsMapped(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

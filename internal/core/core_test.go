@@ -413,14 +413,17 @@ func TestCompressedBoundsCoverFlat(t *testing.T) {
 		if len(keys) != flat.Lists() || flat.Lists() == 0 {
 			t.Fatalf("%s: %d quantized lists, %d flat", spec.Kind, len(keys), flat.Lists())
 		}
-		var scr invidx.ListScratch
 		for i, key := range keys {
-			want, got := flat.List(key), quant.At(i, &scr)
-			if got.Len() != want.Len() || want.Len() == 0 {
-				t.Fatalf("%s list %#x: %d postings, want %d", spec.Kind, key, got.Len(), want.Len())
+			objs, bounds, tBounds := flat.List(key)
+			got := quant.At(i)
+			if got.Len() != len(objs) || len(objs) == 0 {
+				t.Fatalf("%s list %#x: %d postings, want %d", spec.Kind, key, got.Len(), len(objs))
 			}
-			for j := 0; j < want.Len(); j++ {
-				g, w := got.Posting(j), want.Posting(j)
+			for j := range objs {
+				g, w := got.Posting(j), invidx.Posting{Obj: objs[j], Bound: bounds[j]}
+				if tBounds != nil {
+					w.TBound = tBounds[j]
+				}
 				if g.Obj != w.Obj || g.Bound < w.Bound || g.TBound < w.TBound || g.Bound > w.Bound*(1+1.0/256) || g.TBound > w.TBound*(1+1.0/256) {
 					t.Fatalf("%s list %#x posting %d: %+v does not cover %+v within 2^-8", spec.Kind, key, j, g, w)
 				}

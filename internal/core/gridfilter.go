@@ -95,19 +95,19 @@ func (f *GridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, 
 		projectGrid(f.grid, f.counter, q.Region, scr)
 	}
 	p := invidx.PrefixLen(scr.gW, cR)
-	slack := invidx.Slack(cR)
+	slack := invidx.Code(invidx.Slack(cR))
 	cur := scr.cursors(p)
 	for j, cw := range scr.gsig[:p] {
 		if stop != nil && stop() {
 			return
 		}
-		l := f.idx.Probe(uint64(cw.Cell), &scr.dec)
+		l := f.idx.Probe(uint64(cw.Cell))
 		if l.Len() == 0 {
 			continue
 		}
 		from, to := cur[j].extend(&l, slack, st)
-		for _, obj := range l.Objs(to)[from:] {
-			cs.Add(obj)
+		for i := from; i < to; i++ {
+			cs.Add(l.Obj(i))
 		}
 	}
 }
@@ -169,17 +169,16 @@ func (f *PlainGridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterSt
 		if stop != nil && stop() {
 			return
 		}
-		l := f.idx.List(uint64(cw.Cell))
-		n := l.Len()
-		if n == 0 {
+		objs, weights, _ := f.idx.List(uint64(cw.Cell))
+		if len(objs) == 0 {
 			continue
 		}
 		st.ListsProbed++
-		st.PostingsScanned += n
-		for i := 0; i < n; i++ {
-			// Bound holds w(g|o); the signature similarity uses the
+		st.PostingsScanned += len(objs)
+		for i, obj := range objs {
+			// The bound holds w(g|o); the signature similarity uses the
 			// min-weight estimate of Equation (1).
-			acc.Add(l.Obj(i), math.Min(cw.W, l.Bound(i)))
+			acc.Add(obj, math.Min(cw.W, weights[i]))
 		}
 	}
 	slack := invidx.Slack(cR)

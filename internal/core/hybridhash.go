@@ -150,7 +150,7 @@ func (f *HybridHashFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 	pR := invidx.PrefixLen(scr.gW, cR)
 
 	accum := f.buckets == 0 && cs.Accumulating()
-	slackR, slackT := invidx.Slack(cR), invidx.Slack(cT)
+	slackR, slackT := invidx.Code(invidx.Slack(cR)), invidx.Code(invidx.Slack(cT))
 	retest := scr.retest(slackT)
 	// List (i, j) is cursor j·|tsig| + i, so the cursors grow with pR alone.
 	cur := scr.cursors(pR * len(tsig))
@@ -159,7 +159,7 @@ func (f *HybridHashFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 			if stop != nil && stop() {
 				return
 			}
-			l := f.idx.Probe(f.key(t, cw.Cell), &scr.dec)
+			l := f.idx.Probe(f.key(t, cw.Cell))
 			if l.Len() == 0 {
 				continue
 			}

@@ -367,7 +367,7 @@ func (f *HierarchicalFilter) Collect(q *model.Query, cs *CandidateSet, st *Filte
 	}
 	tsig := q.SigTokens
 	pT := invidx.PrefixLen(q.SigWeights, cT)
-	slackR, slackT := invidx.Slack(cR), invidx.Slack(cT)
+	slackR, slackT := invidx.Code(invidx.Slack(cR)), invidx.Code(invidx.Slack(cT))
 	scr.resume(cs)
 	retest := scr.retest(slackT)
 
@@ -389,7 +389,7 @@ func (f *HierarchicalFilter) Collect(q *model.Query, cs *CandidateSet, st *Filte
 			if stop != nil && stop() {
 				return
 			}
-			l := f.idx.At(int(h.list), &scr.dec)
+			l := f.idx.At(int(h.list))
 			if l.Len() == 0 {
 				continue
 			}

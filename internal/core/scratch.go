@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"github.com/sealdb/seal/internal/gridsig"
 	"github.com/sealdb/seal/internal/invidx"
 )
@@ -11,7 +9,8 @@ import (
 // Searcher owns one, so every slice here is reused query after query and the
 // steady-state filter step allocates nothing. Filters must treat the fields
 // as free backing storage: truncate (buf[:0]), append, and leave the grown
-// slice behind for the next query.
+// slice behind for the next query. Posting lists are read where they lie, so
+// no field holds a posting.
 type Scratch struct {
 	// The resumption state of the query being collected, rebuilt from zero
 	// by the first Collect after a CandidateSet Reset (see resume) and kept by
@@ -29,8 +28,9 @@ type Scratch struct {
 	// cur holds one cursor per posting list the query has reached, at an
 	// ordinal each filter derives from the list's place in its prefixes.
 	cur []cursor
-	// slackT is the textual slack of the last round; see retest.
-	slackT float64
+	// slackT is the textual slack of the last round, as a bound code; see
+	// retest.
+	slackT uint16
 	// owner and epoch identify the candidate set and the Reset the state
 	// belongs to.
 	owner *CandidateSet
@@ -38,10 +38,6 @@ type Scratch struct {
 
 	// ids holds the sorted candidate order for ID-ordered streaming.
 	ids []uint32
-	// dec is the posting-list decode buffer: every probe materializes its
-	// list here, so decoding allocates nothing once the buffer has grown to
-	// the longest list.
-	dec invidx.ListScratch
 	// acc sums per-object weights for the filters that score whole lists
 	// (the plain Sig-Filters, keyword-first); sized on first use.
 	acc WeightAccumulator
@@ -57,14 +53,14 @@ func (s *Scratch) resume(cs *CandidateSet) bool {
 	}
 	s.owner, s.epoch = cs, cs.epoch
 	s.gW, s.hits, s.toks, s.cur = s.gW[:0], s.hits[:0], s.toks[:0], s.cur[:0]
-	s.slackT = math.Inf(1)
+	s.slackT = 0xFFFF // above every code: a first round always tests
 	return false
 }
 
-// retest records a round's textual slack and reports whether it fell below
-// the last round's, so that a head row a textual bound held back may clear
-// it now.
-func (s *Scratch) retest(slackT float64) bool {
+// retest records a round's textual slack code and reports whether it fell
+// below the last round's, so that a head row a textual bound held back may
+// clear it now.
+func (s *Scratch) retest(slackT uint16) bool {
 	fell := slackT < s.slackT
 	s.slackT = slackT
 	return fell
@@ -92,10 +88,10 @@ type cursor struct {
 	probed        bool
 }
 
-// extend moves c to l's cutoff at slackR and returns the rows the head
-// gained, [from, to). The list's first probe and every gained row count in st
-// — once a query, however many rounds reach them.
-func (c *cursor) extend(l *invidx.List, slackR float64, st *FilterStats) (from, to int) {
+// extend moves c to l's cutoff at the spatial slack code slackR and returns
+// the rows the head gained, [from, to). The list's first probe and every
+// gained row count in st — once a query, however many rounds reach them.
+func (c *cursor) extend(l *invidx.List, slackR uint16, st *FilterStats) (from, to int) {
 	if !c.probed {
 		c.probed = true
 		st.ListsProbed++
@@ -108,10 +104,10 @@ func (c *cursor) extend(l *invidx.List, slackR float64, st *FilterStats) (from, 
 }
 
 // scanDual extends c over a dual-bound list and adds each gained row whose
-// textual bound clears slackT to cs — with the membership mark of bit when acc
-// — and, on retest, every earlier head row too, since a lower slackT can pass
-// a row an earlier round held back.
-func (c *cursor) scanDual(l *invidx.List, slackR, slackT float64, retest bool, cs *CandidateSet, bit uint32, acc bool, st *FilterStats) {
+// textual code clears the slack code slackT to cs — with the membership mark
+// of bit when acc — and, on retest, every earlier head row too, since a lower
+// slackT can pass a row an earlier round held back.
+func (c *cursor) scanDual(l *invidx.List, slackR, slackT uint16, retest bool, cs *CandidateSet, bit uint32, acc bool, st *FilterStats) {
 	from, to := c.extend(l, slackR, st)
 	skipped := int(c.skipped)
 	if retest && skipped > 0 {
@@ -119,7 +115,7 @@ func (c *cursor) scanDual(l *invidx.List, slackR, slackT float64, retest bool, c
 	}
 	for j := from; j < to; j++ {
 		switch {
-		case l.TBound(j) < slackT:
+		case l.TCode(j) < slackT:
 			skipped++
 		case acc:
 			cs.AddAcc(l.Obj(j), bit)

@@ -47,8 +47,8 @@ func (f *TokenFilter) accumulatesSimT() bool { return true }
 // cT = τT · Σ_{t∈q.T} w(t); prefix filtering retrieves exactly the objects
 // that share a prefix element with the query's prefix. The query's
 // signature-ordered tokens and weights are precompiled on the Query itself,
-// so only the decode buffer and the list cursors inside scr are used and the
-// scan allocates nothing.
+// the lists are read in place, and only the list cursors inside scr are used,
+// so the scan allocates nothing.
 func (f *TokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
 	_, cT := Thresholds(q)
 	if cT <= 0 {
@@ -56,20 +56,20 @@ func (f *TokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats,
 	}
 	sig := q.SigTokens
 	p := invidx.PrefixLen(q.SigWeights, cT)
-	slack := invidx.Slack(cT)
+	slack := invidx.Code(invidx.Slack(cT))
 	scr.resume(cs)
 	cur := scr.cursors(p)
 	for i, t := range sig[:p] {
 		if stop != nil && stop() {
 			return
 		}
-		l := f.idx.Probe(uint64(t), &scr.dec)
+		l := f.idx.Probe(uint64(t))
 		if l.Len() == 0 {
 			continue
 		}
 		from, to := cur[i].extend(&l, slack, st)
-		for _, obj := range l.Objs(to)[from:] {
-			cs.AddAcc(obj, uint32(i))
+		for j := from; j < to; j++ {
+			cs.AddAcc(l.Obj(j), uint32(i))
 		}
 	}
 }
@@ -113,16 +113,15 @@ func (f *PlainTokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 		if stop != nil && stop() {
 			return
 		}
-		l := f.idx.List(uint64(t))
-		n := l.Len()
-		if n == 0 {
+		objs, _, _ := f.idx.List(uint64(t))
+		if len(objs) == 0 {
 			continue
 		}
 		st.ListsProbed++
-		st.PostingsScanned += n
+		st.PostingsScanned += len(objs)
 		w := f.ds.TokenWeight(t)
-		for i := 0; i < n; i++ {
-			acc.Add(l.Obj(i), w)
+		for _, obj := range objs {
+			acc.Add(obj, w)
 		}
 	}
 	slack := invidx.Slack(cT)

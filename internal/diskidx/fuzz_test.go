@@ -82,18 +82,22 @@ func FuzzSegmentHeader(f *testing.F) {
 			return
 		}
 		// A probe checks nothing, so an accepted segment must be sound enough
-		// to probe as it is: a plausible and an absent key, and every list by
-		// position, decode without a panic to descending bounds, none NaN,
-		// over objects in range. The position one past the last list panics.
-		var scr invidx.ListScratch
+		// to read in place: a plausible and an absent key probe without a
+		// panic, and every list, walked by position through its view, holds
+		// codes no larger than the infinity code (so none decodes to NaN),
+		// spatial codes that never ascend and objects in range. The position
+		// one past the last list panics.
 		src := seg.Source()
-		src.Probe(5, &scr)
-		src.Probe(0xdeadbeefcafe, &scr)
+		src.Probe(5)
+		src.Probe(0xdeadbeefcafe)
+		inf := invidx.Code(math.Inf(1))
 		for i := 0; i < src.Lists(); i++ {
-			l := src.At(i, &scr)
+			l := src.At(i)
 			for j := 0; j < l.Len(); j++ {
-				if p := l.Posting(j); int(p.Obj) >= seg.Objects() || math.IsNaN(p.Bound) || math.IsNaN(p.TBound) || j > 0 && p.Bound > l.Bound(j-1) {
-					t.Fatalf("accepted segment decoded list %d posting %d to %+v", i, j, p)
+				p := l.Posting(j)
+				if int(l.Obj(j)) >= seg.Objects() || math.IsNaN(p.Bound) || src.Dual() && l.TCode(j) > inf ||
+					j > 0 && p.Bound > l.Posting(j-1).Bound {
+					t.Fatalf("accepted segment read list %d posting %d as %+v", i, j, p)
 				}
 			}
 		}
@@ -102,7 +106,7 @@ func FuzzSegmentHeader(f *testing.F) {
 				t.Fatalf("accepted segment answered At(%d), one past its last list", src.Lists())
 			}
 		}()
-		src.At(src.Lists(), &scr)
+		src.At(src.Lists())
 	})
 }
 

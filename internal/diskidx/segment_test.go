@@ -69,12 +69,11 @@ func expectMatch(t *testing.T, want, got *invidx.Compressed) {
 			}
 		}
 	}
-	var wscr, gscr invidx.ListScratch
 	for pos, key := range keysOf(want) {
-		wl := want.Probe(key, &wscr)
+		wl := want.Probe(key)
 		for by, probe := range map[string]func() invidx.List{
-			"key":      func() invidx.List { return got.Probe(key, &gscr) },
-			"position": func() invidx.List { return got.At(pos, &gscr) },
+			"key":      func() invidx.List { return got.Probe(key) },
+			"position": func() invidx.List { return got.At(pos) },
 		} {
 			gl := probe()
 			if gl.Len() != wl.Len() {
@@ -87,7 +86,7 @@ func expectMatch(t *testing.T, want, got *invidx.Compressed) {
 			}
 		}
 	}
-	if l := got.Probe(0xdeadbeefcafe, &gscr); l.Len() != 0 {
+	if l := got.Probe(0xdeadbeefcafe); l.Len() != 0 {
 		t.Fatalf("missing key: len=%d", l.Len())
 	}
 }
@@ -171,19 +170,17 @@ func TestSegmentRoundTrip(t *testing.T) {
 // key: the same objects, and bounds never below flat's.
 func expectFlat(t *testing.T, name string, flat *invidx.Index, got *invidx.Compressed) {
 	t.Helper()
-	var scr invidx.ListScratch
 	for i, key := range keysOf(got) {
-		want, at := flat.List(key), got.At(i, &scr)
-		ats := make([]invidx.Posting, at.Len())
-		for j := range ats {
-			ats[j] = at.Posting(j)
+		objs, bounds, tBounds := flat.List(key)
+		at, probed := got.At(i), got.Probe(key)
+		if probed.Len() != len(objs) || at.Len() != len(objs) || len(objs) == 0 {
+			t.Fatalf("%s: list %d: At %d postings, Probe %d, flat %d", name, i, at.Len(), probed.Len(), len(objs))
 		}
-		probed := got.Probe(key, &scr)
-		if probed.Len() != want.Len() || at.Len() != want.Len() || want.Len() == 0 {
-			t.Fatalf("%s: list %d: At %d postings, Probe %d, flat %d", name, i, at.Len(), probed.Len(), want.Len())
-		}
-		for j, a := range ats {
-			p, w := probed.Posting(j), want.Posting(j)
+		for j := range objs {
+			a, p, w := at.Posting(j), probed.Posting(j), invidx.Posting{Obj: objs[j], Bound: bounds[j]}
+			if tBounds != nil {
+				w.TBound = tBounds[j]
+			}
 			switch {
 			case a != p:
 				t.Fatalf("%s: list %d posting %d: At %+v, Probe %+v", name, i, j, a, p)
@@ -293,13 +290,11 @@ func sortedRuns(dual *invidx.Index) *invidx.Index {
 		if g := uint32(key >> 32); len(runs) == 0 || runs[len(runs)-1].Group != g {
 			runs = append(runs, invidx.Run{Group: g})
 		}
-		run, l := &runs[len(runs)-1], dual.List(key)
+		run := &runs[len(runs)-1]
+		objs, bounds, tBounds := dual.List(key)
 		run.Nodes = append(run.Nodes, uint32(key))
-		run.Lens = append(run.Lens, uint32(l.Len()))
-		for i := 0; i < l.Len(); i++ {
-			p := l.Posting(i)
-			run.Objs, run.Bounds, run.TBounds = append(run.Objs, p.Obj), append(run.Bounds, p.Bound), append(run.TBounds, p.TBound)
-		}
+		run.Lens = append(run.Lens, uint32(len(objs)))
+		run.Objs, run.Bounds, run.TBounds = append(run.Objs, objs...), append(run.Bounds, bounds...), append(run.TBounds, tBounds...)
 	}
 	return invidx.FromSortedRuns(3, runs)
 }

@@ -21,12 +21,14 @@ package invidx
 // bounds do. Object IDs take two bytes when every ID of the index fits (a
 // shard of at most 65,536 objects), four otherwise.
 //
-// Bounds only ever round up, so a Cutoff head over a decoded list is a
-// superset of the exact head and verification keeps answers unchanged. That
-// holds at the ends too: a bound at or below zero codes to 0, and one above
-// the largest finite code — about 3.396e38, reachable only through
-// caller-supplied token weights or coordinates near 1e19 — saturates to the
-// infinity code, which every threshold clears.
+// A list is read where it lies (List): a query threshold is translated to a
+// code once (Code) and compared with the stored codes, which selects exactly
+// the rows whose decoded bounds clear it. Bounds only ever round up, so that
+// head is a superset of the exact head and verification keeps answers
+// unchanged. That holds at the ends too: a bound at or below zero codes to 0,
+// and one above the largest finite code — about 3.396e38, reachable only
+// through caller-supplied token weights or coordinates near 1e19 — saturates
+// to the infinity code, which every threshold clears.
 //
 // This replaces, in turn, a run-length layout (a header per distinct bound,
 // delta-varint or bitmap objects), a columnar one that scaled each list's
@@ -89,15 +91,16 @@ func ceil32(v float64) float32 {
 	return f
 }
 
-// boundCode returns the smallest code whose bound is >= b, for any b but NaN:
-// 0 for a bound at or below zero, maxCode for one above the largest finite
+// Code returns the smallest code whose bound is >= b, for any b but NaN: 0
+// for a bound at or below zero, maxCode for one above the largest finite
 // code, and otherwise b's float32 ceiling, cut to its top 16 magnitude bits
 // and bumped when the cut dropped anything — a carry out of the kept mantissa
 // moves into the exponent, which is still the next code up. Rounding up is
-// what keeps compressed filtering a superset of exact filtering: a list head
-// selected by Cutoff(c) can only gain postings. It is monotone in b, so
-// descending bounds get descending codes.
-func boundCode(b float64) uint16 {
+// what keeps compressed filtering a superset of exact filtering. It is
+// monotone in b, so descending bounds get descending codes, and, being the
+// smallest, it is exact as a threshold: a stored code c decodes to a bound
+// >= b exactly when c >= Code(b).
+func Code(b float64) uint16 {
 	switch {
 	case b <= 0:
 		return 0
@@ -120,7 +123,7 @@ func decodeBound(code uint16) float32 { return math.Float32frombits(uint32(code)
 func appendList(dst []byte, objs []uint32, bounds, tBounds []float64, lay Layout) []byte {
 	for _, lane := range [][]float64{bounds, tBounds} {
 		for _, b := range lane {
-			dst = binary.LittleEndian.AppendUint16(dst, boundCode(b))
+			dst = binary.LittleEndian.AppendUint16(dst, Code(b))
 		}
 	}
 	for _, o := range objs {
@@ -134,33 +137,30 @@ func appendList(dst []byte, objs []uint32, bounds, tBounds []float64, lay Layout
 }
 
 // walkColumns checks a list of n rows where it lies, for what the query path
-// relies on: spatial codes that never ascend, which is what makes their bounds
-// valid input for cutoffDesc; no code past maxCode, which would decode to NaN;
+// relies on: spatial codes that never ascend, which is what makes Cutoff's
+// binary search valid; no code past maxCode, which would decode to NaN;
 // objects below the exclusive bound objects. Opening a segment walks every
-// list once; a probe then decodes without checking.
+// list once; a probe then reads without checking.
 func walkColumns(b []byte, n int, dual bool, lay Layout, objects int) error {
-	if !walkCodes(b, n, true) || dual && !walkCodes(b[2*n:], n, false) {
+	l := lay.list(b, n, dual)
+	if !walkCodes(l.codes, true) || !walkCodes(l.tCodes, false) {
 		return corrupt("bound code past infinity, or spatial codes ascending")
 	}
-	objs := b[2*n:]
-	if dual {
-		objs = b[4*n:]
-	}
 	for i := 0; i < n; i++ {
-		if int(lay.obj(objs, i)) >= objects {
+		if int(l.Obj(i)) >= objects {
 			return corrupt("posting object out of range")
 		}
 	}
 	return nil
 }
 
-// walkCodes walks one lane of n codes and reports whether every code is at
+// walkCodes walks one lane of codes and reports whether every code is at
 // most maxCode and, on the spatial lane, none ascends. Codes are checked as
 // codes, which order as their bounds do.
-func walkCodes(b []byte, n int, spatial bool) bool {
+func walkCodes(b []byte, spatial bool) bool {
 	prev := uint16(maxCode)
-	for i := 0; i < n; i++ {
-		q := binary.LittleEndian.Uint16(b[2*i:])
+	for i := 0; i < len(b); i += 2 {
+		q := binary.LittleEndian.Uint16(b[i:])
 		if q > prev {
 			return false
 		}
@@ -171,51 +171,68 @@ func walkCodes(b []byte, n int, spatial bool) bool {
 	return true
 }
 
-// ListScratch is the reusable decode buffer a probe widens one list into.
-// Each Searcher owns one (inside core.Scratch), so steady-state decoding
-// allocates nothing once the buffers have grown to the longest list probed.
-type ListScratch struct {
-	objs    []uint32
-	bounds  []float64
-	tBounds []float64
+// List is one served posting list, read where it lies: views of its columns
+// in the index's blob (for a mapped segment, its pages) and the index's
+// Layout. Nothing is decoded or copied, so a probe allocates nothing and the
+// view stays valid for as long as the index. The zero List is empty.
+type List struct {
+	codes  []byte // n spatial codes, descending
+	tCodes []byte // n textual codes, dual lists only
+	objs   []byte // n object IDs
+	layout Layout
 }
 
-// decodeColumns widens a list of n rows into scr — each code to its bound,
-// each object ID to a uint32 — and returns the view. It checks nothing: every
-// list was held to walkColumns when its segment opened, or written by Compress.
-func decodeColumns(b []byte, n int, dual bool, lay Layout, scr *ListScratch) List {
-	if cap(scr.objs) < n {
-		scr.objs, scr.bounds = make([]uint32, n), make([]float64, n)
-	}
-	scr.objs, scr.bounds, scr.tBounds = scr.objs[:n], scr.bounds[:n], scr.tBounds[:0]
-	decodeLane(b, scr.bounds)
-	objs := b[2*n:]
+// list cuts the n rows of one list, b, into its columns.
+func (lay Layout) list(b []byte, n int, dual bool) List {
+	l := List{codes: b[:2*n], objs: b[2*n:], layout: lay}
 	if dual {
-		if cap(scr.tBounds) < n {
-			scr.tBounds = make([]float64, n)
-		}
-		scr.tBounds = scr.tBounds[:n]
-		decodeLane(objs, scr.tBounds)
-		objs = b[4*n:]
+		l.tCodes, l.objs = b[2*n:4*n], b[4*n:]
 	}
-	for i := range scr.objs {
-		scr.objs[i] = lay.obj(objs, i)
-	}
-	return List{objs: scr.objs, bounds: scr.bounds, tBounds: scr.tBounds}
+	return l
 }
 
-// decodeLane widens the first len(out) codes of b into out.
-func decodeLane(b []byte, out []float64) {
-	for i := range out {
-		out[i] = float64(decodeBound(binary.LittleEndian.Uint16(b[2*i:])))
+// Len returns the number of postings.
+func (l List) Len() int { return len(l.codes) / 2 }
+
+// code returns the spatial code of posting i.
+func (l List) code(i int) uint16 { return binary.LittleEndian.Uint16(l.codes[2*i:]) }
+
+// Cutoff returns the number of leading postings whose spatial code is at
+// least c: for c = Code(s), the size of I_s from Lemma 3 over the decoded
+// bounds. Hand-rolled: a sort.Search closure would heap-escape on the
+// allocation-free query path.
+func (l List) Cutoff(c uint16) int {
+	lo, hi := 0, l.Len()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.code(mid) < c {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
+	return lo
+}
+
+// TCode returns the textual code of posting i of a dual list.
+func (l List) TCode(i int) uint16 { return binary.LittleEndian.Uint16(l.tCodes[2*i:]) }
+
+// Obj returns the object of posting i.
+func (l List) Obj(i int) uint32 { return l.layout.obj(l.objs, i) }
+
+// Posting decodes posting i, for tests and tools; the query path compares
+// codes and never widens one.
+func (l List) Posting(i int) Posting {
+	p := Posting{Obj: l.Obj(i), Bound: float64(decodeBound(l.code(i)))}
+	if l.tCodes != nil {
+		p.TBound = float64(decodeBound(l.TCode(i)))
+	}
+	return p
 }
 
 // Compressed is the served posting index: the key column of the flat Index it
 // was built from, over a blob of fixed-width rows and the extent table that
-// cuts it into lists. Probes decode into a caller-supplied ListScratch, so
-// steady-state querying allocates nothing; the decoded view is valid until the
-// next probe with the same scratch.
+// cuts it into lists. A probe returns a List over the rows in place.
 type Compressed struct {
 	// What At reads comes first, the extent table held by value: a probe's
 	// select starts one dependent load sooner.
@@ -251,24 +268,24 @@ func Compress(ix *Index) *Compressed {
 	return out
 }
 
-// At decodes list i, the i-th in key order, into scr. Every position a
-// filter asks for comes from the key column, which was validated with the
-// lists, so a position outside [0, Lists()) is a bug: it panics with the
-// position and the count rather than decode a neighbouring list (the extent
-// select does not bounds-check).
-func (ix *Compressed) At(i int, scr *ListScratch) List {
+// At returns list i, the i-th in key order. Every position a filter asks for
+// comes from the key column, which was validated with the lists, so a
+// position outside [0, Lists()) is a bug: it panics with the position and the
+// count rather than read a neighbouring list (the extent select does not
+// bounds-check).
+func (ix *Compressed) At(i int) List {
 	if uint(i) >= uint(ix.rows.Len()) {
 		panic(fmt.Sprintf("invidx: list position %d outside [0, %d)", i, ix.rows.Len()))
 	}
 	lo, hi := ix.rows.Span(i)
-	return decodeColumns(ix.blob[lo*ix.width:hi*ix.width], hi-lo, ix.dual, ix.layout, scr)
+	return ix.layout.list(ix.blob[lo*ix.width:hi*ix.width], hi-lo, ix.dual)
 }
 
-// Probe looks key up and decodes the list At its position; an absent key
+// Probe looks key up and returns the list At its position; an absent key
 // yields an empty list.
-func (ix *Compressed) Probe(key uint64, scr *ListScratch) List {
+func (ix *Compressed) Probe(key uint64) List {
 	if i := ix.find(key); i >= 0 {
-		return ix.At(i, scr)
+		return ix.At(i)
 	}
 	return List{}
 }

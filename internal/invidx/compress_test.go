@@ -111,8 +111,8 @@ func TestServedLayouts(t *testing.T) {
 				}
 				i, total := 0, 0
 				src.EachLen(func(key uint64, n int) {
-					if key != ix.keys[i] || n != ix.List(key).Len() {
-						t.Fatalf("EachLen #%d: (%#x, %d), want (%#x, %d)", i, key, n, ix.keys[i], ix.List(ix.keys[i]).Len())
+					if key != ix.keys[i] || n != len(flatObjs(ix, key)) {
+						t.Fatalf("EachLen #%d: (%#x, %d), want (%#x, %d)", i, key, n, ix.keys[i], len(flatObjs(ix, ix.keys[i])))
 					}
 					i++
 					total += n
@@ -120,25 +120,24 @@ func TestServedLayouts(t *testing.T) {
 				if i != ix.Lists() || total != ix.Postings() {
 					t.Fatalf("EachLen reported %d lists / %d postings", i, total)
 				}
-				var scr ListScratch
-				if l := src.Probe(ix.keys[len(ix.keys)-1]+1, &scr); l.Len() != 0 {
+				if l := src.Probe(ix.keys[len(ix.keys)-1] + 1); l.Len() != 0 {
 					t.Fatalf("absent key probed to %d postings", l.Len())
 				}
 				for _, key := range ix.keys {
-					want := ix.List(key)
-					got := src.Probe(key, &scr)
-					if got.Len() != want.Len() || len(got.tBounds) != len(want.tBounds) {
-						t.Fatalf("list %#x: %d postings / %d textual bounds, want %d / %d",
-							key, got.Len(), len(got.tBounds), want.Len(), len(want.tBounds))
+					want := flatList(ix, key)
+					got := src.Probe(key)
+					if _, _, tBounds := ix.List(key); got.Len() != len(want) || len(got.tCodes)/2 != len(tBounds) {
+						t.Fatalf("list %#x: %d postings / %d textual codes, want %d / %d",
+							key, got.Len(), len(got.tCodes)/2, len(want), len(tBounds))
 					}
-					for i := 0; i < want.Len(); i++ {
-						g, w := got.Posting(i), want.Posting(i)
+					for i, w := range want {
+						g := got.Posting(i)
 						switch {
 						case g.Obj != w.Obj:
 							t.Fatalf("list %#x posting %d: object %d, want %d", key, i, g.Obj, w.Obj)
 						case g.Bound < w.Bound || g.TBound < w.TBound:
 							t.Fatalf("list %#x posting %d: %+v decoded below exact %+v", key, i, g, w)
-						case i > 0 && g.Bound > got.Bound(i-1):
+						case i > 0 && g.Bound > got.Posting(i-1).Bound:
 							t.Fatalf("list %#x: decoded bounds not descending at %d", key, i)
 						}
 					}
@@ -197,8 +196,7 @@ func keysOf(ix *Compressed) (keys []uint64) {
 // atPanic returns what ix.At(i) panics with, or nil when it returns.
 func atPanic(ix *Compressed, i int) (v any) {
 	defer func() { v = recover() }()
-	var scr ListScratch
-	ix.At(i, &scr)
+	ix.At(i)
 	return nil
 }
 
@@ -277,20 +275,19 @@ func TestAtMatchesProbe(t *testing.T) {
 				if col != "run-grouped" && (runs != nil || nodes != nil) || col == "run-grouped" && (runs.Len() != groups || len(nodes) != len(keys)) {
 					t.Fatalf("%s: Runs() = %v over %d nodes", label, runs, len(nodes))
 				}
-				var a, b ListScratch
 				for i, key := range keys {
-					at, probed := src.At(i, &a), src.Probe(key, &b)
-					if at.Len() == 0 || !slices.Equal(at.objs, probed.objs) || !slices.Equal(at.bounds, probed.bounds) || !slices.Equal(at.tBounds, probed.tBounds) {
+					at, probed := src.At(i), src.Probe(key)
+					if at.Len() == 0 || !slices.Equal(at.codes, probed.codes) || !slices.Equal(at.tCodes, probed.tCodes) || !slices.Equal(at.objs, probed.objs) {
 						t.Fatalf("%s: At(%d) and Probe(%#x) differ", label, i, key)
 					}
 					// …and list i of the flat index: the same objects, bounds never
 					// below the exact ones.
-					flat := fx.ix.List(key)
-					if !slices.Equal(at.objs, flat.objs) {
+					flat := flatList(fx.ix, key)
+					if !slices.Equal(objsOf(at), flatObjs(fx.ix, key)) {
 						t.Fatalf("%s: list %d holds other objects than the flat index's", label, i)
 					}
-					for j := range flat.objs {
-						if at.Bound(j) < flat.Bound(j) || at.Posting(j).TBound < flat.Posting(j).TBound {
+					for j, w := range flat {
+						if p := at.Posting(j); p.Bound < w.Bound || p.TBound < w.TBound {
 							t.Fatalf("%s: list %d posting %d decoded below the exact bounds", label, i, j)
 						}
 					}
@@ -299,7 +296,7 @@ func TestAtMatchesProbe(t *testing.T) {
 						if _, held := slices.BinarySearch(keys, absent); held {
 							continue
 						}
-						if l := src.Probe(absent, &b); l.Len() != 0 {
+						if l := src.Probe(absent); l.Len() != 0 {
 							t.Fatalf("%s: absent key %#x probed to %d postings", label, absent, l.Len())
 						}
 					}
@@ -307,7 +304,7 @@ func TestAtMatchesProbe(t *testing.T) {
 				// Group 0 and 7 have empty runs, groups-1 is the last run and
 				// empty, groups and beyond have no run at all.
 				for _, absent := range []uint64{0, 5, 7<<32 | 5, (groups-1)<<32 | 5, groups << 32, groups<<32 | 5, 1 << 63, math.MaxUint64} {
-					if l := src.Probe(absent, &b); l.Len() != 0 {
+					if l := src.Probe(absent); l.Len() != 0 {
 						t.Fatalf("%s: key %#x probed to %d postings", label, absent, l.Len())
 					}
 				}
@@ -331,7 +328,9 @@ func TestCompressedSmaller(t *testing.T) {
 	}
 }
 
-func TestCompressedProbeZeroAlloc(t *testing.T) {
+// TestCompressedProbeZeroAllocs: a probe reads its list in place, so there is
+// no buffer to warm: probing every list of a fresh index allocates nothing.
+func TestCompressedProbeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
 	}
@@ -339,13 +338,9 @@ func TestCompressedProbeZeroAlloc(t *testing.T) {
 	ix := buildRandom(rng, 30, 200, 1000)
 	cx := Compress(ix)
 	keys := append([]uint64(nil), ix.keys...)
-	var scr ListScratch
-	for _, k := range keys { // warm the scratch to the longest list
-		cx.Probe(k, &scr)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	allocs := testing.AllocsPerRun(1, func() {
 		for _, k := range keys {
-			if cx.Probe(k, &scr).Len() == 0 {
+			if cx.Probe(k).Len() == 0 {
 				t.Fatal("probe failed")
 			}
 		}
@@ -603,7 +598,7 @@ func adversarialBounds() []float64 {
 // is a normal float32.
 func checkBoundCode(t *testing.T, v float64) uint16 {
 	t.Helper()
-	c := boundCode(v)
+	c := Code(v)
 	got := float64(decodeBound(c))
 	switch {
 	case c > maxCode || math.IsNaN(got):
@@ -639,10 +634,10 @@ func TestQuantizationNeverUnderEstimates(t *testing.T) {
 			return math.Ldexp(rng.Float64(), rng.Intn(200)-120) // every magnitude
 		}
 	}
-	if boundCode(0) != 0 || decodeBound(0) != 0 {
+	if Code(0) != 0 || decodeBound(0) != 0 {
 		t.Fatalf("zero should code to 0 and back")
 	}
-	if top := decodeBound(maxCode - 1); boundCode(float64(top)) != maxCode-1 || boundCode(math.Nextafter(float64(top), math.Inf(1))) != maxCode ||
+	if top := decodeBound(maxCode - 1); Code(float64(top)) != maxCode-1 || Code(math.Nextafter(float64(top), math.Inf(1))) != maxCode ||
 		!math.IsInf(float64(decodeBound(maxCode)), 1) {
 		t.Fatalf("the largest finite code %g should code to itself and anything above it to infinity", top)
 	}
@@ -663,7 +658,6 @@ func TestQuantizationNeverUnderEstimates(t *testing.T) {
 		prev = c
 	}
 
-	var scr ListScratch
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 64, 257} {
 		for _, dual := range []bool{false, true} {
 			for _, obj16 := range []bool{true, false} {
@@ -693,25 +687,22 @@ func TestQuantizationNeverUnderEstimates(t *testing.T) {
 					if want := n * lay.rowWidth(dual); len(data) != want {
 						t.Fatalf("n=%d dual=%v obj16=%v: %d bytes, want %d", n, dual, obj16, len(data), want)
 					}
-					got, err := decodeList(data, dual, lay, &scr)
-					if err != nil || got != n {
-						t.Fatalf("n=%d dual=%v obj16=%v: decoded %d postings, err %v", n, dual, obj16, got, err)
-					}
-					if err := walkColumns(data, n, dual, lay, 1<<21); err != nil {
-						t.Fatalf("n=%d dual=%v obj16=%v: validated in place: %v", n, dual, obj16, err)
+					l, err := decodeList(data, dual, lay, 1<<21)
+					if err != nil || l.Len() != n {
+						t.Fatalf("n=%d dual=%v obj16=%v: read %d postings, err %v", n, dual, obj16, l.Len(), err)
 					}
 					for i := 0; i < n; i++ {
-						if scr.objs[i] != objs[i] {
-							t.Fatalf("n=%d posting %d: object %d, want %d", n, i, scr.objs[i], objs[i])
+						if l.Obj(i) != objs[i] {
+							t.Fatalf("n=%d posting %d: object %d, want %d", n, i, l.Obj(i), objs[i])
 						}
-						if scr.bounds[i] != float64(decodeBound(boundCode(bounds[i]))) {
-							t.Fatalf("n=%d posting %d: spatial bound %g is not the code of %g", n, i, scr.bounds[i], bounds[i])
+						if l.code(i) != Code(bounds[i]) {
+							t.Fatalf("n=%d posting %d: spatial code %#x is not the code of %g", n, i, l.code(i), bounds[i])
 						}
-						if i > 0 && scr.bounds[i] > scr.bounds[i-1] {
-							t.Fatalf("n=%d posting %d: decoded spatial bounds ascend (%g after %g)", n, i, scr.bounds[i], scr.bounds[i-1])
+						if i > 0 && l.code(i) > l.code(i-1) {
+							t.Fatalf("n=%d posting %d: spatial codes ascend (%#x after %#x)", n, i, l.code(i), l.code(i-1))
 						}
-						if dual && scr.tBounds[i] != float64(decodeBound(boundCode(tBounds[i]))) {
-							t.Fatalf("n=%d posting %d: textual bound %g is not the code of %g", n, i, scr.tBounds[i], tBounds[i])
+						if dual && l.TCode(i) != Code(tBounds[i]) {
+							t.Fatalf("n=%d posting %d: textual code %#x is not the code of %g", n, i, l.TCode(i), tBounds[i])
 						}
 					}
 				}
@@ -736,18 +727,17 @@ func TestCompressSaturates(t *testing.T) {
 		if lay := cx.Arenas().Layout; lay != (Layout{Obj16: true}) {
 			t.Fatalf("bound %g: layout %+v, want 16-bit objects", bad, lay)
 		}
-		var scr ListScratch
-		got, want := cx.Probe(1, &scr), flat.List(1)
+		got, want := cx.Probe(1), flatList(flat, 1)
 		if got.Len() != 2 {
 			t.Fatalf("bound %g: probe len %d", bad, got.Len())
 		}
-		for i := 0; i < 2; i++ {
-			if got.Obj(i) != want.Obj(i) || got.Bound(i) < want.Bound(i) {
-				t.Fatalf("bound %g: posting %d decoded to %+v, flat %+v", bad, i, got.Posting(i), want.Posting(i))
+		for i, w := range want {
+			if p := got.Posting(i); p.Obj != w.Obj || p.Bound < w.Bound {
+				t.Fatalf("bound %g: posting %d decoded to %+v, flat %+v", bad, i, p, w)
 			}
 		}
-		if bad > 0.5 && !math.IsInf(got.Bound(0), 1) {
-			t.Fatalf("bound %g decoded to %g, want infinity", bad, got.Bound(0))
+		if bad > 0.5 && got.code(0) != maxCode {
+			t.Fatalf("bound %g coded to %#x, want the infinity code", bad, got.code(0))
 		}
 	}
 }
@@ -755,7 +745,9 @@ func TestCompressSaturates(t *testing.T) {
 // FuzzBoundCode fuzzes the one bound code over pairs of float64s: for any
 // pair but a NaN, each code is at most maxCode, decodes to a float32 that is
 // never under its bound and is the tightest such code, and the codes order as
-// the bounds do.
+// the bounds do. As a threshold each is exact, which is what lets a query
+// compare codes where it compared decoded bounds: decode(c) >= s exactly when
+// c >= Code(s), checked at c = Code(s) and the code below it.
 func FuzzBoundCode(f *testing.F) {
 	adv := adversarialBounds()
 	for i, v := range adv {
@@ -769,30 +761,42 @@ func FuzzBoundCode(f *testing.F) {
 		if ca, cb := checkBoundCode(t, a), checkBoundCode(t, b); a <= b && ca > cb || b <= a && cb > ca {
 			t.Fatalf("codes %#x, %#x do not order as bounds %g, %g", ca, cb, a, b)
 		}
+		for _, s := range []float64{a, b} {
+			cs := Code(s)
+			for _, c := range []uint16{cs, cs - 1} {
+				if c > cs { // Code(s) is 0: no code below it
+					continue
+				}
+				if float64(decodeBound(c)) >= s != (c >= cs) {
+					t.Fatalf("threshold %g: code %#x decodes to %g, but Code(%g) = %#x", s, c, decodeBound(c), s, cs)
+				}
+			}
+		}
 	})
 }
 
-// decodeList validates one list's bytes — exactly data, no more, no less — as
-// opening a segment does, decodes them into scr as a probe would, and returns
-// the posting count: the rows data holds, a length off the row lattice being
-// corrupt.
-func decodeList(data []byte, dual bool, lay Layout, scr *ListScratch) (int, error) {
+// decodeList validates one list's bytes — exactly data, no more, no less, over
+// objects below the exclusive bound objects — as opening a segment does, and
+// returns the view a probe would: the rows data holds, a length off the row
+// lattice being corrupt.
+func decodeList(data []byte, dual bool, lay Layout, objects int) (List, error) {
 	w := lay.rowWidth(dual)
 	if len(data)%w != 0 {
-		return 0, corrupt("list length off the row lattice")
+		return List{}, corrupt("list length off the row lattice")
 	}
 	n := len(data) / w
-	if err := walkColumns(data, n, dual, lay, math.MaxInt); err != nil {
-		return n, err
+	if err := walkColumns(data, n, dual, lay, objects); err != nil {
+		return List{}, err
 	}
-	decodeColumns(data, n, dual, lay, scr)
-	return n, nil
+	return lay.list(data, n, dual), nil
 }
 
 // FuzzDecodeList: arbitrary bytes walked as one list of either width must
-// either pass the validation of segment opening and then decode cleanly —
-// with every invariant the query path relies on actually holding — or fail
-// with ErrCorrupt. Panics and silent mis-decodes are the bugs being hunted.
+// either pass the validation of segment opening and then read cleanly through
+// the view in place — with every invariant the query path relies on actually
+// holding: codes at most maxCode, spatial codes never ascending, objects in
+// range — or fail with ErrCorrupt. Panics and silent misreads are the bugs
+// being hunted.
 func FuzzDecodeList(f *testing.F) {
 	// Seed with genuine encoder output in every layout, each list once as
 	// built and once with its head — spatial and, on a dual list, textual —
@@ -804,45 +808,130 @@ func FuzzDecodeList(f *testing.F) {
 	for _, ix := range []*Index{ix, wide, dx} {
 		lay := Compress(ix).Arenas().Layout
 		for _, key := range ix.keys {
-			l := ix.List(key)
-			f.Add(appendList(nil, l.objs, l.bounds, l.tBounds, lay), ix.dual, lay.Obj16)
-			bounds, tBounds := slices.Clone(l.bounds), slices.Clone(l.tBounds)
+			objs, bounds, tBounds := ix.List(key)
+			f.Add(appendList(nil, objs, bounds, tBounds, lay), ix.dual, lay.Obj16)
+			bounds, tBounds = slices.Clone(bounds), slices.Clone(tBounds)
 			bounds[0] = 2 * math.MaxFloat32
 			if ix.dual {
 				tBounds[0] = math.Inf(1)
 			}
-			f.Add(appendList(nil, l.objs, bounds, tBounds, lay), ix.dual, lay.Obj16)
+			f.Add(appendList(nil, objs, bounds, tBounds, lay), ix.dual, lay.Obj16)
 		}
 	}
 	f.Add([]byte{3}, false, true)
 	f.Add([]byte{}, true, false)
 
+	const objects = 1 << 20 // every seed's objects lie below it
 	f.Fuzz(func(t *testing.T, data []byte, dual, obj16 bool) {
-		var scr ListScratch
 		lay := Layout{Obj16: obj16}
-		n, err := decodeList(data, dual, lay, &scr)
+		l, err := decodeList(data, dual, lay, objects)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
 			}
 			return
 		}
+		n := l.Len()
 		if n*lay.rowWidth(dual) != len(data) {
-			t.Fatalf("clean decode of %d bytes claims %d postings", len(data), n)
+			t.Fatalf("clean read of %d bytes claims %d postings", len(data), n)
 		}
-		if len(scr.objs) != n || len(scr.bounds) != n {
-			t.Fatalf("clean decode produced %d objs / %d bounds, want %d", len(scr.objs), len(scr.bounds), n)
-		}
-		if dual && len(scr.tBounds) != n {
-			t.Fatalf("clean dual decode produced %d textual bounds, want %d", len(scr.tBounds), n)
+		if dual && len(l.tCodes) != 2*n {
+			t.Fatalf("clean read of a dual list has %d textual codes for %d postings", len(l.tCodes)/2, n)
 		}
 		for i := 0; i < n; i++ {
-			if math.IsNaN(scr.bounds[i]) || (i > 0 && scr.bounds[i] > scr.bounds[i-1]) {
-				t.Fatalf("clean decode produced non-descending bounds at %d", i)
+			if c := l.code(i); c > maxCode || i > 0 && c > l.code(i-1) {
+				t.Fatalf("clean read has spatial code %#x at %d, past infinity or ascending", c, i)
 			}
-			if dual && math.IsNaN(scr.tBounds[i]) {
-				t.Fatalf("clean dual decode produced NaN textual bound at %d", i)
+			if dual && l.TCode(i) > maxCode {
+				t.Fatalf("clean read has textual code %#x at %d, past infinity", l.TCode(i), i)
+			}
+			if l.Obj(i) >= objects {
+				t.Fatalf("clean read has object %d at %d, out of range", l.Obj(i), i)
 			}
 		}
 	})
+}
+
+// cutoffDecoded is the float cutoff the query path used before it compared
+// codes: the length of the leading run of the descending bounds that are >= c.
+func cutoffDecoded(bounds []float64, c float64) int {
+	lo, hi := 0, len(bounds)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bounds[mid] < c {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// TestCodeCutoffMatchesDecoded: comparing a list's codes with a threshold's
+// Code selects exactly the rows that comparing the decoded bounds with the
+// threshold did — the head by Cutoff, and row by row the textual test — so
+// every head, candidate and count is the one the float comparison gave. Lists
+// of 0, 1, 2 and 257 postings, single and dual, in both object widths, over
+// codes of every magnitude (the saturated infinity code included), are cut at
+// every code's bound and one float64 step either side of it, at thresholds at
+// or below zero, past the largest finite code, and at +Inf.
+func TestCodeCutoffMatchesDecoded(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	var thresholds []float64
+	for c := uint16(0); c <= maxCode; c++ {
+		b := float64(decodeBound(c))
+		thresholds = append(thresholds, math.Nextafter(b, math.Inf(-1)), b, math.Nextafter(b, math.Inf(1)))
+	}
+	thresholds = append(thresholds, math.Copysign(0, -1), -1, -math.MaxFloat64, math.Inf(-1),
+		math.MaxFloat32, 1e300, math.MaxFloat64)
+	for _, n := range []int{0, 1, 2, 257} {
+		for _, dual := range []bool{false, true} {
+			for _, obj16 := range []bool{true, false} {
+				// Codes drawn over the whole range, the infinity code and zero
+				// included, with runs of ties.
+				codes := make([]uint16, n)
+				for i := range codes {
+					switch i % 5 {
+					case 0:
+						codes[i] = maxCode
+					case 1:
+						codes[i] = 0
+					default:
+						codes[i] = uint16(rng.Intn(maxCode + 1))
+					}
+				}
+				bounds, tBounds := make([]float64, n), []float64(nil)
+				objs := make([]uint32, n)
+				for i := range bounds {
+					bounds[i] = float64(decodeBound(codes[i]))
+					objs[i] = uint32(i)
+					if !obj16 {
+						objs[i] |= 1 << 20
+					}
+				}
+				if dual {
+					tBounds = slices.Clone(bounds) // shuffled: the textual lane is not sorted
+					rng.Shuffle(n, func(i, j int) { tBounds[i], tBounds[j] = tBounds[j], tBounds[i] })
+				}
+				slices.SortFunc(bounds, func(a, b float64) int { return cmp.Compare(b, a) })
+				lay := Layout{Obj16: obj16}
+				l, err := decodeList(appendList(nil, objs, bounds, tBounds, lay), dual, lay, 1<<21)
+				if err != nil || l.Len() != n {
+					t.Fatalf("n=%d dual=%v obj16=%v: %d postings, err %v", n, dual, obj16, l.Len(), err)
+				}
+				for _, s := range thresholds {
+					c := Code(s)
+					if got, want := l.Cutoff(c), cutoffDecoded(bounds, s); got != want {
+						t.Fatalf("n=%d dual=%v obj16=%v: Cutoff(Code(%g) = %#x) = %d, decoded cutoff %d", n, dual, obj16, s, c, got, want)
+					}
+					for j := range tBounds {
+						if got, want := l.TCode(j) >= c, tBounds[j] >= s; got != want {
+							t.Fatalf("n=%d obj16=%v row %d: textual code %#x >= Code(%g) = %#x is %v, decoded %g >= %g is %v",
+								n, obj16, j, l.TCode(j), s, c, got, tBounds[j], s, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -17,9 +17,11 @@
 // A build is flat: a frozen Index keeps every posting in one contiguous
 // objs/bounds arena, with an ascending sorted key table and an offset per key,
 // and the whole index is a handful of allocations regardless of how many lists
-// it holds. The paper's baselines read it as it is (List). A signature filter
-// serves its Compress form instead — the layout a segment stores — in memory
-// as from a mapped segment.
+// it holds. The paper's baselines read it as it is (Index.List). A signature
+// filter serves its Compress form instead — the layout a segment stores — in
+// memory as from a mapped segment, and reads it where it lies: a served List
+// is a view of a list's 16-bit bound codes and object IDs, and a query
+// threshold becomes a code once (Code) rather than every code a bound.
 //
 // A served list is reached by position: At(i) is the i-th list in key order.
 // The kinds that look lists up by key (token, grid, hybrid-hash: a Builder's
@@ -55,75 +57,6 @@ type Posting struct {
 	Obj    uint32
 	Bound  float64
 	TBound float64
-}
-
-// List is an immutable view of one posting list, sorted by descending
-// bound. The zero List is empty; views index into the owning Index's arena
-// (or a ListScratch) and must not be mutated. The textual-bound lane is empty
-// on the lists of a single-bound index.
-type List struct {
-	objs    []uint32
-	bounds  []float64
-	tBounds []float64
-}
-
-// Len returns the number of postings.
-func (l List) Len() int { return len(l.objs) }
-
-// Cutoff returns the number of leading postings whose bound is >= c
-// (the size of I_c(s) from Lemma 3). Filters iterate that head directly
-// instead of paying a callback per posting.
-func (l List) Cutoff(c float64) int { return cutoffDesc(l.bounds, c) }
-
-// cutoffDesc returns the length of the leading run of the descending bounds
-// slice whose values are >= c. Hand-rolled: a sort.Search closure would
-// heap-escape on the allocation-free query path.
-func cutoffDesc(bounds []float64, c float64) int {
-	lo, hi := 0, len(bounds)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if bounds[mid] < c {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// Objs returns the object IDs of the first n postings. Callers must not
-// mutate the result.
-func (l List) Objs(n int) []uint32 { return l.objs[:n] }
-
-// Obj returns the object of posting i.
-func (l List) Obj(i int) uint32 { return l.objs[i] }
-
-// Bound returns the bound of posting i.
-func (l List) Bound(i int) float64 { return l.bounds[i] }
-
-// TBound returns the textual bound of posting i of a dual-bound list.
-func (l List) TBound(i int) float64 { return l.tBounds[i] }
-
-// Posting returns posting i.
-func (l List) Posting(i int) Posting {
-	p := Posting{Obj: l.objs[i], Bound: l.bounds[i]}
-	if len(l.tBounds) > 0 {
-		p.TBound = l.tBounds[i]
-	}
-	return p
-}
-
-// Scan visits every posting of a dual-bound list with Bound >= cR and
-// TBound >= cT, stopping at the spatial cutoff, and returns the number of
-// postings examined.
-func (l List) Scan(cR, cT float64, fn func(obj uint32)) int {
-	n := l.Cutoff(cR)
-	for i := 0; i < n; i++ {
-		if l.tBounds[i] >= cT {
-			fn(l.objs[i])
-		}
-	}
-	return n
 }
 
 // Index maps signature elements (opaque uint64 keys) to posting lists.
@@ -465,19 +398,20 @@ func mix64(v uint64) uint64 {
 	return v
 }
 
-// List returns a zero-copy arena view of key's posting list; absent keys
-// yield an empty List. The paper's baselines read the flat index this way.
-func (ix *Index) List(key uint64) List {
+// List returns key's postings as zero-copy views of the arenas — objects,
+// bounds and, on a dual index, textual bounds — in list order (descending
+// bound); an absent key has none. The paper's baselines read the flat index
+// this way, whole lists at a time. Callers must not mutate them.
+func (ix *Index) List(key uint64) (objs []uint32, bounds, tBounds []float64) {
 	i := ix.find(key)
 	if i < 0 {
-		return List{}
+		return nil, nil, nil
 	}
 	lo, hi := ix.starts[i], ix.starts[i+1]
-	l := List{objs: ix.objs[lo:hi], bounds: ix.bounds[lo:hi]}
 	if ix.dual {
-		l.tBounds = ix.tBounds[lo:hi]
+		tBounds = ix.tBounds[lo:hi]
 	}
-	return l
+	return ix.objs[lo:hi], ix.bounds[lo:hi], tBounds
 }
 
 // Lists returns the number of non-empty lists.

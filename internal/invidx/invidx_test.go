@@ -4,10 +4,51 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// flatList returns key's postings in the flat index, the textual bound zero
+// on a single-bound one.
+func flatList(ix *Index, key uint64) []Posting {
+	objs, bounds, tBounds := ix.List(key)
+	ps := make([]Posting, len(objs))
+	for i := range ps {
+		ps[i] = Posting{Obj: objs[i], Bound: bounds[i]}
+		if tBounds != nil {
+			ps[i].TBound = tBounds[i]
+		}
+	}
+	return ps
+}
+
+// flatObjs returns the objects of key's list in the flat index.
+func flatObjs(ix *Index, key uint64) []uint32 {
+	objs, _, _ := ix.List(key)
+	return objs
+}
+
+// objsOf returns the objects of a served list, in list order.
+func objsOf(l List) []uint32 {
+	objs := make([]uint32, l.Len())
+	for i := range objs {
+		objs[i] = l.Obj(i)
+	}
+	return objs
+}
+
+// scan is the dual-bound head scan of the query path, as one call: the
+// objects of l's head at cR whose textual bound clears cT, and the head's
+// length.
+func scan(l List, cR, cT float64) (objs []uint32, examined int) {
+	n := l.Cutoff(Code(cR))
+	for i := 0; i < n; i++ {
+		if l.TCode(i) >= Code(cT) {
+			objs = append(objs, l.Obj(i))
+		}
+	}
+	return objs, n
+}
 
 func TestListCutoff(t *testing.T) {
 	var b Builder
@@ -17,15 +58,14 @@ func TestListCutoff(t *testing.T) {
 	b.Add(9, 4, 3.0)
 	idx := b.Build()
 
-	l := idx.List(7)
+	// Sorted descending: bounds 2.0, 1.0, 0.5, each a code of its own.
+	if _, bounds, _ := idx.List(7); !slices.Equal(bounds, []float64{2.0, 1.0, 0.5}) {
+		t.Fatalf("flat bounds = %v, want [2 1 0.5]", bounds)
+	}
+	cx := Compress(idx)
+	l := cx.Probe(7)
 	if l.Len() != 3 {
 		t.Fatalf("list len = %d, want 3", l.Len())
-	}
-	// Sorted descending: bounds 2.0, 1.0, 0.5.
-	for i, want := range []float64{2.0, 1.0, 0.5} {
-		if l.Bound(i) != want {
-			t.Errorf("bound[%d] = %v, want %v", i, l.Bound(i), want)
-		}
 	}
 	cases := []struct {
 		c    float64
@@ -34,14 +74,14 @@ func TestListCutoff(t *testing.T) {
 		{3.0, 0}, {2.0, 1}, {1.5, 1}, {1.0, 2}, {0.6, 2}, {0.5, 3}, {0.0, 3},
 	}
 	for _, c := range cases {
-		if got := l.Cutoff(c.c); got != c.want {
-			t.Errorf("Cutoff(%v) = %d, want %d", c.c, got, c.want)
+		if got := l.Cutoff(Code(c.c)); got != c.want {
+			t.Errorf("Cutoff(Code(%v)) = %d, want %d", c.c, got, c.want)
 		}
 	}
-	if idx.List(999).Len() != 0 {
+	if objs, _, _ := idx.List(999); objs != nil {
 		t.Errorf("absent key should return an empty list")
 	}
-	if idx.List(999).Cutoff(1) != 0 {
+	if cx.Probe(999).Cutoff(Code(1)) != 0 {
 		t.Errorf("empty list should cut off at 0")
 	}
 	if idx.Postings() != 4 || idx.Lists() != 2 {
@@ -57,11 +97,10 @@ func TestListDeterministicTieBreak(t *testing.T) {
 	b.Add(1, 9, 1.0)
 	b.Add(1, 3, 1.0)
 	b.Add(1, 5, 1.0)
-	l := b.Build().List(1)
-	want := []uint32{3, 5, 9}
-	for i, w := range want {
-		if l.Obj(i) != w {
-			t.Fatalf("tie order = %v, want ascending object IDs", l.Objs(3))
+	ix := b.Build()
+	for name, objs := range map[string][]uint32{"flat": flatObjs(ix, 1), "served": objsOf(Compress(ix).Probe(1))} {
+		if !slices.Equal(objs, []uint32{3, 5, 9}) {
+			t.Fatalf("%s tie order = %v, want ascending object IDs", name, objs)
 		}
 	}
 }
@@ -154,26 +193,24 @@ func TestListScanDualBounds(t *testing.T) {
 	b.AddDual(1, 11, 4.0, 0.2)
 	b.AddDual(1, 12, 3.0, 0.8)
 	b.AddDual(1, 13, 1.0, 0.9)
-	idx := b.Build()
-	l := idx.List(1)
+	cx := Compress(b.Build())
+	l := cx.Probe(1)
 
-	var got []uint32
-	examined := l.Scan(2.5, 0.5, func(obj uint32) { got = append(got, obj) })
+	got, examined := scan(l, 2.5, 0.5)
 	if examined != 3 {
 		t.Fatalf("examined = %d, want 3 (spatial cutoff)", examined)
 	}
 	want := []uint32{10, 12} // 11 fails the textual bound, 13 the spatial cutoff
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("Scan = %v, want %v", got, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("scan = %v, want %v", got, want)
 	}
-	var none []uint32
-	if n := l.Scan(10, 0.1, func(obj uint32) { none = append(none, obj) }); n != 0 || len(none) != 0 {
+	if none, n := scan(l, 10, 0.1); n != 0 || len(none) != 0 {
 		t.Fatalf("high cR should scan nothing, got %v (examined %d)", none, n)
 	}
-	if (List{}).Scan(0, 0, func(uint32) {}) != 0 {
+	if _, n := scan(List{}, 0, 0); n != 0 {
 		t.Fatalf("empty dual list should scan nothing")
 	}
-	if idx.List(424242).Len() != 0 {
+	if cx.Probe(424242).Len() != 0 {
 		t.Fatalf("absent dual key should return an empty list")
 	}
 }
@@ -183,13 +220,11 @@ func TestBuilderDualMergesMaxBounds(t *testing.T) {
 	b.AddDual(1, 42, 5.0, 0.2)
 	b.AddDual(1, 42, 3.0, 0.9) // same object, same bucket: merge with max bounds
 	idx := b.Build()
-	l := idx.List(1)
+	l := Compress(idx).Probe(1)
 	if l.Len() != 1 {
 		t.Fatalf("merged list len = %d, want 1", l.Len())
 	}
-	var got []uint32
-	l.Scan(4.5, 0.8, func(obj uint32) { got = append(got, obj) })
-	if len(got) != 1 || got[0] != 42 {
+	if got, _ := scan(l, 4.5, 0.8); len(got) != 1 || got[0] != 42 {
 		t.Fatalf("merged posting should satisfy (4.5, 0.8): got %v", got)
 	}
 	if idx.Postings() != 1 {
@@ -230,8 +265,9 @@ func TestFlatSizeBytesAccounting(t *testing.T) {
 	}
 }
 
-// TestCutoffMatchesLinearScan cross-checks the binary-search cutoff against
-// a linear filter over random lists.
+// TestCutoffMatchesLinearScan cross-checks the binary-search cutoff of a
+// served list against a linear filter of its decoded bounds, over random
+// lists.
 func TestCutoffMatchesLinearScan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -243,18 +279,16 @@ func TestCutoffMatchesLinearScan(t *testing.T) {
 			bounds = append(bounds, bd)
 			b.Add(1, uint32(i), bd)
 		}
-		idx := b.Build()
-		l := idx.List(1)
-		sort.Sort(sort.Reverse(sort.Float64Slice(bounds)))
+		l := Compress(b.Build()).Probe(1)
 		for trial := 0; trial < 8; trial++ {
 			c := rng.Float64() * 11
 			want := 0
-			for _, bd := range bounds {
-				if bd >= c {
+			for i := 0; i < l.Len(); i++ {
+				if l.Posting(i).Bound >= c {
 					want++
 				}
 			}
-			if got := l.Cutoff(c); got != want {
+			if got := l.Cutoff(Code(c)); got != want {
 				return false
 			}
 		}
@@ -281,19 +315,14 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 
 	var runs []Run
 	for _, key := range want.keys {
-		l := want.List(key)
+		objs, bounds, tBounds := want.List(key)
 		if len(runs) == 0 || runs[len(runs)-1].Group != uint32(key>>32) || rng.Intn(3) == 0 {
 			runs = append(runs, Run{Group: uint32(key >> 32)})
 		}
 		r := &runs[len(runs)-1]
 		r.Nodes = append(r.Nodes, uint32(key))
-		r.Lens = append(r.Lens, uint32(l.Len()))
-		for i := 0; i < l.Len(); i++ {
-			p := l.Posting(i)
-			r.Objs = append(r.Objs, p.Obj)
-			r.Bounds = append(r.Bounds, p.Bound)
-			r.TBounds = append(r.TBounds, p.TBound)
-		}
+		r.Lens = append(r.Lens, uint32(len(objs)))
+		r.Objs, r.Bounds, r.TBounds = append(r.Objs, objs...), append(r.Bounds, bounds...), append(r.TBounds, tBounds...)
 	}
 	runs = append(runs, Run{Group: groups - 1}) // an empty run is legal
 	got := FromSortedRuns(groups, runs)
@@ -301,13 +330,11 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 	if !got.dual || !slices.Equal(keysOf(served), want.keys) || got.Postings() != want.Postings() {
 		t.Fatalf("index from %d sorted runs: flavour, keys or posting total differ from the builder's", len(runs))
 	}
-	var scr ListScratch
 	for i, key := range want.keys {
-		w := want.List(key)
-		if l := got.List(key); !slices.Equal(l.objs, w.objs) || !slices.Equal(l.bounds, w.bounds) || !slices.Equal(l.tBounds, w.tBounds) {
+		if !slices.Equal(flatList(got, key), flatList(want, key)) {
 			t.Fatalf("list %d (%#x) from sorted runs differs from the builder's", i, key)
 		}
-		if !slices.Equal(served.At(i, &scr).objs, w.objs) {
+		if !slices.Equal(objsOf(served.At(i)), flatObjs(want, key)) {
 			t.Fatalf("list %d (%#x) from sorted runs is not at position %d", i, key, i)
 		}
 	}
@@ -318,7 +345,7 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 		len(a.Nodes) != want.Lists() || got.SizeBytes() != want.SizeBytes()-hashDirBytes(want.Lists())-int64(4*want.Lists())+int64(8*len(a.Runs)) {
 		t.Fatalf("an index from sorted runs should carry a run-grouped key column and nothing else")
 	}
-	if got := FromSortedRuns(0, nil); !got.dual || got.Lists() != 0 || got.Postings() != 0 || got.List(1).Len() != 0 {
+	if got := FromSortedRuns(0, nil); !got.dual || got.Lists() != 0 || got.Postings() != 0 || len(flatObjs(got, 1)) != 0 {
 		t.Fatalf("no runs should freeze to an empty dual index")
 	}
 
@@ -344,7 +371,7 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 	single := one(3, 3)
 	single.TBounds = nil
 	mustPanic("missing textual lane", []Run{single})
-	if ok := FromSortedRuns(8, []Run{one(2, 5), one(2, 6), one(3, 0)}); ok.Lists() != 3 || ok.List(3<<32).Len() != 1 {
+	if ok := FromSortedRuns(8, []Run{one(2, 5), one(2, 6), one(3, 0)}); ok.Lists() != 3 || len(flatObjs(ok, 3<<32)) != 1 {
 		t.Fatalf("ascending keys across runs of one group should freeze")
 	}
 }
