@@ -18,7 +18,7 @@ import (
 
 // TestCloseDuringQueries races Close against in-flight Query, QueryBatch and
 // Stream calls, and against the point reads of the mapped dataset (Object,
-// Footprint, Similarity, Fingerprint, TokenWeight), on a mapped index. Every call must
+// Similarity, Fingerprint, TokenWeight), on a mapped index. Every call must
 // either complete with the exact answer or report ErrClosed — never a degraded or torn answer, and
 // never a read of a page Close has already unmapped, which is a SIGSEGV that
 // takes the process down, not a recoverable panic.
@@ -72,17 +72,12 @@ func TestCloseDuringQueries(t *testing.T) {
 		// The point reads walk every object, so some call is always inside the
 		// mapped columns when Close gets to unmapping them.
 		wantObjects := make([]seal.Object, len(objects))
-		wantFeet := make([][]seal.Rect, len(objects))
 		wantSims := make([][2]float64, len(objects))
-		simQuery := seal.Query{Region: req.Region, Tokens: req.Tokens}
 		for id := range objects {
 			if wantObjects[id], err = built.Object(id); err != nil {
 				t.Fatal(err)
 			}
-			if wantFeet[id], err = built.Footprint(id); err != nil {
-				t.Fatal(err)
-			}
-			if wantSims[id][0], wantSims[id][1], err = built.Similarity(simQuery, id); err != nil {
+			if wantSims[id][0], wantSims[id][1], err = built.Similarity(req, id); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -103,15 +98,11 @@ func TestCloseDuringQueries(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				foot, err := ix.Footprint(id)
+				simR, simT, err := ix.Similarity(req, id)
 				if err != nil {
 					return err
 				}
-				simR, simT, err := ix.Similarity(simQuery, id)
-				if err != nil {
-					return err
-				}
-				if !reflect.DeepEqual(o, wantObjects[id]) || !slices.Equal(foot, wantFeet[id]) || [2]float64{simR, simT} != wantSims[id] {
+				if !reflect.DeepEqual(o, wantObjects[id]) || [2]float64{simR, simT} != wantSims[id] {
 					return fmt.Errorf("object %d read back wrong from a closing index", id)
 				}
 			}

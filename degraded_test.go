@@ -4,7 +4,6 @@ package seal_test
 // missing segment), strict queries must fail with the sentinel while
 // AllowPartial queries must return exactly the full answer minus the lost
 // partition's objects — bit-identical similarities for every surviving match.
-// WithRepair must instead rebuild the shard and restore exact full answers.
 
 import (
 	"context"
@@ -227,70 +226,49 @@ func TestQuarantineDegradedDifferential(t *testing.T) {
 	}
 }
 
-func TestQuarantineRepairRestoresExactAnswers(t *testing.T) {
+// TestMissingSegmentQuarantines: a shard whose segment file is gone, not
+// merely truncated, is quarantined like a corrupt one — the open succeeds,
+// strict queries fail with the sentinel, and partial answers are the full
+// answer minus that shard's objects. Each of the four shards is removed in
+// turn, the first and last included.
+func TestMissingSegmentQuarantines(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260810))
 	objects := shardObjects(260, rng)
 	reqs := degradedRequests(10, rng)
-	dir := filepath.Join(t.TempDir(), "segs")
-	full := buildSegmented(t, objects, dir, reqs)
+	for victim := range 4 {
+		t.Run(fmt.Sprintf("shard-%d", victim), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "segs")
+			full := buildSegmented(t, objects, dir, reqs)
+			lost := lostIDs(readParts(t, dir), victim)
 
-	// A missing segment quarantines just like a corrupt one; WithRepair
-	// rebuilds it from the directory's dataset segment instead.
-	if err := os.Remove(filepath.Join(dir, "shard-1.seg")); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := seal.Open(dir, seal.WithRepair())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Quarantined(); got != 0 {
-		t.Fatalf("Quarantined() = %d after repair, want 0", got)
-	}
-	rebuilt := false
-	for _, h := range ix.Health() {
-		if h.Shard == 1 {
-			if h.State != seal.ShardRebuilt {
-				t.Fatalf("shard 1 state %v, want ShardRebuilt", h.State)
+			if err := os.Remove(filepath.Join(dir, fmt.Sprintf("shard-%d.seg", victim))); err != nil {
+				t.Fatal(err)
 			}
-			rebuilt = true
-		} else if h.State != seal.ShardServing {
-			t.Fatalf("shard %d state %v, want ShardServing", h.Shard, h.State)
-		}
-	}
-	if !rebuilt {
-		t.Fatal("no health entry for the repaired shard")
-	}
-	ctx := context.Background()
-	for qi, req := range reqs {
-		res, err := ix.Query(ctx, req)
-		if err != nil {
-			t.Fatalf("query %d after repair: %v", qi, err)
-		}
-		if res.Degraded {
-			t.Fatalf("query %d degraded after repair", qi)
-		}
-		expectExactMinusShard(t, fmt.Sprintf("repaired query %d", qi), res.Matches, full[qi], nil)
-	}
-	if err := ix.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The repair re-saved the rebuilt segment, so a plain strict-by-shard
-	// Open now boots clean and answers identically.
-	again, err := seal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer again.Close()
-	if got := again.Quarantined(); got != 0 {
-		t.Fatalf("Quarantined() = %d on reopen after repair, want 0", got)
-	}
-	for qi, req := range reqs {
-		res, err := again.Query(ctx, req)
-		if err != nil {
-			t.Fatalf("reopened query %d: %v", qi, err)
-		}
-		expectExactMinusShard(t, fmt.Sprintf("reopened query %d", qi), res.Matches, full[qi], nil)
+			ix, err := seal.Open(dir)
+			if err != nil {
+				t.Fatalf("Open with one missing shard must quarantine, not fail: %v", err)
+			}
+			defer ix.Close()
+			if got := ix.Quarantined(); got != 1 {
+				t.Fatalf("Quarantined() = %d, want 1", got)
+			}
+			for _, h := range ix.Health() {
+				if quarantined := h.State == seal.ShardQuarantined; quarantined != (h.Shard == victim) || (h.Err != "") != quarantined {
+					t.Fatalf("shard %d health %+v with shard %d missing", h.Shard, h, victim)
+				}
+			}
+			ctx := context.Background()
+			for qi, req := range reqs {
+				if _, err := ix.Query(ctx, req); !errors.Is(err, seal.ErrShardQuarantined) {
+					t.Fatalf("strict query %d: err = %v, want ErrShardQuarantined", qi, err)
+				}
+				res, err := ix.Query(ctx, req, seal.AllowPartial())
+				if err != nil {
+					t.Fatalf("partial query %d: %v", qi, err)
+				}
+				expectExactMinusShard(t, fmt.Sprintf("partial query %d", qi), res.Matches, full[qi], lost)
+			}
+		})
 	}
 }
 

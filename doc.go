@@ -54,22 +54,9 @@
 // Stream's default arrival order yields matches while shards are still
 // searching; breaking out of the loop cancels the remaining work.
 //
-// # Migrating from the legacy Search methods
-//
-// The seven Search* wrappers of earlier versions are gone; each was one call:
-//
-//	ix.Search(q)                      → ix.Query(ctx, q.Request())
-//	ix.SearchContext(ctx, q)          → ix.Query(ctx, q.Request())
-//	ix.SearchWithStats(q)             → ix.Query(ctx, q.Request(), seal.CollectStats())
-//	ix.SearchTopK(tq)                 → ix.Query(ctx, tq.Request())
-//	ix.SearchTopKContext(ctx, tq)     → ix.Query(ctx, tq.Request())
-//	ix.SearchBatch(qs, p)             → ix.QueryBatch(ctx, reqs)
-//	ix.SearchBatchContext(ctx, qs, p) → ix.QueryBatch(ctx, reqs)
-//
-// Result orders are preserved (threshold queries default to OrderByID,
-// ranked ones to OrderByScore). QueryBatch reports each query's error in
-// its own BatchResult slot instead of discarding completed work on the
-// first failure, which is the one behavioral upgrade over SearchBatch.
+// Threshold queries default to OrderByID, ranked ones to OrderByScore.
+// QueryBatch reports each query's error in its own BatchResult slot instead
+// of discarding completed work on the first failure.
 //
 // # Methods
 //
@@ -258,12 +245,11 @@
 // Open CRC-verifies every section of every file and quarantines a corrupt
 // or missing shard segment instead of failing: the index boots, serves the
 // surviving shards, and reports the damage through Health (per-shard
-// serving/quarantined/rebuilt states) and Quarantined. A damaged dataset
-// segment — it holds the partition every shard depends on — fails the open
-// with ErrCorruptSegment. WithRepair rebuilds damaged shards from the
-// directory's dataset segment and re-saves them, restoring exact answers;
-// Build with WithSegmentDir falls back to a full rebuild when the directory
-// is stale or damaged.
+// serving/quarantined states) and Quarantined. A damaged dataset segment — it
+// holds the partition every shard depends on — fails the open with
+// ErrCorruptSegment. Exact answers come back by rebuilding: Build with
+// WithSegmentDir falls back to a full rebuild when the directory is stale or
+// damaged.
 //
 // Queries over a degraded index are strict by default: they fail with
 // ErrShardQuarantined (match with errors.Is, alongside ErrCorruptSegment

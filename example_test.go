@@ -41,6 +41,31 @@ func Example() {
 	// object 1: simR=0.32 simT=1.00
 }
 
+// ExampleIndex_Similarity prints every object's exact similarities to the
+// query of Example (the paper's Figure 1), so its thresholds are easy to
+// follow: only o2 clears both simR >= 0.25 and simT >= 0.30.
+func ExampleIndex_Similarity() {
+	ix, err := seal.Build(paperObjects())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for id := 0; id < ix.Len(); id++ {
+		simR, simT, err := ix.Similarity(paperQuery(), id)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("o%d: simR=%.2f simT=%.2f\n", id+1, simR, simT)
+	}
+	// Output:
+	// o1: simR=0.23 simT=0.58
+	// o2: simR=0.32 simT=1.00
+	// o3: simR=0.00 simT=0.22
+	// o4: simR=0.00 simT=0.46
+	// o5: simR=0.00 simT=0.46
+	// o6: simR=0.00 simT=0.10
+	// o7: simR=0.00 simT=0.00
+}
+
 // ExampleWithMethod compares the same search under two different filters;
 // every method returns identical answers.
 func ExampleWithMethod() {

@@ -65,11 +65,11 @@ func main() {
 
 	surveys := []struct {
 		title string
-		query seal.Query
+		query seal.Request
 	}{
 		{
 			"solitary mammals ranging over the northern highlands",
-			seal.Query{
+			seal.Request{
 				Region: seal.Rect{MinX: 30, MinY: 55, MaxX: 80, MaxY: 95},
 				Tokens: []string{"mammal", "solitary"},
 				TauR:   0.3, TauT: 0.5,
@@ -77,7 +77,7 @@ func main() {
 		},
 		{
 			"herd herbivores using the southern grasslands",
-			seal.Query{
+			seal.Request{
 				Region: seal.Rect{MinX: 25, MinY: 10, MaxX: 85, MaxY: 60},
 				Tokens: []string{"mammal", "herbivore", "herd"},
 				TauR:   0.4, TauT: 0.6,
@@ -85,7 +85,7 @@ func main() {
 		},
 		{
 			"alpine specialists in the high country",
-			seal.Query{
+			seal.Request{
 				Region: seal.Rect{MinX: 50, MinY: 65, MaxX: 80, MaxY: 95},
 				Tokens: []string{"alpine", "mammal"},
 				TauR:   0.3, TauT: 0.4,
@@ -95,7 +95,7 @@ func main() {
 
 	for _, s := range surveys {
 		fmt.Printf("survey: %s\n", s.title)
-		res, err := ix.Query(context.Background(), s.query.Request())
+		res, err := ix.Query(context.Background(), s.query)
 		if err != nil {
 			log.Fatal(err)
 		}

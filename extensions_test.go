@@ -5,32 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	seal "github.com/sealdb/seal"
 )
-
-func TestClusterRegions(t *testing.T) {
-	var pts []seal.Point
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 50; i++ {
-		pts = append(pts, seal.Point{X: rng.Float64() * 3, Y: rng.Float64() * 3})
-	}
-	for i := 0; i < 50; i++ {
-		pts = append(pts, seal.Point{X: 500 + rng.Float64()*3, Y: rng.Float64() * 3})
-	}
-	regions, err := seal.ClusterRegions(pts, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regions) != 2 {
-		t.Fatalf("regions = %v, want 2", regions)
-	}
-	if _, err := seal.ClusterRegions(nil, 2, 1); err == nil {
-		t.Fatal("no points should error")
-	}
-}
 
 // TestMultiRegionObjects: the L-shaped footprint rejects queries in its
 // notch even though the MBR overlaps them.
@@ -78,25 +58,61 @@ func TestMultiRegionObjects(t *testing.T) {
 	}
 }
 
+// TestFootprint: Object returns a plain object's Region and no Regions, and a
+// multi-region object's rectangles bit-exact — from an index built in memory
+// and from one reopened from its segment directory.
 func TestFootprint(t *testing.T) {
+	multi := []seal.Rect{{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, {MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}}
 	objects := []seal.Object{
 		{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Tokens: []string{"a"}},
-		{Regions: []seal.Rect{{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, {MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}}, Tokens: []string{"b"}},
+		{Regions: multi, Tokens: []string{"b"}},
 	}
-	ix, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter))
-	if err != nil {
-		t.Fatal(err)
+	open := map[string]func(t *testing.T) *seal.Index{
+		"built": func(t *testing.T) *seal.Index {
+			ix, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ix
+		},
+		"segments": func(t *testing.T) *seal.Index {
+			dir := t.TempDir()
+			built, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter), seal.WithSegmentDir(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := built.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ix, err := seal.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ix.Close() })
+			return ix
+		},
 	}
-	fp0, err := ix.Footprint(0)
-	if err != nil || len(fp0) != 1 {
-		t.Fatalf("plain footprint = %v, %v", fp0, err)
-	}
-	fp1, err := ix.Footprint(1)
-	if err != nil || len(fp1) != 2 {
-		t.Fatalf("multi footprint = %v, %v", fp1, err)
-	}
-	if _, err := ix.Footprint(5); err == nil {
-		t.Fatal("out-of-range footprint should error")
+	for _, source := range []string{"built", "segments"} {
+		t.Run(source, func(t *testing.T) {
+			ix := open[source](t)
+			t.Run("plain", func(t *testing.T) {
+				o0, err := ix.Object(0)
+				if err != nil || o0.Region != objects[0].Region || o0.Regions != nil {
+					t.Fatalf("plain object = %+v, %v", o0, err)
+				}
+			})
+			t.Run("multi-region", func(t *testing.T) {
+				o1, err := ix.Object(1)
+				if err != nil || !slices.Equal(o1.Regions, multi) {
+					t.Fatalf("multi-region object = %+v, %v", o1, err)
+				}
+			})
+			t.Run("out-of-range", func(t *testing.T) {
+				if _, err := ix.Object(5); err == nil {
+					t.Fatal("out-of-range object should error")
+				}
+			})
+		})
 	}
 }
 
@@ -124,7 +140,7 @@ func TestSearchTopKPublic(t *testing.T) {
 			t.Fatalf("not sorted by score: %+v", got)
 		}
 	}
-	if _, err := answer(ix, seal.TopKQuery{K: 0}.Request()); err == nil {
+	if _, err := answer(ix, seal.Request{K: 0}); err == nil {
 		t.Fatal("K=0 should error")
 	}
 }
@@ -138,7 +154,7 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 	}
 	queries := make([]seal.Request, 40)
 	for i := range queries {
-		queries[i] = randomQuery(rng, objects).Request()
+		queries[i] = randomQuery(rng, objects)
 	}
 	want := make([][]seal.Match, len(queries))
 	for i, q := range queries {
@@ -172,18 +188,18 @@ func TestTopKStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := seal.TopKQuery{
+	q := seal.Request{
 		Region: randomQuery(rng, objects).Region,
 		Tokens: objects[0].Tokens,
 		K:      10,
 		Alpha:  0.4,
 	}
-	first, err := answer(ix, q.Request())
+	first, err := answer(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := answer(ix, q.Request())
+		again, err := answer(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}

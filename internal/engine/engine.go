@@ -49,9 +49,6 @@ type shard struct {
 	// missing and it holds no filter or pool. Strict queries fail with
 	// ErrShardQuarantined; partial queries skip it and count a ShardError.
 	down error
-	// rebuilt marks a shard whose segment was repaired from the dataset
-	// segment at open time (OpenOptions.Repair).
-	rebuilt bool
 }
 
 // newShard assembles one partition over its subset dataset. A nil filter

@@ -284,10 +284,6 @@ const (
 	// ShardQuarantined is a shard whose segment was corrupt or missing and
 	// that was sidelined instead of failing the open. It answers no queries.
 	ShardQuarantined
-	// ShardRebuilt is a shard whose segment was corrupt or missing and that
-	// was rebuilt in memory from the dataset (OpenOptions.Repair).
-	// It serves exact answers.
-	ShardRebuilt
 )
 
 // String names the state for health endpoints and logs.
@@ -297,8 +293,6 @@ func (s ShardState) String() string {
 		return "serving"
 	case ShardQuarantined:
 		return "quarantined"
-	case ShardRebuilt:
-		return "rebuilt"
 	default:
 		return fmt.Sprintf("ShardState(%d)", int(s))
 	}
@@ -308,68 +302,35 @@ func (s ShardState) String() string {
 type ShardHealth struct {
 	Shard int
 	State ShardState
-	Err   string // the error that quarantined or triggered the rebuild; "" when serving
+	Err   string // the error that quarantined the shard; "" when serving
 }
 
-// OpenReport summarizes what a tolerant open found and did.
-type OpenReport struct {
-	Health      []ShardHealth
-	SweptTemps  int // abandoned *.tmp files removed
-	Quarantined int
-	Rebuilt     int
-}
-
-// OpenOptions selects how OpenSegmentsWith treats a shard whose segment is
-// corrupt or missing. The zero value is strict: any shard failure fails the
-// whole open.
-type OpenOptions struct {
-	// Quarantine sidelines a failed shard instead of failing the open. The
-	// engine serves the healthy shards; strict queries return
-	// ErrShardQuarantined, partial queries skip the shard. An open where
-	// every shard fails is still an error.
-	Quarantine bool
-	// Repair rebuilds a failed shard's filter in memory from the dataset
-	// (the manifest records its configuration) and best-effort re-saves its
-	// segment. Implies tolerance of the failure; the rebuilt
-	// shard serves exact answers.
-	Repair bool
-}
-
-// OpenSegmentsAt boots an engine from dir over an already-loaded dataset: the
-// directory's dataset segment supplies only the shard partition. The
-// manifest's fingerprint must match root.
-func OpenSegmentsAt(dir string, root *model.Dataset) (*Engine, error) {
-	if root == nil {
-		return nil, errors.New("engine: OpenSegmentsAt requires a dataset")
-	}
-	e, _, err := OpenSegmentsWith(dir, root, OpenOptions{})
-	return e, err
-}
-
-// OpenSegmentsWith boots an engine from dir with explicit failure handling.
-// A nil root serves the dataset mapped from the directory. Abandoned *.tmp
-// files from an interrupted save are swept first. Per-shard failures (corrupt
-// or missing segment, or filter) are handled per o; failures that compromise
-// every shard — an unreadable manifest or dataset segment (it holds the
-// partition too), or a fingerprint mismatch — always fail the open.
+// OpenSegmentsWith boots an engine from dir. A nil root serves the dataset
+// mapped from the directory; a non-nil one must match the manifest's
+// fingerprint, and the directory's dataset segment then supplies only the
+// shard partition. Abandoned *.tmp files from an interrupted save are swept
+// first.
 //
-// The report is non-nil whenever the engine is, and its Health covers every
-// shard.
-func OpenSegmentsWith(dir string, root *model.Dataset, o OpenOptions) (*Engine, *OpenReport, error) {
-	rep := &OpenReport{}
+// A shard whose segment (or filter) is corrupt or missing fails the open,
+// unless quarantine is set: then the shard is sidelined, the engine serves
+// the healthy ones, strict queries return ErrShardQuarantined and partial
+// queries skip it. Failures that compromise every shard — an unreadable
+// manifest or dataset segment (it holds the partition too), a fingerprint
+// mismatch, or every shard failing — always fail the open.
+func OpenSegmentsWith(dir string, root *model.Dataset, quarantine bool) (*Engine, error) {
 	// A read-only boot must still be able to open the directory, so sweep
 	// failures (e.g. EROFS) are ignored: temps are garbage, not a hazard.
-	rep.SweptTemps, _ = faultfs.SweepTemps(dir)
+	_, _ = faultfs.SweepTemps(dir)
 
 	m, err := ReadManifest(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// The dataset segment maps every shard's IDs; without it no shard's
 	// contents are known, so even a tolerant open fails.
 	dseg, err := diskidx.OpenDataset(filepath.Join(dir, datasetName))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// The engine owns the mapping either way: the partition aliases it even
 	// when the caller's dataset, not the mapped one, is served.
@@ -386,65 +347,40 @@ func OpenSegmentsWith(dir string, root *model.Dataset, o OpenOptions) (*Engine, 
 	}
 	parts := dseg.Parts()
 	if m.Objects != root.Len() || m.Fingerprint != Fingerprint(root) {
-		return nil, nil, fmt.Errorf("%w: segment directory %s was built from a different dataset", ErrManifestMismatch, dir)
+		return nil, fmt.Errorf("%w: segment directory %s was built from a different dataset", ErrManifestMismatch, dir)
 	}
 	if len(parts) != m.Shards {
-		return nil, nil, fmt.Errorf("%w: dataset segment lists %d shards, manifest %d", diskidx.ErrCorrupt, len(parts), m.Shards)
+		return nil, fmt.Errorf("%w: dataset segment lists %d shards, manifest %d", diskidx.ErrCorrupt, len(parts), m.Shards)
 	}
-	tolerant := o.Quarantine || o.Repair
 	for i := 0; i < m.Shards; i++ {
 		sub := root
 		if parts[i] != nil {
 			sub, err = root.Subset(parts[i])
 			if err != nil {
-				return nil, nil, fmt.Errorf("engine: shard %d: %w", i, err)
+				return nil, fmt.Errorf("engine: shard %d: %w", i, err)
 			}
 		}
 		f, seg, openErr := openOneShard(dir, i, sub, m)
 		if openErr == nil {
 			e.closers = append(e.closers, seg)
 			e.shards = append(e.shards, newShard(sub, parts[i], f))
-			rep.Health = append(rep.Health, ShardHealth{Shard: i, State: ShardServing})
 			continue
 		}
 		if errors.Is(openErr, diskidx.ErrStaleVersion) {
-			return nil, nil, fmt.Errorf("%w: shard %d: %v", ErrManifestMismatch, i, openErr)
+			return nil, fmt.Errorf("%w: shard %d: %v", ErrManifestMismatch, i, openErr)
 		}
-		if !tolerant {
-			return nil, nil, fmt.Errorf("engine: shard %d: %w", i, openErr)
-		}
-		if o.Repair {
-			f, rbErr := core.BuildFilter(sub, m.Filter)
-			if rbErr == nil {
-				note := openErr.Error()
-				// Best-effort resave: a failure (read-only disk, still-bad
-				// media) leaves the rebuilt shard serving from memory.
-				if _, saveErr := saveShard(dir, i, f, sub.Len()); saveErr != nil {
-					note = fmt.Sprintf("%v (resave failed: %v)", openErr, saveErr)
-				}
-				s := newShard(sub, parts[i], f)
-				s.rebuilt = true
-				e.shards = append(e.shards, s)
-				rep.Health = append(rep.Health, ShardHealth{Shard: i, State: ShardRebuilt, Err: note})
-				rep.Rebuilt++
-				continue
-			}
-			openErr = fmt.Errorf("%w (rebuild failed: %v)", openErr, rbErr)
-		}
-		if !o.Quarantine {
-			return nil, nil, fmt.Errorf("engine: shard %d: %w", i, openErr)
+		if !quarantine {
+			return nil, fmt.Errorf("engine: shard %d: %w", i, openErr)
 		}
 		s := newShard(sub, parts[i], nil)
 		s.down = openErr
 		e.shards = append(e.shards, s)
-		rep.Health = append(rep.Health, ShardHealth{Shard: i, State: ShardQuarantined, Err: openErr.Error()})
-		rep.Quarantined++
 	}
-	if rep.Quarantined == m.Shards {
-		return nil, nil, fmt.Errorf("engine: all %d shards failed to open: %w", m.Shards, ErrShardQuarantined)
+	if e.Quarantined() == m.Shards {
+		return nil, fmt.Errorf("engine: all %d shards failed to open: %w", m.Shards, ErrShardQuarantined)
 	}
 	ok = true
-	return e, rep, nil
+	return e, nil
 }
 
 // openOneShard maps shard i's segment and wires its filter. On failure the
@@ -469,18 +405,15 @@ func openOneShard(dir string, i int, sub *model.Dataset, m *Manifest) (f core.Fi
 	return f, seg, nil
 }
 
-// Health reports every shard's state: serving, quarantined, or rebuilt. An
-// in-memory engine reports all shards serving.
+// Health reports every shard's state: serving or quarantined. An in-memory
+// engine reports all shards serving.
 func (e *Engine) Health() []ShardHealth {
 	out := make([]ShardHealth, len(e.shards))
 	for i, s := range e.shards {
 		out[i] = ShardHealth{Shard: i, State: ShardServing}
-		switch {
-		case s.down != nil:
+		if s.down != nil {
 			out[i].State = ShardQuarantined
 			out[i].Err = s.down.Error()
-		case s.rebuilt:
-			out[i].State = ShardRebuilt
 		}
 	}
 	return out

@@ -28,10 +28,9 @@ type BootInfo struct {
 	BootTime      time.Duration
 	WarmupQueries int
 	WarmupTime    time.Duration
-	// Quarantined / Rebuilt count shards that failed to open cleanly from
-	// their segments (segment-only boots; a -data boot rebuilds instead).
+	// Quarantined counts shards that failed to open cleanly from their
+	// segments (segment-only boots; a -data boot rebuilds instead).
 	Quarantined int
-	Rebuilt     int
 }
 
 // Logf is the boot logger's shape (log.Printf-compatible); nil silences.
@@ -62,15 +61,10 @@ func Boot(cfg Config, logf Logf) (*seal.Index, BootInfo, error) {
 		if err != nil {
 			return nil, BootInfo{}, err
 		}
-		info := BootInfo{Source: "segments", BootTime: time.Since(start)}
+		info := BootInfo{Source: "segments", BootTime: time.Since(start), Quarantined: ix.Quarantined()}
 		for _, h := range ix.Health() {
-			switch h.State {
-			case seal.ShardQuarantined:
-				info.Quarantined++
+			if h.State == seal.ShardQuarantined {
 				logf.printf("shard %d quarantined: %s", h.Shard, h.Err)
-			case seal.ShardRebuilt:
-				info.Rebuilt++
-				logf.printf("shard %d rebuilt from the directory's dataset segment: %s", h.Shard, h.Err)
 			}
 		}
 		if info.Quarantined > 0 {

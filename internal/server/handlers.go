@@ -384,18 +384,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "not ready\n")
 		return
 	}
-	health := s.ix.Health()
-	degraded := 0
-	for _, h := range health {
-		if h.State == seal.ShardQuarantined {
-			degraded++
-		}
-	}
-	if degraded > 0 {
-		fmt.Fprintf(w, "ready (degraded: %d/%d shards quarantined)\n", degraded, len(health))
-	} else {
+	degraded := s.ix.Quarantined()
+	if degraded == 0 {
 		io.WriteString(w, "ready\n")
+		return
 	}
+	health := s.ix.Health()
+	fmt.Fprintf(w, "ready (degraded: %d/%d shards quarantined)\n", degraded, len(health))
 	for _, h := range health {
 		if h.State != seal.ShardServing {
 			fmt.Fprintf(w, "shard %d: %s: %s\n", h.Shard, h.State, h.Err)
@@ -439,7 +434,6 @@ type statusResponse struct {
 		// every query fails while it is nonzero, on an allow-partial daemon
 		// queries answer degraded.
 		Quarantined int `json:"quarantined,omitempty"`
-		Rebuilt     int `json:"rebuilt,omitempty"`
 	} `json:"index"`
 
 	// Shards is the per-shard boot health: one entry per spatial shard.
@@ -465,7 +459,7 @@ type statusResponse struct {
 // shardStatus is one shard's boot health in /v1/status.
 type shardStatus struct {
 	Shard int    `json:"shard"`
-	State string `json:"state"` // serving | quarantined | rebuilt
+	State string `json:"state"` // serving | quarantined
 	Error string `json:"error,omitempty"`
 }
 
@@ -496,15 +490,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	resp.Index.IndexBytes = st.IndexBytes
 	resp.Index.SegmentBytes = st.SegmentBytes
 	resp.Index.Mapped = st.Mapped
+	resp.Index.Quarantined = s.ix.Quarantined()
 	for _, h := range s.ix.Health() {
-		ss := shardStatus{Shard: h.Shard, State: h.State.String(), Error: h.Err}
-		switch h.State {
-		case seal.ShardQuarantined:
-			resp.Index.Quarantined++
-		case seal.ShardRebuilt:
-			resp.Index.Rebuilt++
-		}
-		resp.Shards = append(resp.Shards, ss)
+		resp.Shards = append(resp.Shards, shardStatus{Shard: h.Shard, State: h.State.String(), Error: h.Err})
 	}
 
 	resp.Serving.InFlight = s.metrics.InFlight()

@@ -139,10 +139,8 @@ type Metrics struct {
 	shardErrors     atomic.Uint64
 	degradedQueries atomic.Uint64
 
-	// shardsQuarantined / shardsRebuilt are boot-health gauges, set once
-	// from the index's shard-health report.
+	// shardsQuarantined is the boot-health gauge, set once from the index.
 	shardsQuarantined atomic.Int64
-	shardsRebuilt     atomic.Int64
 
 	// per-stage latency histograms, fed from query traces; stage names come
 	// from the trace spine (admit|filter|verify|merge).
@@ -237,11 +235,8 @@ func (m *Metrics) RecordStages(t *seal.Trace) {
 // RecordSlowQuery counts one request at or over the slow-query threshold.
 func (m *Metrics) RecordSlowQuery() { m.slowQueries.Add(1) }
 
-// SetShardHealth records the boot-time shard-health gauges.
-func (m *Metrics) SetShardHealth(quarantined, rebuilt int) {
-	m.shardsQuarantined.Store(int64(quarantined))
-	m.shardsRebuilt.Store(int64(rebuilt))
-}
+// SetQuarantined records how many shards were quarantined at boot.
+func (m *Metrics) SetQuarantined(n int) { m.shardsQuarantined.Store(int64(n)) }
 
 // ShardErrors returns the cumulative dropped-shard total across all queries.
 func (m *Metrics) ShardErrors() uint64 { return m.shardErrors.Load() }
@@ -384,7 +379,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"seal_segment_bytes", "Size on disk of the segment directory in bytes (0 without one).", st.SegmentBytes},
 		{"seal_index_mapped", "1 when postings are served from mmap-ed sealed segments.", int64(b2i(st.Mapped))},
 		{"seal_shards_quarantined", "Shards sidelined at boot with a corrupt or missing segment.", m.shardsQuarantined.Load()},
-		{"seal_shards_rebuilt", "Shards rebuilt from the dataset at boot after segment damage.", m.shardsRebuilt.Load()},
 	}
 	for _, g := range indexGauges {
 		fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.v)

@@ -59,16 +59,7 @@ func New(ix *seal.Index, cfg Config, qlog *QueryLog) *Server {
 		qlog:    qlog,
 	}
 	s.metrics.SetIndexStats(ix.Stats())
-	quarantined, rebuilt := 0, 0
-	for _, h := range ix.Health() {
-		switch h.State {
-		case seal.ShardQuarantined:
-			quarantined++
-		case seal.ShardRebuilt:
-			rebuilt++
-		}
-	}
-	s.metrics.SetShardHealth(quarantined, rebuilt)
+	s.metrics.SetQuarantined(ix.Quarantined())
 	if cfg.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInFlight)
 	}

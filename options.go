@@ -57,7 +57,7 @@ type options struct {
 	textualSim      model.TextualSim
 	weights         map[string]float64
 	autoSet         bool
-	autoGranularity []Query
+	autoGranularity []Request
 	autoMaxLevel    int
 	autoBenefit     float64
 	segmentDir      string
@@ -158,13 +158,15 @@ func WithTokenWeights(weights map[string]float64) Option {
 
 // WithAutoGranularity runs the paper's grid-granularity selection
 // (Section 4.3) over the given sample workload at build time and indexes
-// with MethodGridFilter at the selected granularity. maxLevel bounds the
-// search (granularity ≤ 2^maxLevel); benefit is the stopping threshold
-// (larger stops earlier, trading query speed for index size).
-func WithAutoGranularity(sample []Query, maxLevel int, benefit float64) Option {
+// with MethodGridFilter at the selected granularity. The sample's threshold
+// requests are the workload; their TauR and TauT matter, their ranking fields
+// do not. maxLevel bounds the search (granularity ≤ 2^maxLevel); benefit is
+// the stopping threshold (larger stops earlier, trading query speed for index
+// size).
+func WithAutoGranularity(sample []Request, maxLevel int, benefit float64) Option {
 	return func(o *options) {
 		o.autoSet = true
-		o.autoGranularity = append([]Query(nil), sample...)
+		o.autoGranularity = append([]Request(nil), sample...)
 		o.autoMaxLevel = maxLevel
 		o.autoBenefit = benefit
 	}

@@ -40,7 +40,7 @@ func TestMethodNames(t *testing.T) {
 
 func TestAutoGranularityValidation(t *testing.T) {
 	// An invalid sample query surfaces as a build error.
-	bad := []seal.Query{{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Tokens: []string{"x"}, TauR: 0, TauT: 0.5}}
+	bad := []seal.Request{{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Tokens: []string{"x"}, TauR: 0, TauT: 0.5}}
 	if _, err := seal.Build(paperObjects(), seal.WithAutoGranularity(bad, 4, 1)); err == nil {
 		t.Fatal("invalid auto-granularity sample should fail")
 	}
@@ -58,7 +58,7 @@ func TestHybridBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := answer(ix, paperQuery().Request())
+	matches, err := answer(ix, paperQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSealTuning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := answer(ix, paperQuery().Request())
+	matches, err := answer(ix, paperQuery())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func newWeightedOracle(t testing.TB, objects []seal.Object, spatial model.Spatia
 }
 
 // threshold returns the ID-ordered exact answer of a threshold request.
-func (o oracle) threshold(t testing.TB, q seal.Query) []seal.Match {
+func (o oracle) threshold(t testing.TB, q seal.Request) []seal.Match {
 	t.Helper()
 	mq, err := o.ds.NewQuery(geo.Rect{MinX: q.Region.MinX, MinY: q.Region.MinY, MaxX: q.Region.MaxX, MaxY: q.Region.MaxY}, q.Tokens, q.TauR, q.TauT)
 	if err != nil {
@@ -95,7 +95,7 @@ func (o oracle) ranked(t testing.TB, req seal.Request) []seal.Match {
 	if floorT == 0 {
 		floorT = 0.05
 	}
-	out := o.threshold(t, seal.Query{Region: req.Region, Tokens: req.Tokens, TauR: floorR, TauT: floorT})
+	out := o.threshold(t, seal.Request{Region: req.Region, Tokens: req.Tokens, TauR: floorR, TauT: floorT})
 	for i := range out {
 		out[i].Score = req.Alpha*out[i].SimR + (1-req.Alpha)*out[i].SimT
 	}

@@ -89,20 +89,20 @@ func TestPruneEveryLayoutAndShape(t *testing.T) {
 
 	// Selective: tight rects at a high spatial threshold, which most
 	// partitions cannot reach. Broad: the shard suites' mixed workload.
-	var selective []seal.Query
+	var selective []seal.Request
 	for i := 0; i < 30; i++ {
 		x, y := rng.Float64()*95, rng.Float64()*95
-		selective = append(selective, seal.Query{
+		selective = append(selective, seal.Request{
 			Region: seal.Rect{MinX: x, MinY: y, MaxX: x + 3, MaxY: y + 3},
 			Tokens: []string{"t1", "t2"}, TauR: 0.5, TauT: 0.1,
 		})
 	}
 	for id := 0; id < 20; id += 2 { // rects that do have answers: an object's own region
 		if o := objects[id]; len(o.Regions) == 0 {
-			selective = append(selective, seal.Query{Region: o.Region, Tokens: o.Tokens, TauR: 0.4, TauT: 0.1})
+			selective = append(selective, seal.Request{Region: o.Region, Tokens: o.Tokens, TauR: 0.4, TauT: 0.1})
 		}
 	}
-	queries := append(append([]seal.Query(nil), selective...), shardQueries(16, rng)...)
+	queries := append(append([]seal.Request(nil), selective...), shardQueries(16, rng)...)
 
 	for _, layout := range pruneLayouts {
 		for _, shards := range []int{1, 4, 6} {
@@ -118,7 +118,7 @@ func TestPruneEveryLayoutAndShape(t *testing.T) {
 					answered += len(want)
 
 					// Query, with the trace's evidence for every skip.
-					res, err := ix.Query(ctx, q.Request(), seal.CollectStats(), seal.CollectTrace())
+					res, err := ix.Query(ctx, q, seal.CollectStats(), seal.CollectTrace())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -143,7 +143,7 @@ func TestPruneEveryLayoutAndShape(t *testing.T) {
 
 					// Query + Limit/Offset: the exact page of the ID order.
 					var st seal.Stats
-					page, err := ix.Query(ctx, q.Request(), seal.Offset(1), seal.Limit(2), seal.StatsInto(&st))
+					page, err := ix.Query(ctx, q, seal.Offset(1), seal.Limit(2), seal.StatsInto(&st))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -152,7 +152,7 @@ func TestPruneEveryLayoutAndShape(t *testing.T) {
 
 					// Stream: arrival order, compared as a set.
 					var streamed []seal.Match
-					for m, err := range ix.Stream(ctx, q.Request(), seal.StatsInto(&st)) {
+					for m, err := range ix.Stream(ctx, q, seal.StatsInto(&st)) {
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -180,7 +180,7 @@ func TestPruneEveryLayoutAndShape(t *testing.T) {
 				// QueryBatch: every query at once, each against its own oracle.
 				reqs := make([]seal.Request, len(queries))
 				for i, q := range queries {
-					reqs[i] = q.Request()
+					reqs[i] = q
 				}
 				prunedBatch := 0
 				for qi, br := range ix.QueryBatch(ctx, reqs, seal.CollectStats()) {

@@ -29,7 +29,8 @@ import (
 // A ranked request (K > 0) finds the K objects maximizing
 // Alpha·simR + (1−Alpha)·simT among objects with simR ≥ FloorR and
 // simT ≥ FloorT (floors default to 0.05, must lie in [0, 1]); TauR and TauT
-// are ignored. This is the query model of TopKQuery.
+// are ignored. Objects below either floor are never ranked: a disjoint object
+// has no meaningful similarity order.
 type Request struct {
 	Region Rect
 	Tokens []string
@@ -41,19 +42,6 @@ type Request struct {
 	K              int
 	Alpha          float64
 	FloorR, FloorT float64
-}
-
-// Request converts a legacy threshold query for use with Query and Stream.
-func (q Query) Request() Request {
-	return Request{Region: q.Region, Tokens: q.Tokens, TauR: q.TauR, TauT: q.TauT}
-}
-
-// Request converts a legacy top-k query for use with Query and Stream.
-func (q TopKQuery) Request() Request {
-	return Request{
-		Region: q.Region, Tokens: q.Tokens,
-		K: q.K, Alpha: q.Alpha, FloorR: q.FloorR, FloorT: q.FloorT,
-	}
 }
 
 // Ranked reports whether the request asks for top-k ranking rather than
@@ -160,9 +148,9 @@ func Offset(n int) QueryOption {
 	return func(c *queryConfig) { c.offset = n }
 }
 
-// OrderByID orders matches by ascending object ID — the order of the legacy
-// Search methods, and Query's default for threshold requests. With Limit the
-// result is the exact limit-prefix of the full ID-ordered answer.
+// OrderByID orders matches by ascending object ID — Query's default for
+// threshold requests. With Limit the result is the exact limit-prefix of the
+// full ID-ordered answer.
 func OrderByID() QueryOption {
 	return func(c *queryConfig) { c.order = orderID }
 }
@@ -251,10 +239,9 @@ func resolveOptions(opts []QueryOption) (queryConfig, error) {
 }
 
 // Query answers req, materializing the full result. Threshold requests
-// default to OrderByID — with no options, Query(ctx, q.Request()) returns
-// exactly what SearchContext(ctx, q) does. Ranked requests default to
-// OrderByScore. With Limit the engine terminates early instead of truncating
-// (see Limit); Stream delivers the same matches incrementally.
+// default to OrderByID, ranked requests to OrderByScore. With Limit the
+// engine terminates early instead of truncating (see Limit); Stream delivers
+// the same matches incrementally.
 func (ix *Index) Query(ctx context.Context, req Request, opts ...QueryOption) (*Results, error) {
 	cfg, err := resolveOptions(opts)
 	if err != nil {

@@ -60,13 +60,13 @@ func TestRequestValidation(t *testing.T) {
 		})
 	}
 
-	// Legacy boundary: a TopKQuery with K <= 0 must be rejected descriptively
-	// instead of misbehaving — a negative K as such, a zero K as the threshold
-	// request without thresholds it converts to.
+	// A ranked request with K <= 0 must be rejected descriptively instead of
+	// misbehaving — a negative K as such, a zero K as the threshold request
+	// without thresholds it then is.
 	for k, want := range map[int]string{0: "TauR and TauT", -1: "K >= 1"} {
-		req := seal.TopKQuery{Region: region, Tokens: []string{"t1"}, K: k}.Request()
+		req := seal.Request{Region: region, Tokens: []string{"t1"}, K: k}
 		if _, err := ix.Query(context.Background(), req); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("TopKQuery(K=%d) error = %v, want one mentioning %q", k, err, want)
+			t.Fatalf("K=%d request error = %v, want one mentioning %q", k, err, want)
 		}
 	}
 
@@ -94,7 +94,7 @@ func TestQueryBatchPerQueryErrors(t *testing.T) {
 	queries := shardQueries(10, rng)
 	reqs := make([]seal.Request, len(queries))
 	for i, q := range queries {
-		reqs[i] = q.Request()
+		reqs[i] = q
 	}
 	reqs[4].TauR = -1 // poison one slot
 
@@ -128,7 +128,7 @@ func TestQueryBatchStatsInto(t *testing.T) {
 	queries := shardQueries(16, rng)
 	reqs := make([]seal.Request, len(queries))
 	for i, q := range queries {
-		reqs[i] = q.Request()
+		reqs[i] = q
 	}
 	var shared seal.Stats
 	out := ix.QueryBatch(context.Background(), reqs, seal.StatsInto(&shared))
@@ -151,7 +151,7 @@ func TestQueryBatchContextCanceled(t *testing.T) {
 	queries := shardQueries(20, rng)
 	reqs := make([]seal.Request, len(queries))
 	for i, q := range queries {
-		reqs[i] = q.Request()
+		reqs[i] = q
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -180,7 +180,7 @@ func TestQueryPagination(t *testing.T) {
 	if len(full.Matches) < 10 {
 		t.Fatalf("want a dense query, got %d matches", len(full.Matches))
 	}
-	requireSameMatches(t, "full", full.Matches, queryTestOracle(t, 400).threshold(t, seal.Query{Region: req.Region, Tokens: req.Tokens, TauR: req.TauR, TauT: req.TauT}))
+	requireSameMatches(t, "full", full.Matches, queryTestOracle(t, 400).threshold(t, req))
 	pageSize := 7
 	var paged []seal.Match
 	for off := 0; ; off += pageSize {

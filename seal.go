@@ -25,23 +25,13 @@ type Rect struct {
 // Object is one spatio-textual region of interest to index.
 //
 // Plain objects set Region. Multi-region objects — e.g. a user whose
-// activity clusters into several areas (see ClusterRegions) — set Regions
-// instead; their spatial footprint is the union of those rectangles, with
-// exact union-area similarity at verification time, and Region is ignored.
+// activity clusters into several areas — set Regions instead; their spatial
+// footprint is the union of those rectangles, with exact union-area
+// similarity at verification time, and Region is ignored.
 type Object struct {
 	Region  Rect
 	Regions []Rect
 	Tokens  []string
-}
-
-// Query is a spatio-textual similarity search: find all objects with spatial
-// similarity at least TauR and textual similarity at least TauT. Both
-// thresholds must lie in (0, 1].
-type Query struct {
-	Region Rect
-	Tokens []string
-	TauR   float64
-	TauT   float64
 }
 
 // Match is one verified answer.
@@ -176,7 +166,7 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 		// mmap; anything stale, corrupt, or differently configured falls
 		// through to a rebuild that overwrites it.
 		if man, err := engine.ReadManifest(cfg.segmentDir); err == nil && manifestMatches(man, cfg, ds.Len()) {
-			if eng, err := engine.OpenSegmentsAt(cfg.segmentDir, ds); err == nil {
+			if eng, err := engine.OpenSegmentsWith(cfg.segmentDir, ds, false); err == nil {
 				return newIndex(ds, eng, cfg.segmentDir, start, true), nil
 			}
 		}
@@ -270,8 +260,9 @@ func autoGranularity(ds *model.Dataset, cfg options) (int, error) {
 }
 
 // Similarity returns the exact spatial and textual similarities between a
-// query (thresholds ignored) and the object with the given ID.
-func (ix *Index) Similarity(q Query, id int) (simR, simT float64, err error) {
+// request's region and tokens and the object with the given ID; the request's
+// thresholds and ranking fields are ignored.
+func (ix *Index) Similarity(q Request, id int) (simR, simT float64, err error) {
 	if err := ix.eng.Enter(); err != nil {
 		return 0, 0, err
 	}
@@ -344,5 +335,3 @@ func (ix *Index) TokenWeight(token string) (float64, bool) {
 func rectIn(r Rect) geo.Rect {
 	return geo.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
 }
-
-func modelObjectID(id int) model.ObjectID { return model.ObjectID(id) }

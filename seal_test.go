@@ -36,8 +36,8 @@ func answer(ix *seal.Index, req seal.Request) ([]seal.Match, error) {
 	return res.Matches, nil
 }
 
-func paperQuery() seal.Query {
-	return seal.Query{
+func paperQuery() seal.Request {
+	return seal.Request{
 		Region: seal.Rect{MinX: 35, MinY: 10, MaxX: 75, MaxY: 70},
 		Tokens: []string{"mocha", "coffee", "starbucks"},
 		TauR:   0.25,
@@ -57,7 +57,7 @@ func TestPaperExampleAllMethods(t *testing.T) {
 		if err != nil {
 			t.Fatalf("method %d: %v", m, err)
 		}
-		matches, err := answer(ix, paperQuery().Request())
+		matches, err := answer(ix, paperQuery())
 		if err != nil {
 			t.Fatalf("method %d: %v", m, err)
 		}
@@ -90,12 +90,12 @@ func TestSearchValidation(t *testing.T) {
 	}
 	q := paperQuery()
 	q.TauR = 0
-	if _, err := answer(ix, q.Request()); err == nil {
+	if _, err := answer(ix, q); err == nil {
 		t.Error("tauR = 0 should fail")
 	}
 	q = paperQuery()
 	q.TauT = 1.5
-	if _, err := answer(ix, q.Request()); err == nil {
+	if _, err := answer(ix, q); err == nil {
 		t.Error("tauT > 1 should fail")
 	}
 }
@@ -124,7 +124,7 @@ func TestStatsAndAccessors(t *testing.T) {
 		t.Error("unknown token should report !ok")
 	}
 
-	res, err := ix.Query(context.Background(), paperQuery().Request(), seal.CollectStats())
+	res, err := ix.Query(context.Background(), paperQuery(), seal.CollectStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +191,8 @@ func TestDiceOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := seal.Query{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}, Tokens: []string{"a", "b"}, TauR: 0.5, TauT: 0.5}
-	matches, err := answer(ix, q.Request())
+	q := seal.Request{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}, Tokens: []string{"a", "b"}, TauR: 0.5, TauT: 0.5}
+	matches, err := answer(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestMethodsAgree(t *testing.T) {
 		q := randomQuery(rng, objects)
 		want := oracle.threshold(t, q)
 		for _, ix := range indexes {
-			got, err := answer(ix, q.Request())
+			got, err := answer(ix, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,11 +249,11 @@ func TestConcurrentSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := make([]seal.Query, 50)
+	queries := make([]seal.Request, 50)
 	expected := make([][]seal.Match, 50)
 	for i := range queries {
 		queries[i] = randomQuery(rng, objects)
-		expected[i], err = answer(ix, queries[i].Request())
+		expected[i], err = answer(ix, queries[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestConcurrentSearch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, q := range queries {
-				got, err := answer(ix, q.Request())
+				got, err := answer(ix, q)
 				if err != nil {
 					errs <- err
 					return
@@ -287,7 +287,7 @@ func TestConcurrentSearch(t *testing.T) {
 func TestAutoGranularity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	objects := randomObjects(rng, 300)
-	sample := make([]seal.Query, 10)
+	sample := make([]seal.Request, 10)
 	for i := range sample {
 		sample[i] = randomQuery(rng, objects)
 	}
@@ -303,7 +303,7 @@ func TestAutoGranularity(t *testing.T) {
 	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
 	for qi := 0; qi < 20; qi++ {
 		q := randomQuery(rng, objects)
-		got, err := answer(ix, q.Request())
+		got, err := answer(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,14 +332,14 @@ func randomObjects(rng *rand.Rand, n int) []seal.Object {
 	return objs
 }
 
-func randomQuery(rng *rand.Rand, objects []seal.Object) seal.Query {
+func randomQuery(rng *rand.Rand, objects []seal.Object) seal.Request {
 	anchor := objects[rng.Intn(len(objects))]
 	cx := (anchor.Region.MinX + anchor.Region.MaxX) / 2
 	cy := (anchor.Region.MinY + anchor.Region.MaxY) / 2
 	w, h := rng.Float64()*80+1, rng.Float64()*80+1
 	toks := append([]string(nil), anchor.Tokens...)
 	taus := []float64{0.1, 0.3, 0.5}
-	return seal.Query{
+	return seal.Request{
 		Region: seal.Rect{MinX: cx - w/2, MinY: cy - h/2, MaxX: cx + w/2, MaxY: cy + h/2},
 		Tokens: toks,
 		TauR:   taus[rng.Intn(len(taus))],

@@ -52,14 +52,14 @@ func shardRect(rng *rand.Rand, maxSide float64) seal.Rect {
 	return seal.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}
 }
 
-func shardQueries(n int, rng *rand.Rand) []seal.Query {
-	qs := make([]seal.Query, n)
+func shardQueries(n int, rng *rand.Rand) []seal.Request {
+	qs := make([]seal.Request, n)
 	for i := range qs {
 		tokens := make([]string, 1+rng.Intn(4))
 		for j := range tokens {
 			tokens[j] = fmt.Sprintf("t%d", rng.Intn(32)) // occasionally unknown
 		}
-		qs[i] = seal.Query{
+		qs[i] = seal.Request{
 			Region: shardRect(rng, 25),
 			Tokens: tokens,
 			TauR:   0.02 + rng.Float64()*0.4,
@@ -67,15 +67,6 @@ func shardQueries(n int, rng *rand.Rand) []seal.Query {
 		}
 	}
 	return qs
-}
-
-// requests converts threshold queries for Query and QueryBatch.
-func requests(qs []seal.Query) []seal.Request {
-	out := make([]seal.Request, len(qs))
-	for i, q := range qs {
-		out[i] = q.Request()
-	}
-	return out
 }
 
 func TestShardEquivalence(t *testing.T) {
@@ -102,7 +93,7 @@ func TestShardEquivalence(t *testing.T) {
 				t.Fatalf("default shard count = %d, want 1", base.Stats().Shards)
 			}
 			for qi, q := range queries {
-				want, err := answer(base, q.Request())
+				want, err := answer(base, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,11 +108,11 @@ func TestShardEquivalence(t *testing.T) {
 					t.Fatalf("Stats().Shards = %d, want %d", got, k)
 				}
 				for qi, q := range queries {
-					want, err := answer(base, q.Request())
+					want, err := answer(base, q)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := answer(sharded, q.Request())
+					got, err := answer(sharded, q)
 					if err != nil {
 						t.Fatalf("shards=%d query %d: %v", k, qi, err)
 					}
@@ -135,12 +126,12 @@ func TestShardEquivalence(t *testing.T) {
 					}
 				}
 				for qi, q := range queries {
-					tq := seal.TopKQuery{Region: q.Region, Tokens: q.Tokens, K: 1 + qi%7, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
-					want, err := answer(base, tq.Request())
+					tq := seal.Request{Region: q.Region, Tokens: q.Tokens, K: 1 + qi%7, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
+					want, err := answer(base, tq)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := answer(sharded, tq.Request())
+					got, err := answer(sharded, tq)
 					if err != nil {
 						t.Fatalf("shards=%d topk %d: %v", k, qi, err)
 					}
@@ -178,11 +169,11 @@ func TestShardEquivalenceDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range shardQueries(20, rng) {
-		want, err := answer(base, q.Request())
+		want, err := answer(base, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := answer(sharded, q.Request())
+		got, err := answer(sharded, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,16 +196,16 @@ func TestSearchContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	q := seal.Query{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50}, Tokens: []string{"t1"}, TauR: 0.1, TauT: 0.1}
+	q := seal.Request{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50}, Tokens: []string{"t1"}, TauR: 0.1, TauT: 0.1}
 
 	start := time.Now()
-	if _, err := ix.Query(ctx, q.Request()); !errors.Is(err, context.Canceled) {
+	if _, err := ix.Query(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("threshold Query error = %v, want context.Canceled", err)
 	}
 	if _, err := ix.Query(ctx, seal.Request{Region: q.Region, Tokens: q.Tokens, K: 3}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ranked Query error = %v, want context.Canceled", err)
 	}
-	for _, br := range ix.QueryBatch(ctx, requests(shardQueries(50, rng))) {
+	for _, br := range ix.QueryBatch(ctx, shardQueries(50, rng)) {
 		if !errors.Is(br.Err, context.Canceled) {
 			t.Fatalf("QueryBatch error = %v, want context.Canceled", br.Err)
 		}
@@ -230,7 +221,7 @@ func TestSearchContextCanceled(t *testing.T) {
 func TestSearchTopKHugeK(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	objects := shardObjects(150, rng)
-	tq := seal.TopKQuery{
+	tq := seal.Request{
 		Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
 		Tokens: []string{"t1", "t2"},
 		K:      math.MaxInt,
@@ -238,13 +229,13 @@ func TestSearchTopKHugeK(t *testing.T) {
 		FloorR: 0.001,
 		FloorT: 0.001,
 	}
-	want := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard).ranked(t, tq.Request())
+	want := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard).ranked(t, tq)
 	for _, shards := range []int{1, 4} {
 		ix, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := answer(ix, tq.Request())
+		got, err := answer(ix, tq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,21 +255,21 @@ func TestSearchContextDeadlineSingleShard(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	q := seal.Query{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 90, MaxY: 90}, Tokens: []string{"t1"}, TauR: 0.01, TauT: 0.01}
-	if _, err := ix.Query(ctx, q.Request()); !errors.Is(err, context.DeadlineExceeded) {
+	q := seal.Request{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 90, MaxY: 90}, Tokens: []string{"t1"}, TauR: 0.01, TauT: 0.01}
+	if _, err := ix.Query(ctx, q); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error = %v, want context.DeadlineExceeded", err)
 	}
 	// A cancellable-but-live context must still answer normally.
 	live, liveCancel := context.WithCancel(context.Background())
 	defer liveCancel()
-	res, err := ix.Query(live, q.Request())
+	res, err := ix.Query(live, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameMatches(t, "live-context search", res.Matches, newOracle(t, objects, model.SpaceJaccard, model.TextJaccard).threshold(t, q))
 }
 
-func benchIndex(b *testing.B, shards int) (*seal.Index, []seal.Query) {
+func benchIndex(b *testing.B, shards int) (*seal.Index, []seal.Request) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(99))
 	objects := shardObjects(20000, rng)
@@ -323,8 +314,7 @@ func BenchmarkShardedBuild(b *testing.B) {
 // scatter-gather, the monolithic index serially.
 func BenchmarkShardedQuery(b *testing.B) {
 	for _, shards := range benchShardCounts() {
-		ix, queries := benchIndex(b, shards)
-		reqs := requests(queries)
+		ix, reqs := benchIndex(b, shards)
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -334,7 +324,7 @@ func BenchmarkShardedQuery(b *testing.B) {
 					}
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(queries)), "µs/query")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(reqs)), "µs/query")
 		})
 	}
 }

@@ -76,23 +76,6 @@ func manifestMatches(m *engine.Manifest, cfg options, objects int) bool {
 	return m.Filter == segmentSpec(cfg) && m.Shards == effectiveShards(cfg, objects)
 }
 
-// OpenOption adjusts how Open treats a damaged segment directory.
-type OpenOption func(*openConfig)
-
-type openConfig struct {
-	repair bool
-}
-
-// WithRepair makes Open rebuild a corrupt or missing shard from the dataset
-// segment instead of quarantining it: the manifest records the filter
-// configuration, so the shard's postings are regenerated in memory (exact, by
-// construction) and its segment is best-effort re-saved. Opening is slower
-// for the damaged shard — roughly its share of a full build — but the index
-// comes up complete.
-func WithRepair() OpenOption {
-	return func(o *openConfig) { o.repair = true }
-}
-
 // ShardState classifies one shard's boot-time health.
 type ShardState int
 
@@ -104,16 +87,13 @@ const (
 	// quarantined shard fail with ErrShardQuarantined; AllowPartial queries
 	// skip it and mark the results Degraded.
 	ShardQuarantined
-	// ShardRebuilt had a corrupt or missing segment and was rebuilt from the
-	// dataset segment (WithRepair). It serves exact answers.
-	ShardRebuilt
 )
 
 // String names the state for health endpoints and logs.
 func (s ShardState) String() string { return engine.ShardState(s).String() }
 
-// ShardHealth reports one shard's state and, for quarantined or rebuilt
-// shards, the error that sidelined it.
+// ShardHealth reports one shard's state and, for a quarantined shard, the
+// error that sidelined it.
 type ShardHealth struct {
 	Shard int
 	State ShardState
@@ -122,7 +102,7 @@ type ShardHealth struct {
 
 // Health reports every shard's state. Indexes built in memory report all
 // shards serving; indexes opened from a damaged segment directory report
-// which shards were quarantined or rebuilt, and why.
+// which shards were quarantined, and why.
 func (ix *Index) Health() []ShardHealth {
 	eh := ix.eng.Health()
 	out := make([]ShardHealth, len(eh))
@@ -133,8 +113,8 @@ func (ix *Index) Health() []ShardHealth {
 }
 
 // Quarantined counts shards sidelined at open time. A non-zero count means
-// default queries fail with ErrShardQuarantined until the index is repaired
-// or rebuilt; AllowPartial queries serve the healthy shards.
+// default queries fail with ErrShardQuarantined until the index is rebuilt;
+// AllowPartial queries serve the healthy shards.
 func (ix *Index) Quarantined() int { return ix.eng.Quarantined() }
 
 // Open boots an index from a segment directory previously populated by
@@ -144,19 +124,17 @@ func (ix *Index) Quarantined() int { return ix.eng.Quarantined() }
 //
 // Open survives single-shard damage: abandoned temp files from an
 // interrupted save are swept, every section's checksum is verified, and a
-// shard whose segment is corrupt or missing is quarantined (or rebuilt, with
-// WithRepair) instead of failing the open — check Health for the outcome.
+// shard whose segment is corrupt or missing is quarantined instead of failing
+// the open — check Quarantined and Health for the outcome.
+// Build(WithSegmentDir(dir)) over the same objects rebuilds and replaces a
+// damaged directory.
 // Damage that compromises the whole directory (no manifest, unreadable
 // dataset segment, every shard bad) still fails with a sentinel
 // error: ErrCorruptSegment, ErrManifestMismatch, or engine.ErrNoSegments
 // unwrapped via errors.Is.
-func Open(dir string, opts ...OpenOption) (*Index, error) {
+func Open(dir string) (*Index, error) {
 	start := time.Now()
-	var oc openConfig
-	for _, o := range opts {
-		o(&oc)
-	}
-	eng, _, err := engine.OpenSegmentsWith(dir, nil, engine.OpenOptions{Quarantine: true, Repair: oc.repair})
+	eng, err := engine.OpenSegmentsWith(dir, nil, true)
 	if err != nil {
 		return nil, fmt.Errorf("seal: opening segments: %w", err)
 	}
@@ -164,7 +142,7 @@ func Open(dir string, opts ...OpenOption) (*Index, error) {
 }
 
 // Close releases any memory-mapped segments backing the index. Afterwards
-// Query, QueryBatch, Stream, Object, Footprint and Similarity return
+// Query, QueryBatch, Stream, Object and Similarity return
 // ErrClosed instead of touching unmapped pages (Fingerprint and TokenWeight,
 // which return no error, report "" and false). Close is safe to call while
 // any of them is in flight: calls already admitted run to completion first —

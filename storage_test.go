@@ -28,14 +28,14 @@ import (
 	"github.com/sealdb/seal/internal/testutil"
 )
 
-func expectSameAnswers(t *testing.T, label string, base, got *seal.Index, queries []seal.Query) {
+func expectSameAnswers(t *testing.T, label string, base, got *seal.Index, queries []seal.Request) {
 	t.Helper()
 	for qi, q := range queries {
-		want, err := answer(base, q.Request())
+		want, err := answer(base, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		have, err := answer(got, q.Request())
+		have, err := answer(got, q)
 		if err != nil {
 			t.Fatalf("%s query %d: %v", label, qi, err)
 		}
@@ -49,12 +49,12 @@ func expectSameAnswers(t *testing.T, label string, base, got *seal.Index, querie
 		}
 	}
 	for qi, q := range queries[:4] {
-		tq := seal.TopKQuery{Region: q.Region, Tokens: q.Tokens, K: 1 + qi*3, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
-		want, err := answer(base, tq.Request())
+		tq := seal.Request{Region: q.Region, Tokens: q.Tokens, K: 1 + qi*3, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
+		want, err := answer(base, tq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		have, err := answer(got, tq.Request())
+		have, err := answer(got, tq)
 		if err != nil {
 			t.Fatalf("%s topk %d: %v", label, qi, err)
 		}
@@ -73,7 +73,7 @@ func expectSameAnswers(t *testing.T, label string, base, got *seal.Index, querie
 // weight is beyond float32 range — bounds past the finite codes, which
 // saturate to infinity. Similarity is scale-free, so the scaled corpus is as
 // good a differential fixture as the original.
-func hugeCorpus(objects []seal.Object, queries []seal.Query) ([]seal.Object, []seal.Query, map[string]float64) {
+func hugeCorpus(objects []seal.Object, queries []seal.Request) ([]seal.Object, []seal.Request, map[string]float64) {
 	scale := func(r seal.Rect) seal.Rect {
 		const k = 1e20
 		return seal.Rect{MinX: r.MinX * k, MinY: r.MinY * k, MaxX: r.MaxX * k, MaxY: r.MaxY * k}
@@ -89,9 +89,9 @@ func hugeCorpus(objects []seal.Object, queries []seal.Query) ([]seal.Object, []s
 			weights[tok] = 1e39 * float64(1+len(tok))
 		}
 	}
-	outQ := make([]seal.Query, len(queries))
+	outQ := make([]seal.Request, len(queries))
 	for i, q := range queries {
-		outQ[i] = seal.Query{Region: scale(q.Region), Tokens: q.Tokens, TauR: q.TauR, TauT: q.TauT}
+		outQ[i] = seal.Request{Region: scale(q.Region), Tokens: q.Tokens, TauR: q.TauR, TauT: q.TauT}
 	}
 	return outO, outQ, weights
 }
@@ -139,12 +139,12 @@ func TestStorageDifferential(t *testing.T) {
 				}
 				for qi, q := range hugeQueries {
 					q.TauR, q.TauT = 0.01, 0.01 // at the fixture's own thresholds nothing matches
-					got, err := answer(hugeBase, q.Request())
+					got, err := answer(hugeBase, q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireSameMatches(t, fmt.Sprintf("shards=%d huge query %d", shards, qi), got, hugeOracle.threshold(t, q))
-					ranked := seal.TopKQuery{Region: q.Region, Tokens: q.Tokens, K: 5, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}.Request()
+					ranked := seal.Request{Region: q.Region, Tokens: q.Tokens, K: 5, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
 					if got, err = answer(hugeBase, ranked); err != nil {
 						t.Fatal(err)
 					}
@@ -260,11 +260,11 @@ func TestInMemoryMatchesSegments(t *testing.T) {
 				}
 				matched := 0
 				for qi, q := range queries {
-					want, err := built.Query(ctx, q.Request(), seal.CollectStats())
+					want, err := built.Query(ctx, q, seal.CollectStats())
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := opened.Query(ctx, q.Request(), seal.CollectStats())
+					got, err := opened.Query(ctx, q, seal.CollectStats())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -505,7 +505,7 @@ func TestSegmentDirRebuildsUnderOtherWeights(t *testing.T) {
 			for qi, q := range queries {
 				for _, tauT := range []float64{0.05, 0.2, 0.4} {
 					q.TauR, q.TauT = 0.01, tauT
-					got, err := answer(ix, q.Request())
+					got, err := answer(ix, q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -718,7 +718,7 @@ func TestTokenWeightsSurviveOpen(t *testing.T) {
 			t.Errorf("object %d: reopened similarities %v/%v, built %v/%v", id, gotR, gotT, wantR, wantT)
 		}
 	}
-	expectSameAnswers(t, "explicit weights", built, opened, []seal.Query{paperQuery(), paperQuery(), paperQuery(), paperQuery()})
+	expectSameAnswers(t, "explicit weights", built, opened, []seal.Request{paperQuery(), paperQuery(), paperQuery(), paperQuery()})
 }
 
 // TestTokenWeightsMustBeFinite: a NaN or +Inf token weight fails Build and
@@ -763,12 +763,12 @@ func TestTokenWeightsMustBeFinite(t *testing.T) {
 		if len(o.Regions) > 0 {
 			r = o.Regions[0]
 		}
-		q := seal.Query{Region: seal.Rect{MinX: r.MinX - 15, MinY: r.MinY - 15, MaxX: r.MaxX + 15, MaxY: r.MaxY + 15},
+		q := seal.Request{Region: seal.Rect{MinX: r.MinX - 15, MinY: r.MinY - 15, MaxX: r.MaxX + 15, MaxY: r.MaxY + 15},
 			Tokens: o.Tokens, TauR: 0.001, TauT: 0.02}
 		if qi%2 == 0 {
 			q.Tokens = append(slices.Clone(q.Tokens), "t7")
 		}
-		got, err := answer(opened, q.Request())
+		got, err := answer(opened, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -788,7 +788,7 @@ func TestTokenWeightsMustBeFinite(t *testing.T) {
 func TestClosedIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	objects := shardObjects(120, rng)
-	req := shardQueries(1, rng)[0].Request()
+	req := shardQueries(1, rng)[0]
 	dir := filepath.Join(t.TempDir(), "segs")
 	built, err := seal.Build(objects, seal.WithShards(2), seal.WithSegmentDir(dir))
 	if err != nil {
@@ -839,9 +839,6 @@ func TestClosedIndex(t *testing.T) {
 		}
 		if _, err := ix.Object(7); !errors.Is(err, seal.ErrClosed) {
 			t.Errorf("%s: Object after Close: %v", label, err)
-		}
-		if _, err := ix.Footprint(7); !errors.Is(err, seal.ErrClosed) {
-			t.Errorf("%s: Footprint after Close: %v", label, err)
 		}
 		if _, _, err := ix.Similarity(shardQueries(1, rng)[0], 7); !errors.Is(err, seal.ErrClosed) {
 			t.Errorf("%s: Similarity after Close: %v", label, err)

@@ -78,12 +78,12 @@ func TestStreamEquivalence(t *testing.T) {
 				}
 				for qi, q := range queries {
 					want := oracle.threshold(t, q)
-					got, err := answer(ix, q.Request())
+					got, err := answer(ix, q)
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireSameMatches(t, fmt.Sprintf("shards=%d query %d", k, qi), got, want)
-					req := q.Request()
+					req := q
 
 					arrival := collectStream(t, ix, req)
 					if !equalMatches(sortByID(arrival), want) {
@@ -151,9 +151,9 @@ func TestStreamRankedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for qi, q := range queries {
-			tq := seal.TopKQuery{Region: q.Region, Tokens: q.Tokens, K: 2 + qi%6, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
-			want := oracle.ranked(t, tq.Request())
-			res, err := ix.Query(context.Background(), tq.Request())
+			tq := seal.Request{Region: q.Region, Tokens: q.Tokens, K: 2 + qi%6, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
+			want := oracle.ranked(t, tq)
+			res, err := ix.Query(context.Background(), tq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,13 +166,13 @@ func TestStreamRankedEquivalence(t *testing.T) {
 					t.Fatalf("shards=%d topk %d rank %d: %+v, want %+v", k, qi, i, m, w)
 				}
 			}
-			streamed := collectStream(t, ix, tq.Request())
+			streamed := collectStream(t, ix, tq)
 			if !equalMatches(streamed, res.Matches) {
 				t.Fatalf("shards=%d topk %d: Stream differs from Query", k, qi)
 			}
 			if len(want) > 1 {
 				L := 1 + qi%(len(want)-1)
-				lim := collectStream(t, ix, tq.Request(), seal.Limit(L))
+				lim := collectStream(t, ix, tq, seal.Limit(L))
 				if !equalMatches(lim, res.Matches[:L]) {
 					t.Fatalf("shards=%d topk %d: ranked Limit(%d) is not the score-order prefix", k, qi, L)
 				}
@@ -206,7 +206,7 @@ func TestStreamLimitReducesEngineWork(t *testing.T) {
 		t.Fatalf("want a dense query for this test, got %d matches", len(full.Matches))
 	}
 	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
-	requireSameMatches(t, "full", full.Matches, oracle.threshold(t, seal.Query{Region: req.Region, Tokens: req.Tokens, TauR: req.TauR, TauT: req.TauT}))
+	requireSameMatches(t, "full", full.Matches, oracle.threshold(t, req))
 
 	const limit = 5
 	var st seal.Stats

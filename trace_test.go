@@ -81,7 +81,7 @@ func TestTraceDifferential(t *testing.T) {
 		}
 		for qi, q := range queries {
 			label := fmt.Sprintf("shards=%d query=%d", shards, qi)
-			req := q.Request()
+			req := q
 
 			// Threshold, default ID order: the materialized scatter path.
 			plain, err := ix.Query(ctx, req)
@@ -126,12 +126,12 @@ func TestTraceDifferential(t *testing.T) {
 			requireTraceShape(t, label+" stream", &streamTrace, "admit", "filter")
 
 			// Ranked: the top-k descent.
-			tq := seal.TopKQuery{Region: q.Region, Tokens: q.Tokens, K: 1 + qi%5, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
-			plainRanked, err := ix.Query(ctx, tq.Request())
+			tq := seal.Request{Region: q.Region, Tokens: q.Tokens, K: 1 + qi%5, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
+			plainRanked, err := ix.Query(ctx, tq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tracedRanked, err := ix.Query(ctx, tq.Request(), seal.CollectTrace())
+			tracedRanked, err := ix.Query(ctx, tq, seal.CollectTrace())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestTraceInto(t *testing.T) {
 	q := shardQueries(1, rng)[0]
 
 	var tr seal.Trace
-	res, err := ix.Query(ctx, q.Request(), seal.TraceInto(&tr))
+	res, err := ix.Query(ctx, q, seal.TraceInto(&tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestTraceInto(t *testing.T) {
 	}
 
 	var shared seal.Trace
-	reqs := []seal.Request{q.Request(), q.Request()}
+	reqs := []seal.Request{q, q}
 	for i, br := range ix.QueryBatch(ctx, reqs, seal.TraceInto(&shared)) {
 		if br.Err != nil {
 			t.Fatal(br.Err)
