@@ -54,7 +54,7 @@ func runWorkload(b *testing.B, ds *model.Dataset, f core.Filter, specs []gen.Que
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range queries {
-			_, st := searcher.Search(q)
+			_, st := searcher.Search(q, nil, 0)
 			candidates += st.Candidates
 			results += st.Results
 		}
@@ -260,7 +260,7 @@ func benchTopK(b *testing.B, spec bench.FilterSpec) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			found, err := searcher.TopK(q, opts)
+			found, _, err := searcher.TopK(q, opts, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -96,12 +96,13 @@
 // isolate panics, take a pooled searcher, attach the trace recorder, search,
 // return the searcher, and judge lateness by the wall clock. What differs
 // between query shapes is only the sink the
-// matches go to: collect-all (the allocation-free materializing search),
-// ID-ordered capped (verification stops at Limit successes per shard; the
-// merge keeps the exact prefix), a bounded channel in arrival order (one
-// emission count shared across shards ends every scan once Limit is
-// reached), and cooperative top-k (descents prune against the running
-// global k-th-best score and heap-merge). A failed shard reaches one
+// matches go to, each fed by one searcher call that polls the same stop
+// hook: ID-ordered (every match, sorted; under Limit, verification runs in
+// ID order and stops at Limit successes per shard, and the merge keeps the
+// exact prefix), a bounded channel in arrival order (one emission count
+// shared across shards ends every scan once Limit is reached), and
+// cooperative top-k (descents prune against the running global k-th-best
+// score and heap-merge). A failed shard reaches one
 // decision point — fatal by default, dropped and counted under AllowPartial,
 // never dropped when it is the context or Close that ended it.
 //

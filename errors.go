@@ -1,8 +1,9 @@
 package seal
 
-// Sentinel errors for storage and degraded-mode failures. Errors returned by
-// Open, Build(WithSegmentDir), and Query wrap these, so callers distinguish
-// failure classes with errors.Is instead of matching message strings.
+// Sentinel errors for invalid requests, storage and degraded-mode failures.
+// Errors returned by Open, Build(WithSegmentDir), and Query wrap these, so
+// callers distinguish failure classes with errors.Is instead of matching
+// message strings.
 
 import (
 	"github.com/sealdb/seal/internal/diskidx"
@@ -32,4 +33,11 @@ var (
 	// from a segment directory serves its dataset and postings out of mapped
 	// files; once Close has unmapped them the index answers nothing.
 	ErrClosed = engine.ErrClosed
+
+	// ErrInvalidRequest reports a query rejected for its own content before
+	// any search ran: a Request outside its documented ranges or with an
+	// inverted Region, a negative Limit or Offset, a ShardTimeout without
+	// AllowPartial, or OrderByScore on a threshold request. Retrying it
+	// cannot succeed; the daemon answers it with HTTP 400.
+	ErrInvalidRequest = engine.ErrInvalidQuery
 )

@@ -39,7 +39,7 @@ func TestBaselinesOnPaperExample(t *testing.T) {
 	ds, q := paperSetup(t)
 	for _, f := range buildBaselines(t, ds) {
 		s := core.NewSearcher(ds, f)
-		matches, _ := s.Search(q)
+		matches, _ := s.Search(q, nil, 0)
 		if len(matches) != 1 || matches[0].ID != 1 {
 			t.Fatalf("%s answers = %v, want [o2]", f.Name(), matches)
 		}
@@ -117,7 +117,7 @@ func TestBaselinesMatchBruteForce(t *testing.T) {
 					defer wg.Done()
 					s := core.NewSearcher(ds, f)
 					for qi, q := range queries {
-						matches, _ := s.Search(q)
+						matches, _ := s.Search(q, nil, 0)
 						if len(matches) != len(want[qi]) {
 							t.Errorf("seed %d q%d %s: %d results, want %d", seed, qi, f.Name(), len(matches), len(want[qi]))
 							return

@@ -67,7 +67,7 @@ func TestScanIsCompleteOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, st := s.Search(q)
+	matches, st := s.Search(q, nil, 0)
 	if st.Candidates != ds.Len() {
 		t.Fatalf("scan candidates = %d, want all %d", st.Candidates, ds.Len())
 	}

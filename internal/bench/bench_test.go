@@ -113,7 +113,7 @@ func TestFilterKindsAgree(t *testing.T) {
 			s := core.NewSearcher(ds, f)
 			for qi, q := range queries {
 				want := wants[qi]
-				got, _ := s.Search(q)
+				got, _ := s.Search(q, nil, 0)
 				if len(got) != len(want) {
 					t.Fatalf("query %d: %d matches, want %d", qi, len(got), len(want))
 				}

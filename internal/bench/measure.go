@@ -32,7 +32,7 @@ func measure(ds *model.Dataset, f core.Filter, specs []gen.QuerySpec, tauR, tauT
 		if err != nil {
 			return p, fmt.Errorf("bench: compiling query: %w", err)
 		}
-		_, st := searcher.Search(q)
+		_, st := searcher.Search(q, nil, 0)
 		p.AvgMS += ms(st.Elapsed())
 		p.FilterMS += ms(st.FilterTime)
 		p.VerifyMS += ms(st.VerifyTime)

@@ -66,7 +66,7 @@ func measureTopK(ds *model.Dataset, f core.Filter, specs []gen.QuerySpec, opts c
 		if qerr != nil {
 			return 0, 0, qerr
 		}
-		found, terr := searcher.TopK(q, opts)
+		found, _, terr := searcher.TopK(q, opts, nil)
 		if terr != nil {
 			return 0, 0, terr
 		}

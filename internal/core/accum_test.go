@@ -38,7 +38,7 @@ func TestAccumulatedSimTMatchesCommonWeight(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, s := range searchers {
-				matches, _ := s.Search(q)
+				matches, _ := s.Search(q, nil, 0)
 				// Every returned similarity is the fast-path value; pin it
 				// against the merge-based SimT exactly.
 				for _, m := range matches {
@@ -104,7 +104,7 @@ func TestAccumulatorArming(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := core.NewSearcher(ds, c.f)
-		s.Search(q)
+		s.Search(q, nil, 0)
 		if got := s.Accumulated(); got != c.want {
 			t.Errorf("%s: accumulator armed = %v, want %v", c.f.Name(), got, c.want)
 		}
@@ -143,7 +143,7 @@ func TestAccumulatorLargeQueryFallback(t *testing.T) {
 		t.Fatalf("query should keep 80 known tokens, got %d", len(q.Tokens))
 	}
 	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
-	matches, _ := s.Search(q)
+	matches, _ := s.Search(q, nil, 0)
 	if s.Accumulated() {
 		t.Fatal("accumulator must stay disarmed beyond 64 tokens")
 	}
@@ -220,7 +220,7 @@ func TestSearcherMatchBufferReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m, _ := s.Search(cand); len(m) > 0 {
+		if m, _ := s.Search(cand, nil, 0); len(m) > 0 {
 			q, first = cand, m
 			break
 		}
@@ -229,7 +229,7 @@ func TestSearcherMatchBufferReuse(t *testing.T) {
 		t.Skip("no query with matches found")
 	}
 	snapshot := append([]core.Match(nil), first...)
-	again, _ := s.Search(q)
+	again, _ := s.Search(q, nil, 0)
 	if &again[0] != &first[0] {
 		t.Fatal("Search should reuse its match buffer across calls")
 	}

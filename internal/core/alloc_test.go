@@ -110,26 +110,31 @@ func allocFilters(t testing.TB, ds *model.Dataset) []core.Filter {
 
 // TestSearchZeroAllocs: after warmup (buffers grown to the workload's high
 // water mark), every signature filter must answer threshold queries with
-// zero heap allocations per Search.
+// zero heap allocations per Search — unlimited, and limited, where the
+// candidates are sorted in the searcher's scratch before they are verified.
 func TestSearchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	ds := allocDataset(t, 600)
 	queries := allocQueries(t, ds, 8)
-	for _, f := range allocFilters(t, ds) {
-		s := core.NewSearcher(ds, f)
-		// Warmup: size every reusable buffer for the whole query set.
-		for i := 0; i < 2; i++ {
-			for _, q := range queries {
-				s.Search(q)
+	for _, limit := range []int{0, 3, 1 << 20} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			for _, f := range allocFilters(t, ds) {
+				s := core.NewSearcher(ds, f)
+				// Warmup: size every reusable buffer for the whole query set.
+				for i := 0; i < 2; i++ {
+					for _, q := range queries {
+						s.Search(q, nil, limit)
+					}
+				}
+				for qi, q := range queries {
+					if avg := testing.AllocsPerRun(20, func() { s.Search(q, nil, limit) }); avg != 0 {
+						t.Errorf("%s query %d: %.1f allocs/op, want 0", f.Name(), qi, avg)
+					}
+				}
 			}
-		}
-		for qi, q := range queries {
-			if avg := testing.AllocsPerRun(20, func() { s.Search(q) }); avg != 0 {
-				t.Errorf("%s query %d: %.1f allocs/op, want 0", f.Name(), qi, avg)
-			}
-		}
+		})
 	}
 }
 
@@ -140,11 +145,11 @@ func requireZeroAllocs(t *testing.T, label string, ds *model.Dataset, f core.Fil
 	s := core.NewSearcher(ds, f)
 	for i := 0; i < 2; i++ {
 		for _, q := range queries {
-			s.Search(q)
+			s.Search(q, nil, 0)
 		}
 	}
 	for qi, q := range queries {
-		if avg := testing.AllocsPerRun(20, func() { s.Search(q) }); avg != 0 {
+		if avg := testing.AllocsPerRun(20, func() { s.Search(q, nil, 0) }); avg != 0 {
 			t.Errorf("%s %s query %d: %.1f allocs/op, want 0", label, f.Name(), qi, avg)
 		}
 	}
@@ -233,31 +238,6 @@ func TestSearchZeroAllocsMapped(t *testing.T) {
 	requireZeroAllocs(t, "mapped-compressed", ds, mapped("seal.seg", sealSpec, seal), queries)
 }
 
-// TestStreamByIDZeroAllocs: the ID-ordered streaming path shares the same
-// scratch, so steady-state streaming with a pre-bound emit function also
-// stays allocation-free.
-func TestStreamByIDZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	ds := allocDataset(t, 400)
-	queries := allocQueries(t, ds, 4)
-	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
-	sink := 0
-	opts := core.StreamOptions{ByID: true, Emit: func(core.Match) bool { sink++; return true }}
-	for i := 0; i < 2; i++ {
-		for _, q := range queries {
-			s.SearchStream(q, opts)
-		}
-	}
-	for qi, q := range queries {
-		if avg := testing.AllocsPerRun(20, func() { s.SearchStream(q, opts) }); avg != 0 {
-			t.Errorf("stream query %d: %.1f allocs/op, want 0", qi, avg)
-		}
-	}
-	_ = sink
-}
-
 // topKQuery is the descent the top-k allocation tests run: several rounds
 // deep over a region holding ranked objects.
 func topKQuery(t testing.TB, ds *model.Dataset) (*model.Query, core.TopKOptions) {
@@ -284,7 +264,7 @@ func TestTopKBoundedAllocs(t *testing.T) {
 		var ranked []core.ScoredMatch
 		var err error
 		for i := 0; i < 2; i++ {
-			if ranked, err = s.TopK(q, opts); err != nil {
+			if ranked, _, err = s.TopK(q, opts, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -292,7 +272,7 @@ func TestTopKBoundedAllocs(t *testing.T) {
 			t.Fatalf("%s: empty ranking; the test query must rank something", f.Name())
 		}
 		avg := testing.AllocsPerRun(10, func() {
-			if _, err := s.TopK(q, opts); err != nil {
+			if _, _, err := s.TopK(q, opts, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -322,7 +302,7 @@ func TestTopKRetainedAllocs(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		s := core.NewSearcher(ds, f)
-		if _, err := s.TopK(q, opts); err != nil {
+		if _, _, err := s.TopK(q, opts, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/gen"
+	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/paperdata"
@@ -84,7 +86,7 @@ func TestPaperExample2TokenFilter(t *testing.T) {
 		}
 	}
 	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
-	matches, st := s.Search(q)
+	matches, st := s.Search(q, nil, 0)
 	if len(matches) != 1 || matches[0].ID != 1 {
 		t.Fatalf("answers = %v, want [o2]", matches)
 	}
@@ -139,7 +141,7 @@ func TestPaperExample3GridFilter(t *testing.T) {
 		t.Fatalf("o3/o7 share no cell with q and must be pruned, got %v", cands)
 	}
 	s := core.NewSearcher(ds, f)
-	matches, _ := s.Search(q)
+	matches, _ := s.Search(q, nil, 0)
 	if len(matches) != 1 || matches[0].ID != 1 {
 		t.Fatalf("grid-filter answers = %v, want [o2]", matches)
 	}
@@ -173,7 +175,7 @@ func TestHybridFiltersOnPaperData(t *testing.T) {
 
 	for _, f := range []core.Filter{hash, hier} {
 		s := core.NewSearcher(ds, f)
-		matches, _ := s.Search(q)
+		matches, _ := s.Search(q, nil, 0)
 		if len(matches) != 1 || matches[0].ID != 1 {
 			t.Fatalf("%s answers = %v, want [o2]", f.Name(), matches)
 		}
@@ -211,7 +213,7 @@ func TestAllFiltersComplete(t *testing.T) {
 						seed, qi, f.Name(), cands, want, q.TauR, q.TauT)
 				}
 				s := core.NewSearcher(ds, f)
-				matches, _ := s.Search(q)
+				matches, _ := s.Search(q, nil, 0)
 				got := make([]model.ObjectID, len(matches))
 				for i, m := range matches {
 					got[i] = m.ID
@@ -316,7 +318,7 @@ func TestSharedPlainFilter(t *testing.T) {
 		serial := core.NewSearcher(ds, f)
 		want := make([][]core.Match, len(queries))
 		for i, q := range queries {
-			m, _ := serial.Search(q)
+			m, _ := serial.Search(q, nil, 0)
 			want[i] = append([]core.Match(nil), m...)
 		}
 		var wg sync.WaitGroup
@@ -327,7 +329,7 @@ func TestSharedPlainFilter(t *testing.T) {
 				s := core.NewSearcher(ds, f)
 				for round := 0; round < 5; round++ {
 					for i, q := range queries {
-						if got, _ := s.Search(q); !slices.Equal(got, want[i]) {
+						if got, _ := s.Search(q, nil, 0); !slices.Equal(got, want[i]) {
 							t.Errorf("%s q%d: concurrent searcher got %v, want %v", f.Name(), i, got, want[i])
 							return
 						}
@@ -337,6 +339,94 @@ func TestSharedPlainFilter(t *testing.T) {
 		}
 		wg.Wait()
 	}
+}
+
+// TestSearchLimitAndStop: over every signature filter, Search(q, stop,
+// limit) with a limit returns the limit-prefix of the unlimited answer after
+// the same filter work — the same lists, postings and candidates — and a
+// stop that fires after n polls cuts collection short and returns an
+// ascending subset of it.
+func TestSearchLimitAndStop(t *testing.T) {
+	ds := allocDataset(t, 600)
+	// Low thresholds, so the answers run longer than the limits tested.
+	rng := rand.New(rand.NewSource(11))
+	var queries []*model.Query
+	for range 8 {
+		x, y := rng.Float64()*700, rng.Float64()*700
+		terms := []string{fmt.Sprintf("tok%d", rng.Intn(30)), fmt.Sprintf("tok%d", rng.Intn(30))}
+		q, err := ds.NewQuery(geo.Rect{MinX: x, MinY: y, MaxX: x + 200, MaxY: y + 200}, terms, 0.005, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	rows := []struct {
+		limit, stopAfter int // stopAfter -1: no stop hook
+	}{
+		{0, -1}, {1, -1}, {3, -1}, {1 << 20, -1}, // 1<<20 exceeds every answer
+		{0, 0}, {0, 1}, {3, 0}, {3, 1},
+	}
+	for _, f := range allocFilters(t, ds) {
+		s := core.NewSearcher(ds, f)
+		want := make([][]core.Match, len(queries))
+		wantSt := make([]core.SearchStats, len(queries))
+		longest := 0
+		for qi, q := range queries {
+			m, st := s.Search(q, nil, 0)
+			want[qi], wantSt[qi] = slices.Clone(m), st
+			longest = max(longest, len(m))
+		}
+		if longest <= 3 {
+			t.Fatalf("%s: longest answer has %d matches; the queries must exceed the limits tested", f.Name(), longest)
+		}
+		for _, row := range rows {
+			t.Run(fmt.Sprintf("%s/limit=%d/stop=%d", f.Name(), row.limit, row.stopAfter), func(t *testing.T) {
+				cut := false // stop cut some query's collection short
+				for qi, q := range queries {
+					var stop func() bool
+					if row.stopAfter >= 0 {
+						polls := 0
+						stop = func() bool { polls++; return polls > row.stopAfter }
+					}
+					got, st := s.Search(q, stop, row.limit)
+					prefix := want[qi]
+					if row.limit > 0 && row.limit < len(prefix) {
+						prefix = prefix[:row.limit]
+					}
+					if stop != nil {
+						if !isAscendingSubset(got, want[qi]) || len(got) > len(prefix) {
+							t.Fatalf("query %d: stopped search returned %v, want an ascending subset of %v of at most %d", qi, got, want[qi], len(prefix))
+						}
+						cut = cut || st.Candidates < wantSt[qi].Candidates
+						continue
+					}
+					if !slices.Equal(got, prefix) {
+						t.Fatalf("query %d: got %v, want the prefix %v", qi, got, prefix)
+					}
+					if st.FilterStats != wantSt[qi].FilterStats || st.Results != len(prefix) {
+						t.Fatalf("query %d: stats %+v (results %d), want filter work %+v and %d results", qi, st.FilterStats, st.Results, wantSt[qi].FilterStats, len(prefix))
+					}
+				}
+				if row.stopAfter >= 0 && !cut {
+					t.Fatal("stop never cut a query's collection short")
+				}
+			})
+		}
+	}
+}
+
+// isAscendingSubset reports whether sub is strictly ascending by ID and
+// every entry of it is in super.
+func isAscendingSubset(sub, super []core.Match) bool {
+	for i, m := range sub {
+		if i > 0 && sub[i-1].ID >= m.ID {
+			return false
+		}
+		if !slices.Contains(super, m) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestCandidateSet(t *testing.T) {
@@ -361,7 +451,7 @@ func TestCandidateSet(t *testing.T) {
 func TestSearcherStats(t *testing.T) {
 	ds, q := paperSetup(t)
 	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
-	_, st := s.Search(q)
+	_, st := s.Search(q, nil, 0)
 	if st.Elapsed() != st.FilterTime+st.VerifyTime {
 		t.Errorf("Elapsed mismatch")
 	}

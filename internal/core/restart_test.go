@@ -19,21 +19,13 @@ func (s *Searcher) RestartTopK(region geo.Rect, terms []string, opts TopKOptions
 
 	compile := s.ds.NewQuery
 	for score := 1.0; ; score /= 2 {
-		if opts.Interrupt != nil {
-			if err := opts.Interrupt(); err != nil {
-				return nil, err
-			}
-		}
 		tauR := thresholdFor(score, opts.Alpha, opts.FloorR)
 		tauT := thresholdFor(score, 1-opts.Alpha, opts.FloorT)
 		q, err := compile(region, terms, tauR, tauT)
 		if err != nil {
 			return nil, err
 		}
-		matches, rst := s.Search(q)
-		if opts.Stats != nil {
-			opts.Stats.Merge(rst)
-		}
+		matches, _ := s.Search(q, nil, 0)
 		ranked, complete := rankMatches(matches, opts, score)
 		if opts.Observe != nil {
 			opts.Observe(ranked[:complete])

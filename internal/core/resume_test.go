@@ -53,7 +53,10 @@ func resumeCase(t testing.TB, label string, s, oracle *core.Searcher, ds *model.
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	got, err := record(opts, stopAfter, func(o core.TopKOptions) ([]core.ScoredMatch, error) { return s.TopK(q, o) })
+	got, err := record(opts, stopAfter, func(o core.TopKOptions) ([]core.ScoredMatch, error) {
+		ranked, _, err := s.TopK(q, o, nil)
+		return ranked, err
+	})
 	if err != nil {
 		t.Fatalf("%s resumed: %v", label, err)
 	}

@@ -36,7 +36,7 @@ type Scratch struct {
 	owner *CandidateSet
 	epoch uint32
 
-	// ids holds the sorted candidate order for ID-ordered streaming.
+	// ids holds the sorted candidate order of a limited Search.
 	ids []uint32
 	// acc sums per-object weights for the filters that score whole lists
 	// (the plain Sig-Filters, keyword-first); sized on first use.

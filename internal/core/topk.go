@@ -48,12 +48,8 @@ type TopKOptions struct {
 
 	// The hooks below exist for sharded scatter-gather top-k, where several
 	// TopK descents run concurrently over disjoint shards and prune against
-	// the best scores seen anywhere. All are optional.
+	// the best scores seen anywhere. Both are optional.
 
-	// Interrupt, when non-nil, is polled once per descent round; a non-nil
-	// error aborts the search and is returned verbatim. Pass ctx.Err to make
-	// a descent honor context cancellation.
-	Interrupt func() error
 	// Observe, when non-nil, receives the provably-complete result prefix
 	// after every descent round: entries whose score is at or above the
 	// current score line, which no unseen object can outrank. Entries use
@@ -66,15 +62,6 @@ type TopKOptions struct {
 	// scores strictly below it and cannot enter the global top k, so the
 	// descent stops early and returns what it has.
 	StopBelow func() float64
-
-	// Stats, when non-nil, accumulates the descent's filter-and-verify work.
-	// A list probe, a posting scanned and a candidate verified count once per
-	// descent, however many rounds reach them, so the counts are those of one
-	// threshold search at the final round's thresholds (a paper baseline,
-	// which cannot resume, counts its probes and postings every round). A
-	// deeper descent (larger K, lower floors) shows up directly as more lists
-	// probed, postings scanned and candidates verified.
-	Stats *SearchStats
 }
 
 // Validate checks the option invariants and applies the documented floor
@@ -113,37 +100,41 @@ type ScoredMatch struct {
 // q must be compiled against the searcher's dataset or one sharing its
 // vocabulary and weights, as a shard shares its root's. The ranking is the
 // caller's; the warm searcher allocates nothing else.
-func (s *Searcher) TopK(q *model.Query, opts TopKOptions) ([]ScoredMatch, error) {
+//
+// stop, which may be nil, is polled once before each round. A descent it
+// stops returns no ranking and a nil error: it was asked to stop producing,
+// and its partial ranking is not the answer.
+//
+// The stats report the descent's filter-and-verify work. A list probe, a
+// posting scanned and a candidate verified count once per descent, however
+// many rounds reach them, so the counts are those of one threshold search at
+// the final round's thresholds (a paper baseline, which cannot resume,
+// counts its probes and postings every round). A deeper descent (larger K,
+// lower floors) shows up directly as more lists probed, postings scanned and
+// candidates verified.
+func (s *Searcher) TopK(q *model.Query, opts TopKOptions, stop func() bool) ([]ScoredMatch, SearchStats, error) {
 	if err := opts.Validate(); err != nil {
-		return nil, err
+		return nil, SearchStats{}, err
 	}
 	var st SearchStats
 	s.q = *q
-	ranked, err := s.descend(&opts, &st)
+	ranked := s.descend(&opts, stop, &st)
 	s.q = model.Query{} // a pooled searcher must not pin the caller's query
-	if opts.Stats != nil {
-		st.Results = len(ranked)
-		opts.Stats.Merge(st)
-	}
-	if err != nil {
-		return nil, err
-	}
+	st.Results = len(ranked)
 	// The ranking leaves as a copy: s.ranked is the next descent's buffer,
 	// and the searcher may be back in its pool before the caller is done.
-	return slices.Clone(ranked), nil
+	return slices.Clone(ranked), st, nil
 }
 
 // descend runs the rounds over s.q, adding their work to st, and returns the
-// ranking as a view of s.ranked.
-func (s *Searcher) descend(opts *TopKOptions, st *SearchStats) ([]ScoredMatch, error) {
+// ranking as a view of s.ranked, or nil once stop fires.
+func (s *Searcher) descend(opts *TopKOptions, stop func() bool, st *SearchStats) []ScoredMatch {
 	q := &s.q
 	s.beginQuery(q)
 	s.ranked = s.ranked[:0]
 	for score := 1.0; ; score /= 2 {
-		if opts.Interrupt != nil {
-			if err := opts.Interrupt(); err != nil {
-				return nil, err
-			}
+		if stop != nil && stop() {
+			return nil
 		}
 		q.TauR = thresholdFor(score, opts.Alpha, opts.FloorR)
 		q.TauT = thresholdFor(score, 1-opts.Alpha, opts.FloorT)
@@ -156,19 +147,19 @@ func (s *Searcher) descend(opts *TopKOptions, st *SearchStats) ([]ScoredMatch, e
 		// thresholds have saturated at the floors (then the search returned
 		// every eligible object).
 		if complete >= opts.K {
-			return ranked[:opts.K], nil
+			return ranked[:opts.K]
 		}
 		if q.TauR == opts.FloorR && q.TauT == opts.FloorT {
 			if len(ranked) > opts.K {
 				ranked = ranked[:opts.K]
 			}
-			return ranked, nil
+			return ranked
 		}
 		if opts.StopBelow != nil && opts.StopBelow() >= score {
 			// Every unseen object here scores below the current line, hence
 			// below the external k-th-best bound: it can never reach the
 			// global top k, so deeper descent is wasted work.
-			return ranked[:complete], nil
+			return ranked[:complete]
 		}
 	}
 }

@@ -40,13 +40,13 @@ func bruteTopK(ds *model.Dataset, q *model.Query, opts core.TopKOptions) []core.
 func TestTopKValidation(t *testing.T) {
 	ds, q := paperSetup(t)
 	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
-	if _, err := s.TopK(q, core.TopKOptions{K: 0}); err == nil {
+	if _, _, err := s.TopK(q, core.TopKOptions{K: 0}, nil); err == nil {
 		t.Error("K=0 should fail")
 	}
-	if _, err := s.TopK(q, core.TopKOptions{K: 1, Alpha: 1.5}); err == nil {
+	if _, _, err := s.TopK(q, core.TopKOptions{K: 1, Alpha: 1.5}, nil); err == nil {
 		t.Error("alpha > 1 should fail")
 	}
-	if _, err := s.TopK(q, core.TopKOptions{K: 1, FloorR: -0.1}); err == nil {
+	if _, _, err := s.TopK(q, core.TopKOptions{K: 1, FloorR: -0.1}, nil); err == nil {
 		t.Error("negative floor should fail")
 	}
 }
@@ -55,7 +55,7 @@ func TestTopKPaperExample(t *testing.T) {
 	ds, q := paperSetup(t)
 	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
 	// Rank by equally-weighted score; o2 (simR=0.32, simT=1.0) must be #1.
-	got, err := s.TopK(q, core.TopKOptions{K: 2, Alpha: 0.5})
+	got, _, err := s.TopK(q, core.TopKOptions{K: 2, Alpha: 0.5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 			want := bruteTopK(ds, oracleQ, opts)
 			for _, f := range filters {
 				s := core.NewSearcher(ds, f)
-				got, err := s.TopK(oracleQ, opts)
+				got, _, err := s.TopK(oracleQ, opts, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,11 +152,60 @@ func TestTopKFewerThanK(t *testing.T) {
 	ds, q := paperSetup(t)
 	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
 	// Only o2 satisfies floors this strict.
-	got, err := s.TopK(q, core.TopKOptions{K: 5, Alpha: 0.5, FloorR: 0.3, FloorT: 0.3})
+	got, _, err := s.TopK(q, core.TopKOptions{K: 5, Alpha: 0.5, FloorR: 0.3, FloorT: 0.3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("got %+v, want just o2", got)
+	}
+}
+
+// TestTopKStopBetweenRounds: stop is polled once before each round. When it
+// first turns true before round r, the descent has done exactly the work of
+// r−1 rounds — that of a descent StopBelow ends after round r−1 — observed
+// r−1 complete prefixes, and returns no ranking and no error.
+func TestTopKStopBetweenRounds(t *testing.T) {
+	ds := allocDataset(t, 600)
+	q, opts := topKQuery(t, ds)
+	for _, f := range allocFilters(t, ds) {
+		s := core.NewSearcher(ds, f)
+		rounds := 0
+		full := opts
+		full.Observe = func([]core.ScoredMatch) { rounds++ }
+		if _, _, err := s.TopK(q, full, nil); err != nil {
+			t.Fatal(err)
+		}
+		if rounds < 2 {
+			t.Fatalf("%s: the descent ran %d rounds; the test query must run several", f.Name(), rounds)
+		}
+		for r := 1; r <= rounds; r++ {
+			var want core.SearchStats
+			if r > 1 {
+				ref, observed := opts, 0
+				ref.Observe = func([]core.ScoredMatch) { observed++ }
+				ref.StopBelow = func() float64 {
+					if observed >= r-1 {
+						return 2 // above every score: stop here
+					}
+					return -1
+				}
+				if _, want, _ = s.TopK(q, ref, nil); observed != r-1 {
+					t.Fatalf("%s: reference descent observed %d rounds, want %d", f.Name(), observed, r-1)
+				}
+			}
+			o, observed, polls := opts, 0, 0
+			o.Observe = func([]core.ScoredMatch) { observed++ }
+			ranked, st, err := s.TopK(q, o, func() bool { polls++; return polls == r })
+			if err != nil || ranked != nil {
+				t.Fatalf("%s stopped before round %d: ranking %v, error %v; want neither", f.Name(), r, ranked, err)
+			}
+			if polls != r || observed != r-1 {
+				t.Fatalf("%s stopped before round %d: %d polls and %d observed rounds, want %d and %d", f.Name(), r, polls, observed, r, r-1)
+			}
+			if st.FilterStats != want.FilterStats {
+				t.Fatalf("%s stopped before round %d: work %+v, want %+v", f.Name(), r, st.FilterStats, want.FilterStats)
+			}
+		}
 	}
 }

@@ -24,7 +24,7 @@ func TestSearchTraceSpans(t *testing.T) {
 		s.SetTrace(rec, 3)
 		for qi, q := range queries {
 			before, _, _ := rec.Snapshot()
-			matches, st := s.Search(q)
+			matches, st := s.Search(q, nil, 0)
 			spans, _, elapsed := rec.Snapshot()
 			spans = spans[len(before):]
 
@@ -66,8 +66,9 @@ func TestSearchTraceSpans(t *testing.T) {
 	}
 }
 
-// TestStreamTraceSpans pins the streaming span conventions: ByID keeps the
-// two-phase split, arrival order records one filter span covering the whole
+// TestStreamTraceSpans pins the span conventions of the two verify orders:
+// a limited Search, which verifies in ID order, keeps the two-phase split;
+// an arrival-order stream records one filter span covering the whole
 // interleaved scan and no verify span.
 func TestStreamTraceSpans(t *testing.T) {
 	ds := allocDataset(t, 400)
@@ -77,18 +78,18 @@ func TestStreamTraceSpans(t *testing.T) {
 
 	rec := trace.New()
 	s.SetTrace(rec, 0)
-	st := s.SearchStream(q, core.StreamOptions{ByID: true, Emit: emit})
+	_, st := s.Search(q, nil, 1<<20)
 	spans, _, _ := rec.Snapshot()
 	if len(spans) != 2 || spans[0].Stage != trace.StageFilter || spans[1].Stage != trace.StageVerify {
-		t.Fatalf("ByID stream: spans %v, want [filter verify]", spans)
+		t.Fatalf("limited search: spans %v, want [filter verify]", spans)
 	}
 	if spans[1].Results != st.Results {
-		t.Errorf("ByID stream: verify span results %d, want %d", spans[1].Results, st.Results)
+		t.Errorf("limited search: verify span results %d, want %d", spans[1].Results, st.Results)
 	}
 
 	rec = trace.New()
 	s.SetTrace(rec, 0)
-	st = s.SearchStream(q, core.StreamOptions{Emit: emit})
+	st = s.SearchStream(q, nil, emit)
 	spans, _, _ = rec.Snapshot()
 	if len(spans) != 1 || spans[0].Stage != trace.StageFilter {
 		t.Fatalf("arrival stream: spans %v, want exactly one filter span", spans)
@@ -107,11 +108,11 @@ func TestTraceDoesNotChangeAnswers(t *testing.T) {
 	for _, f := range allocFilters(t, ds) {
 		s := core.NewSearcher(ds, f)
 		for qi, q := range queries {
-			plain, plainSt := s.Search(q)
+			plain, plainSt := s.Search(q, nil, 0)
 			plainCopy := append([]core.Match(nil), plain...)
 
 			s.SetTrace(trace.New(), 0)
-			traced, tracedSt := s.Search(q)
+			traced, tracedSt := s.Search(q, nil, 0)
 			s.SetTrace(nil, 0)
 
 			if len(traced) != len(plainCopy) {
@@ -146,16 +147,16 @@ func TestDetachedTraceZeroAllocs(t *testing.T) {
 		// searcher that has really recorded spans, not just a fresh one.
 		s.SetTrace(trace.New(), 1)
 		for _, q := range queries {
-			s.Search(q)
+			s.Search(q, nil, 0)
 		}
 		s.SetTrace(nil, 0)
 		for i := 0; i < 2; i++ {
 			for _, q := range queries {
-				s.Search(q)
+				s.Search(q, nil, 0)
 			}
 		}
 		for qi, q := range queries {
-			if avg := testing.AllocsPerRun(20, func() { s.Search(q) }); avg != 0 {
+			if avg := testing.AllocsPerRun(20, func() { s.Search(q, nil, 0) }); avg != 0 {
 				t.Errorf("%s query %d after detach: %.1f allocs/op, want 0", f.Name(), qi, avg)
 			}
 		}

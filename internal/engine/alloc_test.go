@@ -19,7 +19,9 @@ import (
 // room for exactly that. Pruning adds nothing to admit: the selective query
 // below cost 7 allocations plus up to four goroutine descriptors at dce0780,
 // where a static engine scattered it to all four shards (7–9 measured); with
-// two of them pruned it costs the same 7 plus at most two.
+// two of them pruned it costs the same 7 plus at most two. A limited search
+// costs the same plus each shard's stop hook: its searcher call fills the
+// same reused buffer the unlimited one does.
 func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -35,9 +37,13 @@ func TestSearchAllocs(t *testing.T) {
 		shards int
 		q      *model.Query
 		pruned bool
+		limit  int
 		want   float64
-	}{{1, broad, false, 4}, {4, broad, false, 3 + 4 + 4 + 4}, {4, selective, true, 7 + 2}} {
-		q := tc.q
+	}{
+		{1, broad, false, 0, 4}, {4, broad, false, 0, 3 + 4 + 4 + 4}, {4, selective, true, 0, 7 + 2},
+		{1, broad, false, 3, 4 + 1}, {4, broad, false, 3, 3 + 4 + 4 + 4 + 4},
+	} {
+		q, opt := tc.q, Options{Limit: tc.limit}
 		e, err := Build(ds, Config{
 			Shards:    tc.shards,
 			NewFilter: func(sds *model.Dataset) (core.Filter, error) { return core.NewTokenFilter(sds), nil },
@@ -46,11 +52,11 @@ func TestSearchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		search := func() {
-			if m, _, err := e.Search(context.Background(), q, Options{}); err != nil || len(m) == 0 {
+			if m, _, err := e.Search(context.Background(), q, opt); err != nil || len(m) == 0 {
 				t.Fatalf("search: %d matches, %v", len(m), err)
 			}
 		}
-		if _, st, _ := e.Search(context.Background(), q, Options{}); (st.ShardsPruned > 0) != tc.pruned {
+		if _, st, _ := e.Search(context.Background(), q, opt); (st.ShardsPruned > 0) != tc.pruned {
 			t.Fatalf("shards=%d: %d shards pruned, want pruning = %v", tc.shards, st.ShardsPruned, tc.pruned)
 		}
 		for i := 0; i < 50; i++ {
@@ -62,7 +68,7 @@ func TestSearchAllocs(t *testing.T) {
 		got := testing.AllocsPerRun(100, search)
 		debug.SetGCPercent(gc)
 		if got > tc.want {
-			t.Errorf("shards=%d pruned=%v: %.1f allocs per collect-all search, want at most %.0f", tc.shards, tc.pruned, got, tc.want)
+			t.Errorf("shards=%d pruned=%v limit=%d: %.1f allocs per search, want at most %.0f", tc.shards, tc.pruned, tc.limit, got, tc.want)
 		}
 	}
 }

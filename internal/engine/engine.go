@@ -106,6 +106,12 @@ func (e *Engine) Enter() error {
 // Exit ends a call admitted by Enter.
 func (e *Engine) Exit() { e.inflight.Done() }
 
+// ShardCount is the number of shards Build makes of objects objects when
+// asked for requested: at least one, and no more than there are objects.
+func ShardCount(requested, objects int) int {
+	return max(1, min(requested, objects))
+}
+
 // Build partitions root into cfg.Shards spatial shards and constructs each
 // shard's filter, running up to GOMAXPROCS constructions concurrently.
 func Build(root *model.Dataset, cfg Config) (*Engine, error) {
@@ -115,13 +121,7 @@ func Build(root *model.Dataset, cfg Config) (*Engine, error) {
 	if root == nil || root.Len() == 0 {
 		return nil, errors.New("engine: cannot build over an empty dataset")
 	}
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
-	if n > root.Len() {
-		n = root.Len()
-	}
+	n := ShardCount(cfg.Shards, root.Len())
 	e := &Engine{root: root}
 	buildShard := func(sub *model.Dataset, ids []model.ObjectID) (*shard, error) {
 		f, err := cfg.NewFilter(sub)

@@ -1,11 +1,13 @@
 package engine
 
-// The shard-execution core. Every query — materialized, capped, streamed or
-// ranked — reaches a shard through runShard, which owns the invariant
-// sequence exactly once, and through run, the one fan-out over the shards
-// that can answer. What differs between query shapes is only the shardBody
-// that drives the searcher and where its matches go; those sinks live in
-// sinks.go.
+// The shard-execution core. Every query — ordered, streamed or ranked —
+// reaches a shard through runShard, which owns the invariant sequence exactly
+// once, and through run, the one fan-out over the shards that can answer.
+// What differs between query shapes is only the shardBody that drives the
+// searcher and where its matches go; those sinks live in sinks.go. A body
+// hands its stop hook to the searcher and returns no error of its own when
+// the hook fires: runShard's lateness verdict and run's preference for ctx's
+// error say why the search stopped.
 //
 // Shard failures follow Partial. By default a query is all-or-nothing — any
 // shard failure (or a quarantined shard) fails the whole query, so callers
@@ -64,6 +66,10 @@ type Partial struct {
 // would read are gone.
 var ErrClosed = errors.New("engine: index is closed")
 
+// ErrInvalidQuery marks a query rejected for its own content — options out
+// of range, a region that is not a rectangle — before any shard search ran.
+var ErrInvalidQuery = errors.New("invalid request")
+
 // errShardTimeout marks a shard search dropped for exceeding ShardTimeout.
 var errShardTimeout = errors.New("engine: shard search exceeded deadline")
 
@@ -82,9 +88,9 @@ type pass struct {
 	q      *model.Query // compiled against the root; ranked descents copy it
 	region geo.Rect     // shard-prune key: the query region and the lowest
 	tauR   float64      // spatial threshold any of the pass's searches can use
-	// polls reports that the pass's shard searches poll stop. Searches that
-	// do not (the materializing fast path) cannot be interrupted, so an
-	// expiring ctx abandons them instead.
+	// polls reports that the pass's shard searches get a stop hook to poll.
+	// One that gets none (an uncapped ordered search with no shard deadline)
+	// cannot be interrupted, so an expiring ctx abandons it instead.
 	polls bool
 	// quit is set once the query has its answer or its failure: polling
 	// shard searches stop, unstarted ones never start.

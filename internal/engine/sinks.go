@@ -1,12 +1,15 @@
 package engine
 
-// The four sinks over the shard-execution core (exec.go), behind three entry
-// points: Search collects every match or — under a Limit — the ID-ordered
-// prefix, Stream pushes matches through a bounded channel as shards prove
-// them, TopK merges cooperative per-shard descents into one ranking.
+// The three sinks over the shard-execution core (exec.go), one per entry
+// point and one searcher call each: Search collects every match or — under a
+// Limit — the ID-ordered prefix (core.Searcher.Search), Stream pushes matches
+// through a bounded channel as shards prove them (SearchStream), TopK merges
+// cooperative per-shard descents into one ranking (TopK). Every searcher call
+// takes the shard's stop hook.
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -45,7 +48,7 @@ func SearchAs[M any](e *Engine, ctx context.Context, q *model.Query, opt Options
 	p := &pass{
 		e: e, ctx: ctx, opt: opt, q: q, region: q.Region, tauR: q.TauR,
 		// An uncapped search with no shard deadline has nothing to poll for
-		// and keeps the searcher's materializing fast path.
+		// and runs without a stop hook.
 		polls:   opt.Limit > 0 || opt.Partial.ShardTimeout > 0,
 		matches: make([][]core.Match, len(e.shards)),
 	}
@@ -65,34 +68,18 @@ func SearchAs[M any](e *Engine, ctx context.Context, q *model.Query, opt Options
 	return merged, st, nil
 }
 
-// orderedShard collects one shard's matches in ascending global ID order.
+// orderedShard collects one shard's matches in ascending global ID order:
+// under a Limit only its Limit smallest-ID ones, the most one shard can add
+// to the answer's prefix.
 func (p *pass) orderedShard(i int, s *shard, sr *core.Searcher, stop func() bool) (core.SearchStats, error) {
-	if stop == nil {
-		found, st := sr.Search(p.q)
-		// Copy out of the searcher's reused buffer (remapping to global IDs on
-		// the way) before it returns to the pool.
-		run := make([]core.Match, len(found))
-		for j, m := range found {
-			m.ID = s.global(m.ID)
-			run[j] = m
-		}
-		p.matches[i] = run
-		return st, nil
+	found, st := sr.Search(p.q, stop, p.opt.Limit)
+	// Copy out of the searcher's reused buffer (remapping to global IDs on
+	// the way) before it returns to the pool.
+	run := make([]core.Match, len(found))
+	for j, m := range found {
+		m.ID = s.global(m.ID)
+		run[j] = m
 	}
-	limit := p.opt.Limit
-	var run []core.Match
-	if limit > 0 {
-		run = make([]core.Match, 0, limit)
-	}
-	st := sr.SearchStream(p.q, core.StreamOptions{
-		ByID: true,
-		Stop: stop,
-		Emit: func(m core.Match) bool {
-			m.ID = s.global(m.ID)
-			run = append(run, m)
-			return len(run) != limit
-		},
-	})
 	p.matches[i] = run
 	return st, nil
 }
@@ -245,31 +232,27 @@ func (e *Engine) Stream(ctx context.Context, q *model.Query, opt Options) *Match
 // arrivalShard pushes one shard's matches into the stream as they verify.
 func (p *pass) arrivalShard(i int, s *shard, sr *core.Searcher, stop func() bool) (core.SearchStats, error) {
 	limit := int64(p.opt.Limit)
-	st := sr.SearchStream(p.q, core.StreamOptions{
-		Stop: stop,
-		Emit: func(m core.Match) bool {
-			// Reserve an emission slot before sending: at most Limit sends
-			// ever succeed, and the reservation that fills the limit stops
-			// every shard's search, not only this one.
-			if limit > 0 {
-				n := p.emitted.Add(1)
-				if n >= limit {
-					p.quit.Store(true)
-				}
-				if n > limit {
-					return false
-				}
+	return sr.SearchStream(p.q, stop, func(m core.Match) bool {
+		// Reserve an emission slot before sending: at most Limit sends ever
+		// succeed, and the reservation that fills the limit stops every
+		// shard's search, not only this one.
+		if limit > 0 {
+			n := p.emitted.Add(1)
+			if n >= limit {
+				p.quit.Store(true)
 			}
-			m.ID = s.global(m.ID)
-			select {
-			case p.stream.ch <- m:
-				return true
-			case <-p.ctx.Done():
+			if n > limit {
 				return false
 			}
-		},
-	})
-	return st, nil
+		}
+		m.ID = s.global(m.ID)
+		select {
+		case p.stream.ch <- m:
+			return true
+		case <-p.ctx.Done():
+			return false
+		}
+	}), nil
 }
 
 // ranking is a top-k pass's descent parameters.
@@ -313,7 +296,7 @@ func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts
 	// reach FloorR cannot contribute to any round — and option errors must
 	// surface even when every shard would be pruned.
 	if err := opts.Validate(); err != nil {
-		return nil, core.SearchStats{}, err
+		return nil, core.SearchStats{}, fmt.Errorf("engine: %w: %w", ErrInvalidQuery, err)
 	}
 	// The descents' one query compiles against the root dataset, at the
 	// floors: unknown-term weights depend on the total object count, and
@@ -322,7 +305,7 @@ func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts
 	// copy.
 	q, err := e.root.NewQuery(region, terms, opts.FloorR, opts.FloorT)
 	if err != nil {
-		return nil, core.SearchStats{}, err
+		return nil, core.SearchStats{}, fmt.Errorf("engine: %w: %w", ErrInvalidQuery, err)
 	}
 	rk := &ranking{opts: opts}
 	if len(e.shards) > 1 {
@@ -351,22 +334,10 @@ func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts
 	return merged, st, nil
 }
 
-// rankedShard runs one shard's descent. The engine owns the descent's hooks:
-// its stats accumulate here (a caller-supplied Stats pointer would be
-// overwritten), stop interrupts it between rounds, and the tracker prunes it
-// against the other shards.
-func (p *pass) rankedShard(i int, s *shard, sr *core.Searcher, stop func() bool) (st core.SearchStats, err error) {
+// rankedShard runs one shard's descent: stop interrupts it between rounds,
+// and the tracker prunes it against the other shards.
+func (p *pass) rankedShard(i int, s *shard, sr *core.Searcher, stop func() bool) (core.SearchStats, error) {
 	o := p.ranked.opts
-	o.Stats = &st
-	o.Interrupt = func() error {
-		if !stop() {
-			return nil
-		}
-		if err := p.ctx.Err(); err != nil {
-			return err
-		}
-		return errShardTimeout // or an abandoned query, whose outcome nobody reads
-	}
 	if t := p.ranked.tracker; t != nil {
 		o.Observe = func(complete []core.ScoredMatch) { t.observe(i, complete) }
 		o.StopBelow = t.kth
@@ -374,7 +345,7 @@ func (p *pass) rankedShard(i int, s *shard, sr *core.Searcher, stop func() bool)
 	// The ranking is the descent's own copy, not a view of the searcher's
 	// buffer, so it may be remapped in place and outlive the searcher's
 	// return to its pool.
-	found, err := sr.TopK(p.q, o)
+	found, st, err := sr.TopK(p.q, o, stop)
 	for j := range found {
 		found[j].ID = s.global(found[j].ID)
 	}

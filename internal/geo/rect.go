@@ -129,12 +129,6 @@ func (r Rect) ContainsPoint(x, y float64) bool {
 	return r.MinX <= x && x <= r.MaxX && r.MinY <= y && y <= r.MaxY
 }
 
-// EnlargementArea returns the growth in area needed for r to cover s, the
-// quantity minimized by R-tree subtree selection.
-func (r Rect) EnlargementArea(s Rect) float64 {
-	return r.Extend(s).Area() - r.Area()
-}
-
 // String formats the rectangle as "[minx,miny | maxx,maxy]".
 func (r Rect) String() string {
 	return fmt.Sprintf("[%g,%g | %g,%g]", r.MinX, r.MinY, r.MaxX, r.MaxY)

@@ -181,16 +181,6 @@ func TestMBR(t *testing.T) {
 	MBR(nil)
 }
 
-func TestEnlargementArea(t *testing.T) {
-	r := Rect{0, 0, 10, 10}
-	if e := r.EnlargementArea(Rect{2, 2, 3, 3}); e != 0 {
-		t.Errorf("contained rect enlargement = %v, want 0", e)
-	}
-	if e := r.EnlargementArea(Rect{0, 0, 20, 10}); e != 100 {
-		t.Errorf("enlargement = %v, want 100", e)
-	}
-}
-
 // randomRect builds a bounded random rectangle from four generator values.
 func randomRect(a, b, c, d float64) Rect {
 	wrap := func(v float64) float64 {

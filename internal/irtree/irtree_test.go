@@ -36,7 +36,7 @@ func TestPaperExampleAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := core.NewSearcher(ds, tree)
-	matches, st := s.Search(q)
+	matches, st := s.Search(q, nil, 0)
 	if len(matches) != 1 || matches[0].ID != 1 {
 		t.Fatalf("answers = %v, want [o2]", matches)
 	}
@@ -68,7 +68,7 @@ func TestCompleteAgainstBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := testutil.BruteForceAnswers(ds, q)
-			matches, _ := s.Search(q)
+			matches, _ := s.Search(q, nil, 0)
 			if len(matches) != len(want) {
 				t.Fatalf("seed %d q%d: %d results, want %d", seed, qi, len(matches), len(want))
 			}

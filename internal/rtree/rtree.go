@@ -1,8 +1,8 @@
-// Package rtree implements an R-tree over axis-aligned rectangles — the
-// spatial substrate of the Spatial-first baseline and the IR-tree
-// (Section 2.3). It supports bulk loading with the Sort-Tile-Recursive (STR)
-// algorithm, dynamic insertion with quadratic node splitting, and
-// intersection (range) queries.
+// Package rtree implements a static R-tree over axis-aligned rectangles —
+// the spatial substrate of the Spatial-first baseline (Section 2.3). It is
+// bulk-loaded with the Sort-Tile-Recursive (STR) algorithm and answers
+// intersection (range) queries. (The IR-tree in internal/irtree packs its
+// own STR tree.)
 package rtree
 
 import (
@@ -31,22 +31,12 @@ type node struct {
 
 func (n *node) isLeaf() bool { return n.children == nil }
 
-// Tree is an R-tree. The zero value is not usable; create trees with New or
+// Tree is an R-tree. The zero value is not usable; create trees with
 // BulkLoad.
 type Tree struct {
 	root   *node
-	fanout int
 	size   int
 	height int
-}
-
-// New creates an empty tree with the given fanout (entries per node);
-// fanout < 4 is rejected because quadratic split needs room to distribute.
-func New(fanout int) (*Tree, error) {
-	if fanout < 4 {
-		return nil, fmt.Errorf("rtree: fanout %d must be at least 4", fanout)
-	}
-	return &Tree{root: &node{}, fanout: fanout, height: 1}, nil
 }
 
 // BulkLoad builds a tree over entries with the STR algorithm: entries are
@@ -57,7 +47,7 @@ func BulkLoad(entries []Entry, fanout int) (*Tree, error) {
 	if fanout < 4 {
 		return nil, fmt.Errorf("rtree: fanout %d must be at least 4", fanout)
 	}
-	t := &Tree{fanout: fanout}
+	t := &Tree{}
 	if len(entries) == 0 {
 		t.root = &node{}
 		t.height = 1
@@ -187,159 +177,6 @@ func (t *Tree) Height() int { return t.height }
 
 // Bounds returns the MBR of all entries (zero Rect when empty).
 func (t *Tree) Bounds() geo.Rect { return t.root.rect }
-
-// Insert adds an entry, choosing the subtree with least area enlargement
-// and splitting overflowing nodes with the quadratic algorithm.
-func (t *Tree) Insert(e Entry) {
-	t.size++
-	if t.size == 1 && t.root.isLeaf() && len(t.root.entries) == 0 {
-		t.root.entries = append(t.root.entries, e)
-		t.root.rect = e.Rect
-		return
-	}
-	split := t.insert(t.root, e)
-	if split != nil {
-		newRoot := &node{children: []*node{t.root, split}}
-		newRoot.recomputeRect()
-		t.root = newRoot
-		t.height++
-	}
-}
-
-// insert descends to a leaf; on overflow it splits and returns the new
-// sibling, or nil.
-func (t *Tree) insert(n *node, e Entry) *node {
-	n.rect = n.rect.Extend(e.Rect)
-	if n.isLeaf() {
-		n.entries = append(n.entries, e)
-		if len(n.entries) > t.fanout {
-			return t.splitLeaf(n)
-		}
-		return nil
-	}
-	best := t.chooseSubtree(n, e.Rect)
-	split := t.insert(n.children[best], e)
-	if split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > t.fanout {
-			return t.splitInternal(n)
-		}
-	}
-	return nil
-}
-
-func (t *Tree) chooseSubtree(n *node, r geo.Rect) int {
-	best := 0
-	bestEnl := math.Inf(1)
-	bestArea := math.Inf(1)
-	for i, c := range n.children {
-		enl := c.rect.EnlargementArea(r)
-		area := c.rect.Area()
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
-		}
-	}
-	return best
-}
-
-// quadraticSeeds picks the pair of rectangles wasting the most area when
-// grouped, per Guttman's quadratic split.
-func quadraticSeeds(rects []geo.Rect) (int, int) {
-	s1, s2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(rects); i++ {
-		for j := i + 1; j < len(rects); j++ {
-			waste := rects[i].Extend(rects[j]).Area() - rects[i].Area() - rects[j].Area()
-			if waste > worst {
-				worst, s1, s2 = waste, i, j
-			}
-		}
-	}
-	return s1, s2
-}
-
-// distribute assigns indices to two groups by least enlargement, forcing
-// assignment when one group must take all the rest to reach minimum fill.
-func distribute(rects []geo.Rect, s1, s2 int, minFill int) (g1, g2 []int) {
-	g1 = []int{s1}
-	g2 = []int{s2}
-	r1, r2 := rects[s1], rects[s2]
-	rest := make([]int, 0, len(rects)-2)
-	for i := range rects {
-		if i != s1 && i != s2 {
-			rest = append(rest, i)
-		}
-	}
-	for k, i := range rest {
-		remaining := len(rest) - k
-		if len(g1)+remaining <= minFill {
-			g1 = append(g1, i)
-			r1 = r1.Extend(rects[i])
-			continue
-		}
-		if len(g2)+remaining <= minFill {
-			g2 = append(g2, i)
-			r2 = r2.Extend(rects[i])
-			continue
-		}
-		e1 := r1.EnlargementArea(rects[i])
-		e2 := r2.EnlargementArea(rects[i])
-		if e1 < e2 || (e1 == e2 && r1.Area() <= r2.Area()) {
-			g1 = append(g1, i)
-			r1 = r1.Extend(rects[i])
-		} else {
-			g2 = append(g2, i)
-			r2 = r2.Extend(rects[i])
-		}
-	}
-	return g1, g2
-}
-
-func (t *Tree) splitLeaf(n *node) *node {
-	rects := make([]geo.Rect, len(n.entries))
-	for i, e := range n.entries {
-		rects[i] = e.Rect
-	}
-	s1, s2 := quadraticSeeds(rects)
-	g1, g2 := distribute(rects, s1, s2, t.fanout/2)
-	old := n.entries
-	n.entries = pickEntries(old, g1)
-	sib := &node{entries: pickEntries(old, g2)}
-	n.recomputeRect()
-	sib.recomputeRect()
-	return sib
-}
-
-func (t *Tree) splitInternal(n *node) *node {
-	rects := make([]geo.Rect, len(n.children))
-	for i, c := range n.children {
-		rects[i] = c.rect
-	}
-	s1, s2 := quadraticSeeds(rects)
-	g1, g2 := distribute(rects, s1, s2, t.fanout/2)
-	old := n.children
-	n.children = pickNodes(old, g1)
-	sib := &node{children: pickNodes(old, g2)}
-	n.recomputeRect()
-	sib.recomputeRect()
-	return sib
-}
-
-func pickEntries(es []Entry, idx []int) []Entry {
-	out := make([]Entry, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, es[i])
-	}
-	return out
-}
-
-func pickNodes(ns []*node, idx []int) []*node {
-	out := make([]*node, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, ns[i])
-	}
-	return out
-}
 
 // SearchIntersecting calls fn for every entry whose rectangle intersects r
 // (boundary touches included). Return false from fn to stop early.

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"github.com/sealdb/seal/internal/geo"
 )
@@ -55,9 +54,6 @@ func equal(a, b []uint32) bool {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(3); err == nil {
-		t.Error("fanout < 4 should fail")
-	}
 	if _, err := BulkLoad(nil, 2); err == nil {
 		t.Error("bulk fanout < 4 should fail")
 	}
@@ -106,36 +102,6 @@ func TestBulkLoadSearchMatchesBruteForce(t *testing.T) {
 			if !equal(got, want) {
 				t.Fatalf("n=%d trial %d: got %d entries, want %d", n, trial, len(got), len(want))
 			}
-		}
-	}
-}
-
-func TestInsertSearchMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	es := randomEntries(rng, 800)
-	tr, err := New(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range es {
-		tr.Insert(e)
-		if i%200 == 0 {
-			if err := tr.Validate(); err != nil {
-				t.Fatalf("after %d inserts: %v", i+1, err)
-			}
-		}
-	}
-	if tr.Len() != len(es) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(es))
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 30; trial++ {
-		x, y := rng.Float64()*1000, rng.Float64()*1000
-		r := geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*150, MaxY: y + rng.Float64()*150}
-		if !equal(collectIntersecting(tr, r), bruteIntersecting(es, r)) {
-			t.Fatalf("trial %d: mismatch vs brute force", trial)
 		}
 	}
 }
@@ -194,39 +160,6 @@ func TestBoundsAndSize(t *testing.T) {
 	}
 	if tr.Height() < 2 {
 		t.Fatalf("height = %d, want >= 2 for 100 entries at fanout 8", tr.Height())
-	}
-}
-
-// TestPropertyBulkVsDynamic: both construction paths answer identically.
-func TestPropertyBulkVsDynamic(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(300)
-		es := randomEntries(rng, n)
-		bulk, err := BulkLoad(es, 8)
-		if err != nil {
-			return false
-		}
-		dyn, err := New(8)
-		if err != nil {
-			return false
-		}
-		for _, e := range es {
-			dyn.Insert(e)
-		}
-		if bulk.Validate() != nil || dyn.Validate() != nil {
-			return false
-		}
-		for trial := 0; trial < 5; trial++ {
-			r := geo.NewRect(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000)
-			if !equal(collectIntersecting(bulk, r), collectIntersecting(dyn, r)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -58,10 +58,10 @@ func (wr wireRequest) request() (seal.Request, []seal.QueryOption, error) {
 		K: wr.K, Alpha: wr.Alpha, FloorR: wr.FloorR, FloorT: wr.FloorT,
 	}
 	var opts []seal.QueryOption
-	if wr.Limit > 0 {
+	if wr.Limit != 0 {
 		opts = append(opts, seal.Limit(wr.Limit))
 	}
-	if wr.Offset > 0 {
+	if wr.Offset != 0 {
 		opts = append(opts, seal.Offset(wr.Offset))
 	}
 	switch wr.OrderBy {
@@ -551,12 +551,14 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, endpoint str
 	s.logRequest(r, endpoint, code, start, 0, 0, nil, nil, err)
 }
 
-// queryErrorCode maps execution errors to HTTP: deadline → 504, client
-// cancellation → 499 (nginx's convention; the client never sees it, metrics
-// do), anything else → 500 unless it's a validation error (seal: prefix
-// boundary errors arrive before execution and were 400'd already).
+// queryErrorCode maps query errors to HTTP: a request invalid in its own
+// content → 400, deadline → 504, client cancellation → 499 (nginx's
+// convention; the client never sees it, metrics do), a quarantined shard →
+// 503, anything else → 500.
 func queryErrorCode(err error) int {
 	switch {
+	case errors.Is(err, seal.ErrInvalidRequest):
+		return http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

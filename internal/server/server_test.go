@@ -16,11 +16,13 @@ import (
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -425,20 +427,13 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestBadRequests: malformed bodies and requests 400 with a JSON error.
+// TestBadRequests: a request the daemon cannot parse, or whose content the
+// library rejects, answers 400 with an error message on every endpoint that
+// takes one — never 500, and never 200 with an option silently dropped.
 func TestBadRequests(t *testing.T) {
 	_, ts := bootTestServer(t, DefaultConfig)
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"garbage", "{"},
-		{"trailing", `{"rect":[0,0,1,1],"tokens":["a"],"tau_r":0.1,"tau_t":0.1} extra`},
-		{"short-rect", `{"rect":[0,0,1],"tokens":["a"],"tau_r":0.1,"tau_t":0.1}`},
-		{"bad-order", `{"rect":[0,0,1,1],"tokens":["a"],"tau_r":0.1,"tau_t":0.1,"order_by":"sideways"}`},
-	}
-	for _, tc := range cases {
-		resp, err := ts.Client().Post(ts.URL+"/v1/query", "application/json", strings.NewReader(tc.body))
+	want400 := func(t *testing.T, resp *http.Response, err error) {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,12 +441,80 @@ func TestBadRequests(t *testing.T) {
 		json.NewDecoder(resp.Body).Decode(&out)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", tc.name, resp.StatusCode)
+			t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, out["error"])
 		}
 		if out["error"] == "" {
-			t.Fatalf("%s: no error message in body", tc.name)
+			t.Fatal("no error message in body")
 		}
 	}
+	for _, tc := range []struct {
+		name string
+		body string
+	}{
+		{"garbage", "{"},
+		{"trailing", `{"rect":[0,0,1,1],"tokens":["a"],"tau_r":0.1,"tau_t":0.1} extra`},
+		{"short-rect", `{"rect":[0,0,1],"tokens":["a"],"tau_r":0.1,"tau_t":0.1}`},
+		{"bad-order", `{"rect":[0,0,1,1],"tokens":["a"],"tau_r":0.1,"tau_t":0.1,"order_by":"sideways"}`},
+	} {
+		t.Run("query/"+tc.name, func(t *testing.T) {
+			resp, err := ts.Client().Post(ts.URL+"/v1/query", "application/json", strings.NewReader(tc.body))
+			want400(t, resp, err)
+		})
+	}
+
+	// Well-formed requests whose content the library rejects.
+	valid := func(edit func(*wireRequest)) wireRequest {
+		wr := wireRequest{Rect: []float64{0, 0, 1, 1}, Tokens: []string{"a"}, TauR: 0.1, TauT: 0.1}
+		edit(&wr)
+		return wr
+	}
+	for _, tc := range []struct {
+		name string
+		wr   wireRequest
+	}{
+		{"tau_r-zero", valid(func(wr *wireRequest) { wr.TauR = 0 })},
+		{"tau_r-above-1", valid(func(wr *wireRequest) { wr.TauR = 1.5 })},
+		{"k-negative", valid(func(wr *wireRequest) { wr.K = -1 })},
+		{"score-order-threshold", valid(func(wr *wireRequest) { wr.OrderBy = "score" })},
+		{"inverted-rect", valid(func(wr *wireRequest) { wr.Rect = []float64{1, 1, 0, 0} })},
+		{"inverted-rect-ranked", valid(func(wr *wireRequest) { wr.Rect, wr.K = []float64{1, 1, 0, 0}, 3 })},
+		{"limit-negative", valid(func(wr *wireRequest) { wr.Limit = -1 })},
+		{"offset-negative", valid(func(wr *wireRequest) { wr.Offset = -1 })},
+	} {
+		body, err := json.Marshal(tc.wr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, endpoint := range []string{"query", "explain", "stream"} {
+			t.Run(endpoint+"/"+tc.name, func(t *testing.T) {
+				if endpoint == "stream" {
+					resp, err := ts.Client().Get(ts.URL + "/v1/stream?" + streamValues(tc.wr).Encode())
+					want400(t, resp, err)
+					return
+				}
+				resp, err := ts.Client().Post(ts.URL+"/v1/"+endpoint, "application/json", strings.NewReader(string(body)))
+				want400(t, resp, err)
+			})
+		}
+	}
+}
+
+// streamValues is wr as /v1/stream's query string.
+func streamValues(wr wireRequest) url.Values {
+	v := url.Values{}
+	rect := make([]string, len(wr.Rect))
+	for i, c := range wr.Rect {
+		rect[i] = strconv.FormatFloat(c, 'g', -1, 64)
+	}
+	v.Set("rect", strings.Join(rect, ","))
+	v.Set("tokens", strings.Join(wr.Tokens, ","))
+	v.Set("tau_r", strconv.FormatFloat(wr.TauR, 'g', -1, 64))
+	v.Set("tau_t", strconv.FormatFloat(wr.TauT, 'g', -1, 64))
+	v.Set("k", strconv.Itoa(wr.K))
+	v.Set("limit", strconv.Itoa(wr.Limit))
+	v.Set("offset", strconv.Itoa(wr.Offset))
+	v.Set("order_by", wr.OrderBy)
+	return v
 }
 
 // TestBatchEndpoint: mixed well-formed and malformed entries answer

@@ -52,19 +52,19 @@ func (r Request) Ranked() bool { return r.K != 0 }
 // engine work starts.
 func (r Request) validate() error {
 	if r.K < 0 {
-		return fmt.Errorf("seal: ranked request needs K >= 1, got %d", r.K)
+		return fmt.Errorf("seal: %w: ranked request needs K >= 1, got %d", ErrInvalidRequest, r.K)
 	}
 	if r.K > 0 {
 		if r.Alpha < 0 || r.Alpha > 1 {
-			return fmt.Errorf("seal: ranked request Alpha = %g outside [0, 1]", r.Alpha)
+			return fmt.Errorf("seal: %w: ranked request Alpha = %g outside [0, 1]", ErrInvalidRequest, r.Alpha)
 		}
 		if r.FloorR < 0 || r.FloorR > 1 || r.FloorT < 0 || r.FloorT > 1 {
-			return fmt.Errorf("seal: ranked request floors (%g, %g) outside [0, 1]", r.FloorR, r.FloorT)
+			return fmt.Errorf("seal: %w: ranked request floors (%g, %g) outside [0, 1]", ErrInvalidRequest, r.FloorR, r.FloorT)
 		}
 		return nil
 	}
 	if r.TauR <= 0 || r.TauR > 1 || r.TauT <= 0 || r.TauT > 1 {
-		return fmt.Errorf("seal: threshold request needs TauR and TauT in (0, 1], got (%g, %g)", r.TauR, r.TauT)
+		return fmt.Errorf("seal: %w: threshold request needs TauR and TauT in (0, 1], got (%g, %g)", ErrInvalidRequest, r.TauR, r.TauT)
 	}
 	return nil
 }
@@ -218,16 +218,16 @@ func resolveOptions(opts []QueryOption) (queryConfig, error) {
 		opt(&c)
 	}
 	if c.limit < 0 {
-		return c, fmt.Errorf("seal: negative Limit %d", c.limit)
+		return c, fmt.Errorf("seal: %w: negative Limit %d", ErrInvalidRequest, c.limit)
 	}
 	if c.offset < 0 {
-		return c, fmt.Errorf("seal: negative Offset %d", c.offset)
+		return c, fmt.Errorf("seal: %w: negative Offset %d", ErrInvalidRequest, c.offset)
 	}
 	if c.shardTimeout < 0 {
-		return c, fmt.Errorf("seal: negative ShardTimeout %v", c.shardTimeout)
+		return c, fmt.Errorf("seal: %w: negative ShardTimeout %v", ErrInvalidRequest, c.shardTimeout)
 	}
 	if c.shardTimeout > 0 && !c.allowPartial {
-		return c, fmt.Errorf("seal: ShardTimeout requires AllowPartial")
+		return c, fmt.Errorf("seal: %w: ShardTimeout requires AllowPartial", ErrInvalidRequest)
 	}
 	if c.statsInto != nil {
 		c.collectStats = true
@@ -315,9 +315,9 @@ func (ix *Index) queryThreshold(ctx context.Context, req Request, cfg queryConfi
 		order = orderID
 	}
 	if order == orderScore {
-		return nil, fmt.Errorf("seal: OrderByScore requires a ranked request (set Request.K)")
+		return nil, errOrderByScore
 	}
-	mq, err := ix.ds.NewQuery(rectIn(req.Region), req.Tokens, req.TauR, req.TauT)
+	mq, err := ix.compile(req)
 	if err != nil {
 		return nil, err
 	}
@@ -338,6 +338,20 @@ func (ix *Index) queryThreshold(ctx context.Context, req Request, cfg queryConfi
 	}
 	return ix.finish(cfg.page(matches), st, cfg, rec), nil
 }
+
+// compile compiles a threshold request against the root dataset. What
+// fails to compile fails for its own content.
+func (ix *Index) compile(req Request) (*model.Query, error) {
+	mq, err := ix.ds.NewQuery(rectIn(req.Region), req.Tokens, req.TauR, req.TauT)
+	if err != nil {
+		return nil, fmt.Errorf("seal: %w: %w", ErrInvalidRequest, err)
+	}
+	return mq, nil
+}
+
+// errOrderByScore rejects OrderByScore on a threshold request, which has no
+// scores to order by.
+var errOrderByScore = fmt.Errorf("seal: %w: OrderByScore requires a ranked request (set Request.K)", ErrInvalidRequest)
 
 // matchOut converts a threshold match to the public form.
 func matchOut(m core.Match) Match {

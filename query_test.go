@@ -84,6 +84,52 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestInvalidRequestSentinel: every error a request's own content causes —
+// its fields, its options, its order, its region on either query path —
+// wraps ErrInvalidRequest through Query, Stream and QueryBatch alike.
+func TestInvalidRequestSentinel(t *testing.T) {
+	ix := queryTestIndex(t, 60, seal.WithShards(2))
+	region := seal.Rect{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50}
+	inverted := seal.Rect{MinX: 50, MinY: 50, MaxX: 0, MaxY: 0}
+	ok := seal.Request{Region: region, Tokens: []string{"t1"}, TauR: 0.2, TauT: 0.2}
+	cases := []struct {
+		name string
+		req  seal.Request
+		opts []seal.QueryOption
+	}{
+		{"tau_r zero", seal.Request{Region: region, Tokens: []string{"t1"}, TauT: 0.2}, nil},
+		{"negative K", seal.Request{Region: region, Tokens: []string{"t1"}, K: -1}, nil},
+		{"inverted region", seal.Request{Region: inverted, Tokens: []string{"t1"}, TauR: 0.2, TauT: 0.2}, nil},
+		{"inverted ranked region", seal.Request{Region: inverted, Tokens: []string{"t1"}, K: 3}, nil},
+		{"negative Limit", ok, []seal.QueryOption{seal.Limit(-1)}},
+		{"negative Offset", ok, []seal.QueryOption{seal.Offset(-1)}},
+		{"timeout without partial", ok, []seal.QueryOption{seal.ShardTimeout(1)}},
+		{"score order", ok, []seal.QueryOption{seal.OrderByScore()}},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := ix.Query(ctx, c.req, c.opts...); !errors.Is(err, seal.ErrInvalidRequest) {
+				t.Errorf("Query: %v, want ErrInvalidRequest", err)
+			}
+			var err error
+			for _, err = range ix.Stream(ctx, c.req, c.opts...) {
+			}
+			if !errors.Is(err, seal.ErrInvalidRequest) {
+				t.Errorf("Stream: %v, want ErrInvalidRequest", err)
+			}
+			if br := ix.QueryBatch(ctx, []seal.Request{c.req}, c.opts...); !errors.Is(br[0].Err, seal.ErrInvalidRequest) {
+				t.Errorf("QueryBatch: %v, want ErrInvalidRequest", br[0].Err)
+			}
+		})
+	}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := ix.Query(canceled, ok); err == nil || errors.Is(err, seal.ErrInvalidRequest) {
+		t.Errorf("canceled valid query: %v, want the context's error alone", err)
+	}
+}
+
 // TestQueryBatchPerQueryErrors is the regression test for the satellite fix:
 // one malformed query must cost only its own slot, and every other query's
 // completed Results must survive.

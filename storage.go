@@ -57,23 +57,11 @@ func segmentSpec(cfg options) core.FilterSpec {
 	}
 }
 
-// effectiveShards mirrors the engine's shard-count clamping.
-func effectiveShards(cfg options, objects int) int {
-	n := cfg.shards
-	if n < 1 {
-		n = 1
-	}
-	if n > objects {
-		n = objects
-	}
-	return n
-}
-
 // manifestMatches reports whether dir's manifest describes the index cfg would
 // build over objects: the same filter configuration and shard count. The
 // dataset fingerprint is checked when the directory opens.
 func manifestMatches(m *engine.Manifest, cfg options, objects int) bool {
-	return m.Filter == segmentSpec(cfg) && m.Shards == effectiveShards(cfg, objects)
+	return m.Filter == segmentSpec(cfg) && m.Shards == engine.ShardCount(cfg.shards, objects)
 }
 
 // ShardState classifies one shard's boot-time health.

@@ -2,7 +2,6 @@ package seal
 
 import (
 	"context"
-	"fmt"
 	"iter"
 
 	"github.com/sealdb/seal/internal/core"
@@ -56,7 +55,7 @@ func (ix *Index) Stream(ctx context.Context, req Request, opts ...QueryOption) i
 			return
 		}
 		if cfg.order == orderScore {
-			yield(Match{}, fmt.Errorf("seal: OrderByScore requires a ranked request (set Request.K)"))
+			yield(Match{}, errOrderByScore)
 			return
 		}
 		ix.streamArrival(ctx, req, cfg, yield)
@@ -86,7 +85,7 @@ func (ix *Index) streamArrival(ctx context.Context, req Request, cfg queryConfig
 	if cfg.collectTrace {
 		rec = trace.New()
 	}
-	mq, err := ix.ds.NewQuery(rectIn(req.Region), req.Tokens, req.TauR, req.TauT)
+	mq, err := ix.compile(req)
 	if err != nil {
 		yield(Match{}, err)
 		return
