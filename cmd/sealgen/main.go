@@ -69,8 +69,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// One shard: the file's partition is the identity.
-	if err := diskidx.WriteDataset(*out, ds, [][]model.ObjectID{nil}); err != nil {
+	// Rows in ID order, as one shard.
+	if err := diskidx.WriteDataset(*out, ds, []uint32{0, uint32(ds.Len())}); err != nil {
 		fmt.Fprintf(os.Stderr, "sealgen: %v\n", err)
 		os.Exit(1)
 	}

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,8 +22,9 @@ import (
 	"github.com/sealdb/seal/internal/model"
 )
 
-// readParts reads the saved shard partition out of the dataset segment so
-// tests know exactly which global IDs live on each shard.
+// readParts reads each shard's object IDs out of the dataset segment — its
+// rows' IDs between the shard's row bounds — so tests know exactly which
+// objects live on each shard.
 func readParts(t *testing.T, dir string) [][]model.ObjectID {
 	t.Helper()
 	seg, err := diskidx.OpenDataset(filepath.Join(dir, "dataset.seg"))
@@ -32,9 +32,12 @@ func readParts(t *testing.T, dir string) [][]model.ObjectID {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	parts := make([][]model.ObjectID, len(seg.Parts()))
-	for i, p := range seg.Parts() {
-		parts[i] = slices.Clone(p) // the segment's own alias its mapping
+	ds, bounds := seg.Dataset(), seg.Bounds()
+	parts := make([][]model.ObjectID, len(bounds)-1)
+	for i := range parts {
+		for row := bounds[i]; row < bounds[i+1]; row++ {
+			parts[i] = append(parts[i], ds.ID(model.ObjectID(row)))
+		}
 	}
 	return parts
 }

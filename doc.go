@@ -75,9 +75,12 @@
 //
 // # Sharding and concurrency
 //
-// WithShards(n) splits the index into n spatial partitions (Z-order
-// chunks of near-equal size, round-robin for degenerate distributions).
-// Shards build concurrently, one per CPU at a time; a MethodSeal shard
+// WithShards(n) splits the index into n spatial partitions. The index
+// stores its objects in Z-order (the Morton code of each center, ties by ID)
+// at every shard count, and each shard is a range of those rows of
+// near-equal size, so the objects a query verifies lie close together in
+// memory; a Match's ID is still the object's position in the slice passed to
+// Build. Shards build concurrently, one per CPU at a time; a MethodSeal shard
 // additionally fans its per-token grid selection out over GOMAXPROCS
 // workers, even when it is the only shard.
 // Sharding never changes answers; every shard count returns exactly the
@@ -206,17 +209,19 @@
 // a key, 16 bytes and a bit of metadata a compressed list; for MethodSeal,
 // which reaches its lists by position, a unary table of token runs over
 // 32-bit grid nodes, a node and two bits a compressed list on an index of
-// very many one-posting lists; dataset.seg, the objects as columns (regions,
-// one CSR token arena), the vocabulary with its weights,
-// multi-region footprints and the shard partition; and manifest.json,
-// written last so interrupted saves are never mistaken for complete ones.
+// very many one-posting lists; dataset.seg, the objects as columns in
+// shard-major Z-order (regions, one CSR token arena), the row→ID column, the
+// shard row bounds, the vocabulary with its weights and multi-region
+// footprints; and manifest.json, written last so interrupted saves are never
+// mistaken for complete ones.
 // There is no snapshot to decode and no gob: Open maps dataset.seg and
-// serves the per-object columns in place — a shard is a view of them, not a
-// copy — and MethodSeal's per-token grid selections are read back off each
+// serves the per-object columns in place — a shard is a range of their rows,
+// not a copy — and MethodSeal's per-token grid selections are read back off each
 // segment's key column (a token's run of nodes is its selection, and a grid's
 // rank in the token's global order follows from the list lengths). When dir
 // already matches the objects, their token weights and the configuration (by
-// fingerprint), Build memory-maps the segments instead of re-indexing; Open
+// a fingerprint over the objects in ID order), Build memory-maps the segments
+// and serves the mapped dataset instead of re-indexing; Open
 // boots an index purely from dir. A directory of an older layout version — by
 // its manifest, or by the version or retired posting layout (the raw float64
 // arenas earlier releases could write) of a posting segment under a current
@@ -247,7 +252,7 @@
 // or missing shard segment instead of failing: the index boots, serves the
 // surviving shards, and reports the damage through Health (per-shard
 // serving/quarantined states) and Quarantined. A damaged dataset segment — it
-// holds the partition every shard depends on — fails the open with
+// holds the rows every shard is a range of — fails the open with
 // ErrCorruptSegment. Exact answers come back by rebuilding: Build with
 // WithSegmentDir falls back to a full rebuild when the directory is stale or
 // damaged.

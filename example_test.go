@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math/rand"
 
 	seal "github.com/sealdb/seal"
 )
@@ -177,4 +178,86 @@ func ExampleIndex_QueryBatch() {
 	// Output:
 	// query 0: 1 match(es)
 	// query 1: 1 match(es)
+}
+
+// ExampleWithShards indexes a synthetic city across four spatial shards,
+// which build in parallel and answer every query by scatter-gather. A
+// threshold query's stats sum the shards' work; under Limit the answer is the
+// smallest-ID prefix of the full one, and a ranked request's shards share
+// the running k-th-best score so a shard that cannot reach it stops early.
+// Object IDs are the positions in the slice passed to Build, whatever shard
+// an object lands in.
+func ExampleWithShards() {
+	rng := rand.New(rand.NewSource(42))
+	categories := []string{"coffee", "tea", "bakery", "books", "vinyl", "ramen",
+		"tacos", "climbing", "cinema", "jazz", "park", "museum"}
+	// 5,000 venue profiles spread over a 1000×1000 city grid.
+	objects := make([]seal.Object, 5000)
+	for i := range objects {
+		x, y := rng.Float64()*1000, rng.Float64()*1000
+		tokens := make([]string, 1+rng.Intn(4))
+		for j := range tokens {
+			tokens[j] = categories[rng.Intn(len(categories))]
+		}
+		objects[i] = seal.Object{
+			Region: seal.Rect{MinX: x, MinY: y, MaxX: x + 2 + rng.Float64()*10, MaxY: y + 2 + rng.Float64()*10},
+			Tokens: tokens,
+		}
+	}
+	ix, err := seal.Build(objects,
+		seal.WithMethod(seal.MethodGridFilter),
+		seal.WithGranularity(256),
+		seal.WithShards(4),
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	st := ix.Stats()
+	fmt.Printf("%d objects in %d shards (%s)\n", st.Objects, st.Shards, st.Method)
+
+	req := seal.Request{
+		Region: seal.Rect{MinX: 400, MinY: 400, MaxX: 600, MaxY: 600},
+		Tokens: []string{"coffee", "jazz"},
+		TauR:   0.001,
+		TauT:   0.2,
+	}
+	res, err := ix.Query(context.Background(), req, seal.CollectStats())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("threshold: %d matches from %d candidates\n", len(res.Matches), res.Stats.Candidates)
+
+	first, err := ix.Query(context.Background(), req, seal.Limit(3))
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, m := range first.Matches {
+		fmt.Printf("  venue %d (simR=%.4f simT=%.2f)\n", m.ID, m.SimR, m.SimT)
+	}
+
+	top, err := ix.Query(context.Background(), seal.Request{
+		Region: req.Region,
+		Tokens: req.Tokens,
+		K:      5,
+		Alpha:  0.5,
+		FloorR: 0.0001,
+		FloorT: 0.01,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, m := range top.Matches {
+		fmt.Printf("  %d. venue %d score=%.3f\n", i+1, m.ID, m.Score)
+	}
+	// Output:
+	// 5000 objects in 4 shards (GridFilter(256))
+	// threshold: 32 matches from 103 candidates
+	//   venue 179 (simR=0.0014 simT=0.25)
+	//   venue 367 (simR=0.0011 simT=0.25)
+	//   venue 455 (simR=0.0016 simT=0.33)
+	//   1. venue 4508 score=0.500
+	//   2. venue 3632 score=0.335
+	//   3. venue 2213 score=0.334
+	//   4. venue 2422 score=0.333
+	//   5. venue 1504 score=0.332
 }

@@ -20,30 +20,31 @@ import (
 // goldenSegmentDigests are the sha256 digests of every file of the segment
 // directory that the production build (seal / 4 shards / quantized / segments,
 // the options of benchmark/run.go) writes for gen.Twitter{N: 2000, Seed: 42}.
-// dataset.seg was recorded when the directory went gob-free and is unchanged
-// since. The four posting segments were last re-recorded for segment version
-// 4: both offset tables — the lists' extents in rows (offs) and the token runs
-// over 32-bit grid nodes (runs) — are unary-coded bitmaps where version 3
-// stored uint32 arrays; a list is still columns of self-scaling 16-bit bound
-// codes with nothing ahead of them. manifest.json was last re-recorded for
-// manifest version 7, which lost the compressed field and fingerprints token
-// weights and multi-region footprints. A change that means to alter the index
-// format or the selection re-records them and says so.
+// Every file was last re-recorded for manifest version 8, which stores the
+// rows in shard-major Z-order: dataset.seg (version 2) holds the permuted
+// columns under a row→ID column and shard row bounds where version 1 held them
+// in ID order under partition lists, and each posting segment names the same
+// postings by their new rows. The posting format is still segment version 4:
+// both offset tables — the lists' extents in rows (offs) and the token runs
+// over 32-bit grid nodes (runs) — are unary-coded bitmaps, and a list is
+// columns of self-scaling 16-bit bound codes with nothing ahead of them. The
+// sizes did not move (TestSegmentBytesBudget). A change that means to alter
+// the index format, the row order or the selection re-records them and says
+// so.
 var goldenSegmentDigests = map[string]string{
-	"dataset.seg":   "995c77afd4caa883cb2179d7b82294ec38afa9397a64e3d5ce3907f0fd9f500d",
-	"manifest.json": "0e113a5416180446f19c6ae2314ee126ad64f59297135c4dacee941f1f998b3f",
-	"shard-0.seg":   "75656a821b2de8f291d0197548b834aea0c34a0b4fc32e33f895c3d7f727cbb7",
-	"shard-1.seg":   "2049df8a2d925345f68f9e633adcdf2f8cd4313ee0c7e49ef9f733045c0899f9",
-	"shard-2.seg":   "3861bffc69a72ed6adb1172c66d14ac292697573b11bb67c59cd3111553eae80",
-	"shard-3.seg":   "2ab955b317459d3ce8c0302ef21d45facaecac1c4bc6169f1a8a75056f406b83",
+	"dataset.seg":   "3335754b9ee9a913b9b314753be3fd4df885d353a1cb9e6da45c5d2eaf1ee08a",
+	"manifest.json": "0643c7254b32be12c577da5ae02d4b9ddae5283d1f1e39b63b22928785a8968b",
+	"shard-0.seg":   "b17dd068fc0c7af6c79c7a623ec3ec9c464ebf80229281399b30b36ff27c6796",
+	"shard-1.seg":   "af0caf7177b913036214c5a754bf23c2310f88a23672ddd03f93843dcbb04a16",
+	"shard-2.seg":   "daf34f7dd6fdfbe5de7d0a1c7490c25c1d4923fe85e7a54af258b93264d802fe",
+	"shard-3.seg":   "f93bc978b694ea4820632bc2adaaf575b81bcb7d637aec39daa7dca9c3c90073",
 }
 
 // goldenFlavours are the builds whose segment directories are pinned: the
 // production one above, and the other kinds on the same corpus at 2 shards —
 // single-bound token and grid, dual-bound hybrid-hash — which look lists up by
 // key and keep their key array and directory. Every index serves and saves
-// quantized postings whatever its options, so no flavour names a layout; the
-// digests were recorded before that was so and have not moved.
+// quantized postings whatever its options, so no flavour names a layout.
 var goldenFlavours = []struct {
 	name    string
 	opts    []seal.Option
@@ -52,26 +53,26 @@ var goldenFlavours = []struct {
 	{"seal/quantized", productionOptions, goldenSegmentDigests},
 	{"token/quantized", []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "b891f293b95244dae3a5fa095f41aada818faaf40c1a81cf01d7fee79ebcd871",
-		"shard-0.seg":   "b308c707c2025b218e1672762c3faa17ccb6c5c4bbf4b94a470aec494e3c1ee8",
-		"shard-1.seg":   "9cbcb204b4fb65f0ebc5769555919e845134579f6f6968344c9cf4bf569c6324",
+		"manifest.json": "7a0c5c4631cc354c8dec21d886382699c86ac7e74457f72fbd3e469c93e0d759",
+		"shard-0.seg":   "282e443666c92a21b3f9a519c2f0185c13907885603d50e947919376a3aa6688",
+		"shard-1.seg":   "8a0111bc727d3dd8a6d40adc404c1209ee2d99830c2d2e73993f038982fe83de",
 	}},
 	{"grid/quantized", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "288360f478aad8be0a7fdf68ab62a6feb3795bc729550cbdb6f9ffed375cee23",
-		"shard-0.seg":   "441be43a7b9f945f6c3eec4bf202f347da3a23a173c372338f9ab2063ed63de6",
-		"shard-1.seg":   "0fdf8eecfdcefa428e6fd111d9429a41b84bcfee9c50cbb436a9b49d6ca7c140",
+		"manifest.json": "2287ad429c855d576c29b4c4fa0e67a1db21669cdf70eb9a3b86ebe9e0599373",
+		"shard-0.seg":   "3394831065457c6e04d4ee775af0f88740a5ca8c924de1523e48b6e46d456138",
+		"shard-1.seg":   "5ed9cfda3cf0c1e1657a12ccb80cfcc31e33493c4bcdfabf5af7ab4048d7fe88",
 	}},
 	{"hybrid-hash/quantized", []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "e11ad22efe941ff5a46d3ea438b5cae3c836d14a1187617cdb316cf28a084c00",
-		"shard-0.seg":   "f56afa59c11045c538523eb5fb47efb3a5dad6af0df58671fb48af3748cdd686",
-		"shard-1.seg":   "65025538de6b5bdc5bacac6f82a2cad9108ca4177b64b9cfd37e44f96dd0188d",
+		"manifest.json": "2a9f04c880d8fb5f12fc11d9a5a5a70407ea92b2f5dcd5b6a9ffc1eed45ee2ec",
+		"shard-0.seg":   "f003e5d0170be920cc2d0bbe736d6f9d8d70ec756f2b90c43bf77e8d8e65fe46",
+		"shard-1.seg":   "013a787bf5a9405ad1a1e343896f91478f36437392d57522ec8590323f080367",
 	}},
 }
 
 // golden2ShardDataset is the dataset segment of the golden corpus cut in two.
-const golden2ShardDataset = "599f8fb2f72268095fa31dba1d5a6377a48ac99f4dbb57bb67c670f9630444d1"
+const golden2ShardDataset = "263eacd0788cc5f42302f9aeb99d052205274471ac9960e0bcd24d6f9c0a8bcb"
 
 // productionOptions are the options of benchmark/run.go, less its
 // WithCompression, which changes nothing.

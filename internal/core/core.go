@@ -25,6 +25,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -205,7 +206,7 @@ func (c *CandidateSet) IDs() []uint32 { return c.ids }
 
 // Match is one verified answer with its exact similarities.
 type Match struct {
-	ID   model.ObjectID
+	ID   model.ObjectID // the object ID, not the row the searcher verified
 	SimR float64
 	SimT float64
 }
@@ -358,9 +359,13 @@ func (s *Searcher) Search(q *model.Query, stop func() bool, limit int) ([]Match,
 	start = time.Now()
 	ids, n, byID := s.cs.IDs(), s.cs.Len(), limit > 0
 	if byID {
+		// Candidates are rows; the answer's order is the objects' IDs.
 		ids = append(s.scr.ids[:0], ids...)
 		s.scr.ids = ids
-		slices.Sort(ids)
+		ds := s.ds
+		slices.SortFunc(ids, func(a, b uint32) int {
+			return cmp.Compare(ds.ID(model.ObjectID(a)), ds.ID(model.ObjectID(b)))
+		})
 		n = min(n, limit)
 	}
 	if cap(s.matches) < n {
@@ -400,34 +405,35 @@ func (s *Searcher) Search(q *model.Query, stop func() bool, limit int) ([]Match,
 }
 
 // verify is the exact verification step shared by every execution path:
-// it computes both similarities and reports whether id passes q's
+// it computes both similarities and reports whether the row passes q's
 // thresholds. Streamed and materialized searches must agree on this
 // predicate exactly — the Stream==Search property tests depend on it.
 //
 // When the filter accumulated token memberships, SimT is reconstructed from
 // the marks (SimTAccum) instead of re-intersecting the token sets; the two
 // paths are bit-identical by construction, which the differential tests pin.
-func (s *Searcher) verify(q *model.Query, id model.ObjectID) (Match, bool) {
-	return s.verifyAt(q, id, q.TauR, q.TauT)
+func (s *Searcher) verify(q *model.Query, row model.ObjectID) (Match, bool) {
+	return s.verifyAt(q, row, q.TauR, q.TauT)
 }
 
 // verifyAt is verify against explicit thresholds in place of q's: a top-k
-// descent verifies each candidate once, against its floors.
-func (s *Searcher) verifyAt(q *model.Query, id model.ObjectID, tauR, tauT float64) (Match, bool) {
-	simR := s.ds.SimR(q, id)
+// descent verifies each candidate once, against its floors. The candidate is
+// a row of the searcher's dataset; the match carries its object ID.
+func (s *Searcher) verifyAt(q *model.Query, row model.ObjectID, tauR, tauT float64) (Match, bool) {
+	simR := s.ds.SimR(q, row)
 	if simR < tauR {
 		return Match{}, false
 	}
 	var simT float64
 	if s.cs.Accumulating() {
-		simT = s.ds.SimTAccum(q, id, s.cs.AccBits(uint32(id)))
+		simT = s.ds.SimTAccum(q, row, s.cs.AccBits(uint32(row)))
 	} else {
-		simT = s.ds.SimT(q, id)
+		simT = s.ds.SimT(q, row)
 	}
 	if simT < tauT {
 		return Match{}, false
 	}
-	return Match{ID: id, SimR: simR, SimT: simT}, true
+	return Match{ID: s.ds.ID(row), SimR: simR, SimT: simT}, true
 }
 
 // Thresholds derives the signature similarity thresholds of the paper:

@@ -2,19 +2,23 @@ package diskidx
 
 // The dataset segment: everything of a segment directory that is not a
 // posting list — the objects' regions and token sets, the vocabulary with its
-// weights, the multi-region footprints and the shard partition — as one
-// section container whose per-object sections ARE model.Dataset's columns.
-// Opening it maps the file and views those columns in place: no decoding, no
-// re-interning, and no per-object allocation. Only the vocabulary (one heap
-// copy of the term blob, its offset and weight tables and the term→ID map)
-// and what model.FromColumns derives are rebuilt on the heap, so terms handed
-// to callers never alias the mapping.
+// weights, the multi-region footprints, the row→ID column and the shard row
+// bounds — as one section container whose per-object sections ARE
+// model.Dataset's columns. Rows are in the engine's shard-major order, so
+// shard i is rows [bounds[i], bounds[i+1]) and opening a shard slices the
+// columns. Opening the segment maps the file and views those columns in
+// place: no decoding, no re-interning, and no per-object allocation beyond
+// the ID column's inverse. Only the vocabulary (one heap copy of the term
+// blob, its offset and weight tables and the term→ID map) and what
+// model.FromColumns derives are rebuilt on the heap, so terms handed to
+// callers never alias the mapping.
 //
 // Header counts are nObjects, nTokens (the token arena's length) and nTerms;
 // flags carry the spatial similarity function in bits 0–7 and the textual one
 // in bits 8–15. The file is outside input until it has opened: geometry and
-// checksums are checked by the container, every structural invariant by
-// model.FromColumns and checkPartition, and any violation is ErrCorrupt.
+// checksums are checked by the container, every structural invariant — the
+// ID column a permutation of the rows among them — by model.FromColumns, the
+// bounds by checkBounds, and any violation is ErrCorrupt.
 
 import (
 	"fmt"
@@ -26,41 +30,41 @@ import (
 
 var magicDataset = [8]byte{'S', 'E', 'A', 'L', 'D', 'S', 'E', 'T'}
 
-const datasetVersion = 1
+// datasetVersion 2 stores rows in shard-major order under a row→ID column
+// and shard row bounds; version 1 stored them in ID order under partition
+// lists and has no reader.
+const datasetVersion = 2
 
 // Dataset section identifiers.
 const (
 	dsecRegions    = 1  // rect × nObjects
 	dsecTokOff     = 2  // uint32 × nObjects+1, offsets into the token arena
-	dsecTokIDs     = 3  // uint32 × nTokens, ascending within each object
+	dsecTokIDs     = 3  // uint32 × nTokens, ascending within each row
 	dsecTerms      = 4  // the vocabulary's terms back to back
 	dsecTermOff    = 5  // uint32 × nTerms+1, offsets into the term blob
 	dsecWeights    = 6  // float64 × nTerms
-	dsecParts      = 7  // uint32 × nObjects, the shards' object IDs back to back
-	dsecPartOff    = 8  // uint32 × shards+1, offsets into the parts
-	dsecMultiIDs   = 9  // uint32 per multi-region object, ascending
+	dsecIDs        = 7  // uint32 × nObjects, each row's object ID
+	dsecBounds     = 8  // uint32 × shards+1, the shards' first rows and the end
+	dsecMultiIDs   = 9  // uint32 per multi-region object, ascending IDs
 	dsecMultiOff   = 10 // uint32 × multi-region objects+1
 	dsecMultiRects = 11 // rect, the footprints back to back
 )
 
-// WriteDataset serializes ds and the shard partition as a dataset segment at
-// path, crash-safely (see writeContainer). parts[i] lists shard i's objects
-// in ascending order; a single nil part is the one-shard identity.
-func WriteDataset(path string, ds *model.Dataset, parts [][]model.ObjectID) error {
+// WriteDataset serializes ds and its shard row bounds as a dataset segment
+// at path, crash-safely (see writeContainer). Shard i is rows
+// [bounds[i], bounds[i+1]); a dataset in insertion order, which has no ID
+// column, is written with the identity one.
+func WriteDataset(path string, ds *model.Dataset, bounds []uint32) error {
 	c, err := ds.Columns()
 	if err != nil {
 		return fmt.Errorf("diskidx: %w", err)
 	}
-	flat := make([]uint32, 0, ds.Len())
-	partOff := make([]uint32, 1, len(parts)+1)
-	for _, p := range parts {
-		if p == nil && len(parts) == 1 {
-			for i := 0; i < ds.Len(); i++ {
-				flat = append(flat, uint32(i))
-			}
+	ids := u32sOf(c.IDs)
+	if ids == nil {
+		ids = make([]uint32, ds.Len())
+		for i := range ids {
+			ids[i] = uint32(i)
 		}
-		flat = append(flat, u32sOf(p)...)
-		partOff = append(partOff, uint32(len(flat)))
 	}
 	secs := []section{
 		{id: dsecRegions, data: rectBytes(c.Regions)},
@@ -69,8 +73,8 @@ func WriteDataset(path string, ds *model.Dataset, parts [][]model.ObjectID) erro
 		{id: dsecTerms, data: []byte(c.Terms)},
 		{id: dsecTermOff, data: u32Bytes(c.TermOff)},
 		{id: dsecWeights, data: f64Bytes(c.Weights)},
-		{id: dsecParts, data: u32Bytes(flat)},
-		{id: dsecPartOff, data: u32Bytes(partOff)},
+		{id: dsecIDs, data: u32Bytes(ids)},
+		{id: dsecBounds, data: u32Bytes(bounds)},
 		{id: dsecMultiIDs, data: u32Bytes(u32sOf(c.MultiIDs))},
 		{id: dsecMultiOff, data: u32Bytes(c.MultiOff)},
 		{id: dsecMultiRects, data: rectBytes(c.MultiRects)},
@@ -81,12 +85,12 @@ func WriteDataset(path string, ds *model.Dataset, parts [][]model.ObjectID) erro
 }
 
 // DatasetSegment is an open dataset segment. Its dataset's per-object
-// columns and its partition alias the mapped (or fallback-loaded) file bytes,
+// columns and its bounds alias the mapped (or fallback-loaded) file bytes,
 // so neither may be used after Close.
 type DatasetSegment struct {
 	closer func() error
 	ds     *model.Dataset
-	parts  [][]model.ObjectID
+	bounds []uint32
 }
 
 // OpenDataset memory-maps the dataset segment at path and validates all of
@@ -133,6 +137,7 @@ func openDataset(data []byte) (*DatasetSegment, error) {
 		Regions:    viewRects(take(dsecRegions, nObjects, 32)),
 		TokOff:     viewU32(take(dsecTokOff, nObjects+1, 4)),
 		TokIDs:     idsOf[text.TokenID](viewU32(take(dsecTokIDs, nTokens, 4))),
+		IDs:        idsOf[model.ObjectID](viewU32(take(dsecIDs, nObjects, 4))),
 		Terms:      string(take(dsecTerms, -1, 1)),
 		TermOff:    slices.Clone(viewU32(take(dsecTermOff, nTerms+1, 4))),
 		Weights:    slices.Clone(viewF64(take(dsecWeights, nTerms, 8))),
@@ -142,8 +147,7 @@ func openDataset(data []byte) (*DatasetSegment, error) {
 		SpatialSim: model.SpatialSim(c.flags),
 		TextualSim: model.TextualSim(c.flags >> 8),
 	}
-	flat := idsOf[model.ObjectID](viewU32(take(dsecParts, nObjects, 4)))
-	partOff := viewU32(take(dsecPartOff, -1, 4))
+	bounds := viewU32(take(dsecBounds, -1, 4))
 	if bad != nil {
 		return nil, bad
 	}
@@ -155,52 +159,34 @@ func openDataset(data []byte) (*DatasetSegment, error) {
 	if err != nil {
 		return nil, wrapCorrupt(err)
 	}
-	parts, err := checkPartition(flat, partOff)
-	if err != nil {
+	if err := checkBounds(bounds, ds.Len()); err != nil {
 		return nil, err
 	}
-	return &DatasetSegment{ds: ds, parts: parts}, nil
+	return &DatasetSegment{ds: ds, bounds: bounds}, nil
 }
 
-// checkPartition slices the flat partition into its parts after checking
-// that they are non-empty, strictly ascending, and together a permutation of
-// [0, len(flat)). A one-shard partition is therefore the identity and comes
-// back as a single nil part, the engine's spelling of it.
-func checkPartition(flat []model.ObjectID, off []uint32) ([][]model.ObjectID, error) {
-	shards := len(off) - 1
-	if shards < 1 || off[0] != 0 || int(off[shards]) != len(flat) {
-		return nil, fmt.Errorf("%w: partition offsets do not span the objects", ErrCorrupt)
+// checkBounds checks that the shard row bounds start at row 0, ascend
+// strictly — every shard non-empty — and end at n.
+func checkBounds(bounds []uint32, n int) error {
+	if len(bounds) < 2 || bounds[0] != 0 || int(bounds[len(bounds)-1]) != n {
+		return fmt.Errorf("%w: shard bounds do not span the %d rows", ErrCorrupt, n)
 	}
-	seen := make([]bool, len(flat))
-	parts := make([][]model.ObjectID, shards)
-	for i := range parts {
-		lo, hi := off[i], off[i+1]
-		if lo >= hi || int(hi) > len(flat) {
-			return nil, fmt.Errorf("%w: shard %d has an empty or inverted partition", ErrCorrupt, i)
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			return fmt.Errorf("%w: shard %d is empty or inverted", ErrCorrupt, i-1)
 		}
-		part := flat[lo:hi:hi]
-		for j, id := range part {
-			if int(id) >= len(flat) || seen[id] || (j > 0 && id <= part[j-1]) {
-				return nil, fmt.Errorf("%w: shard %d partition is not ascending, distinct object IDs", ErrCorrupt, i)
-			}
-			seen[id] = true
-		}
-		parts[i] = part
 	}
-	if shards == 1 {
-		parts[0] = nil
-	}
-	return parts, nil
+	return nil
 }
 
 // Dataset returns the dataset the segment stores.
 func (s *DatasetSegment) Dataset() *model.Dataset { return s.ds }
 
-// Parts returns the shard partition: parts[i] lists shard i's object IDs in
-// ascending order, except that a one-shard partition is a single nil part.
-func (s *DatasetSegment) Parts() [][]model.ObjectID { return s.parts }
+// Bounds returns the shard row bounds: shard i is the dataset's rows
+// [bounds[i], bounds[i+1]).
+func (s *DatasetSegment) Bounds() []uint32 { return s.bounds }
 
-// Close unmaps the segment. The dataset and partition obtained from it must
+// Close unmaps the segment. The dataset and bounds obtained from it must
 // not be used afterwards. Close is idempotent.
 func (s *DatasetSegment) Close() error {
 	if s.closer == nil {

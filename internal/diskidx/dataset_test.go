@@ -17,26 +17,35 @@ import (
 	"github.com/sealdb/seal/internal/text"
 )
 
-// datasetFixture is a randomized dataset (multi-region objects included)
-// with a three-way partition, written as a dataset segment.
-func datasetFixture(t testing.TB, dir string) (path string, ds *model.Dataset, parts [][]model.ObjectID) {
+// datasetFixture is a randomized dataset (multi-region objects included),
+// its rows shuffled into a permuted copy cut into three shards, written as a
+// dataset segment. It returns the insertion-ordered dataset, the permuted one
+// the segment stores, and the shard row bounds.
+func datasetFixture(t testing.TB, dir string) (path string, ds, perm *model.Dataset, bounds []uint32) {
 	t.Helper()
-	ds, err := testutil.RandomDataset(rand.New(rand.NewSource(42)), 120, 30)
+	rng := rand.New(rand.NewSource(42))
+	ds, err := testutil.RandomDataset(rng, 120, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts = make([][]model.ObjectID, 3)
-	for i := 0; i < ds.Len(); i++ {
-		parts[i%3] = append(parts[i%3], model.ObjectID(i))
+	rows := make([]model.ObjectID, ds.Len())
+	for i, r := range rng.Perm(ds.Len()) {
+		rows[i] = model.ObjectID(r)
 	}
-	path = filepath.Join(dir, "dataset.seg")
-	if err := WriteDataset(path, ds, parts); err != nil {
+	if perm, err = ds.Permute(rows); err != nil {
 		t.Fatal(err)
 	}
-	return path, ds, parts
+	n := uint32(ds.Len())
+	bounds = []uint32{0, n / 3, 2 * n / 3, n}
+	path = filepath.Join(dir, "dataset.seg")
+	if err := WriteDataset(path, perm, bounds); err != nil {
+		t.Fatal(err)
+	}
+	return path, ds, perm, bounds
 }
 
-// expectSameDataset compares everything observable of two datasets.
+// expectSameDataset compares everything observable of two datasets: each
+// object by ID, the row each object lies in, and the vocabulary.
 func expectSameDataset(t *testing.T, got, want *model.Dataset) {
 	t.Helper()
 	if got.Len() != want.Len() || got.Space() != want.Space() ||
@@ -45,8 +54,12 @@ func expectSameDataset(t *testing.T, got, want *model.Dataset) {
 	}
 	for i := 0; i < want.Len(); i++ {
 		id := model.ObjectID(i)
-		if got.Region(id) != want.Region(id) || !slices.Equal(got.Tokens(id), want.Tokens(id)) ||
-			got.TotalWeight(id) != want.TotalWeight(id) || !slices.Equal(got.MultiRegion(id), want.MultiRegion(id)) {
+		g, w := got.Row(id), want.Row(id)
+		if g != w || got.ID(g) != id {
+			t.Fatalf("object %d in row %d, want %d", i, g, w)
+		}
+		if got.Region(g) != want.Region(w) || !slices.Equal(got.Tokens(g), want.Tokens(w)) ||
+			got.TotalWeight(g) != want.TotalWeight(w) || !slices.Equal(got.MultiRegion(g), want.MultiRegion(w)) {
 			t.Fatalf("object %d differs", i)
 		}
 	}
@@ -65,23 +78,18 @@ func expectSameDataset(t *testing.T, got, want *model.Dataset) {
 	}
 }
 
-// TestDatasetSegmentRoundTrip: write → OpenDataset reproduces the dataset,
-// its vocabulary and the partition exactly, and the terms it hands out are
-// heap strings that outlive the mapping.
+// TestDatasetSegmentRoundTrip: write → OpenDataset reproduces the dataset in
+// its row order, its object IDs, its vocabulary and the shard bounds exactly,
+// and the terms it hands out are heap strings that outlive the mapping.
 func TestDatasetSegmentRoundTrip(t *testing.T) {
-	path, ds, parts := datasetFixture(t, t.TempDir())
+	path, ds, perm, bounds := datasetFixture(t, t.TempDir())
 	seg, err := OpenDataset(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	expectSameDataset(t, seg.Dataset(), ds)
-	if len(seg.Parts()) != len(parts) {
-		t.Fatalf("%d parts, want %d", len(seg.Parts()), len(parts))
-	}
-	for i := range parts {
-		if !slices.Equal(seg.Parts()[i], parts[i]) {
-			t.Fatalf("part %d differs", i)
-		}
+	expectSameDataset(t, seg.Dataset(), perm)
+	if !slices.Equal(seg.Bounds(), bounds) {
+		t.Fatalf("bounds %v, want %v", seg.Bounds(), bounds)
 	}
 	term := seg.Dataset().Vocab().Term(3)
 	if err := seg.Close(); err != nil {
@@ -94,9 +102,9 @@ func TestDatasetSegmentRoundTrip(t *testing.T) {
 		t.Fatalf("term read before Close is %q after it", term)
 	}
 
-	// The one-shard identity is spelled as a single nil part both ways.
+	// A dataset in insertion order is written with the identity ID column.
 	one := filepath.Join(t.TempDir(), "one.seg")
-	if err := WriteDataset(one, ds, [][]model.ObjectID{nil}); err != nil {
+	if err := WriteDataset(one, ds, []uint32{0, uint32(ds.Len())}); err != nil {
 		t.Fatal(err)
 	}
 	seg, err = OpenDataset(one)
@@ -104,16 +112,16 @@ func TestDatasetSegmentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	if p := seg.Parts(); len(p) != 1 || p[0] != nil {
-		t.Fatalf("one-shard partition reads back as %v", p)
+	if b := seg.Bounds(); len(b) != 2 || b[1] != uint32(ds.Len()) {
+		t.Fatalf("one-shard bounds read back as %v", b)
 	}
 	expectSameDataset(t, seg.Dataset(), ds)
 
-	sub, err := ds.Subset(parts[0])
+	sub, err := perm.Subset(0, int(bounds[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDataset(filepath.Join(t.TempDir(), "sub.seg"), sub, parts); err == nil {
+	if err := WriteDataset(filepath.Join(t.TempDir(), "sub.seg"), sub, bounds[:2]); err == nil {
 		t.Fatal("a subset was written as a dataset segment")
 	}
 }
@@ -156,7 +164,7 @@ func putF64(i int, v float64) func([]byte) {
 // ErrCorrupt, never a panic or a dataset that misbehaves later.
 func TestDatasetSegmentMalformed(t *testing.T) {
 	dir := t.TempDir()
-	path, ds, _ := datasetFixture(t, dir)
+	path, ds, _, bounds := datasetFixture(t, dir)
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +175,8 @@ func TestDatasetSegmentMalformed(t *testing.T) {
 		mutate func(b []byte) []byte
 	}{
 		{"posting-segment magic", func(b []byte) []byte { copy(b, magic2[:]); return b }},
-		{"bad version", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 2); return b }},
+		{"bad version", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 3); return b }},
+		{"retired version", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 1); return b }},
 		{"unknown flag bits", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 1<<16); return b }},
 		{"unknown spatial sim", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 7); return b }},
 		{"unknown textual sim", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 7<<8); return b }},
@@ -205,22 +214,15 @@ func TestDatasetSegmentMalformed(t *testing.T) {
 		}},
 		{"negative weight", func(b []byte) []byte { return damage(t, b, dsecWeights, putF64(0, -1)) }},
 		{"NaN weight", func(b []byte) []byte { return damage(t, b, dsecWeights, putF64(1, math.NaN())) }},
-		{"partition ID out of range", func(b []byte) []byte { return damage(t, b, dsecParts, putU32(0, n)) }},
-		{"partition repeats an object", func(b []byte) []byte {
-			// The first object of part 1 becomes part 0's first object.
-			return damage(t, b, dsecParts, func(p []byte) { copy(p[4*(n/3):], p[:4]) })
+		{"ID out of range", func(b []byte) []byte { return damage(t, b, dsecIDs, putU32(0, n)) }},
+		{"duplicate ID", func(b []byte) []byte {
+			return damage(t, b, dsecIDs, func(p []byte) { copy(p[0:4], p[4:8]) })
 		}},
-		{"partition not ascending", func(b []byte) []byte {
-			return damage(t, b, dsecParts, func(p []byte) {
-				var tmp [4]byte
-				copy(tmp[:], p[0:4])
-				copy(p[0:4], p[4:8])
-				copy(p[4:8], tmp[:])
-			})
-		}},
-		{"partition offsets short of the objects", func(b []byte) []byte { return damage(t, b, dsecPartOff, putU32(3, n-1)) }},
-		{"empty shard", func(b []byte) []byte { return damage(t, b, dsecPartOff, putU32(1, 0)) }},
-		{"inverted shard", func(b []byte) []byte { return damage(t, b, dsecPartOff, putU32(1, n)) }},
+		{"empty shard", func(b []byte) []byte { return damage(t, b, dsecBounds, putU32(2, bounds[1])) }},
+		{"descending bounds", func(b []byte) []byte { return damage(t, b, dsecBounds, putU32(1, bounds[2]+1)) }},
+		{"bounds short of the rows", func(b []byte) []byte { return damage(t, b, dsecBounds, putU32(3, n-1)) }},
+		{"bounds past the rows", func(b []byte) []byte { return damage(t, b, dsecBounds, putU32(3, n+1)) }},
+		{"bounds off row 0", func(b []byte) []byte { return damage(t, b, dsecBounds, putU32(0, 1)) }},
 		{"multi-region ID out of range", func(b []byte) []byte { return damage(t, b, dsecMultiIDs, putU32(0, n)) }},
 		{"multi-region offsets past the rects", func(b []byte) []byte { return damage(t, b, dsecMultiOff, putU32(1, 1<<30)) }},
 		{"footprint off its region", func(b []byte) []byte { return damage(t, b, dsecMultiRects, putF64(0, -1e9)) }},
@@ -251,7 +253,7 @@ func TestDatasetSegmentMalformed(t *testing.T) {
 // section — read back through the faultfs corruption seam must fail the open
 // with ErrCorrupt.
 func TestDatasetSegmentBitFlips(t *testing.T) {
-	path, _, _ := datasetFixture(t, t.TempDir())
+	path, _, _, _ := datasetFixture(t, t.TempDir())
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -298,5 +300,5 @@ func TestDatasetSegmentBitFlips(t *testing.T) {
 
 func sectionName(id uint32) string {
 	return [...]string{"", "regions", "tokOff", "tokIDs", "terms", "termOff", "weights",
-		"parts", "partOff", "multiIDs", "multiOff", "multiRects"}[id]
+		"ids", "bounds", "multiIDs", "multiOff", "multiRects"}[id]
 }

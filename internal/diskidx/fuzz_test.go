@@ -114,9 +114,10 @@ func FuzzSegmentHeader(f *testing.F) {
 // a dataset segment is trusted only after its geometry, checksums and every
 // columnar invariant check out. No input may panic the parser, and whatever
 // it accepts must be safe to walk end to end: every object's region, tokens
-// and footprint, every term, every partition entry.
+// and footprint, every term, every row of every shard — and every object's ID
+// and row must be inverse.
 func FuzzDatasetSegment(f *testing.F) {
-	path, _, _ := datasetFixture(f, f.TempDir())
+	path, _, _, _ := datasetFixture(f, f.TempDir())
 	valid, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)
@@ -149,26 +150,37 @@ func FuzzDatasetSegment(f *testing.F) {
 		ds := seg.Dataset()
 		vocab := ds.Vocab()
 		for i := 0; i < ds.Len(); i++ {
-			id := model.ObjectID(i)
-			if !ds.Region(id).Valid() {
+			row := model.ObjectID(i)
+			if !ds.Region(row).Valid() {
 				t.Fatalf("accepted dataset has invalid region %d", i)
 			}
-			for _, tok := range ds.Tokens(id) {
+			for _, tok := range ds.Tokens(row) {
 				if back, ok := vocab.Lookup(vocab.Term(tok)); !ok || back != tok {
-					t.Fatalf("accepted dataset: object %d token %d does not resolve", i, tok)
+					t.Fatalf("accepted dataset: row %d token %d does not resolve", i, tok)
 				}
 			}
-			_ = ds.MultiRegion(id).Area()
-		}
-		seen := 0
-		for _, part := range seg.Parts() {
-			for _, id := range part {
-				_ = ds.Region(id)
-				seen++
+			_ = ds.MultiRegion(row).Area()
+			if id := ds.ID(row); int(id) >= ds.Len() || ds.Row(id) != row {
+				t.Fatalf("accepted dataset: row %d holds object %d, whose row is not %d", i, id, i)
+			}
+			if id := model.ObjectID(i); ds.ID(ds.Row(id)) != id {
+				t.Fatalf("accepted dataset: object %d's row holds object %d", i, ds.ID(ds.Row(id)))
 			}
 		}
-		if len(seg.Parts()) > 1 && seen != ds.Len() {
-			t.Fatalf("accepted partition covers %d of %d objects", seen, ds.Len())
+		bounds := seg.Bounds()
+		for i := 0; i+1 < len(bounds); i++ {
+			sub, err := ds.Subset(int(bounds[i]), int(bounds[i+1]))
+			if err != nil {
+				t.Fatalf("accepted bounds %v: shard %d: %v", bounds, i, err)
+			}
+			for r := 0; r < sub.Len(); r++ {
+				if sub.ID(model.ObjectID(r)) != ds.ID(model.ObjectID(int(bounds[i])+r)) {
+					t.Fatalf("accepted dataset: shard %d row %d is not root row %d", i, r, int(bounds[i])+r)
+				}
+			}
+		}
+		if len(bounds) < 2 || bounds[len(bounds)-1] != uint32(ds.Len()) {
+			t.Fatalf("accepted bounds %v do not span %d rows", bounds, ds.Len())
 		}
 	})
 }

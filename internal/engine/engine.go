@@ -4,12 +4,13 @@
 // searcher pool, per-shard stats merge into one report, and top-k queries
 // share a running k-th-best score so shards prune each other's descents.
 //
-// Sharding is exact by construction. Shard datasets are model.Dataset
-// subsets that share the parent's vocabulary, token weights, and space
-// rectangle, so per-shard verification is bit-identical to the monolithic
-// index and the union of shard answers equals the unsharded answer set. A
-// one-shard engine reuses the parent dataset directly and preserves the
-// pre-engine behavior and layout exactly.
+// Sharding is exact by construction. The engine stores its dataset in
+// Z-order, and each shard's dataset is a model.Dataset range of those rows
+// that shares the parent's vocabulary, token weights, and space rectangle, so
+// per-shard verification is bit-identical to the monolithic index and the
+// union of shard answers equals the unsharded answer set. Rows are the
+// engine's business: every match a shard returns carries the object's ID,
+// the position it had in the dataset the engine was built from.
 package engine
 
 import (
@@ -35,15 +36,14 @@ type Config struct {
 	NewFilter func(ds *model.Dataset) (core.Filter, error)
 }
 
-// shard is one partition: a subset dataset, its filter, the local→global
-// object ID mapping, and a pool of reusable searchers.
+// shard is one partition: a range of the root's rows, its filter, and a pool
+// of reusable searchers.
 type shard struct {
-	ds        *model.Dataset
-	filter    core.Filter
-	globalIDs []model.ObjectID // nil ⇒ identity (the single-shard fast path)
-	pool      *core.SearcherPool
+	ds     *model.Dataset
+	filter core.Filter
+	pool   *core.SearcherPool
 	// extent is the MBR of the member regions, the shard-prune key (see
-	// pruneBound); the zero Rect for a shard with no members.
+	// pruneBound).
 	extent geo.Rect
 	// down marks a shard quarantined at open time: its segment was corrupt or
 	// missing and it holds no filter or pool. Strict queries fail with
@@ -51,23 +51,15 @@ type shard struct {
 	down error
 }
 
-// newShard assembles one partition over its subset dataset. A nil filter
+// newShard assembles one partition over its range of the root. A nil filter
 // makes a shard that cannot search (the caller marks it down); its extent is
-// still known, since the dataset segment holds every shard's members.
-func newShard(ds *model.Dataset, ids []model.ObjectID, f core.Filter) *shard {
-	s := &shard{ds: ds, filter: f, globalIDs: ids, extent: datasetExtent(ds)}
+// still known, since the dataset segment holds every shard's rows.
+func newShard(ds *model.Dataset, f core.Filter) *shard {
+	s := &shard{ds: ds, filter: f, extent: datasetExtent(ds)}
 	if f != nil {
 		s.pool = core.NewSearcherPool(ds, f)
 	}
 	return s
-}
-
-// global translates a shard-local object ID to the parent dataset's ID.
-func (s *shard) global(id model.ObjectID) model.ObjectID {
-	if s.globalIDs == nil {
-		return id
-	}
-	return s.globalIDs[id]
 }
 
 // Engine answers queries over a sharded dataset. It is immutable after Build
@@ -113,7 +105,9 @@ func ShardCount(requested, objects int) int {
 }
 
 // Build partitions root into cfg.Shards spatial shards and constructs each
-// shard's filter, running up to GOMAXPROCS constructions concurrently.
+// shard's filter, running up to GOMAXPROCS constructions concurrently. The
+// engine serves a copy of root in shard-major Z-order, whose objects keep
+// their IDs.
 func Build(root *model.Dataset, cfg Config) (*Engine, error) {
 	if cfg.NewFilter == nil {
 		return nil, errors.New("engine: Config.NewFilter is required")
@@ -121,41 +115,26 @@ func Build(root *model.Dataset, cfg Config) (*Engine, error) {
 	if root == nil || root.Len() == 0 {
 		return nil, errors.New("engine: cannot build over an empty dataset")
 	}
-	n := ShardCount(cfg.Shards, root.Len())
-	e := &Engine{root: root}
-	buildShard := func(sub *model.Dataset, ids []model.ObjectID) (*shard, error) {
-		f, err := cfg.NewFilter(sub)
-		if err != nil {
-			return nil, err
-		}
-		return newShard(sub, ids, f), nil
+	rows, bounds := partition(root, ShardCount(cfg.Shards, root.Len()))
+	ordered, err := root.Permute(rows)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
-
-	if n == 1 {
-		s, err := buildShard(root, nil)
-		if err != nil {
-			return nil, err
+	e := &Engine{root: ordered, shards: make([]*shard, len(bounds)-1)}
+	err = ForEach(context.Background(), len(e.shards), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
+		sub, err := ordered.Subset(int(bounds[i]), int(bounds[i+1]))
+		var f core.Filter
+		if err == nil {
+			f, err = cfg.NewFilter(sub)
 		}
-		e.shards = []*shard{s}
-	} else {
-		parts := partition(root, n)
-		shards := make([]*shard, len(parts))
-		err := ForEach(context.Background(), len(parts), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
-			sub, err := root.Subset(parts[i])
-			if err != nil {
-				return fmt.Errorf("engine: shard %d: %w", i, err)
-			}
-			s, err := buildShard(sub, parts[i])
-			if err != nil {
-				return fmt.Errorf("engine: shard %d: %w", i, err)
-			}
-			shards[i] = s
-			return nil
-		})
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("engine: shard %d: %w", i, err)
 		}
-		e.shards = shards
+		e.shards[i] = newShard(sub, f)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -164,9 +143,6 @@ func Build(root *model.Dataset, cfg Config) (*Engine, error) {
 // objects store their footprint's MBR as Region, so the extent covers exact
 // footprints too — the soundness requirement of shard pruning.
 func datasetExtent(ds *model.Dataset) geo.Rect {
-	if ds.Len() == 0 {
-		return geo.Rect{}
-	}
 	ext := ds.Region(0)
 	for i := 1; i < ds.Len(); i++ {
 		ext = ext.Extend(ds.Region(model.ObjectID(i)))

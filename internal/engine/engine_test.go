@@ -33,57 +33,49 @@ func testDataset(t testing.TB, n int, seed int64) *model.Dataset {
 	return ds
 }
 
+// TestPartitionInvariants: partition orders every object once, in
+// non-decreasing Morton code (ties by ascending ID), and cuts the order into
+// contiguous ranges whose sizes differ by at most one — including the
+// degenerate case where every center, hence every code, is the same.
 func TestPartitionInvariants(t *testing.T) {
-	ds := testDataset(t, 101, 5)
-	for _, n := range []int{1, 2, 3, 7, 16, 101} {
-		parts := partition(ds, n)
-		if len(parts) != n {
-			t.Fatalf("n=%d: %d parts", n, len(parts))
-		}
-		seen := make(map[model.ObjectID]bool)
-		for pi, ids := range parts {
-			if len(ids) == 0 {
-				t.Fatalf("n=%d: part %d empty", n, pi)
-			}
-			if len(ids) < ds.Len()/n || len(ids) > ds.Len()/n+1 {
-				t.Fatalf("n=%d: part %d has %d objects, want ~%d", n, pi, len(ids), ds.Len()/n)
-			}
-			for i, id := range ids {
-				if i > 0 && ids[i-1] >= id {
-					t.Fatalf("n=%d: part %d not strictly ID-sorted", n, pi)
-				}
-				if seen[id] {
-					t.Fatalf("n=%d: object %d in two parts", n, id)
-				}
-				seen[id] = true
-			}
-		}
-		if len(seen) != ds.Len() {
-			t.Fatalf("n=%d: parts cover %d of %d objects", n, len(seen), ds.Len())
-		}
-	}
-}
-
-func TestPartitionDegenerateRoundRobin(t *testing.T) {
 	var b model.Builder
 	for i := 0; i < 10; i++ {
 		if _, err := b.Add(geo.Rect{MinX: 5, MinY: 5, MaxX: 7, MaxY: 7}, []string{"x"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ds, err := b.Build()
+	clones, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := partition(ds, 3)
-	want := [][]model.ObjectID{{0, 3, 6, 9}, {1, 4, 7}, {2, 5, 8}}
-	for i := range want {
-		if len(parts[i]) != len(want[i]) {
-			t.Fatalf("part %d = %v, want %v", i, parts[i], want[i])
+	for name, ds := range map[string]*model.Dataset{"random": testDataset(t, 101, 5), "one center": clones} {
+		space := ds.Space()
+		code := func(id model.ObjectID) uint64 {
+			r := ds.Region(id)
+			return mortonCode(normalize((r.MinX+r.MaxX)/2, space.MinX, space.MaxX), normalize((r.MinY+r.MaxY)/2, space.MinY, space.MaxY))
 		}
-		for j := range want[i] {
-			if parts[i][j] != want[i][j] {
-				t.Fatalf("part %d = %v, want %v", i, parts[i], want[i])
+		for _, n := range []int{1, 2, 3, 7, 16, ds.Len()} {
+			rows, bounds := partition(ds, n)
+			if len(rows) != ds.Len() || len(bounds) != n+1 || bounds[0] != 0 || int(bounds[n]) != ds.Len() {
+				t.Fatalf("%s n=%d: %d rows, bounds %v", name, n, len(rows), bounds)
+			}
+			for i := 0; i < n; i++ {
+				if size := int(bounds[i+1]) - int(bounds[i]); size < ds.Len()/n || size > ds.Len()/n+1 {
+					t.Fatalf("%s n=%d: shard %d has %d objects, want ~%d", name, n, i, size, ds.Len()/n)
+				}
+			}
+			seen := make(map[model.ObjectID]bool)
+			for i, id := range rows {
+				if seen[id] {
+					t.Fatalf("%s n=%d: object %d ordered twice", name, n, id)
+				}
+				seen[id] = true
+				if i > 0 {
+					prev := rows[i-1]
+					if c, p := code(id), code(prev); c < p || (c == p && id < prev) {
+						t.Fatalf("%s n=%d: row %d (object %d) out of Z-order after object %d", name, n, i, id, prev)
+					}
+				}
 			}
 		}
 	}

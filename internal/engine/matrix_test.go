@@ -215,10 +215,9 @@ func matrixRow(t *testing.T, label string, e *Engine, ds *model.Dataset, mq matr
 	if f.fails {
 		wantErrs = 1
 		lost = make(map[model.ObjectID]bool)
-		for id := model.ObjectID(0); int(id) < ds.Len(); id++ {
-			if g := e.shards[victim].globalIDs; g == nil || slices.Contains(g, id) {
-				lost[id] = true
-			}
+		vds := e.shards[victim].ds
+		for row := model.ObjectID(0); int(row) < vds.Len(); row++ {
+			lost[vds.ID(row)] = true
 		}
 	}
 	topk := core.TopKOptions{K: 5, Alpha: 0.5, FloorR: 0.001, FloorT: 0.001}

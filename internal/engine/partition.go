@@ -6,21 +6,20 @@ import (
 	"github.com/sealdb/seal/internal/model"
 )
 
-// partition splits root's objects into n spatially coherent parts of
-// near-equal size: objects sort by the Morton (Z-order) code of their region
-// center within the dataset space, and the sorted order is cut into n
-// contiguous runs. Equal sizes keep build and query work balanced across
-// shards; spatial coherence keeps a query's region overlapping few shards'
-// populated cells, so most shards prune cheaply.
+// partition orders root's objects along a Z-order curve and cuts the order
+// into n spatially coherent shards of near-equal size. Objects sort by the
+// Morton code of their region center within the dataset space, ties by object
+// ID; rows lists root's rows in that order, and shard i is positions
+// [bounds[i], bounds[i+1]) of it. Equal sizes keep build and query work
+// balanced across shards; spatial coherence keeps a query's region
+// overlapping few shards' populated cells, so most shards prune cheaply, and
+// keeps the objects one query verifies close together in memory.
 //
-// Degenerate distributions — every center identical, e.g. a dataset of
-// clones — collapse to a single Morton code, where a spatial split is
-// meaningless; those fall back to round-robin assignment, which preserves
-// the size balance. Each returned part is sorted by ascending object ID so
-// shard-local ID order agrees with global ID order.
+// A run of equal codes — every center identical, e.g. a dataset of clones —
+// is cut like any other run, so the shards stay balanced.
 //
-// n must satisfy 1 ≤ n ≤ root.Len(); every part is non-empty.
-func partition(root *model.Dataset, n int) [][]model.ObjectID {
+// n must satisfy 1 ≤ n ≤ root.Len(), so every shard is non-empty.
+func partition(root *model.Dataset, n int) (rows []model.ObjectID, bounds []uint32) {
 	total := root.Len()
 	space := root.Space()
 	type keyed struct {
@@ -30,7 +29,7 @@ func partition(root *model.Dataset, n int) [][]model.ObjectID {
 	order := make([]keyed, total)
 	for i := 0; i < total; i++ {
 		id := model.ObjectID(i)
-		r := root.Region(id)
+		r := root.Region(root.Row(id))
 		cx, cy := (r.MinX+r.MaxX)/2, (r.MinY+r.MaxY)/2
 		order[i] = keyed{code: mortonCode(normalize(cx, space.MinX, space.MaxX), normalize(cy, space.MinY, space.MaxY)), id: id}
 	}
@@ -48,27 +47,15 @@ func partition(root *model.Dataset, n int) [][]model.ObjectID {
 			return 0
 		}
 	})
-
-	parts := make([][]model.ObjectID, n)
-	if order[0].code == order[total-1].code {
-		// Degenerate: every object hashes to the same point. Round-robin.
-		for i, k := range order {
-			parts[i%n] = append(parts[i%n], k.id)
-		}
-	} else {
-		for p := 0; p < n; p++ {
-			lo, hi := p*total/n, (p+1)*total/n
-			ids := make([]model.ObjectID, hi-lo)
-			for i := lo; i < hi; i++ {
-				ids[i-lo] = order[i].id
-			}
-			parts[p] = ids
-		}
+	rows = make([]model.ObjectID, total)
+	for i, k := range order {
+		rows[i] = root.Row(k.id)
 	}
-	for _, ids := range parts {
-		slices.Sort(ids)
+	bounds = make([]uint32, n+1)
+	for p := range bounds {
+		bounds[p] = uint32(p * total / n)
 	}
-	return parts
+	return rows, bounds
 }
 
 // normalize maps v into [0, 1] within [lo, hi]; a zero-extent axis maps

@@ -1,8 +1,9 @@
 package engine
 
 // Sealed-segment persistence: an engine whose shards use signature filters
-// can save everything a rebuild would recompute — the dataset with its
-// vocabulary and the shard partition as one mmap-able dataset segment, and
+// can save everything a rebuild would recompute — the dataset in its
+// shard-major row order, with its vocabulary, object IDs and shard row
+// bounds, as one mmap-able dataset segment, and
 // each shard's posting arena as an mmap-able SEALIDX2 segment (which, for the
 // SEAL method, also carries the per-token grid selections in its keys) — and
 // reopen the whole index by mapping files instead of re-running signature
@@ -45,21 +46,23 @@ type Manifest struct {
 	Fingerprint string          `json:"fingerprint"`
 }
 
-// manifestVersion 7 is the gob-free layout above with version-4 posting
-// segments, which are always compressed: fixed-width lists under a unary
-// extent table, a key array and directory for the filters that look lists up
-// by key, and a unary token-run table over 32-bit grid nodes for a Seal shard.
-// Earlier directories — version 1 (dataset.snap, parts.gob,
-// shard-N.grids.gob), version 2 (run-length lists), version 3 (a directory in
-// every posting segment), version 4 (per-list quantization steps and counts;
-// 64-bit keys in a Seal shard), version 5 (uint32 offset tables) and version 6
-// (a compressed flag, and a fingerprint blind to token weights and
-// multi-region footprints) — have no reader: they read as a manifest
-// mismatch, which every boot path treats as stale and rebuilds. So does a
-// current manifest over a posting segment of an earlier version or a retired
-// posting layout: that is another generation's file, not a damaged shard, and
-// is never quarantined.
-const manifestVersion = 7
+// manifestVersion 8 is the gob-free layout above: a version-2 dataset segment,
+// whose rows are in shard-major Z-order under a row→ID column and shard row
+// bounds, and version-4 posting segments, which are always compressed:
+// fixed-width lists under a unary extent table, a key array and directory for
+// the filters that look lists up by key, and a unary token-run table over
+// 32-bit grid nodes for a Seal shard. Earlier directories — version 1
+// (dataset.snap, parts.gob, shard-N.grids.gob), version 2 (run-length lists),
+// version 3 (a directory in every posting segment), version 4 (per-list
+// quantization steps and counts; 64-bit keys in a Seal shard), version 5
+// (uint32 offset tables), version 6 (a compressed flag, and a fingerprint
+// blind to token weights and multi-region footprints) and version 7 (rows in
+// ID order under stored partition lists) — have no reader: they read as a
+// manifest mismatch, which every boot path treats as stale and rebuilds. So
+// does a current manifest over a posting segment of an earlier version or a
+// retired posting layout: that is another generation's file, not a damaged
+// shard, and is never quarantined.
+const manifestVersion = 8
 
 // ErrNoSegments reports a directory without a readable manifest. Because the
 // manifest is written last and removed first, this is the normal state of an
@@ -95,12 +98,13 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Fingerprint hashes the dataset's observable content — object count,
-// vocabulary with its token weights, region coordinates and multi-region
-// footprints (bit-exact), and per-object token IDs — with FNV-1a, so a
-// segment directory can prove it was built from the same corpus before its
-// postings are trusted for that corpus. The weights belong to it because they
-// set the global signature order and every posting's bound.
+// Fingerprint hashes a root dataset's observable content — object count,
+// vocabulary with its token weights, and per object, in ID order, its region
+// coordinates and multi-region footprint (bit-exact) and its token IDs — with
+// FNV-1a, so a segment directory can prove it was built from the same corpus
+// before its postings are trusted for that corpus. The weights belong to it
+// because they set the global signature order and every posting's bound. The
+// row order does not: a dataset and its Z-ordered copy hash the same.
 func Fingerprint(ds *model.Dataset) string {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -125,13 +129,13 @@ func Fingerprint(ds *model.Dataset) string {
 		put(math.Float64bits(vocab.Weight(text.TokenID(i))))
 	}
 	for i := 0; i < ds.Len(); i++ {
-		id := model.ObjectID(i)
-		r := ds.Region(id)
+		row := ds.Row(model.ObjectID(i))
+		r := ds.Region(row)
 		put(math.Float64bits(r.MinX))
 		put(math.Float64bits(r.MinY))
 		put(math.Float64bits(r.MaxX))
 		put(math.Float64bits(r.MaxY))
-		set := ds.MultiRegion(id) // nil for a single-region object
+		set := ds.MultiRegion(row) // nil for a single-region object
 		put(uint64(len(set)))
 		for _, m := range set {
 			put(math.Float64bits(m.MinX))
@@ -139,7 +143,7 @@ func Fingerprint(ds *model.Dataset) string {
 			put(math.Float64bits(m.MaxX))
 			put(math.Float64bits(m.MaxY))
 		}
-		toks := ds.Tokens(id)
+		toks := ds.Tokens(row)
 		put(uint64(len(toks)))
 		for _, t := range toks {
 			put(uint64(t))
@@ -159,8 +163,8 @@ func saveShard(dir string, i int, f core.Filter, objects int) (core.FilterSpec, 
 }
 
 // SaveSegments persists the engine into dir (created if needed): one SEALIDX2
-// segment per shard, the dataset segment (dataset, vocabulary and shard
-// partition), and the manifest. Files of an earlier generation that the new
+// segment per shard, the dataset segment (the rows, vocabulary, object IDs
+// and shard row bounds), and the manifest. Files of an earlier generation that the new
 // one does not overwrite — more shards, another layout version, abandoned
 // temps — are removed, so the directory holds exactly the artifact set.
 //
@@ -198,11 +202,11 @@ func (e *Engine) SaveSegments(dir string) error {
 		}
 	}
 
-	parts := make([][]model.ObjectID, len(e.shards))
-	for i, s := range e.shards {
-		parts[i] = s.globalIDs // nil for the single-shard identity mapping
+	bounds := make([]uint32, 1, len(e.shards)+1)
+	for _, s := range e.shards {
+		bounds = append(bounds, bounds[len(bounds)-1]+uint32(s.ds.Len()))
 	}
-	if err := diskidx.WriteDataset(filepath.Join(dir, datasetName), e.root, parts); err != nil {
+	if err := diskidx.WriteDataset(filepath.Join(dir, datasetName), e.root, bounds); err != nil {
 		return err
 	}
 
@@ -305,19 +309,17 @@ type ShardHealth struct {
 	Err   string // the error that quarantined the shard; "" when serving
 }
 
-// OpenSegmentsWith boots an engine from dir. A nil root serves the dataset
-// mapped from the directory; a non-nil one must match the manifest's
-// fingerprint, and the directory's dataset segment then supplies only the
-// shard partition. Abandoned *.tmp files from an interrupted save are swept
-// first.
+// OpenSegmentsWith boots an engine from dir, serving the dataset mapped from
+// its dataset segment. Abandoned *.tmp files from an interrupted save are
+// swept first.
 //
 // A shard whose segment (or filter) is corrupt or missing fails the open,
 // unless quarantine is set: then the shard is sidelined, the engine serves
 // the healthy ones, strict queries return ErrShardQuarantined and partial
 // queries skip it. Failures that compromise every shard — an unreadable
-// manifest or dataset segment (it holds the partition too), a fingerprint
+// manifest or dataset segment (it holds the shard bounds too), a fingerprint
 // mismatch, or every shard failing — always fail the open.
-func OpenSegmentsWith(dir string, root *model.Dataset, quarantine bool) (*Engine, error) {
+func OpenSegmentsWith(dir string, quarantine bool) (*Engine, error) {
 	// A read-only boot must still be able to open the directory, so sweep
 	// failures (e.g. EROFS) are ignored: temps are garbage, not a hazard.
 	_, _ = faultfs.SweepTemps(dir)
@@ -326,14 +328,13 @@ func OpenSegmentsWith(dir string, root *model.Dataset, quarantine bool) (*Engine
 	if err != nil {
 		return nil, err
 	}
-	// The dataset segment maps every shard's IDs; without it no shard's
+	// The dataset segment holds every shard's rows; without it no shard's
 	// contents are known, so even a tolerant open fails.
 	dseg, err := diskidx.OpenDataset(filepath.Join(dir, datasetName))
 	if err != nil {
 		return nil, err
 	}
-	// The engine owns the mapping either way: the partition aliases it even
-	// when the caller's dataset, not the mapped one, is served.
+	root := dseg.Dataset()
 	e := &Engine{root: root, closers: []io.Closer{dseg}}
 	ok := false
 	defer func() {
@@ -341,29 +342,22 @@ func OpenSegmentsWith(dir string, root *model.Dataset, quarantine bool) (*Engine
 			e.Close()
 		}
 	}()
-	if root == nil {
-		root = dseg.Dataset()
-		e.root = root
-	}
-	parts := dseg.Parts()
 	if m.Objects != root.Len() || m.Fingerprint != Fingerprint(root) {
 		return nil, fmt.Errorf("%w: segment directory %s was built from a different dataset", ErrManifestMismatch, dir)
 	}
-	if len(parts) != m.Shards {
-		return nil, fmt.Errorf("%w: dataset segment lists %d shards, manifest %d", diskidx.ErrCorrupt, len(parts), m.Shards)
+	bounds := dseg.Bounds()
+	if len(bounds)-1 != m.Shards {
+		return nil, fmt.Errorf("%w: dataset segment bounds %d shards, manifest %d", diskidx.ErrCorrupt, len(bounds)-1, m.Shards)
 	}
 	for i := 0; i < m.Shards; i++ {
-		sub := root
-		if parts[i] != nil {
-			sub, err = root.Subset(parts[i])
-			if err != nil {
-				return nil, fmt.Errorf("engine: shard %d: %w", i, err)
-			}
+		sub, err := root.Subset(int(bounds[i]), int(bounds[i+1]))
+		if err != nil {
+			return nil, fmt.Errorf("engine: shard %d: %w", i, err)
 		}
 		f, seg, openErr := openOneShard(dir, i, sub, m)
 		if openErr == nil {
 			e.closers = append(e.closers, seg)
-			e.shards = append(e.shards, newShard(sub, parts[i], f))
+			e.shards = append(e.shards, newShard(sub, f))
 			continue
 		}
 		if errors.Is(openErr, diskidx.ErrStaleVersion) {
@@ -372,7 +366,7 @@ func OpenSegmentsWith(dir string, root *model.Dataset, quarantine bool) (*Engine
 		if !quarantine {
 			return nil, fmt.Errorf("engine: shard %d: %w", i, openErr)
 		}
-		s := newShard(sub, parts[i], nil)
+		s := newShard(sub, nil)
 		s.down = openErr
 		e.shards = append(e.shards, s)
 	}
@@ -430,7 +424,8 @@ func (e *Engine) Quarantined() int {
 	return n
 }
 
-// Root returns the engine's parent dataset.
+// Root returns the engine's root dataset: every object in shard-major
+// Z-order, each under its object ID.
 func (e *Engine) Root() *model.Dataset { return e.root }
 
 // Close releases any mapped segments backing the engine's filters. Calls

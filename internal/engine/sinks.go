@@ -20,9 +20,8 @@ import (
 )
 
 // Search answers a compiled threshold query: every shard that can answer
-// searches with a pooled searcher, shard matches remap to global object IDs,
-// and per-shard stats merge into one report. Matches return sorted by global
-// object ID, exactly as a monolithic search would. With opt.Limit only the
+// searches with a pooled searcher, and per-shard stats merge into one report.
+// Matches return sorted by object ID, exactly as a monolithic search would. With opt.Limit only the
 // Limit matches with the smallest IDs return — the exact prefix of the full
 // answer: a shard still collects its candidates fully (ordering needs the
 // whole candidate set) but verifies them in ascending ID order and stops
@@ -68,27 +67,21 @@ func SearchAs[M any](e *Engine, ctx context.Context, q *model.Query, opt Options
 	return merged, st, nil
 }
 
-// orderedShard collects one shard's matches in ascending global ID order:
+// orderedShard collects one shard's matches in ascending object ID order:
 // under a Limit only its Limit smallest-ID ones, the most one shard can add
 // to the answer's prefix.
 func (p *pass) orderedShard(i int, s *shard, sr *core.Searcher, stop func() bool) (core.SearchStats, error) {
 	found, st := sr.Search(p.q, stop, p.opt.Limit)
-	// Copy out of the searcher's reused buffer (remapping to global IDs on
-	// the way) before it returns to the pool.
-	run := make([]core.Match, len(found))
-	for j, m := range found {
-		m.ID = s.global(m.ID)
-		run[j] = m
-	}
-	p.matches[i] = run
+	// Copy out of the searcher's reused buffer before it returns to the pool.
+	p.matches[i] = slices.Clone(found)
 	return st, nil
 }
 
-// byID is the order of threshold runs: ascending global object ID.
+// byID is the order of threshold runs: ascending object ID.
 func byID(a, b core.Match) bool { return a.ID < b.ID }
 
 // byScore is the order of rankings: descending score, ties by ascending
-// global object ID — the exact order of the unsharded ranking.
+// object ID — the exact order of the unsharded ranking.
 func byScore(a, b core.ScoredMatch) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -207,7 +200,7 @@ func (s *MatchStream) Close() {
 const streamBuffer = 64
 
 // Stream answers a compiled threshold query as a push-based stream. Every
-// shard runs an interleaved filter/verify search and emits global-ID matches
+// shard runs an interleaved filter/verify search and emits its matches
 // into the stream's bounded channel in arrival order (no cross-shard
 // ordering). The query must be compiled against the engine's root dataset,
 // exactly as for Search.
@@ -245,7 +238,6 @@ func (p *pass) arrivalShard(i int, s *shard, sr *core.Searcher, stop func() bool
 				return false
 			}
 		}
-		m.ID = s.global(m.ID)
 		select {
 		case p.stream.ch <- m:
 			return true
@@ -271,7 +263,7 @@ type ranking struct {
 // The merge is exact: a shard stops early only when every object it has not
 // yet retrieved scores strictly below k already-retrieved objects, so the
 // global top k is always contained in the gathered lists, and ties break by
-// ascending global object ID exactly as in the unsharded search.
+// ascending object ID exactly as in the unsharded search.
 //
 // The returned stats accumulate the descents' filter-and-verify work across
 // shards, each probe, posting and candidate counted once per descent; a
@@ -343,12 +335,8 @@ func (p *pass) rankedShard(i int, s *shard, sr *core.Searcher, stop func() bool)
 		o.StopBelow = t.kth
 	}
 	// The ranking is the descent's own copy, not a view of the searcher's
-	// buffer, so it may be remapped in place and outlive the searcher's
-	// return to its pool.
+	// buffer, so it may outlive the searcher's return to its pool.
 	found, st, err := sr.TopK(p.q, o, stop)
-	for j := range found {
-		found[j].ID = s.global(found[j].ID)
-	}
 	p.scored[i] = found
 	return st, err
 }

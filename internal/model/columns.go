@@ -2,8 +2,8 @@ package model
 
 // The flat form of a dataset: what a dataset segment stores, and what opening
 // one views in place. Everything per-object is an array a file section can
-// back directly; only the vocabulary and the per-row weight sums are rebuilt
-// on the heap.
+// back directly; only the vocabulary, the per-row weight sums and the
+// ID-to-row inverse are rebuilt on the heap.
 
 import (
 	"errors"
@@ -22,12 +22,14 @@ type Columns struct {
 	TermOff []uint32  // one offset per term plus the end
 	Weights []float64 // w(t) per term
 
-	Regions []geo.Rect     // one MBR per object
-	TokOff  []uint32       // object i's tokens are TokIDs[TokOff[i]:TokOff[i+1]]
-	TokIDs  []text.TokenID // strictly ascending within each object
+	Regions []geo.Rect     // one MBR per row
+	TokOff  []uint32       // row i's tokens are TokIDs[TokOff[i]:TokOff[i+1]]
+	TokIDs  []text.TokenID // strictly ascending within each row
+	IDs     []ObjectID     // row i holds object IDs[i]; nil is the identity
 
-	// Multi-region footprints: object MultiIDs[k] (ascending) is the union
-	// of MultiRects[MultiOff[k]:MultiOff[k+1]], whose MBR is its region.
+	// Multi-region footprints: object MultiIDs[k] (ascending IDs) is the
+	// union of MultiRects[MultiOff[k]:MultiOff[k+1]], whose MBR is its
+	// region.
 	MultiIDs   []ObjectID
 	MultiOff   []uint32
 	MultiRects []geo.Rect
@@ -40,7 +42,7 @@ type Columns struct {
 // are read-only. Only a root dataset has one; a Subset is a view of its
 // parent's.
 func (ds *Dataset) Columns() (Columns, error) {
-	if ds.rows != nil {
+	if ds.ids != nil && ds.inv == nil {
 		return Columns{}, errors.New("model: a subset has no columns of its own")
 	}
 	c := Columns{
@@ -48,6 +50,7 @@ func (ds *Dataset) Columns() (Columns, error) {
 		Regions:    ds.regions,
 		TokOff:     ds.tokOff,
 		TokIDs:     ds.tokIDs,
+		IDs:        ds.ids,
 		MultiOff:   []uint32{0},
 		SpatialSim: ds.spatialSim,
 		TextualSim: ds.textualSim,
@@ -65,15 +68,17 @@ func (ds *Dataset) Columns() (Columns, error) {
 }
 
 // FromColumns wraps flat arrays as a dataset without copying the per-object
-// ones: Regions, TokOff, TokIDs and MultiRects are retained and may alias a
-// read-only mapping, while Terms, TermOff and Weights become the vocabulary
-// (see text.FromBlob) and must be heap memory.
+// ones: Regions, TokOff, TokIDs, IDs and MultiRects are retained and may
+// alias a read-only mapping, while Terms, TermOff and Weights become the
+// vocabulary (see text.FromBlob) and must be heap memory. The inverse of IDs,
+// for lookups by ID, is built on the heap.
 //
 // The input is untrusted. Every invariant the query path relies on is checked
 // here — offsets spanning their arenas, token IDs inside the vocabulary and
-// strictly ascending per object, valid regions, footprints that really bound
-// to their region — so a dataset that opens cannot index out of range or
-// verify against inconsistent state later.
+// strictly ascending per row, valid regions, object IDs that are a
+// permutation of the rows, footprints that really bound to their region — so
+// a dataset that opens cannot index out of range or verify against
+// inconsistent state later.
 func FromColumns(c Columns) (*Dataset, error) {
 	n := len(c.Regions)
 	if n == 0 {
@@ -91,20 +96,31 @@ func FromColumns(c Columns) (*Dataset, error) {
 	}
 	for i, r := range c.Regions {
 		if !r.Valid() {
-			return nil, fmt.Errorf("model: object %d: invalid region", i)
+			return nil, fmt.Errorf("model: row %d: invalid region", i)
 		}
 		row := c.TokIDs[c.TokOff[i]:c.TokOff[i+1]]
 		for j, t := range row {
 			if int(t) >= vocab.Len() || (j > 0 && t <= row[j-1]) {
-				return nil, fmt.Errorf("model: object %d: token IDs not ascending inside the vocabulary", i)
+				return nil, fmt.Errorf("model: row %d: token IDs not ascending inside the vocabulary", i)
 			}
 		}
 	}
-	multi, err := multiFromColumns(c)
+	var inv []ObjectID
+	if c.IDs != nil {
+		if len(c.IDs) != n {
+			return nil, fmt.Errorf("model: %d object IDs for %d rows", len(c.IDs), n)
+		}
+		if inv, err = invert(c.IDs); err != nil {
+			return nil, err
+		}
+	}
+	multi, err := multiFromColumns(c, inv)
 	if err != nil {
 		return nil, err
 	}
-	return newDataset(vocab, c.Regions, c.TokOff, c.TokIDs, multi, c.SpatialSim, c.TextualSim), nil
+	ds := newDataset(vocab, c.Regions, c.TokOff, c.TokIDs, multi, c.SpatialSim, c.TextualSim)
+	ds.ids, ds.inv = c.IDs, inv
+	return ds, nil
 }
 
 // checkOffsets verifies a CSR offset table: n+1 monotone entries from 0 to
@@ -121,7 +137,9 @@ func checkOffsets(off []uint32, n, arena int) error {
 	return nil
 }
 
-func multiFromColumns(c Columns) (map[ObjectID]geo.RectSet, error) {
+// multiFromColumns checks and indexes the footprints; inv maps their object
+// IDs to rows (nil: the identity).
+func multiFromColumns(c Columns, inv []ObjectID) (map[ObjectID]geo.RectSet, error) {
 	if err := checkOffsets(c.MultiOff, len(c.MultiIDs), len(c.MultiRects)); err != nil {
 		return nil, fmt.Errorf("model: multi-region %w", err)
 	}
@@ -143,7 +161,11 @@ func multiFromColumns(c Columns) (map[ObjectID]geo.RectSet, error) {
 				return nil, fmt.Errorf("model: object %d: invalid footprint rectangle", id)
 			}
 		}
-		if set.MBR() != c.Regions[id] {
+		row := id
+		if inv != nil {
+			row = inv[id]
+		}
+		if set.MBR() != c.Regions[row] {
 			return nil, fmt.Errorf("model: object %d: footprint does not bound to its region", id)
 		}
 		multi[id] = set

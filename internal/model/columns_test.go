@@ -43,6 +43,7 @@ func cloneColumns(c Columns) Columns {
 	c.Regions = slices.Clone(c.Regions)
 	c.TokOff = slices.Clone(c.TokOff)
 	c.TokIDs = slices.Clone(c.TokIDs)
+	c.IDs = slices.Clone(c.IDs)
 	c.MultiIDs = slices.Clone(c.MultiIDs)
 	c.MultiOff = slices.Clone(c.MultiOff)
 	c.MultiRects = slices.Clone(c.MultiRects)
@@ -90,12 +91,30 @@ func TestColumnsRoundTrip(t *testing.T) {
 			t.Fatalf("token %d differs after the round trip", tok)
 		}
 	}
-	sub, err := ds.Subset([]ObjectID{1})
+	// A permuted dataset round-trips its ID column: every object keeps its
+	// ID, and its row its contents.
+	p, err := ds.Permute([]ObjectID{3, 1, 0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sub.Columns(); err == nil {
-		t.Fatal("a subset exported columns of its own")
+	pc, err := p.Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pback, err := FromColumns(cloneColumns(pc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ds.Len(); i++ {
+		id := ObjectID(i)
+		row := pback.Row(id)
+		if pback.ID(row) != id || row != p.Row(id) {
+			t.Fatalf("object %d: row %d after the round trip, want %d", i, row, p.Row(id))
+		}
+		if pback.Region(row) != ds.Region(id) || !slices.Equal(pback.Tokens(row), ds.Tokens(id)) ||
+			!slices.Equal(pback.MultiRegion(row), ds.MultiRegion(id)) || pback.SimT(q, row) != ds.SimT(q, id) {
+			t.Fatalf("object %d differs after a permuted round trip", i)
+		}
 	}
 }
 
@@ -132,6 +151,10 @@ func TestFromColumnsRejects(t *testing.T) {
 		"single-rect footprint":    func(c *Columns) { c.MultiRects, c.MultiOff[1] = c.MultiRects[:1], 1 },
 		"invalid footprint rect":   func(c *Columns) { c.MultiRects[0].MinY = math.Inf(-1) },
 		"footprint off its region": func(c *Columns) { c.MultiRects[1].MaxY++ },
+		"ID column too short":      func(c *Columns) { c.IDs = []ObjectID{0, 1, 2} },
+		"ID out of range":          func(c *Columns) { c.IDs = []ObjectID{0, 1, 2, 4} },
+		"duplicate ID":             func(c *Columns) { c.IDs = []ObjectID{0, 1, 1, 3} },
+		"IDs move a footprint":     func(c *Columns) { c.IDs = []ObjectID{1, 0, 2, 3} },
 		"multi IDs not ascending": func(c *Columns) {
 			c.MultiIDs = append(c.MultiIDs, c.MultiIDs[0])
 			c.MultiRects = append(c.MultiRects, c.MultiRects...)

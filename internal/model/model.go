@@ -14,7 +14,8 @@ import (
 	"github.com/sealdb/seal/internal/text"
 )
 
-// ObjectID indexes an object inside its Dataset (dense, 0-based).
+// ObjectID is an object's ID — its insertion position — or a row of a
+// Dataset (both dense, 0-based); see Dataset for which a method takes.
 type ObjectID uint32
 
 // TextualSim selects the token-set similarity function (Definition 2 and the
@@ -64,26 +65,33 @@ func (s SpatialSim) String() string {
 // Dataset is an immutable collection of spatio-textual objects sharing a
 // vocabulary. Build one with a Builder.
 //
-// The per-object state is columnar: one regions column and one CSR token
-// arena (row r's token set is tokIDs[tokOff[r]:tokOff[r+1]]) instead of a
-// slice per object. That is the layout a dataset segment stores, so a dataset
-// opened from disk is a set of views over the mapped file (FromColumns), and
-// a shard is the same token arena behind a row table (Subset) rather than a
-// copy.
+// The per-object state is columnar and indexed by row: one regions column
+// and one CSR token arena (row r's token set is tokIDs[tokOff[r]:tokOff[r+1]])
+// instead of a slice per object. That is the layout a dataset segment stores,
+// so a dataset opened from disk is a set of views over the mapped file
+// (FromColumns), and a shard is a range of rows of its parent (Subset) rather
+// than a copy.
+//
+// Rows and public object IDs meet in one column, ids. A Builder's dataset
+// keeps insertion order, so its rows are its IDs; Permute reorders the rows
+// (the engine stores them in Z-order) and every object keeps its ID. Every
+// method that takes an ObjectID reads a row, except Row, which finds one.
 type Dataset struct {
 	vocab   *text.Vocab
-	weights []float64  // the vocabulary's weight table, indexed by TokenID
-	regions []geo.Rect // indexed by object ID, unlike the row-indexed rest
+	weights []float64 // the vocabulary's weight table, indexed by TokenID
+	regions []geo.Rect
 	tokOff  []uint32
 	tokIDs  []text.TokenID // ascending and de-duplicated within each row
 	totalW  []float64      // Σ w(t) per row
 	space   geo.Rect       // MBR of the root dataset's regions
 	// multi holds the rectangle-union footprints of multi-region objects by
-	// row (nil when the dataset has none); see multiregion.go.
+	// object ID (nil when the dataset has none); see multiregion.go.
 	multi map[ObjectID]geo.RectSet
-	// rows maps this dataset's object IDs to rows of the row-indexed
-	// columns; nil is the identity. Only a Subset carries one.
-	rows []ObjectID
+	// ids maps rows to object IDs; nil is the identity. inv is its inverse,
+	// for lookups by ID: nil when ids is, and on a Subset, which answers no
+	// lookup by ID.
+	ids []ObjectID
+	inv []ObjectID
 
 	spatialSim SpatialSim
 	textualSim TextualSim
@@ -189,12 +197,21 @@ func newDataset(vocab *text.Vocab, regions []geo.Rect, tokOff []uint32, tokIDs [
 	return ds
 }
 
-// row translates an object ID to its row of the columns.
-func (ds *Dataset) row(id ObjectID) ObjectID {
-	if ds.rows != nil {
-		return ds.rows[id]
+// ID returns the object ID of a row.
+func (ds *Dataset) ID(row ObjectID) ObjectID {
+	if ds.ids == nil {
+		return row
 	}
-	return id
+	return ds.ids[row]
+}
+
+// Row returns the row of object id. Only a root dataset answers it: a Subset
+// holds a range of its parent's rows, not a row for every ID.
+func (ds *Dataset) Row(id ObjectID) ObjectID {
+	if ds.inv == nil {
+		return id
+	}
+	return ds.inv[id]
 }
 
 // Len returns the number of objects.
@@ -203,13 +220,12 @@ func (ds *Dataset) Len() int { return len(ds.regions) }
 // Vocab returns the dataset vocabulary.
 func (ds *Dataset) Vocab() *text.Vocab { return ds.vocab }
 
-// Region returns the MBR of object id.
-func (ds *Dataset) Region(id ObjectID) geo.Rect { return ds.regions[id] }
+// Region returns the MBR of a row's object.
+func (ds *Dataset) Region(row ObjectID) geo.Rect { return ds.regions[row] }
 
-// Tokens returns object id's sorted token-ID set. Callers must not mutate it.
-func (ds *Dataset) Tokens(id ObjectID) []text.TokenID {
-	r := ds.row(id)
-	return ds.tokIDs[ds.tokOff[r]:ds.tokOff[r+1]]
+// Tokens returns a row's sorted token-ID set. Callers must not mutate it.
+func (ds *Dataset) Tokens(row ObjectID) []text.TokenID {
+	return ds.tokIDs[ds.tokOff[row]:ds.tokOff[row+1]]
 }
 
 // TokenWeight returns w(t).
@@ -218,11 +234,11 @@ func (ds *Dataset) TokenWeight(t text.TokenID) float64 { return ds.weights[t] }
 // Weights returns the weight table indexed by TokenID. Read-only.
 func (ds *Dataset) Weights() []float64 { return ds.weights }
 
-// TotalWeight returns Σ_{t ∈ o.T} w(t) for object id.
-func (ds *Dataset) TotalWeight(id ObjectID) float64 { return ds.totalW[ds.row(id)] }
+// TotalWeight returns Σ_{t ∈ o.T} w(t) for a row's object.
+func (ds *Dataset) TotalWeight(row ObjectID) float64 { return ds.totalW[row] }
 
-// Area returns |o.R| for object id.
-func (ds *Dataset) Area(id ObjectID) float64 { return ds.Region(id).Area() }
+// Area returns |o.R| for a row's object.
+func (ds *Dataset) Area(row ObjectID) float64 { return ds.Region(row).Area() }
 
 // Space returns the MBR of all object regions — the space decomposed into
 // grids by the spatial signatures (Section 4.1).
@@ -337,40 +353,40 @@ func maxIDFWeight(numObjects int) float64 {
 // Area returns the cached query-region area |q.R|.
 func (q *Query) Area() float64 { return q.area }
 
-// SimR returns the exact spatial similarity between the query and object id.
-// Multi-region objects are measured against their rectangle union.
-func (ds *Dataset) SimR(q *Query, id ObjectID) float64 {
+// SimR returns the exact spatial similarity between the query and a row's
+// object. Multi-region objects are measured against their rectangle union.
+func (ds *Dataset) SimR(q *Query, row ObjectID) float64 {
 	if ds.multi != nil {
-		if set, ok := ds.multi[ds.row(id)]; ok {
+		if set, ok := ds.multi[ds.ID(row)]; ok {
 			return ds.simRMulti(q, set)
 		}
 	}
 	switch ds.spatialSim {
 	case SpaceDice:
-		return geo.Dice(q.Region, ds.regions[id])
+		return geo.Dice(q.Region, ds.regions[row])
 	default:
-		return geo.Jaccard(q.Region, ds.regions[id])
+		return geo.Jaccard(q.Region, ds.regions[row])
 	}
 }
 
-// SimT returns the exact textual similarity between the query and object id.
-// The query's unknown-term weight counts toward the union (denominator).
-func (ds *Dataset) SimT(q *Query, id ObjectID) float64 {
-	r := ds.row(id)
-	o := ds.tokIDs[ds.tokOff[r]:ds.tokOff[r+1]]
+// SimT returns the exact textual similarity between the query and a row's
+// object. The query's unknown-term weight counts toward the union
+// (denominator).
+func (ds *Dataset) SimT(q *Query, row ObjectID) float64 {
+	o := ds.tokIDs[ds.tokOff[row]:ds.tokOff[row+1]]
 	switch ds.textualSim {
 	case TextDice:
-		return text.WeightedDice(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[r])
+		return text.WeightedDice(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[row])
 	case TextCosine:
-		return text.WeightedCosine(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[r])
+		return text.WeightedCosine(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[row])
 	default:
-		return text.WeightedJaccard(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[r])
+		return text.WeightedJaccard(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[row])
 	}
 }
 
 // SimTAccum is the accumulate-then-verify fast path for SimT: bits marks
 // which signature positions (see Query.SigTokens) a filter proved to be in
-// object id's token set while scanning postings. Proven tokens skip the
+// the row's token set while scanning postings. Proven tokens skip the
 // membership probe entirely; the rest fall back to a binary search. The
 // result is bit-identical to SimT: the common weight sums the same members
 // in the same ascending-token order CommonWeight uses, and the final formula
@@ -378,12 +394,11 @@ func (ds *Dataset) SimT(q *Query, id ObjectID) float64 {
 //
 // bits is only meaningful for queries with at most 64 known tokens; larger
 // queries (which cannot be accumulated) fall back to SimT.
-func (ds *Dataset) SimTAccum(q *Query, id ObjectID, bits uint64) float64 {
+func (ds *Dataset) SimTAccum(q *Query, row ObjectID, bits uint64) float64 {
 	if len(q.Tokens) > 64 {
-		return ds.SimT(q, id)
+		return ds.SimT(q, row)
 	}
-	r := ds.row(id)
-	o := ds.tokIDs[ds.tokOff[r]:ds.tokOff[r+1]]
+	o := ds.tokIDs[ds.tokOff[row]:ds.tokOff[row+1]]
 	var common float64
 	for j, t := range q.Tokens {
 		if bits&(1<<q.sigRank[j]) != 0 || text.Contains(o, t) {
@@ -392,16 +407,16 @@ func (ds *Dataset) SimTAccum(q *Query, id ObjectID, bits uint64) float64 {
 	}
 	switch ds.textualSim {
 	case TextDice:
-		return text.DiceFromCommon(common, q.TotalWeight, ds.totalW[r])
+		return text.DiceFromCommon(common, q.TotalWeight, ds.totalW[row])
 	case TextCosine:
-		return text.CosineFromCommon(common, q.TotalWeight, ds.totalW[r])
+		return text.CosineFromCommon(common, q.TotalWeight, ds.totalW[row])
 	default:
-		return text.JaccardFromCommon(common, q.TotalWeight, ds.totalW[r])
+		return text.JaccardFromCommon(common, q.TotalWeight, ds.totalW[row])
 	}
 }
 
-// Matches reports whether object id satisfies both thresholds — the
+// Matches reports whether a row's object satisfies both thresholds — the
 // verification step shared by every search method.
-func (ds *Dataset) Matches(q *Query, id ObjectID) bool {
-	return ds.SimR(q, id) >= q.TauR && ds.SimT(q, id) >= q.TauT
+func (ds *Dataset) Matches(q *Query, row ObjectID) bool {
+	return ds.SimR(q, row) >= q.TauR && ds.SimT(q, row) >= q.TauT
 }

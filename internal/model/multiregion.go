@@ -47,13 +47,13 @@ func (b *Builder) AddMulti(regions geo.RectSet, terms []string) (ObjectID, error
 	return id, nil
 }
 
-// MultiRegion returns the object's rectangle-union footprint, or nil when
-// the object is a plain single-rectangle ROI.
-func (ds *Dataset) MultiRegion(id ObjectID) geo.RectSet {
+// MultiRegion returns a row's rectangle-union footprint, or nil when its
+// object is a plain single-rectangle ROI.
+func (ds *Dataset) MultiRegion(row ObjectID) geo.RectSet {
 	if ds.multi == nil {
 		return nil
 	}
-	return ds.multi[ds.row(id)]
+	return ds.multi[ds.ID(row)]
 }
 
 // simRMulti computes the exact spatial similarity between the query

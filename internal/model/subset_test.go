@@ -1,12 +1,16 @@
 package model
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/sealdb/seal/internal/geo"
 )
 
-func TestSubsetVerifiesIdentically(t *testing.T) {
+// orderedDataset is three objects — object 2 multi-region — permuted so that
+// rows 0, 1, 2 hold objects 2, 0, 1.
+func orderedDataset(t *testing.T) (ds, p *Dataset) {
+	t.Helper()
 	var b Builder
 	if _, err := b.Add(geo.Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, []string{"a", "b"}); err != nil {
 		t.Fatal(err)
@@ -24,7 +28,23 @@ func TestSubsetVerifiesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := ds.Subset([]ObjectID{2, 0})
+	if p, err = ds.Permute([]ObjectID{2, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	return ds, p
+}
+
+// TestSubsetVerifiesIdentically: a row range of a permuted dataset verifies
+// every object exactly as the insertion-ordered dataset does, reports its
+// object IDs, and keeps multi-region footprints with their objects.
+func TestSubsetVerifiesIdentically(t *testing.T) {
+	ds, p := orderedDataset(t)
+	for id := ObjectID(0); id < 3; id++ {
+		if got := p.ID(p.Row(id)); got != id {
+			t.Fatalf("ID(Row(%d)) = %d", id, got)
+		}
+	}
+	sub, err := p.Subset(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,37 +58,68 @@ func TestSubsetVerifiesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Position 0 of the subset is parent object 2, position 1 is parent 0.
-	for pos, parent := range []ObjectID{2, 0} {
-		if got, want := sub.SimR(q, ObjectID(pos)), ds.SimR(q, parent); got != want {
-			t.Errorf("SimR(subset %d) = %v, want parent %d's %v", pos, got, parent, want)
+	// Row 0 of the subset is object 2, row 1 is object 0.
+	for row, id := range []ObjectID{2, 0} {
+		r := ObjectID(row)
+		if got := sub.ID(r); got != id {
+			t.Fatalf("subset row %d has ID %d, want %d", row, got, id)
 		}
-		if got, want := sub.SimT(q, ObjectID(pos)), ds.SimT(q, parent); got != want {
-			t.Errorf("SimT(subset %d) = %v, want parent %d's %v", pos, got, parent, want)
+		if sub.Region(r) != ds.Region(id) || !slices.Equal(sub.Tokens(r), ds.Tokens(id)) || sub.TotalWeight(r) != ds.TotalWeight(id) {
+			t.Errorf("subset row %d does not hold object %d", row, id)
+		}
+		if got, want := sub.SimR(q, r), ds.SimR(q, id); got != want {
+			t.Errorf("SimR(subset row %d) = %v, want object %d's %v", row, got, id, want)
+		}
+		if got, want := sub.SimT(q, r), ds.SimT(q, id); got != want {
+			t.Errorf("SimT(subset row %d) = %v, want object %d's %v", row, got, id, want)
 		}
 	}
-	// The multi-region footprint must survive the remap.
-	if sub.MultiRegion(0) == nil {
-		t.Error("subset position 0 lost its multi-region footprint")
+	if !slices.Equal(sub.MultiRegion(0), ds.MultiRegion(2)) {
+		t.Error("object 2 lost its multi-region footprint in row 0")
 	}
 	if sub.MultiRegion(1) != nil {
-		t.Error("subset position 1 gained a spurious multi-region footprint")
+		t.Error("object 0 gained a spurious multi-region footprint")
+	}
+	// A range of a range is a range of the root.
+	inner, err := sub.Subset(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inner.Len() != 1 || inner.ID(0) != 0 || inner.SimT(q, 0) != ds.SimT(q, 0) {
+		t.Errorf("subset of a subset holds object %d, want 0", inner.ID(0))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = p.Subset(1, 3) }); allocs > 1 {
+		t.Errorf("Subset allocates %v times; it must copy no column", allocs)
 	}
 }
 
 func TestSubsetErrors(t *testing.T) {
-	var b Builder
-	if _, err := b.Add(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, []string{"a"}); err != nil {
-		t.Fatal(err)
+	ds, p := orderedDataset(t)
+	for _, r := range [][2]int{{0, 0}, {2, 1}, {-1, 2}, {1, 4}} {
+		if _, err := p.Subset(r[0], r[1]); err == nil {
+			t.Errorf("Subset(%d, %d) should fail", r[0], r[1])
+		}
 	}
-	ds, err := b.Build()
+	if _, err := ds.Subset(0, 1); err == nil {
+		t.Error("a dataset in insertion order has no ID column to subset")
+	}
+	sub, err := p.Subset(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.Subset(nil); err == nil {
-		t.Error("empty subset should fail")
+	for name, rows := range map[string][]ObjectID{
+		"short":        {0, 1},
+		"out of range": {0, 1, 3},
+		"duplicate":    {0, 1, 1},
+	} {
+		if _, err := ds.Permute(rows); err == nil {
+			t.Errorf("Permute(%s) should fail", name)
+		}
 	}
-	if _, err := ds.Subset([]ObjectID{7}); err == nil {
-		t.Error("out-of-range subset should fail")
+	if _, err := sub.Permute([]ObjectID{1, 0}); err == nil {
+		t.Error("a subset's IDs are not a permutation of its rows")
+	}
+	if _, err := sub.Columns(); err == nil {
+		t.Error("a subset exported columns of its own")
 	}
 }

@@ -133,21 +133,21 @@ func LoadObjects(path string) ([]seal.Object, error) {
 	return SnapshotObjects(seg.Dataset()), nil
 }
 
-// SnapshotObjects converts a dataset back into public API objects, copying
-// every region and term; Build re-derives identical token weights from the
-// same corpus.
+// SnapshotObjects converts a root dataset back into public API objects in ID
+// order, copying every region and term; Build re-derives identical token
+// weights from the same corpus.
 func SnapshotObjects(ds *model.Dataset) []seal.Object {
 	vocab := ds.Vocab()
 	objects := make([]seal.Object, ds.Len())
 	for i := range objects {
-		id := model.ObjectID(i)
-		toks := ds.Tokens(id)
+		row := ds.Row(model.ObjectID(i))
+		toks := ds.Tokens(row)
 		tokens := make([]string, 0, len(toks))
 		for _, t := range toks {
 			tokens = append(tokens, vocab.Term(text.TokenID(t)))
 		}
 		objects[i].Tokens = tokens
-		if set := ds.MultiRegion(id); set != nil {
+		if set := ds.MultiRegion(row); set != nil {
 			regions := make([]seal.Rect, len(set))
 			for j, r := range set {
 				regions[j] = seal.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
@@ -155,7 +155,7 @@ func SnapshotObjects(ds *model.Dataset) []seal.Object {
 			objects[i].Regions = regions
 			continue
 		}
-		r := ds.Region(id)
+		r := ds.Region(row)
 		objects[i].Region = seal.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
 	}
 	return objects

@@ -44,7 +44,7 @@ func testDataFile(t *testing.T, n int) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "test.seg")
-	if err := diskidx.WriteDataset(path, ds, [][]model.ObjectID{nil}); err != nil {
+	if err := diskidx.WriteDataset(path, ds, []uint32{0, uint32(ds.Len())}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -72,7 +72,7 @@ func TestLoadObjects(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ds.seg")
-	if err := diskidx.WriteDataset(path, ds, [][]model.ObjectID{nil}); err != nil {
+	if err := diskidx.WriteDataset(path, ds, []uint32{0, uint32(ds.Len())}); err != nil {
 		t.Fatal(err)
 	}
 	good, err := os.ReadFile(path)

@@ -98,8 +98,8 @@ var ErrEmptyIndex = errors.New("seal: cannot build an index over zero objects")
 
 // Index answers spatio-textual similarity queries. It is immutable after
 // Build and safe for concurrent use. Query execution is delegated to the
-// sharded scatter-gather engine; with the default single shard the engine
-// degenerates to exactly the monolithic index layout.
+// sharded scatter-gather engine, which with the default single shard is one
+// monolithic index over the objects in Z-order.
 type Index struct {
 	ds    *model.Dataset
 	eng   *engine.Engine
@@ -162,12 +162,14 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 	}
 
 	if cfg.segmentDir != "" {
-		// A matching segment directory replaces the whole build with an
-		// mmap; anything stale, corrupt, or differently configured falls
-		// through to a rebuild that overwrites it.
-		if man, err := engine.ReadManifest(cfg.segmentDir); err == nil && manifestMatches(man, cfg, ds.Len()) {
-			if eng, err := engine.OpenSegmentsWith(cfg.segmentDir, ds, false); err == nil {
-				return newIndex(ds, eng, cfg.segmentDir, start, true), nil
+		// A segment directory built from these objects under this
+		// configuration replaces the whole build with an mmap; anything
+		// stale, corrupt, or differently configured falls through to a
+		// rebuild that overwrites it.
+		if man, err := engine.ReadManifest(cfg.segmentDir); err == nil && manifestMatches(man, cfg, ds.Len()) &&
+			man.Fingerprint == engine.Fingerprint(ds) {
+			if eng, err := engine.OpenSegmentsWith(cfg.segmentDir, false); err == nil {
+				return newIndex(eng, cfg.segmentDir, start, true), nil
 			}
 		}
 	}
@@ -185,13 +187,14 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 			return nil, err
 		}
 	}
-	return newIndex(ds, eng, cfg.segmentDir, start, false), nil
+	return newIndex(eng, cfg.segmentDir, start, false), nil
 }
 
-// newIndex wraps an engine built or opened over ds since start, with its
-// stats: dir is the segment directory it was saved into or opened from ("" for
-// none), and mapped whether its postings are served from that directory.
-func newIndex(ds *model.Dataset, eng *engine.Engine, dir string, start time.Time, mapped bool) *Index {
+// newIndex wraps an engine built or opened since start, with its stats: dir
+// is the segment directory it was saved into or opened from ("" for none),
+// and mapped whether its postings are served from that directory.
+func newIndex(eng *engine.Engine, dir string, start time.Time, mapped bool) *Index {
+	ds := eng.Root()
 	return &Index{ds: ds, eng: eng, stats: IndexStats{
 		Objects:      ds.Len(),
 		Vocabulary:   ds.Vocab().Len(),
@@ -274,8 +277,8 @@ func (ix *Index) Similarity(q Request, id int) (simR, simT float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	oid := model.ObjectID(id)
-	return ix.ds.SimR(mq, oid), ix.ds.SimT(mq, oid), nil
+	row := ix.ds.Row(model.ObjectID(id))
+	return ix.ds.SimR(mq, row), ix.ds.SimT(mq, row), nil
 }
 
 // Len returns the number of indexed objects.
@@ -294,21 +297,21 @@ func (ix *Index) Object(id int) (Object, error) {
 	if id < 0 || id >= ix.ds.Len() {
 		return Object{}, fmt.Errorf("seal: object ID %d out of range [0,%d)", id, ix.ds.Len())
 	}
-	oid := model.ObjectID(id)
+	row := ix.ds.Row(model.ObjectID(id))
 	vocab := ix.ds.Vocab()
-	toks := ix.ds.Tokens(oid)
+	toks := ix.ds.Tokens(row)
 	obj := Object{Tokens: make([]string, len(toks))}
 	for i, t := range toks {
 		obj.Tokens[i] = vocab.Term(text.TokenID(t))
 	}
-	if set := ix.ds.MultiRegion(oid); set != nil {
+	if set := ix.ds.MultiRegion(row); set != nil {
 		obj.Regions = make([]Rect, len(set))
 		for i, r := range set {
 			obj.Regions[i] = Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
 		}
 		return obj, nil
 	}
-	r := ix.ds.Region(oid)
+	r := ix.ds.Region(row)
 	obj.Region = Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
 	return obj, nil
 }

@@ -149,8 +149,9 @@ func TestShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardEquivalenceDegenerate drives the round-robin partition fallback:
-// every object shares one center, so the Morton order cannot split space.
+// TestShardEquivalenceDegenerate: every object shares one center, so the
+// Morton order cannot split space and the shards are ranges of one run of
+// equal codes, ordered by ID.
 func TestShardEquivalenceDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	objects := make([]seal.Object, 64)

@@ -122,11 +122,11 @@ func (ix *Index) Quarantined() int { return ix.eng.Quarantined() }
 // unwrapped via errors.Is.
 func Open(dir string) (*Index, error) {
 	start := time.Now()
-	eng, err := engine.OpenSegmentsWith(dir, nil, true)
+	eng, err := engine.OpenSegmentsWith(dir, true)
 	if err != nil {
 		return nil, fmt.Errorf("seal: opening segments: %w", err)
 	}
-	return newIndex(eng.Root(), eng, dir, start, true), nil
+	return newIndex(eng, dir, start, true), nil
 }
 
 // Close releases any memory-mapped segments backing the index. Afterwards

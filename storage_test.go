@@ -593,7 +593,7 @@ func segmentDirNames(t *testing.T, dir string) []string {
 }
 
 // TestVersion1DirectoryIsStale: the gob-era layout has no reader, and neither
-// has a version-6 manifest nor a current one over posting segments of the
+// has a version-6 or version-7 manifest nor a current one over posting segments of the
 // retired raw layout (flag bit 1 clear). Each reads as a mismatch from Open,
 // and as "stale" from Build(WithSegmentDir), which rebuilds over it and leaves
 // exactly the current artifact set behind — none of the old generation's
@@ -609,9 +609,9 @@ func TestVersion1DirectoryIsStale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aged := strings.Replace(string(man), `"version": 7`, `"version": `+version, 1)
+		aged := strings.Replace(string(man), `"version": 8`, `"version": `+version, 1)
 		if aged == string(man) {
-			t.Fatalf("manifest carries no version 7 to age: %s", man)
+			t.Fatalf("manifest carries no version 8 to age: %s", man)
 		}
 		if err := os.WriteFile(path, []byte(aged), 0o644); err != nil {
 			t.Fatal(err)
@@ -632,6 +632,7 @@ func TestVersion1DirectoryIsStale(t *testing.T) {
 			}
 		}},
 		{"version 6", func(t *testing.T, dir string) { ageManifest(t, dir, "6") }},
+		{"version 7", func(t *testing.T, dir string) { ageManifest(t, dir, "7") }},
 		{"raw posting segments", func(t *testing.T, dir string) {
 			for i := 0; i < 2; i++ {
 				path := filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i))
