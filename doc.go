@@ -117,18 +117,14 @@
 //
 // # Performance
 //
-// The threshold hot path runs an accumulate-then-verify pipeline. Filters
-// whose posting keys prove token membership (token, exact-key hybrid,
-// hierarchical) mark each proven (token, object) pair as they scan, and
-// verification reconstructs the exact common token weight from those marks
-// instead of re-intersecting the token sets — bit-identical to the classic
-// sorted-merge similarity, as the differential tests enforce per candidate
-// and per shard count. Posting lists are quantized fixed-width columns in one
-// blob (see Storage) and are reached by position; the methods that look lists
-// up by key keep a key array and an open-addressed directory over it for an
-// O(1) lookup, while MethodSeal, whose grid locator already holds the
-// position of every list it wants, keeps only each token's run of 32-bit grid
-// nodes. Every per-query buffer belongs to a reusable per-shard searcher, so
+// The threshold hot path is filter, then verify: every filter leaves a set
+// of candidate rows, and verification computes each one's exact similarities,
+// SimT by one sorted merge of the query's and the object's token sets.
+// Posting lists are quantized fixed-width columns in one blob (see Storage)
+// and are reached by position; the methods that look lists up by key keep a
+// key array and an open-addressed directory over it for an O(1) lookup,
+// while MethodSeal, whose grid locator already holds the position of every
+// list it wants, keeps only each token's run of 32-bit grid nodes. Every per-query buffer belongs to a reusable per-shard searcher, so
 // steady-state threshold queries allocate nothing. A ranked
 // request compiles one query, and each shard's threshold descent resumes
 // rather than restarts. Every round collects into one candidate set, and

@@ -283,11 +283,11 @@ func TestTopKBoundedAllocs(t *testing.T) {
 }
 
 // TestTopKRetainedAllocs: a descent keeps no per-object state of its own. A
-// fresh searcher and its first descent allocate the CandidateSet's marks and
-// accumulator — 12 B an object — and otherwise only buffers sized by the
-// candidates, so from 600 to 6,000 objects the bytes may grow by at most
-// 12 B an object plus headroom for those buffers: less than the 20 B an
-// object a cached similarity pair and its mark would take.
+// fresh searcher and its first descent allocate the CandidateSet's marks —
+// 4 B an object — and otherwise only buffers sized by the candidates, so from
+// 600 to 6,000 objects the bytes may grow by at most 4 B an object plus
+// headroom for those buffers: less than the 20 B an object a cached
+// similarity pair and its mark would take.
 func TestTopKRetainedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

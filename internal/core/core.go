@@ -13,15 +13,12 @@
 // is what the property tests in this package enforce against a brute-force
 // oracle.
 //
-// The hot path is engineered around two ideas. First, scan-time SimT
-// accumulation: filters whose posting keys prove token membership (token and
-// exact-key hybrid filters) mark each proven (token, object) pair in the
-// CandidateSet's per-object accumulator as they scan, so verification
-// reconstructs the exact common token weight from those marks instead of
-// re-intersecting the token sets. Second, per-searcher scratch: a Searcher
-// owns every buffer a query needs (candidate set, accumulator, grid
-// signatures, match slice), so steady-state threshold searches do zero heap
-// allocations — see the AllocsPerRun regression tests.
+// The hot path is engineered around per-searcher scratch: a Searcher owns
+// every buffer a query needs (candidate set, grid signatures, match slice),
+// so steady-state threshold searches do zero heap allocations — see the
+// AllocsPerRun regression tests. Every filter leaves the same thing behind,
+// a set of candidate rows, and verification computes each one's SimT by the
+// same sorted merge of token sets.
 package core
 
 import (
@@ -55,7 +52,8 @@ func (s *FilterStats) Add(other FilterStats) {
 // Filter generates candidate objects whose signatures are similar to the
 // query's (the filter step of Figure 3). A filter is shared by every Searcher
 // over it, so Collect keeps its per-query state in cs and scr, never on the
-// filter.
+// filter. The candidate set is a filter's only output: the Searcher verifies
+// every candidate the same way, whichever filter found it.
 type Filter interface {
 	// Name identifies the filter in experiment output, e.g. "GridFilter(1024)".
 	Name() string
@@ -80,31 +78,13 @@ type Filter interface {
 	Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch)
 }
 
-// simTAccumulator is the capability a filter declares when its Collect
-// proves token membership through posting keys and records it with
-// CandidateSet.AddAcc: every bit it sets for (object, signature position i)
-// must certify SigTokens[i] ∈ o.T. The Searcher then verifies SimT through
-// model.Dataset.SimTAccum instead of a full sorted-merge intersection.
-type simTAccumulator interface {
-	accumulatesSimT() bool
-}
-
-// CandidateSet is a reusable, allocation-free set of object IDs using
-// epoch-based marking, with an optional per-object accumulator of proven
-// query-token memberships. It is not safe for concurrent use; create one
-// per goroutine.
+// CandidateSet is a reusable, allocation-free set of dataset rows using
+// epoch-based marking; it keeps the rows in the order a filter found them.
+// It is not safe for concurrent use; create one per goroutine.
 type CandidateSet struct {
 	mark  []uint32
 	epoch uint32
 	ids   []uint32
-	// accBits[obj] marks which of the query's signature positions (bit i ⇔
-	// Query.SigTokens[i]) were proven to be in obj's token set during the
-	// scan. Allocated on the first EnableAccum — at 8 bytes per object it
-	// would triple the set's footprint for filters that never accumulate.
-	// Valid only while accOn; lazily re-zeroed on an object's first
-	// insertion of the epoch, like mark.
-	accBits []uint64
-	accOn   bool
 	// onAdd, when non-nil, observes every distinct object at insertion.
 	// SearchStream hooks verification here so matches emit while the filter
 	// is still collecting.
@@ -116,38 +96,17 @@ func NewCandidateSet(n int) *CandidateSet {
 	return &CandidateSet{mark: make([]uint32, n), epoch: 0}
 }
 
-// Reset empties the set in O(1) and disables accumulation (re-enable per
-// query with EnableAccum).
+// Reset empties the set in O(1).
 func (c *CandidateSet) Reset() {
 	c.epoch++
 	c.ids = c.ids[:0]
-	c.accOn = false
 	if c.epoch == 0 { // epoch wrapped: clear marks once every 2^32 resets
 		for i := range c.mark {
 			c.mark[i] = 0
 		}
-		// Partial scores from 2^32 resets ago must not alias the fresh
-		// epoch's marks: clear them with the same sweep (nil when no query
-		// ever accumulated).
-		for i := range c.accBits {
-			c.accBits[i] = 0
-		}
 		c.epoch = 1
 	}
 }
-
-// EnableAccum turns on the membership accumulator for the current epoch.
-// Call it right after Reset, before the filter scans. The first call pays
-// the accumulator array's allocation; subsequent queries reuse it.
-func (c *CandidateSet) EnableAccum() {
-	if c.accBits == nil {
-		c.accBits = make([]uint64, len(c.mark))
-	}
-	c.accOn = true
-}
-
-// Accumulating reports whether AddAcc marks are being recorded this epoch.
-func (c *CandidateSet) Accumulating() bool { return c.accOn }
 
 // Add inserts obj, ignoring duplicates.
 func (c *CandidateSet) Add(obj uint32) {
@@ -155,43 +114,10 @@ func (c *CandidateSet) Add(obj uint32) {
 		return
 	}
 	c.mark[obj] = c.epoch
-	if c.accOn {
-		c.accBits[obj] = 0
-	}
 	c.ids = append(c.ids, obj)
 	if c.onAdd != nil {
 		c.onAdd(obj)
 	}
-}
-
-// AddAcc inserts obj and, when accumulation is enabled, records that the
-// query's signature token at position bit is contained in obj's token set.
-// Filters may call it with any bit ordering; duplicate marks are idempotent.
-func (c *CandidateSet) AddAcc(obj uint32, bit uint32) {
-	if c.mark[obj] == c.epoch {
-		if c.accOn {
-			c.accBits[obj] |= 1 << (bit & 63)
-		}
-		return
-	}
-	c.mark[obj] = c.epoch
-	if c.accOn {
-		c.accBits[obj] = 1 << (bit & 63)
-	}
-	c.ids = append(c.ids, obj)
-	if c.onAdd != nil {
-		c.onAdd(obj)
-	}
-}
-
-// AccBits returns obj's accumulated membership marks for the current epoch.
-// Only meaningful for objects inserted since the last Reset while
-// accumulation was enabled.
-func (c *CandidateSet) AccBits(obj uint32) uint64 {
-	if !c.accOn || c.mark[obj] != c.epoch {
-		return 0
-	}
-	return c.accBits[obj]
 }
 
 // Contains reports whether obj is in the set.
@@ -254,9 +180,9 @@ func (s *SearchStats) Merge(other SearchStats) {
 // query methods share one contract: each takes a stop hook, which may be nil,
 // polls it between units of work, and when it fires returns the work done so
 // far and no error of its own — the caller that stopped it knows why.
-// A Searcher owns every per-query buffer (candidate set, accumulator,
-// scratch, match slice, ranking) so that steady-state threshold searches
-// allocate nothing and a top-k descent allocates only the ranking it returns.
+// A Searcher owns every per-query buffer (candidate set, scratch, match
+// slice, ranking) so that steady-state threshold searches allocate nothing
+// and a top-k descent allocates only the ranking it returns.
 // It is not safe for concurrent use; create one per goroutine (the dataset
 // and filters may be shared).
 type Searcher struct {
@@ -270,8 +196,6 @@ type Searcher struct {
 	// escape through the Filter interface call and cost one heap allocation
 	// per query.
 	stats SearchStats
-	// accum caches whether the filter certifies token memberships.
-	accum bool
 	// q is a top-k descent's copy of its query, whose thresholds the rounds
 	// move; ranked holds the descent's verified entries (see TopK).
 	q      model.Query
@@ -285,11 +209,7 @@ type Searcher struct {
 
 // NewSearcher pairs a dataset with a filter.
 func NewSearcher(ds *model.Dataset, f Filter) *Searcher {
-	s := &Searcher{ds: ds, filter: f, cs: NewCandidateSet(ds.Len())}
-	if a, ok := f.(simTAccumulator); ok {
-		s.accum = a.accumulatesSimT()
-	}
-	return s
+	return &Searcher{ds: ds, filter: f, cs: NewCandidateSet(ds.Len())}
 }
 
 // SetTrace attaches a span recorder: subsequent searches on this Searcher
@@ -319,16 +239,6 @@ func (s *Searcher) traceSpan(stage trace.Stage, start time.Time, dur time.Durati
 // Filter returns the searcher's filter.
 func (s *Searcher) Filter() Filter { return s.filter }
 
-// beginQuery readies the candidate set for q: reset, then arm the SimT
-// accumulator when the filter certifies memberships and the query's token
-// count fits the 64-bit marks.
-func (s *Searcher) beginQuery(q *model.Query) {
-	s.cs.Reset()
-	if s.accum && len(q.Tokens) <= 64 {
-		s.cs.EnableAccum()
-	}
-}
-
 // Search answers q: it collects candidates, verifies each against the exact
 // similarity thresholds, and returns matches sorted by object ID. limit
 // picks the verify order. With limit > 0 the candidates are verified in
@@ -348,7 +258,7 @@ func (s *Searcher) Search(q *model.Query, stop func() bool, limit int) ([]Match,
 	s.stats = SearchStats{}
 	st := &s.stats
 	start := time.Now()
-	s.beginQuery(q)
+	s.cs.Reset()
 	s.filter.Collect(q, s.cs, &st.FilterStats, stop, &s.scr)
 	st.Candidates = s.cs.Len()
 	st.FilterTime = time.Since(start)
@@ -408,10 +318,6 @@ func (s *Searcher) Search(q *model.Query, stop func() bool, limit int) ([]Match,
 // it computes both similarities and reports whether the row passes q's
 // thresholds. Streamed and materialized searches must agree on this
 // predicate exactly — the Stream==Search property tests depend on it.
-//
-// When the filter accumulated token memberships, SimT is reconstructed from
-// the marks (SimTAccum) instead of re-intersecting the token sets; the two
-// paths are bit-identical by construction, which the differential tests pin.
 func (s *Searcher) verify(q *model.Query, row model.ObjectID) (Match, bool) {
 	return s.verifyAt(q, row, q.TauR, q.TauT)
 }
@@ -424,12 +330,7 @@ func (s *Searcher) verifyAt(q *model.Query, row model.ObjectID, tauR, tauT float
 	if simR < tauR {
 		return Match{}, false
 	}
-	var simT float64
-	if s.cs.Accumulating() {
-		simT = s.ds.SimTAccum(q, row, s.cs.AccBits(uint32(row)))
-	} else {
-		simT = s.ds.SimT(q, row)
-	}
+	simT := s.ds.SimT(q, row)
 	if simT < tauT {
 		return Match{}, false
 	}

@@ -521,3 +521,136 @@ func TestCompressedBoundsCoverFlat(t *testing.T) {
 		}
 	}
 }
+
+// TestLargeQueryExact runs an 80-token query — wider than any machine word
+// of per-token marks — under every signature filter and checks the answer
+// against brute force, similarities included.
+func TestLargeQueryExact(t *testing.T) {
+	var b model.Builder
+	terms := make([]string, 80)
+	for i := range terms {
+		terms[i] = fmt.Sprintf("w%d", i)
+	}
+	region := geo.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
+	if _, err := b.Add(region, terms); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		sub := terms[i : i+40]
+		r := geo.Rect{MinX: float64(i), MinY: 0, MaxX: float64(i) + 10, MaxY: 10}
+		if _, err := b.Add(r, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ds.NewQuery(region, terms, 0.2, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Tokens) != 80 {
+		t.Fatalf("query should keep 80 known tokens, got %d", len(q.Tokens))
+	}
+	want := testutil.BruteForceAnswers(ds, q)
+	if len(want) == 0 {
+		t.Fatal("the query should have answers")
+	}
+	grid, err := core.NewGridFilter(ds, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashExact, err := core.NewHybridHashFilter(ds, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashBuckets, err := core.NewHybridHashFilter(ds, 16, 127)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier, err := core.NewHierarchicalFilter(ds, core.HierarchicalConfig{MaxLevel: 4, GridBudget: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []core.Filter{core.NewTokenFilter(ds), grid, hashExact, hashBuckets, hier} {
+		matches, _ := core.NewSearcher(ds, f).Search(q, nil, 0)
+		if len(matches) != len(want) {
+			t.Fatalf("%s: %d matches, want %d", f.Name(), len(matches), len(want))
+		}
+		for i, m := range matches {
+			if m.ID != want[i] || m.SimR != ds.SimR(q, m.ID) || m.SimT != ds.SimT(q, m.ID) {
+				t.Fatalf("%s: match %d: %+v disagrees with brute force", f.Name(), i, m)
+			}
+		}
+	}
+}
+
+// TestCandidateSetEpochWrap: wrapping the 32-bit epoch sweeps the mark
+// array, so the wrap empties the set and no mark from 2^32 resets ago
+// aliases the fresh epoch.
+func TestCandidateSetEpochWrap(t *testing.T) {
+	cs := core.NewCandidateSet(8)
+	cs.Reset()
+	cs.Add(3)
+	cs.Add(5)
+
+	core.ForceEpochWrap(cs)
+	cs.Reset() // wraps: epoch 2^32-1 → sweep → 1
+	if cs.Len() != 0 {
+		t.Fatal("wrap must empty the set")
+	}
+	for obj := uint32(0); obj < 8; obj++ {
+		if cs.Contains(obj) {
+			t.Fatalf("object %d survived the wrap", obj)
+		}
+	}
+
+	// The fresh epoch collects from scratch, duplicates dropped.
+	cs.Add(3)
+	cs.Add(3)
+	if cs.Len() != 1 || !cs.Contains(3) || cs.Contains(5) {
+		t.Fatalf("post-wrap set = %v, want [3]", cs.IDs())
+	}
+	cs.Reset()
+	if cs.Len() != 0 || cs.Contains(3) {
+		t.Fatal("a Reset after the wrap must empty the set")
+	}
+}
+
+// TestSearcherMatchBufferReuse documents the ownership contract: the slice
+// Search returns is reused by the next call on the same searcher, so
+// retained results must be copied.
+func TestSearcherMatchBufferReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ds, err := testutil.RandomDataset(rng, 200, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
+	var q *model.Query
+	var first []core.Match
+	for qi := 0; qi < 50; qi++ {
+		cand, err := testutil.RandomQuery(rng, ds, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, _ := s.Search(cand, nil, 0); len(m) > 0 {
+			q, first = cand, m
+			break
+		}
+	}
+	if q == nil {
+		t.Skip("no query with matches found")
+	}
+	snapshot := append([]core.Match(nil), first...)
+	again, _ := s.Search(q, nil, 0)
+	if &again[0] != &first[0] {
+		t.Fatal("Search should reuse its match buffer across calls")
+	}
+	for i := range snapshot {
+		if again[i] != snapshot[i] {
+			t.Fatalf("re-running the same query changed match %d: %+v vs %+v", i, again[i], snapshot[i])
+		}
+	}
+}

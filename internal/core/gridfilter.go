@@ -83,9 +83,7 @@ func (f *GridFilter) Name() string { return fmt.Sprintf("GridFilter(%d)", f.grid
 // Collect implements Filter. Lemma 1: simR(q,o) ≥ τR only if
 // Σ_{g∈SR(q)∩SR(o)} min(w(g|q), w(g|o)) ≥ τR·|q.R|, so prefix filtering on
 // the grid signatures is complete. The query's grid signature and prefix
-// weights live in the caller's scratch, so the scan is allocation free. Grid
-// cells prove spatial overlap only — never token membership — so this filter
-// does not accumulate SimT and verification re-intersects.
+// weights live in the caller's scratch, so the scan is allocation free.
 func (f *GridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch) {
 	cR, _ := Thresholds(q)
 	if cR <= 0 {

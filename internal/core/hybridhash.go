@@ -123,12 +123,6 @@ func (f *HybridHashFilter) Name() string {
 	return fmt.Sprintf("HybridFilter(%d)", f.grid.P)
 }
 
-// accumulatesSimT: with exact (token, cell) keys a posting in list (t, g)
-// certifies t ∈ o.T, so the scan can mark memberships. With hashing enabled
-// a bucket mixes colliding (token, cell) pairs and proves nothing, so the
-// hashed variant must not accumulate.
-func (f *HybridHashFilter) accumulatesSimT() bool { return f.buckets == 0 }
-
 // Collect implements Filter. Correctness follows from composing the textual
 // and spatial prefix arguments: a true answer o shares its first common
 // token t* with the query inside both token prefixes and its first common
@@ -149,7 +143,6 @@ func (f *HybridHashFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 	}
 	pR := invidx.PrefixLen(scr.gW, cR)
 
-	accum := f.buckets == 0 && cs.Accumulating()
 	slackR, slackT := invidx.Code(invidx.Slack(cR)), invidx.Code(invidx.Slack(cT))
 	retest := scr.retest(slackT)
 	// List (i, j) is cursor j·|tsig| + i, so the cursors grow with pR alone.
@@ -163,7 +156,7 @@ func (f *HybridHashFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 			if l.Len() == 0 {
 				continue
 			}
-			cur[j*len(tsig)+i].scanDual(&l, slackR, slackT, retest, cs, uint32(i), accum, st)
+			cur[j*len(tsig)+i].scanDual(&l, slackR, slackT, retest, cs, st)
 		}
 	}
 }

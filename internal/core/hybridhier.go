@@ -346,10 +346,6 @@ func (f *HierarchicalFilter) SizeBytes() int64 {
 	return f.idx.SizeBytes() + f.locs.sizeBytes()
 }
 
-// accumulatesSimT: hybrid elements are exact (token, grid) pairs, so every
-// posting in a probed list certifies its token's membership.
-func (f *HierarchicalFilter) accumulatesSimT() bool { return true }
-
 // Collect implements Filter. For each token in the query's textual prefix,
 // the query is projected onto that token's hierarchical grid set, a spatial
 // prefix is selected there (the grids are already in the global order), and
@@ -393,7 +389,7 @@ func (f *HierarchicalFilter) Collect(q *model.Query, cs *CandidateSet, st *Filte
 			if l.Len() == 0 {
 				continue
 			}
-			cur[j].scanDual(&l, slackR, slackT, retest, cs, uint32(i), true, st)
+			cur[j].scanDual(&l, slackR, slackT, retest, cs, st)
 		}
 	}
 }

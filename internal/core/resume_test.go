@@ -101,7 +101,7 @@ func resumeFilters(ds *model.Dataset) ([]core.Filter, error) {
 
 // TestTopKResumeMatchesRestart: over every filter family, α ∈ {0, ½, 1}, the
 // default and a low floor, K ∈ {1, 7, 50}, queries with unknown terms and
-// with more known tokens than the accumulator's 64 bits, the resumed descent
+// with more than 64 known tokens, the resumed descent
 // ranks, observes and stops exactly as the restarting one.
 func TestTopKResumeMatchesRestart(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
@@ -166,9 +166,6 @@ func TestTopKResumeMatchesRestart(t *testing.T) {
 							}
 						}
 					}
-				}
-				if len(r.terms) >= len(all) && s.Accumulated() {
-					t.Fatalf("seed %d %s request %d: accumulator armed for %d known tokens", seed, f.Name(), ri, len(wide.Tokens))
 				}
 				// An external bound that stops both descents after one, two
 				// or three rounds.

@@ -104,22 +104,19 @@ func (c *cursor) extend(l *invidx.List, slackR uint16, st *FilterStats) (from, t
 }
 
 // scanDual extends c over a dual-bound list and adds each gained row whose
-// textual code clears the slack code slackT to cs — with the membership mark
-// of bit when acc — and, on retest, every earlier head row too, since a lower
-// slackT can pass a row an earlier round held back.
-func (c *cursor) scanDual(l *invidx.List, slackR, slackT uint16, retest bool, cs *CandidateSet, bit uint32, acc bool, st *FilterStats) {
+// textual code clears the slack code slackT to cs — and, on retest, every
+// earlier head row too, since a lower slackT can pass a row an earlier round
+// held back.
+func (c *cursor) scanDual(l *invidx.List, slackR, slackT uint16, retest bool, cs *CandidateSet, st *FilterStats) {
 	from, to := c.extend(l, slackR, st)
 	skipped := int(c.skipped)
 	if retest && skipped > 0 {
 		from, skipped = 0, 0
 	}
 	for j := from; j < to; j++ {
-		switch {
-		case l.TCode(j) < slackT:
+		if l.TCode(j) < slackT {
 			skipped++
-		case acc:
-			cs.AddAcc(l.Obj(j), bit)
-		default:
+		} else {
 			cs.Add(l.Obj(j))
 		}
 	}

@@ -31,7 +31,7 @@ import (
 func (s *Searcher) SearchStream(q *model.Query, stop func() bool, emit func(Match) bool) SearchStats {
 	var st SearchStats
 	start := time.Now()
-	s.beginQuery(q)
+	s.cs.Reset()
 	stopped := false
 	s.cs.onAdd = func(obj uint32) {
 		if stopped {

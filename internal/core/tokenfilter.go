@@ -38,10 +38,6 @@ func NewTokenFilter(ds *model.Dataset) *TokenFilter {
 // Name implements Filter.
 func (f *TokenFilter) Name() string { return "TokenFilter" }
 
-// accumulatesSimT: every posting in list t certifies t ∈ o.T, so the scan
-// marks exact token memberships for verification.
-func (f *TokenFilter) accumulatesSimT() bool { return true }
-
 // Collect implements Filter. Objects can reach textual similarity τT only if
 // the weight of their tokens shared with the query is at least
 // cT = τT · Σ_{t∈q.T} w(t); prefix filtering retrieves exactly the objects
@@ -69,7 +65,7 @@ func (f *TokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats,
 		}
 		from, to := cur[i].extend(&l, slack, st)
 		for j := from; j < to; j++ {
-			cs.AddAcc(l.Obj(j), uint32(i))
+			cs.Add(l.Obj(j))
 		}
 	}
 }

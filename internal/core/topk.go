@@ -67,12 +67,14 @@ type TopKOptions struct {
 // Validate checks the option invariants and applies the documented floor
 // defaults (0 → 0.05) in place. TopK calls it internally; external callers
 // that derive work from the effective floors (e.g. shard pruning against
-// FloorR) call it first so both sides agree. It is idempotent.
+// FloorR) call it first so both sides agree. It is idempotent. The range
+// checks are written so that NaN, which compares false both ways, fails them:
+// a NaN score line never reaches the floors, and the descent would not end.
 func (o *TopKOptions) Validate() error {
 	if o.K < 1 {
 		return fmt.Errorf("core: top-k needs K >= 1, got %d", o.K)
 	}
-	if o.Alpha < 0 || o.Alpha > 1 {
+	if !(o.Alpha >= 0 && o.Alpha <= 1) {
 		return fmt.Errorf("core: alpha %g outside [0,1]", o.Alpha)
 	}
 	if o.FloorR == 0 {
@@ -81,7 +83,7 @@ func (o *TopKOptions) Validate() error {
 	if o.FloorT == 0 {
 		o.FloorT = 0.05
 	}
-	if o.FloorR < 0 || o.FloorR > 1 || o.FloorT < 0 || o.FloorT > 1 {
+	if !(o.FloorR >= 0 && o.FloorR <= 1) || !(o.FloorT >= 0 && o.FloorT <= 1) {
 		return fmt.Errorf("core: floors (%g, %g) outside (0,1]", o.FloorR, o.FloorT)
 	}
 	return nil
@@ -130,7 +132,7 @@ func (s *Searcher) TopK(q *model.Query, opts TopKOptions, stop func() bool) ([]S
 // ranking as a view of s.ranked, or nil once stop fires.
 func (s *Searcher) descend(opts *TopKOptions, stop func() bool, st *SearchStats) []ScoredMatch {
 	q := &s.q
-	s.beginQuery(q)
+	s.cs.Reset()
 	s.ranked = s.ranked[:0]
 	for score := 1.0; ; score /= 2 {
 		if stop != nil && stop() {

@@ -37,17 +37,32 @@ func bruteTopK(ds *model.Dataset, q *model.Query, opts core.TopKOptions) []core.
 	return out
 }
 
+// TestTopKValidation: every option outside its range fails Validate and
+// TopK alike — NaN included, which a comparison-based range check lets
+// through unless it is written to fail on NaN.
 func TestTopKValidation(t *testing.T) {
 	ds, q := paperSetup(t)
 	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
-	if _, _, err := s.TopK(q, core.TopKOptions{K: 0}, nil); err == nil {
-		t.Error("K=0 should fail")
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		opts core.TopKOptions
+	}{
+		{"K=0", core.TopKOptions{K: 0}},
+		{"alpha > 1", core.TopKOptions{K: 1, Alpha: 1.5}},
+		{"negative floor", core.TopKOptions{K: 1, FloorR: -0.1}},
+		{"NaN alpha", core.TopKOptions{K: 1, Alpha: nan}},
+		{"NaN FloorR", core.TopKOptions{K: 1, Alpha: 0.5, FloorR: nan}},
+		{"NaN FloorT", core.TopKOptions{K: 1, Alpha: 0.5, FloorT: nan}},
 	}
-	if _, _, err := s.TopK(q, core.TopKOptions{K: 1, Alpha: 1.5}, nil); err == nil {
-		t.Error("alpha > 1 should fail")
-	}
-	if _, _, err := s.TopK(q, core.TopKOptions{K: 1, FloorR: -0.1}, nil); err == nil {
-		t.Error("negative floor should fail")
+	for _, c := range cases {
+		opts := c.opts
+		if err := opts.Validate(); err == nil {
+			t.Errorf("%s: Validate should fail", c.name)
+		}
+		if _, _, err := s.TopK(q, c.opts, nil); err == nil {
+			t.Errorf("%s: TopK should fail", c.name)
+		}
 	}
 }
 

@@ -10,14 +10,15 @@ import (
 )
 
 // BenchmarkShardSearch is the shard rung of the in-process ladder: one
-// shard's searcher answering the benchmark's three threshold shapes, with no
-// HTTP, scheduling or merge around it. The corpus is gen.Twitter{N: 50000,
-// Seed: 42} in 4 shards under Seal at its defaults, and each shape is 400
-// queries (query seed 7) shaped as in TestGoldenWorkCounts: τ 0.4 on large
-// regions (thin), τ 0.02 on small ones (scan), τ 0.005 on large regions
-// widened to 1500 km² (fat). One op is one query on shard 0; filter-ns/op and
-// verify-ns/op split it as SearchStats does, and the work counts per op show
-// two trees compared did the same work.
+// shard's searcher answering the benchmark's three threshold shapes and its
+// ranked one, with no HTTP, scheduling or merge around it. The corpus is
+// gen.Twitter{N: 50000, Seed: 42} in 4 shards under Seal at its defaults, and
+// each shape is 400 queries (query seed 7) shaped as in TestGoldenWorkCounts:
+// τ 0.4 on large regions (thin), τ 0.02 on small ones (scan), τ 0.005 on
+// large regions widened to 1500 km² (fat), and thin's queries ranked with
+// K 10 and Alpha 0.5 at the default floors (topk). One op is one query on
+// shard 0; filter-ns/op and verify-ns/op split it as SearchStats does, and
+// the work counts per op show two trees compared did the same work.
 //
 //	GOMAXPROCS=1 go test -run '^$' -bench ShardSearch -count 10 ./internal/engine
 func BenchmarkShardSearch(b *testing.B) {
@@ -43,10 +44,12 @@ func BenchmarkShardSearch(b *testing.B) {
 		name string
 		cfg  gen.QueryConfig
 		tau  float64
+		topk bool
 	}{
-		{"thin", gen.LargeRegionConfig(n, seed), 0.4},
-		{"scan", gen.SmallRegionConfig(n, seed), 0.02},
-		{"fat", wide, 0.005},
+		{"thin", gen.LargeRegionConfig(n, seed), 0.4, false},
+		{"scan", gen.SmallRegionConfig(n, seed), 0.02, false},
+		{"fat", wide, 0.005, false},
+		{"topk", gen.LargeRegionConfig(n, seed), 0.4, true},
 	}
 	shard := e.shards[0]
 	for _, sh := range shapes {
@@ -67,7 +70,14 @@ func BenchmarkShardSearch(b *testing.B) {
 			var postings, candidates, matches int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st := sr.Search(qs[i%len(qs)], nil, 0)
+				var st core.SearchStats
+				if sh.topk {
+					if _, st, err = sr.TopK(qs[i%len(qs)], core.TopKOptions{K: 10, Alpha: 0.5}, nil); err != nil {
+						b.Fatal(err)
+					}
+				} else {
+					_, st = sr.Search(qs[i%len(qs)], nil, 0)
+				}
 				filter += st.FilterTime
 				verify += st.VerifyTime
 				postings += st.PostingsScanned

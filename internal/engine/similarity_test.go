@@ -1,11 +1,9 @@
 package engine
 
-// Sharded differential test for the scan-time SimT accumulator: per-shard
-// filters accumulate different membership marks (a shard's hierarchical
-// grids, cutoffs and candidate sets all differ from the monolithic index's),
-// yet every similarity any shard reports must still equal the CommonWeight-
-// derived SimT bit for bit — that is what keeps scatter-gather results
-// identical to the monolithic search.
+// Sharded differential test for verification: each shard verifies its
+// candidates against its own row range, yet every similarity any shard
+// reports must equal the root dataset's bit for bit — that is what keeps
+// scatter-gather results identical to the monolithic search.
 
 import (
 	"context"
@@ -17,7 +15,7 @@ import (
 	"github.com/sealdb/seal/internal/testutil"
 )
 
-func TestShardedAccumulatedSimTDifferential(t *testing.T) {
+func TestShardedSimilaritiesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260729))
 	ds, err := testutil.RandomDataset(rng, 260, 40)
 	if err != nil {
@@ -66,7 +64,7 @@ func TestShardedAccumulatedSimTDifferential(t *testing.T) {
 					}
 					for _, m := range matches {
 						if want := ds.SimT(q, m.ID); m.SimT != want {
-							t.Fatalf("shards=%d query %d: object %d SimT %v != CommonWeight SimT %v",
+							t.Fatalf("shards=%d query %d: object %d SimT %v != exact SimT %v",
 								shards, qi, m.ID, m.SimT, want)
 						}
 						if want := ds.SimR(q, m.ID); m.SimR != want {

@@ -273,9 +273,6 @@ type Query struct {
 	TauR, TauT  float64
 
 	area float64
-	// sigRank[j] is the position of Tokens[j] in SigTokens: the accumulator
-	// bit a filter sets when it proves Tokens[j] ∈ o.T during a scan.
-	sigRank []uint32
 }
 
 // ErrThreshold reports an out-of-range similarity threshold.
@@ -291,7 +288,8 @@ func (ds *Dataset) NewQuery(region geo.Rect, terms []string, tauR, tauT float64)
 	if !region.Valid() {
 		return nil, fmt.Errorf("model: invalid query region %v", region)
 	}
-	if tauR <= 0 || tauR > 1 || tauT <= 0 || tauT > 1 {
+	// Written so that a NaN threshold fails: it compares false both ways.
+	if !(tauR > 0 && tauR <= 1) || !(tauT > 0 && tauT <= 1) {
 		return nil, fmt.Errorf("%w (got tauR=%g, tauT=%g)", ErrThreshold, tauR, tauT)
 	}
 	q := &Query{Region: region, TauR: tauR, TauT: tauT, area: region.Area()}
@@ -318,28 +316,13 @@ func (ds *Dataset) NewQuery(region geo.Rect, terms []string, tauR, tauT float64)
 }
 
 // compileSignature precomputes the signature-ordered token view filters probe
-// with, plus the ascending→signature position map the scan-time accumulator
-// uses as bit indexes.
+// with.
 func (ds *Dataset) compileSignature(q *Query) {
 	q.SigTokens = append([]text.TokenID(nil), q.Tokens...)
 	ds.vocab.SortBySignatureOrder(q.SigTokens)
 	q.SigWeights = make([]float64, len(q.SigTokens))
 	for i, t := range q.SigTokens {
 		q.SigWeights[i] = ds.weights[t]
-	}
-	q.sigRank = make([]uint32, len(q.Tokens))
-	for i, t := range q.SigTokens {
-		// Tokens is ascending and duplicate-free; find t's ascending slot.
-		lo, hi := 0, len(q.Tokens)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if q.Tokens[mid] < t {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		q.sigRank[lo] = uint32(i)
 	}
 }
 
@@ -381,37 +364,6 @@ func (ds *Dataset) SimT(q *Query, row ObjectID) float64 {
 		return text.WeightedCosine(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[row])
 	default:
 		return text.WeightedJaccard(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[row])
-	}
-}
-
-// SimTAccum is the accumulate-then-verify fast path for SimT: bits marks
-// which signature positions (see Query.SigTokens) a filter proved to be in
-// the row's token set while scanning postings. Proven tokens skip the
-// membership probe entirely; the rest fall back to a binary search. The
-// result is bit-identical to SimT: the common weight sums the same members
-// in the same ascending-token order CommonWeight uses, and the final formula
-// is shared through text's FromCommon helpers.
-//
-// bits is only meaningful for queries with at most 64 known tokens; larger
-// queries (which cannot be accumulated) fall back to SimT.
-func (ds *Dataset) SimTAccum(q *Query, row ObjectID, bits uint64) float64 {
-	if len(q.Tokens) > 64 {
-		return ds.SimT(q, row)
-	}
-	o := ds.tokIDs[ds.tokOff[row]:ds.tokOff[row+1]]
-	var common float64
-	for j, t := range q.Tokens {
-		if bits&(1<<q.sigRank[j]) != 0 || text.Contains(o, t) {
-			common += ds.weights[t]
-		}
-	}
-	switch ds.textualSim {
-	case TextDice:
-		return text.DiceFromCommon(common, q.TotalWeight, ds.totalW[row])
-	case TextCosine:
-		return text.CosineFromCommon(common, q.TotalWeight, ds.totalW[row])
-	default:
-		return text.JaccardFromCommon(common, q.TotalWeight, ds.totalW[row])
 	}
 }
 

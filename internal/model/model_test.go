@@ -76,6 +76,12 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := ds.NewQuery(paperdata.QueryRegion, paperdata.QueryTerms, 0.3, 1.5); !errors.Is(err, model.ErrThreshold) {
 		t.Errorf("tauT>1 should be rejected, got %v", err)
 	}
+	if _, err := ds.NewQuery(paperdata.QueryRegion, paperdata.QueryTerms, math.NaN(), 0.3); !errors.Is(err, model.ErrThreshold) {
+		t.Errorf("tauR=NaN should be rejected, got %v", err)
+	}
+	if _, err := ds.NewQuery(paperdata.QueryRegion, paperdata.QueryTerms, 0.3, math.NaN()); !errors.Is(err, model.ErrThreshold) {
+		t.Errorf("tauT=NaN should be rejected, got %v", err)
+	}
 	bad := geo.Rect{MinX: 10, MinY: 0, MaxX: 0, MaxY: 10}
 	if _, err := ds.NewQuery(bad, paperdata.QueryTerms, 0.3, 0.3); err == nil {
 		t.Errorf("inverted region should be rejected")

@@ -497,6 +497,20 @@ func TestBadRequests(t *testing.T) {
 			})
 		}
 	}
+
+	// NaN cannot travel in JSON, but /v1/stream's query string parses it.
+	// A NaN that got past validation would run the top-k descent until the
+	// request timed out (504) or answer 200 with nothing.
+	for _, tc := range []struct{ name, query string }{
+		{"alpha-NaN", "k=2&alpha=NaN"},
+		{"floor_r-NaN", "k=2&alpha=0.5&floor_r=NaN"},
+		{"tau_r-NaN", "tau_r=NaN&tau_t=NaN"},
+	} {
+		t.Run("stream/"+tc.name, func(t *testing.T) {
+			resp, err := ts.Client().Get(ts.URL + "/v1/stream?rect=0,0,1,1&tokens=a&" + tc.query)
+			want400(t, resp, err)
+		})
+	}
 }
 
 // streamValues is wr as /v1/stream's query string.

@@ -29,31 +29,9 @@ func CommonWeight(a, b []TokenID, w []float64) float64 {
 
 // WeightedJaccard returns Σ_{a∩b} w / Σ_{a∪b} w, taking precomputed total
 // weights of each set (wa = Σ_a w, wb = Σ_b w) to avoid re-summation. When
-// the union weight is zero the similarity is zero.
+// the union weight is non-positive the similarity is zero.
 func WeightedJaccard(a, b []TokenID, w []float64, wa, wb float64) float64 {
-	return JaccardFromCommon(CommonWeight(a, b, w), wa, wb)
-}
-
-// WeightedDice returns 2·Σ_{a∩b} w / (Σ_a w + Σ_b w).
-func WeightedDice(a, b []TokenID, w []float64, wa, wb float64) float64 {
-	return DiceFromCommon(CommonWeight(a, b, w), wa, wb)
-}
-
-// WeightedCosine returns Σ_{a∩b} w / sqrt(Σ_a w · Σ_b w), treating each set
-// as a binary weighted vector.
-func WeightedCosine(a, b []TokenID, w []float64, wa, wb float64) float64 {
-	return CosineFromCommon(CommonWeight(a, b, w), wa, wb)
-}
-
-// The FromCommon forms below are the single source of truth for turning an
-// intersection weight into a similarity. The accumulate-then-verify fast
-// path (model.Dataset.SimTAccum) reconstructs the common weight without a
-// sorted merge and must land on bit-identical similarities, so it shares
-// these exact operations with the Weighted* functions.
-
-// JaccardFromCommon returns common / (wa + wb − common), or 0 when the union
-// weight is non-positive.
-func JaccardFromCommon(common, wa, wb float64) float64 {
+	common := CommonWeight(a, b, w)
 	union := wa + wb - common
 	if union <= 0 {
 		return 0
@@ -61,36 +39,20 @@ func JaccardFromCommon(common, wa, wb float64) float64 {
 	return common / union
 }
 
-// DiceFromCommon returns 2·common / (wa + wb), or 0 when the total weight is
-// non-positive.
-func DiceFromCommon(common, wa, wb float64) float64 {
+// WeightedDice returns 2·Σ_{a∩b} w / (Σ_a w + Σ_b w), or 0 when the total
+// weight is non-positive.
+func WeightedDice(a, b []TokenID, w []float64, wa, wb float64) float64 {
 	if wa+wb <= 0 {
 		return 0
 	}
-	return 2 * common / (wa + wb)
+	return 2 * CommonWeight(a, b, w) / (wa + wb)
 }
 
-// CosineFromCommon returns common / sqrt(wa·wb), or 0 when either total is
-// non-positive.
-func CosineFromCommon(common, wa, wb float64) float64 {
+// WeightedCosine returns Σ_{a∩b} w / sqrt(Σ_a w · Σ_b w), treating each set
+// as a binary weighted vector, or 0 when either total is non-positive.
+func WeightedCosine(a, b []TokenID, w []float64, wa, wb float64) float64 {
 	if wa <= 0 || wb <= 0 {
 		return 0
 	}
-	return common / math.Sqrt(wa*wb)
-}
-
-// Contains reports whether sorted ascending set a contains t, by binary
-// search. It is the membership probe of the accumulator fast path: cheaper
-// than a merge when only a few residual tokens need checking.
-func Contains(a []TokenID, t TokenID) bool {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(a) && a[lo] == t
+	return CommonWeight(a, b, w) / math.Sqrt(wa*wb)
 }

@@ -49,21 +49,22 @@ type Request struct {
 func (r Request) Ranked() bool { return r.K != 0 }
 
 // validate catches malformed requests at the API boundary, before any
-// engine work starts.
+// engine work starts. Each range check is written so that NaN, which
+// compares false both ways, fails it.
 func (r Request) validate() error {
 	if r.K < 0 {
 		return fmt.Errorf("seal: %w: ranked request needs K >= 1, got %d", ErrInvalidRequest, r.K)
 	}
 	if r.K > 0 {
-		if r.Alpha < 0 || r.Alpha > 1 {
+		if !(r.Alpha >= 0 && r.Alpha <= 1) {
 			return fmt.Errorf("seal: %w: ranked request Alpha = %g outside [0, 1]", ErrInvalidRequest, r.Alpha)
 		}
-		if r.FloorR < 0 || r.FloorR > 1 || r.FloorT < 0 || r.FloorT > 1 {
+		if !(r.FloorR >= 0 && r.FloorR <= 1) || !(r.FloorT >= 0 && r.FloorT <= 1) {
 			return fmt.Errorf("seal: %w: ranked request floors (%g, %g) outside [0, 1]", ErrInvalidRequest, r.FloorR, r.FloorT)
 		}
 		return nil
 	}
-	if r.TauR <= 0 || r.TauR > 1 || r.TauT <= 0 || r.TauT > 1 {
+	if !(r.TauR > 0 && r.TauR <= 1) || !(r.TauT > 0 && r.TauT <= 1) {
 		return fmt.Errorf("seal: %w: threshold request needs TauR and TauT in (0, 1], got (%g, %g)", ErrInvalidRequest, r.TauR, r.TauT)
 	}
 	return nil

@@ -9,10 +9,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/sealdb/seal"
 	"github.com/sealdb/seal/internal/model"
@@ -86,12 +88,16 @@ func TestRequestValidation(t *testing.T) {
 
 // TestInvalidRequestSentinel: every error a request's own content causes —
 // its fields, its options, its order, its region on either query path —
-// wraps ErrInvalidRequest through Query, Stream and QueryBatch alike.
+// wraps ErrInvalidRequest through Query, Stream and QueryBatch alike. A NaN
+// in any range-checked field is one such error; each case runs under a short
+// deadline, because a NaN Alpha or floor that got past validation would send
+// the top-k descent into a loop that never reaches its floors.
 func TestInvalidRequestSentinel(t *testing.T) {
 	ix := queryTestIndex(t, 60, seal.WithShards(2))
 	region := seal.Rect{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50}
 	inverted := seal.Rect{MinX: 50, MinY: 50, MaxX: 0, MaxY: 0}
 	ok := seal.Request{Region: region, Tokens: []string{"t1"}, TauR: 0.2, TauT: 0.2}
+	nan := math.NaN()
 	cases := []struct {
 		name string
 		req  seal.Request
@@ -105,10 +111,16 @@ func TestInvalidRequestSentinel(t *testing.T) {
 		{"negative Offset", ok, []seal.QueryOption{seal.Offset(-1)}},
 		{"timeout without partial", ok, []seal.QueryOption{seal.ShardTimeout(1)}},
 		{"score order", ok, []seal.QueryOption{seal.OrderByScore()}},
+		{"NaN TauR", seal.Request{Region: region, Tokens: []string{"t1"}, TauR: nan, TauT: 0.2}, nil},
+		{"NaN TauT", seal.Request{Region: region, Tokens: []string{"t1"}, TauR: 0.2, TauT: nan}, nil},
+		{"NaN Alpha", seal.Request{Region: region, Tokens: []string{"t1"}, K: 2, Alpha: nan}, nil},
+		{"NaN FloorR", seal.Request{Region: region, Tokens: []string{"t1"}, K: 2, Alpha: 0.5, FloorR: nan}, nil},
+		{"NaN FloorT", seal.Request{Region: region, Tokens: []string{"t1"}, K: 2, Alpha: 0.5, FloorT: nan}, nil},
 	}
-	ctx := context.Background()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
 			if _, err := ix.Query(ctx, c.req, c.opts...); !errors.Is(err, seal.ErrInvalidRequest) {
 				t.Errorf("Query: %v, want ErrInvalidRequest", err)
 			}
@@ -123,7 +135,7 @@ func TestInvalidRequestSentinel(t *testing.T) {
 			}
 		})
 	}
-	canceled, cancel := context.WithCancel(ctx)
+	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := ix.Query(canceled, ok); err == nil || errors.Is(err, seal.ErrInvalidRequest) {
 		t.Errorf("canceled valid query: %v, want the context's error alone", err)
