@@ -213,8 +213,9 @@
 // There is no snapshot to decode and no gob: Open maps dataset.seg and
 // serves the per-object columns in place — a shard is a range of their rows,
 // not a copy — and MethodSeal's per-token grid selections are read back off each
-// segment's key column (a token's run of nodes is its selection, and a grid's
-// rank in the token's global order follows from the list lengths). When dir
+// segment's key column (a token's run of nodes is its selection, and a query
+// orders the grids it projects onto by their list lengths, so nothing is
+// derived at open). When dir
 // already matches the objects, their token weights and the configuration (by
 // a fingerprint over the objects in ID order), Build memory-maps the segments
 // and serves the mapped dataset instead of re-indexing; Open

@@ -45,7 +45,7 @@ func SelectGranularity(ds *model.Dataset, workload []*model.Query, maxLevel int,
 	if maxLevel < 0 {
 		return res, fmt.Errorf("core: maxLevel %d must be non-negative", maxLevel)
 	}
-	if benefit <= 0 {
+	if !(benefit > 0) {
 		return res, fmt.Errorf("core: benefit threshold %g must be positive", benefit)
 	}
 	prevCost := 0.0

@@ -27,9 +27,8 @@ import (
 type HierarchicalFilter struct {
 	sigIndex
 	tree *gridtree.Tree
-	// locs locates every token's selected grids and their positions in the
-	// token's global order (ascending level, then ascending count, then node
-	// ID), derived from idx's keys and list lengths.
+	// locs locates every token's selected grids in idx's key column; a
+	// projection orders them by idx's list lengths (see sortHits).
 	locs *tokenLocators
 }
 
@@ -206,12 +205,11 @@ type hierWorker struct {
 	run     invidx.Run
 	err     error
 
-	// The token being built: its grids and, per grid, its count and
-	// global-order position (order is rankGrids' scratch), and every region's
-	// hits on the grids, region i's ending at hitEnd[i].
-	nodes              []uint32
-	counts, pos, order []int32
-	hitEnd             []int
+	// The token being built: its grids and, per grid, its count, and every
+	// region's hits on the grids, region i's ending at hitEnd[i].
+	nodes  []uint32
+	counts []int32
+	hitEnd []int
 }
 
 // buildToken selects token t's grids, generates every posting of I(t)'s
@@ -220,13 +218,13 @@ type hierWorker struct {
 // bound, ties by ascending object. A token none of
 // whose regions overlaps the space gets no lists.
 //
-// The grids' global order ranks them by count(g) taken as the number of
-// regions that post to g, i.e. the length of g's list, not by the count HSS
-// selected with: the two agree except where a region touches a cell by a
-// rounding sliver, and the list lengths are what an opened segment can read
-// back (deriveLocators), so bounds and queries share one order by
-// construction. That takes two passes: project everything to learn the
-// lengths, rank, then bound each region's hits in rank order.
+// The grids' global order takes count(g) as the number of regions that post
+// to g, i.e. the length of g's list, not the count HSS selected with: the two
+// agree except where a region touches a cell by a rounding sliver, and the
+// list lengths are what a query reads off the index (gridLocator.project), so
+// bounds and queries share one order by construction. That takes two passes:
+// project everything to learn the lengths, then bound each region's hits in
+// global order.
 func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.TokenID, tp []tokenPosting, mt int) error {
 	wk.rects = wk.rects[:0]
 	for _, p := range tp {
@@ -240,11 +238,10 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.
 		return nil
 	}
 	slices.SortFunc(grids, func(a, b hss.Grid) int { return cmp.Compare(a.Node, b.Node) })
-	wk.nodes, wk.counts, wk.pos = wk.nodes[:0], wk.counts[:0], wk.pos[:0]
+	wk.nodes, wk.counts = wk.nodes[:0], wk.counts[:0]
 	for _, g := range grids {
 		wk.nodes = append(wk.nodes, uint32(g.Node))
 		wk.counts = append(wk.counts, 0)
-		wk.pos = append(wk.pos, 0)
 	}
 	loc := gridLocator{tree: tree, nodes: wk.nodes} // a hit's list is its node's index
 	wk.hits, wk.hitEnd = wk.hits[:0], wk.hitEnd[:0]
@@ -255,7 +252,6 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.
 	for _, h := range wk.hits {
 		wk.counts[h.list]++
 	}
-	rankGrids(wk.nodes, wk.counts, wk.pos, &wk.order)
 
 	// Per-object spatial signature over this token's grid set.
 	wk.entries = wk.entries[:0]
@@ -264,7 +260,7 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.
 		hits := wk.hits[lo:wk.hitEnd[i]]
 		lo = wk.hitEnd[i]
 		for j := range hits {
-			hits[j].idx = wk.pos[hits[j].list]
+			hits[j].n = wk.counts[hits[j].list]
 		}
 		sortHits(hits)
 		wk.gW = wk.gW[:0]
@@ -341,10 +337,8 @@ func openHierarchicalFilter(ds *model.Dataset, spec FilterSpec, src *invidx.Comp
 func (f *HierarchicalFilter) Name() string { return "Seal" }
 
 // SizeBytes implements Filter: the posting lists, whose key column the grid
-// locators work on, plus the locators' ranks.
-func (f *HierarchicalFilter) SizeBytes() int64 {
-	return f.idx.SizeBytes() + f.locs.sizeBytes()
-}
+// locators work on and whose list lengths order their projections.
+func (f *HierarchicalFilter) SizeBytes() int64 { return f.idx.SizeBytes() }
 
 // Collect implements Filter. For each token in the query's textual prefix,
 // the query is projected onto that token's hierarchical grid set, a spatial
@@ -371,7 +365,7 @@ func (f *HierarchicalFilter) Collect(q *model.Query, cs *CandidateSet, st *Filte
 		if i == len(scr.toks) {
 			lo := len(scr.hits)
 			if loc, ok := f.locs.of(t); ok {
-				scr.hits = loc.project(q.Region, scr.hits)
+				scr.hits = loc.project(q.Region, f.idx, scr.hits)
 			}
 			for _, h := range scr.hits[lo:] {
 				scr.gW = append(scr.gW, h.w)

@@ -22,21 +22,7 @@ import (
 //
 //	GOMAXPROCS=1 go test -run '^$' -bench ShardSearch -count 10 ./internal/engine
 func BenchmarkShardSearch(b *testing.B) {
-	ds, err := gen.Twitter(gen.TwitterConfig{N: 50000, Seed: 42})
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := core.FilterSpec{
-		Kind:       "seal",
-		MaxLevel:   core.DefaultHierarchicalConfig.MaxLevel,
-		GridBudget: core.DefaultHierarchicalConfig.GridBudget,
-	}
-	e, err := Build(ds, Config{Shards: 4, NewFilter: func(sds *model.Dataset) (core.Filter, error) {
-		return core.BuildFilter(sds, spec)
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds, e := shardRung(b)
 	const n, seed = 400, 7
 	wide := gen.LargeRegionConfig(n, seed)
 	wide.MeanArea = 1500

@@ -1,6 +1,7 @@
 package seal_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -47,6 +48,14 @@ func TestAutoGranularityValidation(t *testing.T) {
 	// An empty sample is equally rejected.
 	if _, err := seal.Build(paperObjects(), seal.WithAutoGranularity(nil, 4, 1)); err == nil {
 		t.Fatal("empty auto-granularity sample should fail")
+	}
+	// So is a benefit threshold that is not positive — NaN included, which
+	// a `<= 0` check lets through.
+	good := []seal.Request{paperQuery()}
+	for _, benefit := range []float64{0, -1, math.NaN()} {
+		if _, err := seal.Build(paperObjects(), seal.WithAutoGranularity(good, 6, benefit)); err == nil {
+			t.Fatalf("auto-granularity benefit %g should fail", benefit)
+		}
 	}
 }
 
