@@ -121,10 +121,11 @@
 // of candidate rows, and verification computes each one's exact similarities,
 // SimT by one sorted merge of the query's and the object's token sets.
 // Posting lists are quantized fixed-width columns in one blob (see Storage)
-// and are reached by position; the methods that look lists up by key keep a
-// key array and an open-addressed directory over it for an O(1) lookup,
-// while MethodSeal, whose grid locator already holds the position of every
-// list it wants, keeps only each token's run of 32-bit grid nodes. Every per-query buffer belongs to a reusable per-shard searcher, so
+// and are reached by position. Every method names them in one key column, a
+// run of 32-bit nodes per group: the methods that look lists up by key
+// select the group's run and binary-search it, while MethodSeal's grid
+// locator already holds the position of every list it wants. Every per-query
+// buffer belongs to a reusable per-shard searcher, so
 // steady-state threshold queries allocate nothing. A ranked
 // request compiles one query, and each shard's threshold descent resumes
 // rather than restarts. Every round collects into one candidate set, and
@@ -200,12 +201,13 @@
 // (a header, a section table, and page-aligned little-endian sections, each
 // CRC-checksummed): shard-N.seg, one SEALIDX2 file per shard with the
 // posting lists (the quantized rows under their unary extent table) behind
-// their key column — for the methods that look lists up by key
-// (token, grid, hybrid-hash) the 64-bit keys and a hash directory of two slots
-// a key, 16 bytes and a bit of metadata a compressed list; for MethodSeal,
-// which reaches its lists by position, a unary table of token runs over
-// 32-bit grid nodes, a node and two bits a compressed list on an index of
-// very many one-posting lists; dataset.seg, the objects as columns in
+// their key column, the same for every method: each list is named by a
+// (group, node) pair — a token list by (token, 0), a grid list by the (row,
+// column) of its cell, a hybrid-hash list by (token, cell) or (bucket, 0), a
+// MethodSeal list by (token, grid node) — and stored as a unary table of
+// group runs over 32-bit nodes, a node and two bits of metadata a compressed
+// list (a probe selects the group's run and binary-searches it);
+// dataset.seg, the objects as columns in
 // shard-major Z-order (regions, one CSR token arena), the row→ID column, the
 // shard row bounds, the vocabulary with its weights and multi-region
 // footprints; and manifest.json, written last so interrupted saves are never
@@ -220,9 +222,10 @@
 // a fingerprint over the objects in ID order), Build memory-maps the segments
 // and serves the mapped dataset instead of re-indexing; Open
 // boots an index purely from dir. A directory of an older layout version — by
-// its manifest, or by the version or retired posting layout (the raw float64
-// arenas earlier releases could write) of a posting segment under a current
-// manifest — reads as ErrManifestMismatch from Open and as stale — rebuilt and
+// its manifest, or by the version or retired layout of a posting segment
+// under a current manifest (the raw float64 arenas, or the uint64 key array
+// and hash directory the token, grid and hybrid-hash methods once wrote) —
+// reads as ErrManifestMismatch from Open and as stale — rebuilt and
 // overwritten — from Build; it is never quarantined shard by shard. Mapped
 // indexes should be Closed when done. Close may race Query, QueryBatch and
 // Stream: calls already admitted finish first (so do shard searches a

@@ -42,9 +42,15 @@ var goldenSegmentDigests = map[string]string{
 
 // goldenFlavours are the builds whose segment directories are pinned: the
 // production one above, and the other kinds on the same corpus at 2 shards —
-// single-bound token and grid, dual-bound hybrid-hash — which look lists up by
-// key and keep their key array and directory. Every index serves and saves
-// quantized postings whatever its options, so no flavour names a layout.
+// single-bound token and grid, dual-bound hybrid-hash. Every index serves and
+// saves quantized postings whatever its options, so no flavour names a
+// layout. The other kinds' posting segments were last re-recorded when their
+// key column became Seal's: a run table over 32-bit nodes — token lists named
+// (token, 0), grid lists (row, column), hybrid-hash lists (token, cell) — in
+// place of a uint64 key a list and a hash directory over them. The same
+// lists hold the same postings in the same order; only the key sections
+// changed. Their manifests and dataset segments, and Seal's files, did not
+// move.
 var goldenFlavours = []struct {
 	name    string
 	opts    []seal.Option
@@ -54,20 +60,20 @@ var goldenFlavours = []struct {
 	{"token/quantized", []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
 		"manifest.json": "7a0c5c4631cc354c8dec21d886382699c86ac7e74457f72fbd3e469c93e0d759",
-		"shard-0.seg":   "282e443666c92a21b3f9a519c2f0185c13907885603d50e947919376a3aa6688",
-		"shard-1.seg":   "8a0111bc727d3dd8a6d40adc404c1209ee2d99830c2d2e73993f038982fe83de",
+		"shard-0.seg":   "0811d07ce09a8344e2b29d20220c87ce5b793cbe007df14aa393ddb6395c097e",
+		"shard-1.seg":   "4d1423b131204712e83fc5ad41733fdbd9ee9441565a4b6f444eae2a8598f47b",
 	}},
 	{"grid/quantized", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
 		"manifest.json": "2287ad429c855d576c29b4c4fa0e67a1db21669cdf70eb9a3b86ebe9e0599373",
-		"shard-0.seg":   "3394831065457c6e04d4ee775af0f88740a5ca8c924de1523e48b6e46d456138",
-		"shard-1.seg":   "5ed9cfda3cf0c1e1657a12ccb80cfcc31e33493c4bcdfabf5af7ab4048d7fe88",
+		"shard-0.seg":   "77adffe58d2181c862b087782d51dd5a7fd305143b8463c204ef0fa03a19ae4b",
+		"shard-1.seg":   "daeb6b82915b7d3523802884f10fd078c7dee44124c6939c31a1362185a699ed",
 	}},
 	{"hybrid-hash/quantized", []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
 		"manifest.json": "2a9f04c880d8fb5f12fc11d9a5a5a70407ea92b2f5dcd5b6a9ffc1eed45ee2ec",
-		"shard-0.seg":   "f003e5d0170be920cc2d0bbe736d6f9d8d70ec756f2b90c43bf77e8d8e65fe46",
-		"shard-1.seg":   "013a787bf5a9405ad1a1e343896f91478f36437392d57522ec8590323f080367",
+		"shard-0.seg":   "00751c9ac749920efde5886bdea228da1b43a09a1257cfe6de3e1d2321473d64",
+		"shard-1.seg":   "a03999b59fef8151e7f7b47d0b9a5bde1669ef4af00ae7a3158a5efdba0a7d7f",
 	}},
 }
 
@@ -182,11 +188,9 @@ func TestSegmentBytesBudget(t *testing.T) {
 }
 
 // TestSegmentSectionTables pins which sections a posting segment carries, by
-// the ids of diskidx/segment.go: a Seal shard is runs/nodes/offs/blob — a run
-// table over 32-bit nodes, no key array and no key directory, its lists being
-// reached by position — and the kinds that look lists up by key open with
-// their keys (1) and end with the directory (6). No kind writes the retired
-// raw sections 2–5.
+// the ids of diskidx/segment.go: every kind's shard is runs/nodes/offs/blob —
+// a run table over 32-bit nodes, no key array and no key directory. No kind
+// writes the retired key sections 1 and 6 or the raw sections 2–5.
 func TestSegmentSectionTables(t *testing.T) {
 	objects := goldenObjects(t)
 	for _, tc := range []struct {
@@ -195,9 +199,9 @@ func TestSegmentSectionTables(t *testing.T) {
 		want []uint32
 	}{
 		{"seal/quantized", productionOptions, []uint32{10, 11, 7, 9}},
-		{"token/quantized", goldenFlavours[1].opts, []uint32{1, 7, 9, 6}},
-		{"grid/quantized", goldenFlavours[2].opts, []uint32{1, 7, 9, 6}},
-		{"hybrid-hash/quantized", goldenFlavours[3].opts, []uint32{1, 7, 9, 6}},
+		{"token/quantized", goldenFlavours[1].opts, []uint32{10, 11, 7, 9}},
+		{"grid/quantized", goldenFlavours[2].opts, []uint32{10, 11, 7, 9}},
+		{"hybrid-hash/quantized", goldenFlavours[3].opts, []uint32{10, 11, 7, 9}},
 	} {
 		dir := buildGoldenDir(t, objects, runtime.GOMAXPROCS(0), tc.opts)
 		shards, err := filepath.Glob(filepath.Join(dir, "shard-*.seg"))

@@ -28,7 +28,7 @@ func NewKeywordFirst(ds *model.Dataset) *KeywordFirst {
 	var b invidx.Builder
 	for obj := 0; obj < ds.Len(); obj++ {
 		for _, t := range ds.Tokens(model.ObjectID(obj)) {
-			b.Add(uint64(t), uint32(obj), ds.TokenWeight(t))
+			b.Add(uint64(t)<<32, uint32(obj), ds.TokenWeight(t)) // (t, 0)
 		}
 	}
 	return &KeywordFirst{ds: ds, idx: b.Build()}
@@ -55,7 +55,7 @@ func (f *KeywordFirst) Collect(q *model.Query, cs *core.CandidateSet, st *core.F
 		if stop != nil && stop() {
 			return
 		}
-		objs, _, _ := f.idx.List(uint64(t))
+		objs, _, _ := f.idx.List(uint64(t) << 32)
 		if len(objs) == 0 {
 			continue
 		}

@@ -654,3 +654,62 @@ func TestSearcherMatchBufferReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyedFiltersNameTheirLists pins how each keyed kind names its lists in
+// the one key column, (group, node): a token list is (t, 0), a grid list the
+// (row, column) of its cell, a hybrid-hash list (t, cell), and a bucketed one
+// (bucket, 0). A grid index reopens from its keys alone, so a row or a column
+// outside the P×P grid is refused.
+func TestKeyedFiltersNameTheirLists(t *testing.T) {
+	ds, err := gen.Twitter(gen.TwitterConfig{N: 2000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p, buckets = 64, 127
+	vocab := uint64(ds.Vocab().Len())
+	for _, tc := range []struct {
+		spec  core.FilterSpec
+		group uint64 // exclusive bound of a key's high word
+		node  uint64 // of its low word
+	}{
+		{core.FilterSpec{Kind: "token"}, vocab, 1},
+		{core.FilterSpec{Kind: "grid", P: p}, p, p},
+		{core.FilterSpec{Kind: "hybrid", P: p}, vocab, p * p},
+		{core.FilterSpec{Kind: "hybrid", P: p, Buckets: buckets}, buckets, 1},
+	} {
+		t.Run(fmt.Sprintf("%s/%d/%d", tc.spec.Kind, tc.spec.P, tc.spec.Buckets), func(t *testing.T) {
+			f, err := core.BuildFilter(ds, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, _, _ := core.Postings(f)
+			groups := map[uint64]bool{}
+			src.EachLen(func(key uint64, _ int) {
+				if key>>32 >= tc.group || key&(1<<32-1) >= tc.node {
+					t.Fatalf("key (%d, %d) outside [0, %d) × [0, %d)", key>>32, key&(1<<32-1), tc.group, tc.node)
+				}
+				groups[key>>32] = true
+			})
+			if runs, _ := src.Runs(); len(groups) < 2 || runs.Len() > int(tc.group) {
+				t.Fatalf("%d groups hold lists under %d runs", len(groups), runs.Len())
+			}
+		})
+	}
+
+	grid, err := core.BuildFilter(ds, core.FilterSpec{Kind: "grid", P: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, spec, _ := core.Postings(grid)
+	if _, err := core.OpenFilter(ds, spec, src); err != nil {
+		t.Fatalf("a grid index does not reopen from its keys: %v", err)
+	}
+	for _, key := range []uint64{p << 32, p, (p-1)<<32 | p} {
+		var b invidx.Builder
+		b.Add(0, 0, 1)
+		b.Add(key, 1, 1)
+		if _, err := core.OpenFilter(ds, spec, invidx.Compress(b.Build())); err == nil {
+			t.Errorf("a grid index with key (%d, %d) on a %d×%d grid reopened", key>>32, key&(1<<32-1), p, p)
+		}
+	}
+}

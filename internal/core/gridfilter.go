@@ -13,8 +13,9 @@ import (
 // GridFilter is algorithm Sig-Filter+ over grid-based spatial signatures
 // (Section 4): the space is decomposed into a P×P uniform grid; an object's
 // signature is the set of cells overlapping its region, weighted by clipped
-// area w(g|o) = |g ∩ o.R|; the global order is ascending count(g); postings
-// carry Lemma 3 suffix-area bounds. A query retrieves, from the lists of its
+// area w(g|o) = |g ∩ o.R|; the global order is ascending count(g); a cell's
+// list is named by its (row, column) and its postings carry Lemma 3
+// suffix-area bounds. A query retrieves, from the lists of its
 // signature prefix, the postings with bound ≥ cR = τR·|q.R| (Lemma 1).
 type GridFilter struct {
 	sigIndex
@@ -46,10 +47,16 @@ func NewGridFilter(ds *model.Dataset, p int) (*GridFilter, error) {
 		bounds = append(bounds[:0], weights...)
 		invidx.SuffixBounds(weights, bounds)
 		for i, cw := range sig {
-			b.Add(uint64(cw.Cell), uint32(obj), bounds[i])
+			b.Add(cellKey(grid, cw.Cell), uint32(obj), bounds[i])
 		}
 	}
 	return &GridFilter{sigIndex{ds, compress(b.Build()), FilterSpec{Kind: "grid", P: p}}, grid, counter}, nil
+}
+
+// cellKey names cell's list (row, column): the row is the key's group.
+func cellKey(g *gridsig.Grid, cell uint32) uint64 {
+	p := uint32(g.P)
+	return uint64(cell/p)<<32 | uint64(cell%p)
 }
 
 // openGridFilter recovers the query-side cell counter from the index itself:
@@ -62,14 +69,15 @@ func openGridFilter(ds *model.Dataset, spec FilterSpec, src *invidx.Compressed) 
 		return nil, err
 	}
 	counter := gridsig.NewCounter(grid)
-	cells := uint64(grid.Cells())
+	p := uint64(spec.P)
 	var bad error
 	src.EachLen(func(key uint64, n int) {
-		if key >= cells {
-			bad = fmt.Errorf("core: grid posting key %d outside %d×%d grid", key, spec.P, spec.P)
+		row, col := key>>32, key&(1<<32-1)
+		if row >= p || col >= p {
+			bad = fmt.Errorf("core: grid posting key (%d, %d) outside %d×%d grid", row, col, spec.P, spec.P)
 			return
 		}
-		counter.AddCount(uint32(key), uint32(n))
+		counter.AddCount(uint32(row*p+col), uint32(n))
 	})
 	if bad != nil {
 		return nil, bad
@@ -99,7 +107,7 @@ func (f *GridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, 
 		if stop != nil && stop() {
 			return
 		}
-		l := f.idx.Probe(uint64(cw.Cell))
+		l := f.idx.Probe(cellKey(f.grid, cw.Cell))
 		if l.Len() == 0 {
 			continue
 		}
@@ -143,7 +151,7 @@ func NewPlainGridFilter(ds *model.Dataset, p int) (*PlainGridFilter, error) {
 	for obj := 0; obj < ds.Len(); obj++ {
 		sig = grid.Signature(ds.Region(model.ObjectID(obj)), sig[:0])
 		for _, cw := range sig {
-			b.Add(uint64(cw.Cell), uint32(obj), cw.W)
+			b.Add(cellKey(grid, cw.Cell), uint32(obj), cw.W)
 		}
 	}
 	return &PlainGridFilter{ds: ds, grid: grid, idx: b.Build()}, nil
@@ -167,7 +175,7 @@ func (f *PlainGridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterSt
 		if stop != nil && stop() {
 			return
 		}
-		objs, weights, _ := f.idx.List(uint64(cw.Cell))
+		objs, weights, _ := f.idx.List(cellKey(f.grid, cw.Cell))
 		if len(objs) == 0 {
 			continue
 		}

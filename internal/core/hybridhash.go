@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/sealdb/seal/internal/gridsig"
 	"github.com/sealdb/seal/internal/invidx"
@@ -93,13 +94,27 @@ func openHybridHashFilter(ds *model.Dataset, spec FilterSpec, src *invidx.Compre
 	return f, nil
 }
 
-// key maps a (token, cell) pair to its bucket.
+// key names a (token, cell) pair's list: (t, cell) itself, or its bucket's
+// (bucket, 0).
 func (f *HybridHashFilter) key(t text.TokenID, cell uint32) uint64 {
 	k := uint64(t)<<32 | uint64(cell)
 	if f.buckets == 0 {
 		return k
 	}
-	return fnv64(k) % f.buckets
+	return (fnv64(k) % f.buckets) << 32
+}
+
+// list returns the list of (t, cell): by key when lists are bucketed, and
+// otherwise at cell's place in t's run, which starts at list base and holds
+// cells.
+func (f *HybridHashFilter) list(t text.TokenID, base int, cells []uint32, cell uint32) invidx.List {
+	if f.buckets > 0 {
+		return f.idx.Probe(f.key(t, cell))
+	}
+	if k, ok := slices.BinarySearch(cells, cell); ok {
+		return f.idx.At(base + k)
+	}
+	return invidx.List{}
 }
 
 // fnv64 hashes a 64-bit value with FNV-1a over its bytes.
@@ -147,12 +162,26 @@ func (f *HybridHashFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 	retest := scr.retest(slackT)
 	// List (i, j) is cursor j·|tsig| + i, so the cursors grow with pR alone.
 	cur := scr.cursors(pR * len(tsig))
+	runs, nodes := f.idx.Runs()
 	for i, t := range tsig[:pT] {
+		// Token t's exact lists are its run of cells: select it once, then
+		// binary-search it a cell.
+		base, cells := 0, []uint32(nil)
+		if f.buckets == 0 {
+			if int(t) >= runs.Len() {
+				continue
+			}
+			lo, hi := runs.Span(int(t))
+			if lo == hi {
+				continue
+			}
+			base, cells = lo, nodes[lo:hi]
+		}
 		for j, cw := range scr.gsig[:pR] {
 			if stop != nil && stop() {
 				return
 			}
-			l := f.idx.Probe(f.key(t, cw.Cell))
+			l := f.list(t, base, cells, cw.Cell)
 			if l.Len() == 0 {
 				continue
 			}

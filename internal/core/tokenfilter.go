@@ -7,9 +7,10 @@ import (
 )
 
 // TokenFilter is algorithm Sig-Filter+ over textual signatures
-// (Sections 3.2 and 4.2): one inverted list per token, postings carry the
-// Lemma 3 suffix-weight bounds in the global token order (descending idf),
-// and queries probe only their signature prefix with a per-list cutoff.
+// (Sections 3.2 and 4.2): one inverted list per token, named (t, 0), postings
+// carry the Lemma 3 suffix-weight bounds in the global token order
+// (descending idf), and queries probe only their signature prefix with a
+// per-list cutoff.
 type TokenFilter struct{ sigIndex }
 
 // NewTokenFilter indexes all objects of ds.
@@ -29,11 +30,14 @@ func NewTokenFilter(ds *model.Dataset) *TokenFilter {
 		bounds = append(bounds[:0], weights...)
 		invidx.SuffixBounds(weights, bounds)
 		for i, t := range sig {
-			b.Add(uint64(t), uint32(obj), bounds[i])
+			b.Add(tokenKey(t), uint32(obj), bounds[i])
 		}
 	}
 	return &TokenFilter{sigIndex{ds, compress(b.Build()), FilterSpec{Kind: "token"}}}
 }
+
+// tokenKey names token t's list (t, 0): the token is the key's group.
+func tokenKey(t text.TokenID) uint64 { return uint64(t) << 32 }
 
 // Name implements Filter.
 func (f *TokenFilter) Name() string { return "TokenFilter" }
@@ -59,7 +63,7 @@ func (f *TokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats,
 		if stop != nil && stop() {
 			return
 		}
-		l := f.idx.Probe(uint64(t))
+		l := f.idx.Probe(tokenKey(t))
 		if l.Len() == 0 {
 			continue
 		}
@@ -86,7 +90,7 @@ func NewPlainTokenFilter(ds *model.Dataset) *PlainTokenFilter {
 	var b invidx.Builder
 	for obj := 0; obj < ds.Len(); obj++ {
 		for _, t := range ds.Tokens(model.ObjectID(obj)) {
-			b.Add(uint64(t), uint32(obj), ds.TokenWeight(t))
+			b.Add(tokenKey(t), uint32(obj), ds.TokenWeight(t))
 		}
 	}
 	return &PlainTokenFilter{ds: ds, idx: b.Build()}
@@ -109,7 +113,7 @@ func (f *PlainTokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 		if stop != nil && stop() {
 			return
 		}
-		objs, _, _ := f.idx.List(uint64(t))
+		objs, _, _ := f.idx.List(tokenKey(t))
 		if len(objs) == 0 {
 			continue
 		}

@@ -3,9 +3,9 @@ package diskidx
 // FuzzSegmentHeader: openSegment parses attacker-shaped bytes — a segment
 // file is trusted only after its header geometry, section table, CRCs, and
 // arena invariants all check out, and no input may panic the parser or make
-// it accept structurally unsound postings. The corpus seeds three genuine
-// segments — a keyed one with its key directory, one without it, and a
-// run-grouped one, the Seal filter's shape — plus systematic
+// it accept structurally unsound postings. The corpus seeds two genuine
+// segments — a built dual one and one frozen from sorted runs, the Seal
+// filter's shape — plus systematic
 // truncations and header mutations so the fuzzer starts from the format's real
 // shape rather than random noise.
 
@@ -31,16 +31,6 @@ func FuzzSegmentHeader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	bare := filepath.Join(f.TempDir(), "bare.seg")
-	comp := invidx.Compress(buildDual(rand.New(rand.NewSource(43)), 12, 6))
-	if err := WriteSegment(bare, withoutDirectory(f, comp), segTestObjects); err != nil {
-		f.Fatal(err)
-	}
-	noDir, err := os.ReadFile(bare)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(noDir)
 	grouped := filepath.Join(f.TempDir(), "grouped.seg")
 	if err := WriteSegment(grouped, invidx.Compress(sortedRuns(buildDual(rand.New(rand.NewSource(44)), 12, 6))), segTestObjects); err != nil {
 		f.Fatal(err)

@@ -15,21 +15,11 @@ package diskidx
 //	bit2  retired: a file carrying it is stale (the old float64 fallback)
 //	bit3  object IDs take 2 bytes (clear: 4)
 //
-// It opens with its key column, in one of two forms. An index whose lists are
-// looked up by key (the token, grid and hybrid-hash filters) has
+// It opens with its key column. Every key is a (group, node) pair — a token
+// list's (token, 0), a grid list's (row, column), a hybrid-hash list's
+// (token, cell) or (bucket, 0), a Seal list's (token, grid node) — stored as
 //
-//	keys   uint64 × nLists     ascending signature keys
-//
-// and ends with one more section, after the postings:
-//
-//	dir    uint32 × 2·nLists   open-addressed key directory, position+1
-//
-// (a reader takes dir when it is there, validated in full, and otherwise
-// finds keys by binary search). The Seal filter's index, whose keys are
-// (token, grid node) pairs and whose grid locator reaches every list by its
-// position in one token's run of nodes, has instead
-//
-//	runs   uint64 words        where each token's nodes start, unary-coded
+//	runs   uint64 words        where each group's nodes start, unary-coded
 //	nodes  uint32 × nLists     the keys' low words, ascending inside a run
 //
 // The postings follow, always compressed:
@@ -39,18 +29,21 @@ package diskidx
 //	       columns of a list, whose length is its extent
 //
 // Sections 2–5 (starts/objs/bounds/tbounds) were the raw layout's flat
-// arenas and are retired with it.
+// arenas and are retired with it. Sections 1 (a uint64 key a list) and 6 (an
+// open-addressed directory of two uint32 slots a list over them) were the
+// key column of the token, grid and hybrid-hash kinds, 16 bytes a list, and
+// are retired too: a file carrying either is of an earlier generation.
 //
 // Both offset tables are invidx.Extents: a bit set at vᵢ + i for each offset
 // vᵢ, so a table costs a bit an entry plus a bit a row (or a node). A
-// compressed Seal list's metadata is its node + 1 bit in each table — a bit a
-// token and a bit a posting besides — and a compressed keyed list's 16 bytes
-// + 1 bit. Version 3 stored both tables as uint32 arrays — 8 bytes a Seal
-// list and 4 a token — and its exact layout as a count and varint objects;
-// version 2 spent 12 and 20 — a full key a list in every segment, its high
-// word never read by the Seal filter, and a posting count and quantization
-// steps inside every list — and version 1 spent 24 to 32: a counts section
-// beside offs, and a directory rounded up to a power of two.
+// compressed list's metadata is its node + 1 bit in each table — a bit a
+// group and a bit a posting besides. Version 3 stored both tables as uint32
+// arrays — 8 bytes a Seal list and 4 a token — and its exact layout as a
+// count and varint objects; version 2 spent 12 and 20 — a full key a list in
+// every segment, its high word never read by the Seal filter, and a posting
+// count and quantization steps inside every list — and version 1 spent 24 to
+// 32: a counts section beside offs, and a directory rounded up to a power of
+// two.
 //
 // Every section is CRC-checked at open, then handed to the invidx arena
 // validators, so a segment that opens cleanly satisfies every structural
@@ -67,9 +60,10 @@ var magic2 = [8]byte{'S', 'E', 'A', 'L', 'I', 'D', 'X', '2'}
 // segVersion 4 is the layout above. An earlier version's file has no reader;
 // it opens as ErrStaleVersion, which the engine reports as a directory of
 // another layout generation (rebuild) rather than as a damaged shard
-// (quarantine). So does a version-4 file of a retired posting layout: one with
-// bit 2, written by the float64 fallback that saturating bound codes replaced,
-// or one with bit 1 clear, the raw float64 arenas.
+// (quarantine). So does a version-4 file of a retired layout: one with bit 2,
+// written by the float64 fallback that saturating bound codes replaced, one
+// with bit 1 clear, the raw float64 arenas, or one with a key array or key
+// directory section.
 const (
 	segVersion        = 4
 	segFlagDual       = 1 << 0
@@ -78,15 +72,16 @@ const (
 	segFlagObj16      = 1 << 3
 )
 
-// Section identifiers. 2–5 are retired (the raw layout's starts, objs, bounds
-// and tbounds), and so is 8 (version 1's per-list posting counts).
+// Section identifiers. 1 and 6 are retired (the key array and its
+// directory), as are 2–5 (the raw layout's starts, objs, bounds and tbounds)
+// and 8 (version 1's per-list posting counts).
 const (
-	secKeys  = 1  // uint64 × nLists, ascending signature keys
-	secDir   = 6  // uint32 slots of the open-addressed key directory
+	secKeys  = 1  // retired: a file carrying it is stale
+	secDir   = 6  // retired: a file carrying it is stale
 	secOffs  = 7  // extent table words: nLists extents of the blob's rows
 	secBlob  = 9  // nPostings fixed-width rows
 	secRuns  = 10 // extent table words: one extent of nodes a group
-	secNodes = 11 // uint32 × nLists, low words of the run-grouped keys
+	secNodes = 11 // uint32 × nLists, the keys' low words
 )
 
 // wrapCorrupt rebrands an invidx validation failure as a diskidx corruption
@@ -111,52 +106,30 @@ func WriteSegment(path string, ix *invidx.Compressed, objects int) error {
 	if a.Dual {
 		flags |= segFlagDual
 	}
-	// The key column opens the file: runs and nodes for a run-grouped index,
-	// keys otherwise, whose directory, if the index carries one, goes last.
-	secs := []section{{id: secKeys, data: u64Bytes(a.Keys)}}
-	if a.Runs != nil {
-		secs = []section{{id: secRuns, data: u64Bytes(a.Runs)}, {id: secNodes, data: u32Bytes(a.Nodes)}}
-	}
-	secs = append(secs, section{id: secOffs, data: u64Bytes(a.Extents)}, section{id: secBlob, data: a.Blob})
-	if a.Slots != nil {
-		secs = append(secs, section{id: secDir, data: u32Bytes(a.Slots)})
+	secs := []section{
+		{id: secRuns, data: u64Bytes(a.Runs)},
+		{id: secNodes, data: u32Bytes(a.Nodes)},
+		{id: secOffs, data: u64Bytes(a.Extents)},
+		{id: secBlob, data: a.Blob},
 	}
 	return writeContainer(path, magic2, segVersion, flags,
 		[3]uint64{uint64(ix.Lists()), uint64(ix.Postings()), uint64(objects)}, secs)
 }
 
-// takeKeys returns the key column of a segment of nLists lists: runs and nodes
-// when it has a run table, and otherwise keys with the directory if that
-// section is there. Runs and Slots say by not being nil that their section
-// was, so the arena validators check even an empty one.
+// takeKeys returns the key column of a segment of nLists lists: its run table
+// and nodes. A file with the retired key array or directory is stale.
 func takeKeys(c *container, nLists int64) (k invidx.KeyArenas, err error) {
-	if _, ok := c.views[secRuns]; ok {
-		runs, err := c.take(secRuns, -1, 8)
-		if err != nil {
-			return k, err
+	for _, id := range []uint32{secKeys, secDir} {
+		if _, ok := c.views[id]; ok {
+			return k, fmt.Errorf("%w: %w (retired key section %d)", ErrCorrupt, ErrStaleVersion, id)
 		}
-		nodes, err := c.take(secNodes, nLists, 4)
-		return invidx.KeyArenas{Runs: present(viewU64(runs)), Nodes: viewU32(nodes)}, err
 	}
-	keys, err := c.take(secKeys, nLists, 8)
+	runs, err := c.take(secRuns, -1, 8)
 	if err != nil {
 		return k, err
 	}
-	k.Keys = viewU64(keys)
-	if _, ok := c.views[secDir]; ok {
-		dir, err := c.take(secDir, -1, 4)
-		k.Slots = present(viewU32(dir))
-		return k, err
-	}
-	return k, nil
-}
-
-// present marks a section as there even when it is empty.
-func present[T any](v []T) []T {
-	if v == nil {
-		return []T{}
-	}
-	return v
+	nodes, err := c.take(secNodes, nLists, 4)
+	return invidx.KeyArenas{Runs: viewU64(runs), Nodes: viewU32(nodes)}, err
 }
 
 // Segment is an open SEALIDX2 segment. The posting data lives in the mapped

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/sealdb/seal/internal/invidx"
-	"github.com/sealdb/seal/internal/testutil"
 )
 
 const segTestObjects = 10000
@@ -47,7 +46,7 @@ func keysOf(src *invidx.Compressed) (keys []uint64) {
 
 // expectMatch checks that a mapped source answers every probe — by key and by
 // position — identically to the in-memory source it was written from, under
-// the same kind of key column.
+// the same key column.
 func expectMatch(t *testing.T, want, got *invidx.Compressed) {
 	t.Helper()
 	if got.Dual() != want.Dual() || got.Lists() != want.Lists() || got.Postings() != want.Postings() {
@@ -56,17 +55,12 @@ func expectMatch(t *testing.T, want, got *invidx.Compressed) {
 	}
 	wruns, wnodes := want.Runs()
 	gruns, gnodes := got.Runs()
-	if (gruns == nil) != (wruns == nil) || !slices.Equal(gnodes, wnodes) {
-		t.Fatalf("run-grouped key column differs: %v over %d nodes, want %v over %d", gruns, len(gnodes), wruns, len(wnodes))
+	if gruns.Len() != wruns.Len() || !slices.Equal(gnodes, wnodes) {
+		t.Fatalf("key column differs: %d runs over %d nodes, want %d over %d", gruns.Len(), len(gnodes), wruns.Len(), len(wnodes))
 	}
-	if wruns != nil {
-		if gruns.Len() != wruns.Len() {
-			t.Fatalf("%d runs, want %d", gruns.Len(), wruns.Len())
-		}
-		for g := 0; g <= wruns.Len(); g++ {
-			if gruns.Get(g) != wruns.Get(g) {
-				t.Fatalf("run %d starts at node %d, want %d", g, gruns.Get(g), wruns.Get(g))
-			}
+	for g := 0; g <= wruns.Len(); g++ {
+		if gruns.Get(g) != wruns.Get(g) {
+			t.Fatalf("run %d starts at node %d, want %d", g, gruns.Get(g), wruns.Get(g))
 		}
 	}
 	for pos, key := range keysOf(want) {
@@ -116,8 +110,8 @@ func pathsFixture(rng *rand.Rand, dual, saturate bool) *invidx.Index {
 }
 
 // TestSegmentRoundTrip: every way to reach a list agrees. Over {finite bounds,
-// a bound that saturates} × {single, dual} × {keyed, run-grouped — the Seal
-// filter's column, which FromSortedRuns freezes dual only} × {compressed in
+// a bound that saturates} × {single, dual} × {frozen by a Builder, by
+// FromSortedRuns — the Seal filter's constructor, dual only} × {compressed in
 // memory, written and mapped}, At(i) and Probe of the i-th key reach list i of
 // the flat index: the same objects in the same order, bounds never below
 // flat's. SizeBytes — the figure IndexStats and Table 1 report — is exactly the
@@ -128,9 +122,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 	for _, dual := range []bool{false, true} {
 		for _, saturate := range []bool{false, true} {
 			flat := pathsFixture(rng, dual, saturate)
-			cols := map[string]*invidx.Index{"keyed": flat}
+			cols := map[string]*invidx.Index{"built": flat}
 			if dual {
-				cols["run-grouped"] = sortedRuns(flat)
+				cols["sorted runs"] = sortedRuns(flat)
 			}
 			for col, ix := range cols {
 				name := fmt.Sprintf("dual=%v saturated=%v %s", dual, saturate, col)
@@ -200,86 +194,89 @@ func sectionIDs(b []byte) []uint32 {
 	return ids
 }
 
-// withoutDirectory returns ix over the same arenas, less its key directory.
-func withoutDirectory(t testing.TB, ix *invidx.Compressed) *invidx.Compressed {
-	t.Helper()
-	bare, err := testutil.WithoutDirectory(ix, segTestObjects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bare
-}
-
-// TestSegmentDirectoryOptional: the dir section is written exactly when the
-// index carries a key directory, and a reader serves the segment either way.
-// A Builder's index — the keyed filters' — keeps it as the last section; the
-// same index rewritten without it is 8 bytes a list shorter and answers every
-// probe, present key or absent, identically by binary search; an index frozen
-// from sorted runs — the Seal filter's — never had one.
-func TestSegmentDirectoryOptional(t *testing.T) {
+// TestSegmentSections: every posting segment carries the same four sections
+// — runs, nodes, offs, blob — whichever constructor froze its index and
+// whatever its flavour, and maps back to the index it was written from.
+func TestSegmentSections(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	dir := t.TempDir()
-	single, dual := buildSingle(rng, 700, 12), buildDual(rng, 700, 12)
-	for name, keyed := range map[string]*invidx.Compressed{"single": invidx.Compress(single), "dual": invidx.Compress(dual)} {
-		path, bare := filepath.Join(dir, "keyed.seg"), filepath.Join(dir, "bare.seg")
-		if err := WriteSegment(path, keyed, segTestObjects); err != nil {
-			t.Fatal(err)
-		}
-		seg, err := OpenMapped(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteSegment(bare, withoutDirectory(t, seg.Source()), segTestObjects); err != nil {
-			t.Fatal(err)
-		}
-		seg.Close()
+	dual := buildDual(rng, 700, 12)
+	for name, ix := range map[string]*invidx.Index{
+		"single":      buildSingle(rng, 700, 12),
+		"dual":        dual,
+		"sorted runs": sortedRuns(dual),
+		"empty":       new(invidx.Builder).Build(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			src := invidx.Compress(ix)
+			path := filepath.Join(dir, "sections.seg")
+			if err := WriteSegment(path, src, segTestObjects); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sectionIDs(b), []uint32{secRuns, secNodes, secOffs, secBlob}; !slices.Equal(got, want) {
+				t.Fatalf("segment carries sections %v, want %v", got, want)
+			}
+			seg, err := OpenMapped(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expectMatch(t, src, seg.Source())
+			seg.Close()
+		})
+	}
+}
 
-		with, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		without, err := os.ReadFile(bare)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := sectionIDs(with)
-		if ids[len(ids)-1] != secDir || !slices.Equal(sectionIDs(without), ids[:len(ids)-1]) {
-			t.Fatalf("%s: sections %v with a directory, %v without", name, ids, sectionIDs(without))
-		}
-		if saved, dirBytes := len(with)-len(without), 8*keyed.Lists(); saved < dirBytes || saved >= dirBytes+segPage {
-			t.Fatalf("%s: dropping the directory saved %d bytes, want its %d up to page padding", name, saved, dirBytes)
-		}
-		seg, err = OpenMapped(bare)
-		if err != nil {
-			t.Fatalf("%s: segment without a directory: %v", name, err)
-		}
-		expectMatch(t, keyed, seg.Source())
-		if seg.Source().SizeBytes() != keyed.SizeBytes()-int64(8*keyed.Lists()) {
-			t.Fatalf("%s: SizeBytes should fall by the directory's bytes", name)
-		}
-		seg.Close()
+// TestSegmentRetiredKeySections: a version-4 file whose key column is the
+// retired one — a key array (section 1) and its open-addressed directory
+// (section 6), as the token, grid and hybrid-hash kinds once wrote, the key
+// array alone, or a directory beside a run table — is of an earlier
+// generation: it opens as ErrCorrupt and ErrStaleVersion, so the engine
+// rebuilds it rather than quarantine it. The rest of each file is sound.
+func TestSegmentRetiredKeySections(t *testing.T) {
+	src := invidx.Compress(buildSingle(rand.New(rand.NewSource(32)), 40, 8))
+	a := src.Arenas()
+	keys := make([]byte, 0, 8*src.Lists())
+	src.EachLen(func(key uint64, _ int) { keys = binary.LittleEndian.AppendUint64(keys, key) })
+	dirSlots := make([]byte, 8*src.Lists()) // two empty uint32 slots a list
+	runs, nodes := section{id: secRuns, data: u64Bytes(a.Runs)}, section{id: secNodes, data: u32Bytes(a.Nodes)}
+	offs, blob := section{id: secOffs, data: u64Bytes(a.Extents)}, section{id: secBlob, data: a.Blob}
+	key, dir := section{id: secKeys, data: keys}, section{id: secDir, data: dirSlots}
+	path := filepath.Join(t.TempDir(), "retired.seg")
+	for _, tc := range []struct {
+		name  string
+		secs  []section
+		stale bool
+	}{
+		{"key array and directory", []section{key, offs, blob, dir}, true},
+		{"key array alone", []section{key, offs, blob}, true},
+		{"directory beside a run table", []section{runs, nodes, offs, blob, dir}, true},
+		{"key array beside a run table", []section{key, runs, nodes, offs, blob}, true},
+		{"the current layout", []section{runs, nodes, offs, blob}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			flags := uint32(segFlagCompressed | segFlagObj16)
+			if err := writeContainer(path, magic2, segVersion, flags, [3]uint64{uint64(src.Lists()), uint64(src.Postings()), segTestObjects}, tc.secs); err != nil {
+				t.Fatal(err)
+			}
+			seg, err := OpenMapped(path)
+			switch {
+			case !tc.stale && err != nil:
+				t.Fatal(err)
+			case !tc.stale:
+				expectMatch(t, src, seg.Source())
+				seg.Close()
+			case err == nil:
+				seg.Close()
+				t.Fatal("opened")
+			case !errors.Is(err, ErrCorrupt) || !errors.Is(err, ErrStaleVersion):
+				t.Fatalf("%v, want ErrCorrupt and ErrStaleVersion", err)
+			}
+		})
 	}
-
-	// The Seal producer: sorted runs, a run table over 32-bit nodes in place of
-	// keys and directory, in memory or on disk.
-	sorted := invidx.Compress(sortedRuns(dual))
-	path := filepath.Join(dir, "sorted.seg")
-	if err := WriteSegment(path, sorted, segTestObjects); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := sectionIDs(b), []uint32{secRuns, secNodes, secOffs, secBlob}; !slices.Equal(got, want) {
-		t.Fatalf("sorted-runs segment carries sections %v, want %v", got, want)
-	}
-	seg, err := OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectMatch(t, sorted, seg.Source())
-	seg.Close()
 }
 
 // sortedRuns refreezes a dual Builder index through invidx.FromSortedRuns, one
@@ -319,30 +316,6 @@ func TestSegmentEmpty(t *testing.T) {
 	}
 }
 
-// occupiedSlots returns the byte offsets of the first two occupied slots of a
-// directory payload.
-func occupiedSlots(p []byte) (a, b int) {
-	var at []int
-	for i := 0; i+4 <= len(p) && len(at) < 2; i += 4 {
-		if binary.LittleEndian.Uint32(p[i:]) != 0 {
-			at = append(at, i)
-		}
-	}
-	return at[0], at[1]
-}
-
-// dropSlot empties an occupied slot — one key is now unreachable — and
-// doubleSlot makes two slots name the same key.
-func dropSlot(p []byte) {
-	a, _ := occupiedSlots(p)
-	clear(p[a : a+4])
-}
-
-func doubleSlot(p []byte) {
-	a, b := occupiedSlots(p)
-	copy(p[b:b+4], p[a:a+4])
-}
-
 // TestSegmentMalformed: a table of header, section-table, and payload
 // corruptions — every one must be rejected at open with ErrCorrupt, never a
 // panic, out-of-range allocation, or silently wrong view.
@@ -363,8 +336,9 @@ func TestSegmentMalformed(t *testing.T) {
 	}
 	// Every fixture has 16-bit objects (segTestObjects fits). The list-layout
 	// cases need a single-bound one, whose row is 4 bytes; the key-column cases
-	// a run-grouped one: the Seal filter's shape, dual, group 0 holding every
-	// node and groups 1 and 2 none; the container cases take a keyed dual one.
+	// one frozen from sorted runs: the Seal filter's shape, dual, group 0
+	// holding every node and groups 1 and 2 none; the container cases take a
+	// built dual one.
 	const dual, comp, runs = 0, 1, 2
 	var good [3][]byte
 	good[comp] = fixture("good-comp.seg", invidx.Compress(idx))
@@ -419,13 +393,14 @@ func TestSegmentMalformed(t *testing.T) {
 			flip(p, at)
 		}
 	}
-	shorten := func(id uint32) func(b []byte) []byte {
+	shortenBy := func(id uint32, n uint64) func(b []byte) []byte {
 		return func(b []byte) []byte {
 			e, _, length := tableEntry(t, b, id)
-			binary.LittleEndian.PutUint64(e[16:], length-8)
+			binary.LittleEndian.PutUint64(e[16:], length-n)
 			return damage(t, b, id, func([]byte) {})
 		}
 	}
+	shorten := func(id uint32) func(b []byte) []byte { return shortenBy(id, 8) }
 
 	cases := []struct {
 		name   string
@@ -469,6 +444,7 @@ func TestSegmentMalformed(t *testing.T) {
 			return damage(t, b, secNodes, func([]byte) {})
 		}},
 		{"nodes descend inside a run", runs, in(secNodes, func(p []byte) { copy(p[0:4], p[8:12]) })},
+		{"nodes truncated", runs, shortenBy(secNodes, 4)},
 		{"node repeated inside a run", runs, in(secNodes, func(p []byte) { copy(p[4:8], p[0:4]) })},
 		{"run table empty", runs, func(b []byte) []byte {
 			e, _, _ := tableEntry(t, b, secRuns)
@@ -479,16 +455,6 @@ func TestSegmentMalformed(t *testing.T) {
 			e, _, _ := tableEntry(t, b, secNodes)
 			binary.LittleEndian.PutUint32(e[0:], 200)
 			return b
-		}},
-		// Optional is not unchecked: a directory that is there must be the one
-		// the keys hash to.
-		{"directory present but a key short", dual, func(b []byte) []byte { return damage(t, b, secDir, dropSlot) }},
-		{"directory present but a key short, compressed", comp, func(b []byte) []byte { return damage(t, b, secDir, dropSlot) }},
-		{"directory present but a key twice", dual, func(b []byte) []byte { return damage(t, b, secDir, doubleSlot) }},
-		{"directory present but truncated", dual, func(b []byte) []byte {
-			e, _, length := tableEntry(t, b, secDir)
-			binary.LittleEndian.PutUint64(e[16:], length-8)
-			return damage(t, b, secDir, func([]byte) {})
 		}},
 		{"bad magic", dual, func(b []byte) []byte { b[0] ^= 0xFF; return b }},
 		{"bad version", dual, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 99); return b }},

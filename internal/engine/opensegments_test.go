@@ -9,26 +9,34 @@ import (
 	"github.com/sealdb/seal/internal/model"
 )
 
-// shardRung builds the in-process ladder's shard-rung engine:
-// gen.Twitter{N: 50000, Seed: 42} in 4 shards under Seal at its defaults.
-func shardRung(b *testing.B) (*model.Dataset, *Engine) {
+// rungCorpus is the in-process ladder's corpus: gen.Twitter{N: 50000, Seed:
+// 42}.
+func rungCorpus(b *testing.B) *model.Dataset {
 	b.Helper()
 	ds, err := gen.Twitter(gen.TwitterConfig{N: 50000, Seed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := core.FilterSpec{
-		Kind:       "seal",
-		MaxLevel:   core.DefaultHierarchicalConfig.MaxLevel,
-		GridBudget: core.DefaultHierarchicalConfig.GridBudget,
-	}
+	return ds
+}
+
+// sealRung is Seal at its defaults, the rung's production filter.
+var sealRung = core.FilterSpec{
+	Kind:       "seal",
+	MaxLevel:   core.DefaultHierarchicalConfig.MaxLevel,
+	GridBudget: core.DefaultHierarchicalConfig.GridBudget,
+}
+
+// rungEngine builds the shard rung's engine over ds: 4 shards under spec.
+func rungEngine(b *testing.B, ds *model.Dataset, spec core.FilterSpec) *Engine {
+	b.Helper()
 	e, err := Build(ds, Config{Shards: 4, NewFilter: func(sds *model.Dataset) (core.Filter, error) {
 		return core.BuildFilter(sds, spec)
 	}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ds, e
+	return e
 }
 
 // BenchmarkOpenSegments is a boot of the shard rung's corpus off its segment
@@ -40,7 +48,7 @@ func shardRung(b *testing.B) (*model.Dataset, *Engine) {
 //	GOMAXPROCS=1 go test -run '^$' -bench OpenSegments -count 10 ./internal/engine
 func BenchmarkOpenSegments(b *testing.B) {
 	dir := b.TempDir()
-	save := func() error { _, e := shardRung(b); return e.SaveSegments(dir) } // the built engine is garbage after
+	save := func() error { return rungEngine(b, rungCorpus(b), sealRung).SaveSegments(dir) } // the built engine is garbage after
 	if err := save(); err != nil {
 		b.Fatal(err)
 	}

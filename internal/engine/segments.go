@@ -49,9 +49,8 @@ type Manifest struct {
 // manifestVersion 8 is the gob-free layout above: a version-2 dataset segment,
 // whose rows are in shard-major Z-order under a row→ID column and shard row
 // bounds, and version-4 posting segments, which are always compressed:
-// fixed-width lists under a unary extent table, a key array and directory for
-// the filters that look lists up by key, and a unary token-run table over
-// 32-bit grid nodes for a Seal shard. Earlier directories — version 1
+// fixed-width lists under a unary extent table behind a unary group-run table
+// over 32-bit nodes. Earlier directories — version 1
 // (dataset.snap, parts.gob, shard-N.grids.gob), version 2 (run-length lists),
 // version 3 (a directory in every posting segment), version 4 (per-list
 // quantization steps and counts; 64-bit keys in a Seal shard), version 5
@@ -60,8 +59,9 @@ type Manifest struct {
 // ID order under stored partition lists) — have no reader: they read as a
 // manifest mismatch, which every boot path treats as stale and rebuilds. So
 // does a current manifest over a posting segment of an earlier version or a
-// retired posting layout: that is another generation's file, not a damaged
-// shard, and is never quarantined.
+// retired layout (among them the uint64 key array and hash directory the
+// token, grid and hybrid-hash filters once wrote): that is another
+// generation's file, not a damaged shard, and is never quarantined.
 const manifestVersion = 8
 
 // ErrNoSegments reports a directory without a readable manifest. Because the

@@ -12,21 +12,30 @@ import (
 // BenchmarkShardSearch is the shard rung of the in-process ladder: one
 // shard's searcher answering the benchmark's three threshold shapes and its
 // ranked one, with no HTTP, scheduling or merge around it. The corpus is
-// gen.Twitter{N: 50000, Seed: 42} in 4 shards under Seal at its defaults, and
-// each shape is 400 queries (query seed 7) shaped as in TestGoldenWorkCounts:
-// τ 0.4 on large regions (thin), τ 0.02 on small ones (scan), τ 0.005 on
-// large regions widened to 1500 km² (fat), and thin's queries ranked with
-// K 10 and Alpha 0.5 at the default floors (topk). One op is one query on
-// shard 0; filter-ns/op and verify-ns/op split it as SearchStats does, and
-// the work counts per op show two trees compared did the same work.
+// gen.Twitter{N: 50000, Seed: 42} in 4 shards, and each shape is 400 queries
+// (query seed 7) shaped as in TestGoldenWorkCounts: τ 0.4 on large regions
+// (thin), τ 0.02 on small ones (scan), τ 0.005 on large regions widened to
+// 1500 km² (fat), and thin's queries ranked with K 10 and Alpha 0.5 at the
+// default floors (topk). The shapes at the top level run Seal at its
+// defaults; token, grid1024 and hybrid1024 run the three threshold shapes
+// under the keyed kinds — TokenFilter, GridFilter(1024) and
+// HybridFilter(1024) — each engine built when its first shape runs. One op is
+// one query on shard 0; filter-ns/op and verify-ns/op split it as SearchStats
+// does, and the work counts per op show two trees compared did the same work.
 //
 //	GOMAXPROCS=1 go test -run '^$' -bench ShardSearch -count 10 ./internal/engine
 func BenchmarkShardSearch(b *testing.B) {
-	ds, e := shardRung(b)
+	ds := rungCorpus(b)
 	const n, seed = 400, 7
 	wide := gen.LargeRegionConfig(n, seed)
 	wide.MeanArea = 1500
-	shapes := []struct {
+	type shape struct {
+		name string
+		qs   []*model.Query
+		topk bool
+	}
+	var shapes []shape
+	for _, sh := range []struct {
 		name string
 		cfg  gen.QueryConfig
 		tau  float64
@@ -36,9 +45,7 @@ func BenchmarkShardSearch(b *testing.B) {
 		{"scan", gen.SmallRegionConfig(n, seed), 0.02, false},
 		{"fat", wide, 0.005, false},
 		{"topk", gen.LargeRegionConfig(n, seed), 0.4, true},
-	}
-	shard := e.shards[0]
-	for _, sh := range shapes {
+	} {
 		specs, err := gen.Queries(ds, sh.cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -49,33 +56,65 @@ func BenchmarkShardSearch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.Run(sh.name, func(b *testing.B) {
-			sr := shard.pool.Get()
-			defer shard.pool.Put(sr)
-			var filter, verify time.Duration
-			var postings, candidates, matches int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var st core.SearchStats
-				if sh.topk {
-					if _, st, err = sr.TopK(qs[i%len(qs)], core.TopKOptions{K: 10, Alpha: 0.5}, nil); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					_, st = sr.Search(qs[i%len(qs)], nil, 0)
+		shapes = append(shapes, shape{sh.name, qs, sh.topk})
+	}
+	run := func(b *testing.B, e *Engine, sh shape) {
+		shard := e.shards[0]
+		sr := shard.pool.Get()
+		defer shard.pool.Put(sr)
+		var filter, verify time.Duration
+		var postings, candidates, matches int
+		var err error
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var st core.SearchStats
+			if sh.topk {
+				if _, st, err = sr.TopK(sh.qs[i%len(sh.qs)], core.TopKOptions{K: 10, Alpha: 0.5}, nil); err != nil {
+					b.Fatal(err)
 				}
-				filter += st.FilterTime
-				verify += st.VerifyTime
-				postings += st.PostingsScanned
-				candidates += st.Candidates
-				matches += st.Results
+			} else {
+				_, st = sr.Search(sh.qs[i%len(sh.qs)], nil, 0)
 			}
-			per := func(v int64) float64 { return float64(v) / float64(b.N) }
-			b.ReportMetric(per(filter.Nanoseconds()), "filter-ns/op")
-			b.ReportMetric(per(verify.Nanoseconds()), "verify-ns/op")
-			b.ReportMetric(per(int64(postings)), "postings/op")
-			b.ReportMetric(per(int64(candidates)), "candidates/op")
-			b.ReportMetric(per(int64(matches)), "matches/op")
+			filter += st.FilterTime
+			verify += st.VerifyTime
+			postings += st.PostingsScanned
+			candidates += st.Candidates
+			matches += st.Results
+		}
+		per := func(v int64) float64 { return float64(v) / float64(b.N) }
+		b.ReportMetric(per(filter.Nanoseconds()), "filter-ns/op")
+		b.ReportMetric(per(verify.Nanoseconds()), "verify-ns/op")
+		b.ReportMetric(per(int64(postings)), "postings/op")
+		b.ReportMetric(per(int64(candidates)), "candidates/op")
+		b.ReportMetric(per(int64(matches)), "matches/op")
+	}
+	var sealEngine *Engine
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			if sealEngine == nil {
+				sealEngine = rungEngine(b, ds, sealRung)
+			}
+			run(b, sealEngine, sh)
+		})
+	}
+	for _, kind := range []struct {
+		name string
+		spec core.FilterSpec
+	}{
+		{"token", core.FilterSpec{Kind: "token"}},
+		{"grid1024", core.FilterSpec{Kind: "grid", P: 1024}},
+		{"hybrid1024", core.FilterSpec{Kind: "hybrid", P: 1024}},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			var e *Engine
+			for _, sh := range shapes[:3] {
+				b.Run(sh.name, func(b *testing.B) {
+					if e == nil {
+						e = rungEngine(b, ds, kind.spec)
+					}
+					run(b, e, sh)
+				})
+			}
 		})
 	}
 }

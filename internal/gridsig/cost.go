@@ -1,7 +1,5 @@
 package gridsig
 
-import "github.com/sealdb/seal/internal/geo"
-
 // This file implements the probabilistic cost model of Section 4.3, used to
 // select the grid granularity. The expected query cost of a grid set G is
 //
@@ -10,10 +8,10 @@ import "github.com/sealdb/seal/internal/geo"
 // where P(g) is the probability that a workload query touches cell g,
 // |I(g)| is the cell's inverted-list length, π1 is the per-posting retrieval
 // cost, π2 the per-candidate verification cost, and |C| the average
-// candidate count. The filtering term is computed analytically here; the
-// verification term requires running the filter and is supplied by the
-// caller (the paper likewise treats |C| as hard to estimate and evaluates it
-// empirically).
+// candidate count. Both terms are measured by the caller over a sample
+// workload (core.SelectGranularity; the paper likewise treats |C| as hard to
+// estimate and evaluates it empirically); this file holds the constants and
+// combines the terms.
 
 // CostModel carries the calibration constants π1 and π2.
 type CostModel struct {
@@ -26,33 +24,8 @@ type CostModel struct {
 // retrievals.
 var DefaultCostModel = CostModel{Pi1: 1, Pi2: 5}
 
-// FilterCost returns the analytic filtering term Σ_g P(g)·|I(g)| for a grid
-// over the given object regions and query workload: P(g) is the fraction of
-// workload regions with positive overlap with g, and |I(g)| counts objects
-// with positive overlap (the paper's worst case |I_c(g)| = |I(g)|).
-func FilterCost(g *Grid, objects, workload []geo.Rect) float64 {
-	if len(workload) == 0 {
-		return 0
-	}
-	counts := NewCounter(g)
-	for _, r := range objects {
-		counts.AddRegion(r)
-	}
-	// Accumulate Σ_g touches(g)·|I(g)| over workload queries, then divide by
-	// the workload size to get Σ_g P(g)·|I(g)|.
-	var total float64
-	var sig []CellWeight
-	for _, qr := range workload {
-		sig = g.Signature(qr, sig[:0])
-		for _, cw := range sig {
-			total += float64(counts.Count(cw.Cell))
-		}
-	}
-	return total / float64(len(workload))
-}
-
-// Cost combines the analytic filter term with an empirical average
-// candidate count per the cost model.
+// Cost combines the filter term with the average candidate count per the
+// cost model.
 func (m CostModel) Cost(filterTerm, avgCandidates float64) float64 {
 	return m.Pi1*filterTerm + m.Pi2*avgCandidates
 }

@@ -261,28 +261,7 @@ func TestSparseCounter(t *testing.T) {
 	}
 }
 
-func TestFilterCost(t *testing.T) {
-	g := paperGrid(t)
-	objects := paperdata.Regions
-	workload := []geo.Rect{paperdata.QueryRegion}
-	cost := FilterCost(g, objects, workload)
-	if cost <= 0 {
-		t.Fatalf("FilterCost = %v, want positive", cost)
-	}
-	// A finer grid over the same data should not increase the per-cell
-	// count mass for this workload dramatically; sanity-check it stays
-	// finite and positive.
-	g2, err := New(g.Space, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost2 := FilterCost(g2, objects, workload)
-	if cost2 <= 0 {
-		t.Fatalf("finer FilterCost = %v, want positive", cost2)
-	}
-	if FilterCost(g, objects, nil) != 0 {
-		t.Fatalf("empty workload should cost 0")
-	}
+func TestCostModel(t *testing.T) {
 	m := CostModel{Pi1: 2, Pi2: 3}
 	if got := m.Cost(10, 4); got != 32 {
 		t.Fatalf("Cost = %v, want 32", got)

@@ -2,13 +2,8 @@ package invidx
 
 import "fmt"
 
-// KeyArenas is an index's key column in one of two forms: Keys with an
-// optional Slots directory (nil — not merely empty — when the index carries
-// none), or, for an index frozen by FromSortedRuns, Runs (never nil then) over
-// Nodes.
+// KeyArenas is an index's key column: a run table over the nodes.
 type KeyArenas struct {
-	Keys  []uint64 // ascending signature keys
-	Slots []uint32 // open-addressed directory (position+1, 0 = empty)
 	Runs  []uint64 // Extents words: group g's nodes start at the g-th value
 	Nodes []uint32 // the keys' low words, ascending inside a run
 }
@@ -26,34 +21,13 @@ type CompressedArenas struct {
 	Layout  Layout
 }
 
-func (c *keyColumn) arenas() KeyArenas {
-	k := KeyArenas{Keys: c.keys, Slots: c.table.slots, Nodes: c.nodes}
-	if c.runs != nil {
-		k.Runs = c.runs.words
-	}
-	return k
-}
+func (c *keyColumn) arenas() KeyArenas { return KeyArenas{Runs: c.runs.words, Nodes: c.nodes} }
 
-// validateKeys checks a persisted key column and wraps it: keys strictly
-// ascending under a sound directory, or a run table — an extent table ending
-// at the node count — over nodes strictly ascending inside every run, which is
-// what makes binary searches of a run, and positions taken from it, mean what
-// the writer meant.
+// validateKeys checks a persisted key column and wraps it: a run table — an
+// extent table ending at the node count — over nodes strictly ascending inside
+// every run, which is what makes binary searches of a run, and positions taken
+// from it, mean what the writer meant.
 func validateKeys(a KeyArenas) (keyColumn, error) {
-	if a.Runs == nil {
-		if len(a.Nodes) != 0 {
-			return keyColumn{}, corrupt("nodes without a run table")
-		}
-		for i := 1; i < len(a.Keys); i++ {
-			if a.Keys[i] <= a.Keys[i-1] {
-				return keyColumn{}, corrupt("keys not strictly ascending")
-			}
-		}
-		return keyColumn{keys: a.Keys, table: keyTable{slots: a.Slots}}, validateDirectory(a.Keys, a.Slots)
-	}
-	if len(a.Keys) != 0 || a.Slots != nil {
-		return keyColumn{}, corrupt("run-grouped index with a key array")
-	}
 	runs, err := extentsFromWords(a.Runs, uint64(len(a.Nodes)))
 	if err != nil {
 		return keyColumn{}, fmt.Errorf("run table: %w", err)
@@ -70,46 +44,6 @@ func validateKeys(a KeyArenas) (keyColumn, error) {
 		lo = hi
 	}
 	return keyColumn{runs: runs, nodes: a.Nodes}, nil
-}
-
-// validateDirectory checks a persisted hash directory against the sorted key
-// array: exact size, a bijection onto key positions, and — because lookups
-// linear-probe until an empty slot — that every key is actually reachable
-// from its home slot. A directory that passes behaves identically to one
-// newKeyTable would build; one that fails could send probes into infinite
-// loops or to the wrong list, so segment opening rejects it up front. Nil
-// slots are an index without a directory and there is nothing to check:
-// lookups binary-search the keys, which validateKeys has seen ascend.
-func validateDirectory(keys []uint64, slots []uint32) error {
-	if slots == nil {
-		return nil
-	}
-	if len(slots) != tableSlots(len(keys)) {
-		return corrupt("directory size mismatch")
-	}
-	seen := make([]bool, len(keys))
-	filled := 0
-	for _, s := range slots {
-		if s == 0 {
-			continue
-		}
-		i := int(s - 1)
-		if i >= len(keys) || seen[i] {
-			return corrupt("directory slot out of range or duplicated")
-		}
-		seen[i] = true
-		filled++
-	}
-	if filled != len(keys) {
-		return corrupt("directory is missing keys")
-	}
-	col := keyColumn{keys: keys, table: keyTable{slots: slots}}
-	for i, k := range keys {
-		if col.find(k) != i {
-			return corrupt("directory probe does not reach key")
-		}
-	}
-	return nil
 }
 
 // validateCompressedArenas checks, over the nk lists' extents, what the query

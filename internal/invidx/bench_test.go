@@ -58,48 +58,29 @@ func BenchmarkDualScan(b *testing.B) {
 }
 
 // layoutBuilder fills a builder with a realistic shape: many short lists
-// (Zipf-ish key skew), the regime where per-list overhead dominates.
-func layoutBuilder(nKeys, nPostings int) (b Builder) {
+// (Zipf-ish skew over nKeys keys, the k-th named key(k)), the regime where
+// per-list overhead dominates.
+func layoutBuilder(nKeys, nPostings int, key func(k int) uint64) (b Builder) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < nPostings; i++ {
 		u := rng.Float64()
-		key := uint64(u * u * float64(nKeys))
-		b.Add(key, uint32(rng.Intn(1<<20)), rng.Float64()*100)
+		b.Add(key(int(u*u*float64(nKeys))), uint32(rng.Intn(1<<20)), rng.Float64()*100)
 	}
 	return b
 }
 
-// BenchmarkLayoutProbe times a probe, once for each way a list is reached: on
-// the flat build layout, which the paper's baselines read whole (lookup and
-// every object), hash is a Builder's index and its directory, search the same
-// lists under a run-grouped key column (run lookup, then a binary search of
-// the run's uint32 nodes); then quantized is positional At on that index
-// compressed and the query path's read of the view in place (an extent-table
-// select, a cutoff over the stored codes, and the head's objects: the Seal
-// filter's path, in memory or mapped), and quantized-search its Probe. The
-// map-of-pointers layout the flat one replaced last measured 88.9 ns against
-// 47.0 ns for hash on this shape (README, Performance).
+// BenchmarkLayoutProbe times a probe for each shape of key the filters use:
+// token — (token, 0), a hash bucket's (bucket, 0) too — grid, (row, column)
+// of a 128×128 grid, and hybrid, (token, cell) with about sixteen cells a
+// token. On each, flat is the build layout, which the paper's baselines read
+// whole (lookup and every object), and quantized the query path's read of the
+// served view in place (the group's run select, a binary search of the run,
+// a cutoff over the stored codes, and the head's objects); position is
+// positional At on the token shape, the read SEAL's locator makes once it
+// holds a list's position.
 func BenchmarkLayoutProbe(b *testing.B) {
 	const nKeys, nPostings = 1 << 14, 1 << 18
-	fb := layoutBuilder(nKeys, nPostings)
-	keyed := fb.Build()
-	bare := runGrouped(keyed, 1) // every key is below 2^32: one run
-	quant := Compress(bare)
-	lists := keyed.Lists() // all but a handful of the nKeys keys drew a posting
 	c := Code(50)
-
-	flat := func(ix *Index) func(b *testing.B) {
-		return func(b *testing.B) {
-			var sink uint32
-			for i := 0; i < b.N; i++ {
-				objs, _, _ := ix.List(uint64(i % nKeys))
-				for _, o := range objs {
-					sink += o
-				}
-			}
-			_ = sink
-		}
-	}
 	served := func(probe func(i int) List) func(b *testing.B) {
 		return func(b *testing.B) {
 			var sink uint32
@@ -112,8 +93,31 @@ func BenchmarkLayoutProbe(b *testing.B) {
 			_ = sink
 		}
 	}
-	b.Run("hash", flat(keyed))
-	b.Run("search", flat(bare))
-	b.Run("quantized", served(func(i int) List { return quant.At(i % lists) }))
-	b.Run("quantized-search", served(func(i int) List { return quant.Probe(uint64(i % nKeys)) }))
+	for _, shape := range []struct {
+		name string
+		key  func(k int) uint64
+	}{
+		{"token", func(k int) uint64 { return uint64(k) << 32 }},
+		{"grid", func(k int) uint64 { return uint64(k/128)<<32 | uint64(k%128) }},
+		{"hybrid", func(k int) uint64 { return uint64(k/16)<<32 | uint64(k%16*4099) }},
+	} {
+		fb := layoutBuilder(nKeys, nPostings, shape.key)
+		flat := fb.Build()
+		quant := Compress(flat)
+		b.Run(shape.name+"/flat", func(b *testing.B) {
+			var sink uint32
+			for i := 0; i < b.N; i++ {
+				objs, _, _ := flat.List(shape.key(i % nKeys))
+				for _, o := range objs {
+					sink += o
+				}
+			}
+			_ = sink
+		})
+		b.Run(shape.name+"/quantized", served(func(i int) List { return quant.Probe(shape.key(i % nKeys)) }))
+		if shape.name == "token" {
+			lists := quant.Lists() // all but a handful of the nKeys keys drew a posting
+			b.Run("position", served(func(i int) List { return quant.At(i % lists) }))
+		}
+	}
 }

@@ -12,13 +12,22 @@ import (
 	"testing"
 )
 
+// randomKey draws a (group, node) key: one of a few hundred groups, any node.
+func randomKey(rng *rand.Rand) uint64 { return uint64(rng.Intn(300))<<32 | uint64(rng.Uint32()) }
+
+// flatKeys lists ix's keys in position order.
+func flatKeys(ix *Index) (keys []uint64) {
+	ix.eachKey(func(_ int, key uint64) { keys = append(keys, key) })
+	return keys
+}
+
 // buildRandom returns a canonical index with nLists lists of up to maxLen
 // postings each: unique objects per list, bounds drawn from a few magnitudes
 // so ties of equal bounds and long sparse tails both occur.
 func buildRandom(rng *rand.Rand, nLists, maxLen, objects int) *Index {
 	var b Builder
 	for k := 0; k < nLists; k++ {
-		key := rng.Uint64()
+		key := randomKey(rng)
 		n := 1 + rng.Intn(maxLen)
 		seen := make(map[uint32]bool, n)
 		for i := 0; i < n; i++ {
@@ -40,7 +49,7 @@ func buildRandom(rng *rand.Rand, nLists, maxLen, objects int) *Index {
 func buildRandomDual(rng *rand.Rand, nLists, maxLen, objects int) *Index {
 	b := Builder{Dual: true}
 	for k := 0; k < nLists; k++ {
-		key := rng.Uint64()
+		key := randomKey(rng)
 		n := 1 + rng.Intn(maxLen)
 		for i := 0; i < n; i++ {
 			rb := math.Trunc(rng.Float64()*64) / 8
@@ -106,13 +115,14 @@ func TestServedLayouts(t *testing.T) {
 				if src.SizeBytes() <= 0 {
 					t.Errorf("SizeBytes should be positive")
 				}
-				if runs, nodes := src.Runs(); runs != nil || nodes != nil {
-					t.Fatalf("a Builder's index reports a run-grouped key column")
+				keys := flatKeys(ix)
+				if runs, nodes := src.Runs(); runs.Len() != int(keys[len(keys)-1]>>32)+1 || len(nodes) != len(keys) {
+					t.Fatalf("%d runs over %d nodes, want a run a group up to the last key's", runs.Len(), len(nodes))
 				}
 				i, total := 0, 0
 				src.EachLen(func(key uint64, n int) {
-					if key != ix.keys[i] || n != len(flatObjs(ix, key)) {
-						t.Fatalf("EachLen #%d: (%#x, %d), want (%#x, %d)", i, key, n, ix.keys[i], len(flatObjs(ix, ix.keys[i])))
+					if key != keys[i] || n != len(flatObjs(ix, key)) {
+						t.Fatalf("EachLen #%d: (%#x, %d), want (%#x, %d)", i, key, n, keys[i], len(flatObjs(ix, keys[i])))
 					}
 					i++
 					total += n
@@ -120,10 +130,10 @@ func TestServedLayouts(t *testing.T) {
 				if i != ix.Lists() || total != ix.Postings() {
 					t.Fatalf("EachLen reported %d lists / %d postings", i, total)
 				}
-				if l := src.Probe(ix.keys[len(ix.keys)-1] + 1); l.Len() != 0 {
+				if l := src.Probe(keys[len(keys)-1] + 1); l.Len() != 0 {
 					t.Fatalf("absent key probed to %d postings", l.Len())
 				}
-				for _, key := range ix.keys {
+				for _, key := range keys {
 					want := flatList(ix, key)
 					got := src.Probe(key)
 					if _, _, tBounds := ix.List(key); got.Len() != len(want) || len(got.tCodes)/2 != len(tBounds) {
@@ -147,31 +157,6 @@ func TestServedLayouts(t *testing.T) {
 	}
 }
 
-// withoutDirectory returns ix over the same key array less its directory, as
-// a segment written without one opens: Probe binary-searches the keys.
-func withoutDirectory(ix *Index) *Index {
-	out := *ix
-	out.table = keyTable{}
-	return &out
-}
-
-// runGrouped returns ix with its key array regrouped by high word into runs of
-// low words, as FromSortedRuns would have frozen the same lists.
-func runGrouped(ix *Index, groups int) *Index {
-	out := *ix
-	out.keyColumn = keyColumn{}
-	starts := make([]uint32, groups+1)
-	for _, k := range ix.keys {
-		out.nodes = append(out.nodes, uint32(k))
-		starts[k>>32+1]++
-	}
-	for g := 0; g < groups; g++ {
-		starts[g+1] += starts[g]
-	}
-	out.runs = extentsOf(starts)
-	return &out
-}
-
 // arenaBytes is what an index's arenas hold: every slice at its element
 // width, which for a compressed index is the bytes of a segment's sections.
 func arenaBytes(src any) int64 {
@@ -184,7 +169,7 @@ func arenaBytes(src any) int64 {
 		a := ix.Arenas()
 		k, n = a.KeyArenas, int64(len(a.Extents)*8+len(a.Blob))
 	}
-	return n + int64(len(k.Keys)*8+len(k.Slots)*4+len(k.Runs)*8+len(k.Nodes)*4)
+	return n + int64(len(k.Runs)*8+len(k.Nodes)*4)
 }
 
 // keysOf lists ix's keys in position order, as EachLen reports them.
@@ -201,21 +186,20 @@ func atPanic(ix *Compressed, i int) (v any) {
 }
 
 // TestAtMatchesProbe: position and key are two ways to the same list. Over
-// {keyed, keyed without a directory, run-grouped} × {quantized, saturated},
-// each also wrapped from arenas as a mapped segment is, At(i) is Probe of the
-// i-th key — for a run-grouped column Probe(run<<32 | node) — for every i, a
-// key the index does not hold (an absent node, a token with an empty run, a
-// token past the run table) probes empty, and a position outside [0, Lists())
+// {quantized, saturated}, each also wrapped from arenas as a mapped segment
+// is, At(i) is Probe of the i-th key — Probe(group<<32 | node) — for every i,
+// a key the index does not hold (an absent node, a group with an empty run, a
+// group past the run table) probes empty, and a position outside [0, Lists())
 // panics naming the position and the count — it never decodes a neighbouring
 // list. SizeBytes is the bytes of the index's arenas, flat or compressed.
 func TestAtMatchesProbe(t *testing.T) {
 	const objects, groups = 1500, 24
 	rng := rand.New(rand.NewSource(21))
-	// Keys are (group, node) pairs; groups 0, 7 and the last stay empty.
+	// Keys are (group, node) pairs; groups 0, 7 and the last two stay empty.
 	build := func(dual bool, lists int) *Index {
 		b := Builder{Dual: dual}
 		for k := 0; k < lists; k++ {
-			g := 1 + rng.Intn(groups-2)
+			g := 1 + rng.Intn(groups-3)
 			if g == 7 {
 				continue
 			}
@@ -234,85 +218,74 @@ func TestAtMatchesProbe(t *testing.T) {
 		{"dual", build(true, 60)},
 		{"empty", new(Builder).Build()},
 	} {
-		for _, col := range []string{"keyed", "bare", "run-grouped"} {
-			ix, dir := fx.ix, int64(tableSlots(fx.ix.Lists()))*4
-			switch col {
-			case "bare":
-				ix = withoutDirectory(ix)
-			case "run-grouped":
-				ix = runGrouped(ix, groups)
+		ix := fx.ix
+		cx, sx := Compress(ix), Compress(saturated(ix))
+		mcomp, err := CompressedFromArenas(cx.Arenas(), cx.Postings(), objects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msat, err := CompressedFromArenas(sx.Arenas(), sx.Postings(), objects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ix.SizeBytes(), arenaBytes(ix); got != want {
+			t.Fatalf("%s flat: SizeBytes %d, arenas %d", fx.name, got, want)
+		}
+		flat := flatKeys(ix)
+		for name, src := range map[string]*Compressed{"compressed": cx, "saturated": sx, "mapped compressed": mcomp, "mapped saturated": msat} {
+			label := fmt.Sprintf("%s %s", fx.name, name)
+			if got, want := src.SizeBytes(), arenaBytes(src); got != want {
+				t.Fatalf("%s: SizeBytes %d, arenas %d", label, got, want)
 			}
-			cx, sx := Compress(ix), Compress(saturated(ix))
-			if (ix.arenas().Slots != nil) != (col == "keyed") || (cx.Arenas().Slots != nil) != (col == "keyed") ||
-				(ix.arenas().Runs != nil) != (col == "run-grouped") || (cx.Arenas().Runs != nil) != (col == "run-grouped") {
-				t.Fatalf("%s %s: arenas disagree about the key column", fx.name, col)
+			keys := keysOf(src)
+			if !slices.Equal(keys, flat) {
+				t.Fatalf("%s: EachLen reports other keys than the builder froze", label)
 			}
-			mcomp, err := CompressedFromArenas(cx.Arenas(), cx.Postings(), objects)
-			if err != nil {
-				t.Fatal(err)
+			// A run a group, up to the last key's.
+			runs, nodes := src.Runs()
+			want := 0
+			if len(keys) > 0 {
+				want = int(keys[len(keys)-1]>>32) + 1
 			}
-			msat, err := CompressedFromArenas(sx.Arenas(), sx.Postings(), objects)
-			if err != nil {
-				t.Fatal(err)
+			if runs.Len() != want || len(nodes) != len(keys) {
+				t.Fatalf("%s: Runs() = %d runs over %d nodes, want %d over %d", label, runs.Len(), len(nodes), want, len(keys))
 			}
-			// A directory is 8 bytes a list, and the column is all that differs.
-			if col == "bare" && ix.SizeBytes() != fx.ix.SizeBytes()-dir {
-				t.Fatalf("%s %s: SizeBytes should be the directory's %d bytes under the keyed index's", fx.name, col, dir)
-			}
-			if got, want := ix.SizeBytes(), arenaBytes(ix); got != want {
-				t.Fatalf("%s %s flat: SizeBytes %d, arenas %d", fx.name, col, got, want)
-			}
-			for name, src := range map[string]*Compressed{"compressed": cx, "saturated": sx, "mapped compressed": mcomp, "mapped saturated": msat} {
-				label := fmt.Sprintf("%s %s %s", fx.name, col, name)
-				if got, want := src.SizeBytes(), arenaBytes(src); got != want {
-					t.Fatalf("%s: SizeBytes %d, arenas %d", label, got, want)
+			for i, key := range keys {
+				at, probed := src.At(i), src.Probe(key)
+				if at.Len() == 0 || !slices.Equal(at.codes, probed.codes) || !slices.Equal(at.tCodes, probed.tCodes) || !slices.Equal(at.objs, probed.objs) {
+					t.Fatalf("%s: At(%d) and Probe(%#x) differ", label, i, key)
 				}
-				keys := keysOf(src)
-				if !slices.Equal(keys, fx.ix.keys) {
-					t.Fatalf("%s: EachLen reports other keys than the builder froze", label)
+				// …and list i of the flat index: the same objects, bounds never
+				// below the exact ones.
+				if !slices.Equal(objsOf(at), flatObjs(ix, key)) {
+					t.Fatalf("%s: list %d holds other objects than the flat index's", label, i)
 				}
-				runs, nodes := src.Runs()
-				if col != "run-grouped" && (runs != nil || nodes != nil) || col == "run-grouped" && (runs.Len() != groups || len(nodes) != len(keys)) {
-					t.Fatalf("%s: Runs() = %v over %d nodes", label, runs, len(nodes))
-				}
-				for i, key := range keys {
-					at, probed := src.At(i), src.Probe(key)
-					if at.Len() == 0 || !slices.Equal(at.codes, probed.codes) || !slices.Equal(at.tCodes, probed.tCodes) || !slices.Equal(at.objs, probed.objs) {
-						t.Fatalf("%s: At(%d) and Probe(%#x) differ", label, i, key)
-					}
-					// …and list i of the flat index: the same objects, bounds never
-					// below the exact ones.
-					flat := flatList(fx.ix, key)
-					if !slices.Equal(objsOf(at), flatObjs(fx.ix, key)) {
-						t.Fatalf("%s: list %d holds other objects than the flat index's", label, i)
-					}
-					for j, w := range flat {
-						if p := at.Posting(j); p.Bound < w.Bound || p.TBound < w.TBound {
-							t.Fatalf("%s: list %d posting %d decoded below the exact bounds", label, i, j)
-						}
-					}
-					// Nodes are random 32-bit draws: a neighbour is absent.
-					for _, absent := range []uint64{key - 1, key + 1} {
-						if _, held := slices.BinarySearch(keys, absent); held {
-							continue
-						}
-						if l := src.Probe(absent); l.Len() != 0 {
-							t.Fatalf("%s: absent key %#x probed to %d postings", label, absent, l.Len())
-						}
+				for j, w := range flatList(ix, key) {
+					if p := at.Posting(j); p.Bound < w.Bound || p.TBound < w.TBound {
+						t.Fatalf("%s: list %d posting %d decoded below the exact bounds", label, i, j)
 					}
 				}
-				// Group 0 and 7 have empty runs, groups-1 is the last run and
-				// empty, groups and beyond have no run at all.
-				for _, absent := range []uint64{0, 5, 7<<32 | 5, (groups-1)<<32 | 5, groups << 32, groups<<32 | 5, 1 << 63, math.MaxUint64} {
+				// Nodes are random 32-bit draws: a neighbour is absent.
+				for _, absent := range []uint64{key - 1, key + 1} {
+					if _, held := slices.BinarySearch(keys, absent); held {
+						continue
+					}
 					if l := src.Probe(absent); l.Len() != 0 {
-						t.Fatalf("%s: key %#x probed to %d postings", label, absent, l.Len())
+						t.Fatalf("%s: absent key %#x probed to %d postings", label, absent, l.Len())
 					}
 				}
-				for _, i := range []int{-1, len(keys), len(keys) + 7, math.MinInt, math.MaxInt} {
-					want := fmt.Sprintf("invidx: list position %d outside [0, %d)", i, len(keys))
-					if got := atPanic(src, i); got != want {
-						t.Fatalf("%s: At(%d) panicked with %v, want %q", label, i, got, want)
-					}
+			}
+			// Groups 0 and 7 have empty runs, groups-2 and beyond have no run
+			// at all.
+			for _, absent := range []uint64{0, 5, 7<<32 | 5, (groups-2)<<32 | 5, groups << 32, groups<<32 | 5, 1 << 63, math.MaxUint64} {
+				if l := src.Probe(absent); l.Len() != 0 {
+					t.Fatalf("%s: key %#x probed to %d postings", label, absent, l.Len())
+				}
+			}
+			for _, i := range []int{-1, len(keys), len(keys) + 7, math.MinInt, math.MaxInt} {
+				want := fmt.Sprintf("invidx: list position %d outside [0, %d)", i, len(keys))
+				if got := atPanic(src, i); got != want {
+					t.Fatalf("%s: At(%d) panicked with %v, want %q", label, i, got, want)
 				}
 			}
 		}
@@ -337,7 +310,7 @@ func TestCompressedProbeZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ix := buildRandom(rng, 30, 200, 1000)
 	cx := Compress(ix)
-	keys := append([]uint64(nil), ix.keys...)
+	keys := flatKeys(ix)
 	allocs := testing.AllocsPerRun(1, func() {
 		for _, k := range keys {
 			if cx.Probe(k).Len() == 0 {
@@ -351,11 +324,11 @@ func TestCompressedProbeZeroAllocs(t *testing.T) {
 }
 
 func cloneKeys(k KeyArenas) KeyArenas {
-	return KeyArenas{Keys: slices.Clone(k.Keys), Slots: slices.Clone(k.Slots), Runs: slices.Clone(k.Runs), Nodes: slices.Clone(k.Nodes)}
+	return KeyArenas{Runs: slices.Clone(k.Runs), Nodes: slices.Clone(k.Nodes)}
 }
 
-// groupedFixture is a dual index of (group, node) keys frozen run-grouped:
-// eight groups, the first and last empty, every other holding several nodes.
+// groupedFixture is a dual index of (group, node) keys: seven groups, the
+// first empty, every other holding several nodes.
 func groupedFixture(rng *rand.Rand, objects int) *Index {
 	b := Builder{Dual: true}
 	for g := 1; g < 7; g++ {
@@ -366,7 +339,7 @@ func groupedFixture(rng *rand.Rand, objects int) *Index {
 			}
 		}
 	}
-	return runGrouped(b.Build(), 8)
+	return b.Build()
 }
 
 // setBit returns words with bit p set, grown to hold it.
@@ -404,8 +377,8 @@ var extentCorruptions = []struct {
 	{"empty", func([]uint64) []uint64 { return []uint64{} }},
 }
 
-// runCorruptions are the ways a persisted run-grouped key column can lie, one
-// per rule of validateKeys; CompressedFromArenas must refuse each.
+// runCorruptions are the ways a persisted key column can lie, one per rule of
+// validateKeys; CompressedFromArenas must refuse each.
 var runCorruptions = func() (cs []struct {
 	name   string
 	mutate func(*KeyArenas)
@@ -424,8 +397,6 @@ var runCorruptions = func() (cs []struct {
 		{"nodes descend inside a run", func(k *KeyArenas) { k.Nodes[0], k.Nodes[1] = k.Nodes[1], k.Nodes[0] }},
 		{"node repeated inside a run", func(k *KeyArenas) { k.Nodes[1] = k.Nodes[0] }},
 		{"nodes truncated", func(k *KeyArenas) { k.Nodes = k.Nodes[:len(k.Nodes)-1] }},
-		{"run table beside a key array", func(k *KeyArenas) { k.Keys = make([]uint64, len(k.Nodes)) }},
-		{"run table beside a directory", func(k *KeyArenas) { k.Slots = []uint32{} }},
 		{"nodes without a run table", func(k *KeyArenas) { k.Runs = nil }},
 	}...)
 }()
@@ -492,18 +463,6 @@ func TestCompressedFromArenasRejectsCorrupt(t *testing.T) {
 		}, cx.Postings(), objects},
 		{"wide objects claimed", func(a *CompressedArenas) { a.Layout.Obj16 = false }, cx.Postings(), objects},
 		{"dual claimed", func(a *CompressedArenas) { a.Dual = true }, cx.Postings(), objects},
-		// The keyed column: keys and the directory over them.
-		{"keys unsorted", func(a *CompressedArenas) { a.Keys[0], a.Keys[1] = a.Keys[1], a.Keys[0] }, cx.Postings(), objects},
-		{"directory truncated", func(a *CompressedArenas) { a.Slots = a.Slots[:len(a.Slots)/2] }, cx.Postings(), objects},
-		{"directory zeroed", func(a *CompressedArenas) { clear(a.Slots) }, cx.Postings(), objects},
-		{"directory out of range", func(a *CompressedArenas) {
-			for i := range a.Slots {
-				if a.Slots[i] != 0 {
-					a.Slots[i] = uint32(len(a.Keys)) + 5
-					return
-				}
-			}
-		}, cx.Postings(), objects},
 	}
 	for _, c := range extentCorruptions {
 		cases = append(cases, struct {
@@ -807,7 +766,7 @@ func FuzzDecodeList(f *testing.F) {
 	dx := buildRandomDual(rng, 6, 60, 500)
 	for _, ix := range []*Index{ix, wide, dx} {
 		lay := Compress(ix).Arenas().Layout
-		for _, key := range ix.keys {
+		for _, key := range flatKeys(ix) {
 			objs, bounds, tBounds := ix.List(key)
 			f.Add(appendList(nil, objs, bounds, tBounds, lay), ix.dual, lay.Obj16)
 			bounds, tBounds = slices.Clone(bounds), slices.Clone(tBounds)

@@ -11,8 +11,8 @@ import (
 // extent of one — so vᵢ = select₁(i) − i, the table is monotone by
 // construction, and it costs vₙ + n + 1 bits where an array of uint32 offsets
 // costs 32(n + 1). It serves both of an index's offset tables: a compressed
-// index's list extents, counted in rows, and a run-grouped key column's token
-// runs, counted in nodes. On the index SEAL builds the two take under six bits
+// index's list extents, counted in rows, and its key column's group runs,
+// counted in nodes. On the index SEAL builds the two take under six bits
 // a list where their uint32 arrays took 40, because most lists and most runs
 // are short.
 //

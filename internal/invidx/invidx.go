@@ -12,41 +12,39 @@
 // one bound its list is sorted by; a hybrid posting (Section 5.1) is the same
 // posting with a second, textual bound in a lane of its own, checked per
 // posting during the scan. An index is dual when its lists carry that lane,
-// and everything else — the layout, the directory, the probe — is shared.
+// and everything else — the layout, the key column, the probe — is shared.
 //
 // A build is flat: a frozen Index keeps every posting in one contiguous
-// objs/bounds arena, with an ascending sorted key table and an offset per key,
-// and the whole index is a handful of allocations regardless of how many lists
-// it holds. The paper's baselines read it as it is (Index.List). A signature
-// filter serves its Compress form instead — the layout a segment stores — in
-// memory as from a mapped segment, and reads it where it lies: a served List
-// is a view of a list's 16-bit bound codes and object IDs, and a query
-// threshold becomes a code once (Code) rather than every code a bound.
+// objs/bounds arena, with an offset per list and one key column, and the whole
+// index is a handful of allocations regardless of how many lists it holds. The
+// paper's baselines read it as it is (Index.List). A signature filter serves
+// its Compress form instead — the layout a segment stores — in memory as from
+// a mapped segment, and reads it where it lies: a served List is a view of a
+// list's 16-bit bound codes and object IDs, and a query threshold becomes a
+// code once (Code) rather than every code a bound.
 //
 // A served list is reached by position: At(i) is the i-th list in key order.
-// The kinds that look lists up by key (token, grid, hybrid-hash: a Builder's
-// indexes) keep an ascending uint64 key array and an open-addressed hash
-// directory over it, so Probe(key) is an O(1) lookup and then At. SEAL's index
-// (FromSortedRuns) keeps neither: its keys are (token, grid node) pairs whose
-// grid locator walks one token's nodes at a time and already holds the
-// position of every list it wants, so the key column is stored the way it is
-// read — one run of ascending uint32 nodes per token under a table of run
-// offsets, four bytes and a bit a list where the key array and its directory
-// took sixteen. Probe on such an index still answers: run lookup, then a
-// binary search of the run.
+// Every key is a (group, node) pair — its high and low 32-bit words — and
+// every kind names its lists so that the group is a small, dense number: a
+// token list is (token, 0), a grid list (row, column) of its cell, a
+// hybrid-hash list (token, cell) or (bucket, 0), and a SEAL list (token, grid
+// node). The key column is stored the way it is read: one run of ascending
+// uint32 nodes per group under a table of run offsets, four bytes and a bit a
+// list and a bit a group. Probe(key) selects the group's run, then
+// binary-searches it; SEAL's grid locator and the hybrid-hash filter, which
+// visit one token's nodes at a time, select a token's run once (Runs).
 //
 // Both monotone offset tables of a stored index — a compressed index's list
-// extents and a run-grouped column's token runs — are one primitive, Extents:
+// extents and the key column's group runs — are one primitive, Extents:
 // the sequence coded in unary as a bitmap, a bit an entry plus a bit a row
 // (or a node), selected through samples derived when the table is opened. A
-// compressed Seal list's metadata is therefore its node + 1 bit in each table.
+// compressed list's metadata is therefore its node + 1 bit in each table.
 package invidx
 
 import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 )
 
@@ -59,7 +57,7 @@ type Posting struct {
 	TBound float64
 }
 
-// Index maps signature elements (opaque uint64 keys) to posting lists.
+// Index maps signature elements ((group, node) keys) to posting lists.
 // Build one with a Builder or FromSortedRuns. The frozen layout is parallel
 // arenas: a key column in ascending key order, per-list offsets into the
 // posting arena, and the postings themselves (objs and each bound lane in
@@ -147,16 +145,28 @@ func newIndex(lists, postings int, dual bool) *Index {
 
 // Build sorts every list by descending bound (ties by ascending object, for
 // determinism), a dual builder merging duplicate objects first, and freezes
-// the index into its flat layout. The builder is consumed.
+// the index into its flat layout under a run-grouped key column, as
+// FromSortedRuns does: a key's high word is its group and its low word its
+// node, and the groups run from 0 to the largest one. Keys are therefore
+// (group, node) pairs whose groups are small, dense numbers — a token, a grid
+// row, a hash bucket — since the run table costs a bit a group. The builder
+// is consumed.
 func (b *Builder) Build() *Index {
-	idx := newIndex(len(b.lists), b.total, b.Dual)
-	idx.keys = make([]uint64, 0, len(b.lists))
+	keys := make([]uint64, 0, len(b.lists))
 	for key := range b.lists {
-		idx.keys = append(idx.keys, key)
+		keys = append(keys, key)
 	}
-	slices.Sort(idx.keys)
-	idx.table = newKeyTable(idx.keys)
-	for _, key := range idx.keys {
+	slices.Sort(keys)
+	idx := newIndex(len(keys), b.total, b.Dual)
+	groups := 0
+	if len(keys) > 0 {
+		groups = int(keys[len(keys)-1]>>32) + 1
+	}
+	counts := make([]uint32, groups+1)
+	idx.nodes = make([]uint32, 0, len(keys))
+	for _, key := range keys {
+		idx.nodes = append(idx.nodes, uint32(key))
+		counts[key>>32+1]++
 		ps := b.lists[key]
 		if b.Dual {
 			ps = mergeDuplicates(ps)
@@ -171,6 +181,7 @@ func (b *Builder) Build() *Index {
 		}
 		idx.starts = append(idx.starts, uint32(len(idx.objs)))
 	}
+	idx.runs = runTable(counts)
 	b.lists = nil
 	b.total = 0
 	return idx
@@ -193,13 +204,11 @@ type Run struct {
 
 // FromSortedRuns freezes runs, whose keys ascend from each run to the next
 // and whose groups all lie below groups, into a flat dual-bound Index by
-// concatenation: no map, no key sort, no list sort, and a run-grouped key
-// column in place of a key array and its hash directory. It is the
-// constructor for a producer that partitions the key space and sorts as it
-// goes, and that reaches its lists by position afterwards (the SEAL build,
-// one run per token); Builder remains the one for postings that arrive in any
-// order and are looked up by key. Keys out of order or lengths that do not add
-// up are the producer's bug and panic.
+// concatenation: no map, no key sort, no list sort. It is the constructor for
+// a producer that partitions the key space and sorts as it goes (the SEAL
+// build, one run per token); Builder remains the one for postings that arrive
+// in any order. Both freeze the same key column. Keys out of order or lengths
+// that do not add up are the producer's bug and panic.
 func FromSortedRuns(groups int, runs []Run) *Index {
 	var lists, postings int
 	for i := range runs {
@@ -207,7 +216,7 @@ func FromSortedRuns(groups int, runs []Run) *Index {
 		postings += len(runs[i].Objs)
 	}
 	idx := newIndex(lists, postings, true)
-	starts := make([]uint32, groups+1) // counts, then offsets: the run table's values
+	counts := make([]uint32, groups+1)
 	idx.nodes = make([]uint32, 0, lists)
 	last := int64(-1)
 	for i := range runs {
@@ -224,7 +233,7 @@ func FromSortedRuns(groups int, runs []Run) *Index {
 			}
 			last = key
 			idx.nodes = append(idx.nodes, node)
-			starts[r.Group+1]++
+			counts[r.Group+1]++
 			end += int(r.Lens[j])
 			idx.starts = append(idx.starts, uint32(end))
 		}
@@ -235,57 +244,35 @@ func FromSortedRuns(groups int, runs []Run) *Index {
 		idx.bounds = append(idx.bounds, r.Bounds...)
 		idx.tBounds = append(idx.tBounds, r.TBounds...)
 	}
-	for g := 0; g < groups; g++ {
-		starts[g+1] += starts[g]
-	}
-	idx.runs = extentsOf(starts)
+	idx.runs = runTable(counts)
 	return idx
 }
 
+// runTable turns per-group node counts — group g's at counts[g+1], counts[0]
+// zero — into the run table, summing them in place.
+func runTable(counts []uint32) *Extents {
+	for g := 1; g < len(counts); g++ {
+		counts[g] += counts[g-1]
+	}
+	return extentsOf(counts)
+}
+
 // keyColumn names an index's lists, position i being the i-th key in
-// ascending order, in one of two forms. A Builder's index keeps the keys and
-// a hash directory over them. A run-grouped one (FromSortedRuns) keeps, for
-// every key group g — the high word of a key — the ascending low words of
-// the group's keys in nodes[lo:hi], lo, hi = runs.Span(g); runs is non-nil
-// exactly then.
+// ascending order: for every key group g — the high word of a key — the
+// ascending low words of the group's keys lie in nodes[lo:hi], lo, hi =
+// runs.Span(g). It costs four bytes and a bit a list, and a bit a group.
 type keyColumn struct {
-	keys  []uint64
-	table keyTable // key → position directory; the zero table binary-searches
 	runs  *Extents // one extent of nodes a group
 	nodes []uint32
 }
 
-// lists counts the keys: one of the two forms holds none.
-func (c *keyColumn) lists() int { return len(c.keys) + len(c.nodes) }
+// lists counts the keys.
+func (c *keyColumn) lists() int { return len(c.nodes) }
 
-// find returns key's position, or -1: through the directory when there is
-// one, by binary search when there is not.
+// find returns key's position, or -1: the group's run by one select, then a
+// binary search of the run's nodes.
 func (c *keyColumn) find(key uint64) int {
-	t := c.table
-	if len(t.slots) == 0 {
-		return c.search(key)
-	}
-	slot := t.home(key)
-	for {
-		s := t.slots[slot]
-		if s == 0 {
-			return -1
-		}
-		if i := int(s - 1); c.keys[i] == key {
-			return i
-		}
-		slot = t.next(slot)
-	}
-}
-
-// search is find without a directory: a binary search of the ascending keys,
-// or of the key's run of nodes.
-func (c *keyColumn) search(key uint64) int {
-	if c.runs == nil {
-		if i, ok := slices.BinarySearch(c.keys, key); ok {
-			return i
-		}
-	} else if g := key >> 32; g < uint64(c.runs.Len()) {
+	if g := key >> 32; g < uint64(c.runs.Len()) {
 		lo, hi := c.runs.Span(int(g))
 		if i, ok := slices.BinarySearch(c.nodes[lo:hi], uint32(key)); ok {
 			return lo + i
@@ -296,12 +283,6 @@ func (c *keyColumn) search(key uint64) int {
 
 // eachKey visits every position and its key in ascending order.
 func (c *keyColumn) eachKey(fn func(i int, key uint64)) {
-	for i, k := range c.keys {
-		fn(i, k)
-	}
-	if c.runs == nil {
-		return
-	}
 	starts := c.runs.values()
 	lo := starts.next()
 	for g := 0; g < c.runs.Len(); g++ {
@@ -313,89 +294,22 @@ func (c *keyColumn) eachKey(fn func(i int, key uint64)) {
 	}
 }
 
-// sizeBytes is the column's footprint: 8 bytes a key plus the directory, or
-// 4 bytes a node plus the run table's bit a node and a run.
-func (c *keyColumn) sizeBytes() int64 {
-	n := int64(len(c.keys))*8 + c.table.sizeBytes() + int64(len(c.nodes))*4
-	if c.runs != nil {
-		n += c.runs.sizeBytes()
-	}
-	return n
-}
+// sizeBytes is the column's footprint: 4 bytes a node plus the run table's
+// bit a node and a group.
+func (c *keyColumn) sizeBytes() int64 { return int64(len(c.nodes))*4 + c.runs.sizeBytes() }
 
-// Runs returns the run-grouped key column — one extent of the nodes per group,
-// and the nodes, ascending inside each, aliasing the index (for a mapped
-// segment, its pages; read-only) — and nils for an index that keeps a key
-// array.
+// Runs returns the key column — one extent of the nodes per group, and the
+// nodes, ascending inside each — aliasing the index (for a mapped segment,
+// its pages; read-only).
 func (c *keyColumn) Runs() (*Extents, []uint32) { return c.runs, c.nodes }
 
-// keyTable is an open-addressed hash directory from element key to its
-// position in the sorted key array. Lookup is O(1) with linear probing at a
-// load factor of exactly 0.5 — two slots per key, whatever the key count —
-// beating both a binary search over the key array and a Go map (no bucket
-// indirection, no interface hashing). Slots hold position+1; 0 means empty.
-//
-// The zero keyTable (nil slots) is "no directory": the index was opened from a
-// segment without one. A Builder's table is never nil, whatever the key
-// count, and that is how a segment writer tells the two apart.
-type keyTable struct {
-	slots []uint32
-}
-
-// tableSlots is the directory size for nKeys keys. A power-of-two size would
-// let a mask pick the home slot but runs at a load anywhere from 0.25 to 0.5;
-// at four bytes a slot that is up to eight more bytes on every list.
-func tableSlots(nKeys int) int { return 2 * nKeys }
-
-// home maps key to its first slot: the high word of hash × size (a
-// multiply-shift in place of a modulo), uniform over any table size.
-func (t keyTable) home(key uint64) uint64 {
-	hi, _ := bits.Mul64(mix64(key), uint64(len(t.slots)))
-	return hi
-}
-
-// next is the slot probed after slot.
-func (t keyTable) next(slot uint64) uint64 {
-	if slot++; slot == uint64(len(t.slots)) {
-		return 0
-	}
-	return slot
-}
-
-// newKeyTable indexes the sorted keys.
-func newKeyTable(keys []uint64) keyTable {
-	t := keyTable{slots: make([]uint32, tableSlots(len(keys)))}
-	for i, k := range keys {
-		slot := t.home(k)
-		for t.slots[slot] != 0 {
-			slot = t.next(slot)
-		}
-		t.slots[slot] = uint32(i) + 1
-	}
-	return t
-}
-
-// sizeBytes reports the directory's footprint.
-func (t keyTable) sizeBytes() int64 { return int64(len(t.slots)) * 4 }
-
-// checkOffsetRange guards the uint32 arena offsets (and keyTable slot
-// positions): past 2^32-1 postings they would wrap and List() would return
+// checkOffsetRange guards the uint32 arena offsets: past 2^32-1 postings they would wrap and List() would return
 // slices of the wrong arena region. An index that large must shard first,
 // and silent corruption is worse than a build-time panic.
 func checkOffsetRange(postings int) {
 	if uint64(postings) > math.MaxUint32 {
 		panic(fmt.Sprintf("invidx: %d postings exceed the flat layout's 32-bit offsets; shard the dataset", postings))
 	}
-}
-
-// mix64 is the splitmix64 finalizer: a fast, well-distributed 64-bit hash.
-func mix64(v uint64) uint64 {
-	v ^= v >> 30
-	v *= 0xbf58476d1ce4e5b9
-	v ^= v >> 27
-	v *= 0x94d049bb133111eb
-	v ^= v >> 31
-	return v
 }
 
 // List returns key's postings as zero-copy views of the arenas — objects,
@@ -422,8 +336,8 @@ func (ix *Index) Postings() int { return len(ix.objs) }
 
 // SizeBytes reports the footprint of the flat build layout: 12 bytes per
 // posting (uint32 obj + float64 bound), 20 with the textual lane, a 4-byte
-// offset per list and one more, and the key column (16 bytes a list with a
-// directory; 4 and about a bit a list and a run when run-grouped). Only the
+// offset per list and one more, and the key column (4 bytes and a bit a list,
+// and a bit a group). Only the
 // paper's baselines report it; a signature filter serves, and Table 1 and
 // Fig 15 report, its Compressed form's SizeBytes.
 func (ix *Index) SizeBytes() int64 {

@@ -232,24 +232,21 @@ func TestBuilderDualMergesMaxBounds(t *testing.T) {
 	}
 }
 
-// hashDirBytes mirrors the keyTable sizing rule: two 4-byte slots per list
-// (load factor 0.5).
-func hashDirBytes(lists int) int64 { return int64(lists) * 2 * 4 }
-
 // TestFlatSizeBytesAccounting pins the flat layout's size model: every
 // posting costs exactly obj+bound (12B single, 20B dual), every list exactly
-// key+offset (12B), plus the closing offset and a Builder index's hash
-// directory — no per-list heap objects left to estimate.
+// node+offset (8B), plus the closing offset and the run table's words — no
+// per-list heap objects left to estimate.
 func TestFlatSizeBytesAccounting(t *testing.T) {
 	var b Builder
 	for i := uint32(0); i < 100; i++ {
-		b.Add(uint64(i%7), i, float64(i))
+		b.Add(uint64(i%7)<<32, i, float64(i))
 	}
 	idx := b.Build()
 	if idx.Postings() != 100 || idx.Lists() != 7 {
 		t.Fatalf("postings=%d lists=%d, want 100 and 7", idx.Postings(), idx.Lists())
 	}
-	want := int64(100*(4+8)+7*(8+4)+4) + hashDirBytes(7)
+	// Seven groups of one node: 7 + 7 + 1 bits of run table, one word.
+	want := int64(100*(4+8) + 7*(4+4) + 4 + 8)
 	if got := idx.SizeBytes(); got != want {
 		t.Fatalf("SizeBytes = %d, want %d", got, want)
 	}
@@ -259,7 +256,8 @@ func TestFlatSizeBytesAccounting(t *testing.T) {
 		db.AddDual(uint64(i%5), i, float64(i), 1)
 	}
 	didx := db.Build()
-	wantDual := int64(60*(4+8+8)+5*(8+4)+4) + hashDirBytes(5)
+	// Five nodes of group 0: 5 + 1 + 1 bits, one word.
+	wantDual := int64(60*(4+8+8) + 5*(4+4) + 4 + 8)
 	if got := didx.SizeBytes(); got != wantDual {
 		t.Fatalf("dual SizeBytes = %d, want %d", got, wantDual)
 	}
@@ -301,8 +299,8 @@ func TestCutoffMatchesLinearScan(t *testing.T) {
 
 // TestFromSortedRunsMatchesBuilder: handing FromSortedRuns the lists a dual
 // Builder would produce, cut into runs at arbitrary key boundaries inside a
-// group, must freeze to the builder's keys and lists — under a run-grouped key
-// column instead of the builder's key array and directory.
+// group, must freeze to the builder's keys and lists under the same key
+// column, less the run table's trailing empty groups.
 func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 	const groups = 210 // the last ten hold nothing
 	rng := rand.New(rand.NewSource(13))
@@ -312,9 +310,10 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 		b.AddDual(uint64(rng.Intn(200))<<32|uint64(rng.Intn(4)), uint32(i), float64(rng.Intn(8)), rng.Float64())
 	}
 	want := b.Build()
+	keys := flatKeys(want)
 
 	var runs []Run
-	for _, key := range want.keys {
+	for _, key := range keys {
 		objs, bounds, tBounds := want.List(key)
 		if len(runs) == 0 || runs[len(runs)-1].Group != uint32(key>>32) || rng.Intn(3) == 0 {
 			runs = append(runs, Run{Group: uint32(key >> 32)})
@@ -327,10 +326,10 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 	runs = append(runs, Run{Group: groups - 1}) // an empty run is legal
 	got := FromSortedRuns(groups, runs)
 	served := Compress(got)
-	if !got.dual || !slices.Equal(keysOf(served), want.keys) || got.Postings() != want.Postings() {
+	if !got.dual || !slices.Equal(keysOf(served), keys) || got.Postings() != want.Postings() {
 		t.Fatalf("index from %d sorted runs: flavour, keys or posting total differ from the builder's", len(runs))
 	}
-	for i, key := range want.keys {
+	for i, key := range keys {
 		if !slices.Equal(flatList(got, key), flatList(want, key)) {
 			t.Fatalf("list %d (%#x) from sorted runs differs from the builder's", i, key)
 		}
@@ -338,12 +337,11 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 			t.Fatalf("list %d (%#x) from sorted runs is not at position %d", i, key, i)
 		}
 	}
-	// Four bytes and a bit a list, and a bit a run, where the builder spends
-	// sixteen bytes a list.
-	a := got.arenas()
-	if runs, _ := got.Runs(); a.Keys != nil || a.Slots != nil || runs.Len() != groups || len(a.Runs) != (want.Lists()+groups)/64+1 ||
-		len(a.Nodes) != want.Lists() || got.SizeBytes() != want.SizeBytes()-hashDirBytes(want.Lists())-int64(4*want.Lists())+int64(8*len(a.Runs)) {
-		t.Fatalf("an index from sorted runs should carry a run-grouped key column and nothing else")
+	// The same nodes; the run table differs only in its length, a bit a group.
+	a, w := got.arenas(), want.arenas()
+	if gr, wr := got.runs, want.runs; gr.Len() != groups || wr.Len() != 200 || !slices.Equal(a.Nodes, w.Nodes) ||
+		len(a.Runs) != (want.Lists()+groups)/64+1 || got.SizeBytes() != want.SizeBytes()+int64(8*(len(a.Runs)-len(w.Runs))) {
+		t.Fatalf("an index from sorted runs should carry the builder's key column over %d groups", groups)
 	}
 	if got := FromSortedRuns(0, nil); !got.dual || got.Lists() != 0 || got.Postings() != 0 || len(flatObjs(got, 1)) != 0 {
 		t.Fatalf("no runs should freeze to an empty dual index")
@@ -373,5 +371,101 @@ func TestFromSortedRunsMatchesBuilder(t *testing.T) {
 	mustPanic("missing textual lane", []Run{single})
 	if ok := FromSortedRuns(8, []Run{one(2, 5), one(2, 6), one(3, 0)}); ok.Lists() != 3 || len(flatObjs(ok, 3<<32)) != 1 {
 		t.Fatalf("ascending keys across runs of one group should freeze")
+	}
+}
+
+// TestKeyShapesMatchLinearScan: for random key sets of every shape a filter
+// names its lists by — token (t, 0), grid (row, column), hybrid (t, cell) and
+// bucketed hybrid (bucket, 0) — Index.List and Compressed.Probe, in memory and
+// wrapped from arenas as a mapped segment is, return exactly what a linear
+// scan of the added postings finds for the key: for every present key, for
+// absent nodes beside them, for groups with an empty run, and for groups past
+// the run table.
+func TestKeyShapesMatchLinearScan(t *testing.T) {
+	const objects = 500
+	type added struct {
+		key uint64
+		p   Posting
+	}
+	rng := rand.New(rand.NewSource(40))
+	for _, sh := range []struct {
+		name string
+		dual bool
+		key  func() uint64
+	}{
+		{"token", false, func() uint64 { return uint64(rng.Intn(400)) << 32 }},
+		{"grid", false, func() uint64 { return uint64(rng.Intn(64))<<32 | uint64(rng.Intn(64)) }},
+		{"hybrid", true, func() uint64 { return uint64(rng.Intn(200))<<32 | uint64(rng.Intn(1<<20)) }},
+		{"bucket", true, func() uint64 { return uint64(rng.Intn(127)) << 32 }},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			for round := 0; round < 40; round++ {
+				b := Builder{Dual: sh.dual}
+				var all []added
+				seen := map[[2]uint64]bool{}
+				for i, n := 0, rng.Intn(300); i < n; i++ {
+					key, obj := sh.key(), uint32(rng.Intn(objects))
+					if seen[[2]uint64{key, uint64(obj)}] {
+						continue // one posting an object a list, as every filter adds
+					}
+					seen[[2]uint64{key, uint64(obj)}] = true
+					p := Posting{Obj: obj, Bound: float64(rng.Intn(64)) / 8}
+					if sh.dual {
+						p.TBound = float64(rng.Intn(16)) / 4
+					}
+					all = append(all, added{key, p})
+					b.AddDual(key, p.Obj, p.Bound, p.TBound)
+				}
+				ix := b.Build()
+				cx := Compress(ix)
+				mapped, err := CompressedFromArenas(cx.Arenas(), cx.Postings(), objects)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				scan := func(key uint64) []Posting {
+					var ps []Posting
+					for _, a := range all {
+						if a.key == key {
+							ps = append(ps, a.p)
+						}
+					}
+					sortPostings(ps)
+					return ps
+				}
+				// Present keys, their neighbours, every group up to a few past
+				// the last key's at nodes 0 and 1, and the far ends of the key
+				// space.
+				var probes []uint64
+				maxGroup := uint64(0)
+				for _, a := range all {
+					probes = append(probes, a.key, a.key-1, a.key+1)
+					maxGroup = max(maxGroup, a.key>>32)
+				}
+				for g := uint64(0); g <= maxGroup+3; g++ {
+					probes = append(probes, g<<32, g<<32|1)
+				}
+				probes = append(probes, 1<<32-1, 1<<63, math.MaxUint64)
+				for _, key := range probes {
+					want := scan(key)
+					if got := flatList(ix, key); !slices.Equal(got, want) {
+						t.Fatalf("round %d: List(%#x) = %v, want %v", round, key, got, want)
+					}
+					for where, src := range map[string]*Compressed{"compressed": cx, "mapped": mapped} {
+						l := src.Probe(key)
+						if l.Len() != len(want) {
+							t.Fatalf("round %d %s: Probe(%#x) holds %d postings, want %d", round, where, key, l.Len(), len(want))
+						}
+						for i, w := range want {
+							if g := l.Posting(i); g.Obj != w.Obj || g.Bound < w.Bound || g.TBound < w.TBound {
+								t.Fatalf("round %d %s: Probe(%#x) posting %d = %+v, want %+v or above", round, where, key, i, g, w)
+							}
+						}
+					}
+				}
+				if runs, _ := cx.Runs(); len(all) > 0 && runs.Len() != int(maxGroup)+1 || len(all) == 0 && runs.Len() != 0 {
+					t.Fatalf("round %d: %d runs, want one a group up to %d", round, runs.Len(), maxGroup)
+				}
+			}
+		})
 	}
 }

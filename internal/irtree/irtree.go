@@ -22,9 +22,6 @@ import (
 	"github.com/sealdb/seal/internal/text"
 )
 
-// DefaultFanout mirrors the R-tree default (a 4KB page of entries).
-const DefaultFanout = 64
-
 type node struct {
 	rect     geo.Rect
 	tokens   []text.TokenID // sorted union of the subtree's tokens

@@ -84,18 +84,6 @@ func Dataset() (*model.Dataset, error) {
 	return b.BuildWithVocab(vocab)
 }
 
-// DatasetIDF builds the same dataset but with true idf weights
-// w(t) = ln(7/count), as Definition 2 prescribes.
-func DatasetIDF() (*model.Dataset, error) {
-	var b model.Builder
-	for i, r := range Regions {
-		if _, err := b.Add(r, TokenSets[i]); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build()
-}
-
 // Query compiles the paper's query against ds.
 func Query(ds *model.Dataset) (*model.Query, error) {
 	return ds.NewQuery(QueryRegion, QueryTerms, TauR, TauT)

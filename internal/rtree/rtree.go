@@ -13,10 +13,6 @@ import (
 	"github.com/sealdb/seal/internal/geo"
 )
 
-// DefaultFanout matches a 4KB page of entries (rect + pointer), the paper's
-// disk layout.
-const DefaultFanout = 64
-
 // Entry is a leaf payload: a rectangle with an opaque item ID.
 type Entry struct {
 	Rect geo.Rect

@@ -247,7 +247,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // handleStream answers GET /v1/stream with NDJSON: one record per match the
 // moment the engine verifies it, flushed per line. Query parameters: rect
 // (minx,miny,maxx,maxy), tokens (comma-separated), tau_r, tau_t, k, alpha,
-// limit, order_by. A client disconnect cancels the underlying shard
+// floor_r, floor_t, limit, offset, order_by. A client disconnect cancels the underlying shard
 // searches through the request context.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 
 	"github.com/sealdb/seal/internal/geo"
-	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/model"
 )
 
@@ -171,14 +170,4 @@ func AdversarialRects(rng *rand.Rand, space geo.Rect, n int) []geo.Rect {
 		rects = append(rects, r)
 	}
 	return rects
-}
-
-// WithoutDirectory returns a keyed compressed index as one over the same
-// arenas that carries no key directory: lookups by key binary-search, and a
-// segment written from it has no dir section. objects bounds the posting
-// object IDs.
-func WithoutDirectory(ix *invidx.Compressed, objects int) (*invidx.Compressed, error) {
-	a := ix.Arenas()
-	a.Slots = nil
-	return invidx.CompressedFromArenas(a, ix.Postings(), objects)
 }

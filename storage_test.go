@@ -21,11 +21,9 @@ import (
 	"testing"
 
 	"github.com/sealdb/seal"
-	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/gen"
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/server"
-	"github.com/sealdb/seal/internal/testutil"
 )
 
 func expectSameAnswers(t *testing.T, label string, base, got *seal.Index, queries []seal.Request) {
@@ -343,36 +341,12 @@ func TestSegmentDirAlwaysCompressed(t *testing.T) {
 	expectSameAnswers(t, "opened", base, opened, queries)
 }
 
-// stripDirectory rewrites the posting segment at path without its key
-// directory section: same keys, same lists, nil slots.
-func stripDirectory(t *testing.T, path string) {
-	t.Helper()
-	seg, err := diskidx.OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	bare, err := testutil.WithoutDirectory(seg.Source(), seg.Objects())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.SizeBytes() >= seg.Source().SizeBytes() {
-		t.Fatalf("%s carried no directory to strip", path)
-	}
-	if err := diskidx.WriteSegment(path+".bare", bare, seg.Objects()); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(path+".bare", path); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestKeyedSegmentsServeWithoutDirectory: the key directory is an
-// accelerator, not part of the format's meaning. A hybrid-hash directory —
-// a filter that looks every list up by key — whose posting segments are
-// rewritten without the section opens, and answers every query as the
-// in-memory build does, its probes finding their keys by binary search.
-func TestKeyedSegmentsServeWithoutDirectory(t *testing.T) {
+// TestBucketedHybridSegmentsRoundTrip: a hybrid-hash index with hash buckets
+// names its lists (bucket, 0) — the one kind whose groups are buckets — and
+// its segments round-trip like every other's: built and saved, then opened,
+// it answers every query as the in-memory build does, over the same index
+// bytes.
+func TestBucketedHybridSegmentsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261002))
 	objects := shardObjects(250, rng)
 	queries := shardQueries(12, rng)
@@ -386,23 +360,65 @@ func TestKeyedSegmentsServeWithoutDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	expectSameAnswers(t, "saved", base, saved, queries)
 	if err := saved.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		stripDirectory(t, filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i)))
-	}
 	opened, err := seal.Open(dir)
 	if err != nil {
-		t.Fatalf("Open of keyed segments without their directory: %v", err)
+		t.Fatalf("Open of bucketed hybrid segments: %v", err)
 	}
-	if st := opened.Stats(); !st.Mapped || st.Shards != 2 {
-		t.Fatalf("opened stats %+v, want 2 mapped shards", st)
+	if st := opened.Stats(); !st.Mapped || st.Shards != 2 || st.IndexBytes != base.Stats().IndexBytes {
+		t.Fatalf("opened stats %+v, want 2 mapped shards of %d index bytes", st, base.Stats().IndexBytes)
 	}
-	expectSameAnswers(t, "without directory", base, opened, queries)
+	expectSameAnswers(t, "opened", base, opened, queries)
 	if err := opened.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRetiredKeyColumnIsStale reads testdata/retired-keys: a segment directory
+// of the paper's seven objects under the token method in 2 shards, written
+// when the token, grid and hybrid-hash kinds stored a uint64 key a list and a
+// hash directory over them (sections 1 and 6) under the same segment and
+// manifest versions. It is another generation's directory, not a damaged one:
+// Open refuses it as a manifest mismatch without quarantining a shard, and
+// Build over a copy of it rebuilds it, after which Open maps the new files.
+func TestRetiredKeyColumnIsStale(t *testing.T) {
+	fixture := filepath.Join("testdata", "retired-keys")
+	_, err := seal.Open(fixture)
+	if !errors.Is(err, seal.ErrManifestMismatch) || errors.Is(err, seal.ErrShardQuarantined) || errors.Is(err, seal.ErrCorruptSegment) {
+		t.Fatalf("Open of the retired key column: %v, want ErrManifestMismatch alone", err)
+	}
+	dir := filepath.Join(t.TempDir(), "segs")
+	if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	opts := []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2), seal.WithSegmentDir(dir)}
+	rebuilt, err := seal.Build(paperObjects(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rebuilt.Close()
+	if rebuilt.Stats().Mapped {
+		t.Fatal("the retired key column was served instead of rebuilt")
+	}
+	opened, err := seal.Open(dir)
+	if err != nil {
+		t.Fatalf("Open after the rebuild: %v", err)
+	}
+	defer opened.Close()
+	if st := opened.Stats(); !st.Mapped || st.Shards != 2 {
+		t.Fatalf("opened stats %+v, want 2 mapped shards", st)
+	}
+	base, err := seal.Build(paperObjects(), seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := seal.Request{Region: seal.Rect{MaxX: 120, MaxY: 120}, Tokens: []string{"tea", "ice"}, TauR: 0.01, TauT: 0.1}
+	loose := paperQuery()
+	loose.TauR, loose.TauT = 0.05, 0.1
+	expectSameAnswers(t, "rebuilt", base, opened, []seal.Request{paperQuery(), loose, wide, {Region: wide.Region, Tokens: []string{"coffee"}, TauR: 0.001, TauT: 0.01}})
 }
 
 // TestSegmentDirRebuildsOnMismatch: a segment directory built from different
