@@ -8,10 +8,10 @@ package diskidx
 // shard i is rows [bounds[i], bounds[i+1]) and opening a shard slices the
 // columns. Opening the segment maps the file and views those columns in
 // place: no decoding, no re-interning, and no per-object allocation beyond
-// the ID column's inverse. Only the vocabulary (one heap copy of the term
-// blob, its offset and weight tables and the term→ID map) and what
-// model.FromColumns derives are rebuilt on the heap, so terms handed to
-// callers never alias the mapping.
+// the ID column's inverse. The vocabulary reads its term-offset and weight
+// sections in place too; only its term blob (one heap copy, so terms handed
+// to callers never alias the mapping), its lookup table and signature order,
+// and what model.FromColumns derives are built on the heap.
 //
 // Header counts are nObjects, nTokens (the token arena's length) and nTerms;
 // flags carry the spatial similarity function in bits 0–7 and the textual one
@@ -22,7 +22,6 @@ package diskidx
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/text"
@@ -139,8 +138,8 @@ func openDataset(data []byte) (*DatasetSegment, error) {
 		TokIDs:     idsOf[text.TokenID](viewU32(take(dsecTokIDs, nTokens, 4))),
 		IDs:        idsOf[model.ObjectID](viewU32(take(dsecIDs, nObjects, 4))),
 		Terms:      string(take(dsecTerms, -1, 1)),
-		TermOff:    slices.Clone(viewU32(take(dsecTermOff, nTerms+1, 4))),
-		Weights:    slices.Clone(viewF64(take(dsecWeights, nTerms, 8))),
+		TermOff:    viewU32(take(dsecTermOff, nTerms+1, 4)),
+		Weights:    viewF64(take(dsecWeights, nTerms, 8)),
 		MultiIDs:   idsOf[model.ObjectID](viewU32(take(dsecMultiIDs, -1, 4))),
 		MultiOff:   viewU32(take(dsecMultiOff, -1, 4)),
 		MultiRects: viewRects(take(dsecMultiRects, -1, 32)),

@@ -11,11 +11,11 @@ import (
 
 // rungCorpus is the in-process ladder's corpus: gen.Twitter{N: 50000, Seed:
 // 42}.
-func rungCorpus(b *testing.B) *model.Dataset {
-	b.Helper()
+func rungCorpus(tb testing.TB) *model.Dataset {
+	tb.Helper()
 	ds, err := gen.Twitter(gen.TwitterConfig{N: 50000, Seed: 42})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ds
 }
@@ -28,15 +28,60 @@ var sealRung = core.FilterSpec{
 }
 
 // rungEngine builds the shard rung's engine over ds: 4 shards under spec.
-func rungEngine(b *testing.B, ds *model.Dataset, spec core.FilterSpec) *Engine {
-	b.Helper()
+func rungEngine(tb testing.TB, ds *model.Dataset, spec core.FilterSpec) *Engine {
+	tb.Helper()
 	e, err := Build(ds, Config{Shards: 4, NewFilter: func(sds *model.Dataset) (core.Filter, error) {
 		return core.BuildFilter(sds, spec)
 	}})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return e
+}
+
+// saveRung saves the shard rung's Seal engine as a segment directory and
+// returns it; the built engine is garbage afterwards.
+func saveRung(tb testing.TB) string {
+	tb.Helper()
+	dir := tb.TempDir()
+	if err := rungEngine(tb, rungCorpus(tb), sealRung).SaveSegments(dir); err != nil {
+		tb.Fatal(err)
+	}
+	return dir
+}
+
+// liveHeap returns the heap in use once a GC has run.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestOpenSegmentsRetainedHeap bounds the heap a boot of the shard rung's
+// segment directory keeps live: what OpenSegmentsWith derives beyond the
+// mapped pages. The bound is the 1,848,058 B measured on linux/amd64 when
+// the vocabulary stopped rebuilding a term map and copying its offset and
+// weight tables (3,572,478 B before), plus 15 %.
+func TestOpenSegmentsRetainedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const bound = 1_848_058 * 115 / 100
+	dir := saveRung(t)
+	before := liveHeap()
+	e, err := OpenSegmentsWith(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := liveHeap() - before
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if retained > bound {
+		t.Fatalf("opening the rung's segments keeps %d B on the heap, want <= %d", retained, bound)
+	}
+	t.Logf("retained %d B (bound %d)", retained, bound)
 }
 
 // BenchmarkOpenSegments is a boot of the shard rung's corpus off its segment
@@ -47,30 +92,20 @@ func rungEngine(b *testing.B, ds *model.Dataset, spec core.FilterSpec) *Engine {
 //
 //	GOMAXPROCS=1 go test -run '^$' -bench OpenSegments -count 10 ./internal/engine
 func BenchmarkOpenSegments(b *testing.B) {
-	dir := b.TempDir()
-	save := func() error { return rungEngine(b, rungCorpus(b), sealRung).SaveSegments(dir) } // the built engine is garbage after
-	if err := save(); err != nil {
-		b.Fatal(err)
-	}
-	var ms runtime.MemStats
-	heap := func() int64 {
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
+	dir := saveRung(b)
 	var retained int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		before := heap()
+		before := liveHeap()
 		b.StartTimer()
 		e, err := OpenSegmentsWith(dir, false)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		retained += heap() - before
+		retained += liveHeap() - before
 		if err := e.Close(); err != nil {
 			b.Fatal(err)
 		}

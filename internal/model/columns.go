@@ -69,8 +69,8 @@ func (ds *Dataset) Columns() (Columns, error) {
 
 // FromColumns wraps flat arrays as a dataset without copying the per-object
 // ones: Regions, TokOff, TokIDs, IDs and MultiRects are retained and may
-// alias a read-only mapping, while Terms, TermOff and Weights become the
-// vocabulary (see text.FromBlob) and must be heap memory. The inverse of IDs,
+// alias a read-only mapping, and so may TermOff and Weights, which become the
+// vocabulary with Terms (see text.FromBlob); Terms must be heap memory. The inverse of IDs,
 // for lookups by ID, is built on the heap.
 //
 // The input is untrusted. Every invariant the query path relies on is checked

@@ -353,3 +353,18 @@ func TestBlobRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestSortAllocs: compiling a query sorts its tokens twice — SortDedup, then
+// SortBySignatureOrder — and neither sort allocates.
+func TestSortAllocs(t *testing.T) {
+	v := paperVocab(t)
+	src := []TokenID{4, 1, 3, 1, 0, 2}
+	ids := make([]TokenID, len(src))
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(ids, src)
+		v.SortBySignatureOrder(SortDedup(ids))
+	})
+	if allocs != 0 {
+		t.Fatalf("sorting a query's tokens allocates %v times, want 0", allocs)
+	}
+}

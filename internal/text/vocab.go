@@ -9,10 +9,11 @@
 package text
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
+	"hash/maphash"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -23,13 +24,17 @@ type TokenID uint32
 // weights. Build one with a Builder, or supply explicit weights with
 // NewWithWeights.
 type Vocab struct {
-	ids map[string]TokenID
 	// blob holds every term back to back — term id is
 	// blob[off[id]:off[id+1]] — so the vocabulary is one heap string and an
 	// offset table instead of a string header per term, and a dataset
 	// segment stores and restores it as two flat sections.
-	blob    string
-	off     []uint32
+	blob string
+	off  []uint32
+	// slots is an open-addressing table over the terms: a term hashes to a
+	// slot and probes linearly until a slot holding its ID + 1 or an empty
+	// (0) slot. Its length is a power of two at least twice the vocabulary,
+	// so every probe ends at an empty slot.
+	slots   []uint32
 	counts  []uint32 // nil when the weights were supplied, not counted
 	weights []float64
 	// rank[t] is the position of token t in the global signature order
@@ -106,13 +111,11 @@ func (b *Builder) Build() *Vocab {
 		}
 		weights[i] = w
 	}
-	v := &Vocab{
-		ids:     b.ids,
-		counts:  b.counts,
-		weights: weights,
-	}
+	v := &Vocab{counts: b.counts, weights: weights}
 	v.blob, v.off = joinTerms(b.terms)
-	v.buildRank()
+	if err := v.index(); err != nil {
+		panic(err) // Intern hands out one ID a term
+	}
 	return v
 }
 
@@ -141,22 +144,16 @@ func NewWithWeights(terms []string, weights []float64) (*Vocab, error) {
 	if len(terms) != len(weights) {
 		return nil, fmt.Errorf("text: %d terms but %d weights", len(terms), len(weights))
 	}
-	ids := make(map[string]TokenID, len(terms))
 	for i, term := range terms {
-		if _, dup := ids[term]; dup {
-			return nil, fmt.Errorf("text: duplicate term %q", term)
-		}
 		if !validWeight(weights[i]) {
 			return nil, fmt.Errorf("text: term %q has weight %g, want a finite weight >= 0", term, weights[i])
 		}
-		ids[term] = TokenID(i)
 	}
-	v := &Vocab{
-		ids:     ids,
-		weights: append([]float64(nil), weights...),
-	}
+	v := &Vocab{weights: slices.Clone(weights)}
 	v.blob, v.off = joinTerms(terms)
-	v.buildRank()
+	if err := v.index(); err != nil {
+		return nil, err
+	}
 	return v, nil
 }
 
@@ -164,14 +161,14 @@ func NewWithWeights(terms []string, weights []float64) (*Vocab, error) {
 // weight table: term id is blob[off[id]:off[id+1]] with weight weights[id].
 // The input is untrusted (it comes from a dataset segment): the offsets must
 // slice blob exactly, terms must be distinct, and weights finite and
-// non-negative. blob, off and weights are retained, and every term Term and
-// Lookup hand out aliases blob — so they must be heap memory, not a mapping.
+// non-negative. blob, off and weights are retained and read in place; off
+// and weights may alias a read-only mapping, but every term Term hands out
+// aliases blob, so blob must be heap memory.
 func FromBlob(blob string, off []uint32, weights []float64) (*Vocab, error) {
 	n := len(weights)
 	if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(blob) {
 		return nil, fmt.Errorf("text: term offsets do not span the %d-byte blob for %d terms", len(blob), n)
 	}
-	ids := make(map[string]TokenID, n)
 	for i := 0; i < n; i++ {
 		if off[i] > off[i+1] || int(off[i+1]) > len(blob) {
 			return nil, fmt.Errorf("text: term offsets not monotone inside the blob at term %d", i)
@@ -179,14 +176,40 @@ func FromBlob(blob string, off []uint32, weights []float64) (*Vocab, error) {
 		if !validWeight(weights[i]) {
 			return nil, fmt.Errorf("text: term %d has weight %g", i, weights[i])
 		}
-		ids[blob[off[i]:off[i+1]]] = TokenID(i)
 	}
-	if len(ids) != n {
-		return nil, errors.New("text: vocabulary blob repeats a term")
+	v := &Vocab{blob: blob, off: off, weights: weights}
+	if err := v.index(); err != nil {
+		return nil, err
 	}
-	v := &Vocab{ids: ids, blob: blob, off: off, weights: weights}
-	v.buildRank()
 	return v, nil
+}
+
+// hashSeed keys the term hash. It is drawn once a process, so no input can be
+// crafted to collide in every process.
+var hashSeed = maphash.MakeSeed()
+
+// index builds the lookup table and the signature order over v's terms and
+// weights, and rejects a term that occurs twice.
+func (v *Vocab) index() error {
+	n := len(v.weights)
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	v.slots = make([]uint32, size)
+	mask := uint64(len(v.slots) - 1)
+	for id := range n {
+		term := v.Term(TokenID(id))
+		i := maphash.String(hashSeed, term) & mask
+		for ; v.slots[i] != 0; i = (i + 1) & mask {
+			if v.Term(TokenID(v.slots[i]-1)) == term {
+				return fmt.Errorf("text: vocabulary repeats the term %q", term)
+			}
+		}
+		v.slots[i] = uint32(id) + 1
+	}
+	v.buildRank()
+	return nil
 }
 
 // validWeight reports whether w can weigh a term: finite and non-negative.
@@ -201,12 +224,14 @@ func (v *Vocab) buildRank() {
 	for i := range order {
 		order[i] = TokenID(i)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if v.weights[a] != v.weights[b] {
-			return v.weights[a] > v.weights[b]
+	slices.SortFunc(order, func(a, b TokenID) int {
+		if wa, wb := v.weights[a], v.weights[b]; wa != wb {
+			if wa > wb {
+				return -1
+			}
+			return 1
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	v.rank = make([]uint32, len(v.weights))
 	for pos, id := range order {
@@ -219,8 +244,13 @@ func (v *Vocab) Len() int { return len(v.weights) }
 
 // Lookup returns the ID of term, if interned.
 func (v *Vocab) Lookup(term string) (TokenID, bool) {
-	id, ok := v.ids[term]
-	return id, ok
+	mask := uint64(len(v.slots) - 1)
+	for i := maphash.String(hashSeed, term) & mask; v.slots[i] != 0; i = (i + 1) & mask {
+		if id := TokenID(v.slots[i] - 1); v.Term(id) == term {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // Term returns the string form of id.
@@ -251,7 +281,7 @@ func (v *Vocab) Less(a, b TokenID) bool { return v.rank[a] < v.rank[b] }
 
 // SortBySignatureOrder sorts ids in place by the global signature order.
 func (v *Vocab) SortBySignatureOrder(ids []TokenID) {
-	sort.Slice(ids, func(i, j int) bool { return v.rank[ids[i]] < v.rank[ids[j]] })
+	slices.SortFunc(ids, func(a, b TokenID) int { return cmp.Compare(v.rank[a], v.rank[b]) })
 }
 
 // TotalWeight returns the weight sum of the token set.
@@ -268,7 +298,7 @@ func SortDedup(ids []TokenID) []TokenID {
 	if len(ids) < 2 {
 		return ids
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := ids[:1]
 	for _, id := range ids[1:] {
 		if id != out[len(out)-1] {
