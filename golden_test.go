@@ -51,29 +51,42 @@ var goldenSegmentDigests = map[string]string{
 // lists hold the same postings in the same order; only the key sections
 // changed. Their manifests and dataset segments, and Seal's files, did not
 // move.
+//
+// The last flavour is the production build over tiedObjects, whose Seal lists
+// are runs of postings with equal spatial bounds that only the object
+// tie-break orders.
 var goldenFlavours = []struct {
 	name    string
+	corpus  func(*testing.T) []seal.Object
 	opts    []seal.Option
 	digests map[string]string
 }{
-	{"seal/quantized", productionOptions, goldenSegmentDigests},
-	{"token/quantized", []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, map[string]string{
+	{"seal/quantized", goldenObjects, productionOptions, goldenSegmentDigests},
+	{"token/quantized", goldenObjects, []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
 		"manifest.json": "7a0c5c4631cc354c8dec21d886382699c86ac7e74457f72fbd3e469c93e0d759",
 		"shard-0.seg":   "0811d07ce09a8344e2b29d20220c87ce5b793cbe007df14aa393ddb6395c097e",
 		"shard-1.seg":   "4d1423b131204712e83fc5ad41733fdbd9ee9441565a4b6f444eae2a8598f47b",
 	}},
-	{"grid/quantized", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2)}, map[string]string{
+	{"grid/quantized", goldenObjects, []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
 		"manifest.json": "2287ad429c855d576c29b4c4fa0e67a1db21669cdf70eb9a3b86ebe9e0599373",
 		"shard-0.seg":   "77adffe58d2181c862b087782d51dd5a7fd305143b8463c204ef0fa03a19ae4b",
 		"shard-1.seg":   "daeb6b82915b7d3523802884f10fd078c7dee44124c6939c31a1362185a699ed",
 	}},
-	{"hybrid-hash/quantized", []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, map[string]string{
+	{"hybrid-hash/quantized", goldenObjects, []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
 		"manifest.json": "2a9f04c880d8fb5f12fc11d9a5a5a70407ea92b2f5dcd5b6a9ffc1eed45ee2ec",
 		"shard-0.seg":   "00751c9ac749920efde5886bdea228da1b43a09a1257cfe6de3e1d2321473d64",
 		"shard-1.seg":   "a03999b59fef8151e7f7b47d0b9a5bde1669ef4af00ae7a3158a5efdba0a7d7f",
+	}},
+	{"seal/tied", tiedObjects, productionOptions, map[string]string{
+		"dataset.seg":   "b844e2cad4dac80b34f0e8b0ab15cb5a8cc72bbd8b4f5b397a90a2100eff6187",
+		"manifest.json": "ed938ac2c4175feaa50c0f1e41984fb749075cff1dc9e672f072539b78691ef7",
+		"shard-0.seg":   "974bb3ccf6af386bfe27e92ea004a0e9a390f1090a92ac7391a79d0b77069681",
+		"shard-1.seg":   "64d4e645189140a54301267347a995453d3a94fe139a82f5e22dca6087928622",
+		"shard-2.seg":   "222f3d7e3229af8daa89ec84e8dbc0982a2b5cd33adf20d3de0e3630072366f3",
+		"shard-3.seg":   "3a6db0b9deb22dc22ea0ab21e8abe4925ccb5eac9b7feeacce30dec1aa20e312",
 	}},
 }
 
@@ -110,14 +123,30 @@ func goldenObjects(t *testing.T) []seal.Object {
 	return server.SnapshotObjects(ds)
 }
 
+// tiedObjects is the golden corpus folded onto its first tiedDistinct
+// objects: object i takes object i mod tiedDistinct's region and tokens, so
+// every object has seven twins with its spatial and textual bounds under
+// every token, and a Seal list holds each of its bounds once per twin.
+func tiedObjects(t *testing.T) []seal.Object {
+	t.Helper()
+	objects := goldenObjects(t)
+	for i := range objects {
+		src := objects[i%tiedDistinct]
+		objects[i] = seal.Object{Region: src.Region, Regions: slices.Clone(src.Regions), Tokens: slices.Clone(src.Tokens)}
+	}
+	return objects
+}
+
+const tiedDistinct = 250 // of the golden corpus's 2,000 objects: 8 copies each
+
 // TestGoldenSegmentDigests builds the golden corpus in every pinned flavour at
 // GOMAXPROCS 1 and N, twice each, and compares every file of the segment
 // directory with its recorded digest: the directory is a pure function of the
 // corpus and the options — not of the worker count, and not of what the
 // process did before.
 func TestGoldenSegmentDigests(t *testing.T) {
-	objects := goldenObjects(t)
 	for _, fl := range goldenFlavours {
+		objects := fl.corpus(t)
 		for _, p := range []int{1, max(4, runtime.NumCPU()), 1, max(4, runtime.NumCPU())} {
 			dir := buildGoldenDir(t, objects, p, fl.opts)
 			entries, err := os.ReadDir(dir)
