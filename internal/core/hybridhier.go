@@ -185,10 +185,9 @@ type hierSpan struct {
 	posting0, posting1 int
 }
 
-// hierEntry is one hybrid posting of the token being built, before its lists
-// are laid out.
+// hierEntry is one hybrid posting of the token being built, placed in its
+// list but not yet ordered there.
 type hierEntry struct {
-	node   gridtree.NodeID
 	obj    uint32
 	rBound float64
 	tBound float64
@@ -215,8 +214,8 @@ type hierWorker struct {
 // buildToken selects token t's grids, generates every posting of I(t)'s
 // spatial signature over them, and appends t's lists to the worker's run in
 // index order: ascending grid node, and within a list descending spatial
-// bound, ties by ascending object. A token none of
-// whose regions overlaps the space gets no lists.
+// bound, ties by ascending object. A token none of whose regions overlaps
+// the space gets no lists.
 //
 // The grids' global order takes count(g) as the number of regions that post
 // to g, i.e. the length of g's list, not the count HSS selected with: the two
@@ -224,7 +223,8 @@ type hierWorker struct {
 // list lengths are what a query reads off the index (gridLocator.project), so
 // bounds and queries share one order by construction. That takes two passes:
 // project everything to learn the lengths, then bound each region's hits in
-// global order.
+// global order. The lengths also lay the lists out, so the second pass puts
+// each posting in its list and only each list is sorted, by bound.
 func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.TokenID, tp []tokenPosting, mt int) error {
 	wk.rects = wk.rects[:0]
 	for _, p := range tp {
@@ -252,16 +252,27 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.
 	for _, h := range wk.hits {
 		wk.counts[h.list]++
 	}
+	for j := range wk.hits {
+		wk.hits[j].n = wk.counts[wk.hits[j].list]
+	}
+	// Every list's length is known, so each posting goes straight to its
+	// list's next slot. next is counts turned into each list's start in
+	// entries; list l fills entries from next[l] on, in the order tp gives —
+	// ascending object — and ends where list l+1 starts. The layout below
+	// turns next back into the counts.
+	next := wk.counts
+	total := int32(0)
+	for l, c := range next {
+		next[l] = total
+		total += c
+	}
+	wk.entries = slices.Grow(wk.entries[:0], int(total))[:total]
 
 	// Per-object spatial signature over this token's grid set.
-	wk.entries = wk.entries[:0]
 	lo := 0
 	for i, p := range tp {
 		hits := wk.hits[lo:wk.hitEnd[i]]
 		lo = wk.hitEnd[i]
-		for j := range hits {
-			hits[j].n = wk.counts[hits[j].list]
-		}
 		sortHits(hits)
 		wk.gW = wk.gW[:0]
 		for _, h := range hits {
@@ -270,30 +281,35 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.
 		wk.gB = append(wk.gB[:0], wk.gW...)
 		invidx.SuffixBounds(wk.gW, wk.gB)
 		for j, h := range hits {
-			wk.entries = append(wk.entries, hierEntry{node: gridtree.NodeID(wk.nodes[h.list]), obj: p.obj, rBound: wk.gB[j], tBound: p.tBound})
+			wk.entries[next[h.list]] = hierEntry{obj: p.obj, rBound: wk.gB[j], tBound: p.tBound}
+			next[h.list]++
 		}
 	}
-	// An object projects onto a grid at most once, so (node, obj) is unique
-	// and the order below is total.
-	slices.SortFunc(wk.entries, func(a, b hierEntry) int {
-		if c := cmp.Compare(a.node, b.node); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(b.rBound, a.rBound); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.obj, b.obj)
-	})
+	// An object projects onto a grid at most once, so within a list the
+	// object breaks every tie and the order is total. A grid only rounding
+	// slivers reach holds no posting and gets no list.
 	run := &wk.run
-	for i, e := range wk.entries {
-		if i == 0 || e.node != wk.entries[i-1].node {
-			run.Nodes = append(run.Nodes, uint32(e.node))
-			run.Lens = append(run.Lens, 0)
+	lo = 0
+	for l, end := range next {
+		list := wk.entries[lo:end]
+		lo = int(end)
+		wk.counts[l] = int32(len(list))
+		if len(list) == 0 {
+			continue
 		}
-		run.Lens[len(run.Lens)-1]++
-		run.Objs = append(run.Objs, e.obj)
-		run.Bounds = append(run.Bounds, e.rBound)
-		run.TBounds = append(run.TBounds, e.tBound)
+		slices.SortFunc(list, func(a, b hierEntry) int {
+			if c := cmp.Compare(b.rBound, a.rBound); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.obj, b.obj)
+		})
+		run.Nodes = append(run.Nodes, wk.nodes[l])
+		run.Lens = append(run.Lens, uint32(len(list)))
+		for _, e := range list {
+			run.Objs = append(run.Objs, e.obj)
+			run.Bounds = append(run.Bounds, e.rBound)
+			run.TBounds = append(run.TBounds, e.tBound)
+		}
 	}
 	return nil
 }

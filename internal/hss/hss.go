@@ -11,11 +11,16 @@
 // The grid error is gridtree's NodeError over the regions FilterIntersecting
 // keeps; those two methods are the executable definition, and the Selector
 // here is a one-pass evaluation of them that must agree bit for bit (the
-// differential test in this package holds it to that).
+// differential test in this package holds it to that). One sweep over a
+// node's regions yields its error and, per region, which of its four children
+// the region reaches; a split then hands each child the regions its bit
+// marks and the overlap sum the sweep already formed for it, so no region is
+// ever tested against a child's rectangle.
 package hss
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/sealdb/seal/internal/geo"
@@ -40,15 +45,23 @@ type Selector struct {
 	// caller's rects — as one run of arena[off:off+n]. Runs are only ever
 	// appended; the arena is rewound at the start of the next Select.
 	arena []int32
+	// masks parallels arena: bit c of masks[k] is set when region arena[k]
+	// shares positive area with child c (tree.Children order) of the node
+	// whose run holds k. Entries of a leaf's run are not written.
+	masks []uint8
 	out   []Grid
 }
 
-// queueItem is one enqueued node with its subset's run in the arena.
+// queueItem is one enqueued node with its subset's run in the arena, the
+// OR of that run's masks — the children some region reaches — and each
+// child's Σ|c ∩ o| over the run.
 type queueItem struct {
 	err  float64
+	sums [4]float64
 	off  int
 	node gridtree.NodeID
 	n    int32
+	mask uint8
 }
 
 // before orders the queue: largest error first, NodeID as the deterministic
@@ -105,94 +118,86 @@ func (s *Selector) pop() queueItem {
 // covers every region but not necessarily the whole space. The result is
 // empty when no region overlaps the tree's space. It aliases the Selector's
 // buffer and is valid until the next call.
+//
+// Each node is swept once, when it is enqueued (see enqueue); the sweep
+// leaves a child mask per region and one for the node. Splitting the node
+// copies each reached child's regions out of the node's run by mask, in run
+// order, and takes the child's overlap sum from the node, so the child's
+// own sweep adds exactly the products FilterIntersecting and NodeError would.
 func (s *Selector) Select(tree *gridtree.Tree, rects []geo.Rect, mt int) ([]Grid, error) {
 	if mt < 1 {
 		return nil, fmt.Errorf("hss: budget %d must be at least 1", mt)
 	}
 	s.queue, s.out = s.queue[:0], s.out[:0]
-	// The root filters the identity subset like any child filters its
-	// parent's.
-	s.arena = slices.Grow(s.arena[:0], len(rects))[:len(rects)]
-	for i := range s.arena {
-		s.arena[i] = int32(i)
+	s.arena = slices.Grow(s.arena[:0], len(rects))
+	root, cell := tree.Root(), tree.Rect(tree.Root())
+	var whole float64
+	for i, o := range rects {
+		if a := cell.IntersectionArea(o); a > 0 {
+			s.arena = append(s.arena, int32(i))
+			whole += a
+		}
 	}
-	if root, ok := s.enqueueNode(tree, rects, tree.Root(), 0, int32(len(rects))); ok {
-		s.push(root)
+	if len(s.arena) == 0 {
+		return s.out, nil
 	}
+	s.push(s.enqueue(tree, rects, root, whole, 0, int32(len(s.arena))))
 	for len(s.queue) > 0 {
 		it := s.pop()
 		if tree.IsLeaf(it.node) {
 			s.out = append(s.out, Grid{Node: it.node, Count: int(it.n)})
 			continue
 		}
-		children := tree.Children(it.node)
-		// Splitting replaces the dequeued grid with its non-empty children;
-		// every queued or finalized grid contributes at least one output
-		// grid, so the final size would be at least len(out)+len(queue) plus
-		// their number. Keep the node whole when that would exceed the budget
-		// (the |Gt|+|Q|+|Nc|-1 check of Algorithm 2). Room for all four needs
-		// no count; otherwise counting stops at the first region per child,
-		// which is all the exhausted-budget tail of a run ever pays per node.
-		if room := mt - len(s.out) - len(s.queue); room < len(children) {
-			nonEmpty := 0
-			for _, c := range children {
-				if nonEmpty <= room && s.intersectsAny(tree.Rect(c), rects, it.off, it.n) {
-					nonEmpty++
-				}
-			}
-			if nonEmpty > room {
-				s.out = append(s.out, Grid{Node: it.node, Count: int(it.n)})
+		// Splitting replaces the dequeued grid with its non-empty children —
+		// the bits of its mask; every queued or finalized grid contributes at
+		// least one output grid, so the final size would be at least
+		// len(out)+len(queue) plus their number. Keep the node whole when that
+		// would exceed the budget (the |Gt|+|Q|+|Nc|-1 check of Algorithm 2).
+		if bits.OnesCount8(it.mask) > mt-len(s.out)-len(s.queue) {
+			s.out = append(s.out, Grid{Node: it.node, Count: int(it.n)})
+			continue
+		}
+		for c, child := range tree.Children(it.node) {
+			bit := uint8(1) << c
+			if it.mask&bit == 0 {
 				continue
 			}
-		}
-		for _, c := range children {
-			if child, ok := s.enqueueNode(tree, rects, c, it.off, it.n); ok {
-				s.push(child)
+			start := len(s.arena)
+			s.arena = slices.Grow(s.arena, int(it.n))
+			for k, i := range s.arena[it.off : it.off+int(it.n)] {
+				if s.masks[it.off+k]&bit != 0 {
+					s.arena = append(s.arena, i)
+				}
 			}
+			s.push(s.enqueue(tree, rects, child, it.sums[c], start, int32(len(s.arena)-start)))
 		}
 	}
 	return s.out, nil
 }
 
-// intersectsAny reports whether any region of the subset arena[off:off+n]
-// shares positive area with cell.
-func (s *Selector) intersectsAny(cell geo.Rect, rects []geo.Rect, off int, n int32) bool {
-	for _, i := range s.arena[off : off+int(n)] {
-		if cell.IntersectionArea(rects[i]) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// enqueueNode filters the parent subset arena[off:off+n] down to the regions
-// sharing positive area with node, appends them to the arena as node's own
-// subset, and computes node's error in the same sweep. ok is false when no
-// region intersects node; nothing is kept then.
+// enqueue sweeps node's subset, the run arena[off:off+n] of regions sharing
+// positive area with it whose Σ|node ∩ o| is whole, and returns node's queue
+// entry: its error, each region's child mask (written to masks[off:off+n]),
+// the node's mask and its children's sums.
 //
 // The error must equal tree.NodeError over exactly that subset, bit for bit,
 // because it decides the split order and through it the index. NodeError sums
 // Rect(q).IntersectionArea(o) per quadrant q of node, in subset order. All
 // four quadrants share two column and two row spans, and an intersection area
 // is (overlap in x)·(overlap in y), so the sweep computes four overlaps per
-// region and forms the same four products from the same operands; a quadrant
+// region and forms the same four products from the same operands. A quadrant
 // the region misses contributes the +0 IntersectionArea would have returned,
-// which leaves a sum unchanged, so it is skipped.
-func (s *Selector) enqueueNode(tree *gridtree.Tree, rects []geo.Rect, node gridtree.NodeID, off int, n int32) (queueItem, bool) {
-	cell := tree.Rect(node)
-	start := len(s.arena)
-	// Grow first: the append below must not move the parent run mid-sweep.
-	s.arena = slices.Grow(s.arena, int(n))
-	parent := s.arena[off : off+int(n)]
-
-	if tree.IsLeaf(node) { // error 0 by definition
-		for _, i := range parent {
-			if cell.IntersectionArea(rects[i]) > 0 {
-				s.arena = append(s.arena, i)
-			}
-		}
-		kept := int32(len(s.arena) - start)
-		return queueItem{node: node, off: start, n: kept}, kept > 0
+// which leaves a sum unchanged, so it is skipped; a quadrant whose product is
+// positive is one FilterIntersecting keeps the region for, so its bit is set.
+// The regions are finite (model validates them), so a product of two positive
+// spans is positive unless it underflows, and an underflowed +0 again leaves
+// the sum unchanged: the child's whole is this sum over the regions its bit
+// marks, in run order — the sum the child's own filter would have formed.
+func (s *Selector) enqueue(tree *gridtree.Tree, rects []geo.Rect, node gridtree.NodeID, whole float64, off int, n int32) queueItem {
+	it := queueItem{node: node, off: off, n: n}
+	s.masks = slices.Grow(s.masks[:off], int(n))[:off+int(n)]
+	if tree.IsLeaf(node) { // error 0 by definition, and never split
+		return it
 	}
 
 	// The quadrants are tree.Children(node) in order: (left, bottom),
@@ -202,50 +207,56 @@ func (s *Selector) enqueueNode(tree *gridtree.Tree, rects []geo.Rect, node gridt
 	level, ix, iy := node.Level()+1, node.IX()*2, node.IY()*2
 	lb := tree.Rect(gridtree.MakeNodeID(level, ix, iy))
 	rt := tree.Rect(gridtree.MakeNodeID(level, ix+1, iy+1))
-	var whole, q0, q1, q2, q3 float64
-	for _, i := range parent {
+	var q0, q1, q2, q3 float64
+	masks := s.masks[off:]
+	for k, i := range s.arena[off : off+int(n)] {
 		o := rects[i]
-		a := cell.IntersectionArea(o)
-		if !(a > 0) {
-			continue
-		}
-		s.arena = append(s.arena, i)
-		whole += a
 		wl := min(lb.MaxX, o.MaxX) - max(lb.MinX, o.MinX)
 		wr := min(rt.MaxX, o.MaxX) - max(rt.MinX, o.MinX)
 		hb := min(lb.MaxY, o.MaxY) - max(lb.MinY, o.MinY)
 		ht := min(rt.MaxY, o.MaxY) - max(rt.MinY, o.MinY)
-		if !(wl <= 0) {
-			if !(hb <= 0) {
-				q0 += wl * hb
+		var m uint8
+		if wl > 0 {
+			if hb > 0 {
+				if a := wl * hb; a > 0 {
+					q0 += a
+					m |= 1
+				}
 			}
-			if !(ht <= 0) {
-				q2 += wl * ht
+			if ht > 0 {
+				if a := wl * ht; a > 0 {
+					q2 += a
+					m |= 4
+				}
 			}
 		}
-		if !(wr <= 0) {
-			if !(hb <= 0) {
-				q1 += wr * hb
+		if wr > 0 {
+			if hb > 0 {
+				if a := wr * hb; a > 0 {
+					q1 += a
+					m |= 2
+				}
 			}
-			if !(ht <= 0) {
-				q3 += wr * ht
+			if ht > 0 {
+				if a := wr * ht; a > 0 {
+					q3 += a
+					m |= 8
+				}
 			}
 		}
+		masks[k] = m
+		it.mask |= m
 	}
-	kept := int32(len(s.arena) - start)
-	if kept == 0 {
-		return queueItem{}, false
-	}
+	it.sums = [4]float64{q0, q1, q2, q3}
 
 	lt := geo.Rect{MinX: lb.MinX, MaxX: lb.MaxX, MinY: rt.MinY, MaxY: rt.MaxY}
 	rb := geo.Rect{MinX: rt.MinX, MaxX: rt.MaxX, MinY: lb.MinY, MaxY: lb.MaxY}
-	p := expected(whole, cell)
-	var e float64
+	p := expected(whole, tree.Rect(node))
 	for _, c := range [4]float64{expected(q0, lb), expected(q1, rb), expected(q2, lt), expected(q3, rt)} {
 		d := p - c
-		e += d * d
+		it.err += d * d
 	}
-	return queueItem{err: e, node: node, off: start, n: kept}, true
+	return it
 }
 
 // expected is Î(g) = Σ|g ∩ o| / |g| given the sum, and 0 for a grid without

@@ -315,7 +315,7 @@ func TestSelectorMatchesReference(t *testing.T) {
 				rects := testutil.AdversarialRects(rng, space, n)
 				for _, maxLevel := range []int{0, 1, 7, 12} {
 					tr := newTree(t, space, maxLevel)
-					for _, mt := range []int{1, 2, 7, 64, 8192} {
+					for _, mt := range []int{1, 2, 3, 4, 5, 7, 64, 8192} {
 						want, err := referenceSelect(tr, rects, mt)
 						if err != nil {
 							t.Fatal(err)
