@@ -118,3 +118,42 @@ func BenchmarkShardSearch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardBuild is the build rung beside the search one: one op builds
+// the filter of shard 0 of the rung's corpus (gen.Twitter{N: 50000, Seed:
+// 42} cut in 4 shards as Build cuts it), with no save and no other shard.
+// seal runs HSS-Greedy and the hybrid posting generation for every token;
+// token, grid1024 and hybrid1024 run neither, so they are the control of a
+// change to those two steps.
+//
+//	GOMAXPROCS=1 go test -run '^$' -bench ShardBuild -count 10 ./internal/engine
+func BenchmarkShardBuild(b *testing.B) {
+	ds := rungCorpus(b)
+	rows, bounds := partition(ds, ShardCount(4, ds.Len()))
+	ordered, err := ds.Permute(rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shard0, err := ordered.Subset(int(bounds[0]), int(bounds[1]))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range []struct {
+		name string
+		spec core.FilterSpec
+	}{
+		{"seal", sealRung},
+		{"token", core.FilterSpec{Kind: "token"}},
+		{"grid1024", core.FilterSpec{Kind: "grid", P: 1024}},
+		{"hybrid1024", core.FilterSpec{Kind: "hybrid", P: 1024}},
+	} {
+		b.Run(kind.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := core.BuildFilter(shard0, kind.spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

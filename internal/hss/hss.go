@@ -119,11 +119,11 @@ func (s *Selector) pop() queueItem {
 // empty when no region overlaps the tree's space. It aliases the Selector's
 // buffer and is valid until the next call.
 //
-// Each node is swept once, when it is enqueued (see enqueue); the sweep
+// Each node is swept once, when it is enqueued (see measure); the sweep
 // leaves a child mask per region and one for the node. Splitting the node
 // copies each reached child's regions out of the node's run by mask, in run
-// order, and takes the child's overlap sum from the node, so the child's
-// own sweep adds exactly the products FilterIntersecting and NodeError would.
+// order, and takes the child's overlap sum from the node: the subset
+// FilterIntersecting would keep and the sum NodeError would form.
 func (s *Selector) Select(tree *gridtree.Tree, rects []geo.Rect, mt int) ([]Grid, error) {
 	if mt < 1 {
 		return nil, fmt.Errorf("hss: budget %d must be at least 1", mt)
@@ -141,7 +141,7 @@ func (s *Selector) Select(tree *gridtree.Tree, rects []geo.Rect, mt int) ([]Grid
 	if len(s.arena) == 0 {
 		return s.out, nil
 	}
-	s.push(s.enqueue(tree, rects, root, whole, 0, int32(len(s.arena))))
+	s.push(s.measure(tree, rects, root, whole, 0, int32(len(s.arena))))
 	for len(s.queue) > 0 {
 		it := s.pop()
 		if tree.IsLeaf(it.node) {
@@ -169,13 +169,13 @@ func (s *Selector) Select(tree *gridtree.Tree, rects []geo.Rect, mt int) ([]Grid
 					s.arena = append(s.arena, i)
 				}
 			}
-			s.push(s.enqueue(tree, rects, child, it.sums[c], start, int32(len(s.arena)-start)))
+			s.push(s.measure(tree, rects, child, it.sums[c], start, int32(len(s.arena)-start)))
 		}
 	}
 	return s.out, nil
 }
 
-// enqueue sweeps node's subset, the run arena[off:off+n] of regions sharing
+// measure sweeps node's subset, the run arena[off:off+n] of regions sharing
 // positive area with it whose Σ|node ∩ o| is whole, and returns node's queue
 // entry: its error, each region's child mask (written to masks[off:off+n]),
 // the node's mask and its children's sums.
@@ -193,7 +193,7 @@ func (s *Selector) Select(tree *gridtree.Tree, rects []geo.Rect, mt int) ([]Grid
 // spans is positive unless it underflows, and an underflowed +0 again leaves
 // the sum unchanged: the child's whole is this sum over the regions its bit
 // marks, in run order — the sum the child's own filter would have formed.
-func (s *Selector) enqueue(tree *gridtree.Tree, rects []geo.Rect, node gridtree.NodeID, whole float64, off int, n int32) queueItem {
+func (s *Selector) measure(tree *gridtree.Tree, rects []geo.Rect, node gridtree.NodeID, whole float64, off int, n int32) queueItem {
 	it := queueItem{node: node, off: off, n: n}
 	s.masks = slices.Grow(s.masks[:off], int(n))[:off+int(n)]
 	if tree.IsLeaf(node) { // error 0 by definition, and never split

@@ -18,6 +18,18 @@
 //	go run . -bench -a parent.test -b change.test -dir ../../internal/engine \
 //	    -pairs 10 -- -test.run '^$' -test.bench ShardSearch -test.benchtime 4000x
 //
+// With -control the metrics it matches are the control rows: benchmarks
+// the change cannot reach, whose deltas measure what two builds differ by
+// anyway. Every other row then shows the largest median change among the
+// control rows of its unit in its own direction, and a verdict. A change is
+// claimed only if its median clears the parent's IQR, its sign-test p is at
+// most 0.05 over at least 10 pairs, and it exceeds that control change;
+// otherwise it is reported, with the tests it failed:
+//
+//	go run . -bench -a parent.test -b change.test -dir ../../internal/engine \
+//	    -pairs 10 -control '^ShardBuild/(token|grid1024|hybrid1024) ' \
+//	    -- -test.run '^$' -test.bench ShardBuild -test.benchtime 10x
+//
 // Odd pairs run the parent first, even pairs the change. The tables go to
 // standard output and, with -out, are appended to a markdown file under a
 // heading; progress goes to standard error.
@@ -29,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -48,15 +61,18 @@ type config struct {
 	args   []string  // passed to run.sh or to the binaries
 	pairs  int
 	filter *regexp.Regexp // metrics to tabulate; nil keeps all
-	title  string
-	stderr io.Writer
+	// control marks the control rows; nil tabulates without a verdict.
+	control *regexp.Regexp
+	title   string
+	stderr  io.Writer
 }
 
 func main() {
 	var (
-		cfg  config
-		only string
-		out  string
+		cfg     config
+		only    string
+		control string
+		out     string
 	)
 	flag.BoolVar(&cfg.bench, "bench", false, "run go test binaries and read their Benchmark lines, not benchmark/run.sh's result line")
 	flag.StringVar(&cfg.paths[0], "a", "", "the parent: a checkout, or with -bench a test binary")
@@ -64,6 +80,7 @@ func main() {
 	flag.StringVar(&cfg.dir, "dir", ".", "with -bench: the directory both binaries run in")
 	flag.IntVar(&cfg.pairs, "pairs", 10, "number of alternating pairs")
 	flag.StringVar(&only, "metrics", "", "regular expression: tabulate only the metrics it matches (default all)")
+	flag.StringVar(&control, "control", "", "regular expression: the metrics it matches are the control rows (adds a control change and a verdict to every other row)")
 	flag.StringVar(&out, "out", "", "markdown file the tables are appended to")
 	flag.StringVar(&cfg.title, "title", "", "heading of the appended section (default the command)")
 	flag.Parse()
@@ -74,14 +91,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if only != "" {
-		re, err := regexp.Compile(only)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pair: -metrics:", err)
-			os.Exit(2)
-		}
-		cfg.filter = re
-	}
+	cfg.filter = compileFlag("metrics", only)
+	cfg.control = compileFlag("control", control)
 	runs, err := cfg.run()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pair:", err)
@@ -99,6 +110,20 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// compileFlag compiles the regular expression flag -name was given, nil when
+// it was not, and exits on a bad one.
+func compileFlag(name, expr string) *regexp.Regexp {
+	if expr == "" {
+		return nil
+	}
+	re, err := regexp.Compile(expr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pair: -%s: %v\n", name, err)
+		os.Exit(2)
+	}
+	return re
 }
 
 func appendFile(path string, data []byte) error {
@@ -208,8 +233,117 @@ func shellQuote(s string) string {
 	return "'" + strings.ReplaceAll(s, "'", `'\''`) + "'"
 }
 
+// summary is one metric's pairs reduced to what the table prints.
+type summary struct {
+	name          string
+	pairs         int
+	lower, higher int
+	a1, am, a3    float64 // the parent's quartiles
+	b1, bm, b3    float64 // the change's
+}
+
+// summarize reduces the pairs in which both sides printed name; ok is false
+// when there are none.
+func summarize(name string, runs []pairRun) (s summary, ok bool) {
+	var a, b []float64
+	for _, r := range runs {
+		va, okA := r[0].values[name]
+		vb, okB := r[1].values[name]
+		if !okA || !okB {
+			continue
+		}
+		a, b = append(a, va), append(b, vb)
+		switch {
+		case vb < va:
+			s.lower++
+		case vb > va:
+			s.higher++
+		}
+	}
+	if len(a) == 0 {
+		return s, false
+	}
+	s.name, s.pairs = name, len(a)
+	s.a1, s.am, s.a3 = quartiles(a)
+	s.b1, s.bm, s.b3 = quartiles(b)
+	return s, true
+}
+
+// change is the median change relative to the parent's median, NaN when
+// the parent's median is 0.
+func (s *summary) change() float64 {
+	if s.am == 0 {
+		return math.NaN()
+	}
+	return (s.bm - s.am) / s.am
+}
+
+// clearsIQR reports whether the medians differ by more than the parent's
+// interquartile range.
+func (s *summary) clearsIQR() bool { return math.Abs(s.bm-s.am) > s.a3-s.a1 }
+
+func (s *summary) p() float64 { return signTest(s.lower, s.higher) }
+
+// unit is the part of a benchmark metric's name after its last space
+// ("ns/op" of "ShardBuild/seal ns/op"); a harness metric is its own unit.
+func unit(name string) string { return name[strings.LastIndexByte(name, ' ')+1:] }
+
+// controlChange returns the largest median change among the control rows of
+// s's unit that moved in s's direction, and the row it came from; 0 and ""
+// when no control moved that way.
+func controlChange(s *summary, controls []summary) (float64, string) {
+	d := s.change()
+	var best float64
+	var from string
+	for i := range controls {
+		c := &controls[i]
+		if unit(c.name) != unit(s.name) {
+			continue
+		}
+		if cd := c.change(); cd*d > 0 && math.Abs(cd) > math.Abs(best) {
+			best, from = cd, c.name
+		}
+	}
+	return best, from
+}
+
+// Minimums of a claim: a change is claimed only if its median clears the
+// parent's IQR, its sign test over at least claimPairs pairs gives p at most
+// claimP, and it exceeds the largest control change in its direction.
+// Otherwise it is reported, with the tests it failed.
+const (
+	claimPairs = 10
+	claimP     = 0.05
+)
+
+func verdict(s *summary, control float64) string {
+	var failed []string
+	if !s.clearsIQR() {
+		failed = append(failed, "IQR")
+	}
+	if s.pairs < claimPairs || s.p() > claimP {
+		failed = append(failed, "sign test")
+	}
+	if d := s.change(); !(math.Abs(d) > math.Abs(control)) { // NaN fails too
+		failed = append(failed, "control")
+	}
+	if len(failed) == 0 {
+		return "claimed"
+	}
+	return "reported (" + strings.Join(failed, ", ") + ")"
+}
+
+// percent formats a relative change, "n/a" for NaN.
+func percent(d float64) string {
+	if math.IsNaN(d) {
+		return "n/a"
+	}
+	return fmt.Sprintf("%+.1f %%", d*100)
+}
+
 // report writes the section: heading, command, the summary table and the
-// raw readings of every run.
+// raw readings of every run. With -control the summary gains two columns:
+// each metric's largest same-direction control change, and its verdict.
 func (c *config) report(w io.Writer, runs []pairRun) error {
 	names := c.names(runs)
 	if len(names) == 0 {
@@ -221,42 +355,44 @@ func (c *config) report(w io.Writer, runs []pairRun) error {
 	}
 	fmt.Fprintf(w, "## %s\n\n`%s`, %d alternating pairs, odd pairs parent first.\n\n", title, c.command(), len(runs))
 
-	sum := newTable("metric", "pairs", "parent q1 / median / q3", "change q1 / median / q3",
-		"median change", "change vs parent", "sign-test p", "parent IQR", "clears IQR")
+	var rows, controls []summary
 	for _, n := range names {
-		var a, b []float64
-		lower, higher := 0, 0
-		for _, r := range runs {
-			va, okA := r[0].values[n]
-			vb, okB := r[1].values[n]
-			if !okA || !okB {
-				continue
-			}
-			a, b = append(a, va), append(b, vb)
-			switch {
-			case vb < va:
-				lower++
-			case vb > va:
-				higher++
+		if s, ok := summarize(n, runs); ok {
+			rows = append(rows, s)
+			if c.control != nil && c.control.MatchString(n) {
+				controls = append(controls, s)
 			}
 		}
-		if len(a) == 0 {
-			continue
-		}
-		a1, am, a3 := quartiles(a)
-		b1, bm, b3 := quartiles(b)
-		change := "n/a"
-		if am != 0 {
-			change = fmt.Sprintf("%+.1f %%", (bm-am)/am*100)
-		}
+	}
+	header := []string{"metric", "pairs", "parent q1 / median / q3", "change q1 / median / q3",
+		"median change", "change vs parent", "sign-test p", "parent IQR", "clears IQR"}
+	if c.control != nil {
+		header = append(header, "control change", "verdict")
+	}
+	sum := newTable(header...)
+	for i := range rows {
+		s := &rows[i]
 		clears := "no"
-		if d := bm - am; d > a3-a1 || -d > a3-a1 {
+		if s.clearsIQR() {
 			clears = "yes"
 		}
-		sum.Append(n, strconv.Itoa(len(a)),
-			num(a1)+" / "+num(am)+" / "+num(a3), num(b1)+" / "+num(bm)+" / "+num(b3),
-			change, fmt.Sprintf("%d lower, %d higher", lower, higher),
-			strconv.FormatFloat(signTest(lower, higher), 'g', 3, 64), num(a3-a1), clears)
+		cells := []string{s.name, strconv.Itoa(s.pairs),
+			num(s.a1) + " / " + num(s.am) + " / " + num(s.a3), num(s.b1) + " / " + num(s.bm) + " / " + num(s.b3),
+			percent(s.change()), fmt.Sprintf("%d lower, %d higher", s.lower, s.higher),
+			strconv.FormatFloat(s.p(), 'g', 3, 64), num(s.a3 - s.a1), clears}
+		if c.control != nil {
+			if c.control.MatchString(s.name) {
+				cells = append(cells, "", "control")
+			} else {
+				ctl, from := controlChange(s, controls)
+				note := "none"
+				if from != "" {
+					note = percent(ctl) + " (" + from + ")"
+				}
+				cells = append(cells, note, verdict(s, ctl))
+			}
+		}
+		sum.Append(cells...)
 	}
 	if err := sum.Render(w); err != nil {
 		return err

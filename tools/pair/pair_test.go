@@ -203,3 +203,77 @@ func TestRunAlternatesSides(t *testing.T) {
 		t.Fatal("a side that cannot run did not fail the pairs")
 	}
 }
+
+// summaryCells returns the trimmed cells of the summary row of metric.
+func summaryCells(t *testing.T, doc, metric string) []string {
+	t.Helper()
+	for _, line := range strings.Split(doc, "\n") {
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		if len(cells) > 9 && cells[0] == metric {
+			return cells
+		}
+	}
+	t.Fatalf("no summary row for %q:\n%s", metric, doc)
+	return nil
+}
+
+// TestControlColumn: with -control, every other row is judged against the
+// control rows of its unit that moved its way. seal falls 30 % against a
+// control that fell 5 % (and one of B/op that fell 50 %): claimed. slow rises 5 % where a control rose 8 %:
+// reported. The flat allocs row clears nothing. The same batch cut to nine
+// pairs fails the sign test's pair minimum.
+func TestControlColumn(t *testing.T) {
+	runs := make([]pairRun, 10)
+	for p := range runs {
+		j := float64(p%3 - 1)
+		a, b := newMetrics(), newMetrics()
+		for _, m := range []struct {
+			name         string
+			parent, diff float64
+		}{
+			{"ShardBuild/seal ns/op", 1000, -300},
+			{"ShardBuild/seal allocs/op", 410, 0},
+			{"ShardBuild/slow ns/op", 1000, 50},
+			{"ShardBuild/token ns/op", 100, -5},
+			{"ShardBuild/grid ns/op", 100, 8},
+			{"ShardBuild/grid allocs/op", 50, 0},
+			{"ShardBuild/grid B/op", 1000, -500}, // another unit: no control of ns/op
+		} {
+			a.add(m.name, m.parent+j)
+			b.add(m.name, m.parent+m.diff+j)
+		}
+		runs[p] = pairRun{a, b}
+	}
+	cfg := config{bench: true, paths: [2]string{"parent.test", "change.test"},
+		control: regexp.MustCompile(`^ShardBuild/(token|grid) `)}
+	var doc bytes.Buffer
+	if err := cfg.report(&doc, runs); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(doc.String(), "| clears IQR | control change ") {
+		t.Fatalf("no control column:\n%s", doc.String())
+	}
+	for _, want := range []struct{ metric, control, verdict string }{
+		{"ShardBuild/seal ns/op", "-5.0 % (ShardBuild/token ns/op)", "claimed"},
+		{"ShardBuild/slow ns/op", "+8.0 % (ShardBuild/grid ns/op)", "reported (control)"},
+		{"ShardBuild/seal allocs/op", "none", "reported (IQR, sign test, control)"},
+		{"ShardBuild/token ns/op", "", "control"},
+		{"ShardBuild/grid allocs/op", "", "control"},
+	} {
+		cells := summaryCells(t, doc.String(), want.metric)
+		if got := cells[len(cells)-2:]; got[0] != want.control || got[1] != want.verdict {
+			t.Errorf("%s: control %q, verdict %q; want %q, %q", want.metric, got[0], got[1], want.control, want.verdict)
+		}
+	}
+
+	doc.Reset()
+	if err := cfg.report(&doc, runs[:9]); err != nil {
+		t.Fatal(err)
+	}
+	if cells := summaryCells(t, doc.String(), "ShardBuild/seal ns/op"); cells[len(cells)-1] != "reported (sign test)" {
+		t.Errorf("nine pairs: verdict %q, want %q", cells[len(cells)-1], "reported (sign test)")
+	}
+}
