@@ -76,11 +76,11 @@
 // # Sharding and concurrency
 //
 // WithShards(n) splits the index into n spatial partitions. The index
-// stores its objects in Z-order (the Morton code of each center, ties by ID)
-// at every shard count, and each shard is a range of those rows of
-// near-equal size, so the objects a query verifies lie close together in
-// memory; a Match's ID is still the object's position in the slice passed to
-// Build. Shards build concurrently, one per CPU at a time; a MethodSeal shard
+// cuts its objects into shards of near-equal size along the Z-order (the
+// Morton code of each center, ties by ID) at every shard count, and stores
+// each shard's rows in ascending ID order, so a shard answers in ID order by
+// sweeping a bitmap of its candidate rows; a Match's ID is still the
+// object's position in the slice passed to Build. Shards build concurrently, one per CPU at a time; a MethodSeal shard
 // additionally fans its per-token grid selection out over GOMAXPROCS
 // workers, even when it is the only shard.
 // Sharding never changes answers; every shard count returns exactly the
@@ -100,9 +100,9 @@
 // return the searcher, and judge lateness by the wall clock. What differs
 // between query shapes is only the sink the
 // matches go to, each fed by one searcher call that polls the same stop
-// hook: ID-ordered (every match, sorted; under Limit, verification runs in
-// ID order and stops at Limit successes per shard, and the merge keeps the
-// exact prefix), a bounded channel in arrival order (one emission count
+// hook: ID-ordered (every match, swept from the candidate bitmap in ID order;
+// under Limit the sweep stops at Limit successes per shard, and the merge
+// keeps the exact prefix), a bounded channel in arrival order (one emission count
 // shared across shards ends every scan once Limit is reached), and
 // cooperative top-k (descents prune against the running global k-th-best
 // score and heap-merge). A failed shard reaches one
@@ -208,7 +208,8 @@
 // group runs over 32-bit nodes, a node and two bits of metadata a compressed
 // list (a probe selects the group's run and binary-searches it);
 // dataset.seg, the objects as columns in
-// shard-major Z-order (regions, one CSR token arena), the row→ID column, the
+// shard-major order, rows ascending by ID inside each Z-order shard
+// (regions, one CSR token arena), the row→ID column, the
 // shard row bounds, the vocabulary with its weights and multi-region
 // footprints; and manifest.json, written last so interrupted saves are never
 // mistaken for complete ones.

@@ -20,11 +20,12 @@ import (
 // goldenSegmentDigests are the sha256 digests of every file of the segment
 // directory that the production build (seal / 4 shards / quantized / segments,
 // the options of benchmark/run.go) writes for gen.Twitter{N: 2000, Seed: 42}.
-// Every file was last re-recorded for manifest version 8, which stores the
-// rows in shard-major Z-order: dataset.seg (version 2) holds the permuted
-// columns under a row→ID column and shard row bounds where version 1 held them
-// in ID order under partition lists, and each posting segment names the same
-// postings by their new rows. The posting format is still segment version 4:
+// Every file was last re-recorded for manifest version 9, which keeps the
+// Z-order shards of version 8 but orders the rows inside each shard by object
+// ID: dataset.seg (still version 2, a row→ID column under shard row bounds)
+// holds the columns in that order, each posting segment names the same
+// postings by their new rows, and the manifest carries the new version. The
+// posting format is still segment version 4:
 // both offset tables — the lists' extents in rows (offs) and the token runs
 // over 32-bit grid nodes (runs) — are unary-coded bitmaps, and a list is
 // columns of self-scaling 16-bit bound codes with nothing ahead of them. The
@@ -32,12 +33,12 @@ import (
 // the index format, the row order or the selection re-records them and says
 // so.
 var goldenSegmentDigests = map[string]string{
-	"dataset.seg":   "3335754b9ee9a913b9b314753be3fd4df885d353a1cb9e6da45c5d2eaf1ee08a",
-	"manifest.json": "0643c7254b32be12c577da5ae02d4b9ddae5283d1f1e39b63b22928785a8968b",
-	"shard-0.seg":   "b17dd068fc0c7af6c79c7a623ec3ec9c464ebf80229281399b30b36ff27c6796",
-	"shard-1.seg":   "af0caf7177b913036214c5a754bf23c2310f88a23672ddd03f93843dcbb04a16",
-	"shard-2.seg":   "daf34f7dd6fdfbe5de7d0a1c7490c25c1d4923fe85e7a54af258b93264d802fe",
-	"shard-3.seg":   "f93bc978b694ea4820632bc2adaaf575b81bcb7d637aec39daa7dca9c3c90073",
+	"dataset.seg":   "53fbd55d026fa361161ddb145176345a227ee8f3ebad523d913da0d99b823e07",
+	"manifest.json": "812476d0314289f1a4d1c326cdcaa0dc10caaa4729458fc4820b188435fc31a4",
+	"shard-0.seg":   "75656a821b2de8f291d0197548b834aea0c34a0b4fc32e33f895c3d7f727cbb7",
+	"shard-1.seg":   "2049df8a2d925345f68f9e633adcdf2f8cd4313ee0c7e49ef9f733045c0899f9",
+	"shard-2.seg":   "3861bffc69a72ed6adb1172c66d14ac292697573b11bb67c59cd3111553eae80",
+	"shard-3.seg":   "2ab955b317459d3ce8c0302ef21d45facaecac1c4bc6169f1a8a75056f406b83",
 }
 
 // goldenFlavours are the builds whose segment directories are pinned: the
@@ -49,8 +50,8 @@ var goldenSegmentDigests = map[string]string{
 // (token, 0), grid lists (row, column), hybrid-hash lists (token, cell) — in
 // place of a uint64 key a list and a hash directory over them. The same
 // lists hold the same postings in the same order; only the key sections
-// changed. Their manifests and dataset segments, and Seal's files, did not
-// move.
+// changed. Every flavour's files were re-recorded again for manifest version
+// 9, whose rows ascend by ID inside each shard.
 //
 // The last flavour is the production build over tiedObjects, whose Seal lists
 // are runs of postings with equal spatial bounds that only the object
@@ -64,34 +65,34 @@ var goldenFlavours = []struct {
 	{"seal/quantized", goldenObjects, productionOptions, goldenSegmentDigests},
 	{"token/quantized", goldenObjects, []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "7a0c5c4631cc354c8dec21d886382699c86ac7e74457f72fbd3e469c93e0d759",
-		"shard-0.seg":   "0811d07ce09a8344e2b29d20220c87ce5b793cbe007df14aa393ddb6395c097e",
-		"shard-1.seg":   "4d1423b131204712e83fc5ad41733fdbd9ee9441565a4b6f444eae2a8598f47b",
+		"manifest.json": "4807443757f866a7a09af424423144ed00e9aec1de704fe5bf06f3cd743ce8c6",
+		"shard-0.seg":   "0dc84945537c4fd94cc78f2db45f39fc4b7cab522f17c29e912d95f7233992d5",
+		"shard-1.seg":   "e3ecd6fba4b6b238cea2616942694a866ae025eb0a7266719f1496b45ebaadb6",
 	}},
 	{"grid/quantized", goldenObjects, []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "2287ad429c855d576c29b4c4fa0e67a1db21669cdf70eb9a3b86ebe9e0599373",
-		"shard-0.seg":   "77adffe58d2181c862b087782d51dd5a7fd305143b8463c204ef0fa03a19ae4b",
-		"shard-1.seg":   "daeb6b82915b7d3523802884f10fd078c7dee44124c6939c31a1362185a699ed",
+		"manifest.json": "d29cba9b0e6d517f798f2db7e37b54edad16c85897ee52741f7df511d1f24455",
+		"shard-0.seg":   "ae6eaef135c9ab6d4492edc0e2ba67ef6062f93cff68d24f7f42f11e7aa159dc",
+		"shard-1.seg":   "35432446f294f11a0541e2623060648c8da99797a06c0ed588f2cec3a720211c",
 	}},
 	{"hybrid-hash/quantized", goldenObjects, []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "2a9f04c880d8fb5f12fc11d9a5a5a70407ea92b2f5dcd5b6a9ffc1eed45ee2ec",
-		"shard-0.seg":   "00751c9ac749920efde5886bdea228da1b43a09a1257cfe6de3e1d2321473d64",
-		"shard-1.seg":   "a03999b59fef8151e7f7b47d0b9a5bde1669ef4af00ae7a3158a5efdba0a7d7f",
+		"manifest.json": "014792cbeb3e0333c24d8d723ee7ddeb5e7e5948a4ede2fca24c47478b2fb99a",
+		"shard-0.seg":   "7ae35213acfbbff972125bb6bc28232fed30332c1bb2903840af7e474b05eb8d",
+		"shard-1.seg":   "b22393401d95d5f8bd1eae7643df0afe9444bd5bfa3e9f5a1a8a4e915e980bad",
 	}},
 	{"seal/tied", tiedObjects, productionOptions, map[string]string{
-		"dataset.seg":   "b844e2cad4dac80b34f0e8b0ab15cb5a8cc72bbd8b4f5b397a90a2100eff6187",
-		"manifest.json": "ed938ac2c4175feaa50c0f1e41984fb749075cff1dc9e672f072539b78691ef7",
-		"shard-0.seg":   "974bb3ccf6af386bfe27e92ea004a0e9a390f1090a92ac7391a79d0b77069681",
-		"shard-1.seg":   "64d4e645189140a54301267347a995453d3a94fe139a82f5e22dca6087928622",
-		"shard-2.seg":   "222f3d7e3229af8daa89ec84e8dbc0982a2b5cd33adf20d3de0e3630072366f3",
-		"shard-3.seg":   "3a6db0b9deb22dc22ea0ab21e8abe4925ccb5eac9b7feeacce30dec1aa20e312",
+		"dataset.seg":   "8a7811f93d8c0e5aab1e27ada880974fde2f26527cd83898629a4ba3469b16c8",
+		"manifest.json": "e888120f802299c1f22a30fa2c8c88d0b594b70ff1e5e9b8f328fc9f490d2331",
+		"shard-0.seg":   "09922808944bfb1c0a41f603ba4ae4f7d5bfbcc0fc1d88109c97ec1a22eedb94",
+		"shard-1.seg":   "6645871579714783cc668d3efb4141d719ae959cad98057e5f513beeb0909778",
+		"shard-2.seg":   "6ebe42b9fd0980d4080a952d57f525243d2825edc58518982cb69b4a49dcda20",
+		"shard-3.seg":   "d0677120d1fe48d22db5087076b3f258d97af8dff030331833dfa162cd45bb3d",
 	}},
 }
 
 // golden2ShardDataset is the dataset segment of the golden corpus cut in two.
-const golden2ShardDataset = "263eacd0788cc5f42302f9aeb99d052205274471ac9960e0bcd24d6f9c0a8bcb"
+const golden2ShardDataset = "e1d6de56271131771bcc46af53b74870516fa2fb4c44f0c85e01f23ff05cc005"
 
 // productionOptions are the options of benchmark/run.go, less its
 // WithCompression, which changes nothing.

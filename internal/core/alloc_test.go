@@ -110,8 +110,8 @@ func allocFilters(t testing.TB, ds *model.Dataset) []core.Filter {
 
 // TestSearchZeroAllocs: after warmup (buffers grown to the workload's high
 // water mark), every signature filter must answer threshold queries with
-// zero heap allocations per Search — unlimited, and limited, where the
-// candidates are sorted in the searcher's scratch before they are verified.
+// zero heap allocations per Search — unlimited, and limited, where the sweep
+// of the candidate bitmap stops at the limit.
 func TestSearchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -6,9 +6,9 @@
 // Every filter implements the Filter interface: given a compiled query it
 // produces a candidate superset of the answers; the shared Searcher then
 // verifies candidates with exact similarity computations (Sig-Verify). The
-// Searcher runs that loop in three shapes — Search (ID-ordered, optionally
-// limited), SearchStream (arrival order) and TopK (threshold descent) —
-// and every one takes the same stop hook.
+// Searcher runs that loop in three shapes — Search (a sweep of the candidate
+// rows in ascending order, optionally limited), SearchStream (arrival order)
+// and TopK (threshold descent) — and every one takes the same stop hook.
 // The completeness contract — candidates ⊇ answers for every legal query —
 // is what the property tests in this package enforce against a brute-force
 // oracle.
@@ -22,8 +22,7 @@
 package core
 
 import (
-	"cmp"
-	"slices"
+	"math/bits"
 	"time"
 
 	"github.com/sealdb/seal/internal/model"
@@ -78,13 +77,18 @@ type Filter interface {
 	Collect(q *model.Query, cs *CandidateSet, st *FilterStats, stop func() bool, scr *Scratch)
 }
 
-// CandidateSet is a reusable, allocation-free set of dataset rows using
-// epoch-based marking; it keeps the rows in the order a filter found them.
+// CandidateSet is a reusable, allocation-free set of dataset rows: a bitmap
+// with one bit a row, beside the list of rows in the order a filter found
+// them. Search sweeps the bitmap, so it verifies in ascending row order —
+// object-ID order inside a shard, whose rows ascend by ID; the arrival list
+// feeds top-k rounds and the stream.
 // It is not safe for concurrent use; create one per goroutine.
 type CandidateSet struct {
-	mark  []uint32
-	epoch uint32
-	ids   []uint32
+	bits []uint64
+	ids  []uint32
+	// resets counts Resets, so Scratch can tell a fresh query from the next
+	// round of the last one.
+	resets uint64
 	// onAdd, when non-nil, observes every distinct object at insertion.
 	// SearchStream hooks verification here so matches emit while the filter
 	// is still collecting.
@@ -93,27 +97,25 @@ type CandidateSet struct {
 
 // NewCandidateSet creates a set for datasets of n objects.
 func NewCandidateSet(n int) *CandidateSet {
-	return &CandidateSet{mark: make([]uint32, n), epoch: 0}
+	return &CandidateSet{bits: make([]uint64, (n+63)/64)}
 }
 
-// Reset empties the set in O(1).
+// Reset empties the set, clearing only the bitmap words its rows set.
 func (c *CandidateSet) Reset() {
-	c.epoch++
-	c.ids = c.ids[:0]
-	if c.epoch == 0 { // epoch wrapped: clear marks once every 2^32 resets
-		for i := range c.mark {
-			c.mark[i] = 0
-		}
-		c.epoch = 1
+	c.resets++
+	for _, obj := range c.ids {
+		c.bits[obj/64] = 0
 	}
+	c.ids = c.ids[:0]
 }
 
 // Add inserts obj, ignoring duplicates.
 func (c *CandidateSet) Add(obj uint32) {
-	if c.mark[obj] == c.epoch {
+	w, b := obj/64, uint64(1)<<(obj%64)
+	if c.bits[w]&b != 0 {
 		return
 	}
-	c.mark[obj] = c.epoch
+	c.bits[w] |= b
 	c.ids = append(c.ids, obj)
 	if c.onAdd != nil {
 		c.onAdd(obj)
@@ -121,7 +123,7 @@ func (c *CandidateSet) Add(obj uint32) {
 }
 
 // Contains reports whether obj is in the set.
-func (c *CandidateSet) Contains(obj uint32) bool { return c.mark[obj] == c.epoch }
+func (c *CandidateSet) Contains(obj uint32) bool { return c.bits[obj/64]&(1<<(obj%64)) != 0 }
 
 // Len returns the number of distinct objects added since the last Reset.
 func (c *CandidateSet) Len() int { return len(c.ids) }
@@ -239,13 +241,12 @@ func (s *Searcher) traceSpan(stage trace.Stage, start time.Time, dur time.Durati
 // Filter returns the searcher's filter.
 func (s *Searcher) Filter() Filter { return s.filter }
 
-// Search answers q: it collects candidates, verifies each against the exact
-// similarity thresholds, and returns matches sorted by object ID. limit
-// picks the verify order. With limit > 0 the candidates are verified in
-// ascending ID order until limit of them match, so the answer is the
-// limit-prefix of the unlimited one at the cost of at most limit successful
-// verifications. With limit 0 every candidate is verified in arrival order
-// and the matches are sorted afterwards.
+// Search answers q: it collects candidates, then sweeps them in ascending
+// row order, verifies each against the exact similarity thresholds, and stops
+// once limit of them match (limit 0: none is skipped). A shard's rows ascend
+// by object ID, so the matches come out sorted by ID, and a limited answer is
+// the limit-prefix of the unlimited one at the cost of at most limit
+// successful verifications.
 //
 // stop, which may be nil, is polled between filter work units; once it
 // returns true collection is abandoned, and the candidates found so far are
@@ -267,43 +268,21 @@ func (s *Searcher) Search(q *model.Query, stop func() bool, limit int) ([]Match,
 	}
 
 	start = time.Now()
-	ids, n, byID := s.cs.IDs(), s.cs.Len(), limit > 0
-	if byID {
-		// Candidates are rows; the answer's order is the objects' IDs.
-		ids = append(s.scr.ids[:0], ids...)
-		s.scr.ids = ids
-		ds := s.ds
-		slices.SortFunc(ids, func(a, b uint32) int {
-			return cmp.Compare(ds.ID(model.ObjectID(a)), ds.ID(model.ObjectID(b)))
-		})
-		n = min(n, limit)
-	}
-	if cap(s.matches) < n {
-		s.matches = make([]Match, 0, n)
-	}
 	matches := s.matches[:0]
-	// The loop tests nothing per candidate, not even stop: a check on every
+	// The sweep tests nothing per candidate, not even stop: a check on every
 	// candidate costs about 15 % of the verify time when most candidates
 	// fail, and the candidate count already bounds the loop.
-	for _, obj := range ids {
-		if m, ok := s.verify(q, model.ObjectID(obj)); ok {
-			matches = append(matches, m)
-			if len(matches) == limit {
-				break
+sweep:
+	for w, word := range s.cs.bits {
+		for ; word != 0; word &= word - 1 {
+			row := model.ObjectID(w*64 + bits.TrailingZeros64(word))
+			if m, ok := s.verify(q, row); ok {
+				matches = append(matches, m)
+				if len(matches) == limit {
+					break sweep
+				}
 			}
 		}
-	}
-	if !byID {
-		slices.SortFunc(matches, func(a, b Match) int {
-			switch {
-			case a.ID < b.ID:
-				return -1
-			case a.ID > b.ID:
-				return 1
-			default:
-				return 0
-			}
-		})
 	}
 	s.matches = matches
 	st.VerifyTime = time.Since(start)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -586,35 +587,145 @@ func TestLargeQueryExact(t *testing.T) {
 	}
 }
 
-// TestCandidateSetEpochWrap: wrapping the 32-bit epoch sweeps the mark
-// array, so the wrap empties the set and no mark from 2^32 resets ago
-// aliases the fresh epoch.
-func TestCandidateSetEpochWrap(t *testing.T) {
-	cs := core.NewCandidateSet(8)
+// TestCandidateSetBitmapClear: Reset clears the bitmap words the set's rows
+// touched — both ends of the first word, both ends of the second, and the
+// lone row of a partial last word — so it empties the set, and the next
+// query collects from scratch, duplicates dropped.
+func TestCandidateSetBitmapClear(t *testing.T) {
+	const n = 130
+	rows := []uint32{129, 0, 64, 127, 63}
+	cs := core.NewCandidateSet(n)
 	cs.Reset()
-	cs.Add(3)
-	cs.Add(5)
-
-	core.ForceEpochWrap(cs)
-	cs.Reset() // wraps: epoch 2^32-1 → sweep → 1
-	if cs.Len() != 0 {
-		t.Fatal("wrap must empty the set")
+	for _, r := range rows {
+		cs.Add(r)
+		cs.Add(r)
 	}
-	for obj := uint32(0); obj < 8; obj++ {
-		if cs.Contains(obj) {
-			t.Fatalf("object %d survived the wrap", obj)
+	if !slices.Equal(cs.IDs(), rows) {
+		t.Fatalf("set = %v, want %v in arrival order, duplicates dropped", cs.IDs(), rows)
+	}
+	for obj := uint32(0); obj < n; obj++ {
+		if cs.Contains(obj) != slices.Contains(rows, obj) {
+			t.Fatalf("Contains(%d) = %v before the Reset", obj, cs.Contains(obj))
 		}
 	}
 
-	// The fresh epoch collects from scratch, duplicates dropped.
-	cs.Add(3)
-	cs.Add(3)
-	if cs.Len() != 1 || !cs.Contains(3) || cs.Contains(5) {
-		t.Fatalf("post-wrap set = %v, want [3]", cs.IDs())
+	cs.Reset()
+	if cs.Len() != 0 {
+		t.Fatal("Reset must empty the set")
+	}
+	for obj := uint32(0); obj < n; obj++ {
+		if cs.Contains(obj) {
+			t.Fatalf("row %d survived the Reset", obj)
+		}
+	}
+
+	// The next query collects from scratch, duplicates dropped.
+	cs.Add(64)
+	cs.Add(64)
+	if cs.Len() != 1 || !cs.Contains(64) || cs.Contains(63) || cs.Contains(127) {
+		t.Fatalf("set after the Reset = %v, want [64]", cs.IDs())
 	}
 	cs.Reset()
-	if cs.Len() != 0 || cs.Contains(3) {
-		t.Fatal("a Reset after the wrap must empty the set")
+	if cs.Len() != 0 || cs.Contains(64) {
+		t.Fatal("a second Reset must empty the set")
+	}
+}
+
+// TestSearcherReuseClearsBitmap: one searcher runs a stream stopped early, a
+// top-k descent of several rounds, and Search without and with a limit, query
+// after query. Every answer and its candidate count equal a fresh searcher's,
+// and the answers the brute-force oracle's. A bit left set by an earlier
+// search would drop that row from the next search's candidates — the
+// candidate counts are what show it.
+func TestSearcherReuseClearsBitmap(t *testing.T) {
+	ds := allocDataset(t, 600) // 600 rows: the last bitmap word is partial
+	rng := rand.New(rand.NewSource(11))
+	var queries []*model.Query
+	for range 6 {
+		x, y := rng.Float64()*600, rng.Float64()*600
+		terms := []string{fmt.Sprintf("tok%d", rng.Intn(30)), fmt.Sprintf("tok%d", rng.Intn(30))}
+		q, err := ds.NewQuery(geo.Rect{MinX: x, MinY: y, MaxX: x + 300, MaxY: y + 300}, terms, 0.002, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	opts := core.TopKOptions{K: 10, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
+	for _, f := range allocFilters(t, ds) {
+		reused := core.NewSearcher(ds, f)
+		for qi, q := range queries {
+			label := fmt.Sprintf("%s query %d", f.Name(), qi)
+			var want []core.Match
+			for row := model.ObjectID(0); int(row) < ds.Len(); row++ {
+				if simR, simT := ds.SimR(q, row), ds.SimT(q, row); simR >= q.TauR && simT >= q.TauT {
+					want = append(want, core.Match{ID: row, SimR: simR, SimT: simT})
+				}
+			}
+			if len(want) < 2 {
+				t.Fatalf("%s: %d matches; the stream cannot stop early", label, len(want))
+			}
+
+			stream := func(s *core.Searcher) ([]core.Match, core.SearchStats) {
+				var got []core.Match
+				st := s.SearchStream(q, nil, func(m core.Match) bool {
+					got = append(got, m)
+					return len(got) < 2
+				})
+				return got, st
+			}
+			got, st := stream(reused)
+			fresh, freshSt := stream(core.NewSearcher(ds, f))
+			if !slices.Equal(got, fresh) || st.Candidates != freshSt.Candidates {
+				t.Fatalf("%s: stopped stream %v (%d candidates), fresh searcher's %v (%d)", label, got, st.Candidates, fresh, freshSt.Candidates)
+			}
+			for _, m := range got {
+				if !slices.Contains(want, m) {
+					t.Fatalf("%s: stream emitted %+v, which the oracle does not match", label, m)
+				}
+			}
+
+			rounds := 0
+			topOpts := opts
+			topOpts.Observe = func([]core.ScoredMatch) { rounds++ }
+			ranked, rst, err := reused.TopK(q, topOpts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			freshRanked, freshRst, err := core.NewSearcher(ds, f).TopK(q, opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(ranked, freshRanked) || rst.Candidates != freshRst.Candidates {
+				t.Fatalf("%s: top-k %v (%d candidates), fresh searcher's %v (%d)", label, ranked, rst.Candidates, freshRanked, freshRst.Candidates)
+			}
+			if rounds < 2 {
+				t.Fatalf("%s: the descent ran %d round, want several", label, rounds)
+			}
+			brute := bruteTopK(ds, q, opts)
+			if len(ranked) != len(brute) {
+				t.Fatalf("%s: top-k has %d entries, oracle %d", label, len(ranked), len(brute))
+			}
+			for i := range brute {
+				if ranked[i].ID != brute[i].ID || math.Abs(ranked[i].Score-brute[i].Score) > 1e-9 {
+					t.Fatalf("%s: rank %d = %+v, oracle %+v", label, i, ranked[i], brute[i])
+				}
+			}
+
+			for _, limit := range []int{0, 1} {
+				got, st := reused.Search(q, nil, limit)
+				fresh, freshSt := core.NewSearcher(ds, f).Search(q, nil, limit)
+				prefix := want
+				if limit > 0 {
+					prefix = want[:limit]
+				}
+				if !slices.Equal(got, fresh) || st.Candidates != freshSt.Candidates {
+					t.Fatalf("%s limit %d: %v (%d candidates), fresh searcher's %v (%d)", label, limit, got, st.Candidates, fresh, freshSt.Candidates)
+				}
+				if !slices.Equal(got, prefix) {
+					t.Fatalf("%s limit %d: %v, oracle %v", label, limit, got, prefix)
+				}
+			}
+		}
 	}
 }
 

@@ -16,7 +16,3 @@ func FlatPostings(ds *model.Dataset, spec FilterSpec) (Filter, *invidx.Index, er
 	f, err := BuildFilter(ds, spec)
 	return f, flat, err
 }
-
-// ForceEpochWrap winds the candidate set's epoch to its maximum so the next
-// Reset exercises the wrap path.
-func ForceEpochWrap(c *CandidateSet) { c.epoch = ^uint32(0) }

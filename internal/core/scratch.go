@@ -10,7 +10,8 @@ import (
 // steady-state filter step allocates nothing. Filters must treat the fields
 // as free backing storage: truncate (buf[:0]), append, and leave the grown
 // slice behind for the next query. Posting lists are read where they lie, so
-// no field holds a posting.
+// no field holds a posting, and verification sweeps the candidate set itself,
+// so no field holds a candidate.
 type Scratch struct {
 	// The resumption state of the query being collected, rebuilt from zero
 	// by the first Collect after a CandidateSet Reset (see resume) and kept by
@@ -31,13 +32,11 @@ type Scratch struct {
 	// slackT is the textual slack of the last round, as a bound code; see
 	// retest.
 	slackT uint16
-	// owner and epoch identify the candidate set and the Reset the state
+	// owner and resets identify the candidate set and the Reset the state
 	// belongs to.
-	owner *CandidateSet
-	epoch uint32
+	owner  *CandidateSet
+	resets uint64
 
-	// ids holds the candidate rows of a limited Search, sorted by object ID.
-	ids []uint32
 	// acc sums per-object weights for the filters that score whole lists
 	// (the plain Sig-Filters, keyword-first); sized on first use.
 	acc WeightAccumulator
@@ -48,10 +47,10 @@ type Scratch struct {
 // higher. Otherwise the resumption state is dropped and the Collect starts
 // from zero — a fresh query is a descent of one round.
 func (s *Scratch) resume(cs *CandidateSet) bool {
-	if s.owner == cs && s.epoch == cs.epoch {
+	if s.owner == cs && s.resets == cs.resets {
 		return true
 	}
-	s.owner, s.epoch = cs, cs.epoch
+	s.owner, s.resets = cs, cs.resets
 	s.gW, s.hits, s.toks, s.cur = s.gW[:0], s.hits[:0], s.toks[:0], s.cur[:0]
 	s.slackT = 0xFFFF // above every code: a first round always tests
 	return false

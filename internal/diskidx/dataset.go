@@ -30,8 +30,8 @@ import (
 var magicDataset = [8]byte{'S', 'E', 'A', 'L', 'D', 'S', 'E', 'T'}
 
 // datasetVersion 2 stores rows in shard-major order under a row→ID column
-// and shard row bounds; version 1 stored them in ID order under partition
-// lists and has no reader.
+// and shard row bounds, the rows ascending by ID inside each shard; version 1
+// stored them in ID order under partition lists and has no reader.
 const datasetVersion = 2
 
 // Dataset section identifiers.
@@ -158,21 +158,28 @@ func openDataset(data []byte) (*DatasetSegment, error) {
 	if err != nil {
 		return nil, wrapCorrupt(err)
 	}
-	if err := checkBounds(bounds, ds.Len()); err != nil {
+	if err := checkBounds(bounds, cols.IDs); err != nil {
 		return nil, err
 	}
 	return &DatasetSegment{ds: ds, bounds: bounds}, nil
 }
 
 // checkBounds checks that the shard row bounds start at row 0, ascend
-// strictly — every shard non-empty — and end at n.
-func checkBounds(bounds []uint32, n int) error {
-	if len(bounds) < 2 || bounds[0] != 0 || int(bounds[len(bounds)-1]) != n {
-		return fmt.Errorf("%w: shard bounds do not span the %d rows", ErrCorrupt, n)
+// strictly — every shard non-empty — and end at the last row, and that the
+// row→ID column ascends strictly inside every shard: a searcher answers in
+// row order, and only that makes it ID order.
+func checkBounds(bounds []uint32, ids []model.ObjectID) error {
+	if len(bounds) < 2 || bounds[0] != 0 || int(bounds[len(bounds)-1]) != len(ids) {
+		return fmt.Errorf("%w: shard bounds do not span the %d rows", ErrCorrupt, len(ids))
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			return fmt.Errorf("%w: shard %d is empty or inverted", ErrCorrupt, i-1)
+		}
+		for r := bounds[i-1] + 1; r < bounds[i]; r++ {
+			if ids[r] <= ids[r-1] {
+				return fmt.Errorf("%w: shard %d: row %d does not ascend by object ID", ErrCorrupt, i-1, r)
+			}
 		}
 	}
 	return nil

@@ -18,9 +18,10 @@ import (
 )
 
 // datasetFixture is a randomized dataset (multi-region objects included),
-// its rows shuffled into a permuted copy cut into three shards, written as a
-// dataset segment. It returns the insertion-ordered dataset, the permuted one
-// the segment stores, and the shard row bounds.
+// its rows shuffled into a permuted copy cut into three shards, each shard's
+// rows then ascending by ID as the engine stores them, written as a dataset
+// segment. It returns the insertion-ordered dataset, the permuted one the
+// segment stores, and the shard row bounds.
 func datasetFixture(t testing.TB, dir string) (path string, ds, perm *model.Dataset, bounds []uint32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -28,15 +29,18 @@ func datasetFixture(t testing.TB, dir string) (path string, ds, perm *model.Data
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := uint32(ds.Len())
+	bounds = []uint32{0, n / 3, 2 * n / 3, n}
 	rows := make([]model.ObjectID, ds.Len())
 	for i, r := range rng.Perm(ds.Len()) {
 		rows[i] = model.ObjectID(r)
 	}
+	for i := 1; i < len(bounds); i++ {
+		slices.Sort(rows[bounds[i-1]:bounds[i]])
+	}
 	if perm, err = ds.Permute(rows); err != nil {
 		t.Fatal(err)
 	}
-	n := uint32(ds.Len())
-	bounds = []uint32{0, n / 3, 2 * n / 3, n}
 	path = filepath.Join(dir, "dataset.seg")
 	if err := WriteDataset(path, perm, bounds); err != nil {
 		t.Fatal(err)
@@ -164,7 +168,7 @@ func putF64(i int, v float64) func([]byte) {
 // ErrCorrupt, never a panic or a dataset that misbehaves later.
 func TestDatasetSegmentMalformed(t *testing.T) {
 	dir := t.TempDir()
-	path, ds, _, bounds := datasetFixture(t, dir)
+	path, ds, perm, bounds := datasetFixture(t, dir)
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +204,11 @@ func TestDatasetSegmentMalformed(t *testing.T) {
 		{"token offsets short of the arena", func(b []byte) []byte { return damage(t, b, dsecTokOff, putU32(int(n), 0)) }},
 		{"token outside vocabulary", func(b []byte) []byte { return damage(t, b, dsecTokIDs, putU32(0, 1<<31)) }},
 		{"tokens not ascending", func(b []byte) []byte {
-			return damage(t, b, dsecTokIDs, func(p []byte) { copy(p[4:8], p[0:4]) })
+			at := 0 // the first token of the first row of two tokens or more
+			for row := model.ObjectID(0); len(perm.Tokens(row)) < 2; row++ {
+				at += 4 * len(perm.Tokens(row))
+			}
+			return damage(t, b, dsecTokIDs, func(p []byte) { copy(p[at+4:at+8], p[at:at+4]) })
 		}},
 		{"NaN region", func(b []byte) []byte { return damage(t, b, dsecRegions, putF64(2, math.NaN())) }},
 		{"inverted region", func(b []byte) []byte { return damage(t, b, dsecRegions, putF64(0, 1e12)) }},
@@ -217,6 +225,20 @@ func TestDatasetSegmentMalformed(t *testing.T) {
 		{"ID out of range", func(b []byte) []byte { return damage(t, b, dsecIDs, putU32(0, n)) }},
 		{"duplicate ID", func(b []byte) []byte {
 			return damage(t, b, dsecIDs, func(p []byte) { copy(p[0:4], p[4:8]) })
+		}},
+		{"IDs descending inside a shard", func(b []byte) []byte {
+			// Swap the IDs of two neighbouring single-region rows, so the
+			// column stays a permutation and every footprint its region.
+			at := 0
+			for perm.MultiRegion(model.ObjectID(at)) != nil || perm.MultiRegion(model.ObjectID(at+1)) != nil {
+				at++
+			}
+			return damage(t, b, dsecIDs, func(p []byte) {
+				var id [4]byte
+				copy(id[:], p[4*at:])
+				copy(p[4*at:4*at+4], p[4*at+4:4*at+8])
+				copy(p[4*at+4:4*at+8], id[:])
+			})
 		}},
 		{"empty shard", func(b []byte) []byte { return damage(t, b, dsecBounds, putU32(2, bounds[1])) }},
 		{"descending bounds", func(b []byte) []byte { return damage(t, b, dsecBounds, putU32(1, bounds[2]+1)) }},

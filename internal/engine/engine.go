@@ -4,9 +4,9 @@
 // searcher pool, per-shard stats merge into one report, and top-k queries
 // share a running k-th-best score so shards prune each other's descents.
 //
-// Sharding is exact by construction. The engine stores its dataset in
-// Z-order, and each shard's dataset is a model.Dataset range of those rows
-// that shares the parent's vocabulary, token weights, and space rectangle, so
+// Sharding is exact by construction. The engine cuts its dataset into
+// Z-order ranges whose rows ascend by ID, and each shard's dataset is a
+// model.Dataset range of those rows that shares the parent's vocabulary, token weights, and space rectangle, so
 // per-shard verification is bit-identical to the monolithic index and the
 // union of shard answers equals the unsharded answer set. Rows are the
 // engine's business: every match a shard returns carries the object's ID,
@@ -106,8 +106,8 @@ func ShardCount(requested, objects int) int {
 
 // Build partitions root into cfg.Shards spatial shards and constructs each
 // shard's filter, running up to GOMAXPROCS constructions concurrently. The
-// engine serves a copy of root in shard-major Z-order, whose objects keep
-// their IDs.
+// engine serves a copy of root in shard-major order — each shard a Z-order
+// range, its rows ascending by ID — whose objects keep their IDs.
 func Build(root *model.Dataset, cfg Config) (*Engine, error) {
 	if cfg.NewFilter == nil {
 		return nil, errors.New("engine: Config.NewFilter is required")

@@ -64,16 +64,33 @@ func TestPartitionInvariants(t *testing.T) {
 					t.Fatalf("%s n=%d: shard %d has %d objects, want ~%d", name, n, i, size, ds.Len()/n)
 				}
 			}
+			// The shards are consecutive Z-order ranges: every object of
+			// shard i precedes, by code and then ID, every object of shard
+			// i+1. Inside a shard the rows ascend by ID.
+			before := func(a, b model.ObjectID) bool {
+				ca, cb := code(a), code(b)
+				return ca < cb || (ca == cb && a < b)
+			}
 			seen := make(map[model.ObjectID]bool)
-			for i, id := range rows {
-				if seen[id] {
-					t.Fatalf("%s n=%d: object %d ordered twice", name, n, id)
+			// last is the Z-order last object of the shards before, if any.
+			last, found := model.ObjectID(0), false
+			for i := 0; i < n; i++ {
+				shard := rows[bounds[i]:bounds[i+1]]
+				for j, id := range shard {
+					if seen[id] {
+						t.Fatalf("%s n=%d: object %d ordered twice", name, n, id)
+					}
+					seen[id] = true
+					if j > 0 && id <= shard[j-1] {
+						t.Fatalf("%s n=%d: shard %d: object %d follows object %d", name, n, i, id, shard[j-1])
+					}
+					if found && !before(last, id) {
+						t.Fatalf("%s n=%d: shard %d holds object %d, which does not follow object %d of an earlier shard in Z-order", name, n, i, id, last)
+					}
 				}
-				seen[id] = true
-				if i > 0 {
-					prev := rows[i-1]
-					if c, p := code(id), code(prev); c < p || (c == p && id < prev) {
-						t.Fatalf("%s n=%d: row %d (object %d) out of Z-order after object %d", name, n, i, id, prev)
+				for _, id := range shard {
+					if !found || before(last, id) {
+						last, found = id, true
 					}
 				}
 			}

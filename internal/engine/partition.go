@@ -6,14 +6,16 @@ import (
 	"github.com/sealdb/seal/internal/model"
 )
 
-// partition orders root's objects along a Z-order curve and cuts the order
-// into n spatially coherent shards of near-equal size. Objects sort by the
-// Morton code of their region center within the dataset space, ties by object
-// ID; rows lists root's rows in that order, and shard i is positions
-// [bounds[i], bounds[i+1]) of it. Equal sizes keep build and query work
+// partition orders root's objects along a Z-order curve, cuts the order into
+// n spatially coherent shards of near-equal size, and orders each shard's
+// rows by object ID. Objects sort by the Morton code of their region center
+// within the dataset space, ties by object ID; shard i takes positions
+// [bounds[i], bounds[i+1]) of that order, and rows lists root's rows shard by
+// shard, ascending by ID inside each. Equal sizes keep build and query work
 // balanced across shards; spatial coherence keeps a query's region
-// overlapping few shards' populated cells, so most shards prune cheaply, and
-// keeps the objects one query verifies close together in memory.
+// overlapping few shards' populated cells, so most shards prune cheaply. ID
+// order inside a shard lets a searcher answer in ID order by sweeping its
+// candidate rows. At one shard the rows are in ID order.
 //
 // A run of equal codes — every center identical, e.g. a dataset of clones —
 // is cut like any other run, so the shards stay balanced.
@@ -49,11 +51,17 @@ func partition(root *model.Dataset, n int) (rows []model.ObjectID, bounds []uint
 	})
 	rows = make([]model.ObjectID, total)
 	for i, k := range order {
-		rows[i] = root.Row(k.id)
+		rows[i] = k.id
 	}
 	bounds = make([]uint32, n+1)
 	for p := range bounds {
 		bounds[p] = uint32(p * total / n)
+	}
+	for p := 0; p < n; p++ {
+		slices.Sort(rows[bounds[p]:bounds[p+1]])
+	}
+	for i, id := range rows {
+		rows[i] = root.Row(id)
 	}
 	return rows, bounds
 }

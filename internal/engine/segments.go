@@ -46,23 +46,26 @@ type Manifest struct {
 	Fingerprint string          `json:"fingerprint"`
 }
 
-// manifestVersion 8 is the gob-free layout above: a version-2 dataset segment,
-// whose rows are in shard-major Z-order under a row→ID column and shard row
-// bounds, and version-4 posting segments, which are always compressed:
+// manifestVersion 9 is the gob-free layout above: a version-2 dataset segment,
+// whose shards are Z-order row ranges with rows ascending by object ID inside
+// each, under a row→ID column and shard row bounds, and version-4 posting
+// segments, which are always compressed:
 // fixed-width lists under a unary extent table behind a unary group-run table
 // over 32-bit nodes. Earlier directories — version 1
 // (dataset.snap, parts.gob, shard-N.grids.gob), version 2 (run-length lists),
 // version 3 (a directory in every posting segment), version 4 (per-list
 // quantization steps and counts; 64-bit keys in a Seal shard), version 5
 // (uint32 offset tables), version 6 (a compressed flag, and a fingerprint
-// blind to token weights and multi-region footprints) and version 7 (rows in
-// ID order under stored partition lists) — have no reader: they read as a
+// blind to token weights and multi-region footprints), version 7 (rows in
+// ID order under stored partition lists) and version 8 (rows in Z-order
+// inside each shard, which a limited search, answering in row order, would
+// serve out of ID order) — have no reader: they read as a
 // manifest mismatch, which every boot path treats as stale and rebuilds. So
 // does a current manifest over a posting segment of an earlier version or a
 // retired layout (among them the uint64 key array and hash directory the
 // token, grid and hybrid-hash filters once wrote): that is another
 // generation's file, not a damaged shard, and is never quarantined.
-const manifestVersion = 8
+const manifestVersion = 9
 
 // ErrNoSegments reports a directory without a readable manifest. Because the
 // manifest is written last and removed first, this is the normal state of an
@@ -424,8 +427,9 @@ func (e *Engine) Quarantined() int {
 	return n
 }
 
-// Root returns the engine's root dataset: every object in shard-major
-// Z-order, each under its object ID.
+// Root returns the engine's root dataset: every object in shard-major order,
+// each shard a Z-order range whose rows ascend by ID, each object under its
+// ID.
 func (e *Engine) Root() *model.Dataset { return e.root }
 
 // Close releases any mapped segments backing the engine's filters. Calls

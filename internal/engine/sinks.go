@@ -24,7 +24,7 @@ import (
 // Matches return sorted by object ID, exactly as a monolithic search would. With opt.Limit only the
 // Limit matches with the smallest IDs return — the exact prefix of the full
 // answer: a shard still collects its candidates fully (ordering needs the
-// whole candidate set) but verifies them in ascending ID order and stops
+// whole candidate set) but sweeps them in ascending ID order and stops
 // after Limit local matches, since no shard can contribute more than that to
 // the global prefix. Under Partial.Allow a dropped shard's matches are
 // missing from the answer; the remaining entries are still exact.

@@ -74,7 +74,7 @@ func (s SpatialSim) String() string {
 //
 // Rows and public object IDs meet in one column, ids. A Builder's dataset
 // keeps insertion order, so its rows are its IDs; Permute reorders the rows
-// (the engine stores them in Z-order) and every object keeps its ID. Every
+// (the engine cuts them into Z-order shards) and every object keeps its ID. Every
 // method that takes an ObjectID reads a row, except Row, which finds one.
 type Dataset struct {
 	vocab   *text.Vocab

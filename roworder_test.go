@@ -15,7 +15,7 @@ import (
 )
 
 // rowOrderObjects lies on the diagonal with object i's center at 115 − 10i,
-// so the Z-order an index stores its rows in is the reverse of ID order.
+// so the Z-order an index cuts its shards from is the reverse of ID order.
 // Objects 0 and 9 are twins — same shape, same tokens — at opposite corners,
 // and so are the multi-region objects 2 and 7: a query that reaches both
 // scores them the same. Every other object has a size and a token of its
@@ -51,8 +51,8 @@ func rowOrderObjects() []seal.Object {
 	return objects
 }
 
-// TestRowOrderIsInvisible: an index stores its rows in Z-order, here the
-// reverse of ID order, and no answer may show it. At every shard count,
+// TestRowOrderIsInvisible: an index cuts its shards from the Z-order, here
+// the reverse of ID order, and no answer may show it. At every shard count,
 // built and reopened, a limited threshold query and a top-1 ranking both
 // return the smallest of two tied IDs, every Offset/Limit page is the
 // oracle's, Object and Similarity read each object by its ID, and the
@@ -83,8 +83,8 @@ func TestRowOrderIsInvisible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shards == 1 {
-			expectReversedRows(t, dir, len(objects))
+		if shards > 1 {
+			expectReversedShards(t, dir, len(objects))
 		}
 		opened, err := seal.Open(dir)
 		if err != nil {
@@ -136,19 +136,37 @@ func TestRowOrderIsInvisible(t *testing.T) {
 	}
 }
 
-// expectReversedRows checks the premise of TestRowOrderIsInvisible: the
-// one-shard segment directory in dir stores object n−1−r in row r.
-func expectReversedRows(t *testing.T, dir string, n int) {
+// expectReversedShards checks the premise of TestRowOrderIsInvisible at more
+// than one shard: the segment directory in dir stores n objects whose shard
+// order reverses ID order — each shard's objects all have larger IDs than
+// the next shard's — with rows ascending by ID inside each shard, so the
+// row→ID column is not the identity.
+func expectReversedShards(t *testing.T, dir string, n int) {
 	t.Helper()
 	seg, err := diskidx.OpenDataset(filepath.Join(dir, "dataset.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	for row := 0; row < n; row++ {
-		if id := seg.Dataset().ID(model.ObjectID(row)); int(id) != n-1-row {
-			t.Fatalf("row %d holds object %d, want %d: Z-order no longer reverses ID order", row, id, n-1-row)
+	ds, bounds := seg.Dataset(), seg.Bounds()
+	if ds.Len() != n {
+		t.Fatalf("the directory stores %d objects, want %d", ds.Len(), n)
+	}
+	identity := true
+	for s := 0; s+1 < len(bounds); s++ {
+		for row := bounds[s]; row < bounds[s+1]; row++ {
+			id := ds.ID(model.ObjectID(row))
+			identity = identity && int(id) == int(row)
+			if row > bounds[s] && id <= ds.ID(model.ObjectID(row-1)) {
+				t.Fatalf("shard %d: row %d holds object %d after object %d: rows no longer ascend by ID", s, row, id, ds.ID(model.ObjectID(row-1)))
+			}
+			if s > 0 && id >= ds.ID(model.ObjectID(bounds[s-1])) {
+				t.Fatalf("shard %d holds object %d, not below shard %d's objects: shard order no longer reverses ID order", s, id, s-1)
+			}
 		}
+	}
+	if identity {
+		t.Fatal("the row→ID column is the identity: the premise is gone")
 	}
 }
 

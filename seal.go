@@ -99,7 +99,7 @@ var ErrEmptyIndex = errors.New("seal: cannot build an index over zero objects")
 // Index answers spatio-textual similarity queries. It is immutable after
 // Build and safe for concurrent use. Query execution is delegated to the
 // sharded scatter-gather engine, which with the default single shard is one
-// monolithic index over the objects in Z-order.
+// monolithic index over the objects in ID order.
 type Index struct {
 	ds    *model.Dataset
 	eng   *engine.Engine

@@ -380,8 +380,10 @@ func TestBucketedHybridSegmentsRoundTrip(t *testing.T) {
 // TestRetiredKeyColumnIsStale reads testdata/retired-keys: a segment directory
 // of the paper's seven objects under the token method in 2 shards, written
 // when the token, grid and hybrid-hash kinds stored a uint64 key a list and a
-// hash directory over them (sections 1 and 6) under the same segment and
-// manifest versions. It is another generation's directory, not a damaged one:
+// hash directory over them (sections 1 and 6) under the same segment version
+// and manifest version 8. So it is stale twice over: its dataset segment also
+// keeps shard 0's rows in Z-order, not ascending by ID, as every version-8
+// directory does. It is another generation's directory, not a damaged one:
 // Open refuses it as a manifest mismatch without quarantining a shard, and
 // Build over a copy of it rebuilds it, after which Open maps the new files.
 func TestRetiredKeyColumnIsStale(t *testing.T) {
@@ -609,8 +611,9 @@ func segmentDirNames(t *testing.T, dir string) []string {
 }
 
 // TestVersion1DirectoryIsStale: the gob-era layout has no reader, and neither
-// has a version-6 or version-7 manifest nor a current one over posting segments of the
-// retired raw layout (flag bit 1 clear). Each reads as a mismatch from Open,
+// has a version-6, version-7 or version-8 manifest — version 8 is the
+// directory whose rows lie in Z-order inside each shard — nor a current one
+// over posting segments of the retired raw layout (flag bit 1 clear). Each reads as a mismatch from Open,
 // and as "stale" from Build(WithSegmentDir), which rebuilds over it and leaves
 // exactly the current artifact set behind — none of the old generation's
 // files.
@@ -625,9 +628,9 @@ func TestVersion1DirectoryIsStale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aged := strings.Replace(string(man), `"version": 8`, `"version": `+version, 1)
+		aged := strings.Replace(string(man), `"version": 9`, `"version": `+version, 1)
 		if aged == string(man) {
-			t.Fatalf("manifest carries no version 8 to age: %s", man)
+			t.Fatalf("manifest carries no version 9 to age: %s", man)
 		}
 		if err := os.WriteFile(path, []byte(aged), 0o644); err != nil {
 			t.Fatal(err)
@@ -649,6 +652,7 @@ func TestVersion1DirectoryIsStale(t *testing.T) {
 		}},
 		{"version 6", func(t *testing.T, dir string) { ageManifest(t, dir, "6") }},
 		{"version 7", func(t *testing.T, dir string) { ageManifest(t, dir, "7") }},
+		{"version 8", func(t *testing.T, dir string) { ageManifest(t, dir, "8") }},
 		{"raw posting segments", func(t *testing.T, dir string) {
 			for i := 0; i < 2; i++ {
 				path := filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i))
