@@ -30,9 +30,22 @@
 //	    -pairs 10 -control '^ShardBuild/(token|grid1024|hybrid1024) ' \
 //	    -- -test.run '^$' -test.bench ShardBuild -test.benchtime 10x
 //
-// Odd pairs run the parent first, even pairs the change. The tables go to
-// standard output and, with -out, are appended to a markdown file under a
-// heading; progress goes to standard error.
+// With -placebo each pair also runs a third build: the parent with a no-op
+// edit to the function the change touches. It measures what recompiling and
+// relinking alone move, so it is the control where no row is out of the
+// change's reach. Every row's control change is then also the placebo's
+// median change against the parent for the same metric, when it moved the
+// row's way, and every row gets a verdict:
+//
+//	go run . -bench -a parent.test -b change.test -placebo placebo.test \
+//	    -dir ../../internal/engine -pairs 10 \
+//	    -- -test.run '^$' -test.bench ShardSearch -test.benchtime 4000x
+//
+// The sides rotate: pair p starts with side p mod the side count (parent,
+// change, placebo), so with two sides odd pairs run the parent first and even
+// pairs the change. The tables go to standard output and, with -out, are
+// appended to a markdown file under a heading; progress goes to standard
+// error.
 package main
 
 import (
@@ -51,14 +64,16 @@ import (
 	"time"
 )
 
-var sides = [2]string{"parent", "change"}
+var sides = [3]string{"parent", "change", "placebo"}
 
 // config is one invocation: what to run on each side and how to report it.
 type config struct {
-	bench  bool      // test binaries rather than harness checkouts
-	paths  [2]string // parent and change: checkouts, or test binaries
-	dir    string    // the binaries' working directory
-	args   []string  // passed to run.sh or to the binaries
+	bench bool // test binaries rather than harness checkouts
+	// paths are the parent, the change and, if given, the placebo:
+	// checkouts, or test binaries.
+	paths  []string
+	dir    string   // the binaries' working directory
+	args   []string // passed to run.sh or to the binaries
 	pairs  int
 	filter *regexp.Regexp // metrics to tabulate; nil keeps all
 	// control marks the control rows; nil tabulates without a verdict.
@@ -69,15 +84,16 @@ type config struct {
 
 func main() {
 	var (
-		cfg     config
-		only    string
-		control string
-		out     string
+		cfg           config
+		a, b, placebo string
+		only, control string
+		out           string
 	)
 	flag.BoolVar(&cfg.bench, "bench", false, "run go test binaries and read their Benchmark lines, not benchmark/run.sh's result line")
-	flag.StringVar(&cfg.paths[0], "a", "", "the parent: a checkout, or with -bench a test binary")
-	flag.StringVar(&cfg.paths[1], "b", "", "the change: a checkout, or with -bench a test binary")
-	flag.StringVar(&cfg.dir, "dir", ".", "with -bench: the directory both binaries run in")
+	flag.StringVar(&a, "a", "", "the parent: a checkout, or with -bench a test binary")
+	flag.StringVar(&b, "b", "", "the change: a checkout, or with -bench a test binary")
+	flag.StringVar(&placebo, "placebo", "", "a third side, the parent with a no-op edit: its change against the parent is every row's control")
+	flag.StringVar(&cfg.dir, "dir", ".", "with -bench: the directory the binaries run in")
 	flag.IntVar(&cfg.pairs, "pairs", 10, "number of alternating pairs")
 	flag.StringVar(&only, "metrics", "", "regular expression: tabulate only the metrics it matches (default all)")
 	flag.StringVar(&control, "control", "", "regular expression: the metrics it matches are the control rows (adds a control change and a verdict to every other row)")
@@ -86,7 +102,11 @@ func main() {
 	flag.Parse()
 	cfg.args = flag.Args()
 	cfg.stderr = os.Stderr
-	if cfg.paths[0] == "" || cfg.paths[1] == "" || cfg.pairs < 1 {
+	cfg.paths = []string{a, b}
+	if placebo != "" {
+		cfg.paths = append(cfg.paths, placebo)
+	}
+	if a == "" || b == "" || cfg.pairs < 1 {
 		fmt.Fprintln(os.Stderr, "pair: -a and -b are required, and -pairs must be at least 1")
 		flag.Usage()
 		os.Exit(2)
@@ -138,18 +158,16 @@ func appendFile(path string, data []byte) error {
 	return f.Close()
 }
 
-// pairRun is one pair's readings, parent then change.
-type pairRun [2]*metrics
+// pairRun is one pair's readings, one a side: parent, change, placebo.
+type pairRun []*metrics
 
-// run executes the pairs, alternating which side goes first.
+// run executes the pairs, rotating which side goes first.
 func (c *config) run() ([]pairRun, error) {
 	runs := make([]pairRun, c.pairs)
 	for p := range runs {
-		order := [2]int{0, 1}
-		if p%2 == 1 {
-			order = [2]int{1, 0}
-		}
-		for _, side := range order {
+		runs[p] = make(pairRun, len(c.paths))
+		for i := range c.paths {
+			side := (p + i) % len(c.paths)
 			start := time.Now()
 			m, err := c.runSide(side)
 			if err != nil {
@@ -242,13 +260,13 @@ type summary struct {
 	b1, bm, b3    float64 // the change's
 }
 
-// summarize reduces the pairs in which both sides printed name; ok is false
-// when there are none.
-func summarize(name string, runs []pairRun) (s summary, ok bool) {
+// summarize reduces the pairs in which the parent and side printed name; ok
+// is false when there are none.
+func summarize(name string, runs []pairRun, side int) (s summary, ok bool) {
 	var a, b []float64
 	for _, r := range runs {
 		va, okA := r[0].values[name]
-		vb, okB := r[1].values[name]
+		vb, okB := r[side].values[name]
 		if !okA || !okB {
 			continue
 		}
@@ -288,10 +306,10 @@ func (s *summary) p() float64 { return signTest(s.lower, s.higher) }
 // ("ns/op" of "ShardBuild/seal ns/op"); a harness metric is its own unit.
 func unit(name string) string { return name[strings.LastIndexByte(name, ' ')+1:] }
 
-// controlChange returns the largest median change among the control rows of
-// s's unit that moved in s's direction, and the row it came from; 0 and ""
-// when no control moved that way.
-func controlChange(s *summary, controls []summary) (float64, string) {
+// controlChange returns the largest median change in s's direction among
+// the control rows of s's unit and the placebo's reading of s's own metric,
+// and where it came from; 0 and "" when no control moved that way.
+func controlChange(s *summary, controls []summary, placebo *summary) (float64, string) {
 	d := s.change()
 	var best float64
 	var from string
@@ -302,6 +320,11 @@ func controlChange(s *summary, controls []summary) (float64, string) {
 		}
 		if cd := c.change(); cd*d > 0 && math.Abs(cd) > math.Abs(best) {
 			best, from = cd, c.name
+		}
+	}
+	if placebo != nil {
+		if cd := placebo.change(); cd*d > 0 && math.Abs(cd) > math.Abs(best) {
+			best, from = cd, "placebo"
 		}
 	}
 	return best, from
@@ -342,8 +365,9 @@ func percent(d float64) string {
 }
 
 // report writes the section: heading, command, the summary table and the
-// raw readings of every run. With -control the summary gains two columns:
-// each metric's largest same-direction control change, and its verdict.
+// raw readings of every run. With -control or -placebo the summary gains two
+// columns: each metric's largest same-direction control change, and its
+// verdict.
 func (c *config) report(w io.Writer, runs []pairRun) error {
 	names := c.names(runs)
 	if len(names) == 0 {
@@ -353,11 +377,16 @@ func (c *config) report(w io.Writer, runs []pairRun) error {
 	if title == "" {
 		title = c.command()
 	}
-	fmt.Fprintf(w, "## %s\n\n`%s`, %d alternating pairs, odd pairs parent first.\n\n", title, c.command(), len(runs))
+	order := "odd pairs parent first"
+	if len(c.paths) == 3 {
+		order = "sides rotating parent, change, placebo, each placebo the parent with a no-op edit"
+	}
+	fmt.Fprintf(w, "## %s\n\n`%s`, %d alternating pairs, %s.\n\n", title, c.command(), len(runs), order)
 
+	judged := c.control != nil || len(c.paths) == 3
 	var rows, controls []summary
 	for _, n := range names {
-		if s, ok := summarize(n, runs); ok {
+		if s, ok := summarize(n, runs, 1); ok {
 			rows = append(rows, s)
 			if c.control != nil && c.control.MatchString(n) {
 				controls = append(controls, s)
@@ -366,7 +395,7 @@ func (c *config) report(w io.Writer, runs []pairRun) error {
 	}
 	header := []string{"metric", "pairs", "parent q1 / median / q3", "change q1 / median / q3",
 		"median change", "change vs parent", "sign-test p", "parent IQR", "clears IQR"}
-	if c.control != nil {
+	if judged {
 		header = append(header, "control change", "verdict")
 	}
 	sum := newTable(header...)
@@ -380,11 +409,17 @@ func (c *config) report(w io.Writer, runs []pairRun) error {
 			num(s.a1) + " / " + num(s.am) + " / " + num(s.a3), num(s.b1) + " / " + num(s.bm) + " / " + num(s.b3),
 			percent(s.change()), fmt.Sprintf("%d lower, %d higher", s.lower, s.higher),
 			strconv.FormatFloat(s.p(), 'g', 3, 64), num(s.a3 - s.a1), clears}
-		if c.control != nil {
-			if c.control.MatchString(s.name) {
+		if judged {
+			if c.control != nil && c.control.MatchString(s.name) {
 				cells = append(cells, "", "control")
 			} else {
-				ctl, from := controlChange(s, controls)
+				var placebo *summary
+				if len(c.paths) == 3 {
+					if p, ok := summarize(s.name, runs, 2); ok {
+						placebo = &p
+					}
+				}
+				ctl, from := controlChange(s, controls, placebo)
 				note := "none"
 				if from != "" {
 					note = percent(ctl) + " (" + from + ")"
@@ -399,11 +434,14 @@ func (c *config) report(w io.Writer, runs []pairRun) error {
 	}
 
 	fmt.Fprintf(w, "\nEvery run:\n\n")
-	raw := newTable("metric", "pair", "first", "parent", "change")
+	raw := newTable(append([]string{"metric", "pair", "first"}, sides[:len(c.paths)]...)...)
 	for _, n := range names {
 		for p, r := range runs {
-			first := sides[p%2]
-			raw.Append(n, strconv.Itoa(p+1), first, exact(r[0], n), exact(r[1], n))
+			cells := []string{n, strconv.Itoa(p + 1), sides[p%len(c.paths)]}
+			for _, m := range r {
+				cells = append(cells, exact(m, n))
+			}
+			raw.Append(cells...)
 		}
 	}
 	if err := raw.Render(w); err != nil {

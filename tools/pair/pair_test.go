@@ -151,7 +151,7 @@ func TestRunAlternatesSides(t *testing.T) {
 			`echo '# header'`+"\n"+`echo '{"correct":true,"attempted":10,"failed":0,"metrics":{"rss_mb":{"value":`+rss+`,"unit":"MiB"},"index_mb":{"value":19.5,"unit":"MiB"}}}'`+"\n")
 		return root
 	}
-	cfg := config{paths: [2]string{harness("parent", "38.75"), harness("change", "35.25")}, pairs: 4, stderr: &bytes.Buffer{}}
+	cfg := config{paths: []string{harness("parent", "38.75"), harness("change", "35.25")}, pairs: 4, stderr: &bytes.Buffer{}}
 	runs, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestRunAlternatesSides(t *testing.T) {
 		script(path, side, "echo 'BenchmarkLookup/present-2 \t 100 \t "+ns+" ns/op'\necho PASS\n")
 		return path
 	}
-	cfg = config{bench: true, paths: [2]string{bin("parent", "30"), bin("change", "20")}, dir: dir, pairs: 2,
+	cfg = config{bench: true, paths: []string{bin("parent", "30"), bin("change", "20")}, dir: dir, pairs: 2,
 		args: []string{"-test.run", "^$", "-test.bench", "Lookup"}, stderr: &bytes.Buffer{}}
 	runs, err = cfg.run()
 	if err != nil {
@@ -247,7 +247,7 @@ func TestControlColumn(t *testing.T) {
 		}
 		runs[p] = pairRun{a, b}
 	}
-	cfg := config{bench: true, paths: [2]string{"parent.test", "change.test"},
+	cfg := config{bench: true, paths: []string{"parent.test", "change.test"},
 		control: regexp.MustCompile(`^ShardBuild/(token|grid) `)}
 	var doc bytes.Buffer
 	if err := cfg.report(&doc, runs); err != nil {
@@ -275,5 +275,74 @@ func TestControlColumn(t *testing.T) {
 	}
 	if cells := summaryCells(t, doc.String(), "ShardBuild/seal ns/op"); cells[len(cells)-1] != "reported (sign test)" {
 		t.Errorf("nine pairs: verdict %q, want %q", cells[len(cells)-1], "reported (sign test)")
+	}
+}
+
+// TestPlaceboControl: with -placebo each pair runs three sides, rotating
+// which goes first, and every row's control change is the placebo's change
+// of the same metric when it moved the row's way. fast falls 30 % where the
+// placebo fell 5 %: claimed. slow rises 5 % where the placebo rose 8 %:
+// reported. flat falls 20 % where the placebo rose: no control change, and
+// claimed.
+func TestPlaceboControl(t *testing.T) {
+	dir := t.TempDir()
+	log := filepath.Join(dir, "log")
+	var paths []string
+	for _, side := range sides {
+		path := filepath.Join(dir, side+".test")
+		sh := "#!/bin/sh\necho " + side + " >> " + log + "\necho 'BenchmarkLookup/present-2 \t 100 \t 30 ns/op'\necho PASS\n"
+		if err := os.WriteFile(path, []byte(sh), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	cfg := config{bench: true, paths: paths, dir: dir, pairs: 3, stderr: &bytes.Buffer{}}
+	runs, err := cfg.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, _ := os.ReadFile(log)
+	want := []string{"parent", "change", "placebo", "change", "placebo", "parent", "placebo", "parent", "change"}
+	if got := strings.Fields(string(order)); !slices.Equal(got, want) {
+		t.Fatalf("run order %v, want %v", got, want)
+	}
+	if got := runs[2][2].values["Lookup/present ns/op"]; got != 30 {
+		t.Fatalf("placebo reading %v, want 30", got)
+	}
+
+	runs = make([]pairRun, 10)
+	for p := range runs {
+		j := float64(p%3 - 1)
+		r := pairRun{newMetrics(), newMetrics(), newMetrics()}
+		for _, m := range []struct {
+			name                  string
+			parent, diff, placebo float64
+		}{
+			{"ShardSearch/fast ns/op", 1000, -300, -50},
+			{"ShardSearch/slow ns/op", 1000, 50, 80},
+			{"ShardSearch/flat ns/op", 1000, -200, 30},
+		} {
+			r[0].add(m.name, m.parent+j)
+			r[1].add(m.name, m.parent+m.diff+j)
+			r[2].add(m.name, m.parent+m.placebo+j)
+		}
+		runs[p] = r
+	}
+	var doc bytes.Buffer
+	if err := cfg.report(&doc, runs); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(doc.String(), "| metric                 | pair | first   | parent | change | placebo |") {
+		t.Fatalf("no placebo column among the raw readings:\n%s", doc.String())
+	}
+	for _, want := range []struct{ metric, control, verdict string }{
+		{"ShardSearch/fast ns/op", "-5.0 % (placebo)", "claimed"},
+		{"ShardSearch/slow ns/op", "+8.0 % (placebo)", "reported (control)"},
+		{"ShardSearch/flat ns/op", "none", "claimed"},
+	} {
+		cells := summaryCells(t, doc.String(), want.metric)
+		if got := cells[len(cells)-2:]; got[0] != want.control || got[1] != want.verdict {
+			t.Errorf("%s: control %q, verdict %q; want %q, %q", want.metric, got[0], got[1], want.control, want.verdict)
+		}
 	}
 }
