@@ -89,7 +89,7 @@ func run() error {
 		maxInflight  = flag.Int("max-inflight", base.MaxInFlight, "concurrent /v1/* request cap, 429 beyond it (0 = unlimited)")
 		maxBatch     = flag.Int("max-batch", base.MaxBatch, "query cap for one /v1/query/batch call")
 		grace        = flag.Duration("grace", base.ShutdownGrace, "shutdown drain deadline for in-flight requests")
-		slowQuery    = flag.Duration("slow-query", base.SlowQuery, "slow-query threshold: offenders are counted, flagged in the query log, and trace-logged rate-limited (0 disables)")
+		slowQuery    = flag.Duration("slow-query", base.SlowQuery, "slow-query threshold: offenders are counted and flagged in the query log, whose lines carry each query's stats (0 disables)")
 		allowPartial = flag.Bool("allow-partial", base.AllowPartial, "serve degraded answers (HTTP 206) when a shard fails instead of failing the query")
 		shardTimeout = flag.Duration("shard-timeout", base.ShardTimeout, "per-shard search deadline; a slow shard is dropped from the merge (requires -allow-partial, 0 disables)")
 		pprofOn      = flag.Bool("pprof", base.Pprof, "mount /debug/pprof/* profiling endpoints")

@@ -326,13 +326,15 @@
 // bit-identical matches and stats (the differential tests enforce this per
 // shard count and execution mode), and an untraced query pays nothing — the
 // recorder hooks no-op on a nil recorder and the hot path stays at 0
-// allocs/op.
+// allocs/op. Stats times the same four stages (AdmitTime, FilterTime,
+// VerifyTime, MergeTime) on the clock reads the trace's spans reuse, so
+// StageTotals equals them to the nanosecond.
 //
-// The server surfaces the same trace: POST /v1/explain answers with the
-// trace, stage totals and pruned shards instead of matches;
-// /v1/query?trace=1 rides the trace alongside a normal answer; queries
-// slower than -slow-query are counted, logged with their stats, and sampled
-// (at most one per second) with a full trace attached. /metrics adds
-// per-stage latency histograms (seal_stage_seconds), the slow-query counter,
-// and Go runtime vitals; -pprof exposes /debug/pprof off-by-default.
+// The server traces only on request: POST /v1/explain answers with the
+// trace, stage totals and pruned shards instead of matches, and
+// /v1/query?trace=1 rides the trace alongside a normal answer. Queries
+// slower than -slow-query are counted and logged with their stats. /metrics
+// adds per-stage latency histograms (seal_stage_seconds, read from every
+// served query's Stats), the slow-query counter, and Go runtime vitals;
+// -pprof exposes /debug/pprof off-by-default.
 package seal

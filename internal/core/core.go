@@ -146,6 +146,10 @@ type SearchStats struct {
 	Results    int
 	FilterTime time.Duration
 	VerifyTime time.Duration
+	// MergeTime is the engine's gather of the per-shard answers into one,
+	// stamped by the engine's materializing sinks (a Searcher and a stream
+	// report zero).
+	MergeTime time.Duration
 	// Shards counts the shard searches that actually ran for this query.
 	// The engine stamps it when merging per-shard reports (a Searcher used
 	// directly always reports zero), so on an early-terminated query it is
@@ -173,6 +177,7 @@ func (s *SearchStats) Merge(other SearchStats) {
 	s.Results += other.Results
 	s.FilterTime += other.FilterTime
 	s.VerifyTime += other.VerifyTime
+	s.MergeTime += other.MergeTime
 	s.Shards += other.Shards
 	s.ShardsPruned += other.ShardsPruned
 	s.ShardErrors += other.ShardErrors

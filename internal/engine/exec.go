@@ -43,8 +43,9 @@ type Options struct {
 	// and verifications short. TopK ignores it (K is its limit).
 	Limit int
 	// Trace, when non-nil, collects per-shard filter/verify spans, pruned-shard
-	// bounds and the engine-level merge span. Nil costs nothing: no clock
-	// reads, no recording, no allocations.
+	// bounds and the engine-level merge span, each reusing the clock reads
+	// that SearchStats already takes. Nil costs nothing more: no recording,
+	// no allocations.
 	Trace *trace.Rec
 	// Partial selects the shard-failure policy.
 	Partial Partial
@@ -342,15 +343,16 @@ func (p *pass) scatter(body shardBody, st *core.SearchStats) error {
 	return first
 }
 
-// traceMerge records the engine-level merge span: the k-way merge of the
-// shard runs, or of the top-k rankings.
-func traceMerge(tr *trace.Rec, start time.Time, results int) {
+// traceMerge records the engine-level merge span — the k-way merge of the
+// shard runs, or of the top-k rankings — over the interval the caller already
+// timed into SearchStats.MergeTime.
+func traceMerge(tr *trace.Rec, start time.Time, dur time.Duration, results int) {
 	if tr == nil {
 		return
 	}
 	tr.AddSpan(trace.Span{
 		Stage: trace.StageMerge, Shard: -1,
-		Start: tr.Offset(start), Dur: time.Since(start), Results: results,
+		Start: tr.Offset(start), Dur: dur, Results: results,
 	})
 }
 

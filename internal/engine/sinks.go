@@ -55,15 +55,13 @@ func SearchAs[M any](e *Engine, ctx context.Context, q *model.Query, opt Options
 	if err != nil {
 		return nil, core.SearchStats{}, err
 	}
-	var mergeStart time.Time
-	if opt.Trace != nil {
-		mergeStart = time.Now()
-	}
+	mergeStart := time.Now()
 	merged := mergeRuns(p.matches, opt.Limit, byID, as)
 	// Per-shard Results count local emissions; the query's answer is the
 	// truncated merge.
 	st.Results = len(merged)
-	traceMerge(opt.Trace, mergeStart, len(merged))
+	st.MergeTime = time.Since(mergeStart)
+	traceMerge(opt.Trace, mergeStart, st.MergeTime, len(merged))
 	return merged, st, nil
 }
 
@@ -311,10 +309,7 @@ func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts
 	if err != nil {
 		return nil, core.SearchStats{}, err
 	}
-	var mergeStart time.Time
-	if opt.Trace != nil {
-		mergeStart = time.Now()
-	}
+	mergeStart := time.Now()
 	merged := p.scored[0] // a lone descent already returns at most k, ranked
 	if len(p.scored) > 1 {
 		merged = mergeRuns(p.scored, opts.K, byScore, func(m core.ScoredMatch) core.ScoredMatch { return m })
@@ -322,7 +317,8 @@ func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts
 	// Descent rounds each merged their own Results; the query's answer count
 	// is the final ranking's length.
 	st.Results = len(merged)
-	traceMerge(opt.Trace, mergeStart, len(merged))
+	st.MergeTime = time.Since(mergeStart)
+	traceMerge(opt.Trace, mergeStart, st.MergeTime, len(merged))
 	return merged, st, nil
 }
 

@@ -162,8 +162,8 @@ func SnapshotObjects(ds *model.Dataset) []seal.Object {
 }
 
 // Warmup runs n synthetic queries against the served index, recording their
-// latency under the "warmup" metrics label so boot-time page faults never
-// skew serving histograms. Queries are built from real indexed objects —
+// latency under the "warmup" metrics label and none of their stage times, so
+// boot-time page faults never skew serving histograms. Queries are built from real indexed objects —
 // region plus a token prefix — so they probe live posting lists and fault
 // the mapped arenas in. Returns the total elapsed time.
 func (s *Server) Warmup(n int) (time.Duration, error) {

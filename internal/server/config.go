@@ -52,8 +52,8 @@ type Config struct {
 	// SIGTERM before the listener is torn down regardless.
 	ShutdownGrace time.Duration `json:"-"`
 	// SlowQuery is the slow-query threshold: requests at or over it are
-	// counted, flagged in the query log, and (rate-limited) logged with their
-	// full execution trace. 0 disables slow-query telemetry.
+	// counted and flagged in the query log, whose every line carries the
+	// query's stats. 0 disables slow-query telemetry.
 	SlowQuery time.Duration `json:"-"`
 	// AllowPartial serves degraded answers: a query that loses a shard —
 	// quarantined at boot, erroring, panicking, or (with ShardTimeout)

@@ -4,8 +4,7 @@ package server
 // but answers with the execution trace — per-stage spans on the query's
 // monotonic timeline, and the shards pruned before dispatch with the bound
 // that pruned them. The same wire trace rides /v1/query responses under
-// ?trace=1 and the slow-query log's offender lines, so every surface speaks
-// one schema.
+// ?trace=1, so both surfaces speak one schema.
 
 import (
 	"net/http"
@@ -118,7 +117,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.RecordQuery(res.Stats, len(res.Matches))
-	s.metrics.RecordStages(res.Trace)
+	s.metrics.RecordStages(res.Stats)
 	out := wireExplain{
 		Count:    len(res.Matches),
 		Degraded: res.Degraded,
@@ -131,5 +130,5 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusPartialContent
 	}
 	writeJSON(w, code, out)
-	s.logRequest(r, "explain", code, start, 1, len(res.Matches), res.Stats, res.Trace, nil)
+	s.logRequest(r, "explain", code, start, 1, len(res.Matches), res.Stats, nil)
 }

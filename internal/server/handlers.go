@@ -108,10 +108,9 @@ func statsWire(st *seal.Stats) *wireStats {
 	}
 }
 
-// handleQuery answers POST /v1/query. Every query records a trace — the
-// per-stage latency histograms and the slow-query log need stage attribution
-// after the fact, and a slow query cannot be re-traced retroactively — but
-// the trace only travels to the client under the ?trace=1 debug flag.
+// handleQuery answers POST /v1/query. The per-stage latency histograms and
+// the query log read the query's Stats, which time every stage; a trace is
+// recorded only under the ?trace=1 debug flag, and travels to the client.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var wr wireRequest
@@ -123,7 +122,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, "query", http.StatusBadRequest, err, start)
 		return
 	}
-	opts = append(opts, seal.CollectStats(), seal.CollectTrace())
+	traced := r.URL.Query().Get("trace") == "1"
+	opts = append(opts, seal.CollectStats())
+	if traced {
+		opts = append(opts, seal.CollectTrace())
+	}
 	opts = append(opts, s.cfg.queryOpts()...)
 	res, err := s.ix.Query(r.Context(), req, opts...)
 	if err != nil {
@@ -131,9 +134,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.RecordQuery(res.Stats, len(res.Matches))
-	s.metrics.RecordStages(res.Trace)
+	s.metrics.RecordStages(res.Stats)
 	var trace []byte
-	if r.URL.Query().Get("trace") == "1" {
+	if traced {
 		if trace, err = json.Marshal(traceWire(res.Trace)); err != nil {
 			s.writeError(w, r, "query", http.StatusInternalServerError, err, start)
 			return
@@ -150,7 +153,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ww.results(res, trace, msSince(start))
 	ww.b = append(ww.b, '\n')
 	ww.finish()
-	s.logRequest(r, "query", code, start, 1, len(res.Matches), res.Stats, res.Trace, nil)
+	s.logRequest(r, "query", code, start, 1, len(res.Matches), res.Stats, nil)
 }
 
 // wireBatch is the POST /v1/query/batch body.
@@ -207,6 +210,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			ww.b = appendString(append(ww.b, `{"error":`...), err.Error())
 		} else {
 			s.metrics.RecordQuery(res.Stats, len(res.Matches))
+			s.metrics.RecordStages(res.Stats)
 			accumulate(agg, res.Stats)
 			matches += len(res.Matches)
 			ww.b = append(ww.b, `{"results":`...)
@@ -241,7 +245,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ww.b = appendFloat(append(ww.b, `],"took_ms":`...), msSince(start))
 	ww.b = append(ww.b, "}\n"...)
 	ww.finish()
-	s.logRequest(r, "batch", http.StatusOK, start, len(wb.Queries), matches, agg, nil, nil)
+	s.logRequest(r, "batch", http.StatusOK, start, len(wb.Queries), matches, agg, nil)
 }
 
 // handleStream answers GET /v1/stream with NDJSON: one record per match the
@@ -262,8 +266,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var st seal.Stats
-	var tr seal.Trace
-	opts = append(opts, seal.StatsInto(&st), seal.TraceInto(&tr))
+	opts = append(opts, seal.StatsInto(&st))
 	opts = append(opts, s.cfg.queryOpts()...)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -294,7 +297,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		n++
 	}
 	s.metrics.RecordQuery(&st, n)
-	s.metrics.RecordStages(&tr)
+	s.metrics.RecordStages(&st)
 	if streamErr != nil {
 		if n == 0 {
 			ww.finish()
@@ -311,7 +314,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		ww.b = appendDegradedRecord(ww.b, st.ShardErrors)
 	}
 	ww.finish()
-	s.logRequest(r, "stream", statusCode(w), start, 1, n, &st, &tr, streamErr)
+	s.logRequest(r, "stream", statusCode(w), start, 1, n, &st, streamErr)
 }
 
 // streamParams parses /v1/stream's query string into the wire form.
@@ -548,7 +551,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // the recorder, and logs the failed request.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, endpoint string, code int, err error, start time.Time) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
-	s.logRequest(r, endpoint, code, start, 0, 0, nil, nil, err)
+	s.logRequest(r, endpoint, code, start, 0, 0, nil, err)
 }
 
 // queryErrorCode maps query errors to HTTP: a request invalid in its own
@@ -581,19 +584,26 @@ func accumulate(agg *seal.Stats, st *seal.Stats) {
 	agg.Results += st.Results
 	agg.ListsProbed += st.ListsProbed
 	agg.PostingsScanned += st.PostingsScanned
+	agg.AdmitTime += st.AdmitTime
 	agg.FilterTime += st.FilterTime
 	agg.VerifyTime += st.VerifyTime
+	agg.MergeTime += st.MergeTime
 	agg.ShardFanout += st.ShardFanout
 	agg.ShardsPruned += st.ShardsPruned
 	agg.ShardErrors += st.ShardErrors
 }
 
-// logRequest emits the one-JSON-line query log entry. Requests at or over
-// the slow-query threshold are flagged, counted, and — rate-limited to one
-// offender per slowLogGap — carry their full execution trace inline, so the
-// log answers "why was that one slow" without a reproduction run.
-func (s *Server) logRequest(r *http.Request, endpoint string, status int, start time.Time, queries, matches int, st *seal.Stats, tr *seal.Trace, err error) {
+// logRequest counts a request at or over the slow-query threshold and emits
+// the one-JSON-line query log entry, flagged slow if it is one. The entry
+// carries the request's Stats in /v1/query's schema, so a slow line says
+// whether the filter or the verification took the time; a client that wants
+// the full trace asks /v1/explain or ?trace=1.
+func (s *Server) logRequest(r *http.Request, endpoint string, status int, start time.Time, queries, matches int, st *seal.Stats, err error) {
 	elapsed := time.Since(start)
+	slow := s.noteSlow(elapsed)
+	if s.qlog == nil {
+		return // an entry nobody reads would still allocate its stats
+	}
 	e := LogEntry{
 		Endpoint:  endpoint,
 		Method:    r.Method,
@@ -601,21 +611,12 @@ func (s *Server) logRequest(r *http.Request, endpoint string, status int, start 
 		LatencyMS: float64(elapsed.Microseconds()) / 1e3,
 		Queries:   queries,
 		Matches:   matches,
+		Stats:     statsWire(st),
 		Remote:    r.RemoteAddr,
-	}
-	if st != nil {
-		e.Candidates = st.Candidates
-		e.PostingsScanned = st.PostingsScanned
-		e.ShardFanout = st.ShardFanout
+		Slow:      slow,
 	}
 	if err != nil {
 		e.Error = err.Error()
-	}
-	if slow, withTrace := s.noteSlow(elapsed); slow {
-		e.Slow = true
-		if withTrace {
-			e.Trace = traceWire(tr)
-		}
 	}
 	s.qlog.Log(e)
 }

@@ -18,17 +18,13 @@ type LogEntry struct {
 	LatencyMS float64 `json:"latency_ms"`
 	Queries   int     `json:"queries,omitempty"` // batch size; 1 for single
 	Matches   int     `json:"matches"`
-	// Engine work, from the query's collected Stats.
-	Candidates      int    `json:"candidates,omitempty"`
-	PostingsScanned int    `json:"postings_scanned,omitempty"`
-	ShardFanout     int    `json:"shard_fanout,omitempty"`
-	Error           string `json:"error,omitempty"`
-	Remote          string `json:"remote,omitempty"`
+	// Stats is the query's cost breakdown in /v1/query's schema (a batch's
+	// summed over its entries); absent on a request that ran no query.
+	Stats  *wireStats `json:"stats,omitempty"`
+	Error  string     `json:"error,omitempty"`
+	Remote string     `json:"remote,omitempty"`
 	// Slow flags requests at or over the configured slow-query threshold.
-	// Trace carries the offender's full execution trace, rate-limited to one
-	// trace-bearing line per second so a latency storm cannot flood the log.
-	Slow  bool       `json:"slow,omitempty"`
-	Trace *wireTrace `json:"trace,omitempty"`
+	Slow bool `json:"slow,omitempty"`
 }
 
 // QueryLog serializes JSON-line request logging. A nil *QueryLog discards

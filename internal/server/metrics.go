@@ -142,8 +142,8 @@ type Metrics struct {
 	// shardsQuarantined is the boot-health gauge, set once from the index.
 	shardsQuarantined atomic.Int64
 
-	// per-stage latency histograms, fed from query traces; stage names come
-	// from the trace spine (admit|filter|verify|merge).
+	// per-stage latency histograms, keyed by metricStages, fed from query
+	// Stats.
 	stages map[string]*histogram
 
 	// index facts, set once at boot.
@@ -155,7 +155,8 @@ type Metrics struct {
 // under its own label so boot-time page faulting never skews serving p99s.
 var metricEndpoints = []string{"query", "batch", "stream", "explain", "warmup"}
 
-// metricStages are the per-stage latency labels, in pipeline order.
+// metricStages are the per-stage latency labels, in pipeline order: the
+// stage names of a trace, and of RecordStages' Stats fields.
 var metricStages = []string{"admit", "filter", "verify", "merge"}
 
 // NewMetrics builds an empty registry.
@@ -217,17 +218,18 @@ func (m *Metrics) RecordQuery(st *seal.Stats, matches int) {
 	}
 }
 
-// RecordStages folds one traced query's per-stage durations into the stage
-// histograms. Concurrent shard spans sum per stage, so one query contributes
-// one observation per stage it exercised. Nil traces no-op (tracing failed
-// or was skipped); the query-level metrics recorded it regardless.
-func (m *Metrics) RecordStages(t *seal.Trace) {
-	if t == nil {
+// RecordStages folds one query's per-stage times into the stage histograms:
+// one observation for each stage whose time is nonzero, which is each stage
+// the query ran (an arrival-order stream verifies inside its filter and
+// merges nothing). Shard times sum per stage. Nil stats no-op; the
+// query-level metrics recorded the query regardless.
+func (m *Metrics) RecordStages(st *seal.Stats) {
+	if st == nil {
 		return
 	}
-	for stage, d := range t.StageTotals() {
-		if h, ok := m.stages[stage]; ok {
-			h.Observe(d)
+	for i, d := range [...]time.Duration{st.AdmitTime, st.FilterTime, st.VerifyTime, st.MergeTime} {
+		if d > 0 {
+			m.stages[metricStages[i]].Observe(d)
 		}
 	}
 }
@@ -337,7 +339,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		m.latency[e].writeTo(cw, "seal_request_duration_seconds", fmt.Sprintf("endpoint=%q,", e))
 	}
 
-	fmt.Fprintln(cw, "# HELP seal_stage_seconds Per-query pipeline-stage time from execution traces; concurrent shard spans sum per stage.")
+	fmt.Fprintln(cw, "# HELP seal_stage_seconds Per-query pipeline-stage time from query stats; concurrent shard times sum per stage.")
 	fmt.Fprintln(cw, "# TYPE seal_stage_seconds histogram")
 	for _, st := range metricStages {
 		m.stages[st].writeTo(cw, "seal_stage_seconds", fmt.Sprintf("stage=%q,", st))

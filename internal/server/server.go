@@ -35,17 +35,8 @@ type Server struct {
 	ready atomic.Bool
 	sem   chan struct{} // nil when MaxInFlight == 0 (unlimited)
 
-	// slowLogNS is the monotonic-clock nanosecond stamp of the last slow
-	// query whose trace was written to the log; noteSlow CASes it to rate-
-	// limit offender lines to one per slowLogGap.
-	slowLogNS atomic.Int64
-
 	boot BootInfo
 }
-
-// slowLogGap rate-limits trace-carrying slow-query log lines: every offender
-// is counted and flagged, at most one per gap carries its full trace.
-const slowLogGap = time.Second
 
 // New wires a server around an already-booted index. logw receives one JSON
 // line per request (nil disables query logging). The server starts not
@@ -109,21 +100,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// noteSlow classifies one finished request against the slow-query threshold.
-// slow reports whether the request is an offender (disabled thresholds never
-// flag); withTrace grants this offender the rate-limited right to carry its
-// full trace in the log line.
-func (s *Server) noteSlow(elapsed time.Duration) (slow, withTrace bool) {
+// noteSlow reports whether one finished request is at or over the slow-query
+// threshold (a disabled threshold never flags) and counts it if so.
+func (s *Server) noteSlow(elapsed time.Duration) bool {
 	if s.cfg.SlowQuery <= 0 || elapsed < s.cfg.SlowQuery {
-		return false, false
+		return false
 	}
 	s.metrics.RecordSlowQuery()
-	now := time.Now().UnixNano()
-	last := s.slowLogNS.Load()
-	if now-last >= int64(slowLogGap) && s.slowLogNS.CompareAndSwap(last, now) {
-		return true, true
-	}
-	return true, false
+	return true
 }
 
 // serving wraps a query-path handler with the shared runtime behavior:

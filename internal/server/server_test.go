@@ -749,13 +749,25 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
-// TestWarmup runs synthetic queries and records them under their own label.
+// TestWarmup runs synthetic queries and records them under their own label,
+// outside the stage histograms.
 func TestWarmup(t *testing.T) {
 	cfg := DefaultConfig
 	cfg.Warmup = 8
 	srv, _ := bootTestServer(t, cfg)
+	stages := func() []uint64 {
+		var counts []uint64
+		for _, st := range metricStages {
+			counts = append(counts, srv.metrics.stages[st].Count())
+		}
+		return counts
+	}
+	before := stages()
 	if err := srv.RunWarmup(nil); err != nil {
 		t.Fatal(err)
+	}
+	if after := stages(); !slices.Equal(after, before) {
+		t.Fatalf("warmup moved seal_stage_seconds_count %v → %v (stages %v)", before, after, metricStages)
 	}
 	if srv.boot.WarmupQueries != 8 || srv.boot.WarmupTime <= 0 {
 		t.Fatalf("warmup boot info = %+v", srv.boot)

@@ -352,7 +352,8 @@ func FuzzWireMatch(f *testing.F) {
 // TestQueryResponseAllocs pins what a match costs on the /v1/query path, end
 // to end through handleQuery: one shard-run entry (24 B) and one seal.Match
 // (32 B), and no allocation whose count grows with the answer — the body
-// goes out through a pooled chunk, not a buffer the size of the answer.
+// goes out through a pooled chunk, not a buffer the size of the answer. It
+// also bounds the request's fixed allocation count.
 func TestQueryResponseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -423,5 +424,13 @@ func TestQueryResponseAllocs(t *testing.T) {
 	}
 	if per := (twice.bytes - n.bytes) / (twice.matches - n.matches); per > 64 {
 		t.Errorf("each extra match allocates %.1f B, want at most 64 (a 24 B run entry and a 32 B seal.Match)", per)
+	}
+	// The fixed cost of a request: 56.0 allocations when this bound was set,
+	// plus 1 for the scatter's goroutine descriptors, read off the smaller of
+	// the two measurements because that jitter only adds. A handler that
+	// traced every request measured 65.2, so tracing by default fails here.
+	const maxAllocs = 57
+	if fixed := min(n.allocs, twice.allocs); fixed > maxAllocs {
+		t.Errorf("a /v1/query request allocates %.1f times, want at most %d", fixed, maxAllocs)
 	}
 }

@@ -266,24 +266,26 @@ func (ix *Index) query(ctx context.Context, req Request, cfg queryConfig) (*Resu
 	if cfg.collectTrace {
 		rec = trace.New()
 	}
+	admitStart := time.Now()
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
 	if req.Ranked() {
-		return ix.queryRanked(ctx, req, cfg, rec)
+		return ix.queryRanked(ctx, req, cfg, rec, admitStart)
 	}
-	return ix.queryThreshold(ctx, req, cfg, rec)
+	return ix.queryThreshold(ctx, req, cfg, rec, admitStart)
 }
 
-// admitSpan closes the admission stage on rec: validation plus query
-// compilation, from the recorder's birth to now. Nil rec no-ops.
-func admitSpan(rec *trace.Rec) {
+// admitSpan records the admission stage on rec — validation plus query
+// compilation — over the interval the caller already timed into
+// Stats.AdmitTime. Nil rec no-ops.
+func admitSpan(rec *trace.Rec, start time.Time, dur time.Duration) {
 	if rec == nil {
 		return
 	}
 	rec.AddSpan(trace.Span{
 		Stage: trace.StageAdmit, Shard: -1,
-		Start: 0, Dur: rec.Offset(time.Now()),
+		Start: rec.Offset(start), Dur: dur,
 	})
 }
 
@@ -310,7 +312,7 @@ func (c queryConfig) page(matches []Match) []Match {
 	return matches
 }
 
-func (ix *Index) queryThreshold(ctx context.Context, req Request, cfg queryConfig, rec *trace.Rec) (*Results, error) {
+func (ix *Index) queryThreshold(ctx context.Context, req Request, cfg queryConfig, rec *trace.Rec, admitStart time.Time) (*Results, error) {
 	order := cfg.order
 	if order == orderDefault {
 		order = orderID
@@ -322,7 +324,8 @@ func (ix *Index) queryThreshold(ctx context.Context, req Request, cfg queryConfi
 	if err != nil {
 		return nil, err
 	}
-	admitSpan(rec)
+	admit := time.Since(admitStart)
+	admitSpan(rec, admitStart, admit)
 
 	var matches []Match
 	var st core.SearchStats
@@ -337,7 +340,7 @@ func (ix *Index) queryThreshold(ctx context.Context, req Request, cfg queryConfi
 	if err != nil {
 		return nil, err
 	}
-	return ix.finish(cfg.page(matches), st, cfg, rec), nil
+	return ix.finish(cfg.page(matches), st, admit, cfg, rec), nil
 }
 
 // compile compiles a threshold request against the root dataset. What
@@ -375,7 +378,7 @@ func (ix *Index) arrival(ctx context.Context, mq *model.Query, cfg queryConfig, 
 	return st, err
 }
 
-func (ix *Index) queryRanked(ctx context.Context, req Request, cfg queryConfig, rec *trace.Rec) (*Results, error) {
+func (ix *Index) queryRanked(ctx context.Context, req Request, cfg queryConfig, rec *trace.Rec, admitStart time.Time) (*Results, error) {
 	order := cfg.order
 	if order == orderDefault || order == orderArrival {
 		// Ranking produces the score order; "arrival" has no distinct
@@ -391,7 +394,8 @@ func (ix *Index) queryRanked(ctx context.Context, req Request, cfg queryConfig, 
 	}
 	// Ranked admission ends here; the engine compiles the descents' one query
 	// against the root dataset.
-	admitSpan(rec)
+	admit := time.Since(admitStart)
+	admitSpan(rec, admitStart, admit)
 	found, st, err := ix.eng.TopK(ctx, rectIn(req.Region), req.Tokens, core.TopKOptions{
 		K:      effK,
 		Alpha:  req.Alpha,
@@ -420,17 +424,17 @@ func (ix *Index) queryRanked(ctx context.Context, req Request, cfg queryConfig, 
 			}
 		})
 	}
-	return ix.finish(matches, st, cfg, rec), nil
+	return ix.finish(matches, st, admit, cfg, rec), nil
 }
 
 // finish assembles Results and serves the stats and trace options.
-func (ix *Index) finish(matches []Match, st core.SearchStats, cfg queryConfig, rec *trace.Rec) *Results {
+func (ix *Index) finish(matches []Match, st core.SearchStats, admit time.Duration, cfg queryConfig, rec *trace.Rec) *Results {
 	// Degradation is reported unconditionally, not only under CollectStats:
 	// a caller that opted into partial answers must always be able to tell a
 	// complete answer from a degraded one.
 	res := &Results{Matches: matches, Degraded: st.ShardErrors > 0}
 	if cfg.collectStats {
-		s := statsOut(st)
+		s := statsOut(st, admit)
 		res.Stats = &s
 		if cfg.statsInto != nil {
 			*cfg.statsInto = s
@@ -445,14 +449,18 @@ func (ix *Index) finish(matches []Match, st core.SearchStats, cfg queryConfig, r
 	return res
 }
 
-func statsOut(st core.SearchStats) Stats {
+// statsOut converts the engine's report, plus the admission time the caller
+// measured, to the public form.
+func statsOut(st core.SearchStats, admit time.Duration) Stats {
 	return Stats{
 		Candidates:      st.Candidates,
 		Results:         st.Results,
 		ListsProbed:     st.ListsProbed,
 		PostingsScanned: st.PostingsScanned,
+		AdmitTime:       admit,
 		FilterTime:      st.FilterTime,
 		VerifyTime:      st.VerifyTime,
+		MergeTime:       st.MergeTime,
 		ShardFanout:     st.Shards,
 		ShardsPruned:    st.ShardsPruned,
 		ShardErrors:     st.ShardErrors,

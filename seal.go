@@ -54,9 +54,19 @@ type Stats struct {
 	// ListsProbed and PostingsScanned count inverted-index work.
 	ListsProbed     int
 	PostingsScanned int
-	// FilterTime and VerifyTime split the elapsed time by phase.
+	// AdmitTime, FilterTime, VerifyTime and MergeTime split the query's time
+	// by pipeline stage, as a trace's spans do: admission (validation and
+	// compilation), the filter and verify steps summed over the shards
+	// searched (so on a sharded index they can exceed the wall clock), and
+	// the merge of the shard answers into one. An arrival-order stream
+	// verifies as it filters and merges nothing: its whole search is
+	// FilterTime, and its VerifyTime and MergeTime are zero. Unless a shard
+	// was dropped, each equals the same query's Trace.StageTotals entry,
+	// read off the same clocks.
+	AdmitTime  time.Duration
 	FilterTime time.Duration
 	VerifyTime time.Duration
+	MergeTime  time.Duration
 	// ShardFanout is the number of shard searches that actually ran: the
 	// shards that survived pruning (see ShardsPruned), fewer still when early
 	// termination (Limit, top-k pruning, cancellation) stopped shards before

@@ -3,6 +3,7 @@ package seal
 import (
 	"context"
 	"iter"
+	"time"
 
 	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/trace"
@@ -85,12 +86,14 @@ func (ix *Index) streamArrival(ctx context.Context, req Request, cfg queryConfig
 	if cfg.collectTrace {
 		rec = trace.New()
 	}
+	admitStart := time.Now()
 	mq, err := ix.compile(req)
 	if err != nil {
 		yield(Match{}, err)
 		return
 	}
-	admitSpan(rec)
+	admit := time.Since(admitStart)
+	admitSpan(rec, admitStart, admit)
 	skip, abandoned := cfg.offset, false
 	st, err := ix.arrival(ctx, mq, cfg, rec, func(m core.Match) bool {
 		if skip > 0 {
@@ -101,7 +104,7 @@ func (ix *Index) streamArrival(ctx context.Context, req Request, cfg queryConfig
 		return !abandoned
 	})
 	if cfg.statsInto != nil {
-		*cfg.statsInto = statsOut(st)
+		*cfg.statsInto = statsOut(st, admit)
 	}
 	if cfg.traceInto != nil && rec != nil {
 		*cfg.traceInto = *ix.traceOut(rec)

@@ -5,7 +5,9 @@ package seal
 // timeline, and the shards skipped by extent pruning with the bound that
 // skipped them. Traces answer "where did this query's time go, and which
 // shards did it never visit" — the library-level substrate under the server's
-// /v1/explain endpoint, slow-query log, and per-stage latency metrics.
+// /v1/explain endpoint and /v1/query's ?trace=1 flag. A trace's spans reuse
+// the clock reads that Stats already takes, so its StageTotals equal the
+// query's Stats stage times; per-stage metrics read Stats and need no trace.
 
 import (
 	"time"
@@ -73,8 +75,9 @@ func (t *Trace) StageTotals() map[string]time.Duration {
 }
 
 // CollectTrace asks the query to record an execution trace in Results.Trace.
-// Tracing a query adds the recorder's allocations and a clock read per
-// stage; queries without it keep the zero-allocation hot path.
+// Tracing a query adds the recorder's allocations; its spans reuse the
+// clock reads Stats takes. Queries without it keep the zero-allocation hot
+// path.
 func CollectTrace() QueryOption {
 	return func(c *queryConfig) { c.collectTrace = true }
 }

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/sealdb/seal"
 )
@@ -65,9 +66,27 @@ func requireTraceShape(t *testing.T, label string, tr *seal.Trace, stages ...str
 	}
 }
 
+// requireStageTimes asserts that a trace's stage totals equal the same query's
+// Stats stage times to the nanosecond: both read the same clocks. A stage with
+// no span counts as 0.
+func requireStageTimes(t *testing.T, label string, tr *seal.Trace, st *seal.Stats) {
+	t.Helper()
+	if st == nil {
+		t.Fatalf("%s: no stats collected", label)
+	}
+	totals := tr.StageTotals()
+	for stage, want := range map[string]time.Duration{
+		"admit": st.AdmitTime, "filter": st.FilterTime, "verify": st.VerifyTime, "merge": st.MergeTime,
+	} {
+		if got := totals[stage]; got != want {
+			t.Fatalf("%s: trace %s total %v, Stats %v", label, stage, got, want)
+		}
+	}
+}
+
 // TestTraceDifferential: across 1/2/3/8 shards and every execution mode, a
-// traced query returns exactly the untraced answer, and the trace reports the
-// stages that mode runs.
+// traced query returns exactly the untraced answer, the trace reports the
+// stages that mode runs, and its stage totals are the query's Stats times.
 func TestTraceDifferential(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(20260808))
@@ -91,31 +110,35 @@ func TestTraceDifferential(t *testing.T) {
 			if plain.Trace != nil {
 				t.Fatalf("%s: untraced query carried a trace", label)
 			}
-			traced, err := ix.Query(ctx, req, seal.CollectTrace())
+			traced, err := ix.Query(ctx, req, seal.CollectTrace(), seal.CollectStats())
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameMatches(t, label+" threshold", traced.Matches, plain.Matches)
 			requireTraceShape(t, label+" threshold", traced.Trace, "admit", "filter", "verify", "merge")
+			requireStageTimes(t, label+" threshold", traced.Trace, traced.Stats)
 
 			// Limited: the verification-capped ID-ordered path.
 			wantLimited := plain.Matches
 			if len(wantLimited) > 3 {
 				wantLimited = wantLimited[:3]
 			}
-			limited, err := ix.Query(ctx, req, seal.OrderByID(), seal.Limit(3), seal.CollectTrace())
+			limited, err := ix.Query(ctx, req, seal.OrderByID(), seal.Limit(3), seal.CollectTrace(), seal.CollectStats())
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameMatches(t, label+" limit", limited.Matches, wantLimited)
 			requireTraceShape(t, label+" limit", limited.Trace, "admit", "filter", "merge")
+			requireStageTimes(t, label+" limit", limited.Trace, limited.Stats)
 
 			// Streamed, arrival order: collect everything, compare as a set
-			// (arrival order is unspecified), and take the trace through
-			// TraceInto since the iterator has no Results to carry it.
+			// (arrival order is unspecified), and take the trace and stats
+			// through TraceInto and StatsInto since the iterator has no
+			// Results to carry them.
 			var streamTrace seal.Trace
+			var streamStats seal.Stats
 			var streamed []seal.Match
-			for m, err := range ix.Stream(ctx, req, seal.TraceInto(&streamTrace)) {
+			for m, err := range ix.Stream(ctx, req, seal.TraceInto(&streamTrace), seal.StatsInto(&streamStats)) {
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,6 +147,7 @@ func TestTraceDifferential(t *testing.T) {
 			slices.SortFunc(streamed, func(a, b seal.Match) int { return a.ID - b.ID })
 			requireSameMatches(t, label+" stream", streamed, plain.Matches)
 			requireTraceShape(t, label+" stream", &streamTrace, "admit", "filter")
+			requireStageTimes(t, label+" stream", &streamTrace, &streamStats)
 
 			// Ranked: the top-k descent.
 			tq := seal.Request{Region: q.Region, Tokens: q.Tokens, K: 1 + qi%5, Alpha: 0.5, FloorR: 0.01, FloorT: 0.01}
@@ -131,12 +155,13 @@ func TestTraceDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tracedRanked, err := ix.Query(ctx, tq, seal.CollectTrace())
+			tracedRanked, err := ix.Query(ctx, tq, seal.CollectTrace(), seal.CollectStats())
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameMatches(t, label+" ranked", tracedRanked.Matches, plainRanked.Matches)
 			requireTraceShape(t, label+" ranked", tracedRanked.Trace, "admit", "merge")
+			requireStageTimes(t, label+" ranked", tracedRanked.Trace, tracedRanked.Stats)
 
 			// StageTotals mirrors the spans exactly.
 			totals := traced.Trace.StageTotals()
