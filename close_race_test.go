@@ -137,7 +137,7 @@ func TestCloseDuringQueries(t *testing.T) {
 			query("limited", full.Matches[:3], req, seal.OrderByID(), seal.Limit(3)),
 			query("partial", full.Matches, req, seal.AllowPartial()),
 			query("ranked", top.Matches, ranked),
-			func(ix *seal.Index) error { // a cancellable ctx takes the single shard off the caller's goroutine
+			func(ix *seal.Index) error { // a cancellable ctx: the single shard searches inline, polling it
 				res, err := ix.Query(cancelable, req)
 				if err != nil {
 					return err

@@ -91,9 +91,9 @@
 // shape. The fan-out first drops the shards that cannot answer — a
 // quarantined one fails the query or, under AllowPartial, is counted and
 // skipped; a shard whose extent cannot reach TauR is pruned (see "Shard
-// pruning") — and runs a single remaining shard on the caller's goroutine
-// (unless an unpolled search under a cancellable context could strand it
-// there), or else scatters them, one goroutine per admitted shard. Each
+// pruning") — and runs a single remaining shard on the caller's goroutine,
+// or else scatters them, one goroutine per admitted shard; a search that
+// its context can stop polls it, so nothing strands the caller. Each
 // shard search then runs the same sequence exactly once: count the search
 // in flight (so Close can wait for it), start the ShardTimeout clock,
 // isolate panics, take a pooled searcher, attach the trace recorder, search,
@@ -112,8 +112,8 @@
 // # Context-aware search
 //
 // Query, Stream and QueryBatch honor context.Context: a canceled context or
-// an expired deadline stops the scatter mid-flight and returns (or yields)
-// ctx's error promptly.
+// an expired deadline stops the shard searches mid-flight and returns (or
+// yields) ctx's error promptly.
 //
 // # Performance
 //

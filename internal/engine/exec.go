@@ -89,10 +89,11 @@ type pass struct {
 	q      *model.Query // compiled against the root; ranked descents copy it
 	region geo.Rect     // shard-prune key: the query region and the lowest
 	tauR   float64      // spatial threshold any of the pass's searches can use
-	// polls reports that the pass's shard searches get a stop hook to poll.
-	// One that gets none (an uncapped ordered search with no shard deadline)
-	// cannot be interrupted, so an expiring ctx abandons it instead.
-	polls bool
+	// stop is the hook the pass's shard searches poll, built once: stopped,
+	// or nil for a search that nothing can cut short (an uncapped ordered
+	// search under a ctx that cannot expire). A ShardTimeout replaces it with
+	// a per-shard hook that also watches the shard's deadline.
+	stop func() bool
 	// quit is set once the query has its answer or its failure: polling
 	// shard searches stop, unstarted ones never start.
 	quit atomic.Bool
@@ -109,8 +110,8 @@ func (p *pass) stopped() bool { return p.quit.Load() || p.ctx.Err() != nil }
 
 // shardBody is the part of a shard search that differs between sinks: it
 // drives the acquired searcher over shard i and puts the matches where its
-// sink wants them. stop is nil when the pass does not poll; otherwise it
-// reports that the search should be abandoned.
+// sink wants them. stop is nil when nothing can cut the search short;
+// otherwise it reports that the search should be abandoned.
 type shardBody func(p *pass, i int, s *shard, sr *core.Searcher, stop func() bool) (core.SearchStats, error)
 
 // runShard executes body on live shard i under the invariant sequence:
@@ -136,9 +137,9 @@ func (p *pass) runShard(i int, body shardBody) (st core.SearchStats, err error) 
 	if timeout > 0 {
 		stopAt = time.Now().Add(timeout)
 	}
-	var stop func() bool
-	if p.polls {
-		stop = func() bool { return p.stopped() || (timeout > 0 && time.Now().After(stopAt)) }
+	stop := p.stop
+	if timeout > 0 {
+		stop = func() bool { return p.stopped() || time.Now().After(stopAt) }
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -209,24 +210,35 @@ func (p *pass) drop(err error, st *core.SearchStats) error {
 	return nil
 }
 
-// run is the one fan-out: it takes body through runShard on every shard that
-// can answer and returns the merged stats (also alongside an error: a failed
-// stream still reports the work it did). A single shard runs on the calling
-// goroutine when nothing could strand the caller there — ctx cannot expire,
-// or the search polls it; otherwise the shards scatter.
+// run is the one fan-out: it admits every shard, then takes body through
+// runShard on each one left live and returns the merged stats (also alongside
+// an error: a failed stream still reports the work it did). A lone live shard
+// runs on the calling goroutine; two or more scatter. Nothing strands the
+// caller inline: a search that ctx can stop polls it.
 func (p *pass) run(body shardBody) (st core.SearchStats, err error) {
 	if err := p.ctx.Err(); err != nil {
 		return st, err
 	}
 	defer p.quit.Store(true)
-	if len(p.e.shards) == 1 && (p.ctx.Done() == nil || p.polls) {
-		var live bool
-		if live, err = p.admit(0, &st); live {
-			sst, serr := p.runShard(0, body)
-			err = p.fold(&st, 0, sst, serr)
+	// The live list stays on the stack up to its buffer's length.
+	var buf [8]int
+	live := buf[:0]
+	for i := range p.e.shards {
+		ok, err := p.admit(i, &st)
+		if err != nil {
+			return st, err
 		}
-	} else {
-		err = p.scatter(body, &st)
+		if ok {
+			live = append(live, i)
+		}
+	}
+	switch len(live) {
+	case 0:
+	case 1:
+		sst, serr := p.runShard(live[0], body)
+		err = p.fold(&st, live[0], sst, serr)
+	default:
+		err = p.scatter(body, live, &st)
 	}
 	if err == nil {
 		// A polling search that saw ctx expire returned what it had; prefer
@@ -290,21 +302,11 @@ func (s *shard) pruneBound(region geo.Rect, tauR float64) (float64, bool) {
 	return bound, bound*(1+pruneEps) < tauR
 }
 
-// scatter runs every admitted shard on a goroutine of its own and gathers
-// their outcomes into st. A query that fails, or whose ctx expires, returns at
-// once and abandons its stragglers (Close waits for them); a stream instead
-// waits for every producer, since it closes the channel they send on.
-func (p *pass) scatter(body shardBody, st *core.SearchStats) error {
-	live := make([]int, 0, len(p.e.shards))
-	for i := range p.e.shards {
-		ok, err := p.admit(i, st)
-		if err != nil {
-			return err
-		}
-		if ok {
-			live = append(live, i)
-		}
-	}
+// scatter runs each live shard on a goroutine of its own and gathers their
+// outcomes into st. A query that fails, or whose ctx expires, returns at once
+// and abandons its stragglers (Close waits for them); a stream instead waits
+// for every producer, since it closes the channel they send on.
+func (p *pass) scatter(body shardBody, live []int, st *core.SearchStats) error {
 	type outcome struct {
 		shard int
 		st    core.SearchStats

@@ -2,7 +2,8 @@ package engine
 
 // The shape × fault matrix: every sink over the shard-execution core, under
 // every shard fault the core isolates, strict and partial, on one and four
-// shards, traced and untraced, against a brute-force oracle. One contract
+// shards — and on four shards with one left live, which runs inline on the
+// caller's goroutine — traced and untraced, against a brute-force oracle. One contract
 // everywhere: the exact answer minus the failed shards' objects or the
 // sentinel error, the realized Shards/ShardsPruned/ShardErrors counts, and no
 // goroutine left behind.
@@ -154,8 +155,19 @@ func TestShapeFaultMatrix(t *testing.T) {
 		{geo.Rect{MinX: 10, MinY: 5, MaxX: 90, MaxY: 100}, []string{"t7", "t11"}, 0.0005, 0.01},
 		{geo.Rect{MinX: 30, MinY: 30, MaxX: 70, MaxY: 70}, []string{"t1", "t2", "t19"}, 0.002, 0.002},
 	}
+	// Regions inside shard 1's extent and clear of the other three, so every
+	// sink (a ranked one prunes at its 0.001 floor) searches shard 1 alone.
+	lone := []matrixQuery{
+		{geo.Rect{MinX: 63, MinY: 1.4, MaxX: 106, MaxY: 49}, []string{"t3"}, 0.001, 0.001},
+		{geo.Rect{MinX: 70, MinY: 10, MaxX: 100, MaxY: 40}, []string{"t7", "t11"}, 0.0005, 0.01},
+	}
 	baseline := runtime.NumGoroutine()
-	for _, shards := range []int{1, 4} {
+	for _, layout := range []struct {
+		name   string
+		shards int
+		lone   bool // every query leaves one shard live, the victim
+	}{{"shards=1", 1, false}, {"shards=4", 4, false}, {"shards=4/lone", 4, true}} {
+		shards := layout.shards
 		e := scanEngine(t, ds, shards)
 		if e.Shards() != shards {
 			t.Fatalf("built %d shards, want %d", e.Shards(), shards)
@@ -170,19 +182,22 @@ func TestShapeFaultMatrix(t *testing.T) {
 		if shards == 1 {
 			selective = []matrixQuery{{geo.Rect{MinX: -2000, MinY: -2000, MaxX: 2000, MaxY: 2000}, []string{"t3"}, 0.5, 0.001}}
 		}
+		victim := shards - 1
+		if layout.lone {
+			selective, victim = lone, loneShard(t, e, ds, lone)
+		}
 		for _, f := range matrixFaults {
 			queries := broad
-			if f.selective {
+			if f.selective || layout.lone {
 				queries = selective
 			}
 			if f.timeout > 0 {
 				queries = queries[:2] // every slow row sleeps through the injected delay
 			}
-			victim := shards - 1
 			for _, allow := range []bool{false, true} {
 				for _, traced := range []bool{false, true} {
 					for _, sink := range matrixSinks {
-						name := fmt.Sprintf("shards=%d/%s/allow=%v/traced=%v/%s", shards, f.name, allow, traced, sink.name)
+						name := fmt.Sprintf("%s/%s/allow=%v/traced=%v/%s", layout.name, f.name, allow, traced, sink.name)
 						t.Run(name, func(t *testing.T) {
 							if f.arm != nil {
 								defer f.arm(e, victim)()
@@ -197,6 +212,32 @@ func TestShapeFaultMatrix(t *testing.T) {
 			settleGoroutines(t, baseline)
 		}
 	}
+}
+
+// loneShard returns the one shard every query in qs leaves live, whether it
+// prunes at its own τR or at a ranked sink's floor, and checks that each
+// query has matches there.
+func loneShard(t *testing.T, e *Engine, ds *model.Dataset, qs []matrixQuery) int {
+	t.Helper()
+	lone := -1
+	for qi, mq := range qs {
+		for _, tauR := range []float64{mq.tauR, 0.001} {
+			var live []int
+			for i, s := range e.shards {
+				if _, pruned := s.pruneBound(mq.region, tauR); !pruned {
+					live = append(live, i)
+				}
+			}
+			if len(live) != 1 || (lone >= 0 && live[0] != lone) {
+				t.Fatalf("lone query %d at τR %v leaves shards %v live, want one, the same for every query", qi, tauR, live)
+			}
+			lone = live[0]
+		}
+		if len(thresholdOracle(ds, mq.compile(t, ds), nil)) == 0 {
+			t.Fatalf("lone query %d has no matches", qi)
+		}
+	}
+	return lone
 }
 
 // matrixRow runs one query through one cell and checks the contract.
@@ -225,10 +266,14 @@ func matrixRow(t *testing.T, label string, e *Engine, ds *model.Dataset, mq matr
 	if sink.ranked {
 		pruneR = topk.FloorR
 	}
-	wantPruned := 0
+	wantPruned, scanned := 0, 0 // scanned: the objects of the shards left live
 	for _, s := range e.shards {
-		if _, pruned := s.pruneBound(mq.region, pruneR); pruned && s.down == nil {
+		switch _, pruned := s.pruneBound(mq.region, pruneR); {
+		case s.down != nil:
+		case pruned:
 			wantPruned++
+		default:
+			scanned += s.ds.Len()
 		}
 	}
 	if f.selective && !sink.ranked && wantPruned == 0 {
@@ -360,10 +405,10 @@ func matrixRow(t *testing.T, label string, e *Engine, ds *model.Dataset, mq matr
 			t.Fatalf("%s: fan-out %d/pruned %d/errors %d, want %d/%d/%d", label, st.Shards, st.ShardsPruned, st.ShardErrors, wantShards, wantPruned, wantErrs)
 		}
 		if f.name == "healthy" && !sink.ranked && limit == 0 {
-			// The scan filter visits every object, on however many shards, and
-			// an unbounded stream does exactly the work of a search.
-			if st.Candidates != ds.Len() || st.PostingsScanned != ds.Len() {
-				t.Fatalf("%s: %d candidates, %d postings over a %d-object scan", label, st.Candidates, st.PostingsScanned, ds.Len())
+			// The scan filter visits every object of every live shard, and an
+			// unbounded stream does exactly the work of a search.
+			if st.Candidates != scanned || st.PostingsScanned != scanned {
+				t.Fatalf("%s: %d candidates, %d postings over a %d-object scan", label, st.Candidates, st.PostingsScanned, scanned)
 			}
 		}
 		if traced {

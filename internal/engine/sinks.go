@@ -34,7 +34,8 @@ import (
 //
 // Cancellation is prompt: if ctx expires mid-scatter, Search returns
 // ctx.Err() without waiting for in-flight shard searches, which finish in the
-// background and are discarded.
+// background and are discarded; a lone live shard, searched on the caller's
+// goroutine, polls ctx and returns at its next poll.
 func (e *Engine) Search(ctx context.Context, q *model.Query, opt Options) ([]core.Match, core.SearchStats, error) {
 	return SearchAs(e, ctx, q, opt, func(m core.Match) core.Match { return m })
 }
@@ -46,10 +47,12 @@ func (e *Engine) Search(ctx context.Context, q *model.Query, opt Options) ([]cor
 func SearchAs[M any](e *Engine, ctx context.Context, q *model.Query, opt Options, as func(core.Match) M) ([]M, core.SearchStats, error) {
 	p := &pass{
 		e: e, ctx: ctx, opt: opt, q: q, region: q.Region, tauR: q.TauR,
-		// An uncapped search with no shard deadline has nothing to poll for
-		// and runs without a stop hook.
-		polls:   opt.Limit > 0 || opt.Partial.ShardTimeout > 0,
 		matches: make([][]core.Match, len(e.shards)),
+	}
+	// An uncapped search under a ctx that cannot expire has nothing to poll
+	// for; runShard gives one under a ShardTimeout a hook of its own.
+	if ctx.Done() != nil || opt.Limit > 0 {
+		p.stop = p.stopped
 	}
 	st, err := p.run((*pass).orderedShard)
 	if err != nil {
@@ -208,7 +211,8 @@ const streamBuffer = 64
 // matches are always correct, only completeness is lost.
 func (e *Engine) Stream(ctx context.Context, q *model.Query, opt Options) *MatchStream {
 	ms := &MatchStream{ch: make(chan core.Match, streamBuffer), done: make(chan struct{})}
-	ms.pass = &pass{e: e, ctx: ctx, opt: opt, q: q, region: q.Region, tauR: q.TauR, polls: true, stream: ms}
+	ms.pass = &pass{e: e, ctx: ctx, opt: opt, q: q, region: q.Region, tauR: q.TauR, stream: ms}
+	ms.pass.stop = ms.pass.stopped
 	go func() {
 		// A shard failure (strict mode) outranks the context; otherwise only
 		// ctx's expiry is an error — a stream stopped by Close or Limit ended
@@ -302,9 +306,10 @@ func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts
 		rk.tracker = newKthTracker(len(e.shards), opts.K)
 	}
 	p := &pass{
-		e: e, ctx: ctx, opt: opt, q: q, region: region, tauR: opts.FloorR, polls: true,
+		e: e, ctx: ctx, opt: opt, q: q, region: region, tauR: opts.FloorR,
 		ranked: rk, scored: make([][]core.ScoredMatch, len(e.shards)),
 	}
+	p.stop = p.stopped
 	st, err := p.run((*pass).rankedShard)
 	if err != nil {
 		return nil, core.SearchStats{}, err

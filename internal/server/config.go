@@ -39,7 +39,7 @@ type Config struct {
 	Warmup int `json:"warmup"`
 
 	// RequestTimeout bounds one request's execution; the engine observes
-	// the deadline mid-scatter. 0 means no per-request deadline.
+	// the deadline mid-search. 0 means no per-request deadline.
 	RequestTimeout time.Duration `json:"-"`
 	// MaxInFlight caps concurrently executing /v1/* requests; excess
 	// requests are rejected with 429 rather than queued without bound.
@@ -107,33 +107,23 @@ func LoadConfig(path string, base Config) (Config, error) {
 		return base, fmt.Errorf("server: parsing %s: %w", path, err)
 	}
 	cfg := fc.Config
-	if fc.RequestTimeout != "" {
-		d, err := time.ParseDuration(fc.RequestTimeout)
-		if err != nil {
-			return base, fmt.Errorf("server: %s: request_timeout: %w", path, err)
+	for _, f := range []struct {
+		key, text string
+		d         *time.Duration
+	}{
+		{"request_timeout", fc.RequestTimeout, &cfg.RequestTimeout},
+		{"shutdown_grace", fc.ShutdownGrace, &cfg.ShutdownGrace},
+		{"slow_query", fc.SlowQuery, &cfg.SlowQuery},
+		{"shard_timeout", fc.ShardTimeout, &cfg.ShardTimeout},
+	} {
+		if f.text == "" {
+			continue
 		}
-		cfg.RequestTimeout = d
-	}
-	if fc.ShutdownGrace != "" {
-		d, err := time.ParseDuration(fc.ShutdownGrace)
+		d, err := time.ParseDuration(f.text)
 		if err != nil {
-			return base, fmt.Errorf("server: %s: shutdown_grace: %w", path, err)
+			return base, fmt.Errorf("server: %s: %s: %w", path, f.key, err)
 		}
-		cfg.ShutdownGrace = d
-	}
-	if fc.SlowQuery != "" {
-		d, err := time.ParseDuration(fc.SlowQuery)
-		if err != nil {
-			return base, fmt.Errorf("server: %s: slow_query: %w", path, err)
-		}
-		cfg.SlowQuery = d
-	}
-	if fc.ShardTimeout != "" {
-		d, err := time.ParseDuration(fc.ShardTimeout)
-		if err != nil {
-			return base, fmt.Errorf("server: %s: shard_timeout: %w", path, err)
-		}
-		cfg.ShardTimeout = d
+		*f.d = d
 	}
 	if err := cfg.Validate(); err != nil {
 		return base, err

@@ -25,18 +25,22 @@ func TestLoadConfigOverBase(t *testing.T) {
 		"segments": "/var/lib/seal/x",
 		"shards": 4,
 		"warmup": 32,
+		"allow_partial": true,
 		"request_timeout": "500ms",
-		"shutdown_grace": "3s"
+		"shutdown_grace": "3s",
+		"slow_query": "250ms",
+		"shard_timeout": "40ms"
 	}`)
 	cfg, err := LoadConfig(path, DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Addr != ":9090" || cfg.Shards != 4 || cfg.Warmup != 32 {
+	if cfg.Addr != ":9090" || cfg.Shards != 4 || cfg.Warmup != 32 || !cfg.AllowPartial {
 		t.Fatalf("loaded config = %+v", cfg)
 	}
-	if cfg.RequestTimeout != 500*time.Millisecond || cfg.ShutdownGrace != 3*time.Second {
-		t.Fatalf("durations = %v / %v", cfg.RequestTimeout, cfg.ShutdownGrace)
+	if cfg.RequestTimeout != 500*time.Millisecond || cfg.ShutdownGrace != 3*time.Second ||
+		cfg.SlowQuery != 250*time.Millisecond || cfg.ShardTimeout != 40*time.Millisecond {
+		t.Fatalf("durations = %v / %v / %v / %v", cfg.RequestTimeout, cfg.ShutdownGrace, cfg.SlowQuery, cfg.ShardTimeout)
 	}
 	// Absent fields keep base values.
 	if cfg.Method != "seal" || cfg.MaxInFlight != DefaultConfig.MaxInFlight {
@@ -55,10 +59,16 @@ func TestLoadConfigRejectsUnknownKeys(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsBadDuration: every duration key refuses text that is
+// not a duration, and the error names the key.
 func TestLoadConfigRejectsBadDuration(t *testing.T) {
-	path := writeConfigFile(t, `{"segments": "/x", "request_timeout": "fast"}`)
-	if _, err := LoadConfig(path, DefaultConfig); err == nil {
-		t.Fatal("bad duration accepted")
+	for _, key := range []string{"request_timeout", "shutdown_grace", "slow_query", "shard_timeout"} {
+		t.Run(key, func(t *testing.T) {
+			path := writeConfigFile(t, `{"segments": "/x", "allow_partial": true, "`+key+`": "fast"}`)
+			if _, err := LoadConfig(path, DefaultConfig); err == nil || !strings.Contains(err.Error(), key+":") {
+				t.Fatalf("bad %s accepted or unnamed: %v", key, err)
+			}
+		})
 	}
 }
 

@@ -490,7 +490,7 @@ func (ix *Index) QueryBatch(ctx context.Context, reqs []Request, opts ...QueryOp
 	cfg.traceInto = nil
 	// Each query runs under the batch's own ctx, not the scatter's derived one:
 	// fn never fails, so the two expire together, and a ctx that cannot expire
-	// keeps a single-shard query on the worker's goroutine.
+	// spares an uncapped query's search the stop hook it would poll.
 	ferr := engine.ForEach(ctx, len(reqs), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
 		res, err := ix.query(ctx, reqs[i], cfg)
 		if err != nil {
