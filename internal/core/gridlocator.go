@@ -15,12 +15,13 @@ import (
 // intersect a rectangle?" without scanning the whole grid set.
 //
 // It needs no storage of its own. A hybrid key is token<<32 | node, the
-// posting index keeps each token's nodes as one ascending run
-// (invidx.FromSortedRuns), and a NodeID carries its level in the top bits and
-// its row above its column, so the token's run already is the per-level
-// index: grouped by tree level, and within a level — a sparse subset of the
-// 2^l × 2^l uniform grid — row-major, so a rectangle's grids at one level are
-// one binary search and a short walk per row of its cell range.
+// posting index keeps each token's nodes as one ascending run (the key column
+// invidx.FromCodedRuns assembles from the build's coded runs, one run a
+// token), and a NodeID carries its level in the top bits and its row above
+// its column, so the token's run already is the per-level index: grouped by
+// tree level, and within a level — a sparse subset of the 2^l × 2^l uniform
+// grid — row-major, so a rectangle's grids at one level are one binary search
+// and a short walk per row of its cell range.
 //
 // nodes[i] is also a posting list — list base+i of the index the run belongs
 // to — so a hit names its list by position and nothing looks a key up; the

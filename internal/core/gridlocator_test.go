@@ -27,11 +27,11 @@ import (
 // locator as an open derives it, with the index it projects through.
 func locatorOver(t testing.TB, tree *gridtree.Tree, base int, nodes, lens []uint32) (gridLocator, *invidx.Compressed) {
 	t.Helper()
-	run := func(group uint32, nodes, lens []uint32) invidx.Run {
-		r := invidx.Run{Group: group, Nodes: nodes, Lens: lens}
+	run := func(group uint32, nodes, lens []uint32) invidx.CodedRun {
+		r := invidx.CodedRun{Group: group, Nodes: nodes, Lens: lens}
 		for _, n := range lens {
 			for i := range n {
-				r.Objs, r.Bounds, r.TBounds = append(r.Objs, i), append(r.Bounds, 1), append(r.TBounds, 1)
+				r.Objs, r.Codes, r.TCodes = append(r.Objs, i), append(r.Codes, invidx.Code(1)), append(r.TCodes, invidx.Code(1))
 			}
 		}
 		return r
@@ -41,7 +41,7 @@ func locatorOver(t testing.TB, tree *gridtree.Tree, base int, nodes, lens []uint
 	for i := range filler {
 		filler[i], ones[i] = uint32(gridtree.MakeNodeID(tree.MaxLevel, i%side, i/side)), 1
 	}
-	idx := invidx.Compress(invidx.FromSortedRuns(2, []invidx.Run{run(0, filler, ones), run(1, nodes, lens)}))
+	idx := invidx.FromCodedRuns(2, []invidx.CodedRun{run(0, filler, ones), run(1, nodes, lens)})
 	tl, err := deriveLocators(tree, 2, idx)
 	if err != nil {
 		t.Fatalf("locator over %d grids: %v", len(nodes), err)
@@ -359,7 +359,7 @@ func TestLocatorsDerivedFromKeys(t *testing.T) {
 		}
 		wk := new(hierWorker)
 		built := make([]selection, vocab)
-		var runs []invidx.Run
+		var runs []invidx.CodedRun
 		for tok, tp := range members {
 			if len(tp) == 0 {
 				continue
@@ -371,11 +371,11 @@ func TestLocatorsDerivedFromKeys(t *testing.T) {
 			}
 			if len(wk.run.Nodes) > lists {
 				built[tok] = selection{slices.Clone(wk.nodes), slices.Clone(wk.counts)}
-				runs = append(runs, invidx.Run{Group: uint32(tok), Nodes: wk.run.Nodes[lists:], Lens: wk.run.Lens[lists:],
-					Objs: wk.run.Objs[postings:], Bounds: wk.run.Bounds[postings:], TBounds: wk.run.TBounds[postings:]})
+				runs = append(runs, invidx.CodedRun{Group: uint32(tok), Nodes: wk.run.Nodes[lists:], Lens: wk.run.Lens[lists:],
+					Objs: wk.run.Objs[postings:], Codes: wk.run.Codes[postings:], TCodes: wk.run.TCodes[postings:]})
 			}
 		}
-		cx := invidx.Compress(invidx.FromSortedRuns(vocab, runs))
+		cx := invidx.FromCodedRuns(vocab, runs)
 		mapped := mapSegment(t, cx, ds.Len())
 		derive := func(src *invidx.Compressed) *tokenLocators {
 			tl, err := deriveLocators(tree, vocab, src)
@@ -441,27 +441,28 @@ func TestDeriveLocatorsChecksRunsAndLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every cell of level 8: 65,536 grids of one token.
-	run := invidx.Run{Group: 1}
+	one := invidx.Code(1)
+	run := invidx.CodedRun{Group: 1}
 	for iy := 0; iy < 256; iy++ {
 		for ix := 0; ix < 256; ix++ {
 			run.Nodes = append(run.Nodes, uint32(gridtree.MakeNodeID(8, ix, iy)))
 			run.Lens = append(run.Lens, 1)
 			run.Objs = append(run.Objs, 0)
-			run.Bounds = append(run.Bounds, 1)
-			run.TBounds = append(run.TBounds, 1)
+			run.Codes = append(run.Codes, one)
+			run.TCodes = append(run.TCodes, one)
 		}
 	}
-	deep := invidx.Run{Group: 1, Nodes: []uint32{uint32(gridtree.MakeNodeID(9, 0, 0))}, Lens: []uint32{1}, Objs: []uint32{0}, Bounds: []float64{1}, TBounds: []float64{1}}
+	deep := invidx.CodedRun{Group: 1, Nodes: []uint32{uint32(gridtree.MakeNodeID(9, 0, 0))}, Lens: []uint32{1}, Objs: []uint32{0}, Codes: []uint16{one}, TCodes: []uint16{one}}
 	var keyed invidx.Builder
 	keyed.Dual = true
 	keyed.AddDual(1<<32|uint64(run.Nodes[0]), 0, 1, 1)
-	for name, ix := range map[string]*invidx.Index{
-		"a run table shorter than the vocab": invidx.FromSortedRuns(2, []invidx.Run{run}),
-		"a run table longer than the vocab":  invidx.FromSortedRuns(4, []invidx.Run{run}),
-		"a grid below the tree":              invidx.FromSortedRuns(3, []invidx.Run{deep}),
-		"an index with a key array":          keyed.Build(),
+	for name, ix := range map[string]*invidx.Compressed{
+		"a run table shorter than the vocab": invidx.FromCodedRuns(2, []invidx.CodedRun{run}),
+		"a run table longer than the vocab":  invidx.FromCodedRuns(4, []invidx.CodedRun{run}),
+		"a grid below the tree":              invidx.FromCodedRuns(3, []invidx.CodedRun{deep}),
+		"an index with a key array":          invidx.Compress(keyed.Build()),
 	} {
-		if _, err := deriveLocators(tree, 3, invidx.Compress(ix)); err == nil {
+		if _, err := deriveLocators(tree, 3, ix); err == nil {
 			t.Fatalf("%s derived locators", name)
 		}
 	}
@@ -522,11 +523,11 @@ func TestStrayLocatorPanics(t *testing.T) {
 
 	// Move tok's run to start at Lists(), behind filler nodes in token 0: its
 	// positions are now one past the last list and on.
-	run := func(group uint32, nodes []uint32) invidx.Run {
-		r := invidx.Run{Group: group, Nodes: nodes}
+	run := func(group uint32, nodes []uint32) invidx.CodedRun {
+		r := invidx.CodedRun{Group: group, Nodes: nodes}
 		for range nodes {
 			r.Lens, r.Objs = append(r.Lens, 1), append(r.Objs, 0)
-			r.Bounds, r.TBounds = append(r.Bounds, 1), append(r.TBounds, 1)
+			r.Codes, r.TCodes = append(r.Codes, invidx.Code(1)), append(r.TCodes, invidx.Code(1))
 		}
 		return r
 	}
@@ -536,7 +537,7 @@ func TestStrayLocatorPanics(t *testing.T) {
 		filler[i] = uint32(i)
 	}
 	lo, hi := f.locs.runs.Span(int(tok))
-	runs, nodes := invidx.FromSortedRuns(ds.Vocab().Len(), []invidx.Run{run(0, filler), run(uint32(tok), f.locs.nodes[lo:hi])}).Runs()
+	runs, nodes := invidx.FromCodedRuns(ds.Vocab().Len(), []invidx.CodedRun{run(0, filler), run(uint32(tok), f.locs.nodes[lo:hi])}).Runs()
 	f.locs = &tokenLocators{runs: *runs, tree: f.tree, nodes: nodes}
 
 	st = FilterStats{}

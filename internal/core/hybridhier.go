@@ -109,9 +109,10 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 
 	// Tokens are independent, so HSS selection and per-object signature
 	// generation fan out across CPUs, each worker taking the next token and
-	// appending that token's finished lists to its own run. Which worker got
-	// which token leaves no trace: hierKey is token-major, so the runs' token
-	// spans, concatenated in token order, are the index.
+	// appending that token's finished, coded lists to its own run. Which
+	// worker got which token leaves no trace: a SEAL key is token<<32 | node,
+	// token-major, so the runs' token spans, concatenated in token order, are
+	// the served index.
 	spans := make([]hierSpan, vocab.Len())
 	workers := make([]*hierWorker, runtime.GOMAXPROCS(0))
 	var next atomic.Int64
@@ -147,22 +148,22 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 			return nil, wk.err
 		}
 	}
-	runs := make([]invidx.Run, 0, presentTokens)
+	runs := make([]invidx.CodedRun, 0, presentTokens)
 	for t, sp := range spans {
 		if sp.list0 == sp.list1 {
 			continue
 		}
 		run := &workers[sp.worker].run
-		runs = append(runs, invidx.Run{
-			Group:   uint32(t),
-			Nodes:   run.Nodes[sp.list0:sp.list1],
-			Lens:    run.Lens[sp.list0:sp.list1],
-			Objs:    run.Objs[sp.posting0:sp.posting1],
-			Bounds:  run.Bounds[sp.posting0:sp.posting1],
-			TBounds: run.TBounds[sp.posting0:sp.posting1],
+		runs = append(runs, invidx.CodedRun{
+			Group:  uint32(t),
+			Nodes:  run.Nodes[sp.list0:sp.list1],
+			Lens:   run.Lens[sp.list0:sp.list1],
+			Objs:   run.Objs[sp.posting0:sp.posting1],
+			Codes:  run.Codes[sp.posting0:sp.posting1],
+			TCodes: run.TCodes[sp.posting0:sp.posting1],
 		})
 	}
-	f.idx = compress(invidx.FromSortedRuns(vocab.Len(), runs))
+	f.idx = invidx.FromCodedRuns(vocab.Len(), runs)
 	f.locs, err = deriveLocators(tree, vocab.Len(), f.idx)
 	if err != nil {
 		return nil, err
@@ -194,14 +195,15 @@ type hierEntry struct {
 }
 
 // hierWorker is one build goroutine's state: the scratch every token reuses
-// and the run that collects the finished lists of all its tokens.
+// and the run that collects the finished lists of all its tokens, their
+// bounds already coded as the index serves them.
 type hierWorker struct {
 	sel     hss.Selector
 	rects   []geo.Rect
 	hits    []gridHit
 	gW, gB  []float64
 	entries []hierEntry
-	run     invidx.Run
+	run     invidx.CodedRun
 	err     error
 
 	// The token being built: its grids and, per grid, its count, and every
@@ -214,8 +216,10 @@ type hierWorker struct {
 // buildToken selects token t's grids, generates every posting of I(t)'s
 // spatial signature over them, and appends t's lists to the worker's run in
 // index order: ascending grid node, and within a list descending spatial
-// bound, ties by ascending object. A token none of whose regions overlaps
-// the space gets no lists.
+// bound, ties by ascending object. Each list is sorted by its exact bounds,
+// then appended with both bounds coded (invidx.Code), so the run is already
+// in the served form. A token none of whose regions overlaps the space gets
+// no lists.
 //
 // The grids' global order takes count(g) as the number of regions that post
 // to g, i.e. the length of g's list, not the count HSS selected with: the two
@@ -288,7 +292,7 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.
 	// An object projects onto a grid at most once, so within a list the
 	// object breaks every tie and the order is total. A grid only rounding
 	// slivers reach holds no posting and gets no list.
-	run := &wk.run
+	run, record := &wk.run, recordCoded
 	lo = 0
 	for l, end := range next {
 		list := wk.entries[lo:end]
@@ -307,12 +311,21 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.
 		run.Lens = append(run.Lens, uint32(len(list)))
 		for _, e := range list {
 			run.Objs = append(run.Objs, e.obj)
-			run.Bounds = append(run.Bounds, e.rBound)
-			run.TBounds = append(run.TBounds, e.tBound)
+			run.Codes = append(run.Codes, invidx.Code(e.rBound))
+			run.TCodes = append(run.TCodes, invidx.Code(e.tBound))
+			if record != nil {
+				record(uint64(t)<<32|uint64(wk.nodes[l]), e.obj, e.rBound, e.tBound)
+			}
 		}
 	}
 	return nil
 }
+
+// recordCoded, when set, sees every posting the SEAL build codes — its key,
+// object and exact bounds, in list order — from whichever worker codes it. It
+// is nil outside tests, which set it to compare the served lists with the
+// bounds they stand for.
+var recordCoded func(key uint64, obj uint32, rBound, tBound float64)
 
 // newHierarchicalFilter resolves cfg's defaults and wires everything but the
 // postings and the locators derived from them.

@@ -19,8 +19,8 @@ type FilterSpec struct {
 }
 
 // sigIndex is what the four signature filters share: the dataset, the
-// quantized posting lists — compressed at the end of a build, or mapped from a
-// segment by OpenFilter, the same bytes either way — and the spec that
+// quantized posting lists — quantized by the build, or mapped from a segment
+// by OpenFilter, the same bytes either way — and the spec that
 // rebuilds or reopens the filter.
 type sigIndex struct {
 	ds   *model.Dataset
@@ -28,9 +28,11 @@ type sigIndex struct {
 	spec FilterSpec
 }
 
-// compress is how every signature filter's build ends: its flat lists become
-// the quantized layout the filter serves and a segment stores. A variable only
-// so a test can see the flat lists a build produced.
+// compress is how a keyed filter's build (token, grid, hybrid) ends: its flat
+// lists become the quantized layout the filter serves and a segment stores.
+// The SEAL build never holds flat lists: it codes each list as it sorts it and
+// assembles the served layout from those runs (invidx.FromCodedRuns). A
+// variable only so a test can see the flat lists a build produced.
 var compress = invidx.Compress
 
 // sigFilter is how Postings recognizes a signature filter: by the sigIndex it

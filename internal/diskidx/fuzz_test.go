@@ -4,7 +4,7 @@ package diskidx
 // file is trusted only after its header geometry, section table, CRCs, and
 // arena invariants all check out, and no input may panic the parser or make
 // it accept structurally unsound postings. The corpus seeds two genuine
-// segments — a built dual one and one frozen from sorted runs, the Seal
+// segments — a built dual one and one assembled from coded runs, the Seal
 // filter's shape — plus systematic
 // truncations and header mutations so the fuzzer starts from the format's real
 // shape rather than random noise.
@@ -32,7 +32,7 @@ func FuzzSegmentHeader(f *testing.F) {
 	}
 	f.Add(valid)
 	grouped := filepath.Join(f.TempDir(), "grouped.seg")
-	if err := WriteSegment(grouped, invidx.Compress(sortedRuns(buildDual(rand.New(rand.NewSource(44)), 12, 6))), segTestObjects); err != nil {
+	if err := WriteSegment(grouped, codedRuns(buildDual(rand.New(rand.NewSource(44)), 12, 6)), segTestObjects); err != nil {
 		f.Fatal(err)
 	}
 	runs, err := os.ReadFile(grouped)

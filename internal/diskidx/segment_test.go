@@ -110,9 +110,9 @@ func pathsFixture(rng *rand.Rand, dual, saturate bool) *invidx.Index {
 }
 
 // TestSegmentRoundTrip: every way to reach a list agrees. Over {finite bounds,
-// a bound that saturates} × {single, dual} × {frozen by a Builder, by
-// FromSortedRuns — the Seal filter's constructor, dual only} × {compressed in
-// memory, written and mapped}, At(i) and Probe of the i-th key reach list i of
+// a bound that saturates} × {single, dual} × {compressed from a Builder's
+// index, assembled by FromCodedRuns — the Seal filter's constructor, dual
+// only} × {in memory, written and mapped}, At(i) and Probe of the i-th key reach list i of
 // the flat index: the same objects in the same order, bounds never below
 // flat's. SizeBytes — the figure IndexStats and Table 1 report — is exactly the
 // bytes of the segment's sections.
@@ -122,13 +122,12 @@ func TestSegmentRoundTrip(t *testing.T) {
 	for _, dual := range []bool{false, true} {
 		for _, saturate := range []bool{false, true} {
 			flat := pathsFixture(rng, dual, saturate)
-			cols := map[string]*invidx.Index{"built": flat}
+			cols := map[string]*invidx.Compressed{"built": invidx.Compress(flat)}
 			if dual {
-				cols["sorted runs"] = sortedRuns(flat)
+				cols["coded runs"] = codedRuns(flat)
 			}
-			for col, ix := range cols {
+			for col, src := range cols {
 				name := fmt.Sprintf("dual=%v saturated=%v %s", dual, saturate, col)
-				src := invidx.Compress(ix)
 				path := filepath.Join(dir, "paths.seg")
 				if err := WriteSegment(path, src, segTestObjects); err != nil {
 					t.Fatal(err)
@@ -201,14 +200,13 @@ func TestSegmentSections(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	dir := t.TempDir()
 	dual := buildDual(rng, 700, 12)
-	for name, ix := range map[string]*invidx.Index{
-		"single":      buildSingle(rng, 700, 12),
-		"dual":        dual,
-		"sorted runs": sortedRuns(dual),
-		"empty":       new(invidx.Builder).Build(),
+	for name, src := range map[string]*invidx.Compressed{
+		"single":     invidx.Compress(buildSingle(rng, 700, 12)),
+		"dual":       invidx.Compress(dual),
+		"coded runs": codedRuns(dual),
+		"empty":      invidx.Compress(new(invidx.Builder).Build()),
 	} {
 		t.Run(name, func(t *testing.T) {
-			src := invidx.Compress(ix)
 			path := filepath.Join(dir, "sections.seg")
 			if err := WriteSegment(path, src, segTestObjects); err != nil {
 				t.Fatal(err)
@@ -279,21 +277,25 @@ func TestSegmentRetiredKeySections(t *testing.T) {
 	}
 }
 
-// sortedRuns refreezes a dual Builder index through invidx.FromSortedRuns, one
-// run per key group (buildDual's keys all lie in group 0; two more stay empty).
-func sortedRuns(dual *invidx.Index) *invidx.Index {
-	var runs []invidx.Run
+// codedRuns reassembles a dual Builder index through invidx.FromCodedRuns,
+// one run per key group, each bound coded (buildDual's keys all lie in group
+// 0; two more stay empty).
+func codedRuns(dual *invidx.Index) *invidx.Compressed {
+	var runs []invidx.CodedRun
 	for _, key := range keysOf(invidx.Compress(dual)) {
 		if g := uint32(key >> 32); len(runs) == 0 || runs[len(runs)-1].Group != g {
-			runs = append(runs, invidx.Run{Group: g})
+			runs = append(runs, invidx.CodedRun{Group: g})
 		}
 		run := &runs[len(runs)-1]
 		objs, bounds, tBounds := dual.List(key)
 		run.Nodes = append(run.Nodes, uint32(key))
 		run.Lens = append(run.Lens, uint32(len(objs)))
-		run.Objs, run.Bounds, run.TBounds = append(run.Objs, objs...), append(run.Bounds, bounds...), append(run.TBounds, tBounds...)
+		run.Objs = append(run.Objs, objs...)
+		for i := range objs {
+			run.Codes, run.TCodes = append(run.Codes, invidx.Code(bounds[i])), append(run.TCodes, invidx.Code(tBounds[i]))
+		}
 	}
-	return invidx.FromSortedRuns(3, runs)
+	return invidx.FromCodedRuns(3, runs)
 }
 
 // TestSegmentEmpty: an empty index still round-trips (empty directory,
@@ -336,13 +338,13 @@ func TestSegmentMalformed(t *testing.T) {
 	}
 	// Every fixture has 16-bit objects (segTestObjects fits). The list-layout
 	// cases need a single-bound one, whose row is 4 bytes; the key-column cases
-	// one frozen from sorted runs: the Seal filter's shape, dual, group 0
+	// one assembled from coded runs: the Seal filter's shape, dual, group 0
 	// holding every node and groups 1 and 2 none; the container cases take a
 	// built dual one.
 	const dual, comp, runs = 0, 1, 2
 	var good [3][]byte
 	good[comp] = fixture("good-comp.seg", invidx.Compress(idx))
-	good[runs] = fixture("good-runs.seg", invidx.Compress(sortedRuns(buildDual(rng, 20, 100))))
+	good[runs] = fixture("good-runs.seg", codedRuns(buildDual(rng, 20, 100)))
 	good[dual] = fixture("good-dual.seg", invidx.Compress(buildDual(rng, 20, 100)))
 	if f := binary.LittleEndian.Uint32(good[comp][12:]); f != segFlagCompressed|segFlagObj16 {
 		t.Fatalf("compressed fixture flags %#x, want compressed|obj16", f)

@@ -24,6 +24,11 @@ import (
 // that leaves one shard live runs on the caller's goroutine and costs what
 // a 1-shard index's query costs. A search that can be stopped — under a
 // Limit or a ctx that can expire — costs one stop hook more, once per pass.
+// So does a ranked query that leaves one shard live: its descent prunes
+// against no other shard, so it builds no k-th-score tracker and feeds none,
+// and its ranking is the answer with no merge (13.0 allocations against the
+// 1-shard index's 9.0 when the tracker was built before admission and the
+// lone ranking merged).
 func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -84,5 +89,34 @@ func TestSearchAllocs(t *testing.T) {
 		if got > tc.want {
 			t.Errorf("shards=%d live=%d limit=%d cancelable=%v: %.1f allocs per search, want at most %.0f", tc.shards, tc.live, tc.limit, tc.ctx != nil, got, tc.want)
 		}
+	}
+
+	// A top-k (k 10) on object 1's own region at a floor only its shard can
+	// reach: on 4 shards it leaves one live, and costs what it costs on 1.
+	opts := core.TopKOptions{K: 10, Alpha: 0.5, FloorR: 0.3, FloorT: 0.001}
+	terms := []string{ds.Vocab().Term(text.TokenID(ds.Tokens(1)[0]))}
+	var allocs [2]float64
+	for j, shards := range []int{1, 4} {
+		e, err := Build(ds, Config{
+			Shards:    shards,
+			NewFilter: func(sds *model.Dataset) (core.Filter, error) { return core.NewTokenFilter(sds), nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		topk := func() {
+			if m, st, err := e.TopK(context.Background(), ds.Region(1), terms, opts, Options{}); err != nil || len(m) == 0 || st.Shards != 1 {
+				t.Fatalf("top-k over %d shards: %d matches from %d shards, %v", shards, len(m), st.Shards, err)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			topk()
+		}
+		gc := debug.SetGCPercent(-1)
+		allocs[j] = testing.AllocsPerRun(100, topk)
+		debug.SetGCPercent(gc)
+	}
+	if allocs[1] > allocs[0] {
+		t.Errorf("a top-k leaving 1 of 4 shards live: %.1f allocs, the same query on 1 shard %.1f", allocs[1], allocs[0])
 	}
 }

@@ -232,6 +232,10 @@ func (p *pass) run(body shardBody) (st core.SearchStats, err error) {
 			live = append(live, i)
 		}
 	}
+	if p.ranked != nil && len(live) > 1 {
+		// Descents prune one another only when two or more run.
+		p.ranked.tracker = newKthTracker(len(p.e.shards), p.ranked.opts.K)
+	}
 	switch len(live) {
 	case 0:
 	case 1:

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -119,6 +120,22 @@ func BenchmarkShardSearch(b *testing.B) {
 	}
 }
 
+// rungShard0 is shard 0 of the rung's corpus, cut as Build cuts it.
+func rungShard0(tb testing.TB) *model.Dataset {
+	tb.Helper()
+	ds := rungCorpus(tb)
+	rows, bounds := partition(ds, ShardCount(4, ds.Len()))
+	ordered, err := ds.Permute(rows)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	shard0, err := ordered.Subset(int(bounds[0]), int(bounds[1]))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return shard0
+}
+
 // BenchmarkShardBuild is the build rung beside the search one: one op builds
 // the filter of shard 0 of the rung's corpus (gen.Twitter{N: 50000, Seed:
 // 42} cut in 4 shards as Build cuts it), with no save and no other shard.
@@ -128,16 +145,7 @@ func BenchmarkShardSearch(b *testing.B) {
 //
 //	GOMAXPROCS=1 go test -run '^$' -bench ShardBuild -count 10 ./internal/engine
 func BenchmarkShardBuild(b *testing.B) {
-	ds := rungCorpus(b)
-	rows, bounds := partition(ds, ShardCount(4, ds.Len()))
-	ordered, err := ds.Permute(rows)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shard0, err := ordered.Subset(int(bounds[0]), int(bounds[1]))
-	if err != nil {
-		b.Fatal(err)
-	}
+	shard0 := rungShard0(b)
 	for _, kind := range []struct {
 		name string
 		spec core.FilterSpec
@@ -156,4 +164,29 @@ func BenchmarkShardBuild(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestShardBuildAllocBytes bounds the bytes one Seal build of the rung's
+// shard 0 allocates, at one worker (GOMAXPROCS 1, restored afterwards): the
+// 50,511,782 B measured on linux/amd64 once the workers coded their runs and
+// the served index was assembled from them (91,722,294 B when the workers
+// kept float64 bounds, froze a flat index and compressed it), plus 10 %.
+func TestShardBuildAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const bound = 50_511_782 * 110 / 100
+	shard0 := rungShard0(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := core.BuildFilter(shard0, sealRung); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > bound {
+		t.Fatalf("a Seal build of shard 0 allocated %d B, want <= %d", got, bound)
+	}
+	t.Logf("allocated %d B (bound %d)", got, bound)
 }

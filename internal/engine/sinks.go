@@ -132,6 +132,19 @@ func mergeRuns[E, M any](runs [][]E, limit int, before func(a, b E) bool, as fun
 	return out
 }
 
+// loneRun returns the one non-empty run of runs, and whether there is
+// exactly one.
+func loneRun[E any](runs [][]E) ([]E, bool) {
+	var lone []E
+	n := 0
+	for _, r := range runs {
+		if len(r) > 0 {
+			lone, n = r, n+1
+		}
+	}
+	return lone, n == 1
+}
+
 // siftRun restores the heap order of heads (by each run's first entry)
 // below position i.
 func siftRun[E any](heads [][]E, i int, before func(a, b E) bool) {
@@ -251,16 +264,18 @@ func (p *pass) arrivalShard(i int, s *shard, sr *core.Searcher, stop func() bool
 
 // ranking is a top-k pass's descent parameters.
 type ranking struct {
-	opts    core.TopKOptions
-	tracker *kthTracker // nil on a single shard: nothing to prune against
+	opts core.TopKOptions
+	// tracker is set by run once admission leaves two or more shards live;
+	// a lone live descent has nothing to prune against.
+	tracker *kthTracker
 }
 
-// TopK answers a top-k query with global-threshold pruning: every shard runs
-// the threshold-descent TopK, reports its provably-complete results to a
-// shared tracker after each round, and stops descending as soon as the
-// running global k-th-best score proves its unseen objects irrelevant. The
-// surviving per-shard lists — each sorted by descending score — merge through
-// a heap into the global top k.
+// TopK answers a top-k query with global-threshold pruning: every live shard
+// runs the threshold-descent TopK and, when two or more are live, reports its
+// provably-complete results to a shared tracker after each round and stops
+// descending as soon as the running global k-th-best score proves its unseen
+// objects irrelevant. The surviving per-shard lists — each sorted by
+// descending score — merge through a heap into the global top k.
 //
 // The merge is exact: a shard stops early only when every object it has not
 // yet retrieved scores strictly below k already-retrieved objects, so the
@@ -301,13 +316,9 @@ func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts
 	if err != nil {
 		return nil, core.SearchStats{}, fmt.Errorf("engine: %w: %w", ErrInvalidQuery, err)
 	}
-	rk := &ranking{opts: opts}
-	if len(e.shards) > 1 {
-		rk.tracker = newKthTracker(len(e.shards), opts.K)
-	}
 	p := &pass{
 		e: e, ctx: ctx, opt: opt, q: q, region: region, tauR: opts.FloorR,
-		ranked: rk, scored: make([][]core.ScoredMatch, len(e.shards)),
+		ranked: &ranking{opts: opts}, scored: make([][]core.ScoredMatch, len(e.shards)),
 	}
 	p.stop = p.stopped
 	st, err := p.run((*pass).rankedShard)
@@ -315,8 +326,10 @@ func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts
 		return nil, core.SearchStats{}, err
 	}
 	mergeStart := time.Now()
-	merged := p.scored[0] // a lone descent already returns at most k, ranked
-	if len(p.scored) > 1 {
+	// A lone ranking is the answer as it stands: a descent returns at most k,
+	// ranked.
+	merged, lone := loneRun(p.scored)
+	if !lone {
 		merged = mergeRuns(p.scored, opts.K, byScore, func(m core.ScoredMatch) core.ScoredMatch { return m })
 	}
 	// Descent rounds each merged their own Results; the query's answer count

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/model"
@@ -91,7 +92,7 @@ func Twitter(cfg TwitterConfig) (*model.Dataset, error) {
 		cx, cy := cities.sample(rng)
 		region := placeRegion(rng, cx, cy, area, space)
 		k := clampInt(int(math.Round(rng.NormFloat64()*cfg.MeanTokens/3+cfg.MeanTokens)), 1, int(3*cfg.MeanTokens))
-		if _, err := b.Add(region, tokens.draw(rng, k)); err != nil {
+		if _, err := b.Add(region, tokens.draw(k)); err != nil {
 			return nil, err
 		}
 	}
@@ -151,7 +152,7 @@ func USA(cfg USAConfig) (*model.Dataset, error) {
 		cx, cy := cities.sample(rng)
 		region := clampRect(geo.Rect{MinX: cx - w/2, MinY: cy - h/2, MaxX: cx + w/2, MaxY: cy + h/2}, space)
 		k := clampInt(int(math.Round(rng.NormFloat64()*cfg.MeanTokens/3+cfg.MeanTokens)), 1, int(3*cfg.MeanTokens))
-		if _, err := b.Add(region, tokens.draw(rng, k)); err != nil {
+		if _, err := b.Add(region, tokens.draw(k)); err != nil {
 			return nil, err
 		}
 	}
@@ -186,32 +187,39 @@ func (m *cityModel) sample(rng *rand.Rand) (x, y float64) {
 	return m.cx[c] + rng.NormFloat64()*m.sigma[c], m.cy[c] + rng.NormFloat64()*m.sigma[c]
 }
 
-// tokenModel draws Zipf-distributed synthetic words.
+// tokenModel draws Zipf-distributed synthetic words. A draw reuses the
+// model's buffers, and each rank's word is spelled once, on its first draw.
 type tokenModel struct {
-	vocabSize int
-	zipf      *rand.Zipf
+	zipf  *rand.Zipf
+	words []string // words[r] is WordFor(r), or "" before rank r's first draw
+	ranks []uint64 // the current draw's ranks
+	out   []string // the current draw's words
 }
 
 func newTokenModel(rng *rand.Rand, vocabSize int, s float64) *tokenModel {
 	return &tokenModel{
-		vocabSize: vocabSize,
-		zipf:      rand.NewZipf(rng, s, 3, uint64(vocabSize-1)),
+		zipf:  rand.NewZipf(rng, s, 3, uint64(vocabSize-1)),
+		words: make([]string, vocabSize),
 	}
 }
 
-// draw returns up to k distinct words.
-func (tm *tokenModel) draw(rng *rand.Rand, k int) []string {
-	seen := make(map[uint64]bool, k)
-	out := make([]string, 0, k)
-	for attempts := 0; len(out) < k && attempts < 6*k+20; attempts++ {
+// draw returns up to k distinct words, valid until the next draw. A repeated
+// rank is dropped and costs an attempt, so a draw stops short of k after
+// 6k+20 attempts.
+func (tm *tokenModel) draw(k int) []string {
+	tm.ranks, tm.out = tm.ranks[:0], tm.out[:0]
+	for attempts := 0; len(tm.out) < k && attempts < 6*k+20; attempts++ {
 		r := tm.zipf.Uint64()
-		if seen[r] {
+		if slices.Contains(tm.ranks, r) {
 			continue
 		}
-		seen[r] = true
-		out = append(out, WordFor(int(r)))
+		tm.ranks = append(tm.ranks, r)
+		if tm.words[r] == "" {
+			tm.words[r] = WordFor(int(r))
+		}
+		tm.out = append(tm.out, tm.words[r])
 	}
-	return out
+	return tm.out
 }
 
 // WordFor deterministically maps a token rank to a pronounceable synthetic

@@ -221,3 +221,16 @@ func TestSampleAreaFromKnotsRange(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTwitter generates Twitter{N: 50000, Seed: 42}: the shard rung's
+// corpus, and the dataset the benchmark's setup generates.
+//
+//	GOMAXPROCS=1 go test -run '^$' -bench Twitter -count 10 ./internal/gen
+func BenchmarkTwitter(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Twitter(TwitterConfig{N: 50000, Seed: 42}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

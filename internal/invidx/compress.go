@@ -118,12 +118,15 @@ func Code(b float64) uint16 {
 // decodeBound returns the bound a code stands for.
 func decodeBound(code uint16) float32 { return math.Float32frombits(uint32(code) << 15) }
 
-// appendList appends the encoding of one canonical list (bounds descending,
-// ties by ascending object) to dst. tBounds is nil for single-bound lists.
-func appendList(dst []byte, objs []uint32, bounds, tBounds []float64, lay Layout) []byte {
-	for _, lane := range [][]float64{bounds, tBounds} {
-		for _, b := range lane {
-			dst = binary.LittleEndian.AppendUint16(dst, Code(b))
+// appendList appends the rows of one canonical list (bounds descending, ties
+// by ascending object) to dst: its spatial codes, its textual codes — nil on
+// a single-bound list — and its objects. It is the one encoder of the list
+// layout: Compress codes a flat list's bounds for it, FromCodedRuns hands it
+// the codes its producer took.
+func appendList(dst []byte, objs []uint32, codes, tCodes []uint16, lay Layout) []byte {
+	for _, lane := range [][]uint16{codes, tCodes} {
+		for _, c := range lane {
+			dst = binary.LittleEndian.AppendUint16(dst, c)
 		}
 	}
 	for _, o := range objs {
@@ -135,6 +138,18 @@ func appendList(dst []byte, objs []uint32, bounds, tBounds []float64, lay Layout
 	}
 	return dst
 }
+
+// appendCodes appends the code of every bound to dst.
+func appendCodes(dst []uint16, bounds []float64) []uint16 {
+	for _, b := range bounds {
+		dst = append(dst, Code(b))
+	}
+	return dst
+}
+
+// fitsObj16 reports whether every posted object fits two bytes, which is
+// what picks an index's object width.
+func fitsObj16(objs []uint32) bool { return len(objs) == 0 || slices.Max(objs) <= math.MaxUint16 }
 
 // walkColumns checks a list of n rows where it lies, for what the query path
 // relies on: spatial codes that never ascend, which is what makes Cutoff's
@@ -248,22 +263,105 @@ type Compressed struct {
 // and shares its (immutable) key column with the result. Bounds must not be
 // NaN — true of every canonically built index.
 func Compress(ix *Index) *Compressed {
-	lay := Layout{Obj16: len(ix.objs) == 0 || slices.Max(ix.objs) <= math.MaxUint16}
-	out := &Compressed{
-		keyColumn: ix.keyColumn,
-		rows:      *extentsOf(ix.starts), // a posting is a row
-		width:     lay.rowWidth(ix.dual),
-		layout:    lay,
-		dual:      ix.dual,
-	}
-	out.blob = make([]byte, 0, len(ix.objs)*out.width)
+	lay := Layout{Obj16: fitsObj16(ix.objs)}
+	out := newCompressed(ix.keyColumn, ix.starts, ix.dual, lay)
+	var codes, tCodes []uint16
 	for i, lo := range ix.starts[:len(ix.starts)-1] {
 		hi := ix.starts[i+1]
-		var tb []float64
+		codes = appendCodes(codes[:0], ix.bounds[lo:hi])
 		if ix.dual {
-			tb = ix.tBounds[lo:hi]
+			tCodes = appendCodes(tCodes[:0], ix.tBounds[lo:hi])
 		}
-		out.blob = appendList(out.blob, ix.objs[lo:hi], ix.bounds[lo:hi], tb, lay)
+		out.blob = appendList(out.blob, ix.objs[lo:hi], codes, tCodes, lay)
+	}
+	return out
+}
+
+// newCompressed wraps a key column and its lists' row offsets — list i holds
+// rows [starts[i], starts[i+1]) — around an empty blob sized to hold them.
+func newCompressed(col keyColumn, starts []uint32, dual bool, lay Layout) *Compressed {
+	out := &Compressed{
+		keyColumn: col,
+		rows:      *extentsOf(starts), // a posting is a row
+		width:     lay.rowWidth(dual),
+		layout:    lay,
+		dual:      dual,
+	}
+	out.blob = make([]byte, 0, int(starts[len(starts)-1])*out.width)
+	return out
+}
+
+// CodedRun is a stretch of finished dual-bound lists for FromCodedRuns, all
+// of one key group, already coded: list i has key Group<<32 | Nodes[i] and
+// holds the next Lens[i] entries of Objs, Codes and TCodes. Nodes ascend, and
+// every list is already in index order — one posting per object, descending
+// spatial bound, ties by ascending object — with each bound coded by Code:
+// what Compress would make of a dual Builder's lists of the same postings.
+type CodedRun struct {
+	Group  uint32
+	Nodes  []uint32
+	Lens   []uint32
+	Objs   []uint32
+	Codes  []uint16
+	TCodes []uint16
+}
+
+// FromCodedRuns assembles runs, whose keys ascend from each run to the next
+// and whose groups all lie below groups, into a dual Compressed index by
+// concatenation: no map, no key sort, no list sort and no flat index — the
+// key column, the row extents and the blob, its object width chosen as
+// Compress chooses it. It is the constructor for a producer that partitions
+// the key space and sorts as it goes (the SEAL build, one run per token);
+// Builder and Compress remain the path for postings that arrive in any order.
+// Keys out of order or lengths that do not add up are the producer's bug and
+// panic.
+func FromCodedRuns(groups int, runs []CodedRun) *Compressed {
+	var lists, postings int
+	obj16 := true
+	for i := range runs {
+		r := &runs[i]
+		if len(r.Lens) != len(r.Nodes) || len(r.Codes) != len(r.Objs) || len(r.TCodes) != len(r.Objs) {
+			panic(fmt.Sprintf("invidx: run %d has mismatched lengths", i))
+		}
+		lists += len(r.Nodes)
+		postings += len(r.Objs)
+		obj16 = obj16 && fitsObj16(r.Objs)
+	}
+	checkOffsetRange(postings)
+	col := keyColumn{nodes: make([]uint32, 0, lists)}
+	counts := make([]uint32, groups+1)
+	starts := make([]uint32, 1, lists+1)
+	last := int64(-1)
+	for i := range runs {
+		r := &runs[i]
+		base := int(starts[len(starts)-1])
+		end := base
+		for j, node := range r.Nodes {
+			key := int64(r.Group)<<32 | int64(node)
+			if key <= last || int(r.Group) >= groups {
+				panic(fmt.Sprintf("invidx: run %d key %#x does not ascend inside %d groups", i, key, groups))
+			}
+			last = key
+			col.nodes = append(col.nodes, node)
+			counts[r.Group+1]++
+			end += int(r.Lens[j])
+			starts = append(starts, uint32(end))
+		}
+		if end-base != len(r.Objs) {
+			panic(fmt.Sprintf("invidx: run %d lists hold %d postings, its lanes %d", i, end-base, len(r.Objs)))
+		}
+	}
+	col.runs = runTable(counts)
+	lay := Layout{Obj16: obj16}
+	out := newCompressed(col, starts, true, lay)
+	for i := range runs {
+		r := &runs[i]
+		lo := 0
+		for _, n := range r.Lens {
+			hi := lo + int(n)
+			out.blob = appendList(out.blob, r.Objs[lo:hi], r.Codes[lo:hi], r.TCodes[lo:hi], lay)
+			lo = hi
+		}
 	}
 	return out
 }

@@ -642,7 +642,7 @@ func TestQuantizationNeverUnderEstimates(t *testing.T) {
 					}
 					slices.SortFunc(bounds, func(a, b float64) int { return cmp.Compare(b, a) })
 					lay := Layout{Obj16: obj16}
-					data := appendList(nil, objs, bounds, tBounds, lay)
+					data := encodeList(objs, bounds, tBounds, lay)
 					if want := n * lay.rowWidth(dual); len(data) != want {
 						t.Fatalf("n=%d dual=%v obj16=%v: %d bytes, want %d", n, dual, obj16, len(data), want)
 					}
@@ -734,6 +734,16 @@ func FuzzBoundCode(f *testing.F) {
 	})
 }
 
+// encodeList encodes one flat list as Compress does: its bounds coded (a nil
+// textual lane stays nil), then the rows.
+func encodeList(objs []uint32, bounds, tBounds []float64, lay Layout) []byte {
+	var tCodes []uint16
+	if tBounds != nil {
+		tCodes = appendCodes(nil, tBounds)
+	}
+	return appendList(nil, objs, appendCodes(nil, bounds), tCodes, lay)
+}
+
 // decodeList validates one list's bytes — exactly data, no more, no less, over
 // objects below the exclusive bound objects — as opening a segment does, and
 // returns the view a probe would: the rows data holds, a length off the row
@@ -768,13 +778,13 @@ func FuzzDecodeList(f *testing.F) {
 		lay := Compress(ix).Arenas().Layout
 		for _, key := range flatKeys(ix) {
 			objs, bounds, tBounds := ix.List(key)
-			f.Add(appendList(nil, objs, bounds, tBounds, lay), ix.dual, lay.Obj16)
+			f.Add(encodeList(objs, bounds, tBounds, lay), ix.dual, lay.Obj16)
 			bounds, tBounds = slices.Clone(bounds), slices.Clone(tBounds)
 			bounds[0] = 2 * math.MaxFloat32
 			if ix.dual {
 				tBounds[0] = math.Inf(1)
 			}
-			f.Add(appendList(nil, objs, bounds, tBounds, lay), ix.dual, lay.Obj16)
+			f.Add(encodeList(objs, bounds, tBounds, lay), ix.dual, lay.Obj16)
 		}
 	}
 	f.Add([]byte{3}, false, true)
@@ -874,7 +884,7 @@ func TestCodeCutoffMatchesDecoded(t *testing.T) {
 				}
 				slices.SortFunc(bounds, func(a, b float64) int { return cmp.Compare(b, a) })
 				lay := Layout{Obj16: obj16}
-				l, err := decodeList(appendList(nil, objs, bounds, tBounds, lay), dual, lay, 1<<21)
+				l, err := decodeList(encodeList(objs, bounds, tBounds, lay), dual, lay, 1<<21)
 				if err != nil || l.Len() != n {
 					t.Fatalf("n=%d dual=%v obj16=%v: %d postings, err %v", n, dual, obj16, l.Len(), err)
 				}

@@ -14,14 +14,17 @@
 // posting during the scan. An index is dual when its lists carry that lane,
 // and everything else — the layout, the key column, the probe — is shared.
 //
-// A build is flat: a frozen Index keeps every posting in one contiguous
-// objs/bounds arena, with an offset per list and one key column, and the whole
-// index is a handful of allocations regardless of how many lists it holds. The
-// paper's baselines read it as it is (Index.List). A signature filter serves
-// its Compress form instead — the layout a segment stores — in memory as from
-// a mapped segment, and reads it where it lies: a served List is a view of a
-// list's 16-bit bound codes and object IDs, and a query threshold becomes a
-// code once (Code) rather than every code a bound.
+// A Builder's build is flat: a frozen Index keeps every posting in one
+// contiguous objs/bounds arena, with an offset per list and one key column,
+// and the whole index is a handful of allocations regardless of how many lists
+// it holds. The paper's baselines read it as it is (Index.List). A signature
+// filter serves the Compressed form instead — the layout a segment stores — in
+// memory as from a mapped segment, and reads it where it lies: a served List
+// is a view of a list's 16-bit bound codes and object IDs, and a query
+// threshold becomes a code once (Code) rather than every code a bound. The
+// keyed filters Compress a Builder's index; the SEAL build, which sorts its
+// lists as it goes, codes its bounds there and assembles the served form from
+// those coded runs (FromCodedRuns) with no flat index in between.
 //
 // A served list is reached by position: At(i) is the i-th list in key order.
 // Every key is a (group, node) pair — its high and low 32-bit words — and
@@ -58,11 +61,11 @@ type Posting struct {
 }
 
 // Index maps signature elements ((group, node) keys) to posting lists.
-// Build one with a Builder or FromSortedRuns. The frozen layout is parallel
-// arenas: a key column in ascending key order, per-list offsets into the
-// posting arena, and the postings themselves (objs and each bound lane in
-// separate contiguous slices). It is what a build produces; a signature
-// filter serves it Compressed.
+// Build one with a Builder. The frozen layout is parallel arenas: a key
+// column in ascending key order, per-list offsets into the posting arena, and
+// the postings themselves (objs and each bound lane in separate contiguous
+// slices). It is what a Builder produces; a signature filter serves it
+// Compressed.
 type Index struct {
 	starts  []uint32 // lists()+1; list i spans [starts[i], starts[i+1])
 	objs    []uint32
@@ -145,8 +148,8 @@ func newIndex(lists, postings int, dual bool) *Index {
 
 // Build sorts every list by descending bound (ties by ascending object, for
 // determinism), a dual builder merging duplicate objects first, and freezes
-// the index into its flat layout under a run-grouped key column, as
-// FromSortedRuns does: a key's high word is its group and its low word its
+// the index into its flat layout under a run-grouped key column, the one
+// FromCodedRuns assembles: a key's high word is its group and its low word its
 // node, and the groups run from 0 to the largest one. Keys are therefore
 // (group, node) pairs whose groups are small, dense numbers — a token, a grid
 // row, a hash bucket — since the run table costs a bit a group. The builder
@@ -184,67 +187,6 @@ func (b *Builder) Build() *Index {
 	idx.runs = runTable(counts)
 	b.lists = nil
 	b.total = 0
-	return idx
-}
-
-// Run is a stretch of finished dual-bound lists for FromSortedRuns, all of one
-// key group: list i has key Group<<32 | Nodes[i] and holds the next Lens[i]
-// entries of Objs, Bounds and TBounds. Nodes ascend, and every list is already
-// in index order — one posting per object, descending spatial bound, ties by
-// ascending object — which is what a dual Builder would have made of the same
-// postings.
-type Run struct {
-	Group   uint32
-	Nodes   []uint32
-	Lens    []uint32
-	Objs    []uint32
-	Bounds  []float64
-	TBounds []float64
-}
-
-// FromSortedRuns freezes runs, whose keys ascend from each run to the next
-// and whose groups all lie below groups, into a flat dual-bound Index by
-// concatenation: no map, no key sort, no list sort. It is the constructor for
-// a producer that partitions the key space and sorts as it goes (the SEAL
-// build, one run per token); Builder remains the one for postings that arrive
-// in any order. Both freeze the same key column. Keys out of order or lengths
-// that do not add up are the producer's bug and panic.
-func FromSortedRuns(groups int, runs []Run) *Index {
-	var lists, postings int
-	for i := range runs {
-		lists += len(runs[i].Nodes)
-		postings += len(runs[i].Objs)
-	}
-	idx := newIndex(lists, postings, true)
-	counts := make([]uint32, groups+1)
-	idx.nodes = make([]uint32, 0, lists)
-	last := int64(-1)
-	for i := range runs {
-		r := &runs[i]
-		if len(r.Lens) != len(r.Nodes) || len(r.Bounds) != len(r.Objs) || len(r.TBounds) != len(r.Objs) {
-			panic(fmt.Sprintf("invidx: run %d has mismatched lengths", i))
-		}
-		base := len(idx.objs)
-		end := base
-		for j, node := range r.Nodes {
-			key := int64(r.Group)<<32 | int64(node)
-			if key <= last || int(r.Group) >= groups {
-				panic(fmt.Sprintf("invidx: run %d key %#x does not ascend inside %d groups", i, key, groups))
-			}
-			last = key
-			idx.nodes = append(idx.nodes, node)
-			counts[r.Group+1]++
-			end += int(r.Lens[j])
-			idx.starts = append(idx.starts, uint32(end))
-		}
-		if end-base != len(r.Objs) {
-			panic(fmt.Sprintf("invidx: run %d lists hold %d postings, its arenas %d", i, end-base, len(r.Objs)))
-		}
-		idx.objs = append(idx.objs, r.Objs...)
-		idx.bounds = append(idx.bounds, r.Bounds...)
-		idx.tBounds = append(idx.tBounds, r.TBounds...)
-	}
-	idx.runs = runTable(counts)
 	return idx
 }
 

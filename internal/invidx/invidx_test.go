@@ -297,80 +297,120 @@ func TestCutoffMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestFromSortedRunsMatchesBuilder: handing FromSortedRuns the lists a dual
-// Builder would produce, cut into runs at arbitrary key boundaries inside a
-// group, must freeze to the builder's keys and lists under the same key
-// column, less the run table's trailing empty groups.
-func TestFromSortedRunsMatchesBuilder(t *testing.T) {
-	const groups = 210 // the last ten hold nothing
-	rng := rand.New(rand.NewSource(13))
-	b := Builder{Dual: true}
-	for i := 0; i < 3000; i++ {
-		// Coarse bounds force spatial-bound ties, which the object breaks.
-		b.AddDual(uint64(rng.Intn(200))<<32|uint64(rng.Intn(4)), uint32(i), float64(rng.Intn(8)), rng.Float64())
-	}
-	want := b.Build()
-	keys := flatKeys(want)
-
-	var runs []Run
-	for _, key := range keys {
-		objs, bounds, tBounds := want.List(key)
+// codedRuns cuts a dual index's lists into coded runs, one run a group or
+// more — a new run starts at arbitrary keys inside a group — each bound coded
+// as a producer codes it.
+func codedRuns(rng *rand.Rand, ix *Index) []CodedRun {
+	var runs []CodedRun
+	for _, key := range flatKeys(ix) {
+		objs, bounds, tBounds := ix.List(key)
 		if len(runs) == 0 || runs[len(runs)-1].Group != uint32(key>>32) || rng.Intn(3) == 0 {
-			runs = append(runs, Run{Group: uint32(key >> 32)})
+			runs = append(runs, CodedRun{Group: uint32(key >> 32)})
 		}
 		r := &runs[len(runs)-1]
 		r.Nodes = append(r.Nodes, uint32(key))
 		r.Lens = append(r.Lens, uint32(len(objs)))
-		r.Objs, r.Bounds, r.TBounds = append(r.Objs, objs...), append(r.Bounds, bounds...), append(r.TBounds, tBounds...)
+		r.Objs = append(r.Objs, objs...)
+		r.Codes, r.TCodes = appendCodes(r.Codes, bounds), appendCodes(r.TCodes, tBounds)
 	}
-	runs = append(runs, Run{Group: groups - 1}) // an empty run is legal
-	got := FromSortedRuns(groups, runs)
-	served := Compress(got)
-	if !got.dual || !slices.Equal(keysOf(served), keys) || got.Postings() != want.Postings() {
-		t.Fatalf("index from %d sorted runs: flavour, keys or posting total differ from the builder's", len(runs))
-	}
-	for i, key := range keys {
-		if !slices.Equal(flatList(got, key), flatList(want, key)) {
-			t.Fatalf("list %d (%#x) from sorted runs differs from the builder's", i, key)
+	return runs
+}
+
+// equalArenas reports whether two compressed indexes are the same bytes:
+// flavour, layout, key column, extent table and blob.
+func equalArenas(a, b CompressedArenas) bool {
+	return a.Dual == b.Dual && a.Layout == b.Layout && slices.Equal(a.Runs, b.Runs) && slices.Equal(a.Nodes, b.Nodes) &&
+		slices.Equal(a.Extents, b.Extents) && slices.Equal(a.Blob, b.Blob)
+}
+
+// TestFromCodedRunsMatchesCompress: handing FromCodedRuns the lists a dual
+// Builder would produce, coded and cut into runs at arbitrary key boundaries
+// inside a group, must assemble exactly the bytes Compress makes of the
+// builder's index — over groups with no lists, on either side of the 16-bit
+// object boundary, and for no postings at all — and a run table over more
+// groups than hold lists differs only in its trailing empty groups.
+func TestFromCodedRunsMatchesCompress(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, tc := range []struct {
+		name   string
+		maxObj uint32 // the largest posted object
+		lay    Layout
+	}{
+		{"16-bit objects", math.MaxUint16, Layout{Obj16: true}},
+		{"32-bit objects", math.MaxUint16 + 1, Layout{}},
+	} {
+		b := Builder{Dual: true}
+		for i := 0; i < 3000; i++ {
+			// Groups 0 to 198 in steps of three, so two in three hold no
+			// lists; coarse bounds force spatial-bound ties, which the
+			// object breaks.
+			g := uint64(3 * rng.Intn(67))
+			b.AddDual(g<<32|uint64(rng.Intn(4)), uint32(rng.Intn(int(tc.maxObj))), float64(rng.Intn(8)), rng.Float64())
 		}
-		if !slices.Equal(objsOf(served.At(i)), flatObjs(want, key)) {
-			t.Fatalf("list %d (%#x) from sorted runs is not at position %d", i, key, i)
+		b.AddDual(7<<32, tc.maxObj, 9, 1)
+		flat := b.Build()
+		want := Compress(flat)
+		got := FromCodedRuns(want.runs.Len(), codedRuns(rng, flat))
+		if !equalArenas(got.Arenas(), want.Arenas()) || got.Arenas().Layout != tc.lay {
+			t.Fatalf("%s: the index from coded runs is not the bytes Compress makes of the builder's index", tc.name)
 		}
 	}
-	// The same nodes; the run table differs only in its length, a bit a group.
-	a, w := got.arenas(), want.arenas()
-	if gr, wr := got.runs, want.runs; gr.Len() != groups || wr.Len() != 200 || !slices.Equal(a.Nodes, w.Nodes) ||
-		len(a.Runs) != (want.Lists()+groups)/64+1 || got.SizeBytes() != want.SizeBytes()+int64(8*(len(a.Runs)-len(w.Runs))) {
-		t.Fatalf("an index from sorted runs should carry the builder's key column over %d groups", groups)
-	}
-	if got := FromSortedRuns(0, nil); !got.dual || got.Lists() != 0 || got.Postings() != 0 || len(flatObjs(got, 1)) != 0 {
-		t.Fatalf("no runs should freeze to an empty dual index")
+	empty := Compress((&Builder{Dual: true}).Build())
+	if got := FromCodedRuns(0, nil); !equalArenas(got.Arenas(), empty.Arenas()) || !got.dual || got.Lists() != 0 || got.Postings() != 0 || got.Probe(1).Len() != 0 {
+		t.Fatalf("no runs should assemble the empty dual index Compress makes")
 	}
 
-	mustPanic := func(name string, runs []Run) {
+	// Ten more groups than hold lists, the last named by an empty run (which
+	// is legal): the same nodes, extents and blob under a run table longer by
+	// a bit a group.
+	b := Builder{Dual: true}
+	for i := 0; i < 500; i++ {
+		b.AddDual(uint64(rng.Intn(200))<<32|uint64(rng.Intn(4)), uint32(i), float64(rng.Intn(8)), rng.Float64())
+	}
+	flat := b.Build()
+	want := Compress(flat)
+	got := FromCodedRuns(210, append(codedRuns(rng, flat), CodedRun{Group: 209}))
+	a, w := got.Arenas(), want.Arenas()
+	if got.runs.Len() != 210 || want.runs.Len() != 200 || !slices.Equal(a.Nodes, w.Nodes) || !slices.Equal(a.Extents, w.Extents) ||
+		!slices.Equal(a.Blob, w.Blob) || len(a.Runs) != (want.Lists()+210)/64+1 || got.SizeBytes() != want.SizeBytes()+int64(8*(len(a.Runs)-len(w.Runs))) {
+		t.Fatalf("an index from coded runs should carry the builder's key column over 210 groups")
+	}
+	for i, key := range flatKeys(flat) {
+		if !slices.Equal(objsOf(got.At(i)), flatObjs(flat, key)) || !slices.Equal(objsOf(got.Probe(key)), flatObjs(flat, key)) {
+			t.Fatalf("list %d (%#x) from coded runs is not at position %d", i, key, i)
+		}
+	}
+
+	mustPanic := func(name string, runs []CodedRun) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
 				t.Errorf("%s: expected a panic", name)
 			}
 		}()
-		FromSortedRuns(8, runs)
+		FromCodedRuns(8, runs)
 	}
-	one := func(group, node uint32) Run {
-		return Run{Group: group, Nodes: []uint32{node}, Lens: []uint32{1}, Objs: []uint32{7}, Bounds: []float64{1}, TBounds: []float64{1}}
+	one := func(group, node uint32) CodedRun {
+		return CodedRun{Group: group, Nodes: []uint32{node}, Lens: []uint32{1}, Objs: []uint32{7}, Codes: []uint16{Code(1)}, TCodes: []uint16{Code(1)}}
 	}
-	mustPanic("descending nodes", []Run{one(2, 5), one(2, 4)})
-	mustPanic("repeated key", []Run{one(2, 5), one(2, 5)})
-	mustPanic("descending groups", []Run{one(2, 5), one(1, 9)})
-	mustPanic("group past the table", []Run{one(8, 5)})
+	mustPanic("descending nodes", []CodedRun{one(2, 5), one(2, 4)})
+	mustPanic("repeated key", []CodedRun{one(2, 5), one(2, 5)})
+	mustPanic("descending groups", []CodedRun{one(2, 5), one(1, 9)})
+	mustPanic("group past the table", []CodedRun{one(8, 5)})
 	short := one(3, 9)
 	short.Lens[0] = 2
-	mustPanic("lens exceed arena", []Run{short})
+	mustPanic("lens exceed lanes", []CodedRun{short})
+	noLens := one(3, 9)
+	noLens.Lens = nil
+	mustPanic("a node without a length", []CodedRun{noLens})
 	single := one(3, 3)
-	single.TBounds = nil
-	mustPanic("missing textual lane", []Run{single})
-	if ok := FromSortedRuns(8, []Run{one(2, 5), one(2, 6), one(3, 0)}); ok.Lists() != 3 || len(flatObjs(ok, 3<<32)) != 1 {
-		t.Fatalf("ascending keys across runs of one group should freeze")
+	single.TCodes = nil
+	mustPanic("missing textual lane", []CodedRun{single})
+	uncoded := one(3, 3)
+	uncoded.Codes = nil
+	mustPanic("missing spatial lane", []CodedRun{uncoded})
+	if ok := FromCodedRuns(8, []CodedRun{one(2, 5), one(2, 6), one(3, 0)}); ok.Lists() != 3 || ok.Probe(3<<32).Len() != 1 {
+		t.Fatalf("ascending keys across runs of one group should assemble")
 	}
 }
 
