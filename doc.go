@@ -52,7 +52,13 @@
 // outstanding shard searches (and ranked descents) once the limit is
 // reached, so fewer postings are scanned and fewer candidates verified.
 // Stream's default arrival order yields matches while shards are still
-// searching; breaking out of the loop cancels the remaining work.
+// searching; breaking out of the loop cancels the remaining work. Stream is
+// Query with a yield: one admission, one validation and one compilation on
+// the same path, with each match handed to the loop body instead of
+// collected. The body runs on the caller's goroutine, never on a shard's, so
+// a body that panics unwinds the shard searches exactly as a break does and
+// its panic reaches the caller unchanged. Under arrival order Offset skips
+// matches as they arrive.
 //
 // Threshold queries default to OrderByID, ranked ones to OrderByScore.
 // QueryBatch reports each query's error in its own BatchResult slot instead
@@ -310,7 +316,9 @@
 //
 // CollectTrace records a per-query execution trace and attaches it to
 // Results.Trace; TraceInto(&tr) fills a caller-owned Trace instead (and is
-// the only way to trace Stream, whose iterator has no Results). A Trace is
+// the only way to trace Stream, whose iterator has no Results: an
+// arrival-order stream fills it, and StatsInto, however it ended — drained,
+// abandoned or failed). A Trace is
 // one timeline anchored at admission: each Span names its pipeline stage
 // (admit, filter, verify, merge), the shard and filter family that ran it,
 // its offset from admission, duration, and work counters (postings scanned,

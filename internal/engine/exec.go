@@ -7,7 +7,10 @@ package engine
 // searcher and where its matches go; those sinks live in sinks.go. A body
 // hands its stop hook to the searcher and returns no error of its own when
 // the hook fires: runShard's lateness verdict and run's preference for ctx's
-// error say why the search stopped.
+// error say why the search stopped. No caller code runs inside a body:
+// Stream's run goes on a goroutine of its own and its consumer reads the
+// channel on the caller's, so runShard's recover only ever sees a shard's own
+// panic.
 //
 // Shard failures follow Partial. By default a query is all-or-nothing — any
 // shard failure (or a quarantined shard) fails the whole query, so callers
@@ -101,7 +104,7 @@ type pass struct {
 	matches [][]core.Match       // ID-ordered sink: per-shard runs
 	scored  [][]core.ScoredMatch // top-k sink: per-shard rankings
 	ranked  *ranking             // top-k sink: descent parameters
-	stream  *MatchStream         // arrival sink
+	stream  chan core.Match      // arrival sink: the run's side of Stream's channel
 	emitted atomic.Int64         // arrival sink: emission slots reserved against Limit
 }
 

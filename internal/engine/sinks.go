@@ -3,7 +3,8 @@ package engine
 // The three sinks over the shard-execution core (exec.go), one per entry
 // point and one searcher call each: Search collects every match or — under a
 // Limit — the ID-ordered prefix (core.Searcher.Search), Stream pushes matches
-// through a bounded channel as shards prove them (SearchStream), TopK merges
+// through a bounded channel as shards prove them (SearchStream) and hands
+// them to the caller's callback on the caller's goroutine, TopK merges
 // cooperative per-shard descents into one ranking (TopK). Every searcher call
 // takes the shard's stop hook.
 
@@ -164,77 +165,55 @@ func siftRun[E any](heads [][]E, i int, before func(a, b E) bool) {
 	}
 }
 
-// MatchStream is a live streamed search. Consume with Next until it reports
-// false; Err and Stats become valid once the stream ends (they block until
-// the producers have exited). A consumer abandoning the stream early must
-// call Close, or producer goroutines stay parked on the emission channel —
-// Close is idempotent and safe after full consumption too.
-type MatchStream struct {
-	ch    chan core.Match
-	pass  *pass
-	done  chan struct{} // closed after stats/err are final
-	err   error
-	stats core.SearchStats
-}
-
-// Next returns the next verified match, or ok=false when the stream is
-// exhausted (limit reached, shards drained, context expired, or Closed).
-func (s *MatchStream) Next() (m core.Match, ok bool) {
-	m, ok = <-s.ch
-	return m, ok
-}
-
-// Err reports why the stream ended: nil for a complete (or limit-satisfied,
-// or Closed) stream, the context's error if it expired mid-search, a shard's
-// failure on a strict stream.
-func (s *MatchStream) Err() error {
-	<-s.done
-	return s.err
-}
-
-// Stats reports the work actually performed, summed over shards. An
-// early-terminated stream reports the reduced counts.
-func (s *MatchStream) Stats() core.SearchStats {
-	<-s.done
-	return s.stats
-}
-
-// Close abandons the stream: outstanding shard searches are interrupted and
-// their unread matches discarded.
-func (s *MatchStream) Close() {
-	s.pass.quit.Store(true)
-	for range s.ch { // drain so parked producers get to poll quit and exit
-	}
-}
-
 // streamBuffer is Stream's emission channel capacity: how many matches the
 // producers run ahead of the consumer before they park — enough that a
 // consumer keeping pace rarely stalls a shard, few enough that an abandoned
 // stream has verified little it discards.
 const streamBuffer = 64
 
-// Stream answers a compiled threshold query as a push-based stream. Every
-// shard runs an interleaved filter/verify search and emits its matches
-// into the stream's bounded channel in arrival order (no cross-shard
-// ordering). The query must be compiled against the engine's root dataset,
-// exactly as for Search.
+// Stream answers a compiled threshold query as a push-based stream: every
+// shard runs an interleaved filter/verify search and sends its matches into a
+// bounded channel in arrival order (no cross-shard ordering), and Stream hands
+// each to emit, on the caller's goroutine, until emit returns false or the
+// shards are done. The stats and error are final when it returns: a declined
+// (or Limit-satisfied) stream reports the reduced work it did and no error; a
+// shard failure on a strict stream outranks the context, and otherwise only
+// ctx's expiry is an error. The query must be compiled against the engine's
+// root dataset, exactly as for Search.
+//
+// emit never runs on a shard goroutine, so a consumer's panic is the
+// caller's, never a shard failure; it unwinds through Stream, which stops and
+// drains the producers on its way out.
 //
 // Stream degradation is weaker than Search's: matches a shard emitted before
 // it was dropped have already been delivered and stay delivered — emitted
 // matches are always correct, only completeness is lost.
-func (e *Engine) Stream(ctx context.Context, q *model.Query, opt Options) *MatchStream {
-	ms := &MatchStream{ch: make(chan core.Match, streamBuffer), done: make(chan struct{})}
-	ms.pass = &pass{e: e, ctx: ctx, opt: opt, q: q, region: q.Region, tauR: q.TauR, stream: ms}
-	ms.pass.stop = ms.pass.stopped
+func (e *Engine) Stream(ctx context.Context, q *model.Query, opt Options, emit func(core.Match) bool) (st core.SearchStats, err error) {
+	p := &pass{e: e, ctx: ctx, opt: opt, q: q, region: q.Region, tauR: q.TauR, stream: make(chan core.Match, streamBuffer)}
+	p.stop = p.stopped
+	var out struct {
+		st  core.SearchStats
+		err error
+	}
 	go func() {
-		// A shard failure (strict mode) outranks the context; otherwise only
-		// ctx's expiry is an error — a stream stopped by Close or Limit ended
-		// because its consumer had enough.
-		ms.stats, ms.err = ms.pass.run((*pass).arrivalShard)
-		close(ms.ch)
-		close(ms.done)
+		// Written before the close, so the drain below orders them.
+		out.st, out.err = p.run((*pass).arrivalShard)
+		close(p.stream)
 	}()
-	return ms
+	defer func() {
+		// Also on a declining or panicking consumer: quit stops the polling
+		// producers, and the drain frees any parked on a full channel.
+		p.quit.Store(true)
+		for range p.stream {
+		}
+		st, err = out.st, out.err
+	}()
+	for m := range p.stream {
+		if !emit(m) {
+			break
+		}
+	}
+	return // with the stats and error the drain reads
 }
 
 // arrivalShard pushes one shard's matches into the stream as they verify.
@@ -254,7 +233,7 @@ func (p *pass) arrivalShard(i int, s *shard, sr *core.Searcher, stop func() bool
 			}
 		}
 		select {
-		case p.stream.ch <- m:
+		case p.stream <- m:
 			return true
 		case <-p.ctx.Done():
 			return false

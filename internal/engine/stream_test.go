@@ -36,16 +36,14 @@ func streamQuery(t testing.TB, ds *model.Dataset, seed int64) *model.Query {
 	return q
 }
 
-// drain consumes a stream fully and returns the matches in arrival order.
-func drain(ms *MatchStream) []core.Match {
+// drain runs a stream to its end and returns the matches in arrival order.
+func drain(e *Engine, ctx context.Context, q *model.Query, opt Options) ([]core.Match, core.SearchStats, error) {
 	var out []core.Match
-	for {
-		m, ok := ms.Next()
-		if !ok {
-			return out
-		}
+	st, err := e.Stream(ctx, q, opt, func(m core.Match) bool {
 		out = append(out, m)
-	}
+		return true
+	})
+	return out, st, err
 }
 
 func TestSearchStreamLimitInterruptsWork(t *testing.T) {
@@ -62,15 +60,13 @@ func TestSearchStreamLimitInterruptsWork(t *testing.T) {
 	}
 
 	const limit = 5
-	ms := e.Stream(context.Background(), q, Options{Limit: limit})
-	got := drain(ms)
-	if err := ms.Err(); err != nil {
+	got, st, err := drain(e, context.Background(), q, Options{Limit: limit})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != limit {
 		t.Fatalf("limited stream yielded %d matches, want %d", len(got), limit)
 	}
-	st := ms.Stats()
 	if st.PostingsScanned >= full.PostingsScanned/2 {
 		t.Fatalf("limit did not reduce postings: %d scanned vs %d full", st.PostingsScanned, full.PostingsScanned)
 	}
@@ -92,16 +88,19 @@ func TestSearchStreamCloseInterruptsProducers(t *testing.T) {
 	if len(want) <= 2*streamBuffer {
 		t.Fatalf("want an answer past twice the %d-match buffer, got %d matches", streamBuffer, len(want))
 	}
-	ms := e.Stream(context.Background(), q, Options{})
-	if _, ok := ms.Next(); !ok {
-		t.Fatal("expected at least one match before closing")
+	got := 0
+	st, err := e.Stream(context.Background(), q, Options{}, func(core.Match) bool {
+		got++
+		return false
+	})
+	if got != 1 {
+		t.Fatalf("a consumer that declined its first match saw %d", got)
 	}
-	ms.Close()
-	if err := ms.Err(); err != nil {
-		t.Fatalf("Close is not an error, got %v", err)
+	if err != nil {
+		t.Fatalf("declining is not an error, got %v", err)
 	}
 	// Stats must be settled and partial (the full scan never happened).
-	if st := ms.Stats(); st.PostingsScanned >= full.PostingsScanned {
+	if st.PostingsScanned >= full.PostingsScanned {
 		t.Fatalf("abandoned stream still scanned everything (%d postings)", st.PostingsScanned)
 	}
 }
@@ -112,9 +111,7 @@ func TestSearchStreamContextCanceled(t *testing.T) {
 	q := streamQuery(t, ds, 9)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ms := e.Stream(ctx, q, Options{})
-	drain(ms)
-	if err := ms.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Err() = %v, want context.Canceled", err)
+	if _, _, err := drain(e, ctx, q, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

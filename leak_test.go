@@ -152,6 +152,49 @@ func TestStreamEarlyCloseNoLeak(t *testing.T) {
 	waitForGoroutines(t, baseline)
 }
 
+// TestStreamConsumerPanicNoLeak: a loop body that panics is a consumer that
+// walks away too. The panic reaches the caller as raised, and the shard
+// producers, some parked on a full channel, still unwind.
+func TestStreamConsumerPanicNoLeak(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260807))
+	ix, err := seal.Build(shardObjects(3000, rng), seal.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := seal.Request{
+		Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
+		Tokens: []string{"t1", "t2"},
+		TauR:   0.0005,
+		TauT:   0.0005,
+	}
+	// Enough matches that the producers fill the engine's emission buffer.
+	res, err := ix.Query(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Matches) < 200 {
+		t.Fatalf("want a dense query for this test, got %d matches", len(res.Matches))
+	}
+	baseline := runtime.NumGoroutine()
+	for round := 0; round < 10; round++ {
+		func() {
+			defer func() {
+				if r := recover(); r != "consumer bug" {
+					t.Fatalf("recovered %v, want the loop body's panic", r)
+				}
+			}()
+			for _, err := range ix.Stream(context.Background(), req, seal.AllowPartial()) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				panic("consumer bug")
+			}
+			t.Fatal("stream produced no matches to panic on")
+		}()
+	}
+	waitForGoroutines(t, baseline)
+}
+
 // TestStreamContextCancelNoLeak: cancellation from above (the server's
 // per-request timeout path) likewise unwinds every shard goroutine.
 func TestStreamContextCancelNoLeak(t *testing.T) {

@@ -6,7 +6,7 @@ package seal
 // carries the per-query knobs: Limit/Offset, result order, stats and trace
 // collection, and the shard-failure policy. Query materializes, Stream
 // (stream.go) iterates, QueryBatch runs many requests with per-query error
-// reporting.
+// reporting; all three run through query.
 
 import (
 	"context"
@@ -118,6 +118,9 @@ type queryConfig struct {
 	traceInto    *Trace
 	allowPartial bool
 	shardTimeout time.Duration
+	// emit, set by Stream alone, takes the answer match by match in place of
+	// Results.Matches until it declines.
+	emit func(Match) bool
 }
 
 // engineOptions translates the resolved knobs for the engine.
@@ -144,7 +147,8 @@ func Limit(n int) QueryOption {
 // Offset skips the first n matches of the requested order before returning
 // any; combine with Limit to page through results. Offsets are only
 // meaningful under a deterministic order (OrderByID, or OrderByScore for
-// ranked requests).
+// ranked requests): under OrderByArrival they skip the first n matches to
+// arrive, whichever those are.
 func Offset(n int) QueryOption {
 	return func(c *queryConfig) { c.offset = n }
 }
@@ -178,9 +182,10 @@ func CollectStats() QueryOption {
 
 // StatsInto writes the query's cost breakdown into st when execution
 // finishes. It is the stats channel for Stream, whose iterator cannot carry
-// a Results: st is filled when the stream ends (drained, limit satisfied, or
-// abandoned — an abandoned stream reports the partial work done). It implies
-// CollectStats on Query. QueryBatch only honors the CollectStats side (each
+// a Results: st is filled when the stream ends — drained, limit satisfied,
+// abandoned (reporting the partial work done) or, under arrival order,
+// failed (reporting the work before the failure). It implies CollectStats on
+// Query. QueryBatch only honors the CollectStats side (each
 // query's breakdown arrives in its own Results.Stats); the shared pointer is
 // not written, since concurrent queries would race on it.
 func StatsInto(st *Stats) QueryOption {
@@ -251,8 +256,11 @@ func (ix *Index) Query(ctx context.Context, req Request, opts ...QueryOption) (*
 	return ix.query(ctx, req, cfg)
 }
 
-// query is the shared execution path behind Query, QueryBatch and Stream's
-// materialized orders.
+// query is the one execution path behind Query, QueryBatch and Stream: one
+// admission, one validation, one compilation. With cfg.emit set (Stream) the
+// answer goes to emit instead of Results.Matches — an arrival-order threshold
+// query hands each match over as the engine proves it, every other order
+// hands over the finished page.
 func (ix *Index) query(ctx context.Context, req Request, cfg queryConfig) (*Results, error) {
 	// Admitted for the whole call: compilation reads the (possibly mapped)
 	// dataset before any shard search starts.
@@ -327,20 +335,35 @@ func (ix *Index) queryThreshold(ctx context.Context, req Request, cfg queryConfi
 	admit := time.Since(admitStart)
 	admitSpan(rec, admitStart, admit)
 
-	var matches []Match
-	var st core.SearchStats
-	if order == orderArrival {
-		st, err = ix.arrival(ctx, mq, cfg, rec, func(m core.Match) bool {
-			matches = append(matches, matchOut(m))
-			return true
-		})
-	} else {
-		matches, st, err = engine.SearchAs(ix.eng, ctx, mq, cfg.engineOptions(rec), matchOut)
+	if order != orderArrival {
+		matches, st, err := engine.SearchAs(ix.eng, ctx, mq, cfg.engineOptions(rec), matchOut)
+		if err != nil {
+			return nil, err
+		}
+		return ix.finish(cfg.page(matches), st, admit, cfg, rec), nil
 	}
+	// Arrival order pages as it goes: the engine stops at offset+limit
+	// emissions, and the first offset of them are skipped here.
+	var matches []Match
+	skip := cfg.offset
+	st, err := ix.eng.Stream(ctx, mq, cfg.engineOptions(rec), func(m core.Match) bool {
+		switch {
+		case skip > 0:
+			skip--
+			return true
+		case cfg.emit != nil:
+			return cfg.emit(matchOut(m))
+		}
+		matches = append(matches, matchOut(m))
+		return true
+	})
+	// Its stats and trace are served however it ended: what a stream emitted
+	// before a failure was delivered, and so was the work behind it.
+	res := ix.finish(matches, st, admit, cfg, rec)
 	if err != nil {
 		return nil, err
 	}
-	return ix.finish(cfg.page(matches), st, admit, cfg, rec), nil
+	return res, nil
 }
 
 // compile compiles a threshold request against the root dataset. What
@@ -360,22 +383,6 @@ var errOrderByScore = fmt.Errorf("seal: %w: OrderByScore requires a ranked reque
 // matchOut converts a threshold match to the public form.
 func matchOut(m core.Match) Match {
 	return Match{ID: int(m.ID), SimR: m.SimR, SimT: m.SimT}
-}
-
-// arrival runs mq as an arrival-order engine stream, handing each match to
-// yield until it declines or the stream ends. The stats are final when it
-// returns: an abandoned stream reports the partial work it actually did.
-func (ix *Index) arrival(ctx context.Context, mq *model.Query, cfg queryConfig, rec *trace.Rec, yield func(core.Match) bool) (st core.SearchStats, err error) {
-	ms := ix.eng.Stream(ctx, mq, cfg.engineOptions(rec))
-	// Deferred so that a panicking consumer still releases the producers.
-	// Close waits for them, so the stats (and rec) are quiescent after it.
-	defer func() {
-		ms.Close()
-		st, err = ms.Stats(), ms.Err()
-	}()
-	for m, ok := ms.Next(); ok && yield(m); m, ok = ms.Next() {
-	}
-	return st, err
 }
 
 func (ix *Index) queryRanked(ctx context.Context, req Request, cfg queryConfig, rec *trace.Rec, admitStart time.Time) (*Results, error) {
@@ -427,7 +434,8 @@ func (ix *Index) queryRanked(ctx context.Context, req Request, cfg queryConfig, 
 	return ix.finish(matches, st, admit, cfg, rec), nil
 }
 
-// finish assembles Results and serves the stats and trace options.
+// finish assembles Results, serves the stats and trace options, and hands
+// the matches to cfg.emit when it is set.
 func (ix *Index) finish(matches []Match, st core.SearchStats, admit time.Duration, cfg queryConfig, rec *trace.Rec) *Results {
 	// Degradation is reported unconditionally, not only under CollectStats:
 	// a caller that opted into partial answers must always be able to tell a
@@ -444,6 +452,13 @@ func (ix *Index) finish(matches []Match, st core.SearchStats, admit time.Duratio
 		res.Trace = ix.traceOut(rec)
 		if cfg.traceInto != nil {
 			*cfg.traceInto = *res.Trace
+		}
+	}
+	if cfg.emit != nil {
+		for _, m := range matches {
+			if !cfg.emit(m) {
+				break
+			}
 		}
 	}
 	return res

@@ -137,6 +137,61 @@ func TestStreamEquivalence(t *testing.T) {
 	}
 }
 
+// TestArrivalOffset: under arrival order the offset is skipped as matches
+// arrive, against an engine limit of offset+limit. Query and Stream, on one
+// shard and on four, must then answer min(limit, |full|−offset) true matches
+// (|full|−offset with no limit, none past the end), none of them twice.
+func TestArrivalOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260736))
+	objects := shardObjects(600, rng)
+	req := seal.Request{
+		Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
+		Tokens: []string{"t1", "t2"},
+		TauR:   0.0005,
+		TauT:   0.0005,
+	}
+	want := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard).threshold(t, req)
+	if len(want) < 20 {
+		t.Fatalf("want a dense query for this test, got %d matches", len(want))
+	}
+	full := make(map[int]seal.Match, len(want))
+	for _, m := range want {
+		full[m.ID] = m
+	}
+	for _, shards := range []int{1, 4} {
+		ix, err := seal.Build(objects, seal.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []int{0, 1, 7, len(want) - 3, len(want), len(want) + 5} {
+			for _, l := range []int{0, 1, 5, len(want)} {
+				n := max(0, len(want)-o)
+				if l > 0 {
+					n = min(l, n)
+				}
+				res, err := ix.Query(context.Background(), req, seal.OrderByArrival(), seal.Offset(o), seal.Limit(l))
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamed := collectStream(t, ix, req, seal.Offset(o), seal.Limit(l))
+				for path, got := range map[string][]seal.Match{"Query": res.Matches, "Stream": streamed} {
+					label := fmt.Sprintf("shards=%d %s Offset(%d) Limit(%d)", shards, path, o, l)
+					if len(got) != n {
+						t.Fatalf("%s: %d matches, want %d", label, len(got), n)
+					}
+					seen := make(map[int]bool, len(got))
+					for _, m := range got {
+						if full[m.ID] != m || seen[m.ID] {
+							t.Fatalf("%s: match %+v is wrong or repeated", label, m)
+						}
+						seen[m.ID] = true
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestStreamRankedEquivalence: ranked requests through Query/Stream must
 // reproduce the brute-force ranking exactly, and Limit must select its
 // score-order prefix.
