@@ -364,15 +364,14 @@ func TestLocatorsDerivedFromKeys(t *testing.T) {
 			if len(tp) == 0 {
 				continue
 			}
-			lists, postings := len(wk.run.Nodes), len(wk.run.Objs)
 			mt := []int{1, 3, 8, 40, 8192}[tok%5]
-			if err := wk.buildToken(ds, tree, text.TokenID(tok), tp, mt); err != nil {
+			span, err := wk.buildToken(ds, tree, text.TokenID(tok), tp, mt)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if len(wk.run.Nodes) > lists {
+			if span.list1 > span.list0 {
 				built[tok] = selection{slices.Clone(wk.nodes), slices.Clone(wk.counts)}
-				runs = append(runs, invidx.CodedRun{Group: uint32(tok), Nodes: wk.run.Nodes[lists:], Lens: wk.run.Lens[lists:],
-					Objs: wk.run.Objs[postings:], Codes: wk.run.Codes[postings:], TCodes: wk.run.TCodes[postings:]})
+				runs = append(runs, wk.run(text.TokenID(tok), span))
 			}
 		}
 		cx := invidx.FromCodedRuns(vocab, runs)

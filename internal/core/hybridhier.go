@@ -109,7 +109,7 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 
 	// Tokens are independent, so HSS selection and per-object signature
 	// generation fan out across CPUs, each worker taking the next token and
-	// appending that token's finished, coded lists to its own run. Which
+	// appending that token's finished, coded lists to its own chunks. Which
 	// worker got which token leaves no trace: a SEAL key is token<<32 | node,
 	// token-major, so the runs' token spans, concatenated in token order, are
 	// the served index.
@@ -134,10 +134,8 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 				}
 				mt := int(float64(cfg.GridBudget) * float64(len(tp)) / meanPostings)
 				mt = min(max(mt, minTokenBudget), maxTokenBudget)
-				span := hierSpan{worker: w, list0: len(wk.run.Nodes), posting0: len(wk.run.Objs)}
-				wk.err = wk.buildToken(ds, tree, text.TokenID(t), tp, mt)
-				span.list1, span.posting1 = len(wk.run.Nodes), len(wk.run.Objs)
-				spans[t] = span
+				spans[t], wk.err = wk.buildToken(ds, tree, text.TokenID(t), tp, mt)
+				spans[t].worker = uint32(w)
 			}
 		}()
 	}
@@ -153,15 +151,7 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 		if sp.list0 == sp.list1 {
 			continue
 		}
-		run := &workers[sp.worker].run
-		runs = append(runs, invidx.CodedRun{
-			Group:  uint32(t),
-			Nodes:  run.Nodes[sp.list0:sp.list1],
-			Lens:   run.Lens[sp.list0:sp.list1],
-			Objs:   run.Objs[sp.posting0:sp.posting1],
-			Codes:  run.Codes[sp.posting0:sp.posting1],
-			TCodes: run.TCodes[sp.posting0:sp.posting1],
-		})
+		runs = append(runs, workers[sp.worker].run(text.TokenID(t), sp))
 	}
 	f.idx = invidx.FromCodedRuns(vocab.Len(), runs)
 	f.locs, err = deriveLocators(tree, vocab.Len(), f.idx)
@@ -178,13 +168,18 @@ type tokenPosting struct {
 	tBound float64
 }
 
-// hierSpan locates one token's lists inside the run of the worker that built
-// them.
+// hierSpan locates one token's lists inside a chunk of the worker that built
+// them; list0 == list1 when the token has none.
 type hierSpan struct {
-	worker             int
-	list0, list1       int
-	posting0, posting1 int
+	worker, chunk      uint32
+	list0, list1       uint32
+	posting0, posting1 uint32
 }
+
+// chunkRows is the least number of postings a worker's chunk holds, and
+// chunkRows/2 the least number of lists: a list averages about 3.5 postings,
+// so the posting lanes fill first.
+const chunkRows = 64 << 10
 
 // hierEntry is one hybrid posting of the token being built, placed in its
 // list but not yet ordered there.
@@ -195,15 +190,17 @@ type hierEntry struct {
 }
 
 // hierWorker is one build goroutine's state: the scratch every token reuses
-// and the run that collects the finished lists of all its tokens, their
-// bounds already coded as the index serves them.
+// and the chunks that collect the finished lists of all its tokens, their
+// bounds already coded as the index serves them. Each chunk's lanes are
+// allocated once, at their full capacity, and a token's lists lie in one
+// chunk, the last, so the lanes never grow by copying.
 type hierWorker struct {
 	sel     hss.Selector
 	rects   []geo.Rect
 	hits    []gridHit
 	gW, gB  []float64
 	entries []hierEntry
-	run     invidx.CodedRun
+	chunks  []invidx.CodedRun
 	err     error
 
 	// The token being built: its grids and, per grid, its count, and every
@@ -214,12 +211,12 @@ type hierWorker struct {
 }
 
 // buildToken selects token t's grids, generates every posting of I(t)'s
-// spatial signature over them, and appends t's lists to the worker's run in
-// index order: ascending grid node, and within a list descending spatial
-// bound, ties by ascending object. Each list is sorted by its exact bounds,
-// then appended with both bounds coded (invidx.Code), so the run is already
-// in the served form. A token none of whose regions overlaps the space gets
-// no lists.
+// spatial signature over them, appends t's lists to the worker's last chunk
+// in index order — ascending grid node, and within a list descending spatial
+// bound, ties by ascending object — and reports where they lie. Each list is
+// sorted by its exact bounds, then appended with both bounds coded
+// (invidx.Code), so the lists are already in the served form. A token none
+// of whose regions overlaps the space gets no lists.
 //
 // The grids' global order takes count(g) as the number of regions that post
 // to g, i.e. the length of g's list, not the count HSS selected with: the two
@@ -229,17 +226,17 @@ type hierWorker struct {
 // project everything to learn the lengths, then bound each region's hits in
 // global order. The lengths also lay the lists out, so the second pass puts
 // each posting in its list and only each list is sorted, by bound.
-func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.TokenID, tp []tokenPosting, mt int) error {
+func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.TokenID, tp []tokenPosting, mt int) (hierSpan, error) {
 	wk.rects = wk.rects[:0]
 	for _, p := range tp {
 		wk.rects = append(wk.rects, ds.Region(model.ObjectID(p.obj)))
 	}
 	grids, err := wk.sel.Select(tree, wk.rects, mt)
 	if err != nil {
-		return fmt.Errorf("core: HSS for token %d: %w", t, err)
+		return hierSpan{}, fmt.Errorf("core: HSS for token %d: %w", t, err)
 	}
 	if len(grids) == 0 {
-		return nil
+		return hierSpan{}, nil
 	}
 	slices.SortFunc(grids, func(a, b hss.Grid) int { return cmp.Compare(a.Node, b.Node) })
 	wk.nodes, wk.counts = wk.nodes[:0], wk.counts[:0]
@@ -292,7 +289,8 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.
 	// An object projects onto a grid at most once, so within a list the
 	// object breaks every tie and the order is total. A grid only rounding
 	// slivers reach holds no posting and gets no list.
-	run, record := &wk.run, recordCoded
+	run, record := wk.chunk(int(total), len(wk.nodes)), recordCoded
+	span := hierSpan{chunk: uint32(len(wk.chunks) - 1), list0: uint32(len(run.Nodes)), posting0: uint32(len(run.Objs))}
 	lo = 0
 	for l, end := range next {
 		list := wk.entries[lo:end]
@@ -318,7 +316,42 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.
 			}
 		}
 	}
-	return nil
+	span.list1, span.posting1 = uint32(len(run.Nodes)), uint32(len(run.Objs))
+	return span, nil
+}
+
+// run is token t's lists, which the worker put where sp says.
+func (wk *hierWorker) run(t text.TokenID, sp hierSpan) invidx.CodedRun {
+	c := &wk.chunks[sp.chunk]
+	return invidx.CodedRun{
+		Group:  uint32(t),
+		Nodes:  c.Nodes[sp.list0:sp.list1],
+		Lens:   c.Lens[sp.list0:sp.list1],
+		Objs:   c.Objs[sp.posting0:sp.posting1],
+		Codes:  c.Codes[sp.posting0:sp.posting1],
+		TCodes: c.TCodes[sp.posting0:sp.posting1],
+	}
+}
+
+// chunk returns the worker's last chunk once it has room for postings more
+// postings in lists more lists, first starting a new one, of at least
+// chunkRows postings, when it has not.
+func (wk *hierWorker) chunk(postings, lists int) *invidx.CodedRun {
+	if n := len(wk.chunks); n > 0 {
+		c := &wk.chunks[n-1]
+		if cap(c.Objs)-len(c.Objs) >= postings && cap(c.Nodes)-len(c.Nodes) >= lists {
+			return c
+		}
+	}
+	rows, nodes := max(postings, chunkRows), max(lists, chunkRows/2)
+	wk.chunks = append(wk.chunks, invidx.CodedRun{
+		Nodes:  make([]uint32, 0, nodes),
+		Lens:   make([]uint32, 0, nodes),
+		Objs:   make([]uint32, 0, rows),
+		Codes:  make([]uint16, 0, rows),
+		TCodes: make([]uint16, 0, rows),
+	})
+	return &wk.chunks[len(wk.chunks)-1]
 }
 
 // recordCoded, when set, sees every posting the SEAL build codes — its key,

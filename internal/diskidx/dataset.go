@@ -8,10 +8,12 @@ package diskidx
 // shard i is rows [bounds[i], bounds[i+1]) and opening a shard slices the
 // columns. Opening the segment maps the file and views those columns in
 // place: no decoding, no re-interning, and no per-object allocation beyond
-// the ID column's inverse. The vocabulary reads its term-offset and weight
+// the per-row weight sums. The ID column is read in place as well: its rows
+// ascend by ID inside each shard, so a lookup by ID is a binary search per
+// shard. The vocabulary reads its term-offset and weight
 // sections in place too; only its term blob (one heap copy, so terms handed
-// to callers never alias the mapping), its lookup table and signature order,
-// and what model.FromColumns derives are built on the heap.
+// to callers never alias the mapping), its lookup table, and what
+// model.FromColumns derives are built on the heap.
 //
 // Header counts are nObjects, nTokens (the token arena's length) and nTerms;
 // flags carry the spatial similarity function in bits 0–7 and the textual one
@@ -154,12 +156,14 @@ func openDataset(data []byte) (*DatasetSegment, error) {
 		return nil, err
 	}
 
+	// The bounds go first: once the IDs ascend inside every shard, each
+	// lookup by ID FromColumns makes costs one binary search a shard.
+	if err := checkBounds(bounds, cols.IDs); err != nil {
+		return nil, err
+	}
 	ds, err := model.FromColumns(cols)
 	if err != nil {
 		return nil, wrapCorrupt(err)
-	}
-	if err := checkBounds(bounds, cols.IDs); err != nil {
-		return nil, err
 	}
 	return &DatasetSegment{ds: ds, bounds: bounds}, nil
 }

@@ -70,6 +70,10 @@ type Engine struct {
 	// closers owns the mapped segments backing an engine opened from disk;
 	// empty for an in-memory build. See Close in segments.go.
 	closers []io.Closer
+	// fingerprint returns Fingerprint(root), hashed once: an opened engine
+	// keeps the value its manifest check verified, and a build hashes on
+	// first use (its SaveSegments, or a caller asking).
+	fingerprint func() string
 	// gate orders Enter's count against Close: inflight counts the calls —
 	// queries and the shard searches they start, abandoned stragglers
 	// included — that may be reading the mapped segments Close releases.
@@ -121,6 +125,7 @@ func Build(root *model.Dataset, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	e := &Engine{root: ordered, shards: make([]*shard, len(bounds)-1)}
+	e.fingerprint = sync.OnceValue(func() string { return Fingerprint(ordered) })
 	err = ForEach(context.Background(), len(e.shards), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
 		sub, err := ordered.Subset(int(bounds[i]), int(bounds[i+1]))
 		var f core.Filter
@@ -149,6 +154,10 @@ func datasetExtent(ds *model.Dataset) geo.Rect {
 	}
 	return ext
 }
+
+// Fingerprint returns the root dataset's Fingerprint, the value a segment
+// manifest records.
+func (e *Engine) Fingerprint() string { return e.fingerprint() }
 
 // Shards returns the number of shards actually built.
 func (e *Engine) Shards() int { return len(e.shards) }

@@ -265,6 +265,36 @@ func streamLoss(e *Engine, full []core.Match, victim, drops int) int {
 	return loss
 }
 
+// dropLosses lists, for each set of drops shards a query may have dropped,
+// the objects that set takes from its answer: the victim's, with those of
+// drops−1 of others, the other shards the query left live. At drops 0 (a
+// stream whose limit was met before the victim ran) the one set is the
+// victim alone, whose faults strike before it emits anything. No set holds
+// drops shards when drops exceeds them.
+func dropLosses(e *Engine, victim, drops int, others []int) []map[model.ObjectID]bool {
+	drops = max(drops, 1)
+	var losses []map[model.ObjectID]bool
+	var pick func(from int, set []int)
+	pick = func(from int, set []int) {
+		if len(set) == drops {
+			lost := make(map[model.ObjectID]bool)
+			for _, i := range set {
+				s := e.shards[i].ds
+				for row := model.ObjectID(0); int(row) < s.Len(); row++ {
+					lost[s.ID(row)] = true
+				}
+			}
+			losses = append(losses, lost)
+			return
+		}
+		for k := from; k < len(others); k++ {
+			pick(k+1, append(set, others[k]))
+		}
+	}
+	pick(0, []int{victim})
+	return losses
+}
+
 // matrixRow runs one query through one cell and checks the contract.
 func matrixRow(t *testing.T, label string, e *Engine, ds *model.Dataset, mq matrixQuery, f matrixFault, sink matrixSink, victim int, allow, traced bool) {
 	t.Helper()
@@ -275,16 +305,9 @@ func matrixRow(t *testing.T, label string, e *Engine, ds *model.Dataset, mq matr
 		cancel()
 		ctx = c
 	}
-	// What the fault costs: the victim's objects, when a partial query drops it.
-	var lost map[model.ObjectID]bool
 	wantErrs := 0
 	if f.fails {
-		wantErrs = 1
-		lost = make(map[model.ObjectID]bool)
-		vds := e.shards[victim].ds
-		for row := model.ObjectID(0); int(row) < vds.Len(); row++ {
-			lost[vds.ID(row)] = true
-		}
+		wantErrs = 1 // the victim, when a partial query drops it
 	}
 	topk := core.TopKOptions{K: 5, Alpha: 0.5, FloorR: 0.001, FloorT: 0.001}
 	pruneR := mq.tauR
@@ -292,19 +315,23 @@ func matrixRow(t *testing.T, label string, e *Engine, ds *model.Dataset, mq matr
 		pruneR = topk.FloorR
 	}
 	wantPruned, scanned := 0, 0 // scanned: the objects of the shards left live
-	for _, s := range e.shards {
+	var others []int            // the live shards besides the victim
+	for i, s := range e.shards {
 		switch _, pruned := s.pruneBound(mq.region, pruneR); {
 		case s.down != nil:
 		case pruned:
 			wantPruned++
 		default:
 			scanned += s.ds.Len()
+			if i != victim {
+				others = append(others, i)
+			}
 		}
 	}
 	if f.selective && !sink.ranked && wantPruned == 0 {
 		t.Fatalf("%s: the selective query prunes no shard; the pruned column is not exercised", label)
 	}
-	full, minus := thresholdOracle(ds, q, nil), thresholdOracle(ds, q, lost)
+	full := thresholdOracle(ds, q, nil)
 
 	limits := []int{0}
 	if sink.limited {
@@ -366,21 +393,42 @@ func matrixRow(t *testing.T, label string, e *Engine, ds *model.Dataset, mq matr
 			t.Fatalf("%s: %v", label, err)
 		}
 
+		// The objects the query may have lost: those of the shards it reports
+		// dropped. The victim is one of them; under a ShardTimeout a healthy
+		// shard that also overran the deadline is dropped like it, and the
+		// query says how many shards it dropped, not which. So every row's
+		// expected answer must hold for one set of that many live shards
+		// that includes the victim.
+		losses := dropLosses(e, victim, st.ShardErrors, others)
+		if !f.fails {
+			losses = []map[model.ObjectID]bool{nil}
+		}
+		someLoss := func(ok func(lost map[model.ObjectID]bool) bool) bool { return slices.ContainsFunc(losses, ok) }
+
 		// A stream cannot take back what a shard emitted before it was dropped
 		// late, and a late shard may have tightened the top-k tracker: those
-		// two cells promise correct entries, not exact-minus-the-shard.
+		// two cells promise correct entries, not exact-minus-the-shards.
 		bestEffort := f.timeout > 0 && (sink.stream || sink.ranked)
 		switch {
-		case sink.ranked:
-			want := rankedOracle(t, ds, mq, topk, lost)
-			if bestEffort {
-				for _, m := range ranked {
-					if lost[m.ID] {
-						t.Fatalf("%s: ranking holds object %d of the dropped shard", label, m.ID)
-					}
+		case sink.ranked && bestEffort:
+			every := topk
+			every.K = ds.Len()
+			all := rankedOracle(t, ds, mq, every, nil)
+			for i, m := range ranked {
+				if slices.ContainsFunc(ranked[:i], func(p core.ScoredMatch) bool { return p.ID == m.ID }) || !slices.Contains(all, m) {
+					t.Fatalf("%s: ranked entry %+v is duplicated or wrong", label, m)
 				}
-			} else if !slices.Equal(ranked, want) {
-				t.Fatalf("%s: ranking %+v, want %+v", label, ranked, want)
+			}
+			if !someLoss(func(lost map[model.ObjectID]bool) bool {
+				return !slices.ContainsFunc(ranked, func(m core.ScoredMatch) bool { return lost[m.ID] })
+			}) {
+				t.Fatalf("%s: ranking %+v holds an object of a shard it reports dropped (%d drops)", label, ranked, st.ShardErrors)
+			}
+		case sink.ranked:
+			if !someLoss(func(lost map[model.ObjectID]bool) bool {
+				return slices.Equal(ranked, rankedOracle(t, ds, mq, topk, lost))
+			}) {
+				t.Fatalf("%s: ranking %+v, want %+v less the shards it reports dropped (%d)", label, ranked, rankedOracle(t, ds, mq, topk, nil), st.ShardErrors)
 			}
 		case sink.stream && limit > 0:
 			atLeast, atMost := min(limit, len(full)-streamLoss(e, full, victim, st.ShardErrors)), min(limit, len(full))
@@ -388,28 +436,35 @@ func matrixRow(t *testing.T, label string, e *Engine, ds *model.Dataset, mq matr
 				t.Fatalf("%s: %d matches, want %d..%d", label, len(got), atLeast, atMost)
 			}
 			for i, m := range got {
-				if (i > 0 && got[i-1].ID == m.ID) || !slices.Contains(full, m) || (lost[m.ID] && !bestEffort) {
-					t.Fatalf("%s: match %+v is duplicated, wrong, or from the dropped shard", label, m)
+				if (i > 0 && got[i-1].ID == m.ID) || !slices.Contains(full, m) {
+					t.Fatalf("%s: match %+v is duplicated or wrong", label, m)
 				}
+			}
+			if !bestEffort && !someLoss(func(lost map[model.ObjectID]bool) bool {
+				return !slices.ContainsFunc(got, func(m core.Match) bool { return lost[m.ID] })
+			}) {
+				t.Fatalf("%s: matches %+v hold an object of a shard the stream reports dropped", label, got)
 			}
 		case bestEffort:
-			for _, m := range minus {
-				if !slices.Contains(got, m) {
-					t.Fatalf("%s: surviving match %+v missing", label, m)
-				}
-			}
 			for _, m := range got {
 				if !slices.Contains(full, m) {
 					t.Fatalf("%s: wrong match %+v", label, m)
 				}
 			}
-		default:
-			want := minus
-			if limit > 0 && len(want) > limit {
-				want = want[:limit] // the exact prefix of the ID-ordered answer
+			if !someLoss(func(lost map[model.ObjectID]bool) bool {
+				return !slices.ContainsFunc(thresholdOracle(ds, q, lost), func(m core.Match) bool { return !slices.Contains(got, m) })
+			}) {
+				t.Fatalf("%s: %d matches miss a match of a shard the stream does not report dropped (%d drops)", label, len(got), st.ShardErrors)
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: %d matches %+v, want %d %+v", label, len(got), got, len(want), want)
+		default:
+			if !someLoss(func(lost map[model.ObjectID]bool) bool {
+				want := thresholdOracle(ds, q, lost)
+				if limit > 0 && len(want) > limit {
+					want = want[:limit] // the exact prefix of the ID-ordered answer
+				}
+				return slices.Equal(got, want)
+			}) {
+				t.Fatalf("%s: %d matches %+v, want the exact answer less the shards it reports dropped (%d)", label, len(got), got, st.ShardErrors)
 			}
 		}
 		answered := len(got) + len(ranked)

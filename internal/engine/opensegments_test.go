@@ -60,14 +60,13 @@ func liveHeap() int64 {
 
 // TestOpenSegmentsRetainedHeap bounds the heap a boot of the shard rung's
 // segment directory keeps live: what OpenSegmentsWith derives beyond the
-// mapped pages. The bound is the 1,848,058 B measured on linux/amd64 when
-// the vocabulary stopped rebuilding a term map and copying its offset and
-// weight tables (3,572,478 B before), plus 15 %.
+// mapped pages. The bound is the 1,201,920 B measured on linux/amd64, plus
+// 15 %.
 func TestOpenSegmentsRetainedHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const bound = 1_848_058 * 115 / 100
+	const bound = 1_201_920 * 115 / 100
 	dir := saveRung(t)
 	before := liveHeap()
 	e, err := OpenSegmentsWith(dir, false)

@@ -131,8 +131,7 @@ func Fingerprint(ds *model.Dataset) string {
 		h.Write(term)
 		put(math.Float64bits(vocab.Weight(text.TokenID(i))))
 	}
-	for i := 0; i < ds.Len(); i++ {
-		row := ds.Row(model.ObjectID(i))
+	for row := range ds.RowsByID() {
 		r := ds.Region(row)
 		put(math.Float64bits(r.MinX))
 		put(math.Float64bits(r.MinY))
@@ -218,7 +217,7 @@ func (e *Engine) SaveSegments(dir string) error {
 		Objects:     e.root.Len(),
 		Shards:      len(e.shards),
 		Filter:      spec,
-		Fingerprint: Fingerprint(e.root),
+		Fingerprint: e.Fingerprint(),
 	}
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
@@ -348,6 +347,7 @@ func OpenSegmentsWith(dir string, quarantine bool) (*Engine, error) {
 	if m.Objects != root.Len() || m.Fingerprint != Fingerprint(root) {
 		return nil, fmt.Errorf("%w: segment directory %s was built from a different dataset", ErrManifestMismatch, dir)
 	}
+	e.fingerprint = func() string { return m.Fingerprint }
 	bounds := dseg.Bounds()
 	if len(bounds)-1 != m.Shards {
 		return nil, fmt.Errorf("%w: dataset segment bounds %d shards, manifest %d", diskidx.ErrCorrupt, len(bounds)-1, m.Shards)

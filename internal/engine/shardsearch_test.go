@@ -168,14 +168,12 @@ func BenchmarkShardBuild(b *testing.B) {
 
 // TestShardBuildAllocBytes bounds the bytes one Seal build of the rung's
 // shard 0 allocates, at one worker (GOMAXPROCS 1, restored afterwards): the
-// 50,511,782 B measured on linux/amd64 once the workers coded their runs and
-// the served index was assembled from them (91,722,294 B when the workers
-// kept float64 bounds, froze a flat index and compressed it), plus 10 %.
+// 28,443,696 B measured on linux/amd64, plus 10 %.
 func TestShardBuildAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const bound = 50_511_782 * 110 / 100
+	const bound = 28_443_696 * 110 / 100
 	shard0 := rungShard0(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats

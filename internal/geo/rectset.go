@@ -1,6 +1,9 @@
 package geo
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // RectSet is a region composed of several possibly-overlapping rectangles,
 // treated as their union. It implements the paper's future-work extension of
@@ -10,8 +13,14 @@ import "sort"
 //
 // Operations run in O(n² ) by coordinate-compressed slab sweeps, which is
 // the right trade-off for the small per-object region counts this models
-// (a handful of activity clusters per user).
+// (a handful of activity clusters per user). Their scratch lives in stack
+// buffers of stackRects rectangles, so verifying a candidate allocates
+// nothing unless its set is larger.
 type RectSet []Rect
+
+// stackRects is how many rectangles the sweeps' stack buffers hold; a larger
+// set spills its scratch to the heap.
+const stackRects = 8
 
 // Area returns the area of the union of the rectangles.
 func (s RectSet) Area() float64 {
@@ -25,7 +34,8 @@ func (s RectSet) MBR() Rect {
 
 // IntersectionArea returns |union(s) ∩ r|.
 func (s RectSet) IntersectionArea(r Rect) float64 {
-	clipped := make(RectSet, 0, len(s))
+	var buf [stackRects]Rect
+	clipped := RectSet(buf[:0])
 	for _, b := range s {
 		if c, ok := b.Intersection(r); ok && !c.IsDegenerate() {
 			clipped = append(clipped, c)
@@ -37,7 +47,8 @@ func (s RectSet) IntersectionArea(r Rect) float64 {
 // IntersectionAreaSet returns |union(s) ∩ union(o)|: the union of all
 // pairwise intersections.
 func (s RectSet) IntersectionAreaSet(o RectSet) float64 {
-	pieces := make(RectSet, 0, len(s)*len(o))
+	var buf [stackRects]Rect
+	pieces := RectSet(buf[:0])
 	for _, a := range s {
 		for _, b := range o {
 			if c, ok := a.Intersection(b); ok && !c.IsDegenerate() {
@@ -72,7 +83,8 @@ func DiceSet(a, b RectSet) float64 {
 // distinct x coordinates, the covered y length is the merged length of the
 // y intervals of rectangles spanning the slab.
 func unionArea(rects RectSet) float64 {
-	active := rects[:0:0]
+	var activeBuf [stackRects]Rect
+	active := activeBuf[:0]
 	for _, r := range rects {
 		if !r.IsDegenerate() {
 			active = append(active, r)
@@ -84,15 +96,17 @@ func unionArea(rects RectSet) float64 {
 	if len(active) == 1 {
 		return active[0].Area()
 	}
-	xs := make([]float64, 0, 2*len(active))
+	var xsBuf [2 * stackRects]float64
+	xs := xsBuf[:0]
 	for _, r := range active {
 		xs = append(xs, r.MinX, r.MaxX)
 	}
-	sort.Float64s(xs)
-	xs = dedupFloats(xs)
+	slices.Sort(xs)
+	xs = slices.Compact(xs)
 
 	type span struct{ lo, hi float64 }
-	spans := make([]span, 0, len(active))
+	var spansBuf [stackRects]span
+	spans := spansBuf[:0]
 	var total float64
 	for i := 0; i+1 < len(xs); i++ {
 		x0, x1 := xs[i], xs[i+1]
@@ -109,7 +123,7 @@ func unionArea(rects RectSet) float64 {
 		if len(spans) == 0 {
 			continue
 		}
-		sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
+		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 		covered := 0.0
 		curLo, curHi := spans[0].lo, spans[0].hi
 		for _, sp := range spans[1:] {
@@ -126,14 +140,4 @@ func unionArea(rects RectSet) float64 {
 		total += covered * width
 	}
 	return total
-}
-
-func dedupFloats(xs []float64) []float64 {
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

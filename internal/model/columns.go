@@ -2,8 +2,8 @@ package model
 
 // The flat form of a dataset: what a dataset segment stores, and what opening
 // one views in place. Everything per-object is an array a file section can
-// back directly; only the vocabulary, the per-row weight sums and the
-// ID-to-row inverse are rebuilt on the heap.
+// back directly; only the vocabulary and the per-row weight sums are rebuilt
+// on the heap, beside one row index a run of ascending IDs.
 
 import (
 	"errors"
@@ -42,7 +42,7 @@ type Columns struct {
 // are read-only. Only a root dataset has one; a Subset is a view of its
 // parent's.
 func (ds *Dataset) Columns() (Columns, error) {
-	if ds.ids != nil && ds.inv == nil {
+	if ds.ids != nil && ds.runs == nil {
 		return Columns{}, errors.New("model: a subset has no columns of its own")
 	}
 	c := Columns{
@@ -70,8 +70,9 @@ func (ds *Dataset) Columns() (Columns, error) {
 // FromColumns wraps flat arrays as a dataset without copying the per-object
 // ones: Regions, TokOff, TokIDs, IDs and MultiRects are retained and may
 // alias a read-only mapping, and so may TermOff and Weights, which become the
-// vocabulary with Terms (see text.FromBlob); Terms must be heap memory. The inverse of IDs,
-// for lookups by ID, is built on the heap.
+// vocabulary with Terms (see text.FromBlob); Terms must be heap memory. Row
+// finds an ID by a binary search in each ascending run of IDs, so the heap
+// holds one row index a run.
 //
 // The input is untrusted. Every invariant the query path relies on is checked
 // here — offsets spanning their arenas, token IDs inside the vocabulary and
@@ -105,21 +106,19 @@ func FromColumns(c Columns) (*Dataset, error) {
 			}
 		}
 	}
-	var inv []ObjectID
+	ds := newDataset(vocab, c.Regions, c.TokOff, c.TokIDs, nil, c.SpatialSim, c.TextualSim)
 	if c.IDs != nil {
 		if len(c.IDs) != n {
 			return nil, fmt.Errorf("model: %d object IDs for %d rows", len(c.IDs), n)
 		}
-		if inv, err = invert(c.IDs); err != nil {
+		if err := checkPermutation(c.IDs); err != nil {
 			return nil, err
 		}
+		ds.ids, ds.runs = c.IDs, ascendingRuns(c.IDs)
 	}
-	multi, err := multiFromColumns(c, inv)
-	if err != nil {
+	if ds.multi, err = multiFromColumns(c, ds); err != nil {
 		return nil, err
 	}
-	ds := newDataset(vocab, c.Regions, c.TokOff, c.TokIDs, multi, c.SpatialSim, c.TextualSim)
-	ds.ids, ds.inv = c.IDs, inv
 	return ds, nil
 }
 
@@ -137,9 +136,9 @@ func checkOffsets(off []uint32, n, arena int) error {
 	return nil
 }
 
-// multiFromColumns checks and indexes the footprints; inv maps their object
-// IDs to rows (nil: the identity).
-func multiFromColumns(c Columns, inv []ObjectID) (map[ObjectID]geo.RectSet, error) {
+// multiFromColumns checks and indexes the footprints of ds, whose ID column
+// c.IDs has been checked.
+func multiFromColumns(c Columns, ds *Dataset) (map[ObjectID]geo.RectSet, error) {
 	if err := checkOffsets(c.MultiOff, len(c.MultiIDs), len(c.MultiRects)); err != nil {
 		return nil, fmt.Errorf("model: multi-region %w", err)
 	}
@@ -161,11 +160,7 @@ func multiFromColumns(c Columns, inv []ObjectID) (map[ObjectID]geo.RectSet, erro
 				return nil, fmt.Errorf("model: object %d: invalid footprint rectangle", id)
 			}
 		}
-		row := id
-		if inv != nil {
-			row = inv[id]
-		}
-		if set.MBR() != c.Regions[row] {
+		if set.MBR() != c.Regions[ds.Row(id)] {
 			return nil, fmt.Errorf("model: object %d: footprint does not bound to its region", id)
 		}
 		multi[id] = set

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"strings"
@@ -86,10 +87,25 @@ func TestColumnsRoundTrip(t *testing.T) {
 	}
 	for tok := 0; tok < ds.Vocab().Len(); tok++ {
 		id := text.TokenID(tok)
-		if back.Vocab().Term(id) != ds.Vocab().Term(id) || back.TokenWeight(id) != ds.TokenWeight(id) ||
-			back.Vocab().Rank(id) != ds.Vocab().Rank(id) {
+		if back.Vocab().Term(id) != ds.Vocab().Term(id) || back.TokenWeight(id) != ds.TokenWeight(id) {
 			t.Fatalf("token %d differs after the round trip", tok)
 		}
+	}
+	// The restored vocabulary sorts every token into the signature order:
+	// descending weight, ties by ascending ID.
+	sig := make([]text.TokenID, back.Vocab().Len())
+	for i := range sig {
+		sig[i] = text.TokenID(len(sig) - 1 - i)
+	}
+	ref := slices.Clone(sig)
+	slices.SortFunc(ref, func(a, b text.TokenID) int {
+		if wa, wb := ds.TokenWeight(a), ds.TokenWeight(b); wa != wb {
+			return cmp.Compare(wb, wa)
+		}
+		return cmp.Compare(a, b)
+	})
+	if back.Vocab().SortBySignatureOrder(sig); !slices.Equal(sig, ref) {
+		t.Fatalf("restored signature order %v, want %v", sig, ref)
 	}
 	// A permuted dataset round-trips its ID column: every object keeps its
 	// ID, and its row its contents.

@@ -8,7 +8,9 @@ package model
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/text"
@@ -87,11 +89,13 @@ type Dataset struct {
 	// multi holds the rectangle-union footprints of multi-region objects by
 	// object ID (nil when the dataset has none); see multiregion.go.
 	multi map[ObjectID]geo.RectSet
-	// ids maps rows to object IDs; nil is the identity. inv is its inverse,
-	// for lookups by ID: nil when ids is, and on a Subset, which answers no
-	// lookup by ID.
-	ids []ObjectID
-	inv []ObjectID
+	// ids maps rows to object IDs; nil is the identity. For lookups by ID,
+	// runs holds the first row of each maximal ascending run of ids, then
+	// len(ids): run k is rows [runs[k], runs[k+1]). A root's rows ascend by
+	// ID inside each shard, so there is one run a shard or fewer. nil when
+	// ids is, and on a Subset, which answers no lookup by ID.
+	ids  []ObjectID
+	runs []uint32
 
 	spatialSim SpatialSim
 	textualSim TextualSim
@@ -205,13 +209,69 @@ func (ds *Dataset) ID(row ObjectID) ObjectID {
 	return ds.ids[row]
 }
 
-// Row returns the row of object id. Only a root dataset answers it: a Subset
-// holds a range of its parent's rows, not a row for every ID.
+// Row returns the row of object id: a binary search in each ascending run of
+// the ID column. Only a root dataset answers it: a Subset holds a range of its
+// parent's rows, not a row for every ID.
 func (ds *Dataset) Row(id ObjectID) ObjectID {
-	if ds.inv == nil {
+	if ds.runs == nil {
 		return id
 	}
-	return ds.inv[id]
+	for k, lo := range ds.runs[:len(ds.runs)-1] {
+		if i, ok := slices.BinarySearch(ds.ids[lo:ds.runs[k+1]], id); ok {
+			return ObjectID(lo + uint32(i))
+		}
+	}
+	panic(fmt.Sprintf("model: object ID %d not in the dataset", id))
+}
+
+// RowsByID returns the rows in ascending ID order, merging the ascending runs
+// of the ID column. Like Row, only a root dataset answers it.
+func (ds *Dataset) RowsByID() iter.Seq[ObjectID] {
+	return func(yield func(ObjectID) bool) {
+		if ds.runs == nil {
+			for row := range ds.Len() {
+				if !yield(ObjectID(row)) {
+					return
+				}
+			}
+			return
+		}
+		// heads is a min-heap of run cursors [next, end), keyed by ids[next].
+		type cursor struct{ next, end uint32 }
+		heads := make([]cursor, len(ds.runs)-1)
+		for k := range heads {
+			heads[k] = cursor{ds.runs[k], ds.runs[k+1]}
+		}
+		less := func(a, b int) bool { return ds.ids[heads[a].next] < ds.ids[heads[b].next] }
+		down := func(i int) {
+			for {
+				m := i
+				for _, c := range [2]int{2*i + 1, 2*i + 2} {
+					if c < len(heads) && less(c, m) {
+						m = c
+					}
+				}
+				if m == i {
+					return
+				}
+				heads[i], heads[m] = heads[m], heads[i]
+				i = m
+			}
+		}
+		for i := len(heads)/2 - 1; i >= 0; i-- {
+			down(i)
+		}
+		for len(heads) > 0 {
+			if !yield(ObjectID(heads[0].next)) {
+				return
+			}
+			if heads[0].next++; heads[0].next == heads[0].end {
+				heads[0] = heads[len(heads)-1]
+				heads = heads[:len(heads)-1]
+			}
+			down(0)
+		}
+	}
 }
 
 // Len returns the number of objects.

@@ -14,7 +14,10 @@ import (
 
 // Permute returns a root dataset whose row r holds ds's row rows[r]. Every
 // object keeps its ID, region, footprint, token set and weight sum; only its
-// row changes. rows must be a permutation of ds's rows, and ds a root.
+// row changes. rows must be a permutation of ds's rows, and ds a root. Row
+// finds an ID by a binary search in each ascending run of the new ID column,
+// so rows that ascend by ID inside each shard, as the engine's do, keep it to
+// one search a shard.
 func (ds *Dataset) Permute(rows []ObjectID) (*Dataset, error) {
 	n := ds.Len()
 	if len(rows) != n {
@@ -36,28 +39,36 @@ func (ds *Dataset) Permute(rows []ObjectID) (*Dataset, error) {
 		p.totalW[r] = ds.totalW[old]
 		p.ids[r] = ds.ID(old)
 	}
-	var err error
-	if p.inv, err = invert(p.ids); err != nil {
+	if err := checkPermutation(p.ids); err != nil {
 		return nil, err
 	}
+	p.runs = ascendingRuns(p.ids)
 	return &p, nil
 }
 
-// invert returns the inverse of ids after checking that it is a permutation
-// of [0, len(ids)).
-func invert(ids []ObjectID) ([]ObjectID, error) {
-	const absent = ^ObjectID(0)
-	inv := make([]ObjectID, len(ids))
-	for i := range inv {
-		inv[i] = absent
-	}
-	for row, id := range ids {
-		if int(id) >= len(ids) || inv[id] != absent {
-			return nil, errors.New("model: object IDs are not a permutation of the rows")
+// checkPermutation checks that ids is a permutation of [0, len(ids)), with a
+// bitmap of the IDs seen that it then drops.
+func checkPermutation(ids []ObjectID) error {
+	seen := make([]uint64, (len(ids)+63)/64)
+	for _, id := range ids {
+		if int(id) >= len(ids) || seen[id/64]&(1<<(id%64)) != 0 {
+			return errors.New("model: object IDs are not a permutation of the rows")
 		}
-		inv[id] = ObjectID(row)
+		seen[id/64] |= 1 << (id % 64)
 	}
-	return inv, nil
+	return nil
+}
+
+// ascendingRuns returns the first row of each maximal ascending run of ids,
+// then len(ids).
+func ascendingRuns(ids []ObjectID) []uint32 {
+	runs := []uint32{0}
+	for r := 1; r < len(ids); r++ {
+		if ids[r] < ids[r-1] {
+			runs = append(runs, uint32(r))
+		}
+	}
+	return append(runs, uint32(len(ids)))
 }
 
 // Subset returns a Dataset over rows [lo, hi) of ds: its row i is ds's row
@@ -82,6 +93,6 @@ func (ds *Dataset) Subset(lo, hi int) (*Dataset, error) {
 	sub.tokOff = ds.tokOff[lo : hi+1 : hi+1]
 	sub.totalW = ds.totalW[lo:hi:hi]
 	sub.ids = ds.ids[lo:hi:hi]
-	sub.inv = nil
+	sub.runs = nil
 	return &sub, nil
 }

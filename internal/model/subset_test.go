@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -121,5 +122,65 @@ func TestSubsetErrors(t *testing.T) {
 	}
 	if _, err := sub.Columns(); err == nil {
 		t.Error("a subset exported columns of its own")
+	}
+}
+
+// TestRowFindsEveryID: over permutations whose ID column ascends in one run,
+// in a few shard-like runs, or in no order at all, Row inverts ID and
+// RowsByID lists the rows in ascending ID order, stopping when asked.
+func TestRowFindsEveryID(t *testing.T) {
+	var b Builder
+	const n = 300
+	for i := 0; i < n; i++ {
+		if _, err := b.Add(geo.Rect{MinX: float64(i), MinY: 0, MaxX: float64(i) + 1, MaxY: 1}, []string{"a"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, shards := range []int{1, 2, 7, n} {
+		rows := make([]ObjectID, n)
+		for i := range rows {
+			rows[i] = ObjectID(i)
+		}
+		rng.Shuffle(n, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		if shards < n {
+			for s := 0; s < shards; s++ {
+				slices.Sort(rows[s*n/shards : (s+1)*n/shards])
+			}
+		}
+		p, err := ds.Permute(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shards < n && len(p.runs)-1 > shards {
+			t.Fatalf("%d shards: %d ascending runs", shards, len(p.runs)-1)
+		}
+		for r := 0; r < n; r++ {
+			if got := p.Row(p.ID(ObjectID(r))); got != ObjectID(r) {
+				t.Fatalf("%d shards: Row(ID(%d)) = %d", shards, r, got)
+			}
+		}
+		var ids []ObjectID
+		for row := range p.RowsByID() {
+			ids = append(ids, p.ID(row))
+		}
+		for i, id := range ids {
+			if id != ObjectID(i) {
+				t.Fatalf("%d shards: RowsByID lists ID %d at position %d", shards, id, i)
+			}
+		}
+		if len(ids) != n {
+			t.Fatalf("%d shards: RowsByID lists %d rows, want %d", shards, len(ids), n)
+		}
+		seen := 0
+		for range p.RowsByID() { // the iterator must honor a break
+			if seen++; seen == 5 {
+				break
+			}
+		}
 	}
 }

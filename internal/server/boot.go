@@ -135,28 +135,28 @@ func LoadObjects(path string) ([]seal.Object, error) {
 
 // SnapshotObjects converts a root dataset back into public API objects in ID
 // order, copying every region and term; Build re-derives identical token
-// weights from the same corpus.
+// weights from the same corpus. It reads the rows in storage order and puts
+// each object at its ID.
 func SnapshotObjects(ds *model.Dataset) []seal.Object {
 	vocab := ds.Vocab()
 	objects := make([]seal.Object, ds.Len())
-	for i := range objects {
-		row := ds.Row(model.ObjectID(i))
+	for r := range objects {
+		row := model.ObjectID(r)
+		obj := &objects[ds.ID(row)]
 		toks := ds.Tokens(row)
-		tokens := make([]string, 0, len(toks))
+		obj.Tokens = make([]string, 0, len(toks))
 		for _, t := range toks {
-			tokens = append(tokens, vocab.Term(text.TokenID(t)))
+			obj.Tokens = append(obj.Tokens, vocab.Term(text.TokenID(t)))
 		}
-		objects[i].Tokens = tokens
 		if set := ds.MultiRegion(row); set != nil {
-			regions := make([]seal.Rect, len(set))
+			obj.Regions = make([]seal.Rect, len(set))
 			for j, r := range set {
-				regions[j] = seal.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
+				obj.Regions[j] = seal.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
 			}
-			objects[i].Regions = regions
 			continue
 		}
 		r := ds.Region(row)
-		objects[i].Region = seal.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
+		obj.Region = seal.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
 	}
 	return objects
 }

@@ -86,8 +86,8 @@ func TestVocabLookupMatchesMap(t *testing.T) {
 			}
 			probes := absentProbes(terms)
 			checkLookup(t, v, ref, probes)
-			if got := len(v.slots); got < 2*n || got&(got-1) != 0 {
-				t.Fatalf("%d slots for %d terms, want a power of two >= %d", got, n, 2*n)
+			if got := len(v.slots); 3*got < 4*n || 3*got >= 8*n && got > 1 || got&(got-1) != 0 {
+				t.Fatalf("%d slots for %d terms, want the least power of two >= 4/3 of them", got, n)
 			}
 			blob, off := v.Blob()
 			back, err := FromBlob(blob, off, v.Weights())

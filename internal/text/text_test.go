@@ -3,6 +3,7 @@ package text
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -144,11 +145,33 @@ func TestSignatureOrder(t *testing.T) {
 			t.Fatalf("order[%d] = %s, want %s (full: %v)", i, v.Term(id), want[i], ids)
 		}
 	}
-	for i := 1; i < len(ids); i++ {
-		if !v.Less(ids[i-1], ids[i]) {
-			t.Fatalf("Less(%v,%v) should be true", ids[i-1], ids[i])
-		}
+	if ref := refSignatureOrder(v, ids); !slices.Equal(ids, ref) {
+		t.Fatalf("SortBySignatureOrder = %v, reference sort %v", ids, ref)
 	}
+}
+
+// refSignatureOrder sorts a copy of ids by descending weight, then ascending
+// ID: the signature order, spelled out independently of the Vocab.
+func refSignatureOrder(v *Vocab, ids []TokenID) []TokenID {
+	ref := slices.Clone(ids)
+	sort.Slice(ref, func(i, j int) bool {
+		a, b := ref[i], ref[j]
+		if v.Weight(a) != v.Weight(b) {
+			return v.Weight(a) > v.Weight(b)
+		}
+		return a < b
+	})
+	return ref
+}
+
+// allIDs returns every token ID of v in a shuffled order.
+func allIDs(v *Vocab, rng *rand.Rand) []TokenID {
+	ids := make([]TokenID, v.Len())
+	for i := range ids {
+		ids[i] = TokenID(i)
+	}
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	return ids
 }
 
 func TestNewWithWeightsErrors(t *testing.T) {
@@ -255,7 +278,10 @@ func TestSimilarityProperties(t *testing.T) {
 	}
 }
 
-func TestRankIsPermutation(t *testing.T) {
+// TestSignatureOrderMatchesReference: SortBySignatureOrder over every token,
+// in a shuffled order, is a permutation equal to the reference sort by
+// (weight desc, ID asc), ties included.
+func TestSignatureOrderMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(50)
@@ -269,30 +295,17 @@ func TestRankIsPermutation(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		ids := allIDs(v, rng)
+		ref := refSignatureOrder(v, ids)
+		v.SortBySignatureOrder(ids)
 		seen := make([]bool, n)
-		for i := 0; i < n; i++ {
-			r := v.Rank(TokenID(i))
-			if int(r) >= n || seen[r] {
+		for _, id := range ids {
+			if int(id) >= n || seen[id] {
 				return false
 			}
-			seen[r] = true
+			seen[id] = true
 		}
-		// Order respects descending weight.
-		ids := make([]TokenID, n)
-		for i := range ids {
-			ids[i] = TokenID(i)
-		}
-		v.SortBySignatureOrder(ids)
-		if !sort.SliceIsSorted(ids, func(i, j int) bool {
-			a, b := ids[i], ids[j]
-			if v.Weight(a) != v.Weight(b) {
-				return v.Weight(a) > v.Weight(b)
-			}
-			return a < b
-		}) {
-			return false
-		}
-		return true
+		return slices.Equal(ids, ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -318,9 +331,9 @@ func TestBlobRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < v.Len(); i++ {
 		id := TokenID(i)
-		if back.Term(id) != v.Term(id) || back.Weight(id) != v.Weight(id) || back.Rank(id) != v.Rank(id) {
-			t.Fatalf("term %d: %q w=%v rank=%d, want %q w=%v rank=%d", i,
-				back.Term(id), back.Weight(id), back.Rank(id), v.Term(id), v.Weight(id), v.Rank(id))
+		if back.Term(id) != v.Term(id) || back.Weight(id) != v.Weight(id) {
+			t.Fatalf("term %d: %q w=%v, want %q w=%v", i,
+				back.Term(id), back.Weight(id), v.Term(id), v.Weight(id))
 		}
 		if got, ok := back.Lookup(v.Term(id)); !ok || got != id {
 			t.Fatalf("Lookup(%q) = %d, %v", v.Term(id), got, ok)
@@ -328,6 +341,11 @@ func TestBlobRoundTrip(t *testing.T) {
 		if back.Count(id) != 0 {
 			t.Fatalf("restored vocabulary reports a document count for term %d", i)
 		}
+	}
+	ids := allIDs(back, rand.New(rand.NewSource(1)))
+	ref := refSignatureOrder(v, ids)
+	if back.SortBySignatureOrder(ids); !slices.Equal(ids, ref) {
+		t.Fatalf("restored signature order %v, want %v", ids, ref)
 	}
 
 	w := v.Weights()

@@ -32,15 +32,12 @@ type Vocab struct {
 	off  []uint32
 	// slots is an open-addressing table over the terms: a term hashes to a
 	// slot and probes linearly until a slot holding its ID + 1 or an empty
-	// (0) slot. Its length is a power of two at least twice the vocabulary,
-	// so every probe ends at an empty slot.
+	// (0) slot. Its length is the least power of two at least 4/3 of the
+	// vocabulary, so the table is at most ¾ full and every probe ends at an
+	// empty slot.
 	slots   []uint32
 	counts  []uint32 // nil when the weights were supplied, not counted
 	weights []float64
-	// rank[t] is the position of token t in the global signature order
-	// (descending weight, ties broken by ascending ID), as required by the
-	// prefix-filtering framework of Section 3.2.
-	rank []uint32
 }
 
 // Builder accumulates documents (object token sets) and produces a Vocab.
@@ -188,12 +185,12 @@ func FromBlob(blob string, off []uint32, weights []float64) (*Vocab, error) {
 // crafted to collide in every process.
 var hashSeed = maphash.MakeSeed()
 
-// index builds the lookup table and the signature order over v's terms and
-// weights, and rejects a term that occurs twice.
+// index builds the lookup table over v's terms and rejects a term that
+// occurs twice.
 func (v *Vocab) index() error {
 	n := len(v.weights)
 	size := 1
-	for size < 2*n {
+	for 3*size < 4*n {
 		size <<= 1
 	}
 	v.slots = make([]uint32, size)
@@ -208,7 +205,6 @@ func (v *Vocab) index() error {
 		}
 		v.slots[i] = uint32(id) + 1
 	}
-	v.buildRank()
 	return nil
 }
 
@@ -218,26 +214,6 @@ func validWeight(w float64) bool { return w >= 0 && !math.IsInf(w, 1) } // NaN f
 
 // Blob exports the terms in the flat form FromBlob restores. Read-only.
 func (v *Vocab) Blob() (blob string, off []uint32) { return v.blob, v.off }
-
-func (v *Vocab) buildRank() {
-	order := make([]TokenID, len(v.weights))
-	for i := range order {
-		order[i] = TokenID(i)
-	}
-	slices.SortFunc(order, func(a, b TokenID) int {
-		if wa, wb := v.weights[a], v.weights[b]; wa != wb {
-			if wa > wb {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a, b)
-	})
-	v.rank = make([]uint32, len(v.weights))
-	for pos, id := range order {
-		v.rank[id] = uint32(pos)
-	}
-}
 
 // Len returns the number of distinct tokens.
 func (v *Vocab) Len() int { return len(v.weights) }
@@ -271,17 +247,20 @@ func (v *Vocab) Weight(id TokenID) float64 { return v.weights[id] }
 // Weights returns the weight table indexed by TokenID. Read-only.
 func (v *Vocab) Weights() []float64 { return v.weights }
 
-// Rank returns the position of id in the global signature order
-// (descending weight, ascending ID on ties). Lower rank means "rarer":
-// rarer tokens come first in signature prefixes.
-func (v *Vocab) Rank(id TokenID) uint32 { return v.rank[id] }
-
-// Less reports whether a precedes b in the global signature order.
-func (v *Vocab) Less(a, b TokenID) bool { return v.rank[a] < v.rank[b] }
-
-// SortBySignatureOrder sorts ids in place by the global signature order.
+// SortBySignatureOrder sorts ids in place by the global signature order of
+// the prefix-filtering framework (Section 3.2): descending weight, ties broken
+// by ascending ID, so rarer tokens come first in signature prefixes. Weights
+// are never NaN (validWeight), so the order is total.
 func (v *Vocab) SortBySignatureOrder(ids []TokenID) {
-	slices.SortFunc(ids, func(a, b TokenID) int { return cmp.Compare(v.rank[a], v.rank[b]) })
+	slices.SortFunc(ids, func(a, b TokenID) int {
+		if wa, wb := v.weights[a], v.weights[b]; wa != wb {
+			if wa > wb {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // TotalWeight returns the weight sum of the token set.

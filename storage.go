@@ -144,15 +144,15 @@ func (ix *Index) Close() error { return ix.eng.Close() }
 // Fingerprint returns the dataset content hash recorded in segment
 // manifests: two indexes report the same fingerprint exactly when they were
 // built from the same objects under the same token weights. The serving layer exposes it so operators can
-// check which corpus a running daemon answers for. It hashes the (possibly
-// mapped) dataset, so like every other read it is admitted against Close; a
-// closed index has no fingerprint and reports "".
+// check which corpus a running daemon answers for. The dataset is hashed
+// once: an opened index keeps the value its manifest check verified, and a
+// build hashes on first use. A closed index has no fingerprint and reports "".
 func (ix *Index) Fingerprint() string {
 	if ix.eng.Enter() != nil {
 		return ""
 	}
 	defer ix.eng.Exit()
-	return engine.Fingerprint(ix.ds)
+	return ix.eng.Fingerprint()
 }
 
 // segmentBytes sizes the segment directory for IndexStats; "" (no directory)

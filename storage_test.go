@@ -21,6 +21,8 @@ import (
 	"testing"
 
 	"github.com/sealdb/seal"
+	"github.com/sealdb/seal/internal/diskidx"
+	"github.com/sealdb/seal/internal/engine"
 	"github.com/sealdb/seal/internal/gen"
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/server"
@@ -583,6 +585,49 @@ func TestFingerprintSeesEveryObservable(t *testing.T) {
 				t.Fatalf("fingerprint %s against the base corpus's %s: want differs=%v", got, base, tc.differs)
 			}
 		})
+	}
+}
+
+// TestStoredFingerprintAllocs: an opened index reports engine.Fingerprint
+// of the dataset it serves, the value its manifest check verified, without
+// hashing the dataset again: a status request or a log line that asks for it
+// allocates nothing. A closed index reports "".
+func TestStoredFingerprintAllocs(t *testing.T) {
+	ds, err := gen.Twitter(gen.TwitterConfig{N: 2000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "segs")
+	built, err := seal.Build(server.SnapshotObjects(ds), seal.WithShards(4), seal.WithSegmentDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtPrint := built.Fingerprint()
+	built.Close()
+	seg, err := diskidx.OpenDataset(filepath.Join(dir, "dataset.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := engine.Fingerprint(seg.Dataset())
+	seg.Close()
+	if builtPrint != want {
+		t.Fatalf("built index reports fingerprint %s, its dataset segment hashes to %s", builtPrint, want)
+	}
+	ix, err := seal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.Fingerprint(); got != want {
+		t.Fatalf("opened index reports fingerprint %s, want %s", got, want)
+	}
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(20, func() { ix.Fingerprint() }); allocs != 0 {
+			t.Errorf("Fingerprint on an opened index: %.0f allocations, want 0", allocs)
+		}
+	}
+	ix.Close()
+	if got := ix.Fingerprint(); got != "" {
+		t.Fatalf("closed index reports fingerprint %q", got)
 	}
 }
 
