@@ -156,14 +156,12 @@ func openDataset(data []byte) (*DatasetSegment, error) {
 		return nil, err
 	}
 
-	// The bounds go first: once the IDs ascend inside every shard, each
-	// lookup by ID FromColumns makes costs one binary search a shard.
-	if err := checkBounds(bounds, cols.IDs); err != nil {
-		return nil, err
-	}
 	ds, err := model.FromColumns(cols)
 	if err != nil {
 		return nil, wrapCorrupt(err)
+	}
+	if err := checkBounds(bounds, cols.IDs); err != nil {
+		return nil, err
 	}
 	return &DatasetSegment{ds: ds, bounds: bounds}, nil
 }

@@ -48,6 +48,29 @@ func datasetFixture(t testing.TB, dir string) (path string, ds, perm *model.Data
 	return path, ds, perm, bounds
 }
 
+// oneRowShardsFixture writes the fixture's dataset with every row its own
+// shard and the IDs descending, so the ID column has one ascending run a row.
+func oneRowShardsFixture(t testing.TB, dir string) (path string, perm *model.Dataset) {
+	t.Helper()
+	_, ds, _, _ := datasetFixture(t, dir)
+	n := ds.Len()
+	rows := make([]model.ObjectID, n)
+	bounds := make([]uint32, n+1)
+	for i := range rows {
+		rows[i] = model.ObjectID(n - 1 - i)
+		bounds[i+1] = uint32(i + 1)
+	}
+	perm, err := ds.Permute(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path = filepath.Join(dir, "one-row-shards.seg")
+	if err := WriteDataset(path, perm, bounds); err != nil {
+		t.Fatal(err)
+	}
+	return path, perm
+}
+
 // expectSameDataset compares everything observable of two datasets: each
 // object by ID, the row each object lies in, and the vocabulary.
 func expectSameDataset(t *testing.T, got, want *model.Dataset) {
@@ -120,6 +143,19 @@ func TestDatasetSegmentRoundTrip(t *testing.T) {
 		t.Fatalf("one-shard bounds read back as %v", b)
 	}
 	expectSameDataset(t, seg.Dataset(), ds)
+
+	// One row a shard, IDs descending: the ID column has a run a row, and
+	// its footprints still open and answer by ID.
+	descPath, desc := oneRowShardsFixture(t, t.TempDir())
+	descSeg, err := OpenDataset(descPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer descSeg.Close()
+	if len(descSeg.Bounds()) != ds.Len()+1 {
+		t.Fatalf("one-row shards read back as %d bounds", len(descSeg.Bounds()))
+	}
+	expectSameDataset(t, descSeg.Dataset(), desc)
 
 	sub, err := perm.Subset(0, int(bounds[1]))
 	if err != nil {

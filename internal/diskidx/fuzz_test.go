@@ -113,6 +113,12 @@ func FuzzDatasetSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	onePath, _ := oneRowShardsFixture(f, f.TempDir())
+	oneRow, err := os.ReadFile(onePath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(oneRow)
 	for _, n := range []int{0, 8, 63, 64, 100, segHeaderSize + 11*segEntrySize, 4096, 4100, len(valid) / 2, len(valid) - 1} {
 		if n <= len(valid) {
 			f.Add(valid[:n:n])

@@ -131,7 +131,11 @@ func Fingerprint(ds *model.Dataset) string {
 		h.Write(term)
 		put(math.Float64bits(vocab.Weight(text.TokenID(i))))
 	}
-	for row := range ds.RowsByID() {
+	rows := make([]model.ObjectID, ds.Len())
+	for r := range rows {
+		rows[ds.ID(model.ObjectID(r))] = model.ObjectID(r)
+	}
+	for _, row := range rows {
 		r := ds.Region(row)
 		put(math.Float64bits(r.MinX))
 		put(math.Float64bits(r.MinY))

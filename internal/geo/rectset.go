@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"cmp"
-	"slices"
-)
+import "sort"
 
 // RectSet is a region composed of several possibly-overlapping rectangles,
 // treated as their union. It implements the paper's future-work extension of
@@ -13,14 +10,8 @@ import (
 //
 // Operations run in O(n² ) by coordinate-compressed slab sweeps, which is
 // the right trade-off for the small per-object region counts this models
-// (a handful of activity clusters per user). Their scratch lives in stack
-// buffers of stackRects rectangles, so verifying a candidate allocates
-// nothing unless its set is larger.
+// (a handful of activity clusters per user).
 type RectSet []Rect
-
-// stackRects is how many rectangles the sweeps' stack buffers hold; a larger
-// set spills its scratch to the heap.
-const stackRects = 8
 
 // Area returns the area of the union of the rectangles.
 func (s RectSet) Area() float64 {
@@ -34,8 +25,7 @@ func (s RectSet) MBR() Rect {
 
 // IntersectionArea returns |union(s) ∩ r|.
 func (s RectSet) IntersectionArea(r Rect) float64 {
-	var buf [stackRects]Rect
-	clipped := RectSet(buf[:0])
+	clipped := make(RectSet, 0, len(s))
 	for _, b := range s {
 		if c, ok := b.Intersection(r); ok && !c.IsDegenerate() {
 			clipped = append(clipped, c)
@@ -47,8 +37,7 @@ func (s RectSet) IntersectionArea(r Rect) float64 {
 // IntersectionAreaSet returns |union(s) ∩ union(o)|: the union of all
 // pairwise intersections.
 func (s RectSet) IntersectionAreaSet(o RectSet) float64 {
-	var buf [stackRects]Rect
-	pieces := RectSet(buf[:0])
+	pieces := make(RectSet, 0, len(s)*len(o))
 	for _, a := range s {
 		for _, b := range o {
 			if c, ok := a.Intersection(b); ok && !c.IsDegenerate() {
@@ -83,8 +72,7 @@ func DiceSet(a, b RectSet) float64 {
 // distinct x coordinates, the covered y length is the merged length of the
 // y intervals of rectangles spanning the slab.
 func unionArea(rects RectSet) float64 {
-	var activeBuf [stackRects]Rect
-	active := activeBuf[:0]
+	active := rects[:0:0]
 	for _, r := range rects {
 		if !r.IsDegenerate() {
 			active = append(active, r)
@@ -96,17 +84,15 @@ func unionArea(rects RectSet) float64 {
 	if len(active) == 1 {
 		return active[0].Area()
 	}
-	var xsBuf [2 * stackRects]float64
-	xs := xsBuf[:0]
+	xs := make([]float64, 0, 2*len(active))
 	for _, r := range active {
 		xs = append(xs, r.MinX, r.MaxX)
 	}
-	slices.Sort(xs)
-	xs = slices.Compact(xs)
+	sort.Float64s(xs)
+	xs = dedupFloats(xs)
 
 	type span struct{ lo, hi float64 }
-	var spansBuf [stackRects]span
-	spans := spansBuf[:0]
+	spans := make([]span, 0, len(active))
 	var total float64
 	for i := 0; i+1 < len(xs); i++ {
 		x0, x1 := xs[i], xs[i+1]
@@ -123,7 +109,7 @@ func unionArea(rects RectSet) float64 {
 		if len(spans) == 0 {
 			continue
 		}
-		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+		sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
 		covered := 0.0
 		curLo, curHi := spans[0].lo, spans[0].hi
 		for _, sp := range spans[1:] {
@@ -140,4 +126,14 @@ func unionArea(rects RectSet) float64 {
 		total += covered * width
 	}
 	return total
+}
+
+func dedupFloats(xs []float64) []float64 {
+	out := xs[:1]
+	for _, x := range xs[1:] {
+		if x != out[len(out)-1] {
+			out = append(out, x)
+		}
+	}
+	return out
 }

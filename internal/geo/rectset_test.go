@@ -139,21 +139,3 @@ func TestRectSetProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestRectSetAreaAllocs: the union area of a small set and its
-// intersection with a rectangle, the two sweeps that verify a multi-region
-// candidate, run in stack buffers.
-func TestRectSetAreaAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	set := RectSet{{0, 0, 4, 4}, {2, 2, 6, 7}, {5, 0, 9, 3}, {1, 5, 3, 9}}
-	q := Rect{1, 1, 8, 6}
-	var sink float64
-	if allocs := testing.AllocsPerRun(100, func() { sink += set.Area() + set.IntersectionArea(q) }); allocs != 0 {
-		t.Fatalf("Area and IntersectionArea of a 4-rectangle set: %.1f allocations, want 0", allocs)
-	}
-	if sink == 0 {
-		t.Fatal("the set has no area")
-	}
-}

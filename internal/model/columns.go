@@ -106,7 +106,6 @@ func FromColumns(c Columns) (*Dataset, error) {
 			}
 		}
 	}
-	ds := newDataset(vocab, c.Regions, c.TokOff, c.TokIDs, nil, c.SpatialSim, c.TextualSim)
 	if c.IDs != nil {
 		if len(c.IDs) != n {
 			return nil, fmt.Errorf("model: %d object IDs for %d rows", len(c.IDs), n)
@@ -114,10 +113,14 @@ func FromColumns(c Columns) (*Dataset, error) {
 		if err := checkPermutation(c.IDs); err != nil {
 			return nil, err
 		}
-		ds.ids, ds.runs = c.IDs, ascendingRuns(c.IDs)
 	}
-	if ds.multi, err = multiFromColumns(c, ds); err != nil {
+	multi, err := multiFromColumns(c)
+	if err != nil {
 		return nil, err
+	}
+	ds := newDataset(vocab, c.Regions, c.TokOff, c.TokIDs, multi, c.SpatialSim, c.TextualSim)
+	if c.IDs != nil {
+		ds.ids, ds.runs = c.IDs, ascendingRuns(c.IDs)
 	}
 	return ds, nil
 }
@@ -136,9 +139,9 @@ func checkOffsets(off []uint32, n, arena int) error {
 	return nil
 }
 
-// multiFromColumns checks and indexes the footprints of ds, whose ID column
-// c.IDs has been checked.
-func multiFromColumns(c Columns, ds *Dataset) (map[ObjectID]geo.RectSet, error) {
+// multiFromColumns checks and indexes the footprints; c.IDs has been checked
+// to be a permutation of the rows (nil: the identity).
+func multiFromColumns(c Columns) (map[ObjectID]geo.RectSet, error) {
 	if err := checkOffsets(c.MultiOff, len(c.MultiIDs), len(c.MultiRects)); err != nil {
 		return nil, fmt.Errorf("model: multi-region %w", err)
 	}
@@ -160,10 +163,18 @@ func multiFromColumns(c Columns, ds *Dataset) (map[ObjectID]geo.RectSet, error) 
 				return nil, fmt.Errorf("model: object %d: invalid footprint rectangle", id)
 			}
 		}
-		if set.MBR() != c.Regions[ds.Row(id)] {
+		multi[id] = set
+	}
+	// Walking the rows in storage order finds each footprint's row with one
+	// map lookup a row, however the IDs are ordered.
+	for row, region := range c.Regions {
+		id := ObjectID(row)
+		if c.IDs != nil {
+			id = c.IDs[row]
+		}
+		if set, ok := multi[id]; ok && set.MBR() != region {
 			return nil, fmt.Errorf("model: object %d: footprint does not bound to its region", id)
 		}
-		multi[id] = set
 	}
 	return multi, nil
 }

@@ -8,7 +8,6 @@ package model
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"math"
 	"slices"
 
@@ -222,56 +221,6 @@ func (ds *Dataset) Row(id ObjectID) ObjectID {
 		}
 	}
 	panic(fmt.Sprintf("model: object ID %d not in the dataset", id))
-}
-
-// RowsByID returns the rows in ascending ID order, merging the ascending runs
-// of the ID column. Like Row, only a root dataset answers it.
-func (ds *Dataset) RowsByID() iter.Seq[ObjectID] {
-	return func(yield func(ObjectID) bool) {
-		if ds.runs == nil {
-			for row := range ds.Len() {
-				if !yield(ObjectID(row)) {
-					return
-				}
-			}
-			return
-		}
-		// heads is a min-heap of run cursors [next, end), keyed by ids[next].
-		type cursor struct{ next, end uint32 }
-		heads := make([]cursor, len(ds.runs)-1)
-		for k := range heads {
-			heads[k] = cursor{ds.runs[k], ds.runs[k+1]}
-		}
-		less := func(a, b int) bool { return ds.ids[heads[a].next] < ds.ids[heads[b].next] }
-		down := func(i int) {
-			for {
-				m := i
-				for _, c := range [2]int{2*i + 1, 2*i + 2} {
-					if c < len(heads) && less(c, m) {
-						m = c
-					}
-				}
-				if m == i {
-					return
-				}
-				heads[i], heads[m] = heads[m], heads[i]
-				i = m
-			}
-		}
-		for i := len(heads)/2 - 1; i >= 0; i-- {
-			down(i)
-		}
-		for len(heads) > 0 {
-			if !yield(ObjectID(heads[0].next)) {
-				return
-			}
-			if heads[0].next++; heads[0].next == heads[0].end {
-				heads[0] = heads[len(heads)-1]
-				heads = heads[:len(heads)-1]
-			}
-			down(0)
-		}
-	}
 }
 
 // Len returns the number of objects.

@@ -60,11 +60,11 @@ func checkPermutation(ids []ObjectID) error {
 }
 
 // ascendingRuns returns the first row of each maximal ascending run of ids,
-// then len(ids).
+// then len(ids); an empty column has no runs.
 func ascendingRuns(ids []ObjectID) []uint32 {
-	runs := []uint32{0}
-	for r := 1; r < len(ids); r++ {
-		if ids[r] < ids[r-1] {
+	var runs []uint32
+	for r := range ids {
+		if r == 0 || ids[r] < ids[r-1] {
 			runs = append(runs, uint32(r))
 		}
 	}
