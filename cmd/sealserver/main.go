@@ -39,6 +39,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -92,7 +93,7 @@ func run() error {
 		slowQuery    = flag.Duration("slow-query", base.SlowQuery, "slow-query threshold: offenders are counted and flagged in the query log, whose lines carry each query's stats (0 disables)")
 		allowPartial = flag.Bool("allow-partial", base.AllowPartial, "serve degraded answers (HTTP 206) when a shard fails instead of failing the query")
 		shardTimeout = flag.Duration("shard-timeout", base.ShardTimeout, "per-shard search deadline; a slow shard is dropped from the merge (requires -allow-partial, 0 disables)")
-		pprofOn      = flag.Bool("pprof", base.Pprof, "mount /debug/pprof/* profiling endpoints")
+		pprofOn      = flag.Bool("pprof", base.Pprof, "mount /debug/pprof/* profiling endpoints; without it the daemon samples no heap allocations")
 		quietQueries = flag.Bool("no-query-log", false, "disable the per-request JSON log line on stderr")
 	)
 	flag.Parse()
@@ -115,6 +116,11 @@ func run() error {
 	cfg.Pprof = *pprofOn
 	if err := cfg.Validate(); err != nil {
 		return err
+	}
+	if !cfg.Pprof {
+		// No endpoint can read a heap profile, so sample no allocations: the
+		// sampler's records stay off the daemon's heap.
+		runtime.MemProfileRate = 0
 	}
 
 	logger := log.New(os.Stderr, "sealserver: ", log.LstdFlags|log.Lmicroseconds)

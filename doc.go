@@ -344,5 +344,6 @@
 // slower than -slow-query are counted and logged with their stats. /metrics
 // adds per-stage latency histograms (seal_stage_seconds, read from every
 // served query's Stats), the slow-query counter, and Go runtime vitals;
-// -pprof exposes /debug/pprof off-by-default.
+// -pprof exposes /debug/pprof off-by-default; without it the daemon samples
+// no heap allocations.
 package seal

@@ -8,7 +8,6 @@ import (
 	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/gen"
 	"github.com/sealdb/seal/internal/model"
-	"github.com/sealdb/seal/internal/text"
 )
 
 // Experiment is one regenerable table or figure.
@@ -74,10 +73,8 @@ func Table1(w io.Writer, env *Env) error {
 		vals["Entire space (million sq.km.)"] = fmt.Sprintf("%.0f", ds.Space().Area()/1e6)
 		vals["Avg token number"] = fmt.Sprintf("%.1f", tokSum/n)
 		// Data size: regions (4 float64) + token IDs (4B each) + vocabulary.
-		var vocabBytes int64
-		for t := 0; t < ds.Vocab().Len(); t++ {
-			vocabBytes += int64(len(ds.Vocab().Term(text.TokenID(t)))) + 16
-		}
+		blob, _ := ds.Vocab().Blob()
+		vocabBytes := int64(len(blob)) + 16*int64(ds.Vocab().Len())
 		dataBytes := int64(ds.Len())*32 + int64(tokSum)*4 + vocabBytes
 		vals["Data size (MB)"] = mb(dataBytes)
 

@@ -81,10 +81,13 @@ type Filter interface {
 // with one bit a row, beside the list of rows in the order a filter found
 // them. Search sweeps the bitmap, so it verifies in ascending row order —
 // object-ID order inside a shard, whose rows ascend by ID; the arrival list
-// feeds top-k rounds and the stream.
+// feeds top-k rounds and the stream. A summary with one bit a bitmap word
+// marks the words holding a row, so the sweep reads only those: a few
+// candidates cost a few words, not the shard's size.
 // It is not safe for concurrent use; create one per goroutine.
 type CandidateSet struct {
 	bits []uint64
+	sum  []uint64 // bit w is set when bits[w] is not zero
 	ids  []uint32
 	// resets counts Resets, so Scratch can tell a fresh query from the next
 	// round of the last one.
@@ -97,14 +100,17 @@ type CandidateSet struct {
 
 // NewCandidateSet creates a set for datasets of n objects.
 func NewCandidateSet(n int) *CandidateSet {
-	return &CandidateSet{bits: make([]uint64, (n+63)/64)}
+	words := (n + 63) / 64
+	return &CandidateSet{bits: make([]uint64, words), sum: make([]uint64, (words+63)/64)}
 }
 
-// Reset empties the set, clearing only the bitmap words its rows set.
+// Reset empties the set, clearing only the bitmap and summary words its rows
+// set.
 func (c *CandidateSet) Reset() {
 	c.resets++
 	for _, obj := range c.ids {
 		c.bits[obj/64] = 0
+		c.sum[obj/(64*64)] = 0
 	}
 	c.ids = c.ids[:0]
 }
@@ -116,6 +122,7 @@ func (c *CandidateSet) Add(obj uint32) {
 		return
 	}
 	c.bits[w] |= b
+	c.sum[w/64] |= 1 << (w % 64)
 	c.ids = append(c.ids, obj)
 	if c.onAdd != nil {
 		c.onAdd(obj)
@@ -278,13 +285,16 @@ func (s *Searcher) Search(q *model.Query, stop func() bool, limit int) ([]Match,
 	// candidate costs about 15 % of the verify time when most candidates
 	// fail, and the candidate count already bounds the loop.
 sweep:
-	for w, word := range s.cs.bits {
-		for ; word != 0; word &= word - 1 {
-			row := model.ObjectID(w*64 + bits.TrailingZeros64(word))
-			if m, ok := s.verify(q, row); ok {
-				matches = append(matches, m)
-				if len(matches) == limit {
-					break sweep
+	for sw, marks := range s.cs.sum {
+		for ; marks != 0; marks &= marks - 1 {
+			w := sw*64 + bits.TrailingZeros64(marks)
+			for word := s.cs.bits[w]; word != 0; word &= word - 1 {
+				row := model.ObjectID(w*64 + bits.TrailingZeros64(word))
+				if m, ok := s.verify(q, row); ok {
+					matches = append(matches, m)
+					if len(matches) == limit {
+						break sweep
+					}
 				}
 			}
 		}

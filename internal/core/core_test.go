@@ -631,6 +631,47 @@ func TestCandidateSetBitmapClear(t *testing.T) {
 	}
 }
 
+// TestSearchSweepsEverySummaryWord: the sweep reads only the bitmap words its
+// summary marks, one summary bit a 64-row word. Over 2·4096 + 130 rows — two
+// full summary words and a partial third — every 97th row matches, so each
+// summary word marks scattered bitmap words, and Search must answer every
+// match in ascending row order, with a limit too.
+func TestSearchSweepsEverySummaryWord(t *testing.T) {
+	const n, every = 2*4096 + 130, 97
+	var b model.Builder
+	region := geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	var want []model.ObjectID
+	for i := 0; i < n; i++ {
+		term := "miss"
+		if i%every == 0 {
+			term = "hit"
+			want = append(want, model.ObjectID(i))
+		}
+		if _, err := b.Add(region, []string{term}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ds.NewQuery(region, []string{"hit"}, 0.5, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewSearcher(ds, core.NewTokenFilter(ds))
+	for _, limit := range []int{0, len(want) - 1} {
+		matches, _ := s.Search(q, nil, limit)
+		got := make([]model.ObjectID, len(matches))
+		for i, m := range matches {
+			got[i] = m.ID
+		}
+		if w := want[:len(want)-min(limit, 1)]; !slices.Equal(got, w) {
+			t.Fatalf("limit %d: matches %v, want %v", limit, got, w)
+		}
+	}
+}
+
 // TestSearcherReuseClearsBitmap: one searcher runs a stream stopped early, a
 // top-k descent of several rounds, and Search without and with a limit, query
 // after query. Every answer and its candidate count equal a fresh searcher's,

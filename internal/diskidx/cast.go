@@ -110,6 +110,15 @@ func viewF64(b []byte) []float64 {
 	return out
 }
 
+// viewString views section bytes as a string; bytes have no byte order, so
+// this is a view on every host.
+func viewString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
 // readFallback loads the file into an 8-byte-aligned heap buffer, for
 // platforms without mmap or when mapping fails. The []uint64 backing keeps
 // the section casts alignment-safe.

@@ -10,10 +10,10 @@ package diskidx
 // place: no decoding, no re-interning, and no per-object allocation beyond
 // the per-row weight sums. The ID column is read in place as well: its rows
 // ascend by ID inside each shard, so a lookup by ID is a binary search per
-// shard. The vocabulary reads its term-offset and weight
-// sections in place too; only its term blob (one heap copy, so terms handed
-// to callers never alias the mapping), its lookup table, and what
-// model.FromColumns derives are built on the heap.
+// shard. The vocabulary reads its term blob, term-offset and weight sections
+// in place too (text.Vocab.Term copies each term it hands out, so none
+// aliases the mapping); only its lookup table and what model.FromColumns
+// derives are built on the heap.
 //
 // Header counts are nObjects, nTokens (the token arena's length) and nTerms;
 // flags carry the spatial similarity function in bits 0–7 and the textual one
@@ -139,7 +139,7 @@ func openDataset(data []byte) (*DatasetSegment, error) {
 		TokOff:     viewU32(take(dsecTokOff, nObjects+1, 4)),
 		TokIDs:     idsOf[text.TokenID](viewU32(take(dsecTokIDs, nTokens, 4))),
 		IDs:        idsOf[model.ObjectID](viewU32(take(dsecIDs, nObjects, 4))),
-		Terms:      string(take(dsecTerms, -1, 1)),
+		Terms:      viewString(take(dsecTerms, -1, 1)),
 		TermOff:    viewU32(take(dsecTermOff, nTerms+1, 4)),
 		Weights:    viewF64(take(dsecWeights, nTerms, 8)),
 		MultiIDs:   idsOf[model.ObjectID](viewU32(take(dsecMultiIDs, -1, 4))),

@@ -60,13 +60,13 @@ func liveHeap() int64 {
 
 // TestOpenSegmentsRetainedHeap bounds the heap a boot of the shard rung's
 // segment directory keeps live: what OpenSegmentsWith derives beyond the
-// mapped pages. The bound is the 1,201,920 B measured on linux/amd64, plus
+// mapped pages. The bound is the 882,472 B measured on linux/amd64, plus
 // 15 %.
 func TestOpenSegmentsRetainedHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const bound = 1_201_920 * 115 / 100
+	const bound = 882_472 * 115 / 100
 	dir := saveRung(t)
 	before := liveHeap()
 	e, err := OpenSegmentsWith(dir, false)

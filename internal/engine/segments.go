@@ -125,9 +125,10 @@ func Fingerprint(ds *model.Dataset) string {
 	put(uint64(ds.Len()))
 	vocab := ds.Vocab()
 	put(uint64(vocab.Len()))
-	var term []byte // one buffer for every term: boot fingerprints the whole vocabulary
+	blob, off := vocab.Blob() // read in place: boot fingerprints the whole vocabulary
+	var term []byte           // one buffer for every term
 	for i := 0; i < vocab.Len(); i++ {
-		term = append(append(term[:0], vocab.Term(text.TokenID(i))...), 0)
+		term = append(append(term[:0], blob[off[i]:off[i+1]]...), 0)
 		h.Write(term)
 		put(math.Float64bits(vocab.Weight(text.TokenID(i))))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/model"
@@ -54,7 +55,10 @@ func Queries(ds *model.Dataset, cfg QueryConfig) ([]QuerySpec, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	space := ds.Space()
-	vocab := ds.Vocab()
+	// The terms slice one copy of the vocabulary's blob, which may be mapped:
+	// a pool of queries holds one allocation, not one a term.
+	blob, off := ds.Vocab().Blob()
+	blob = strings.Clone(blob)
 	specs := make([]QuerySpec, 0, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		anchor := model.ObjectID(rng.Intn(ds.Len()))
@@ -77,14 +81,15 @@ func Queries(ds *model.Dataset, cfg QueryConfig) ([]QuerySpec, error) {
 			if len(terms) >= k {
 				break
 			}
-			terms = append(terms, vocab.Term(toks[j]))
+			terms = append(terms, blob[off[toks[j]]:off[toks[j]+1]])
 		}
 		for attempts := 0; len(terms) < k && attempts < 8*k; attempts++ {
 			other := ds.Tokens(model.ObjectID(rng.Intn(ds.Len())))
 			if len(other) == 0 {
 				continue
 			}
-			term := vocab.Term(other[rng.Intn(len(other))])
+			t := other[rng.Intn(len(other))]
+			term := blob[off[t]:off[t+1]]
 			if !containsString(terms, term) {
 				terms = append(terms, term)
 			}

@@ -2,8 +2,9 @@ package model
 
 // The flat form of a dataset: what a dataset segment stores, and what opening
 // one views in place. Everything per-object is an array a file section can
-// back directly; only the vocabulary and the per-row weight sums are rebuilt
-// on the heap, beside one row index a run of ascending IDs.
+// back directly, and so can the vocabulary's terms and weights; only the
+// vocabulary's lookup table and the per-row weight sums are built on the
+// heap, beside one row index a run of ascending IDs.
 
 import (
 	"errors"
@@ -69,10 +70,10 @@ func (ds *Dataset) Columns() (Columns, error) {
 
 // FromColumns wraps flat arrays as a dataset without copying the per-object
 // ones: Regions, TokOff, TokIDs, IDs and MultiRects are retained and may
-// alias a read-only mapping, and so may TermOff and Weights, which become the
-// vocabulary with Terms (see text.FromBlob); Terms must be heap memory. Row
-// finds an ID by a binary search in each ascending run of IDs, so the heap
-// holds one row index a run.
+// alias a read-only mapping, and so may Terms, TermOff and Weights, which
+// become the vocabulary (see text.FromBlob: Term copies the terms it hands
+// out). Row finds an ID by a binary search in each ascending run of IDs, so
+// the heap holds one row index a run.
 //
 // The input is untrusted. Every invariant the query path relies on is checked
 // here — offsets spanning their arenas, token IDs inside the vocabulary and

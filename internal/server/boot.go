@@ -10,12 +10,12 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	seal "github.com/sealdb/seal"
 	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/model"
-	"github.com/sealdb/seal/internal/text"
 )
 
 // BootInfo records how the index came up, for logs and /v1/status.
@@ -134,11 +134,13 @@ func LoadObjects(path string) ([]seal.Object, error) {
 }
 
 // SnapshotObjects converts a root dataset back into public API objects in ID
-// order, copying every region and term; Build re-derives identical token
+// order, copying every region and term (the terms slice one copy of the
+// vocabulary's blob, which may be mapped); Build re-derives identical token
 // weights from the same corpus. It reads the rows in storage order and puts
 // each object at its ID.
 func SnapshotObjects(ds *model.Dataset) []seal.Object {
-	vocab := ds.Vocab()
+	blob, off := ds.Vocab().Blob()
+	blob = strings.Clone(blob)
 	objects := make([]seal.Object, ds.Len())
 	for r := range objects {
 		row := model.ObjectID(r)
@@ -146,7 +148,7 @@ func SnapshotObjects(ds *model.Dataset) []seal.Object {
 		toks := ds.Tokens(row)
 		obj.Tokens = make([]string, 0, len(toks))
 		for _, t := range toks {
-			obj.Tokens = append(obj.Tokens, vocab.Term(text.TokenID(t)))
+			obj.Tokens = append(obj.Tokens, blob[off[t]:off[t+1]])
 		}
 		if set := ds.MultiRegion(row); set != nil {
 			obj.Regions = make([]seal.Rect, len(set))

@@ -25,9 +25,11 @@ type TokenID uint32
 // NewWithWeights.
 type Vocab struct {
 	// blob holds every term back to back — term id is
-	// blob[off[id]:off[id+1]] — so the vocabulary is one heap string and an
+	// blob[off[id]:off[id+1]] — so the vocabulary is one string and an
 	// offset table instead of a string header per term, and a dataset
-	// segment stores and restores it as two flat sections.
+	// segment stores and restores it as two flat sections. An opened segment
+	// hands in its mapped section, so the package reads terms in place
+	// (term) and Term copies what leaves it.
 	blob string
 	off  []uint32
 	// slots is an open-addressing table over the terms: a term hashes to a
@@ -158,9 +160,9 @@ func NewWithWeights(terms []string, weights []float64) (*Vocab, error) {
 // weight table: term id is blob[off[id]:off[id+1]] with weight weights[id].
 // The input is untrusted (it comes from a dataset segment): the offsets must
 // slice blob exactly, terms must be distinct, and weights finite and
-// non-negative. blob, off and weights are retained and read in place; off
-// and weights may alias a read-only mapping, but every term Term hands out
-// aliases blob, so blob must be heap memory.
+// non-negative. blob, off and weights are retained and read in place, and
+// each may alias a read-only mapping: Term copies the terms it hands out, so
+// none outlives the mapping.
 func FromBlob(blob string, off []uint32, weights []float64) (*Vocab, error) {
 	n := len(weights)
 	if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(blob) {
@@ -196,10 +198,10 @@ func (v *Vocab) index() error {
 	v.slots = make([]uint32, size)
 	mask := uint64(len(v.slots) - 1)
 	for id := range n {
-		term := v.Term(TokenID(id))
+		term := v.term(TokenID(id))
 		i := maphash.String(hashSeed, term) & mask
 		for ; v.slots[i] != 0; i = (i + 1) & mask {
-			if v.Term(TokenID(v.slots[i]-1)) == term {
+			if v.term(TokenID(v.slots[i]-1)) == term {
 				return fmt.Errorf("text: vocabulary repeats the term %q", term)
 			}
 		}
@@ -212,7 +214,8 @@ func (v *Vocab) index() error {
 // NaN and +Inf would make every similarity and suffix bound over the term NaN.
 func validWeight(w float64) bool { return w >= 0 && !math.IsInf(w, 1) } // NaN fails w >= 0
 
-// Blob exports the terms in the flat form FromBlob restores. Read-only.
+// Blob exports the terms in the flat form FromBlob restores. Read-only; the
+// blob may alias a mapping (see FromBlob), so neither may outlive it.
 func (v *Vocab) Blob() (blob string, off []uint32) { return v.blob, v.off }
 
 // Len returns the number of distinct tokens.
@@ -222,15 +225,19 @@ func (v *Vocab) Len() int { return len(v.weights) }
 func (v *Vocab) Lookup(term string) (TokenID, bool) {
 	mask := uint64(len(v.slots) - 1)
 	for i := maphash.String(hashSeed, term) & mask; v.slots[i] != 0; i = (i + 1) & mask {
-		if id := TokenID(v.slots[i] - 1); v.Term(id) == term {
+		if id := TokenID(v.slots[i] - 1); v.term(id) == term {
 			return id, true
 		}
 	}
 	return 0, false
 }
 
-// Term returns the string form of id.
-func (v *Vocab) Term(id TokenID) string { return v.blob[v.off[id]:v.off[id+1]] }
+// Term returns the string form of id, as a copy: it may outlive a mapping
+// the vocabulary reads.
+func (v *Vocab) Term(id TokenID) string { return strings.Clone(v.term(id)) }
+
+// term is Term read in place.
+func (v *Vocab) term(id TokenID) string { return v.blob[v.off[id]:v.off[id+1]] }
 
 // Count returns the document count of id; 0 when the vocabulary's weights
 // were supplied (NewWithWeights, FromBlob) rather than counted.

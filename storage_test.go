@@ -631,6 +631,80 @@ func TestStoredFingerprintAllocs(t *testing.T) {
 	}
 }
 
+// TestMappedStringsOutliveClose: an opened index reads its vocabulary's term
+// blob off the mapped dataset segment, but no string that leaves it aliases
+// the mapping. Tokens taken from Index.Object, from server.SnapshotObjects of
+// the opened dataset and from its vocabulary's Term still read as the
+// in-memory build's once the index and the segment are closed and unmapped.
+func TestMappedStringsOutliveClose(t *testing.T) {
+	ds, err := gen.Twitter(gen.TwitterConfig{N: 2000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "segs")
+	built, err := seal.Build(server.SnapshotObjects(ds), seal.WithShards(4), seal.WithSegmentDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer built.Close()
+	want := make([]seal.Object, built.Len())
+	for id := range want {
+		if want[id], err = built.Object(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ix, err := seal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromObject := make([][]string, ix.Len())
+	for id := range fromObject {
+		obj, err := ix.Object(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromObject[id] = obj.Tokens
+	}
+	seg, err := diskidx.OpenDataset(filepath.Join(dir, "dataset.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := seg.Dataset()
+	snapshot := server.SnapshotObjects(opened)
+	type term struct {
+		id, i int // token i of object id
+		s     string
+	}
+	var terms []term
+	for row := model.ObjectID(0); row < 20; row++ {
+		id := int(opened.ID(row))
+		for i, tok := range opened.Tokens(row) {
+			terms = append(terms, term{id, i, opened.Vocab().Term(tok)})
+		}
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for id, w := range want {
+		if !slices.Equal(fromObject[id], w.Tokens) {
+			t.Fatalf("object %d: Object tokens after Close %q, want %q", id, fromObject[id], w.Tokens)
+		}
+		if !slices.Equal(snapshot[id].Tokens, w.Tokens) {
+			t.Fatalf("object %d: SnapshotObjects tokens after Close %q, want %q", id, snapshot[id].Tokens, w.Tokens)
+		}
+	}
+	for _, tm := range terms {
+		if w := want[tm.id].Tokens[tm.i]; tm.s != w {
+			t.Fatalf("object %d token %d: Term after Close %q, want %q", tm.id, tm.i, tm.s, w)
+		}
+	}
+}
+
 // TestOpenMissingDir: Open on an empty or absent directory errors cleanly.
 func TestOpenMissingDir(t *testing.T) {
 	if _, err := seal.Open(t.TempDir()); err == nil {
