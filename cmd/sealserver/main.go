@@ -54,7 +54,7 @@ func main() {
 }
 
 func run() error {
-	base := server.DefaultConfig
+	cfg := server.DefaultConfig
 
 	// -config loads first so explicit flags override the file; find it with
 	// a throwaway scan because flag values must default to the loaded file's.
@@ -69,51 +69,33 @@ func run() error {
 		}
 	}
 	if configPath != "" {
-		loaded, err := server.LoadConfig(configPath, base)
+		loaded, err := server.LoadConfig(configPath, cfg)
 		if err != nil {
 			return err
 		}
-		base = loaded
+		cfg = loaded
 	}
 
-	var (
-		_            = flag.String("config", configPath, "JSON config file preloading every flag (flags win)")
-		addr         = flag.String("addr", base.Addr, "HTTP listen address")
-		dataPath     = flag.String("data", base.DataPath, "dataset file from sealgen (optional with -segments)")
-		segments     = flag.String("segments", base.SegmentDir, "sealed-segment directory: mmap-boot when matching, save after building")
-		method       = flag.String("method", base.Method, "filter method: "+server.MethodNames)
-		granularity  = flag.Int("p", base.Granularity, "grid granularity for grid/hybrid")
-		shards       = flag.Int("shards", base.Shards, "spatial shards searching in parallel")
-		_            = flag.Bool("compress", false, "ignored: every index serves quantized posting lists (kept so existing command lines parse)")
-		warmup       = flag.Int("warmup", base.Warmup, "synthetic queries run before /readyz flips (0 disables)")
-		timeout      = flag.Duration("timeout", base.RequestTimeout, "per-request execution deadline (0 disables)")
-		maxInflight  = flag.Int("max-inflight", base.MaxInFlight, "concurrent /v1/* request cap, 429 beyond it (0 = unlimited)")
-		maxBatch     = flag.Int("max-batch", base.MaxBatch, "query cap for one /v1/query/batch call")
-		grace        = flag.Duration("grace", base.ShutdownGrace, "shutdown drain deadline for in-flight requests")
-		slowQuery    = flag.Duration("slow-query", base.SlowQuery, "slow-query threshold: offenders are counted and flagged in the query log, whose lines carry each query's stats (0 disables)")
-		allowPartial = flag.Bool("allow-partial", base.AllowPartial, "serve degraded answers (HTTP 206) when a shard fails instead of failing the query")
-		shardTimeout = flag.Duration("shard-timeout", base.ShardTimeout, "per-shard search deadline; a slow shard is dropped from the merge (requires -allow-partial, 0 disables)")
-		pprofOn      = flag.Bool("pprof", base.Pprof, "mount /debug/pprof/* profiling endpoints; without it the daemon samples no heap allocations")
-		quietQueries = flag.Bool("no-query-log", false, "disable the per-request JSON log line on stderr")
-	)
+	flag.String("config", configPath, "JSON config file preloading every flag (flags win)")
+	flag.StringVar(&cfg.Addr, "addr", cfg.Addr, "HTTP listen address")
+	flag.StringVar(&cfg.DataPath, "data", cfg.DataPath, "dataset file from sealgen (optional with -segments)")
+	flag.StringVar(&cfg.SegmentDir, "segments", cfg.SegmentDir, "sealed-segment directory: mmap-boot when matching, save after building")
+	flag.StringVar(&cfg.Method, "method", cfg.Method, "filter method: "+server.MethodNames)
+	flag.IntVar(&cfg.Granularity, "p", cfg.Granularity, "grid granularity for grid/hybrid")
+	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "spatial shards searching in parallel")
+	flag.Bool("compress", false, "ignored: every index serves quantized posting lists (kept so existing command lines parse)")
+	flag.IntVar(&cfg.Warmup, "warmup", cfg.Warmup, "synthetic queries run before /readyz flips (0 disables)")
+	flag.DurationVar(&cfg.RequestTimeout, "timeout", cfg.RequestTimeout, "per-request execution deadline (0 disables)")
+	flag.IntVar(&cfg.MaxInFlight, "max-inflight", cfg.MaxInFlight, "concurrent /v1/* request cap, 429 beyond it (0 = unlimited)")
+	flag.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "query cap for one /v1/query/batch call")
+	flag.DurationVar(&cfg.ShutdownGrace, "grace", cfg.ShutdownGrace, "shutdown drain deadline for in-flight requests")
+	flag.DurationVar(&cfg.SlowQuery, "slow-query", cfg.SlowQuery, "slow-query threshold: offenders are counted and flagged in the query log, whose lines carry each query's stats (0 disables)")
+	flag.BoolVar(&cfg.AllowPartial, "allow-partial", cfg.AllowPartial, "serve degraded answers (HTTP 206) when a shard fails instead of failing the query")
+	flag.DurationVar(&cfg.ShardTimeout, "shard-timeout", cfg.ShardTimeout, "per-shard search deadline; a slow shard is dropped from the merge (requires -allow-partial, 0 disables)")
+	flag.BoolVar(&cfg.Pprof, "pprof", cfg.Pprof, "mount /debug/pprof/* profiling endpoints; without it the daemon samples no heap allocations")
+	quietQueries := flag.Bool("no-query-log", false, "disable the per-request JSON log line on stderr")
 	flag.Parse()
 
-	cfg := base
-	cfg.Addr = *addr
-	cfg.DataPath = *dataPath
-	cfg.SegmentDir = *segments
-	cfg.Method = *method
-	cfg.Granularity = *granularity
-	cfg.Shards = *shards
-	cfg.Warmup = *warmup
-	cfg.RequestTimeout = *timeout
-	cfg.MaxInFlight = *maxInflight
-	cfg.MaxBatch = *maxBatch
-	cfg.ShutdownGrace = *grace
-	cfg.SlowQuery = *slowQuery
-	cfg.AllowPartial = *allowPartial
-	cfg.ShardTimeout = *shardTimeout
-	cfg.Pprof = *pprofOn
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

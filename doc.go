@@ -297,9 +297,12 @@
 // checksummed and validated in full as it opens, like every other file the
 // daemon reads.
 //
-// POST /v1/query answers one query, POST /v1/query/batch many, and GET
-// /v1/stream emits NDJSON — one record per match as the engine verifies it,
-// with a client disconnect canceling the remaining shard work. GET /healthz
+// POST /v1/query answers one query, POST /v1/explain the same query with its
+// trace in place of its matches, POST /v1/query/batch many (each entry
+// answered as its own /v1/query, one per CPU at a time), and GET /v1/stream
+// emits NDJSON — one record per match as the engine verifies it, with a
+// client disconnect canceling the remaining shard work. Every answer leaves
+// through one encoder, byte-identical to encoding/json's. GET /healthz
 // and /readyz split liveness from readiness, GET /metrics exposes
 // Prometheus-format counters and latency histograms (including engine work:
 // postings scanned, candidates verified, realized shard fan-out), and GET

@@ -138,7 +138,6 @@ func takeKeys(c *container, nLists int64) (k invidx.KeyArenas, err error) {
 type Segment struct {
 	closer  func() error
 	objects int
-	size    int64
 	src     *invidx.Compressed
 }
 
@@ -159,7 +158,6 @@ func OpenMapped(path string) (*Segment, error) {
 		return nil, err
 	}
 	seg.closer = closer
-	seg.size = int64(len(data))
 	return seg, nil
 }
 
@@ -219,9 +217,6 @@ func (s *Segment) Source() *invidx.Compressed { return s.src }
 // Objects returns the exclusive upper bound for posting object IDs recorded
 // at write time.
 func (s *Segment) Objects() int { return s.objects }
-
-// FileSize returns the segment's on-disk size in bytes.
-func (s *Segment) FileSize() int64 { return s.size }
 
 // Close unmaps the segment. Probing any source obtained from it afterwards
 // is invalid. Close is idempotent.

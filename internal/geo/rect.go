@@ -68,12 +68,6 @@ func (r Rect) Intersects(s Rect) bool {
 	return r.MinX <= s.MaxX && s.MinX <= r.MaxX && r.MinY <= s.MaxY && s.MinY <= r.MaxY
 }
 
-// Overlaps reports whether r and s share interior area (a positive-area
-// intersection). Rectangles that only touch along an edge do not overlap.
-func (r Rect) Overlaps(s Rect) bool {
-	return r.MinX < s.MaxX && s.MinX < r.MaxX && r.MinY < s.MaxY && s.MinY < r.MaxY
-}
-
 // Intersection returns the common rectangle of r and s. The boolean result is
 // false when the rectangles do not intersect at all, in which case the
 // returned rectangle is the zero value.
@@ -103,11 +97,6 @@ func (r Rect) IntersectionArea(s Rect) float64 {
 	return w * h
 }
 
-// UnionArea returns |r ∪ s| = |r| + |s| - |r ∩ s|.
-func (r Rect) UnionArea(s Rect) float64 {
-	return r.Area() + s.Area() - r.IntersectionArea(s)
-}
-
 // Extend returns the MBR of r and s.
 func (r Rect) Extend(s Rect) Rect {
 	return Rect{
@@ -121,12 +110,6 @@ func (r Rect) Extend(s Rect) Rect {
 // Contains reports whether s lies entirely inside r (boundaries included).
 func (r Rect) Contains(s Rect) bool {
 	return r.MinX <= s.MinX && s.MaxX <= r.MaxX && r.MinY <= s.MinY && s.MaxY <= r.MaxY
-}
-
-// ContainsPoint reports whether the point (x, y) lies in r (boundaries
-// included).
-func (r Rect) ContainsPoint(x, y float64) bool {
-	return r.MinX <= x && x <= r.MaxX && r.MinY <= y && y <= r.MaxY
 }
 
 // String formats the rectangle as "[minx,miny | maxx,maxy]".

@@ -34,40 +34,6 @@ func (s RectSet) IntersectionArea(r Rect) float64 {
 	return unionArea(clipped)
 }
 
-// IntersectionAreaSet returns |union(s) ∩ union(o)|: the union of all
-// pairwise intersections.
-func (s RectSet) IntersectionAreaSet(o RectSet) float64 {
-	pieces := make(RectSet, 0, len(s)*len(o))
-	for _, a := range s {
-		for _, b := range o {
-			if c, ok := a.Intersection(b); ok && !c.IsDegenerate() {
-				pieces = append(pieces, c)
-			}
-		}
-	}
-	return unionArea(pieces)
-}
-
-// JaccardSet returns the spatial Jaccard similarity between two rectangle
-// unions: |A ∩ B| / |A ∪ B|.
-func JaccardSet(a, b RectSet) float64 {
-	inter := a.IntersectionAreaSet(b)
-	if inter == 0 {
-		return 0
-	}
-	return inter / (a.Area() + b.Area() - inter)
-}
-
-// DiceSet returns the spatial Dice similarity 2|A ∩ B| / (|A| + |B|) between
-// two rectangle unions.
-func DiceSet(a, b RectSet) float64 {
-	inter := a.IntersectionAreaSet(b)
-	if inter == 0 {
-		return 0
-	}
-	return 2 * inter / (a.Area() + b.Area())
-}
-
 // unionArea computes the union area with an x-slab sweep: between adjacent
 // distinct x coordinates, the covered y length is the merged length of the
 // y intervals of rectangles spanning the slab.

@@ -115,16 +115,6 @@ func (g *Grid) Signature(r geo.Rect, out []CellWeight) []CellWeight {
 	return out
 }
 
-// CellCount returns the number of cells in r's signature without computing
-// weights (an upper bound including zero-area boundary cells).
-func (g *Grid) CellCount(r geo.Rect) int {
-	ix0, iy0, ix1, iy1, ok := g.cellRange(r)
-	if !ok {
-		return 0
-	}
-	return (ix1 - ix0) * (iy1 - iy0)
-}
-
 // Counter accumulates count(g) — the number of object regions intersecting
 // each cell — which defines the global grid order (ascending count,
 // Section 4.2). It switches between a dense array and a sparse map based on

@@ -122,9 +122,6 @@ func TestSignatureOutsideSpace(t *testing.T) {
 	if sig := g.Signature(geo.Rect{MinX: 200, MinY: 200, MaxX: 300, MaxY: 300}, nil); len(sig) != 0 {
 		t.Fatalf("region outside space should have empty signature, got %v", sig)
 	}
-	if n := g.CellCount(geo.Rect{MinX: 200, MinY: 200, MaxX: 300, MaxY: 300}); n != 0 {
-		t.Fatalf("CellCount outside = %d", n)
-	}
 }
 
 func TestCellRectRoundTrip(t *testing.T) {
@@ -137,7 +134,7 @@ func TestCellRectRoundTrip(t *testing.T) {
 				t.Fatalf("cell %d size = %vx%v, want 30x30", id, r.Width(), r.Height())
 			}
 			cx, cy := r.Center()
-			if !g.Space.ContainsPoint(cx, cy) {
+			if !g.Space.Contains(geo.Rect{MinX: cx, MinY: cy, MaxX: cx, MaxY: cy}) {
 				t.Fatalf("cell %d center outside space", id)
 			}
 		}

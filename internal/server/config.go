@@ -180,19 +180,6 @@ func MethodOptions(name string, granularity int) ([]seal.Option, error) {
 	return nil, fmt.Errorf("server: unknown method %q (%s)", name, MethodNames)
 }
 
-// queryOpts returns the degraded-mode query options the configuration asks
-// for, appended to every served query.
-func (c Config) queryOpts() []seal.QueryOption {
-	if !c.AllowPartial {
-		return nil
-	}
-	opts := []seal.QueryOption{seal.AllowPartial()}
-	if c.ShardTimeout > 0 {
-		opts = append(opts, seal.ShardTimeout(c.ShardTimeout))
-	}
-	return opts
-}
-
 // maxBatch resolves the batch cap.
 func (c Config) maxBatch() int {
 	if c.MaxBatch == 0 {

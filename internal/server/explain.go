@@ -1,13 +1,11 @@
 package server
 
-// EXPLAIN for the wire: POST /v1/explain runs a query exactly like /v1/query
-// but answers with the execution trace — per-stage spans on the query's
-// monotonic timeline, and the shards pruned before dispatch with the bound
-// that pruned them. The same wire trace rides /v1/query responses under
-// ?trace=1, so both surfaces speak one schema.
+// The execution trace on the wire: per-stage spans on the query's monotonic
+// timeline, and the shards pruned before dispatch with the bound that pruned
+// them. POST /v1/explain always carries it, /v1/query under ?trace=1, so
+// both surfaces speak one schema.
 
 import (
-	"net/http"
 	"time"
 
 	seal "github.com/sealdb/seal"
@@ -79,56 +77,4 @@ func traceWire(t *seal.Trace) *wireTrace {
 		}
 	}
 	return wt
-}
-
-// wireExplain is POST /v1/explain's body: the execution story of one query.
-// Matches are deliberately absent — /v1/query answers the question, explain
-// answers how the engine got there. Degraded marks a query that lost a shard,
-// exactly as on /v1/query.
-type wireExplain struct {
-	Count    int        `json:"count"`
-	Degraded bool       `json:"degraded,omitempty"`
-	Stats    *wireStats `json:"stats"`
-	Trace    *wireTrace `json:"trace"`
-	TookMS   float64    `json:"took_ms"`
-}
-
-// handleExplain answers POST /v1/explain. The body is exactly /v1/query's,
-// and so are the execution options and the status: the query executes for
-// real, under the daemon's degraded-mode options (the metrics record it like
-// any other), and a degraded answer is a 206. The response carries its full
-// trace.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var wr wireRequest
-	if !s.decodeBody(w, r, "explain", start, &wr) {
-		return
-	}
-	req, opts, err := wr.request()
-	if err != nil {
-		s.writeError(w, r, "explain", http.StatusBadRequest, err, start)
-		return
-	}
-	opts = append(opts, seal.CollectStats(), seal.CollectTrace())
-	opts = append(opts, s.cfg.queryOpts()...)
-	res, err := s.ix.Query(r.Context(), req, opts...)
-	if err != nil {
-		s.writeError(w, r, "explain", queryErrorCode(err), err, start)
-		return
-	}
-	s.metrics.RecordQuery(res.Stats, len(res.Matches))
-	s.metrics.RecordStages(res.Stats)
-	out := wireExplain{
-		Count:    len(res.Matches),
-		Degraded: res.Degraded,
-		Stats:    statsWire(res.Stats),
-		Trace:    traceWire(res.Trace),
-		TookMS:   msSince(start),
-	}
-	code := http.StatusOK
-	if res.Degraded {
-		code = http.StatusPartialContent
-	}
-	writeJSON(w, code, out)
-	s.logRequest(r, "explain", code, start, 1, len(res.Matches), res.Stats, nil)
 }

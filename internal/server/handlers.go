@@ -21,11 +21,16 @@ import (
 	"time"
 
 	seal "github.com/sealdb/seal"
+	"github.com/sealdb/seal/internal/engine"
 )
 
 // maxBodyBytes bounds request bodies: a batch of a few hundred queries fits
 // comfortably; multi-megabyte bodies are a client bug or abuse.
 const maxBodyBytes = 8 << 20
+
+// maxOptions bounds the options request appends: stats, trace, limit,
+// offset, order, and the two degraded-mode ones.
+const maxOptions = 7
 
 // wireRequest is the JSON form of one query.
 type wireRequest struct {
@@ -45,9 +50,11 @@ type wireRequest struct {
 	OrderBy string `json:"order_by,omitempty"` // id | score | arrival
 }
 
-// request converts the wire form, leaving semantic validation to the
-// library so wire and in-process queries reject identically.
-func (wr wireRequest) request() (seal.Request, []seal.QueryOption, error) {
+// request converts the wire form, appending its options to opts with the
+// ones every served query carries: its stats, its trace when traced, and the
+// daemon's degraded-mode options. Semantic validation is left to the
+// library, so wire and in-process queries reject identically.
+func (s *Server) request(wr wireRequest, traced bool, opts []seal.QueryOption) (seal.Request, []seal.QueryOption, error) {
 	if len(wr.Rect) != 4 {
 		return seal.Request{}, nil, fmt.Errorf("rect needs exactly 4 numbers [minx,miny,maxx,maxy], got %d", len(wr.Rect))
 	}
@@ -57,7 +64,10 @@ func (wr wireRequest) request() (seal.Request, []seal.QueryOption, error) {
 		TauR:   wr.TauR, TauT: wr.TauT,
 		K: wr.K, Alpha: wr.Alpha, FloorR: wr.FloorR, FloorT: wr.FloorT,
 	}
-	var opts []seal.QueryOption
+	opts = append(opts, seal.CollectStats())
+	if traced {
+		opts = append(opts, seal.CollectTrace())
+	}
 	if wr.Limit != 0 {
 		opts = append(opts, seal.Limit(wr.Limit))
 	}
@@ -75,7 +85,33 @@ func (wr wireRequest) request() (seal.Request, []seal.QueryOption, error) {
 	default:
 		return seal.Request{}, nil, fmt.Errorf("unknown order_by %q (id|score|arrival)", wr.OrderBy)
 	}
+	if s.cfg.AllowPartial {
+		opts = append(opts, seal.AllowPartial())
+		if s.cfg.ShardTimeout > 0 {
+			opts = append(opts, seal.ShardTimeout(s.cfg.ShardTimeout))
+		}
+	}
 	return req, opts, nil
+}
+
+// answer runs one wire request on the index: every /v1/query, /v1/explain
+// and batch entry is answered here. A request the wire form cannot express
+// fails with 400, a failed query with queryErrorCode's code; an answer is
+// counted in the metrics before it returns.
+func (s *Server) answer(ctx context.Context, wr wireRequest, traced bool) (*seal.Results, int, error) {
+	// Query keeps no option, so they can live on this stack.
+	var buf [maxOptions]seal.QueryOption
+	req, opts, err := s.request(wr, traced, buf[:0])
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	res, err := s.ix.Query(ctx, req, opts...)
+	if err != nil {
+		return nil, queryErrorCode(err), err
+	}
+	s.metrics.RecordQuery(res.Stats, len(res.Matches))
+	s.metrics.RecordStages(res.Stats)
+	return res, http.StatusOK, nil
 }
 
 // wireStats is the JSON form of a query's cost breakdown.
@@ -108,41 +144,37 @@ func statsWire(st *seal.Stats) *wireStats {
 	}
 }
 
-// handleQuery answers POST /v1/query. The per-stage latency histograms and
-// the query log read the query's Stats, which time every stage; a trace is
-// recorded only under the ?trace=1 debug flag, and travels to the client.
+// handleQuery answers POST /v1/query and POST /v1/explain. The per-stage
+// latency histograms and the query log read the query's Stats, which time
+// every stage; a query's trace is recorded only under the ?trace=1 debug
+// flag, and travels to the client. Explain runs the same query, always
+// traced, and its body is the query's without the matches: /v1/query
+// answers the question, explain how the engine got there. A degraded answer
+// is a 206 on both.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	explain := r.URL.Path == "/v1/explain"
+	endpoint := "query"
+	if explain {
+		endpoint = "explain"
+	}
 	var wr wireRequest
-	if !s.decodeBody(w, r, "query", start, &wr) {
+	if !s.decodeBody(w, r, endpoint, start, &wr) {
 		return
 	}
-	req, opts, err := wr.request()
+	traced := explain || r.URL.Query().Get("trace") == "1"
+	res, code, err := s.answer(r.Context(), wr, traced)
 	if err != nil {
-		s.writeError(w, r, "query", http.StatusBadRequest, err, start)
+		s.writeError(w, r, endpoint, code, err, start)
 		return
 	}
-	traced := r.URL.Query().Get("trace") == "1"
-	opts = append(opts, seal.CollectStats())
-	if traced {
-		opts = append(opts, seal.CollectTrace())
-	}
-	opts = append(opts, s.cfg.queryOpts()...)
-	res, err := s.ix.Query(r.Context(), req, opts...)
-	if err != nil {
-		s.writeError(w, r, "query", queryErrorCode(err), err, start)
-		return
-	}
-	s.metrics.RecordQuery(res.Stats, len(res.Matches))
-	s.metrics.RecordStages(res.Stats)
 	var trace []byte
 	if traced {
 		if trace, err = json.Marshal(traceWire(res.Trace)); err != nil {
-			s.writeError(w, r, "query", http.StatusInternalServerError, err, start)
+			s.writeError(w, r, endpoint, http.StatusInternalServerError, err, start)
 			return
 		}
 	}
-	code := http.StatusOK
 	if res.Degraded {
 		// 206: the answer is exact for the shards that responded but a shard
 		// was dropped, so completeness is not guaranteed.
@@ -150,10 +182,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	writeHeader(w, code)
 	ww := newWire(w)
-	ww.results(res, trace, msSince(start))
+	ww.results(res, !explain, trace, msSince(start))
 	ww.b = append(ww.b, '\n')
 	ww.finish()
-	s.logRequest(r, "query", code, start, 1, len(res.Matches), res.Stats, nil)
+	s.logRequest(r, endpoint, code, start, 1, len(res.Matches), res.Stats, nil)
 }
 
 // wireBatch is the POST /v1/query/batch body.
@@ -161,8 +193,18 @@ type wireBatch struct {
 	Queries []wireRequest `json:"queries"`
 }
 
+// batchEntry is one batch query's outcome: exactly one of res and err is
+// set once the entry has run.
+type batchEntry struct {
+	res    *seal.Results
+	err    error
+	tookMS float64
+}
+
 // handleBatch answers POST /v1/query/batch: every query gets its own result
-// slot, one malformed query never fails its neighbors.
+// slot, one malformed query never fails its neighbors. Each entry is
+// answered as its own /v1/query, one per CPU at a time; an entry the
+// expired request never started carries the context's error.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var wb wireBatch
@@ -179,68 +221,41 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Per-entry option divergence (order_by/limit differ per query) is not
-	// expressible through QueryBatch's shared options, so entries carrying
-	// options run individually; the common case (bare queries) batches.
-	reqs := make([]seal.Request, len(wb.Queries))
-	individual := false
-	for i, wq := range wb.Queries {
-		if wq.Limit != 0 || wq.Offset != 0 || wq.OrderBy != "" {
-			individual = true
-		}
-		req, _, err := wq.request()
-		if err != nil {
-			individual = true // shape errors report per-entry below
-		}
-		reqs[i] = req
-	}
+	ctx := r.Context()
+	entries := make([]batchEntry, len(wb.Queries))
+	// Each entry runs under the request's own ctx: fn never fails, so
+	// ForEach's derived ctx would only ever expire with it.
+	ferr := engine.ForEach(ctx, len(entries), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
+		qstart := time.Now()
+		res, _, err := s.answer(ctx, wb.Queries[i], false)
+		entries[i] = batchEntry{res: res, err: err, tookMS: msSince(qstart)}
+		return nil // an entry's failure stays its own
+	})
 
 	// The body is {"results":[entry,...],"took_ms":...}: each entry is
-	// {"results":{...}} or {"error":"..."}, written in order as it is known.
+	// {"results":{...}} or {"error":"..."}, written in order.
 	writeHeader(w, http.StatusOK)
 	ww := newWire(w)
 	ww.b = append(ww.b, `{"results":[`...)
 	matches := 0
 	agg := &seal.Stats{}
-	entry := func(i int, res *seal.Results, err error, tookMS float64) {
+	for i, e := range entries {
 		if i > 0 {
 			ww.b = append(ww.b, ',')
 		}
-		if err != nil {
-			ww.b = appendString(append(ww.b, `{"error":`...), err.Error())
+		if e.res == nil && e.err == nil {
+			e.err = ferr // never started: the request expired first
+		}
+		if e.err != nil {
+			ww.b = appendString(append(ww.b, `{"error":`...), e.err.Error())
 		} else {
-			s.metrics.RecordQuery(res.Stats, len(res.Matches))
-			s.metrics.RecordStages(res.Stats)
-			accumulate(agg, res.Stats)
-			matches += len(res.Matches)
+			accumulate(agg, e.res.Stats)
+			matches += len(e.res.Matches)
 			ww.b = append(ww.b, `{"results":`...)
-			ww.results(res, nil, tookMS)
+			ww.results(e.res, true, nil, e.tookMS)
 		}
 		ww.b = append(ww.b, '}')
 		ww.spill()
-	}
-	if individual {
-		for i, wq := range wb.Queries {
-			if err := r.Context().Err(); err != nil {
-				entry(i, nil, err, 0)
-				continue
-			}
-			qstart := time.Now()
-			req, opts, err := wq.request()
-			if err != nil {
-				entry(i, nil, err, 0)
-				continue
-			}
-			opts = append(opts, seal.CollectStats())
-			opts = append(opts, s.cfg.queryOpts()...)
-			res, err := s.ix.Query(r.Context(), req, opts...)
-			entry(i, res, err, msSince(qstart))
-		}
-	} else {
-		bopts := append([]seal.QueryOption{seal.CollectStats()}, s.cfg.queryOpts()...)
-		for i, br := range s.ix.QueryBatch(r.Context(), reqs, bopts...) {
-			entry(i, br.Results, br.Err, 0)
-		}
 	}
 	ww.b = appendFloat(append(ww.b, `],"took_ms":`...), msSince(start))
 	ww.b = append(ww.b, "}\n"...)
@@ -260,14 +275,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, "stream", http.StatusBadRequest, err, start)
 		return
 	}
-	req, opts, err := wr.request()
+	req, opts, err := s.request(wr, false, nil)
 	if err != nil {
 		s.writeError(w, r, "stream", http.StatusBadRequest, err, start)
 		return
 	}
 	var st seal.Stats
 	opts = append(opts, seal.StatsInto(&st))
-	opts = append(opts, s.cfg.queryOpts()...)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
@@ -541,7 +555,7 @@ func writeHeader(w http.ResponseWriter, code int) {
 }
 
 // writeJSON writes v with the given status through encoding/json: the
-// bodies without matches (errors, status, explain).
+// bodies that carry no answer (errors, status).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	writeHeader(w, code)
 	_ = json.NewEncoder(w).Encode(v)

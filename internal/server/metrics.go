@@ -92,17 +92,13 @@ func (h *histogram) writeTo(w io.Writer, name, labels string) {
 	var cum uint64
 	for i, ub := range latencyBuckets {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, labels, formatBound(ub), cum)
+		fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, labels, ub, cum)
 	}
 	cum += h.inf.Load()
 	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum)
 	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, trimComma(labels), float64(h.sumNS.Load())/1e9)
 	fmt.Fprintf(w, "%s_count{%s} %d\n", name, trimComma(labels), cum)
 }
-
-func formatBound(ub float64) string { return trimFloat(ub) }
-
-func trimFloat(f float64) string { return fmt.Sprintf("%g", f) }
 
 // trimComma drops the trailing comma a label prefix carries for composition
 // with the le label.

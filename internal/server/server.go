@@ -6,12 +6,14 @@
 // later gRPC or continuous-query front end can sit beside the HTTP one and
 // reuse everything below the routing line.
 //
-// The response path has one encoder (wire.go): /v1/query, /v1/query/batch
-// and /v1/stream append each seal.Match with strconv into one pooled chunk,
-// written to the ResponseWriter whenever it passes 32 KiB (and per line on
-// the NDJSON stream), so no buffer grows with the answer. The bodies are
-// byte-identical to what encoding/json writes for the same values. Error
-// bodies, /v1/status, /v1/explain and the ?trace=1 object go through
+// Every query the daemon serves — /v1/query, /v1/explain and each
+// /v1/query/batch entry — is answered by one function, Server.answer, and
+// /v1/stream builds its options with the same helper. The response path has
+// one encoder (wire.go): the query endpoints append each seal.Match with
+// strconv into one pooled chunk, written to the ResponseWriter whenever it
+// passes 32 KiB (and per line on the NDJSON stream), so no buffer grows with
+// the answer. The bodies are byte-identical to what encoding/json writes for
+// the same values. Error bodies, /v1/status and the trace object go through
 // encoding/json. Request bodies are capped at 8 MiB; a larger one is a 413.
 package server
 
@@ -85,7 +87,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /v1/query", s.serving("query", s.handleQuery))
 	mux.Handle("POST /v1/query/batch", s.serving("batch", s.handleBatch))
 	mux.Handle("GET /v1/stream", s.serving("stream", s.handleStream))
-	mux.Handle("POST /v1/explain", s.serving("explain", s.handleExplain))
+	mux.Handle("POST /v1/explain", s.serving("explain", s.handleQuery))
 	if s.cfg.Pprof {
 		// Opt-in: the profiling endpoints expose internals and cost CPU when
 		// sampled, so they never mount on a default configuration. Explicit

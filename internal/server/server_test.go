@@ -8,6 +8,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -532,38 +533,79 @@ func streamValues(wr wireRequest) url.Values {
 }
 
 // TestBatchEndpoint: mixed well-formed and malformed entries answer
-// per-entry; a batch over the cap is rejected whole.
+// per-entry, each exactly as /v1/query answers it and with its own took_ms;
+// a batch over the cap is rejected whole, and one whose request expired
+// before it began reports the context's error in every entry.
 func TestBatchEndpoint(t *testing.T) {
 	cfg := DefaultConfig
 	cfg.MaxBatch = 4
 	srv, ts := bootTestServer(t, cfg)
 
 	reqs := testQueries(t, srv.Index(), 2)
-	batch := map[string]any{"queries": []any{
+	limited := wireFrom(reqs[1], "id") // per-entry options
+	limited.Limit = 2
+	ranked := wireFrom(reqs[0], "")
+	ranked.TauR, ranked.TauT = 0, 0
+	ranked.K, ranked.Alpha, ranked.FloorR, ranked.FloorT = 5, 0.5, 0.01, 0.01
+	queries := []any{
 		wireFrom(reqs[0], ""),
 		wireRequest{Rect: []float64{0, 0, 1}, Tokens: []string{"x"}}, // malformed
-		wireFrom(reqs[1], "id"), // per-entry option → individual path
-	}}
-	var out struct {
+		limited,
+		ranked,
+	}
+	type batchOut struct {
 		Results []struct {
 			Results *wireResults `json:"results"`
 			Error   string       `json:"error"`
 		} `json:"results"`
 	}
-	if code := postJSON(t, ts.Client(), ts.URL+"/v1/query/batch", batch, &out); code != http.StatusOK {
+	// entry checks one successful entry against /v1/query's answer.
+	entry := func(name string, got *wireResults, query any) {
+		t.Helper()
+		if got.TookMS <= 0 {
+			t.Errorf("%s: took_ms = %v, want the entry's own time", name, got.TookMS)
+		}
+		var want wireResults
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/query", query, &want); code != http.StatusOK {
+			t.Fatalf("%s on /v1/query: status %d", name, code)
+		}
+		if len(want.Matches) == 0 {
+			t.Fatalf("%s matched nothing on /v1/query", name)
+		}
+		if got.Count != want.Count || got.Degraded != want.Degraded || !slices.Equal(got.Matches, want.Matches) {
+			t.Errorf("%s answered %d matches %v, /v1/query %d matches %v", name, got.Count, got.Matches, want.Count, want.Matches)
+		}
+	}
+	var out batchOut
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/query/batch", map[string]any{"queries": queries}, &out); code != http.StatusOK {
 		t.Fatalf("batch status %d, want 200", code)
 	}
-	if len(out.Results) != 3 {
-		t.Fatalf("batch returned %d entries, want 3", len(out.Results))
-	}
-	if out.Results[0].Results == nil || out.Results[0].Error != "" {
-		t.Fatalf("entry 0 should succeed: %+v", out.Results[0])
+	if len(out.Results) != len(queries) {
+		t.Fatalf("batch returned %d entries, want %d", len(out.Results), len(queries))
 	}
 	if out.Results[1].Error == "" {
 		t.Fatal("malformed entry 1 reported no error")
 	}
-	if out.Results[2].Results == nil {
-		t.Fatalf("entry 2 should succeed: %+v", out.Results[2])
+	for _, i := range []int{0, 2, 3} {
+		if out.Results[i].Results == nil || out.Results[i].Error != "" {
+			t.Fatalf("entry %d should succeed: %+v", i, out.Results[i])
+		}
+		entry(fmt.Sprintf("entry %d", i), out.Results[i].Results, queries[i])
+	}
+	if n := len(out.Results[2].Results.Matches); n > limited.Limit {
+		t.Errorf("limited entry answered %d matches, limit %d", n, limited.Limit)
+	}
+	// Entries without options of their own run the same way.
+	bare := []any{queries[0], queries[3]}
+	var bareOut batchOut
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/query/batch", map[string]any{"queries": bare}, &bareOut); code != http.StatusOK || len(bareOut.Results) != len(bare) {
+		t.Fatalf("bare batch: status %d, %d entries", code, len(bareOut.Results))
+	}
+	for i, e := range bareOut.Results {
+		if e.Results == nil {
+			t.Fatalf("bare entry %d should succeed: %+v", i, e)
+		}
+		entry(fmt.Sprintf("bare entry %d", i), e.Results, bare[i])
 	}
 
 	over := map[string]any{"queries": make([]any, 5)}
@@ -572,6 +614,27 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 	if code := postJSON(t, ts.Client(), ts.URL+"/v1/query/batch", over, nil); code != http.StatusBadRequest {
 		t.Fatalf("over-cap batch status %d, want 400", code)
+	}
+
+	body, err := json.Marshal(map[string]any{"queries": queries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/batch", bytes.NewReader(body)).WithContext(ctx))
+	var expired batchOut
+	if err := json.Unmarshal(rec.Body.Bytes(), &expired); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("expired batch: status %d, %v: %s", rec.Code, err, rec.Body.Bytes())
+	}
+	if len(expired.Results) != len(queries) {
+		t.Fatalf("expired batch returned %d entries, want %d", len(expired.Results), len(queries))
+	}
+	for i, e := range expired.Results {
+		if e.Results != nil || e.Error != context.Canceled.Error() {
+			t.Errorf("expired batch entry %d: %+v, want the error %q", i, e, context.Canceled)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 package server
 
-// The response encoder of the match-bearing endpoints (/v1/query,
+// The response encoder of the query endpoints (/v1/query, /v1/explain,
 // /v1/query/batch, /v1/stream). Matches go from the library's []seal.Match
 // straight to bytes: strconv appends into one pooled chunk, and the chunk
 // goes to the ResponseWriter each time it passes chunkBytes, so no buffer
@@ -77,19 +77,25 @@ func (ww *wire) finish() {
 	ww.chunk, ww.b = nil, nil
 }
 
-// results appends one query's answer object: matches, count, degraded,
-// stats, trace (already encoded; nil omits it), took_ms — wireResults in
-// wire_test.go is its encoding/json reference. It spills after every match.
-func (ww *wire) results(res *seal.Results, trace []byte, tookMS float64) {
-	ww.b = append(ww.b, `{"matches":[`...)
-	for i, m := range res.Matches {
-		if i > 0 {
-			ww.b = append(ww.b, ',')
+// results appends one query's answer object: matches (only when matches is
+// set; /v1/explain leaves them out), count, degraded, stats, trace (already
+// encoded; nil omits it), took_ms — wireResults and wireExplain in
+// wire_test.go are its encoding/json references. It spills after every
+// match.
+func (ww *wire) results(res *seal.Results, matches bool, trace []byte, tookMS float64) {
+	ww.b = append(ww.b, '{')
+	if matches {
+		ww.b = append(ww.b, `"matches":[`...)
+		for i, m := range res.Matches {
+			if i > 0 {
+				ww.b = append(ww.b, ',')
+			}
+			ww.b = appendMatch(ww.b, m)
+			ww.spill()
 		}
-		ww.b = appendMatch(ww.b, m)
-		ww.spill()
+		ww.b = append(ww.b, "],"...)
 	}
-	ww.b = appendInt(ww.b, `],"count":`, len(res.Matches))
+	ww.b = appendInt(ww.b, `"count":`, len(res.Matches))
 	if res.Degraded {
 		ww.b = append(ww.b, `,"degraded":true`...)
 	}

@@ -1,7 +1,7 @@
 package server
 
 // The response encoder against its reference. The structs below are the
-// match-bearing endpoints' wire schema as encoding/json types. The encoder
+// query endpoints' wire schema as encoding/json types. The encoder
 // must write exactly the bytes encoding/json writes for them, so they are
 // the oracle here, and the decode targets of the HTTP tests.
 
@@ -43,6 +43,18 @@ type wireResults struct {
 	Stats    *wireStats  `json:"stats,omitempty"`
 	Trace    *wireTrace  `json:"trace,omitempty"`
 	TookMS   float64     `json:"took_ms"`
+}
+
+// wireExplain is POST /v1/explain's body: the execution story of one query.
+// Matches are deliberately absent — /v1/query answers the question, explain
+// answers how the engine got there. Degraded marks a query that lost a shard,
+// exactly as on /v1/query.
+type wireExplain struct {
+	Count    int        `json:"count"`
+	Degraded bool       `json:"degraded,omitempty"`
+	Stats    *wireStats `json:"stats"`
+	Trace    *wireTrace `json:"trace"`
+	TookMS   float64    `json:"took_ms"`
 }
 
 // wireBatchResult pairs one batch entry's results with its error; exactly
@@ -192,7 +204,7 @@ func TestWireEncoderMatchesEncodingJSON(t *testing.T) {
 				}
 				var out writeSizes
 				ww := newWire(&out)
-				ww.results(tc.res, trace, tc.tookMS)
+				ww.results(tc.res, true, trace, tc.tookMS)
 				ww.b = append(ww.b, '\n')
 				ww.finish()
 				if want := encodeRef(t, refResults(tc.res, tr, tc.tookMS)); !bytes.Equal(out.Bytes(), want) {
@@ -235,6 +247,29 @@ func TestWireEncoderMatchesEncodingJSON(t *testing.T) {
 		}
 	})
 
+	t.Run("explain", func(t *testing.T) {
+		for _, req := range []seal.Request{reqs[0], ranked} {
+			body, err := json.Marshal(wireFrom(req, ""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := ts.Client().Post(ts.URL+"/v1/explain", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var raw bytes.Buffer
+			raw.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("explain k=%d: status %d: %s", req.K, resp.StatusCode, raw.Bytes())
+			}
+			got := reencodes(t, raw.Bytes(), same[wireExplain])
+			if got.Count == 0 || got.Stats == nil || got.Trace == nil || len(got.Trace.Spans) == 0 {
+				t.Fatalf("explain k=%d: %+v", req.K, got)
+			}
+		}
+	})
+
 	t.Run("batch", func(t *testing.T) {
 		type batchBody struct {
 			Results []wireBatchResult `json:"results"`
@@ -248,7 +283,7 @@ func TestWireEncoderMatchesEncodingJSON(t *testing.T) {
 			queries []any
 			failed  int
 		}{
-			{"individual with a failing entry", []any{
+			{"options with a failing entry", []any{
 				wireFrom(reqs[0], ""),
 				wireRequest{Rect: []float64{0, 0, 1}, Tokens: []string{"x"}},
 				wireFrom(reqs[1], "id"),

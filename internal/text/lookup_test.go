@@ -113,7 +113,7 @@ func TestVocabLookupMatchesMap(t *testing.T) {
 					ref[term] = TokenID(len(ref))
 				}
 			}
-			b.AddDoc(doc)
+			b.AppendDoc(nil, doc)
 		}
 		b.Intern("query-only") // interned, never counted
 		ref["query-only"] = TokenID(len(ref))

@@ -78,7 +78,7 @@ func TestBuilderIDF(t *testing.T) {
 	}
 	var b Builder
 	for _, d := range docs {
-		b.AddDoc(d)
+		b.AppendDoc(nil, d)
 	}
 	v := b.Build()
 	if v.Len() != 5 {
@@ -110,7 +110,7 @@ func TestBuilderIDF(t *testing.T) {
 
 func TestBuilderDedupWithinDoc(t *testing.T) {
 	var b Builder
-	set := b.AddDoc([]string{"a", "b", "a", "a"})
+	set := b.AppendDoc(nil, []string{"a", "b", "a", "a"})
 	if len(set) != 2 {
 		t.Fatalf("dedup set = %v", set)
 	}
@@ -123,8 +123,8 @@ func TestBuilderDedupWithinDoc(t *testing.T) {
 
 func TestUncountedTokenGetsMaxWeight(t *testing.T) {
 	var b Builder
-	b.AddDoc([]string{"x", "y"})
-	b.AddDoc([]string{"x"})
+	b.AppendDoc(nil, []string{"x", "y"})
+	b.AppendDoc(nil, []string{"x"})
 	b.Intern("queryonly")
 	v := b.Build()
 	id, _ := v.Lookup("queryonly")
@@ -317,9 +317,9 @@ func TestSignatureOrderMatchesReference(t *testing.T) {
 // not describe one.
 func TestBlobRoundTrip(t *testing.T) {
 	var b Builder
-	b.AddDoc([]string{"tea", "coffee", ""})
-	b.AddDoc([]string{"coffee", "mocha"})
-	b.AddDoc([]string{"ice"})
+	b.AppendDoc(nil, []string{"tea", "coffee", ""})
+	b.AppendDoc(nil, []string{"coffee", "mocha"})
+	b.AppendDoc(nil, []string{"ice"})
 	v := b.Build()
 	blob, off := v.Blob()
 	back, err := FromBlob(blob, off, v.Weights())

@@ -52,7 +52,7 @@ type Builder struct {
 }
 
 // Intern returns the ID for term, creating it if needed, without touching
-// document counts. Use AddDoc for counting.
+// document counts. Use AppendDoc for counting.
 func (b *Builder) Intern(term string) TokenID {
 	if b.ids == nil {
 		b.ids = make(map[string]TokenID)
@@ -67,16 +67,10 @@ func (b *Builder) Intern(term string) TokenID {
 	return id
 }
 
-// AddDoc interns the document's terms, increments each distinct term's
-// document count once, and returns the document's sorted, de-duplicated
-// token-ID set.
-func (b *Builder) AddDoc(terms []string) []TokenID {
-	return b.AppendDoc(make([]TokenID, 0, len(terms)), terms)
-}
-
-// AppendDoc is AddDoc appending the document's token-ID set to dst, so a
-// caller accumulating many documents into one arena allocates none of them
-// separately.
+// AppendDoc interns the document's terms, increments each distinct term's
+// document count once, and appends the document's sorted, de-duplicated
+// token-ID set to dst, so a caller accumulating many documents into one
+// arena allocates none of them separately.
 func (b *Builder) AppendDoc(dst []TokenID, terms []string) []TokenID {
 	start := len(dst)
 	for _, term := range terms {

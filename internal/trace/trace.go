@@ -94,9 +94,6 @@ type Rec struct {
 // New starts a recorder; its birth is the trace's time zero.
 func New() *Rec { return &Rec{start: time.Now()} }
 
-// Enabled reports whether spans are being recorded.
-func (r *Rec) Enabled() bool { return r != nil }
-
 // Offset converts an absolute time into the recorder's monotonic timeline.
 // Callers that already hold a stage's start time.Now() reuse it here, so
 // tracing adds no extra clock reads to paths that time themselves anyway.
