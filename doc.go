@@ -53,12 +53,17 @@
 // reached, so fewer postings are scanned and fewer candidates verified.
 // Stream's default arrival order yields matches while shards are still
 // searching; breaking out of the loop cancels the remaining work. Stream is
-// Query with a yield: one admission, one validation and one compilation on
-// the same path, with each match handed to the loop body instead of
-// collected. The body runs on the caller's goroutine, never on a shard's, so
-// a body that panics unwinds the shard searches exactly as a break does and
-// its panic reaches the caller unchanged. Under arrival order Offset skips
-// matches as they arrive.
+// Query with a yield, on the same path, with each match handed to the loop
+// body instead of collected. That path is the one boundary a request
+// crosses: one admission, one validation and one compilation against the
+// root dataset. A threshold request compiles at its thresholds; a ranked one
+// has its K, Alpha and floors checked and then compiles at its floors. Every
+// error a request's own content causes wraps ErrInvalidRequest, and the
+// engine below takes only the compiled query, whatever its kind. Similarity
+// compiles through the same step. The body runs on the caller's goroutine,
+// never on a shard's, so a body that panics unwinds the shard searches
+// exactly as a break does and its panic reaches the caller unchanged. Under
+// arrival order Offset skips matches as they arrive.
 //
 // Threshold queries default to OrderByID, ranked ones to OrderByScore.
 // QueryBatch reports each query's error in its own BatchResult slot instead

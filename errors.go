@@ -6,6 +6,8 @@ package seal
 // message strings.
 
 import (
+	"errors"
+
 	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/engine"
 )
@@ -39,5 +41,5 @@ var (
 	// inverted Region, a negative Limit or Offset, a ShardTimeout without
 	// AllowPartial, or OrderByScore on a threshold request. Retrying it
 	// cannot succeed; the daemon answers it with HTTP 400.
-	ErrInvalidRequest = engine.ErrInvalidQuery
+	ErrInvalidRequest = errors.New("invalid request")
 )

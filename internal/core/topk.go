@@ -66,16 +66,17 @@ type TopKOptions struct {
 
 // Validate checks the option invariants and applies the documented floor
 // defaults (0 → 0.05) in place. TopK calls it internally; external callers
-// that derive work from the effective floors (e.g. shard pruning against
-// FloorR) call it first so both sides agree. It is idempotent. The range
-// checks are written so that NaN, which compares false both ways, fails them:
-// a NaN score line never reaches the floors, and the descent would not end.
+// that derive work from the effective floors (compiling the query a sharded
+// descent shares, which shards are pruned against) call it first so both
+// sides agree. It is idempotent. The range checks are written so that NaN,
+// which compares false both ways, fails them: a NaN score line never reaches
+// the floors, and the descent would not end.
 func (o *TopKOptions) Validate() error {
 	if o.K < 1 {
 		return fmt.Errorf("core: top-k needs K >= 1, got %d", o.K)
 	}
 	if !(o.Alpha >= 0 && o.Alpha <= 1) {
-		return fmt.Errorf("core: alpha %g outside [0,1]", o.Alpha)
+		return fmt.Errorf("core: top-k Alpha %g outside [0, 1]", o.Alpha)
 	}
 	if o.FloorR == 0 {
 		o.FloorR = 0.05
@@ -84,7 +85,7 @@ func (o *TopKOptions) Validate() error {
 		o.FloorT = 0.05
 	}
 	if !(o.FloorR >= 0 && o.FloorR <= 1) || !(o.FloorT >= 0 && o.FloorT <= 1) {
-		return fmt.Errorf("core: floors (%g, %g) outside (0,1]", o.FloorR, o.FloorT)
+		return fmt.Errorf("core: top-k floors (%g, %g) outside [0, 1]", o.FloorR, o.FloorT)
 	}
 	return nil
 }

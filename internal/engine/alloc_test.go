@@ -92,9 +92,15 @@ func TestSearchAllocs(t *testing.T) {
 	}
 
 	// A top-k (k 10) on object 1's own region at a floor only its shard can
-	// reach: on 4 shards it leaves one live, and costs what it costs on 1.
+	// reach: on 4 shards it leaves one live, and costs what it costs on 1 —
+	// the pass, its descent parameters and run table, the stop hook and the
+	// descent's ranking. The query arrives compiled at the floors; when TopK compiled
+	// it inside the call, each cost 9 allocations.
 	opts := core.TopKOptions{K: 10, Alpha: 0.5, FloorR: 0.3, FloorT: 0.001}
-	terms := []string{ds.Vocab().Term(text.TokenID(ds.Tokens(1)[0]))}
+	q, err := ds.NewQuery(ds.Region(1), []string{ds.Vocab().Term(text.TokenID(ds.Tokens(1)[0]))}, opts.FloorR, opts.FloorT)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var allocs [2]float64
 	for j, shards := range []int{1, 4} {
 		e, err := Build(ds, Config{
@@ -105,7 +111,7 @@ func TestSearchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		topk := func() {
-			if m, st, err := e.TopK(context.Background(), ds.Region(1), terms, opts, Options{}); err != nil || len(m) == 0 || st.Shards != 1 {
+			if m, st, err := e.TopK(context.Background(), q, opts, Options{}); err != nil || len(m) == 0 || st.Shards != 1 {
 				t.Fatalf("top-k over %d shards: %d matches from %d shards, %v", shards, len(m), st.Shards, err)
 			}
 		}
@@ -115,6 +121,9 @@ func TestSearchAllocs(t *testing.T) {
 		gc := debug.SetGCPercent(-1)
 		allocs[j] = testing.AllocsPerRun(100, topk)
 		debug.SetGCPercent(gc)
+		if allocs[j] > 5 {
+			t.Errorf("top-k over %d shards: %.1f allocs, want at most 5", shards, allocs[j])
+		}
 	}
 	if allocs[1] > allocs[0] {
 		t.Errorf("a top-k leaving 1 of 4 shards live: %.1f allocs, the same query on 1 shard %.1f", allocs[1], allocs[0])

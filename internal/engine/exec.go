@@ -70,10 +70,6 @@ type Partial struct {
 // would read are gone.
 var ErrClosed = errors.New("engine: index is closed")
 
-// ErrInvalidQuery marks a query rejected for its own content — options out
-// of range, a region that is not a rectangle — before any shard search ran.
-var ErrInvalidQuery = errors.New("invalid request")
-
 // errShardTimeout marks a shard search dropped for exceeding ShardTimeout.
 var errShardTimeout = errors.New("engine: shard search exceeded deadline")
 
@@ -86,12 +82,13 @@ func downErr(idx int, cause error) error {
 // pass is one query's execution state: what every shard run shares, plus the
 // accumulators of whichever sink the query feeds.
 type pass struct {
-	e      *Engine
-	ctx    context.Context
-	opt    Options
-	q      *model.Query // compiled against the root; ranked descents copy it
-	region geo.Rect     // shard-prune key: the query region and the lowest
-	tauR   float64      // spatial threshold any of the pass's searches can use
+	e   *Engine
+	ctx context.Context
+	opt Options
+	// q is compiled against the root, a ranked one at its floors: its region
+	// and TauR, the lowest spatial threshold any of the pass's searches can
+	// use, are the shard-prune key. Ranked descents copy it.
+	q *model.Query
 	// stop is the hook the pass's shard searches poll, built once: stopped,
 	// or nil for a search that nothing can cut short (an uncapped ordered
 	// search under a ctx that cannot expire). A ShardTimeout replaces it with
@@ -264,12 +261,12 @@ func (p *pass) admit(i int, st *core.SearchStats) (bool, error) {
 	if s.down != nil {
 		return false, p.drop(downErr(i, s.down), st)
 	}
-	if bound, pruned := s.pruneBound(p.region, p.tauR); pruned {
+	if bound, pruned := s.pruneBound(p.q.Region, p.q.TauR); pruned {
 		st.ShardsPruned++
 		// A trace that silently dropped shards would read as if they never
 		// existed, so a pruned shard records the bound that pruned it.
 		if tr := p.opt.Trace; tr != nil {
-			tr.AddPruned(trace.PrunedShard{Shard: i, Bound: bound, TauR: p.tauR})
+			tr.AddPruned(trace.PrunedShard{Shard: i, Bound: bound, TauR: p.q.TauR})
 		}
 		return false, nil
 	}

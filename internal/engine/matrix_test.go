@@ -366,7 +366,8 @@ func matrixRow(t *testing.T, label string, e *Engine, ds *model.Dataset, mq matr
 		var err error
 		switch {
 		case sink.ranked:
-			ranked, st, err = e.TopK(ctx, mq.region, mq.terms, topk, opt)
+			floors := matrixQuery{mq.region, mq.terms, topk.FloorR, topk.FloorT}.compile(t, ds)
+			ranked, st, err = e.TopK(ctx, floors, topk, opt)
 		case sink.stream:
 			got, st, err = drain(e, ctx, q, opt)
 			slices.SortFunc(got, func(a, b core.Match) int { return int(a.ID) - int(b.ID) })

@@ -5,18 +5,17 @@ package engine
 // Limit — the ID-ordered prefix (core.Searcher.Search), Stream pushes matches
 // through a bounded channel as shards prove them (SearchStream) and hands
 // them to the caller's callback on the caller's goroutine, TopK merges
-// cooperative per-shard descents into one ranking (TopK). Every searcher call
-// takes the shard's stop hook.
+// cooperative per-shard descents into one ranking (TopK). Every sink takes a
+// query compiled against the engine's root dataset — a ranked one at its
+// floors — and every searcher call takes the shard's stop hook.
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 	"time"
 
 	"github.com/sealdb/seal/internal/core"
-	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/model"
 )
 
@@ -47,7 +46,7 @@ func (e *Engine) Search(ctx context.Context, q *model.Query, opt Options) ([]cor
 // per match, never an intermediate merged copy.
 func SearchAs[M any](e *Engine, ctx context.Context, q *model.Query, opt Options, as func(core.Match) M) ([]M, core.SearchStats, error) {
 	p := &pass{
-		e: e, ctx: ctx, opt: opt, q: q, region: q.Region, tauR: q.TauR,
+		e: e, ctx: ctx, opt: opt, q: q,
 		matches: make([][]core.Match, len(e.shards)),
 	}
 	// An uncapped search under a ctx that cannot expire has nothing to poll
@@ -189,7 +188,7 @@ const streamBuffer = 64
 // it was dropped have already been delivered and stay delivered — emitted
 // matches are always correct, only completeness is lost.
 func (e *Engine) Stream(ctx context.Context, q *model.Query, opt Options, emit func(core.Match) bool) (st core.SearchStats, err error) {
-	p := &pass{e: e, ctx: ctx, opt: opt, q: q, region: q.Region, tauR: q.TauR, stream: make(chan core.Match, streamBuffer)}
+	p := &pass{e: e, ctx: ctx, opt: opt, q: q, stream: make(chan core.Match, streamBuffer)}
 	p.stop = p.stopped
 	var out struct {
 		st  core.SearchStats
@@ -256,6 +255,14 @@ type ranking struct {
 // objects irrelevant. The surviving per-shard lists — each sorted by
 // descending score — merge through a heap into the global top k.
 //
+// opts must have passed Validate, and q must be compiled against the engine's
+// root dataset at opts' floors, as for Search: unknown-term weights depend on
+// the total object count, and shards answer with the root's weights so their
+// scores match the monolithic index exactly. Shards prune against q's region
+// and FloorR — every descent round's τR is at least FloorR, so a shard whose
+// extent cannot reach FloorR cannot contribute to any round — and each
+// descent moves the thresholds of its own copy of q.
+//
 // The merge is exact: a shard stops early only when every object it has not
 // yet retrieved scores strictly below k already-retrieved objects, so the
 // global top k is always contained in the gathered lists, and ties break by
@@ -274,29 +281,9 @@ type ranking struct {
 // discarded — the survivors may have stopped their descents early against a
 // bound the final merge no longer witnesses, so a timed-out ranked answer is
 // best-effort, not exact-minus-a-shard.
-func (e *Engine) TopK(ctx context.Context, region geo.Rect, terms []string, opts core.TopKOptions, opt Options) ([]core.ScoredMatch, core.SearchStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, core.SearchStats{}, err
-	}
-	// Validate up front (applying the documented floor defaults in place):
-	// shard pruning compares extents against the effective FloorR — every
-	// descent round's τR is at least FloorR, so a shard whose extent cannot
-	// reach FloorR cannot contribute to any round — and option errors must
-	// surface even when every shard would be pruned.
-	if err := opts.Validate(); err != nil {
-		return nil, core.SearchStats{}, fmt.Errorf("engine: %w: %w", ErrInvalidQuery, err)
-	}
-	// The descents' one query compiles against the root dataset, at the
-	// floors: unknown-term weights depend on the total object count, and
-	// shards answer with the root's weights so their scores match the
-	// monolithic index exactly. Each descent moves the thresholds of its own
-	// copy.
-	q, err := e.root.NewQuery(region, terms, opts.FloorR, opts.FloorT)
-	if err != nil {
-		return nil, core.SearchStats{}, fmt.Errorf("engine: %w: %w", ErrInvalidQuery, err)
-	}
+func (e *Engine) TopK(ctx context.Context, q *model.Query, opts core.TopKOptions, opt Options) ([]core.ScoredMatch, core.SearchStats, error) {
 	p := &pass{
-		e: e, ctx: ctx, opt: opt, q: q, region: region, tauR: opts.FloorR,
+		e: e, ctx: ctx, opt: opt, q: q,
 		ranked: &ranking{opts: opts}, scored: make([][]core.ScoredMatch, len(e.shards)),
 	}
 	p.stop = p.stopped

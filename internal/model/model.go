@@ -285,7 +285,7 @@ type Query struct {
 }
 
 // ErrThreshold reports an out-of-range similarity threshold.
-var ErrThreshold = errors.New("model: similarity thresholds must lie in (0, 1]")
+var ErrThreshold = errors.New("model: similarity thresholds TauR and TauT must lie in (0, 1]")
 
 // NewQuery compiles a query. Unknown terms (absent from the vocabulary) are
 // legal: they receive the maximum idf weight ln(|O|) and participate in the

@@ -7,10 +7,13 @@ package server
 // enough snapshot, which is all Prometheus semantics ask for.
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,7 +118,7 @@ type Metrics struct {
 
 	// requests_total{endpoint,code}
 	mu       sync.Mutex
-	requests map[string]*atomic.Uint64 // key: endpoint \x00 code
+	requests map[requestKey]uint64
 
 	inFlight atomic.Int64
 	rejected atomic.Uint64 // limiter rejections (429)
@@ -147,6 +150,12 @@ type Metrics struct {
 	indexStats seal.IndexStats
 }
 
+// requestKey labels one seal_requests_total series.
+type requestKey struct {
+	endpoint string
+	code     int
+}
+
 // metricEndpoints are the latency-histogram labels. Warmup traffic records
 // under its own label so boot-time page faulting never skews serving p99s.
 var metricEndpoints = []string{"query", "batch", "stream", "explain", "warmup"}
@@ -159,7 +168,7 @@ var metricStages = []string{"admit", "filter", "verify", "merge"}
 func NewMetrics() *Metrics {
 	m := &Metrics{
 		start:    time.Now(),
-		requests: make(map[string]*atomic.Uint64),
+		requests: make(map[requestKey]uint64),
 		latency:  make(map[string]*histogram, len(metricEndpoints)),
 		stages:   make(map[string]*histogram, len(metricStages)),
 	}
@@ -181,15 +190,9 @@ func (m *Metrics) SetIndexStats(st seal.IndexStats) {
 
 // RecordRequest counts one finished HTTP request.
 func (m *Metrics) RecordRequest(endpoint string, code int, d time.Duration) {
-	key := fmt.Sprintf("%s\x00%d", endpoint, code)
 	m.mu.Lock()
-	c, ok := m.requests[key]
-	if !ok {
-		c = new(atomic.Uint64)
-		m.requests[key] = c
-	}
+	m.requests[requestKey{endpoint, code}]++
 	m.mu.Unlock()
-	c.Add(1)
 	if h, ok := m.latency[endpoint]; ok {
 		h.Observe(d)
 	}
@@ -296,29 +299,13 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	fmt.Fprintln(cw, "# HELP seal_requests_total HTTP requests finished, by endpoint and status code.")
 	fmt.Fprintln(cw, "# TYPE seal_requests_total counter")
 	m.mu.Lock()
-	keys := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type reqRow struct {
-		endpoint, code string
-		n              uint64
-	}
-	rows := make([]reqRow, 0, len(keys))
-	for _, k := range keys {
-		var endpoint, code string
-		for i := 0; i < len(k); i++ {
-			if k[i] == 0 {
-				endpoint, code = k[:i], k[i+1:]
-				break
-			}
-		}
-		rows = append(rows, reqRow{endpoint, code, m.requests[k].Load()})
-	}
+	requests := maps.Clone(m.requests)
 	m.mu.Unlock()
-	for _, r := range rows {
-		fmt.Fprintf(cw, "seal_requests_total{endpoint=%q,code=%q} %d\n", r.endpoint, r.code, r.n)
+	byLabels := func(a, b requestKey) int {
+		return cmp.Or(strings.Compare(a.endpoint, b.endpoint), cmp.Compare(a.code, b.code))
+	}
+	for _, k := range slices.SortedFunc(maps.Keys(requests), byLabels) {
+		fmt.Fprintf(cw, "seal_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, requests[k])
 	}
 
 	fmt.Fprintln(cw, "# HELP seal_requests_rejected_total Requests rejected by the concurrency limiter.")

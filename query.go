@@ -9,6 +9,7 @@ package seal
 // reporting; all three run through query.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -47,28 +48,6 @@ type Request struct {
 // Ranked reports whether the request asks for top-k ranking rather than
 // threshold filtering.
 func (r Request) Ranked() bool { return r.K != 0 }
-
-// validate catches malformed requests at the API boundary, before any
-// engine work starts. Each range check is written so that NaN, which
-// compares false both ways, fails it.
-func (r Request) validate() error {
-	if r.K < 0 {
-		return fmt.Errorf("seal: %w: ranked request needs K >= 1, got %d", ErrInvalidRequest, r.K)
-	}
-	if r.K > 0 {
-		if !(r.Alpha >= 0 && r.Alpha <= 1) {
-			return fmt.Errorf("seal: %w: ranked request Alpha = %g outside [0, 1]", ErrInvalidRequest, r.Alpha)
-		}
-		if !(r.FloorR >= 0 && r.FloorR <= 1) || !(r.FloorT >= 0 && r.FloorT <= 1) {
-			return fmt.Errorf("seal: %w: ranked request floors (%g, %g) outside [0, 1]", ErrInvalidRequest, r.FloorR, r.FloorT)
-		}
-		return nil
-	}
-	if !(r.TauR > 0 && r.TauR <= 1) || !(r.TauT > 0 && r.TauT <= 1) {
-		return fmt.Errorf("seal: %w: threshold request needs TauR and TauT in (0, 1], got (%g, %g)", ErrInvalidRequest, r.TauR, r.TauT)
-	}
-	return nil
-}
 
 // Results is one query's answer.
 type Results struct {
@@ -133,7 +112,7 @@ func (c queryConfig) engineOptions(rec *trace.Rec) engine.Options {
 }
 
 // QueryOption tunes one Query, Stream or QueryBatch call.
-type QueryOption func(*queryConfig)
+type QueryOption func(queryConfig) queryConfig
 
 // Limit bounds the number of matches returned (after Offset). On a sharded
 // index the engine shares the emission count across shards and interrupts
@@ -141,7 +120,7 @@ type QueryOption func(*queryConfig)
 // small limit does less work, not just returns less. Zero (the default)
 // means unlimited.
 func Limit(n int) QueryOption {
-	return func(c *queryConfig) { c.limit = n }
+	return func(c queryConfig) queryConfig { c.limit = n; return c }
 }
 
 // Offset skips the first n matches of the requested order before returning
@@ -150,20 +129,20 @@ func Limit(n int) QueryOption {
 // ranked requests): under OrderByArrival they skip the first n matches to
 // arrive, whichever those are.
 func Offset(n int) QueryOption {
-	return func(c *queryConfig) { c.offset = n }
+	return func(c queryConfig) queryConfig { c.offset = n; return c }
 }
 
 // OrderByID orders matches by ascending object ID — Query's default for
 // threshold requests. With Limit the result is the exact limit-prefix of the
 // full ID-ordered answer.
 func OrderByID() QueryOption {
-	return func(c *queryConfig) { c.order = orderID }
+	return func(c queryConfig) queryConfig { c.order = orderID; return c }
 }
 
 // OrderByScore orders matches by descending combined score (ties by
 // ascending ID) — ranked requests only, and their default.
 func OrderByScore() QueryOption {
-	return func(c *queryConfig) { c.order = orderScore }
+	return func(c queryConfig) queryConfig { c.order = orderScore; return c }
 }
 
 // OrderByArrival returns matches in the order shards verify them — no
@@ -172,12 +151,12 @@ func OrderByScore() QueryOption {
 // searching, and with Limit the engine stops all remaining work the moment
 // enough matches were emitted.
 func OrderByArrival() QueryOption {
-	return func(c *queryConfig) { c.order = orderArrival }
+	return func(c queryConfig) queryConfig { c.order = orderArrival; return c }
 }
 
 // CollectStats asks the query to report its cost breakdown in Results.Stats.
 func CollectStats() QueryOption {
-	return func(c *queryConfig) { c.collectStats = true }
+	return func(c queryConfig) queryConfig { c.collectStats = true; return c }
 }
 
 // StatsInto writes the query's cost breakdown into st when execution
@@ -189,7 +168,7 @@ func CollectStats() QueryOption {
 // query's breakdown arrives in its own Results.Stats); the shared pointer is
 // not written, since concurrent queries would race on it.
 func StatsInto(st *Stats) QueryOption {
-	return func(c *queryConfig) { c.statsInto = st }
+	return func(c queryConfig) queryConfig { c.statsInto = st; return c }
 }
 
 // AllowPartial opts this query into degraded answers: a shard that fails,
@@ -206,7 +185,7 @@ func StatsInto(st *Stats) QueryOption {
 // ShardTimeout additionally makes the ranking best-effort — see the
 // "Failure modes & recovery" section of the package documentation.
 func AllowPartial() QueryOption {
-	return func(c *queryConfig) { c.allowPartial = true }
+	return func(c queryConfig) queryConfig { c.allowPartial = true; return c }
 }
 
 // ShardTimeout bounds each shard's search for this query; a shard exceeding
@@ -215,13 +194,13 @@ func AllowPartial() QueryOption {
 // (use a context deadline to bound the whole query instead). Zero (the
 // default) means no per-shard bound.
 func ShardTimeout(d time.Duration) QueryOption {
-	return func(c *queryConfig) { c.shardTimeout = d }
+	return func(c queryConfig) queryConfig { c.shardTimeout = d; return c }
 }
 
 func resolveOptions(opts []QueryOption) (queryConfig, error) {
 	var c queryConfig
 	for _, opt := range opts {
-		opt(&c)
+		c = opt(c)
 	}
 	if c.limit < 0 {
 		return c, fmt.Errorf("seal: %w: negative Limit %d", ErrInvalidRequest, c.limit)
@@ -275,27 +254,53 @@ func (ix *Index) query(ctx context.Context, req Request, cfg queryConfig) (*Resu
 		rec = trace.New()
 	}
 	admitStart := time.Now()
-	if err := req.validate(); err != nil {
+	// A threshold request compiles at its thresholds. A ranked one compiles
+	// at its floors, once its options pass and their defaults apply: every
+	// descent round's thresholds start there, and shards prune against them.
+	tauR, tauT := req.TauR, req.TauT
+	var topk core.TopKOptions
+	if req.Ranked() {
+		topk = core.TopKOptions{K: req.K, Alpha: req.Alpha, FloorR: req.FloorR, FloorT: req.FloorT}
+		if n := cfg.engineLimit(); n > 0 && n < topk.K {
+			// The caller pages through fewer entries than K: a smaller
+			// effective k lets the descent (and the cross-shard pruning
+			// bound) stop earlier.
+			topk.K = n
+		}
+		if err := topk.Validate(); err != nil {
+			return nil, fmt.Errorf("seal: %w: %w", ErrInvalidRequest, err)
+		}
+		tauR, tauT = topk.FloorR, topk.FloorT
+	} else if cfg.order == orderScore {
+		return nil, errOrderByScore
+	}
+	mq, err := ix.compile(req.Region, req.Tokens, tauR, tauT)
+	if err != nil {
 		return nil, err
 	}
-	if req.Ranked() {
-		return ix.queryRanked(ctx, req, cfg, rec, admitStart)
+	admit := time.Since(admitStart)
+	if rec != nil {
+		rec.AddSpan(trace.Span{Stage: trace.StageAdmit, Shard: -1, Start: rec.Offset(admitStart), Dur: admit})
 	}
-	return ix.queryThreshold(ctx, req, cfg, rec, admitStart)
+	if req.Ranked() {
+		return ix.queryRanked(ctx, mq, topk, cfg, rec, admit)
+	}
+	return ix.queryThreshold(ctx, mq, cfg, rec, admit)
 }
 
-// admitSpan records the admission stage on rec — validation plus query
-// compilation — over the interval the caller already timed into
-// Stats.AdmitTime. Nil rec no-ops.
-func admitSpan(rec *trace.Rec, start time.Time, dur time.Duration) {
-	if rec == nil {
-		return
+// compile compiles a request's region and tokens against the root dataset at
+// the given thresholds. What fails to compile fails for its own content.
+func (ix *Index) compile(region Rect, tokens []string, tauR, tauT float64) (*model.Query, error) {
+	mq, err := ix.ds.NewQuery(rectIn(region), tokens, tauR, tauT)
+	if err != nil {
+		return nil, fmt.Errorf("seal: %w: %w", ErrInvalidRequest, err)
 	}
-	rec.AddSpan(trace.Span{
-		Stage: trace.StageAdmit, Shard: -1,
-		Start: rec.Offset(start), Dur: dur,
-	})
+	return mq, nil
 }
+
+// errOrderByScore rejects OrderByScore on a threshold request, which has no
+// scores to order by.
+var errOrderByScore = fmt.Errorf("seal: %w: OrderByScore requires a ranked request (set Request.K)", ErrInvalidRequest)
 
 // engineLimit is the number of matches the engine must produce to satisfy
 // offset+limit pagination; 0 means unlimited.
@@ -320,22 +325,8 @@ func (c queryConfig) page(matches []Match) []Match {
 	return matches
 }
 
-func (ix *Index) queryThreshold(ctx context.Context, req Request, cfg queryConfig, rec *trace.Rec, admitStart time.Time) (*Results, error) {
-	order := cfg.order
-	if order == orderDefault {
-		order = orderID
-	}
-	if order == orderScore {
-		return nil, errOrderByScore
-	}
-	mq, err := ix.compile(req)
-	if err != nil {
-		return nil, err
-	}
-	admit := time.Since(admitStart)
-	admitSpan(rec, admitStart, admit)
-
-	if order != orderArrival {
+func (ix *Index) queryThreshold(ctx context.Context, mq *model.Query, cfg queryConfig, rec *trace.Rec, admit time.Duration) (*Results, error) {
+	if cfg.order != orderArrival {
 		matches, st, err := engine.SearchAs(ix.eng, ctx, mq, cfg.engineOptions(rec), matchOut)
 		if err != nil {
 			return nil, err
@@ -366,49 +357,13 @@ func (ix *Index) queryThreshold(ctx context.Context, req Request, cfg queryConfi
 	return res, nil
 }
 
-// compile compiles a threshold request against the root dataset. What
-// fails to compile fails for its own content.
-func (ix *Index) compile(req Request) (*model.Query, error) {
-	mq, err := ix.ds.NewQuery(rectIn(req.Region), req.Tokens, req.TauR, req.TauT)
-	if err != nil {
-		return nil, fmt.Errorf("seal: %w: %w", ErrInvalidRequest, err)
-	}
-	return mq, nil
-}
-
-// errOrderByScore rejects OrderByScore on a threshold request, which has no
-// scores to order by.
-var errOrderByScore = fmt.Errorf("seal: %w: OrderByScore requires a ranked request (set Request.K)", ErrInvalidRequest)
-
 // matchOut converts a threshold match to the public form.
 func matchOut(m core.Match) Match {
 	return Match{ID: int(m.ID), SimR: m.SimR, SimT: m.SimT}
 }
 
-func (ix *Index) queryRanked(ctx context.Context, req Request, cfg queryConfig, rec *trace.Rec, admitStart time.Time) (*Results, error) {
-	order := cfg.order
-	if order == orderDefault || order == orderArrival {
-		// Ranking produces the score order; "arrival" has no distinct
-		// meaning for a materialized descent.
-		order = orderScore
-	}
-	effK := req.K
-	if n := cfg.engineLimit(); n > 0 && n < effK {
-		// The caller pages through fewer entries than K: a smaller effective
-		// k lets the descent (and the cross-shard pruning bound) stop
-		// earlier.
-		effK = n
-	}
-	// Ranked admission ends here; the engine compiles the descents' one query
-	// against the root dataset.
-	admit := time.Since(admitStart)
-	admitSpan(rec, admitStart, admit)
-	found, st, err := ix.eng.TopK(ctx, rectIn(req.Region), req.Tokens, core.TopKOptions{
-		K:      effK,
-		Alpha:  req.Alpha,
-		FloorR: req.FloorR,
-		FloorT: req.FloorT,
-	}, cfg.engineOptions(rec))
+func (ix *Index) queryRanked(ctx context.Context, mq *model.Query, topk core.TopKOptions, cfg queryConfig, rec *trace.Rec, admit time.Duration) (*Results, error) {
+	found, st, err := ix.eng.TopK(ctx, mq, topk, cfg.engineOptions(rec))
 	if err != nil {
 		return nil, err
 	}
@@ -416,20 +371,12 @@ func (ix *Index) queryRanked(ctx context.Context, req Request, cfg queryConfig, 
 	for i, m := range found {
 		matches[i] = Match{ID: int(m.ID), SimR: m.SimR, SimT: m.SimT, Score: m.Score}
 	}
-	// Pagination walks the score ranking; OrderByID then re-orders the
+	// The ranking is in score order, which OrderByArrival means too for a
+	// materialized descent. Pagination walks it; OrderByID then re-orders the
 	// selected page for presentation.
 	matches = cfg.page(matches)
-	if order == orderID {
-		slices.SortFunc(matches, func(a, b Match) int {
-			switch {
-			case a.ID < b.ID:
-				return -1
-			case a.ID > b.ID:
-				return 1
-			default:
-				return 0
-			}
-		})
+	if cfg.order == orderID {
+		slices.SortFunc(matches, func(a, b Match) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	return ix.finish(matches, st, admit, cfg, rec), nil
 }

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -88,10 +89,11 @@ func TestRequestValidation(t *testing.T) {
 
 // TestInvalidRequestSentinel: every error a request's own content causes —
 // its fields, its options, its order, its region on either query path —
-// wraps ErrInvalidRequest through Query, Stream and QueryBatch alike. A NaN
-// in any range-checked field is one such error; each case runs under a short
-// deadline, because a NaN Alpha or floor that got past validation would send
-// the top-k descent into a loop that never reaches its floors.
+// wraps ErrInvalidRequest through Query, Stream and QueryBatch alike, and a
+// region's through Similarity too. A NaN in any range-checked field is one
+// such error; each case runs under a short deadline, because a NaN Alpha or
+// floor that got past validation would send the top-k descent into a loop
+// that never reaches its floors.
 func TestInvalidRequestSentinel(t *testing.T) {
 	ix := queryTestIndex(t, 60, seal.WithShards(2))
 	region := seal.Rect{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50}
@@ -139,6 +141,43 @@ func TestInvalidRequestSentinel(t *testing.T) {
 	cancel()
 	if _, err := ix.Query(canceled, ok); err == nil || errors.Is(err, seal.ErrInvalidRequest) {
 		t.Errorf("canceled valid query: %v, want the context's error alone", err)
+	}
+	// Similarity compiles its request through the same boundary.
+	if _, _, err := ix.Similarity(seal.Request{Region: inverted, Tokens: []string{"t1"}}, 0); !errors.Is(err, seal.ErrInvalidRequest) {
+		t.Errorf("Similarity over an inverted region: %v, want ErrInvalidRequest", err)
+	}
+}
+
+// TestQueryAllocs pins what a threshold query with the daemon's options
+// (CollectStats, Limit, OrderByID) costs on a warm 1-shard index. The
+// resolved options stay on the stack: when each option set a field through a
+// pointer, they moved to the heap and the query cost one allocation more.
+func TestQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ix := queryTestIndex(t, 400)
+	req := seal.Request{
+		Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
+		Tokens: []string{"t1", "t2"},
+		TauR:   0.001,
+		TauT:   0.001,
+	}
+	query := func() {
+		res, err := ix.Query(context.Background(), req, seal.CollectStats(), seal.Limit(5), seal.OrderByID())
+		if err != nil || len(res.Matches) != 5 {
+			t.Fatalf("query: %v, %v", res, err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		query() // fill the shard's searcher pool
+	}
+	// A collection would empty the pool and bill its refill to the runs.
+	gc := debug.SetGCPercent(-1)
+	got := testing.AllocsPerRun(100, query)
+	debug.SetGCPercent(gc)
+	if got > 28 {
+		t.Errorf("Query with the daemon's options: %.1f allocs, want at most 28", got)
 	}
 }
 

@@ -56,13 +56,14 @@ type Stats struct {
 	PostingsScanned int
 	// AdmitTime, FilterTime, VerifyTime and MergeTime split the query's time
 	// by pipeline stage, as a trace's spans do: admission (validation and
-	// compilation), the filter and verify steps summed over the shards
-	// searched (so on a sharded index they can exceed the wall clock), and
-	// the merge of the shard answers into one. An arrival-order stream
-	// verifies as it filters and merges nothing: its whole search is
-	// FilterTime, and its VerifyTime and MergeTime are zero. Unless a shard
-	// was dropped, each equals the same query's Trace.StageTotals entry,
-	// read off the same clocks.
+	// compilation, for either kind of request: a ranked one compiles at its
+	// floors), the filter and verify steps summed over the shards searched
+	// (so on a sharded index they can exceed the wall clock), and the merge
+	// of the shard answers into one. An arrival-order stream verifies as it
+	// filters and merges nothing: its whole search is FilterTime, and its
+	// VerifyTime and MergeTime are zero. Unless a shard was dropped, each
+	// equals the same query's Trace.StageTotals entry, read off the same
+	// clocks.
 	AdmitTime  time.Duration
 	FilterTime time.Duration
 	VerifyTime time.Duration
@@ -274,7 +275,8 @@ func autoGranularity(ds *model.Dataset, cfg options) (int, error) {
 
 // Similarity returns the exact spatial and textual similarities between a
 // request's region and tokens and the object with the given ID; the request's
-// thresholds and ranking fields are ignored.
+// thresholds and ranking fields are ignored. A region that is not a rectangle
+// fails with ErrInvalidRequest, as it fails Query.
 func (ix *Index) Similarity(q Request, id int) (simR, simT float64, err error) {
 	if err := ix.eng.Enter(); err != nil {
 		return 0, 0, err
@@ -283,7 +285,7 @@ func (ix *Index) Similarity(q Request, id int) (simR, simT float64, err error) {
 	if id < 0 || id >= ix.ds.Len() {
 		return 0, 0, fmt.Errorf("seal: object ID %d out of range [0,%d)", id, ix.ds.Len())
 	}
-	mq, err := ix.ds.NewQuery(rectIn(q.Region), q.Tokens, 1, 1)
+	mq, err := ix.compile(q.Region, q.Tokens, 1, 1)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -79,7 +79,7 @@ func (t *Trace) StageTotals() map[string]time.Duration {
 // clock reads Stats takes. Queries without it keep the zero-allocation hot
 // path.
 func CollectTrace() QueryOption {
-	return func(c *queryConfig) { c.collectTrace = true }
+	return func(c queryConfig) queryConfig { c.collectTrace = true; return c }
 }
 
 // TraceInto writes the query's execution trace into t when execution
@@ -90,7 +90,7 @@ func CollectTrace() QueryOption {
 // in its own Results.Trace); the shared pointer is not written, since
 // concurrent queries would race on it.
 func TraceInto(t *Trace) QueryOption {
-	return func(c *queryConfig) { c.traceInto = t }
+	return func(c queryConfig) queryConfig { c.traceInto = t; return c }
 }
 
 // traceOut converts the internal recorder into the public Trace.
