@@ -108,30 +108,59 @@ func (loc gridLocator) project(r geo.Rect, idx *invidx.Compressed, out []gridHit
 // list, which is node order because a token's nodes ascend with their lists.
 // (The rare-first order, count before level, never pruned better on the
 // benchmark corpus and was dropped.)
+//
+// A projection's lists are distinct, so the order is total and any sort gives
+// the one result: a short projection, the usual one, is sorted by insertion.
 func sortHits(hits []gridHit) {
-	slices.SortFunc(hits, func(a, b gridHit) int {
-		switch {
-		case a.level != b.level:
-			return cmp.Compare(a.level, b.level)
-		case a.n != b.n:
-			return cmp.Compare(a.n, b.n)
-		default:
-			return cmp.Compare(a.list, b.list)
+	if len(hits) > shortSort {
+		slices.SortFunc(hits, func(a, b gridHit) int {
+			switch {
+			case a.level != b.level:
+				return cmp.Compare(a.level, b.level)
+			case a.n != b.n:
+				return cmp.Compare(a.n, b.n)
+			default:
+				return cmp.Compare(a.list, b.list)
+			}
+		})
+		return
+	}
+	for i := 1; i < len(hits); i++ {
+		for j := i; j > 0 && hits[j].before(&hits[j-1]); j-- {
+			hits[j], hits[j-1] = hits[j-1], hits[j]
 		}
-	})
+	}
+}
+
+// shortSort is the longest slice sortHits and sortEntries sort by insertion,
+// the length below which slices.SortFunc does the same, with a call a
+// comparison.
+const shortSort = 12
+
+// before is sortHits' order.
+func (a *gridHit) before(b *gridHit) bool {
+	if a.level != b.level {
+		return a.level < b.level
+	}
+	if a.n != b.n {
+		return a.n < b.n
+	}
+	return a.list < b.list
 }
 
 // appendHits is project without the lengths and the sort: hits come out in
 // node order with n unset, which is all the build wants of a token whose
 // lists it has yet to count.
 //
-// A level's nodes are row-major, so each row of the rectangle's cell range is
-// one binary search, from where the last one ended, for the row's first cell,
+// A level's nodes are row-major and end at the search for the next level's
+// first node, MakeNodeID(level+1, 0, 0) — which exists because deriveLocators
+// refuses a level past the tree, and a tree is at most gridtree.MaxLevelLimit
+// deep. A level whose rows of grids the rectangle misses is skipped whole;
+// otherwise each row of the rectangle's cell range is one binary search of
+// the level's nodes, from where the last one ended, for the row's first cell,
 // and a walk to its last. A search that lands on a later row skips the empty
 // rows between, so a level costs O(min(rows, grids) · log) however wide the
-// rectangle, and the next level starts at the search for its first node,
-// MakeNodeID(level+1, 0, 0) — which exists because deriveLocators refuses a
-// level past the tree, and a tree is at most gridtree.MaxLevelLimit deep.
+// rectangle.
 func (loc gridLocator) appendHits(r geo.Rect, out []gridHit) []gridHit {
 	inSpace, has := r.Intersection(loc.tree.Space)
 	if !has || inSpace.IsDegenerate() {
@@ -140,25 +169,40 @@ func (loc gridLocator) appendHits(r geo.Rect, out []gridHit) []gridHit {
 	nodes := loc.nodes
 	for p := 0; p < len(nodes); {
 		level := gridtree.NodeID(nodes[p]).Level()
+		j, _ := slices.BinarySearch(nodes[p:], uint32(gridtree.MakeNodeID(level+1, 0, 0)))
+		last := p + j // the level's nodes are nodes[p:last]
+		if !loc.rowsReach(level, gridtree.NodeID(nodes[p]).IY(), gridtree.NodeID(nodes[last-1]).IY(), r) {
+			p = last
+			continue
+		}
 		ix0, iy0, ix1, iy1, ok := loc.cellRange(level, inSpace)
 		for iy := iy0; ok && iy < iy1; iy++ {
 			first := uint32(gridtree.MakeNodeID(level, ix0, iy))
 			end := first + uint32(ix1-ix0) // (level, ix1, iy): carries into the next row when ix1 = 2^14
-			j, _ := slices.BinarySearch(nodes[p:], first)
-			for p += j; p < len(nodes) && nodes[p] < end; p++ {
+			j, _ := slices.BinarySearch(nodes[p:last], first)
+			for p += j; p < last && nodes[p] < end; p++ {
 				if w := loc.tree.Rect(gridtree.NodeID(nodes[p])).IntersectionArea(r); w > 0 {
 					out = append(out, gridHit{level: int32(level), list: loc.base + uint32(p), w: w})
 				}
 			}
-			if p == len(nodes) || gridtree.NodeID(nodes[p]).Level() != level {
+			if p == last {
 				break
 			}
 			iy = max(iy, gridtree.NodeID(nodes[p]).IY()-1) // the rows before the next grid are empty
 		}
-		j, _ := slices.BinarySearch(nodes[p:], uint32(gridtree.MakeNodeID(level+1, 0, 0)))
-		p += j
+		p = last
 	}
 	return out
+}
+
+// rowsReach reports whether r can share area with a cell of rows iy0 to iy1
+// of the level: a rectangle wholly below the first row or wholly above the
+// last shares none with any of them, since a cell's edges, computed as
+// gridtree.Tree.Rect computes them, never fall as its row rises.
+func (loc gridLocator) rowsReach(level, iy0, iy1 int, r geo.Rect) bool {
+	_, h := loc.tree.CellSize(level)
+	y0 := loc.tree.Space.MinY + float64(iy0)*h
+	return r.MaxY > y0 && r.MinY < loc.tree.Space.MinY+float64(iy1)*h+h
 }
 
 // cellRange returns the half-open cell index range at the given level of
@@ -167,8 +211,9 @@ func (loc gridLocator) appendHits(r geo.Rect, out []gridHit) []gridHit {
 func (loc gridLocator) cellRange(level int, inter geo.Rect) (ix0, iy0, ix1, iy1 int, ok bool) {
 	space := loc.tree.Space
 	p := 1 << level
-	ix0, ix1 = cellSpan(inter.MinX, inter.MaxX, space.MinX, space.Width()/float64(p), p)
-	iy0, iy1 = cellSpan(inter.MinY, inter.MaxY, space.MinY, space.Height()/float64(p), p)
+	w, h := loc.tree.CellSize(level)
+	ix0, ix1 = cellSpan(inter.MinX, inter.MaxX, space.MinX, w, p)
+	iy0, iy1 = cellSpan(inter.MinY, inter.MaxY, space.MinY, h, p)
 	if ix0 >= ix1 || iy0 >= iy1 {
 		return 0, 0, 0, 0, false
 	}

@@ -553,3 +553,51 @@ func TestStrayLocatorPanics(t *testing.T) {
 		t.Fatalf("Collect scanned %d lists, %d postings, %d candidates before the stray position", st.ListsProbed, st.PostingsScanned, cs.Len())
 	}
 }
+
+// TestTypedSortsMatchSortFunc: sortHits and sortEntries, which sort by
+// insertion and, for lists, by a typed quicksort, put every slice in the
+// order slices.SortFunc gives under their comparisons — at every length
+// around the insertion cut-off and the quicksort's, over random, ascending,
+// descending and few-valued keys.
+func TestTypedSortsMatchSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	for _, n := range []int{0, 1, 2, 3, 11, 12, 13, 14, 40, 257, 1000} {
+		for shape := range 4 {
+			key := func(i int) float64 {
+				switch shape {
+				case 1:
+					return float64(i)
+				case 2:
+					return float64(n - i)
+				case 3:
+					return float64(rng.Intn(3))
+				}
+				return rng.Float64()
+			}
+			entries := make([]hierEntry, n)
+			hits := make([]gridHit, n)
+			for i := range entries {
+				entries[i] = hierEntry{rBound: key(i), obj: uint32(rng.Intn(1 << 20)), tCode: uint16(i)}
+				entries[i].obj = entries[i].obj<<11 | uint32(i) // distinct objects, as in a list
+				hits[i] = gridHit{level: int32(key(i) * 3), n: int32(rng.Intn(4)), list: uint32(i), w: key(i)}
+			}
+			wantE := slices.Clone(entries)
+			slices.SortFunc(wantE, func(a, b hierEntry) int {
+				if c := cmp.Compare(b.rBound, a.rBound); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.obj, b.obj)
+			})
+			if sortEntries(entries); !slices.Equal(entries, wantE) {
+				t.Fatalf("n %d shape %d: sortEntries disagrees with slices.SortFunc", n, shape)
+			}
+			wantH := slices.Clone(hits)
+			slices.SortFunc(wantH, func(a, b gridHit) int {
+				return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.n, b.n), cmp.Compare(a.list, b.list))
+			})
+			if sortHits(hits); !slices.Equal(hits, wantH) {
+				t.Fatalf("n %d shape %d: sortHits disagrees with slices.SortFunc", n, shape)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -182,11 +183,79 @@ type hierSpan struct {
 const chunkRows = 64 << 10
 
 // hierEntry is one hybrid posting of the token being built, placed in its
-// list but not yet ordered there.
+// list but not yet ordered there: its exact spatial bound, which orders it,
+// and its textual bound already coded, which is its region's.
 type hierEntry struct {
-	obj    uint32
 	rBound float64
-	tBound float64
+	obj    uint32
+	tCode  uint16
+}
+
+// before is a list's order: descending spatial bound, ties by ascending
+// object. An object posts to a list at most once, so the order is total.
+func (a *hierEntry) before(b *hierEntry) bool {
+	if a.rBound != b.rBound {
+		return a.rBound > b.rBound
+	}
+	return a.obj < b.obj
+}
+
+// sortEntries puts a list in its order. The order is total, so any sort gives
+// the one result: a short list sorts by insertion, a longer one by quicksort
+// around a median of three, handing a slice that recurses too deep to
+// slices.SortFunc, whose worst case is n log n. Typed, the comparisons inline
+// where slices.SortFunc makes a call each.
+func sortEntries(list []hierEntry) {
+	for depth := 2 * bits.Len(uint(len(list))); len(list) > shortSort; depth-- {
+		if depth == 0 {
+			slices.SortFunc(list, func(a, b hierEntry) int {
+				if a.before(&b) {
+					return -1
+				}
+				return 1 // never equal: the order is total
+			})
+			return
+		}
+		p := partitionEntries(list)
+		if p < len(list)/2 {
+			sortEntries(list[:p])
+			list = list[p+1:]
+		} else {
+			sortEntries(list[p+1:])
+			list = list[:p]
+		}
+	}
+	for i := 1; i < len(list); i++ {
+		for j := i; j > 0 && list[j].before(&list[j-1]); j-- {
+			list[j], list[j-1] = list[j-1], list[j]
+		}
+	}
+}
+
+// partitionEntries partitions list, of at least three entries, around the
+// median of its first, middle and last and returns the pivot's position:
+// every entry before it comes first in the order, every entry after it later.
+func partitionEntries(list []hierEntry) int {
+	n, m := len(list)-1, len(list)/2
+	if list[m].before(&list[0]) {
+		list[0], list[m] = list[m], list[0]
+	}
+	if list[n].before(&list[m]) {
+		list[m], list[n] = list[n], list[m]
+		if list[m].before(&list[0]) {
+			list[0], list[m] = list[m], list[0]
+		}
+	}
+	list[m], list[n] = list[n], list[m] // the median is the pivot, at the end
+	p := 0
+	for i := range list[:n] {
+		if list[i].before(&list[n]) {
+			list[i], list[p] = list[p], list[i]
+			p++
+		}
+	}
+	list[p], list[n] = list[n], list[p]
+	return p
 }
 
 // hierWorker is one build goroutine's state: the scratch every token reuses
@@ -281,14 +350,13 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.
 		}
 		wk.gB = append(wk.gB[:0], wk.gW...)
 		invidx.SuffixBounds(wk.gW, wk.gB)
+		tCode := invidx.Code(p.tBound)
 		for j, h := range hits {
-			wk.entries[next[h.list]] = hierEntry{obj: p.obj, rBound: wk.gB[j], tBound: p.tBound}
+			wk.entries[next[h.list]] = hierEntry{obj: p.obj, rBound: wk.gB[j], tCode: tCode}
 			next[h.list]++
 		}
 	}
-	// An object projects onto a grid at most once, so within a list the
-	// object breaks every tie and the order is total. A grid only rounding
-	// slivers reach holds no posting and gets no list.
+	// A grid only rounding slivers reach holds no posting and gets no list.
 	run, record := wk.chunk(int(total), len(wk.nodes)), recordCoded
 	span := hierSpan{chunk: uint32(len(wk.chunks) - 1), list0: uint32(len(run.Nodes)), posting0: uint32(len(run.Objs))}
 	lo = 0
@@ -299,20 +367,16 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.
 		if len(list) == 0 {
 			continue
 		}
-		slices.SortFunc(list, func(a, b hierEntry) int {
-			if c := cmp.Compare(b.rBound, a.rBound); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.obj, b.obj)
-		})
+		sortEntries(list)
 		run.Nodes = append(run.Nodes, wk.nodes[l])
 		run.Lens = append(run.Lens, uint32(len(list)))
 		for _, e := range list {
 			run.Objs = append(run.Objs, e.obj)
 			run.Codes = append(run.Codes, invidx.Code(e.rBound))
-			run.TCodes = append(run.TCodes, invidx.Code(e.tBound))
+			run.TCodes = append(run.TCodes, e.tCode)
 			if record != nil {
-				record(uint64(t)<<32|uint64(wk.nodes[l]), e.obj, e.rBound, e.tBound)
+				k, _ := slices.BinarySearchFunc(tp, e.obj, func(p tokenPosting, obj uint32) int { return cmp.Compare(p.obj, obj) })
+				record(uint64(t)<<32|uint64(wk.nodes[l]), e.obj, e.rBound, tp[k].tBound)
 			}
 		}
 	}

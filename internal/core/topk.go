@@ -70,13 +70,14 @@ type TopKOptions struct {
 // descent shares, which shards are pruned against) call it first so both
 // sides agree. It is idempotent. The range checks are written so that NaN,
 // which compares false both ways, fails them: a NaN score line never reaches
-// the floors, and the descent would not end.
+// the floors, and the descent would not end. Its errors describe the
+// options, not this package: the root wraps them as an invalid request.
 func (o *TopKOptions) Validate() error {
 	if o.K < 1 {
-		return fmt.Errorf("core: top-k needs K >= 1, got %d", o.K)
+		return fmt.Errorf("top-k needs K >= 1, got %d", o.K)
 	}
 	if !(o.Alpha >= 0 && o.Alpha <= 1) {
-		return fmt.Errorf("core: top-k Alpha %g outside [0, 1]", o.Alpha)
+		return fmt.Errorf("top-k Alpha %g outside [0, 1]", o.Alpha)
 	}
 	if o.FloorR == 0 {
 		o.FloorR = 0.05
@@ -85,7 +86,7 @@ func (o *TopKOptions) Validate() error {
 		o.FloorT = 0.05
 	}
 	if !(o.FloorR >= 0 && o.FloorR <= 1) || !(o.FloorT >= 0 && o.FloorT <= 1) {
-		return fmt.Errorf("core: top-k floors (%g, %g) outside [0, 1]", o.FloorR, o.FloorT)
+		return fmt.Errorf("top-k floors (%g, %g) outside [0, 1]", o.FloorR, o.FloorT)
 	}
 	return nil
 }
@@ -117,7 +118,7 @@ type ScoredMatch struct {
 // candidates verified.
 func (s *Searcher) TopK(q *model.Query, opts TopKOptions, stop func() bool) ([]ScoredMatch, SearchStats, error) {
 	if err := opts.Validate(); err != nil {
-		return nil, SearchStats{}, err
+		return nil, SearchStats{}, fmt.Errorf("core: %w", err)
 	}
 	var st SearchStats
 	s.q = *q

@@ -12,6 +12,7 @@ package engine
 // rebuilt rather than silently served.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/diskidx"
@@ -195,6 +197,16 @@ func (e *Engine) SaveSegments(dir string) error {
 		return err
 	}
 
+	// The manifest's fingerprint hashes while the segments are written; the
+	// file operations stay serial, in the order a crash plan counts them.
+	var fingerprint string
+	hashed := make(chan struct{})
+	go func() {
+		defer close(hashed)
+		fingerprint = e.Fingerprint()
+	}()
+	defer func() { <-hashed }() // no save returns with the hash running
+
 	var spec core.FilterSpec
 	for i, s := range e.shards {
 		if s.filter == nil {
@@ -217,12 +229,13 @@ func (e *Engine) SaveSegments(dir string) error {
 		return err
 	}
 
+	<-hashed
 	m := Manifest{
 		Version:     manifestVersion,
 		Objects:     e.root.Len(),
 		Shards:      len(e.shards),
 		Filter:      spec,
-		Fingerprint: e.Fingerprint(),
+		Fingerprint: fingerprint,
 	}
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
@@ -325,7 +338,9 @@ type ShardHealth struct {
 // the healthy ones, strict queries return ErrShardQuarantined and partial
 // queries skip it. Failures that compromise every shard — an unreadable
 // manifest or dataset segment (it holds the shard bounds too), a fingerprint
-// mismatch, or every shard failing — always fail the open.
+// mismatch, or every shard failing — always fail the open. The shards open
+// concurrently, but the error reported is the one a serial open would meet
+// first: the fingerprint's, then the shards' in shard order.
 func OpenSegmentsWith(dir string, quarantine bool) (*Engine, error) {
 	// A read-only boot must still be able to open the directory, so sweep
 	// failures (e.g. EROFS) are ignored: temps are garbage, not a hazard.
@@ -349,40 +364,76 @@ func OpenSegmentsWith(dir string, quarantine bool) (*Engine, error) {
 			e.Close()
 		}
 	}()
-	if m.Objects != root.Len() || m.Fingerprint != Fingerprint(root) {
+	if m.Objects != root.Len() {
+		return nil, fmt.Errorf("%w: segment directory %s was built from a different dataset", ErrManifestMismatch, dir)
+	}
+	// The fingerprint hashes beside the shard opens. Every mapped segment
+	// joins the closers before any outcome is judged, so a failed open
+	// releases them all.
+	bounds := dseg.Bounds()
+	n := m.Shards
+	if len(bounds)-1 != n {
+		n = 0 // the bounds are corrupt: only the fingerprint, which outranks them, is worth computing
+	}
+	shards := make([]openedShard, n)
+	var fingerprint string
+	_ = ForEach(context.Background(), n+1, runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
+		if i == 0 {
+			fingerprint = Fingerprint(root)
+			return nil
+		}
+		o := &shards[i-1]
+		sub, err := root.Subset(int(bounds[i-1]), int(bounds[i]))
+		if err != nil {
+			o.err = err
+			return nil
+		}
+		var f core.Filter
+		f, o.seg, o.openErr = openOneShard(dir, i-1, sub, m)
+		o.shard = newShard(sub, f)
+		return nil
+	})
+	for _, o := range shards {
+		if o.seg != nil {
+			e.closers = append(e.closers, o.seg)
+		}
+	}
+	if m.Fingerprint != fingerprint {
 		return nil, fmt.Errorf("%w: segment directory %s was built from a different dataset", ErrManifestMismatch, dir)
 	}
 	e.fingerprint = func() string { return m.Fingerprint }
-	bounds := dseg.Bounds()
 	if len(bounds)-1 != m.Shards {
 		return nil, fmt.Errorf("%w: dataset segment bounds %d shards, manifest %d", diskidx.ErrCorrupt, len(bounds)-1, m.Shards)
 	}
-	for i := 0; i < m.Shards; i++ {
-		sub, err := root.Subset(int(bounds[i]), int(bounds[i+1]))
-		if err != nil {
-			return nil, fmt.Errorf("engine: shard %d: %w", i, err)
+	for i, o := range shards {
+		switch {
+		case o.err != nil:
+			return nil, fmt.Errorf("engine: shard %d: %w", i, o.err)
+		case o.openErr == nil:
+		case errors.Is(o.openErr, diskidx.ErrStaleVersion):
+			return nil, fmt.Errorf("%w: shard %d: %v", ErrManifestMismatch, i, o.openErr)
+		case !quarantine:
+			return nil, fmt.Errorf("engine: shard %d: %w", i, o.openErr)
+		default:
+			o.shard.down = o.openErr
 		}
-		f, seg, openErr := openOneShard(dir, i, sub, m)
-		if openErr == nil {
-			e.closers = append(e.closers, seg)
-			e.shards = append(e.shards, newShard(sub, f))
-			continue
-		}
-		if errors.Is(openErr, diskidx.ErrStaleVersion) {
-			return nil, fmt.Errorf("%w: shard %d: %v", ErrManifestMismatch, i, openErr)
-		}
-		if !quarantine {
-			return nil, fmt.Errorf("engine: shard %d: %w", i, openErr)
-		}
-		s := newShard(sub, nil)
-		s.down = openErr
-		e.shards = append(e.shards, s)
+		e.shards = append(e.shards, o.shard)
 	}
 	if e.Quarantined() == m.Shards {
 		return nil, fmt.Errorf("engine: all %d shards failed to open: %w", m.Shards, ErrShardQuarantined)
 	}
 	ok = true
 	return e, nil
+}
+
+// openedShard is one shard's outcome of a concurrent open: the error cutting
+// its rows, or the shard over them with its mapped segment and filter, or
+// without them and the error opening them.
+type openedShard struct {
+	err     error
+	shard   *shard
+	seg     *diskidx.Segment
+	openErr error
 }
 
 // openOneShard maps shard i's segment and wires its filter. On failure the

@@ -48,10 +48,15 @@ func (n NodeID) String() string {
 }
 
 // Tree is a grid tree over a space rectangle with levels 0..MaxLevel.
-// Level MaxLevel holds the "finest grids" of Section 5.2.
+// Level MaxLevel holds the "finest grids" of Section 5.2. A Tree comes from
+// New, which fills its cell tables.
 type Tree struct {
 	Space    geo.Rect
 	MaxLevel int
+	// cellW[l] and cellH[l] are a level-l cell's width and height,
+	// Space.Width()/2^l and Space.Height()/2^l, divided once here rather than
+	// once a Rect.
+	cellW, cellH [MaxLevelLimit + 1]float64
 }
 
 // New creates a grid tree. maxLevel must lie in [0, MaxLevelLimit] and the
@@ -63,7 +68,12 @@ func New(space geo.Rect, maxLevel int) (*Tree, error) {
 	if !space.Valid() || space.IsDegenerate() {
 		return nil, fmt.Errorf("gridtree: space %v must have positive area", space)
 	}
-	return &Tree{Space: space, MaxLevel: maxLevel}, nil
+	t := &Tree{Space: space, MaxLevel: maxLevel}
+	for l := range t.cellW {
+		p := float64(int(1) << l)
+		t.cellW[l], t.cellH[l] = space.Width()/p, space.Height()/p
+	}
+	return t, nil
 }
 
 // Root returns the level-0 node covering the whole space.
@@ -88,11 +98,13 @@ func (t *Tree) Children(n NodeID) [4]NodeID {
 	}
 }
 
+// CellSize returns the width and height of a cell at the given level, the
+// spans Rect adds to a cell's corner.
+func (t *Tree) CellSize(level int) (w, h float64) { return t.cellW[level], t.cellH[level] }
+
 // Rect returns the node's rectangle.
 func (t *Tree) Rect(n NodeID) geo.Rect {
-	p := 1 << n.Level()
-	w := t.Space.Width() / float64(p)
-	h := t.Space.Height() / float64(p)
+	w, h := t.CellSize(n.Level())
 	minX := t.Space.MinX + float64(n.IX())*w
 	minY := t.Space.MinY + float64(n.IY())*h
 	return geo.Rect{MinX: minX, MinY: minY, MaxX: minX + w, MaxY: minY + h}

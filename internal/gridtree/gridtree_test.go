@@ -171,3 +171,34 @@ func TestLevelPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRectMatchesDivision: the cell tables New fills hold the spans Rect
+// once divided per call, Space.Width()/2^l and Space.Height()/2^l, so every
+// node rectangle — and with it every grid error and every index — is the one
+// the division gave, bit for bit, at every level of spaces whose cell edges
+// are not exact binary fractions.
+func TestRectMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	for trial := 0; trial < 50; trial++ {
+		x, y := rng.NormFloat64()*1e4, rng.NormFloat64()*1e4
+		space := geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*1e5 + 1e-3, MaxY: y + rng.Float64()*1e5 + 1e-3}
+		tr, err := New(space, MaxLevelLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l <= MaxLevelLimit; l++ {
+			w, h := space.Width()/float64(int(1)<<l), space.Height()/float64(int(1)<<l)
+			if gw, gh := tr.CellSize(l); gw != w || gh != h {
+				t.Fatalf("space %v level %d: cell %v×%v, want %v×%v", space, l, gw, gh, w, h)
+			}
+			for k := 0; k < 8; k++ {
+				ix, iy := rng.Intn(1<<l), rng.Intn(1<<l)
+				minX, minY := space.MinX+float64(ix)*w, space.MinY+float64(iy)*h
+				want := geo.Rect{MinX: minX, MinY: minY, MaxX: minX + w, MaxY: minY + h}
+				if got := tr.Rect(MakeNodeID(l, ix, iy)); got != want {
+					t.Fatalf("space %v node L%d(%d,%d): %v, want %v", space, l, ix, iy, got, want)
+				}
+			}
+		}
+	}
+}

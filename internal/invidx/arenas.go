@@ -69,7 +69,7 @@ func validateCompressedArenas(a CompressedArenas, nk, postings, objects int) (*E
 	lo := starts.next()
 	for i := 0; i < nk; i++ {
 		hi := starts.next()
-		if err := walkColumns(a.Blob[lo*w:hi*w], hi-lo, a.Dual, a.Layout, objects); err != nil {
+		if err := walkLanes(a.Blob[lo*w:hi*w], hi-lo, a.Dual, a.Layout, objects); err != nil {
 			return nil, err
 		}
 		lo = hi

@@ -151,18 +151,33 @@ func appendCodes(dst []uint16, bounds []float64) []uint16 {
 // what picks an index's object width.
 func fitsObj16(objs []uint32) bool { return len(objs) == 0 || slices.Max(objs) <= math.MaxUint16 }
 
-// walkColumns checks a list of n rows where it lies, for what the query path
-// relies on: spatial codes that never ascend, which is what makes Cutoff's
-// binary search valid; no code past maxCode, which would decode to NaN;
-// objects below the exclusive bound objects. Opening a segment walks every
-// list once; a probe then reads without checking.
-func walkColumns(b []byte, n int, dual bool, lay Layout, objects int) error {
-	l := lay.list(b, n, dual)
-	if !walkCodes(l.codes, true) || !walkCodes(l.tCodes, false) {
+// walkLanes checks a list of n rows, b, where it lies, for what the query
+// path relies on: spatial codes that never ascend, which is what makes
+// Cutoff's binary search valid; no code past maxCode, which would decode to
+// NaN; objects below the exclusive bound objects. Opening a segment walks
+// every list once, straight off its lanes; a probe then reads without
+// checking.
+func walkLanes(b []byte, n int, dual bool, lay Layout, objects int) error {
+	codes, objs := b[:2*n], b[2*n:]
+	var tCodes []byte
+	if dual {
+		tCodes, objs = objs[:2*n], objs[2*n:]
+	}
+	if !walkCodes(codes, true) || !walkCodes(tCodes, false) {
 		return corrupt("bound code past infinity, or spatial codes ascending")
 	}
-	for i := 0; i < n; i++ {
-		if int(l.Obj(i)) >= objects {
+	if lay.Obj16 {
+		objs = objs[:2*n]
+		for i := 0; i < len(objs); i += 2 {
+			if int(binary.LittleEndian.Uint16(objs[i:])) >= objects {
+				return corrupt("posting object out of range")
+			}
+		}
+		return nil
+	}
+	objs = objs[:4*n]
+	for i := 0; i < len(objs); i += 4 {
+		if int(binary.LittleEndian.Uint32(objs[i:])) >= objects {
 			return corrupt("posting object out of range")
 		}
 	}

@@ -754,7 +754,7 @@ func decodeList(data []byte, dual bool, lay Layout, objects int) (List, error) {
 		return List{}, corrupt("list length off the row lattice")
 	}
 	n := len(data) / w
-	if err := walkColumns(data, n, dual, lay, objects); err != nil {
+	if err := walkLanes(data, n, dual, lay, objects); err != nil {
 		return List{}, err
 	}
 	return lay.list(data, n, dual), nil

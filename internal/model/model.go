@@ -284,8 +284,10 @@ type Query struct {
 	area float64
 }
 
-// ErrThreshold reports an out-of-range similarity threshold.
-var ErrThreshold = errors.New("model: similarity thresholds TauR and TauT must lie in (0, 1]")
+// ErrThreshold reports an out-of-range similarity threshold. It and
+// NewQuery's other errors describe the query, not this package: the root
+// wraps them as an invalid request.
+var ErrThreshold = errors.New("similarity thresholds TauR and TauT must lie in (0, 1]")
 
 // NewQuery compiles a query. Unknown terms (absent from the vocabulary) are
 // legal: they receive the maximum idf weight ln(|O|) and participate in the
@@ -295,7 +297,7 @@ var ErrThreshold = errors.New("model: similarity thresholds TauR and TauT must l
 // rejects rather than silently answering incorrectly.
 func (ds *Dataset) NewQuery(region geo.Rect, terms []string, tauR, tauT float64) (*Query, error) {
 	if !region.Valid() {
-		return nil, fmt.Errorf("model: invalid query region %v", region)
+		return nil, fmt.Errorf("invalid query region %v", region)
 	}
 	// Written so that a NaN threshold fails: it compares false both ways.
 	if !(tauR > 0 && tauR <= 1) || !(tauT > 0 && tauT <= 1) {

@@ -514,6 +514,30 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBadRequestBodies pins the 400 body of a request the library rejects:
+// the library's text, naming no internal package, on the ranked and the
+// threshold path alike.
+func TestBadRequestBodies(t *testing.T) {
+	_, ts := bootTestServer(t, DefaultConfig)
+	rect := []float64{0, 0, 1, 1}
+	for _, tc := range []struct {
+		wr   wireRequest
+		want string
+	}{
+		{wireRequest{Rect: rect, Tokens: []string{"a"}, K: 2, Alpha: 1.5},
+			"seal: invalid request: top-k Alpha 1.5 outside [0, 1]"},
+		{wireRequest{Rect: rect, Tokens: []string{"a"}, K: -1},
+			"seal: invalid request: top-k needs K >= 1, got -1"},
+		{wireRequest{Rect: rect, Tokens: []string{"a"}, TauT: 0.1},
+			"seal: invalid request: similarity thresholds TauR and TauT must lie in (0, 1] (got tauR=0, tauT=0.1)"},
+	} {
+		var out map[string]string
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/query", tc.wr, &out); code != http.StatusBadRequest || out["error"] != tc.want {
+			t.Errorf("%+v: %d %q, want 400 %q", tc.wr, code, out["error"], tc.want)
+		}
+	}
+}
+
 // streamValues is wr as /v1/stream's query string.
 func streamValues(wr wireRequest) url.Values {
 	v := url.Values{}

@@ -148,6 +148,30 @@ func TestInvalidRequestSentinel(t *testing.T) {
 	}
 }
 
+// TestInvalidRequestTexts pins what a caller reads of an invalid request: the
+// root's prefix and the field's own complaint, naming no internal package, on
+// the ranked and the threshold path alike.
+func TestInvalidRequestTexts(t *testing.T) {
+	ix := queryTestIndex(t, 60, seal.WithShards(2))
+	region := seal.Rect{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50}
+	for _, c := range []struct {
+		req  seal.Request
+		want string
+	}{
+		{seal.Request{Region: region, Tokens: []string{"t1"}, K: 2, Alpha: 1.5},
+			"seal: invalid request: top-k Alpha 1.5 outside [0, 1]"},
+		{seal.Request{Region: region, Tokens: []string{"t1"}, K: -1},
+			"seal: invalid request: top-k needs K >= 1, got -1"},
+		{seal.Request{Region: region, Tokens: []string{"t1"}, TauT: 0.2},
+			"seal: invalid request: similarity thresholds TauR and TauT must lie in (0, 1] (got tauR=0, tauT=0.2)"},
+	} {
+		_, err := ix.Query(context.Background(), c.req)
+		if !errors.Is(err, seal.ErrInvalidRequest) || err.Error() != c.want {
+			t.Errorf("Query(%+v): %v, want ErrInvalidRequest reading %q", c.req, err, c.want)
+		}
+	}
+}
+
 // TestQueryAllocs pins what a threshold query with the daemon's options
 // (CollectStats, Limit, OrderByID) costs on a warm 1-shard index. The
 // resolved options stay on the stack: when each option set a field through a
