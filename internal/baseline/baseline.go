@@ -10,38 +10,26 @@ package baseline
 
 import (
 	"github.com/sealdb/seal/internal/core"
-	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/rtree"
 )
 
 // KeywordFirst finds the objects with simT ≥ τT via token inverted lists and
 // leaves the spatial check to verification. Its weakness — no spatial
-// pruning at all — is what Figures 16/17 demonstrate.
+// pruning at all — is what Figures 16/17 demonstrate. Its lists, their size
+// and their merge are core.PlainTokenFilter's; only its gate is its own.
 type KeywordFirst struct {
-	ds  *model.Dataset
-	idx *invidx.Index
+	*core.PlainTokenFilter
+	ds *model.Dataset
 }
 
 // NewKeywordFirst indexes all objects of ds.
 func NewKeywordFirst(ds *model.Dataset) *KeywordFirst {
-	var b invidx.Builder
-	for obj := 0; obj < ds.Len(); obj++ {
-		for _, t := range ds.Tokens(model.ObjectID(obj)) {
-			b.Add(uint64(t)<<32, uint32(obj), ds.TokenWeight(t)) // (t, 0)
-		}
-	}
-	return &KeywordFirst{ds: ds, idx: b.Build()}
+	return &KeywordFirst{core.NewPlainTokenFilter(ds), ds}
 }
 
 // Name implements core.Filter.
 func (f *KeywordFirst) Name() string { return "Keyword" }
-
-// SizeBytes implements core.Filter.
-func (f *KeywordFirst) SizeBytes() int64 { return f.idx.SizeBytes() }
-
-// Postings returns the number of token postings (Table 1's TokenInv size).
-func (f *KeywordFirst) Postings() int { return f.idx.Postings() }
 
 // Collect implements core.Filter: it merges the query tokens' full lists,
 // computes the exact weighted Jaccard from the accumulated common weight,
@@ -50,21 +38,9 @@ func (f *KeywordFirst) Postings() int { return f.idx.Postings() }
 // (partial weight sums can pass the τT gate solely when the full sums would
 // too), which is exactly what an abandoned search wants.
 func (f *KeywordFirst) Collect(q *model.Query, cs *core.CandidateSet, st *core.FilterStats, stop func() bool, scr *core.Scratch) {
-	acc := scr.Weights(f.ds.Len())
-	for _, t := range q.Tokens {
-		if stop != nil && stop() {
-			return
-		}
-		objs, _, _ := f.idx.List(uint64(t) << 32)
-		if len(objs) == 0 {
-			continue
-		}
-		st.ListsProbed++
-		st.PostingsScanned += len(objs)
-		w := f.ds.TokenWeight(t)
-		for _, obj := range objs {
-			acc.Add(obj, w)
-		}
+	acc := f.Accumulate(q, st, stop, scr)
+	if acc == nil {
+		return
 	}
 	for _, obj := range acc.Touched() {
 		if stop != nil && stop() {

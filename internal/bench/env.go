@@ -13,6 +13,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"sync"
@@ -222,25 +223,16 @@ func (e *Env) build(ds *model.Dataset, spec FilterSpec, key string) (core.Filter
 		e.logf("building %s ...", key)
 	}
 	switch spec.Kind {
-	case "token":
-		return core.NewTokenFilter(ds), nil
+	case "token", "grid", "hybrid", "seal":
+		return core.BuildFilter(ds, core.FilterSpec{
+			Kind: spec.Kind, P: spec.P, Buckets: spec.Buckets,
+			MaxLevel:   cmp.Or(spec.Level, e.Cfg.HierMaxLevel),
+			GridBudget: cmp.Or(spec.Budget, e.Cfg.HierBudget),
+		})
 	case "plaintoken":
 		return core.NewPlainTokenFilter(ds), nil
-	case "grid":
-		return core.NewGridFilter(ds, spec.P)
 	case "plaingrid":
 		return core.NewPlainGridFilter(ds, spec.P)
-	case "hybrid":
-		return core.NewHybridHashFilter(ds, spec.P, spec.Buckets)
-	case "seal":
-		cfg := core.HierarchicalConfig{MaxLevel: spec.Level, GridBudget: spec.Budget}
-		if cfg.MaxLevel == 0 {
-			cfg.MaxLevel = e.Cfg.HierMaxLevel
-		}
-		if cfg.GridBudget == 0 {
-			cfg.GridBudget = e.Cfg.HierBudget
-		}
-		return core.NewHierarchicalFilter(ds, cfg)
 	case "keyword":
 		return baseline.NewKeywordFirst(ds), nil
 	case "spatial":

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/gridsig"
 	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/model"
@@ -26,26 +25,16 @@ type GridFilter struct {
 // NewGridFilter indexes all objects of ds on a p×p grid over the dataset
 // space.
 func NewGridFilter(ds *model.Dataset, p int) (*GridFilter, error) {
-	grid, err := gridsig.New(ds.Space(), p)
+	grid, counter, err := countedGrid(ds, p)
 	if err != nil {
 		return nil, err
 	}
-	counter := gridsig.NewCounter(grid)
-	for obj := 0; obj < ds.Len(); obj++ {
-		counter.AddRegion(ds.Region(model.ObjectID(obj)))
-	}
 	var b invidx.Builder
 	var sig []gridsig.CellWeight
-	var weights, bounds []float64
+	var bounds []float64
 	for obj := 0; obj < ds.Len(); obj++ {
-		sig = grid.Signature(ds.Region(model.ObjectID(obj)), sig[:0])
-		counter.SortSignature(sig)
-		weights = weights[:0]
-		for _, cw := range sig {
-			weights = append(weights, cw.W)
-		}
-		bounds = append(bounds[:0], weights...)
-		invidx.SuffixBounds(weights, bounds)
+		sig, bounds = gridSignature(grid, counter, ds.Region(model.ObjectID(obj)), sig, bounds)
+		invidx.SuffixBounds(bounds, bounds)
 		for i, cw := range sig {
 			b.Add(cellKey(grid, cw.Cell), uint32(obj), bounds[i])
 		}
@@ -98,7 +87,7 @@ func (f *GridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, 
 		return
 	}
 	if !scr.resume(cs) {
-		projectGrid(f.grid, f.counter, q.Region, scr)
+		scr.gsig, scr.gW = gridSignature(f.grid, f.counter, q.Region, scr.gsig, scr.gW)
 	}
 	p := invidx.PrefixLen(scr.gW, cR)
 	slack := invidx.Code(invidx.Slack(cR))
@@ -115,17 +104,6 @@ func (f *GridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterStats, 
 		for i := from; i < to; i++ {
 			cs.Add(l.Obj(i))
 		}
-	}
-}
-
-// projectGrid puts region's grid signature in scr.gsig, sorted into the global
-// order (ascending count), and its weights in scr.gW.
-func projectGrid(g *gridsig.Grid, c *gridsig.Counter, region geo.Rect, scr *Scratch) {
-	scr.gsig = g.Signature(region, scr.gsig[:0])
-	c.SortSignature(scr.gsig)
-	scr.gW = scr.gW[:0]
-	for _, cw := range scr.gsig {
-		scr.gW = append(scr.gW, cw.W)
 	}
 }
 
@@ -170,7 +148,7 @@ func (f *PlainGridFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterSt
 		return
 	}
 	scr.gsig = f.grid.Signature(q.Region, scr.gsig[:0])
-	acc := scr.Weights(f.ds.Len())
+	acc := scr.weights(f.ds.Len())
 	for _, cw := range scr.gsig {
 		if stop != nil && stop() {
 			return

@@ -31,32 +31,15 @@ func NewHybridHashFilter(ds *model.Dataset, p int, buckets int) (*HybridHashFilt
 		return nil, err
 	}
 
-	vocab := ds.Vocab()
 	b := invidx.Builder{Dual: true}
 	var tsig []text.TokenID
-	var tW, tB []float64
 	var gsig []gridsig.CellWeight
-	var gW, gB []float64
+	var tB, gB []float64
 	for obj := 0; obj < ds.Len(); obj++ {
 		id := model.ObjectID(obj)
-		tsig = append(tsig[:0], ds.Tokens(id)...)
-		vocab.SortBySignatureOrder(tsig)
-		tW = tW[:0]
-		for _, t := range tsig {
-			tW = append(tW, ds.TokenWeight(t))
-		}
-		tB = append(tB[:0], tW...)
-		invidx.SuffixBounds(tW, tB)
-
-		gsig = f.grid.Signature(ds.Region(id), gsig[:0])
-		f.counter.SortSignature(gsig)
-		gW = gW[:0]
-		for _, cw := range gsig {
-			gW = append(gW, cw.W)
-		}
-		gB = append(gB[:0], gW...)
-		invidx.SuffixBounds(gW, gB)
-
+		tsig, tB = tokenSignature(ds, id, tsig, tB)
+		gsig, gB = gridSignature(f.grid, f.counter, ds.Region(id), gsig, gB)
+		invidx.SuffixBounds(gB, gB)
 		for i, t := range tsig {
 			for j, cw := range gsig {
 				b.AddDual(f.key(t, cw.Cell), uint32(obj), gB[j], tB[i])
@@ -72,13 +55,9 @@ func NewHybridHashFilter(ds *model.Dataset, p int, buckets int) (*HybridHashFilt
 // O(N) region pass recounts.
 func newHybridHashFilter(ds *model.Dataset, spec FilterSpec) (*HybridHashFilter, error) {
 	spec.Buckets = max(spec.Buckets, 0)
-	grid, err := gridsig.New(ds.Space(), spec.P)
+	grid, counter, err := countedGrid(ds, spec.P)
 	if err != nil {
 		return nil, err
-	}
-	counter := gridsig.NewCounter(grid)
-	for obj := 0; obj < ds.Len(); obj++ {
-		counter.AddRegion(ds.Region(model.ObjectID(obj)))
 	}
 	return &HybridHashFilter{sigIndex{ds: ds, spec: spec}, grid, counter, uint64(spec.Buckets)}, nil
 }
@@ -154,7 +133,7 @@ func (f *HybridHashFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 	pT := invidx.PrefixLen(q.SigWeights, cT)
 	// Spatial prefix.
 	if !scr.resume(cs) {
-		projectGrid(f.grid, f.counter, q.Region, scr)
+		scr.gsig, scr.gW = gridSignature(f.grid, f.counter, q.Region, scr.gsig, scr.gW)
 	}
 	pR := invidx.PrefixLen(scr.gW, cR)
 

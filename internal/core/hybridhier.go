@@ -87,17 +87,9 @@ func NewHierarchicalFilter(ds *model.Dataset, cfg HierarchicalConfig) (*Hierarch
 	postings := make([]tokenPosting, totalPostings)
 	fill := slices.Clone(starts[:vocab.Len()])
 	var tsig []text.TokenID
-	var tW, tB []float64
+	var tB []float64
 	for obj := 0; obj < ds.Len(); obj++ {
-		id := model.ObjectID(obj)
-		tsig = append(tsig[:0], ds.Tokens(id)...)
-		vocab.SortBySignatureOrder(tsig)
-		tW = tW[:0]
-		for _, t := range tsig {
-			tW = append(tW, ds.TokenWeight(t))
-		}
-		tB = append(tB[:0], tW...)
-		invidx.SuffixBounds(tW, tB)
+		tsig, tB = tokenSignature(ds, model.ObjectID(obj), tsig, tB)
 		for i, t := range tsig {
 			postings[fill[t]] = tokenPosting{obj: uint32(obj), tBound: tB[i]}
 			fill[t]++
@@ -267,7 +259,7 @@ type hierWorker struct {
 	sel     hss.Selector
 	rects   []geo.Rect
 	hits    []gridHit
-	gW, gB  []float64
+	gB      []float64
 	entries []hierEntry
 	chunks  []invidx.CodedRun
 	err     error
@@ -344,12 +336,11 @@ func (wk *hierWorker) buildToken(ds *model.Dataset, tree *gridtree.Tree, t text.
 		hits := wk.hits[lo:wk.hitEnd[i]]
 		lo = wk.hitEnd[i]
 		sortHits(hits)
-		wk.gW = wk.gW[:0]
+		wk.gB = wk.gB[:0]
 		for _, h := range hits {
-			wk.gW = append(wk.gW, h.w)
+			wk.gB = append(wk.gB, h.w)
 		}
-		wk.gB = append(wk.gB[:0], wk.gW...)
-		invidx.SuffixBounds(wk.gW, wk.gB)
+		invidx.SuffixBounds(wk.gB, wk.gB)
 		tCode := invidx.Code(p.tBound)
 		for j, h := range hits {
 			wk.entries[next[h.list]] = hierEntry{obj: p.obj, rBound: wk.gB[j], tCode: tCode}

@@ -122,10 +122,10 @@ func (c *cursor) scanDual(l *invidx.List, slackR, slackT uint16, retest bool, cs
 	c.skipped = int32(skipped)
 }
 
-// Weights returns the scratch's weight accumulator, emptied, for a dataset of
+// weights returns the scratch's weight accumulator, emptied, for a dataset of
 // n objects. It lives here and not on a filter because filters are shared
 // between searchers and a scratch is not.
-func (s *Scratch) Weights(n int) *WeightAccumulator {
+func (s *Scratch) weights(n int) *WeightAccumulator {
 	a := &s.acc
 	if len(a.sum) < n {
 		a.sum, a.mark, a.epoch = make([]float64, n), make([]uint32, n), 0
@@ -157,7 +157,8 @@ func (a *WeightAccumulator) Add(obj uint32, w float64) {
 	a.sum[obj] += w
 }
 
-// Touched returns the objects added to since Weights, in first-touch order.
+// Touched returns the objects added to since the accumulator was emptied, in
+// first-touch order.
 func (a *WeightAccumulator) Touched() []uint32 { return a.touched }
 
 // Sum returns the sum of a touched object.

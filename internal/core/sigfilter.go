@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 
+	"github.com/sealdb/seal/internal/geo"
+	"github.com/sealdb/seal/internal/gridsig"
 	"github.com/sealdb/seal/internal/invidx"
 	"github.com/sealdb/seal/internal/model"
+	"github.com/sealdb/seal/internal/text"
 )
 
 // FilterSpec identifies a signature filter configuration: what a segment
@@ -34,6 +37,50 @@ type sigIndex struct {
 // assembles the served layout from those runs (invidx.FromCodedRuns). A
 // variable only so a test can see the flat lists a build produced.
 var compress = invidx.Compress
+
+// tokenSignature returns obj's textual signature, its tokens in the global
+// order (descending idf), in sig, and each token's Lemma 3 bound, the weight
+// of the signature's suffix from that token on, in bounds. Both reuse their
+// arrays.
+func tokenSignature(ds *model.Dataset, obj model.ObjectID, sig []text.TokenID, bounds []float64) ([]text.TokenID, []float64) {
+	sig = append(sig[:0], ds.Tokens(obj)...)
+	ds.Vocab().SortBySignatureOrder(sig)
+	bounds = bounds[:0]
+	for _, t := range sig {
+		bounds = append(bounds, ds.TokenWeight(t))
+	}
+	invidx.SuffixBounds(bounds, bounds)
+	return sig, bounds
+}
+
+// gridSignature returns region's grid signature, its cells in the global
+// order (ascending count(g)), in sig, and each cell's weight w(g|region) in
+// w. Both reuse their arrays. A query's spatial prefix reads the weights; a
+// build turns them into Lemma 3 bounds in place (invidx.SuffixBounds(w, w)).
+func gridSignature(g *gridsig.Grid, c *gridsig.Counter, region geo.Rect, sig []gridsig.CellWeight, w []float64) ([]gridsig.CellWeight, []float64) {
+	sig = g.Signature(region, sig[:0])
+	c.SortSignature(sig)
+	w = w[:0]
+	for _, cw := range sig {
+		w = append(w, cw.W)
+	}
+	return sig, w
+}
+
+// countedGrid returns the p×p grid over ds's space and every cell's count(g),
+// the number of ds's regions overlapping it, which sets the global order of
+// grid signatures.
+func countedGrid(ds *model.Dataset, p int) (*gridsig.Grid, *gridsig.Counter, error) {
+	grid, err := gridsig.New(ds.Space(), p)
+	if err != nil {
+		return nil, nil, err
+	}
+	counter := gridsig.NewCounter(grid)
+	for obj := 0; obj < ds.Len(); obj++ {
+		counter.AddRegion(ds.Region(model.ObjectID(obj)))
+	}
+	return grid, counter, nil
+}
 
 // sigFilter is how Postings recognizes a signature filter: by the sigIndex it
 // embeds.

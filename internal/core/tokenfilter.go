@@ -15,20 +15,11 @@ type TokenFilter struct{ sigIndex }
 
 // NewTokenFilter indexes all objects of ds.
 func NewTokenFilter(ds *model.Dataset) *TokenFilter {
-	vocab := ds.Vocab()
 	var b invidx.Builder
 	var sig []text.TokenID
-	var weights, bounds []float64
+	var bounds []float64
 	for obj := 0; obj < ds.Len(); obj++ {
-		tokens := ds.Tokens(model.ObjectID(obj))
-		sig = append(sig[:0], tokens...)
-		vocab.SortBySignatureOrder(sig)
-		weights = weights[:0]
-		for _, t := range sig {
-			weights = append(weights, ds.TokenWeight(t))
-		}
-		bounds = append(bounds[:0], weights...)
-		invidx.SuffixBounds(weights, bounds)
+		sig, bounds = tokenSignature(ds, model.ObjectID(obj), sig, bounds)
 		for i, t := range sig {
 			b.Add(tokenKey(t), uint32(obj), bounds[i])
 		}
@@ -108,10 +99,29 @@ func (f *PlainTokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 	if cT <= 0 {
 		return
 	}
-	acc := scr.Weights(f.ds.Len())
+	acc := f.Accumulate(q, st, stop, scr)
+	if acc == nil {
+		return
+	}
+	slack := invidx.Slack(cT)
+	for _, obj := range acc.Touched() {
+		if acc.Sum(obj) >= slack {
+			cs.Add(obj)
+		}
+	}
+}
+
+// Accumulate merges the full (t, 0) list of every query token into scr's
+// weight accumulator, which then holds, for every object sharing a token with
+// q, the weight Σ_{t∈S(q)∩S(o)} w(t) of the tokens it shares. It returns nil
+// when stop, polled before each list, ends the merge early: the sums are then
+// partial. Keyword-first (internal/baseline) gates the same sums on the exact
+// weighted Jaccard.
+func (f *PlainTokenFilter) Accumulate(q *model.Query, st *FilterStats, stop func() bool, scr *Scratch) *WeightAccumulator {
+	acc := scr.weights(f.ds.Len())
 	for _, t := range q.Tokens {
 		if stop != nil && stop() {
-			return
+			return nil
 		}
 		objs, _, _ := f.idx.List(tokenKey(t))
 		if len(objs) == 0 {
@@ -124,10 +134,5 @@ func (f *PlainTokenFilter) Collect(q *model.Query, cs *CandidateSet, st *FilterS
 			acc.Add(obj, w)
 		}
 	}
-	slack := invidx.Slack(cT)
-	for _, obj := range acc.Touched() {
-		if acc.Sum(obj) >= slack {
-			cs.Add(obj)
-		}
-	}
+	return acc
 }

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -26,6 +25,7 @@ import (
 	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/diskidx"
 	"github.com/sealdb/seal/internal/faultfs"
+	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/model"
 	"github.com/sealdb/seal/internal/text"
 )
@@ -111,54 +111,59 @@ func ReadManifest(dir string) (*Manifest, error) {
 // because they set the global signature order and every posting's bound. The
 // row order does not: a dataset and its Z-ordered copy hash the same.
 func Fingerprint(ds *model.Dataset) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		buf[0] = byte(v)
-		buf[1] = byte(v >> 8)
-		buf[2] = byte(v >> 16)
-		buf[3] = byte(v >> 24)
-		buf[4] = byte(v >> 32)
-		buf[5] = byte(v >> 40)
-		buf[6] = byte(v >> 48)
-		buf[7] = byte(v >> 56)
-		h.Write(buf[:])
-	}
-	put(uint64(ds.Len()))
+	h := fnvWord(fnvOffset, uint64(ds.Len()))
 	vocab := ds.Vocab()
-	put(uint64(vocab.Len()))
+	h = fnvWord(h, uint64(vocab.Len()))
 	blob, off := vocab.Blob() // read in place: boot fingerprints the whole vocabulary
-	var term []byte           // one buffer for every term
 	for i := 0; i < vocab.Len(); i++ {
-		term = append(append(term[:0], blob[off[i]:off[i+1]]...), 0)
-		h.Write(term)
-		put(math.Float64bits(vocab.Weight(text.TokenID(i))))
+		for j := off[i]; j < off[i+1]; j++ {
+			h = (h ^ uint64(blob[j])) * fnvPrime
+		}
+		h *= fnvPrime // the term's terminating 0 byte
+		h = fnvWord(h, math.Float64bits(vocab.Weight(text.TokenID(i))))
 	}
 	rows := make([]model.ObjectID, ds.Len())
 	for r := range rows {
 		rows[ds.ID(model.ObjectID(r))] = model.ObjectID(r)
 	}
 	for _, row := range rows {
-		r := ds.Region(row)
-		put(math.Float64bits(r.MinX))
-		put(math.Float64bits(r.MinY))
-		put(math.Float64bits(r.MaxX))
-		put(math.Float64bits(r.MaxY))
+		h = fnvRect(h, ds.Region(row))
 		set := ds.MultiRegion(row) // nil for a single-region object
-		put(uint64(len(set)))
+		h = fnvWord(h, uint64(len(set)))
 		for _, m := range set {
-			put(math.Float64bits(m.MinX))
-			put(math.Float64bits(m.MinY))
-			put(math.Float64bits(m.MaxX))
-			put(math.Float64bits(m.MaxY))
+			h = fnvRect(h, m)
 		}
 		toks := ds.Tokens(row)
-		put(uint64(len(toks)))
+		h = fnvWord(h, uint64(len(toks)))
 		for _, t := range toks {
-			put(uint64(t))
+			h = fnvWord(h, uint64(t))
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", h)
+}
+
+// FNV-1a's 64-bit offset basis and prime.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvWord feeds v's eight bytes, least significant first, to the FNV-1a
+// state h.
+func fnvWord(h, v uint64) uint64 {
+	for range 8 {
+		h = (h ^ v&0xff) * fnvPrime
+		v >>= 8
+	}
+	return h
+}
+
+// fnvRect feeds r's corners, as the bits of MinX, MinY, MaxX and MaxY, to h.
+func fnvRect(h uint64, r geo.Rect) uint64 {
+	h = fnvWord(h, math.Float64bits(r.MinX))
+	h = fnvWord(h, math.Float64bits(r.MinY))
+	h = fnvWord(h, math.Float64bits(r.MaxX))
+	return fnvWord(h, math.Float64bits(r.MaxY))
 }
 
 // saveShard writes shard i's segment from a live filter, whose quantized

@@ -157,6 +157,26 @@ func TestSuffixBounds(t *testing.T) {
 	}
 }
 
+// TestSuffixBoundsInPlace: the signature builders pass one slice as both
+// weights and bounds, which must give the same bits as two slices.
+func TestSuffixBoundsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 100; trial++ {
+		w := make([]float64, rng.Intn(20))
+		for i := range w {
+			w[i] = rng.Float64() * 10
+		}
+		want := make([]float64, len(w))
+		SuffixBounds(w, want)
+		SuffixBounds(w, w)
+		for i := range w {
+			if math.Float64bits(w[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("in place bounds = %v, want %v", w, want)
+			}
+		}
+	}
+}
+
 // TestPrefixBoundConsistency is the central Lemma 2/3 invariant: element i
 // is in the prefix for threshold c exactly when its suffix bound is >= c.
 func TestPrefixBoundConsistency(t *testing.T) {

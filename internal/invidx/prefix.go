@@ -35,7 +35,8 @@ func PrefixLen(weights []float64, c float64) int {
 
 // SuffixBounds fills bounds[i] with the suffix sum Σ_{j≥i} weights[j] —
 // the threshold bounds of Lemma 3 to be stored with each posting.
-// bounds must have the same length as weights.
+// bounds must have the same length as weights, and may be weights itself:
+// SuffixBounds(w, w) turns w into its bounds in place.
 func SuffixBounds(weights, bounds []float64) {
 	var suffix float64
 	for i := len(weights) - 1; i >= 0; i-- {

@@ -1,7 +1,8 @@
-// Package irtree implements the IR-tree baseline of Section 2.3: an R-tree
-// whose every node carries the union of its subtree's tokens (the node-level
-// view of the per-node inverted files of Cong et al. [7]), extended to
-// spatio-textual similarity search. Traversal descends into a node n only if
+// Package irtree implements the IR-tree baseline of Section 2.3: an STR
+// R-tree, packed level by level with internal/rtree's Pack, whose every node
+// carries the union of its subtree's tokens (the node-level view of the
+// per-node inverted files of Cong et al. [7]), extended to spatio-textual
+// similarity search. Traversal descends into a node n only if
 // both derived bounds hold:
 //
 //	|q.R ∩ n.R| ≥ cR = τR·|q.R|   and   Σ_{t ∈ q.T ∩ n.T} w(t) ≥ cT = τT·Σ_{t∈q.T} w(t),
@@ -13,12 +14,11 @@ package irtree
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"github.com/sealdb/seal/internal/core"
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/model"
+	"github.com/sealdb/seal/internal/rtree"
 	"github.com/sealdb/seal/internal/text"
 )
 
@@ -35,120 +35,44 @@ func (n *node) isLeaf() bool { return n.children == nil }
 type Tree struct {
 	ds     *model.Dataset
 	root   *node
-	fanout int
 	height int
 }
 
-// New bulk-loads an IR-tree over all objects of ds using STR packing, then
-// computes token unions bottom-up.
+// New bulk-loads an IR-tree over all objects of ds with rtree.Pack, the
+// R-tree's STR level packer (ties in a center broken by ascending object),
+// and gives every node the union of its children's tokens as it packs it.
 func New(ds *model.Dataset, fanout int) (*Tree, error) {
 	if fanout < 4 {
 		return nil, fmt.Errorf("irtree: fanout %d must be at least 4", fanout)
 	}
-	n := ds.Len()
-	objs := make([]model.ObjectID, n)
+	objs := make([]model.ObjectID, ds.Len())
 	for i := range objs {
 		objs[i] = model.ObjectID(i)
 	}
-	leaves := packLeaves(ds, objs, fanout)
+	var level []*node
+	byID := func(a, b model.ObjectID) bool { return a < b }
+	for _, tile := range rtree.Pack(objs, fanout, ds.Region, byID) {
+		leaf := &node{objs: tile, rect: ds.Region(tile[0])}
+		for _, o := range tile {
+			leaf.rect = leaf.rect.Extend(ds.Region(o))
+			leaf.tokens = mergeTokens(leaf.tokens, ds.Tokens(o))
+		}
+		level = append(level, leaf)
+	}
 	height := 1
-	level := leaves
-	for len(level) > 1 {
-		level = packParents(level, fanout)
-		height++
-	}
-	t := &Tree{ds: ds, root: level[0], fanout: fanout, height: height}
-	return t, nil
-}
-
-func packLeaves(ds *model.Dataset, objs []model.ObjectID, fanout int) []*node {
-	n := len(objs)
-	leafCount := (n + fanout - 1) / fanout
-	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	sliceSize := sliceCount * fanout
-
-	sort.Slice(objs, func(i, j int) bool {
-		xi, _ := ds.Region(objs[i]).Center()
-		xj, _ := ds.Region(objs[j]).Center()
-		if xi != xj {
-			return xi < xj
-		}
-		return objs[i] < objs[j]
-	})
-	var leaves []*node
-	for s := 0; s < n; s += sliceSize {
-		end := s + sliceSize
-		if end > n {
-			end = n
-		}
-		slice := objs[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			_, yi := ds.Region(slice[i]).Center()
-			_, yj := ds.Region(slice[j]).Center()
-			if yi != yj {
-				return yi < yj
-			}
-			return slice[i] < slice[j]
-		})
-		for l := 0; l < len(slice); l += fanout {
-			lend := l + fanout
-			if lend > len(slice) {
-				lend = len(slice)
-			}
-			leaf := &node{objs: append([]model.ObjectID(nil), slice[l:lend]...)}
-			leaf.rect = ds.Region(leaf.objs[0])
-			var union []text.TokenID
-			for _, o := range leaf.objs {
-				leaf.rect = leaf.rect.Extend(ds.Region(o))
-				union = mergeTokens(union, ds.Tokens(o))
-			}
-			leaf.tokens = union
-			leaves = append(leaves, leaf)
-		}
-	}
-	return leaves
-}
-
-func packParents(nodes []*node, fanout int) []*node {
-	n := len(nodes)
-	parentCount := (n + fanout - 1) / fanout
-	sliceCount := int(math.Ceil(math.Sqrt(float64(parentCount))))
-	sliceSize := sliceCount * fanout
-
-	sort.Slice(nodes, func(i, j int) bool {
-		xi, _ := nodes[i].rect.Center()
-		xj, _ := nodes[j].rect.Center()
-		return xi < xj
-	})
-	var parents []*node
-	for s := 0; s < n; s += sliceSize {
-		end := s + sliceSize
-		if end > n {
-			end = n
-		}
-		slice := nodes[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			_, yi := slice[i].rect.Center()
-			_, yj := slice[j].rect.Center()
-			return yi < yj
-		})
-		for l := 0; l < len(slice); l += fanout {
-			lend := l + fanout
-			if lend > len(slice) {
-				lend = len(slice)
-			}
-			p := &node{children: append([]*node(nil), slice[l:lend]...)}
-			p.rect = p.children[0].rect
-			var union []text.TokenID
-			for _, c := range p.children {
+	for ; len(level) > 1; height++ {
+		var parents []*node
+		for _, tile := range rtree.Pack(level, fanout, func(n *node) geo.Rect { return n.rect }, nil) {
+			p := &node{children: tile, rect: tile[0].rect}
+			for _, c := range tile {
 				p.rect = p.rect.Extend(c.rect)
-				union = mergeTokens(union, c.tokens)
+				p.tokens = mergeTokens(p.tokens, c.tokens)
 			}
-			p.tokens = union
 			parents = append(parents, p)
 		}
+		level = parents
 	}
-	return parents
+	return &Tree{ds: ds, root: level[0], height: height}, nil
 }
 
 // mergeTokens unions two sorted token sets.

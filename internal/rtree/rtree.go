@@ -1,13 +1,14 @@
 // Package rtree implements a static R-tree over axis-aligned rectangles —
 // the spatial substrate of the Spatial-first baseline (Section 2.3). It is
 // bulk-loaded with the Sort-Tile-Recursive (STR) algorithm and answers
-// intersection (range) queries. (The IR-tree in internal/irtree packs its
-// own STR tree.)
+// intersection (range) queries. Its level packer, Pack, also builds the
+// IR-tree of internal/irtree.
 package rtree
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/sealdb/seal/internal/geo"
@@ -35,114 +36,72 @@ type Tree struct {
 	height int
 }
 
-// BulkLoad builds a tree over entries with the STR algorithm: entries are
-// sorted into vertical slices by x-center, each slice sorted by y-center and
-// cut into tiles of fanout entries; the procedure recurses over the
-// resulting nodes. STR yields well-clustered leaves in O(n log n).
+// BulkLoad builds a tree over entries with the STR algorithm (see Pack):
+// entries tile into leaves, ties in a center broken by ascending ID, and each
+// level's nodes tile into parents until one node is left. STR yields
+// well-clustered leaves in O(n log n).
 func BulkLoad(entries []Entry, fanout int) (*Tree, error) {
 	if fanout < 4 {
 		return nil, fmt.Errorf("rtree: fanout %d must be at least 4", fanout)
 	}
-	t := &Tree{}
+	t := &Tree{size: len(entries), height: 1}
 	if len(entries) == 0 {
 		t.root = &node{}
-		t.height = 1
 		return t, nil
 	}
-	es := make([]Entry, len(entries))
-	copy(es, entries)
-
-	leaves := strPack(es, fanout)
-	t.size = len(es)
-	t.height = 1
-	level := leaves
-	for len(level) > 1 {
-		level = packNodes(level, fanout)
-		t.height++
+	var level []*node
+	byID := func(a, b Entry) bool { return a.ID < b.ID }
+	for _, tile := range Pack(slices.Clone(entries), fanout, func(e Entry) geo.Rect { return e.Rect }, byID) {
+		leaf := &node{entries: tile}
+		leaf.recomputeRect()
+		level = append(level, leaf)
+	}
+	for ; len(level) > 1; t.height++ {
+		var parents []*node
+		for _, tile := range Pack(level, fanout, func(n *node) geo.Rect { return n.rect }, nil) {
+			p := &node{children: tile}
+			p.recomputeRect()
+			parents = append(parents, p)
+		}
+		level = parents
 	}
 	t.root = level[0]
 	return t, nil
 }
 
-// strPack cuts entries into fanout-sized leaves using sort-tile-recursive.
-func strPack(es []Entry, fanout int) []*node {
-	n := len(es)
-	leafCount := (n + fanout - 1) / fanout
-	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	sliceSize := sliceCount * fanout
-
-	sort.Slice(es, func(i, j int) bool {
-		xi, _ := es[i].Rect.Center()
-		xj, _ := es[j].Rect.Center()
-		if xi != xj {
-			return xi < xj
+// Pack is one level of a Sort-Tile-Recursive bulk load: it cuts items into
+// tiles of at most fanout, each tile one node of the level above. Items sort
+// by the x-center of their rect into vertical slices of ⌈√tiles⌉·fanout
+// items, each slice sorts by y-center, and each slice is cut into runs of
+// fanout. tie, when not nil, orders items whose centers are equal. Pack
+// reorders items and returns the tiles as subslices of it. The R-tree here
+// and the IR-tree (internal/irtree) both pack their levels with it.
+func Pack[T any](items []T, fanout int, rect func(T) geo.Rect, tie func(a, b T) bool) [][]T {
+	less := func(a, b T, y bool) bool {
+		ax, ay := rect(a).Center()
+		bx, by := rect(b).Center()
+		if y {
+			ax, bx = ay, by
 		}
-		return es[i].ID < es[j].ID
-	})
-	var leaves []*node
+		if ax != bx {
+			return ax < bx
+		}
+		return tie != nil && tie(a, b)
+	}
+	n := len(items)
+	tiles := (n + fanout - 1) / fanout
+	sliceSize := int(math.Ceil(math.Sqrt(float64(tiles)))) * fanout
+	sort.Slice(items, func(i, j int) bool { return less(items[i], items[j], false) })
+	out := make([][]T, 0, tiles)
 	for s := 0; s < n; s += sliceSize {
-		end := s + sliceSize
-		if end > n {
-			end = n
-		}
-		slice := es[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			_, yi := slice[i].Rect.Center()
-			_, yj := slice[j].Rect.Center()
-			if yi != yj {
-				return yi < yj
-			}
-			return slice[i].ID < slice[j].ID
-		})
+		slice := items[s:min(s+sliceSize, n)]
+		sort.Slice(slice, func(i, j int) bool { return less(slice[i], slice[j], true) })
 		for l := 0; l < len(slice); l += fanout {
-			lend := l + fanout
-			if lend > len(slice) {
-				lend = len(slice)
-			}
-			leaf := &node{entries: append([]Entry(nil), slice[l:lend]...)}
-			leaf.recomputeRect()
-			leaves = append(leaves, leaf)
+			end := min(l+fanout, len(slice))
+			out = append(out, slice[l:end:end])
 		}
 	}
-	return leaves
-}
-
-// packNodes groups a level of nodes into parents of up to fanout children,
-// using the same tiling strategy on node centers.
-func packNodes(nodes []*node, fanout int) []*node {
-	n := len(nodes)
-	parentCount := (n + fanout - 1) / fanout
-	sliceCount := int(math.Ceil(math.Sqrt(float64(parentCount))))
-	sliceSize := sliceCount * fanout
-
-	sort.Slice(nodes, func(i, j int) bool {
-		xi, _ := nodes[i].rect.Center()
-		xj, _ := nodes[j].rect.Center()
-		return xi < xj
-	})
-	var parents []*node
-	for s := 0; s < n; s += sliceSize {
-		end := s + sliceSize
-		if end > n {
-			end = n
-		}
-		slice := nodes[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			_, yi := slice[i].rect.Center()
-			_, yj := slice[j].rect.Center()
-			return yi < yj
-		})
-		for l := 0; l < len(slice); l += fanout {
-			lend := l + fanout
-			if lend > len(slice) {
-				lend = len(slice)
-			}
-			p := &node{children: append([]*node(nil), slice[l:lend]...)}
-			p.recomputeRect()
-			parents = append(parents, p)
-		}
-	}
-	return parents
+	return out
 }
 
 func (n *node) recomputeRect() {

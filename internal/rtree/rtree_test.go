@@ -1,7 +1,10 @@
 package rtree
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -176,5 +179,61 @@ func TestDuplicateRects(t *testing.T) {
 	got := collectIntersecting(tr, r)
 	if len(got) != 50 {
 		t.Fatalf("duplicate rects: found %d, want 50", len(got))
+	}
+}
+
+// TestPackTiles: Pack cuts n items into ⌈n/fanout⌉ tiles of at most fanout,
+// in the order it leaves items in: vertical slices of ⌈√tiles⌉·fanout items
+// ascending by x-center, each ascending by y-center, ties by the tie-break.
+func TestPackTiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rect := func(e Entry) geo.Rect { return e.Rect }
+	byID := func(a, b Entry) bool { return a.ID < b.ID }
+	for _, n := range []int{0, 1, 7, 64, 100, 257} {
+		for _, fanout := range []int{4, 8, 16} {
+			es := randomEntries(rng, n)
+			for i := range es { // many equal centers
+				x, y := float64(rng.Intn(8)), float64(rng.Intn(4))
+				es[i].Rect = geo.Rect{MinX: x, MinY: y, MaxX: x + 1, MaxY: y + 1}
+			}
+			tiles := Pack(es, fanout, rect, byID)
+			if want := (n + fanout - 1) / fanout; len(tiles) != want {
+				t.Fatalf("n=%d fanout=%d: %d tiles, want %d", n, fanout, len(tiles), want)
+			}
+			off := 0
+			for _, tile := range tiles {
+				if len(tile) == 0 || len(tile) > fanout {
+					t.Fatalf("n=%d fanout=%d: tile of %d", n, fanout, len(tile))
+				}
+				if &tile[0] != &es[off] {
+					t.Fatalf("n=%d fanout=%d: tile at %d is not the next run of items", n, fanout, off)
+				}
+				off += len(tile)
+			}
+			ids := map[uint32]bool{}
+			for _, e := range es {
+				ids[e.ID] = true
+			}
+			if off != n || len(ids) != n {
+				t.Fatalf("n=%d: tiles hold %d items, %d distinct", n, off, len(ids))
+			}
+			size := int(math.Ceil(math.Sqrt(float64(len(tiles))))) * fanout
+			for s := 0; s < n; s += size {
+				slice := es[s:min(s+size, n)]
+				for i := 1; i < len(slice); i++ {
+					_, y0 := slice[i-1].Rect.Center()
+					_, y1 := slice[i].Rect.Center()
+					if y0 > y1 || (y0 == y1 && slice[i-1].ID > slice[i].ID) {
+						t.Fatalf("n=%d fanout=%d: slice at %d not ascending by y, then ID", n, fanout, s)
+					}
+				}
+				if s+size < n {
+					byX := func(a, b Entry) int { return cmp.Or(cmp.Compare(a.Rect.MinX, b.Rect.MinX), cmp.Compare(a.ID, b.ID)) }
+					if byX(slices.MaxFunc(slice, byX), slices.MinFunc(es[s+size:], byX)) > 0 {
+						t.Fatalf("n=%d fanout=%d: slice at %d reaches past the next one's x, then ID", n, fanout, s)
+					}
+				}
+			}
+		}
 	}
 }

@@ -73,9 +73,6 @@ func (s *Server) SetBootInfo(b BootInfo) { s.boot = b }
 // balancers stop routing before the listener drains.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// Ready reports the /readyz state.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // Handler returns the daemon's full route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
