@@ -231,8 +231,9 @@
 // orders the grids it projects onto by their list lengths, so nothing is
 // derived at open). When dir
 // already matches the objects, their token weights and the configuration (by
-// a fingerprint over the objects in ID order), Build memory-maps the segments
-// and serves the mapped dataset instead of re-indexing; Open
+// a fingerprint that sums a hash of each object, blind to row order), Build
+// memory-maps the segments and serves the mapped dataset instead of
+// re-indexing; Open
 // boots an index purely from dir. A directory of an older layout version — by
 // its manifest, or by the version or retired layout of a posting segment
 // under a current manifest (the raw float64 arenas, or the uint64 key array

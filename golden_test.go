@@ -24,7 +24,10 @@ import (
 // Z-order shards of version 8 but orders the rows inside each shard by object
 // ID: dataset.seg (still version 2, a row→ID column under shard row bounds)
 // holds the columns in that order, each posting segment names the same
-// postings by their new rows, and the manifest carries the new version. The
+// postings by their new rows, and the manifest carries the new version.
+// Manifest version 10 re-recorded only the manifests: they carry the new
+// version and the fingerprint that sums word hashes of the objects, while
+// dataset.seg and every shard-N.seg kept their bytes. The
 // posting format is still segment version 4:
 // both offset tables — the lists' extents in rows (offs) and the token runs
 // over 32-bit grid nodes (runs) — are unary-coded bitmaps, and a list is
@@ -34,7 +37,7 @@ import (
 // so.
 var goldenSegmentDigests = map[string]string{
 	"dataset.seg":   "53fbd55d026fa361161ddb145176345a227ee8f3ebad523d913da0d99b823e07",
-	"manifest.json": "812476d0314289f1a4d1c326cdcaa0dc10caaa4729458fc4820b188435fc31a4",
+	"manifest.json": "42c473f2a3173b5231f9eec9648f269ee42dc5b27c7f1affcd58cff5aefebf7c",
 	"shard-0.seg":   "75656a821b2de8f291d0197548b834aea0c34a0b4fc32e33f895c3d7f727cbb7",
 	"shard-1.seg":   "2049df8a2d925345f68f9e633adcdf2f8cd4313ee0c7e49ef9f733045c0899f9",
 	"shard-2.seg":   "3861bffc69a72ed6adb1172c66d14ac292697573b11bb67c59cd3111553eae80",
@@ -65,25 +68,25 @@ var goldenFlavours = []struct {
 	{"seal/quantized", goldenObjects, productionOptions, goldenSegmentDigests},
 	{"token/quantized", goldenObjects, []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "4807443757f866a7a09af424423144ed00e9aec1de704fe5bf06f3cd743ce8c6",
+		"manifest.json": "3689d14cf86b9fd727d3385448ac592ff019aa89e17a23f57afd0a0b7ce84042",
 		"shard-0.seg":   "0dc84945537c4fd94cc78f2db45f39fc4b7cab522f17c29e912d95f7233992d5",
 		"shard-1.seg":   "e3ecd6fba4b6b238cea2616942694a866ae025eb0a7266719f1496b45ebaadb6",
 	}},
 	{"grid/quantized", goldenObjects, []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "d29cba9b0e6d517f798f2db7e37b54edad16c85897ee52741f7df511d1f24455",
+		"manifest.json": "b174dd3af9f615f10853c5b26a315e684e2c715142ce093f80c24cfb9da3e6e2",
 		"shard-0.seg":   "ae6eaef135c9ab6d4492edc0e2ba67ef6062f93cff68d24f7f42f11e7aa159dc",
 		"shard-1.seg":   "35432446f294f11a0541e2623060648c8da99797a06c0ed588f2cec3a720211c",
 	}},
 	{"hybrid-hash/quantized", goldenObjects, []seal.Option{seal.WithMethod(seal.MethodHybridHash), seal.WithShards(2)}, map[string]string{
 		"dataset.seg":   golden2ShardDataset,
-		"manifest.json": "014792cbeb3e0333c24d8d723ee7ddeb5e7e5948a4ede2fca24c47478b2fb99a",
+		"manifest.json": "ada575a04d9a79e4953bb6bf9d3cc8dc5dcc08267173c1ebb3a9303a5d5851a5",
 		"shard-0.seg":   "7ae35213acfbbff972125bb6bc28232fed30332c1bb2903840af7e474b05eb8d",
 		"shard-1.seg":   "b22393401d95d5f8bd1eae7643df0afe9444bd5bfa3e9f5a1a8a4e915e980bad",
 	}},
 	{"seal/tied", tiedObjects, productionOptions, map[string]string{
 		"dataset.seg":   "8a7811f93d8c0e5aab1e27ada880974fde2f26527cd83898629a4ba3469b16c8",
-		"manifest.json": "e888120f802299c1f22a30fa2c8c88d0b594b70ff1e5e9b8f328fc9f490d2331",
+		"manifest.json": "b8be7ba1a423fd08cc12942d9ca7de0306e3c56aab983f4c4b5d5c974c9e3bb0",
 		"shard-0.seg":   "09922808944bfb1c0a41f603ba4ae4f7d5bfbcc0fc1d88109c97ec1a22eedb94",
 		"shard-1.seg":   "6645871579714783cc668d3efb4141d719ae959cad98057e5f513beeb0909778",
 		"shard-2.seg":   "6ebe42b9fd0980d4080a952d57f525243d2825edc58518982cb69b4a49dcda20",
@@ -178,9 +181,10 @@ func TestGoldenSegmentDigests(t *testing.T) {
 // version 2 at 2,544,617 B and 24.99 with a key directory in every segment
 // and 2,029,418 B and 19.10 without one in Seal's, version 3 at 1,548,461 B
 // and 13.59 with uint32 offset tables. Manifest version 7 is 22 B shorter
-// than version 6, which carried a compressed field.
+// than version 6, which carried a compressed field, and version 10 is 1 B
+// longer than version 9: its version number has two digits.
 const (
-	goldenDirBytes        = 1208471
+	goldenDirBytes        = 1208472
 	goldenPostings        = 87378
 	goldenBytesPerPosting = 9.70 // the four posting segments' bytes / goldenPostings
 )

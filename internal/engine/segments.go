@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -27,7 +28,6 @@ import (
 	"github.com/sealdb/seal/internal/faultfs"
 	"github.com/sealdb/seal/internal/geo"
 	"github.com/sealdb/seal/internal/model"
-	"github.com/sealdb/seal/internal/text"
 )
 
 // Segment directory layout: the manifest, the dataset segment, and one
@@ -48,26 +48,28 @@ type Manifest struct {
 	Fingerprint string          `json:"fingerprint"`
 }
 
-// manifestVersion 9 is the gob-free layout above: a version-2 dataset segment,
+// manifestVersion 10 is the gob-free layout above: a version-2 dataset segment,
 // whose shards are Z-order row ranges with rows ascending by object ID inside
 // each, under a row→ID column and shard row bounds, and version-4 posting
 // segments, which are always compressed:
 // fixed-width lists under a unary extent table behind a unary group-run table
-// over 32-bit nodes. Earlier directories — version 1
+// over 32-bit nodes; its fingerprint sums word hashes of the objects (see
+// Fingerprint). Earlier directories — version 1
 // (dataset.snap, parts.gob, shard-N.grids.gob), version 2 (run-length lists),
 // version 3 (a directory in every posting segment), version 4 (per-list
 // quantization steps and counts; 64-bit keys in a Seal shard), version 5
 // (uint32 offset tables), version 6 (a compressed flag, and a fingerprint
 // blind to token weights and multi-region footprints), version 7 (rows in
-// ID order under stored partition lists) and version 8 (rows in Z-order
+// ID order under stored partition lists), version 8 (rows in Z-order
 // inside each shard, which a limited search, answering in row order, would
-// serve out of ID order) — have no reader: they read as a
+// serve out of ID order) and version 9 (the FNV-1a fingerprint, a byte at a
+// time over the objects in ID order) — have no reader: they read as a
 // manifest mismatch, which every boot path treats as stale and rebuilds. So
 // does a current manifest over a posting segment of an earlier version or a
 // retired layout (among them the uint64 key array and hash directory the
 // token, grid and hybrid-hash filters once wrote): that is another
 // generation's file, not a damaged shard, and is never quarantined.
-const manifestVersion = 9
+const manifestVersion = 10
 
 // ErrNoSegments reports a directory without a readable manifest. Because the
 // manifest is written last and removed first, this is the normal state of an
@@ -103,67 +105,89 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Fingerprint hashes a root dataset's observable content — object count,
-// vocabulary with its token weights, and per object, in ID order, its region
-// coordinates and multi-region footprint (bit-exact) and its token IDs — with
-// FNV-1a, so a segment directory can prove it was built from the same corpus
-// before its postings are trusted for that corpus. The weights belong to it
-// because they set the global signature order and every posting's bound. The
-// row order does not: a dataset and its Z-ordered copy hash the same.
+// Fingerprint is a change detector over a root dataset's observable content:
+// the object count, the vocabulary (term blob, offsets and token weights),
+// and per object its ID, region, multi-region footprint (bit-exact) and token
+// IDs. A segment directory records it so a boot can tell that the directory
+// was built from the same corpus before it trusts the postings for that
+// corpus; the weights belong because they set the global signature order and
+// every posting's bound. It is not an integrity check: every segment section
+// carries its own CRC for that.
+//
+// Each object hashes on its own, a word at a time, and the dataset's value
+// adds the objects' up mod 2⁶⁴, so the rows are read in storage order and
+// their order does not show: a dataset and any permutation of its rows hash
+// the same.
 func Fingerprint(ds *model.Dataset) string {
-	h := fnvWord(fnvOffset, uint64(ds.Len()))
 	vocab := ds.Vocab()
-	h = fnvWord(h, uint64(vocab.Len()))
-	blob, off := vocab.Blob() // read in place: boot fingerprints the whole vocabulary
-	for i := 0; i < vocab.Len(); i++ {
-		for j := off[i]; j < off[i+1]; j++ {
-			h = (h ^ uint64(blob[j])) * fnvPrime
-		}
-		h *= fnvPrime // the term's terminating 0 byte
-		h = fnvWord(h, math.Float64bits(vocab.Weight(text.TokenID(i))))
+	blob, off := vocab.Blob() // read in place: a boot hashes the whole vocabulary
+	h := mixWord(fpSeed, uint64(vocab.Len()))
+	for len(blob) >= 8 {
+		h = mixWord(h, uint64(blob[0])|uint64(blob[1])<<8|uint64(blob[2])<<16|uint64(blob[3])<<24|
+			uint64(blob[4])<<32|uint64(blob[5])<<40|uint64(blob[6])<<48|uint64(blob[7])<<56)
+		blob = blob[8:]
 	}
-	rows := make([]model.ObjectID, ds.Len())
-	for r := range rows {
-		rows[ds.ID(model.ObjectID(r))] = model.ObjectID(r)
+	var tail uint64
+	for i := len(blob) - 1; i >= 0; i-- {
+		tail = tail<<8 | uint64(blob[i])
 	}
-	for _, row := range rows {
-		h = fnvRect(h, ds.Region(row))
+	h = mixWord(h, tail)
+	for _, o := range off {
+		h = mixWord(h, uint64(o))
+	}
+	for _, w := range vocab.Weights() {
+		h = mixWord(h, math.Float64bits(w))
+	}
+	var sum uint64
+	for r := range ds.Len() {
+		row := model.ObjectID(r)
+		o := mixRect(mixWord(fpSeed, uint64(ds.ID(row))), ds.Region(row))
 		set := ds.MultiRegion(row) // nil for a single-region object
-		h = fnvWord(h, uint64(len(set)))
+		o = mixWord(o, uint64(len(set)))
 		for _, m := range set {
-			h = fnvRect(h, m)
+			o = mixRect(o, m)
 		}
 		toks := ds.Tokens(row)
-		h = fnvWord(h, uint64(len(toks)))
+		o = mixWord(o, uint64(len(toks)))
 		for _, t := range toks {
-			h = fnvWord(h, uint64(t))
+			o = mixWord(o, uint64(t))
 		}
+		sum += avalanche(o)
 	}
-	return fmt.Sprintf("%016x", h)
+	return fmt.Sprintf("%016x", avalanche(mixWord(mixWord(h, uint64(ds.Len())), sum)))
 }
 
-// FNV-1a's 64-bit offset basis and prime.
+// The fingerprint's word hash is xxHash64's: its round folds a word into the
+// state with one multiply on the state's path, and its avalanche spreads
+// every state bit over the result.
 const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
+	fpSeed   = 0x27d4eb2f165667c5 // xxHash64's prime 5
+	xxPrime1 = 0x9e3779b185ebca87
+	xxPrime2 = 0xc2b2ae3d27d4eb4f
+	xxPrime3 = 0x165667b19e3779f9
 )
 
-// fnvWord feeds v's eight bytes, least significant first, to the FNV-1a
-// state h.
-func fnvWord(h, v uint64) uint64 {
-	for range 8 {
-		h = (h ^ v&0xff) * fnvPrime
-		v >>= 8
-	}
-	return h
+// mixWord folds v into the state h.
+func mixWord(h, v uint64) uint64 {
+	return bits.RotateLeft64(h+v*xxPrime2, 31) * xxPrime1
 }
 
-// fnvRect feeds r's corners, as the bits of MinX, MinY, MaxX and MaxY, to h.
-func fnvRect(h uint64, r geo.Rect) uint64 {
-	h = fnvWord(h, math.Float64bits(r.MinX))
-	h = fnvWord(h, math.Float64bits(r.MinY))
-	h = fnvWord(h, math.Float64bits(r.MaxX))
-	return fnvWord(h, math.Float64bits(r.MaxY))
+// mixRect folds r's corners, as the bits of MinX, MinY, MaxX and MaxY, into h.
+func mixRect(h uint64, r geo.Rect) uint64 {
+	h = mixWord(h, math.Float64bits(r.MinX))
+	h = mixWord(h, math.Float64bits(r.MinY))
+	h = mixWord(h, math.Float64bits(r.MaxX))
+	return mixWord(h, math.Float64bits(r.MaxY))
+}
+
+// avalanche finishes a state into a value whose every bit depends on every
+// bit of the state, so sums of values do not cancel by structure.
+func avalanche(h uint64) uint64 {
+	h ^= h >> 33
+	h *= xxPrime2
+	h ^= h >> 29
+	h *= xxPrime3
+	return h ^ h>>32
 }
 
 // saveShard writes shard i's segment from a live filter, whose quantized
@@ -202,16 +226,6 @@ func (e *Engine) SaveSegments(dir string) error {
 		return err
 	}
 
-	// The manifest's fingerprint hashes while the segments are written; the
-	// file operations stay serial, in the order a crash plan counts them.
-	var fingerprint string
-	hashed := make(chan struct{})
-	go func() {
-		defer close(hashed)
-		fingerprint = e.Fingerprint()
-	}()
-	defer func() { <-hashed }() // no save returns with the hash running
-
 	var spec core.FilterSpec
 	for i, s := range e.shards {
 		if s.filter == nil {
@@ -234,13 +248,12 @@ func (e *Engine) SaveSegments(dir string) error {
 		return err
 	}
 
-	<-hashed
 	m := Manifest{
 		Version:     manifestVersion,
 		Objects:     e.root.Len(),
 		Shards:      len(e.shards),
 		Filter:      spec,
-		Fingerprint: fingerprint,
+		Fingerprint: e.Fingerprint(),
 	}
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
@@ -343,9 +356,10 @@ type ShardHealth struct {
 // the healthy ones, strict queries return ErrShardQuarantined and partial
 // queries skip it. Failures that compromise every shard — an unreadable
 // manifest or dataset segment (it holds the shard bounds too), a fingerprint
-// mismatch, or every shard failing — always fail the open. The shards open
+// mismatch, or every shard failing — always fail the open. The dataset is
+// hashed and checked before any shard opens; the shards then open
 // concurrently, but the error reported is the one a serial open would meet
-// first: the fingerprint's, then the shards' in shard order.
+// first: the fingerprint's, then the bounds', then the shards' in shard order.
 func OpenSegmentsWith(dir string, quarantine bool) (*Engine, error) {
 	// A read-only boot must still be able to open the directory, so sweep
 	// failures (e.g. EROFS) are ignored: temps are garbage, not a hazard.
@@ -369,32 +383,26 @@ func OpenSegmentsWith(dir string, quarantine bool) (*Engine, error) {
 			e.Close()
 		}
 	}()
-	if m.Objects != root.Len() {
+	if m.Objects != root.Len() || m.Fingerprint != Fingerprint(root) {
 		return nil, fmt.Errorf("%w: segment directory %s was built from a different dataset", ErrManifestMismatch, dir)
 	}
-	// The fingerprint hashes beside the shard opens. Every mapped segment
-	// joins the closers before any outcome is judged, so a failed open
-	// releases them all.
+	e.fingerprint = func() string { return m.Fingerprint }
 	bounds := dseg.Bounds()
-	n := m.Shards
-	if len(bounds)-1 != n {
-		n = 0 // the bounds are corrupt: only the fingerprint, which outranks them, is worth computing
+	if len(bounds)-1 != m.Shards {
+		return nil, fmt.Errorf("%w: dataset segment bounds %d shards, manifest %d", diskidx.ErrCorrupt, len(bounds)-1, m.Shards)
 	}
-	shards := make([]openedShard, n)
-	var fingerprint string
-	_ = ForEach(context.Background(), n+1, runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
-		if i == 0 {
-			fingerprint = Fingerprint(root)
-			return nil
-		}
-		o := &shards[i-1]
-		sub, err := root.Subset(int(bounds[i-1]), int(bounds[i]))
+	// Every mapped segment joins the closers before any outcome is judged,
+	// so a failed open releases them all.
+	shards := make([]openedShard, m.Shards)
+	_ = ForEach(context.Background(), m.Shards, runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
+		o := &shards[i]
+		sub, err := root.Subset(int(bounds[i]), int(bounds[i+1]))
 		if err != nil {
 			o.err = err
 			return nil
 		}
 		var f core.Filter
-		f, o.seg, o.openErr = openOneShard(dir, i-1, sub, m)
+		f, o.seg, o.openErr = openOneShard(dir, i, sub, m)
 		o.shard = newShard(sub, f)
 		return nil
 	})
@@ -402,13 +410,6 @@ func OpenSegmentsWith(dir string, quarantine bool) (*Engine, error) {
 		if o.seg != nil {
 			e.closers = append(e.closers, o.seg)
 		}
-	}
-	if m.Fingerprint != fingerprint {
-		return nil, fmt.Errorf("%w: segment directory %s was built from a different dataset", ErrManifestMismatch, dir)
-	}
-	e.fingerprint = func() string { return m.Fingerprint }
-	if len(bounds)-1 != m.Shards {
-		return nil, fmt.Errorf("%w: dataset segment bounds %d shards, manifest %d", diskidx.ErrCorrupt, len(bounds)-1, m.Shards)
 	}
 	for i, o := range shards {
 		switch {

@@ -1,6 +1,9 @@
 package geo
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // RectSet is a region composed of several possibly-overlapping rectangles,
 // treated as their union. It implements the paper's future-work extension of
@@ -13,9 +16,21 @@ import "sort"
 // (a handful of activity clusters per user).
 type RectSet []Rect
 
+// stackRects is how many rectangles a sweep holds in fixed buffers on the
+// stack: measuring a set of up to that many allocates nothing, and only a
+// larger one reaches the heap.
+const stackRects = 8
+
 // Area returns the area of the union of the rectangles.
 func (s RectSet) Area() float64 {
-	return unionArea(s)
+	var buf [stackRects]Rect
+	active := buf[:0]
+	for _, r := range s {
+		if !r.IsDegenerate() {
+			active = append(active, r)
+		}
+	}
+	return sweepArea(active)
 }
 
 // MBR returns the bounding rectangle of the set. It panics on an empty set.
@@ -25,40 +40,39 @@ func (s RectSet) MBR() Rect {
 
 // IntersectionArea returns |union(s) ∩ r|.
 func (s RectSet) IntersectionArea(r Rect) float64 {
-	clipped := make(RectSet, 0, len(s))
+	var buf [stackRects]Rect
+	clipped := buf[:0]
 	for _, b := range s {
 		if c, ok := b.Intersection(r); ok && !c.IsDegenerate() {
 			clipped = append(clipped, c)
 		}
 	}
-	return unionArea(clipped)
+	return sweepArea(clipped)
 }
 
-// unionArea computes the union area with an x-slab sweep: between adjacent
-// distinct x coordinates, the covered y length is the merged length of the
-// y intervals of rectangles spanning the slab.
-func unionArea(rects RectSet) float64 {
-	active := rects[:0:0]
-	for _, r := range rects {
-		if !r.IsDegenerate() {
-			active = append(active, r)
-		}
-	}
-	if len(active) == 0 {
+// sweepArea computes the union area of non-degenerate rectangles with an
+// x-slab sweep: between adjacent distinct x coordinates, the covered y length
+// is the merged length of the y intervals of rectangles spanning the slab.
+// Spans that start at the same y merge to the same intervals in any order,
+// so the sum does not depend on how the sort breaks their ties.
+func sweepArea(rects []Rect) float64 {
+	switch len(rects) {
+	case 0:
 		return 0
+	case 1:
+		return rects[0].Area()
 	}
-	if len(active) == 1 {
-		return active[0].Area()
-	}
-	xs := make([]float64, 0, 2*len(active))
-	for _, r := range active {
+	var xbuf [2 * stackRects]float64
+	xs := xbuf[:0]
+	for _, r := range rects {
 		xs = append(xs, r.MinX, r.MaxX)
 	}
-	sort.Float64s(xs)
-	xs = dedupFloats(xs)
+	slices.Sort(xs)
+	xs = slices.Compact(xs)
 
 	type span struct{ lo, hi float64 }
-	spans := make([]span, 0, len(active))
+	var sbuf [stackRects]span
+	spans := sbuf[:0]
 	var total float64
 	for i := 0; i+1 < len(xs); i++ {
 		x0, x1 := xs[i], xs[i+1]
@@ -67,7 +81,7 @@ func unionArea(rects RectSet) float64 {
 			continue
 		}
 		spans = spans[:0]
-		for _, r := range active {
+		for _, r := range rects {
 			if r.MinX <= x0 && r.MaxX >= x1 {
 				spans = append(spans, span{r.MinY, r.MaxY})
 			}
@@ -75,7 +89,7 @@ func unionArea(rects RectSet) float64 {
 		if len(spans) == 0 {
 			continue
 		}
-		sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
+		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 		covered := 0.0
 		curLo, curHi := spans[0].lo, spans[0].hi
 		for _, sp := range spans[1:] {
@@ -92,14 +106,4 @@ func unionArea(rects RectSet) float64 {
 		total += covered * width
 	}
 	return total
-}
-
-func dedupFloats(xs []float64) []float64 {
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

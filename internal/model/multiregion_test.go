@@ -101,3 +101,36 @@ func TestMultiRegionDice(t *testing.T) {
 		t.Fatalf("Dice simR = %v, want %v", got, want)
 	}
 }
+
+// TestSimRMultiAllocs: verifying a candidate with a footprint of two to
+// eight rectangles, overlapping and disjoint, allocates nothing — the
+// sweeps keep that many rectangles in fixed buffers.
+func TestSimRMultiAllocs(t *testing.T) {
+	var b model.Builder
+	for n := 2; n <= 8; n++ {
+		set := make(geo.RectSet, n)
+		for i := range set {
+			x, y := float64(3*i+6*(i/4)), float64(i%3) // the first four chain, the rest lie apart
+			set[i] = geo.Rect{MinX: x, MinY: y, MaxX: x + 4, MaxY: y + 2 + float64(i%2)}
+		}
+		if _, err := b.AddMulti(set, []string{"park"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ds.NewQuery(geo.Rect{MinX: 1, MinY: 1, MaxX: 30, MaxY: 3}, []string{"park"}, 0.01, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row := range model.ObjectID(ds.Len()) {
+		if ds.MultiRegion(row) == nil || ds.SimR(q, row) == 0 {
+			t.Fatalf("row %d: a multi-region object the query overlaps is the premise", row)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { ds.SimR(q, row) }); allocs != 0 {
+			t.Errorf("SimR on a %d-rectangle footprint: %v allocations, want 0", len(ds.MultiRegion(row)), allocs)
+		}
+	}
+}

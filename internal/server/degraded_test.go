@@ -235,7 +235,7 @@ func TestBootRebuildsUnusableSegmentDir(t *testing.T) {
 // list), a version-5 one (uint32 offset tables), a version-6 one (a compressed
 // flag, and a fingerprint blind to token weights), a version-7 one (rows in
 // ID order under partition lists), a version-8 one (rows in Z-order inside
-// each shard), or a current manifest over
+// each shard), a version-9 one (the FNV-1a fingerprint), or a current manifest over
 // posting segments of version 1, 2 or 3, or over version-4 ones of a retired
 // posting layout (flag bit 2 set: the float64 fallback; bit 1 clear: the raw
 // float64 arenas) — is stale, not damaged. A
@@ -251,9 +251,9 @@ func TestStaleFormatBootRebuilds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			aged := strings.Replace(string(man), `"version": 9`, `"version": `+v, 1)
+			aged := strings.Replace(string(man), `"version": 10`, `"version": `+v, 1)
 			if aged == string(man) {
-				t.Fatalf("manifest carries no version 9 to age: %s", man)
+				t.Fatalf("manifest carries no version 10 to age: %s", man)
 			}
 			if err := os.WriteFile(path, []byte(aged), 0o644); err != nil {
 				t.Fatal(err)
@@ -287,6 +287,7 @@ func TestStaleFormatBootRebuilds(t *testing.T) {
 		"manifest v6": manifestAs("6"),
 		"manifest v7": manifestAs("7"),
 		"manifest v8": manifestAs("8"),
+		"manifest v9": manifestAs("9"),
 		"v1 posting segments under a current manifest":               segmentsAs(1),
 		"v2 posting segments under a current manifest":               segmentsAs(2),
 		"v3 posting segments under a current manifest":               segmentsAs(3),

@@ -573,6 +573,18 @@ func TestFingerprintSeesEveryObservable(t *testing.T) {
 		{"a region coordinate", func(o []seal.Object, _ map[string]float64) { o[0].Region.MaxX = 9.5 }, true},
 		{"a token", func(o []seal.Object, _ map[string]float64) { o[2].Tokens = []string{"a"} }, true},
 		{"a token weight", func(_ []seal.Object, w map[string]float64) { w["b"] = 2.5 }, true},
+		{"a token weight's last bit", func(_ []seal.Object, w map[string]float64) { w["b"] = math.Nextafter(2, 3) }, true},
+		{"a term's spelling", func(o []seal.Object, w map[string]float64) {
+			for i := range o {
+				for j, tok := range o[i].Tokens {
+					if tok == "c" {
+						o[i].Tokens[j] = "d"
+					}
+				}
+			}
+			delete(w, "c")
+			w["d"] = 3
+		}, true},
 		{"a multi-region footprint under the same MBR", func(o []seal.Object, _ map[string]float64) {
 			o[1].Regions[1] = seal.Rect{MinX: 1, MinY: 1, MaxX: 3, MaxY: 2}
 		}, true},
@@ -730,8 +742,9 @@ func segmentDirNames(t *testing.T, dir string) []string {
 }
 
 // TestVersion1DirectoryIsStale: the gob-era layout has no reader, and neither
-// has a version-6, version-7 or version-8 manifest — version 8 is the
-// directory whose rows lie in Z-order inside each shard — nor a current one
+// has a version-6, version-7, version-8 or version-9 manifest — version 8 is
+// the directory whose rows lie in Z-order inside each shard, version 9 the
+// one whose fingerprint FNV-1a hashed — nor a current one
 // over posting segments of the retired raw layout (flag bit 1 clear). Each reads as a mismatch from Open,
 // and as "stale" from Build(WithSegmentDir), which rebuilds over it and leaves
 // exactly the current artifact set behind — none of the old generation's
@@ -747,9 +760,9 @@ func TestVersion1DirectoryIsStale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aged := strings.Replace(string(man), `"version": 9`, `"version": `+version, 1)
+		aged := strings.Replace(string(man), `"version": 10`, `"version": `+version, 1)
 		if aged == string(man) {
-			t.Fatalf("manifest carries no version 9 to age: %s", man)
+			t.Fatalf("manifest carries no version 10 to age: %s", man)
 		}
 		if err := os.WriteFile(path, []byte(aged), 0o644); err != nil {
 			t.Fatal(err)
@@ -772,6 +785,7 @@ func TestVersion1DirectoryIsStale(t *testing.T) {
 		{"version 6", func(t *testing.T, dir string) { ageManifest(t, dir, "6") }},
 		{"version 7", func(t *testing.T, dir string) { ageManifest(t, dir, "7") }},
 		{"version 8", func(t *testing.T, dir string) { ageManifest(t, dir, "8") }},
+		{"version 9", func(t *testing.T, dir string) { ageManifest(t, dir, "9") }},
 		{"raw posting segments", func(t *testing.T, dir string) {
 			for i := 0; i < 2; i++ {
 				path := filepath.Join(dir, fmt.Sprintf("shard-%d.seg", i))
