@@ -11,7 +11,9 @@
 //	simR(q, o) = |q.R ∩ o.R| / |q.R ∪ o.R| ≥ TauR   (spatial Jaccard), and
 //	simT(q, o) = Σ_{t∈q.T∩o.T} w(t) / Σ_{t∈q.T∪o.T} w(t) ≥ TauT
 //
-// where token weights default to idf over the indexed corpus.
+// where token weights default to idf over the indexed corpus. Jaccard is
+// the only similarity in either dimension: every signature filter's prefix
+// bound is derived from it.
 //
 // # Quick start
 //
@@ -155,11 +157,11 @@
 // Every shard knows its extent, the bounding rectangle of its members'
 // footprints (computed when the shard is built or opened, never stored).
 // Before anything is dispatched the extent is held against the query
-// rectangle: with A = |query ∩ extent| no member can score above A/|query|
-// under Jaccard, or 2A/(|query|+A) under Dice, so a shard whose bound falls
-// below TauR (FloorR for ranked requests) is skipped — no goroutine, no
-// searcher, no scan. A relative margin of 1e-9 absorbs the bound's own
-// rounding, so an object sitting exactly on the threshold is never lost.
+// rectangle: with A = |query ∩ extent| no member can score above A/|query|,
+// so a shard whose bound falls below TauR (FloorR for ranked requests) is
+// skipped — no goroutine, no searcher, no scan. A relative margin of 1e-9
+// absorbs the bound's own rounding, so an object sitting exactly on the
+// threshold is never lost.
 //
 // Pruning is always on, for every method, storage layout and shard count,
 // and never changes an answer. Stats.ShardsPruned counts the skips beside

@@ -450,9 +450,9 @@ func Example_socialAds() {
 // Example_wildlifeSurvey is the paper's third motivating application:
 // wildlife monitoring. Species are ROIs — habitat MBRs plus descriptive
 // feature tags — and a zoologist's question like "which mammals range over
-// this study area?" is a spatio-textual similarity search. It also uses two
-// library extensions the paper names as variants: domain-supplied token
-// weights (taxonomy outweighs behaviour) and Dice spatial similarity.
+// this study area?" is a spatio-textual similarity search. It also uses a
+// library extension the paper names as a variant: domain-supplied token
+// weights (taxonomy outweighs behaviour).
 func Example_wildlifeSurvey() {
 	catalog := []struct {
 		name    string
@@ -483,7 +483,6 @@ func Example_wildlifeSurvey() {
 	}
 	ix, err := seal.Build(objects,
 		seal.WithTokenWeights(weights),
-		seal.WithSpatialSimilarity(seal.SpatialDice),
 		seal.WithMethod(seal.MethodHybridHash),
 		seal.WithGranularity(64),
 	)
@@ -499,17 +498,17 @@ func Example_wildlifeSurvey() {
 		{"solitary mammals ranging over the northern highlands", seal.Request{
 			Region: seal.Rect{MinX: 30, MinY: 55, MaxX: 80, MaxY: 95},
 			Tokens: []string{"mammal", "solitary"},
-			TauR:   0.3, TauT: 0.5,
+			TauR:   3.0 / 17, TauT: 0.5,
 		}},
 		{"herd herbivores using the southern grasslands", seal.Request{
 			Region: seal.Rect{MinX: 25, MinY: 10, MaxX: 85, MaxY: 60},
 			Tokens: []string{"mammal", "herbivore", "herd"},
-			TauR:   0.4, TauT: 0.6,
+			TauR:   1.0 / 4, TauT: 0.6,
 		}},
 		{"alpine specialists in the high country", seal.Request{
 			Region: seal.Rect{MinX: 50, MinY: 65, MaxX: 80, MaxY: 95},
 			Tokens: []string{"alpine", "mammal"},
-			TauR:   0.3, TauT: 0.4,
+			TauR:   3.0 / 17, TauT: 0.4,
 		}},
 	}
 	for _, s := range surveys {
@@ -519,19 +518,19 @@ func Example_wildlifeSurvey() {
 			log.Fatal(err)
 		}
 		for _, m := range res.Matches {
-			fmt.Printf("  %-16s habitat overlap (Dice) %.2f, trait similarity %.2f\n",
+			fmt.Printf("  %-16s habitat overlap %.2f, trait similarity %.2f\n",
 				catalog[m.ID].name, m.SimR, m.SimT)
 		}
 	}
 	// Output:
 	// indexed 8 species (HybridFilter(64))
 	// survey: solitary mammals ranging over the northern highlands
-	//   grizzly bear     habitat overlap (Dice) 0.47, trait similarity 0.57
-	//   wolverine        habitat overlap (Dice) 0.63, trait similarity 0.57
+	//   grizzly bear     habitat overlap 0.30, trait similarity 0.57
+	//   wolverine        habitat overlap 0.46, trait similarity 0.57
 	// survey: herd herbivores using the southern grasslands
-	//   elk              habitat overlap (Dice) 0.60, trait similarity 0.86
-	//   bison            habitat overlap (Dice) 0.87, trait similarity 1.00
+	//   elk              habitat overlap 0.43, trait similarity 0.86
+	//   bison            habitat overlap 0.77, trait similarity 1.00
 	// survey: alpine specialists in the high country
-	//   pika             habitat overlap (Dice) 0.66, trait similarity 0.57
-	//   wolverine        habitat overlap (Dice) 0.81, trait similarity 0.57
+	//   pika             habitat overlap 0.49, trait similarity 0.57
+	//   wolverine        habitat overlap 0.68, trait similarity 0.57
 }

@@ -16,11 +16,14 @@ package diskidx
 // derives are built on the heap.
 //
 // Header counts are nObjects, nTokens (the token arena's length) and nTerms;
-// flags carry the spatial similarity function in bits 0–7 and the textual one
-// in bits 8–15. The file is outside input until it has opened: geometry and
-// checksums are checked by the container, every structural invariant — the
-// ID column a permutation of the rows among them — by model.FromColumns, the
-// bounds by checkBounds, and any violation is ErrCorrupt.
+// flags are 0. Similarity is Jaccard in both dimensions, the only function;
+// non-zero flags mark a retired file written under another similarity (bits
+// 0–7 named the spatial function, bits 8–15 the textual one), which is
+// rejected as ErrCorrupt like any unknown flag. The file is outside input
+// until it has opened: geometry and checksums are checked by the container,
+// every structural invariant — the ID column a permutation of the rows among
+// them — by model.FromColumns, the bounds by checkBounds, and any violation
+// is ErrCorrupt.
 
 import (
 	"fmt"
@@ -80,9 +83,8 @@ func WriteDataset(path string, ds *model.Dataset, bounds []uint32) error {
 		{id: dsecMultiOff, data: u32Bytes(c.MultiOff)},
 		{id: dsecMultiRects, data: rectBytes(c.MultiRects)},
 	}
-	flags := uint32(c.SpatialSim) | uint32(c.TextualSim)<<8
 	counts := [3]uint64{uint64(len(c.Regions)), uint64(len(c.TokIDs)), uint64(len(c.Weights))}
-	return writeContainer(path, magicDataset, datasetVersion, flags, counts, secs)
+	return writeContainer(path, magicDataset, datasetVersion, 0, counts, secs)
 }
 
 // DatasetSegment is an open dataset segment. Its dataset's per-object
@@ -115,7 +117,7 @@ func openDataset(data []byte) (*DatasetSegment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.flags&^0xffff != 0 {
+	if c.flags != 0 {
 		return nil, fmt.Errorf("%w: unknown dataset flags %#x", ErrCorrupt, c.flags)
 	}
 	// The counts size the multiplications below: an object costs at least a
@@ -145,8 +147,6 @@ func openDataset(data []byte) (*DatasetSegment, error) {
 		MultiIDs:   idsOf[model.ObjectID](viewU32(take(dsecMultiIDs, -1, 4))),
 		MultiOff:   viewU32(take(dsecMultiOff, -1, 4)),
 		MultiRects: viewRects(take(dsecMultiRects, -1, 32)),
-		SpatialSim: model.SpatialSim(c.flags),
-		TextualSim: model.TextualSim(c.flags >> 8),
 	}
 	bounds := viewU32(take(dsecBounds, -1, 4))
 	if bad != nil {

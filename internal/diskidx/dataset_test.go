@@ -75,8 +75,7 @@ func oneRowShardsFixture(t testing.TB, dir string) (path string, perm *model.Dat
 // object by ID, the row each object lies in, and the vocabulary.
 func expectSameDataset(t *testing.T, got, want *model.Dataset) {
 	t.Helper()
-	if got.Len() != want.Len() || got.Space() != want.Space() ||
-		got.SpatialSimFn() != want.SpatialSimFn() || got.TextualSimFn() != want.TextualSimFn() {
+	if got.Len() != want.Len() || got.Space() != want.Space() {
 		t.Fatalf("dataset shape differs: %d objects in %v", got.Len(), got.Space())
 	}
 	for i := 0; i < want.Len(); i++ {

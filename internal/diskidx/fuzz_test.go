@@ -131,6 +131,10 @@ func FuzzDatasetSegment(f *testing.F) {
 		binary.LittleEndian.PutUint32(m[off:], 0xffffffff)
 		f.Add(m)
 	}
+	// The flags a retired Dice/Dice dataset carried.
+	retired := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(retired[12:], 0x0101)
+	f.Add(retired)
 	for id := uint32(dsecRegions); id <= dsecMultiRects; id++ {
 		f.Add(damage(f, append([]byte(nil), valid...), id, func(p []byte) { p[len(p)/2] ^= 0x80 }))
 	}

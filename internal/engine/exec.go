@@ -285,8 +285,7 @@ const pruneEps = 1e-9
 // shard extent E. With A = |region ∩ E| and |q| = |region|, every member o
 // satisfies |q ∩ o| ≤ A (o's footprint lies inside E, MBRs included), so
 //
-//	Jaccard: simR = |q∩o|/|q∪o| ≤ A/|q|
-//	Dice:    simR = 2|q∩o|/(|q|+|o|) ≤ 2A/(|q|+A)   (x ↦ 2x/(|q|+x) grows)
+//	simR = |q∩o|/|q∪o| ≤ A/|q|
 //
 // The shard is pruned only when the bound clears τR by the pruneEps margin,
 // so float rounding can never drop a true answer. When no bound can be
@@ -298,11 +297,7 @@ func (s *shard) pruneBound(region geo.Rect, tauR float64) (float64, bool) {
 	if tauR <= 0 || qa <= 0 {
 		return 1, false
 	}
-	a := region.IntersectionArea(s.extent)
-	bound := a / qa
-	if s.ds.SpatialSimFn() == model.SpaceDice {
-		bound = 2 * a / (qa + a)
-	}
+	bound := region.IntersectionArea(s.extent) / qa
 	return bound, bound*(1+pruneEps) < tauR
 }
 

@@ -130,16 +130,6 @@ func Jaccard(r, s Rect) float64 {
 	return inter / (r.Area() + s.Area() - inter)
 }
 
-// Dice returns the spatial Dice similarity 2|r ∩ s| / (|r| + |s|), the
-// overlap-based alternative mentioned alongside Definition 1.
-func Dice(r, s Rect) float64 {
-	inter := r.IntersectionArea(s)
-	if inter == 0 {
-		return 0
-	}
-	return 2 * inter / (r.Area() + s.Area())
-}
-
 // MBR returns the minimum bounding rectangle of all rects. It panics when
 // rects is empty, because there is no meaningful empty MBR.
 func MBR(rects []Rect) Rect {

@@ -7,28 +7,8 @@ import (
 	"github.com/sealdb/seal/internal/model"
 )
 
-func TestSimEnumStrings(t *testing.T) {
-	cases := []struct {
-		got, want string
-	}{
-		{model.TextJaccard.String(), "jaccard"},
-		{model.TextDice.String(), "dice"},
-		{model.TextCosine.String(), "cosine"},
-		{model.TextualSim(9).String(), "TextualSim(9)"},
-		{model.SpaceJaccard.String(), "jaccard"},
-		{model.SpaceDice.String(), "dice"},
-		{model.SpatialSim(7).String(), "SpatialSim(7)"},
-	}
-	for _, c := range cases {
-		if c.got != c.want {
-			t.Errorf("String() = %q, want %q", c.got, c.want)
-		}
-	}
-}
-
 func TestSimFnAccessors(t *testing.T) {
 	var b model.Builder
-	b.SetSimilarity(model.SpaceDice, model.TextCosine)
 	if _, err := b.Add(rect01(), []string{"x"}); err != nil {
 		t.Fatal(err)
 	}
@@ -36,45 +16,11 @@ func TestSimFnAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.SpatialSimFn() != model.SpaceDice || ds.TextualSimFn() != model.TextCosine {
-		t.Fatalf("sim accessors = %v/%v", ds.SpatialSimFn(), ds.TextualSimFn())
-	}
 	if len(ds.Weights()) != ds.Vocab().Len() {
 		t.Fatalf("weights table length mismatch")
 	}
 	if b.Len() != 1 {
 		t.Fatalf("builder Len = %d", b.Len())
-	}
-}
-
-func TestCosineVerification(t *testing.T) {
-	var b model.Builder
-	b.SetSimilarity(model.SpaceJaccard, model.TextCosine)
-	if _, err := b.Add(rect01(), []string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Add(rect01(), []string{"a", "c"}); err != nil {
-		t.Fatal(err)
-	}
-	// A third object keeps "a" off the idf-zero floor (ln(3/3) = 0 would
-	// zero out the only shared token).
-	if _, err := b.Add(rect01(), []string{"d"}); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := ds.NewQuery(rect01(), []string{"a", "b"}, 0.5, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cosine self-similarity is 1.
-	if got := ds.SimT(q, 0); got != 1 {
-		t.Fatalf("cosine self simT = %v", got)
-	}
-	if got := ds.SimT(q, 1); got <= 0 || got >= 1 {
-		t.Fatalf("cosine cross simT = %v, want in (0,1)", got)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 
 // Columns is a root dataset's complete state as flat arrays. Token weights
 // are stored, not recomputed, so supplied weights (BuildWithVocab) survive
-// the round trip exactly like idf ones.
+// the round trip exactly like idf ones. There is no similarity column:
+// Jaccard is the only function a dataset verifies with.
 type Columns struct {
 	Terms   string    // vocabulary blob: term t is Terms[TermOff[t]:TermOff[t+1]]
 	TermOff []uint32  // one offset per term plus the end
@@ -34,9 +35,6 @@ type Columns struct {
 	MultiIDs   []ObjectID
 	MultiOff   []uint32
 	MultiRects []geo.Rect
-
-	SpatialSim SpatialSim
-	TextualSim TextualSim
 }
 
 // Columns exports the dataset's flat form. The slices alias the dataset and
@@ -47,14 +45,12 @@ func (ds *Dataset) Columns() (Columns, error) {
 		return Columns{}, errors.New("model: a subset has no columns of its own")
 	}
 	c := Columns{
-		Weights:    ds.weights,
-		Regions:    ds.regions,
-		TokOff:     ds.tokOff,
-		TokIDs:     ds.tokIDs,
-		IDs:        ds.ids,
-		MultiOff:   []uint32{0},
-		SpatialSim: ds.spatialSim,
-		TextualSim: ds.textualSim,
+		Weights:  ds.weights,
+		Regions:  ds.regions,
+		TokOff:   ds.tokOff,
+		TokIDs:   ds.tokIDs,
+		IDs:      ds.ids,
+		MultiOff: []uint32{0},
 	}
 	c.Terms, c.TermOff = ds.vocab.Blob()
 	for id := range ds.multi {
@@ -86,9 +82,6 @@ func FromColumns(c Columns) (*Dataset, error) {
 	if n == 0 {
 		return nil, errors.New("model: no objects")
 	}
-	if c.SpatialSim > SpaceDice || c.TextualSim > TextCosine {
-		return nil, fmt.Errorf("model: unknown similarity functions %d/%d", c.SpatialSim, c.TextualSim)
-	}
 	vocab, err := text.FromBlob(c.Terms, c.TermOff, c.Weights)
 	if err != nil {
 		return nil, err
@@ -119,7 +112,7 @@ func FromColumns(c Columns) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := newDataset(vocab, c.Regions, c.TokOff, c.TokIDs, multi, c.SpatialSim, c.TextualSim)
+	ds := newDataset(vocab, c.Regions, c.TokOff, c.TokIDs, multi)
 	if c.IDs != nil {
 		ds.ids, ds.runs = c.IDs, ascendingRuns(c.IDs)
 	}

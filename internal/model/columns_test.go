@@ -11,12 +11,11 @@ import (
 	"github.com/sealdb/seal/internal/text"
 )
 
-// columnsDataset is a small dataset with a multi-region object, an object
-// without tokens, and non-default similarity functions.
+// columnsDataset is a small dataset with a multi-region object and an object
+// without tokens.
 func columnsDataset(t *testing.T) *Dataset {
 	t.Helper()
 	var b Builder
-	b.SetSimilarity(SpaceDice, TextCosine)
 	add := func(_ ObjectID, err error) {
 		t.Helper()
 		if err != nil {
@@ -63,8 +62,7 @@ func TestColumnsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != ds.Len() || back.Space() != ds.Space() ||
-		back.SpatialSimFn() != SpaceDice || back.TextualSimFn() != TextCosine {
+	if back.Len() != ds.Len() || back.Space() != ds.Space() {
 		t.Fatalf("round trip changed the dataset's shape: %d objects in %v", back.Len(), back.Space())
 	}
 	q, err := ds.NewQuery(geo.Rect{MinX: 1, MinY: 1, MaxX: 15, MaxY: 11}, []string{"a", "d", "zzz"}, 0.01, 0.01)
@@ -143,8 +141,6 @@ func TestFromColumnsRejects(t *testing.T) {
 	}
 	cases := map[string]func(c *Columns){
 		"no objects":               func(c *Columns) { c.Regions = nil },
-		"unknown spatial sim":      func(c *Columns) { c.SpatialSim = 9 },
-		"unknown textual sim":      func(c *Columns) { c.TextualSim = 9 },
 		"invalid region":           func(c *Columns) { c.Regions[0].MaxX = math.NaN() },
 		"inverted region":          func(c *Columns) { c.Regions[0].MinX, c.Regions[0].MaxX = 5, 1 },
 		"token offsets too short":  func(c *Columns) { c.TokOff = c.TokOff[:len(c.TokOff)-1] },

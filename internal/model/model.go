@@ -2,7 +2,9 @@
 // (Section 2.1): a Dataset of ROI objects — each an MBR region plus a
 // weighted token set — and similarity-search queries with separate spatial
 // and textual thresholds. It also provides the exact similarity verification
-// used by every method's verify step.
+// used by every method's verify step. Similarity is Jaccard in both
+// dimensions (Definitions 1 and 2), the only function whose prefix bounds
+// every signature filter derives its thresholds from.
 package model
 
 import (
@@ -18,50 +20,6 @@ import (
 // ObjectID is an object's ID — its insertion position — or a row of a
 // Dataset (both dense, 0-based); see Dataset for which a method takes.
 type ObjectID uint32
-
-// TextualSim selects the token-set similarity function (Definition 2 and the
-// extensions listed in the paper's future work).
-type TextualSim uint8
-
-// Supported textual similarity functions.
-const (
-	TextJaccard TextualSim = iota
-	TextDice
-	TextCosine
-)
-
-func (s TextualSim) String() string {
-	switch s {
-	case TextJaccard:
-		return "jaccard"
-	case TextDice:
-		return "dice"
-	case TextCosine:
-		return "cosine"
-	default:
-		return fmt.Sprintf("TextualSim(%d)", uint8(s))
-	}
-}
-
-// SpatialSim selects the region similarity function (Definition 1).
-type SpatialSim uint8
-
-// Supported spatial similarity functions.
-const (
-	SpaceJaccard SpatialSim = iota
-	SpaceDice
-)
-
-func (s SpatialSim) String() string {
-	switch s {
-	case SpaceJaccard:
-		return "jaccard"
-	case SpaceDice:
-		return "dice"
-	default:
-		return fmt.Sprintf("SpatialSim(%d)", uint8(s))
-	}
-}
 
 // Dataset is an immutable collection of spatio-textual objects sharing a
 // vocabulary. Build one with a Builder.
@@ -95,9 +53,6 @@ type Dataset struct {
 	// ids is, and on a Subset, which answers no lookup by ID.
 	ids  []ObjectID
 	runs []uint32
-
-	spatialSim SpatialSim
-	textualSim TextualSim
 }
 
 // Builder accumulates objects and freezes them into a Dataset.
@@ -108,17 +63,6 @@ type Builder struct {
 	tokOff  []uint32 // row ends so far; the leading 0 is added on freeze
 	tokIDs  []text.TokenID
 	multi   map[ObjectID]geo.RectSet
-	sims    struct {
-		spatial SpatialSim
-		textual TextualSim
-	}
-}
-
-// SetSimilarity selects the similarity functions the dataset will verify
-// with. The default is Jaccard for both, as in the paper.
-func (b *Builder) SetSimilarity(spatial SpatialSim, textual TextualSim) {
-	b.sims.spatial = spatial
-	b.sims.textual = textual
 }
 
 // Add appends one object with the given region and raw terms. Duplicate
@@ -152,7 +96,7 @@ func (b *Builder) Build() (*Dataset, error) {
 		return nil, errors.New("model: cannot build an empty dataset")
 	}
 	vocab := b.vb.Build()
-	return newDataset(vocab, b.regions, b.offsets(), b.tokIDs, b.multi, b.sims.spatial, b.sims.textual), nil
+	return newDataset(vocab, b.regions, b.offsets(), b.tokIDs, b.multi), nil
 }
 
 // BuildWithVocab freezes the builder but verifies against the supplied
@@ -178,21 +122,19 @@ func (b *Builder) BuildWithVocab(vocab *text.Vocab) (*Dataset, error) {
 		}
 		text.SortDedup(row)
 	}
-	return newDataset(vocab, b.regions, tokOff, remapped, b.multi, b.sims.spatial, b.sims.textual), nil
+	return newDataset(vocab, b.regions, tokOff, remapped, b.multi), nil
 }
 
-func newDataset(vocab *text.Vocab, regions []geo.Rect, tokOff []uint32, tokIDs []text.TokenID, multi map[ObjectID]geo.RectSet, ss SpatialSim, ts TextualSim) *Dataset {
+func newDataset(vocab *text.Vocab, regions []geo.Rect, tokOff []uint32, tokIDs []text.TokenID, multi map[ObjectID]geo.RectSet) *Dataset {
 	ds := &Dataset{
-		vocab:      vocab,
-		weights:    vocab.Weights(),
-		regions:    regions,
-		tokOff:     tokOff,
-		tokIDs:     tokIDs,
-		totalW:     make([]float64, len(regions)),
-		space:      geo.MBR(regions),
-		multi:      multi,
-		spatialSim: ss,
-		textualSim: ts,
+		vocab:   vocab,
+		weights: vocab.Weights(),
+		regions: regions,
+		tokOff:  tokOff,
+		tokIDs:  tokIDs,
+		totalW:  make([]float64, len(regions)),
+		space:   geo.MBR(regions),
+		multi:   multi,
 	}
 	for i := range regions {
 		ds.totalW[i] = vocab.TotalWeight(tokIDs[tokOff[i]:tokOff[i+1]])
@@ -252,12 +194,6 @@ func (ds *Dataset) Area(row ObjectID) float64 { return ds.Region(row).Area() }
 // Space returns the MBR of all object regions — the space decomposed into
 // grids by the spatial signatures (Section 4.1).
 func (ds *Dataset) Space() geo.Rect { return ds.space }
-
-// SpatialSimFn returns the configured spatial similarity function.
-func (ds *Dataset) SpatialSimFn() SpatialSim { return ds.spatialSim }
-
-// TextualSimFn returns the configured textual similarity function.
-func (ds *Dataset) TextualSimFn() TextualSim { return ds.textualSim }
 
 // Query is a compiled spatio-textual similarity query against a particular
 // Dataset. Build one with Dataset.NewQuery.
@@ -347,35 +283,24 @@ func maxIDFWeight(numObjects int) float64 {
 // Area returns the cached query-region area |q.R|.
 func (q *Query) Area() float64 { return q.area }
 
-// SimR returns the exact spatial similarity between the query and a row's
-// object. Multi-region objects are measured against their rectangle union.
+// SimR returns the exact spatial Jaccard similarity |q ∩ o| / |q ∪ o|
+// between the query and a row's object (Definition 1). Multi-region objects
+// are measured against their rectangle union.
 func (ds *Dataset) SimR(q *Query, row ObjectID) float64 {
 	if ds.multi != nil {
 		if set, ok := ds.multi[ds.ID(row)]; ok {
 			return ds.simRMulti(q, set)
 		}
 	}
-	switch ds.spatialSim {
-	case SpaceDice:
-		return geo.Dice(q.Region, ds.regions[row])
-	default:
-		return geo.Jaccard(q.Region, ds.regions[row])
-	}
+	return geo.Jaccard(q.Region, ds.regions[row])
 }
 
-// SimT returns the exact textual similarity between the query and a row's
-// object. The query's unknown-term weight counts toward the union
-// (denominator).
+// SimT returns the exact weighted textual Jaccard similarity between the
+// query and a row's object (Definition 2). The query's unknown-term weight
+// counts toward the union (denominator).
 func (ds *Dataset) SimT(q *Query, row ObjectID) float64 {
 	o := ds.tokIDs[ds.tokOff[row]:ds.tokOff[row+1]]
-	switch ds.textualSim {
-	case TextDice:
-		return text.WeightedDice(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[row])
-	case TextCosine:
-		return text.WeightedCosine(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[row])
-	default:
-		return text.WeightedJaccard(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[row])
-	}
+	return text.WeightedJaccard(q.Tokens, o, ds.weights, q.TotalWeight, ds.totalW[row])
 }
 
 // Matches reports whether a row's object satisfies both thresholds — the

@@ -109,35 +109,6 @@ func TestUnknownQueryTerms(t *testing.T) {
 	}
 }
 
-func TestDiceSimilarities(t *testing.T) {
-	var b model.Builder
-	b.SetSimilarity(model.SpaceDice, model.TextDice)
-	if _, err := b.Add(geo.Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}, []string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Add(geo.Rect{MinX: 1, MinY: 0, MaxX: 3, MaxY: 2}, []string{"a", "c"}); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := ds.NewQuery(geo.Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}, []string{"a", "b"}, 0.4, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Spatial Dice between [0,0,2,2] and [1,0,3,2]: 2*2/(4+4) = 0.5.
-	if got := ds.SimR(q, 1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Dice SimR = %v, want 0.5", got)
-	}
-	if got := ds.SimR(q, 0); got != 1 {
-		t.Errorf("Dice self SimR = %v, want 1", got)
-	}
-	if got := ds.SimT(q, 0); got != 1 {
-		t.Errorf("Dice self SimT = %v, want 1", got)
-	}
-}
-
 func TestEmptyDataset(t *testing.T) {
 	var b model.Builder
 	if _, err := b.Build(); err == nil {

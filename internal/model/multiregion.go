@@ -56,17 +56,12 @@ func (ds *Dataset) MultiRegion(row ObjectID) geo.RectSet {
 	return ds.multi[ds.ID(row)]
 }
 
-// simRMulti computes the exact spatial similarity between the query
+// simRMulti computes the exact spatial Jaccard similarity between the query
 // rectangle and a rectangle-union footprint.
 func (ds *Dataset) simRMulti(q *Query, set geo.RectSet) float64 {
 	inter := set.IntersectionArea(q.Region)
 	if inter == 0 {
 		return 0
 	}
-	switch ds.spatialSim {
-	case SpaceDice:
-		return 2 * inter / (q.Area() + set.Area())
-	default:
-		return inter / (q.Area() + set.Area() - inter)
-	}
+	return inter / (q.Area() + set.Area() - inter)
 }

@@ -81,27 +81,6 @@ func TestMultiRegionExactSimilarity(t *testing.T) {
 	}
 }
 
-func TestMultiRegionDice(t *testing.T) {
-	var b model.Builder
-	b.SetSimilarity(model.SpaceDice, model.TextJaccard)
-	if _, err := b.AddMulti(lShape, []string{"ell"}); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := ds.NewQuery(geo.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 2}, []string{"ell"}, 0.1, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dice: 2*20 / (20 + 36).
-	want := 40.0 / 56.0
-	if got := ds.SimR(q, 0); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Dice simR = %v, want %v", got, want)
-	}
-}
-
 // TestSimRMultiAllocs: verifying a candidate with a footprint of two to
 // eight rectangles, overlapping and disjoint, allocates nothing — the
 // sweeps keep that many rectangles in fixed buffers.

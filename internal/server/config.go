@@ -148,6 +148,12 @@ func (c Config) Validate() error {
 	if c.MaxInFlight < 0 || c.MaxBatch < 0 {
 		return fmt.Errorf("server: negative concurrency limits")
 	}
+	if c.RequestTimeout < 0 {
+		return fmt.Errorf("server: negative request timeout %v", c.RequestTimeout)
+	}
+	if c.ShutdownGrace < 0 {
+		return fmt.Errorf("server: negative shutdown grace %v", c.ShutdownGrace)
+	}
 	if c.SlowQuery < 0 {
 		return fmt.Errorf("server: negative slow-query threshold %v", c.SlowQuery)
 	}

@@ -129,6 +129,8 @@ func TestConfigValidate(t *testing.T) {
 		{"bad-method", func(c *Config) { c.DataPath = "x"; c.Method = "rtree" }, false},
 		{"bad-granularity", func(c *Config) { c.DataPath = "x"; c.Granularity = 0 }, false},
 		{"negative-warmup", func(c *Config) { c.DataPath = "x"; c.Warmup = -1 }, false},
+		{"negative-timeout", func(c *Config) { c.DataPath = "x"; c.RequestTimeout = -time.Second }, false},
+		{"negative-grace", func(c *Config) { c.DataPath = "x"; c.ShutdownGrace = -time.Second }, false},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig

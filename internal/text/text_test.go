@@ -237,20 +237,12 @@ func TestSimilarityProperties(t *testing.T) {
 		a, b, w := randomSets(seed)
 		wa, wb := total(a, w), total(b, w)
 		j := WeightedJaccard(a, b, w, wa, wb)
-		d := WeightedDice(a, b, w, wa, wb)
-		c := WeightedCosine(a, b, w, wa, wb)
 		// Symmetry.
 		if j != WeightedJaccard(b, a, w, wb, wa) {
 			return false
 		}
-		// Ranges.
-		for _, s := range []float64{j, d, c} {
-			if s < 0 || s > 1+1e-9 || math.IsNaN(s) {
-				return false
-			}
-		}
-		// Jaccard <= Dice always.
-		if j > d+1e-12 {
+		// Range.
+		if j < 0 || j > 1+1e-9 || math.IsNaN(j) {
 			return false
 		}
 		// Identity on non-empty sets.

@@ -1,9 +1,6 @@
 package seal
 
-import (
-	"github.com/sealdb/seal/internal/core"
-	"github.com/sealdb/seal/internal/model"
-)
+import "github.com/sealdb/seal/internal/core"
 
 // Method selects the candidate-generation strategy (the filter step): one of
 // the paper's four signature families, each of which a segment directory can
@@ -24,28 +21,6 @@ const (
 	MethodHybridHash
 )
 
-// SpatialSimilarity selects the region similarity function.
-type SpatialSimilarity int
-
-const (
-	// SpatialJaccard is |∩| / |∪| (Definition 1). Default.
-	SpatialJaccard SpatialSimilarity = iota
-	// SpatialDice is 2|∩| / (|a|+|b|).
-	SpatialDice
-)
-
-// TextualSimilarity selects the token-set similarity function.
-type TextualSimilarity int
-
-const (
-	// TextualJaccard is the weighted Jaccard coefficient (Definition 2). Default.
-	TextualJaccard TextualSimilarity = iota
-	// TextualDice is the weighted Dice coefficient.
-	TextualDice
-	// TextualCosine is the weighted cosine over binary vectors.
-	TextualCosine
-)
-
 type options struct {
 	method          Method
 	granularity     int
@@ -53,8 +28,6 @@ type options struct {
 	gridBudget      int
 	maxLevel        int
 	shards          int
-	spatialSim      model.SpatialSim
-	textualSim      model.TextualSim
 	weights         map[string]float64
 	autoSet         bool
 	autoGranularity []Request
@@ -115,32 +88,6 @@ func WithMaxLevel(level int) Option {
 // object count.
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
-}
-
-// WithSpatialSimilarity selects the region similarity function.
-func WithSpatialSimilarity(s SpatialSimilarity) Option {
-	return func(o *options) {
-		switch s {
-		case SpatialDice:
-			o.spatialSim = model.SpaceDice
-		default:
-			o.spatialSim = model.SpaceJaccard
-		}
-	}
-}
-
-// WithTextualSimilarity selects the token-set similarity function.
-func WithTextualSimilarity(s TextualSimilarity) Option {
-	return func(o *options) {
-		switch s {
-		case TextualDice:
-			o.textualSim = model.TextDice
-		case TextualCosine:
-			o.textualSim = model.TextCosine
-		default:
-			o.textualSim = model.TextJaccard
-		}
-	}
 }
 
 // WithTokenWeights replaces idf weighting with explicit token weights.

@@ -15,21 +15,20 @@ import (
 
 // oracle is the engine-free reference the root tests compare indexes
 // against: the objects in a model.Dataset built exactly as seal.Build builds
-// its own, under the same similarity functions, scanned linearly.
+// its own, scanned linearly.
 type oracle struct{ ds *model.Dataset }
 
-func newOracle(t testing.TB, objects []seal.Object, spatial model.SpatialSim, textual model.TextualSim) oracle {
+func newOracle(t testing.TB, objects []seal.Object) oracle {
 	t.Helper()
-	return newWeightedOracle(t, objects, spatial, textual, nil)
+	return newWeightedOracle(t, objects, nil)
 }
 
 // newWeightedOracle is newOracle under explicit token weights, as
 // WithTokenWeights sets them; nil weights are idf ones.
-func newWeightedOracle(t testing.TB, objects []seal.Object, spatial model.SpatialSim, textual model.TextualSim, weights map[string]float64) oracle {
+func newWeightedOracle(t testing.TB, objects []seal.Object, weights map[string]float64) oracle {
 	t.Helper()
 	rect := func(r seal.Rect) geo.Rect { return geo.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY} }
 	var b model.Builder
-	b.SetSimilarity(spatial, textual)
 	for i, o := range objects {
 		var err error
 		if len(o.Regions) > 0 {

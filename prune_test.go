@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"github.com/sealdb/seal"
-	"github.com/sealdb/seal/internal/model"
 )
 
 // pruneLayouts are the four ways an index comes to hold its postings: built
@@ -85,7 +84,7 @@ func TestPruneEveryLayoutAndShape(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(11))
 	objects := shardObjects(300, rng)
-	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
+	oracle := newOracle(t, objects)
 
 	// Selective: tight rects at a high spatial threshold, which most
 	// partitions cannot reach. Broad: the shard suites' mixed workload.

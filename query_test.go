@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"github.com/sealdb/seal"
-	"github.com/sealdb/seal/internal/model"
 )
 
 func queryTestObjects(n int) []seal.Object {
@@ -36,7 +35,7 @@ func queryTestIndex(t *testing.T, n int, opts ...seal.Option) *seal.Index {
 
 // queryTestOracle is the brute-force reference for queryTestIndex(t, n, ...).
 func queryTestOracle(t *testing.T, n int) oracle {
-	return newOracle(t, queryTestObjects(n), model.SpaceJaccard, model.TextJaccard)
+	return newOracle(t, queryTestObjects(n))
 }
 
 func TestRequestValidation(t *testing.T) {

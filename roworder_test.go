@@ -59,7 +59,7 @@ func rowOrderObjects() []seal.Object {
 // fingerprint is the insertion-ordered dataset's.
 func TestRowOrderIsInvisible(t *testing.T) {
 	objects := rowOrderObjects()
-	orc := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
+	orc := newOracle(t, objects)
 	space := seal.Rect{MinX: 0, MinY: 0, MaxX: 120, MaxY: 120}
 	twins := seal.Request{Region: space, Tokens: []string{"twin"}, TauR: 1e-4, TauT: 0.5}
 	top1 := seal.Request{Region: space, Tokens: []string{"twin"}, K: 1, Alpha: 0.5, FloorR: 1e-4, FloorT: 1e-4}

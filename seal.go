@@ -3,8 +3,8 @@ package seal
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
-	"strings"
 	"time"
 
 	"github.com/sealdb/seal/internal/core"
@@ -130,7 +130,6 @@ func Build(objects []Object, opts ...Option) (*Index, error) {
 	start := time.Now()
 
 	var b model.Builder
-	b.SetSimilarity(cfg.spatialSim, cfg.textualSim)
 	for i, o := range objects {
 		if len(o.Regions) > 0 {
 			set := make(geo.RectSet, len(o.Regions))
@@ -219,14 +218,12 @@ func newIndex(eng *engine.Engine, dir string, start time.Time, mapped bool) *Ind
 }
 
 func vocabFromWeights(objects []Object, weights map[string]float64) (*text.Vocab, error) {
-	terms := make([]string, 0, len(weights))
-	vals := make([]float64, 0, len(weights))
-	for term, w := range weights {
-		terms = append(terms, term)
-		vals = append(vals, w)
+	// Sorted terms give reproducible token IDs.
+	terms := slices.Sorted(maps.Keys(weights))
+	vals := make([]float64, len(terms))
+	for i, term := range terms {
+		vals[i] = weights[term]
 	}
-	// Deterministic order for reproducible token IDs.
-	sortByTerm(terms, vals)
 	vocab, err := text.NewWithWeights(terms, vals)
 	if err != nil {
 		return nil, fmt.Errorf("seal: %w", err)
@@ -239,22 +236,6 @@ func vocabFromWeights(objects []Object, weights map[string]float64) (*text.Vocab
 		}
 	}
 	return vocab, nil
-}
-
-func sortByTerm(terms []string, vals []float64) {
-	idx := make([]int, len(terms))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(a, b int) int { return strings.Compare(terms[a], terms[b]) })
-	t2 := make([]string, len(terms))
-	v2 := make([]float64, len(vals))
-	for pos, i := range idx {
-		t2[pos] = terms[i]
-		v2[pos] = vals[i]
-	}
-	copy(terms, t2)
-	copy(vals, v2)
 }
 
 func autoGranularity(ds *model.Dataset, cfg options) (int, error) {

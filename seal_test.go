@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	seal "github.com/sealdb/seal"
-	"github.com/sealdb/seal/internal/model"
 )
 
 // paperObjects is the Figure 1 running example of the paper.
@@ -179,47 +178,12 @@ func TestCustomWeights(t *testing.T) {
 	}
 }
 
-func TestDiceOptions(t *testing.T) {
-	objs := []seal.Object{
-		{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}, Tokens: []string{"a", "b"}},
-		{Region: seal.Rect{MinX: 1, MinY: 0, MaxX: 3, MaxY: 2}, Tokens: []string{"a", "c"}},
-	}
-	ix, err := seal.Build(objs,
-		seal.WithSpatialSimilarity(seal.SpatialDice),
-		seal.WithTextualSimilarity(seal.TextualDice),
-		seal.WithMethod(seal.MethodTokenFilter))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := seal.Request{Region: seal.Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 2}, Tokens: []string{"a", "b"}, TauR: 0.5, TauT: 0.5}
-	matches, err := answer(ix, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameMatches(t, "dice", matches, newOracle(t, objs, model.SpaceDice, model.TextDice).threshold(t, q))
-	// Object 0 matches trivially; object 1 has spatial Dice 0.5 ≥ 0.5 and
-	// must pass the textual Dice too? common weight w(a), totals... check
-	// via Similarity instead of hand-computing.
-	for _, m := range matches {
-		simR, simT, err := ix.Similarity(q, m.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if simR < q.TauR || simT < q.TauT {
-			t.Errorf("match %d has sims (%v, %v) below thresholds", m.ID, simR, simT)
-		}
-	}
-	if len(matches) == 0 || matches[0].ID != 0 {
-		t.Fatalf("matches = %v, want object 0 first", matches)
-	}
-}
-
 // TestMethodsAgree: every method returns the brute-force answer on random
 // data.
 func TestMethodsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	objects := randomObjects(rng, 300)
-	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
+	oracle := newOracle(t, objects)
 	indexes := make([]*seal.Index, 0, len(allMethods))
 	for _, m := range allMethods {
 		ix, err := seal.Build(objects, seal.WithMethod(m), seal.WithGranularity(64),
@@ -300,7 +264,7 @@ func TestAutoGranularity(t *testing.T) {
 		t.Fatalf("auto granularity should select a grid filter, got %s", got)
 	}
 	// The index still answers exactly.
-	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
+	oracle := newOracle(t, objects)
 	for qi := 0; qi < 20; qi++ {
 		q := randomQuery(rng, objects)
 		got, err := answer(ix, q)

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"github.com/sealdb/seal"
-	"github.com/sealdb/seal/internal/model"
 )
 
 // randomObjects draws n spatio-textual objects in a 100×100 space with a
@@ -82,7 +81,7 @@ func TestShardEquivalence(t *testing.T) {
 		{"grid", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithGranularity(64)}},
 		{"token", []seal.Option{seal.WithMethod(seal.MethodTokenFilter)}},
 	}
-	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
+	oracle := newOracle(t, objects)
 	for _, method := range methods {
 		t.Run(method.name, func(t *testing.T) {
 			base, err := seal.Build(objects, method.opts...)
@@ -230,7 +229,7 @@ func TestSearchTopKHugeK(t *testing.T) {
 		FloorR: 0.001,
 		FloorT: 0.001,
 	}
-	want := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard).ranked(t, tq)
+	want := newOracle(t, objects).ranked(t, tq)
 	for _, shards := range []int{1, 4} {
 		ix, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(shards))
 		if err != nil {
@@ -267,7 +266,7 @@ func TestSearchContextDeadlineSingleShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameMatches(t, "live-context search", res.Matches, newOracle(t, objects, model.SpaceJaccard, model.TextJaccard).threshold(t, q))
+	requireSameMatches(t, "live-context search", res.Matches, newOracle(t, objects).threshold(t, q))
 }
 
 func benchIndex(b *testing.B, shards int) (*seal.Index, []seal.Request) {

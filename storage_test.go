@@ -105,7 +105,7 @@ func TestStorageDifferential(t *testing.T) {
 	queries := shardQueries(12, rng)
 	hugeObjects, hugeQueries, weights := hugeCorpus(objects, queries)
 	hugeWeights := seal.WithTokenWeights(weights)
-	hugeOracle := newWeightedOracle(t, hugeObjects, model.SpaceJaccard, model.TextJaccard, weights)
+	hugeOracle := newWeightedOracle(t, hugeObjects, weights)
 
 	methods := []struct {
 		name string
@@ -425,6 +425,57 @@ func TestRetiredKeyColumnIsStale(t *testing.T) {
 	expectSameAnswers(t, "rebuilt", base, opened, []seal.Request{paperQuery(), loose, wide, {Region: wide.Region, Tokens: []string{"coffee"}, TauR: 0.001, TauT: 0.01}})
 }
 
+// TestRetiredSimilarityDataset: a dataset segment once carried a Dice or
+// cosine similarity in its header flags (0x0101 for Dice/Dice). Jaccard is
+// the only similarity, so a dataset.seg with those flags is corrupt: Open
+// refuses it, and Build over the same objects rebuilds it byte for byte as a
+// fresh save writes it.
+func TestRetiredSimilarityDataset(t *testing.T) {
+	objects := shardObjects(120, rand.New(rand.NewSource(58)))
+	opts := func(dir string) []seal.Option {
+		return []seal.Option{seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(2), seal.WithSegmentDir(dir)}
+	}
+	fresh := filepath.Join(t.TempDir(), "fresh")
+	saved, err := seal.Build(objects, opts(fresh)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := saved.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(fresh, "dataset.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "segs")
+	if err := os.CopyFS(dir, os.DirFS(fresh)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "dataset.seg")
+	retired := slices.Clone(want)
+	binary.LittleEndian.PutUint32(retired[12:], 0x0101)
+	if err := os.WriteFile(path, retired, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ix, err := seal.Open(dir); !errors.Is(err, seal.ErrCorruptSegment) {
+		if err == nil {
+			ix.Close()
+		}
+		t.Fatalf("Open of a retired Dice dataset: %v, want ErrCorruptSegment", err)
+	}
+	rebuilt, err := seal.Build(objects, opts(dir)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rebuilt.Close()
+	if rebuilt.Stats().Mapped {
+		t.Fatal("a retired Dice dataset was served instead of rebuilt")
+	}
+	if got, err := os.ReadFile(path); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("rebuilt dataset.seg differs from a fresh save (read error %v)", err)
+	}
+}
+
 // TestSegmentDirRebuildsOnMismatch: a segment directory built from different
 // objects or a different configuration must be rebuilt, not served.
 func TestSegmentDirRebuildsOnMismatch(t *testing.T) {
@@ -495,7 +546,7 @@ func TestSegmentDirRebuildsUnderOtherWeights(t *testing.T) {
 	for i, term := range terms {
 		a[term], b[term] = float64(i+1), float64(len(terms)-i)
 	}
-	oracle := newWeightedOracle(t, objects, model.SpaceJaccard, model.TextJaccard, b)
+	oracle := newWeightedOracle(t, objects, b)
 	for _, method := range []struct {
 		name string
 		opts []seal.Option
@@ -907,7 +958,7 @@ func TestTokenWeightsMustBeFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer opened.Close()
-	oracle := newWeightedOracle(t, objects, model.SpaceJaccard, model.TextJaccard, weights)
+	oracle := newWeightedOracle(t, objects, weights)
 	// Queries around indexed objects, half of them carrying the heavy token,
 	// at thresholds low enough to match their neighbours.
 	hits := 0

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"github.com/sealdb/seal"
-	"github.com/sealdb/seal/internal/model"
 )
 
 // collectStream drains a Stream iterator, failing the test on a yielded
@@ -68,7 +67,7 @@ func TestStreamEquivalence(t *testing.T) {
 		{"grid", []seal.Option{seal.WithMethod(seal.MethodGridFilter), seal.WithGranularity(64)}},
 		{"token", []seal.Option{seal.WithMethod(seal.MethodTokenFilter)}},
 	}
-	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
+	oracle := newOracle(t, objects)
 	for _, method := range methods {
 		t.Run(method.name, func(t *testing.T) {
 			for _, k := range []int{1, 2, 3, 8} {
@@ -150,7 +149,7 @@ func TestArrivalOffset(t *testing.T) {
 		TauR:   0.0005,
 		TauT:   0.0005,
 	}
-	want := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard).threshold(t, req)
+	want := newOracle(t, objects).threshold(t, req)
 	if len(want) < 20 {
 		t.Fatalf("want a dense query for this test, got %d matches", len(want))
 	}
@@ -199,7 +198,7 @@ func TestStreamRankedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260732))
 	objects := shardObjects(250, rng)
 	queries := shardQueries(12, rng)
-	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
+	oracle := newOracle(t, objects)
 	for _, k := range []int{1, 3} {
 		ix, err := seal.Build(objects, seal.WithMethod(seal.MethodTokenFilter), seal.WithShards(k))
 		if err != nil {
@@ -260,7 +259,7 @@ func TestStreamLimitReducesEngineWork(t *testing.T) {
 	if len(full.Matches) < 100 {
 		t.Fatalf("want a dense query for this test, got %d matches", len(full.Matches))
 	}
-	oracle := newOracle(t, objects, model.SpaceJaccard, model.TextJaccard)
+	oracle := newOracle(t, objects)
 	requireSameMatches(t, "full", full.Matches, oracle.threshold(t, req))
 
 	const limit = 5
