@@ -219,6 +219,14 @@ func TestDatasetSegmentMalformed(t *testing.T) {
 		{"unknown flag bits", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 1<<16); return b }},
 		{"unknown spatial sim", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 7); return b }},
 		{"unknown textual sim", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 7<<8); return b }},
+		// Every flag word a dataset written under a retired Dice or cosine
+		// similarity carried: spatial Dice in bit 0, textual Dice or cosine
+		// as 1 or 2 in bits 8–15.
+		{"retired spatial dice", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 0x0001); return b }},
+		{"retired textual dice", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 0x0100); return b }},
+		{"retired textual cosine", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 0x0200); return b }},
+		{"retired dice/dice", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 0x0101); return b }},
+		{"retired dice/cosine", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 0x0201); return b }},
 		{"huge object count", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[16:], 1<<60); return b }},
 		{"huge token count", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[24:], 1<<60); return b }},
 		{"huge term count", func(b []byte) []byte { binary.LittleEndian.PutUint64(b[32:], 1<<60); return b }},

@@ -72,6 +72,19 @@ func TestLoadConfigRejectsBadDuration(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsNegativeDuration: a negative duration in any key is
+// refused at load, none read as "no deadline", and the error says so.
+func TestLoadConfigRejectsNegativeDuration(t *testing.T) {
+	for _, key := range []string{"request_timeout", "shutdown_grace", "slow_query", "shard_timeout"} {
+		t.Run(key, func(t *testing.T) {
+			path := writeConfigFile(t, `{"segments": "/x", "allow_partial": true, "`+key+`": "-1s"}`)
+			if _, err := LoadConfig(path, DefaultConfig); err == nil || !strings.Contains(err.Error(), "negative") {
+				t.Fatalf("negative %s accepted or unexplained: %v", key, err)
+			}
+		})
+	}
+}
+
 // TestMethodOptions: every name MethodNames lists builds an index of that
 // method (grid and hybrid at the given granularity), and every other name —
 // the paper's baselines included — is refused.

@@ -426,8 +426,9 @@ func TestRetiredKeyColumnIsStale(t *testing.T) {
 }
 
 // TestRetiredSimilarityDataset: a dataset segment once carried a Dice or
-// cosine similarity in its header flags (0x0101 for Dice/Dice). Jaccard is
-// the only similarity, so a dataset.seg with those flags is corrupt: Open
+// cosine similarity in its header flags (spatial Dice in bit 0, textual Dice
+// or cosine as 1 or 2 in bits 8–15; 0x0101 for Dice/Dice). Jaccard is the
+// only similarity, so a dataset.seg with any of those flags is corrupt: Open
 // refuses it, and Build over the same objects rebuilds it byte for byte as a
 // fresh save writes it.
 func TestRetiredSimilarityDataset(t *testing.T) {
@@ -447,32 +448,45 @@ func TestRetiredSimilarityDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(t.TempDir(), "segs")
-	if err := os.CopyFS(dir, os.DirFS(fresh)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "dataset.seg")
-	retired := slices.Clone(want)
-	binary.LittleEndian.PutUint32(retired[12:], 0x0101)
-	if err := os.WriteFile(path, retired, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if ix, err := seal.Open(dir); !errors.Is(err, seal.ErrCorruptSegment) {
-		if err == nil {
-			ix.Close()
-		}
-		t.Fatalf("Open of a retired Dice dataset: %v, want ErrCorruptSegment", err)
-	}
-	rebuilt, err := seal.Build(objects, opts(dir)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rebuilt.Close()
-	if rebuilt.Stats().Mapped {
-		t.Fatal("a retired Dice dataset was served instead of rebuilt")
-	}
-	if got, err := os.ReadFile(path); err != nil || !slices.Equal(got, want) {
-		t.Fatalf("rebuilt dataset.seg differs from a fresh save (read error %v)", err)
+	for _, tc := range []struct {
+		name  string
+		flags uint32
+	}{
+		{"dice/jaccard", 0x0001},
+		{"jaccard/dice", 0x0100},
+		{"jaccard/cosine", 0x0200},
+		{"dice/dice", 0x0101},
+		{"dice/cosine", 0x0201},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "segs")
+			if err := os.CopyFS(dir, os.DirFS(fresh)); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "dataset.seg")
+			retired := slices.Clone(want)
+			binary.LittleEndian.PutUint32(retired[12:], tc.flags)
+			if err := os.WriteFile(path, retired, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if ix, err := seal.Open(dir); !errors.Is(err, seal.ErrCorruptSegment) {
+				if err == nil {
+					ix.Close()
+				}
+				t.Fatalf("Open of a retired %s dataset: %v, want ErrCorruptSegment", tc.name, err)
+			}
+			rebuilt, err := seal.Build(objects, opts(dir)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rebuilt.Close()
+			if rebuilt.Stats().Mapped {
+				t.Fatalf("a retired %s dataset was served instead of rebuilt", tc.name)
+			}
+			if got, err := os.ReadFile(path); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("rebuilt dataset.seg differs from a fresh save (read error %v)", err)
+			}
+		})
 	}
 }
 
